@@ -11,7 +11,9 @@
 //!   batch is committed two ways: incrementally (`apply_deltas`, replay
 //!   pruned to the upward-closed affected cone) and as a full
 //!   recompute (`apply_deltas_full`). The report records both simulated
-//!   times, event counts, and full-logits digests. A minimal feature
+//!   times, the host wall time of staging and of each apply (recorded,
+//!   not gated — wall gates belong to `benchmark/`), event counts, and
+//!   full-logits digests. A minimal feature
 //!   delta (the vertex with the fewest out-edges) exercises the strict
 //!   small-cone gates; a mixed edge+feature toggle batch (GCN cells)
 //!   exercises digest equality through chunk rebuilds.
@@ -48,6 +50,7 @@ use hongtu_graph::generators;
 use hongtu_nn::ModelKind;
 use hongtu_sim::MachineConfig;
 use hongtu_tensor::{Matrix, SeededRng};
+use std::time::Instant;
 
 const USAGE: &str = "usage: bench_delta [--out FILE] [--size N] [--chunks N] \
      [--gpus N] [--overlap off|doublebuffer] [--seed N]";
@@ -140,10 +143,16 @@ fn feature_deltas(ds: &Dataset, vertices: &[u32]) -> Vec<Delta> {
         .collect()
 }
 
-/// One measured commit: sim time, sim events, cone occupancy, and the
-/// digest of the full post-commit logits.
+/// One measured commit: sim time, host wall time, sim events, cone
+/// occupancy, and the digest of the full post-commit logits.
 struct Cost {
     sim_s: f64,
+    /// Host time of `DynamicGraph::stage` (0 for the full-recompute
+    /// twin, which stages inside its one timed call).
+    stage_wall_ms: f64,
+    /// Host time of the apply: `apply_staged`, or all of
+    /// `apply_deltas_full`.
+    apply_wall_ms: f64,
     events: usize,
     active_steps: usize,
     total_steps: usize,
@@ -168,14 +177,24 @@ fn measure(
         Session::new(ds, kind, 16, 2, chunks, config(gpus, overlap)).expect("session construction");
     s.infer_epoch().expect("initial full sweep");
     s.machine_mut().enable_unbounded_trace();
-    let r = if incremental {
-        s.apply_deltas(&mut dg, deltas).expect("incremental commit")
+    let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
+    let t = Instant::now();
+    let (r, stage_wall_ms, apply_wall_ms) = if incremental {
+        let staged = dg.stage(deltas).expect("valid delta batch");
+        let stage_wall_ms = ms(t);
+        let t = Instant::now();
+        let r = s.apply_staged(&mut dg, staged).expect("incremental commit");
+        (r, stage_wall_ms, ms(t))
     } else {
-        s.apply_deltas_full(&mut dg, deltas)
-            .expect("full-recompute commit")
+        let r = s
+            .apply_deltas_full(&mut dg, deltas)
+            .expect("full-recompute commit");
+        (r, 0.0, ms(t))
     };
     Cost {
         sim_s: r.time,
+        stage_wall_ms,
+        apply_wall_ms,
         events: s.machine().trace().len(),
         active_steps: r.active_steps,
         total_steps: r.total_steps,
@@ -385,6 +404,7 @@ fn main() {
              \"spread\": {}, \"dirty\": {}, \"rebuilt_chunks\": {}, \
              \"active_steps\": {}, \"total_steps\": {}, \
              \"inc_sim_s\": {:.9}, \"full_sim_s\": {:.9}, \"speedup\": {:.4}, \
+             \"stage_wall_ms\": {:.3}, \"apply_wall_ms\": {:.3}, \"full_wall_ms\": {:.3}, \
              \"inc_events\": {}, \"full_events\": {}, \
              \"inc_digest\": \"{:016x}\", \"full_digest\": \"{:016x}\"}}{}\n",
             s.section,
@@ -402,6 +422,9 @@ fn main() {
             s.inc.sim_s,
             s.full.sim_s,
             s.full.sim_s / s.inc.sim_s,
+            s.inc.stage_wall_ms,
+            s.inc.apply_wall_ms,
+            s.full.apply_wall_ms,
             s.inc.events,
             s.full.events,
             s.inc.digest,

@@ -42,6 +42,7 @@ use hongtu_cache::{
 };
 use hongtu_datasets::Dataset;
 use hongtu_delta::{Delta, DynamicGraph, StagedCommit};
+use hongtu_graph::Graph;
 use hongtu_nn::{
     masked_cross_entropy, GnnLayer, GnnModel, LayerForward, LayerGrads, MaskedLoss, ModelKind,
 };
@@ -407,6 +408,31 @@ fn invalid_plan(report: &Report) -> SimError {
         code,
         message: report.render(),
     }
+}
+
+/// Derives the dedup plan and — for the P2pRu executor, and for the
+/// verifier in every mode — the merged-buffer index plans of §6 from
+/// `plan`, then, unless validation is off, statically verifies the whole
+/// plan against `g` (passes 1–4): the engine refuses to run a corrupt
+/// plan. Shared by session construction and the delta-rebuild path.
+fn derive_plans(
+    plan: &TwoLevelPartition,
+    g: &Graph,
+    config: &HongTuConfig,
+) -> Result<(DedupPlan, Option<Vec<GpuBufferPlan>>), SimError> {
+    let dedup = DedupPlan::build(plan);
+    let bufplans = if config.validation != ValidationLevel::Off || config.comm == CommMode::P2pRu {
+        Some(GpuBufferPlan::build_all(plan, &dedup))
+    } else {
+        None
+    };
+    if config.validation != ValidationLevel::Off {
+        let report = hongtu_verify::verify_all(g, plan, &dedup, bufplans.as_deref().unwrap_or(&[]));
+        if !report.is_ok() {
+            return Err(invalid_plan(&report));
+        }
+    }
+    Ok((dedup, bufplans))
 }
 
 /// Derives the §6-accurate per-(GPU, batch) communication table of the
@@ -838,28 +864,7 @@ impl Session {
             };
             plan = reorganize_guarded_cached(plan, &config.machine, budget);
         }
-        let dedup = DedupPlan::build(&plan);
-        // The merged-buffer index plans of §6 are needed by the P2pRu
-        // executor, and by the verifier in every mode.
-        let bufplans =
-            if config.validation != ValidationLevel::Off || config.comm == CommMode::P2pRu {
-                Some(GpuBufferPlan::build_all(&plan, &dedup))
-            } else {
-                None
-            };
-
-        // ---- static plan verification (refuse to run a corrupt plan) ----
-        if config.validation != ValidationLevel::Off {
-            let report = hongtu_verify::verify_all(
-                &dataset.graph,
-                &plan,
-                &dedup,
-                bufplans.as_deref().unwrap_or(&[]),
-            );
-            if !report.is_ok() {
-                return Err(invalid_plan(&report));
-            }
-        }
+        let (dedup, bufplans) = derive_plans(&plan, &dataset.graph, &config)?;
 
         // Full dedup mode plans the in-place merged buffers of §6, which
         // also lets reused rows skip the inter-GPU fetch.
@@ -1684,10 +1689,10 @@ impl Session {
     ///
     /// # Panics
     ///
-    /// Panics if the batch is invalid against `dg`
-    /// ([`hongtu_delta::DeltaError`] — validate with
-    /// [`DynamicGraph::stage`] first for a fallible path), if it is
-    /// empty, or if `dg`'s vertex count differs from the session's.
+    /// Panics if [`DynamicGraph::stage`] rejects the batch (any
+    /// [`hongtu_delta::DeltaError`], an empty batch included — stage it
+    /// yourself and call [`Session::apply_staged`] for a fallible path),
+    /// or if `dg`'s vertex count differs from the session's.
     pub fn apply_deltas(
         &mut self,
         dg: &mut DynamicGraph,
@@ -1703,11 +1708,14 @@ impl Session {
     /// serving queue stages once for admission pricing and reuses the
     /// result here).
     ///
+    /// Transactional up to the commit: a batch staged against another
+    /// epoch of `dg` is [`SimError::StaleCommit`], a rebuilt plan the
+    /// verifier rejects is [`SimError::InvalidPlan`], and either leaves
+    /// the session, its plans and `dg` exactly as they were.
+    ///
     /// # Panics
     ///
-    /// Panics if `staged` is empty, was staged against a different
-    /// epoch of `dg`, or if `dg`'s vertex count differs from the
-    /// session's.
+    /// Panics if `dg`'s vertex count differs from the session's.
     pub fn apply_staged(
         &mut self,
         dg: &mut DynamicGraph,
@@ -1748,10 +1756,12 @@ impl Session {
             self.h[0].rows(),
             "dynamic graph and session disagree on vertex count"
         );
-        assert!(
-            !staged.dirty().is_empty(),
-            "empty delta batch: nothing to replay"
-        );
+        if staged.base_epoch() != dg.epoch() {
+            return Err(SimError::StaleCommit {
+                staged_epoch: staged.base_epoch(),
+                graph_epoch: dg.epoch(),
+            });
+        }
 
         // ---- rebuild the chunk subgraphs whose computation changed:
         // a chunk is stale iff it owns a structurally dirty dest (its
@@ -1764,40 +1774,36 @@ impl Session {
             for &s in staged.structural() {
                 structural[s] = true;
             }
-            for row in &mut self.plan.chunks {
-                for chunk in row.iter_mut() {
-                    if chunk.dests.iter().any(|&d| structural[d as usize]) {
-                        *chunk = ChunkSubgraph::build(
-                            staged.graph(),
-                            chunk.part,
-                            chunk.chunk,
-                            chunk.dests.clone(),
-                        );
-                        rebuilt += 1;
-                    }
+            let mut swapped: Vec<ChunkSubgraph> = Vec::new();
+            for chunk in self.plan.chunks.iter_mut().flatten() {
+                if chunk.dests.iter().any(|&d| structural[d as usize]) {
+                    let fresh = ChunkSubgraph::build(
+                        staged.graph(),
+                        chunk.part,
+                        chunk.chunk,
+                        chunk.dests.clone(),
+                    );
+                    swapped.push(std::mem::replace(chunk, fresh));
                 }
             }
+            rebuilt = swapped.len();
 
-            // ---- downstream plans follow the topology ----
-            self.dedup = DedupPlan::build(&self.plan);
-            let bufplans = if self.config.validation != ValidationLevel::Off
-                || self.config.comm == CommMode::P2pRu
-            {
-                Some(GpuBufferPlan::build_all(&self.plan, &self.dedup))
-            } else {
-                None
-            };
-            if self.config.validation != ValidationLevel::Off {
-                let report = hongtu_verify::verify_all(
-                    staged.graph(),
-                    &self.plan,
-                    &self.dedup,
-                    bufplans.as_deref().unwrap_or(&[]),
-                );
-                if !report.is_ok() {
-                    return Err(invalid_plan(&report));
+            // ---- downstream plans follow the topology. They are
+            // derived beside the live ones and installed only once the
+            // whole new plan has verified; a rejected plan puts the old
+            // chunks back, leaving the session and the graph as they
+            // were. ----
+            let (dedup, bufplans) = match derive_plans(&self.plan, staged.graph(), &self.config) {
+                Ok(derived) => derived,
+                Err(e) => {
+                    for old in swapped {
+                        let (i, j) = (old.part, old.chunk);
+                        self.plan.chunks[i][j] = old;
+                    }
+                    return Err(e);
                 }
-            }
+            };
+            self.dedup = dedup;
             self.buffer_comm = build_buffer_comm(&self.plan, bufplans.as_deref(), self.config.comm);
             self.preprocessing.volumes = CommVolumes::from_plan(&self.dedup);
 

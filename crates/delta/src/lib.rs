@@ -44,11 +44,12 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 use hongtu_datasets::dataset::Dataset;
-use hongtu_graph::{Graph, GraphBuilder, VertexId};
+use hongtu_graph::{Csr, Graph, GraphBuilder, VertexId};
 use hongtu_tensor::{Matrix, SeededRng};
 
 /// One typed graph mutation.
@@ -84,6 +85,8 @@ impl Delta {
 /// with any invalid delta commits nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaError {
+    /// The batch holds no delta: there is nothing to commit or replay.
+    EmptyBatch,
     /// A named vertex id is outside the graph.
     OutOfRange {
         vertex: VertexId,
@@ -107,6 +110,7 @@ pub enum DeltaError {
 impl fmt::Display for DeltaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
+            DeltaError::EmptyBatch => write!(f, "empty delta batch"),
             DeltaError::OutOfRange {
                 vertex,
                 num_vertices,
@@ -175,7 +179,9 @@ impl DeltaLog {
 #[derive(Debug, Clone)]
 pub struct StagedCommit {
     base_epoch: u64,
-    graph: Graph,
+    /// Shared with the [`DynamicGraph`] when the batch leaves the
+    /// topology as it is (feature-only, or edge edits that cancel).
+    graph: Arc<Graph>,
     deltas: Vec<Delta>,
     dirty: Vec<usize>,
     structural: Vec<usize>,
@@ -188,6 +194,12 @@ impl StagedCommit {
     /// The post-commit topology.
     pub fn graph(&self) -> &Graph {
         &self.graph
+    }
+
+    /// The epoch of the [`DynamicGraph`] this batch was staged against;
+    /// it commits only onto that epoch.
+    pub fn base_epoch(&self) -> u64 {
+        self.base_epoch
     }
 
     /// All dirty `h^1` seed vertices (sorted, deduplicated): structural
@@ -246,13 +258,19 @@ pub struct CommitReceipt {
 /// The evolving `(topology, features)` pair plus its [`DeltaLog`].
 #[derive(Debug, Clone)]
 pub struct DynamicGraph {
-    graph: Graph,
+    graph: Arc<Graph>,
     features: Matrix,
     log: DeltaLog,
 }
 
 impl DynamicGraph {
     /// Wraps a topology and its per-vertex feature matrix at epoch 0.
+    ///
+    /// Staging edits rows in place by binary search, so the adjacency
+    /// lists must be strictly ascending in both orientations — what
+    /// [`GraphBuilder`] produces. A graph that is not (e.g. one loaded
+    /// from a binary file) is rebuilt once here, sorted and
+    /// deduplicated.
     ///
     /// # Panics
     ///
@@ -263,8 +281,15 @@ impl DynamicGraph {
             graph.num_vertices(),
             "features must have one row per vertex"
         );
+        let graph = if rows_strictly_ascending(&graph.csr) && rows_strictly_ascending(&graph.csc) {
+            graph
+        } else {
+            let mut b = GraphBuilder::new(graph.num_vertices()).keep_self_loops();
+            b.extend(graph.csr.edges());
+            b.build()
+        };
         DynamicGraph {
-            graph,
+            graph: Arc::new(graph),
             features,
             log: DeltaLog::default(),
         }
@@ -304,11 +329,202 @@ impl DynamicGraph {
     /// post-commit topology plus the dirty-vertex analysis, without
     /// committing anything. Deltas are checked in order against the
     /// *staged* edge set, so `AddEdge(u→v)` followed by
-    /// `RemoveEdge(u→v)` in one batch is legal (and a no-op edit).
+    /// `RemoveEdge(u→v)` in one batch is legal (and a no-op edit). An
+    /// empty batch is [`DeltaError::EmptyBatch`].
     ///
     /// Staging is also how admission control prices an update before
     /// accepting it: the dirty set seeds the recompute cone.
+    ///
+    /// Validation costs `O(|Δ|·log deg)`: each edge edit is looked up by
+    /// binary search in its CSR row, behind an overlay of the at most
+    /// `|Δ|` pairs the batch itself has touched. A batch whose edge
+    /// edits net to nothing (feature-only included) shares the current
+    /// topology; otherwise the edited rows are spliced into a bulk copy
+    /// of CSR and CSC — no edge set, no global sort.
     pub fn stage(&self, deltas: &[Delta]) -> Result<StagedCommit, DeltaError> {
+        if deltas.is_empty() {
+            return Err(DeltaError::EmptyBatch);
+        }
+        let n = self.graph.num_vertices();
+        let feat_dim = self.features.cols();
+        // (src, dst) → (present before the batch, present now), for the
+        // pairs this batch names.
+        let mut overlay: BTreeMap<(VertexId, VertexId), (bool, bool)> = BTreeMap::new();
+        let mut patches: Vec<(usize, Vec<f32>)> = Vec::new();
+        let (mut added, mut removed) = (0usize, 0usize);
+
+        for d in deltas {
+            let (a, b) = d.endpoints();
+            for v in [Some(a), b].into_iter().flatten() {
+                if v as usize >= n {
+                    return Err(DeltaError::OutOfRange {
+                        vertex: v,
+                        num_vertices: n,
+                    });
+                }
+            }
+            match d {
+                Delta::AddEdge { src, dst } | Delta::RemoveEdge { src, dst } => {
+                    let (src, dst) = (*src, *dst);
+                    if src == dst {
+                        return Err(DeltaError::SelfLoop { vertex: src });
+                    }
+                    let adding = matches!(d, Delta::AddEdge { .. });
+                    let (_, present) = overlay.entry((src, dst)).or_insert_with(|| {
+                        let was = self.graph.out_neighbors(src).binary_search(&dst).is_ok();
+                        (was, was)
+                    });
+                    if *present == adding {
+                        return Err(if adding {
+                            DeltaError::DuplicateEdge { src, dst }
+                        } else {
+                            DeltaError::MissingEdge { src, dst }
+                        });
+                    }
+                    *present = adding;
+                    if adding {
+                        added += 1;
+                    } else {
+                        removed += 1;
+                    }
+                }
+                Delta::UpdateFeatures { vertex, features } => {
+                    if features.len() != feat_dim {
+                        return Err(DeltaError::FeatureDimMismatch {
+                            vertex: *vertex,
+                            got: features.len(),
+                            want: feat_dim,
+                        });
+                    }
+                    patches.push((*vertex as usize, features.clone()));
+                }
+            }
+        }
+
+        // ---- post-commit topology: the net edits, in (src, dst) order
+        // for CSR and (dst, src) order for CSC ----
+        let by_src: Vec<RowEdit> = overlay
+            .iter()
+            .filter(|(_, (was, now))| was != now)
+            .map(|(&(src, dst), &(_, now))| (src, dst, now))
+            .collect();
+        let graph = if by_src.is_empty() {
+            Arc::clone(&self.graph)
+        } else {
+            let mut by_dst: Vec<RowEdit> = by_src.iter().map(|&(u, v, ins)| (v, u, ins)).collect();
+            by_dst.sort_unstable();
+            Arc::new(Graph {
+                csr: splice_rows(&self.graph.csr, &by_src),
+                csc: splice_rows(&self.graph.csc, &by_dst),
+            })
+        };
+
+        // ---- structural dirt: the endpoints of every edge the batch
+        // names (cancelled edits included), and — out_deg(src) changed —
+        // every w with an edge src→w in the old or the new topology,
+        // whose weight moved ----
+        let mut structural: Vec<usize> = Vec::new();
+        for &(u, v) in overlay.keys() {
+            structural.extend([u as usize, v as usize]);
+            structural.extend(self.graph.out_neighbors(u).iter().map(|&w| w as usize));
+            structural.extend(graph.out_neighbors(u).iter().map(|&w| w as usize));
+        }
+        structural.sort_unstable();
+        structural.dedup();
+
+        // ---- feature dirt: layer-0 readers of the patched rows ----
+        let mut dirty = structural.clone();
+        for &(v, _) in &patches {
+            dirty.push(v);
+            dirty.extend(
+                graph
+                    .out_neighbors(v as VertexId)
+                    .iter()
+                    .map(|&w| w as usize),
+            );
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
+
+        Ok(StagedCommit {
+            base_epoch: self.epoch(),
+            graph,
+            deltas: deltas.to_vec(),
+            dirty,
+            structural,
+            patches,
+            edges_added: added,
+            edges_removed: removed,
+        })
+    }
+
+    /// Commits a staged batch: installs the post-commit topology,
+    /// patches the feature rows, appends to the log, and bumps the
+    /// epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the staged batch was produced against a different
+    /// epoch (a commit raced past it).
+    pub fn commit(&mut self, staged: StagedCommit) -> CommitReceipt {
+        assert_eq!(
+            staged.base_epoch,
+            self.epoch(),
+            "stale StagedCommit: staged at epoch {}, graph is at {}",
+            staged.base_epoch,
+            self.epoch()
+        );
+        self.graph = staged.graph;
+        for (v, row) in &staged.patches {
+            self.features.row_mut(*v).copy_from_slice(row);
+        }
+        let receipt = CommitReceipt {
+            epoch: staged.base_epoch + 1,
+            dirty: staged.dirty.clone(),
+            edges_added: staged.edges_added,
+            edges_removed: staged.edges_removed,
+        };
+        self.log.entries.push(LogEntry {
+            epoch: receipt.epoch,
+            deltas: staged.deltas,
+            dirty: staged.dirty,
+        });
+        receipt
+    }
+
+    /// Stages and immediately commits one batch.
+    pub fn apply(&mut self, deltas: &[Delta]) -> Result<CommitReceipt, DeltaError> {
+        let staged = self.stage(deltas)?;
+        Ok(self.commit(staged))
+    }
+
+    /// A dataset snapshot of the current epoch, inheriting everything
+    /// but topology and features from `base` — the from-scratch rebuild
+    /// oracle: a fresh `Session` on this dataset must produce logits
+    /// bitwise equal to the incrementally patched ones (same `seed`,
+    /// hence identical initial weights).
+    pub fn to_dataset(&self, base: &Dataset) -> Dataset {
+        Dataset {
+            key: base.key,
+            graph: Graph::clone(&self.graph),
+            features: self.features.clone(),
+            labels: base.labels.clone(),
+            splits: base.splits.clone(),
+            num_classes: base.num_classes,
+            seed: base.seed,
+        }
+    }
+}
+
+#[cfg(test)]
+impl DynamicGraph {
+    /// Reference staging, `O(E)` per batch and plain to read: an edge
+    /// `HashSet` over the whole graph, then a full `GraphBuilder`
+    /// rebuild. [`DynamicGraph::stage`] is property-tested against it.
+    fn stage_oracle(&self, deltas: &[Delta]) -> Result<StagedCommit, DeltaError> {
+        if deltas.is_empty() {
+            return Err(DeltaError::EmptyBatch);
+        }
         let n = self.graph.num_vertices();
         let feat_dim = self.features.cols();
         let mut edges: HashSet<(VertexId, VertexId)> = self.graph.csr.edges().collect();
@@ -409,7 +625,7 @@ impl DynamicGraph {
 
         Ok(StagedCommit {
             base_epoch: self.epoch(),
-            graph,
+            graph: Arc::new(graph),
             deltas: deltas.to_vec(),
             dirty,
             structural,
@@ -418,63 +634,54 @@ impl DynamicGraph {
             edges_removed: removed,
         })
     }
+}
 
-    /// Commits a staged batch: installs the post-commit topology,
-    /// patches the feature rows, appends to the log, and bumps the
-    /// epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the staged batch was produced against a different
-    /// epoch (a commit raced past it).
-    pub fn commit(&mut self, staged: StagedCommit) -> CommitReceipt {
-        assert_eq!(
-            staged.base_epoch,
-            self.epoch(),
-            "stale StagedCommit: staged at epoch {}, graph is at {}",
-            staged.base_epoch,
-            self.epoch()
-        );
-        self.graph = staged.graph;
-        for (v, row) in &staged.patches {
-            self.features.row_mut(*v).copy_from_slice(row);
-        }
-        let receipt = CommitReceipt {
-            epoch: staged.base_epoch + 1,
-            dirty: staged.dirty.clone(),
-            edges_added: staged.edges_added,
-            edges_removed: staged.edges_removed,
+/// One net edge edit in the orientation being spliced:
+/// `(row, column, insert)` — `false` removes.
+type RowEdit = (VertexId, VertexId, bool);
+
+/// Whether every adjacency list is strictly ascending (sorted, no
+/// parallel edges).
+fn rows_strictly_ascending(a: &Csr) -> bool {
+    (0..a.num_vertices()).all(|v| a.neighbors(v as VertexId).windows(2).all(|w| w[0] < w[1]))
+}
+
+/// `a` with `edits` applied. `edits` is sorted by `(row, column)` with one
+/// entry per pair; every insert is absent from its (strictly ascending)
+/// row and every removal present in it. Stretches of unedited rows are
+/// copied in bulk; only the edited rows are merged.
+fn splice_rows(a: &Csr, edits: &[RowEdit]) -> Csr {
+    let inserts = edits.iter().filter(|e| e.2).count();
+    let mut offsets: Vec<usize> = Vec::with_capacity(a.offsets.len());
+    let mut targets: Vec<VertexId> =
+        Vec::with_capacity(a.targets.len() + 2 * inserts - edits.len());
+    // Appends rows `lo..hi` unchanged.
+    let copy_rows =
+        |offsets: &mut Vec<usize>, targets: &mut Vec<VertexId>, lo: usize, hi: usize| {
+            let (new_base, old_base) = (targets.len(), a.offsets[lo]);
+            offsets.extend(a.offsets[lo..hi].iter().map(|&o| new_base + (o - old_base)));
+            targets.extend_from_slice(&a.targets[old_base..a.offsets[hi]]);
         };
-        self.log.entries.push(LogEntry {
-            epoch: receipt.epoch,
-            deltas: staged.deltas,
-            dirty: staged.dirty,
-        });
-        receipt
-    }
-
-    /// Stages and immediately commits one batch.
-    pub fn apply(&mut self, deltas: &[Delta]) -> Result<CommitReceipt, DeltaError> {
-        let staged = self.stage(deltas)?;
-        Ok(self.commit(staged))
-    }
-
-    /// A dataset snapshot of the current epoch, inheriting everything
-    /// but topology and features from `base` — the from-scratch rebuild
-    /// oracle: a fresh `Session` on this dataset must produce logits
-    /// bitwise equal to the incrementally patched ones (same `seed`,
-    /// hence identical initial weights).
-    pub fn to_dataset(&self, base: &Dataset) -> Dataset {
-        Dataset {
-            key: base.key,
-            graph: self.graph.clone(),
-            features: self.features.clone(),
-            labels: base.labels.clone(),
-            splits: base.splits.clone(),
-            num_classes: base.num_classes,
-            seed: base.seed,
+    let mut next_row = 0usize;
+    for row_edits in edits.chunk_by(|x, y| x.0 == y.0) {
+        let row = row_edits[0].0;
+        copy_rows(&mut offsets, &mut targets, next_row, row as usize);
+        offsets.push(targets.len());
+        let mut pending = row_edits.iter().peekable();
+        for &t in a.neighbors(row) {
+            while let Some(e) = pending.next_if(|e| e.1 < t) {
+                targets.push(e.1);
+            }
+            if pending.next_if(|e| e.1 == t).is_none() {
+                targets.push(t);
+            }
         }
+        targets.extend(pending.map(|e| e.1));
+        next_row = row as usize + 1;
     }
+    copy_rows(&mut offsets, &mut targets, next_row, a.num_vertices());
+    offsets.push(targets.len());
+    Csr { offsets, targets }
 }
 
 /// The exact vertex-level ≤ `hops`-hop *out*-edge ball of `seeds`: the
@@ -577,6 +784,7 @@ pub fn toggle_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// 6-vertex graph with self-loops plus a directed ring.
     fn fixture() -> DynamicGraph {
@@ -778,5 +986,151 @@ mod tests {
         assert_eq!(ds.seed, 11);
         assert!(ds.graph.out_neighbors(0).contains(&2));
         ds.validate().expect("mutated dataset stays valid");
+    }
+
+    #[test]
+    fn empty_batch_is_a_typed_rejection() {
+        let mut dg = fixture();
+        assert_eq!(dg.stage(&[]).err(), Some(DeltaError::EmptyBatch));
+        assert_eq!(dg.apply(&[]), Err(DeltaError::EmptyBatch));
+        assert_eq!(dg.epoch(), 0);
+    }
+
+    #[test]
+    fn topology_is_shared_when_no_edge_changes() {
+        let dg = fixture();
+        let feature_only = dg
+            .stage(&[Delta::UpdateFeatures {
+                vertex: 1,
+                features: vec![0.0; 3],
+            }])
+            .unwrap();
+        assert!(Arc::ptr_eq(&feature_only.graph, &dg.graph));
+        let cancelled = dg
+            .stage(&[
+                Delta::RemoveEdge { src: 0, dst: 1 },
+                Delta::AddEdge { src: 0, dst: 1 },
+            ])
+            .unwrap();
+        assert!(Arc::ptr_eq(&cancelled.graph, &dg.graph));
+        // The endpoints still count as structurally touched.
+        assert!(cancelled.structural().contains(&0) && cancelled.structural().contains(&1));
+    }
+
+    #[test]
+    fn unsorted_input_graph_is_canonicalised_once() {
+        let csr = Csr {
+            offsets: vec![0, 3, 4, 5],
+            targets: vec![2, 0, 2, 1, 2],
+        };
+        let dg = DynamicGraph::new(Graph::from_csr(csr), Matrix::zeros(3, 1));
+        assert_eq!(dg.graph().out_neighbors(0), &[0, 2]);
+        let staged = dg.stage(&[Delta::AddEdge { src: 0, dst: 1 }]).unwrap();
+        assert_eq!(staged.graph().out_neighbors(0), &[0, 1, 2]);
+        assert_eq!(staged.graph().in_neighbors(1), &[0, 1]);
+    }
+
+    /// Turns raw samples into a batch that is mostly valid against
+    /// `edges` (which it keeps in step) but also carries blind adds and
+    /// removes, self-loops, out-of-range ids and wrong feature widths.
+    fn batch_from_raw(
+        raw: &[(u8, u32, u32)],
+        n: u32,
+        feat_dim: usize,
+        edges: &mut HashSet<(VertexId, VertexId)>,
+    ) -> Vec<Delta> {
+        raw.iter()
+            .enumerate()
+            .map(|(i, &(kind, a, b))| {
+                // Kind 10 toggles the previous entry's pair again, so
+                // add-then-remove no-ops occur within one batch.
+                let (kind, a, b) = match (kind, i) {
+                    (10, 1..) => (0, raw[i - 1].1, raw[i - 1].2),
+                    _ => (kind, a, b),
+                };
+                let (u, v) = (a % n, b % n);
+                match kind {
+                    // Toggle against the tracked edge set: valid unless
+                    // `u == v`, which must be rejected as a self-loop.
+                    0..=5 if edges.contains(&(u, v)) => {
+                        edges.remove(&(u, v));
+                        Delta::RemoveEdge { src: u, dst: v }
+                    }
+                    0..=5 => {
+                        edges.insert((u, v));
+                        Delta::AddEdge { src: u, dst: v }
+                    }
+                    // Blind edits, ids up to n + 1: duplicates, missing
+                    // edges and out-of-range endpoints.
+                    6 => Delta::AddEdge {
+                        src: a % (n + 2),
+                        dst: v,
+                    },
+                    7 => Delta::RemoveEdge {
+                        src: u,
+                        dst: b % (n + 2),
+                    },
+                    8 => Delta::UpdateFeatures {
+                        vertex: a % (n + 1),
+                        features: vec![b as f32; feat_dim + usize::from(b % 7 == 0)],
+                    },
+                    _ => Delta::UpdateFeatures {
+                        vertex: u,
+                        features: vec![b as f32 * 0.5; feat_dim],
+                    },
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// Row-splice staging and the O(E) reference agree on everything a
+        /// `StagedCommit` or a `DeltaError` carries, over sequences of
+        /// batches committed onto already-spliced graphs.
+        #[test]
+        fn splice_staging_equals_reference(
+            n in 2u32..24,
+            raw_edges in proptest::collection::vec((0u32..24, 0u32..24), 0..80),
+            rounds in proptest::collection::vec(
+                proptest::collection::vec((0u8..12, 0u32..32, 0u32..32), 0..9),
+                1..5,
+            )
+        ) {
+            let mut b = GraphBuilder::new(n as usize).keep_self_loops();
+            for v in 0..n {
+                b.add_edge(v, v);
+            }
+            for (s, t) in raw_edges {
+                b.add_edge(s % n, t % n);
+            }
+            let feat_dim = 2;
+            let mut dg = DynamicGraph::new(b.build(), Matrix::zeros(n as usize, feat_dim));
+            for raw in &rounds {
+                let mut edges: HashSet<(VertexId, VertexId)> = dg.graph().csr.edges().collect();
+                let batch = batch_from_raw(raw, n, feat_dim, &mut edges);
+                match (dg.stage(&batch), dg.stage_oracle(&batch)) {
+                    (Ok(got), Ok(want)) => {
+                        prop_assert_eq!(got.graph(), want.graph());
+                        prop_assert!(got.graph().validate().is_ok());
+                        prop_assert_eq!(got.dirty(), want.dirty());
+                        prop_assert_eq!(got.structural(), want.structural());
+                        prop_assert_eq!(got.feature_patches(), want.feature_patches());
+                        prop_assert_eq!(got.deltas(), want.deltas());
+                        prop_assert_eq!(got.epoch(), want.epoch());
+                        prop_assert_eq!(got.edges_added(), want.edges_added());
+                        prop_assert_eq!(got.edges_removed(), want.edges_removed());
+                        dg.commit(got);
+                    }
+                    (Err(got), Err(want)) => prop_assert_eq!(got, want),
+                    (got, want) => prop_assert!(
+                        false,
+                        "splice {:?} vs reference {:?}",
+                        got.map(|s| s.epoch()),
+                        want.map(|s| s.epoch())
+                    ),
+                }
+            }
+        }
     }
 }

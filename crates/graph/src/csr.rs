@@ -105,7 +105,7 @@ impl Csr {
 }
 
 /// A directed graph stored in both orientations plus per-edge GCN weights.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     /// Out-edges: `csr.neighbors(u)` are the targets of `u`.
     pub csr: Csr,

@@ -19,11 +19,15 @@
 //! [`GpuBufferPlan::execute`] actually moves `f32` rows through the planned
 //! positions and is verified against direct gathers by the test suite.
 
-use crate::dedup::DedupPlan;
+use crate::dedup::{union_sorted, DedupPlan};
 use crate::TwoLevelPartition;
 use hongtu_graph::VertexId;
 use hongtu_tensor::Matrix;
 use std::collections::HashMap;
+
+/// Placeholder for a slot the planner has yet to assign; real slots are
+/// dense from 0 and never reach it.
+const UNASSIGNED: u32 = u32::MAX;
 
 /// Index plan for one batch on one GPU.
 #[derive(Debug, Clone)]
@@ -61,11 +65,12 @@ pub struct GpuBufferPlan {
 
 impl GpuBufferPlan {
     /// Builds the plan for GPU `gpu` from the partition and dedup plans.
+    /// Both must hold strictly ascending vertex lists, as
+    /// [`crate::ChunkSubgraph::build`] and [`DedupPlan::build`] produce
+    /// them: slots are assigned by merge walks over those lists.
     pub fn build(plan: &TwoLevelPartition, dedup: &DedupPlan, gpu: usize) -> Self {
         assert!(gpu < plan.m, "GPU {gpu} out of range (m = {})", plan.m);
-        let mut batches = Vec::with_capacity(plan.n);
-        // slot_of: vertex → slot for the *previous* batch.
-        let mut slot_of: HashMap<VertexId, u32> = HashMap::new();
+        let mut batches: Vec<BatchIndices> = Vec::with_capacity(plan.n);
         let mut capacity = 0usize;
         for j in 0..plan.n {
             let chunk = &plan.chunks[gpu][j];
@@ -73,48 +78,51 @@ impl GpuBufferPlan {
             // Merged set: ℕ_ij ∪ N_ij (both sorted).
             let merged = union_sorted(transition, &chunk.neighbors);
 
-            // Free the slots of vertices leaving the buffer.
+            // One walk over the previous and the new merged set (both
+            // sorted): shared vertices keep their slot, vertices leaving
+            // the buffer free theirs.
+            let (prev_merged, prev_position) = batches
+                .last()
+                .map_or((&[][..], &[][..]), |b| (&b.merged[..], &b.position[..]));
+            let mut position = vec![UNASSIGNED; merged.len()];
             let mut free: Vec<u32> = Vec::new();
-            let keep: std::collections::HashSet<VertexId> = merged.iter().copied().collect();
-            slot_of.retain(|v, slot| {
-                if keep.contains(v) {
-                    true
-                } else {
-                    free.push(*slot);
-                    false
+            let mut t = 0usize;
+            for (&v, &slot) in prev_merged.iter().zip(prev_position) {
+                while t < merged.len() && merged[t] < v {
+                    t += 1;
                 }
-            });
+                if t < merged.len() && merged[t] == v {
+                    position[t] = slot;
+                } else {
+                    free.push(slot);
+                }
+            }
             free.sort_unstable_by(|a, b| b.cmp(a)); // pop lowest slots first
 
-            // Assign positions: retained vertices keep theirs; newcomers
-            // fill freed slots, then extend the buffer.
+            // Newcomers fill freed slots, then extend the buffer.
             let mut next_fresh = capacity as u32;
-            let mut position = Vec::with_capacity(merged.len());
             let mut incoming = Vec::new();
-            for (t, &v) in merged.iter().enumerate() {
-                let slot = match slot_of.get(&v) {
-                    Some(&s) => s,
-                    None => {
-                        let s = free.pop().unwrap_or_else(|| {
-                            let s = next_fresh;
-                            next_fresh += 1;
-                            s
-                        });
-                        slot_of.insert(v, s);
-                        incoming.push((t as u32, s));
-                        s
-                    }
-                };
-                position.push(slot);
+            for (t, slot) in position.iter_mut().enumerate() {
+                if *slot == UNASSIGNED {
+                    *slot = free.pop().unwrap_or_else(|| {
+                        next_fresh += 1;
+                        next_fresh - 1
+                    });
+                    incoming.push((t as u32, *slot));
+                }
             }
             capacity = capacity.max(next_fresh as usize);
 
-            // Neighbor-list slots: where each of the chunk's neighbors sits.
+            // Neighbor-list slots: where each of the chunk's neighbors
+            // sits. N_ij ⊆ M_ij and both ascend, so one cursor suffices.
+            let mut t = 0usize;
             let nbr_slot = chunk
                 .neighbors
                 .iter()
-                .map(|v| {
-                    let t = merged.binary_search(v).expect("neighbor in merged set");
+                .map(|&v| {
+                    while merged[t] < v {
+                        t += 1;
+                    }
                     position[t]
                 })
                 .collect();
@@ -237,32 +245,6 @@ impl GpuBufferPlan {
     }
 }
 
-/// Union of two sorted, deduplicated slices.
-fn union_sorted(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut k) = (0usize, 0usize);
-    while i < a.len() && k < b.len() {
-        match a[i].cmp(&b[k]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[k]);
-                k += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                k += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[k..]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,13 +257,6 @@ mod tests {
         let plan = TwoLevelPartition::build(&g, m, n, seed);
         let dedup = DedupPlan::build(&plan);
         (g, plan, dedup)
-    }
-
-    #[test]
-    fn union_sorted_basics() {
-        assert_eq!(union_sorted(&[1, 3, 5], &[2, 3, 6]), vec![1, 2, 3, 5, 6]);
-        assert_eq!(union_sorted(&[], &[4]), vec![4]);
-        assert_eq!(union_sorted(&[7], &[]), vec![7]);
     }
 
     #[test]

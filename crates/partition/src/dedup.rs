@@ -51,22 +51,17 @@ impl DedupPlan {
         let m = plan.m;
         let n = plan.n;
         let owner = &plan.assignment.partition_of;
-        let mut batches = Vec::with_capacity(n);
-        let mut prev_transition: Option<Vec<Vec<VertexId>>> = None;
+        let mut batches: Vec<BatchPlan> = Vec::with_capacity(n);
         for j in 0..n {
-            // Transition sets: batch neighbor union split by owner.
+            // Transition sets: the batch neighbor union — a merge of the m
+            // sorted, deduplicated neighbor lists — routed by owner, which
+            // keeps each set ascending.
+            let union = plan
+                .batch(j)
+                .fold(Vec::new(), |acc, c| union_sorted(&acc, &c.neighbors));
             let mut transition: Vec<Vec<VertexId>> = vec![Vec::new(); m];
-            {
-                // Merge the m sorted neighbor lists, dedup, route by owner.
-                let mut all: Vec<VertexId> = Vec::new();
-                for c in plan.batch(j) {
-                    all.extend_from_slice(&c.neighbors);
-                }
-                all.sort_unstable();
-                all.dedup();
-                for v in all {
-                    transition[owner[v as usize] as usize].push(v);
-                }
+            for v in union {
+                transition[owner[v as usize] as usize].push(v);
             }
             // Fetch matrix: every neighbor access of chunk (i, j) is served
             // by the transition buffer of the owner's GPU.
@@ -79,20 +74,12 @@ impl DedupPlan {
             // Intra-GPU split against the previous batch.
             let mut new_from_cpu = Vec::with_capacity(m);
             let mut reused = Vec::with_capacity(m);
-            for i in 0..m {
-                match &prev_transition {
-                    Some(prev) => {
-                        let (fresh, hit) = diff_sorted(&transition[i], &prev[i]);
-                        new_from_cpu.push(fresh);
-                        reused.push(hit);
-                    }
-                    None => {
-                        new_from_cpu.push(transition[i].clone());
-                        reused.push(0);
-                    }
-                }
+            for (i, t) in transition.iter().enumerate() {
+                let prev = batches.last().map_or(&[][..], |b| &b.transition[i][..]);
+                let (fresh, hit) = diff_sorted(t, prev);
+                new_from_cpu.push(fresh);
+                reused.push(hit);
             }
-            prev_transition = Some(transition.clone());
             batches.push(BatchPlan {
                 transition,
                 new_from_cpu,
@@ -205,6 +192,32 @@ fn diff_sorted(a: &[VertexId], b: &[VertexId]) -> (Vec<VertexId>, usize) {
         }
     }
     (fresh, hit)
+}
+
+/// Union of two sorted, deduplicated slices.
+pub(crate) fn union_sorted(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut k) = (0usize, 0usize);
+    while i < a.len() && k < b.len() {
+        match a[i].cmp(&b[k]) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[k]);
+                k += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                k += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[k..]);
+    out
 }
 
 /// Intersection size of two sorted slices.
@@ -325,6 +338,13 @@ mod tests {
         let (fresh, hit) = diff_sorted(&[], &[1]);
         assert!(fresh.is_empty());
         assert_eq!(hit, 0);
+    }
+
+    #[test]
+    fn union_sorted_basics() {
+        assert_eq!(union_sorted(&[1, 3, 5], &[2, 3, 6]), vec![1, 2, 3, 5, 6]);
+        assert_eq!(union_sorted(&[], &[4]), vec![4]);
+        assert_eq!(union_sorted(&[7], &[]), vec![7]);
     }
 
     #[test]

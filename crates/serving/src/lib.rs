@@ -157,6 +157,9 @@ impl WorkItem {
 #[derive(Debug, Clone)]
 pub struct AdmissionControl {
     budget: Vec<usize>,
+    /// Whether the budget is the session's own ([`Self::from_session`])
+    /// and so must follow it when a commit re-pins staging.
+    follows_session: bool,
 }
 
 impl AdmissionControl {
@@ -165,17 +168,23 @@ impl AdmissionControl {
     /// slot per GPU. Any single-request cone fits this by construction
     /// (it is a subset of the full sweep the slots were sized for), so
     /// under this budget requests are only ever *deferred*, never
-    /// rejected.
+    /// rejected. A [`Server`] re-reads it after every structural commit:
+    /// rebuilt chunks move the worst-case footprint staging is sized for.
     pub fn from_session(session: &Session) -> AdmissionControl {
         AdmissionControl {
             budget: session.staging_budget(),
+            follows_session: true,
         }
     }
 
     /// Explicit per-GPU budgets — e.g. tighter than the staging plan to
-    /// bound tail latency, or for exercising the rejection path.
+    /// bound tail latency, or for exercising the rejection path. They
+    /// stay as given whatever the session's plans do.
     pub fn with_budget(budget: Vec<usize>) -> AdmissionControl {
-        AdmissionControl { budget }
+        AdmissionControl {
+            budget,
+            follows_session: false,
+        }
     }
 
     /// The per-GPU byte budgets.
@@ -457,6 +466,9 @@ impl<'s> Server<'s> {
             });
         }
         let report = self.session.apply_staged(dg, staged)?;
+        if self.admission.follows_session && report.rebuilt_chunks > 0 {
+            self.admission.budget = self.session.staging_budget();
+        }
         let start = self.clock.max(upd.arrival);
         self.clock = start + report.time;
         Ok(BatchReport {
@@ -1056,5 +1068,84 @@ mod tests {
             .map(|(size, count)| size * count)
             .sum();
         assert_eq!(hist_total, stats.served);
+    }
+
+    /// Structural commits rebuild chunks and re-pin staging; a server
+    /// admitting against the session's own budget must follow, or every
+    /// later cone touching a grown chunk is refused. 24 items, 8 of them
+    /// two-edge updates, through one live server: nothing is rejected.
+    #[test]
+    fn session_budget_follows_structural_commits() {
+        let ds = dataset();
+        let mut dg = DynamicGraph::from_dataset(&ds);
+        let mut sess = session(&ds, 2);
+        sess.infer_epoch().expect("prime layer stores");
+        let mut rng = SeededRng::new(5);
+        let mut batches = toggle_workload(
+            dg.graph(),
+            dg.features().cols(),
+            8,
+            2,
+            DeltaMix::Edge,
+            &mut rng,
+        )
+        .into_iter();
+        let n = dg.num_vertices();
+        let admission = AdmissionControl::from_session(&sess);
+        let mut server = Server::with_graph(&mut sess, &mut dg, admission, 4);
+        for k in 0..24u64 {
+            let arrival = k as f64 * 1e-3;
+            if k % 3 == 1 {
+                server.submit_update(UpdateRequest {
+                    id: k,
+                    deltas: batches.next().expect("eight update batches"),
+                    arrival,
+                });
+            } else {
+                server.submit(request(k, rng.sample_indices(n, 6), arrival));
+            }
+        }
+        let (mut served, mut committed) = (0, 0);
+        while let Some(report) = server.step().expect("step") {
+            assert!(report.rejected.is_empty(), "{:?}", report.rejected);
+            assert!(
+                report.rejected_updates.is_empty(),
+                "{:?}",
+                report.rejected_updates
+            );
+            served += report.served.len();
+            committed += report.committed.len();
+        }
+        assert_eq!((served, committed), (16, 8));
+        assert_eq!(dg.epoch(), 8);
+    }
+
+    /// An empty update is a typed rejection, not a panic in the cone
+    /// code, and the server keeps serving.
+    #[test]
+    fn empty_update_is_rejected_typed() {
+        let ds = dataset();
+        let mut dg = DynamicGraph::from_dataset(&ds);
+        let mut sess = session(&ds, 2);
+        sess.infer_epoch().expect("prime layer stores");
+        let admission = AdmissionControl::from_session(&sess);
+        let mut server = Server::with_graph(&mut sess, &mut dg, admission, 4);
+        server.submit_update(UpdateRequest {
+            id: 1,
+            deltas: vec![],
+            arrival: 0.0,
+        });
+        server.submit(request(2, vec![0, 1], 0.0));
+        let report = server.step().expect("step").expect("one item");
+        assert!(matches!(
+            report.rejected_updates[..],
+            [UpdateRejected {
+                id: 1,
+                reason: UpdateRejectReason::Invalid(DeltaError::EmptyBatch),
+            }]
+        ));
+        let report = server.step().expect("step").expect("one item");
+        assert_eq!(report.served.len(), 1);
+        assert_eq!(dg.epoch(), 0);
     }
 }

@@ -42,6 +42,15 @@ pub enum SimError {
         /// Rendered diagnostic report.
         message: String,
     },
+    /// A staged graph update was validated against an earlier epoch of
+    /// the graph than the one it is being committed onto (another commit
+    /// landed in between). Nothing was applied; stage it again.
+    StaleCommit {
+        /// The graph epoch the update was staged against.
+        staged_epoch: u64,
+        /// The graph's epoch now.
+        graph_epoch: u64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -67,6 +76,13 @@ impl fmt::Display for SimError {
             SimError::InvalidSchedule { code, message } => {
                 write!(f, "invalid execution schedule [{code}]: {message}")
             }
+            SimError::StaleCommit {
+                staged_epoch,
+                graph_epoch,
+            } => write!(
+                f,
+                "stale graph update: staged at epoch {staged_epoch}, graph is at {graph_epoch}"
+            ),
         }
     }
 }

@@ -17,10 +17,10 @@
 //! - `M_ij`, `position`, `incoming`, and `nbr_slot` are mutually
 //!   consistent and equal to `ℕ_ij ∪ N_ij` (B205).
 
+use crate::dense::StampMap;
 use crate::diag::{push, DiagCode, Diagnostic, Location};
 use hongtu_graph::VertexId;
-use hongtu_partition::{DedupPlan, GpuBufferPlan, TwoLevelPartition};
-use std::collections::{HashMap, HashSet};
+use hongtu_partition::{BatchIndices, DedupPlan, GpuBufferPlan, TwoLevelPartition};
 
 /// Checks one GPU's buffer plan by symbolic execution.
 pub fn verify_buffers(
@@ -47,12 +47,21 @@ pub fn verify_buffers(
         return diags;
     }
 
-    // Symbolic buffer: which vertex each slot currently holds. A slot not
-    // in the map holds no live data (never written, or freed).
-    let mut live: HashMap<u32, VertexId> = HashMap::new();
+    let num_vertices = plan.assignment.partition_of.len();
+    // Symbolic buffer after the last replayed batch (`replayed`), both
+    // ways round: which vertex each slot holds, and which slot each
+    // vertex sits in. A slot not in `live` holds no live data (never
+    // written, or freed).
+    let mut live: StampMap<VertexId> = StampMap::new(bp.capacity);
+    let mut resident_at: StampMap<u32> = StampMap::new(num_vertices);
+    let mut replayed: Option<&BatchIndices> = None;
     // Vertices that were resident at some earlier batch and then evicted —
     // used to tell use-after-free (B203) from never-written (B202).
-    let mut evicted: HashSet<VertexId> = HashSet::new();
+    let mut evicted: StampMap<()> = StampMap::new(num_vertices);
+    // Per-batch scratch: the first vertex to claim each slot, and where
+    // each vertex of `M_ij` lives this batch.
+    let mut slot_claims: StampMap<VertexId> = StampMap::new(bp.capacity);
+    let mut slot_now: StampMap<u32> = StampMap::new(num_vertices);
 
     for (j, b) in bp.batches.iter().enumerate() {
         let loc = Location::gpu_batch(gpu, j);
@@ -104,7 +113,7 @@ pub fn verify_buffers(
                 ),
             );
         }
-        let mut incoming_idx: HashSet<u32> = HashSet::new();
+        let mut is_incoming = vec![false; b.merged.len()];
         let mut incoming_ok = true;
         for &(t, slot) in &b.incoming {
             if t as usize >= b.merged.len() {
@@ -135,7 +144,7 @@ pub fn verify_buffers(
                     ),
                 );
             }
-            if !incoming_idx.insert(t) {
+            if std::mem::replace(&mut is_incoming[t as usize], true) {
                 push(
                     &mut diags,
                     Diagnostic::new(
@@ -165,10 +174,10 @@ pub fn verify_buffers(
         }
 
         // ---- per-batch slot uniqueness (B201) ----
-        let mut slot_claims: HashMap<u32, VertexId> = HashMap::new();
+        slot_claims.clear();
         for (t, &slot) in b.position.iter().enumerate() {
             let v = b.merged[t];
-            if let Some(&w) = slot_claims.get(&slot) {
+            if let Some(w) = slot_claims.get(slot) {
                 push(
                     &mut diags,
                     Diagnostic::new(
@@ -184,20 +193,20 @@ pub fn verify_buffers(
 
         // ---- reuse claims: non-incoming rows must already be resident ----
         for (t, (&v, &slot)) in b.merged.iter().zip(&b.position).enumerate() {
-            if incoming_idx.contains(&(t as u32)) {
+            if is_incoming[t] {
                 continue; // written this batch
             }
-            match live.get(&slot) {
-                Some(&resident) if resident == v => {} // genuine in-place reuse
+            match live.get(slot) {
+                Some(resident) if resident == v => {} // genuine in-place reuse
                 _ => {
                     // Distinguish how the plan went wrong for the message.
-                    let prev_slot = live.iter().find(|&(_, &r)| r == v).map(|(&s, _)| s);
+                    let prev_slot = resident_at.get(v).filter(|&s| live.get(s) == Some(v));
                     let (code, why) = match prev_slot {
                         Some(s) => (
                             DiagCode::SlotMoved,
                             format!("vertex {v} is resident at slot {s}, not {slot} (moved without rewrite)"),
                         ),
-                        None if evicted.contains(&v) => (
+                        None if evicted.contains(v) => (
                             DiagCode::SlotMoved,
                             format!("vertex {v} was evicted earlier; reading slot {slot} is use-after-free"),
                         ),
@@ -212,12 +221,13 @@ pub fn verify_buffers(
         }
 
         // ---- neighbor reads route to the right slots (B202) ----
-        for (t, &nv) in chunk.neighbors.iter().enumerate() {
-            if t >= b.nbr_slot.len() {
-                break; // length mismatch reported above
-            }
-            match b.merged.binary_search(&nv) {
-                Err(_) => push(
+        slot_now.clear();
+        for (&v, &slot) in b.merged.iter().zip(&b.position) {
+            slot_now.insert(v, slot);
+        }
+        for (&nv, &read) in chunk.neighbors.iter().zip(&b.nbr_slot) {
+            match slot_now.get(nv) {
+                None => push(
                     &mut diags,
                     Diagnostic::new(
                         DiagCode::MergedSetWrong,
@@ -225,38 +235,35 @@ pub fn verify_buffers(
                         format!("neighbor {nv} missing from M_ij"),
                     ),
                 ),
-                Ok(ti) => {
-                    if b.nbr_slot[t] != b.position[ti] {
-                        push(
-                            &mut diags,
-                            Diagnostic::new(
-                                DiagCode::ReadUnwritten,
-                                loc.with_vertex(nv),
-                                format!(
-                                    "neighbor {nv} read from slot {} but its row lives in slot {}",
-                                    b.nbr_slot[t], b.position[ti]
-                                ),
-                            ),
-                        );
-                    }
-                }
+                Some(slot) if slot != read => push(
+                    &mut diags,
+                    Diagnostic::new(
+                        DiagCode::ReadUnwritten,
+                        loc.with_vertex(nv),
+                        format!(
+                            "neighbor {nv} read from slot {read} but its row lives in slot {slot}"
+                        ),
+                    ),
+                ),
+                Some(_) => {}
             }
         }
 
-        // ---- commit the batch: new residency map, track evictions ----
-        let next: HashMap<u32, VertexId> = b
-            .position
-            .iter()
-            .copied()
-            .zip(b.merged.iter().copied())
-            .collect();
-        for &v in live.values() {
-            if b.merged.binary_search(&v).is_err() {
-                evicted.insert(v);
+        // ---- commit the batch: track evictions, new residency maps ----
+        if let Some(prev) = replayed {
+            for (&v, &slot) in prev.merged.iter().zip(&prev.position) {
+                if live.get(slot) == Some(v) {
+                    evicted.insert(v, ());
+                }
             }
         }
-        evicted.retain(|v| b.merged.binary_search(v).is_err());
-        live = next;
+        live.clear();
+        for (&v, &slot) in b.merged.iter().zip(&b.position) {
+            evicted.remove(v);
+            live.insert(slot, v);
+        }
+        std::mem::swap(&mut resident_at, &mut slot_now);
+        replayed = Some(b);
     }
     diags
 }

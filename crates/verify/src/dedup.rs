@@ -7,11 +7,11 @@
 //! counts match `|ℕ_ij ∩ ℕ_i,j−1|`, and the fetch matrix accounts for
 //! every neighbor access.
 
+use crate::dense::StampMap;
 use crate::diag::{push, DiagCode, Diagnostic, Location};
 use hongtu_graph::VertexId;
 use hongtu_partition::dedup::intersect_size;
 use hongtu_partition::{DedupPlan, TwoLevelPartition};
-use std::collections::HashMap;
 
 /// Checks the dedup plan against the partition plan it was built for.
 pub fn verify_dedup(plan: &TwoLevelPartition, dedup: &DedupPlan) -> Vec<Diagnostic> {
@@ -44,6 +44,12 @@ pub fn verify_dedup(plan: &TwoLevelPartition, dedup: &DedupPlan) -> Vec<Diagnost
     }
 
     let owner = &plan.assignment.partition_of;
+    // Per-batch scratch, all keyed by vertex id: which GPU's transition
+    // set holds a vertex, which vertices some chunk needs, and the
+    // previous batch's transition set of the GPU under the D105 check.
+    let mut routed_to: StampMap<usize> = StampMap::new(owner.len());
+    let mut needed: StampMap<()> = StampMap::new(owner.len());
+    let mut in_prev: StampMap<()> = StampMap::new(owner.len());
     let mut prev_transition: Option<&Vec<Vec<VertexId>>> = None;
     for (j, b) in dedup.batches.iter().enumerate() {
         if b.transition.len() != plan.m
@@ -109,10 +115,10 @@ pub fn verify_dedup(plan: &TwoLevelPartition, dedup: &DedupPlan) -> Vec<Diagnost
         }
 
         // ---- pairwise disjointness (D103) ----
-        let mut seen: HashMap<VertexId, usize> = HashMap::new();
+        routed_to.clear();
         for (i, t) in b.transition.iter().enumerate() {
             for &v in t {
-                if let Some(&pi) = seen.get(&v) {
+                if let Some(pi) = routed_to.get(v) {
                     push(
                         &mut diags,
                         Diagnostic::new(
@@ -122,36 +128,40 @@ pub fn verify_dedup(plan: &TwoLevelPartition, dedup: &DedupPlan) -> Vec<Diagnost
                         ),
                     );
                 } else {
-                    seen.insert(v, i);
+                    routed_to.insert(v, i);
                 }
             }
         }
 
-        // ---- union coverage (D104) ----
-        let mut union: Vec<VertexId> = Vec::new();
+        // ---- union coverage (D104): the lowest needed-but-unrouted
+        // and routed-but-unneeded vertices, if any ----
+        needed.clear();
+        let mut missing: Option<VertexId> = None;
         for c in plan.batch(j) {
-            union.extend_from_slice(&c.neighbors);
-        }
-        union.sort_unstable();
-        union.dedup();
-        let mut combined: Vec<VertexId> = b.transition.iter().flatten().copied().collect();
-        combined.sort_unstable();
-        combined.dedup();
-        if combined != union {
-            let missing = union.iter().find(|v| combined.binary_search(v).is_err());
-            let extra = combined.iter().find(|v| union.binary_search(v).is_err());
-            let detail = match (missing, extra) {
-                (Some(v), _) => format!("batch neighbor {v} is in no transition set"),
-                (None, Some(v)) => {
-                    format!("vertex {v} is in a transition set but no chunk needs it")
+            for &v in &c.neighbors {
+                needed.insert(v, ());
+                if !routed_to.contains(v) {
+                    missing = Some(missing.map_or(v, |w| w.min(v)));
                 }
-                (None, None) => "transition multiset disagrees with the union".to_string(),
+            }
+        }
+        let extra = b
+            .transition
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&v| !needed.contains(v))
+            .min();
+        if let Some(v) = missing.or(extra) {
+            let detail = match missing {
+                Some(v) => format!("batch neighbor {v} is in no transition set"),
+                None => format!("vertex {v} is in a transition set but no chunk needs it"),
             };
             push(
                 &mut diags,
                 Diagnostic::new(
                     DiagCode::TransitionUnionMismatch,
-                    Location::batch(j).with_vertex(*missing.or(extra).unwrap_or(&0)),
+                    Location::batch(j).with_vertex(v),
                     format!("∪_i ℕ_ij ≠ ∪_i N_ij: {detail}"),
                 ),
             );
@@ -161,10 +171,14 @@ pub fn verify_dedup(plan: &TwoLevelPartition, dedup: &DedupPlan) -> Vec<Diagnost
         for i in 0..plan.m {
             let empty: Vec<VertexId> = Vec::new();
             let prev = prev_transition.map(|p| &p[i]).unwrap_or(&empty);
+            in_prev.clear();
+            for &v in prev {
+                in_prev.insert(v, ());
+            }
             let expected_fresh: Vec<VertexId> = b.transition[i]
                 .iter()
                 .copied()
-                .filter(|v| prev.binary_search(v).is_err())
+                .filter(|&v| !in_prev.contains(v))
                 .collect();
             if b.new_from_cpu[i] != expected_fresh {
                 let bad = b.new_from_cpu[i]

@@ -8,8 +8,8 @@
 //! level-1 assignment, so a bookkeeping slip in any of the three internal
 //! representations is caught by cross-checking.
 
+use crate::dense::StampMap;
 use crate::diag::{push, DiagCode, Diagnostic, Location};
-use hongtu_graph::VertexId;
 use hongtu_partition::{DedupPlan, TwoLevelPartition};
 
 /// Independently recomputed volumes.
@@ -24,31 +24,29 @@ pub struct ExpectedVolumes {
 }
 
 /// Recomputes the three §5.3 volumes from the partition plan alone.
+///
+/// The owner split tiles each batch union `U_j = ∪_i N_ij` (every vertex
+/// has exactly one owner), so `Σ_i |T_ij \ T_i,j−1| = |U_j \ U_j−1|`:
+/// one walk over the neighbor lists, remembering the last batch that
+/// needed each vertex, yields `V_+p2p` and `V_+ru` together.
 pub fn expected_volumes(plan: &TwoLevelPartition) -> ExpectedVolumes {
-    let owner = &plan.assignment.partition_of;
     let v_ori = plan.v_ori();
     let mut v_p2p = 0usize;
     let mut v_ru = 0usize;
-    let mut prev_split: Vec<Vec<VertexId>> = vec![Vec::new(); plan.m];
+    let mut last_needed: StampMap<usize> = StampMap::new(plan.assignment.partition_of.len());
     for j in 0..plan.n {
-        let mut union: Vec<VertexId> = Vec::new();
         for c in plan.batch(j) {
-            union.extend_from_slice(&c.neighbors);
+            for &v in &c.neighbors {
+                match last_needed.insert(v, j) {
+                    Some(last) if last == j => {} // already counted this batch
+                    Some(last) if last + 1 == j => v_p2p += 1,
+                    _ => {
+                        v_p2p += 1;
+                        v_ru += 1;
+                    }
+                }
+            }
         }
-        union.sort_unstable();
-        union.dedup();
-        v_p2p += union.len();
-        let mut split: Vec<Vec<VertexId>> = vec![Vec::new(); plan.m];
-        for v in union {
-            split[owner[v as usize] as usize].push(v);
-        }
-        for i in 0..plan.m {
-            v_ru += split[i]
-                .iter()
-                .filter(|v| prev_split[i].binary_search(v).is_err())
-                .count();
-        }
-        prev_split = split;
     }
     ExpectedVolumes { v_ori, v_p2p, v_ru }
 }

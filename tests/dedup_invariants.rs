@@ -7,7 +7,7 @@ use hongtu::core::{comm_cost, reorganize, reorganize_guarded, CommVolumes, Dedup
 use hongtu::graph::generators;
 use hongtu::partition::{GpuBufferPlan, TwoLevelPartition};
 use hongtu::sim::MachineConfig;
-use hongtu::tensor::SeededRng;
+use hongtu::tensor::{Matrix, SeededRng};
 use hongtu::verify::verify_all;
 use proptest::prelude::*;
 
@@ -46,6 +46,21 @@ proptest! {
         let bufs = GpuBufferPlan::build_all(&plan, &d);
         let report = verify_all(&g, &plan, &d, &bufs);
         prop_assert!(report.is_ok(), "{}", report.render());
+        // The buffer plans against their own structural check, and
+        // against the data: rows moved through the planned slots must
+        // equal a direct gather of each chunk's neighbors.
+        let h = Matrix::from_fn(nv, 3, |r, c| (r * 3 + c) as f32);
+        for bp in &bufs {
+            prop_assert!(bp.validate(&plan).is_ok(), "{:?}", bp.validate(&plan));
+            for (j, got) in bp.execute(&plan, &h).iter().enumerate() {
+                let rows: Vec<usize> = plan.chunks[bp.gpu][j]
+                    .neighbors
+                    .iter()
+                    .map(|&v| v as usize)
+                    .collect();
+                prop_assert_eq!(got, &h.gather_rows(&rows), "gpu {} batch {}", bp.gpu, j);
+            }
+        }
         let v = CommVolumes::from_plan(&d);
         prop_assert!(v.v_ori >= v.v_p2p);
         prop_assert!(v.v_p2p >= v.v_ru);

@@ -84,6 +84,12 @@ cargo run -q --release -p hongtu-bench --bin bench_delta -- --out BENCH_delta.js
 echo "==> bench smoke: hot-vertex cache, H2D reduction at bitwise-equal digests (BENCH_cache.json)"
 cargo run -q --release -p hongtu-bench --bin bench_cache -- --out BENCH_cache.json
 
+echo "==> benchmark/ builds against the crates and its smoke run passes"
+# benchmark/ is a workspace of its own, outside `cargo test --workspace`:
+# without this a crates API change can break the perf gate unnoticed.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
