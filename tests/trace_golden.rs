@@ -1,0 +1,715 @@
+//! Golden trace table: the one gate that compares this commit against a
+//! *previous* one. Every other equivalence suite (parallel = sequential,
+//! overlap = off, serve = infer, incremental = rebuild, synthesized =
+//! executed) compares two paths of the same commit, so a refactor that
+//! bends both sides alike passes all of them. Here every recorded
+//! simulator event — kind, device, stream, bytes, duration and timestamp
+//! bits, every access annotation with its region, intent, generation and
+//! provenance — plus the loss and logit bits of a fixed small workload
+//! are folded into one FNV-1a digest per configuration and held against
+//! the committed literals in [`GOLDEN`].
+//!
+//! The table was generated at the commit *before* the executor was
+//! collapsed into `exec.rs` and must not be edited by a refactor: a
+//! mismatch means a simulated timestamp, an event, an annotation or a
+//! result bit moved. An intended behaviour change regenerates it — the
+//! failing test prints the full table in source form.
+
+use hongtu::cache::FrequencyRanked;
+use hongtu::core::{
+    CommMode, ExecutionMode, HongTuConfig, MemoryStrategy, Mode, OverlapMode, Session,
+};
+use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
+use hongtu::delta::{Delta, DynamicGraph};
+use hongtu::graph::generators;
+use hongtu::nn::ModelKind;
+use hongtu::sim::MachineConfig;
+use hongtu::tensor::{Adam, Matrix, SeededRng};
+use std::fmt::Write as _;
+use std::sync::Arc;
+
+const VERTICES: usize = 240;
+const CHUNKS: usize = 3;
+
+fn dataset() -> Dataset {
+    let rng = SeededRng::new(0x601d);
+    let graph = with_self_loops(&generators::erdos_renyi(VERTICES, 5.0, &mut rng.fork(1)));
+    let mut frng = rng.fork(2);
+    let mut lrng = rng.fork(3);
+    Dataset {
+        key: DatasetKey::Rdt,
+        graph,
+        features: Matrix::from_fn(VERTICES, 6, |_, _| frng.normal() * 0.5),
+        labels: (0..VERTICES).map(|_| lrng.index(3) as u32).collect(),
+        splits: Splits::random(VERTICES, 0.4, 0.2, &mut rng.fork(4)),
+        num_classes: 3,
+        seed: 0x601d,
+    }
+}
+
+/// 64-bit FNV-1a.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn matrix(&mut self, m: &Matrix) {
+        self.u64(m.rows() as u64);
+        self.u64(m.cols() as u64);
+        for r in 0..m.rows() {
+            for &x in m.row(r) {
+                self.bytes(&x.to_bits().to_le_bytes());
+            }
+        }
+    }
+
+    /// Every event the session's machine recorded, in order.
+    fn trace(&mut self, s: &Session) {
+        let trace = s.machine().trace();
+        self.u64(trace.len() as u64);
+        let mut line = String::new();
+        for e in trace.events() {
+            line.clear();
+            write!(
+                line,
+                "{:?}|{:?}|{}|{}|{:016x}|{:016x}|{:?}",
+                e.kind,
+                e.device,
+                e.stream,
+                e.bytes,
+                e.seconds.to_bits(),
+                e.at.to_bits(),
+                e.accesses
+            )
+            .expect("write to String");
+            self.bytes(line.as_bytes());
+        }
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Point {
+    kind: ModelKind,
+    comm: CommMode,
+    gpus: usize,
+    overlap: OverlapMode,
+    exec: ExecutionMode,
+}
+
+impl Point {
+    fn name(&self) -> String {
+        format!(
+            "{:?}/{:?}/{}gpu/{:?}/{:?}",
+            self.kind, self.comm, self.gpus, self.overlap, self.exec
+        )
+    }
+
+    fn builder(&self, gpu_memory: usize) -> hongtu::core::HongTuConfigBuilder {
+        HongTuConfig::builder()
+            .machine(MachineConfig::scaled(self.gpus, gpu_memory))
+            .comm(self.comm)
+            .reorganize(self.comm != CommMode::Vanilla)
+            .overlap(self.overlap)
+            .exec(self.exec)
+    }
+}
+
+fn traced(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> Session {
+    let mut s = Session::new(ds, kind, 8, 2, CHUNKS, cfg).expect("session");
+    s.machine_mut().enable_unbounded_trace();
+    s
+}
+
+/// Two training epochs under one optimizer: trace, both losses, logits.
+fn train_digest(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> u64 {
+    let mut opt = Adam::new(cfg.lr);
+    let mut s = traced(ds, kind, cfg);
+    let mut fnv = Fnv::new();
+    for _ in 0..2 {
+        let r = s.train_epoch(&mut opt).expect("train epoch");
+        fnv.u64(u64::from(r.loss.loss.to_bits()));
+        fnv.u64(u64::from(r.loss.accuracy.to_bits()));
+        fnv.u64(r.time.to_bits());
+    }
+    fnv.matrix(s.logits());
+    fnv.trace(&s);
+    fnv.0
+}
+
+/// One inference epoch: trace and logits.
+fn infer_digest(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> u64 {
+    let mut s = traced(ds, kind, cfg);
+    let mut fnv = Fnv::new();
+    let r = s.infer_epoch().expect("infer epoch");
+    fnv.u64(r.time.to_bits());
+    fnv.matrix(&r.logits);
+    fnv.trace(&s);
+    fnv.0
+}
+
+/// A full sweep to make the stores current, then one pruned serve.
+fn serve_digest(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> u64 {
+    let mut s = traced(ds, kind, cfg);
+    let mut fnv = Fnv::new();
+    s.infer_epoch().expect("prime");
+    let r = s.serve(&[3, 50, 51]).expect("serve");
+    fnv.u64(r.time.to_bits());
+    fnv.u64(r.active_steps as u64);
+    fnv.matrix(&r.logits);
+    fnv.trace(&s);
+    fnv.0
+}
+
+/// A full sweep, then a structural + feature batch through
+/// `apply_staged` (chunk rebuild, re-pin, cone replay).
+fn delta_digest(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> u64 {
+    let mut s = traced(ds, kind, cfg);
+    let mut dg = DynamicGraph::from_dataset(ds);
+    let mut fnv = Fnv::new();
+    s.infer_epoch().expect("prime");
+    let n = VERTICES as u32;
+    let (src, dst) = (0..n)
+        .map(|u| (u, (u + 7) % n))
+        .find(|&(u, v)| !dg.graph().out_neighbors(u).contains(&v))
+        .expect("an absent edge");
+    let batch = [
+        Delta::AddEdge { src, dst },
+        Delta::UpdateFeatures {
+            vertex: 11,
+            features: vec![0.25; 6],
+        },
+    ];
+    let staged = dg.stage(&batch).expect("stage");
+    let r = s.apply_staged(&mut dg, staged).expect("apply");
+    fnv.u64(r.time.to_bits());
+    fnv.u64(r.active_steps as u64);
+    fnv.u64(r.rebuilt_chunks as u64);
+    fnv.matrix(&r.logits);
+    fnv.trace(&s);
+    fnv.0
+}
+
+/// The smallest device on which `p`'s session fits without a cache, plus
+/// `slack` bytes: with room for ~40 feature rows the cache admits a
+/// strict subset of the hot rows, so sweeps mix hits, installs and misses.
+fn tight_memory(ds: &Dataset, p: Point, mode: Mode, slack: usize) -> usize {
+    let cfg = p.builder(64 << 20).mode(mode).build().expect("config");
+    let s = Session::new(ds, p.kind, 8, 2, CHUNKS, cfg).expect("session");
+    let bound = s.static_memory_bound();
+    bound.gpu.iter().copied().max().expect("gpus") + slack
+}
+
+fn compute() -> Vec<(String, u64)> {
+    let ds = dataset();
+    let mut rows = Vec::new();
+    let mem = 64 << 20;
+    for kind in [ModelKind::Gcn, ModelKind::Gat, ModelKind::Sage] {
+        for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
+            for gpus in [1, 2, 4] {
+                for overlap in [OverlapMode::Off, OverlapMode::DoubleBuffer] {
+                    for exec in [ExecutionMode::Sequential, ExecutionMode::Parallel] {
+                        let p = Point {
+                            kind,
+                            comm,
+                            gpus,
+                            overlap,
+                            exec,
+                        };
+                        for (tag, memory) in [
+                            ("train-hybrid", MemoryStrategy::Hybrid),
+                            ("train-recompute", MemoryStrategy::Recompute),
+                        ] {
+                            let cfg = p.builder(mem).memory(memory).build().expect("config");
+                            rows.push((
+                                format!("{}/{tag}", p.name()),
+                                train_digest(&ds, kind, cfg),
+                            ));
+                        }
+                        let cfg = p.builder(mem).infer().build().expect("config");
+                        rows.push((format!("{}/infer", p.name()), infer_digest(&ds, kind, cfg)));
+                    }
+                }
+            }
+        }
+    }
+
+    let corners = [
+        (OverlapMode::Off, ExecutionMode::Sequential),
+        (OverlapMode::Off, ExecutionMode::Parallel),
+        (OverlapMode::DoubleBuffer, ExecutionMode::Sequential),
+        (OverlapMode::DoubleBuffer, ExecutionMode::Parallel),
+    ];
+    for (overlap, exec) in corners {
+        let p = Point {
+            kind: ModelKind::Gcn,
+            comm: CommMode::P2pRu,
+            gpus: 2,
+            overlap,
+            exec,
+        };
+        let cfg = p.builder(mem).infer().build().expect("config");
+        rows.push((
+            format!("{}/serve", p.name()),
+            serve_digest(&ds, p.kind, cfg.clone()),
+        ));
+        rows.push((
+            format!("{}/apply_staged", p.name()),
+            delta_digest(&ds, p.kind, cfg),
+        ));
+        // The naive P2P schedule: source stalls are charged inline by the
+        // sequential executor and deferred to the join by the parallel one.
+        let p4 = Point { gpus: 4, ..p };
+        let cfg = p4.builder(mem).interleaved(false).build().expect("config");
+        rows.push((
+            format!("{}/naive-p2p/train-hybrid", p4.name()),
+            train_digest(&ds, p4.kind, cfg),
+        ));
+    }
+
+    for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
+        for (overlap, exec) in [corners[0], corners[3]] {
+            let p = Point {
+                kind: ModelKind::Gcn,
+                comm,
+                gpus: 2,
+                overlap,
+                exec,
+            };
+            let rows40 = 40 * 6 * 4;
+            let cfg = p
+                .builder(tight_memory(&ds, p, Mode::Train, rows40))
+                .cache(Arc::new(FrequencyRanked))
+                .build()
+                .expect("config");
+            rows.push((
+                format!("{}/cache/train-hybrid", p.name()),
+                train_digest(&ds, p.kind, cfg),
+            ));
+            let cfg = p
+                .builder(tight_memory(&ds, p, Mode::Infer, rows40))
+                .cache(Arc::new(FrequencyRanked))
+                .infer()
+                .build()
+                .expect("config");
+            rows.push((
+                format!("{}/cache/serve", p.name()),
+                serve_digest(&ds, p.kind, cfg),
+            ));
+            // A structural commit re-pins staging and re-admits the cache;
+            // leave it room to grow.
+            let cfg = p
+                .builder(tight_memory(&ds, p, Mode::Infer, 8 << 10))
+                .cache(Arc::new(FrequencyRanked))
+                .infer()
+                .build()
+                .expect("config");
+            rows.push((
+                format!("{}/cache/apply_staged", p.name()),
+                delta_digest(&ds, p.kind, cfg),
+            ));
+        }
+    }
+    rows
+}
+
+#[test]
+fn every_trace_event_and_result_bit_matches_the_golden_table() {
+    let got = compute();
+    let same = got.len() == GOLDEN.len()
+        && got
+            .iter()
+            .zip(GOLDEN)
+            .all(|((name, digest), (gname, gdigest))| name == gname && digest == gdigest);
+    if same {
+        return;
+    }
+    let mut table = String::new();
+    for (name, digest) in &got {
+        writeln!(table, "    (\"{name}\", 0x{digest:016x}),").expect("write to String");
+    }
+    let moved: Vec<&str> = got
+        .iter()
+        .zip(GOLDEN)
+        .filter(|((name, digest), (gname, gdigest))| name != gname || digest != gdigest)
+        .map(|((name, _), _)| name.as_str())
+        .collect();
+    panic!(
+        "golden trace table mismatch: {} computed rows vs {} golden, {} differ \
+         (first: {:?}).\nComputed table:\n{table}",
+        got.len(),
+        GOLDEN.len(),
+        moved.len(),
+        moved.first()
+    );
+}
+
+#[rustfmt::skip]
+const GOLDEN: &[(&str, u64)] = &[
+    ("Gcn/Vanilla/1gpu/Off/Sequential/train-hybrid", 0x040f63547f40d815),
+    ("Gcn/Vanilla/1gpu/Off/Sequential/train-recompute", 0xed04c47e3e598087),
+    ("Gcn/Vanilla/1gpu/Off/Sequential/infer", 0x40f9ee6630c2dc8e),
+    ("Gcn/Vanilla/1gpu/Off/Parallel/train-hybrid", 0x040f63547f40d815),
+    ("Gcn/Vanilla/1gpu/Off/Parallel/train-recompute", 0xed04c47e3e598087),
+    ("Gcn/Vanilla/1gpu/Off/Parallel/infer", 0x40f9ee6630c2dc8e),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x784ddc75ade7878d),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0xbce07a6b0f39bfb0),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x412f835da9276a5c),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x784ddc75ade7878d),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0xbce07a6b0f39bfb0),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x412f835da9276a5c),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/train-hybrid", 0x6b971e9e8fb33718),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/train-recompute", 0xf9527be0b3248d97),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/infer", 0x4f43f5cec25f1976),
+    ("Gcn/Vanilla/2gpu/Off/Parallel/train-hybrid", 0x6b971e9e8fb33718),
+    ("Gcn/Vanilla/2gpu/Off/Parallel/train-recompute", 0xf9527be0b3248d97),
+    ("Gcn/Vanilla/2gpu/Off/Parallel/infer", 0x4f43f5cec25f1976),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x87cb553619ed1c34),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x5ca138f791bb744c),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0xb4d09cd362055c09),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x87cb553619ed1c34),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x5ca138f791bb744c),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0xb4d09cd362055c09),
+    ("Gcn/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x5443cb560c46fc0e),
+    ("Gcn/Vanilla/4gpu/Off/Sequential/train-recompute", 0xce6d388578db308f),
+    ("Gcn/Vanilla/4gpu/Off/Sequential/infer", 0x45467b6101d91019),
+    ("Gcn/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x5443cb560c46fc0e),
+    ("Gcn/Vanilla/4gpu/Off/Parallel/train-recompute", 0xce6d388578db308f),
+    ("Gcn/Vanilla/4gpu/Off/Parallel/infer", 0x45467b6101d91019),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x2fc144a016b040c4),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0xb8455870709fa15f),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0xedacad38f0cc8f93),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x2fc144a016b040c4),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0xb8455870709fa15f),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0xedacad38f0cc8f93),
+    ("Gcn/P2p/1gpu/Off/Sequential/train-hybrid", 0x7dd5fa4ab8a1e0de),
+    ("Gcn/P2p/1gpu/Off/Sequential/train-recompute", 0xc5a549773858176d),
+    ("Gcn/P2p/1gpu/Off/Sequential/infer", 0x710e01b7ad782d8d),
+    ("Gcn/P2p/1gpu/Off/Parallel/train-hybrid", 0x7dd5fa4ab8a1e0de),
+    ("Gcn/P2p/1gpu/Off/Parallel/train-recompute", 0xc5a549773858176d),
+    ("Gcn/P2p/1gpu/Off/Parallel/infer", 0x710e01b7ad782d8d),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xc6634a4fa0dd52a1),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x4362c2153be14d33),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x637d510e0858377c),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xc6634a4fa0dd52a1),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x4362c2153be14d33),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x637d510e0858377c),
+    ("Gcn/P2p/2gpu/Off/Sequential/train-hybrid", 0xf26b6e422b5ec204),
+    ("Gcn/P2p/2gpu/Off/Sequential/train-recompute", 0x93d0d8e2f42254fa),
+    ("Gcn/P2p/2gpu/Off/Sequential/infer", 0x7da52a2ee8dcdd40),
+    ("Gcn/P2p/2gpu/Off/Parallel/train-hybrid", 0xf26b6e422b5ec204),
+    ("Gcn/P2p/2gpu/Off/Parallel/train-recompute", 0x93d0d8e2f42254fa),
+    ("Gcn/P2p/2gpu/Off/Parallel/infer", 0x7da52a2ee8dcdd40),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x5e7ca2869e42b003),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0xb041ac6e0c8cf7e8),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x7f10e86886c7d4ef),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x5e7ca2869e42b003),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0xb041ac6e0c8cf7e8),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x7f10e86886c7d4ef),
+    ("Gcn/P2p/4gpu/Off/Sequential/train-hybrid", 0x92060e197c5920ce),
+    ("Gcn/P2p/4gpu/Off/Sequential/train-recompute", 0x63964d7486f214cc),
+    ("Gcn/P2p/4gpu/Off/Sequential/infer", 0x0713eabe4ab487b7),
+    ("Gcn/P2p/4gpu/Off/Parallel/train-hybrid", 0x92060e197c5920ce),
+    ("Gcn/P2p/4gpu/Off/Parallel/train-recompute", 0x63964d7486f214cc),
+    ("Gcn/P2p/4gpu/Off/Parallel/infer", 0x0713eabe4ab487b7),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x1f892f89367730e7),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0x96614e81887cd790),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/infer", 0x7a59170ab1d49858),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x1f892f89367730e7),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0x96614e81887cd790),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/infer", 0x7a59170ab1d49858),
+    ("Gcn/P2pRu/1gpu/Off/Sequential/train-hybrid", 0xd9a6c2695ae588b4),
+    ("Gcn/P2pRu/1gpu/Off/Sequential/train-recompute", 0x8b6b49fbd79e2b89),
+    ("Gcn/P2pRu/1gpu/Off/Sequential/infer", 0x147e13d220218e89),
+    ("Gcn/P2pRu/1gpu/Off/Parallel/train-hybrid", 0xd9a6c2695ae588b4),
+    ("Gcn/P2pRu/1gpu/Off/Parallel/train-recompute", 0x8b6b49fbd79e2b89),
+    ("Gcn/P2pRu/1gpu/Off/Parallel/infer", 0x147e13d220218e89),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xa96da4ca5227e3eb),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x20e861f82f31b3a9),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0x9593096259629b66),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xa96da4ca5227e3eb),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x20e861f82f31b3a9),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0x9593096259629b66),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/train-hybrid", 0x0dad88f6a40b9b36),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/train-recompute", 0xd6b0d649cf4214c1),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/infer", 0xf2e061cd2861a09d),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/train-hybrid", 0x0dad88f6a40b9b36),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/train-recompute", 0xd6b0d649cf4214c1),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/infer", 0xf2e061cd2861a09d),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xf5376897bc509353),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0x2ec20b6f05a8b63c),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0x0310ed9118ef6cf4),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xf5376897bc509353),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0x2ec20b6f05a8b63c),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0x0310ed9118ef6cf4),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/train-hybrid", 0xbb605d8f85ce0883),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/train-recompute", 0x155a9bbbd9cb43e2),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/infer", 0x0618e76bb997f668),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/train-hybrid", 0xbb605d8f85ce0883),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/train-recompute", 0x155a9bbbd9cb43e2),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/infer", 0x0618e76bb997f668),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x3a1c58e301188b6a),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x6eba6e14fc9c1dda),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0xf1c06cfcc8353c9f),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x3a1c58e301188b6a),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x6eba6e14fc9c1dda),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0xf1c06cfcc8353c9f),
+    ("Gat/Vanilla/1gpu/Off/Sequential/train-hybrid", 0x8adf2c2991934d0f),
+    ("Gat/Vanilla/1gpu/Off/Sequential/train-recompute", 0x8adf2c2991934d0f),
+    ("Gat/Vanilla/1gpu/Off/Sequential/infer", 0x32a9caba485ae9c1),
+    ("Gat/Vanilla/1gpu/Off/Parallel/train-hybrid", 0x8adf2c2991934d0f),
+    ("Gat/Vanilla/1gpu/Off/Parallel/train-recompute", 0x8adf2c2991934d0f),
+    ("Gat/Vanilla/1gpu/Off/Parallel/infer", 0x32a9caba485ae9c1),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x56f7199eb5ba9577),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0x56f7199eb5ba9577),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x2c4f194740668f3e),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x56f7199eb5ba9577),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0x56f7199eb5ba9577),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x2c4f194740668f3e),
+    ("Gat/Vanilla/2gpu/Off/Sequential/train-hybrid", 0x1cbf055f2f9f6560),
+    ("Gat/Vanilla/2gpu/Off/Sequential/train-recompute", 0x1cbf055f2f9f6560),
+    ("Gat/Vanilla/2gpu/Off/Sequential/infer", 0x06c26e9fd5f6b59c),
+    ("Gat/Vanilla/2gpu/Off/Parallel/train-hybrid", 0x1cbf055f2f9f6560),
+    ("Gat/Vanilla/2gpu/Off/Parallel/train-recompute", 0x1cbf055f2f9f6560),
+    ("Gat/Vanilla/2gpu/Off/Parallel/infer", 0x06c26e9fd5f6b59c),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x80e79e98f31e40cc),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x80e79e98f31e40cc),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0xa09eb154f2ff6025),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x80e79e98f31e40cc),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x80e79e98f31e40cc),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0xa09eb154f2ff6025),
+    ("Gat/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x03545eaaf927d2b8),
+    ("Gat/Vanilla/4gpu/Off/Sequential/train-recompute", 0x03545eaaf927d2b8),
+    ("Gat/Vanilla/4gpu/Off/Sequential/infer", 0xc255709dce246208),
+    ("Gat/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x03545eaaf927d2b8),
+    ("Gat/Vanilla/4gpu/Off/Parallel/train-recompute", 0x03545eaaf927d2b8),
+    ("Gat/Vanilla/4gpu/Off/Parallel/infer", 0xc255709dce246208),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x70fa5f6cea047784),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x70fa5f6cea047784),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0x3a102dab5aa55f4a),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x70fa5f6cea047784),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x70fa5f6cea047784),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0x3a102dab5aa55f4a),
+    ("Gat/P2p/1gpu/Off/Sequential/train-hybrid", 0x3f73c20d88e4e0ce),
+    ("Gat/P2p/1gpu/Off/Sequential/train-recompute", 0x3f73c20d88e4e0ce),
+    ("Gat/P2p/1gpu/Off/Sequential/infer", 0x5148c492570249a4),
+    ("Gat/P2p/1gpu/Off/Parallel/train-hybrid", 0x3f73c20d88e4e0ce),
+    ("Gat/P2p/1gpu/Off/Parallel/train-recompute", 0x3f73c20d88e4e0ce),
+    ("Gat/P2p/1gpu/Off/Parallel/infer", 0x5148c492570249a4),
+    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x478b0f7adeede7c6),
+    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x478b0f7adeede7c6),
+    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x9e531ff815783497),
+    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x478b0f7adeede7c6),
+    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x478b0f7adeede7c6),
+    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x9e531ff815783497),
+    ("Gat/P2p/2gpu/Off/Sequential/train-hybrid", 0x8f79abda17830e70),
+    ("Gat/P2p/2gpu/Off/Sequential/train-recompute", 0x8f79abda17830e70),
+    ("Gat/P2p/2gpu/Off/Sequential/infer", 0xd4e56a84ff9b8669),
+    ("Gat/P2p/2gpu/Off/Parallel/train-hybrid", 0x8f79abda17830e70),
+    ("Gat/P2p/2gpu/Off/Parallel/train-recompute", 0x8f79abda17830e70),
+    ("Gat/P2p/2gpu/Off/Parallel/infer", 0xd4e56a84ff9b8669),
+    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xdf69af5714ba7d55),
+    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0xdf69af5714ba7d55),
+    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/infer", 0xfb3edb4b97c5082f),
+    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xdf69af5714ba7d55),
+    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0xdf69af5714ba7d55),
+    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/infer", 0xfb3edb4b97c5082f),
+    ("Gat/P2p/4gpu/Off/Sequential/train-hybrid", 0x3e1c4fbf07505a03),
+    ("Gat/P2p/4gpu/Off/Sequential/train-recompute", 0x3e1c4fbf07505a03),
+    ("Gat/P2p/4gpu/Off/Sequential/infer", 0x8056ba70276a4edb),
+    ("Gat/P2p/4gpu/Off/Parallel/train-hybrid", 0x3e1c4fbf07505a03),
+    ("Gat/P2p/4gpu/Off/Parallel/train-recompute", 0x3e1c4fbf07505a03),
+    ("Gat/P2p/4gpu/Off/Parallel/infer", 0x8056ba70276a4edb),
+    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x0ab902e0d09a79f5),
+    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0x0ab902e0d09a79f5),
+    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/infer", 0x2e050944e74c161e),
+    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x0ab902e0d09a79f5),
+    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0x0ab902e0d09a79f5),
+    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/infer", 0x2e050944e74c161e),
+    ("Gat/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x9e28ca931b0fe24c),
+    ("Gat/P2pRu/1gpu/Off/Sequential/train-recompute", 0x9e28ca931b0fe24c),
+    ("Gat/P2pRu/1gpu/Off/Sequential/infer", 0x781cd2089e4c33d3),
+    ("Gat/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x9e28ca931b0fe24c),
+    ("Gat/P2pRu/1gpu/Off/Parallel/train-recompute", 0x9e28ca931b0fe24c),
+    ("Gat/P2pRu/1gpu/Off/Parallel/infer", 0x781cd2089e4c33d3),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xb7d784ab1b25b011),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0xb7d784ab1b25b011),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0xa5e2ae7f7fd7a18b),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xb7d784ab1b25b011),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0xb7d784ab1b25b011),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0xa5e2ae7f7fd7a18b),
+    ("Gat/P2pRu/2gpu/Off/Sequential/train-hybrid", 0xfe6668f47c701fdf),
+    ("Gat/P2pRu/2gpu/Off/Sequential/train-recompute", 0xfe6668f47c701fdf),
+    ("Gat/P2pRu/2gpu/Off/Sequential/infer", 0x673ffd2a737920b9),
+    ("Gat/P2pRu/2gpu/Off/Parallel/train-hybrid", 0xfe6668f47c701fdf),
+    ("Gat/P2pRu/2gpu/Off/Parallel/train-recompute", 0xfe6668f47c701fdf),
+    ("Gat/P2pRu/2gpu/Off/Parallel/infer", 0x673ffd2a737920b9),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xe5efb884b647f265),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0xe5efb884b647f265),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0x2e3f2c07f4cbaba7),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xe5efb884b647f265),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0xe5efb884b647f265),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0x2e3f2c07f4cbaba7),
+    ("Gat/P2pRu/4gpu/Off/Sequential/train-hybrid", 0xa7d5682c2554a019),
+    ("Gat/P2pRu/4gpu/Off/Sequential/train-recompute", 0xa7d5682c2554a019),
+    ("Gat/P2pRu/4gpu/Off/Sequential/infer", 0xf56c41b417fe263a),
+    ("Gat/P2pRu/4gpu/Off/Parallel/train-hybrid", 0xa7d5682c2554a019),
+    ("Gat/P2pRu/4gpu/Off/Parallel/train-recompute", 0xa7d5682c2554a019),
+    ("Gat/P2pRu/4gpu/Off/Parallel/infer", 0xf56c41b417fe263a),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x7b69de97e6d55b11),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x7b69de97e6d55b11),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0x23e7e5feeded37f8),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x7b69de97e6d55b11),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x7b69de97e6d55b11),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0x23e7e5feeded37f8),
+    ("Sage/Vanilla/1gpu/Off/Sequential/train-hybrid", 0x632c9a54ffd7aa03),
+    ("Sage/Vanilla/1gpu/Off/Sequential/train-recompute", 0x1f3260b6a866fa29),
+    ("Sage/Vanilla/1gpu/Off/Sequential/infer", 0xae9fa19dd0ee0e10),
+    ("Sage/Vanilla/1gpu/Off/Parallel/train-hybrid", 0x632c9a54ffd7aa03),
+    ("Sage/Vanilla/1gpu/Off/Parallel/train-recompute", 0x1f3260b6a866fa29),
+    ("Sage/Vanilla/1gpu/Off/Parallel/infer", 0xae9fa19dd0ee0e10),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xc4c27475b7cc86ab),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0xa1fd3ff6f63abc57),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x2d5773df64df6152),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xc4c27475b7cc86ab),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0xa1fd3ff6f63abc57),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x2d5773df64df6152),
+    ("Sage/Vanilla/2gpu/Off/Sequential/train-hybrid", 0xcb82a1f4d3ea526c),
+    ("Sage/Vanilla/2gpu/Off/Sequential/train-recompute", 0xa704c7aa3a5ff2f4),
+    ("Sage/Vanilla/2gpu/Off/Sequential/infer", 0xf2e40098a66c23ac),
+    ("Sage/Vanilla/2gpu/Off/Parallel/train-hybrid", 0xcb82a1f4d3ea526c),
+    ("Sage/Vanilla/2gpu/Off/Parallel/train-recompute", 0xa704c7aa3a5ff2f4),
+    ("Sage/Vanilla/2gpu/Off/Parallel/infer", 0xf2e40098a66c23ac),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xbb4667afdadddd04),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x0bc140c8649313b1),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0xd42822130803b519),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xbb4667afdadddd04),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x0bc140c8649313b1),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0xd42822130803b519),
+    ("Sage/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x6209ff9b52bbf941),
+    ("Sage/Vanilla/4gpu/Off/Sequential/train-recompute", 0x6f39bae615ff21bc),
+    ("Sage/Vanilla/4gpu/Off/Sequential/infer", 0x12e7ad04a29e1d04),
+    ("Sage/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x6209ff9b52bbf941),
+    ("Sage/Vanilla/4gpu/Off/Parallel/train-recompute", 0x6f39bae615ff21bc),
+    ("Sage/Vanilla/4gpu/Off/Parallel/infer", 0x12e7ad04a29e1d04),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x6502f514a5bfb276),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0xcee51e9470769bd9),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0x9493056324c2d329),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x6502f514a5bfb276),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0xcee51e9470769bd9),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0x9493056324c2d329),
+    ("Sage/P2p/1gpu/Off/Sequential/train-hybrid", 0x3d28abca4a9bd9f2),
+    ("Sage/P2p/1gpu/Off/Sequential/train-recompute", 0xe8744c0fc373392f),
+    ("Sage/P2p/1gpu/Off/Sequential/infer", 0x4483fcba394c00ce),
+    ("Sage/P2p/1gpu/Off/Parallel/train-hybrid", 0x3d28abca4a9bd9f2),
+    ("Sage/P2p/1gpu/Off/Parallel/train-recompute", 0xe8744c0fc373392f),
+    ("Sage/P2p/1gpu/Off/Parallel/infer", 0x4483fcba394c00ce),
+    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x0138654655d4c940),
+    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x408d590de6ced8cc),
+    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/infer", 0xf56fba6abfdaa51c),
+    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x0138654655d4c940),
+    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x408d590de6ced8cc),
+    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/infer", 0xf56fba6abfdaa51c),
+    ("Sage/P2p/2gpu/Off/Sequential/train-hybrid", 0x587d9c138a59343b),
+    ("Sage/P2p/2gpu/Off/Sequential/train-recompute", 0x626be8b38c63aad7),
+    ("Sage/P2p/2gpu/Off/Sequential/infer", 0xd9e2bb7d256e8e69),
+    ("Sage/P2p/2gpu/Off/Parallel/train-hybrid", 0x587d9c138a59343b),
+    ("Sage/P2p/2gpu/Off/Parallel/train-recompute", 0x626be8b38c63aad7),
+    ("Sage/P2p/2gpu/Off/Parallel/infer", 0xd9e2bb7d256e8e69),
+    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x2be05df7eac58bf7),
+    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x6c264ed30470fab3),
+    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x52fb8534535f3964),
+    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x2be05df7eac58bf7),
+    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x6c264ed30470fab3),
+    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x52fb8534535f3964),
+    ("Sage/P2p/4gpu/Off/Sequential/train-hybrid", 0x6dae4987e3685cf3),
+    ("Sage/P2p/4gpu/Off/Sequential/train-recompute", 0xee1be32afea8b460),
+    ("Sage/P2p/4gpu/Off/Sequential/infer", 0x325b12b3fc9dd62a),
+    ("Sage/P2p/4gpu/Off/Parallel/train-hybrid", 0x6dae4987e3685cf3),
+    ("Sage/P2p/4gpu/Off/Parallel/train-recompute", 0xee1be32afea8b460),
+    ("Sage/P2p/4gpu/Off/Parallel/infer", 0x325b12b3fc9dd62a),
+    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xcd0df0e7ee107d71),
+    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0xed4272da70e88217),
+    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/infer", 0x23e05472658862a9),
+    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xcd0df0e7ee107d71),
+    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0xed4272da70e88217),
+    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/infer", 0x23e05472658862a9),
+    ("Sage/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x61e010245e87011c),
+    ("Sage/P2pRu/1gpu/Off/Sequential/train-recompute", 0x829a2f22915d0569),
+    ("Sage/P2pRu/1gpu/Off/Sequential/infer", 0xa798c52b6df7400b),
+    ("Sage/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x61e010245e87011c),
+    ("Sage/P2pRu/1gpu/Off/Parallel/train-recompute", 0x829a2f22915d0569),
+    ("Sage/P2pRu/1gpu/Off/Parallel/infer", 0xa798c52b6df7400b),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x499c08cc6b5f57e5),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x148163ad5819553b),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0xeb78a7c242a2541f),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x499c08cc6b5f57e5),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x148163ad5819553b),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0xeb78a7c242a2541f),
+    ("Sage/P2pRu/2gpu/Off/Sequential/train-hybrid", 0xb0ecde2f29314263),
+    ("Sage/P2pRu/2gpu/Off/Sequential/train-recompute", 0x40f733296dbd5215),
+    ("Sage/P2pRu/2gpu/Off/Sequential/infer", 0x58b76b1ac8a6e14d),
+    ("Sage/P2pRu/2gpu/Off/Parallel/train-hybrid", 0xb0ecde2f29314263),
+    ("Sage/P2pRu/2gpu/Off/Parallel/train-recompute", 0x40f733296dbd5215),
+    ("Sage/P2pRu/2gpu/Off/Parallel/infer", 0x58b76b1ac8a6e14d),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xfa34c5ae245deaa2),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0xeddfae05dd65f99a),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0xd8422f287a359fd6),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xfa34c5ae245deaa2),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0xeddfae05dd65f99a),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0xd8422f287a359fd6),
+    ("Sage/P2pRu/4gpu/Off/Sequential/train-hybrid", 0x65160ff0fb0bb48b),
+    ("Sage/P2pRu/4gpu/Off/Sequential/train-recompute", 0x5dffdb5b0423ec28),
+    ("Sage/P2pRu/4gpu/Off/Sequential/infer", 0xaa6320d73f458029),
+    ("Sage/P2pRu/4gpu/Off/Parallel/train-hybrid", 0x65160ff0fb0bb48b),
+    ("Sage/P2pRu/4gpu/Off/Parallel/train-recompute", 0x5dffdb5b0423ec28),
+    ("Sage/P2pRu/4gpu/Off/Parallel/infer", 0xaa6320d73f458029),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xf5f6a0d4873fb49a),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x385ddb995f77b4a4),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0x86866b9e88f230d1),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xf5f6a0d4873fb49a),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x385ddb995f77b4a4),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0x86866b9e88f230d1),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/serve", 0x798c9839a2f3b81f),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/apply_staged", 0x5490acc69d0d5ae5),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/naive-p2p/train-hybrid", 0xde70655ed7ea9477),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/serve", 0x798c9839a2f3b81f),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/apply_staged", 0x5490acc69d0d5ae5),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/naive-p2p/train-hybrid", 0x675b28ce221f7492),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/serve", 0x95c717d78a335552),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/apply_staged", 0xe07eab464f3a6d0c),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/naive-p2p/train-hybrid", 0x20829fb84f51d4f8),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/serve", 0x95c717d78a335552),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/apply_staged", 0xe07eab464f3a6d0c),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/naive-p2p/train-hybrid", 0x2ec22ac429a2548a),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/train-hybrid", 0x489a3a5410ca7657),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/serve", 0xebe9f8aab0199ee1),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/apply_staged", 0x4059c32d055ebeae),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0xa91cbe696bbcd549),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/serve", 0x1121507d5df1d286),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0xcf83981a83dfc41a),
+    ("Gcn/P2p/2gpu/Off/Sequential/cache/train-hybrid", 0xe276bdd6a2e6b40c),
+    ("Gcn/P2p/2gpu/Off/Sequential/cache/serve", 0xbd180745a0e87cc6),
+    ("Gcn/P2p/2gpu/Off/Sequential/cache/apply_staged", 0xdff96d6b75ba3d68),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x15fd5cf29a4ec75b),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/serve", 0xb69dd9528048ebf9),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0xb4372bbe9098cbf8),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/train-hybrid", 0x9de3eef791d0b60f),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/serve", 0xebd7f1445e12caa6),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/apply_staged", 0xa123727b08fd9d69),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x0e74b48e66026ef0),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/serve", 0xe39257eef0154ea2),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0x3aafcd3554628a1e),
+];
