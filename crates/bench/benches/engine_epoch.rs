@@ -2,7 +2,7 @@
 //! simulator accounting) on the reddit proxy — the end-to-end hot path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hongtu_core::{CommMode, HongTuConfig, HongTuEngine};
+use hongtu_core::{CommMode, HongTuConfig, Session};
 use hongtu_datasets::{load, DatasetKey};
 use hongtu_nn::ModelKind;
 use hongtu_sim::MachineConfig;
@@ -16,16 +16,18 @@ fn bench_epoch(c: &mut Criterion) {
         let mut cfg = HongTuConfig::full(machine.clone());
         cfg.comm = comm;
         cfg.reorganize = comm != CommMode::Vanilla;
-        let mut engine = HongTuEngine::new(&ds, ModelKind::Gcn, 32, 2, 4, cfg).unwrap();
+        let mut session = Session::new(&ds, ModelKind::Gcn, 32, 2, 4, cfg).unwrap();
+        let mut trainer = session.trainer();
         c.bench_function(format!("hongtu_epoch/rdt-gcn2-{name}"), |b| {
-            b.iter(|| black_box(engine.train_epoch().unwrap().loss.loss))
+            b.iter(|| black_box(trainer.epoch().unwrap().loss.loss))
         });
     }
     // GAT epoch (recompute path).
-    let mut engine =
-        HongTuEngine::new(&ds, ModelKind::Gat, 32, 2, 4, HongTuConfig::full(machine)).unwrap();
+    let mut session =
+        Session::new(&ds, ModelKind::Gat, 32, 2, 4, HongTuConfig::full(machine)).unwrap();
+    let mut trainer = session.trainer();
     c.bench_function("hongtu_epoch/rdt-gat2-dedup", |b| {
-        b.iter(|| black_box(engine.train_epoch().unwrap().loss.loss))
+        b.iter(|| black_box(trainer.epoch().unwrap().loss.loss))
     });
 }
 

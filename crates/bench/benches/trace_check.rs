@@ -3,7 +3,7 @@
 //! many-GPU trace that stresses the vector-clock join.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hongtu_core::{HongTuConfig, HongTuEngine};
+use hongtu_core::{HongTuConfig, Session};
 use hongtu_datasets::{load, DatasetKey};
 use hongtu_nn::ModelKind;
 use hongtu_sim::{
@@ -17,11 +17,11 @@ use std::hint::black_box;
 fn engine_trace() -> Trace {
     let ds = load(DatasetKey::Rdt, &mut SeededRng::new(1));
     let machine = MachineConfig::scaled(4, 512 << 20);
-    let mut engine =
-        HongTuEngine::new(&ds, ModelKind::Gcn, 32, 2, 4, HongTuConfig::full(machine)).unwrap();
-    engine.machine_mut().enable_unbounded_trace();
-    engine.train_epoch().unwrap();
-    engine.machine().trace().clone()
+    let mut session =
+        Session::new(&ds, ModelKind::Gcn, 32, 2, 4, HongTuConfig::full(machine)).unwrap();
+    session.machine_mut().enable_unbounded_trace();
+    session.trainer().epoch().unwrap();
+    session.machine().trace().clone()
 }
 
 /// A synthetic barrier-heavy schedule: `gpus` entities, `batches` batch

@@ -31,8 +31,8 @@ fn main() {
         ] {
             let mut cfg = HongTuConfig::full(C::machine(4));
             cfg.memory = strategy;
-            let r = run::hongtu_engine_with(&ds, kind, 2, 4, cfg)
-                .and_then(|mut e| e.train_epoch())
+            let r = run::hongtu_session_with(&ds, kind, 2, 4, cfg)
+                .and_then(|mut s| s.trainer().epoch())
                 .expect("epoch");
             let note = match (kind, strategy) {
                 (ModelKind::Gat, MemoryStrategy::Hybrid) => {
@@ -61,8 +61,8 @@ fn main() {
         let time = |reorg: bool| {
             let mut cfg = HongTuConfig::full(C::machine(4));
             cfg.reorganize = reorg;
-            run::hongtu_engine_with(&ds, ModelKind::Gcn, 2, 4, cfg)
-                .and_then(|mut e| e.train_epoch())
+            run::hongtu_session_with(&ds, ModelKind::Gcn, 2, 4, cfg)
+                .and_then(|mut s| s.trainer().epoch())
                 .expect("epoch")
                 .time
         };
@@ -98,7 +98,7 @@ fn main() {
             let mut config = HongTuConfig::full(cfg.clone());
             config.comm = comm;
             config.reorganize = false;
-            hongtu_core::HongTuEngine::with_plan(
+            hongtu_core::Session::with_plan(
                 &ds,
                 ModelKind::Gcn,
                 C::hidden(ds.key),
@@ -106,7 +106,7 @@ fn main() {
                 plan.clone(),
                 config,
             )
-            .and_then(|mut e| e.train_epoch())
+            .and_then(|mut s| s.trainer().epoch())
             .expect("epoch")
             .time
         };
@@ -137,8 +137,8 @@ fn main() {
             let mut cfg = HongTuConfig::full(machine.clone());
             cfg.comm = comm;
             cfg.reorganize = comm != CommMode::Vanilla;
-            let r = run::hongtu_engine_with(&ds, ModelKind::Gcn, 2, 4, cfg)
-                .and_then(|mut e| e.train_epoch())
+            let r = run::hongtu_session_with(&ds, ModelKind::Gcn, 2, 4, cfg)
+                .and_then(|mut s| s.trainer().epoch())
                 .expect("epoch");
             t.row(vec![
                 pname.to_string(),
@@ -158,8 +158,8 @@ fn main() {
     for (name, interleaved) in [("interleaved", true), ("naive", false)] {
         let mut cfg = HongTuConfig::full(C::machine(4));
         cfg.interleaved = interleaved;
-        let r = run::hongtu_engine_with(&ds, ModelKind::Gcn, 2, 4, cfg)
-            .and_then(|mut e| e.train_epoch())
+        let r = run::hongtu_session_with(&ds, ModelKind::Gcn, 2, 4, cfg)
+            .and_then(|mut s| s.trainer().epoch())
             .expect("epoch");
         t.row(vec![name.to_string(), format_seconds(r.time)]);
     }

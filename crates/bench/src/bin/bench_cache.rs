@@ -27,9 +27,7 @@ use hongtu_bench::harness::{
     comm_name, scaled_machine, BenchCli, Gate, JsonReport, JsonRow, COMM_MODES, GPU_COUNTS, MODELS,
 };
 use hongtu_core::cli::logits_digest;
-use hongtu_core::{
-    CacheOff, CachePolicy, CommMode, FrequencyRanked, HongTuConfig, HongTuEngine, Session,
-};
+use hongtu_core::{CacheOff, CachePolicy, CommMode, FrequencyRanked, HongTuConfig, Session};
 use hongtu_datasets::Dataset;
 use hongtu_nn::ModelKind;
 use hongtu_sim::EventKind;
@@ -61,22 +59,22 @@ fn run(
         .cache(policy)
         .build()
         .expect("valid config");
-    let mut engine = HongTuEngine::new(ds, kind, 32, 2, 4, cfg).expect("engine construction");
-    engine.machine_mut().enable_unbounded_trace();
+    let mut session = Session::new(ds, kind, 32, 2, 4, cfg).expect("session construction");
+    session.machine_mut().enable_unbounded_trace();
+    let mut trainer = session.trainer();
     let mut bytes_h2d = 0u64;
     let mut losses = Vec::with_capacity(epochs);
     for _ in 0..epochs {
-        let r = engine.train_epoch().expect("epoch");
+        let r = trainer.epoch().expect("epoch");
         bytes_h2d += r.buckets.bytes_h2d;
         losses.push(r.loss.loss);
     }
-    let h2d_events = engine
+    let h2d_events = session
         .machine()
         .trace()
         .events()
         .filter(|e| matches!(e.kind, EventKind::H2D) && e.bytes > 0)
         .count();
-    let session = engine.session();
     let report = session.certify_cache();
     Run {
         bytes_h2d,

@@ -1,5 +1,5 @@
 //! `bench_delta` — certification and cost benchmark of the
-//! dynamic-graph delta path (`hongtu-delta` + `Session::apply_deltas`),
+//! dynamic-graph delta path (`hongtu-delta` + `Session::apply_staged`),
 //! emitted as machine-readable JSON for CI.
 //!
 //! Three experiments on sparse synthetic graphs (batch-granular cone
@@ -8,9 +8,10 @@
 //! do):
 //!
 //! - **matrix** — for each model × overlap × GPU count, the same delta
-//!   batch is committed two ways: incrementally (`apply_deltas`, replay
+//!   batch is priced two ways: incrementally (`apply_staged`, replay
 //!   pruned to the upward-closed affected cone) and as a full
-//!   recompute (`apply_deltas_full`). The report records both simulated
+//!   recompute (the same commit on a twin session, then a whole
+//!   `infer_epoch` over the mutated graph). The report records both simulated
 //!   times, the host wall time of staging and of each apply (recorded,
 //!   not gated — wall gates belong to `benchmark/`), event counts, and
 //!   full-logits digests. A minimal feature
@@ -48,7 +49,7 @@ use hongtu_datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu_delta::{toggle_workload, Delta, DeltaMix, DynamicGraph};
 use hongtu_graph::generators;
 use hongtu_nn::ModelKind;
-use hongtu_sim::MachineConfig;
+use hongtu_sim::{MachineConfig, Trace};
 use hongtu_tensor::{Matrix, SeededRng};
 use std::time::Instant;
 
@@ -147,11 +148,10 @@ fn feature_deltas(ds: &Dataset, vertices: &[u32]) -> Vec<Delta> {
 /// occupancy, and the digest of the full post-commit logits.
 struct Cost {
     sim_s: f64,
-    /// Host time of `DynamicGraph::stage` (0 for the full-recompute
-    /// twin, which stages inside its one timed call).
+    /// Host time of `DynamicGraph::stage`.
     stage_wall_ms: f64,
-    /// Host time of the apply: `apply_staged`, or all of
-    /// `apply_deltas_full`.
+    /// Host time of the apply: `apply_staged`, plus the full sweep on
+    /// the full-recompute twin.
     apply_wall_ms: f64,
     events: usize,
     active_steps: usize,
@@ -162,7 +162,10 @@ struct Cost {
 }
 
 /// Commits `deltas` on a fresh session (primed by one full sweep) and
-/// measures the replay alone, incrementally or as a full recompute.
+/// measures what bringing the logits up to date costs: the cone replay
+/// of the commit itself, or — the full-recompute baseline — a whole
+/// inference sweep over the mutated graph on a twin session that made
+/// the same commit.
 fn measure(
     ds: &Dataset,
     kind: ModelKind,
@@ -179,28 +182,27 @@ fn measure(
     s.machine_mut().enable_unbounded_trace();
     let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
     let t = Instant::now();
-    let (r, stage_wall_ms, apply_wall_ms) = if incremental {
-        let staged = dg.stage(deltas).expect("valid delta batch");
-        let stage_wall_ms = ms(t);
-        let t = Instant::now();
-        let r = s.apply_staged(&mut dg, staged).expect("incremental commit");
-        (r, stage_wall_ms, ms(t))
+    let staged = dg.stage(deltas).expect("valid delta batch");
+    let stage_wall_ms = ms(t);
+    let t = Instant::now();
+    let r = s.apply_staged(&mut dg, staged).expect("commit");
+    let (sim_s, active_steps, logits) = if incremental {
+        (r.time, r.active_steps, r.logits)
     } else {
-        let r = s
-            .apply_deltas_full(&mut dg, deltas)
-            .expect("full-recompute commit");
-        (r, 0.0, ms(t))
+        s.machine_mut().replace_trace(Trace::unbounded());
+        let full = s.infer_epoch().expect("full sweep over the mutated graph");
+        (full.time, r.total_steps, full.logits)
     };
     Cost {
-        sim_s: r.time,
+        sim_s,
         stage_wall_ms,
-        apply_wall_ms,
+        apply_wall_ms: ms(t),
         events: s.machine().trace().len(),
-        active_steps: r.active_steps,
+        active_steps,
         total_steps: r.total_steps,
         dirty: r.dirty_vertices,
         rebuilt_chunks: r.rebuilt_chunks,
-        digest: logits_digest(&r.logits),
+        digest: logits_digest(&logits),
     }
 }
 

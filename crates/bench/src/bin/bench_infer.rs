@@ -22,7 +22,7 @@ use hongtu_bench::harness::{
     scaled_machine, BenchCli, Gate, JsonReport, JsonRow, GPU_COUNTS, MODELS,
 };
 use hongtu_core::cli::logits_digest;
-use hongtu_core::{CommMode, HongTuConfig, HongTuEngine, Mode, OverlapMode, Session};
+use hongtu_core::{CommMode, HongTuConfig, Mode, OverlapMode, Session};
 use hongtu_tensor::SeededRng;
 
 struct Sample {
@@ -58,10 +58,10 @@ fn main() {
             (OverlapMode::DoubleBuffer, "doublebuffer"),
         ] {
             for gpus in GPU_COUNTS {
-                let mut engine =
-                    HongTuEngine::new(&ds, kind, 32, 2, 4, config(gpus, overlap, Mode::Train))
-                        .expect("engine construction");
-                let train = engine.train_epoch().expect("train epoch");
+                let mut trained =
+                    Session::new(&ds, kind, 32, 2, 4, config(gpus, overlap, Mode::Train))
+                        .expect("session construction");
+                let train = trained.trainer().epoch().expect("train epoch");
                 let mut session =
                     Session::new(&ds, kind, 32, 2, 4, config(gpus, overlap, Mode::Infer))
                         .expect("session construction");
@@ -72,7 +72,7 @@ fn main() {
                     train.time * 1e3,
                     infer.time * 1e3,
                     100.0 * infer.time / train.time,
-                    engine.machine().max_gpu_peak() as f64 / (1 << 20) as f64,
+                    trained.machine().max_gpu_peak() as f64 / (1 << 20) as f64,
                     infer.peak_gpu_bytes as f64 / (1 << 20) as f64,
                     logits_digest(&infer.logits),
                 );
@@ -82,9 +82,9 @@ fn main() {
                     gpus,
                     train_epoch_s: train.time,
                     infer_epoch_s: infer.time,
-                    train_peak_gpu: engine.machine().max_gpu_peak(),
+                    train_peak_gpu: trained.machine().max_gpu_peak(),
                     infer_peak_gpu: infer.peak_gpu_bytes,
-                    train_peak_host: engine.machine().host_memory().peak(),
+                    train_peak_host: trained.machine().host_memory().peak(),
                     infer_peak_host: infer.peak_host_bytes,
                     digest: logits_digest(&infer.logits),
                 });

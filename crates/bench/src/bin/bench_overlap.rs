@@ -20,7 +20,7 @@
 use hongtu_bench::harness::{
     comm_name, scaled_machine, BenchCli, Gate, JsonReport, JsonRow, COMM_MODES, GPU_COUNTS, MODELS,
 };
-use hongtu_core::{CommMode, HongTuConfig, HongTuEngine, OverlapMode};
+use hongtu_core::{CommMode, HongTuConfig, OverlapMode, Session};
 use hongtu_nn::ModelKind;
 use hongtu_tensor::SeededRng;
 
@@ -49,17 +49,18 @@ fn run_epochs(
     cfg.comm = comm;
     cfg.reorganize = comm != CommMode::Vanilla;
     cfg.overlap = overlap;
-    let mut engine = HongTuEngine::new(ds, kind, 32, 2, 4, cfg).expect("engine construction");
+    let mut session = Session::new(ds, kind, 32, 2, 4, cfg).expect("session construction");
+    let mut trainer = session.trainer();
     let mut losses = Vec::with_capacity(epochs);
     let mut sim_s = 0.0;
     for _ in 0..epochs {
-        let r = engine.train_epoch().expect("epoch");
+        let r = trainer.epoch().expect("epoch");
         sim_s += r.time;
         losses.push(r.loss.loss);
     }
     (
         sim_s / epochs as f64,
-        engine.machine().max_gpu_peak(),
+        session.machine().max_gpu_peak(),
         losses,
     )
 }

@@ -17,7 +17,7 @@
 //! simulated time), so no threshold is enforced here — CI archives the
 //! artifact and the multi-core job demonstrates the scaling.
 
-use hongtu_core::{ExecutionMode, HongTuConfig, HongTuEngine};
+use hongtu_core::{ExecutionMode, HongTuConfig, Session};
 use hongtu_datasets::{load, DatasetKey};
 use hongtu_nn::ModelKind;
 use hongtu_sim::MachineConfig;
@@ -39,14 +39,15 @@ fn run_epochs(
 ) -> (f64, Vec<f32>) {
     let mut cfg = HongTuConfig::full(MachineConfig::scaled(gpus, 512 << 20));
     cfg.exec = exec;
-    let mut engine =
-        HongTuEngine::new(ds, ModelKind::Gcn, 32, 2, 4, cfg).expect("engine construction");
+    let mut session =
+        Session::new(ds, ModelKind::Gcn, 32, 2, 4, cfg).expect("session construction");
+    let mut trainer = session.trainer();
     // Warm-up epoch: first-touch allocation and pool spin-up.
-    engine.train_epoch().expect("warm-up epoch");
+    trainer.epoch().expect("warm-up epoch");
     let mut losses = Vec::with_capacity(epochs);
     let t0 = Instant::now();
     for _ in 0..epochs {
-        losses.push(engine.train_epoch().expect("epoch").loss.loss);
+        losses.push(trainer.epoch().expect("epoch").loss.loss);
     }
     (t0.elapsed().as_secs_f64() / epochs as f64, losses)
 }

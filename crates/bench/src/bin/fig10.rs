@@ -34,7 +34,7 @@ fn main() {
         let mut base: Option<(f64, usize)> = None;
         for factor in 1..=4usize {
             let n = base_chunks * factor;
-            let mut engine = hongtu_core::HongTuEngine::new(
+            let mut session = hongtu_core::Session::new(
                 &ds,
                 ModelKind::Gcn,
                 C::hidden(key),
@@ -42,9 +42,9 @@ fn main() {
                 n,
                 HongTuConfig::full(C::machine(4)),
             )
-            .expect("engine");
-            let r = engine.train_epoch().expect("epoch");
-            let peak = engine.machine().max_gpu_peak();
+            .expect("session");
+            let r = session.trainer().epoch().expect("epoch");
+            let peak = session.machine().max_gpu_peak();
             let (bt, bp) = *base.get_or_insert((r.time, peak));
             t.row(vec![
                 format!("x{factor}"),

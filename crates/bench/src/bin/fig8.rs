@@ -34,7 +34,8 @@ fn main() {
         let mut dgl_curve = Vec::new();
 
         // --- HongTu: partitioned offloading engine (same seed) ---
-        let mut hongtu = run::hongtu_engine(&ds, ModelKind::Gcn, layers, 4).expect("engine");
+        let mut hongtu = run::hongtu_session(&ds, ModelKind::Gcn, layers, 4).expect("session");
+        let mut hongtu = hongtu.trainer();
         let mut hongtu_curve = Vec::new();
 
         // --- DistDGL: sampled mini-batch training ---
@@ -56,7 +57,7 @@ fn main() {
                 &ds.splits.train,
                 &mut dgl_opt,
             );
-            hongtu.train_epoch().expect("hongtu epoch");
+            hongtu.epoch().expect("hongtu epoch");
             mb.train_epoch_real(&mut mb_model, &ds, &mut mb_opt, &mut mb_rng);
             if epoch % REPORT_EVERY == 0 {
                 let dgl_logits = dgl.forward_reference(&chunk, &ds.features).pop().unwrap();
@@ -65,7 +66,7 @@ fn main() {
                     .pop()
                     .unwrap();
                 dgl_curve.push(masked_accuracy(&dgl_logits, &ds.labels, &ds.splits.val));
-                hongtu_curve.push(hongtu.accuracy(&ds.splits.val));
+                hongtu_curve.push(hongtu.session().accuracy(&ds.splits.val));
                 mb_curve.push(masked_accuracy(&mb_logits, &ds.labels, &ds.splits.val));
             }
         }
@@ -104,8 +105,8 @@ fn main() {
             "final (val, test): DGL-FG ({:.3}, {:.3})  HongTu ({:.3}, {:.3})  DistDGL ({:.3}, {:.3})",
             masked_accuracy(&dgl_logits, &ds.labels, &ds.splits.val),
             masked_accuracy(&dgl_logits, &ds.labels, &ds.splits.test),
-            hongtu.accuracy(&ds.splits.val),
-            hongtu.accuracy(&ds.splits.test),
+            hongtu.session().accuracy(&ds.splits.val),
+            hongtu.session().accuracy(&ds.splits.test),
             masked_accuracy(&mb_logits, &ds.labels, &ds.splits.val),
             masked_accuracy(&mb_logits, &ds.labels, &ds.splits.test),
         );

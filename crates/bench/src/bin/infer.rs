@@ -335,10 +335,9 @@ fn main() {
         );
         return;
     }
-    let mut inferencer = session.inferencer();
     let mut last = None;
     for epoch in 1..=args.epochs.max(1) {
-        match inferencer.epoch() {
+        match session.infer_epoch() {
             Ok(r) => {
                 if !args.quiet {
                     println!(
@@ -363,7 +362,7 @@ fn main() {
         r.peak_gpu_bytes as f64 / (1 << 20) as f64,
         r.peak_host_bytes as f64 / (1 << 20) as f64
     );
-    if let Some(rt) = inferencer.session().cache() {
+    if let Some(rt) = session.cache() {
         println!(
             "cache: {} hits / {} scheduled loads ({:.0}% hit rate)",
             rt.total_hits(),

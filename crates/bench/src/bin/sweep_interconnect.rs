@@ -32,8 +32,8 @@ fn main() {
             let mut cfg = HongTuConfig::full(machine.clone());
             cfg.comm = comm;
             cfg.reorganize = comm != CommMode::Vanilla;
-            run::hongtu_engine_with(&ds, ModelKind::Gcn, 2, 4, cfg)
-                .and_then(|mut e| e.train_epoch())
+            run::hongtu_session_with(&ds, ModelKind::Gcn, 2, 4, cfg)
+                .and_then(|mut s| s.trainer().epoch())
                 .expect("epoch")
                 .time
         };

@@ -23,15 +23,15 @@ fn main() {
         let ds = dataset(key);
         let wo = run::hongtu_epoch_with(&ds, ModelKind::Gcn, 2, 4, CommMode::Vanilla)
             .expect("vanilla epoch");
-        let mut engine =
-            run::hongtu_engine_with(&ds, ModelKind::Gcn, 2, 4, HongTuConfig::full(C::machine(4)))
-                .expect("engine");
-        let wc = engine.train_epoch().expect("CD epoch");
+        let mut session =
+            run::hongtu_session_with(&ds, ModelKind::Gcn, 2, 4, HongTuConfig::full(C::machine(4)))
+                .expect("session");
+        let wc = session.trainer().epoch().expect("CD epoch");
         without.push(format_seconds(100.0 * wo.time));
         with_cd.push(format_seconds(100.0 * wc.time));
         prep.push(format!(
             "+{}",
-            format_seconds(engine.preprocessing().seconds)
+            format_seconds(session.preprocessing().seconds)
         ));
     }
     t.row(without);

@@ -25,11 +25,13 @@ fn main() {
             hongtu_core::HongTuConfig::full(hongtu_bench::config::ExperimentConfig::machine(4));
         cfg.comm = comm;
         cfg.reorganize = comm != CommMode::Vanilla;
-        let mut engine = run::hongtu_engine_with(&ds, ModelKind::Gcn, 2, 4, cfg).expect("engine");
+        let mut session =
+            run::hongtu_session_with(&ds, ModelKind::Gcn, 2, 4, cfg).expect("session");
+        let mut trainer = session.trainer();
         let mut t = 0.0;
         let mut curve = Vec::new();
         for _ in 0..EPOCHS {
-            let r = engine.train_epoch().expect("epoch");
+            let r = trainer.epoch().expect("epoch");
             t += r.time;
             curve.push((t, r.loss.loss));
         }

@@ -14,8 +14,8 @@ use hongtu_core::cli::{
     FlagParser,
 };
 use hongtu_core::{
-    CacheOff, CachePolicy, CommMode, ExecutionMode, HongTuConfig, HongTuEngine, MemoryStrategy,
-    OverlapMode,
+    CacheOff, CachePolicy, CommMode, ExecutionMode, HongTuConfig, MemoryStrategy, OverlapMode,
+    Session,
 };
 use hongtu_datasets::{load, DatasetKey};
 use hongtu_nn::ModelKind;
@@ -144,7 +144,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let mut engine = match HongTuEngine::new(
+    let mut session = match Session::new(
         &dataset,
         args.model,
         args.hidden,
@@ -152,15 +152,15 @@ fn main() {
         args.chunks,
         config,
     ) {
-        Ok(e) => e,
+        Ok(s) => s,
         Err(e) => {
             eprintln!("engine construction failed: {e}");
             std::process::exit(1);
         }
     };
     if !args.quiet {
-        let v = &engine.preprocessing().volumes;
-        let plans = engine.plans();
+        let v = &session.preprocessing().volumes;
+        let plans = session.plans();
         println!(
             "plan: {} x {} chunks | V_ori {:.2}|V| | H2D reduction {:.0}%",
             plans.partition.m,
@@ -177,8 +177,9 @@ fn main() {
             );
         }
     }
+    let mut trainer = session.trainer();
     for epoch in 1..=args.epochs {
-        match engine.train_epoch() {
+        match trainer.epoch() {
             Ok(r) => {
                 if !args.quiet && (epoch % 10 == 0 || epoch == 1 || epoch == args.epochs) {
                     println!(
@@ -197,11 +198,11 @@ fn main() {
     }
     println!(
         "final: val {:.3}, test {:.3} | peak GPU {:.1} MB",
-        engine.accuracy(&dataset.splits.val),
-        engine.accuracy(&dataset.splits.test),
-        engine.machine().max_gpu_peak() as f64 / (1 << 20) as f64
+        session.accuracy(&dataset.splits.val),
+        session.accuracy(&dataset.splits.test),
+        session.machine().max_gpu_peak() as f64 / (1 << 20) as f64
     );
-    if let Some(rt) = engine.session().cache() {
+    if let Some(rt) = session.cache() {
         println!(
             "cache: {} hits / {} scheduled loads ({:.0}% hit rate)",
             rt.total_hits(),
@@ -210,7 +211,7 @@ fn main() {
         );
     }
     if let Some(path) = args.save {
-        match hongtu_nn::save_model_file(engine.model(), &path) {
+        match hongtu_nn::save_model_file(session.model(), &path) {
             Ok(()) => println!("model saved to {path}"),
             Err(e) => {
                 eprintln!("saving model failed: {e}");

@@ -1,34 +1,34 @@
-//! Helpers for running the HongTu engine inside experiment binaries.
+//! Helpers for running HongTu sessions inside experiment binaries.
 
 use crate::config::ExperimentConfig as C;
-use hongtu_core::{CommMode, EpochReport, HongTuConfig, HongTuEngine};
+use hongtu_core::{CommMode, EpochReport, HongTuConfig, Session};
 use hongtu_datasets::Dataset;
 use hongtu_nn::ModelKind;
 use hongtu_sim::SimError;
 
-/// Builds a full-featured HongTu engine for the standard experiment
+/// Builds a full-featured HongTu session for the standard experiment
 /// configuration (`gpus` GPUs, paper-scaled chunk counts).
-pub fn hongtu_engine(
+pub fn hongtu_session(
     ds: &Dataset,
     kind: ModelKind,
     layers: usize,
     gpus: usize,
-) -> Result<HongTuEngine, SimError> {
-    hongtu_engine_with(ds, kind, layers, gpus, HongTuConfig::full(C::machine(gpus)))
+) -> Result<Session, SimError> {
+    hongtu_session_with(ds, kind, layers, gpus, HongTuConfig::full(C::machine(gpus)))
 }
 
-/// Builds a HongTu engine with a custom configuration. The chunk count per
+/// Builds a HongTu session with a custom configuration. The chunk count per
 /// partition is scaled so the *total* number of subgraphs matches the
 /// 4-GPU setting (keeping per-chunk memory constant when varying `gpus`).
-pub fn hongtu_engine_with(
+pub fn hongtu_session_with(
     ds: &Dataset,
     kind: ModelKind,
     layers: usize,
     gpus: usize,
     config: HongTuConfig,
-) -> Result<HongTuEngine, SimError> {
+) -> Result<Session, SimError> {
     let n = (C::chunks(ds.key, kind) * 4).div_ceil(gpus).max(1);
-    HongTuEngine::new(ds, kind, C::hidden(ds.key), layers, n, config)
+    Session::new(ds, kind, C::hidden(ds.key), layers, n, config)
 }
 
 /// One simulated-time epoch of full HongTu. Epoch time is deterministic
@@ -39,7 +39,7 @@ pub fn hongtu_epoch(
     layers: usize,
     gpus: usize,
 ) -> Result<EpochReport, SimError> {
-    hongtu_engine(ds, kind, layers, gpus)?.train_epoch()
+    hongtu_session(ds, kind, layers, gpus)?.trainer().epoch()
 }
 
 /// One epoch with a specific comm/memory configuration.
@@ -53,5 +53,7 @@ pub fn hongtu_epoch_with(
     let mut cfg = HongTuConfig::full(C::machine(gpus));
     cfg.comm = comm;
     cfg.reorganize = comm != CommMode::Vanilla;
-    hongtu_engine_with(ds, kind, layers, gpus, cfg)?.train_epoch()
+    hongtu_session_with(ds, kind, layers, gpus, cfg)?
+        .trainer()
+        .epoch()
 }

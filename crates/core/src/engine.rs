@@ -1,16 +1,19 @@
 //! The HongTu execution engine (paper Algorithm 1), structured as a
 //! [`Session`] — graph, partition/dedup/staging plans, host store, and
-//! the simulated machine, built and validated **once** — from which two
-//! executors borrow:
+//! the simulated machine, built and validated **once** — and the epochs
+//! that run on it:
 //!
-//! - [`Trainer`] / [`Session::train_epoch_with`]: the full
-//!   forward/backward training loop of Algorithm 1;
-//! - [`Inferencer`] / [`Session::infer_epoch`]: the forward-only
-//!   serving path — layer-wise full-graph inference over the same plans,
-//!   with no checkpoint stores and no gradient state.
+//! - [`Session::train_epoch`] (usually through a [`Trainer`], which owns
+//!   the optimizer state): the full forward/backward training loop of
+//!   Algorithm 1;
+//! - [`Session::infer_epoch`] / [`Session::serve`] /
+//!   [`Session::apply_staged`]: the forward-only path — layer-wise
+//!   full-graph inference over the same plans, with no checkpoint stores
+//!   and no gradient state, optionally pruned to a query or delta cone.
 //!
-//! [`HongTuEngine`] remains as a thin owning facade over a `Session`
-//! plus persistent optimizer state, so existing call sites keep working.
+//! Every epoch is a sequence of layer sweeps; the sweep itself — the
+//! schedule walk, the per-GPU dispatch and the event emitters — lives in
+//! [`crate::exec`].
 //!
 //! Vertex representations `h^l` and gradients `∇h^l` for **every** layer
 //! live in (pinned) CPU memory; each simulated GPU holds, at any moment,
@@ -35,31 +38,24 @@
 use crate::buffers::GpuBufferPlan;
 use crate::cost::CommVolumes;
 use crate::dedup::DedupPlan;
+use crate::exec::{grad, rep, Dir, Env, GpuScratch, Sweep, F32};
 use crate::reorg::reorganize_guarded_cached;
 use crate::serve::{ServeMask, ServeReport};
-use hongtu_cache::{
-    load_sets, CachePlan, CachePolicy, CacheRuntime, HitStats, LoadPattern, Off as CacheOff,
-};
+use hongtu_cache::{load_sets, CachePlan, CachePolicy, CacheRuntime, LoadPattern, Off as CacheOff};
 use hongtu_datasets::Dataset;
-use hongtu_delta::{Delta, DynamicGraph, StagedCommit};
+use hongtu_delta::{DynamicGraph, StagedCommit};
 use hongtu_graph::Graph;
-use hongtu_nn::{
-    masked_cross_entropy, GnnLayer, GnnModel, LayerForward, LayerGrads, MaskedLoss, ModelKind,
-};
+use hongtu_nn::{masked_cross_entropy, GnnModel, MaskedLoss, ModelKind};
 use hongtu_partition::{ChunkSubgraph, TwoLevelPartition};
 use hongtu_sim::{
-    Access, BarrierScope, ContribKind, Machine, MachineConfig, Provenance, Region, ResourceId,
-    SimError, TimeBuckets, Timeline, Trace,
+    Access, BarrierScope, Machine, MachineConfig, Region, SimError, TimeBuckets, Trace,
 };
 pub use hongtu_stream::OverlapMode;
-use hongtu_stream::{grad_slot, pipeline, rep_slot, StagingPlan, StreamId};
+use hongtu_stream::StagingPlan;
 use hongtu_tensor::{Adam, Matrix, SeededRng};
-use hongtu_verify::Report;
 pub use hongtu_verify::ValidationLevel;
-use std::sync::mpsc::{self, Receiver, Sender};
+use hongtu_verify::{ConeDir, Report};
 use std::sync::Arc;
-
-const F32: usize = std::mem::size_of::<f32>();
 
 /// Which duplicated-neighbor optimizations are active (§7.3 ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,7 +115,7 @@ pub enum Mode {
 /// Prefer [`HongTuConfig::builder`], which validates the configuration
 /// before any expensive plan construction starts. Filling the struct
 /// literally (or mutating a [`HongTuConfig::full`] preset) keeps working
-/// but is a deprecated pattern: it skips validation, and new fields added
+/// but is discouraged: it skips validation, and new fields added
 /// here will break literal construction at compile time.
 #[derive(Debug, Clone)]
 pub struct HongTuConfig {
@@ -410,16 +406,28 @@ fn invalid_plan(report: &Report) -> SimError {
     }
 }
 
-/// Derives the dedup plan and — for the P2pRu executor, and for the
-/// verifier in every mode — the merged-buffer index plans of §6 from
-/// `plan`, then, unless validation is off, statically verifies the whole
-/// plan against `g` (passes 1–4): the engine refuses to run a corrupt
-/// plan. Shared by session construction and the delta-rebuild path.
+/// Every plan downstream of the two-level partition: what a session
+/// derives at construction and re-derives when a structural delta moves
+/// the topology.
+struct DerivedPlans {
+    dedup: DedupPlan,
+    /// Merged-buffer index plans of §6 — built for the P2P+RU executor,
+    /// and for the verifier in every mode.
+    bufplans: Option<Vec<GpuBufferPlan>>,
+    buffer_comm: Option<Vec<Vec<BatchComm>>>,
+    /// Per-GPU staging sizes (`DoubleBuffer` overlap only).
+    staging: Option<Vec<StagingPlan>>,
+}
+
+/// Derives [`DerivedPlans`] from `plan` and, unless validation is off,
+/// statically verifies the whole plan against `g` (passes 1–4): the
+/// engine refuses to run a corrupt plan. Pure — nothing is installed.
 fn derive_plans(
     plan: &TwoLevelPartition,
     g: &Graph,
+    model: &GnnModel,
     config: &HongTuConfig,
-) -> Result<(DedupPlan, Option<Vec<GpuBufferPlan>>), SimError> {
+) -> Result<DerivedPlans, SimError> {
     let dedup = DedupPlan::build(plan);
     let bufplans = if config.validation != ValidationLevel::Off || config.comm == CommMode::P2pRu {
         Some(GpuBufferPlan::build_all(plan, &dedup))
@@ -432,15 +440,30 @@ fn derive_plans(
             return Err(invalid_plan(&report));
         }
     }
-    Ok((dedup, bufplans))
+    // Full dedup mode plans the in-place merged buffers of §6, which
+    // also lets reused rows skip the inter-GPU fetch.
+    let buffer_comm = build_buffer_comm(plan, bufplans.as_deref(), config.comm);
+    // Staging is sized for the worst (layer, batch) footprint and pinned
+    // for the whole run, so overlapped epochs have no per-batch
+    // allocation churn.
+    let staging = (config.overlap == OverlapMode::DoubleBuffer).then(|| {
+        (0..plan.m)
+            .map(|gpu| plan_staging(gpu, plan, &dedup, bufplans.as_deref(), model, config))
+            .collect()
+    });
+    Ok(DerivedPlans {
+        dedup,
+        bufplans,
+        buffer_comm,
+        staging,
+    })
 }
 
 /// Derives the §6-accurate per-(GPU, batch) communication table of the
 /// P2P+RU executor from the merged in-place buffer plans: rows the owner
 /// loads host→GPU, rows fetched from each remote GPU, rows reused in
 /// place, and the resident buffer capacity. `None` in every other comm
-/// mode. Shared by session construction and the incremental
-/// delta-rebuild path ([`Session::apply_deltas`]).
+/// mode.
 fn build_buffer_comm(
     plan: &TwoLevelPartition,
     bufplans: Option<&[GpuBufferPlan]>,
@@ -493,44 +516,6 @@ fn invalid_schedule(report: &Report) -> SimError {
     }
 }
 
-/// Annotation helpers: the logical resources of §4–§6 as seen by the
-/// schedule checker.
-fn rep(layer: usize) -> ResourceId {
-    ResourceId::Rep {
-        layer: layer as u32,
-    }
-}
-fn grad(layer: usize) -> ResourceId {
-    ResourceId::Grad {
-        layer: layer as u32,
-    }
-}
-fn dev_rep(gpu: usize) -> ResourceId {
-    ResourceId::DevRep { gpu: gpu as u32 }
-}
-fn dev_grad(gpu: usize) -> ResourceId {
-    ResourceId::DevGrad { gpu: gpu as u32 }
-}
-fn topology(gpu: usize) -> ResourceId {
-    ResourceId::Topology { gpu: gpu as u32 }
-}
-fn dev_cache(gpu: usize) -> ResourceId {
-    ResourceId::DevCache { gpu: gpu as u32 }
-}
-fn agg_slot(layer: usize, gpu: usize, chunk: usize) -> ResourceId {
-    ResourceId::AggCache {
-        layer: layer as u32,
-        gpu: gpu as u32,
-        chunk: chunk as u32,
-    }
-}
-fn chunk_region(gpu: usize, chunk: usize) -> Region {
-    Region::Chunk {
-        gpu: gpu as u32,
-        chunk: chunk as u32,
-    }
-}
-
 /// Result of one training epoch.
 #[derive(Debug, Clone)]
 pub struct EpochReport {
@@ -560,7 +545,7 @@ pub struct InferReport {
     pub peak_host_bytes: usize,
 }
 
-/// Result of one committed delta batch ([`Session::apply_deltas`]):
+/// Result of one committed delta batch ([`Session::apply_staged`]):
 /// the mutated graph's post-commit logits plus what the incremental
 /// replay cost relative to a full sweep.
 #[derive(Debug, Clone)]
@@ -602,10 +587,8 @@ pub struct StaticMemoryBound {
     pub host: usize,
 }
 
-/// Borrowed view of every precomputed artifact a [`Session`] executes —
-/// the unified plan surface ([`Session::plans`]). Prefer this over the
-/// individual getters (`plan()`, `dedup_plan()`, `staging_plans()`),
-/// which predate the cache subsystem and are deprecated.
+/// Borrowed view of every precomputed artifact a [`Session`] executes
+/// ([`Session::plans`]).
 #[derive(Clone, Copy)]
 pub struct Plans<'a> {
     /// The 2-level partition (§4.1).
@@ -635,138 +618,31 @@ pub struct Preprocessing {
 /// buffer plan (§6): rows loaded from the CPU, rows fetched from each
 /// remote GPU, rows reused in place, and the resident buffer size.
 #[derive(Debug, Clone)]
-struct BatchComm {
-    h2d_rows: usize,
-    d2d_rows: Vec<usize>,
-    reused_rows: usize,
-    buffer_rows: usize,
-}
-
-/// Immutable view of the engine state a per-GPU step needs, split off
-/// from the engine so worker threads can share it while each thread
-/// mutates its own [`GpuShard`]. Built with the [`ctx!`] macro, whose
-/// field-by-field expansion gives the borrow checker disjoint borrows
-/// alongside `&mut self.machine`.
-struct StepCtx<'a> {
-    plan: &'a TwoLevelPartition,
-    dedup: &'a DedupPlan,
-    buffer_comm: Option<&'a [Vec<BatchComm>]>,
-    model: &'a GnnModel,
-    comm: CommMode,
-    /// Whether hybrid aggregate checkpoints are in play for this epoch:
-    /// true only for a *training* epoch under
-    /// [`MemoryStrategy::Hybrid`]. Inference epochs never store (or
-    /// reload) checkpoints, whatever the configured strategy.
-    checkpoint: bool,
-    interleaved: bool,
-    /// Schedule-synthesis backend: when set, the step functions charge
-    /// every transfer/compute event and carry every access annotation
-    /// exactly as in a real epoch, but replace the layer numerics with
-    /// shape-preserving zero tensors. The emitted trace is therefore the
-    /// executor's schedule, derived from the plans alone — no FLOP of
-    /// real math runs. See [`Session::synthesize_schedule`].
-    synth: bool,
-    /// Serving sweep mask: when set, `(layer, batch)` steps outside the
-    /// queried vertices' dependency cones are skipped (all GPUs of a
-    /// batch skip together). `None` for full-graph epochs.
-    mask: Option<&'a ServeMask>,
-    /// Hot-vertex feature-cache runtime, with its hit table frozen for
-    /// the sweep in flight. `None` when the cache policy is off or
-    /// admitted nothing.
-    cache: Option<&'a CacheRuntime>,
-    h: &'a [Matrix],
-    grad_h: &'a [Matrix],
-    agg_cache: &'a [Vec<Vec<Option<Matrix>>>],
-}
-
-impl StepCtx<'_> {
-    /// Whether the serving mask prunes batch `j` at layer `l` (absent
-    /// mask = full sweep, nothing pruned).
-    fn pruned(&self, l: usize, j: usize) -> bool {
-        self.mask.is_some_and(|m| !m.active(l, j))
-    }
-
-    /// Whether batch `j`'s in-place ℕ^gpu reuse at layer `l` has a live
-    /// predecessor: the rows are deposited by batch `j - 1`, so under a
-    /// serving mask they are only resident if `j - 1` ran at this layer.
-    fn reuse_source_live(&self, l: usize, j: usize) -> bool {
-        match self.mask {
-            None => true,
-            Some(m) => j > 0 && m.active(l, j - 1),
-        }
-    }
-
-    /// Whether `(l, j)` is the step that streams batch `j`'s topology to
-    /// the device (reused by every later layer of the epoch). Full sweeps
-    /// upload at layer 0; under a mask the upload belongs to the batch's
-    /// *first active* layer. Downward-closed query cones make that layer 0
-    /// whenever the batch is active at all (so serving behavior is
-    /// unchanged), but the upward-closed delta-replay cones may first
-    /// activate a batch above layer 0 — uploading only at `l == 0` would
-    /// leave its topology reads dangling.
-    fn topology_upload_layer(&self, l: usize, j: usize) -> bool {
-        match self.mask {
-            None => l == 0,
-            Some(m) => m.active(l, j) && !(0..l).any(|k| m.active(k, j)),
-        }
-    }
-
-    /// Frozen cache hit table entry for the layer-0 host load of batch
-    /// `j` on GPU `i`. Zero for every layer above 0 (only `h^0` rows are
-    /// cached) and whenever no cache runtime is installed or sweeping.
-    fn cache_stats(&self, l: usize, i: usize, j: usize) -> HitStats {
-        if l != 0 {
-            return HitStats::default();
-        }
-        self.cache.map(|c| c.stats(i, j)).unwrap_or_default()
-    }
-}
-
-/// Builds a [`StepCtx`] from `&self` via direct field expressions, so the
-/// engine's `machine` field stays independently borrowable as `&mut`.
-macro_rules! ctx {
-    ($engine:expr) => {
-        StepCtx {
-            plan: &$engine.plan,
-            dedup: &$engine.dedup,
-            buffer_comm: $engine.buffer_comm.as_deref(),
-            model: &$engine.model,
-            comm: $engine.config.comm,
-            checkpoint: $engine.run_mode == Mode::Train
-                && $engine.config.memory == MemoryStrategy::Hybrid,
-            interleaved: $engine.config.interleaved,
-            synth: $engine.synth,
-            mask: $engine.serve_mask.as_ref(),
-            cache: $engine.cache.as_ref(),
-            h: &$engine.h,
-            grad_h: &$engine.grad_h,
-            agg_cache: &$engine.agg_cache,
-        }
-    };
+pub(crate) struct BatchComm {
+    pub h2d_rows: usize,
+    pub d2d_rows: Vec<usize>,
+    pub reused_rows: usize,
+    pub buffer_rows: usize,
 }
 
 /// A validated HongTu execution session: the dataset-derived plans
 /// (two-level partition, dedup transition sets, §6 buffer plans,
 /// staging), the host-resident stores, the model replica, and the
-/// simulated machine — everything both executors share, built and
+/// simulated machine — everything every epoch shares, built and
 /// verified **once**.
 ///
 /// A session is constructed for one [`Mode`]:
 ///
 /// - [`Mode::Train`] sessions additionally hold the gradient stores
 ///   `∇h^l`, the hybrid checkpoint cache, and device space for optimizer
-///   state; drive them with [`Session::trainer`] (or the
-///   [`HongTuEngine`] facade).
+///   state; drive them with [`Session::trainer`], or with
+///   [`Session::train_epoch`] and a caller-owned [`Adam`].
 /// - [`Mode::Infer`] sessions allocate none of that — their peak host
 ///   and device memory is strictly below the training session's — and
-///   are driven with [`Session::inferencer`].
+///   run [`Session::infer_epoch`], [`Session::serve`] and
+///   [`Session::apply_staged`].
 pub struct Session {
     config: HongTuConfig,
-    /// The [`Mode`] of the epoch currently (or last) running. Equal to
-    /// `config.mode` except that step functions read it through
-    /// [`StepCtx`] to gate checkpoint stores, keeping the forward steps
-    /// shared between both executors.
-    run_mode: Mode,
     machine: Machine,
     plan: TwoLevelPartition,
     dedup: DedupPlan,
@@ -797,12 +673,12 @@ pub struct Session {
     preprocessing: Preprocessing,
     epochs_run: usize,
     /// True only on the throwaway clone driven by
-    /// [`Session::synthesize_schedule`]: step functions skip the layer
-    /// numerics and emit shape-identical placeholder tensors instead.
+    /// [`Session::synthesize_schedule`]: the sweep skips the layer
+    /// numerics and emits shape-identical placeholder tensors instead.
     synth: bool,
-    /// Installed for the duration of a [`Session::serve`] sweep: the
-    /// per-(layer, batch) activity mask the step functions prune by.
-    /// `None` between serves and on full-graph epochs.
+    /// Installed for the duration of a [`Session::serve`] or
+    /// [`Session::apply_staged`] sweep: the per-(layer, batch) activity
+    /// mask the sweep is pruned by. `None` on full-graph epochs.
     serve_mask: Option<ServeMask>,
 }
 
@@ -864,11 +740,12 @@ impl Session {
             };
             plan = reorganize_guarded_cached(plan, &config.machine, budget);
         }
-        let (dedup, bufplans) = derive_plans(&plan, &dataset.graph, &config)?;
-
-        // Full dedup mode plans the in-place merged buffers of §6, which
-        // also lets reused rows skip the inter-GPU fetch.
-        let buffer_comm = build_buffer_comm(&plan, bufplans.as_deref(), config.comm);
+        let DerivedPlans {
+            dedup,
+            bufplans,
+            buffer_comm,
+            staging,
+        } = derive_plans(&plan, &dataset.graph, &model, &config)?;
         let volumes = CommVolumes::from_plan(&dedup);
         // Modeled preprocessing cost: the heuristic streams every neighbor
         // list a handful of times (phase-1 intersections + index planning).
@@ -899,8 +776,7 @@ impl Session {
         // ---- hybrid checkpoint storage (training only: inference never
         // stores checkpoints, so the cache is dead weight) ----
         let l_count = model.num_layers();
-        let mut agg_cache: Vec<Vec<Vec<Option<Matrix>>>> =
-            vec![vec![vec![None; plan.n]; m]; l_count];
+        let agg_cache: Vec<Vec<Vec<Option<Matrix>>>> = vec![vec![vec![None; plan.n]; m]; l_count];
         if train && config.memory == MemoryStrategy::Hybrid {
             let mut cache_bytes = 0usize;
             for l in 0..l_count {
@@ -910,7 +786,6 @@ impl Session {
             }
             machine.host_alloc(cache_bytes, "aggregate cache")?;
         }
-        let _ = &mut agg_cache;
 
         // ---- per-GPU static allocations: replicated params, plus Adam
         // moment state (2× params) on training sessions ----
@@ -927,27 +802,14 @@ impl Session {
             )?;
         }
 
-        // ---- double-buffered staging (overlap executor) ----
-        // Sized for the worst (layer, batch) footprint and pinned for the
-        // whole run, so the overlapped epochs have no per-batch allocation
-        // churn. An oversized configuration fails *here*, naming the
-        // staging slot and GPU.
-        let staging = if config.overlap == OverlapMode::DoubleBuffer {
-            let plans: Vec<StagingPlan> = (0..m)
-                .map(|gpu| plan_staging(gpu, &plan, &dedup, bufplans.as_deref(), &model, &config))
-                .collect();
-            for p in &plans {
-                p.install(&mut machine)?;
-            }
-            Some(plans)
-        } else {
-            None
-        };
+        // ---- double-buffered staging (overlap only): an oversized
+        // configuration fails *here*, naming the staging slot and GPU ----
+        for p in staging.iter().flatten() {
+            p.install(&mut machine)?;
+        }
 
-        let run_mode = config.mode;
         let mut session = Session {
             config,
-            run_mode,
             machine,
             plan,
             dedup,
@@ -1010,18 +872,6 @@ impl Session {
         self.cache.as_ref()
     }
 
-    /// The partition plan in use.
-    #[deprecated(note = "use Session::plans().partition")]
-    pub fn plan(&self) -> &TwoLevelPartition {
-        &self.plan
-    }
-
-    /// The communication plan in use.
-    #[deprecated(note = "use Session::plans().dedup")]
-    pub fn dedup_plan(&self) -> &DedupPlan {
-        &self.dedup
-    }
-
     /// Preprocessing summary (volumes + modeled seconds).
     pub fn preprocessing(&self) -> &Preprocessing {
         &self.preprocessing
@@ -1030,13 +880,6 @@ impl Session {
     /// The simulated machine (memory peaks, trace).
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// Per-GPU staging plans of the overlap executor (`None` when
-    /// overlap is off).
-    #[deprecated(note = "use Session::plans().staging")]
-    pub fn staging_plans(&self) -> Option<&[StagingPlan]> {
-        self.staging.as_deref()
     }
 
     /// The model under training.
@@ -1068,13 +911,7 @@ impl Session {
     /// ([`Session::static_memory_bound`] without the cache term). The
     /// cache stays `None` when the policy is off or nothing fits.
     fn install_cache(&mut self, degrees: &[u32]) -> Result<(), SimError> {
-        if let Some(old) = self.cache.take() {
-            for g in &old.plan().per_gpu {
-                if g.bytes > 0 {
-                    self.machine.free(g.gpu, g.bytes);
-                }
-            }
-        }
+        self.release_cache();
         if !self.config.cache.enabled() {
             return Ok(());
         }
@@ -1087,15 +924,7 @@ impl Session {
             .map(|&b| self.config.machine.gpu_memory.saturating_sub(b))
             .collect();
         let slot = self.model.layer(0).in_dim() * F32;
-        let rebuilt;
-        let bufs = if self.config.comm != CommMode::P2pRu {
-            None
-        } else if let Some(b) = &self.bufplans {
-            Some(b.as_slice())
-        } else {
-            rebuilt = GpuBufferPlan::build_all(&self.plan, &self.dedup);
-            Some(rebuilt.as_slice())
-        };
+        let bufs = self.ru_buffer_plans();
         let sets = load_sets(&self.plan, &self.dedup, bufs, self.load_pattern());
         let plan = CachePlan::build(&sets, degrees, &headroom, slot, self.config.cache.as_ref());
         if plan.is_empty() {
@@ -1127,6 +956,28 @@ impl Session {
         Ok(())
     }
 
+    /// Drops the hot-vertex cache and returns its rows' device memory.
+    fn release_cache(&mut self) {
+        if let Some(old) = self.cache.take() {
+            for g in &old.plan().per_gpu {
+                if g.bytes > 0 {
+                    self.machine.free(g.gpu, g.bytes);
+                }
+            }
+        }
+    }
+
+    /// The merged in-place buffer plans of §6 when this session executes
+    /// them (P2P+RU); `None` in every other comm mode, even if the plans
+    /// were built for the verifier.
+    fn ru_buffer_plans(&self) -> Option<&[GpuBufferPlan]> {
+        (self.config.comm == CommMode::P2pRu).then(|| {
+            self.bufplans
+                .as_deref()
+                .expect("buffer plans are always built for P2pRu")
+        })
+    }
+
     /// The [`hongtu_cache::LoadPattern`] matching this session's
     /// communication mode.
     fn load_pattern(&self) -> LoadPattern {
@@ -1155,15 +1006,7 @@ impl Session {
                 self.config.machine.gpu_memory.saturating_sub(sans_cache)
             })
             .collect();
-        let rebuilt;
-        let bufs = if self.config.comm != CommMode::P2pRu {
-            None
-        } else if let Some(b) = &self.bufplans {
-            Some(b.as_slice())
-        } else {
-            rebuilt = GpuBufferPlan::build_all(&self.plan, &self.dedup);
-            Some(rebuilt.as_slice())
-        };
+        let bufs = self.ru_buffer_plans();
         hongtu_verify::verify_cache(
             &self.plan,
             &self.dedup,
@@ -1175,28 +1018,32 @@ impl Session {
         )
     }
 
-    /// A throwaway copy of this session for schedule synthesis: identical
-    /// plans, machine state, and host-store shapes, but flagged `synth` so
-    /// the step functions substitute shape-preserving placeholders for the
-    /// layer numerics. The model is rebuilt structurally (weights never
-    /// influence the schedule — only layer dimensions do), because
-    /// [`GnnModel`] holds trait objects and is not `Clone`.
-    fn clone_for_synthesis(&self) -> Session {
-        let mut rng = SeededRng::new(0);
-        let model = GnnModel::new(self.model.kind, &self.model.dims, &mut rng);
-        Session {
+    /// Symbolically synthesizes the annotated event schedule this
+    /// session's next sweep would execute — a full epoch of its
+    /// [`Mode`], or the forward sweep pruned by `mask` — from the plans
+    /// and configuration alone. The sweep runs on a throwaway copy of the
+    /// session (identical plans, machine state, host-store shapes and
+    /// cache residency) flagged `synth`, so every H2D/D2D/D2H transfer,
+    /// stream assignment, barrier and access annotation is emitted
+    /// exactly as a real sweep would emit it — simulated timestamps
+    /// included — without computing a single FLOP of GNN math. The model
+    /// is rebuilt structurally (weights never influence the schedule,
+    /// only layer dimensions do), because [`GnnModel`] holds trait
+    /// objects and is not `Clone`.
+    fn synthesize(&self, mask: Option<ServeMask>) -> Result<Trace, SimError> {
+        let forward_only = mask.is_some() || self.config.mode == Mode::Infer;
+        let mut machine = self.machine.clone();
+        machine.replace_trace(Trace::unbounded());
+        let mut s = Session {
             config: self.config.clone(),
-            run_mode: self.run_mode,
-            machine: self.machine.clone(),
+            machine,
             plan: self.plan.clone(),
             dedup: self.dedup.clone(),
             buffer_comm: self.buffer_comm.clone(),
             bufplans: self.bufplans.clone(),
             staging: self.staging.clone(),
-            // Shares the live resident set, so the synthesized sweep
-            // freezes the same hit table the executed sweep will.
             cache: self.cache.clone(),
-            model,
+            model: GnnModel::new(self.model.kind, &self.model.dims, &mut SeededRng::new(0)),
             labels: self.labels.clone(),
             train_mask: self.train_mask.clone(),
             h: self.h.clone(),
@@ -1205,58 +1052,61 @@ impl Session {
             preprocessing: self.preprocessing.clone(),
             epochs_run: self.epochs_run,
             synth: true,
-            serve_mask: self.serve_mask.clone(),
-        }
-    }
-
-    /// Symbolically synthesizes the annotated event schedule the *next*
-    /// epoch of this session would execute, from the plans and
-    /// configuration alone — the step functions run with their numerics
-    /// replaced by shape-identical placeholders, so every H2D/D2D/D2H
-    /// transfer, stream assignment, barrier, and access annotation is
-    /// emitted exactly as a real epoch would emit it, without computing a
-    /// single FLOP of GNN math.
-    ///
-    /// A [`Mode::Train`] session synthesizes a training epoch; a
-    /// [`Mode::Infer`] session a forward-only inference epoch. The session
-    /// itself is not perturbed (synthesis runs on a throwaway clone), so
-    /// the returned trace is event-for-event identical — including
-    /// simulated timestamps — to the trace the next executed epoch would
-    /// record.
-    pub fn synthesize_schedule(&self) -> Result<Trace, SimError> {
-        let mut s = self.clone_for_synthesis();
-        s.machine.replace_trace(Trace::unbounded());
-        match s.config.mode {
-            Mode::Train => {
-                let mut opt = Adam::new(s.config.lr);
-                s.train_epoch_inner(&mut opt)?;
-            }
-            Mode::Infer => {
-                s.infer_epoch_inner()?;
-            }
+            serve_mask: mask,
+        };
+        if forward_only {
+            s.infer_epoch_inner()?;
+        } else {
+            s.train_epoch_inner(&mut Adam::new(s.config.lr))?;
         }
         Ok(s.machine.replace_trace(Trace::disabled()))
     }
 
-    /// Statically certifies this session's schedule: synthesizes the
-    /// epoch event DAG ([`Session::synthesize_schedule`]) and runs the
-    /// schedule verifier passes over it — pass 6 (happens-before over the
-    /// synthesized DAG), pass 7 (resource lifetime/liveness, L6xx),
-    /// when `explore` carries a linearization budget, pass 8 (bounded
+    /// Synthesizes the schedule ([`Session::synthesize`]) and runs the
+    /// schedule passes over it: pass 6 (happens-before over the
+    /// synthesized DAG), pass 7 (resource lifetime/liveness, L6xx), when
+    /// `explore` carries a linearization budget pass 8 (bounded
     /// exhaustive interleaving exploration, X7xx), and pass 9 (dataflow
-    /// conservation against the plans, F8xx).
-    ///
-    /// Exhaustive exploration is exponential in the worst case; gate it
-    /// with [`Session::exhaustive_exploration_feasible`] (≤ 2 GPUs and
-    /// ≤ 2 layers), as the Paranoid construction path does.
-    pub fn certify_schedule(&self, explore: Option<usize>) -> Result<Report, SimError> {
-        let trace = self.synthesize_schedule()?;
-        let mut report = hongtu_verify::verify_schedule(&trace, explore);
+    /// conservation against the plans, F8xx). A `cone` mask is first held
+    /// to its closure property (pass 10, C9xx). Skipped batches emit no
+    /// `Aggregate` events, so the unmodified plan-derived
+    /// [`hongtu_verify::DataflowSpec`] certifies exactly the batches a
+    /// pruned sweep runs.
+    fn certify(
+        &self,
+        cone: Option<(ServeMask, ConeDir)>,
+        explore: Option<usize>,
+    ) -> Result<Report, SimError> {
+        let mut report = Report::default();
+        let mask = cone.map(|(mask, dir)| {
+            report.merge(hongtu_verify::verify_cone(mask.grid(), dir));
+            mask
+        });
+        let trace = self.synthesize(mask)?;
+        report.merge(hongtu_verify::verify_schedule(&trace, explore));
         report.merge(hongtu_verify::verify_dataflow(
             &trace,
             &self.dataflow_spec(),
         ));
         Ok(report)
+    }
+
+    /// The event schedule the *next* epoch of this session would execute
+    /// — a training epoch on a [`Mode::Train`] session, a forward-only
+    /// inference epoch on a [`Mode::Infer`] one — event-for-event
+    /// identical, simulated timestamps included, to the trace that epoch
+    /// will record. The session itself is not perturbed.
+    pub fn synthesize_schedule(&self) -> Result<Trace, SimError> {
+        self.synthesize(None)
+    }
+
+    /// Statically certifies this session's epoch schedule (passes 6–9).
+    ///
+    /// Exhaustive exploration is exponential in the worst case; gate it
+    /// with [`Session::exhaustive_exploration_feasible`] (≤ 2 GPUs and
+    /// ≤ 2 layers), as the Paranoid construction path does.
+    pub fn certify_schedule(&self, explore: Option<usize>) -> Result<Report, SimError> {
+        self.certify(None, explore)
     }
 
     /// Statically certifies dataflow conservation alone (pass 9):
@@ -1264,108 +1114,73 @@ impl Session {
     /// annotations against a [`hongtu_verify::DataflowSpec`] derived
     /// independently from the partition/dedup/buffer plans.
     pub fn certify_dataflow(&self) -> Result<Report, SimError> {
-        let trace = self.synthesize_schedule()?;
+        let trace = self.synthesize(None)?;
         Ok(hongtu_verify::verify_dataflow(
             &trace,
             &self.dataflow_spec(),
         ))
     }
 
-    /// Symbolically synthesizes the pruned sweep a
-    /// [`Session::serve`] call for `vertices` would execute — the
-    /// serving counterpart of [`Session::synthesize_schedule`]. The
-    /// session itself is not perturbed.
+    /// The pruned sweep a [`Session::serve`] call for `vertices` would
+    /// execute.
     pub fn synthesize_serve_schedule(&self, vertices: &[usize]) -> Result<Trace, SimError> {
-        let mut s = self.clone_for_synthesis();
-        s.serve_mask = Some(ServeMask::from_queries(
-            &s.plan,
-            s.model.num_layers(),
-            vertices,
-        ));
-        s.machine.replace_trace(Trace::unbounded());
-        s.infer_epoch_inner()?;
-        Ok(s.machine.replace_trace(Trace::disabled()))
+        self.synthesize(Some(self.query_mask(vertices)))
     }
 
     /// Statically certifies the pruned serving sweep for `vertices`:
-    /// synthesizes its schedule ([`Session::synthesize_serve_schedule`])
-    /// and runs the schedule passes (6–8) plus dataflow conservation
-    /// (pass 9) over it. Skipped batches emit no `Aggregate` events, so
-    /// the unmodified plan-derived [`hongtu_verify::DataflowSpec`]
-    /// certifies exactly the batches the sweep ran.
+    /// downward closure of the query cone (pass 10) plus passes 6–9 over
+    /// the synthesized schedule.
     pub fn certify_serve(
         &self,
         vertices: &[usize],
         explore: Option<usize>,
     ) -> Result<Report, SimError> {
-        let mask = ServeMask::from_queries(&self.plan, self.model.num_layers(), vertices);
-        let mut report = hongtu_verify::verify_cone(mask.grid(), hongtu_verify::ConeDir::Downward);
-        let trace = self.synthesize_serve_schedule(vertices)?;
-        report.merge(hongtu_verify::verify_schedule(&trace, explore));
-        report.merge(hongtu_verify::verify_dataflow(
-            &trace,
-            &self.dataflow_spec(),
-        ));
-        Ok(report)
+        self.certify(
+            Some((self.query_mask(vertices), ConeDir::Downward)),
+            explore,
+        )
     }
 
-    /// Symbolically synthesizes the pruned repair sweep a
-    /// [`Session::apply_deltas`] replay for `dirty` seed vertices would
-    /// execute against the session's *current* plans — the delta
-    /// counterpart of [`Session::synthesize_serve_schedule`]. Call it
-    /// after the apply (on the rebuilt plans) to certify the replay
-    /// that just ran. The session itself is not perturbed.
+    /// The pruned repair sweep an [`Session::apply_staged`] replay for
+    /// `dirty` seed vertices would execute against the session's
+    /// *current* plans. Call it after the apply (on the rebuilt plans) to
+    /// certify the replay that just ran.
     pub fn synthesize_delta_schedule(&self, dirty: &[usize]) -> Result<Trace, SimError> {
-        let mut s = self.clone_for_synthesis();
-        s.serve_mask = Some(ServeMask::from_dirty(&s.plan, s.model.num_layers(), dirty));
-        s.machine.replace_trace(Trace::unbounded());
-        s.infer_epoch_inner()?;
-        Ok(s.machine.replace_trace(Trace::disabled()))
+        self.synthesize(Some(self.dirty_mask(dirty)))
     }
 
     /// Statically certifies the incremental repair sweep for `dirty`
-    /// seed vertices: checks the upward closure of the affected-cone
-    /// mask (pass 10, C9xx), synthesizes the pruned replay schedule
-    /// ([`Session::synthesize_delta_schedule`]), and runs the schedule
-    /// passes (6–8) plus dataflow conservation (pass 9) over it.
-    /// Skipped batches emit no `Aggregate` events, so the unmodified
-    /// plan-derived [`hongtu_verify::DataflowSpec`] certifies exactly
-    /// the batches the replay ran.
+    /// seed vertices: upward closure of the affected cone (pass 10) plus
+    /// passes 6–9 over the synthesized schedule.
     pub fn certify_delta(
         &self,
         dirty: &[usize],
         explore: Option<usize>,
     ) -> Result<Report, SimError> {
-        let mask = ServeMask::from_dirty(&self.plan, self.model.num_layers(), dirty);
-        let mut report = hongtu_verify::verify_cone(mask.grid(), hongtu_verify::ConeDir::Upward);
-        let trace = self.synthesize_delta_schedule(dirty)?;
-        report.merge(hongtu_verify::verify_schedule(&trace, explore));
-        report.merge(hongtu_verify::verify_dataflow(
-            &trace,
-            &self.dataflow_spec(),
-        ));
-        Ok(report)
+        self.certify(Some((self.dirty_mask(dirty), ConeDir::Upward)), explore)
     }
 
-    /// The expected-flow table pass 9 certifies against. The merged
-    /// in-place buffer plans are rebuilt on demand for P2P+RU — outside
-    /// `Paranoid` the session does not retain them after construction.
+    fn query_mask(&self, vertices: &[usize]) -> ServeMask {
+        ServeMask::from_queries(&self.plan, self.model.num_layers(), vertices)
+    }
+
+    fn dirty_mask(&self, dirty: &[usize]) -> ServeMask {
+        ServeMask::from_dirty(&self.plan, self.model.num_layers(), dirty)
+    }
+
+    /// The expected-flow table pass 9 certifies against.
     fn dataflow_spec(&self) -> hongtu_verify::DataflowSpec {
         let comm = match self.config.comm {
             CommMode::Vanilla => hongtu_verify::CommKind::Vanilla,
             CommMode::P2p => hongtu_verify::CommKind::P2p,
             CommMode::P2pRu => hongtu_verify::CommKind::P2pRu,
         };
-        let rebuilt;
-        let bufplans = if comm != hongtu_verify::CommKind::P2pRu {
-            None
-        } else if let Some(bufs) = &self.bufplans {
-            Some(bufs.as_slice())
-        } else {
-            rebuilt = GpuBufferPlan::build_all(&self.plan, &self.dedup);
-            Some(rebuilt.as_slice())
-        };
-        hongtu_verify::DataflowSpec::from_plans(&self.plan, &self.dedup, bufplans, comm)
+        hongtu_verify::DataflowSpec::from_plans(
+            &self.plan,
+            &self.dedup,
+            self.ru_buffer_plans(),
+            comm,
+        )
     }
 
     /// Whether this session is small enough for the exhaustive
@@ -1478,15 +1293,7 @@ impl Session {
         if let Some(plans) = &self.staging {
             return plans.iter().map(StagingPlan::slot_budget).collect();
         }
-        let rebuilt;
-        let bufplans = if self.config.comm != CommMode::P2pRu {
-            None
-        } else if let Some(bufs) = &self.bufplans {
-            Some(bufs.as_slice())
-        } else {
-            rebuilt = GpuBufferPlan::build_all(&self.plan, &self.dedup);
-            Some(rebuilt.as_slice())
-        };
+        let bufplans = self.ru_buffer_plans();
         (0..self.plan.m)
             .map(|gpu| {
                 plan_staging(
@@ -1508,15 +1315,7 @@ impl Session {
     /// ([`batch_staging_footprint`]). Admission control compares this
     /// against [`Session::staging_budget`].
     pub fn serve_cone_cost(&self, mask: &ServeMask) -> Vec<usize> {
-        let rebuilt;
-        let bufplans = if self.config.comm != CommMode::P2pRu {
-            None
-        } else if let Some(bufs) = &self.bufplans {
-            Some(bufs.as_slice())
-        } else {
-            rebuilt = GpuBufferPlan::build_all(&self.plan, &self.dedup);
-            Some(rebuilt.as_slice())
-        };
+        let bufplans = self.ru_buffer_plans();
         (0..self.plan.m)
             .map(|gpu| {
                 let mut worst = 0usize;
@@ -1594,8 +1393,12 @@ impl Session {
     /// Runs one full training epoch (Algorithm 1) with the caller's
     /// optimizer state. Returns the loss and the simulated time spent.
     ///
-    /// Most callers reach this through [`Trainer::epoch`] (or the
-    /// [`HongTuEngine`] facade), which owns the [`Adam`] state.
+    /// Most callers reach this through [`Trainer::epoch`], which owns the
+    /// [`Adam`] state. Callers that need `&mut Session` between epochs
+    /// own the optimizer themselves and call this directly. Either way
+    /// **one** optimizer must live across the epochs of a run: a fresh
+    /// [`Adam`] per epoch re-zeroes the moments and silently changes the
+    /// loss curve.
     ///
     /// # Panics
     ///
@@ -1633,11 +1436,11 @@ impl Session {
 
     /// Serves exact logits for a subset of vertices: one forward sweep
     /// pruned to the union of the queried vertices' ≤ L-hop dependency
-    /// cones ([`ServeMask`]), driven through the same step functions —
-    /// and, under [`ValidationLevel::Paranoid`], the same per-epoch
-    /// schedule certification — as [`Session::infer_epoch`]. The
-    /// returned logits rows follow the query order and are bitwise
-    /// equal to the same rows of a full inference epoch.
+    /// cones ([`ServeMask`]), run as — and, under
+    /// [`ValidationLevel::Paranoid`], certified like — a
+    /// [`Session::infer_epoch`]. The returned logits rows follow the
+    /// query order and are bitwise equal to the same rows of a full
+    /// inference epoch.
     ///
     /// Admission control lives above this call (`hongtu-serving`): a
     /// cone whose worst active batch exceeds
@@ -1648,33 +1451,38 @@ impl Session {
     ///
     /// Panics if `vertices` is empty or contains an out-of-range id.
     pub fn serve(&mut self, vertices: &[usize]) -> Result<ServeReport, SimError> {
-        let mask = ServeMask::from_queries(&self.plan, self.model.num_layers(), vertices);
-        self.serve_mask = Some(mask);
-        let result = self.epoch_certified(Self::infer_epoch_inner);
-        let mask = self.serve_mask.take().expect("serve mask installed above");
-        let report = result?;
+        let mask = self.query_mask(vertices);
+        let (active_steps, total_steps) = (mask.active_steps(), mask.total_steps());
+        let report = self.masked_sweep(mask)?;
         Ok(ServeReport {
             logits: report.logits.gather_rows(vertices),
             time: report.time,
             buckets: report.buckets,
             peak_gpu_bytes: report.peak_gpu_bytes,
             peak_host_bytes: report.peak_host_bytes,
-            active_steps: mask.active_steps(),
-            total_steps: mask.total_steps(),
+            active_steps,
+            total_steps,
         })
     }
 
-    /// Applies one batch of graph mutations and incrementally repairs
-    /// every host-resident layer store in place: stages the batch
-    /// against `dg`, rebuilds exactly the chunk subgraphs whose
-    /// computation the mutations changed (destination membership is
-    /// kept fixed, so untouched chunks stay bitwise identical),
-    /// re-derives the downstream dedup/buffer/staging plans when the
-    /// topology moved, FIFO-commits the batch, patches the mutated
-    /// feature rows into `h^0`, and replays only the *upward-closed*
-    /// affected cone ([`ServeMask::from_dirty`]) through the same step
-    /// functions — and, under [`ValidationLevel::Paranoid`], the same
-    /// per-epoch schedule certification — as a full
+    /// One certified forward sweep pruned by `mask`.
+    fn masked_sweep(&mut self, mask: ServeMask) -> Result<InferReport, SimError> {
+        self.serve_mask = Some(mask);
+        let result = self.epoch_certified(Self::infer_epoch_inner);
+        self.serve_mask = None;
+        result
+    }
+
+    /// Commits one staged batch of graph mutations
+    /// ([`DynamicGraph::stage`]) and incrementally repairs every
+    /// host-resident layer store in place: rebuilds exactly the chunk
+    /// subgraphs whose computation the mutations changed (destination
+    /// membership is kept fixed, so untouched chunks stay bitwise
+    /// identical), re-derives the downstream dedup/buffer/staging/cache
+    /// plans when the topology moved, FIFO-commits the batch, patches the
+    /// mutated feature rows into `h^0`, and replays only the
+    /// *upward-closed* affected cone ([`ServeMask::from_dirty`]) as — and,
+    /// under [`ValidationLevel::Paranoid`], certified like — a
     /// [`Session::infer_epoch`].
     ///
     /// The returned logits are bitwise equal to a from-scratch
@@ -1684,34 +1492,18 @@ impl Session {
     /// was recomputed at layer `l − 1` (upward closure keeps dirty rows
     /// covered a layer below). That induction assumes the layer stores
     /// are *current* — run [`Session::infer_epoch`] once after
-    /// construction before the first incremental apply (construction
-    /// zero-fills `h^{l>0}`).
+    /// construction before the first apply (construction zero-fills
+    /// `h^{l>0}`).
     ///
-    /// # Panics
-    ///
-    /// Panics if [`DynamicGraph::stage`] rejects the batch (any
-    /// [`hongtu_delta::DeltaError`], an empty batch included — stage it
-    /// yourself and call [`Session::apply_staged`] for a fallible path),
-    /// or if `dg`'s vertex count differs from the session's.
-    pub fn apply_deltas(
-        &mut self,
-        dg: &mut DynamicGraph,
-        deltas: &[Delta],
-    ) -> Result<DeltaReport, SimError> {
-        let staged = dg
-            .stage(deltas)
-            .unwrap_or_else(|e| panic!("invalid delta batch: {e}"));
-        self.apply_staged_impl(dg, staged, true)
-    }
-
-    /// [`Session::apply_deltas`] for an already-staged batch (the
-    /// serving queue stages once for admission pricing and reuses the
-    /// result here).
-    ///
-    /// Transactional up to the commit: a batch staged against another
-    /// epoch of `dg` is [`SimError::StaleCommit`], a rebuilt plan the
-    /// verifier rejects is [`SimError::InvalidPlan`], and either leaves
-    /// the session, its plans and `dg` exactly as they were.
+    /// Transactional up to the commit. Everything that can refuse the
+    /// batch is decided before anything is installed: a batch staged
+    /// against another epoch of `dg` is [`SimError::StaleCommit`]; a
+    /// rebuilt plan or replay cone the verifier rejects is
+    /// [`SimError::InvalidPlan`]; re-pinned staging that does not fit the
+    /// device — judged with the old staging and the old hot-vertex cache
+    /// released, since both are re-derived — is
+    /// [`SimError::OutOfMemory`]. Each leaves the session, its plans, its
+    /// cache and `dg` exactly as they were.
     ///
     /// # Panics
     ///
@@ -1720,36 +1512,6 @@ impl Session {
         &mut self,
         dg: &mut DynamicGraph,
         staged: StagedCommit,
-    ) -> Result<DeltaReport, SimError> {
-        self.apply_staged_impl(dg, staged, true)
-    }
-
-    /// Baseline twin of [`Session::apply_deltas`]: identical staging,
-    /// chunk/plan rebuild, and commit, but the repair sweep replays
-    /// **every** `(layer, batch)` step instead of the affected cone.
-    /// Exists so benchmarks (`bench_delta`) can compare incremental
-    /// against full recompute on perfectly matched state — the logits
-    /// of both paths are bitwise identical.
-    ///
-    /// # Panics
-    ///
-    /// As [`Session::apply_deltas`].
-    pub fn apply_deltas_full(
-        &mut self,
-        dg: &mut DynamicGraph,
-        deltas: &[Delta],
-    ) -> Result<DeltaReport, SimError> {
-        let staged = dg
-            .stage(deltas)
-            .unwrap_or_else(|e| panic!("invalid delta batch: {e}"));
-        self.apply_staged_impl(dg, staged, false)
-    }
-
-    fn apply_staged_impl(
-        &mut self,
-        dg: &mut DynamicGraph,
-        staged: StagedCommit,
-        incremental: bool,
     ) -> Result<DeltaReport, SimError> {
         assert_eq!(
             dg.num_vertices(),
@@ -1763,18 +1525,20 @@ impl Session {
             });
         }
 
-        // ---- rebuild the chunk subgraphs whose computation changed:
-        // a chunk is stale iff it owns a structurally dirty dest (its
-        // edge list or global-degree GCN weights moved). Destination
+        // ---- rebuild the chunk subgraphs whose computation changed: a
+        // chunk is stale iff it owns a structurally dirty dest (its edge
+        // list or global-degree GCN weights moved). Destination
         // membership is never re-balanced, so every other chunk — and
-        // its rows in every h^l — stays bitwise identical. ----
-        let mut rebuilt = 0usize;
+        // its rows in every h^l — stays bitwise identical. The fresh
+        // chunks sit in the partition provisionally: the plans and the
+        // replay cone below are derived from them, and any refusal puts
+        // the old chunks back. ----
+        let mut replaced: Vec<ChunkSubgraph> = Vec::new();
         if !staged.structural().is_empty() {
             let mut structural = vec![false; dg.num_vertices()];
             for &s in staged.structural() {
                 structural[s] = true;
             }
-            let mut swapped: Vec<ChunkSubgraph> = Vec::new();
             for chunk in self.plan.chunks.iter_mut().flatten() {
                 if chunk.dests.iter().any(|&d| structural[d as usize]) {
                     let fresh = ChunkSubgraph::build(
@@ -1783,64 +1547,47 @@ impl Session {
                         chunk.chunk,
                         chunk.dests.clone(),
                     );
-                    swapped.push(std::mem::replace(chunk, fresh));
+                    replaced.push(std::mem::replace(chunk, fresh));
                 }
             }
-            rebuilt = swapped.len();
-
-            // ---- downstream plans follow the topology. They are
-            // derived beside the live ones and installed only once the
-            // whole new plan has verified; a rejected plan puts the old
-            // chunks back, leaving the session and the graph as they
-            // were. ----
-            let (dedup, bufplans) = match derive_plans(&self.plan, staged.graph(), &self.config) {
-                Ok(derived) => derived,
-                Err(e) => {
-                    for old in swapped {
-                        let (i, j) = (old.part, old.chunk);
-                        self.plan.chunks[i][j] = old;
-                    }
-                    return Err(e);
+        }
+        let rebuilt = replaced.len();
+        let (derived, mask) = match self.prepare_commit(&staged) {
+            Ok(prepared) => prepared,
+            Err(e) => {
+                for old in replaced {
+                    let (i, j) = (old.part, old.chunk);
+                    self.plan.chunks[i][j] = old;
                 }
-            };
-            self.dedup = dedup;
-            self.buffer_comm = build_buffer_comm(&self.plan, bufplans.as_deref(), self.config.comm);
-            self.preprocessing.volumes = CommVolumes::from_plan(&self.dedup);
-
-            // ---- re-pin staging for the new worst-case footprint ----
-            if let Some(old) = self.staging.take() {
-                for p in &old {
-                    p.uninstall(&mut self.machine);
-                }
-                let plans: Vec<StagingPlan> = (0..self.plan.m)
-                    .map(|gpu| {
-                        plan_staging(
-                            gpu,
-                            &self.plan,
-                            &self.dedup,
-                            bufplans.as_deref(),
-                            &self.model,
-                            &self.config,
-                        )
-                    })
-                    .collect();
-                for p in &plans {
-                    p.install(&mut self.machine)?;
-                }
-                self.staging = Some(plans);
+                return Err(e);
             }
-            self.bufplans = bufplans;
+        };
 
-            // ---- the cache plan follows the topology too: the load
-            // sets and degrees moved, so re-derive admission from
-            // scratch (rows of the old plan may no longer be scheduled
-            // host loads at all). The rebuilt runtime starts cold. ----
-            if self.config.cache.enabled() {
-                let degrees: Vec<u32> = (0..dg.num_vertices())
-                    .map(|u| staged.graph().out_degree(u as u32) as u32)
-                    .collect();
-                self.install_cache(&degrees)?;
+        // ---- point of no return: install what the topology moved ----
+        if let Some(derived) = derived {
+            // The cache plan follows the topology too — load sets and
+            // degrees moved, rows of the old plan may no longer be
+            // scheduled host loads at all — so it is released before the
+            // staging it shared the device with is re-pinned, and
+            // re-admitted from scratch into the new headroom. The rebuilt
+            // runtime starts cold.
+            self.release_cache();
+            for p in self.staging.iter().flatten() {
+                p.uninstall(&mut self.machine);
             }
+            for p in derived.staging.iter().flatten() {
+                p.install(&mut self.machine)
+                    .expect("re-pinned staging was checked to fit");
+            }
+            self.preprocessing.volumes = CommVolumes::from_plan(&derived.dedup);
+            self.dedup = derived.dedup;
+            self.bufplans = derived.bufplans;
+            self.buffer_comm = derived.buffer_comm;
+            self.staging = derived.staging;
+            let degrees: Vec<u32> = (0..dg.num_vertices())
+                .map(|u| staged.graph().out_degree(u as u32) as u32)
+                .collect();
+            self.install_cache(&degrees)?;
         }
 
         // ---- FIFO commit, then patch the mutated feature rows into
@@ -1858,21 +1605,8 @@ impl Session {
             c.invalidate(&dirty_ids);
         }
 
-        // ---- replay the affected cone (or everything, for the
-        // full-recompute baseline) through the inference sweep ----
-        let mask = ServeMask::from_dirty(&self.plan, self.model.num_layers(), &dirty);
-        if self.config.validation != ValidationLevel::Off {
-            let report = hongtu_verify::verify_cone(mask.grid(), hongtu_verify::ConeDir::Upward);
-            if !report.is_ok() {
-                return Err(invalid_plan(&report));
-            }
-        }
-        if incremental {
-            self.serve_mask = Some(mask.clone());
-        }
-        let result = self.epoch_certified(Self::infer_epoch_inner);
-        self.serve_mask = None;
-        let report = result?;
+        let (active_steps, total_steps) = (mask.active_steps(), mask.total_steps());
+        let report = self.masked_sweep(mask)?;
         Ok(DeltaReport {
             epoch: receipt.epoch,
             logits: report.logits,
@@ -1880,26 +1614,82 @@ impl Session {
             buckets: report.buckets,
             peak_gpu_bytes: report.peak_gpu_bytes,
             peak_host_bytes: report.peak_host_bytes,
-            active_steps: if incremental {
-                mask.active_steps()
-            } else {
-                mask.total_steps()
-            },
-            total_steps: mask.total_steps(),
+            active_steps,
+            total_steps,
             dirty_vertices: dirty.len(),
             rebuilt_chunks: rebuilt,
         })
     }
 
+    /// Everything about committing `staged` that can fail, computed
+    /// beside the live state with `self.plan` already holding the
+    /// rebuilt chunks: the downstream plans (structural batches only),
+    /// whether their staging fits the device, and the verified replay
+    /// cone. Mutates nothing.
+    fn prepare_commit(
+        &self,
+        staged: &StagedCommit,
+    ) -> Result<(Option<DerivedPlans>, ServeMask), SimError> {
+        let derived = if staged.structural().is_empty() {
+            None
+        } else {
+            let derived = derive_plans(&self.plan, staged.graph(), &self.model, &self.config)?;
+            // The new pinned set replaces the old staging *and* the old
+            // cache (admitted into the headroom the old staging left), so
+            // it is held against the device with both released.
+            for (new, old) in derived
+                .staging
+                .iter()
+                .flatten()
+                .zip(self.staging.iter().flatten())
+            {
+                let cached = self
+                    .cache
+                    .as_ref()
+                    .map_or(0, |c| c.plan().per_gpu[new.gpu].bytes);
+                let mut device = self.machine.gpu_memory(new.gpu).clone();
+                device.free(old.total_bytes() + cached);
+                device.alloc(new.total_bytes(), "re-pinned staging buffers")?;
+            }
+            Some(derived)
+        };
+        let mask = self.dirty_mask(staged.dirty());
+        if self.config.validation != ValidationLevel::Off {
+            let report = hongtu_verify::verify_cone(mask.grid(), ConeDir::Upward);
+            if !report.is_ok() {
+                return Err(invalid_plan(&report));
+            }
+        }
+        Ok((derived, mask))
+    }
+
+    /// The [`Sweep`] over this session's plans, stores and machine.
+    /// `train` says the sweep belongs to a training epoch, which is what
+    /// puts hybrid checkpoints in play.
+    fn sweep(&mut self, train: bool) -> Sweep<'_> {
+        Sweep {
+            env: Env {
+                config: &self.config,
+                plan: &self.plan,
+                dedup: &self.dedup,
+                buffer_comm: self.buffer_comm.as_deref(),
+                model: &self.model,
+                checkpoint: train && self.config.memory == MemoryStrategy::Hybrid,
+                synth: self.synth,
+                mask: self.serve_mask.as_ref(),
+                cache: self.cache.as_ref(),
+            },
+            machine: &mut self.machine,
+            h: &mut self.h,
+            grad_h: &mut self.grad_h,
+            agg_cache: &mut self.agg_cache,
+        }
+    }
+
     fn infer_epoch_inner(&mut self) -> Result<InferReport, SimError> {
-        self.run_mode = Mode::Infer;
         let t0 = self.machine.elapsed();
         let b0 = self.machine.buckets();
-        let l_count = self.model.num_layers();
-        let n = self.plan.n;
-        let phased = self.config.comm != CommMode::Vanilla;
-        let parallel = self.config.exec == ExecutionMode::Parallel;
-        let overlap = self.config.overlap == OverlapMode::DoubleBuffer;
+        let (m, n) = (self.plan.m, self.plan.n);
 
         // A batch's layer-0 host load runs iff layer 0 is active under
         // the serving/delta mask; the cache installs only those rows.
@@ -1911,22 +1701,10 @@ impl Session {
         }
 
         // ---- forward pass only (Alg 1, lines 4–9, minus checkpoints) ----
-        for l in 0..l_count {
-            if overlap {
-                if parallel {
-                    self.forward_layer_overlap_parallel(l);
-                } else {
-                    self.forward_layer_overlap_sequential(l);
-                }
-            } else {
-                for j in 0..n {
-                    if parallel {
-                        self.forward_batch_parallel(l, j, phased)?;
-                    } else {
-                        self.forward_batch_sequential(l, j, phased)?;
-                    }
-                }
-            }
+        let mut scratch: Vec<GpuScratch> = (0..m).map(|_| GpuScratch::new(Vec::new())).collect();
+        let mut sweep = self.sweep(false);
+        for l in 0..sweep.env.model.num_layers() {
+            sweep.run_layer(Dir::Forward, l, &mut scratch)?;
         }
         self.machine.sync(BarrierScope::Epoch);
         if let Some(c) = self.cache.as_mut() {
@@ -1944,24 +1722,13 @@ impl Session {
     }
 
     fn train_epoch_inner(&mut self, opt: &mut Adam) -> Result<EpochReport, SimError> {
-        self.run_mode = Mode::Train;
         let t0 = self.machine.elapsed();
         let b0 = self.machine.buckets();
         let l_count = self.model.num_layers();
-        let m = self.plan.m;
-        let n = self.plan.n;
-        // Non-vanilla batches have cross-GPU data dependencies inside a
-        // batch (P2P fetches read what owners loaded; evictions read what
-        // remote GPUs pushed); those windows are separated by phase
-        // barriers. Vanilla batches touch only per-GPU state.
-        let phased = self.config.comm != CommMode::Vanilla;
-        let parallel = self.config.exec == ExecutionMode::Parallel;
-        let overlap = self.config.overlap == OverlapMode::DoubleBuffer;
+        let (m, n) = (self.plan.m, self.plan.n);
 
-        if !self.synth {
-            for g in &mut self.grad_h {
-                g.fill_zero();
-            }
+        for g in &mut self.grad_h {
+            g.fill_zero();
         }
         // Zero-initializing the host gradient stores is a (cost-free)
         // write the schedule checker needs to see: every later gradient
@@ -1978,22 +1745,12 @@ impl Session {
         }
 
         // ---- forward pass (Alg 1, lines 4–9) ----
+        let mut scratch: Vec<GpuScratch> = (0..m)
+            .map(|_| GpuScratch::new(self.model.zero_grads()))
+            .collect();
+        let mut sweep = self.sweep(true);
         for l in 0..l_count {
-            if overlap {
-                if parallel {
-                    self.forward_layer_overlap_parallel(l);
-                } else {
-                    self.forward_layer_overlap_sequential(l);
-                }
-            } else {
-                for j in 0..n {
-                    if parallel {
-                        self.forward_batch_parallel(l, j, phased)?;
-                    } else {
-                        self.forward_batch_sequential(l, j, phased)?;
-                    }
-                }
-            }
+            sweep.run_layer(Dir::Forward, l, &mut scratch)?;
         }
         // The backward pass re-loads through checkpoint reloads, which
         // bypass the cache by design — the sweep ends with the forward.
@@ -2009,7 +1766,9 @@ impl Session {
                 accuracy: 0.0,
             }
         } else {
-            masked_cross_entropy(self.h.last().unwrap(), &self.labels, &self.train_mask)
+            let loss = masked_cross_entropy(self.h.last().unwrap(), &self.labels, &self.train_mask);
+            *self.grad_h.last_mut().unwrap() = loss.grad.clone();
+            loss
         };
         let v = self.labels.len();
         let classes = self.h.last().unwrap().cols();
@@ -2018,32 +1777,15 @@ impl Session {
             Access::write(grad(l_count), Region::All),
         ]);
         self.machine.cpu_compute(0, (v * classes * 8) as f64);
-        if !self.synth {
-            *self.grad_h.last_mut().unwrap() = loss.grad.clone();
-        }
         // The loss gradient is written on GPU 0's timeline; every GPU's
         // backward pass reads it, so the batch loop must not start before
         // a barrier.
         self.machine.sync(BarrierScope::Batch);
 
         // ---- backward pass (lines 12–19) ----
-        let mut grads: Vec<Vec<LayerGrads>> = (0..m).map(|_| self.model.zero_grads()).collect();
+        let mut sweep = self.sweep(true);
         for l in (0..l_count).rev() {
-            if overlap {
-                if parallel {
-                    self.backward_layer_overlap_parallel(l, &mut grads);
-                } else {
-                    self.backward_layer_overlap_sequential(l, &mut grads);
-                }
-            } else {
-                for j in 0..n {
-                    if parallel {
-                        self.backward_batch_parallel(l, j, phased, &mut grads)?;
-                    } else {
-                        self.backward_batch_sequential(l, j, phased, &mut grads)?;
-                    }
-                }
-            }
+            sweep.run_layer(Dir::Backward, l, &mut scratch)?;
         }
 
         // ---- parameter update with all-reduce (lines 20–21) ----
@@ -2060,8 +1802,8 @@ impl Session {
         self.machine.sync(BarrierScope::Epoch);
         if !self.synth {
             let mut total = self.model.zero_grads();
-            for gpu_grads in &grads {
-                for (t, g) in total.iter_mut().zip(gpu_grads) {
+            for gpu in &scratch {
+                for (t, g) in total.iter_mut().zip(&gpu.grads) {
                     t.add(g);
                 }
             }
@@ -2074,585 +1816,6 @@ impl Session {
             time: self.machine.elapsed() - t0,
             buckets: delta(self.machine.buckets(), b0),
         })
-    }
-
-    /// One forward batch on the sequential executor: per-GPU steps run in
-    /// GPU index order against the machine's own timeline. Host-store
-    /// writes are applied after the compute loop — a bitwise no-op
-    /// relative to inline application (destination rows are disjoint
-    /// across the batch's chunks and nothing reads `h^{l+1}` before the
-    /// batch barrier) that pins the write point to the same place the
-    /// parallel executor uses.
-    fn forward_batch_sequential(
-        &mut self,
-        l: usize,
-        j: usize,
-        phased: bool,
-    ) -> Result<(), SimError> {
-        let m = self.plan.m;
-        let mut loads = Vec::with_capacity(m);
-        {
-            let ctx = ctx!(self);
-            for i in 0..m {
-                loads.push(forward_load_step(&ctx, &mut self.machine, l, i, j)?);
-            }
-        }
-        if phased {
-            // Host loads populate the transition rows that remote GPUs
-            // fetch over P2P in the next phase.
-            self.machine.sync(BarrierScope::Phase);
-        }
-        let mut outs = Vec::with_capacity(m);
-        {
-            let ctx = ctx!(self);
-            for (i, load) in loads.iter().enumerate() {
-                outs.push(forward_compute_step(
-                    &ctx,
-                    &mut self.machine,
-                    l,
-                    i,
-                    j,
-                    load.buf_bytes,
-                    &NbrFeed::Direct,
-                )?);
-            }
-        }
-        self.apply_forward_outs(l, j, outs);
-        self.machine.sync(BarrierScope::Batch);
-        Ok(())
-    }
-
-    /// One forward batch on the parallel executor: the m GPUs' load and
-    /// compute steps each run on worker threads against forked per-GPU
-    /// timeline shards, joined in GPU index order at exactly the points
-    /// where the sequential executor places its barriers. Owner GPUs hand
-    /// the neighbor rows they serve over typed channels during the load
-    /// phase, so the compute phase never blocks on a receive.
-    fn forward_batch_parallel(&mut self, l: usize, j: usize, phased: bool) -> Result<(), SimError> {
-        let m = self.plan.m;
-        // -- load phase (plus P2P serves into the per-GPU channels) --
-        let mut shards = self.machine.fork_shards();
-        let (txs, rxs): (Vec<Sender<ServeBlock>>, Vec<Receiver<ServeBlock>>) =
-            (0..m).map(|_| mpsc::channel()).unzip();
-        let mut load_slots: Vec<Option<Result<FwLoad, SimError>>> = (0..m).map(|_| None).collect();
-        {
-            let ctx = ctx!(self);
-            let ctx = &ctx;
-            let txs = &txs;
-            hongtu_parallel::global().scope(|s| {
-                for (shard, slot) in shards.iter_mut().zip(load_slots.iter_mut()) {
-                    let txs = txs.to_vec();
-                    s.spawn(move || {
-                        let i = shard.gpu();
-                        let r = forward_load_step(ctx, shard, l, i, j);
-                        if phased && r.is_ok() {
-                            serve_neighbor_rows(ctx, l, i, j, &txs);
-                        }
-                        *slot = Some(r);
-                    });
-                }
-            });
-        }
-        drop(txs);
-        self.machine.join_shards(shards);
-        let loads = collect_slots(load_slots)?;
-        if phased {
-            self.machine.sync(BarrierScope::Phase);
-        }
-
-        // -- compute phase --
-        let mut shards = self.machine.fork_shards();
-        let mut out_slots: Vec<Option<Result<FwOut, SimError>>> = (0..m).map(|_| None).collect();
-        {
-            let ctx = ctx!(self);
-            let ctx = &ctx;
-            hongtu_parallel::global().scope(|s| {
-                for (((shard, slot), load), rx) in shards
-                    .iter_mut()
-                    .zip(out_slots.iter_mut())
-                    .zip(loads.iter())
-                    .zip(rxs)
-                {
-                    s.spawn(move || {
-                        let i = shard.gpu();
-                        let feed = if phased {
-                            NbrFeed::Served(rx.try_iter().collect())
-                        } else {
-                            NbrFeed::Direct
-                        };
-                        *slot = Some(forward_compute_step(
-                            ctx,
-                            shard,
-                            l,
-                            i,
-                            j,
-                            load.buf_bytes,
-                            &feed,
-                        ));
-                    });
-                }
-            });
-        }
-        self.machine.join_shards(shards);
-        let outs = collect_slots(out_slots)?;
-        self.apply_forward_outs(l, j, outs);
-        self.machine.sync(BarrierScope::Batch);
-        Ok(())
-    }
-
-    /// Applies a forward batch's host-store writes in GPU index order
-    /// (the fixed reduction order of the determinism contract): the
-    /// `h^{l+1}` scatter (Alg 1 line 9) and the hybrid checkpoint store.
-    fn apply_forward_outs(&mut self, l: usize, j: usize, outs: Vec<FwOut>) {
-        // A batch pruned from a serving sweep computed nothing: there is
-        // no output to scatter (and scattering an empty placeholder
-        // against the chunk's dest list would be a shape error).
-        if self.serve_mask.as_ref().is_some_and(|m| !m.active(l, j)) {
-            return;
-        }
-        for (i, out) in outs.into_iter().enumerate() {
-            if !self.synth {
-                let dest_idx: Vec<usize> = self.plan.chunks[i][j]
-                    .dests
-                    .iter()
-                    .map(|&v| v as usize)
-                    .collect();
-                self.h[l + 1].scatter_rows(&dest_idx, &out.out);
-            }
-            // Synthesis still stores the (placeholder) checkpoint: the
-            // backward steps read its byte size off the cache.
-            if let Some(agg) = out.agg {
-                self.agg_cache[l][i][j] = Some(agg);
-            }
-        }
-    }
-
-    /// One backward batch on the sequential executor; like
-    /// [`HongTuEngine::forward_batch_sequential`], the overlapping
-    /// `∇h^l` accumulations are applied after the compute loop in GPU
-    /// index order (identical f32 summation order to inline application,
-    /// since the loop itself ran in that order and nothing in it reads
-    /// `∇h^l`).
-    fn backward_batch_sequential(
-        &mut self,
-        l: usize,
-        j: usize,
-        phased: bool,
-        grads: &mut [Vec<LayerGrads>],
-    ) -> Result<(), SimError> {
-        let m = self.plan.m;
-        let mut loads = Vec::with_capacity(m);
-        {
-            let ctx = ctx!(self);
-            for i in 0..m {
-                loads.push(backward_load_step(&ctx, &mut self.machine, l, i, j)?);
-            }
-        }
-        if phased {
-            self.machine.sync(BarrierScope::Phase);
-        }
-        let mut grad_nbrs = Vec::with_capacity(m);
-        {
-            let ctx = ctx!(self);
-            for (i, load) in loads.iter().enumerate() {
-                grad_nbrs.push(backward_compute_step(
-                    &ctx,
-                    &mut self.machine,
-                    l,
-                    i,
-                    j,
-                    load,
-                    &mut grads[i][l],
-                    &NbrFeed::Direct,
-                )?);
-            }
-        }
-        self.apply_backward_grads(l, j, grad_nbrs);
-        if phased {
-            // Evictions read the transition-gradient buffers that remote
-            // GPUs accumulate into during the compute phase.
-            self.machine.sync(BarrierScope::Phase);
-        }
-        {
-            let ctx = ctx!(self);
-            for (i, load) in loads.iter().enumerate() {
-                backward_evict_step(&ctx, &mut self.machine, l, i, j, load);
-            }
-        }
-        self.machine.sync(BarrierScope::Batch);
-        Ok(())
-    }
-
-    /// One backward batch on the parallel executor: load / compute /
-    /// evict sub-phases each fork per-GPU shards, and the recompute
-    /// path's neighbor reload is fed through the same typed serve
-    /// channels as the forward pass.
-    fn backward_batch_parallel(
-        &mut self,
-        l: usize,
-        j: usize,
-        phased: bool,
-        grads: &mut [Vec<LayerGrads>],
-    ) -> Result<(), SimError> {
-        let m = self.plan.m;
-        // The hybrid path reloads the cached aggregate instead of
-        // neighbor representations — no serves needed.
-        let serve = phased
-            && !(self.config.memory == MemoryStrategy::Hybrid
-                && self.model.layer(l).supports_agg_cache());
-
-        // -- load phase (plus serves for the recompute reload) --
-        let mut shards = self.machine.fork_shards();
-        let (txs, rxs): (Vec<Sender<ServeBlock>>, Vec<Receiver<ServeBlock>>) =
-            (0..m).map(|_| mpsc::channel()).unzip();
-        let mut load_slots: Vec<Option<Result<BwLoad, SimError>>> = (0..m).map(|_| None).collect();
-        {
-            let ctx = ctx!(self);
-            let ctx = &ctx;
-            let txs = &txs;
-            hongtu_parallel::global().scope(|s| {
-                for (shard, slot) in shards.iter_mut().zip(load_slots.iter_mut()) {
-                    let txs = txs.to_vec();
-                    s.spawn(move || {
-                        let i = shard.gpu();
-                        let r = backward_load_step(ctx, shard, l, i, j);
-                        if serve && r.is_ok() {
-                            serve_neighbor_rows(ctx, l, i, j, &txs);
-                        }
-                        *slot = Some(r);
-                    });
-                }
-            });
-        }
-        drop(txs);
-        self.machine.join_shards(shards);
-        let loads = collect_slots(load_slots)?;
-        if phased {
-            self.machine.sync(BarrierScope::Phase);
-        }
-
-        // -- compute phase --
-        let mut shards = self.machine.fork_shards();
-        let mut out_slots: Vec<Option<Result<Matrix, SimError>>> = (0..m).map(|_| None).collect();
-        {
-            let ctx = ctx!(self);
-            let ctx = &ctx;
-            hongtu_parallel::global().scope(|s| {
-                for ((((shard, slot), load), gpu_grads), rx) in shards
-                    .iter_mut()
-                    .zip(out_slots.iter_mut())
-                    .zip(loads.iter())
-                    .zip(grads.iter_mut())
-                    .zip(rxs)
-                {
-                    s.spawn(move || {
-                        let i = shard.gpu();
-                        let feed = if serve {
-                            NbrFeed::Served(rx.try_iter().collect())
-                        } else {
-                            NbrFeed::Direct
-                        };
-                        *slot = Some(backward_compute_step(
-                            ctx,
-                            shard,
-                            l,
-                            i,
-                            j,
-                            load,
-                            &mut gpu_grads[l],
-                            &feed,
-                        ));
-                    });
-                }
-            });
-        }
-        self.machine.join_shards(shards);
-        let grad_nbrs = collect_slots(out_slots)?;
-        self.apply_backward_grads(l, j, grad_nbrs);
-        if phased {
-            self.machine.sync(BarrierScope::Phase);
-        }
-
-        // -- evict phase --
-        let mut shards = self.machine.fork_shards();
-        {
-            let ctx = ctx!(self);
-            let ctx = &ctx;
-            hongtu_parallel::global().scope(|s| {
-                for (shard, load) in shards.iter_mut().zip(loads.iter()) {
-                    s.spawn(move || {
-                        let i = shard.gpu();
-                        backward_evict_step(ctx, shard, l, i, j, load);
-                    });
-                }
-            });
-        }
-        self.machine.join_shards(shards);
-        self.machine.sync(BarrierScope::Batch);
-        Ok(())
-    }
-
-    /// Accumulates a backward batch's neighbor gradients into the host
-    /// store in GPU index order — neighbor sets overlap across GPUs, so
-    /// this fixed order *is* the determinism contract for `∇h^l`.
-    fn apply_backward_grads(&mut self, l: usize, j: usize, grad_nbrs: Vec<Matrix>) {
-        if self.synth {
-            return;
-        }
-        for (i, grad_nbr) in grad_nbrs.into_iter().enumerate() {
-            let nbr_idx: Vec<usize> = self.plan.chunks[i][j]
-                .neighbors
-                .iter()
-                .map(|&v| v as usize)
-                .collect();
-            self.grad_h[l].scatter_add_rows(&nbr_idx, &grad_nbr);
-        }
-    }
-
-    /// One forward layer under the overlap executor, sequential host
-    /// execution: the segments of [`hongtu_stream::pipeline`] run their
-    /// three roles on the three per-GPU streams between batch barriers,
-    /// so a segment costs the *maximum* of prefetch, compute, and drain
-    /// instead of their sum. Host-store writes are still leader-applied
-    /// in GPU index order, so results are bitwise identical to the
-    /// non-overlapped executor.
-    fn forward_layer_overlap_sequential(&mut self, l: usize) {
-        let m = self.plan.m;
-        for seg in pipeline(self.plan.n) {
-            let mut outs = Vec::with_capacity(m);
-            {
-                let ctx = ctx!(self);
-                if let Some(p) = seg.prefetch {
-                    for i in 0..m {
-                        ov_forward_prefetch(&ctx, &mut self.machine, l, i, p);
-                    }
-                }
-                if let Some(c) = seg.compute {
-                    for i in 0..m {
-                        outs.push(ov_forward_compute(&ctx, &mut self.machine, l, i, c));
-                    }
-                }
-                if let Some(d) = seg.drain {
-                    for i in 0..m {
-                        ov_forward_drain(&ctx, &mut self.machine, l, i, d);
-                    }
-                }
-            }
-            if let Some(c) = seg.compute {
-                self.apply_forward_outs(l, c, outs);
-                self.machine.sync(BarrierScope::Batch);
-            } else {
-                // Prologue/epilogue segments only move data; a phase
-                // barrier publishes it without advancing the batch count.
-                self.machine.sync(BarrierScope::Phase);
-            }
-        }
-    }
-
-    /// One forward layer under the overlap executor, parallel host
-    /// execution: each segment's three roles fork per-GPU shards in
-    /// turn, joined in GPU index order, so clocks, traces, and results
-    /// are bitwise identical to the sequential overlap driver. `h^l` is
-    /// frozen for the whole layer (writes go to `h^{l+1}`), so workers
-    /// gather neighbor rows straight from the host store — no serve
-    /// channels needed.
-    fn forward_layer_overlap_parallel(&mut self, l: usize) {
-        let m = self.plan.m;
-        for seg in pipeline(self.plan.n) {
-            if let Some(p) = seg.prefetch {
-                let mut shards = self.machine.fork_shards();
-                {
-                    let ctx = ctx!(self);
-                    let ctx = &ctx;
-                    hongtu_parallel::global().scope(|s| {
-                        for shard in shards.iter_mut() {
-                            s.spawn(move || {
-                                let i = shard.gpu();
-                                ov_forward_prefetch(ctx, shard, l, i, p);
-                            });
-                        }
-                    });
-                }
-                self.machine.join_shards(shards);
-            }
-            let mut outs = Vec::new();
-            if let Some(c) = seg.compute {
-                let mut shards = self.machine.fork_shards();
-                let mut slots: Vec<Option<FwOut>> = (0..m).map(|_| None).collect();
-                {
-                    let ctx = ctx!(self);
-                    let ctx = &ctx;
-                    hongtu_parallel::global().scope(|s| {
-                        for (shard, slot) in shards.iter_mut().zip(slots.iter_mut()) {
-                            s.spawn(move || {
-                                let i = shard.gpu();
-                                *slot = Some(ov_forward_compute(ctx, shard, l, i, c));
-                            });
-                        }
-                    });
-                }
-                self.machine.join_shards(shards);
-                outs = slots
-                    .into_iter()
-                    .map(|s| s.expect("worker task did not run"))
-                    .collect();
-            }
-            if let Some(d) = seg.drain {
-                let mut shards = self.machine.fork_shards();
-                {
-                    let ctx = ctx!(self);
-                    let ctx = &ctx;
-                    hongtu_parallel::global().scope(|s| {
-                        for shard in shards.iter_mut() {
-                            s.spawn(move || {
-                                let i = shard.gpu();
-                                ov_forward_drain(ctx, shard, l, i, d);
-                            });
-                        }
-                    });
-                }
-                self.machine.join_shards(shards);
-            }
-            if let Some(c) = seg.compute {
-                self.apply_forward_outs(l, c, outs);
-                self.machine.sync(BarrierScope::Batch);
-            } else {
-                self.machine.sync(BarrierScope::Phase);
-            }
-        }
-    }
-
-    /// One backward layer under the overlap executor, sequential host
-    /// execution. The `∇h^{l+1}` gathers prefetched a segment early are
-    /// carried in a two-slot host staging mirror of the device slots.
-    fn backward_layer_overlap_sequential(&mut self, l: usize, grads: &mut [Vec<LayerGrads>]) {
-        let m = self.plan.m;
-        let mut staged: [Vec<Matrix>; 2] = [Vec::new(), Vec::new()];
-        for seg in pipeline(self.plan.n) {
-            let mut grad_nbrs = Vec::with_capacity(m);
-            {
-                let ctx = ctx!(self);
-                if let Some(p) = seg.prefetch {
-                    staged[p % 2] = (0..m)
-                        .map(|i| ov_backward_prefetch(&ctx, &mut self.machine, l, i, p))
-                        .collect();
-                }
-                if let Some(c) = seg.compute {
-                    for i in 0..m {
-                        grad_nbrs.push(ov_backward_compute(
-                            &ctx,
-                            &mut self.machine,
-                            l,
-                            i,
-                            c,
-                            &staged[c % 2][i],
-                            &mut grads[i][l],
-                        ));
-                    }
-                }
-                if let Some(d) = seg.drain {
-                    for i in 0..m {
-                        ov_backward_drain(&ctx, &mut self.machine, l, i, d);
-                    }
-                }
-            }
-            if let Some(c) = seg.compute {
-                self.apply_backward_grads(l, c, grad_nbrs);
-                self.machine.sync(BarrierScope::Batch);
-            } else {
-                self.machine.sync(BarrierScope::Phase);
-            }
-        }
-    }
-
-    /// One backward layer under the overlap executor, parallel host
-    /// execution; the per-segment fork/join structure mirrors
-    /// [`HongTuEngine::forward_layer_overlap_parallel`]. `∇h^{l+1}` is
-    /// frozen for the whole layer, so workers gather directly.
-    fn backward_layer_overlap_parallel(&mut self, l: usize, grads: &mut [Vec<LayerGrads>]) {
-        let m = self.plan.m;
-        let mut staged: [Vec<Matrix>; 2] = [Vec::new(), Vec::new()];
-        for seg in pipeline(self.plan.n) {
-            if let Some(p) = seg.prefetch {
-                let mut shards = self.machine.fork_shards();
-                let mut slots: Vec<Option<Matrix>> = (0..m).map(|_| None).collect();
-                {
-                    let ctx = ctx!(self);
-                    let ctx = &ctx;
-                    hongtu_parallel::global().scope(|s| {
-                        for (shard, slot) in shards.iter_mut().zip(slots.iter_mut()) {
-                            s.spawn(move || {
-                                let i = shard.gpu();
-                                *slot = Some(ov_backward_prefetch(ctx, shard, l, i, p));
-                            });
-                        }
-                    });
-                }
-                self.machine.join_shards(shards);
-                staged[p % 2] = slots
-                    .into_iter()
-                    .map(|s| s.expect("worker task did not run"))
-                    .collect();
-            }
-            let mut grad_nbrs = Vec::new();
-            if let Some(c) = seg.compute {
-                let mut shards = self.machine.fork_shards();
-                let mut slots: Vec<Option<Matrix>> = (0..m).map(|_| None).collect();
-                {
-                    let ctx = ctx!(self);
-                    let ctx = &ctx;
-                    let staged_c = &staged[c % 2];
-                    hongtu_parallel::global().scope(|s| {
-                        for (((shard, slot), go), gpu_grads) in shards
-                            .iter_mut()
-                            .zip(slots.iter_mut())
-                            .zip(staged_c.iter())
-                            .zip(grads.iter_mut())
-                        {
-                            s.spawn(move || {
-                                let i = shard.gpu();
-                                *slot = Some(ov_backward_compute(
-                                    ctx,
-                                    shard,
-                                    l,
-                                    i,
-                                    c,
-                                    go,
-                                    &mut gpu_grads[l],
-                                ));
-                            });
-                        }
-                    });
-                }
-                self.machine.join_shards(shards);
-                grad_nbrs = slots
-                    .into_iter()
-                    .map(|s| s.expect("worker task did not run"))
-                    .collect();
-            }
-            if let Some(d) = seg.drain {
-                let mut shards = self.machine.fork_shards();
-                {
-                    let ctx = ctx!(self);
-                    let ctx = &ctx;
-                    hongtu_parallel::global().scope(|s| {
-                        for shard in shards.iter_mut() {
-                            s.spawn(move || {
-                                let i = shard.gpu();
-                                ov_backward_drain(ctx, shard, l, i, d);
-                            });
-                        }
-                    });
-                }
-                self.machine.join_shards(shards);
-            }
-            if let Some(c) = seg.compute {
-                self.apply_backward_grads(l, c, grad_nbrs);
-                self.machine.sync(BarrierScope::Batch);
-            } else {
-                self.machine.sync(BarrierScope::Phase);
-            }
-        }
     }
 
     /// Mutable access to the simulated machine, e.g. to enable the
@@ -2699,16 +1862,13 @@ impl Session {
         let opt = Adam::new(self.config.lr);
         Trainer { session: self, opt }
     }
-
-    /// A forward-only inference executor borrowing this session.
-    pub fn inferencer(&mut self) -> Inferencer<'_> {
-        Inferencer { session: self }
-    }
 }
 
 /// Training executor: borrows a [`Session`] and owns the [`Adam`]
 /// optimizer state, so several training runs (each with fresh optimizer
-/// moments) can reuse one validated session.
+/// moments) can reuse one validated session. One `Trainer` is one run:
+/// keep it across the run's epochs — `session.trainer().epoch()` in a
+/// loop restarts every epoch from zeroed moments.
 pub struct Trainer<'s> {
     session: &'s mut Session,
     opt: Adam,
@@ -2723,1330 +1883,6 @@ impl Trainer<'_> {
     /// The underlying session (logits, accuracy, machine state).
     pub fn session(&self) -> &Session {
         self.session
-    }
-}
-
-/// Forward-only inference executor borrowing a [`Session`].
-pub struct Inferencer<'s> {
-    session: &'s mut Session,
-}
-
-impl Inferencer<'_> {
-    /// Runs one inference epoch — see [`Session::infer_epoch`].
-    pub fn epoch(&mut self) -> Result<InferReport, SimError> {
-        self.session.infer_epoch()
-    }
-
-    /// The underlying session (logits, accuracy, machine state).
-    pub fn session(&self) -> &Session {
-        self.session
-    }
-}
-
-/// The classic owning engine: a [`Session`] plus [`Adam`] optimizer
-/// state, with `train_epoch`/`infer_epoch` inherent methods. Existing
-/// callers keep working unchanged; new code that wants to separate the
-/// validated session from its executors should use [`Session`] with
-/// [`Session::trainer`]/[`Session::inferencer`] directly.
-pub struct HongTuEngine {
-    session: Session,
-    opt: Adam,
-}
-
-impl HongTuEngine {
-    /// Builds the engine — see [`Session::new`].
-    pub fn new(
-        dataset: &Dataset,
-        kind: ModelKind,
-        hidden: usize,
-        layers: usize,
-        n_chunks: usize,
-        config: HongTuConfig,
-    ) -> Result<Self, SimError> {
-        Session::new(dataset, kind, hidden, layers, n_chunks, config).map(Self::from_session)
-    }
-
-    /// Builds the engine from a caller-supplied partition plan — see
-    /// [`Session::with_plan`].
-    pub fn with_plan(
-        dataset: &Dataset,
-        kind: ModelKind,
-        hidden: usize,
-        layers: usize,
-        plan: TwoLevelPartition,
-        config: HongTuConfig,
-    ) -> Result<Self, SimError> {
-        Session::with_plan(dataset, kind, hidden, layers, plan, config).map(Self::from_session)
-    }
-
-    /// Wraps an already-built session, pairing it with fresh optimizer
-    /// state at the configured learning rate.
-    pub fn from_session(session: Session) -> Self {
-        let opt = Adam::new(session.config.lr);
-        HongTuEngine { session, opt }
-    }
-
-    /// Runs one training epoch — see [`Session::train_epoch`].
-    pub fn train_epoch(&mut self) -> Result<EpochReport, SimError> {
-        self.session.train_epoch(&mut self.opt)
-    }
-
-    /// Runs one forward-only inference epoch — see
-    /// [`Session::infer_epoch`].
-    pub fn infer_epoch(&mut self) -> Result<InferReport, SimError> {
-        self.session.infer_epoch()
-    }
-
-    /// Serves logits for a vertex subset — see [`Session::serve`].
-    pub fn serve(&mut self, vertices: &[usize]) -> Result<ServeReport, SimError> {
-        self.session.serve(vertices)
-    }
-
-    /// The underlying session.
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// Mutable access to the underlying session.
-    pub fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
-    }
-
-    /// Unwraps the engine back into its session, dropping the optimizer
-    /// state.
-    pub fn into_session(self) -> Session {
-        self.session
-    }
-
-    /// Every plan the session synthesized, in one place.
-    pub fn plans(&self) -> Plans<'_> {
-        self.session.plans()
-    }
-
-    /// The partition plan in use.
-    #[deprecated(note = "use HongTuEngine::plans().partition")]
-    pub fn plan(&self) -> &TwoLevelPartition {
-        self.session.plans().partition
-    }
-
-    /// The communication plan in use.
-    #[deprecated(note = "use HongTuEngine::plans().dedup")]
-    pub fn dedup_plan(&self) -> &DedupPlan {
-        self.session.plans().dedup
-    }
-
-    /// Preprocessing summary (volumes + modeled seconds).
-    pub fn preprocessing(&self) -> &Preprocessing {
-        self.session.preprocessing()
-    }
-
-    /// The simulated machine (memory peaks, trace).
-    pub fn machine(&self) -> &Machine {
-        self.session.machine()
-    }
-
-    /// Mutable access to the simulated machine, e.g. to enable the
-    /// unbounded event trace before certifying an epoch schedule.
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        self.session.machine_mut()
-    }
-
-    /// Per-GPU staging plans of the overlap executor (`None` when
-    /// overlap is off).
-    #[deprecated(note = "use HongTuEngine::plans().staging")]
-    pub fn staging_plans(&self) -> Option<&[StagingPlan]> {
-        self.session.plans().staging
-    }
-
-    /// The model under training.
-    pub fn model(&self) -> &GnnModel {
-        self.session.model()
-    }
-
-    /// Replaces the model parameters — see [`Session::set_model`].
-    pub fn set_model(&mut self, model: GnnModel) {
-        self.session.set_model(model);
-    }
-
-    /// Number of epochs completed.
-    pub fn epochs_run(&self) -> usize {
-        self.session.epochs_run()
-    }
-
-    /// Current logits (`h^L`), e.g. for external accuracy evaluation.
-    pub fn logits(&self) -> &Matrix {
-        self.session.logits()
-    }
-
-    /// Validation/test accuracy from the representations computed in the
-    /// last epoch's forward pass.
-    pub fn accuracy(&self, mask: &[bool]) -> f32 {
-        self.session.accuracy(mask)
-    }
-
-    /// The configuration the engine was built with.
-    pub fn config(&self) -> &HongTuConfig {
-        self.session.config()
-    }
-}
-
-/// Per-GPU scratch carried from the load phase to the compute phase of a
-/// forward batch.
-struct FwLoad {
-    buf_bytes: usize,
-}
-
-/// Per-GPU scratch carried across the load/compute/evict phases of a
-/// backward batch.
-struct BwLoad {
-    grad_out: Matrix,
-    topo: usize,
-    inter: usize,
-    buf_bytes: usize,
-}
-
-/// Output of one GPU's forward compute step. The `h^{l+1}` scatter and
-/// the hybrid checkpoint store are applied by the leader after the
-/// compute phase, in GPU index order, so worker threads never write the
-/// shared host store.
-struct FwOut {
-    out: Matrix,
-    agg: Option<Matrix>,
-}
-
-/// Rows of `h^l` that owner GPU `src` serves to a fetching GPU, handed
-/// through a typed channel during the load phase of a parallel batch.
-struct ServeBlock {
-    src: usize,
-    rows: Matrix,
-}
-
-/// Where a compute step's neighbor representations come from.
-enum NbrFeed {
-    /// Gather straight from the host store (sequential executor, and
-    /// parallel phases without inter-GPU serves).
-    Direct,
-    /// Blocks served by remote owner GPUs over typed channels; rows this
-    /// GPU owns still come from the host store.
-    Served(Vec<ServeBlock>),
-}
-
-/// Unwraps the per-GPU result slots filled by a parallel phase. Every
-/// worker runs to completion before the scope returns, so on error the
-/// machine state is consistent and the *lowest-indexed* failure is
-/// propagated (errors are terminal, so sequential/parallel machine-state
-/// parity is not required past this point).
-fn collect_slots<V>(slots: Vec<Option<Result<V, SimError>>>) -> Result<Vec<V>, SimError> {
-    slots
-        .into_iter()
-        .map(|s| s.expect("worker task did not run"))
-        .collect()
-}
-
-/// Placeholder forward output for schedule synthesis: zero tensors of
-/// exactly the shapes (and, for the checkpoint, the byte size) the real
-/// layer would produce, so every downstream size-derived charge — the
-/// `h^{l+1}` writeback and the hybrid checkpoint store/reload — is
-/// identical to the executed schedule without running the numerics.
-fn synth_forward(layer: &dyn GnnLayer, chunk: &ChunkSubgraph) -> LayerForward {
-    LayerForward {
-        out: Matrix::zeros(chunk.num_dests(), layer.out_dim()),
-        agg: layer
-            .supports_agg_cache()
-            .then(|| Matrix::zeros(1, layer.agg_cache_bytes(chunk) / F32)),
-    }
-}
-
-/// Sends every neighbor row owned by `server` that a remote GPU needs for
-/// batch `j` down that GPU's channel, in neighbor order. All sends finish
-/// inside the load phase — before any compute step receives — so the
-/// compute-phase drain never blocks, at any pool size. The simulated
-/// *cost* of inter-GPU traffic is charged separately (per the dedup plan)
-/// by [`charge_neighbor_fetch`]; these channels only carry the data.
-fn serve_neighbor_rows(
-    ctx: &StepCtx,
-    l: usize,
-    server: usize,
-    j: usize,
-    txs: &[Sender<ServeBlock>],
-) {
-    if ctx.pruned(l, j) {
-        return;
-    }
-    let owner = &ctx.plan.assignment.partition_of;
-    for (i, tx) in txs.iter().enumerate() {
-        if i == server {
-            continue;
-        }
-        let idx: Vec<usize> = ctx.plan.chunks[i][j]
-            .neighbors
-            .iter()
-            .map(|&v| v as usize)
-            .filter(|&v| owner[v] as usize == server)
-            .collect();
-        if !idx.is_empty() {
-            // A fetcher that failed its load step may have dropped its
-            // receiver; a closed channel is not an error here.
-            let rows = if ctx.synth {
-                Matrix::zeros(idx.len(), ctx.h[l].cols())
-            } else {
-                ctx.h[l].gather_rows(&idx)
-            };
-            let _ = tx.send(ServeBlock { src: server, rows });
-        }
-    }
-}
-
-/// Assembles `h^l_{N_ij}` for GPU `i`: directly from the host store, or
-/// by merging served blocks with locally-owned rows. Served rows are
-/// copies of the same host rows in the same neighbor-order sequence, so
-/// both paths produce bitwise-identical matrices.
-fn assemble_neighbors(ctx: &StepCtx, l: usize, i: usize, j: usize, feed: &NbrFeed) -> Matrix {
-    let chunk = &ctx.plan.chunks[i][j];
-    if ctx.synth {
-        // Schedule synthesis: only the shape matters (downstream charges
-        // are derived from the plan, not from this matrix's values).
-        return Matrix::zeros(chunk.neighbors.len(), ctx.h[l].cols());
-    }
-    let nbr_idx: Vec<usize> = chunk.neighbors.iter().map(|&v| v as usize).collect();
-    let blocks = match feed {
-        NbrFeed::Direct => return ctx.h[l].gather_rows(&nbr_idx),
-        NbrFeed::Served(blocks) => blocks,
-    };
-    let m = ctx.plan.m;
-    let mut block_of: Vec<Option<&Matrix>> = vec![None; m];
-    for b in blocks {
-        debug_assert!(
-            block_of[b.src].is_none(),
-            "duplicate serve block from GPU {}",
-            b.src
-        );
-        block_of[b.src] = Some(&b.rows);
-    }
-    let owner = &ctx.plan.assignment.partition_of;
-    let mut out = Matrix::zeros(nbr_idx.len(), ctx.h[l].cols());
-    let mut cursor = vec![0usize; m];
-    for (r, &v) in nbr_idx.iter().enumerate() {
-        let o = owner[v] as usize;
-        let src_row = if o == i {
-            ctx.h[l].row(v)
-        } else {
-            let blk = block_of[o]
-                .unwrap_or_else(|| panic!("no serve block from GPU {o} for fetcher {i} batch {j}"));
-            let row = blk.row(cursor[o]);
-            cursor[o] += 1;
-            row
-        };
-        out.row_mut(r).copy_from_slice(src_row);
-    }
-    out
-}
-
-/// Load phase of forward batch `j` at layer `l` for GPU `i`:
-/// Algorithm 2's host-side loads (ℕ^cpu over PCIe, ℕ^gpu in-place
-/// reuse). Inter-GPU fetches wait for the phase barrier.
-fn forward_load_step<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-) -> Result<FwLoad, SimError> {
-    if ctx.pruned(l, j) {
-        return Ok(FwLoad { buf_bytes: 0 });
-    }
-    let row = ctx.model.layer(l).in_dim() * F32;
-    let rows = charge_neighbor_host_load(ctx, tl, l, i, j, row)?;
-    Ok(FwLoad {
-        buf_bytes: rows * row,
-    })
-}
-
-/// Compute phase of forward batch `j` at layer `l` for GPU `i`:
-/// inter-GPU fetches, the real layer numerics, and the cost of the
-/// `h^{l+1}` writeback (Alg 1 line 9) plus the hybrid checkpoint store.
-/// The host-store writes themselves are returned as a [`FwOut`] and
-/// applied by the leader.
-#[allow(clippy::too_many_arguments)]
-fn forward_compute_step<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-    buf_bytes: usize,
-    feed: &NbrFeed,
-) -> Result<FwOut, SimError> {
-    if ctx.pruned(l, j) {
-        return Ok(FwOut {
-            out: Matrix::zeros(0, 0),
-            agg: None,
-        });
-    }
-    let chunk = &ctx.plan.chunks[i][j];
-    let layer = ctx.model.layer(l);
-    let out_dim = layer.out_dim();
-    let row = layer.in_dim() * F32;
-
-    // -- GPU memory for this batch --
-    let topo = chunk.topology_bytes();
-    let out_bytes = chunk.num_dests() * out_dim * F32;
-    let inter = layer.intermediate_bytes(chunk);
-    tl.alloc(i, topo, "chunk topology")?;
-    tl.alloc(i, out_bytes, "layer output")?;
-    tl.alloc(i, inter, "intermediate data")?;
-    if ctx.topology_upload_layer(l, j) {
-        // Topology streamed in once per epoch (reused across layers),
-        // at the batch's first active layer.
-        tl.tag([Access::write(topology(i), chunk_region(i, j))]);
-        tl.h2d(i, topo);
-    }
-
-    // -- inter-GPU fetches (Algorithm 2): sources resident post-barrier --
-    charge_neighbor_fetch(ctx, tl, l, i, j, row);
-
-    // -- real numerics (placeholders under schedule synthesis) --
-    let f = if ctx.synth {
-        synth_forward(layer, chunk)
-    } else {
-        let h_nbr = assemble_neighbors(ctx, l, i, j, feed);
-        layer.forward(chunk, &h_nbr)
-    };
-    let flops = layer.forward_flops(chunk);
-    tl.tag([
-        Access::read(dev_rep(i), Region::All)
-            .with_prov(Provenance::new(ContribKind::Aggregate, l, j).rows(chunk.num_neighbors())),
-        Access::read(topology(i), chunk_region(i, j)),
-    ]);
-    tl.gpu_dense(i, flops.dense);
-    tl.gpu_edge(i, flops.edge);
-
-    // -- write back h^{l+1}_{V_ij} (line 9): cost here, data via FwOut --
-    tl.tag([Access::write(rep(l + 1), chunk_region(i, j)).with_prov(
-        Provenance::new(ContribKind::ActStore, l + 1, j)
-            .owned_by(i)
-            .rows(chunk.num_dests()),
-    )]);
-    tl.d2h(i, out_bytes);
-
-    // -- hybrid checkpoint --
-    let mut agg = None;
-    if ctx.checkpoint && layer.supports_agg_cache() {
-        let a = f.agg.expect("cache-capable layer must emit an aggregate");
-        tl.tag([Access::write(agg_slot(l, i, j), Region::All).with_prov(
-            Provenance::new(ContribKind::CkptStore, l, j)
-                .owned_by(i)
-                .rows(chunk.num_dests()),
-        )]);
-        tl.d2h(i, a.byte_size());
-        agg = Some(a);
-    }
-
-    // -- release this batch's data (checkpointed to CPU) --
-    // Track the neighbor buffer inside the same alloc/free window.
-    tl.free(i, topo + out_bytes + inter + buf_bytes);
-    Ok(FwOut { out: f.out, agg })
-}
-
-/// Load phase of backward batch `j` at layer `l` for GPU `i`
-/// (Alg 1 lines 14–16): the `∇h^{l+1}` load plus the
-/// strategy-dependent checkpoint reload (cached aggregate for the
-/// hybrid path, dedup neighbor reload for recomputation).
-fn backward_load_step<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-) -> Result<BwLoad, SimError> {
-    let chunk = &ctx.plan.chunks[i][j];
-    let layer = ctx.model.layer(l);
-    let out_dim = layer.out_dim();
-    let row = layer.in_dim() * F32;
-    let use_hybrid = ctx.checkpoint && layer.supports_agg_cache();
-
-    // -- load ∇h^{l+1}_{V_ij} from CPU (line 16) --
-    let grad_out_bytes = chunk.num_dests() * out_dim * F32;
-    tl.tag([Access::read(grad(l + 1), Region::All)]);
-    tl.h2d(i, grad_out_bytes);
-    let grad_out = if ctx.synth {
-        Matrix::zeros(chunk.num_dests(), out_dim)
-    } else {
-        let dest_idx: Vec<usize> = chunk.dests.iter().map(|&v| v as usize).collect();
-        ctx.grad_h[l + 1].gather_rows(&dest_idx)
-    };
-
-    let topo = chunk.topology_bytes();
-    tl.alloc(i, topo, "chunk topology (bwd)")?;
-    let inter = layer.intermediate_bytes(chunk);
-    tl.alloc(i, inter, "regenerated intermediates")?;
-
-    let buf_bytes = if use_hybrid {
-        // Load the cached aggregate (O(|V_ij|) H2D).
-        let bytes = ctx.agg_cache[l][i][j]
-            .as_ref()
-            .expect("hybrid checkpoint missing — was forward run?")
-            .byte_size();
-        tl.alloc(i, bytes, "aggregate checkpoint")?;
-        tl.tag([Access::read(agg_slot(l, i, j), Region::All).with_prov(
-            Provenance::new(ContribKind::CkptReload, l, j)
-                .owned_by(i)
-                .rows(chunk.num_dests()),
-        )]);
-        tl.h2d(i, bytes);
-        bytes
-    } else {
-        // Reload h^l_{N_ij} through dedup comm (host half).
-        let rows = charge_neighbor_host_load(ctx, tl, l, i, j, row)?;
-        rows * row
-    };
-    Ok(BwLoad {
-        grad_out,
-        topo,
-        inter,
-        buf_bytes,
-    })
-}
-
-/// Compute phase of backward batch `j` at layer `l` for GPU `i`
-/// (Algorithm 3): recompute + gradient numerics, local gradient
-/// accumulation into the merged transition-gradient buffer, and the
-/// inter-GPU gradient pushes. Returns the neighbor gradients `∇h^l_{N_ij}`
-/// for the leader to accumulate into the host store.
-#[allow(clippy::too_many_arguments)]
-fn backward_compute_step<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-    load: &BwLoad,
-    grads: &mut LayerGrads,
-    feed: &NbrFeed,
-) -> Result<Matrix, SimError> {
-    let chunk = &ctx.plan.chunks[i][j];
-    let layer = ctx.model.layer(l);
-    let row = layer.in_dim() * F32;
-    let use_hybrid = ctx.checkpoint && layer.supports_agg_cache();
-    let fwd = layer.forward_flops(chunk);
-    let bwd = layer.backward_flops(chunk);
-    // Neighbor gradients land in the merged transition-gradient buffer
-    // via atomic accumulation, which commutes with remote pushes
-    // arriving during the same phase.
-    let local_rows = match ctx.comm {
-        CommMode::Vanilla => chunk.num_neighbors(),
-        CommMode::P2p | CommMode::P2pRu => ctx.dedup.batches[j].fetch[i][i],
-    };
-    let acc = Access::accum(dev_grad(i), Region::All)
-        .with_gen(j as u32)
-        .with_prov(
-            Provenance::new(ContribKind::GradLocal, l, j)
-                .owned_by(i)
-                .rows(local_rows),
-        );
-
-    let grad_nbr = if use_hybrid {
-        // Recompute UPDATE only from the cached aggregate.
-        let agg = ctx.agg_cache[l][i][j]
-            .as_ref()
-            .expect("hybrid checkpoint missing — was forward run?");
-        tl.tag([Access::read(topology(i), chunk_region(i, j)), acc]);
-        tl.gpu_dense(i, fwd.dense); // UPDATE recompute
-        tl.gpu_dense(i, bwd.dense);
-        tl.gpu_edge(i, bwd.edge);
-        if ctx.synth {
-            Matrix::zeros(chunk.neighbors.len(), layer.in_dim())
-        } else {
-            layer.backward_from_agg(chunk, agg, &load.grad_out, grads)
-        }
-    } else {
-        // Inter-GPU half of the neighbor reload, then full re-forward.
-        charge_neighbor_fetch(ctx, tl, l, i, j, row);
-        let h_nbr = assemble_neighbors(ctx, l, i, j, feed);
-        tl.tag([
-            Access::read(dev_rep(i), Region::All).with_prov(
-                Provenance::new(ContribKind::Aggregate, l, j).rows(chunk.num_neighbors()),
-            ),
-            Access::read(topology(i), chunk_region(i, j)),
-            acc,
-        ]);
-        tl.gpu_dense(i, fwd.dense); // full re-forward
-        tl.gpu_edge(i, fwd.edge);
-        tl.gpu_dense(i, bwd.dense);
-        tl.gpu_edge(i, bwd.edge);
-        if ctx.synth {
-            Matrix::zeros(chunk.neighbors.len(), layer.in_dim())
-        } else {
-            layer.backward_from_input(chunk, &h_nbr, &load.grad_out, grads)
-        }
-    };
-
-    // -- push remote transition gradients to their owner GPUs --
-    charge_gradient_push(ctx, tl, l, i, j, row);
-    Ok(grad_nbr)
-}
-
-/// Evict phase of backward batch `j` at layer `l` for GPU `i`: all
-/// pushes into this GPU's gradient buffer have landed (phase
-/// barrier), so evict to the host store and release batch memory.
-fn backward_evict_step<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-    load: &BwLoad,
-) {
-    let row = ctx.model.layer(l).in_dim() * F32;
-    charge_gradient_evict(ctx, tl, l, i, j, row);
-    tl.free(i, load.topo + load.inter + load.buf_bytes);
-}
-
-/// Charges the host half of loading `h^l_{N_ij}` (Algorithm 2 phase A):
-/// PCIe loads of the rows this GPU owns plus ℕ^gpu in-place reuse.
-/// Returns the rows resident in GPU `i`'s merged buffer for this batch
-/// (for memory accounting). The inter-GPU half runs after the phase
-/// barrier in [`charge_neighbor_fetch`].
-fn charge_neighbor_host_load<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-    row: usize,
-) -> Result<usize, SimError> {
-    let chunk = &ctx.plan.chunks[i][j];
-    let batch = &ctx.dedup.batches[j];
-    // Frozen hot-vertex cache table (layer 0 only): `hits` rows of the
-    // scheduled host load are already resident in HBM and skip PCIe;
-    // `installs > 0` means rows loaded now become resident at sweep end,
-    // so the install write rides the load's own H2D event. Provenance
-    // row totals stay the *full* schedule either way — the cache changes
-    // how rows arrive, never how many the dataflow ledger moves.
-    let cs = ctx.cache_stats(l, i, j);
-    let cache_hit_charge = |tl: &mut T| {
-        if cs.hits > 0 {
-            // Cache-resident rows are an HBM copy, not a PCIe transfer.
-            tl.tag([Access::read(dev_cache(i), Region::All)]);
-            tl.reuse(i, cs.hits * row);
-        }
-    };
-    let rows = match ctx.comm {
-        CommMode::Vanilla => {
-            let rows = chunk.num_neighbors();
-            // Rows whose owner partition sits on the other socket cross
-            // the QPI link (partitions map to sockets pairwise).
-            let sockets = tl.machine_config().num_sockets;
-            let remote = remote_socket_rows(&batch.fetch[i], i, ctx.plan.m, sockets);
-            let mut acc = vec![
-                Access::read(rep(l), Region::All),
-                Access::write(dev_rep(i), Region::All)
-                    .with_gen(j as u32)
-                    .with_prov(Provenance::new(ContribKind::HostLoad, l, j).rows(rows)),
-            ];
-            if cs.installs > 0 {
-                acc.push(Access::write(dev_cache(i), Region::All));
-            }
-            tl.tag(acc);
-            tl.h2d_mixed(i, (rows - cs.hits) * row, (remote - cs.remote_hits) * row);
-            cache_hit_charge(tl);
-            rows
-        }
-        CommMode::P2p => {
-            // Host→GPU: the transition subset this GPU owns.
-            let mut acc = vec![
-                Access::read(rep(l), Region::All),
-                Access::write(dev_rep(i), Region::Owned)
-                    .with_gen(j as u32)
-                    .with_prov(
-                        Provenance::new(ContribKind::HostLoad, l, j)
-                            .owned_by(i)
-                            .rows(batch.transition[i].len()),
-                    ),
-            ];
-            if cs.installs > 0 {
-                acc.push(Access::write(dev_cache(i), Region::All));
-            }
-            tl.tag(acc);
-            tl.h2d(i, (batch.transition[i].len() - cs.hits) * row);
-            cache_hit_charge(tl);
-            // Merged transition+neighbor buffer (§6 "data buffer
-            // deduplication"): |ℕ_ij ∪ N_ij|.
-            batch.transition[i].len() + chunk.num_neighbors() - batch.fetch[i][i]
-        }
-        CommMode::P2pRu => {
-            // §6-accurate accounting from the in-place buffer plan: every
-            // merged-buffer resident row — whether it originally arrived
-            // over PCIe or NVLink — is reused in place across adjacent
-            // batches; only genuinely new rows move.
-            let bc = &ctx.buffer_comm.expect("buffer plan built for P2pRu")[i][j];
-            let mut acc = vec![
-                Access::read(rep(l), Region::All),
-                Access::write(dev_rep(i), Region::Owned)
-                    .with_gen(j as u32)
-                    .with_prov(
-                        Provenance::new(ContribKind::HostLoad, l, j)
-                            .owned_by(i)
-                            .rows(bc.h2d_rows),
-                    ),
-            ];
-            if cs.installs > 0 {
-                acc.push(Access::write(dev_cache(i), Region::All));
-            }
-            tl.tag(acc);
-            tl.h2d(i, (bc.h2d_rows - cs.hits) * row);
-            cache_hit_charge(tl);
-            if bc.reused_rows > 0 {
-                if ctx.reuse_source_live(l, j) {
-                    // ℕ^gpu rows deposited by the previous batch stay
-                    // resident in the merged buffer and are promoted to
-                    // this batch.
-                    let prev = Access::read(dev_rep(i), Region::Owned);
-                    tl.tag([
-                        if j > 0 {
-                            prev.with_gen(j as u32 - 1)
-                        } else {
-                            prev
-                        },
-                        Access::write(dev_rep(i), Region::Owned)
-                            .with_gen(j as u32)
-                            .with_prov(
-                                Provenance::new(ContribKind::Reuse, l, j).rows(bc.reused_rows),
-                            ),
-                    ]);
-                    tl.reuse(i, bc.reused_rows * row);
-                } else {
-                    // Serving sweep with batch j−1 pruned: the rows it
-                    // would have left resident were never loaded, so they
-                    // come over PCIe instead. Same row count, HostLoad
-                    // provenance — the pass-9 per-batch totals are
-                    // unchanged.
-                    tl.tag([
-                        Access::read(rep(l), Region::All),
-                        Access::write(dev_rep(i), Region::Owned)
-                            .with_gen(j as u32)
-                            .with_prov(
-                                Provenance::new(ContribKind::HostLoad, l, j).rows(bc.reused_rows),
-                            ),
-                    ]);
-                    tl.h2d(i, bc.reused_rows * row);
-                }
-            }
-            bc.buffer_rows
-        }
-    };
-    tl.alloc(i, rows * row, "neighbor buffer")?;
-    Ok(rows)
-}
-
-/// Charges the inter-GPU half of loading `h^l_{N_ij}` (Algorithm 2
-/// phase B): fetch remote transition rows into GPU `i`'s merged buffer.
-/// Must run after the phase barrier so every source GPU's owned rows are
-/// resident (otherwise the schedule checker reports a W→R race).
-fn charge_neighbor_fetch<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-    row: usize,
-) {
-    let batch = &ctx.dedup.batches[j];
-    let fetch_rows = |k: usize| -> usize {
-        match ctx.comm {
-            CommMode::Vanilla => 0,
-            CommMode::P2p => batch.fetch[i][k],
-            CommMode::P2pRu => {
-                ctx.buffer_comm.expect("buffer plan built for P2pRu")[i][j].d2d_rows[k]
-            }
-        }
-    };
-    if ctx.comm == CommMode::Vanilla {
-        return;
-    }
-    for k in 0..ctx.plan.m {
-        let rows = fetch_rows(k);
-        if k != i && rows > 0 {
-            // Interleaved schedule: charged to the pulling GPU only.
-            tl.tag([
-                Access::read(dev_rep(k), Region::Owned).with_gen(j as u32),
-                Access::write(dev_rep(i), Region::Fetched)
-                    .with_gen(j as u32)
-                    .with_prov(
-                        Provenance::new(ContribKind::Fetch, l, j)
-                            .owned_by(k)
-                            .from_gpu(k)
-                            .rows(rows),
-                    ),
-            ]);
-            tl.d2d(k, i, rows * row);
-            if !ctx.interleaved {
-                // Naive schedule: the serving GPU stalls too (deferred to
-                // the join when running on a per-GPU shard).
-                tl.source_stall(k, rows * row);
-            }
-        }
-    }
-}
-
-/// Charges the inter-GPU gradient pushes of Algorithm 3: remote
-/// transition-vertex gradients are atomically added into the owning
-/// GPUs' merged gradient buffers (time charged to the pusher).
-fn charge_gradient_push<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-    row: usize,
-) {
-    if ctx.comm == CommMode::Vanilla {
-        return;
-    }
-    let batch = &ctx.dedup.batches[j];
-    for k in 0..ctx.plan.m {
-        if k != i && batch.fetch[i][k] > 0 {
-            tl.tag([Access::accum(dev_grad(k), Region::All)
-                .with_gen(j as u32)
-                .with_prov(
-                    Provenance::new(ContribKind::GradPush, l, j)
-                        .owned_by(k)
-                        .from_gpu(i)
-                        .rows(batch.fetch[i][k]),
-                )]);
-            tl.d2d(k, i, batch.fetch[i][k] * row);
-            tl.gpu_edge(i, (batch.fetch[i][k] * row / F32) as f64);
-        }
-    }
-}
-
-/// Charges the gradient eviction of Algorithm 3: accumulated chunk
-/// gradients leave the GPU over PCIe and are added into the host store
-/// `∇h^l`. Must run after the phase barrier so every remote push into
-/// this GPU's buffer has landed.
-fn charge_gradient_evict<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-    row: usize,
-) {
-    let chunk = &ctx.plan.chunks[i][j];
-    let batch = &ctx.dedup.batches[j];
-    match ctx.comm {
-        CommMode::Vanilla => {
-            let rows = chunk.num_neighbors();
-            let sockets = tl.machine_config().num_sockets;
-            let remote = remote_socket_rows(&batch.fetch[i], i, ctx.plan.m, sockets);
-            tl.tag([Access::read(dev_grad(i), Region::All)
-                .with_gen(j as u32)
-                .with_prov(
-                    Provenance::new(ContribKind::GradFlush, l, j)
-                        .owned_by(i)
-                        .rows(rows),
-                )]);
-            tl.d2h_mixed(i, rows * row, remote * row);
-            // Replica gradients of the full neighbor set overlap across
-            // GPUs; host-side accumulation commutes.
-            tl.tag([Access::accum(grad(l), Region::All)]);
-            tl.cpu_accumulate(i, rows * row);
-        }
-        CommMode::P2p | CommMode::P2pRu => {
-            // Evicted transition gradients go D2H and are accumulated on
-            // the CPU; reused rows stay resident for the next batch.
-            let evicted = if ctx.comm == CommMode::P2pRu {
-                let next_reused = if j + 1 < ctx.dedup.n {
-                    ctx.dedup.batches[j + 1].reused[i]
-                } else {
-                    0
-                };
-                batch.transition[i].len() - next_reused
-            } else {
-                batch.transition[i].len()
-            };
-            tl.tag([Access::read(dev_grad(i), Region::All)
-                .with_gen(j as u32)
-                .with_prov(
-                    Provenance::new(ContribKind::GradFlush, l, j)
-                        .owned_by(i)
-                        .rows(evicted),
-                )]);
-            tl.d2h(i, evicted * row);
-            // Each GPU evicts its owned transition partition — disjoint
-            // slices of the host store.
-            tl.tag([Access::accum(grad(l), Region::Part(i as u32))]);
-            tl.cpu_accumulate(i, evicted * row);
-        }
-    }
-}
-
-// ===================== overlap executor steps =====================
-//
-// Under `OverlapMode::DoubleBuffer` each layer runs as a software
-// pipeline over the batch sequence (`hongtu_stream::pipeline`): within a
-// segment, batch j+1's host loads are issued on the copy-in stream,
-// batch j computes on the compute stream, and batch j-1's stores drain
-// on the copy-out stream. Batches alternate between two statically
-// allocated staging slots (`rep_slot`/`grad_slot`, slot = batch % 2), so
-// a prefetch always targets the slot the computing batch is *not*
-// reading. The one same-segment cross-stream hazard left — the in-place
-// ℕ^gpu reuse refill writing the slot the prefetch H2D is also filling —
-// is ordered by an explicit `stream_wait` (the cudaStreamWaitEvent
-// analogue); the happens-before checker certifies exactly this.
-//
-// The step functions are infallible: all device memory is the staging
-// installed at construction, so there is no per-batch alloc to fail.
-
-/// Copy-in-stream prefetch of forward batch `j` at layer `l` for GPU
-/// `i`: the host half of the dedup load (Algorithm 2 phase A) into
-/// staging slot `j % 2`. The ℕ^gpu in-place reuse is *not* issued here —
-/// it runs on the compute stream of the previous batch, behind a stream
-/// wait (see [`ov_reuse_handoff`]).
-fn ov_forward_prefetch<T: Timeline>(ctx: &StepCtx, tl: &mut T, l: usize, i: usize, j: usize) {
-    if ctx.pruned(l, j) {
-        return;
-    }
-    tl.set_stream(StreamId::CopyIn.id());
-    if ctx.topology_upload_layer(l, j) {
-        // Topology streamed in once per epoch (reused across layers),
-        // at the batch's first active layer.
-        let topo = ctx.plan.chunks[i][j].topology_bytes();
-        tl.tag([Access::write(topology(i), chunk_region(i, j))]);
-        tl.h2d(i, topo);
-    }
-    let row = ctx.model.layer(l).in_dim() * F32;
-    ov_host_load(ctx, tl, l, i, j, row);
-    if ctx.comm == CommMode::P2pRu && !ctx.reuse_source_live(l, j) {
-        // Serving sweep with batch j−1 pruned: its compute segment never
-        // runs, so the reuse hand-off that would deposit the ℕ^gpu rows
-        // into this slot ([`ov_reuse_handoff`]) is skipped — load those
-        // rows from the host store on the copy-in stream instead.
-        let bc = &ctx.buffer_comm.expect("buffer plan built for P2pRu")[i][j];
-        if bc.reused_rows > 0 {
-            tl.tag([
-                Access::read(rep(l), Region::All),
-                Access::write(rep_slot(i, j), Region::Owned)
-                    .with_gen(j as u32)
-                    .with_prov(Provenance::new(ContribKind::HostLoad, l, j).rows(bc.reused_rows)),
-            ]);
-            tl.h2d(i, bc.reused_rows * row);
-        }
-    }
-}
-
-/// The host half of the dedup neighbor load for batch `j` (Algorithm 2
-/// phase A), aimed at staging slot `j % 2`. Unlike the phased executor's
-/// [`charge_neighbor_host_load`], the ℕ^gpu reuse is deferred to the
-/// compute stream and nothing is allocated — batches live in the static
-/// staging slots.
-fn ov_host_load<T: Timeline>(ctx: &StepCtx, tl: &mut T, l: usize, i: usize, j: usize, row: usize) {
-    let chunk = &ctx.plan.chunks[i][j];
-    let batch = &ctx.dedup.batches[j];
-    // Same frozen hot-vertex hit table as [`charge_neighbor_host_load`]:
-    // cached rows skip the PCIe charge, install writes ride the H2D
-    // event, and provenance row totals stay the full schedule.
-    let cs = ctx.cache_stats(l, i, j);
-    let cache_hit_charge = |tl: &mut T| {
-        if cs.hits > 0 {
-            tl.tag([Access::read(dev_cache(i), Region::All)]);
-            tl.reuse(i, cs.hits * row);
-        }
-    };
-    match ctx.comm {
-        CommMode::Vanilla => {
-            let rows = chunk.num_neighbors();
-            let sockets = tl.machine_config().num_sockets;
-            let remote = remote_socket_rows(&batch.fetch[i], i, ctx.plan.m, sockets);
-            let mut acc = vec![
-                Access::read(rep(l), Region::All),
-                Access::write(rep_slot(i, j), Region::All)
-                    .with_gen(j as u32)
-                    .with_prov(Provenance::new(ContribKind::HostLoad, l, j).rows(rows)),
-            ];
-            if cs.installs > 0 {
-                acc.push(Access::write(dev_cache(i), Region::All));
-            }
-            tl.tag(acc);
-            tl.h2d_mixed(i, (rows - cs.hits) * row, (remote - cs.remote_hits) * row);
-            cache_hit_charge(tl);
-        }
-        CommMode::P2p => {
-            let mut acc = vec![
-                Access::read(rep(l), Region::All),
-                Access::write(rep_slot(i, j), Region::Owned)
-                    .with_gen(j as u32)
-                    .with_prov(
-                        Provenance::new(ContribKind::HostLoad, l, j)
-                            .owned_by(i)
-                            .rows(batch.transition[i].len()),
-                    ),
-            ];
-            if cs.installs > 0 {
-                acc.push(Access::write(dev_cache(i), Region::All));
-            }
-            tl.tag(acc);
-            tl.h2d(i, (batch.transition[i].len() - cs.hits) * row);
-            cache_hit_charge(tl);
-        }
-        CommMode::P2pRu => {
-            let bc = &ctx.buffer_comm.expect("buffer plan built for P2pRu")[i][j];
-            let mut acc = vec![
-                Access::read(rep(l), Region::All),
-                Access::write(rep_slot(i, j), Region::Owned)
-                    .with_gen(j as u32)
-                    .with_prov(
-                        Provenance::new(ContribKind::HostLoad, l, j)
-                            .owned_by(i)
-                            .rows(bc.h2d_rows),
-                    ),
-            ];
-            if cs.installs > 0 {
-                acc.push(Access::write(dev_cache(i), Region::All));
-            }
-            tl.tag(acc);
-            tl.h2d(i, (bc.h2d_rows - cs.hits) * row);
-            cache_hit_charge(tl);
-        }
-    }
-}
-
-/// Compute-stream hand-off of the ℕ^gpu rows batch `j` leaves behind for
-/// batch `j + 1` (P2P+RU only): an in-place copy from the current slot
-/// into the slot the copy-in stream is concurrently prefetching. The
-/// stream wait orders it after that H2D — dropping the wait is exactly
-/// the eager-refill write/read race the schedule checker rejects.
-fn ov_reuse_handoff<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-    row: usize,
-) {
-    if ctx.comm != CommMode::P2pRu || j + 1 >= ctx.dedup.n || ctx.pruned(l, j + 1) {
-        // A pruned successor was never prefetched: there is no slot
-        // refill to hand rows into (its own prefetch covers the rows
-        // from the host if it ever runs again).
-        return;
-    }
-    let bc = &ctx.buffer_comm.expect("buffer plan built for P2pRu")[i][j + 1];
-    if bc.reused_rows == 0 {
-        return;
-    }
-    tl.stream_wait(i, StreamId::CopyIn.id());
-    tl.tag([
-        Access::read(rep_slot(i, j), Region::Owned).with_gen(j as u32),
-        Access::write(rep_slot(i, j + 1), Region::Owned)
-            .with_gen(j as u32 + 1)
-            .with_prov(Provenance::new(ContribKind::Reuse, l, j + 1).rows(bc.reused_rows)),
-    ]);
-    tl.reuse(i, bc.reused_rows * row);
-}
-
-/// Inter-GPU half of the neighbor load (Algorithm 2 phase B) on the
-/// compute stream, reading source slots the copy-in stream populated a
-/// segment earlier (barrier-ordered, so no stream wait is needed).
-fn ov_neighbor_fetch<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-    row: usize,
-) {
-    if ctx.comm == CommMode::Vanilla {
-        return;
-    }
-    let batch = &ctx.dedup.batches[j];
-    for k in 0..ctx.plan.m {
-        let rows = match ctx.comm {
-            CommMode::Vanilla => 0,
-            CommMode::P2p => batch.fetch[i][k],
-            CommMode::P2pRu => {
-                ctx.buffer_comm.expect("buffer plan built for P2pRu")[i][j].d2d_rows[k]
-            }
-        };
-        if k != i && rows > 0 {
-            tl.tag([
-                Access::read(rep_slot(k, j), Region::Owned).with_gen(j as u32),
-                Access::write(rep_slot(i, j), Region::Fetched)
-                    .with_gen(j as u32)
-                    .with_prov(
-                        Provenance::new(ContribKind::Fetch, l, j)
-                            .owned_by(k)
-                            .from_gpu(k)
-                            .rows(rows),
-                    ),
-            ]);
-            tl.d2d(k, i, rows * row);
-            if !ctx.interleaved {
-                tl.source_stall(k, rows * row);
-            }
-        }
-    }
-}
-
-/// Compute-stream work of forward batch `j` at layer `l` for GPU `i`:
-/// inter-GPU fetches, the real layer numerics, and the reuse hand-off
-/// for batch `j + 1`. The `h^{l+1}` writeback cost is deferred to the
-/// copy-out drain one segment later ([`ov_forward_drain`]); the data
-/// itself is returned as a [`FwOut`] and leader-applied this segment,
-/// exactly as in the phased executor.
-fn ov_forward_compute<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-) -> FwOut {
-    if ctx.pruned(l, j) {
-        return FwOut {
-            out: Matrix::zeros(0, 0),
-            agg: None,
-        };
-    }
-    tl.set_stream(StreamId::Compute.id());
-    let chunk = &ctx.plan.chunks[i][j];
-    let layer = ctx.model.layer(l);
-    let row = layer.in_dim() * F32;
-
-    ov_neighbor_fetch(ctx, tl, l, i, j, row);
-
-    let f = if ctx.synth {
-        synth_forward(layer, chunk)
-    } else {
-        let h_nbr = assemble_neighbors(ctx, l, i, j, &NbrFeed::Direct);
-        layer.forward(chunk, &h_nbr)
-    };
-    let flops = layer.forward_flops(chunk);
-    tl.tag([
-        Access::read(rep_slot(i, j), Region::All)
-            .with_prov(Provenance::new(ContribKind::Aggregate, l, j).rows(chunk.num_neighbors())),
-        Access::read(topology(i), chunk_region(i, j)),
-    ]);
-    tl.gpu_dense(i, flops.dense);
-    tl.gpu_edge(i, flops.edge);
-
-    ov_reuse_handoff(ctx, tl, l, i, j, row);
-
-    let agg = (ctx.checkpoint && layer.supports_agg_cache())
-        .then(|| f.agg.expect("cache-capable layer must emit an aggregate"));
-    FwOut { out: f.out, agg }
-}
-
-/// Copy-out-stream drain of forward batch `j` at layer `l` for GPU `i`,
-/// one segment behind its compute: the `h^{l+1}` writeback (Alg 1
-/// line 9) and the hybrid checkpoint store.
-fn ov_forward_drain<T: Timeline>(ctx: &StepCtx, tl: &mut T, l: usize, i: usize, j: usize) {
-    if ctx.pruned(l, j) {
-        return;
-    }
-    tl.set_stream(StreamId::CopyOut.id());
-    let chunk = &ctx.plan.chunks[i][j];
-    let layer = ctx.model.layer(l);
-    let out_bytes = chunk.num_dests() * layer.out_dim() * F32;
-    tl.tag([Access::write(rep(l + 1), chunk_region(i, j)).with_prov(
-        Provenance::new(ContribKind::ActStore, l + 1, j)
-            .owned_by(i)
-            .rows(chunk.num_dests()),
-    )]);
-    tl.d2h(i, out_bytes);
-    if ctx.checkpoint && layer.supports_agg_cache() {
-        let bytes = ctx.agg_cache[l][i][j]
-            .as_ref()
-            .expect("hybrid checkpoint missing — was the compute segment applied?")
-            .byte_size();
-        tl.tag([Access::write(agg_slot(l, i, j), Region::All).with_prov(
-            Provenance::new(ContribKind::CkptStore, l, j)
-                .owned_by(i)
-                .rows(chunk.num_dests()),
-        )]);
-        tl.d2h(i, bytes);
-    }
-}
-
-/// Copy-in-stream prefetch of backward batch `j` at layer `l` for GPU
-/// `i` (Alg 1 lines 14–16): the `∇h^{l+1}` load plus the
-/// strategy-dependent checkpoint reload, staged into slot `j % 2`.
-/// Returns the gathered `∇h^{l+1}_{V_ij}` rows for the compute segment.
-fn ov_backward_prefetch<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-) -> Matrix {
-    tl.set_stream(StreamId::CopyIn.id());
-    let chunk = &ctx.plan.chunks[i][j];
-    let layer = ctx.model.layer(l);
-    let row = layer.in_dim() * F32;
-
-    let grad_out_bytes = chunk.num_dests() * layer.out_dim() * F32;
-    tl.tag([Access::read(grad(l + 1), Region::All)]);
-    tl.h2d(i, grad_out_bytes);
-    let grad_out = if ctx.synth {
-        Matrix::zeros(chunk.num_dests(), layer.out_dim())
-    } else {
-        let dest_idx: Vec<usize> = chunk.dests.iter().map(|&v| v as usize).collect();
-        ctx.grad_h[l + 1].gather_rows(&dest_idx)
-    };
-
-    if ctx.checkpoint && layer.supports_agg_cache() {
-        let bytes = ctx.agg_cache[l][i][j]
-            .as_ref()
-            .expect("hybrid checkpoint missing — was forward run?")
-            .byte_size();
-        tl.tag([Access::read(agg_slot(l, i, j), Region::All).with_prov(
-            Provenance::new(ContribKind::CkptReload, l, j)
-                .owned_by(i)
-                .rows(chunk.num_dests()),
-        )]);
-        tl.h2d(i, bytes);
-    } else {
-        ov_host_load(ctx, tl, l, i, j, row);
-    }
-    grad_out
-}
-
-/// Compute-stream work of backward batch `j` at layer `l` for GPU `i`
-/// (Algorithm 3): recompute + gradient numerics, local accumulation
-/// into the staging gradient slot, the reuse hand-off, and the
-/// inter-GPU gradient pushes. Returns `∇h^l_{N_ij}` for the leader.
-fn ov_backward_compute<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-    grad_out: &Matrix,
-    grads: &mut LayerGrads,
-) -> Matrix {
-    tl.set_stream(StreamId::Compute.id());
-    let chunk = &ctx.plan.chunks[i][j];
-    let layer = ctx.model.layer(l);
-    let row = layer.in_dim() * F32;
-    let use_hybrid = ctx.checkpoint && layer.supports_agg_cache();
-    let fwd = layer.forward_flops(chunk);
-    let bwd = layer.backward_flops(chunk);
-    let local_rows = match ctx.comm {
-        CommMode::Vanilla => chunk.num_neighbors(),
-        CommMode::P2p | CommMode::P2pRu => ctx.dedup.batches[j].fetch[i][i],
-    };
-    let acc = Access::accum(grad_slot(i, j), Region::All)
-        .with_gen(j as u32)
-        .with_prov(
-            Provenance::new(ContribKind::GradLocal, l, j)
-                .owned_by(i)
-                .rows(local_rows),
-        );
-
-    let grad_nbr = if use_hybrid {
-        // Recompute UPDATE only from the cached aggregate.
-        let agg = ctx.agg_cache[l][i][j]
-            .as_ref()
-            .expect("hybrid checkpoint missing — was forward run?");
-        tl.tag([Access::read(topology(i), chunk_region(i, j)), acc]);
-        tl.gpu_dense(i, fwd.dense); // UPDATE recompute
-        tl.gpu_dense(i, bwd.dense);
-        tl.gpu_edge(i, bwd.edge);
-        if ctx.synth {
-            Matrix::zeros(chunk.neighbors.len(), layer.in_dim())
-        } else {
-            layer.backward_from_agg(chunk, agg, grad_out, grads)
-        }
-    } else {
-        // Inter-GPU half of the neighbor reload, then full re-forward.
-        ov_neighbor_fetch(ctx, tl, l, i, j, row);
-        let h_nbr = assemble_neighbors(ctx, l, i, j, &NbrFeed::Direct);
-        tl.tag([
-            Access::read(rep_slot(i, j), Region::All).with_prov(
-                Provenance::new(ContribKind::Aggregate, l, j).rows(chunk.num_neighbors()),
-            ),
-            Access::read(topology(i), chunk_region(i, j)),
-            acc,
-        ]);
-        tl.gpu_dense(i, fwd.dense); // full re-forward
-        tl.gpu_edge(i, fwd.edge);
-        tl.gpu_dense(i, bwd.dense);
-        tl.gpu_edge(i, bwd.edge);
-        let g = if ctx.synth {
-            Matrix::zeros(chunk.neighbors.len(), layer.in_dim())
-        } else {
-            layer.backward_from_input(chunk, &h_nbr, grad_out, grads)
-        };
-        ov_reuse_handoff(ctx, tl, l, i, j, row);
-        g
-    };
-
-    // -- push remote transition gradients to their owner GPUs' slots --
-    if ctx.comm != CommMode::Vanilla {
-        let batch = &ctx.dedup.batches[j];
-        for k in 0..ctx.plan.m {
-            if k != i && batch.fetch[i][k] > 0 {
-                tl.tag([Access::accum(grad_slot(k, j), Region::All)
-                    .with_gen(j as u32)
-                    .with_prov(
-                        Provenance::new(ContribKind::GradPush, l, j)
-                            .owned_by(k)
-                            .from_gpu(i)
-                            .rows(batch.fetch[i][k]),
-                    )]);
-                tl.d2d(k, i, batch.fetch[i][k] * row);
-                tl.gpu_edge(i, (batch.fetch[i][k] * row / F32) as f64);
-            }
-        }
-    }
-    grad_nbr
-}
-
-/// Copy-out-stream drain of backward batch `j` at layer `l` for GPU
-/// `i`, one segment behind its compute: all pushes into the staging
-/// gradient slot landed before the last batch barrier, so evict the
-/// accumulated chunk gradients to the host store (Algorithm 3).
-fn ov_backward_drain<T: Timeline>(ctx: &StepCtx, tl: &mut T, l: usize, i: usize, j: usize) {
-    tl.set_stream(StreamId::CopyOut.id());
-    let chunk = &ctx.plan.chunks[i][j];
-    let row = ctx.model.layer(l).in_dim() * F32;
-    let batch = &ctx.dedup.batches[j];
-    match ctx.comm {
-        CommMode::Vanilla => {
-            let rows = chunk.num_neighbors();
-            let sockets = tl.machine_config().num_sockets;
-            let remote = remote_socket_rows(&batch.fetch[i], i, ctx.plan.m, sockets);
-            tl.tag([Access::read(grad_slot(i, j), Region::All)
-                .with_gen(j as u32)
-                .with_prov(
-                    Provenance::new(ContribKind::GradFlush, l, j)
-                        .owned_by(i)
-                        .rows(rows),
-                )]);
-            tl.d2h_mixed(i, rows * row, remote * row);
-            tl.tag([Access::accum(grad(l), Region::All)]);
-            tl.cpu_accumulate(i, rows * row);
-        }
-        CommMode::P2p | CommMode::P2pRu => {
-            let evicted = if ctx.comm == CommMode::P2pRu {
-                let next_reused = if j + 1 < ctx.dedup.n {
-                    ctx.dedup.batches[j + 1].reused[i]
-                } else {
-                    0
-                };
-                batch.transition[i].len() - next_reused
-            } else {
-                batch.transition[i].len()
-            };
-            tl.tag([Access::read(grad_slot(i, j), Region::All)
-                .with_gen(j as u32)
-                .with_prov(
-                    Provenance::new(ContribKind::GradFlush, l, j)
-                        .owned_by(i)
-                        .rows(evicted),
-                )]);
-            tl.d2h(i, evicted * row);
-            tl.tag([Access::accum(grad(l), Region::Part(i as u32))]);
-            tl.cpu_accumulate(i, evicted * row);
-        }
     }
 }
 
@@ -4127,20 +1963,6 @@ fn batch_staging_footprint(
     (topo + buf_bytes, out_bytes + inter)
 }
 
-/// Rows of GPU `i`'s neighbor set owned by partitions on a different NUMA
-/// socket (GPUs spread evenly over sockets, partitions pinned to their
-/// GPU's socket).
-fn remote_socket_rows(fetch_row: &[usize], i: usize, m: usize, sockets: usize) -> usize {
-    let sockets = sockets.min(m);
-    let socket_of = |g: usize| g * sockets / m;
-    fetch_row
-        .iter()
-        .enumerate()
-        .filter(|&(k, _)| socket_of(k) != socket_of(i))
-        .map(|(_, &c)| c)
-        .sum()
-}
-
 fn delta(now: TimeBuckets, before: TimeBuckets) -> TimeBuckets {
     TimeBuckets {
         h2d: now.h2d - before.h2d,
@@ -4167,8 +1989,8 @@ mod tests {
         load(DatasetKey::Rdt, &mut rng)
     }
 
-    fn engine(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> HongTuEngine {
-        HongTuEngine::new(ds, kind, 16, 2, 4, cfg).expect("engine construction")
+    fn session(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> Session {
+        Session::new(ds, kind, 16, 2, 4, cfg).expect("session construction")
     }
 
     fn machine() -> MachineConfig {
@@ -4178,23 +2000,25 @@ mod tests {
     #[test]
     fn epoch_runs_and_reports_time() {
         let ds = small_dataset();
-        let mut e = engine(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
-        let r = e.train_epoch().unwrap();
+        let mut e = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut e = e.trainer();
+        let r = e.epoch().unwrap();
         assert!(r.time > 0.0);
         assert!(r.loss.loss.is_finite());
         assert!(r.buckets.h2d > 0.0);
         assert!(r.buckets.gpu > 0.0);
-        assert_eq!(e.epochs_run(), 1);
+        assert_eq!(e.session().epochs_run(), 1);
     }
 
     #[test]
     fn loss_decreases_over_epochs() {
         let ds = small_dataset();
-        let mut e = engine(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
-        let first = e.train_epoch().unwrap().loss.loss;
+        let mut e = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut e = e.trainer();
+        let first = e.epoch().unwrap().loss.loss;
         let mut last = first;
         for _ in 0..40 {
-            last = e.train_epoch().unwrap().loss.loss;
+            last = e.epoch().unwrap().loss.loss;
         }
         assert!(last < first * 0.8, "loss {first} -> {last}");
     }
@@ -4205,7 +2029,8 @@ mod tests {
     #[test]
     fn matches_reference_full_graph_training() {
         let ds = small_dataset();
-        let mut e = engine(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut e = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut e = e.trainer();
 
         let mut rng = SeededRng::new(ds.seed ^ 0x686F6E67);
         let mut reference = GnnModel::new(ModelKind::Gcn, &ds.model_dims(16, 2), &mut rng);
@@ -4213,7 +2038,7 @@ mod tests {
         let mut opt = Adam::new(0.01);
 
         for epoch in 0..3 {
-            let got = e.train_epoch().unwrap().loss;
+            let got = e.epoch().unwrap().loss;
             let want = reference.train_epoch_reference(
                 &chunk,
                 &ds.features,
@@ -4237,14 +2062,17 @@ mod tests {
             let mut cfg = HongTuConfig::full(machine());
             cfg.comm = comm;
             cfg.reorganize = false;
-            engine(&ds, ModelKind::Gcn, cfg)
+            session(&ds, ModelKind::Gcn, cfg)
         };
         let mut vanilla = mk(CommMode::Vanilla);
+        let mut vanilla = vanilla.trainer();
         let mut p2p = mk(CommMode::P2p);
+        let mut p2p = p2p.trainer();
         let mut ru = mk(CommMode::P2pRu);
-        let rv = vanilla.train_epoch().unwrap();
-        let rp = p2p.train_epoch().unwrap();
-        let rr = ru.train_epoch().unwrap();
+        let mut ru = ru.trainer();
+        let rv = vanilla.epoch().unwrap();
+        let rp = p2p.epoch().unwrap();
+        let rr = ru.epoch().unwrap();
         // Identical numerics.
         assert_eq!(rv.loss.loss, rp.loss.loss);
         assert_eq!(rv.loss.loss, rr.loss.loss);
@@ -4263,13 +2091,15 @@ mod tests {
         let mk = |memory| {
             let mut cfg = HongTuConfig::full(machine());
             cfg.memory = memory;
-            engine(&ds, ModelKind::Gcn, cfg)
+            session(&ds, ModelKind::Gcn, cfg)
         };
         let mut hybrid = mk(MemoryStrategy::Hybrid);
+        let mut hybrid = hybrid.trainer();
         let mut recompute = mk(MemoryStrategy::Recompute);
+        let mut recompute = recompute.trainer();
         for _ in 0..2 {
-            let rh = hybrid.train_epoch().unwrap();
-            let rr = recompute.train_epoch().unwrap();
+            let rh = hybrid.epoch().unwrap();
+            let rr = recompute.epoch().unwrap();
             assert_eq!(rh.loss.loss, rr.loss.loss);
         }
     }
@@ -4280,10 +2110,10 @@ mod tests {
         let mk = |memory| {
             let mut cfg = HongTuConfig::full(machine());
             cfg.memory = memory;
-            engine(&ds, ModelKind::Gcn, cfg)
+            session(&ds, ModelKind::Gcn, cfg)
         };
-        let rh = mk(MemoryStrategy::Hybrid).train_epoch().unwrap();
-        let rr = mk(MemoryStrategy::Recompute).train_epoch().unwrap();
+        let rh = mk(MemoryStrategy::Hybrid).trainer().epoch().unwrap();
+        let rr = mk(MemoryStrategy::Recompute).trainer().epoch().unwrap();
         // Hybrid loads O(|V|) checkpoints instead of O(α|V|) neighbors in
         // the backward pass and skips the AGGREGATE recompute.
         assert!(
@@ -4297,10 +2127,12 @@ mod tests {
     #[test]
     fn gat_trains_and_spends_more_gpu_time_than_gcn() {
         let ds = small_dataset();
-        let mut gat = engine(&ds, ModelKind::Gat, HongTuConfig::full(machine()));
-        let mut gcn = engine(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
-        let rg = gat.train_epoch().unwrap();
-        let rc = gcn.train_epoch().unwrap();
+        let mut gat = session(&ds, ModelKind::Gat, HongTuConfig::full(machine()));
+        let mut gat = gat.trainer();
+        let mut gcn = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut gcn = gcn.trainer();
+        let rg = gat.epoch().unwrap();
+        let rc = gcn.epoch().unwrap();
         assert!(rg.loss.loss.is_finite());
         assert!(
             rg.buckets.gpu > rc.buckets.gpu,
@@ -4315,9 +2147,14 @@ mod tests {
         let ds = small_dataset();
         let mut cfg = HongTuConfig::full(machine());
         cfg.interleaved = false;
-        let naive = engine(&ds, ModelKind::Gcn, cfg).train_epoch().unwrap().time;
-        let inter = engine(&ds, ModelKind::Gcn, HongTuConfig::full(machine()))
-            .train_epoch()
+        let naive = session(&ds, ModelKind::Gcn, cfg)
+            .trainer()
+            .epoch()
+            .unwrap()
+            .time;
+        let inter = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()))
+            .trainer()
+            .epoch()
             .unwrap()
             .time;
         assert!(naive > inter, "naive {naive} vs interleaved {inter}");
@@ -4328,7 +2165,7 @@ mod tests {
         let ds = small_dataset();
         let cfg = HongTuConfig::full(MachineConfig::scaled(4, 64 << 10));
         let r =
-            HongTuEngine::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).and_then(|mut e| e.train_epoch());
+            Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).and_then(|mut s| s.trainer().epoch());
         assert!(
             matches!(r, Err(SimError::OutOfMemory { .. })),
             "expected OOM, got ok"
@@ -4339,7 +2176,7 @@ mod tests {
     fn more_chunks_lower_peak_memory() {
         let ds = small_dataset();
         let peak = |chunks| {
-            let mut e = HongTuEngine::new(
+            let mut s = Session::new(
                 &ds,
                 ModelKind::Gcn,
                 16,
@@ -4348,8 +2185,8 @@ mod tests {
                 HongTuConfig::full(machine()),
             )
             .unwrap();
-            e.train_epoch().unwrap();
-            e.machine().max_gpu_peak()
+            s.trainer().epoch().unwrap();
+            s.machine().max_gpu_peak()
         };
         let p2 = peak(2);
         let p8 = peak(8);
@@ -4359,24 +2196,13 @@ mod tests {
     #[test]
     fn accuracy_evaluation_works() {
         let ds = small_dataset();
-        let mut e = engine(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut e = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut e = e.trainer();
         for _ in 0..30 {
-            e.train_epoch().unwrap();
+            e.epoch().unwrap();
         }
-        let val = e.accuracy(&ds.splits.val);
+        let val = e.session().accuracy(&ds.splits.val);
         assert!(val > 0.5, "validation accuracy {val}");
-    }
-
-    #[test]
-    fn remote_socket_rows_partition_mapping() {
-        // 4 GPUs over 4 sockets: everything off-diagonal is remote.
-        assert_eq!(remote_socket_rows(&[10, 20, 30, 40], 0, 4, 4), 90);
-        assert_eq!(remote_socket_rows(&[10, 20, 30, 40], 2, 4, 4), 70);
-        // 4 GPUs over 2 sockets: GPUs 0,1 share a socket; 2,3 the other.
-        assert_eq!(remote_socket_rows(&[10, 20, 30, 40], 0, 4, 2), 70);
-        assert_eq!(remote_socket_rows(&[10, 20, 30, 40], 3, 4, 2), 30);
-        // Single GPU: nothing is remote across sockets it can't reach.
-        assert_eq!(remote_socket_rows(&[10], 0, 1, 4), 0);
     }
 
     #[test]
@@ -4402,13 +2228,15 @@ mod tests {
     #[test]
     fn overlap_same_numerics_faster_and_more_memory() {
         let ds = small_dataset();
-        let mut off = engine(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut off = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut off = off.trainer();
         let mut cfg = HongTuConfig::full(machine());
         cfg.overlap = OverlapMode::DoubleBuffer;
-        let mut db = engine(&ds, ModelKind::Gcn, cfg);
+        let mut db = session(&ds, ModelKind::Gcn, cfg);
+        let mut db = db.trainer();
         for _ in 0..3 {
-            let ro = off.train_epoch().unwrap();
-            let rd = db.train_epoch().unwrap();
+            let ro = off.epoch().unwrap();
+            let rd = db.epoch().unwrap();
             // The determinism contract: overlap changes time and memory,
             // never results.
             assert_eq!(ro.loss.loss, rd.loss.loss);
@@ -4421,11 +2249,11 @@ mod tests {
             );
         }
         // The speedup is bought with the second staging buffer.
-        assert!(db.machine().max_gpu_peak() > off.machine().max_gpu_peak());
-        let staging = db.plans().staging.expect("staging installed");
+        assert!(db.session().machine().max_gpu_peak() > off.session().machine().max_gpu_peak());
+        let staging = db.session().plans().staging.expect("staging installed");
         assert_eq!(staging.len(), 4);
         assert!(staging.iter().all(|p| p.total_bytes() > 0));
-        assert!(off.plans().staging.is_none());
+        assert!(off.session().plans().staging.is_none());
     }
 
     #[test]
@@ -4435,18 +2263,23 @@ mod tests {
             let mut cfg = HongTuConfig::full(machine());
             cfg.overlap = OverlapMode::DoubleBuffer;
             cfg.exec = exec;
-            engine(&ds, ModelKind::Gcn, cfg)
+            session(&ds, ModelKind::Gcn, cfg)
         };
         let mut seq = mk(ExecutionMode::Sequential);
+        let mut seq = seq.trainer();
         let mut par = mk(ExecutionMode::Parallel);
+        let mut par = par.trainer();
         for _ in 0..2 {
-            let rs = seq.train_epoch().unwrap();
-            let rp = par.train_epoch().unwrap();
+            let rs = seq.epoch().unwrap();
+            let rp = par.epoch().unwrap();
             assert_eq!(rs.loss.loss, rp.loss.loss);
             assert_eq!(rs.time, rp.time);
         }
         for g in 0..4 {
-            assert_eq!(seq.machine().clock(g), par.machine().clock(g));
+            assert_eq!(
+                seq.session().machine().clock(g),
+                par.session().machine().clock(g)
+            );
         }
     }
 
@@ -4460,8 +2293,9 @@ mod tests {
                 cfg.exec = exec;
                 cfg.overlap = OverlapMode::DoubleBuffer;
                 cfg.validation = ValidationLevel::Paranoid;
-                let mut e = engine(&ds, ModelKind::Gcn, cfg);
-                e.train_epoch()
+                let mut e = session(&ds, ModelKind::Gcn, cfg);
+                let mut e = e.trainer();
+                e.epoch()
                     .unwrap_or_else(|err| panic!("{comm:?}/{exec:?}: {err}"));
             }
         }
@@ -4470,8 +2304,8 @@ mod tests {
     #[test]
     fn preprocessing_reports_volumes() {
         let ds = small_dataset();
-        let e = engine(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
-        let p = e.preprocessing();
+        let s = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let p = s.preprocessing();
         assert!(p.volumes.v_ori >= p.volumes.v_p2p);
         assert!(p.seconds > 0.0);
     }
@@ -4525,20 +2359,21 @@ mod tests {
         let ds = small_dataset();
         let mut cfg = HongTuConfig::full(machine());
         cfg.mode = Mode::Infer;
-        let mut session = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("session");
-        let r = session.infer_epoch().unwrap();
+        let mut infer = session(&ds, ModelKind::Gcn, cfg);
+        let r = infer.infer_epoch().unwrap();
         assert!(r.time > 0.0);
         // No checkpoint was stored anywhere.
-        for per_layer in &session.agg_cache {
+        for per_layer in &infer.agg_cache {
             for per_gpu in per_layer {
                 assert!(per_gpu.iter().all(|c| c.is_none()));
             }
         }
         // The logits equal a training epoch's forward half (pre-update
         // weights) on an identically-seeded training engine.
-        let mut train = engine(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
-        train.train_epoch().unwrap();
-        assert_eq!(r.logits, *train.logits());
+        let mut train = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut train = train.trainer();
+        train.epoch().unwrap();
+        assert_eq!(r.logits, *train.session().logits());
     }
 
     #[test]
@@ -4549,17 +2384,5 @@ mod tests {
         cfg.mode = Mode::Infer;
         let mut session = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("session");
         let _ = session.trainer();
-    }
-
-    #[test]
-    fn engine_facade_round_trips_through_session() {
-        let ds = small_dataset();
-        let mut e = engine(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
-        e.train_epoch().unwrap();
-        let mut session = e.into_session();
-        session.infer_epoch().unwrap();
-        let mut e = HongTuEngine::from_session(session);
-        e.train_epoch().unwrap();
-        assert_eq!(e.epochs_run(), 3);
     }
 }

@@ -17,14 +17,17 @@
 //!   (§6: stable slots for reused vertices, freed-slot insertion,
 //!   merged-buffer deduplication); also re-exported from
 //!   `hongtu-partition`;
-//! - [`engine`] — the HongTu executor (Algorithm 1): partition-based
-//!   training with recomputation-caching-hybrid intermediate data
-//!   management and deduplicated communication;
+//! - [`engine`] — the HongTu session (Algorithm 1): configuration,
+//!   plans, host stores, and the train / infer / serve / delta epochs;
+//! - `exec` — the sweep those epochs run: one layer driver over a
+//!   schedule that is data, one per-GPU dispatcher, one set of event
+//!   emitters (recomputation-caching-hybrid intermediate data
+//!   management and deduplicated communication);
 //! - [`cone`] — the shared cone-recurrence arithmetic behind both the
 //!   downward-closed query cone and the upward-closed delta cone;
 //! - [`serve`] — ≤ L-hop dependency cones over the chunk topology: the
 //!   per-batch activity mask [`Session::serve`] prunes its sweep with;
-//! - `Session::apply_deltas` (in [`engine`]) — incremental cone-local
+//! - `Session::apply_staged` (in [`engine`]) — incremental cone-local
 //!   recompute after graph mutations (`hongtu-delta` holds the typed
 //!   mutation API and delta log);
 //! - [`systems`] — comparator systems: single-GPU full-graph ("DGL"),
@@ -39,6 +42,7 @@ pub mod cli;
 pub mod cone;
 pub mod cost;
 pub mod engine;
+mod exec;
 pub mod reorg;
 pub mod serve;
 pub mod systems;
@@ -53,8 +57,8 @@ pub use cost::{comm_cost, comm_cost_cached, CommVolumes};
 pub use dedup::DedupPlan;
 pub use engine::{
     CommMode, ConfigError, DeltaReport, EpochReport, ExecutionMode, HongTuConfig,
-    HongTuConfigBuilder, HongTuEngine, InferReport, Inferencer, MemoryStrategy, Mode, OverlapMode,
-    Plans, Session, StaticMemoryBound, Trainer, ValidationLevel,
+    HongTuConfigBuilder, InferReport, MemoryStrategy, Mode, OverlapMode, Plans, Session,
+    StaticMemoryBound, Trainer, ValidationLevel,
 };
 // The hot-vertex cache subsystem (policies, plan, runtime journal) lives
 // in `hongtu-cache`; re-exported here so downstream users configure it

@@ -6,7 +6,7 @@
 //! of `Q` (following in-edges). The executor's unit of work is a
 //! *batch* — chunk `j` on every GPU runs between the same barriers — so
 //! the pruned sweep is expressed batch-granularly: a [`ServeMask`] marks
-//! which `(layer, batch)` steps must run, and the step functions skip
+//! which `(layer, batch)` steps must run, and the sweep driver skips
 //! the rest.
 //!
 //! The mask is computed by walking the layers top-down over the

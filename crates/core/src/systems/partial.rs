@@ -437,7 +437,7 @@ mod tests {
         let w = Workload::new(&d, ModelKind::Gcn, 32, 3);
         assert!(NeutronStyle::new(machine.clone()).epoch_time(&w).is_err());
         assert!(RocStyle::new(machine.clone()).epoch_time(&w).is_err());
-        let mut engine = crate::HongTuEngine::new(
+        let mut session = crate::Session::new(
             &d,
             ModelKind::Gcn,
             32,
@@ -445,7 +445,7 @@ mod tests {
             32,
             crate::HongTuConfig::full(machine),
         )
-        .expect("HongTu engine");
-        assert!(engine.train_epoch().is_ok());
+        .expect("HongTu session");
+        assert!(session.trainer().epoch().is_ok());
     }
 }

@@ -20,7 +20,7 @@
 //!
 //! The engine-side half — rewriting the mutated chunks and replaying
 //! the upward-closed affected cone through the executor — lives in
-//! `hongtu-core` (`Session::apply_deltas`), which consumes
+//! `hongtu-core` (`Session::apply_staged`), which consumes
 //! [`StagedCommit`]s produced here.
 //!
 //! ## Dirty-vertex analysis
@@ -174,7 +174,7 @@ impl DeltaLog {
 /// A validated-but-uncommitted delta batch: the post-commit topology
 /// plus the dirty-vertex analysis. Produced by [`DynamicGraph::stage`],
 /// consumed by [`DynamicGraph::commit`] (typically via
-/// `Session::apply_deltas`, which rebuilds the affected chunks from
+/// `Session::apply_staged`, which rebuilds the affected chunks from
 /// [`StagedCommit::graph`] before committing).
 #[derive(Debug, Clone)]
 pub struct StagedCommit {

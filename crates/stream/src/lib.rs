@@ -11,11 +11,16 @@
 //!   clocks ([`hongtu_sim::NUM_STREAMS`]). Streams are independent event
 //!   timelines: their clocks only relate through explicit cross-stream
 //!   waits ([`hongtu_sim::EventKind::StreamWait`]) and barriers.
-//! - [`pipeline`] generates the software-pipelined segment structure:
-//!   while batch `j` computes, batch `j+1`'s dedup H2D load and
-//!   checkpoint reloads are prefetched on copy-in, and batch `j-1`'s
-//!   gradient/checkpoint D2H drains on copy-out. One prologue segment
-//!   fills the pipe; one epilogue segment drains it.
+//! - [`layer_schedule`] is one layer's sweep as data: a sequence of
+//!   [`Segment`]s, each naming which batch runs which [`Role`] and the
+//!   barrier that closes it. Under [`OverlapMode::DoubleBuffer`] it is
+//!   [`pipeline`] — while batch `j` computes, batch `j+1`'s dedup H2D
+//!   load and checkpoint reloads are prefetched on copy-in, and batch
+//!   `j-1`'s gradient/checkpoint D2H drains on copy-out, with one
+//!   prologue segment to fill the pipe and one epilogue to drain it.
+//!   Under [`OverlapMode::Off`] it is the depth-1 case: each batch loads,
+//!   computes and drains on its own, split by phase barriers wherever
+//!   GPUs exchange rows.
 //! - [`slot_of`] / [`rep_slot`] / [`grad_slot`] give the double-buffer
 //!   slot discipline: batch `j` lives in staging slot `j % 2`, so a
 //!   prefetch always writes the slot the current compute batch is *not*
@@ -32,7 +37,7 @@
 
 #![forbid(unsafe_code)]
 
-use hongtu_sim::{Machine, ResourceId, SimError};
+use hongtu_sim::{BarrierScope, Machine, ResourceId, SimError};
 
 /// The per-GPU streams of the overlap executor. The numeric ids index
 /// `hongtu_sim`'s per-stream clocks.
@@ -105,54 +110,104 @@ pub fn grad_slot(gpu: usize, batch: usize) -> ResourceId {
     }
 }
 
-/// One segment of the software pipeline: the per-batch work co-scheduled
-/// between two barriers. Within a segment the three roles run on their
-/// three streams; the segment's simulated cost is the *maximum* of the
-/// three, not the sum.
+/// What a batch does inside a [`Segment`]. Within a segment the roles
+/// run in this order on every GPU.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// Host-side loads of the batch's inputs (Algorithm 2 phase A,
+    /// checkpoint reloads, `∇h^{l+1}`).
+    Load,
+    /// Inter-GPU fetches, the layer numerics, gradient pushes.
+    Compute,
+    /// Write-back / eviction of what the compute left on the device.
+    Drain,
+}
+
+/// One segment of a layer's schedule: the per-batch work co-scheduled
+/// between two barriers. Under double buffering the three roles belong
+/// to three different batches and run on their three streams, so the
+/// segment's simulated cost is the *maximum* of the three, not the sum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
-    /// Batch whose loads are issued on the copy-in stream.
-    pub prefetch: Option<usize>,
-    /// Batch computing on the compute stream.
+    /// Batch in the [`Role::Load`] role.
+    pub load: Option<usize>,
+    /// Batch in the [`Role::Compute`] role.
     pub compute: Option<usize>,
-    /// Batch whose stores drain on the copy-out stream.
+    /// Batch in the [`Role::Drain`] role.
     pub drain: Option<usize>,
+    /// The barrier that closes the segment.
+    pub barrier: BarrierScope,
 }
 
 impl Segment {
-    /// True for the pipe-filling segment (first prefetch, nothing else).
-    pub fn is_prologue(&self) -> bool {
-        self.compute.is_none() && self.drain.is_none()
-    }
-
-    /// True for the pipe-draining segment (last drain, nothing else).
-    pub fn is_epilogue(&self) -> bool {
-        self.compute.is_none() && self.prefetch.is_none() && self.drain.is_some()
+    /// The segment's `(role, batch)` operations in execution order.
+    pub fn ops(&self) -> impl Iterator<Item = (Role, usize)> {
+        [
+            (Role::Load, self.load),
+            (Role::Compute, self.compute),
+            (Role::Drain, self.drain),
+        ]
+        .into_iter()
+        .filter_map(|(role, batch)| batch.map(|j| (role, j)))
     }
 }
 
-/// The pipelined schedule for `n` batches: a prologue that prefetches
-/// batch 0, `n` steady segments (compute `j`, prefetch `j+1`, drain
-/// `j-1`), and an epilogue that drains batch `n-1`. Every batch appears
-/// exactly once in each role, and a segment never prefetches into the
-/// slot its compute batch occupies (`(j+1) % 2 != j % 2`).
+/// The pipelined schedule for `n` batches: a prologue that loads batch
+/// 0, `n` steady segments (compute `j`, load `j+1`, drain `j-1`), and an
+/// epilogue that drains batch `n-1`. Every batch appears exactly once in
+/// each role, and a segment never loads into the slot its compute batch
+/// occupies (`(j+1) % 2 != j % 2`). Segments that compute close with a
+/// batch barrier; the prologue and epilogue only move data, so a phase
+/// barrier publishes it without advancing the batch count.
 pub fn pipeline(n: usize) -> impl Iterator<Item = Segment> {
-    let prologue = (n > 0).then_some(Segment {
-        prefetch: Some(0),
-        compute: None,
-        drain: None,
-    });
-    let steady = (0..n).map(move |j| Segment {
-        prefetch: (j + 1 < n).then_some(j + 1),
-        compute: Some(j),
-        drain: (j > 0).then(|| j - 1),
-    });
-    let epilogue = (n > 0).then(|| Segment {
-        prefetch: None,
-        compute: None,
-        drain: Some(n - 1),
-    });
-    prologue.into_iter().chain(steady).chain(epilogue)
+    let segments = if n == 0 { 0 } else { n + 2 };
+    (0..segments).map(move |s| {
+        let compute = (1..=n).contains(&s).then(|| s - 1);
+        Segment {
+            load: (s < n).then_some(s),
+            compute,
+            drain: (s >= 2).then(|| s - 2),
+            barrier: if compute.is_some() {
+                BarrierScope::Batch
+            } else {
+                BarrierScope::Phase
+            },
+        }
+    })
+}
+
+/// One layer's schedule over `n` batches. `phased` says GPUs exchange
+/// rows inside a batch (every comm mode but vanilla), so the roles of a
+/// depth-1 batch must be separated by phase barriers: fetches read what
+/// owners loaded, evictions read what remote GPUs pushed. `drains` says
+/// the depth-1 batch has a separate [`Role::Drain`] step (the backward
+/// pass evicts gradients; the forward compute writes back on its own).
+/// The pipelined schedule always drains a segment late and needs no
+/// phase barriers — a segment boundary already separates the roles.
+pub fn layer_schedule(n: usize, overlap: OverlapMode, phased: bool, drains: bool) -> Vec<Segment> {
+    if overlap == OverlapMode::DoubleBuffer {
+        return pipeline(n).collect();
+    }
+    use BarrierScope::{Batch, Phase};
+    let seg = |load, compute, drain, barrier| Segment {
+        load,
+        compute,
+        drain,
+        barrier,
+    };
+    let mut segments = Vec::new();
+    for j in 0..n {
+        if !phased {
+            segments.push(seg(Some(j), Some(j), drains.then_some(j), Batch));
+            continue;
+        }
+        segments.push(seg(Some(j), None, None, Phase));
+        segments.push(seg(None, Some(j), None, if drains { Phase } else { Batch }));
+        if drains {
+            segments.push(seg(None, None, Some(j), Batch));
+        }
+    }
+    segments
 }
 
 /// Static sizing of one GPU's double-buffered staging memory. Installed
@@ -245,15 +300,27 @@ mod tests {
                 continue;
             }
             assert_eq!(segs.len(), n + 2);
-            assert!(segs[0].is_prologue());
-            assert!(segs[n + 1].is_epilogue());
-            for role in [
-                |s: &Segment| s.prefetch,
-                |s: &Segment| s.compute,
-                |s: &Segment| s.drain,
-            ] {
-                let batches: Vec<_> = segs.iter().filter_map(role).collect();
+            assert_eq!(segs[0].ops().collect::<Vec<_>>(), [(Role::Load, 0)]);
+            assert_eq!(
+                segs[n + 1].ops().collect::<Vec<_>>(),
+                [(Role::Drain, n - 1)]
+            );
+            for role in [Role::Load, Role::Compute, Role::Drain] {
+                let batches: Vec<_> = segs
+                    .iter()
+                    .flat_map(Segment::ops)
+                    .filter(|&(r, _)| r == role)
+                    .map(|(_, j)| j)
+                    .collect();
                 assert_eq!(batches, (0..n).collect::<Vec<_>>());
+            }
+            for seg in &segs {
+                let want = if seg.compute.is_some() {
+                    BarrierScope::Batch
+                } else {
+                    BarrierScope::Phase
+                };
+                assert_eq!(seg.barrier, want);
             }
         }
     }
@@ -261,9 +328,9 @@ mod tests {
     #[test]
     fn pipeline_shifts_roles_by_one_batch() {
         for seg in pipeline(5) {
-            if let (Some(p), Some(c)) = (seg.prefetch, seg.compute) {
+            if let (Some(p), Some(c)) = (seg.load, seg.compute) {
                 assert_eq!(p, c + 1);
-                // The prefetch never lands in the computing batch's slot.
+                // The load never lands in the computing batch's slot.
                 assert_ne!(slot_of(p), slot_of(c));
             }
             if let (Some(c), Some(d)) = (seg.compute, seg.drain) {
@@ -271,6 +338,52 @@ mod tests {
                 assert_ne!(slot_of(d), slot_of(c));
             }
         }
+    }
+
+    /// The barriers the depth-1 schedule places: none inside a vanilla
+    /// batch, a phase barrier after every role but the last otherwise.
+    #[test]
+    fn depth_one_schedule_places_phase_barriers_between_roles() {
+        use BarrierScope::{Batch, Phase};
+        use Role::{Compute, Drain, Load};
+        let flat = |phased, drains| -> Vec<(Vec<(Role, usize)>, BarrierScope)> {
+            layer_schedule(2, OverlapMode::Off, phased, drains)
+                .iter()
+                .map(|s| (s.ops().collect(), s.barrier))
+                .collect()
+        };
+        assert_eq!(
+            flat(false, false),
+            [
+                (vec![(Load, 0), (Compute, 0)], Batch),
+                (vec![(Load, 1), (Compute, 1)], Batch),
+            ]
+        );
+        assert_eq!(
+            flat(false, true)[0],
+            (vec![(Load, 0), (Compute, 0), (Drain, 0)], Batch)
+        );
+        assert_eq!(
+            flat(true, false),
+            [
+                (vec![(Load, 0)], Phase),
+                (vec![(Compute, 0)], Batch),
+                (vec![(Load, 1)], Phase),
+                (vec![(Compute, 1)], Batch),
+            ]
+        );
+        assert_eq!(
+            flat(true, true)[..3],
+            [
+                (vec![(Load, 0)], Phase),
+                (vec![(Compute, 0)], Phase),
+                (vec![(Drain, 0)], Batch),
+            ]
+        );
+        assert_eq!(
+            layer_schedule(3, OverlapMode::DoubleBuffer, true, true),
+            pipeline(3).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example checkpoint_workflow`
 
-use hongtu::core::{HongTuConfig, HongTuEngine};
+use hongtu::core::{HongTuConfig, Session};
 use hongtu::datasets::{load, DatasetKey};
 use hongtu::nn::model::whole_graph_chunk;
 use hongtu::nn::{load_model_file, loss::masked_accuracy, save_model_file, ModelKind};
@@ -13,7 +13,7 @@ use hongtu::tensor::SeededRng;
 fn main() {
     let dataset = load(DatasetKey::Opt, &mut SeededRng::new(42));
     let machine = MachineConfig::scaled(4, 256 << 20);
-    let mut engine = HongTuEngine::new(
+    let mut session = Session::new(
         &dataset,
         ModelKind::Sage,
         32,
@@ -21,21 +21,22 @@ fn main() {
         4,
         HongTuConfig::full(machine),
     )
-    .expect("engine");
+    .expect("session");
 
     println!("training GraphSAGE on the ogbn-products proxy ...");
+    let mut trainer = session.trainer();
     for epoch in 1..=100 {
-        let r = engine.train_epoch().expect("epoch");
+        let r = trainer.epoch().expect("epoch");
         if epoch % 25 == 0 {
             println!("epoch {epoch:>3}: loss {:.4}", r.loss.loss);
         }
     }
-    let val = engine.accuracy(&dataset.splits.val);
+    let val = session.accuracy(&dataset.splits.val);
     println!("trained validation accuracy: {val:.3}");
 
     // Save and reload.
     let path = std::env::temp_dir().join("hongtu_checkpoint_example.htgm");
-    save_model_file(engine.model(), &path).expect("save");
+    save_model_file(session.model(), &path).expect("save");
     println!("saved model to {}", path.display());
     let restored = load_model_file(&path).expect("load");
     println!(

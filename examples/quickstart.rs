@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use hongtu::core::{HongTuConfig, HongTuEngine};
+use hongtu::core::{HongTuConfig, Session};
 use hongtu::datasets::{load, DatasetKey};
 use hongtu::nn::ModelKind;
 use hongtu::sim::MachineConfig;
@@ -28,10 +28,10 @@ fn main() {
     //    ratios but shrinks capacities to match the proxy datasets.
     let machine = MachineConfig::scaled(4, 256 << 20);
 
-    // 3. Build the engine: 2-layer GCN, hidden dim 32, 4 chunks per
+    // 3. Build the session: 2-layer GCN, hidden dim 32, 4 chunks per
     //    partition, full HongTu (dedup communication + hybrid caching +
     //    reorganization).
-    let mut engine = HongTuEngine::new(
+    let mut session = Session::new(
         &dataset,
         ModelKind::Gcn,
         32, // hidden dimension
@@ -39,20 +39,22 @@ fn main() {
         4,  // chunks per partition
         HongTuConfig::full(machine),
     )
-    .expect("engine construction");
+    .expect("session construction");
 
     println!(
         "plan: {} partitions x {} chunks; V_ori = {} rows, H2D reduction {:.0}%",
-        engine.plans().partition.m,
-        engine.plans().partition.n,
-        engine.preprocessing().volumes.v_ori,
-        100.0 * engine.preprocessing().volumes.h2d_reduction(),
+        session.plans().partition.m,
+        session.plans().partition.n,
+        session.preprocessing().volumes.v_ori,
+        100.0 * session.preprocessing().volumes.h2d_reduction(),
     );
 
     // 4. Train. Numerics are real; `report.time` is the simulated epoch
-    //    time on the modeled hardware.
+    //    time on the modeled hardware. The trainer owns the Adam state, so
+    //    one trainer lives across all epochs of the run.
+    let mut trainer = session.trainer();
     for epoch in 1..=30 {
-        let report = engine.train_epoch().expect("epoch");
+        let report = trainer.epoch().expect("epoch");
         if epoch % 5 == 0 {
             println!(
                 "epoch {epoch:>3}: loss {:.4}  train-acc {:.3}  sim-time {:.3} ms \
@@ -70,12 +72,12 @@ fn main() {
     // 5. Evaluate on the held-out splits.
     println!(
         "final accuracy: val {:.3}, test {:.3}",
-        engine.accuracy(&dataset.splits.val),
-        engine.accuracy(&dataset.splits.test),
+        session.accuracy(&dataset.splits.val),
+        session.accuracy(&dataset.splits.test),
     );
     println!(
         "peak GPU memory: {:.1} MB of {:.0} MB",
-        engine.machine().max_gpu_peak() as f64 / (1 << 20) as f64,
-        engine.machine().config().gpu_memory as f64 / (1 << 20) as f64,
+        session.machine().max_gpu_peak() as f64 / (1 << 20) as f64,
+        session.machine().config().gpu_memory as f64 / (1 << 20) as f64,
     );
 }

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example social_gat`
 
-use hongtu::core::{HongTuConfig, HongTuEngine, MemoryStrategy};
+use hongtu::core::{HongTuConfig, MemoryStrategy, Session};
 use hongtu::datasets::{load, DatasetKey};
 use hongtu::nn::ModelKind;
 use hongtu::sim::MachineConfig;
@@ -22,8 +22,8 @@ fn run(kind: ModelKind, chunks: usize) {
     // Hybrid is requested for both; GAT layers decline aggregate caching
     // and the engine recomputes instead.
     cfg.memory = MemoryStrategy::Hybrid;
-    let mut engine = HongTuEngine::new(&dataset, kind, 32, 2, chunks, cfg).expect("engine");
-    let r = engine.train_epoch().expect("epoch");
+    let mut session = Session::new(&dataset, kind, 32, 2, chunks, cfg).expect("session");
+    let r = session.trainer().epoch().expect("epoch");
     let b = r.buckets;
     let total = b.total_time();
     println!(

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example web_graph_offload`
 
 use hongtu::core::systems::{InMemoryKind, MultiGpuInMemory, SingleGpuFullGraph, Workload};
-use hongtu::core::{HongTuConfig, HongTuEngine};
+use hongtu::core::{HongTuConfig, Session};
 use hongtu::datasets::{load, DatasetKey};
 use hongtu::nn::ModelKind;
 use hongtu::sim::MachineConfig;
@@ -39,7 +39,7 @@ fn main() {
     }
 
     // HongTu: offload vertex data to CPU memory, stream chunks.
-    let mut engine = HongTuEngine::new(
+    let mut session = Session::new(
         &dataset,
         ModelKind::Gcn,
         32,
@@ -49,27 +49,28 @@ fn main() {
     )
     .expect("HongTu fits where in-memory systems do not");
 
-    let pre = engine.preprocessing();
+    let pre = session.preprocessing();
     println!(
         "\nHongTu plan: 4 partitions x 8 chunks, V_ori {:.2}|V|, H2D cut {:.0}%",
         pre.volumes.v_ori as f64 / dataset.num_vertices() as f64,
         100.0 * pre.volumes.h2d_reduction()
     );
 
+    let mut trainer = session.trainer();
     for epoch in 1..=5 {
-        let r = engine.train_epoch().expect("epoch");
+        let r = trainer.epoch().expect("epoch");
         println!(
             "epoch {epoch}: loss {:.4}  sim-time {:.2} ms  peak GPU {:.1} MB",
             r.loss.loss,
             r.time * 1e3,
-            engine.machine().max_gpu_peak() as f64 / (1 << 20) as f64,
+            trainer.session().machine().max_gpu_peak() as f64 / (1 << 20) as f64,
         );
     }
     println!(
         "\nHongTu trained a graph whose resident footprint ({:.0} MB/GPU in-memory)\n\
          exceeds the {:.0} MB GPU budget, peaking at only {:.1} MB per GPU.",
         im.max_gpu_bytes(&workload) as f64 / (1 << 20) as f64,
-        engine.machine().config().gpu_memory as f64 / (1 << 20) as f64,
-        engine.machine().max_gpu_peak() as f64 / (1 << 20) as f64,
+        session.machine().config().gpu_memory as f64 / (1 << 20) as f64,
+        session.machine().max_gpu_peak() as f64 / (1 << 20) as f64,
     );
 }

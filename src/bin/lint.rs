@@ -1,6 +1,6 @@
 //! `lint` — in-repo source lint for the invariants `grep` can't hold.
 //!
-//! Three rules, all token-level scans over the workspace sources (no
+//! Five rules, all token-level scans over the workspace sources (no
 //! parsing, no dependencies):
 //!
 //! 1. **Diagnostic catalogue coverage.** Every `DiagCode` variant in
@@ -19,6 +19,15 @@
 //!    emission layer (and the method's own crate) bypasses the
 //!    provenance discipline passes 5–9 certify. No `.tag(` outside the
 //!    allowlist.
+//! 4. **Execution-mode chokepoint.** How many OS threads drive a sweep
+//!    is decided in exactly one place — the per-GPU dispatcher of
+//!    `crates/core/src/exec.rs`. Non-test code of `crates/core` may name
+//!    an `ExecutionMode` variant to *build* a configuration, but reading
+//!    the configured mode, or branching on a variant, outside that file
+//!    (or more than once inside it) forks the executor again.
+//! 5. **No deprecation shims.** The repo has no external users, so a
+//!    deprecated item is dead weight: neither the attribute nor the
+//!    allowance for it may appear anywhere in the workspace.
 //!
 //! Exits 0 when clean, 1 with one line per violation otherwise. Wired
 //! into `tools/check.sh` and CI's `check` job.
@@ -30,10 +39,20 @@ use std::path::{Path, PathBuf};
 /// this file — which the lint also scans — never contains them itself.
 const UNSAFE_TOKEN: &str = concat!("uns", "afe ");
 const TAG_TOKEN: &str = concat!(".t", "ag(");
+const EXEC_READ_TOKEN: &str = concat!("config.", "exec");
+const EXEC_VARIANT_TOKEN: &str = concat!("Execution", "Mode::");
+const DEPRECATED_TOKENS: [&str; 2] = [concat!("#[", "deprecated"), concat!("allow(", "deprecated")];
 
 /// Files allowed to contain `Machine::tag` calls: the engine's emission
 /// layer and the method's defining module (incl. its unit tests).
-const TAG_ALLOWLIST: [&str; 2] = ["crates/core/src/engine.rs", "crates/sim/src/machine.rs"];
+const TAG_ALLOWLIST: [&str; 3] = [
+    "crates/core/src/engine.rs",
+    "crates/core/src/exec.rs",
+    "crates/sim/src/machine.rs",
+];
+
+/// The one file that may read the configured execution mode.
+const EXEC_DISPATCHER: &str = "crates/core/src/exec.rs";
 
 fn main() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -43,6 +62,8 @@ fn main() {
     check_diag_catalogue(&root, &mut violations);
     check_unsafe_discipline(&root, &sources, &mut violations);
     check_tag_chokepoint(&root, &sources, &mut violations);
+    check_exec_chokepoint(&root, &sources, &mut violations);
+    check_no_deprecation(&root, &sources, &mut violations);
 
     if violations.is_empty() {
         println!("lint: clean ({} source files scanned)", sources.len());
@@ -234,6 +255,80 @@ fn check_tag_chokepoint(root: &Path, sources: &[PathBuf], violations: &mut Vec<S
     }
 }
 
+// --------------------------------- rule 4: execution-mode chokepoint
+
+/// Whether `line` branches on an `ExecutionMode` variant: names one as
+/// a match-arm pattern, compares against one, or tests one with
+/// `matches!`. Naming a variant as a *value* (struct field, builder
+/// default, parser result) is how configurations are built and is fine.
+fn branches_on_exec_variant(line: &str) -> bool {
+    let Some(at) = line.find(EXEC_VARIANT_TOKEN) else {
+        return false;
+    };
+    let (before, after) = line.split_at(at);
+    after.contains("=>")
+        || before.trim_end().ends_with("==")
+        || before.trim_end().ends_with("!=")
+        || before.contains("matches!(")
+}
+
+fn check_exec_chokepoint(root: &Path, sources: &[PathBuf], violations: &mut Vec<String>) {
+    for path in sources {
+        let relpath = rel(root, path);
+        if !relpath.starts_with("crates/core/src/") {
+            continue;
+        }
+        let src = read(path);
+        let mut dispatcher_reads = 0usize;
+        for (idx, line) in src.lines().enumerate() {
+            if line.trim_start().starts_with("#[cfg(test)]") {
+                break;
+            }
+            if line.trim_start().starts_with("//") {
+                continue;
+            }
+            let reads = line.contains(EXEC_READ_TOKEN);
+            if relpath == EXEC_DISPATCHER {
+                dispatcher_reads += usize::from(reads);
+            } else if reads || branches_on_exec_variant(line) {
+                violations.push(format!(
+                    "{relpath}:{}: execution mode consulted outside the per-GPU dispatcher \
+                     ({EXEC_DISPATCHER})",
+                    idx + 1
+                ));
+            }
+        }
+        if relpath == EXEC_DISPATCHER && dispatcher_reads != 1 {
+            violations.push(format!(
+                "{relpath}: the configured execution mode is read at {dispatcher_reads} sites, \
+                 want exactly 1 (the dispatcher)"
+            ));
+        }
+    }
+}
+
+// ------------------------------------- rule 5: no deprecation shims
+
+fn check_no_deprecation(root: &Path, sources: &[PathBuf], violations: &mut Vec<String>) {
+    let mut files = sources.to_vec();
+    for dir in ["tests", "examples", "benchmark/src"] {
+        walk(&root.join(dir), &mut files);
+    }
+    for path in &files {
+        let src = read(path);
+        for (idx, line) in src.lines().enumerate() {
+            if DEPRECATED_TOKENS.iter().any(|t| line.contains(t)) {
+                violations.push(format!(
+                    "{}:{}: deprecation attribute — delete the item and migrate its callers \
+                     instead",
+                    rel(root, path),
+                    idx + 1
+                ));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,6 +350,28 @@ mod tests {
         );
     }
 
+    #[test]
+    fn exec_variant_branches_are_told_from_values() {
+        let variant = |rest: &str| format!("{EXEC_VARIANT_TOKEN}{rest}");
+        assert!(branches_on_exec_variant(&variant("Parallel => fork(),")));
+        assert!(branches_on_exec_variant(&format!(
+            "if mode == {}",
+            variant("Parallel {")
+        )));
+        assert!(branches_on_exec_variant(&format!(
+            "matches!(mode, {})",
+            variant("Sequential)")
+        )));
+        assert!(!branches_on_exec_variant(&format!(
+            "exec: {}",
+            variant("Sequential,")
+        )));
+        assert!(!branches_on_exec_variant(&format!(
+            "\"par\" => Ok({}),",
+            variant("Parallel)")
+        )));
+    }
+
     /// The lint must pass on the repo it ships in — this is the same
     /// invocation `tools/check.sh` runs, minus the process boundary.
     #[test]
@@ -266,6 +383,8 @@ mod tests {
         check_diag_catalogue(&root, &mut violations);
         check_unsafe_discipline(&root, &sources, &mut violations);
         check_tag_chokepoint(&root, &sources, &mut violations);
+        check_exec_chokepoint(&root, &sources, &mut violations);
+        check_no_deprecation(&root, &sources, &mut violations);
         assert!(violations.is_empty(), "{}", violations.join("\n"));
     }
 }

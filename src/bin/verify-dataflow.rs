@@ -22,7 +22,7 @@
 use hongtu_core::cli::{
     parse_comm, parse_datasets, parse_memory, parse_mode, parse_model, parse_overlap, FlagParser,
 };
-use hongtu_core::{CommMode, HongTuConfig, HongTuEngine, MemoryStrategy, Mode, OverlapMode};
+use hongtu_core::{CommMode, HongTuConfig, MemoryStrategy, Mode, OverlapMode, Session};
 use hongtu_datasets::{load, DatasetKey};
 use hongtu_nn::ModelKind;
 use hongtu_tensor::SeededRng;
@@ -136,7 +136,7 @@ fn main() {
             args.mode,
         );
 
-        let engine = match HongTuEngine::new(
+        let session = match Session::new(
             &ds,
             args.model,
             args.hidden,
@@ -151,7 +151,7 @@ fn main() {
             }
         };
 
-        let synth = match engine.session().synthesize_schedule() {
+        let synth = match session.synthesize_schedule() {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("  schedule synthesis failed: {e}");
@@ -169,7 +169,7 @@ fn main() {
             tagged
         );
 
-        let report = match engine.session().certify_dataflow() {
+        let report = match session.certify_dataflow() {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("  certification failed: {e}");

@@ -24,7 +24,7 @@
 use hongtu_core::cli::{
     parse_comm, parse_datasets, parse_memory, parse_mode, parse_model, parse_overlap, FlagParser,
 };
-use hongtu_core::{CommMode, HongTuConfig, HongTuEngine, MemoryStrategy, Mode, OverlapMode};
+use hongtu_core::{CommMode, HongTuConfig, MemoryStrategy, Mode, OverlapMode, Session};
 use hongtu_datasets::{load, DatasetKey};
 use hongtu_nn::ModelKind;
 use hongtu_tensor::SeededRng;
@@ -151,7 +151,7 @@ fn main() {
             args.mode,
         );
 
-        let mut engine = match HongTuEngine::new(
+        let mut session = match Session::new(
             &ds,
             args.model,
             args.hidden,
@@ -167,12 +167,11 @@ fn main() {
         };
 
         let explore = args.budget.or_else(|| {
-            engine
-                .session()
+            session
                 .exhaustive_exploration_feasible()
                 .then_some(DEFAULT_EXPLORE_BUDGET)
         });
-        let synth = match engine.session().synthesize_schedule() {
+        let synth = match session.synthesize_schedule() {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("  schedule synthesis failed: {e}");
@@ -201,7 +200,7 @@ fn main() {
             }
         }
 
-        let bound = engine.session().static_memory_bound();
+        let bound = session.static_memory_bound();
         for (i, b) in bound.gpu.iter().enumerate() {
             println!("  static bound gpu{i}: {:.2} MiB", mib(*b));
         }
@@ -209,15 +208,19 @@ fn main() {
 
         if args.measure {
             let run = match args.mode {
-                Mode::Train => engine.train_epoch().map(|_| ()).map_err(|e| e.to_string()),
-                Mode::Infer => engine.infer_epoch().map(|_| ()).map_err(|e| e.to_string()),
+                Mode::Train => session
+                    .trainer()
+                    .epoch()
+                    .map(|_| ())
+                    .map_err(|e| e.to_string()),
+                Mode::Infer => session.infer_epoch().map(|_| ()).map_err(|e| e.to_string()),
             };
             if let Err(msg) = run {
                 eprintln!("  measured epoch failed: {msg}");
                 std::process::exit(1);
             }
             for i in 0..args.gpus {
-                let peak = engine.machine().gpu_memory(i).peak();
+                let peak = session.machine().gpu_memory(i).peak();
                 let ok = peak <= bound.gpu[i];
                 any_bad |= !ok;
                 println!(
@@ -226,7 +229,7 @@ fn main() {
                     if ok { "<= bound" } else { "EXCEEDS BOUND" }
                 );
             }
-            let host_peak = engine.machine().host_memory().peak();
+            let host_peak = session.machine().host_memory().peak();
             let ok = host_peak <= bound.host;
             any_bad |= !ok;
             println!(

@@ -24,7 +24,7 @@ use hongtu_core::cli::{
     FlagParser,
 };
 use hongtu_core::{
-    CommMode, ExecutionMode, HongTuConfig, HongTuEngine, MemoryStrategy, Mode, OverlapMode,
+    CommMode, ExecutionMode, HongTuConfig, MemoryStrategy, Mode, OverlapMode, Session,
 };
 use hongtu_datasets::load;
 use hongtu_datasets::DatasetKey;
@@ -111,7 +111,7 @@ fn traced_epochs(
     ds: &hongtu_datasets::Dataset,
     config: HongTuConfig,
 ) -> Result<Trace, String> {
-    let mut engine = HongTuEngine::new(
+    let mut session = Session::new(
         ds,
         args.model,
         args.hidden,
@@ -120,20 +120,25 @@ fn traced_epochs(
         config,
     )
     .map_err(|e| format!("engine construction failed: {e}"))?;
-    engine.machine_mut().enable_unbounded_trace();
-    for _ in 0..args.epochs {
-        match args.mode {
-            Mode::Train => engine
-                .train_epoch()
-                .map(|_| ())
-                .map_err(|e| format!("training failed: {e}"))?,
-            Mode::Infer => engine
-                .infer_epoch()
-                .map(|_| ())
-                .map_err(|e| format!("inference failed: {e}"))?,
+    session.machine_mut().enable_unbounded_trace();
+    match args.mode {
+        Mode::Train => {
+            let mut trainer = session.trainer();
+            for _ in 0..args.epochs {
+                trainer
+                    .epoch()
+                    .map_err(|e| format!("training failed: {e}"))?;
+            }
+        }
+        Mode::Infer => {
+            for _ in 0..args.epochs {
+                session
+                    .infer_epoch()
+                    .map_err(|e| format!("inference failed: {e}"))?;
+            }
         }
     }
-    Ok(engine.machine().trace().clone())
+    Ok(session.machine().trace().clone())
 }
 
 fn main() {

@@ -190,12 +190,14 @@ fn delta_commit_invalidates_dirty_cached_rows() {
     }];
     let mut dg_cached = DynamicGraph::from_dataset(&ds);
     let mut dg_plain = DynamicGraph::from_dataset(&ds);
+    let staged = dg_cached.stage(&deltas).expect("stage");
     let cached_logits = cached
-        .apply_deltas(&mut dg_cached, &deltas)
+        .apply_staged(&mut dg_cached, staged)
         .expect("apply deltas")
         .logits;
+    let staged = dg_plain.stage(&deltas).expect("stage");
     let plain_logits = plain
-        .apply_deltas(&mut dg_plain, &deltas)
+        .apply_staged(&mut dg_plain, staged)
         .expect("apply deltas")
         .logits;
     assert_eq!(cached_logits, plain_logits, "post-delta logits diverged");
@@ -293,8 +295,7 @@ fn paranoid_certifies_cache_on_epochs() {
 }
 
 /// The `Plans` facade exposes every synthesized plan coherently: the
-/// cache plan appears iff a policy is enabled, and the deprecated
-/// getters still forward to the same objects.
+/// cache plan appears iff a policy is enabled.
 #[test]
 fn plans_facade_is_coherent() {
     let ds = dataset();
@@ -322,13 +323,4 @@ fn plans_facade_is_coherent() {
     let cache = plans.cache.expect("enabled policy admits a plan");
     assert!(cache.total_rows() > 0);
     assert_eq!(cache.per_gpu.len(), 2);
-    #[allow(deprecated)]
-    {
-        assert!(std::ptr::eq(session.plan(), plans.partition));
-        assert!(std::ptr::eq(session.dedup_plan(), plans.dedup));
-        assert_eq!(
-            session.staging_plans().map(|s| s.len()),
-            plans.staging.map(|s| s.len())
-        );
-    }
 }

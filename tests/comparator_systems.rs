@@ -6,7 +6,7 @@ use hongtu::core::systems::{
     CpuSystem, CpuSystemKind, InMemoryKind, MiniBatchSystem, MultiGpuInMemory, SingleGpuFullGraph,
     Workload,
 };
-use hongtu::core::{HongTuConfig, HongTuEngine};
+use hongtu::core::{HongTuConfig, Session};
 use hongtu::datasets::{load, DatasetKey};
 use hongtu::nn::ModelKind;
 use hongtu::sim::{CpuClusterConfig, MachineConfig};
@@ -46,7 +46,7 @@ fn memory_wall_matches_paper() {
         assert!(im.epoch_time(&w).is_err(), "{key:?} must OOM in-memory");
         assert!(sancus.epoch_time(&w).is_err(), "{key:?} must OOM on Sancus");
         // ...but HongTu trains it.
-        let mut engine = HongTuEngine::new(
+        let mut engine = Session::new(
             &d,
             ModelKind::Gcn,
             32,
@@ -55,7 +55,7 @@ fn memory_wall_matches_paper() {
             HongTuConfig::full(machine(4)),
         )
         .expect("HongTu engine must fit");
-        assert!(engine.train_epoch().is_ok(), "{key:?} HongTu epoch");
+        assert!(engine.trainer().epoch().is_ok(), "{key:?} HongTu epoch");
     }
 }
 
@@ -77,9 +77,10 @@ fn small_graph_system_ordering() {
     let im = MultiGpuInMemory::new(InMemoryKind::HongTuIm, machine(4), &d, 1)
         .epoch_time(&w)
         .unwrap();
-    let hongtu = HongTuEngine::new(&d, ModelKind::Gcn, 32, 2, 1, HongTuConfig::full(machine(4)))
+    let hongtu = Session::new(&d, ModelKind::Gcn, 32, 2, 1, HongTuConfig::full(machine(4)))
         .unwrap()
-        .train_epoch()
+        .trainer()
+        .epoch()
         .unwrap()
         .time;
     assert!(cpu > 10.0 * dgl, "CPU {cpu} vs DGL {dgl}");
@@ -113,7 +114,7 @@ fn minibatch_explosion_and_opr_win() {
         .epoch_time(&Workload::new(&opr, ModelKind::Gcn, 32, 2))
         .unwrap()
         / 4.0;
-    let hongtu = HongTuEngine::new(
+    let hongtu = Session::new(
         &opr,
         ModelKind::Gcn,
         32,
@@ -122,7 +123,8 @@ fn minibatch_explosion_and_opr_win() {
         HongTuConfig::full(machine(4)),
     )
     .unwrap()
-    .train_epoch()
+    .trainer()
+    .epoch()
     .unwrap()
     .time;
     assert!(
@@ -156,7 +158,7 @@ fn distgnn_cluster_pattern() {
             "{key:?} GAT-2 cluster feasibility"
         );
         if let Ok(dist) = gcn2 {
-            let hongtu = HongTuEngine::new(
+            let hongtu = Session::new(
                 &d,
                 ModelKind::Gcn,
                 32,
@@ -165,7 +167,8 @@ fn distgnn_cluster_pattern() {
                 HongTuConfig::full(machine(4)),
             )
             .unwrap()
-            .train_epoch()
+            .trainer()
+            .epoch()
             .unwrap()
             .time;
             assert!(

@@ -10,7 +10,7 @@
 //! every config also asserts the synthesizer actually emitted tagged
 //! supply, aggregation, and (for training) gradient-flush accesses.
 
-use hongtu::core::{CommMode, HongTuConfig, HongTuEngine, MemoryStrategy, Mode, OverlapMode};
+use hongtu::core::{CommMode, HongTuConfig, MemoryStrategy, Mode, OverlapMode, Session};
 use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu::graph::generators;
 use hongtu::nn::ModelKind;
@@ -51,7 +51,7 @@ fn engine_for(
     overlap: OverlapMode,
     memory: MemoryStrategy,
     mode: Mode,
-) -> HongTuEngine {
+) -> Session {
     let machine = MachineConfig::scaled(gpus, 512 << 20);
     let mut config = HongTuConfig::full(machine);
     config.comm = comm;
@@ -59,7 +59,7 @@ fn engine_for(
     config.memory = memory;
     config.mode = mode;
     config.reorganize = comm != CommMode::Vanilla;
-    HongTuEngine::new(ds, kind, 8, 2, 4, config).expect("engine")
+    Session::new(ds, kind, 8, 2, 4, config).expect("engine")
 }
 
 /// The pass-9 gate for one configuration: the synthesized schedule
@@ -79,18 +79,12 @@ fn check_config(
     );
     let engine = engine_for(ds, kind, gpus, comm, overlap, memory, mode);
 
-    let report = engine
-        .session()
-        .certify_dataflow()
-        .expect("schedule synthesis");
+    let report = engine.certify_dataflow().expect("schedule synthesis");
     assert!(report.is_ok(), "{label}: {}", report.render());
 
     // Vacuity guard: the schedule must actually carry provenance for
     // the flows the pass balances.
-    let synth = engine
-        .session()
-        .synthesize_schedule()
-        .expect("schedule synthesis");
+    let synth = engine.synthesize_schedule().expect("schedule synthesis");
     let mut aggregates = 0usize;
     let mut supplies = 0usize;
     let mut flushes = 0usize;

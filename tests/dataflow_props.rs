@@ -15,7 +15,7 @@
 //!   equality F806 enforces at aggregation time, proven here for every
 //!   random plan rather than one engine's schedule.
 
-use hongtu::core::{CommMode, HongTuConfig, HongTuEngine, MemoryStrategy, Mode, OverlapMode};
+use hongtu::core::{CommMode, HongTuConfig, MemoryStrategy, Mode, OverlapMode, Session};
 use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu::graph::generators;
 use hongtu::nn::ModelKind;
@@ -73,9 +73,9 @@ proptest! {
             config.memory = memory;
             config.mode = mode;
             config.reorganize = comm != CommMode::Vanilla;
-            let engine = HongTuEngine::new(&ds, ModelKind::Gcn, 6, 2, 3, config)
+            let engine = Session::new(&ds, ModelKind::Gcn, 6, 2, 3, config)
                 .expect("engine");
-            let report = engine.session().certify_dataflow().expect("synthesis");
+            let report = engine.certify_dataflow().expect("synthesis");
             prop_assert!(
                 report.is_ok(),
                 "{comm:?} {gpus}g {overlap:?} {memory:?} {mode:?}:\n{}",

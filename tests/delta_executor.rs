@@ -1,12 +1,12 @@
 //! Certification of the dynamic-graph delta path:
-//! `Session::apply_deltas` must leave every host-resident layer store —
+//! `Session::apply_staged` must leave every host-resident layer store —
 //! and hence the logits — bitwise identical to a from-scratch
 //! `infer_epoch` on the mutated graph across the full
 //! {model × gpus × overlap} matrix (plus all three comm modes), the
 //! chunk-granular affected cone must cover a brute-force out-edge BFS
 //! oracle on random graphs, the incremental replay schedule must
 //! certify clean under the static passes (including Paranoid, which
-//! re-certifies inside `apply_deltas` itself), and a small delta must
+//! re-certifies inside `apply_staged` itself), and a small delta must
 //! cost strictly less than the full-recompute baseline.
 //!
 //! The bitwise comparison works because the rebuild oracle inherits the
@@ -16,7 +16,7 @@
 //! its in-edges in sorted global order whatever batch owns it.
 
 use hongtu::core::{
-    CommMode, HongTuConfig, Mode, OverlapMode, ServeMask, Session, ValidationLevel,
+    CommMode, DeltaReport, HongTuConfig, Mode, OverlapMode, ServeMask, Session, ValidationLevel,
 };
 use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu::datasets::load;
@@ -24,7 +24,7 @@ use hongtu::delta::{out_edge_ball, toggle_workload, Delta, DeltaMix, DynamicGrap
 use hongtu::graph::generators;
 use hongtu::nn::ModelKind;
 use hongtu::partition::TwoLevelPartition;
-use hongtu::sim::MachineConfig;
+use hongtu::sim::{MachineConfig, Trace};
 use hongtu::tensor::{Matrix, SeededRng};
 use hongtu::verify::DEFAULT_EXPLORE_BUDGET;
 use proptest::prelude::*;
@@ -38,6 +38,12 @@ fn test_seed() -> u64 {
 
 fn dataset() -> Dataset {
     load(DatasetKey::Rdt, &mut SeededRng::new(test_seed()))
+}
+
+/// Stages `deltas` against `dg` and commits them through the session.
+fn apply(s: &mut Session, dg: &mut DynamicGraph, deltas: &[Delta]) -> DeltaReport {
+    let staged = dg.stage(deltas).expect("valid delta batch");
+    s.apply_staged(dg, staged).expect("apply deltas")
 }
 
 fn config(gpus: usize, overlap: OverlapMode, comm: CommMode) -> HongTuConfig {
@@ -71,7 +77,7 @@ fn small_batch(dg: &DynamicGraph, seed: u64) -> Vec<Delta> {
     .expect("one batch")
 }
 
-/// Incremental `apply_deltas` logits are bitwise equal to a
+/// Incremental `apply_staged` logits are bitwise equal to a
 /// from-scratch `infer_epoch` on the mutated graph, across every model,
 /// GPU count, and overlap mode. The incremental session runs first so
 /// nothing about the rebuild can leak into the patched one.
@@ -86,7 +92,7 @@ fn incremental_logits_match_rebuild_across_matrix() {
                 let incremental = {
                     let mut s = session(&ds, kind, gpus, overlap);
                     s.infer_epoch().expect("initial full sweep");
-                    let report = s.apply_deltas(&mut dg, &deltas).expect("apply deltas");
+                    let report = apply(&mut s, &mut dg, &deltas);
                     assert_eq!(report.epoch, 1);
                     assert!(report.active_steps <= report.total_steps);
                     report.logits
@@ -119,9 +125,7 @@ fn incremental_logits_match_rebuild_across_comm_modes() {
             let cfg = config(2, OverlapMode::Off, comm);
             let mut s = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("session");
             s.infer_epoch().expect("initial full sweep");
-            s.apply_deltas(&mut dg, &deltas)
-                .expect("apply deltas")
-                .logits
+            apply(&mut s, &mut dg, &deltas).logits
         };
         let rebuilt = {
             let mutated = dg.to_dataset(&ds);
@@ -201,7 +205,7 @@ fn delta_cone_covers_out_edge_ball_oracle() {
 /// The incremental replay schedule certifies clean under the static
 /// passes — upward cone closure (pass 10), happens-before + lifetimes +
 /// exhaustive interleaving exploration (6–8) and dataflow conservation
-/// (9) — and Paranoid validation re-certifies inside `apply_deltas`
+/// (9) — and Paranoid validation re-certifies inside `apply_staged`
 /// itself.
 #[test]
 fn incremental_schedule_certifies_with_paranoid() {
@@ -277,7 +281,7 @@ fn small_delta_beats_full_recompute() {
             let mut s = mk_session(overlap);
             s.infer_epoch().expect("initial full sweep");
             s.machine_mut().enable_unbounded_trace();
-            let r = s.apply_deltas(&mut dg_inc, &deltas).expect("incremental");
+            let r = apply(&mut s, &mut dg_inc, &deltas);
             assert!(
                 r.active_steps < r.total_steps,
                 "{overlap:?}: delta cone fills the whole sweep — pick a smaller delta"
@@ -287,8 +291,9 @@ fn small_delta_beats_full_recompute() {
         let (full_logits, full_events, full_time) = {
             let mut s = mk_session(overlap);
             s.infer_epoch().expect("initial full sweep");
-            s.machine_mut().enable_unbounded_trace();
-            let r = s.apply_deltas_full(&mut dg_full, &deltas).expect("full");
+            apply(&mut s, &mut dg_full, &deltas);
+            s.machine_mut().replace_trace(Trace::unbounded());
+            let r = s.infer_epoch().expect("full sweep over the mutated graph");
             (r.logits, s.machine().trace().len(), r.time)
         };
 
@@ -369,7 +374,7 @@ proptest! {
             s.infer_epoch().expect("initial full sweep");
             let mut logits = None;
             for b in &workload {
-                logits = Some(s.apply_deltas(&mut dg_a, b).expect("apply").logits);
+                logits = Some(apply(&mut s, &mut dg_a, b).logits);
             }
             logits.expect("at least one batch")
         };
@@ -381,7 +386,7 @@ proptest! {
         let as_one = {
             let mut s = Session::new(&ds, ModelKind::Gcn, 8, 2, chunks, cfg()).expect("session");
             s.infer_epoch().expect("initial full sweep");
-            s.apply_deltas(&mut dg_b, &combined).expect("apply").logits
+            apply(&mut s, &mut dg_b, &combined).logits
         };
 
         // Path C: full session rebuild on the final graph.

@@ -1,11 +1,13 @@
 //! `Session::apply_staged` is transactional up to the commit: a batch
-//! staged against another epoch of the graph, or one whose rebuilt plan
-//! the verifier rejects, returns a typed error and leaves the session —
-//! logits, partition, dedup plan, staging budget — and the graph epoch
-//! exactly as they were. The session keeps serving and keeps accepting
-//! well-formed updates afterwards.
+//! staged against another epoch of the graph, one whose rebuilt plan the
+//! verifier rejects, or one whose re-pinned staging does not fit the
+//! device returns a typed error and leaves the session — logits,
+//! partition, dedup plan, staging, hot-vertex cache — and the graph
+//! epoch exactly as they were. The session keeps serving and keeps
+//! accepting well-formed updates afterwards.
 
-use hongtu::core::{CommMode, HongTuConfig, Mode, OverlapMode, Session};
+use hongtu::cache::FrequencyRanked;
+use hongtu::core::{CommMode, DeltaReport, HongTuConfig, Mode, OverlapMode, Session};
 use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu::delta::{Delta, DynamicGraph};
 use hongtu::graph::generators;
@@ -13,6 +15,7 @@ use hongtu::nn::ModelKind;
 use hongtu::partition::ChunkSubgraph;
 use hongtu::sim::{MachineConfig, SimError};
 use hongtu::tensor::{Matrix, SeededRng};
+use std::sync::Arc;
 
 const VERTICES: usize = 600;
 
@@ -35,17 +38,31 @@ fn dataset(seed: u64) -> Dataset {
 }
 
 fn session(ds: &Dataset) -> Session {
-    let cfg = HongTuConfig::builder()
-        .machine(MachineConfig::scaled(2, 512 << 20))
+    session_on(ds, 512 << 20, false)
+}
+
+/// A primed session on `gpu_memory`-byte devices, optionally spending
+/// the headroom on the hot-vertex cache.
+fn session_on(ds: &Dataset, gpu_memory: usize, cache: bool) -> Session {
+    let mut cfg = HongTuConfig::builder()
+        .machine(MachineConfig::scaled(2, gpu_memory))
         .comm(CommMode::P2pRu)
         .reorganize(true)
         .overlap(OverlapMode::DoubleBuffer)
-        .mode(Mode::Infer)
-        .build()
-        .expect("valid config");
+        .mode(Mode::Infer);
+    if cache {
+        cfg = cfg.cache(Arc::new(FrequencyRanked));
+    }
+    let cfg = cfg.build().expect("valid config");
     let mut s = Session::new(ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("session");
     s.infer_epoch().expect("prime layer stores");
     s
+}
+
+/// Stages `deltas` against `dg` and commits them through the session.
+fn apply(s: &mut Session, dg: &mut DynamicGraph, deltas: &[Delta]) -> DeltaReport {
+    let staged = dg.stage(deltas).expect("valid delta batch");
+    s.apply_staged(dg, staged).expect("well-formed update")
 }
 
 /// An edge the graph does not have yet, away from the self-loops.
@@ -65,6 +82,9 @@ struct Snapshot {
     chunks: Vec<Vec<ChunkSubgraph>>,
     volumes: (usize, usize, usize),
     staging_budget: Vec<usize>,
+    staging_pinned: bool,
+    /// Per GPU: the rows the cache admitted and how many are resident.
+    cache: Option<Vec<(Vec<u32>, usize)>>,
     graph_epoch: u64,
 }
 
@@ -75,6 +95,14 @@ fn snapshot(s: &Session, dg: &DynamicGraph) -> Snapshot {
         chunks: plans.partition.chunks.clone(),
         volumes: (plans.dedup.v_ori(), plans.dedup.v_p2p(), plans.dedup.v_ru()),
         staging_budget: s.staging_budget(),
+        staging_pinned: plans.staging.is_some(),
+        cache: s.cache().map(|rt| {
+            rt.plan()
+                .per_gpu
+                .iter()
+                .map(|g| (g.vertices.clone(), rt.resident_rows(g.gpu)))
+                .collect()
+        }),
         graph_epoch: dg.epoch(),
     }
 }
@@ -86,10 +114,8 @@ fn assert_still_usable(s: &mut Session, dg: &mut DynamicGraph, ds: &Dataset) {
     let rows = [0usize, 17, VERTICES - 1];
     let served = s.serve(&rows).expect("serve after refusal");
     assert_eq!(served.logits, s.logits().gather_rows(&rows));
-    let patched = s
-        .apply_deltas(dg, &[absent_edge(dg)])
-        .expect("well-formed update after refusal")
-        .logits;
+    let edge = absent_edge(dg);
+    let patched = apply(s, dg, &[edge]).logits;
     let rebuilt = session(&dg.to_dataset(ds)).logits().clone();
     assert_eq!(patched, rebuilt);
 }
@@ -104,8 +130,7 @@ fn stale_commit_is_a_typed_error_and_changes_nothing() {
         vertex: 3,
         features: vec![0.25; dg.features().cols()],
     };
-    s.apply_deltas(&mut dg, &[overtaking])
-        .expect("the commit that overtakes the staged batch");
+    apply(&mut s, &mut dg, &[overtaking]);
 
     let before = snapshot(&s, &dg);
     let err = s
@@ -145,5 +170,79 @@ fn rejected_rebuilt_plan_is_a_typed_error_and_changes_nothing() {
     assert_eq!(snapshot(&s, &foreign), before);
 
     let mut dg = DynamicGraph::from_dataset(&ds);
+    assert_still_usable(&mut s, &mut dg, &ds);
+}
+
+/// 200 new in-edges into one destination: its chunk's neighbor set — and
+/// with it the worst-case staging footprint — grows by a few KB.
+fn fan_in(dg: &DynamicGraph) -> Vec<Delta> {
+    let dst = 5;
+    (0..dg.num_vertices() as u32)
+        .filter(|&u| u != dst && !dg.graph().out_neighbors(u).contains(&dst))
+        .take(200)
+        .map(|src| Delta::AddEdge { src, dst })
+        .collect()
+}
+
+/// The smallest device a cache-free session fits before and after
+/// committing `batch`, read off a roomy twin.
+fn bound_before_and_after(ds: &Dataset, batch: &[Delta]) -> (usize, usize) {
+    let worst = |s: &Session| {
+        let bound = s.static_memory_bound();
+        bound.gpu.iter().copied().max().expect("two GPUs")
+    };
+    let mut s = session(ds);
+    let before = worst(&s);
+    apply(&mut s, &mut DynamicGraph::from_dataset(ds), batch);
+    let after = worst(&s);
+    assert!(after > before, "the batch was meant to grow staging");
+    (before, after)
+}
+
+/// A structural commit that grows staging on a device the hot-vertex
+/// cache has filled: the old cache pins the headroom the *old* staging
+/// left, but it is re-derived by the commit anyway — the new staging
+/// must be judged with the cache released, and then fits (exactly).
+#[test]
+fn staging_regrowth_fits_once_the_old_cache_is_released() {
+    let ds = dataset(99);
+    let mut dg = DynamicGraph::from_dataset(&ds);
+    let batch = fan_in(&dg);
+    let (_, grown) = bound_before_and_after(&ds, &batch);
+    let mut s = session_on(&ds, grown, true);
+    let cached = s.cache().expect("the headroom admits a cache");
+    assert!(cached.plan().total_rows() > 0);
+
+    let patched = apply(&mut s, &mut dg, &batch).logits;
+    assert!(s.plans().staging.is_some());
+    let rebuilt = session(&dg.to_dataset(&ds)).logits().clone();
+    assert_eq!(patched, rebuilt);
+    s.infer_epoch()
+        .expect("the re-pinned session keeps sweeping");
+    assert!(s.certify_cache().is_ok());
+}
+
+/// The same commit on a device the grown staging genuinely does not
+/// fit: a typed `OutOfMemory`, nothing installed, nothing committed.
+#[test]
+fn staging_regrowth_that_cannot_fit_is_a_typed_error_and_changes_nothing() {
+    let ds = dataset(99);
+    let mut dg = DynamicGraph::from_dataset(&ds);
+    let batch = fan_in(&dg);
+    let (fits, grown) = bound_before_and_after(&ds, &batch);
+    let mut s = session_on(&ds, (fits + grown) / 2, true);
+    assert!(s.cache().is_some(), "the headroom admits a cache");
+
+    let staged = dg.stage(&batch).expect("stage");
+    let before = snapshot(&s, &dg);
+    let err = s
+        .apply_staged(&mut dg, staged)
+        .expect_err("the grown staging exceeds the device");
+    assert!(
+        matches!(&err, SimError::OutOfMemory { label, .. } if label.contains("staging")),
+        "{err}"
+    );
+    assert_eq!(snapshot(&s, &dg), before);
+    s.infer_epoch().expect("the refused session keeps sweeping");
     assert_still_usable(&mut s, &mut dg, &ds);
 }

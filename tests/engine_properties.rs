@@ -2,7 +2,7 @@
 //! reference full-graph trainer on *randomly generated* datasets — graphs,
 //! features, splits, model shapes, chunkings all drawn from a seed.
 
-use hongtu::core::{HongTuConfig, HongTuEngine};
+use hongtu::core::{HongTuConfig, Session};
 use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu::graph::generators;
 use hongtu::nn::model::whole_graph_chunk;
@@ -57,14 +57,15 @@ proptest! {
         ][kind_sel];
         let ds = random_dataset(seed, n, deg, 4);
         let machine = MachineConfig::scaled(4, 512 << 20);
-        let mut engine = HongTuEngine::new(&ds, kind, hidden, 2, chunks, HongTuConfig::full(machine))
+        let mut engine = Session::new(&ds, kind, hidden, 2, chunks, HongTuConfig::full(machine))
             .expect("engine");
+        let mut engine = engine.trainer();
         let mut rng = SeededRng::new(ds.seed ^ 0x686F6E67);
         let mut reference = GnnModel::new(kind, &ds.model_dims(hidden, 2), &mut rng);
         let chunk = whole_graph_chunk(&ds.graph);
         let mut opt = Adam::new(0.01);
         for epoch in 0..3 {
-            let got = engine.train_epoch().expect("epoch").loss.loss;
+            let got = engine.epoch().expect("epoch").loss.loss;
             let want = reference
                 .train_epoch_reference(&chunk, &ds.features, &ds.labels, &ds.splits.train, &mut opt)
                 .loss;
@@ -89,9 +90,9 @@ proptest! {
         let budget = 64 << 20;
         let machine = MachineConfig::scaled(4, budget);
         if let Ok(mut e) =
-            HongTuEngine::new(&ds, ModelKind::Gcn, 8, 2, chunks, HongTuConfig::full(machine))
+            Session::new(&ds, ModelKind::Gcn, 8, 2, chunks, HongTuConfig::full(machine))
         {
-            if e.train_epoch().is_ok() {
+            if e.trainer().epoch().is_ok() {
                 prop_assert!(e.machine().max_gpu_peak() <= budget);
             }
         }
@@ -120,7 +121,7 @@ fn corrupted_plan_is_rejected_with_diagnostic_code() {
 
     let mut config = HongTuConfig::full(machine);
     config.reorganize = false; // keep the corruption byte-identical
-    let err = match HongTuEngine::with_plan(&ds, ModelKind::Gcn, 8, 2, plan, config) {
+    let err = match Session::with_plan(&ds, ModelKind::Gcn, 8, 2, plan, config) {
         Err(e) => e,
         Ok(_) => panic!("corrupted plan must be rejected"),
     };
@@ -143,9 +144,10 @@ fn paranoid_validation_trains_normally() {
     let machine = MachineConfig::scaled(2, 256 << 20);
     let mut config = HongTuConfig::full(machine);
     config.validation = ValidationLevel::Paranoid;
-    let mut engine = HongTuEngine::new(&ds, ModelKind::Gcn, 8, 2, 3, config).expect("engine");
+    let mut engine = Session::new(&ds, ModelKind::Gcn, 8, 2, 3, config).expect("engine");
+    let mut engine = engine.trainer();
     for _ in 0..2 {
-        engine.train_epoch().expect("paranoid epoch");
+        engine.epoch().expect("paranoid epoch");
     }
 }
 
@@ -156,15 +158,17 @@ fn trained_model_checkpoint_roundtrip() {
     let ds = random_dataset(77, 200, 5.0, 3);
     let machine = MachineConfig::scaled(4, 256 << 20);
     let mut engine =
-        HongTuEngine::new(&ds, ModelKind::Gcn, 8, 2, 2, HongTuConfig::full(machine)).unwrap();
+        Session::new(&ds, ModelKind::Gcn, 8, 2, 2, HongTuConfig::full(machine)).unwrap();
+    let mut engine = engine.trainer();
     for _ in 0..5 {
-        engine.train_epoch().unwrap();
+        engine.epoch().unwrap();
     }
     let mut buf = Vec::new();
-    hongtu::nn::save_model(engine.model(), &mut buf).unwrap();
+    hongtu::nn::save_model(engine.session().model(), &mut buf).unwrap();
     let restored = hongtu::nn::load_model(buf.as_slice()).unwrap();
     let chunk = whole_graph_chunk(&ds.graph);
     let logits_trained = engine
+        .session()
         .model()
         .forward_reference(&chunk, &ds.features)
         .pop()

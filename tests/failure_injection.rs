@@ -3,7 +3,7 @@
 //! wrong.
 
 use hongtu::core::systems::{InMemoryKind, MultiGpuInMemory, Workload};
-use hongtu::core::{HongTuConfig, HongTuEngine, OverlapMode};
+use hongtu::core::{HongTuConfig, OverlapMode, Session};
 use hongtu::datasets::{load, DatasetKey};
 use hongtu::nn::ModelKind;
 use hongtu::sim::{MachineConfig, SimError};
@@ -20,14 +20,14 @@ fn construction_oom_reports_device_and_label() {
     let ds = rdt();
     // GPUs too small even for the model parameters + one chunk.
     let cfg = HongTuConfig::full(MachineConfig::scaled(4, 4 << 10));
-    let err = HongTuEngine::new(&ds, ModelKind::Gcn, 64, 4, 2, cfg)
+    let err = Session::new(&ds, ModelKind::Gcn, 64, 4, 2, cfg)
         .err()
         .or_else(|| {
             // If construction somehow fits, the first epoch must fail.
             let cfg = HongTuConfig::full(MachineConfig::scaled(4, 4 << 10));
-            HongTuEngine::new(&ds, ModelKind::Gcn, 64, 4, 2, cfg)
+            Session::new(&ds, ModelKind::Gcn, 64, 4, 2, cfg)
                 .ok()
-                .and_then(|mut e| e.train_epoch().err())
+                .and_then(|mut e| e.trainer().epoch().err())
         })
         .expect("a 4 KB GPU cannot run this workload");
     match err {
@@ -54,8 +54,8 @@ fn epoch_oom_is_an_error_not_a_panic() {
     // Binary-search a capacity that admits construction but not execution.
     for mb in [1usize, 2, 3, 4] {
         let cfg = HongTuConfig::full(MachineConfig::scaled(4, mb << 18));
-        if let Ok(mut e) = HongTuEngine::new(&ds, ModelKind::Gat, 32, 2, 1, cfg) {
-            match e.train_epoch() {
+        if let Ok(mut e) = Session::new(&ds, ModelKind::Gat, 32, 2, 1, cfg) {
+            match e.trainer().epoch() {
                 Err(SimError::OutOfMemory { .. }) => return, // what we wanted
                 Ok(_) => continue,                           // fits — try smaller? next mb bigger
                 Err(other) => panic!("unexpected error {other:?}"),
@@ -80,15 +80,15 @@ fn staging_double_buffer_oom_fails_at_construction() {
     // schedule fits but the second staging copy does not.
     for kb in [256usize, 320, 384, 448, 512, 640, 768, 1024, 1536, 2048] {
         let off_cfg = HongTuConfig::full(MachineConfig::scaled(4, kb << 10));
-        let Ok(mut off) = HongTuEngine::new(&ds, ModelKind::Gcn, 32, 2, 4, off_cfg) else {
+        let Ok(mut off) = Session::new(&ds, ModelKind::Gcn, 32, 2, 4, off_cfg) else {
             continue;
         };
-        if off.train_epoch().is_err() {
+        if off.trainer().epoch().is_err() {
             continue;
         }
         let mut db_cfg = HongTuConfig::full(MachineConfig::scaled(4, kb << 10));
         db_cfg.overlap = OverlapMode::DoubleBuffer;
-        match HongTuEngine::new(&ds, ModelKind::Gcn, 32, 2, 4, db_cfg) {
+        match Session::new(&ds, ModelKind::Gcn, 32, 2, 4, db_cfg) {
             Err(SimError::OutOfMemory { device, label, .. }) => {
                 assert!(device.starts_with("GPU"), "device: {device:?}");
                 assert!(label.contains("staging buffer"), "label: {label:?}");
@@ -137,7 +137,7 @@ fn oversized_chunk_count_panics_with_context() {
     let ds = rdt();
     let cfg = HongTuConfig::full(MachineConfig::scaled(4, 256 << 20));
     // RDT has 3000 vertices / 4 partitions = 750 per partition.
-    let _ = HongTuEngine::new(&ds, ModelKind::Gcn, 8, 2, 1000, cfg);
+    let _ = Session::new(&ds, ModelKind::Gcn, 8, 2, 1000, cfg);
 }
 
 /// Corrupt checkpoint files fail to load with a format error, and a

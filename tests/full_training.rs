@@ -1,7 +1,7 @@
 //! End-to-end integration tests: the HongTu engine against the reference
 //! full-graph trainer, across models, strategies, and communication modes.
 
-use hongtu::core::{CommMode, HongTuConfig, HongTuEngine, MemoryStrategy};
+use hongtu::core::{CommMode, HongTuConfig, MemoryStrategy, Session};
 use hongtu::datasets::{load, DatasetKey};
 use hongtu::nn::model::whole_graph_chunk;
 use hongtu::nn::{GnnModel, ModelKind};
@@ -28,14 +28,14 @@ fn engine_matches_reference_for_every_model() {
         ModelKind::Sage,
         ModelKind::Gin,
     ] {
-        let mut engine =
-            HongTuEngine::new(&ds, kind, 16, 2, 3, HongTuConfig::full(machine())).unwrap();
+        let mut engine = Session::new(&ds, kind, 16, 2, 3, HongTuConfig::full(machine())).unwrap();
+        let mut engine = engine.trainer();
         let mut rng = SeededRng::new(ds.seed ^ 0x686F6E67);
         let mut reference = GnnModel::new(kind, &ds.model_dims(16, 2), &mut rng);
         let chunk = whole_graph_chunk(&ds.graph);
         let mut opt = Adam::new(0.01);
         for epoch in 0..3 {
-            let got = engine.train_epoch().unwrap().loss.loss;
+            let got = engine.epoch().unwrap().loss.loss;
             let want = reference
                 .train_epoch_reference(&chunk, &ds.features, &ds.labels, &ds.splits.train, &mut opt)
                 .loss;
@@ -62,8 +62,9 @@ fn all_configurations_agree_numerically() {
             cfg.comm = comm;
             cfg.memory = memory;
             cfg.reorganize = false; // identical plan across configurations
-            let mut e = HongTuEngine::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).unwrap();
-            let r = e.train_epoch().unwrap();
+            let mut e = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).unwrap();
+            let mut e = e.trainer();
+            let r = e.epoch().unwrap();
             losses.push(r.loss.loss);
             times.push(r.time);
         }
@@ -84,12 +85,12 @@ fn all_configurations_agree_numerically() {
 #[test]
 fn long_training_reaches_good_accuracy() {
     let ds = dataset();
-    let mut e =
-        HongTuEngine::new(&ds, ModelKind::Gcn, 32, 2, 4, HongTuConfig::full(machine())).unwrap();
+    let mut e = Session::new(&ds, ModelKind::Gcn, 32, 2, 4, HongTuConfig::full(machine())).unwrap();
+    let mut e = e.trainer();
     for _ in 0..40 {
-        e.train_epoch().unwrap();
+        e.epoch().unwrap();
     }
-    let val = e.accuracy(&ds.splits.val);
+    let val = e.session().accuracy(&ds.splits.val);
     assert!(val > 0.8, "validation accuracy {val} (chance = 0.125)");
 }
 
@@ -99,11 +100,11 @@ fn long_training_reaches_good_accuracy() {
 #[test]
 fn epoch_time_is_deterministic() {
     let ds = dataset();
-    let mut e =
-        HongTuEngine::new(&ds, ModelKind::Gcn, 16, 2, 4, HongTuConfig::full(machine())).unwrap();
-    let t1 = e.train_epoch().unwrap().time;
-    let t2 = e.train_epoch().unwrap().time;
-    let t3 = e.train_epoch().unwrap().time;
+    let mut e = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, HongTuConfig::full(machine())).unwrap();
+    let mut e = e.trainer();
+    let t1 = e.epoch().unwrap().time;
+    let t2 = e.epoch().unwrap().time;
+    let t3 = e.epoch().unwrap().time;
     assert!(
         (t1 - t2).abs() < 1e-12 && (t2 - t3).abs() < 1e-12,
         "{t1} {t2} {t3}"
@@ -115,7 +116,7 @@ fn epoch_time_is_deterministic() {
 fn training_is_reproducible_across_engines() {
     let ds = dataset();
     let run = || {
-        let mut e = HongTuEngine::new(
+        let mut e = Session::new(
             &ds,
             ModelKind::Sage,
             16,
@@ -124,8 +125,9 @@ fn training_is_reproducible_across_engines() {
             HongTuConfig::full(machine()),
         )
         .unwrap();
+        let mut e = e.trainer();
         (0..4)
-            .map(|_| e.train_epoch().unwrap().loss.loss)
+            .map(|_| e.epoch().unwrap().loss.loss)
             .collect::<Vec<_>>()
     };
     assert_eq!(run(), run());

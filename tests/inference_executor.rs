@@ -1,5 +1,5 @@
 //! Certification of the forward-only inference executor behind the
-//! Session/Trainer/Inferencer API split: `infer_epoch` must produce
+//! Session/Trainer API split: `infer_epoch` must produce
 //! logits bitwise identical to the forward half of `train_epoch` across
 //! the full {model × comm × gpus × exec × overlap} matrix, run with a
 //! strictly smaller memory footprint than training (no optimizer state,
@@ -18,14 +18,13 @@
 //! inference executor at every pool size.
 
 use hongtu::core::{
-    CommMode, ExecutionMode, HongTuConfig, HongTuEngine, Mode, OverlapMode, Session,
-    ValidationLevel,
+    CommMode, ExecutionMode, HongTuConfig, Mode, OverlapMode, Session, ValidationLevel,
 };
 use hongtu::datasets::dataset::{Dataset, DatasetKey};
 use hongtu::datasets::load;
 use hongtu::nn::ModelKind;
 use hongtu::sim::MachineConfig;
-use hongtu::tensor::{Matrix, SeededRng};
+use hongtu::tensor::{Adam, Matrix, SeededRng};
 use hongtu::verify::{verify_determinism, verify_trace};
 
 fn test_seed() -> u64 {
@@ -59,16 +58,16 @@ fn config(
 
 /// Logits of one *training* epoch's forward half (pre-update weights).
 fn train_forward_logits(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> Matrix {
-    let mut engine = HongTuEngine::new(ds, kind, 16, 2, 4, cfg).expect("engine");
-    engine.train_epoch().expect("train epoch");
+    let mut engine = Session::new(ds, kind, 16, 2, 4, cfg).expect("engine");
+    engine.trainer().epoch().expect("train epoch");
     engine.logits().clone()
 }
 
 /// Logits + sim time of one inference epoch on a fresh `Mode::Infer`
-/// session, driven through the `Inferencer` executor.
+/// session.
 fn infer_logits(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> (Matrix, f64) {
     let mut session = Session::new(ds, kind, 16, 2, 4, cfg).expect("session");
-    let report = session.inferencer().epoch().expect("infer epoch");
+    let report = session.infer_epoch().expect("infer epoch");
     assert_eq!(
         report.logits,
         *session.logits(),
@@ -131,8 +130,8 @@ fn infer_peak_memory_strictly_below_training() {
                 ExecutionMode::Sequential,
                 Mode::Train,
             );
-            let mut engine = HongTuEngine::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("engine");
-            engine.train_epoch().expect("train epoch");
+            let mut engine = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("engine");
+            engine.trainer().epoch().expect("train epoch");
             (
                 engine.machine().max_gpu_peak(),
                 engine.machine().host_memory().peak(),
@@ -296,8 +295,8 @@ fn train_epoch_on_infer_session_panics() {
         ExecutionMode::Sequential,
         Mode::Infer,
     );
-    let mut engine = HongTuEngine::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("engine");
-    let _ = engine.train_epoch();
+    let mut engine = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("engine");
+    let _ = engine.train_epoch(&mut Adam::new(0.01));
 }
 
 /// One validated session serves both executors: train through the

@@ -12,8 +12,7 @@
 //! overlap executor at every pool size.
 
 use hongtu::core::{
-    CommMode, ExecutionMode, HongTuConfig, HongTuEngine, MemoryStrategy, OverlapMode,
-    ValidationLevel,
+    CommMode, ExecutionMode, HongTuConfig, MemoryStrategy, OverlapMode, Session, ValidationLevel,
 };
 use hongtu::datasets::dataset::{Dataset, DatasetKey};
 use hongtu::datasets::load;
@@ -61,17 +60,18 @@ fn run_epochs(
     cfg: HongTuConfig,
     epochs: usize,
 ) -> (Vec<EpochResults>, f64) {
-    let mut engine = HongTuEngine::new(ds, kind, 16, 2, 4, cfg).expect("engine");
+    let mut engine = Session::new(ds, kind, 16, 2, 4, cfg).expect("engine");
+    let mut engine = engine.trainer();
     let mut time = 0.0;
     let results = (0..epochs)
         .map(|_| {
-            let r = engine.train_epoch().expect("epoch");
+            let r = engine.epoch().expect("epoch");
             time += r.time;
             EpochResults {
                 loss: r.loss.loss,
                 accuracy: r.loss.accuracy,
-                val: engine.accuracy(&ds.splits.val),
-                test: engine.accuracy(&ds.splits.test),
+                val: engine.session().accuracy(&ds.splits.val),
+                test: engine.session().accuracy(&ds.splits.test),
             }
         })
         .collect();
@@ -159,9 +159,9 @@ fn traced_epoch(
 ) -> Trace {
     let mut cfg = config(4, comm, OverlapMode::DoubleBuffer, exec);
     cfg.memory = memory;
-    let mut engine = HongTuEngine::new(ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("engine");
+    let mut engine = Session::new(ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("engine");
     engine.machine_mut().enable_unbounded_trace();
-    engine.train_epoch().expect("epoch");
+    engine.trainer().epoch().expect("epoch");
     engine.machine().trace().clone()
 }
 
@@ -204,9 +204,10 @@ fn paranoid_certifies_overlapped_epochs() {
         for exec in [ExecutionMode::Sequential, ExecutionMode::Parallel] {
             let mut cfg = config(4, comm, OverlapMode::DoubleBuffer, exec);
             cfg.validation = ValidationLevel::Paranoid;
-            let mut engine = HongTuEngine::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("engine");
+            let mut engine = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("engine");
             engine
-                .train_epoch()
+                .trainer()
+                .epoch()
                 .unwrap_or_else(|e| panic!("{comm:?}/{exec:?}: {e}"));
         }
     }

@@ -11,9 +11,7 @@
 //! `HONGTU_TEST_OVERLAP=doublebuffer` (the CI matrix's overlap dimension)
 //! re-runs the whole suite under the double-buffered overlap executor.
 
-use hongtu::core::{
-    CommMode, ExecutionMode, HongTuConfig, HongTuEngine, MemoryStrategy, OverlapMode,
-};
+use hongtu::core::{CommMode, ExecutionMode, HongTuConfig, MemoryStrategy, OverlapMode, Session};
 use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu::datasets::load;
 use hongtu::graph::generators;
@@ -68,17 +66,18 @@ struct EpochFacts {
 }
 
 fn run_epochs(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig, epochs: usize) -> Vec<EpochFacts> {
-    let mut engine = HongTuEngine::new(ds, kind, 16, 2, 4, cfg).expect("engine");
+    let mut engine = Session::new(ds, kind, 16, 2, 4, cfg).expect("engine");
+    let mut engine = engine.trainer();
     (0..epochs)
         .map(|_| {
-            let r = engine.train_epoch().expect("epoch");
+            let r = engine.epoch().expect("epoch");
             EpochFacts {
                 loss: r.loss.loss,
                 accuracy: r.loss.accuracy,
                 time: r.time,
-                val: engine.accuracy(&ds.splits.val),
-                test: engine.accuracy(&ds.splits.test),
-                peak: engine.machine().max_gpu_peak(),
+                val: engine.session().accuracy(&ds.splits.val),
+                test: engine.session().accuracy(&ds.splits.test),
+                peak: engine.session().machine().max_gpu_peak(),
             }
         })
         .collect()
@@ -161,9 +160,9 @@ fn parallel_matches_sequential_bitwise_hybrid() {
 
 fn traced_epoch(ds: &Dataset, exec: ExecutionMode) -> Trace {
     let cfg = config(4, CommMode::P2pRu, MemoryStrategy::Recompute, exec);
-    let mut engine = HongTuEngine::new(ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("engine");
+    let mut engine = Session::new(ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("engine");
     engine.machine_mut().enable_unbounded_trace();
-    engine.train_epoch().expect("epoch");
+    engine.trainer().epoch().expect("epoch");
     engine.machine().trace().clone()
 }
 
@@ -236,16 +235,18 @@ proptest! {
         let ds = random_dataset(seed, n, deg, 4);
         let mut cfg = config(gpus, comm, MemoryStrategy::Recompute, ExecutionMode::Parallel);
         cfg.validation = hongtu::core::ValidationLevel::Paranoid;
-        let mut par = HongTuEngine::new(&ds, ModelKind::Gcn, 8, 2, chunks, cfg)
+        let mut par = Session::new(&ds, ModelKind::Gcn, 8, 2, chunks, cfg)
             .expect("parallel engine");
+        let mut par = par.trainer();
 
         let seq_cfg = config(gpus, comm, MemoryStrategy::Recompute, ExecutionMode::Sequential);
-        let mut seq = HongTuEngine::new(&ds, ModelKind::Gcn, 8, 2, chunks, seq_cfg)
+        let mut seq = Session::new(&ds, ModelKind::Gcn, 8, 2, chunks, seq_cfg)
             .expect("sequential engine");
+        let mut seq = seq.trainer();
 
         for epoch in 0..2 {
-            let p = par.train_epoch().expect("parallel epoch certifies race-free");
-            let s = seq.train_epoch().expect("sequential epoch");
+            let p = par.epoch().expect("parallel epoch certifies race-free");
+            let s = seq.epoch().expect("sequential epoch");
             prop_assert_eq!(
                 p.loss.loss, s.loss.loss,
                 "epoch {} loss diverged", epoch

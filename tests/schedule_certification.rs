@@ -5,12 +5,12 @@
 //! and the static peak-memory bound must dominate the simulator's
 //! measured peaks.
 
-use hongtu::core::{CommMode, HongTuConfig, HongTuEngine, MemoryStrategy, Mode, OverlapMode};
+use hongtu::core::{CommMode, HongTuConfig, MemoryStrategy, Mode, OverlapMode, Session};
 use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu::graph::generators;
 use hongtu::nn::ModelKind;
 use hongtu::sim::MachineConfig;
-use hongtu::tensor::{Matrix, SeededRng};
+use hongtu::tensor::{Adam, Matrix, SeededRng};
 use hongtu::verify::DEFAULT_EXPLORE_BUDGET;
 
 const KINDS: [ModelKind; 3] = [ModelKind::Gcn, ModelKind::Gat, ModelKind::Sage];
@@ -46,7 +46,7 @@ fn engine_for(
     overlap: OverlapMode,
     memory: MemoryStrategy,
     mode: Mode,
-) -> HongTuEngine {
+) -> Session {
     let machine = MachineConfig::scaled(gpus, 512 << 20);
     let mut config = HongTuConfig::full(machine);
     config.comm = comm;
@@ -54,7 +54,7 @@ fn engine_for(
     config.memory = memory;
     config.mode = mode;
     config.reorganize = comm != CommMode::Vanilla;
-    HongTuEngine::new(ds, kind, 8, 2, 4, config).expect("engine")
+    Session::new(ds, kind, 8, 2, 4, config).expect("engine")
 }
 
 /// The full gate for one configuration: static certification (with
@@ -77,25 +77,20 @@ fn check_config(
 
     // Pass 6–8 certification of the synthesized schedule.
     let explore = engine
-        .session()
         .exhaustive_exploration_feasible()
         .then_some(DEFAULT_EXPLORE_BUDGET);
     let report = engine
-        .session()
         .certify_schedule(explore)
         .expect("schedule synthesis");
     assert!(report.is_ok(), "{label}: {}", report.render());
 
     // Synthesize *before* executing: both start from the same machine
     // clock, so the traces must agree on timestamps too.
-    let bound = engine.session().static_memory_bound();
-    let synth = engine
-        .session()
-        .synthesize_schedule()
-        .expect("schedule synthesis");
+    let bound = engine.static_memory_bound();
+    let synth = engine.synthesize_schedule().expect("schedule synthesis");
     engine.machine_mut().enable_unbounded_trace();
     match mode {
-        Mode::Train => engine.train_epoch().map(|_| ()).expect("epoch"),
+        Mode::Train => engine.trainer().epoch().map(|_| ()).expect("epoch"),
         Mode::Infer => engine.infer_epoch().map(|_| ()).expect("epoch"),
     }
     let real = engine.machine().trace().clone();
@@ -243,16 +238,17 @@ fn synthesis_is_non_perturbing_across_epochs() {
         MemoryStrategy::Hybrid,
         Mode::Train,
     );
-    let first = engine.session().synthesize_schedule().expect("synthesis");
+    let mut opt = Adam::new(engine.config().lr);
+    let first = engine.synthesize_schedule().expect("synthesis");
     engine.machine_mut().enable_unbounded_trace();
-    engine.train_epoch().expect("epoch 1");
+    engine.train_epoch(&mut opt).expect("epoch 1");
     let real1 = engine
         .machine_mut()
         .replace_trace(hongtu::sim::Trace::unbounded());
     assert_eq!(first.len(), real1.len());
 
-    let second = engine.session().synthesize_schedule().expect("synthesis");
-    engine.train_epoch().expect("epoch 2");
+    let second = engine.synthesize_schedule().expect("synthesis");
+    engine.train_epoch(&mut opt).expect("epoch 2");
     let real2 = engine.machine().trace().clone();
     assert_eq!(second.len(), real2.len());
     for (idx, (s, r)) in second.events().zip(real2.events()).enumerate() {

@@ -7,7 +7,7 @@ use hongtu::core::systems::{
     CpuSystem, CpuSystemKind, InMemoryKind, MiniBatchSystem, MultiGpuInMemory, NeutronStyle,
     RocStyle, SingleGpuFullGraph, Workload,
 };
-use hongtu::core::{CommMode, HongTuConfig, HongTuEngine, MemoryStrategy};
+use hongtu::core::{CommMode, HongTuConfig, MemoryStrategy, Session};
 use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu::graph::generators;
 use hongtu::nn::ModelKind;
@@ -52,9 +52,9 @@ fn traced_epoch(
     config.comm = comm;
     config.memory = memory;
     config.reorganize = comm != CommMode::Vanilla;
-    let mut engine = HongTuEngine::new(ds, kind, 8, 2, chunks, config).expect("engine");
+    let mut engine = Session::new(ds, kind, 8, 2, chunks, config).expect("engine");
     engine.machine_mut().enable_unbounded_trace();
-    engine.train_epoch().expect("epoch");
+    engine.trainer().epoch().expect("epoch");
     engine.machine().trace().clone()
 }
 
@@ -222,10 +222,10 @@ fn pruned_engine_trace_is_refused() {
     let ds = random_dataset(44, 220, 5.0, 3);
     let machine = MachineConfig::scaled(2, 512 << 20);
     let mut engine =
-        HongTuEngine::new(&ds, ModelKind::Gcn, 8, 2, 3, HongTuConfig::full(machine)).unwrap();
+        Session::new(&ds, ModelKind::Gcn, 8, 2, 3, HongTuConfig::full(machine)).unwrap();
     let user = engine.machine_mut().replace_trace(Trace::with_capacity(16));
     drop(user);
-    engine.train_epoch().unwrap();
+    engine.trainer().epoch().unwrap();
     assert!(engine.machine().trace().dropped() > 0);
     let r = verify_trace(engine.machine().trace());
     assert!(r.has(DiagCode::TraceIncomplete), "{}", r.render());

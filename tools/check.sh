@@ -4,16 +4,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# default-members makes both commands cover the whole workspace.
 echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> source lint (diag catalogue coverage, unsafe discipline, tag chokepoint)"
+echo "==> source lint (diag catalogue, unsafe discipline, tag + exec-mode chokepoints, no deprecation shims)"
 # src/bin/lint.rs: every DiagCode has exactly one DESIGN.md catalogue row
 # and a mutation test; unsafe only in crates/parallel (SAFETY-documented);
-# Machine::tag only from the engine's emission layer.
+# Machine::tag only from the engine's emission layer; the execution mode
+# read only by exec.rs's per-GPU dispatcher; no deprecated items.
 cargo run -q --release --bin lint
 
 echo "==> verify-schedule smoke run (static certification, passes 6-8)"
