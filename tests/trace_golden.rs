@@ -17,7 +17,7 @@
 
 use hongtu::cache::FrequencyRanked;
 use hongtu::core::{
-    CommMode, ExecutionMode, HongTuConfig, MemoryStrategy, Mode, OverlapMode, Session,
+    CommMode, ExecutionMode, HongTuConfig, MemoryStrategy, Mode, OverlapMode, ServeMask, Session,
 };
 use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu::delta::{Delta, DynamicGraph};
@@ -64,6 +64,13 @@ impl Fnv {
 
     fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
+    }
+
+    fn sizes(&mut self, v: &[usize]) {
+        self.u64(v.len() as u64);
+        for &x in v {
+            self.u64(x as u64);
+        }
     }
 
     fn matrix(&mut self, m: &Matrix) {
@@ -206,53 +213,106 @@ fn delta_digest(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> u64 {
 /// `slack` bytes: with room for ~40 feature rows the cache admits a
 /// strict subset of the hot rows, so sweeps mix hits, installs and misses.
 fn tight_memory(ds: &Dataset, p: Point, mode: Mode, slack: usize) -> usize {
-    let cfg = p.builder(64 << 20).mode(mode).build().expect("config");
+    let cfg = p.builder(MEM).mode(mode).build().expect("config");
     let s = Session::new(ds, p.kind, 8, 2, CHUNKS, cfg).expect("session");
     let bound = s.static_memory_bound();
     bound.gpu.iter().copied().max().expect("gpus") + slack
 }
 
-fn compute() -> Vec<(String, u64)> {
-    let ds = dataset();
-    let mut rows = Vec::new();
-    let mem = 64 << 20;
+const MEM: usize = 64 << 20;
+
+const CORNERS: [(OverlapMode, ExecutionMode); 4] = [
+    (OverlapMode::Off, ExecutionMode::Sequential),
+    (OverlapMode::Off, ExecutionMode::Parallel),
+    (OverlapMode::DoubleBuffer, ExecutionMode::Sequential),
+    (OverlapMode::DoubleBuffer, ExecutionMode::Parallel),
+];
+
+/// The full {model × comm × GPUs × overlap × exec} matrix.
+fn matrix() -> Vec<Point> {
+    let mut points = Vec::new();
     for kind in [ModelKind::Gcn, ModelKind::Gat, ModelKind::Sage] {
         for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
             for gpus in [1, 2, 4] {
                 for overlap in [OverlapMode::Off, OverlapMode::DoubleBuffer] {
                     for exec in [ExecutionMode::Sequential, ExecutionMode::Parallel] {
-                        let p = Point {
+                        points.push(Point {
                             kind,
                             comm,
                             gpus,
                             overlap,
                             exec,
-                        };
-                        for (tag, memory) in [
-                            ("train-hybrid", MemoryStrategy::Hybrid),
-                            ("train-recompute", MemoryStrategy::Recompute),
-                        ] {
-                            let cfg = p.builder(mem).memory(memory).build().expect("config");
-                            rows.push((
-                                format!("{}/{tag}", p.name()),
-                                train_digest(&ds, kind, cfg),
-                            ));
-                        }
-                        let cfg = p.builder(mem).infer().build().expect("config");
-                        rows.push((format!("{}/infer", p.name()), infer_digest(&ds, kind, cfg)));
+                        });
                     }
                 }
             }
         }
     }
+    points
+}
 
-    let corners = [
-        (OverlapMode::Off, ExecutionMode::Sequential),
-        (OverlapMode::Off, ExecutionMode::Parallel),
-        (OverlapMode::DoubleBuffer, ExecutionMode::Sequential),
-        (OverlapMode::DoubleBuffer, ExecutionMode::Parallel),
-    ];
-    for (overlap, exec) in corners {
+/// Each point's three session flavours: both memory strategies of a
+/// training session, and an inference session.
+fn flavours(p: Point, gpu_memory: usize) -> [(&'static str, HongTuConfig); 3] {
+    let build = |b: hongtu::core::HongTuConfigBuilder| b.build().expect("config");
+    [
+        (
+            "train-hybrid",
+            build(p.builder(gpu_memory).memory(MemoryStrategy::Hybrid)),
+        ),
+        (
+            "train-recompute",
+            build(p.builder(gpu_memory).memory(MemoryStrategy::Recompute)),
+        ),
+        ("infer", build(p.builder(gpu_memory).infer())),
+    ]
+}
+
+/// The cache corner: every comm mode at 2 GPUs, additive-sequential and
+/// overlapped-parallel.
+fn cache_points() -> Vec<Point> {
+    let mut points = Vec::new();
+    for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
+        for (overlap, exec) in [CORNERS[0], CORNERS[3]] {
+            points.push(Point {
+                kind: ModelKind::Gcn,
+                comm,
+                gpus: 2,
+                overlap,
+                exec,
+            });
+        }
+    }
+    points
+}
+
+/// A cache-enabled config on the tightest device `p` fits, plus `slack`.
+fn cached(ds: &Dataset, p: Point, mode: Mode, slack: usize) -> HongTuConfig {
+    p.builder(tight_memory(ds, p, mode, slack))
+        .cache(Arc::new(FrequencyRanked))
+        .mode(mode)
+        .build()
+        .expect("config")
+}
+
+/// Room for ~40 feature rows.
+const ROWS40: usize = 40 * 6 * 4;
+
+fn compute() -> Vec<(String, u64)> {
+    let ds = dataset();
+    let mut rows = Vec::new();
+    for p in matrix() {
+        for (tag, cfg) in flavours(p, MEM) {
+            let digest = if cfg.mode == Mode::Train {
+                train_digest(&ds, p.kind, cfg)
+            } else {
+                infer_digest(&ds, p.kind, cfg)
+            };
+            rows.push((format!("{}/{tag}", p.name()), digest));
+        }
+    }
+
+    for (overlap, exec) in CORNERS {
         let p = Point {
             kind: ModelKind::Gcn,
             comm: CommMode::P2pRu,
@@ -260,7 +320,7 @@ fn compute() -> Vec<(String, u64)> {
             overlap,
             exec,
         };
-        let cfg = p.builder(mem).infer().build().expect("config");
+        let cfg = p.builder(MEM).infer().build().expect("config");
         rows.push((
             format!("{}/serve", p.name()),
             serve_digest(&ds, p.kind, cfg.clone()),
@@ -272,88 +332,130 @@ fn compute() -> Vec<(String, u64)> {
         // The naive P2P schedule: source stalls are charged inline by the
         // sequential executor and deferred to the join by the parallel one.
         let p4 = Point { gpus: 4, ..p };
-        let cfg = p4.builder(mem).interleaved(false).build().expect("config");
+        let cfg = p4.builder(MEM).interleaved(false).build().expect("config");
         rows.push((
             format!("{}/naive-p2p/train-hybrid", p4.name()),
             train_digest(&ds, p4.kind, cfg),
         ));
     }
 
-    for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
-        for (overlap, exec) in [corners[0], corners[3]] {
-            let p = Point {
-                kind: ModelKind::Gcn,
-                comm,
-                gpus: 2,
-                overlap,
-                exec,
-            };
-            let rows40 = 40 * 6 * 4;
-            let cfg = p
-                .builder(tight_memory(&ds, p, Mode::Train, rows40))
-                .cache(Arc::new(FrequencyRanked))
-                .build()
-                .expect("config");
+    for p in cache_points() {
+        rows.push((
+            format!("{}/cache/train-hybrid", p.name()),
+            train_digest(&ds, p.kind, cached(&ds, p, Mode::Train, ROWS40)),
+        ));
+        rows.push((
+            format!("{}/cache/serve", p.name()),
+            serve_digest(&ds, p.kind, cached(&ds, p, Mode::Infer, ROWS40)),
+        ));
+        // A structural commit re-pins staging and re-admits the cache;
+        // leave it room to grow.
+        rows.push((
+            format!("{}/cache/apply_staged", p.name()),
+            delta_digest(&ds, p.kind, cached(&ds, p, Mode::Infer, 8 << 10)),
+        ));
+    }
+    rows
+}
+
+/// The planner-side arithmetic cache admission and serving admission are
+/// computed from — the static memory bound per tier, the staging budget,
+/// the cost of one query cone and one dirty cone — plus the peaks one
+/// epoch then measures, which the bound must dominate.
+fn footprint_digest(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> u64 {
+    let train = cfg.mode == Mode::Train;
+    let mut s = Session::new(ds, kind, 8, 2, CHUNKS, cfg).expect("session");
+    let bound = s.static_memory_bound();
+    let partition = s.plans().partition;
+    let query = ServeMask::from_queries(partition, 2, &[3, 50, 51]);
+    let dirty = ServeMask::from_dirty(partition, 2, &[11]);
+    let mut fnv = Fnv::new();
+    fnv.sizes(&bound.gpu);
+    fnv.sizes(&[bound.host]);
+    fnv.sizes(&s.staging_budget());
+    fnv.sizes(&s.serve_cone_cost(&query));
+    fnv.sizes(&s.serve_cone_cost(&dirty));
+    if train {
+        s.trainer().epoch().expect("train epoch");
+    } else {
+        s.infer_epoch().expect("infer epoch");
+    }
+    let machine = s.machine();
+    for (i, &b) in bound.gpu.iter().enumerate() {
+        let peak = machine.gpu_memory(i).peak();
+        assert!(peak <= b, "GPU {i} peaked at {peak} B over its bound {b} B");
+    }
+    let host = machine.host_memory().peak();
+    assert!(
+        host <= bound.host,
+        "host peaked at {host} B over its bound {} B",
+        bound.host
+    );
+    fnv.sizes(&[machine.max_gpu_peak(), host]);
+    fnv.0
+}
+
+fn compute_footprints() -> Vec<(String, u64)> {
+    let ds = dataset();
+    let mut rows = Vec::new();
+    for p in matrix() {
+        for (tag, cfg) in flavours(p, MEM) {
             rows.push((
-                format!("{}/cache/train-hybrid", p.name()),
-                train_digest(&ds, p.kind, cfg),
+                format!("{}/{tag}", p.name()),
+                footprint_digest(&ds, p.kind, cfg),
             ));
-            let cfg = p
-                .builder(tight_memory(&ds, p, Mode::Infer, rows40))
-                .cache(Arc::new(FrequencyRanked))
-                .infer()
-                .build()
-                .expect("config");
+        }
+    }
+    for p in cache_points() {
+        for (tag, mode) in [("train-hybrid", Mode::Train), ("infer", Mode::Infer)] {
             rows.push((
-                format!("{}/cache/serve", p.name()),
-                serve_digest(&ds, p.kind, cfg),
-            ));
-            // A structural commit re-pins staging and re-admits the cache;
-            // leave it room to grow.
-            let cfg = p
-                .builder(tight_memory(&ds, p, Mode::Infer, 8 << 10))
-                .cache(Arc::new(FrequencyRanked))
-                .infer()
-                .build()
-                .expect("config");
-            rows.push((
-                format!("{}/cache/apply_staged", p.name()),
-                delta_digest(&ds, p.kind, cfg),
+                format!("{}/cache/{tag}", p.name()),
+                footprint_digest(&ds, p.kind, cached(&ds, p, mode, ROWS40)),
             ));
         }
     }
     rows
 }
 
-#[test]
-fn every_trace_event_and_result_bit_matches_the_golden_table() {
-    let got = compute();
-    let same = got.len() == GOLDEN.len()
+/// Holds `got` against a committed table; on any difference panics with
+/// the full computed table in source form.
+fn assert_table(what: &str, got: &[(String, u64)], golden: &[(&str, u64)]) {
+    let same = got.len() == golden.len()
         && got
             .iter()
-            .zip(GOLDEN)
+            .zip(golden)
             .all(|((name, digest), (gname, gdigest))| name == gname && digest == gdigest);
     if same {
         return;
     }
     let mut table = String::new();
-    for (name, digest) in &got {
+    for (name, digest) in got {
         writeln!(table, "    (\"{name}\", 0x{digest:016x}),").expect("write to String");
     }
     let moved: Vec<&str> = got
         .iter()
-        .zip(GOLDEN)
+        .zip(golden)
         .filter(|((name, digest), (gname, gdigest))| name != gname || digest != gdigest)
         .map(|((name, _), _)| name.as_str())
         .collect();
     panic!(
-        "golden trace table mismatch: {} computed rows vs {} golden, {} differ \
+        "golden {what} table mismatch: {} computed rows vs {} golden, {} differ \
          (first: {:?}).\nComputed table:\n{table}",
         got.len(),
-        GOLDEN.len(),
+        golden.len(),
         moved.len(),
         moved.first()
     );
+}
+
+#[test]
+fn every_trace_event_and_result_bit_matches_the_golden_table() {
+    assert_table("trace", &compute(), GOLDEN);
+}
+
+#[test]
+fn every_footprint_number_matches_the_golden_table() {
+    assert_table("footprint", &compute_footprints(), GOLDEN_FOOTPRINT);
 }
 
 #[rustfmt::skip]
@@ -712,4 +814,346 @@ const GOLDEN: &[(&str, u64)] = &[
     ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x0e74b48e66026ef0),
     ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/serve", 0xe39257eef0154ea2),
     ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0x3aafcd3554628a1e),
+];
+
+/// Generated at the commit before the footprint arithmetic was folded
+/// into one per-step value; same contract as [`GOLDEN`].
+#[rustfmt::skip]
+const GOLDEN_FOOTPRINT: &[(&str, u64)] = &[
+    ("Gcn/Vanilla/1gpu/Off/Sequential/train-hybrid", 0xcd7e92650f731f44),
+    ("Gcn/Vanilla/1gpu/Off/Sequential/train-recompute", 0xdecc9ab761f88ad8),
+    ("Gcn/Vanilla/1gpu/Off/Sequential/infer", 0x9272d9f0c58a65a8),
+    ("Gcn/Vanilla/1gpu/Off/Parallel/train-hybrid", 0xcd7e92650f731f44),
+    ("Gcn/Vanilla/1gpu/Off/Parallel/train-recompute", 0xdecc9ab761f88ad8),
+    ("Gcn/Vanilla/1gpu/Off/Parallel/infer", 0x9272d9f0c58a65a8),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x0c3cfbbc68aa1528),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0x51d0d14fa50575ac),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x501f2bd658e9a084),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x0c3cfbbc68aa1528),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0x51d0d14fa50575ac),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x501f2bd658e9a084),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/train-hybrid", 0x76d32ac36427fbe3),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/train-recompute", 0x8b76c0168c253b1b),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/infer", 0xb7480e1507b65b31),
+    ("Gcn/Vanilla/2gpu/Off/Parallel/train-hybrid", 0x76d32ac36427fbe3),
+    ("Gcn/Vanilla/2gpu/Off/Parallel/train-recompute", 0x8b76c0168c253b1b),
+    ("Gcn/Vanilla/2gpu/Off/Parallel/infer", 0xb7480e1507b65b31),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xd8e25010af6455d0),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0xba60a2f493d4d798),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0x56ff209cd51fed2e),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xd8e25010af6455d0),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0xba60a2f493d4d798),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0x56ff209cd51fed2e),
+    ("Gcn/Vanilla/4gpu/Off/Sequential/train-hybrid", 0xf0b085a9cdef2f49),
+    ("Gcn/Vanilla/4gpu/Off/Sequential/train-recompute", 0x9075d7f1d21ea885),
+    ("Gcn/Vanilla/4gpu/Off/Sequential/infer", 0x705050d1fc91c886),
+    ("Gcn/Vanilla/4gpu/Off/Parallel/train-hybrid", 0xf0b085a9cdef2f49),
+    ("Gcn/Vanilla/4gpu/Off/Parallel/train-recompute", 0x9075d7f1d21ea885),
+    ("Gcn/Vanilla/4gpu/Off/Parallel/infer", 0x705050d1fc91c886),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x1f7d155d674a1064),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x44751f54c6b10750),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0xa43b8c23a5a2630f),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x1f7d155d674a1064),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x44751f54c6b10750),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0xa43b8c23a5a2630f),
+    ("Gcn/P2p/1gpu/Off/Sequential/train-hybrid", 0xcd7e92650f731f44),
+    ("Gcn/P2p/1gpu/Off/Sequential/train-recompute", 0xdecc9ab761f88ad8),
+    ("Gcn/P2p/1gpu/Off/Sequential/infer", 0x9272d9f0c58a65a8),
+    ("Gcn/P2p/1gpu/Off/Parallel/train-hybrid", 0xcd7e92650f731f44),
+    ("Gcn/P2p/1gpu/Off/Parallel/train-recompute", 0xdecc9ab761f88ad8),
+    ("Gcn/P2p/1gpu/Off/Parallel/infer", 0x9272d9f0c58a65a8),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x0c3cfbbc68aa1528),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x51d0d14fa50575ac),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x501f2bd658e9a084),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x0c3cfbbc68aa1528),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x51d0d14fa50575ac),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x501f2bd658e9a084),
+    ("Gcn/P2p/2gpu/Off/Sequential/train-hybrid", 0x7e5790cc14de148f),
+    ("Gcn/P2p/2gpu/Off/Sequential/train-recompute", 0xd8f7ec21abbfc707),
+    ("Gcn/P2p/2gpu/Off/Sequential/infer", 0x40de83a6657abbad),
+    ("Gcn/P2p/2gpu/Off/Parallel/train-hybrid", 0x7e5790cc14de148f),
+    ("Gcn/P2p/2gpu/Off/Parallel/train-recompute", 0xd8f7ec21abbfc707),
+    ("Gcn/P2p/2gpu/Off/Parallel/infer", 0x40de83a6657abbad),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xd5413cb131c76498),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x14d568c6eeceeb10),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x38dd400f02f515c6),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xd5413cb131c76498),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x14d568c6eeceeb10),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x38dd400f02f515c6),
+    ("Gcn/P2p/4gpu/Off/Sequential/train-hybrid", 0x4649c66ab2effd1b),
+    ("Gcn/P2p/4gpu/Off/Sequential/train-recompute", 0xb28ff7793e3eeb17),
+    ("Gcn/P2p/4gpu/Off/Sequential/infer", 0x72ee744833311811),
+    ("Gcn/P2p/4gpu/Off/Parallel/train-hybrid", 0x4649c66ab2effd1b),
+    ("Gcn/P2p/4gpu/Off/Parallel/train-recompute", 0xb28ff7793e3eeb17),
+    ("Gcn/P2p/4gpu/Off/Parallel/infer", 0x72ee744833311811),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xc2a153e83a611bb6),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0xf09db638f869de12),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/infer", 0xffaaa1edf699020b),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xc2a153e83a611bb6),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0xf09db638f869de12),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/infer", 0xffaaa1edf699020b),
+    ("Gcn/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x7b1ee745f1e6bd54),
+    ("Gcn/P2pRu/1gpu/Off/Sequential/train-recompute", 0xd8bec331cac544a8),
+    ("Gcn/P2pRu/1gpu/Off/Sequential/infer", 0x307d8c141b110d38),
+    ("Gcn/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x7b1ee745f1e6bd54),
+    ("Gcn/P2pRu/1gpu/Off/Parallel/train-recompute", 0xd8bec331cac544a8),
+    ("Gcn/P2pRu/1gpu/Off/Parallel/infer", 0x307d8c141b110d38),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x9f2051413b08d858),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x22045fc386fc0b1c),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0x0892ac7dcb150914),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x9f2051413b08d858),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x22045fc386fc0b1c),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0x0892ac7dcb150914),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/train-hybrid", 0xe669cdf44260890b),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/train-recompute", 0xf8afaf11d2b35e83),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/infer", 0x3467cc9c0e9c9975),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/train-hybrid", 0xe669cdf44260890b),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/train-recompute", 0xf8afaf11d2b35e83),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/infer", 0x3467cc9c0e9c9975),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x4f187f6c21fe5dce),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0xb18e693280e69ef6),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0x7bae34e964d59614),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x4f187f6c21fe5dce),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0xb18e693280e69ef6),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0x7bae34e964d59614),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/train-hybrid", 0x4d9435b172fef3d3),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/train-recompute", 0x6961a9e73d6aaac7),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/infer", 0xf5904443af28c8c7),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/train-hybrid", 0x4d9435b172fef3d3),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/train-recompute", 0x6961a9e73d6aaac7),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/infer", 0xf5904443af28c8c7),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x384ab2cc8307a923),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x33f13b172facde37),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0xbda66d931326fec6),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x384ab2cc8307a923),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x33f13b172facde37),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0xbda66d931326fec6),
+    ("Gat/Vanilla/1gpu/Off/Sequential/train-hybrid", 0xd59284bdf5ed06ba),
+    ("Gat/Vanilla/1gpu/Off/Sequential/train-recompute", 0xd59284bdf5ed06ba),
+    ("Gat/Vanilla/1gpu/Off/Sequential/infer", 0xd14b04273151f416),
+    ("Gat/Vanilla/1gpu/Off/Parallel/train-hybrid", 0xd59284bdf5ed06ba),
+    ("Gat/Vanilla/1gpu/Off/Parallel/train-recompute", 0xd59284bdf5ed06ba),
+    ("Gat/Vanilla/1gpu/Off/Parallel/infer", 0xd14b04273151f416),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xec2cc2440a700e42),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0xec2cc2440a700e42),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x98d8332075194fae),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xec2cc2440a700e42),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0xec2cc2440a700e42),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x98d8332075194fae),
+    ("Gat/Vanilla/2gpu/Off/Sequential/train-hybrid", 0x8d26b22b2d7e1e4d),
+    ("Gat/Vanilla/2gpu/Off/Sequential/train-recompute", 0x8d26b22b2d7e1e4d),
+    ("Gat/Vanilla/2gpu/Off/Sequential/infer", 0x994eb3ff86eb7a9c),
+    ("Gat/Vanilla/2gpu/Off/Parallel/train-hybrid", 0x8d26b22b2d7e1e4d),
+    ("Gat/Vanilla/2gpu/Off/Parallel/train-recompute", 0x8d26b22b2d7e1e4d),
+    ("Gat/Vanilla/2gpu/Off/Parallel/infer", 0x994eb3ff86eb7a9c),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x7ec1bd42987833ea),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x7ec1bd42987833ea),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0x2efa58f6f667e799),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x7ec1bd42987833ea),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x7ec1bd42987833ea),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0x2efa58f6f667e799),
+    ("Gat/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x962761de8e19cb8f),
+    ("Gat/Vanilla/4gpu/Off/Sequential/train-recompute", 0x962761de8e19cb8f),
+    ("Gat/Vanilla/4gpu/Off/Sequential/infer", 0x8f2bf3e7ec3e3cb0),
+    ("Gat/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x962761de8e19cb8f),
+    ("Gat/Vanilla/4gpu/Off/Parallel/train-recompute", 0x962761de8e19cb8f),
+    ("Gat/Vanilla/4gpu/Off/Parallel/infer", 0x8f2bf3e7ec3e3cb0),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x5e81b532c214d815),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x5e81b532c214d815),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0x382f1bdc07dee5de),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x5e81b532c214d815),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x5e81b532c214d815),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0x382f1bdc07dee5de),
+    ("Gat/P2p/1gpu/Off/Sequential/train-hybrid", 0xd59284bdf5ed06ba),
+    ("Gat/P2p/1gpu/Off/Sequential/train-recompute", 0xd59284bdf5ed06ba),
+    ("Gat/P2p/1gpu/Off/Sequential/infer", 0xd14b04273151f416),
+    ("Gat/P2p/1gpu/Off/Parallel/train-hybrid", 0xd59284bdf5ed06ba),
+    ("Gat/P2p/1gpu/Off/Parallel/train-recompute", 0xd59284bdf5ed06ba),
+    ("Gat/P2p/1gpu/Off/Parallel/infer", 0xd14b04273151f416),
+    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xec2cc2440a700e42),
+    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0xec2cc2440a700e42),
+    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x98d8332075194fae),
+    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xec2cc2440a700e42),
+    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0xec2cc2440a700e42),
+    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x98d8332075194fae),
+    ("Gat/P2p/2gpu/Off/Sequential/train-hybrid", 0xd9a732ff03c02797),
+    ("Gat/P2p/2gpu/Off/Sequential/train-recompute", 0xd9a732ff03c02797),
+    ("Gat/P2p/2gpu/Off/Sequential/infer", 0xdf4dac2ba2fc1d30),
+    ("Gat/P2p/2gpu/Off/Parallel/train-hybrid", 0xd9a732ff03c02797),
+    ("Gat/P2p/2gpu/Off/Parallel/train-recompute", 0xd9a732ff03c02797),
+    ("Gat/P2p/2gpu/Off/Parallel/infer", 0xdf4dac2ba2fc1d30),
+    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xf7ff8b07eacf7e40),
+    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0xf7ff8b07eacf7e40),
+    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x8d87a835ba84fca1),
+    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xf7ff8b07eacf7e40),
+    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0xf7ff8b07eacf7e40),
+    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x8d87a835ba84fca1),
+    ("Gat/P2p/4gpu/Off/Sequential/train-hybrid", 0x618cda00800eab53),
+    ("Gat/P2p/4gpu/Off/Sequential/train-recompute", 0x618cda00800eab53),
+    ("Gat/P2p/4gpu/Off/Sequential/infer", 0xde508043be2effe6),
+    ("Gat/P2p/4gpu/Off/Parallel/train-hybrid", 0x618cda00800eab53),
+    ("Gat/P2p/4gpu/Off/Parallel/train-recompute", 0x618cda00800eab53),
+    ("Gat/P2p/4gpu/Off/Parallel/infer", 0xde508043be2effe6),
+    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x2d00a02496fdc19e),
+    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0x2d00a02496fdc19e),
+    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/infer", 0xd9b0618d2e837355),
+    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x2d00a02496fdc19e),
+    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0x2d00a02496fdc19e),
+    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/infer", 0xd9b0618d2e837355),
+    ("Gat/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x8b520bd2fab875ca),
+    ("Gat/P2pRu/1gpu/Off/Sequential/train-recompute", 0x8b520bd2fab875ca),
+    ("Gat/P2pRu/1gpu/Off/Sequential/infer", 0x136255a64bf27a46),
+    ("Gat/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x8b520bd2fab875ca),
+    ("Gat/P2pRu/1gpu/Off/Parallel/train-recompute", 0x8b520bd2fab875ca),
+    ("Gat/P2pRu/1gpu/Off/Parallel/infer", 0x136255a64bf27a46),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x1c103a25175c7592),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x1c103a25175c7592),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0x088215a38493c25e),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x1c103a25175c7592),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x1c103a25175c7592),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0x088215a38493c25e),
+    ("Gat/P2pRu/2gpu/Off/Sequential/train-hybrid", 0x665050aa315bf480),
+    ("Gat/P2pRu/2gpu/Off/Sequential/train-recompute", 0x665050aa315bf480),
+    ("Gat/P2pRu/2gpu/Off/Sequential/infer", 0x8be7f3c977bb18b7),
+    ("Gat/P2pRu/2gpu/Off/Parallel/train-hybrid", 0x665050aa315bf480),
+    ("Gat/P2pRu/2gpu/Off/Parallel/train-recompute", 0x665050aa315bf480),
+    ("Gat/P2pRu/2gpu/Off/Parallel/infer", 0x8be7f3c977bb18b7),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x506f6d05edcfc346),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0x506f6d05edcfc346),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0x7f6356bf2cd55b79),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x506f6d05edcfc346),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0x506f6d05edcfc346),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0x7f6356bf2cd55b79),
+    ("Gat/P2pRu/4gpu/Off/Sequential/train-hybrid", 0xdca1296df64f430c),
+    ("Gat/P2pRu/4gpu/Off/Sequential/train-recompute", 0xdca1296df64f430c),
+    ("Gat/P2pRu/4gpu/Off/Sequential/infer", 0x78e80f81b352b415),
+    ("Gat/P2pRu/4gpu/Off/Parallel/train-hybrid", 0xdca1296df64f430c),
+    ("Gat/P2pRu/4gpu/Off/Parallel/train-recompute", 0xdca1296df64f430c),
+    ("Gat/P2pRu/4gpu/Off/Parallel/infer", 0x78e80f81b352b415),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x5ad3146a6961303a),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x5ad3146a6961303a),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0x27b912dfd5e7fdfc),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x5ad3146a6961303a),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x5ad3146a6961303a),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0x27b912dfd5e7fdfc),
+    ("Sage/Vanilla/1gpu/Off/Sequential/train-hybrid", 0x819ec1f7a2a00000),
+    ("Sage/Vanilla/1gpu/Off/Sequential/train-recompute", 0x8cba02f85b703e1c),
+    ("Sage/Vanilla/1gpu/Off/Sequential/infer", 0x876d57161b07206c),
+    ("Sage/Vanilla/1gpu/Off/Parallel/train-hybrid", 0x819ec1f7a2a00000),
+    ("Sage/Vanilla/1gpu/Off/Parallel/train-recompute", 0x8cba02f85b703e1c),
+    ("Sage/Vanilla/1gpu/Off/Parallel/infer", 0x876d57161b07206c),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xc7df090ee37c3a2c),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0xd559e3bf84dd7f30),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x43619659717395c8),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xc7df090ee37c3a2c),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0xd559e3bf84dd7f30),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x43619659717395c8),
+    ("Sage/Vanilla/2gpu/Off/Sequential/train-hybrid", 0x7b12b10b7e876abf),
+    ("Sage/Vanilla/2gpu/Off/Sequential/train-recompute", 0xb411ccdf3ac1af47),
+    ("Sage/Vanilla/2gpu/Off/Sequential/infer", 0x82cc14a13f107dd7),
+    ("Sage/Vanilla/2gpu/Off/Parallel/train-hybrid", 0x7b12b10b7e876abf),
+    ("Sage/Vanilla/2gpu/Off/Parallel/train-recompute", 0xb411ccdf3ac1af47),
+    ("Sage/Vanilla/2gpu/Off/Parallel/infer", 0x82cc14a13f107dd7),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x06c3dd510f35d81b),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x114a02f7c95c16e3),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0x83083ffb61d731df),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x06c3dd510f35d81b),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x114a02f7c95c16e3),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0x83083ffb61d731df),
+    ("Sage/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x4b0a8d9f64090835),
+    ("Sage/Vanilla/4gpu/Off/Sequential/train-recompute", 0x3bd831c1764fbfc9),
+    ("Sage/Vanilla/4gpu/Off/Sequential/infer", 0x44a6b1f991d1b1e1),
+    ("Sage/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x4b0a8d9f64090835),
+    ("Sage/Vanilla/4gpu/Off/Parallel/train-recompute", 0x3bd831c1764fbfc9),
+    ("Sage/Vanilla/4gpu/Off/Parallel/infer", 0x44a6b1f991d1b1e1),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x7729aa872c15ea97),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x5662785f8b6f74c3),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0xb6e9256157514153),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x7729aa872c15ea97),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x5662785f8b6f74c3),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0xb6e9256157514153),
+    ("Sage/P2p/1gpu/Off/Sequential/train-hybrid", 0x819ec1f7a2a00000),
+    ("Sage/P2p/1gpu/Off/Sequential/train-recompute", 0x8cba02f85b703e1c),
+    ("Sage/P2p/1gpu/Off/Sequential/infer", 0x876d57161b07206c),
+    ("Sage/P2p/1gpu/Off/Parallel/train-hybrid", 0x819ec1f7a2a00000),
+    ("Sage/P2p/1gpu/Off/Parallel/train-recompute", 0x8cba02f85b703e1c),
+    ("Sage/P2p/1gpu/Off/Parallel/infer", 0x876d57161b07206c),
+    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xc7df090ee37c3a2c),
+    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0xd559e3bf84dd7f30),
+    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x43619659717395c8),
+    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xc7df090ee37c3a2c),
+    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0xd559e3bf84dd7f30),
+    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x43619659717395c8),
+    ("Sage/P2p/2gpu/Off/Sequential/train-hybrid", 0xb668f0ef77283783),
+    ("Sage/P2p/2gpu/Off/Sequential/train-recompute", 0x678ae262b589956b),
+    ("Sage/P2p/2gpu/Off/Sequential/infer", 0xcc3639da1c57a65f),
+    ("Sage/P2p/2gpu/Off/Parallel/train-hybrid", 0xb668f0ef77283783),
+    ("Sage/P2p/2gpu/Off/Parallel/train-recompute", 0x678ae262b589956b),
+    ("Sage/P2p/2gpu/Off/Parallel/infer", 0xcc3639da1c57a65f),
+    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x0c538a871a1f50aa),
+    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x01598bf61f08897a),
+    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x41ed50ded4553bc6),
+    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x0c538a871a1f50aa),
+    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x01598bf61f08897a),
+    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x41ed50ded4553bc6),
+    ("Sage/P2p/4gpu/Off/Sequential/train-hybrid", 0xfe416ffcf7d33e1e),
+    ("Sage/P2p/4gpu/Off/Sequential/train-recompute", 0x29e2da151855c1e2),
+    ("Sage/P2p/4gpu/Off/Sequential/infer", 0xbcba9e70d1484ace),
+    ("Sage/P2p/4gpu/Off/Parallel/train-hybrid", 0xfe416ffcf7d33e1e),
+    ("Sage/P2p/4gpu/Off/Parallel/train-recompute", 0x29e2da151855c1e2),
+    ("Sage/P2p/4gpu/Off/Parallel/infer", 0xbcba9e70d1484ace),
+    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x54d66bc907e7b2e9),
+    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0xb131fa24f97f925d),
+    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/infer", 0x193b9c259f789174),
+    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x54d66bc907e7b2e9),
+    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0xb131fa24f97f925d),
+    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/infer", 0x193b9c259f789174),
+    ("Sage/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x6c93390c5aca805b),
+    ("Sage/P2pRu/1gpu/Off/Sequential/train-recompute", 0x5e70d8407210a57f),
+    ("Sage/P2pRu/1gpu/Off/Sequential/infer", 0xad289756222fd52f),
+    ("Sage/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x6c93390c5aca805b),
+    ("Sage/P2pRu/1gpu/Off/Parallel/train-recompute", 0x5e70d8407210a57f),
+    ("Sage/P2pRu/1gpu/Off/Parallel/infer", 0xad289756222fd52f),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x4f30375fca31aa0f),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0xdf9469bf05a9388b),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0xad24e7f8e1a7ea03),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x4f30375fca31aa0f),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0xdf9469bf05a9388b),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0xad24e7f8e1a7ea03),
+    ("Sage/P2pRu/2gpu/Off/Sequential/train-hybrid", 0x29f74ab88a33e9b2),
+    ("Sage/P2pRu/2gpu/Off/Sequential/train-recompute", 0x4f13dc9c20fd4322),
+    ("Sage/P2pRu/2gpu/Off/Sequential/infer", 0x04197e0da80cb9ee),
+    ("Sage/P2pRu/2gpu/Off/Parallel/train-hybrid", 0x29f74ab88a33e9b2),
+    ("Sage/P2pRu/2gpu/Off/Parallel/train-recompute", 0x4f13dc9c20fd4322),
+    ("Sage/P2pRu/2gpu/Off/Parallel/infer", 0x04197e0da80cb9ee),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xa99fda843c6027cc),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0xe2c5470a8d1d8e2c),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0x136095fc541b6785),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xa99fda843c6027cc),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0xe2c5470a8d1d8e2c),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0x136095fc541b6785),
+    ("Sage/P2pRu/4gpu/Off/Sequential/train-hybrid", 0x5107d4bd97cc3ce0),
+    ("Sage/P2pRu/4gpu/Off/Sequential/train-recompute", 0x72b0593512b010ec),
+    ("Sage/P2pRu/4gpu/Off/Sequential/infer", 0x8f12091b58faad1d),
+    ("Sage/P2pRu/4gpu/Off/Parallel/train-hybrid", 0x5107d4bd97cc3ce0),
+    ("Sage/P2pRu/4gpu/Off/Parallel/train-recompute", 0x72b0593512b010ec),
+    ("Sage/P2pRu/4gpu/Off/Parallel/infer", 0x8f12091b58faad1d),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x3be064c3c19d5877),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x2b53b0fbe2d2a8d3),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0xe3a3446eb38b9fef),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x3be064c3c19d5877),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x2b53b0fbe2d2a8d3),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0xe3a3446eb38b9fef),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/train-hybrid", 0x35efdf45ac5224f7),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/infer", 0xfac2afd1ead6b115),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0xcb991619f161e113),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/infer", 0xa61116d5e90458c1),
+    ("Gcn/P2p/2gpu/Off/Sequential/cache/train-hybrid", 0x72fed1474aa86884),
+    ("Gcn/P2p/2gpu/Off/Sequential/cache/infer", 0xbce68ff7c674217b),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x4041da3f9151b2a6),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/infer", 0xea84f30b25589844),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/train-hybrid", 0xe5ec1d3dfed213b5),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/infer", 0x6ddceec9d0ebde8f),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x2e68c8e0ebc814c4),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/infer", 0x350e895a0a874bd6),
 ];
