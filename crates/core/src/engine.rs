@@ -11,9 +11,11 @@
 //!   full-graph inference over the same plans, with no checkpoint stores
 //!   and no gradient state, optionally pruned to a query or delta cone.
 //!
-//! Every epoch is a sequence of layer sweeps; the sweep itself — the
-//! schedule walk, the per-GPU dispatch and the event emitters — lives in
-//! [`crate::exec`].
+//! Every epoch is a sequence of layer sweeps; the epoch drivers and the
+//! sweep itself — the schedule walk, the per-GPU dispatch and the event
+//! emitters — live in [`crate::exec`], what a step occupies in
+//! [`crate::footprint`], and the layer math behind
+//! [`crate::numerics`].
 //!
 //! Vertex representations `h^l` and gradients `∇h^l` for **every** layer
 //! live in (pinned) CPU memory; each simulated GPU holds, at any moment,
@@ -38,18 +40,18 @@
 use crate::buffers::GpuBufferPlan;
 use crate::cost::CommVolumes;
 use crate::dedup::DedupPlan;
-use crate::exec::{grad, rep, Dir, Env, GpuScratch, Sweep, F32};
+use crate::exec::{self, Env, F32};
+use crate::footprint;
+use crate::numerics::{Live, Shapes};
 use crate::reorg::reorganize_guarded_cached;
 use crate::serve::{ServeMask, ServeReport};
 use hongtu_cache::{load_sets, CachePlan, CachePolicy, CacheRuntime, LoadPattern, Off as CacheOff};
 use hongtu_datasets::Dataset;
 use hongtu_delta::{DynamicGraph, StagedCommit};
 use hongtu_graph::Graph;
-use hongtu_nn::{masked_cross_entropy, GnnModel, MaskedLoss, ModelKind};
+use hongtu_nn::{GnnModel, MaskedLoss, ModelKind};
 use hongtu_partition::{ChunkSubgraph, TwoLevelPartition};
-use hongtu_sim::{
-    Access, BarrierScope, Machine, MachineConfig, Region, SimError, TimeBuckets, Trace,
-};
+use hongtu_sim::{Machine, MachineConfig, SimError, TimeBuckets, Trace};
 pub use hongtu_stream::OverlapMode;
 use hongtu_stream::StagingPlan;
 use hongtu_tensor::{Adam, Matrix, SeededRng};
@@ -394,14 +396,26 @@ impl HongTuConfigBuilder {
     }
 }
 
-/// Converts a failed verification report into the engine error.
-fn invalid_plan(report: &Report) -> SimError {
-    let code = report
+/// The stable code of a failed report's first diagnostic.
+fn first_code(report: &Report) -> String {
+    report
         .first()
         .map(|d| d.code.code().to_string())
-        .unwrap_or_default();
+        .unwrap_or_default()
+}
+
+/// Converts a failed verification report into the engine error.
+fn invalid_plan(report: &Report) -> SimError {
     SimError::InvalidPlan {
-        code,
+        code: first_code(report),
+        message: report.render(),
+    }
+}
+
+/// Converts a failed trace-certification report into the engine error.
+fn invalid_schedule(report: &Report) -> SimError {
+    SimError::InvalidSchedule {
+        code: first_code(report),
         message: report.render(),
     }
 }
@@ -446,9 +460,10 @@ fn derive_plans(
     // Staging is sized for the worst (layer, batch) footprint and pinned
     // for the whole run, so overlapped epochs have no per-batch
     // allocation churn.
+    let env = Env::new(config, plan, &dedup, buffer_comm.as_deref(), model);
     let staging = (config.overlap == OverlapMode::DoubleBuffer).then(|| {
         (0..plan.m)
-            .map(|gpu| plan_staging(gpu, plan, &dedup, bufplans.as_deref(), model, config))
+            .map(|gpu| footprint::staging_plan(&env, gpu))
             .collect()
     });
     Ok(DerivedPlans {
@@ -502,18 +517,6 @@ fn build_buffer_comm(
         })
         .collect::<Vec<_>>();
     Some(per_gpu)
-}
-
-/// Converts a failed trace-certification report into the engine error.
-fn invalid_schedule(report: &Report) -> SimError {
-    let code = report
-        .first()
-        .map(|d| d.code.code().to_string())
-        .unwrap_or_default();
-    SimError::InvalidSchedule {
-        code,
-        message: report.render(),
-    }
 }
 
 /// Result of one training epoch.
@@ -672,10 +675,6 @@ pub struct Session {
     agg_cache: Vec<Vec<Vec<Option<Matrix>>>>,
     preprocessing: Preprocessing,
     epochs_run: usize,
-    /// True only on the throwaway clone driven by
-    /// [`Session::synthesize_schedule`]: the sweep skips the layer
-    /// numerics and emits shape-identical placeholder tensors instead.
-    synth: bool,
     /// Installed for the duration of a [`Session::serve`] or
     /// [`Session::apply_staged`] sweep: the per-(layer, batch) activity
     /// mask the sweep is pruned by. `None` on full-graph epochs.
@@ -775,17 +774,9 @@ impl Session {
 
         // ---- hybrid checkpoint storage (training only: inference never
         // stores checkpoints, so the cache is dead weight) ----
-        let l_count = model.num_layers();
-        let agg_cache: Vec<Vec<Vec<Option<Matrix>>>> = vec![vec![vec![None; plan.n]; m]; l_count];
-        if train && config.memory == MemoryStrategy::Hybrid {
-            let mut cache_bytes = 0usize;
-            for l in 0..l_count {
-                for c in plan.all_chunks() {
-                    cache_bytes += model.layer(l).agg_cache_bytes(c);
-                }
-            }
-            machine.host_alloc(cache_bytes, "aggregate cache")?;
-        }
+        let agg_cache = vec![vec![vec![None; plan.n]; m]; model.num_layers()];
+        let env = Env::new(&config, &plan, &dedup, buffer_comm.as_deref(), &model);
+        machine.host_alloc(footprint::checkpoint_store_bytes(&env), "aggregate cache")?;
 
         // ---- per-GPU static allocations: replicated params, plus Adam
         // moment state (2× params) on training sessions ----
@@ -825,7 +816,6 @@ impl Session {
             agg_cache,
             preprocessing,
             epochs_run: 0,
-            synth: false,
             serve_mask: None,
         };
 
@@ -1021,45 +1011,27 @@ impl Session {
     /// Symbolically synthesizes the annotated event schedule this
     /// session's next sweep would execute — a full epoch of its
     /// [`Mode`], or the forward sweep pruned by `mask` — from the plans
-    /// and configuration alone. The sweep runs on a throwaway copy of the
-    /// session (identical plans, machine state, host-store shapes and
-    /// cache residency) flagged `synth`, so every H2D/D2D/D2H transfer,
+    /// and configuration alone: the epoch driver runs over the session's
+    /// own plans with the shapes-only numerics ([`Shapes`]), against a
+    /// copy of the machine and of the cache runtime (the only two things
+    /// a sweep mutates besides the stores). Every H2D/D2D/D2H transfer,
     /// stream assignment, barrier and access annotation is emitted
     /// exactly as a real sweep would emit it — simulated timestamps
-    /// included — without computing a single FLOP of GNN math. The model
-    /// is rebuilt structurally (weights never influence the schedule,
-    /// only layer dimensions do), because [`GnnModel`] holds trait
-    /// objects and is not `Clone`.
+    /// included — without computing a single FLOP of GNN math.
     fn synthesize(&self, mask: Option<ServeMask>) -> Result<Trace, SimError> {
-        let forward_only = mask.is_some() || self.config.mode == Mode::Infer;
         let mut machine = self.machine.clone();
         machine.replace_trace(Trace::unbounded());
-        let mut s = Session {
-            config: self.config.clone(),
-            machine,
-            plan: self.plan.clone(),
-            dedup: self.dedup.clone(),
-            buffer_comm: self.buffer_comm.clone(),
-            bufplans: self.bufplans.clone(),
-            staging: self.staging.clone(),
-            cache: self.cache.clone(),
-            model: GnnModel::new(self.model.kind, &self.model.dims, &mut SeededRng::new(0)),
-            labels: self.labels.clone(),
-            train_mask: self.train_mask.clone(),
-            h: self.h.clone(),
-            grad_h: self.grad_h.clone(),
-            agg_cache: self.agg_cache.clone(),
-            preprocessing: self.preprocessing.clone(),
-            epochs_run: self.epochs_run,
-            synth: true,
-            serve_mask: mask,
+        let mut cache = self.cache.clone();
+        let env = Env {
+            mask: mask.as_ref(),
+            ..self.env()
         };
-        if forward_only {
-            s.infer_epoch_inner()?;
+        if mask.is_some() || self.config.mode == Mode::Infer {
+            exec::infer_epoch(env, &mut machine, cache.as_mut(), &mut Shapes)?;
         } else {
-            s.train_epoch_inner(&mut Adam::new(s.config.lr))?;
+            exec::train_epoch(env, &mut machine, cache.as_mut(), &mut Shapes)?;
         }
-        Ok(s.machine.replace_trace(Trace::disabled()))
+        Ok(machine.replace_trace(Trace::disabled()))
     }
 
     /// Synthesizes the schedule ([`Session::synthesize`]) and runs the
@@ -1190,20 +1162,32 @@ impl Session {
         self.plan.m <= 2 && self.model.num_layers() <= 2
     }
 
+    /// The environment of a full sweep of this session's [`Mode`] over
+    /// its current plans.
+    fn env(&self) -> Env<'_> {
+        Env::new(
+            &self.config,
+            &self.plan,
+            &self.dedup,
+            self.buffer_comm.as_deref(),
+            &self.model,
+        )
+    }
+
     /// Static peak-memory bound per tier, derived from the plans alone by
-    /// the same arithmetic the executors charge: replicated parameters
-    /// (plus optimizer state on training sessions), the pinned staging
-    /// slots under [`OverlapMode::DoubleBuffer`], and otherwise the worst
-    /// (layer, batch) footprint of the phased executor. The bound
-    /// dominates (≥) the simulator's measured per-GPU and host peaks for
-    /// every supported configuration.
+    /// the same per-step [`footprint`] the executor allocates from:
+    /// replicated parameters (plus optimizer state on training sessions),
+    /// the pinned staging slots under [`OverlapMode::DoubleBuffer`], and
+    /// otherwise the worst (layer, batch) step of the phased executor.
+    /// The bound dominates (≥) the simulator's measured per-GPU and host
+    /// peaks for every supported configuration.
     pub fn static_memory_bound(&self) -> StaticMemoryBound {
+        let env = self.env();
         let train = self.config.mode == Mode::Train;
-        let m = self.plan.m;
         let param_copies = if train { 3 } else { 1 };
         let base = self.model.param_bytes() * param_copies;
 
-        let gpu = (0..m)
+        let gpu = (0..self.plan.m)
             .map(|i| {
                 // The hot-vertex cache pins its admitted rows for the
                 // session lifetime; admission spent exactly the headroom
@@ -1214,7 +1198,7 @@ impl Session {
                         // Overlap executor: batches live in the two pinned
                         // staging slots; no per-batch allocation exists.
                         Some(plans) => plans[i].total_bytes(),
-                        None => self.worst_batch_footprint(i, train),
+                        None => footprint::worst(&env, i, |fp| fp.resident(train)),
                     }
             })
             .collect();
@@ -1222,70 +1206,18 @@ impl Session {
         // Host: layer stores h^l (+ ∇h^l on training sessions) and the
         // hybrid aggregate cache — all allocated at construction.
         let v = self.h[0].rows();
-        let mut host = 0usize;
-        for hl in &self.h {
-            host += v * hl.cols() * F32;
-        }
+        let mut host: usize = self.h.iter().map(|hl| v * hl.cols() * F32).sum();
         if train {
             host *= 2;
         }
-        if train && self.config.memory == MemoryStrategy::Hybrid {
-            for l in 0..self.model.num_layers() {
-                for c in self.plan.all_chunks() {
-                    host += self.model.layer(l).agg_cache_bytes(c);
-                }
-            }
-        }
+        host += footprint::checkpoint_store_bytes(&env);
         StaticMemoryBound { gpu, host }
-    }
-
-    /// Worst-case per-batch device footprint of the phased (non-overlap)
-    /// executor on GPU `i`: the merged neighbor buffer, chunk topology,
-    /// layer output, and intermediates of the forward step, and the
-    /// topology + intermediates + checkpoint reload of the backward step.
-    fn worst_batch_footprint(&self, i: usize, train: bool) -> usize {
-        let mut worst = 0usize;
-        for l in 0..self.model.num_layers() {
-            let layer = self.model.layer(l);
-            let row = layer.in_dim() * F32;
-            let use_hybrid =
-                train && self.config.memory == MemoryStrategy::Hybrid && layer.supports_agg_cache();
-            for (j, chunk) in self.plan.chunks[i].iter().enumerate() {
-                let topo = chunk.topology_bytes();
-                let buf = match self.config.comm {
-                    CommMode::Vanilla => chunk.num_neighbors() * row,
-                    CommMode::P2p => {
-                        let b = &self.dedup.batches[j];
-                        (b.transition[i].len() + chunk.num_neighbors() - b.fetch[i][i]) * row
-                    }
-                    CommMode::P2pRu => {
-                        self.buffer_comm
-                            .as_ref()
-                            .expect("buffer plan built for P2pRu")[i][j]
-                            .buffer_rows
-                            * row
-                    }
-                };
-                let out_bytes = chunk.num_dests() * layer.out_dim() * F32;
-                let inter = layer.intermediate_bytes(chunk);
-                worst = worst.max(buf + topo + out_bytes + inter);
-                if train {
-                    let reload = if use_hybrid {
-                        layer.agg_cache_bytes(chunk)
-                    } else {
-                        buf
-                    };
-                    worst = worst.max(topo + inter + reload);
-                }
-            }
-        }
-        worst
     }
 
     /// Per-GPU serving admission budget in bytes: one input plus one
     /// output staging slot, as the overlap executor sizes them
     /// ([`StagingPlan::slot_budget`]) — taken from the pinned plans when
-    /// overlap is on, computed by the same arithmetic on demand
+    /// overlap is on, folded from the same per-step footprint on demand
     /// otherwise. A full-graph sweep's worst batch fits this by
     /// construction, so any cone (a subset of the full sweep's batches)
     /// admitted against it fits too.
@@ -1293,52 +1225,23 @@ impl Session {
         if let Some(plans) = &self.staging {
             return plans.iter().map(StagingPlan::slot_budget).collect();
         }
-        let bufplans = self.ru_buffer_plans();
+        let env = self.env();
         (0..self.plan.m)
-            .map(|gpu| {
-                plan_staging(
-                    gpu,
-                    &self.plan,
-                    &self.dedup,
-                    bufplans,
-                    &self.model,
-                    &self.config,
-                )
-                .slot_budget()
-            })
+            .map(|gpu| footprint::staging_plan(&env, gpu).slot_budget())
             .collect()
     }
 
-    /// Per-GPU staging cost of a serving cone: the worst input + output
-    /// footprint over the `(layer, batch)` steps `mask` keeps active,
-    /// computed with the same per-batch arithmetic as the staging plans
-    /// ([`batch_staging_footprint`]). Admission control compares this
-    /// against [`Session::staging_budget`].
+    /// Per-GPU staging cost of a serving cone: the worst forward
+    /// footprint over the `(layer, batch)` steps `mask` keeps active — the
+    /// same fold as the staging plans, over fewer steps. Admission
+    /// control compares this against [`Session::staging_budget`].
     pub fn serve_cone_cost(&self, mask: &ServeMask) -> Vec<usize> {
-        let bufplans = self.ru_buffer_plans();
+        let env = Env {
+            mask: Some(mask),
+            ..self.env()
+        };
         (0..self.plan.m)
-            .map(|gpu| {
-                let mut worst = 0usize;
-                for l in 0..self.model.num_layers() {
-                    for j in 0..self.plan.n {
-                        if !mask.active(l, j) {
-                            continue;
-                        }
-                        let (inb, outb) = batch_staging_footprint(
-                            gpu,
-                            l,
-                            j,
-                            &self.plan,
-                            &self.dedup,
-                            bufplans,
-                            &self.model,
-                            &self.config,
-                        );
-                        worst = worst.max(inb + outb);
-                    }
-                }
-                worst
-            })
+            .map(|gpu| footprint::worst(&env, gpu, footprint::Footprint::forward))
             .collect()
     }
 
@@ -1663,159 +1566,54 @@ impl Session {
         Ok((derived, mask))
     }
 
-    /// The [`Sweep`] over this session's plans, stores and machine.
-    /// `train` says the sweep belongs to a training epoch, which is what
-    /// puts hybrid checkpoints in play.
-    fn sweep(&mut self, train: bool) -> Sweep<'_> {
-        Sweep {
-            env: Env {
-                config: &self.config,
-                plan: &self.plan,
-                dedup: &self.dedup,
-                buffer_comm: self.buffer_comm.as_deref(),
-                model: &self.model,
-                checkpoint: train && self.config.memory == MemoryStrategy::Hybrid,
-                synth: self.synth,
-                mask: self.serve_mask.as_ref(),
-                cache: self.cache.as_ref(),
-            },
-            machine: &mut self.machine,
+    /// Splits the session into what an epoch driver takes: the sweep
+    /// environment, the machine, the cache runtime, and the live numerics
+    /// over the host stores.
+    fn parts(&mut self) -> (Env<'_>, &mut Machine, Option<&mut CacheRuntime>, Live<'_>) {
+        let env = Env {
+            mask: self.serve_mask.as_ref(),
+            ..Env::new(
+                &self.config,
+                &self.plan,
+                &self.dedup,
+                self.buffer_comm.as_deref(),
+                &self.model,
+            )
+        };
+        let live = Live {
+            model: &self.model,
             h: &mut self.h,
             grad_h: &mut self.grad_h,
             agg_cache: &mut self.agg_cache,
-        }
+            labels: &self.labels,
+            train_mask: &self.train_mask,
+        };
+        (env, &mut self.machine, self.cache.as_mut(), live)
     }
 
     fn infer_epoch_inner(&mut self) -> Result<InferReport, SimError> {
-        let t0 = self.machine.elapsed();
-        let b0 = self.machine.buckets();
-        let (m, n) = (self.plan.m, self.plan.n);
-
-        // A batch's layer-0 host load runs iff layer 0 is active under
-        // the serving/delta mask; the cache installs only those rows.
-        let executed: Vec<bool> = (0..n)
-            .map(|j| self.serve_mask.as_ref().is_none_or(|m| m.active(0, j)))
-            .collect();
-        if let Some(c) = self.cache.as_mut() {
-            c.begin_sweep();
-        }
-
-        // ---- forward pass only (Alg 1, lines 4–9, minus checkpoints) ----
-        let mut scratch: Vec<GpuScratch> = (0..m).map(|_| GpuScratch::new(Vec::new())).collect();
-        let mut sweep = self.sweep(false);
-        for l in 0..sweep.env.model.num_layers() {
-            sweep.run_layer(Dir::Forward, l, &mut scratch)?;
-        }
-        self.machine.sync(BarrierScope::Epoch);
-        if let Some(c) = self.cache.as_mut() {
-            c.end_sweep(&executed);
-        }
-
+        let (env, machine, cache, mut live) = self.parts();
+        let (time, buckets) = exec::infer_epoch(env, machine, cache, &mut live)?;
         self.epochs_run += 1;
         Ok(InferReport {
-            logits: self.h.last().unwrap().clone(),
-            time: self.machine.elapsed() - t0,
-            buckets: delta(self.machine.buckets(), b0),
+            logits: self.logits().clone(),
+            time,
+            buckets,
             peak_gpu_bytes: self.machine.max_gpu_peak(),
             peak_host_bytes: self.machine.host_memory().peak(),
         })
     }
 
     fn train_epoch_inner(&mut self, opt: &mut Adam) -> Result<EpochReport, SimError> {
-        let t0 = self.machine.elapsed();
-        let b0 = self.machine.buckets();
-        let l_count = self.model.num_layers();
-        let (m, n) = (self.plan.m, self.plan.n);
-
         for g in &mut self.grad_h {
             g.fill_zero();
         }
-        // Zero-initializing the host gradient stores is a (cost-free)
-        // write the schedule checker needs to see: every later gradient
-        // accumulate/read is ordered after it.
-        self.machine
-            .tag((0..=l_count).map(|l| Access::write(grad(l), Region::All)));
-        self.machine.cpu_compute(0, 0.0);
-
-        // Training epochs are always full sweeps: every batch's layer-0
-        // host load runs, so the cache installs every admitted row it
-        // saw loaded this sweep.
-        if let Some(c) = self.cache.as_mut() {
-            c.begin_sweep();
-        }
-
-        // ---- forward pass (Alg 1, lines 4–9) ----
-        let mut scratch: Vec<GpuScratch> = (0..m)
-            .map(|_| GpuScratch::new(self.model.zero_grads()))
-            .collect();
-        let mut sweep = self.sweep(true);
-        for l in 0..l_count {
-            sweep.run_layer(Dir::Forward, l, &mut scratch)?;
-        }
-        // The backward pass re-loads through checkpoint reloads, which
-        // bypass the cache by design — the sweep ends with the forward.
-        if let Some(c) = self.cache.as_mut() {
-            c.end_sweep(&vec![true; n]);
-        }
-
-        // ---- downstream task (lines 10–11) ----
-        let loss = if self.synth {
-            MaskedLoss {
-                loss: 0.0,
-                grad: Matrix::zeros(0, 0),
-                accuracy: 0.0,
-            }
-        } else {
-            let loss = masked_cross_entropy(self.h.last().unwrap(), &self.labels, &self.train_mask);
-            *self.grad_h.last_mut().unwrap() = loss.grad.clone();
-            loss
-        };
-        let v = self.labels.len();
-        let classes = self.h.last().unwrap().cols();
-        self.machine.tag([
-            Access::read(rep(l_count), Region::All),
-            Access::write(grad(l_count), Region::All),
-        ]);
-        self.machine.cpu_compute(0, (v * classes * 8) as f64);
-        // The loss gradient is written on GPU 0's timeline; every GPU's
-        // backward pass reads it, so the batch loop must not start before
-        // a barrier.
-        self.machine.sync(BarrierScope::Batch);
-
-        // ---- backward pass (lines 12–19) ----
-        let mut sweep = self.sweep(true);
-        for l in (0..l_count).rev() {
-            sweep.run_layer(Dir::Backward, l, &mut scratch)?;
-        }
-
-        // ---- parameter update with all-reduce (lines 20–21) ----
-        let param_bytes = self.model.param_bytes();
-        for i in 0..m {
-            // Ring all-reduce: 2·(m−1)/m of the parameter volume per GPU.
-            // Modeled as an internally-ordered collective, so it carries no
-            // access annotations.
-            let ring = 2 * param_bytes * (m.saturating_sub(1)) / m.max(1);
-            self.machine.d2d((i + 1) % m, i, ring);
-            self.machine
-                .gpu_dense(i, 2.0 * self.model.param_count() as f64);
-        }
-        self.machine.sync(BarrierScope::Epoch);
-        if !self.synth {
-            let mut total = self.model.zero_grads();
-            for gpu in &scratch {
-                for (t, g) in total.iter_mut().zip(&gpu.grads) {
-                    t.add(g);
-                }
-            }
-            self.model.apply_grads(&total, opt);
-        }
-
+        let (env, machine, cache, mut live) = self.parts();
+        let (report, grads) = exec::train_epoch(env, machine, cache, &mut live)?;
+        // Parameter update from the all-reduced gradients (Alg 1 line 21).
+        self.model.apply_grads(&grads, opt);
         self.epochs_run += 1;
-        Ok(EpochReport {
-            loss,
-            time: self.machine.elapsed() - t0,
-            buckets: delta(self.machine.buckets(), b0),
-        })
+        Ok(report)
     }
 
     /// Mutable access to the simulated machine, e.g. to enable the
@@ -1883,97 +1681,6 @@ impl Trainer<'_> {
     /// The underlying session (logits, accuracy, machine state).
     pub fn session(&self) -> &Session {
         self.session
-    }
-}
-
-/// Sizes GPU `gpu`'s double-buffered staging slots: the worst-case
-/// (layer, batch) *input* footprint (chunk topology plus the merged
-/// neighbor/transition buffer or checkpoint reload) and *output*
-/// footprint (layer output and intermediates awaiting their drain). Two
-/// slots of each are pinned for the whole run
-/// ([`StagingPlan::total_bytes`]).
-fn plan_staging(
-    gpu: usize,
-    plan: &TwoLevelPartition,
-    dedup: &DedupPlan,
-    bufplans: Option<&[GpuBufferPlan]>,
-    model: &GnnModel,
-    config: &HongTuConfig,
-) -> StagingPlan {
-    let mut in_slot = 0usize;
-    let mut out_slot = 0usize;
-    for l in 0..model.num_layers() {
-        let layer = model.layer(l);
-        // Inference never reloads hybrid checkpoints, so its staging
-        // slots skip the checkpoint-row term entirely.
-        let use_hybrid = config.mode == Mode::Train
-            && config.memory == MemoryStrategy::Hybrid
-            && layer.supports_agg_cache();
-        for (j, chunk) in plan.chunks[gpu].iter().enumerate() {
-            let (inb, outb) =
-                batch_staging_footprint(gpu, l, j, plan, dedup, bufplans, model, config);
-            // Forward batch footprint, and the backward one (checkpoint
-            // reload in; regenerated intermediates covered by the
-            // output-side term).
-            in_slot = in_slot.max(inb);
-            out_slot = out_slot.max(outb);
-            if use_hybrid {
-                in_slot = in_slot.max(chunk.topology_bytes() + layer.agg_cache_bytes(chunk));
-            }
-        }
-    }
-    StagingPlan {
-        gpu,
-        in_slot_bytes: in_slot,
-        out_slot_bytes: out_slot,
-    }
-}
-
-/// Staging footprint of forward batch `j` at layer `l` on GPU `gpu`:
-/// input bytes (chunk topology plus the merged neighbor/transition
-/// buffer) and output bytes (layer output plus intermediates). The
-/// per-batch term both [`plan_staging`] and the serving admission check
-/// ([`Session::serve_cone_cost`]) are built on, so a cone's cost and
-/// the staging budget are always in the same units.
-#[allow(clippy::too_many_arguments)]
-fn batch_staging_footprint(
-    gpu: usize,
-    l: usize,
-    j: usize,
-    plan: &TwoLevelPartition,
-    dedup: &DedupPlan,
-    bufplans: Option<&[GpuBufferPlan]>,
-    model: &GnnModel,
-    config: &HongTuConfig,
-) -> (usize, usize) {
-    let layer = model.layer(l);
-    let row = layer.in_dim() * F32;
-    let chunk = &plan.chunks[gpu][j];
-    let topo = chunk.topology_bytes();
-    let buf_bytes = match config.comm {
-        CommMode::Vanilla => chunk.num_neighbors() * row,
-        CommMode::P2p => {
-            let b = &dedup.batches[j];
-            (b.transition[gpu].len() + chunk.num_neighbors() - b.fetch[gpu][gpu]) * row
-        }
-        CommMode::P2pRu => bufplans.expect("buffer plans built for P2pRu")[gpu].staging_bytes(row),
-    };
-    let out_bytes = chunk.num_dests() * layer.out_dim() * F32;
-    let inter = layer.intermediate_bytes(chunk);
-    (topo + buf_bytes, out_bytes + inter)
-}
-
-fn delta(now: TimeBuckets, before: TimeBuckets) -> TimeBuckets {
-    TimeBuckets {
-        h2d: now.h2d - before.h2d,
-        d2d: now.d2d - before.d2d,
-        gpu: now.gpu - before.gpu,
-        cpu: now.cpu - before.cpu,
-        reuse: now.reuse - before.reuse,
-        bytes_h2d: now.bytes_h2d - before.bytes_h2d,
-        bytes_d2h: now.bytes_d2h - before.bytes_d2h,
-        bytes_d2d: now.bytes_d2d - before.bytes_d2d,
-        bytes_reuse: now.bytes_reuse - before.bytes_reuse,
     }
 }
 
@@ -2203,26 +1910,6 @@ mod tests {
         }
         let val = e.session().accuracy(&ds.splits.val);
         assert!(val > 0.5, "validation accuracy {val}");
-    }
-
-    #[test]
-    fn bucket_delta_subtracts_componentwise() {
-        let before = TimeBuckets {
-            h2d: 1.0,
-            gpu: 2.0,
-            bytes_h2d: 100,
-            ..Default::default()
-        };
-        let now = TimeBuckets {
-            h2d: 3.0,
-            gpu: 2.5,
-            bytes_h2d: 150,
-            ..Default::default()
-        };
-        let d = delta(now, before);
-        assert_eq!(d.h2d, 2.0);
-        assert_eq!(d.gpu, 0.5);
-        assert_eq!(d.bytes_h2d, 50);
     }
 
     #[test]

@@ -7,11 +7,18 @@
 //! runs it from data: [`hongtu_stream::layer_schedule`] says which batch
 //! is in which [`Role`] between which barriers, [`Sweep::run_layer`]
 //! walks that schedule, [`Sweep::per_gpu`] runs each operation on every
-//! simulated GPU (inline, or forked onto worker threads), and the
-//! *emitters* charge the events of one step to a [`Timeline`].
+//! simulated GPU's [`GpuLane`] (in a loop, or on worker threads) and
+//! joins the lanes, and the *emitters* charge the events of one step to
+//! a lane. What a step allocates comes from [`crate::footprint`]; what
+//! it computes goes through [`crate::numerics`].
 //!
-//! Three layers of functions, top to bottom:
+//! Four layers of functions, top to bottom:
 //!
+//! - **epochs** — [`infer_epoch`] and [`train_epoch`]: the layer sweeps
+//!   of one epoch plus the few machine-level charges around them (loss,
+//!   all-reduce), over whatever machine, cache runtime and numerics the
+//!   caller hands in — the session's own for a real epoch, throwaway
+//!   copies and the shapes-only numerics for schedule synthesis.
 //! - **driver** — [`Sweep::run_layer`]: per segment, per `(role, batch)`
 //!   operation, dispatch to all GPUs; after a compute, leader-apply the
 //!   host-store writes in GPU index order; close with the segment's
@@ -28,13 +35,18 @@
 //!   modes.
 
 use crate::dedup::DedupPlan;
-use crate::engine::{BatchComm, CommMode, ExecutionMode, HongTuConfig};
+use crate::engine::{
+    BatchComm, CommMode, EpochReport, ExecutionMode, HongTuConfig, MemoryStrategy, Mode,
+};
+use crate::footprint::footprint;
+use crate::numerics::Numerics;
 use crate::serve::ServeMask;
 use hongtu_cache::{CacheRuntime, HitStats};
-use hongtu_nn::{GnnLayer, GnnModel, LayerForward, LayerGrads};
-use hongtu_partition::{ChunkSubgraph, TwoLevelPartition};
+use hongtu_nn::{GnnModel, LayerForward, LayerGrads};
+use hongtu_partition::TwoLevelPartition;
 use hongtu_sim::{
-    Access, ContribKind, Machine, Provenance, Region, ResourceId, SimError, Timeline,
+    Access, BarrierScope, ContribKind, GpuLane, Machine, Provenance, Region, ResourceId, SimError,
+    TimeBuckets,
 };
 use hongtu_stream::{grad_slot, layer_schedule, rep_slot, OverlapMode, Role, StreamId};
 use hongtu_tensor::Matrix;
@@ -108,7 +120,8 @@ pub(crate) enum Dir {
 }
 
 /// Everything a sweep reads and never writes: configuration, plans, the
-/// model replica, and the per-sweep switches.
+/// model replica (for its shapes and FLOP counts), and the per-sweep
+/// switches.
 #[derive(Clone, Copy)]
 pub(crate) struct Env<'a> {
     pub config: &'a HongTuConfig,
@@ -120,11 +133,6 @@ pub(crate) struct Env<'a> {
     /// *training* epoch under `MemoryStrategy::Hybrid`. Inference epochs
     /// never store (or reload) checkpoints, whatever the strategy.
     pub checkpoint: bool,
-    /// Schedule-synthesis backend: every transfer/compute event and every
-    /// access annotation is emitted exactly as in a real epoch, but the
-    /// layer numerics are replaced by shape-preserving zero tensors, so
-    /// the trace is the schedule derived from the plans alone.
-    pub synth: bool,
     /// Serving / delta-replay mask: `(layer, batch)` steps outside it are
     /// skipped (all GPUs of a batch skip together). `None` = full sweep.
     pub mask: Option<&'a ServeMask>,
@@ -133,9 +141,31 @@ pub(crate) struct Env<'a> {
     pub cache: Option<&'a CacheRuntime>,
 }
 
-impl Env<'_> {
+impl<'a> Env<'a> {
+    /// The environment of a full, cache-less sweep of the session's own
+    /// [`Mode`]: checkpoints are in play iff it trains under the hybrid
+    /// strategy. Callers narrow it with struct update syntax.
+    pub(crate) fn new(
+        config: &'a HongTuConfig,
+        plan: &'a TwoLevelPartition,
+        dedup: &'a DedupPlan,
+        buffer_comm: Option<&'a [Vec<BatchComm>]>,
+        model: &'a GnnModel,
+    ) -> Self {
+        Env {
+            config,
+            plan,
+            dedup,
+            buffer_comm,
+            model,
+            checkpoint: config.mode == Mode::Train && config.memory == MemoryStrategy::Hybrid,
+            mask: None,
+            cache: None,
+        }
+    }
+
     /// Whether the mask prunes batch `j` at layer `l`.
-    fn pruned(&self, l: usize, j: usize) -> bool {
+    pub(crate) fn pruned(&self, l: usize, j: usize) -> bool {
         self.mask.is_some_and(|m| !m.active(l, j))
     }
 
@@ -175,17 +205,17 @@ impl Env<'_> {
 
     /// Whether layer `l` runs the hybrid path: its aggregate is
     /// checkpointed in the forward pass and reloaded in the backward.
-    fn checkpointed(&self, l: usize) -> bool {
+    pub(crate) fn checkpointed(&self, l: usize) -> bool {
         self.checkpoint && self.model.layer(l).supports_agg_cache()
     }
 
     /// Bytes of one input row of layer `l`.
-    fn row(&self, l: usize) -> usize {
+    pub(crate) fn row(&self, l: usize) -> usize {
         self.model.layer(l).in_dim() * F32
     }
 
     /// The §6 buffer-plan communication table entry (P2P+RU only).
-    fn buffer_comm(&self, i: usize, j: usize) -> &BatchComm {
+    pub(crate) fn buffer_comm(&self, i: usize, j: usize) -> &BatchComm {
         &self.buffer_comm.expect("buffer plan built for P2pRu")[i][j]
     }
 
@@ -200,44 +230,33 @@ impl Env<'_> {
 
 /// One GPU's mutable state across a sweep, handed to exactly one worker
 /// per operation.
-pub(crate) struct GpuScratch {
-    /// Load → compute → drain hand-off of the (at most two) batches in
-    /// flight, indexed by `batch % 2`.
-    carry: [Carry; 2],
+struct GpuScratch {
+    /// `∇h^{l+1}_{V_ij}`: what the backward load of each of the (at most
+    /// two) batches in flight leaves for its compute, indexed by
+    /// `batch % 2`.
+    grad_out: [Matrix; 2],
     /// Parameter gradients this GPU accumulated, per layer. Empty on
     /// forward-only sweeps.
-    pub grads: Vec<LayerGrads>,
+    grads: Vec<LayerGrads>,
 }
 
 impl GpuScratch {
-    pub(crate) fn new(grads: Vec<LayerGrads>) -> Self {
-        let carry = || Carry {
-            grad_out: Matrix::zeros(0, 0),
-            held: 0,
-        };
+    fn new(grads: Vec<LayerGrads>) -> Self {
         GpuScratch {
-            carry: [carry(), carry()],
+            grad_out: [Matrix::zeros(0, 0), Matrix::zeros(0, 0)],
             grads,
         }
     }
 }
 
-/// What a batch's load leaves for its compute and drain.
-struct Carry {
-    /// `∇h^{l+1}_{V_ij}`, gathered by the backward load.
-    grad_out: Matrix,
-    /// Per-batch device bytes still allocated (phased composers only).
-    held: usize,
-}
-
 /// Result of one GPU's compute step. The host-store writes it implies
 /// are applied by the leader after the join, in GPU index order, so
 /// worker threads never write the shared stores.
-struct Computed {
+pub(crate) struct Computed {
     /// Forward: `h^{l+1}_{V_ij}`. Backward: `∇h^l_{N_ij}`.
-    rows: Matrix,
+    pub rows: Matrix,
     /// Forward under the hybrid strategy: the aggregate checkpoint.
-    agg: Option<Matrix>,
+    pub agg: Option<Matrix>,
 }
 
 /// One `(role, batch)` operation of a layer schedule.
@@ -249,20 +268,29 @@ struct Op {
     j: usize,
 }
 
-/// A sweep in progress: the immutable [`Env`] plus the state it mutates
-/// — the simulated machine and the host-resident stores.
-pub(crate) struct Sweep<'a> {
-    pub env: Env<'a>,
-    pub machine: &'a mut Machine,
-    /// `h[l]`: host-resident layer representations.
-    pub h: &'a mut [Matrix],
-    /// `∇h[l]`: host-resident gradient buffers.
-    pub grad_h: &'a mut [Matrix],
-    /// `agg_cache[l][i][j]`: hybrid checkpoints (host-resident).
-    pub agg_cache: &'a mut [Vec<Vec<Option<Matrix>>>],
+/// A sweep in progress: the immutable [`Env`] plus what it mutates — the
+/// simulated machine and, through the numerics, the host-resident stores.
+struct Sweep<'a> {
+    env: Env<'a>,
+    machine: &'a mut Machine,
+    numerics: &'a mut dyn Numerics,
+    /// Device bytes in use per GPU when the sweep began. A sweep frees
+    /// everything it allocates, so this is also what a failed one rolls
+    /// back to.
+    base: Vec<usize>,
 }
 
-impl Sweep<'_> {
+impl<'a> Sweep<'a> {
+    fn new(env: Env<'a>, machine: &'a mut Machine, numerics: &'a mut dyn Numerics) -> Self {
+        let base = machine.gpu_in_use();
+        Sweep {
+            env,
+            machine,
+            numerics,
+            base,
+        }
+    }
+
     /// Runs layer `l` in direction `dir`: walks the layer schedule, runs
     /// each operation on every GPU, leader-applies what a compute
     /// produced, and closes each segment with its barrier.
@@ -271,7 +299,7 @@ impl Sweep<'_> {
     /// batch (P2P fetches read what owners loaded; evictions read what
     /// remote GPUs pushed), which is what the schedule's phase barriers
     /// separate. Vanilla batches touch only per-GPU state.
-    pub(crate) fn run_layer(
+    fn run_layer(
         &mut self,
         dir: Dir,
         l: usize,
@@ -288,8 +316,15 @@ impl Sweep<'_> {
                     continue;
                 }
                 let outs = self.per_gpu(Op { dir, role, l, j }, scratch)?;
-                if role == Role::Compute {
-                    self.apply(dir, l, j, outs);
+                // Host-store writes in GPU index order — the fixed
+                // reduction order of the determinism contract (backward
+                // neighbor sets overlap across GPUs, so this order *is*
+                // the f32 summation order of `∇h^l`).
+                for (i, out) in outs.into_iter().enumerate() {
+                    if let Some(out) = out {
+                        self.numerics
+                            .apply(dir, l, &self.env.plan.chunks[i][j], out);
+                    }
                 }
             }
             self.machine.sync(seg.barrier);
@@ -297,18 +332,14 @@ impl Sweep<'_> {
         Ok(())
     }
 
-    /// Runs `op` once per simulated GPU and returns the results in GPU
-    /// index order. The only place the host execution mode is consulted.
-    ///
-    /// Sequential runs the steps inline against the machine's own
-    /// timeline — no fork/join, because a shard defers the naive
-    /// schedule's source stalls to the join and would reorder the trace.
-    /// Parallel forks one timeline shard per GPU onto the worker pool and
-    /// joins them in index order, so clocks, buckets and (for interleaved
-    /// schedules) the trace are bitwise those of the sequential run.
-    /// Every worker runs to completion before the scope returns, so on
-    /// error the machine is consistent and the lowest-indexed failure is
-    /// the one reported.
+    /// Runs `op` once per simulated GPU — each step against its own
+    /// [`GpuLane`] and scratch — joins the lanes, and returns the results
+    /// in GPU index order. The only place the host execution mode is
+    /// consulted: it picks a loop or the worker pool, nothing else —
+    /// lanes share no state, so clocks, buckets and the joined trace are
+    /// the same bits either way. Every GPU's step runs to completion, so
+    /// on error the lowest-indexed failure is the one reported, and the
+    /// device memory this sweep's unwound steps still held is released.
     fn per_gpu(
         &mut self,
         op: Op,
@@ -316,102 +347,189 @@ impl Sweep<'_> {
     ) -> Result<Vec<Option<Computed>>, SimError> {
         let ctx = StepCtx {
             env: self.env,
-            h: self.h,
-            grad_h: self.grad_h,
-            agg_cache: self.agg_cache,
+            numerics: &*self.numerics,
         };
-        match ctx.env.config.exec {
-            ExecutionMode::Sequential => scratch
-                .iter_mut()
-                .enumerate()
-                .map(|(i, sc)| step(&ctx, &mut *self.machine, op, i, sc))
-                .collect(),
-            ExecutionMode::Parallel => {
-                let mut shards = self.machine.fork_shards();
-                let mut slots: Vec<_> = shards.iter().map(|_| None).collect();
-                let ctx = &ctx;
-                hongtu_parallel::global().scope(|s| {
-                    for ((shard, slot), sc) in shards.iter_mut().zip(&mut slots).zip(scratch) {
-                        s.spawn(move || {
-                            let i = shard.gpu();
-                            *slot = Some(step(ctx, shard, op, i, sc));
-                        });
-                    }
-                });
-                self.machine.join_shards(shards);
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("worker task did not run"))
-                    .collect()
-            }
-        }
-    }
-
-    /// Applies a compute's host-store writes in GPU index order — the
-    /// fixed reduction order of the determinism contract. Forward: the
-    /// `h^{l+1}` scatter (Alg 1 line 9; destination rows are disjoint
-    /// across the batch's chunks) and the hybrid checkpoint store.
-    /// Backward: the `∇h^l` accumulation — neighbor sets overlap across
-    /// GPUs, so this order *is* the f32 summation order.
-    fn apply(&mut self, dir: Dir, l: usize, j: usize, outs: Vec<Option<Computed>>) {
-        let live = !self.env.synth;
-        for (i, out) in outs.into_iter().flatten().enumerate() {
-            let chunk = &self.env.plan.chunks[i][j];
-            match dir {
-                Dir::Forward => {
-                    if live {
-                        self.h[l + 1].scatter_rows(&indices(&chunk.dests), &out.rows);
-                    }
-                    // Synthesis still stores the (placeholder) checkpoint:
-                    // later steps read its byte size off the cache.
-                    if let Some(agg) = out.agg {
-                        self.agg_cache[l][i][j] = Some(agg);
-                    }
+        let mut slots: Vec<_> = scratch.iter().map(|_| None).collect();
+        let work = self
+            .machine
+            .lanes_mut()
+            .iter_mut()
+            .zip(&mut slots)
+            .zip(scratch);
+        let run = |((lane, slot), sc): ((&mut GpuLane, &mut Option<_>), &mut GpuScratch)| {
+            *slot = Some(step(&ctx, lane, op, sc));
+        };
+        match ctx.config.exec {
+            ExecutionMode::Sequential => work.for_each(run),
+            ExecutionMode::Parallel => hongtu_parallel::global().scope(|s| {
+                for w in work {
+                    s.spawn(move || run(w));
                 }
-                Dir::Backward => {
-                    if live {
-                        self.grad_h[l].scatter_add_rows(&indices(&chunk.neighbors), &out.rows);
-                    }
-                }
-            }
+            }),
         }
+        self.machine.join();
+        let outs = slots
+            .into_iter()
+            .map(|slot| slot.expect("every GPU's step ran"))
+            .collect::<Result<_, _>>();
+        if outs.is_err() {
+            self.machine.release_to(&self.base);
+        }
+        outs
     }
 }
 
-fn indices(vertices: &[u32]) -> Vec<usize> {
-    vertices.iter().map(|&v| v as usize).collect()
+/// The forward pass of an epoch (Alg 1 lines 4–9) and the hot-vertex
+/// cache sweep around it: hits are frozen before the first load, and
+/// the rows loaded by the batches whose layer-0 host load ran — all of
+/// them, or the ones active under the serving/delta mask — are installed
+/// after the last. (A training epoch's backward pass re-loads through
+/// checkpoint reloads, which bypass the cache by design.)
+fn forward_pass(
+    env: Env,
+    machine: &mut Machine,
+    mut cache: Option<&mut CacheRuntime>,
+    numerics: &mut dyn Numerics,
+    scratch: &mut [GpuScratch],
+) -> Result<(), SimError> {
+    if let Some(c) = cache.as_deref_mut() {
+        c.begin_sweep();
+    }
+    let frozen = Env {
+        cache: cache.as_deref(),
+        ..env
+    };
+    let mut sweep = Sweep::new(frozen, machine, numerics);
+    for l in 0..env.model.num_layers() {
+        sweep.run_layer(Dir::Forward, l, scratch)?;
+    }
+    if let Some(c) = cache {
+        let executed: Vec<bool> = (0..env.plan.n).map(|j| !env.pruned(0, j)).collect();
+        c.end_sweep(&executed);
+    }
+    Ok(())
 }
 
-/// Immutable view a per-GPU step runs against: the [`Env`] plus the host
-/// stores, frozen for the duration of one operation so worker threads
-/// can share it while each mutates only its own timeline and scratch.
+/// One forward-only epoch (no checkpoints), pruned by `env.mask` when
+/// there is one. Returns the simulated time it took and what it charged.
+pub(crate) fn infer_epoch(
+    env: Env,
+    machine: &mut Machine,
+    cache: Option<&mut CacheRuntime>,
+    numerics: &mut dyn Numerics,
+) -> Result<(f64, TimeBuckets), SimError> {
+    let (t0, b0) = (machine.elapsed(), machine.buckets());
+    let mut scratch: Vec<_> = (0..env.plan.m)
+        .map(|_| GpuScratch::new(Vec::new()))
+        .collect();
+    let env = Env {
+        checkpoint: false,
+        ..env
+    };
+    forward_pass(env, machine, cache, numerics, &mut scratch)?;
+    machine.sync(BarrierScope::Epoch);
+    Ok((machine.elapsed() - t0, delta(machine.buckets(), b0)))
+}
+
+/// One training epoch (Algorithm 1) up to, and not including, the
+/// optimizer step: returns the epoch report and the all-reduced
+/// parameter gradients for the caller to apply.
+pub(crate) fn train_epoch(
+    env: Env,
+    machine: &mut Machine,
+    cache: Option<&mut CacheRuntime>,
+    numerics: &mut dyn Numerics,
+) -> Result<(EpochReport, Vec<LayerGrads>), SimError> {
+    let (t0, b0) = (machine.elapsed(), machine.buckets());
+    let l_count = env.model.num_layers();
+    let m = env.plan.m;
+
+    // Zero-initializing the host gradient stores is a (cost-free) write
+    // the schedule checker needs to see: every later gradient
+    // accumulate/read is ordered after it.
+    let lane = machine.lane(0);
+    lane.tag((0..=l_count).map(|l| Access::write(grad(l), Region::All)));
+    lane.cpu_compute(0.0);
+    machine.join();
+
+    let mut scratch: Vec<_> = (0..m)
+        .map(|_| GpuScratch::new(env.model.zero_grads()))
+        .collect();
+    forward_pass(env, machine, cache, numerics, &mut scratch)?;
+
+    // ---- downstream task (lines 10–11) ----
+    let loss = numerics.loss();
+    let vertices = env.plan.assignment.partition_of.len();
+    let classes = env.model.layer(l_count - 1).out_dim();
+    let lane = machine.lane(0);
+    lane.tag([
+        Access::read(rep(l_count), Region::All),
+        Access::write(grad(l_count), Region::All),
+    ]);
+    lane.cpu_compute((vertices * classes * 8) as f64);
+    // The loss gradient is written on GPU 0's timeline; every GPU's
+    // backward pass reads it, so the batch loop must not start before a
+    // barrier.
+    machine.sync(BarrierScope::Batch);
+
+    // ---- backward pass (lines 12–19) ----
+    let mut sweep = Sweep::new(env, machine, numerics);
+    for l in (0..l_count).rev() {
+        sweep.run_layer(Dir::Backward, l, &mut scratch)?;
+    }
+
+    // ---- all-reduce of the parameter gradients (line 20) ----
+    let param_bytes = env.model.param_bytes();
+    for lane in machine.lanes_mut() {
+        // Ring all-reduce: 2·(m−1)/m of the parameter volume per GPU.
+        // Modeled as an internally-ordered collective, so it carries no
+        // access annotations.
+        lane.d2d(2 * param_bytes * m.saturating_sub(1) / m.max(1));
+        lane.gpu_dense(2.0 * env.model.param_count() as f64);
+    }
+    machine.sync(BarrierScope::Epoch);
+    let mut total = env.model.zero_grads();
+    for gpu in &scratch {
+        for (t, g) in total.iter_mut().zip(&gpu.grads) {
+            t.add(g);
+        }
+    }
+
+    let report = EpochReport {
+        loss,
+        time: machine.elapsed() - t0,
+        buckets: delta(machine.buckets(), b0),
+    };
+    Ok((report, total))
+}
+
+fn delta(now: TimeBuckets, before: TimeBuckets) -> TimeBuckets {
+    TimeBuckets {
+        h2d: now.h2d - before.h2d,
+        d2d: now.d2d - before.d2d,
+        gpu: now.gpu - before.gpu,
+        cpu: now.cpu - before.cpu,
+        reuse: now.reuse - before.reuse,
+        bytes_h2d: now.bytes_h2d - before.bytes_h2d,
+        bytes_d2h: now.bytes_d2h - before.bytes_d2h,
+        bytes_d2d: now.bytes_d2d - before.bytes_d2d,
+        bytes_reuse: now.bytes_reuse - before.bytes_reuse,
+    }
+}
+
+/// Immutable view a per-GPU step runs against: the [`Env`] plus the
+/// numerics, whose stores are frozen for the duration of one operation
+/// so worker threads can share them while each mutates only its own lane
+/// and scratch.
 struct StepCtx<'a> {
     env: Env<'a>,
-    h: &'a [Matrix],
-    grad_h: &'a [Matrix],
-    agg_cache: &'a [Vec<Vec<Option<Matrix>>>],
+    numerics: &'a dyn Numerics,
 }
 
 impl<'a> std::ops::Deref for StepCtx<'a> {
     type Target = Env<'a>;
     fn deref(&self) -> &Env<'a> {
         &self.env
-    }
-}
-
-impl StepCtx<'_> {
-    /// `h^l_{N_ij}`, gathered straight from the host store: `h^l` is
-    /// frozen for the whole layer (writes go to `h^{l+1}`, leader-applied
-    /// after the join), so workers need no hand-off from the owner GPUs.
-    fn neighbor_rows(&self, l: usize, i: usize, j: usize) -> Matrix {
-        self.h[l].gather_rows(&indices(&self.plan.chunks[i][j].neighbors))
-    }
-
-    /// The hybrid checkpoint of `(l, i, j)`.
-    fn checkpoint(&self, l: usize, i: usize, j: usize) -> &Matrix {
-        self.agg_cache[l][i][j]
-            .as_ref()
-            .expect("hybrid checkpoint missing — was the forward compute applied?")
     }
 }
 
@@ -424,43 +542,43 @@ struct At {
     bufs: BatchBufs,
 }
 
-/// Runs one operation for GPU `i`: picks the composer for the role and
-/// the overlap mode.
-fn step<T: Timeline>(
+/// Runs one operation on one GPU's lane: picks the composer for the role
+/// and the overlap mode.
+fn step(
     ctx: &StepCtx,
-    tl: &mut T,
+    lane: &mut GpuLane,
     op: Op,
-    i: usize,
     scratch: &mut GpuScratch,
 ) -> Result<Option<Computed>, SimError> {
     let Op { dir, role, l, j } = op;
-    let carry = &mut scratch.carry[j % 2];
+    let grad_out = &mut scratch.grad_out[j % 2];
     let pipelined = ctx.config.overlap == OverlapMode::DoubleBuffer;
     let bufs = if pipelined {
         BatchBufs::Slot(j)
     } else {
         BatchBufs::PerBatch
     };
+    let i = lane.gpu();
     let at = At { l, i, j, bufs };
     // Parameter gradients exist on training sweeps only.
     let grads = scratch.grads.get_mut(l);
     Ok(match (role, pipelined) {
         (Role::Load, false) => {
-            load_phased(ctx, tl, dir, at, carry)?;
+            load_phased(ctx, lane, dir, at, grad_out)?;
             None
         }
         (Role::Load, true) => {
-            load_pipelined(ctx, tl, dir, at, carry);
+            load_pipelined(ctx, lane, dir, at, grad_out);
             None
         }
-        (Role::Compute, false) => Some(compute_phased(ctx, tl, dir, at, carry, grads)?),
-        (Role::Compute, true) => Some(compute_pipelined(ctx, tl, dir, at, carry, grads)),
+        (Role::Compute, false) => Some(compute_phased(ctx, lane, dir, at, grad_out, grads)?),
+        (Role::Compute, true) => Some(compute_pipelined(ctx, lane, dir, at, grad_out, grads)),
         (Role::Drain, false) => {
-            drain_phased(ctx, tl, dir, at, carry);
+            drain_phased(ctx, lane, dir, at);
             None
         }
         (Role::Drain, true) => {
-            drain_pipelined(ctx, tl, dir, at);
+            drain_pipelined(ctx, lane, dir, at);
             None
         }
     })
@@ -469,8 +587,9 @@ fn step<T: Timeline>(
 // ============================ composers ============================
 //
 // `*_phased` (OverlapMode::Off): everything on the default stream, the
-// batch's device memory allocated by its load and compute and freed by
-// its last step, the ℕ^gpu reuse issued inside the load.
+// batch's device memory — exactly the fields of its [`footprint`] —
+// allocated by its load and compute and freed by its last step, the
+// ℕ^gpu reuse issued inside the load.
 //
 // `*_pipelined` (OverlapMode::DoubleBuffer): each layer is a software
 // pipeline over the batch sequence — batch j+1 loads on the copy-in
@@ -486,53 +605,47 @@ fn step<T: Timeline>(
 /// 1 lines 14–16): `∇h^{l+1}` plus the strategy-dependent checkpoint
 /// reload — the cached aggregate on the hybrid path, the dedup neighbor
 /// reload for recomputation.
-fn load_phased<T: Timeline>(
+fn load_phased(
     ctx: &StepCtx,
-    tl: &mut T,
+    lane: &mut GpuLane,
     dir: Dir,
     at: At,
-    carry: &mut Carry,
+    grad_out: &mut Matrix,
 ) -> Result<(), SimError> {
-    let At { l, i, j, .. } = at;
+    let fp = footprint(ctx, at.l, at.i, at.j);
     if dir == Dir::Forward {
-        carry.held = stage_neighbors_phased(ctx, tl, at)?;
-        return Ok(());
+        return stage_neighbors_phased(ctx, lane, at, fp.neighbors);
     }
-    carry.grad_out = grad_out_load(ctx, tl, at);
-    let chunk = &ctx.plan.chunks[i][j];
-    let topo = chunk.topology_bytes();
-    tl.alloc(i, topo, "chunk topology (bwd)")?;
-    let inter = ctx.model.layer(l).intermediate_bytes(chunk);
-    tl.alloc(i, inter, "regenerated intermediates")?;
-    let reload = if ctx.checkpointed(l) {
-        let bytes = ctx.checkpoint(l, i, j).byte_size();
-        tl.alloc(i, bytes, "aggregate checkpoint")?;
-        checkpoint_reload(ctx, tl, at, bytes);
-        bytes
-    } else {
-        stage_neighbors_phased(ctx, tl, at)?
-    };
-    carry.held = topo + inter + reload;
-    Ok(())
+    *grad_out = grad_out_load(ctx, lane, at);
+    lane.alloc(fp.topology, "chunk topology (bwd)")?;
+    lane.alloc(fp.intermediates, "regenerated intermediates")?;
+    match fp.checkpoint {
+        Some(bytes) => {
+            lane.alloc(bytes, "aggregate checkpoint")?;
+            checkpoint_reload(ctx, lane, at, bytes);
+            Ok(())
+        }
+        None => stage_neighbors_phased(ctx, lane, at, fp.neighbors),
+    }
 }
 
 /// Pipelined load on the copy-in stream, into staging slot `j % 2`.
-fn load_pipelined<T: Timeline>(ctx: &StepCtx, tl: &mut T, dir: Dir, at: At, carry: &mut Carry) {
+fn load_pipelined(ctx: &StepCtx, lane: &mut GpuLane, dir: Dir, at: At, grad_out: &mut Matrix) {
     let At { l, i, j, .. } = at;
-    tl.set_stream(StreamId::CopyIn.id());
+    let fp = footprint(ctx, l, i, j);
+    lane.set_stream(StreamId::CopyIn.id());
     match dir {
         Dir::Forward => {
             if ctx.topology_upload_layer(l, j) {
-                topology_upload(ctx, tl, at);
+                topology_upload(lane, at, fp.topology);
             }
-            stage_neighbors_pipelined(ctx, tl, at);
+            stage_neighbors_pipelined(ctx, lane, at);
         }
         Dir::Backward => {
-            carry.grad_out = grad_out_load(ctx, tl, at);
-            if ctx.checkpointed(l) {
-                checkpoint_reload(ctx, tl, at, ctx.checkpoint(l, i, j).byte_size());
-            } else {
-                stage_neighbors_pipelined(ctx, tl, at);
+            *grad_out = grad_out_load(ctx, lane, at);
+            match fp.checkpoint {
+                Some(bytes) => checkpoint_reload(ctx, lane, at, bytes),
+                None => stage_neighbors_pipelined(ctx, lane, at),
             }
         }
     }
@@ -540,35 +653,34 @@ fn load_pipelined<T: Timeline>(ctx: &StepCtx, tl: &mut T, dir: Dir, at: At, carr
 
 /// Host half of staging `h^l_{N_ij}`, phased: the PCIe loads, the ℕ^gpu
 /// rows promoted in place from the previous batch, and the allocation of
-/// the merged neighbor buffer. Returns the buffer's bytes.
-fn stage_neighbors_phased<T: Timeline>(
+/// the `bytes`-byte merged neighbor buffer.
+fn stage_neighbors_phased(
     ctx: &StepCtx,
-    tl: &mut T,
+    lane: &mut GpuLane,
     at: At,
-) -> Result<usize, SimError> {
+    bytes: usize,
+) -> Result<(), SimError> {
     let At { l, i, j, bufs } = at;
-    let rows = host_load(ctx, tl, at);
+    host_load(ctx, lane, at);
     if let Some(reused) = ctx.reused_rows(i, j) {
         if ctx.reuse_source_live(l, j) {
-            reuse_in_place(ctx, tl, at, bufs, reused);
+            reuse_in_place(ctx, lane, at, bufs, reused);
         } else {
-            reuse_from_host(ctx, tl, at, reused);
+            reuse_from_host(ctx, lane, at, reused);
         }
     }
-    let bytes = rows * ctx.row(l);
-    tl.alloc(i, bytes, "neighbor buffer")?;
-    Ok(bytes)
+    lane.alloc(bytes, "neighbor buffer")
 }
 
 /// Host half of staging `h^l_{N_ij}`, pipelined: only the PCIe loads.
 /// The ℕ^gpu reuse runs on the compute stream of the previous batch
 /// ([`reuse_handoff`]) — unless that batch is pruned and never computes,
 /// in which case its rows come from the host store here.
-fn stage_neighbors_pipelined<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
-    host_load(ctx, tl, at);
+fn stage_neighbors_pipelined(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
+    host_load(ctx, lane, at);
     if let Some(reused) = ctx.reused_rows(at.i, at.j) {
         if !ctx.reuse_source_live(at.l, at.j) {
-            reuse_from_host(ctx, tl, at, reused);
+            reuse_from_host(ctx, lane, at, reused);
         }
     }
 }
@@ -578,121 +690,104 @@ fn stage_neighbors_pipelined<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
 /// batch's memory. Backward (Algorithm 3): recompute + gradient
 /// numerics and the inter-GPU gradient pushes; eviction waits for the
 /// phase barrier.
-fn compute_phased<T: Timeline>(
+fn compute_phased(
     ctx: &StepCtx,
-    tl: &mut T,
+    lane: &mut GpuLane,
     dir: Dir,
     at: At,
-    carry: &Carry,
+    grad_out: &Matrix,
     grads: Option<&mut LayerGrads>,
 ) -> Result<Computed, SimError> {
     let At { l, i, j, .. } = at;
     if dir == Dir::Backward {
-        return Ok(backward_compute(ctx, tl, at, carry, grads, false));
+        return Ok(backward_compute(ctx, lane, at, grad_out, grads, false));
     }
-    let chunk = &ctx.plan.chunks[i][j];
-    let layer = ctx.model.layer(l);
-    let topo = chunk.topology_bytes();
-    let out_bytes = chunk.num_dests() * layer.out_dim() * F32;
-    let inter = layer.intermediate_bytes(chunk);
-    tl.alloc(i, topo, "chunk topology")?;
-    tl.alloc(i, out_bytes, "layer output")?;
-    tl.alloc(i, inter, "intermediate data")?;
+    let fp = footprint(ctx, l, i, j);
+    lane.alloc(fp.topology, "chunk topology")?;
+    lane.alloc(fp.output, "layer output")?;
+    lane.alloc(fp.intermediates, "intermediate data")?;
     if ctx.topology_upload_layer(l, j) {
-        topology_upload(ctx, tl, at);
+        topology_upload(lane, at, fp.topology);
     }
     // Sources are resident: the phase barrier follows every GPU's load.
-    neighbor_fetch(ctx, tl, at);
-    let f = forward_numerics(ctx, tl, at);
-    let agg = checkpoint_of(ctx, l, f.agg);
-    activation_store(ctx, tl, at, agg.as_ref().map(Matrix::byte_size));
-    tl.free(i, topo + out_bytes + inter + carry.held);
-    Ok(Computed { rows: f.out, agg })
+    neighbor_fetch(ctx, lane, at);
+    let out = forward_numerics(ctx, lane, at);
+    activation_store(ctx, lane, at, fp.checkpoint);
+    // Everything the batch's load and this compute allocated.
+    lane.free(fp.forward());
+    Ok(out)
 }
 
 /// Pipelined compute on the compute stream. The forward write-back cost
 /// is deferred to the copy-out drain one segment later; the data itself
 /// is leader-applied this segment, exactly as in the phased schedule.
-fn compute_pipelined<T: Timeline>(
+fn compute_pipelined(
     ctx: &StepCtx,
-    tl: &mut T,
+    lane: &mut GpuLane,
     dir: Dir,
     at: At,
-    carry: &Carry,
+    grad_out: &Matrix,
     grads: Option<&mut LayerGrads>,
 ) -> Computed {
-    tl.set_stream(StreamId::Compute.id());
+    lane.set_stream(StreamId::Compute.id());
     if dir == Dir::Backward {
-        return backward_compute(ctx, tl, at, carry, grads, true);
+        return backward_compute(ctx, lane, at, grad_out, grads, true);
     }
     // Source slots were filled a segment earlier (barrier-ordered).
-    neighbor_fetch(ctx, tl, at);
-    let f = forward_numerics(ctx, tl, at);
-    reuse_handoff(ctx, tl, at);
-    Computed {
-        rows: f.out,
-        agg: checkpoint_of(ctx, at.l, f.agg),
-    }
+    neighbor_fetch(ctx, lane, at);
+    let out = forward_numerics(ctx, lane, at);
+    reuse_handoff(ctx, lane, at);
+    out
 }
 
 /// The backward compute both modes share; `handoff` adds the pipelined
 /// mode's reuse hand-off, which follows the recompute path's neighbor
 /// reload (the hybrid path reloads no neighbor rows).
-fn backward_compute<T: Timeline>(
+fn backward_compute(
     ctx: &StepCtx,
-    tl: &mut T,
+    lane: &mut GpuLane,
     at: At,
-    carry: &Carry,
+    grad_out: &Matrix,
     grads: Option<&mut LayerGrads>,
     handoff: bool,
 ) -> Computed {
     let grads = grads.expect("a backward sweep carries parameter gradients");
     let recompute = !ctx.checkpointed(at.l);
     if recompute {
-        neighbor_fetch(ctx, tl, at);
+        neighbor_fetch(ctx, lane, at);
     }
-    let rows = backward_numerics(ctx, tl, at, &carry.grad_out, grads);
+    let rows = backward_numerics(ctx, lane, at, grad_out, grads);
     if recompute && handoff {
-        reuse_handoff(ctx, tl, at);
+        reuse_handoff(ctx, lane, at);
     }
-    gradient_push(ctx, tl, at);
+    gradient_push(ctx, lane, at);
     Computed { rows, agg: None }
-}
-
-/// The aggregate a forward compute checkpoints, when the layer is on the
-/// hybrid path.
-fn checkpoint_of(ctx: &StepCtx, l: usize, agg: Option<Matrix>) -> Option<Matrix> {
-    ctx.checkpointed(l)
-        .then(|| agg.expect("cache-capable layer must emit an aggregate"))
 }
 
 /// Phased drain (backward only): every push into this GPU's gradient
 /// buffer landed before the phase barrier, so evict to the host store
-/// and release the batch's memory.
-fn drain_phased<T: Timeline>(ctx: &StepCtx, tl: &mut T, dir: Dir, at: At, carry: &Carry) {
+/// and release what the batch's load allocated.
+fn drain_phased(ctx: &StepCtx, lane: &mut GpuLane, dir: Dir, at: At) {
     assert_eq!(
         dir,
         Dir::Backward,
         "the phased forward compute writes back on its own"
     );
-    gradient_flush(ctx, tl, at);
-    tl.free(at.i, carry.held);
+    gradient_flush(ctx, lane, at);
+    lane.free(footprint(ctx, at.l, at.i, at.j).backward());
 }
 
 /// Pipelined drain on the copy-out stream, one segment behind the
 /// compute: the forward write-back and checkpoint store, or the backward
 /// gradient eviction (all pushes landed before the last batch barrier).
-fn drain_pipelined<T: Timeline>(ctx: &StepCtx, tl: &mut T, dir: Dir, at: At) {
-    let At { l, i, j, .. } = at;
-    tl.set_stream(StreamId::CopyOut.id());
+fn drain_pipelined(ctx: &StepCtx, lane: &mut GpuLane, dir: Dir, at: At) {
+    lane.set_stream(StreamId::CopyOut.id());
     match dir {
         Dir::Forward => {
-            let ckpt = ctx
-                .checkpointed(l)
-                .then(|| ctx.checkpoint(l, i, j).byte_size());
-            activation_store(ctx, tl, at, ckpt);
+            let ckpt = footprint(ctx, at.l, at.i, at.j).checkpoint;
+            activation_store(ctx, lane, at, ckpt);
         }
-        Dir::Backward => gradient_flush(ctx, tl, at),
+        Dir::Backward => gradient_flush(ctx, lane, at),
     }
 }
 
@@ -701,7 +796,7 @@ fn drain_pipelined<T: Timeline>(ctx: &StepCtx, tl: &mut T, dir: Dir, at: At) {
 /// into the slot the copy-in stream is concurrently loading. The stream
 /// wait orders it after that H2D — dropping the wait is exactly the
 /// eager-refill write/read race the schedule checker rejects.
-fn reuse_handoff<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
+fn reuse_handoff(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
     let next = At {
         j: at.j + 1,
         bufs: BatchBufs::Slot(at.j + 1),
@@ -714,25 +809,24 @@ fn reuse_handoff<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
         return;
     }
     if let Some(reused) = ctx.reused_rows(next.i, next.j) {
-        tl.stream_wait(at.i, StreamId::CopyIn.id());
-        reuse_in_place(ctx, tl, next, at.bufs, reused);
+        lane.stream_wait(StreamId::CopyIn.id());
+        reuse_in_place(ctx, lane, next, at.bufs, reused);
     }
 }
 
 // ============================= emitters =============================
 
-/// Streams batch `j`'s topology to the device (once per epoch, reused
-/// across layers).
-fn topology_upload<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
+/// Streams batch `j`'s `bytes`-byte topology to the device (once per
+/// epoch, reused across layers).
+fn topology_upload(lane: &mut GpuLane, at: At, bytes: usize) {
     let At { i, j, .. } = at;
-    tl.tag([Access::write(topology(i), chunk_region(i, j))]);
-    tl.h2d(i, ctx.plan.chunks[i][j].topology_bytes());
+    lane.tag([Access::write(topology(i), chunk_region(i, j))]);
+    lane.h2d(bytes);
 }
 
 /// The host half of loading `h^l_{N_ij}` (Algorithm 2 phase A): PCIe
-/// loads of the rows this GPU is responsible for. Returns the rows
-/// resident in the GPU's merged buffer for this batch. The inter-GPU
-/// half is [`neighbor_fetch`], after the barrier.
+/// loads of the rows this GPU is responsible for. The inter-GPU half is
+/// [`neighbor_fetch`], after the barrier.
 ///
 /// At layer 0 the frozen hot-vertex cache table applies: `hits` rows of
 /// the scheduled load are already resident in HBM and skip PCIe (an HBM
@@ -740,31 +834,23 @@ fn topology_upload<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
 /// at sweep end, so the install write rides the load's own H2D event.
 /// Provenance row totals stay the *full* schedule either way — the cache
 /// changes how rows arrive, never how many the dataflow ledger moves.
-fn host_load<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) -> usize {
+fn host_load(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
     let At { l, i, j, bufs } = at;
     let chunk = &ctx.plan.chunks[i][j];
     let batch = &ctx.dedup.batches[j];
     let row = ctx.row(l);
     let cs = ctx.cache_stats(l, i, j);
-    // (rows this GPU loads over PCIe, rows resident in its merged buffer)
-    let (loaded, resident) = match ctx.config.comm {
+    // Rows this GPU loads over PCIe.
+    let loaded = match ctx.config.comm {
         // The full neighbor set.
-        CommMode::Vanilla => (chunk.num_neighbors(), chunk.num_neighbors()),
-        // The transition subset this GPU owns, into the merged
-        // transition+neighbor buffer (§6 "data buffer deduplication"):
-        // |ℕ_ij ∪ N_ij|.
-        CommMode::P2p => {
-            let owned = batch.transition[i].len();
-            (owned, owned + chunk.num_neighbors() - batch.fetch[i][i])
-        }
+        CommMode::Vanilla => chunk.num_neighbors(),
+        // The transition subset this GPU owns.
+        CommMode::P2p => batch.transition[i].len(),
         // §6-accurate accounting from the in-place buffer plan: every
         // merged-buffer resident row — whether it originally arrived
         // over PCIe or NVLink — is reused in place across adjacent
         // batches; only genuinely new rows move.
-        CommMode::P2pRu => {
-            let bc = ctx.buffer_comm(i, j);
-            (bc.h2d_rows, bc.buffer_rows)
-        }
+        CommMode::P2pRu => ctx.buffer_comm(i, j).h2d_rows,
     };
     let vanilla = ctx.config.comm == CommMode::Vanilla;
     let prov = Provenance::new(ContribKind::HostLoad, l, j);
@@ -782,29 +868,28 @@ fn host_load<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) -> usize {
     if cs.installs > 0 {
         acc.push(Access::write(dev_cache(i), Region::All));
     }
-    tl.tag(acc);
+    lane.tag(acc);
     if vanilla {
         // Rows whose owner partition sits on the other socket cross the
         // QPI link (partitions map to sockets pairwise).
-        let sockets = tl.machine_config().num_sockets;
+        let sockets = lane.config().num_sockets;
         let remote = remote_socket_rows(&batch.fetch[i], i, ctx.plan.m, sockets);
-        tl.h2d_mixed(i, (loaded - cs.hits) * row, (remote - cs.remote_hits) * row);
+        lane.h2d_mixed((loaded - cs.hits) * row, (remote - cs.remote_hits) * row);
     } else {
-        tl.h2d(i, (loaded - cs.hits) * row);
+        lane.h2d((loaded - cs.hits) * row);
     }
     if cs.hits > 0 {
-        tl.tag([Access::read(dev_cache(i), Region::All)]);
-        tl.reuse(i, cs.hits * row);
+        lane.tag([Access::read(dev_cache(i), Region::All)]);
+        lane.reuse(cs.hits * row);
     }
-    resident
 }
 
 /// Promotes the `rows` ℕ^gpu rows batch `j - 1` left resident in `from`
 /// into batch `j`'s buffer, in place.
-fn reuse_in_place<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At, from: BatchBufs, rows: usize) {
+fn reuse_in_place(ctx: &StepCtx, lane: &mut GpuLane, at: At, from: BatchBufs, rows: usize) {
     let At { l, i, j, bufs } = at;
     let prev = Access::read(from.rep(i), Region::Owned);
-    tl.tag([
+    lane.tag([
         if j > 0 {
             prev.with_gen(j as u32 - 1)
         } else {
@@ -814,29 +899,29 @@ fn reuse_in_place<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At, from: BatchBuf
             .with_gen(j as u32)
             .with_prov(Provenance::new(ContribKind::Reuse, l, j).rows(rows)),
     ]);
-    tl.reuse(i, rows * ctx.row(l));
+    lane.reuse(rows * ctx.row(l));
 }
 
 /// Masked sweep with batch `j − 1` pruned: the `rows` it would have left
 /// resident were never loaded, so they come over PCIe instead. Same row
 /// count, `HostLoad` provenance — the pass-9 per-batch totals are
 /// unchanged.
-fn reuse_from_host<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At, rows: usize) {
+fn reuse_from_host(ctx: &StepCtx, lane: &mut GpuLane, at: At, rows: usize) {
     let At { l, i, j, bufs } = at;
-    tl.tag([
+    lane.tag([
         Access::read(rep(l), Region::All),
         Access::write(bufs.rep(i), Region::Owned)
             .with_gen(j as u32)
             .with_prov(Provenance::new(ContribKind::HostLoad, l, j).rows(rows)),
     ]);
-    tl.h2d(i, rows * ctx.row(l));
+    lane.h2d(rows * ctx.row(l));
 }
 
 /// The inter-GPU half of loading `h^l_{N_ij}` (Algorithm 2 phase B):
 /// fetch remote transition rows into GPU `i`'s merged buffer. Must run
 /// after a barrier that follows every source GPU's host load (otherwise
 /// the schedule checker reports a W→R race).
-fn neighbor_fetch<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
+fn neighbor_fetch(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
     let At { l, i, j, bufs } = at;
     if ctx.config.comm == CommMode::Vanilla {
         return;
@@ -849,7 +934,7 @@ fn neighbor_fetch<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
         };
         if k != i && rows > 0 {
             // Interleaved schedule: charged to the pulling GPU only.
-            tl.tag([
+            lane.tag([
                 Access::read(bufs.rep(k), Region::Owned).with_gen(j as u32),
                 Access::write(bufs.rep(i), Region::Fetched)
                     .with_gen(j as u32)
@@ -860,99 +945,78 @@ fn neighbor_fetch<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
                             .rows(rows),
                     ),
             ]);
-            tl.d2d(k, i, rows * row);
+            lane.d2d(rows * row);
             if !ctx.config.interleaved {
                 // Naive schedule: the serving GPU stalls too (deferred to
                 // the join when running on a per-GPU shard).
-                tl.source_stall(k, rows * row);
+                lane.source_stall(k, rows * row);
             }
         }
     }
 }
 
-/// Placeholder forward output for schedule synthesis: zero tensors of
-/// exactly the shapes (and, for the checkpoint, the byte size) the real
-/// layer would produce, so every downstream size-derived charge — the
-/// `h^{l+1}` write-back and the hybrid checkpoint store/reload — is
-/// identical to the executed schedule without running the numerics.
-fn synth_forward(layer: &dyn GnnLayer, chunk: &ChunkSubgraph) -> LayerForward {
-    LayerForward {
-        out: Matrix::zeros(chunk.num_dests(), layer.out_dim()),
-        agg: layer
-            .supports_agg_cache()
-            .then(|| Matrix::zeros(1, layer.agg_cache_bytes(chunk) / F32)),
-    }
-}
-
-/// The real forward numerics of chunk `(i, j)` at layer `l` and their
-/// dense and edge FLOPs.
-fn forward_numerics<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) -> LayerForward {
+/// The forward numerics of chunk `(i, j)` at layer `l` and their dense
+/// and edge FLOPs. The aggregate is kept only where it is checkpointed.
+fn forward_numerics(ctx: &StepCtx, lane: &mut GpuLane, at: At) -> Computed {
     let At { l, i, j, bufs } = at;
     let chunk = &ctx.plan.chunks[i][j];
-    let layer = ctx.model.layer(l);
-    let f = if ctx.synth {
-        synth_forward(layer, chunk)
-    } else {
-        layer.forward(chunk, &ctx.neighbor_rows(l, i, j))
-    };
-    let flops = layer.forward_flops(chunk);
-    tl.tag([
+    let f: LayerForward = ctx.numerics.forward(l, chunk);
+    let flops = ctx.model.layer(l).forward_flops(chunk);
+    lane.tag([
         Access::read(bufs.rep(i), Region::All)
             .with_prov(Provenance::new(ContribKind::Aggregate, l, j).rows(chunk.num_neighbors())),
         Access::read(topology(i), chunk_region(i, j)),
     ]);
-    tl.gpu_dense(i, flops.dense);
-    tl.gpu_edge(i, flops.edge);
-    f
+    lane.gpu_dense(flops.dense);
+    lane.gpu_edge(flops.edge);
+    Computed {
+        rows: f.out,
+        agg: f.agg.filter(|_| ctx.checkpointed(l)),
+    }
 }
 
 /// Cost of writing back `h^{l+1}_{V_ij}` (Alg 1 line 9) and, on the
 /// hybrid path, of storing the `ckpt`-byte aggregate checkpoint. The
 /// data itself travels in [`Computed`].
-fn activation_store<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At, ckpt: Option<usize>) {
+fn activation_store(ctx: &StepCtx, lane: &mut GpuLane, at: At, ckpt: Option<usize>) {
     let At { l, i, j, .. } = at;
     let chunk = &ctx.plan.chunks[i][j];
     let dests = chunk.num_dests();
-    tl.tag([Access::write(rep(l + 1), chunk_region(i, j)).with_prov(
+    lane.tag([Access::write(rep(l + 1), chunk_region(i, j)).with_prov(
         Provenance::new(ContribKind::ActStore, l + 1, j)
             .owned_by(i)
             .rows(dests),
     )]);
-    tl.d2h(i, dests * ctx.model.layer(l).out_dim() * F32);
+    lane.d2h(dests * ctx.model.layer(l).out_dim() * F32);
     if let Some(bytes) = ckpt {
-        tl.tag([Access::write(agg_slot(l, i, j), Region::All).with_prov(
+        lane.tag([Access::write(agg_slot(l, i, j), Region::All).with_prov(
             Provenance::new(ContribKind::CkptStore, l, j)
                 .owned_by(i)
                 .rows(dests),
         )]);
-        tl.d2h(i, bytes);
+        lane.d2h(bytes);
     }
 }
 
 /// Loads `∇h^{l+1}_{V_ij}` from the host store (Alg 1 line 16).
-/// `∇h^{l+1}` is frozen for the whole layer, so workers gather directly.
-fn grad_out_load<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) -> Matrix {
+fn grad_out_load(ctx: &StepCtx, lane: &mut GpuLane, at: At) -> Matrix {
     let At { l, i, j, .. } = at;
     let chunk = &ctx.plan.chunks[i][j];
     let out_dim = ctx.model.layer(l).out_dim();
-    tl.tag([Access::read(grad(l + 1), Region::All)]);
-    tl.h2d(i, chunk.num_dests() * out_dim * F32);
-    if ctx.synth {
-        Matrix::zeros(chunk.num_dests(), out_dim)
-    } else {
-        ctx.grad_h[l + 1].gather_rows(&indices(&chunk.dests))
-    }
+    lane.tag([Access::read(grad(l + 1), Region::All)]);
+    lane.h2d(chunk.num_dests() * out_dim * F32);
+    ctx.numerics.grad_out(l, chunk)
 }
 
 /// Reloads the `bytes`-byte cached aggregate (O(|V_ij|) H2D).
-fn checkpoint_reload<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At, bytes: usize) {
+fn checkpoint_reload(ctx: &StepCtx, lane: &mut GpuLane, at: At, bytes: usize) {
     let At { l, i, j, .. } = at;
-    tl.tag([Access::read(agg_slot(l, i, j), Region::All).with_prov(
+    lane.tag([Access::read(agg_slot(l, i, j), Region::All).with_prov(
         Provenance::new(ContribKind::CkptReload, l, j)
             .owned_by(i)
             .rows(ctx.plan.chunks[i][j].num_dests()),
     )]);
-    tl.h2d(i, bytes);
+    lane.h2d(bytes);
 }
 
 /// Recompute + gradient numerics of chunk `(i, j)` at layer `l`
@@ -962,9 +1026,9 @@ fn checkpoint_reload<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At, bytes: usiz
 /// transition-gradient buffer via atomic accumulation, which commutes
 /// with remote pushes arriving during the same phase. Returns
 /// `∇h^l_{N_ij}` for the leader to accumulate into the host store.
-fn backward_numerics<T: Timeline>(
+fn backward_numerics(
     ctx: &StepCtx,
-    tl: &mut T,
+    lane: &mut GpuLane,
     at: At,
     grad_out: &Matrix,
     grads: &mut LayerGrads,
@@ -988,34 +1052,28 @@ fn backward_numerics<T: Timeline>(
         );
     let topo = Access::read(topology(i), chunk_region(i, j));
     if hybrid {
-        tl.tag([topo, acc]);
-        tl.gpu_dense(i, fwd.dense); // UPDATE recompute
+        lane.tag([topo, acc]);
+        lane.gpu_dense(fwd.dense); // UPDATE recompute
     } else {
-        tl.tag([
+        lane.tag([
             Access::read(bufs.rep(i), Region::All).with_prov(
                 Provenance::new(ContribKind::Aggregate, l, j).rows(chunk.num_neighbors()),
             ),
             topo,
             acc,
         ]);
-        tl.gpu_dense(i, fwd.dense); // full re-forward
-        tl.gpu_edge(i, fwd.edge);
+        lane.gpu_dense(fwd.dense); // full re-forward
+        lane.gpu_edge(fwd.edge);
     }
-    tl.gpu_dense(i, bwd.dense);
-    tl.gpu_edge(i, bwd.edge);
-    if ctx.synth {
-        Matrix::zeros(chunk.neighbors.len(), layer.in_dim())
-    } else if hybrid {
-        layer.backward_from_agg(chunk, ctx.checkpoint(l, i, j), grad_out, grads)
-    } else {
-        layer.backward_from_input(chunk, &ctx.neighbor_rows(l, i, j), grad_out, grads)
-    }
+    lane.gpu_dense(bwd.dense);
+    lane.gpu_edge(bwd.edge);
+    ctx.numerics.backward(l, chunk, hybrid, grad_out, grads)
 }
 
 /// The inter-GPU gradient pushes of Algorithm 3: remote transition-vertex
 /// gradients are atomically added into the owning GPUs' merged gradient
 /// buffers (time charged to the pusher).
-fn gradient_push<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
+fn gradient_push(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
     let At { l, i, j, bufs } = at;
     if ctx.config.comm == CommMode::Vanilla {
         return;
@@ -1024,7 +1082,7 @@ fn gradient_push<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
     let fetch = &ctx.dedup.batches[j].fetch[i];
     for k in 0..ctx.plan.m {
         if k != i && fetch[k] > 0 {
-            tl.tag([Access::accum(bufs.grad(k), Region::All)
+            lane.tag([Access::accum(bufs.grad(k), Region::All)
                 .with_gen(j as u32)
                 .with_prov(
                     Provenance::new(ContribKind::GradPush, l, j)
@@ -1032,8 +1090,8 @@ fn gradient_push<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
                         .from_gpu(i)
                         .rows(fetch[k]),
                 )]);
-            tl.d2d(k, i, fetch[k] * row);
-            tl.gpu_edge(i, (fetch[k] * row / F32) as f64);
+            lane.d2d(fetch[k] * row);
+            lane.gpu_edge((fetch[k] * row / F32) as f64);
         }
     }
 }
@@ -1042,7 +1100,7 @@ fn gradient_push<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
 /// leave the GPU over PCIe and are added into the host store `∇h^l`.
 /// Must run after a barrier that follows every remote push into this
 /// GPU's buffer.
-fn gradient_flush<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
+fn gradient_flush(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
     let At { l, i, j, bufs } = at;
     let batch = &ctx.dedup.batches[j];
     let row = ctx.row(l);
@@ -1057,14 +1115,14 @@ fn gradient_flush<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
     };
     if ctx.config.comm == CommMode::Vanilla {
         let rows = ctx.plan.chunks[i][j].num_neighbors();
-        let sockets = tl.machine_config().num_sockets;
+        let sockets = lane.config().num_sockets;
         let remote = remote_socket_rows(&batch.fetch[i], i, ctx.plan.m, sockets);
-        tl.tag([flush(rows)]);
-        tl.d2h_mixed(i, rows * row, remote * row);
+        lane.tag([flush(rows)]);
+        lane.d2h_mixed(rows * row, remote * row);
         // Replica gradients of the full neighbor set overlap across
         // GPUs; host-side accumulation commutes.
-        tl.tag([Access::accum(grad(l), Region::All)]);
-        tl.cpu_accumulate(i, rows * row);
+        lane.tag([Access::accum(grad(l), Region::All)]);
+        lane.cpu_accumulate(rows * row);
         return;
     }
     // Evicted transition gradients go D2H and are accumulated on the
@@ -1075,12 +1133,12 @@ fn gradient_flush<T: Timeline>(ctx: &StepCtx, tl: &mut T, at: At) {
         0
     };
     let evicted = batch.transition[i].len() - next_reused;
-    tl.tag([flush(evicted)]);
-    tl.d2h(i, evicted * row);
+    lane.tag([flush(evicted)]);
+    lane.d2h(evicted * row);
     // Each GPU evicts its owned transition partition — disjoint slices
     // of the host store.
-    tl.tag([Access::accum(grad(l), Region::Part(i as u32))]);
-    tl.cpu_accumulate(i, evicted * row);
+    lane.tag([Access::accum(grad(l), Region::Part(i as u32))]);
+    lane.cpu_accumulate(evicted * row);
 }
 
 /// Rows of GPU `i`'s neighbor set owned by partitions on a different NUMA
@@ -1100,6 +1158,26 @@ fn remote_socket_rows(fetch_row: &[usize], i: usize, m: usize, sockets: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bucket_delta_subtracts_componentwise() {
+        let before = TimeBuckets {
+            h2d: 1.0,
+            gpu: 2.0,
+            bytes_h2d: 100,
+            ..Default::default()
+        };
+        let now = TimeBuckets {
+            h2d: 3.0,
+            gpu: 2.5,
+            bytes_h2d: 150,
+            ..Default::default()
+        };
+        let d = delta(now, before);
+        assert_eq!(d.h2d, 2.0);
+        assert_eq!(d.gpu, 0.5);
+        assert_eq!(d.bytes_h2d, 50);
+    }
 
     #[test]
     fn remote_socket_rows_partition_mapping() {

@@ -1,0 +1,131 @@
+//! What one step occupies on its device — written down once.
+//!
+//! HongTu's memory model is "a GPU holds one layer × one chunk at a time"
+//! (§4): the device footprint of step `(layer l, GPU i, batch j)` is the
+//! chunk's topology, its merged neighbor buffer, the layer output, the
+//! intermediates, and — on the hybrid path — the aggregate checkpoint.
+//! [`footprint`] is the only place those bytes are computed. The phased
+//! executor allocates and frees exactly its fields, and everything that
+//! *predicts* device memory — the static memory bound, the staging
+//! slots and budget, a serving cone's cost — is a `max`-fold over it
+//! ([`worst`]; DESIGN.md §9 tabulates consumer → fold), so the bound
+//! dominates what the executor allocates, and admission is in the units
+//! staging was sized in, by construction.
+
+use crate::engine::CommMode;
+use crate::exec::{Env, F32};
+use hongtu_stream::StagingPlan;
+
+/// Device bytes of one `(layer, GPU, batch)` step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Footprint {
+    /// The chunk's topology (CSR offsets, indices, weights, id lists).
+    pub topology: usize,
+    /// The merged neighbor/transition buffer `h^l_{N_ij}` is staged in.
+    pub neighbors: usize,
+    /// The layer output `h^{l+1}_{V_ij}`.
+    pub output: usize,
+    /// The layer's intermediates (paper Table 1 "Intr Data").
+    pub intermediates: usize,
+    /// The aggregate checkpoint, when the layer is on the hybrid path.
+    pub checkpoint: Option<usize>,
+}
+
+impl Footprint {
+    /// Input side of a staging slot: topology plus whichever is larger of
+    /// the forward neighbor buffer and the backward checkpoint reload.
+    pub fn slot_in(&self) -> usize {
+        self.topology + self.neighbors.max(self.checkpoint.unwrap_or(0))
+    }
+
+    /// Output side of a staging slot: output and intermediates awaiting
+    /// their drain.
+    pub fn slot_out(&self) -> usize {
+        self.output + self.intermediates
+    }
+
+    /// What the phased forward step holds at its peak.
+    pub fn forward(&self) -> usize {
+        self.topology + self.neighbors + self.output + self.intermediates
+    }
+
+    /// What the phased backward step holds: topology, regenerated
+    /// intermediates, and the checkpoint reload — the cached aggregate on
+    /// the hybrid path, the neighbor rows for recomputation.
+    pub fn backward(&self) -> usize {
+        self.topology + self.intermediates + self.checkpoint.unwrap_or(self.neighbors)
+    }
+
+    /// The larger of the two phased steps a `train`ing session runs, or
+    /// the forward step alone.
+    pub fn resident(&self, train: bool) -> usize {
+        if train {
+            self.forward().max(self.backward())
+        } else {
+            self.forward()
+        }
+    }
+}
+
+/// The bytes step `(l, i, j)` occupies on GPU `i`.
+pub(crate) fn footprint(env: &Env, l: usize, i: usize, j: usize) -> Footprint {
+    let chunk = &env.plan.chunks[i][j];
+    let layer = env.model.layer(l);
+    // Rows resident in the GPU's merged buffer for this batch.
+    let rows = match env.config.comm {
+        // The full neighbor set.
+        CommMode::Vanilla => chunk.num_neighbors(),
+        // The merged transition+neighbor buffer (§6 "data buffer
+        // deduplication"): |ℕ_ij ∪ N_ij|.
+        CommMode::P2p => {
+            let batch = &env.dedup.batches[j];
+            batch.transition[i].len() + chunk.num_neighbors() - batch.fetch[i][i]
+        }
+        // The in-place buffer's capacity: reuse pins slot positions
+        // across batches, so every batch occupies the high-water mark.
+        CommMode::P2pRu => env.buffer_comm(i, j).buffer_rows,
+    };
+    Footprint {
+        topology: chunk.topology_bytes(),
+        neighbors: rows * env.row(l),
+        output: chunk.num_dests() * layer.out_dim() * F32,
+        intermediates: layer.intermediate_bytes(chunk),
+        checkpoint: env.checkpointed(l).then(|| layer.agg_cache_bytes(chunk)),
+    }
+}
+
+/// The `(layer, batch)` steps `env`'s sweep runs: all of them, or the
+/// mask's active ones.
+fn steps<'e>(env: &'e Env) -> impl Iterator<Item = (usize, usize)> + 'e {
+    (0..env.model.num_layers())
+        .flat_map(|l| (0..env.plan.n).map(move |j| (l, j)))
+        .filter(|&(l, j)| !env.pruned(l, j))
+}
+
+/// Worst `size` over the steps `env`'s sweep runs on GPU `i`.
+pub(crate) fn worst(env: &Env, i: usize, size: impl Fn(&Footprint) -> usize) -> usize {
+    steps(env)
+        .map(|(l, j)| size(&footprint(env, l, i, j)))
+        .max()
+        .unwrap_or(0)
+}
+
+/// Sizes GPU `gpu`'s double-buffered staging slots for the worst step of
+/// each side. Two slots of each are pinned for the whole run
+/// ([`StagingPlan::total_bytes`]).
+pub(crate) fn staging_plan(env: &Env, gpu: usize) -> StagingPlan {
+    StagingPlan {
+        gpu,
+        in_slot_bytes: worst(env, gpu, Footprint::slot_in),
+        out_slot_bytes: worst(env, gpu, Footprint::slot_out),
+    }
+}
+
+/// Host bytes of the hybrid checkpoint store: every step's checkpoint,
+/// all resident at once between the forward and the backward pass.
+pub(crate) fn checkpoint_store_bytes(env: &Env) -> usize {
+    (0..env.plan.m)
+        .flat_map(|i| steps(env).map(move |(l, j)| (l, i, j)))
+        .filter_map(|(l, i, j)| footprint(env, l, i, j).checkpoint)
+        .sum()
+}

@@ -18,11 +18,18 @@
 //!   merged-buffer deduplication); also re-exported from
 //!   `hongtu-partition`;
 //! - [`engine`] — the HongTu session (Algorithm 1): configuration,
-//!   plans, host stores, and the train / infer / serve / delta epochs;
-//! - `exec` — the sweep those epochs run: one layer driver over a
-//!   schedule that is data, one per-GPU dispatcher, one set of event
-//!   emitters (recomputation-caching-hybrid intermediate data
+//!   plans, host stores, and the train / infer / serve / delta entry
+//!   points;
+//! - `exec` — the epoch drivers and the sweep they run: one layer driver
+//!   over a schedule that is data, one per-GPU dispatcher, one set of
+//!   event emitters (recomputation-caching-hybrid intermediate data
 //!   management and deduplicated communication);
+//! - `footprint` — the device bytes one `(layer, GPU, batch)` step
+//!   occupies, which the executor allocates and the memory bound,
+//!   staging plans and serving admission fold over;
+//! - `numerics` — the seam between the sweep and the layer math: the
+//!   live provider over the session's stores, the shapes-only provider
+//!   of schedule synthesis;
 //! - [`cone`] — the shared cone-recurrence arithmetic behind both the
 //!   downward-closed query cone and the upward-closed delta cone;
 //! - [`serve`] — ≤ L-hop dependency cones over the chunk topology: the
@@ -43,6 +50,8 @@ pub mod cone;
 pub mod cost;
 pub mod engine;
 mod exec;
+mod footprint;
+mod numerics;
 pub mod reorg;
 pub mod serve;
 pub mod systems;

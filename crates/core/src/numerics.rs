@@ -1,0 +1,171 @@
+//! The numerics seam: everything a sweep needs from "the numbers".
+//!
+//! A sweep prices data movement and compute on the simulator; the layer
+//! math itself is four operations on the host-resident stores — forward
+//! a chunk, gather `∇h^{l+1}` rows, backward a chunk, leader-apply a
+//! compute's result — plus the loss at epoch level. They sit behind
+//! [`Numerics`] with two providers:
+//!
+//! - [`Live`] borrows a session's stores and model and runs the real
+//!   `hongtu-nn` kernels;
+//! - [`Shapes`] reads nothing and returns empty tensors: every charge
+//!   and annotation the executor emits is sized from the plans
+//!   ([`crate::footprint`], chunk shapes, FLOP counts), never from a
+//!   tensor, so a sweep over `Shapes` emits the schedule of a real one —
+//!   event for event, timestamp for timestamp — without a single FLOP or
+//!   a copy of any store. That is schedule synthesis.
+
+use crate::exec::{Computed, Dir};
+use hongtu_nn::{masked_cross_entropy, GnnModel, LayerForward, LayerGrads, MaskedLoss};
+use hongtu_partition::ChunkSubgraph;
+use hongtu_tensor::Matrix;
+
+/// What the executor asks of the numbers. The `&self` methods run on
+/// worker threads against stores frozen for the operation; `apply` and
+/// `loss` run on the leader between operations.
+pub(crate) trait Numerics: Sync {
+    /// Forward pass of `chunk` at layer `l` from `h^l`.
+    fn forward(&self, l: usize, chunk: &ChunkSubgraph) -> LayerForward;
+
+    /// `∇h^{l+1}_{V_ij}` for `chunk`.
+    fn grad_out(&self, l: usize, chunk: &ChunkSubgraph) -> Matrix;
+
+    /// Recompute + backward of `chunk` at layer `l` (Algorithm 3), from
+    /// the stored aggregate checkpoint when `from_checkpoint`, else from
+    /// `h^l`. Accumulates parameter gradients into `grads`; returns
+    /// `∇h^l_{N_ij}`.
+    fn backward(
+        &self,
+        l: usize,
+        chunk: &ChunkSubgraph,
+        from_checkpoint: bool,
+        grad_out: &Matrix,
+        grads: &mut LayerGrads,
+    ) -> Matrix;
+
+    /// Writes one GPU's compute result to the host stores. Forward: the
+    /// `h^{l+1}` scatter (Alg 1 line 9; destination rows are disjoint
+    /// across a batch's chunks) and the checkpoint store. Backward: the
+    /// `∇h^l` accumulation.
+    fn apply(&mut self, dir: Dir, l: usize, chunk: &ChunkSubgraph, out: Computed);
+
+    /// The downstream task (Alg 1 lines 10–11): loss over `h^L`, its
+    /// gradient stored as `∇h^L`.
+    fn loss(&mut self) -> MaskedLoss;
+}
+
+fn indices(vertices: &[u32]) -> Vec<usize> {
+    vertices.iter().map(|&v| v as usize).collect()
+}
+
+/// The real numerics over a session's host-resident state.
+pub(crate) struct Live<'a> {
+    pub model: &'a GnnModel,
+    /// `h[l]`: layer representations.
+    pub h: &'a mut [Matrix],
+    /// `∇h[l]`: gradient buffers.
+    pub grad_h: &'a mut [Matrix],
+    /// `agg_cache[l][i][j]`: hybrid checkpoints.
+    pub agg_cache: &'a mut [Vec<Vec<Option<Matrix>>>],
+    pub labels: &'a [u32],
+    pub train_mask: &'a [bool],
+}
+
+impl Live<'_> {
+    /// `h^l_{N_ij}`, gathered straight from the host store: `h^l` is
+    /// frozen for the whole layer (writes go to `h^{l+1}`, leader-applied
+    /// after the join), so workers need no hand-off from the owner GPUs.
+    fn neighbor_rows(&self, l: usize, chunk: &ChunkSubgraph) -> Matrix {
+        self.h[l].gather_rows(&indices(&chunk.neighbors))
+    }
+}
+
+impl Numerics for Live<'_> {
+    fn forward(&self, l: usize, chunk: &ChunkSubgraph) -> LayerForward {
+        self.model
+            .layer(l)
+            .forward(chunk, &self.neighbor_rows(l, chunk))
+    }
+
+    fn grad_out(&self, l: usize, chunk: &ChunkSubgraph) -> Matrix {
+        self.grad_h[l + 1].gather_rows(&indices(&chunk.dests))
+    }
+
+    fn backward(
+        &self,
+        l: usize,
+        chunk: &ChunkSubgraph,
+        from_checkpoint: bool,
+        grad_out: &Matrix,
+        grads: &mut LayerGrads,
+    ) -> Matrix {
+        let layer = self.model.layer(l);
+        if from_checkpoint {
+            let agg = self.agg_cache[l][chunk.part][chunk.chunk]
+                .as_ref()
+                .expect("hybrid checkpoint missing — was the forward compute applied?");
+            layer.backward_from_agg(chunk, agg, grad_out, grads)
+        } else {
+            layer.backward_from_input(chunk, &self.neighbor_rows(l, chunk), grad_out, grads)
+        }
+    }
+
+    fn apply(&mut self, dir: Dir, l: usize, chunk: &ChunkSubgraph, out: Computed) {
+        match dir {
+            Dir::Forward => {
+                self.h[l + 1].scatter_rows(&indices(&chunk.dests), &out.rows);
+                if let Some(agg) = out.agg {
+                    self.agg_cache[l][chunk.part][chunk.chunk] = Some(agg);
+                }
+            }
+            Dir::Backward => {
+                self.grad_h[l].scatter_add_rows(&indices(&chunk.neighbors), &out.rows);
+            }
+        }
+    }
+
+    fn loss(&mut self) -> MaskedLoss {
+        let logits = self.h.last().expect("a model has layers");
+        let loss = masked_cross_entropy(logits, self.labels, self.train_mask);
+        *self.grad_h.last_mut().expect("a model has layers") = loss.grad.clone();
+        loss
+    }
+}
+
+/// The shapes-only numerics of schedule synthesis: computes nothing,
+/// reads nothing, stores nothing.
+pub(crate) struct Shapes;
+
+impl Numerics for Shapes {
+    fn forward(&self, _: usize, _: &ChunkSubgraph) -> LayerForward {
+        LayerForward {
+            out: Matrix::zeros(0, 0),
+            agg: None,
+        }
+    }
+
+    fn grad_out(&self, _: usize, _: &ChunkSubgraph) -> Matrix {
+        Matrix::zeros(0, 0)
+    }
+
+    fn backward(
+        &self,
+        _: usize,
+        _: &ChunkSubgraph,
+        _: bool,
+        _: &Matrix,
+        _: &mut LayerGrads,
+    ) -> Matrix {
+        Matrix::zeros(0, 0)
+    }
+
+    fn apply(&mut self, _: Dir, _: usize, _: &ChunkSubgraph, _: Computed) {}
+
+    fn loss(&mut self) -> MaskedLoss {
+        MaskedLoss {
+            loss: 0.0,
+            grad: Matrix::zeros(0, 0),
+            accuracy: 0.0,
+        }
+    }
+}

@@ -12,7 +12,9 @@
 //! accumulated batch closes the batch and stays at the queue head for
 //! the next sweep, so a large request can delay but never be starved by
 //! later small ones. Only a request that exceeds the budget *alone* —
-//! and therefore can never be served — is rejected.
+//! and therefore can never be served — is rejected; a malformed one (no
+//! vertices, or an id the graph does not have) is bounced as a typed
+//! [`InvalidRequest`] before it is priced.
 //!
 //! The queue also accepts graph *updates* ([`UpdateRequest`]): typed
 //! delta batches (`hongtu-delta`) committed through the session's
@@ -46,7 +48,8 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 pub struct Request {
     /// Caller-chosen id, echoed in the response.
     pub id: u64,
-    /// Queried vertex ids (global, non-empty).
+    /// Queried vertex ids (global, non-empty; anything else is bounced as
+    /// [`InvalidRequest`]).
     pub vertices: Vec<usize>,
     /// Arrival time on the simulated clock, in seconds.
     pub arrival: f64,
@@ -63,6 +66,31 @@ pub struct Overloaded {
     pub cone_bytes: Vec<usize>,
     /// Per-GPU budget the cone was held against, in bytes.
     pub budget_bytes: Vec<usize>,
+}
+
+/// Why a query was bounced before it was priced.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InvalidReason {
+    /// The request names no vertex: it has no cone and no sweep.
+    EmptyQuery,
+    /// The request names a vertex the graph does not have.
+    VertexOutOfRange {
+        /// The offending vertex id.
+        vertex: usize,
+        /// Number of vertices in the served graph.
+        num_vertices: usize,
+    },
+}
+
+/// Typed rejection of a malformed request: it never reaches the cone
+/// arithmetic, and the queue, later requests and the served logits are
+/// untouched.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InvalidRequest {
+    /// Id of the rejected request.
+    pub id: u64,
+    /// What was wrong with it.
+    pub reason: InvalidReason,
 }
 
 /// A served request: the queried vertices' logits (row order follows
@@ -215,6 +243,8 @@ pub struct BatchReport {
     pub committed: Vec<Committed>,
     /// Updates bounced by this step without committing.
     pub rejected_updates: Vec<UpdateRejected>,
+    /// Malformed requests bounced while forming this batch.
+    pub invalid: Vec<InvalidRequest>,
     /// Number of requests packed into the sweep (0 if every candidate
     /// was rejected, or if this step processed an update).
     pub batch_size: usize,
@@ -233,6 +263,7 @@ impl BatchReport {
             rejected: Vec::new(),
             committed: Vec::new(),
             rejected_updates: Vec::new(),
+            invalid: Vec::new(),
             batch_size: 0,
             sweep_time: 0.0,
             active_steps: 0,
@@ -336,8 +367,10 @@ impl<'s> Server<'s> {
     /// empty. A query head opens a batch: later queries are packed
     /// FIFO without overtaking — a request that does not fit with the
     /// accumulated batch (but would fit alone) defers, one that exceeds
-    /// the budget even alone is popped and rejected as [`Overloaded`],
-    /// and an update closes the batch (commits serialize with reads) —
+    /// the budget even alone is popped and rejected as [`Overloaded`], a
+    /// malformed one (no vertices, or an id the graph does not have) is
+    /// popped and bounced as [`InvalidRequest`], and an update closes the
+    /// batch (commits serialize with reads) —
     /// then the batch runs as one pruned sweep. An update head is
     /// applied alone through [`Session::apply_staged`], priced by its
     /// recompute cone, with typed [`UpdateRejected`] on an invalid or
@@ -350,7 +383,9 @@ impl<'s> Server<'s> {
             return self.step_update().map(Some);
         }
         let layers = self.session.model().num_layers();
+        let num_vertices = self.session.logits().rows();
         let mut rejected = Vec::new();
+        let mut invalid = Vec::new();
         let mut batch: Vec<Request> = Vec::new();
         let mut union: Vec<usize> = Vec::new();
         let mut row_of: HashMap<usize, usize> = HashMap::new();
@@ -360,6 +395,24 @@ impl<'s> Server<'s> {
             let Some(WorkItem::Query(head)) = self.queue.front() else {
                 break;
             };
+            // Requests come from outside: check them here, before the
+            // cone arithmetic (which asserts) sees them.
+            let reason = match head.vertices.iter().find(|&&v| v >= num_vertices) {
+                Some(&vertex) => Some(InvalidReason::VertexOutOfRange {
+                    vertex,
+                    num_vertices,
+                }),
+                None if head.vertices.is_empty() => Some(InvalidReason::EmptyQuery),
+                None => None,
+            };
+            if let Some(reason) = reason {
+                invalid.push(InvalidRequest {
+                    id: head.id,
+                    reason,
+                });
+                self.queue.pop_front();
+                continue;
+            }
             let mut cand = union.clone();
             for &v in &head.vertices {
                 if !row_of.contains_key(&v) && !cand[union.len()..].contains(&v) {
@@ -396,6 +449,7 @@ impl<'s> Server<'s> {
         if batch.is_empty() {
             return Ok(Some(BatchReport {
                 rejected,
+                invalid,
                 ..BatchReport::empty()
             }));
         }
@@ -418,6 +472,7 @@ impl<'s> Server<'s> {
         Ok(Some(BatchReport {
             served,
             rejected,
+            invalid,
             batch_size,
             sweep_time: report.time,
             active_steps: report.active_steps,
@@ -1118,6 +1173,43 @@ mod tests {
         }
         assert_eq!((served, committed), (16, 8));
         assert_eq!(dg.epoch(), 8);
+    }
+
+    /// A malformed request followed by a valid one: the first is bounced
+    /// typed, the second is served bitwise equal to full inference.
+    fn bounced_then_served(bad: Vec<usize>, reason: InvalidReason) {
+        let ds = dataset();
+        let good = vec![0usize, 1];
+        let mut sess = session(&ds, 2);
+        let admission = AdmissionControl::from_session(&sess);
+        let mut server = Server::new(&mut sess, admission, 4);
+        server.submit(request(1, bad, 0.0));
+        server.submit(request(2, good.clone(), 0.0));
+        let report = server.step().expect("step").expect("non-empty queue");
+        assert_eq!(report.invalid, vec![InvalidRequest { id: 1, reason }]);
+        assert!(report.rejected.is_empty());
+        assert_eq!(report.batch_size, 1);
+        assert_eq!(report.served[0].id, 2);
+        assert_eq!(server.queue_len(), 0);
+        let full = session(&ds, 2).infer_epoch().expect("infer epoch").logits;
+        assert_eq!(report.served[0].logits, full.gather_rows(&good));
+    }
+
+    #[test]
+    fn empty_request_is_bounced_typed_and_the_queue_survives() {
+        bounced_then_served(vec![], InvalidReason::EmptyQuery);
+    }
+
+    #[test]
+    fn out_of_range_request_is_bounced_typed_and_the_queue_survives() {
+        let n = dataset().graph.num_vertices();
+        bounced_then_served(
+            vec![0, n],
+            InvalidReason::VertexOutOfRange {
+                vertex: n,
+                num_vertices: n,
+            },
+        );
     }
 
     /// An empty update is a typed rejection, not a panic in the cone

@@ -110,9 +110,9 @@ impl MachineConfig {
 
     // ---- cost formulas ----
     //
-    // The analytic cost model lives here (not on `Machine`) so that both
-    // the sequential machine and the per-GPU `GpuShard` timelines of the
-    // parallel executor charge *exactly* the same float expressions.
+    // The analytic cost model lives here; `GpuLane` — the one place a
+    // charge is priced — and the comparator systems, which price whole
+    // epochs without a machine, evaluate the same float expressions.
 
     /// Seconds for a host↔GPU transfer of `bytes` over PCIe.
     pub fn pcie_transfer_seconds(&self, bytes: usize) -> f64 {

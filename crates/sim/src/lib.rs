@@ -14,9 +14,14 @@
 //!   GPUs than sockets force remote-socket traffic), GPU↔GPU transfers
 //!   (NVLink), intra-GPU data reuse (HBM), GPU compute (separate dense and
 //!   irregular-edge throughputs), and CPU compute.
-//! - Each simulated GPU has its own clock; [`Machine::barrier`]
-//!   synchronizes them at batch boundaries, so the epoch time is the
-//!   critical-path maximum, exactly like a real bulk-synchronous schedule.
+//! - Each simulated GPU is a [`GpuLane`]: its own stream clocks, memory
+//!   tracker, time buckets and (while tracing) event buffer. A charge is
+//!   priced and applied in exactly one place — the lane — so the m GPUs
+//!   of an operation can be driven by one thread or by m without sharing
+//!   state. [`Machine::join`] appends the lanes' events to the trace in
+//!   GPU index order; [`Machine::barrier`] joins and synchronizes the
+//!   clocks at batch boundaries, so the epoch time is the critical-path
+//!   maximum, exactly like a real bulk-synchronous schedule.
 //! - All charged time is also attributed to one of the paper's breakdown
 //!   buckets `{GPU, H2D, D2D, CPU, REUSE}` (Figure 9).
 //!
@@ -26,15 +31,15 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+pub mod lane;
 pub mod machine;
 pub mod memory;
-pub mod shard;
 pub mod trace;
 
 pub use config::{CpuClusterConfig, MachineConfig};
+pub use lane::GpuLane;
 pub use machine::{Machine, TimeBuckets, NUM_STREAMS};
 pub use memory::{MemoryTracker, SimError};
-pub use shard::{GpuShard, Timeline};
 pub use trace::{
     Access, BarrierScope, ContribKind, Device, Event, EventKind, Intent, Provenance, Region,
     ResourceId, Trace, PROV_MIXED, PROV_NONE,

@@ -1,11 +1,13 @@
-//! The simulated machine: per-GPU clocks, memory trackers, and the
-//! time/volume accounting that backs every performance number in the
-//! benchmark harness.
+//! The simulated machine: one [`GpuLane`] per GPU plus what is genuinely
+//! machine-wide — host memory, the event trace, and the barriers that
+//! join the lanes' clocks. Every simulated charge is priced on a lane;
+//! the machine aggregates.
 
 use crate::config::MachineConfig;
+use crate::lane::GpuLane;
 use crate::memory::{MemoryTracker, SimError};
-use crate::shard::{GpuShard, Timeline};
-use crate::trace::{Access, BarrierScope, Device, Event, EventKind, Trace};
+use crate::trace::{BarrierScope, Device, Event, EventKind, Trace};
+use std::sync::Arc;
 
 /// Number of hardware streams modeled per GPU. Stream 0 is the compute /
 /// default stream; the overlap executor issues H2D prefetches on stream 1
@@ -68,14 +70,10 @@ impl TimeBuckets {
 /// The simulated multi-GPU machine.
 #[derive(Debug, Clone)]
 pub struct Machine {
-    config: MachineConfig,
-    gpus: Vec<MemoryTracker>,
+    config: Arc<MachineConfig>,
+    lanes: Vec<GpuLane>,
     host: MemoryTracker,
-    clocks: Vec<[f64; NUM_STREAMS]>,
-    stream: u8,
-    buckets: TimeBuckets,
     trace: Trace,
-    pending: Vec<Access>,
 }
 
 impl Machine {
@@ -87,20 +85,16 @@ impl Machine {
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid MachineConfig: {e}"));
-        let gpus = (0..config.num_gpus)
-            .map(|i| MemoryTracker::new(format!("GPU{i}"), config.gpu_memory))
+        let config = Arc::new(config);
+        let lanes = (0..config.num_gpus)
+            .map(|i| GpuLane::new(i, Arc::clone(&config)))
             .collect();
         let host = MemoryTracker::new("host", config.host_memory);
-        let clocks = vec![[0.0; NUM_STREAMS]; config.num_gpus];
         Machine {
             config,
-            gpus,
+            lanes,
             host,
-            clocks,
-            stream: 0,
-            buckets: TimeBuckets::default(),
             trace: Trace::disabled(),
-            pending: Vec::new(),
         }
     }
 
@@ -111,83 +105,87 @@ impl Machine {
 
     /// Number of GPUs.
     pub fn num_gpus(&self) -> usize {
-        self.config.num_gpus
+        self.lanes.len()
     }
 
     /// Enables event tracing with the given capacity.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Trace::with_capacity(capacity);
+        self.replace_trace(Trace::with_capacity(capacity));
     }
 
     /// Enables unbounded event tracing (required for trace certification —
     /// see [`Trace::unbounded`]).
     pub fn enable_unbounded_trace(&mut self) {
-        self.trace = Trace::unbounded();
+        self.replace_trace(Trace::unbounded());
     }
 
-    /// The event trace.
+    /// The event trace, as of the last [`Machine::join`].
     pub fn trace(&self) -> &Trace {
         &self.trace
     }
 
-    /// Swaps in a different trace, returning the previous one. Lets a
-    /// verification run temporarily install an unbounded trace without
-    /// discarding the user's.
+    /// Swaps in a different trace, returning the previous one (joined
+    /// first, so it holds everything charged so far). Lets a verification
+    /// run temporarily install an unbounded trace without discarding the
+    /// user's.
     pub fn replace_trace(&mut self, trace: Trace) -> Trace {
-        self.pending.clear();
+        self.join();
+        for lane in &mut self.lanes {
+            lane.tracing = trace.is_enabled();
+            lane.pending.clear();
+        }
         std::mem::replace(&mut self.trace, trace)
     }
 
-    /// Stages access annotations for the *next* charged operation. The
-    /// annotations are attached to the next recorded event and cleared.
-    /// No-op while tracing is disabled, so annotation is free on the
-    /// benchmark path.
-    pub fn tag<I: IntoIterator<Item = Access>>(&mut self, accesses: I) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        self.pending.extend(accesses);
+    // ---- lanes ----
+
+    /// GPU `gpu`'s lane, to charge it. Follow a group of lane charges
+    /// with [`Machine::join`] before reading the trace.
+    pub fn lane(&mut self, gpu: usize) -> &mut GpuLane {
+        &mut self.lanes[gpu]
     }
 
-    fn check_gpu(&self, gpu: usize) -> Result<(), SimError> {
-        if gpu >= self.gpus.len() {
-            Err(SimError::NoSuchDevice {
-                index: gpu,
-                available: self.gpus.len(),
-            })
-        } else {
-            Ok(())
-        }
+    /// Every lane, in GPU index order — one per worker of a parallel
+    /// operation.
+    pub fn lanes_mut(&mut self) -> &mut [GpuLane] {
+        &mut self.lanes
     }
 
-    fn record(&mut self, kind: EventKind, device: Device, bytes: usize, seconds: f64) {
-        if !self.trace.is_enabled() {
-            return;
+    /// Appends each lane's buffered events to the trace **in GPU index
+    /// order**, then applies the deferred [`GpuLane::source_stall`]
+    /// charges in the order they were issued. A lane's events keep their
+    /// program order and lanes only interact at barriers, so the joined
+    /// trace is the one a single thread charging GPU 0, 1, … in turn
+    /// records — however the lanes were actually driven.
+    pub fn join(&mut self) {
+        let mut stalls = Vec::new();
+        for lane in &mut self.lanes {
+            lane.events.drain(..).for_each(|e| self.trace.record(e));
+            stalls.append(&mut lane.stalls);
         }
-        let cur = self.stream as usize;
-        let at = match device {
-            Device::Gpu(g) if (g as usize) < self.clocks.len() => self.clocks[g as usize][cur],
-            _ => 0.0,
-        };
-        let accesses = std::mem::take(&mut self.pending);
-        self.trace.record(
-            Event::new(kind, device, bytes, seconds, at)
-                .on_stream(self.stream)
-                .with_accesses(accesses),
-        );
+        for (src, bytes) in stalls {
+            let lane = &mut self.lanes[src];
+            lane.d2d(bytes);
+            lane.events.drain(..).for_each(|e| self.trace.record(e));
+        }
     }
 
     // ---- memory ----
 
     /// Allocates `bytes` on GPU `gpu`.
     pub fn alloc(&mut self, gpu: usize, bytes: usize, label: &str) -> Result<(), SimError> {
-        self.check_gpu(gpu)?;
-        self.gpus[gpu].alloc(bytes, label)
+        let available = self.lanes.len();
+        let lane = self.lanes.get_mut(gpu);
+        lane.ok_or(SimError::NoSuchDevice {
+            index: gpu,
+            available,
+        })?
+        .alloc(bytes, label)
     }
 
     /// Frees `bytes` on GPU `gpu`.
     pub fn free(&mut self, gpu: usize, bytes: usize) {
-        self.gpus[gpu].free(bytes);
+        self.lanes[gpu].free(bytes);
     }
 
     /// Allocates `bytes` of host memory.
@@ -195,14 +193,9 @@ impl Machine {
         self.host.alloc(bytes, label)
     }
 
-    /// Frees `bytes` of host memory.
-    pub fn host_free(&mut self, bytes: usize) {
-        self.host.free(bytes);
-    }
-
     /// Memory tracker of GPU `gpu`.
     pub fn gpu_memory(&self, gpu: usize) -> &MemoryTracker {
-        &self.gpus[gpu]
+        self.lanes[gpu].memory()
     }
 
     /// Host memory tracker.
@@ -212,127 +205,30 @@ impl Machine {
 
     /// Largest per-GPU peak allocation across all GPUs.
     pub fn max_gpu_peak(&self) -> usize {
-        self.gpus.iter().map(|g| g.peak()).max().unwrap_or(0)
+        self.lanes
+            .iter()
+            .map(|l| l.memory().peak())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Bytes in use on every GPU, in index order — the mark
+    /// [`Machine::release_to`] rolls back to.
+    pub fn gpu_in_use(&self) -> Vec<usize> {
+        self.lanes.iter().map(|l| l.memory().in_use()).collect()
+    }
+
+    /// Frees whatever each GPU allocated beyond `mark` (a
+    /// [`Machine::gpu_in_use`] snapshot): how a failed sweep returns the
+    /// per-batch buffers its unwound steps never got to free. Peaks are
+    /// kept.
+    pub fn release_to(&mut self, mark: &[usize]) {
+        for (lane, &held) in self.lanes.iter_mut().zip(mark) {
+            lane.free(lane.memory().in_use() - held);
+        }
     }
 
     // ---- time ----
-
-    /// Charges a host→GPU transfer of `bytes` to GPU `gpu`'s clock.
-    /// Returns the seconds charged.
-    pub fn h2d(&mut self, gpu: usize, bytes: usize) -> f64 {
-        let t = self.config.pcie_transfer_seconds(bytes);
-        self.clocks[gpu][self.stream as usize] += t;
-        self.buckets.h2d += t;
-        self.buckets.bytes_h2d += bytes as u64;
-        self.record(EventKind::H2D, Device::Gpu(gpu as u32), bytes, t);
-        t
-    }
-
-    /// Charges a host→GPU transfer where `remote_bytes` of the payload
-    /// live on the other NUMA socket and pay the QPI penalty. Used by the
-    /// vanilla offloading baseline, whose per-chunk transfers pull
-    /// neighbors from whichever socket owns them (§7.3: deduplication
-    /// "eliminates the remote neighbor access across CPUs").
-    pub fn h2d_mixed(&mut self, gpu: usize, bytes: usize, remote_bytes: usize) -> f64 {
-        let t = self.config.mixed_pcie_transfer_seconds(bytes, remote_bytes);
-        self.clocks[gpu][self.stream as usize] += t;
-        self.buckets.h2d += t;
-        self.buckets.bytes_h2d += bytes as u64;
-        self.record(EventKind::H2D, Device::Gpu(gpu as u32), bytes, t);
-        t
-    }
-
-    /// GPU→host counterpart of [`Machine::h2d_mixed`].
-    pub fn d2h_mixed(&mut self, gpu: usize, bytes: usize, remote_bytes: usize) -> f64 {
-        let t = self.config.mixed_pcie_transfer_seconds(bytes, remote_bytes);
-        self.clocks[gpu][self.stream as usize] += t;
-        self.buckets.h2d += t;
-        self.buckets.bytes_d2h += bytes as u64;
-        self.record(EventKind::D2H, Device::Gpu(gpu as u32), bytes, t);
-        t
-    }
-
-    /// Charges a GPU→host transfer of `bytes` to GPU `gpu`'s clock.
-    pub fn d2h(&mut self, gpu: usize, bytes: usize) -> f64 {
-        let t = self.config.pcie_transfer_seconds(bytes);
-        self.clocks[gpu][self.stream as usize] += t;
-        self.buckets.h2d += t;
-        self.buckets.bytes_d2h += bytes as u64;
-        self.record(EventKind::D2H, Device::Gpu(gpu as u32), bytes, t);
-        t
-    }
-
-    /// Charges a GPU↔GPU transfer of `bytes` between `src` and `dst` to the
-    /// *initiating* GPU `dst` (pull semantics, matching the paper's
-    /// forward-pass fetch_from_gpu).
-    pub fn d2d(&mut self, _src: usize, dst: usize, bytes: usize) -> f64 {
-        let t = self.config.nvlink_transfer_seconds(bytes);
-        self.clocks[dst][self.stream as usize] += t;
-        self.buckets.d2d += t;
-        self.buckets.bytes_d2d += bytes as u64;
-        self.record(EventKind::D2D, Device::Gpu(dst as u32), bytes, t);
-        t
-    }
-
-    /// Charges an intra-GPU reuse of `bytes` (buffer-local copy at HBM
-    /// speed) to GPU `gpu`.
-    pub fn reuse(&mut self, gpu: usize, bytes: usize) -> f64 {
-        let t = self.config.reuse_seconds(bytes);
-        self.clocks[gpu][self.stream as usize] += t;
-        self.buckets.reuse += t;
-        self.buckets.bytes_reuse += bytes as u64;
-        self.record(EventKind::Reuse, Device::Gpu(gpu as u32), bytes, t);
-        t
-    }
-
-    /// Charges `flops` of dense (matmul-like) GPU work to GPU `gpu`.
-    pub fn gpu_dense(&mut self, gpu: usize, flops: f64) -> f64 {
-        let t = self.config.gpu_dense_seconds(flops);
-        self.clocks[gpu][self.stream as usize] += t;
-        self.buckets.gpu += t;
-        self.record(EventKind::GpuCompute, Device::Gpu(gpu as u32), 0, t);
-        t
-    }
-
-    /// Charges `flops` of irregular edge-parallel GPU work to GPU `gpu`.
-    pub fn gpu_edge(&mut self, gpu: usize, flops: f64) -> f64 {
-        let t = self.config.gpu_edge_seconds(flops);
-        self.clocks[gpu][self.stream as usize] += t;
-        self.buckets.gpu += t;
-        self.record(EventKind::GpuCompute, Device::Gpu(gpu as u32), 0, t);
-        t
-    }
-
-    /// Charges `flops` of CPU work; the time is serialized onto GPU
-    /// `waiting_gpu`'s timeline (the paper's CPU-side gradient accumulation
-    /// happens between batches, blocking the owner GPU's next step). All
-    /// GPUs' host-side work contends for the same CPUs, so the effective
-    /// throughput is divided by the GPU count.
-    pub fn cpu_compute(&mut self, waiting_gpu: usize, flops: f64) -> f64 {
-        let t = self.config.cpu_compute_seconds(flops);
-        self.clocks[waiting_gpu][self.stream as usize] += t;
-        self.buckets.cpu += t;
-        self.record(EventKind::CpuCompute, Device::Gpu(waiting_gpu as u32), 0, t);
-        t
-    }
-
-    /// Charges a host-side gradient accumulation of `bytes` (read old,
-    /// add, write back — three memory touches per byte) to GPU
-    /// `waiting_gpu`'s timeline. Host memory bandwidth is shared by all
-    /// GPUs' accumulation streams, which is why the paper measures the
-    /// CPU component at 8–30% of the epoch.
-    pub fn cpu_accumulate(&mut self, waiting_gpu: usize, bytes: usize) -> f64 {
-        let t = self.config.cpu_accumulate_seconds(bytes);
-        self.clocks[waiting_gpu][self.stream as usize] += t;
-        self.buckets.cpu += t;
-        self.record(
-            EventKind::CpuCompute,
-            Device::Gpu(waiting_gpu as u32),
-            bytes,
-            t,
-        );
-        t
-    }
 
     /// Synchronizes all GPU clocks to the maximum (batch barrier).
     /// Shorthand for [`Machine::sync`] with [`BarrierScope::Batch`].
@@ -340,233 +236,73 @@ impl Machine {
         self.sync(BarrierScope::Batch);
     }
 
-    /// Synchronizes all GPU clocks to the maximum and records a barrier
-    /// event of the given scope. The scope does not change the timing
-    /// model — every barrier joins all clocks, *across every stream* —
-    /// but tells the schedule checker what protocol role the barrier
-    /// plays. The stream cursor returns to the default stream.
+    /// Joins the lanes, synchronizes all GPU clocks to the maximum and
+    /// records a barrier event of the given scope. The scope does not
+    /// change the timing model — every barrier joins all clocks, *across
+    /// every stream* — but tells the schedule checker what protocol role
+    /// the barrier plays. Every lane's stream cursor returns to the
+    /// default stream.
     pub fn sync(&mut self, scope: BarrierScope) {
+        self.join();
         let max = self.elapsed();
-        for c in &mut self.clocks {
-            *c = [max; NUM_STREAMS];
+        for lane in &mut self.lanes {
+            lane.clock = [max; NUM_STREAMS];
+            lane.stream = 0;
+            // Barriers synchronize devices; they carry no accesses of
+            // their own.
+            lane.pending.clear();
         }
-        self.stream = 0;
-        // Barriers synchronize devices; they carry no accesses of their own.
-        self.pending.clear();
-        self.record(EventKind::Barrier(scope), Device::Host, 0, 0.0);
-    }
-
-    /// Selects the stream subsequent charges are issued on (and their
-    /// events tagged with). Stream 0 is the compute/default stream; see
-    /// [`NUM_STREAMS`].
-    ///
-    /// # Panics
-    /// Panics if `stream >= NUM_STREAMS`.
-    pub fn set_stream(&mut self, stream: u8) {
-        assert!(
-            (stream as usize) < NUM_STREAMS,
-            "stream {stream} out of range (NUM_STREAMS = {NUM_STREAMS})"
-        );
-        self.stream = stream;
-    }
-
-    /// Makes GPU `gpu`'s *current* stream wait for everything issued so
-    /// far on its `upstream` stream (the `cudaStreamWaitEvent` analogue):
-    /// the current stream's clock joins up to the upstream clock, and a
-    /// [`EventKind::StreamWait`] event is recorded so the happens-before
-    /// checker orders subsequent work after the upstream's.
-    pub fn stream_wait(&mut self, gpu: usize, upstream: u8) {
-        let cur = self.stream as usize;
-        let up = upstream as usize;
-        self.clocks[gpu][cur] = self.clocks[gpu][cur].max(self.clocks[gpu][up]);
-        self.record(
-            EventKind::StreamWait { upstream },
-            Device::Gpu(gpu as u32),
+        self.trace.record(Event::new(
+            EventKind::Barrier(scope),
+            Device::Host,
             0,
             0.0,
-        );
+            0.0,
+        ));
     }
 
     /// Current simulated time: the furthest-ahead GPU stream clock.
     pub fn elapsed(&self) -> f64 {
-        self.clocks
-            .iter()
-            .flat_map(|c| c.iter().copied())
-            .fold(0.0, f64::max)
+        self.lanes.iter().map(GpuLane::clock).fold(0.0, f64::max)
     }
 
     /// GPU `gpu`'s own clock: the furthest-ahead of its streams.
     pub fn clock(&self, gpu: usize) -> f64 {
-        self.clocks[gpu].iter().copied().fold(0.0, f64::max)
+        self.lanes[gpu].clock()
     }
 
     /// GPU `gpu`'s clock on one specific stream.
     pub fn stream_clock(&self, gpu: usize, stream: u8) -> f64 {
-        self.clocks[gpu][stream as usize]
+        self.lanes[gpu].stream_clock(stream)
     }
 
-    /// Accumulated per-component times and volumes.
+    /// Accumulated per-component times and volumes: the lanes' buckets
+    /// summed in GPU index order, so the f64 totals do not depend on how
+    /// the lanes were driven.
     pub fn buckets(&self) -> TimeBuckets {
-        self.buckets
+        let mut total = TimeBuckets::default();
+        for lane in &self.lanes {
+            total.add(&lane.buckets);
+        }
+        total
     }
 
     /// Zeroes clocks and buckets; memory state and peaks are kept.
     pub fn reset_time(&mut self) {
-        for c in &mut self.clocks {
-            *c = [0.0; NUM_STREAMS];
+        self.join();
+        for lane in &mut self.lanes {
+            lane.clock = [0.0; NUM_STREAMS];
+            lane.stream = 0;
+            lane.buckets = TimeBuckets::default();
         }
-        self.stream = 0;
-        self.buckets = TimeBuckets::default();
         self.trace.clear();
-    }
-
-    // ---- parallel execution ----
-
-    /// Splits the machine into one [`GpuShard`] per GPU so worker threads
-    /// can charge their GPU's timeline without sharing state. Each shard
-    /// takes ownership of its GPU's clock and memory tracker; the machine
-    /// keeps the host tracker, accumulated buckets, and the trace.
-    ///
-    /// Call only at a phase boundary (no staged annotations) and pair with
-    /// [`Machine::join_shards`] before any further charging.
-    pub fn fork_shards(&mut self) -> Vec<GpuShard> {
-        debug_assert!(
-            self.pending.is_empty(),
-            "fork_shards with staged access annotations"
-        );
-        let tracing = self.trace.is_enabled();
-        (0..self.config.num_gpus)
-            .map(|i| GpuShard {
-                gpu: i,
-                config: self.config.clone(),
-                clock: self.clocks[i],
-                stream: 0,
-                buckets: TimeBuckets::default(),
-                memory: std::mem::replace(&mut self.gpus[i], MemoryTracker::new("forked", 0)),
-                tracing,
-                events: Vec::new(),
-                pending: Vec::new(),
-                deferred_stalls: Vec::new(),
-            })
-            .collect()
-    }
-
-    /// Merges shards produced by [`Machine::fork_shards`] back into the
-    /// machine **in GPU index order**: clocks and memory trackers are
-    /// restored, per-shard buckets accumulated, and each shard's events
-    /// appended to the trace GPU 0 first — the same order the sequential
-    /// executor emits them, so phased schedules produce bitwise-identical
-    /// traces. Deferred [`Timeline::source_stall`] charges are applied
-    /// last.
-    ///
-    /// # Panics
-    /// Panics if the shards are not exactly this machine's GPUs in order.
-    pub fn join_shards(&mut self, shards: Vec<GpuShard>) {
-        assert_eq!(
-            shards.len(),
-            self.config.num_gpus,
-            "join_shards: expected {} shards, got {}",
-            self.config.num_gpus,
-            shards.len()
-        );
-        let mut stalls = Vec::new();
-        for (i, shard) in shards.into_iter().enumerate() {
-            assert_eq!(shard.gpu, i, "join_shards: shard {i} out of order");
-            debug_assert!(
-                shard.pending.is_empty(),
-                "join_shards: shard {i} has staged annotations"
-            );
-            self.clocks[i] = shard.clock;
-            self.buckets.add(&shard.buckets);
-            self.gpus[i] = shard.memory;
-            if self.trace.is_enabled() {
-                for ev in shard.events {
-                    self.trace.record(ev);
-                }
-            }
-            stalls.extend(shard.deferred_stalls);
-        }
-        for (src, bytes) in stalls {
-            self.d2d(src, src, bytes);
-        }
-    }
-}
-
-/// [`Machine`] charges its own clocks directly; `source_stall` is the
-/// naive-schedule serving stall, charged inline as a `d2d(src, src, ·)`.
-impl Timeline for Machine {
-    fn machine_config(&self) -> &MachineConfig {
-        &self.config
-    }
-
-    fn tag<I: IntoIterator<Item = Access>>(&mut self, accesses: I) {
-        Machine::tag(self, accesses)
-    }
-
-    fn set_stream(&mut self, stream: u8) {
-        Machine::set_stream(self, stream)
-    }
-
-    fn stream_wait(&mut self, gpu: usize, upstream: u8) {
-        Machine::stream_wait(self, gpu, upstream)
-    }
-
-    fn alloc(&mut self, gpu: usize, bytes: usize, label: &str) -> Result<(), SimError> {
-        Machine::alloc(self, gpu, bytes, label)
-    }
-
-    fn free(&mut self, gpu: usize, bytes: usize) {
-        Machine::free(self, gpu, bytes)
-    }
-
-    fn h2d(&mut self, gpu: usize, bytes: usize) -> f64 {
-        Machine::h2d(self, gpu, bytes)
-    }
-
-    fn h2d_mixed(&mut self, gpu: usize, bytes: usize, remote_bytes: usize) -> f64 {
-        Machine::h2d_mixed(self, gpu, bytes, remote_bytes)
-    }
-
-    fn d2h(&mut self, gpu: usize, bytes: usize) -> f64 {
-        Machine::d2h(self, gpu, bytes)
-    }
-
-    fn d2h_mixed(&mut self, gpu: usize, bytes: usize, remote_bytes: usize) -> f64 {
-        Machine::d2h_mixed(self, gpu, bytes, remote_bytes)
-    }
-
-    fn d2d(&mut self, src: usize, dst: usize, bytes: usize) -> f64 {
-        Machine::d2d(self, src, dst, bytes)
-    }
-
-    fn source_stall(&mut self, src: usize, bytes: usize) {
-        Machine::d2d(self, src, src, bytes);
-    }
-
-    fn reuse(&mut self, gpu: usize, bytes: usize) -> f64 {
-        Machine::reuse(self, gpu, bytes)
-    }
-
-    fn gpu_dense(&mut self, gpu: usize, flops: f64) -> f64 {
-        Machine::gpu_dense(self, gpu, flops)
-    }
-
-    fn gpu_edge(&mut self, gpu: usize, flops: f64) -> f64 {
-        Machine::gpu_edge(self, gpu, flops)
-    }
-
-    fn cpu_compute(&mut self, waiting_gpu: usize, flops: f64) -> f64 {
-        Machine::cpu_compute(self, waiting_gpu, flops)
-    }
-
-    fn cpu_accumulate(&mut self, waiting_gpu: usize, bytes: usize) -> f64 {
-        Machine::cpu_accumulate(self, waiting_gpu, bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Access;
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::scaled(4, 1 << 20))
@@ -576,18 +312,18 @@ mod tests {
     fn transfer_times_match_bandwidth_model() {
         let mut m = machine();
         let cfg = m.config().clone();
-        let t = m.h2d(0, 1_000_000);
+        let t = m.lane(0).h2d(1_000_000);
         assert!((t - (cfg.pcie_latency + 1_000_000.0 / cfg.pcie_bw)).abs() < 1e-12);
-        let t2 = m.d2d(0, 1, 1_000_000);
+        let t2 = m.lane(1).d2d(1_000_000);
         assert!(t2 < t, "NVLink must be faster than PCIe");
-        let t3 = m.reuse(1, 1_000_000);
+        let t3 = m.lane(1).reuse(1_000_000);
         assert!(t3 < t2, "reuse must be faster than NVLink");
     }
 
     #[test]
     fn clocks_are_per_gpu_until_barrier() {
         let mut m = machine();
-        m.h2d(0, 1_000_000);
+        m.lane(0).h2d(1_000_000);
         assert!(m.clock(0) > 0.0);
         assert_eq!(m.clock(1), 0.0);
         m.barrier();
@@ -598,12 +334,12 @@ mod tests {
     #[test]
     fn buckets_accumulate_by_kind() {
         let mut m = machine();
-        m.h2d(0, 100);
-        m.d2h(1, 50);
-        m.d2d(0, 2, 200);
-        m.reuse(3, 400);
-        m.gpu_dense(0, 1e9);
-        m.cpu_compute(0, 1e9);
+        m.lane(0).h2d(100);
+        m.lane(1).d2h(50);
+        m.lane(2).d2d(200);
+        m.lane(3).reuse(400);
+        m.lane(0).gpu_dense(1e9);
+        m.lane(0).cpu_compute(1e9);
         let b = m.buckets();
         assert!(b.h2d > 0.0 && b.d2d > 0.0 && b.gpu > 0.0 && b.cpu > 0.0 && b.reuse > 0.0);
         assert_eq!(b.bytes_h2d, 100);
@@ -616,8 +352,8 @@ mod tests {
     #[test]
     fn edge_compute_slower_than_dense() {
         let mut m = machine();
-        let td = m.gpu_dense(0, 1e9);
-        let te = m.gpu_edge(0, 1e9);
+        let td = m.lane(0).gpu_dense(1e9);
+        let te = m.lane(0).gpu_edge(1e9);
         assert!(te > td);
     }
 
@@ -650,7 +386,7 @@ mod tests {
     fn reset_time_keeps_memory() {
         let mut m = machine();
         m.alloc(0, 512, "x").unwrap();
-        m.h2d(0, 100);
+        m.lane(0).h2d(100);
         m.reset_time();
         assert_eq!(m.elapsed(), 0.0);
         assert_eq!(m.buckets(), TimeBuckets::default());
@@ -661,8 +397,8 @@ mod tests {
     fn single_gpu_machine_pays_numa_penalty() {
         let mut m4 = Machine::new(MachineConfig::scaled(4, 1 << 20));
         let mut m1 = Machine::new(MachineConfig::scaled(1, 1 << 20));
-        let t4 = m4.h2d(0, 10_000_000);
-        let t1 = m1.h2d(0, 10_000_000);
+        let t4 = m4.lane(0).h2d(10_000_000);
+        let t1 = m1.lane(0).h2d(10_000_000);
         assert!(t1 > t4, "1-GPU config must pay remote-socket penalty");
     }
 
@@ -670,7 +406,7 @@ mod tests {
     fn trace_records_when_enabled() {
         let mut m = machine();
         m.enable_trace(16);
-        m.h2d(0, 10);
+        m.lane(0).h2d(10);
         m.barrier();
         let kinds: Vec<_> = m.trace().events().map(|e| e.kind).collect();
         assert_eq!(
@@ -682,17 +418,22 @@ mod tests {
     }
 
     #[test]
-    fn tag_annotates_exactly_the_next_event() {
+    fn tag_annotates_exactly_the_lanes_next_event() {
         use crate::trace::{Region, ResourceId};
         let mut m = machine();
         m.enable_unbounded_trace();
         let a = Access::read(ResourceId::Rep { layer: 0 }, Region::All);
-        m.tag([a]);
-        m.h2d(0, 10);
-        m.h2d(1, 10);
+        m.lane(0).tag([a]);
+        // Another lane's charge in between does not consume the tag.
+        m.lane(1).h2d(10);
+        m.lane(0).h2d(10);
+        m.lane(0).h2d(10);
+        m.join();
         let evs: Vec<_> = m.trace().events().collect();
         assert_eq!(evs[0].accesses, vec![a]);
         assert!(evs[1].accesses.is_empty());
+        assert_eq!(evs[2].device, Device::Gpu(1));
+        assert!(evs[2].accesses.is_empty());
     }
 
     #[test]
@@ -717,12 +458,15 @@ mod tests {
         let mut m = machine();
         // Disabled trace: tag is a no-op (nothing staged, nothing leaks
         // once tracing is enabled later).
-        m.tag([Access::write(ResourceId::DevRep { gpu: 0 }, Region::All)]);
+        m.lane(0)
+            .tag([Access::write(ResourceId::DevRep { gpu: 0 }, Region::All)]);
         m.enable_unbounded_trace();
         // Barriers clear staged annotations rather than carrying them.
-        m.tag([Access::write(ResourceId::DevRep { gpu: 0 }, Region::All)]);
+        m.lane(0)
+            .tag([Access::write(ResourceId::DevRep { gpu: 0 }, Region::All)]);
         m.barrier();
-        m.h2d(0, 4);
+        m.lane(0).h2d(4);
+        m.join();
         let evs: Vec<_> = m.trace().events().collect();
         assert!(evs.iter().all(|e| e.accesses.is_empty()));
     }
@@ -731,10 +475,12 @@ mod tests {
     fn replace_trace_swaps_and_restores() {
         let mut m = machine();
         m.enable_trace(4);
-        m.h2d(0, 1);
+        m.lane(0).h2d(1);
+        // The outgoing trace is joined first: nothing charged is lost.
         let user = m.replace_trace(Trace::unbounded());
         assert_eq!(user.len(), 1);
-        m.h2d(0, 2);
+        m.lane(0).h2d(2);
+        m.join();
         assert_eq!(m.trace().len(), 1);
         assert!(m.trace().is_unbounded());
         let verification = m.replace_trace(user);
@@ -743,34 +489,25 @@ mod tests {
     }
 
     #[test]
-    fn forked_shards_replay_identically_to_sequential() {
-        // Charge the same per-GPU schedule once on the machine, once
-        // through shards; clocks, buckets, and trace must match bitwise.
-        let charge = |t: &mut dyn FnMut(usize)| {
-            for g in 0..4 {
-                t(g);
-            }
+    fn lanes_join_in_index_order_however_they_were_driven() {
+        // Charge the same per-GPU schedule in GPU order and in reverse
+        // (an arbitrary thread schedule); clocks, buckets and the joined
+        // trace must match bitwise.
+        let charge = |lane: &mut GpuLane| {
+            let g = lane.gpu();
+            lane.h2d(1000 * (g + 1));
+            lane.gpu_dense(1e9 * (g + 1) as f64);
+            lane.d2h(500);
         };
         let mut seq = machine();
         seq.enable_unbounded_trace();
-        charge(&mut |g| {
-            seq.h2d(g, 1000 * (g + 1));
-            seq.gpu_dense(g, 1e9 * (g + 1) as f64);
-            seq.d2h(g, 500);
-        });
+        seq.lanes_mut().iter_mut().for_each(charge);
+        seq.join();
 
         let mut par = machine();
         par.enable_unbounded_trace();
-        let mut shards = par.fork_shards();
-        // Charge shards in *reverse* GPU order to model an arbitrary
-        // thread schedule; the join restores GPU-index order.
-        for shard in shards.iter_mut().rev() {
-            let g = shard.gpu();
-            shard.h2d(g, 1000 * (g + 1));
-            shard.gpu_dense(g, 1e9 * (g + 1) as f64);
-            shard.d2h(g, 500);
-        }
-        par.join_shards(shards);
+        par.lanes_mut().iter_mut().rev().for_each(charge);
+        par.join();
 
         for g in 0..4 {
             assert_eq!(seq.clock(g), par.clock(g), "clock of GPU {g}");
@@ -778,55 +515,58 @@ mod tests {
         assert_eq!(seq.buckets(), par.buckets());
         let seq_ev: Vec<_> = seq.trace().events().collect();
         let par_ev: Vec<_> = par.trace().events().collect();
+        assert_eq!(seq_ev.len(), 12);
         assert_eq!(seq_ev, par_ev);
+        let devices: Vec<_> = seq_ev.iter().map(|e| e.device).collect();
+        assert!(devices.windows(2).all(|w| w[0] <= w[1]), "{devices:?}");
     }
 
     #[test]
-    fn shards_own_memory_during_fork() {
+    fn lane_and_machine_share_one_memory_tracker() {
         let mut m = machine();
         m.alloc(0, 100, "pre").unwrap();
-        let mut shards = m.fork_shards();
-        // The machine's tracker is a placeholder while forked.
-        assert!(m.alloc(0, 1, "denied").is_err());
-        shards[0].alloc(0, 50, "shard-side").unwrap();
-        let g = shards[1].gpu();
-        assert!(shards[1].alloc(g, usize::MAX / 2, "oom").is_err());
-        m.join_shards(shards);
+        m.lane(0).alloc(50, "lane-side").unwrap();
+        assert!(m.lane(1).alloc(usize::MAX / 2, "oom").is_err());
         assert_eq!(m.gpu_memory(0).in_use(), 150);
-        assert!(m.alloc(0, 1, "restored").is_ok());
+        assert_eq!(m.gpu_memory(1).in_use(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "strictly per-GPU")]
-    fn shard_rejects_foreign_gpu_charges() {
+    fn release_to_rolls_back_in_use_and_keeps_peaks() {
         let mut m = machine();
-        let mut shards = m.fork_shards();
-        shards[0].h2d(1, 10);
+        m.alloc(0, 100, "static").unwrap();
+        let mark = m.gpu_in_use();
+        m.lane(0).alloc(400, "batch").unwrap();
+        m.lane(2).alloc(300, "batch").unwrap();
+        m.release_to(&mark);
+        assert_eq!(m.gpu_in_use(), mark);
+        assert_eq!(m.gpu_memory(0).peak(), 500);
+        assert_eq!(m.gpu_memory(2).peak(), 300);
     }
 
     #[test]
     fn deferred_source_stalls_apply_at_join() {
-        // GPU 1 fetching from GPU 0 in naive mode stalls GPU 0; the shard
-        // of GPU 1 cannot charge GPU 0, so the stall lands at the join.
-        let mut seq = machine();
-        seq.d2d(0, 0, 4096); // sequential form of the serving stall
-        let mut par = machine();
-        let mut shards = par.fork_shards();
-        shards[1].source_stall(0, 4096);
-        assert_eq!(shards[1].clock(), 0.0, "stall must not charge the fetcher");
-        par.join_shards(shards);
-        assert_eq!(par.clock(0), seq.clock(0));
-        assert_eq!(par.buckets(), seq.buckets());
-    }
-
-    #[test]
-    fn machine_timeline_source_stall_charges_source_inline() {
-        let mut a = machine();
-        Timeline::source_stall(&mut a, 2, 1 << 16);
-        let mut b = machine();
-        b.d2d(2, 2, 1 << 16);
-        assert_eq!(a.clock(2), b.clock(2));
-        assert_eq!(a.buckets(), b.buckets());
+        // GPU 1 fetching from GPU 0 in naive mode stalls GPU 0; lane 1
+        // cannot charge lane 0, so the stall lands at the join — after
+        // every lane's own events.
+        let mut direct = machine();
+        direct.lane(0).d2d(4096);
+        let mut m = machine();
+        m.enable_unbounded_trace();
+        m.lane(1).source_stall(0, 4096);
+        m.lane(1).h2d(8);
+        assert_eq!(m.clock(0), 0.0, "the stall waits for the join");
+        m.join();
+        assert_eq!(m.clock(0), direct.clock(0));
+        assert_eq!(m.buckets().d2d, direct.buckets().d2d);
+        let evs: Vec<_> = m.trace().events().map(|e| (e.kind, e.device)).collect();
+        assert_eq!(
+            evs,
+            vec![
+                (EventKind::H2D, Device::Gpu(1)),
+                (EventKind::D2D, Device::Gpu(0))
+            ]
+        );
     }
 
     #[test]
@@ -834,15 +574,15 @@ mod tests {
         // The same charges issued on one stream cost their sum; split
         // across streams they cost the max — the overlap model.
         let mut serial = machine();
-        serial.h2d(0, 1_000_000);
-        serial.gpu_dense(0, 1e9);
+        serial.lane(0).h2d(1_000_000);
+        serial.lane(0).gpu_dense(1e9);
         let sum = serial.clock(0);
 
         let mut overlapped = machine();
-        overlapped.set_stream(1);
-        let t_load = overlapped.h2d(0, 1_000_000);
-        overlapped.set_stream(0);
-        let t_compute = overlapped.gpu_dense(0, 1e9);
+        overlapped.lane(0).set_stream(1);
+        let t_load = overlapped.lane(0).h2d(1_000_000);
+        overlapped.lane(0).set_stream(0);
+        let t_compute = overlapped.lane(0).gpu_dense(1e9);
         assert_eq!(overlapped.clock(0), t_load.max(t_compute));
         assert!(overlapped.clock(0) < sum);
         assert_eq!(overlapped.stream_clock(0, 1), t_load);
@@ -859,15 +599,16 @@ mod tests {
     fn stream_wait_joins_upstream_clock_only() {
         let mut m = machine();
         m.enable_unbounded_trace();
-        m.set_stream(1);
-        let t = m.h2d(0, 1_000_000);
-        m.set_stream(0);
+        m.lane(0).set_stream(1);
+        let t = m.lane(0).h2d(1_000_000);
+        m.lane(0).set_stream(0);
         assert_eq!(m.stream_clock(0, 0), 0.0);
-        m.stream_wait(0, 1);
+        m.lane(0).stream_wait(1);
         assert_eq!(m.stream_clock(0, 0), t);
         // Other GPUs and streams untouched: no barrier happened.
         assert_eq!(m.stream_clock(0, 2), 0.0);
         assert_eq!(m.clock(1), 0.0);
+        m.join();
         let evs: Vec<_> = m.trace().events().collect();
         assert_eq!(evs[1].kind, EventKind::StreamWait { upstream: 1 });
         assert_eq!(evs[1].stream, 0);
@@ -878,11 +619,12 @@ mod tests {
     fn events_carry_the_issuing_stream() {
         let mut m = machine();
         m.enable_unbounded_trace();
-        m.h2d(0, 10);
-        m.set_stream(2);
-        m.d2h(0, 10);
+        m.lane(0).h2d(10);
+        m.lane(0).set_stream(2);
+        m.lane(0).d2h(10);
         m.barrier();
-        m.h2d(0, 10);
+        m.lane(0).h2d(10);
+        m.join();
         let streams: Vec<_> = m.trace().events().map(|e| e.stream).collect();
         // The barrier resets the cursor to the default stream.
         assert_eq!(streams, vec![0, 2, 0, 0]);
@@ -891,7 +633,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn set_stream_rejects_out_of_range() {
-        machine().set_stream(NUM_STREAMS as u8);
+        machine().lane(0).set_stream(NUM_STREAMS as u8);
     }
 
     #[test]

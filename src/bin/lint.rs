@@ -1,6 +1,6 @@
 //! `lint` — in-repo source lint for the invariants `grep` can't hold.
 //!
-//! Five rules, all token-level scans over the workspace sources (no
+//! Six rules, all token-level scans over the workspace sources (no
 //! parsing, no dependencies):
 //!
 //! 1. **Diagnostic catalogue coverage.** Every `DiagCode` variant in
@@ -14,7 +14,7 @@
 //!    bin/test targets — so the token is forbidden outright outside
 //!    `crates/parallel`, and inside it every non-comment use must carry
 //!    a `SAFETY` comment within the preceding 8 lines.
-//! 3. **Tagging chokepoint.** `Machine::tag` calls are how trace events
+//! 3. **Tagging chokepoint.** `GpuLane::tag` calls are how trace events
 //!    acquire schedule metadata; every call site outside the engine's
 //!    emission layer (and the method's own crate) bypasses the
 //!    provenance discipline passes 5–9 certify. No `.tag(` outside the
@@ -28,6 +28,16 @@
 //! 5. **No deprecation shims.** The repo has no external users, so a
 //!    deprecated item is dead weight: neither the attribute nor the
 //!    allowance for it may appear anywhere in the workspace.
+//! 6. **Footprint chokepoint.** What a `(layer, GPU, batch)` step
+//!    occupies on its device is computed in `crates/core/src/footprint.rs`
+//!    and nowhere else: the memory bound, the staging plans, serving
+//!    admission and the executor's own allocations all read that one
+//!    value, which is why they agree. Non-test code of `crates/core/src`
+//!    may not call the byte-size primitives it is built from
+//!    (`topology_bytes`, `intermediate_bytes`, `agg_cache_bytes`,
+//!    `staging_bytes`) anywhere else. The comparator systems under
+//!    `systems/` price *other* systems from whole-graph formulas and are
+//!    exempt.
 //!
 //! Exits 0 when clean, 1 with one line per violation otherwise. Wired
 //! into `tools/check.sh` and CI's `check` job.
@@ -42,17 +52,28 @@ const TAG_TOKEN: &str = concat!(".t", "ag(");
 const EXEC_READ_TOKEN: &str = concat!("config.", "exec");
 const EXEC_VARIANT_TOKEN: &str = concat!("Execution", "Mode::");
 const DEPRECATED_TOKENS: [&str; 2] = [concat!("#[", "deprecated"), concat!("allow(", "deprecated")];
+const FOOTPRINT_TOKENS: [&str; 4] = [
+    concat!(".topology", "_bytes("),
+    concat!(".intermediate", "_bytes("),
+    concat!(".agg_cache", "_bytes("),
+    concat!(".staging", "_bytes("),
+];
 
-/// Files allowed to contain `Machine::tag` calls: the engine's emission
-/// layer and the method's defining module (incl. its unit tests).
+/// Files allowed to contain `GpuLane::tag` calls: the engine's emission
+/// layer, the method's defining module, and the machine's unit tests.
 const TAG_ALLOWLIST: [&str; 3] = [
-    "crates/core/src/engine.rs",
     "crates/core/src/exec.rs",
+    "crates/sim/src/lane.rs",
     "crates/sim/src/machine.rs",
 ];
 
 /// The one file that may read the configured execution mode.
 const EXEC_DISPATCHER: &str = "crates/core/src/exec.rs";
+
+/// The one file that computes a step's device footprint, and the subtree
+/// of comparator cost models the rule does not cover.
+const FOOTPRINT_MODULE: &str = "crates/core/src/footprint.rs";
+const COMPARATORS: &str = "crates/core/src/systems/";
 
 fn main() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -64,6 +85,7 @@ fn main() {
     check_tag_chokepoint(&root, &sources, &mut violations);
     check_exec_chokepoint(&root, &sources, &mut violations);
     check_no_deprecation(&root, &sources, &mut violations);
+    check_footprint_chokepoint(&root, &sources, &mut violations);
 
     if violations.is_empty() {
         println!("lint: clean ({} source files scanned)", sources.len());
@@ -112,6 +134,16 @@ fn rel(root: &Path, path: &Path) -> String {
 
 fn read(path: &Path) -> String {
     fs::read_to_string(path).unwrap_or_default()
+}
+
+/// The `(1-based line number, line)` pairs of a file's non-test code: up
+/// to its `#[cfg(test)]` module, comment lines skipped.
+fn code_lines(src: &str) -> impl Iterator<Item = (usize, &str)> {
+    src.lines()
+        .enumerate()
+        .take_while(|(_, line)| !line.trim_start().starts_with("#[cfg(test)]"))
+        .filter(|(_, line)| !line.trim_start().starts_with("//"))
+        .map(|(idx, line)| (idx + 1, line))
 }
 
 // ---------------------------------------- rule 1: diagnostic catalogue
@@ -245,7 +277,7 @@ fn check_tag_chokepoint(root: &Path, sources: &[PathBuf], violations: &mut Vec<S
             }
             if line.contains(TAG_TOKEN) {
                 violations.push(format!(
-                    "{relpath}:{}: Machine::tag call outside the engine's emission layer \
+                    "{relpath}:{}: GpuLane::tag call outside the engine's emission layer \
                      (allowed: {})",
                     idx + 1,
                     TAG_ALLOWLIST.join(", ")
@@ -280,21 +312,14 @@ fn check_exec_chokepoint(root: &Path, sources: &[PathBuf], violations: &mut Vec<
         }
         let src = read(path);
         let mut dispatcher_reads = 0usize;
-        for (idx, line) in src.lines().enumerate() {
-            if line.trim_start().starts_with("#[cfg(test)]") {
-                break;
-            }
-            if line.trim_start().starts_with("//") {
-                continue;
-            }
+        for (lineno, line) in code_lines(&src) {
             let reads = line.contains(EXEC_READ_TOKEN);
             if relpath == EXEC_DISPATCHER {
                 dispatcher_reads += usize::from(reads);
             } else if reads || branches_on_exec_variant(line) {
                 violations.push(format!(
-                    "{relpath}:{}: execution mode consulted outside the per-GPU dispatcher \
-                     ({EXEC_DISPATCHER})",
-                    idx + 1
+                    "{relpath}:{lineno}: execution mode consulted outside the per-GPU \
+                     dispatcher ({EXEC_DISPATCHER})"
                 ));
             }
         }
@@ -323,6 +348,29 @@ fn check_no_deprecation(root: &Path, sources: &[PathBuf], violations: &mut Vec<S
                      instead",
                     rel(root, path),
                     idx + 1
+                ));
+            }
+        }
+    }
+}
+
+// ------------------------------------- rule 6: footprint chokepoint
+
+fn check_footprint_chokepoint(root: &Path, sources: &[PathBuf], violations: &mut Vec<String>) {
+    for path in sources {
+        let relpath = rel(root, path);
+        if !relpath.starts_with("crates/core/src/")
+            || relpath.starts_with(COMPARATORS)
+            || relpath == FOOTPRINT_MODULE
+        {
+            continue;
+        }
+        let src = read(path);
+        for (lineno, line) in code_lines(&src) {
+            if FOOTPRINT_TOKENS.iter().any(|t| line.contains(t)) {
+                violations.push(format!(
+                    "{relpath}:{lineno}: step footprint arithmetic outside {FOOTPRINT_MODULE} — \
+                     read the `Footprint` value instead"
                 ));
             }
         }
@@ -385,6 +433,7 @@ mod tests {
         check_tag_chokepoint(&root, &sources, &mut violations);
         check_exec_chokepoint(&root, &sources, &mut violations);
         check_no_deprecation(&root, &sources, &mut violations);
+        check_footprint_chokepoint(&root, &sources, &mut violations);
         assert!(violations.is_empty(), "{}", violations.join("\n"));
     }
 }

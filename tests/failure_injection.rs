@@ -3,7 +3,7 @@
 //! wrong.
 
 use hongtu::core::systems::{InMemoryKind, MultiGpuInMemory, Workload};
-use hongtu::core::{HongTuConfig, OverlapMode, Session};
+use hongtu::core::{CommMode, ExecutionMode, HongTuConfig, OverlapMode, ServeMask, Session};
 use hongtu::datasets::{load, DatasetKey};
 use hongtu::nn::ModelKind;
 use hongtu::sim::{MachineConfig, SimError};
@@ -45,28 +45,94 @@ fn construction_oom_reports_device_and_label() {
     }
 }
 
+fn in_use(s: &Session) -> Vec<usize> {
+    let m = s.machine();
+    (0..m.num_gpus())
+        .map(|i| m.gpu_memory(i).in_use())
+        .collect()
+}
+
 /// Mid-epoch OOM: with memory that holds the static data but not the
 /// per-batch buffers, the failure surfaces as an error from `train_epoch`,
-/// not a panic.
+/// not a panic — and the failed sweep hands back every byte its unwound
+/// steps (and, in parallel mode, their sibling GPUs) had allocated, so
+/// the session is not left half a megabyte short.
 #[test]
 fn epoch_oom_is_an_error_not_a_panic() {
     let ds = rdt();
-    // Binary-search a capacity that admits construction but not execution.
-    for mb in [1usize, 2, 3, 4] {
-        let cfg = HongTuConfig::full(MachineConfig::scaled(4, mb << 18));
-        if let Ok(mut e) = Session::new(&ds, ModelKind::Gat, 32, 2, 1, cfg) {
-            match e.trainer().epoch() {
-                Err(SimError::OutOfMemory { .. }) => return, // what we wanted
-                Ok(_) => continue,                           // fits — try smaller? next mb bigger
+    for exec in [ExecutionMode::Sequential, ExecutionMode::Parallel] {
+        // Scan capacities that admit construction: the smallest fail on
+        // the sweep's first allocation, larger ones deep inside a batch
+        // (GAT with 1 chunk has large per-batch intermediates) — where
+        // the unwound steps hold the most.
+        let mut hits = 0;
+        for mb in [1usize, 2, 3, 4] {
+            let mut cfg = HongTuConfig::full(MachineConfig::scaled(4, mb << 18));
+            cfg.exec = exec;
+            let Ok(mut s) = Session::new(&ds, ModelKind::Gat, 32, 2, 1, cfg) else {
+                continue;
+            };
+            let before = in_use(&s);
+            match s.trainer().epoch() {
+                Err(SimError::OutOfMemory { .. }) => {
+                    assert_eq!(in_use(&s), before, "{exec:?}, {mb} units: leaked");
+                    hits += 1;
+                }
+                Ok(_) => {}
                 Err(other) => panic!("unexpected error {other:?}"),
             }
         }
+        assert!(
+            hits > 0,
+            "{exec:?}: no capacity exercised the mid-epoch OOM path"
+        );
     }
-    // All sizes either failed at construction or ran — also acceptable, but
-    // at least one configuration should demonstrate the mid-epoch path.
-    // (GAT with 1 chunk has large per-batch intermediates; the smallest
-    // size above must have hit it.)
-    panic!("no configuration exercised the mid-epoch OOM path");
+}
+
+/// A serve whose cone does not fit the device fails typed, leaves the
+/// device as it found it, and a smaller serve that does fit then runs —
+/// bitwise equal to full inference.
+#[test]
+fn over_budget_serve_fails_clean_and_the_session_keeps_serving() {
+    let ds = rdt();
+    // One layer, so a single-vertex cone is the one batch that owns it and
+    // batches differ in what they need.
+    let session = |gpu_memory: usize| {
+        let cfg = HongTuConfig::builder()
+            .machine(MachineConfig::scaled(2, gpu_memory))
+            .comm(CommMode::Vanilla)
+            .overlap(OverlapMode::Off)
+            .infer()
+            .build()
+            .expect("config");
+        Session::new(&ds, ModelKind::Gcn, 16, 1, 4, cfg).expect("session")
+    };
+    // Calibrate on a roomy twin: the device bytes a single-vertex serve
+    // peaks at are its static allocations plus its cone's footprint.
+    let mut roomy = session(64 << 20);
+    let base = in_use(&roomy);
+    let need = |v: usize| {
+        let mask = ServeMask::from_queries(roomy.plans().partition, 1, &[v]);
+        let cost = roomy.serve_cone_cost(&mask);
+        cost.iter().zip(&base).map(|(c, b)| c + b).max().unwrap()
+    };
+    let vertices = 0..ds.num_vertices();
+    let small = vertices.clone().min_by_key(|&v| need(v)).unwrap();
+    let big = vertices.max_by_key(|&v| need(v)).unwrap();
+    let (fits, overflows) = (need(small), need(big));
+    assert!(fits < overflows, "batches must differ in footprint");
+    let full = roomy.infer_epoch().expect("roomy inference").logits;
+
+    let mut tight = session((fits + overflows) / 2);
+    let before = in_use(&tight);
+    match tight.serve(&[big]) {
+        Err(SimError::OutOfMemory { .. }) => {}
+        other => panic!("expected OutOfMemory, got {:?}", other.map(|r| r.time)),
+    }
+    assert_eq!(in_use(&tight), before, "failed serve leaked");
+    let served = tight.serve(&[small]).expect("the smaller cone fits");
+    assert_eq!(served.logits, full.gather_rows(&[small]));
+    assert_eq!(in_use(&tight), before);
 }
 
 /// Double-buffered staging that does not fit fails *at construction* —
