@@ -685,6 +685,11 @@ impl Session {
     /// Builds the session: partitions the graph (`m` = machine GPU count,
     /// `n` chunks per partition), optionally reorganizes, allocates host
     /// buffers, and replicates model parameters to every simulated GPU.
+    ///
+    /// A grid the graph cannot fill — more GPUs than vertices, zero chunks,
+    /// or more chunks than the smallest level-1 partition has vertices —
+    /// is [`SimError::InvalidPlan`] (`P005`), not a panic: both numbers
+    /// arrive straight from CLI flags.
     pub fn new(
         dataset: &Dataset,
         kind: ModelKind,
@@ -693,12 +698,35 @@ impl Session {
         n_chunks: usize,
         config: HongTuConfig,
     ) -> Result<Self, SimError> {
-        let plan = TwoLevelPartition::build(
-            &dataset.graph,
-            config.machine.num_gpus,
-            n_chunks,
-            dataset.seed,
-        );
+        let (g, m) = (&dataset.graph, config.machine.num_gpus);
+        let bad_grid = |message: String| SimError::InvalidPlan {
+            code: "P005".to_string(),
+            message,
+        };
+        if m > g.num_vertices() {
+            return Err(bad_grid(format!(
+                "the machine has {m} GPUs but the graph has only {} vertices",
+                g.num_vertices()
+            )));
+        }
+        if n_chunks == 0 {
+            return Err(bad_grid(
+                "0 chunks per partition requested; need at least 1".to_string(),
+            ));
+        }
+        let assignment = hongtu_partition::multilevel::best_of(g, m, dataset.seed);
+        if let Some((i, size)) = assignment
+            .sizes()
+            .into_iter()
+            .enumerate()
+            .find(|&(_, size)| size < n_chunks)
+        {
+            return Err(bad_grid(format!(
+                "partition {i} has {size} vertices, fewer than the {n_chunks} chunks \
+                 per partition requested"
+            )));
+        }
+        let plan = TwoLevelPartition::from_assignment(g, assignment, n_chunks);
         Self::with_plan(dataset, kind, hidden, layers, plan, config)
     }
 

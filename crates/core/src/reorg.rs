@@ -62,12 +62,12 @@ pub fn reorganize_guarded_cached(
 }
 
 /// Applies Algorithm 4 and returns the reorganized partition plan.
-pub fn reorganize(plan: TwoLevelPartition) -> TwoLevelPartition {
+pub fn reorganize(mut plan: TwoLevelPartition) -> TwoLevelPartition {
     let (m, n) = (plan.m, plan.n);
     if m * n <= 1 {
         return plan;
     }
-    let mut grid = plan.chunks.clone();
+    let mut grid = std::mem::take(&mut plan.chunks);
 
     // ---- Phase 1: within-partition chunk placement ----
     // unions[j] = running ℕ^∪_j, seeded with partition 0's chunks.
@@ -135,11 +135,17 @@ fn refine_order_by_heat(order: &mut [usize], unions: &[Vec<VertexId>]) {
     if n < 3 {
         return;
     }
-    // freq[v] = number of batch unions loading v.
-    let mut freq = std::collections::HashMap::<VertexId, u64>::new();
+    // freq[v] = number of batch unions loading v (unions are ascending,
+    // so the largest id of each is its last).
+    let ids = unions
+        .iter()
+        .filter_map(|u| u.last())
+        .max()
+        .map_or(0, |&v| v as usize + 1);
+    let mut freq = vec![0u64; ids];
     for u in unions {
         for &v in u {
-            *freq.entry(v).or_insert(0) += 1;
+            freq[v as usize] += 1;
         }
     }
     // Symmetric pairwise heat matrix (n is small: one row per batch).
@@ -150,7 +156,7 @@ fn refine_order_by_heat(order: &mut [usize], unions: &[Vec<VertexId>]) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    w += freq[&a[i]];
+                    w += freq[a[i] as usize];
                     i += 1;
                     j += 1;
                 }

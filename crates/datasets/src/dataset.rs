@@ -1,6 +1,6 @@
 //! The in-memory dataset bundle.
 
-use hongtu_graph::Graph;
+use hongtu_graph::{Csr, Graph, VertexId};
 use hongtu_tensor::{Matrix, SeededRng};
 
 /// Identifies one of the five benchmark datasets (paper Table 4 keys).
@@ -182,7 +182,40 @@ impl Dataset {
 }
 
 /// Adds a self-loop on every vertex of `g`.
+///
+/// Linear: `v` is spliced into each sorted row where it belongs (or
+/// skipped if the row already holds it), so nothing is re-sorted. A row
+/// that is not strictly ascending — only a hand-built or file-loaded
+/// graph has one — is sorted and deduplicated on its own first.
 pub fn with_self_loops(g: &Graph) -> Graph {
+    let n = g.num_vertices();
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut targets = Vec::with_capacity(g.num_edges() + n);
+    offsets.push(0);
+    for v in 0..n as VertexId {
+        let row = g.out_neighbors(v);
+        if row.windows(2).all(|w| w[0] < w[1]) {
+            let at = row.partition_point(|&t| t < v);
+            targets.extend_from_slice(&row[..at]);
+            targets.push(v);
+            let held = row.get(at) == Some(&v);
+            targets.extend_from_slice(&row[at + usize::from(held)..]);
+        } else {
+            let mut row = row.to_vec();
+            row.push(v);
+            row.sort_unstable();
+            row.dedup();
+            targets.extend_from_slice(&row);
+        }
+        offsets.push(targets.len());
+    }
+    Graph::from_csr(Csr { offsets, targets })
+}
+
+/// The body `with_self_loops` replaced — every edge back through a
+/// [`hongtu_graph::GraphBuilder`] and its sort — kept as the oracle.
+#[cfg(test)]
+fn with_self_loops_reference(g: &Graph) -> Graph {
     let n = g.num_vertices();
     let mut b = hongtu_graph::GraphBuilder::new(n).keep_self_loops();
     for (s, t) in g.csr.edges() {
@@ -216,6 +249,48 @@ mod tests {
         assert_eq!(gl.num_edges(), g.num_edges() + 100);
         for v in 0..100u32 {
             assert!(gl.in_neighbors(v).contains(&v));
+        }
+    }
+
+    proptest::proptest! {
+        /// The splice = the builder round trip it replaced: on multigraph
+        /// input with a hub and isolated vertices, on graphs that already
+        /// hold some self-loops, and on rows no builder produced
+        /// (descending, with duplicates).
+        #[test]
+        fn with_self_loops_equals_the_builder_reference(
+            n in 1u32..40,
+            raw in proptest::collection::vec((0u32..40, 0u32..40), 0..250),
+            keep_self_loops in 0u32..2,
+            hub in 0u32..2,
+            scramble in 0u32..2
+        ) {
+            let mut b = hongtu_graph::GraphBuilder::new(n as usize + 2);
+            if keep_self_loops == 1 {
+                b = b.keep_self_loops();
+            }
+            for (s, t) in raw {
+                b.add_edge(s % n, t % n);
+                b.add_edge(s % n, t % n);
+            }
+            if hub == 1 {
+                for v in 0..n {
+                    b.add_undirected(0, v);
+                }
+            }
+            let mut g = b.build();
+            if scramble == 1 {
+                // Each row descending, its two smallest entries repeated.
+                let mut csr = Csr::empty(0);
+                for v in 0..g.num_vertices() as VertexId {
+                    let row = g.out_neighbors(v);
+                    csr.targets.extend(row.iter().rev());
+                    csr.targets.extend(row.iter().take(2));
+                    csr.offsets.push(csr.targets.len());
+                }
+                g = Graph::from_csr(csr);
+            }
+            proptest::prop_assert_eq!(with_self_loops(&g), with_self_loops_reference(&g));
         }
     }
 

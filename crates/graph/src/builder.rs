@@ -69,7 +69,53 @@ impl GraphBuilder {
 
     /// Consumes the builder and produces the dual-orientation graph.
     /// Parallel edges are deduplicated; adjacency lists come out sorted.
-    pub fn build(mut self) -> Graph {
+    ///
+    /// `O(|V| + |E| + Σ_v d_v log d_v)`: a counting sort by source, then
+    /// each row is sorted and deduplicated on its own.
+    pub fn build(self) -> Graph {
+        let n = self.n;
+        let mut offsets = vec![0usize; n + 1];
+        for &(s, _) in &self.edges {
+            offsets[s as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut targets = vec![0 as VertexId; self.edges.len()];
+        for &(s, t) in &self.edges {
+            targets[cursor[s as usize]] = t;
+            cursor[s as usize] += 1;
+        }
+        drop(self.edges);
+        // Sort each row and compact the duplicates away in place: `write`
+        // never overtakes the row being read.
+        let mut write = 0usize;
+        let mut start = 0usize;
+        for v in 0..n {
+            let end = offsets[v + 1];
+            offsets[v] = write;
+            targets[start..end].sort_unstable();
+            for i in start..end {
+                let t = targets[i];
+                if write == offsets[v] || targets[write - 1] != t {
+                    targets[write] = t;
+                    write += 1;
+                }
+            }
+            start = end;
+        }
+        offsets[n] = write;
+        targets.truncate(write);
+        let csr = Csr { offsets, targets };
+        debug_assert!(csr.validate().is_ok());
+        Graph::from_csr(csr)
+    }
+
+    /// The body `build` replaced — one global sort of the edge pairs —
+    /// kept as the oracle the property tests hold `build` against.
+    #[cfg(test)]
+    fn build_reference(mut self) -> Graph {
         self.edges.sort_unstable();
         self.edges.dedup();
         let mut offsets = vec![0usize; self.n + 1];
@@ -80,9 +126,7 @@ impl GraphBuilder {
             offsets[i + 1] += offsets[i];
         }
         let targets = self.edges.iter().map(|&(_, t)| t).collect();
-        let csr = Csr { offsets, targets };
-        debug_assert!(csr.validate().is_ok());
-        Graph::from_csr(csr)
+        Graph::from_csr(Csr { offsets, targets })
     }
 }
 
@@ -156,6 +200,36 @@ mod tests {
             for (s, t) in g.csr.edges() {
                 prop_assert!(g.in_neighbors(t).contains(&s));
             }
+        }
+
+        /// `build` = the global-sort body it replaced, on multigraphs with
+        /// duplicate edges, self-loops (kept and dropped), isolated
+        /// vertices and a hub adjacent to everything.
+        #[test]
+        fn build_equals_the_global_sort_reference(
+            n in 1u32..48,
+            raw in proptest::collection::vec((0u32..48, 0u32..48), 0..300),
+            keep_self_loops in 0u32..2,
+            hub in 0u32..2
+        ) {
+            // Ids n..n+3 are named by no edge: isolated, trailing rows.
+            let mut b = GraphBuilder::new(n as usize + 3);
+            if keep_self_loops == 1 {
+                b = b.keep_self_loops();
+            }
+            for (s, t) in raw {
+                let (s, t) = (s % n, t % n);
+                b.add_edge(s, t);
+                if (s + t) % 3 == 0 {
+                    b.add_edge(s, t);
+                }
+            }
+            if hub == 1 {
+                for v in 0..n {
+                    b.add_undirected(0, v);
+                }
+            }
+            prop_assert_eq!(b.clone().build(), b.build_reference());
         }
     }
 }

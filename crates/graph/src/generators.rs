@@ -67,6 +67,11 @@ impl RmatParams {
 }
 
 /// R-MAT graph over `2^scale` vertices with `edges` directed edges.
+///
+/// Each of the `scale` levels draws one quadrant and halves both id
+/// ranges; halving `[0, 2^scale)` `scale` times is writing the id bit by
+/// bit, most significant first, so the quadrant's two bits are shifted in
+/// without a branch on the drawn value.
 pub fn rmat(scale: u32, edges: usize, params: RmatParams, rng: &mut SeededRng) -> Graph {
     let n = 1usize << scale;
     let sum = params.a + params.b + params.c + params.d;
@@ -74,6 +79,35 @@ pub fn rmat(scale: u32, edges: usize, params: RmatParams, rng: &mut SeededRng) -
         (sum - 1.0).abs() < 1e-6,
         "RmatParams must sum to 1 (got {sum})"
     );
+    // Cumulative quadrant thresholds, summed in the order the draw is
+    // compared against them.
+    let (a, ab, abc) = (
+        params.a,
+        params.a + params.b,
+        params.a + params.b + params.c,
+    );
+    let mut b = GraphBuilder::new(n);
+    for _ in 0..edges {
+        let (mut s, mut t) = (0 as VertexId, 0 as VertexId);
+        for _ in 0..scale {
+            let r = rng.uniform() as f64;
+            // Quadrants in threshold order: a = (up, left), b = (up, right),
+            // c = (down, left), d = (down, right).
+            let down = r >= ab;
+            let right = (r >= a) & !(down & (r < abc));
+            s = (s << 1) | down as VertexId;
+            t = (t << 1) | right as VertexId;
+        }
+        b.add_edge(s, t);
+    }
+    b.build()
+}
+
+/// The body `rmat` replaced — explicit range bisection with a four-way
+/// branch per level — kept as the oracle for the bitwise version.
+#[cfg(test)]
+fn rmat_reference(scale: u32, edges: usize, params: RmatParams, rng: &mut SeededRng) -> Graph {
+    let n = 1usize << scale;
     let mut b = GraphBuilder::new(n);
     for _ in 0..edges {
         let (mut lo_s, mut hi_s) = (0usize, n);
@@ -249,6 +283,39 @@ mod tests {
             (max_deg as f64) > avg * 10.0,
             "expected heavy skew: max {max_deg} vs avg {avg:.1}"
         );
+    }
+
+    proptest::proptest! {
+        /// The bitwise `rmat` consumes the RNG stream and emits the edges
+        /// of the bisecting body it replaced, for every scale in use.
+        #[test]
+        fn rmat_equals_the_bisecting_reference(
+            scale in 1u32..13,
+            edges in 0usize..400,
+            seed in 0u64..1_000_000,
+            a in 0.0f64..1.0,
+            b in 0.0f64..1.0,
+            c in 0.0f64..1.0
+        ) {
+            // Three cuts of [0, 1] → four non-negative masses summing to 1;
+            // the two named parameter sets ride along.
+            let mut cuts = [a, b, c];
+            cuts.sort_by(f64::total_cmp);
+            let random = RmatParams {
+                a: cuts[0],
+                b: cuts[1] - cuts[0],
+                c: cuts[2] - cuts[1],
+                d: 1.0 - cuts[2],
+            };
+            for params in [random, RmatParams::social(), RmatParams::web()] {
+                let (mut r1, mut r2) = (SeededRng::new(seed), SeededRng::new(seed));
+                proptest::prop_assert_eq!(
+                    rmat(scale, edges, params, &mut r1),
+                    rmat_reference(scale, edges, params, &mut r2)
+                );
+                proptest::prop_assert_eq!(r1.next_u64(), r2.next_u64());
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@ use hongtu_graph::{Graph, VertexId};
 use hongtu_tensor::SeededRng;
 
 /// Weighted undirected working graph used internally by the partitioner.
-#[derive(Debug, Clone)]
+/// Rows are ascending by neighbor id and every edge weight is at least 1.
+#[derive(Debug, Clone, PartialEq)]
 struct WorkGraph {
     offsets: Vec<usize>,
     nbrs: Vec<u32>,
@@ -43,8 +44,69 @@ impl WorkGraph {
         self.vwgt.iter().sum()
     }
 
-    /// Symmetrized, weight-merged version of a directed [`Graph`].
+    /// Symmetrized, weight-merged version of a directed [`Graph`]: `u` is
+    /// a neighbor of `v` with weight (number of `v → u` edges) + (number
+    /// of `u → v` edges), self-loops dropped.
+    ///
+    /// Both adjacency rows of `v` are sorted, so their union comes out of
+    /// a two-way merge already in order — `O(|V| + |E|)`, no pair vector
+    /// and no sort. A row that is not ascending (a hand-built or
+    /// file-loaded graph) is sorted into a scratch buffer first.
     fn from_graph(g: &Graph) -> Self {
+        fn ascending<'a>(row: &'a [u32], scratch: &'a mut Vec<u32>) -> &'a [u32] {
+            if row.is_sorted() {
+                return row;
+            }
+            scratch.clear();
+            scratch.extend_from_slice(row);
+            scratch.sort_unstable();
+            scratch
+        }
+        let n = g.num_vertices();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut nbrs = Vec::with_capacity(g.num_edges() * 2);
+        let mut weights: Vec<u64> = Vec::with_capacity(g.num_edges() * 2);
+        let (mut out_scratch, mut in_scratch) = (Vec::new(), Vec::new());
+        offsets.push(0);
+        for v in 0..n as u32 {
+            let out = ascending(g.out_neighbors(v), &mut out_scratch);
+            let inn = ascending(g.in_neighbors(v), &mut in_scratch);
+            let (mut i, mut j) = (0, 0);
+            while i < out.len() || j < inn.len() {
+                let u = match (out.get(i), inn.get(j)) {
+                    (Some(&a), Some(&b)) => a.min(b),
+                    (Some(&a), None) | (None, Some(&a)) => a,
+                    (None, None) => unreachable!("loop condition"),
+                };
+                // Runs, not single entries: a multigraph row repeats ids.
+                let mut w = 0u64;
+                while out.get(i) == Some(&u) {
+                    w += 1;
+                    i += 1;
+                }
+                while inn.get(j) == Some(&u) {
+                    w += 1;
+                    j += 1;
+                }
+                if u != v {
+                    nbrs.push(u);
+                    weights.push(w);
+                }
+            }
+            offsets.push(nbrs.len());
+        }
+        WorkGraph {
+            offsets,
+            nbrs,
+            weights,
+            vwgt: vec![1; n],
+        }
+    }
+
+    /// The body `from_graph` replaced — both directions of every edge into
+    /// one pair vector, globally sorted — kept as the oracle.
+    #[cfg(test)]
+    fn from_graph_reference(g: &Graph) -> Self {
         let n = g.num_vertices();
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(g.num_edges() * 2);
         for (s, t) in g.csr.edges() {
@@ -172,6 +234,14 @@ impl Partitioner for MultilevelPartitioner {
 /// One round of heavy-edge matching contraction. Returns the coarse graph
 /// and the fine→coarse vertex map.
 fn coarsen_once(g: &WorkGraph, rng: &mut SeededRng) -> (WorkGraph, Vec<u32>) {
+    let (map, members) = heavy_edge_matching(g, rng);
+    (contract(g, &map, &members), map)
+}
+
+/// A maximal matching preferring heavy edges, numbered in fine-id order.
+/// Returns the fine→coarse map and, per coarse vertex, its one or two fine
+/// members, lower id first (a singleton names itself twice).
+fn heavy_edge_matching(g: &WorkGraph, rng: &mut SeededRng) -> (Vec<u32>, Vec<(u32, u32)>) {
     let n = g.num_vertices();
     let mut order: Vec<u32> = (0..n as u32).collect();
     rng.shuffle(&mut order);
@@ -201,20 +271,76 @@ fn coarsen_once(g: &WorkGraph, rng: &mut SeededRng) -> (WorkGraph, Vec<u32>) {
     }
     // Number coarse vertices.
     let mut map = vec![u32::MAX; n];
-    let mut next = 0u32;
+    let mut members: Vec<(u32, u32)> = Vec::with_capacity(n);
     for v in 0..n {
         if map[v] != u32::MAX {
             continue;
         }
-        map[v] = next;
-        let m = matched[v] as usize;
-        if m != v && map[m] == u32::MAX {
-            map[m] = next;
-        }
-        next += 1;
+        let c = members.len() as u32;
+        map[v] = c;
+        map[matched[v] as usize] = c;
+        members.push((v as u32, matched[v]));
     }
-    let cn = next as usize;
-    // Aggregate vertex weights and edges.
+    (map, members)
+}
+
+/// Contracts `g` along `map`, one coarse row at a time: the row of coarse
+/// vertex `c` is its members' adjacency mapped through `map`, weights
+/// accumulated per coarse neighbor in the dense `acc` scratch, intra-pair
+/// edges dropped. Only the row's distinct neighbors (`touched`) are
+/// sorted, never the graph: `O(|V| + |E| + Σ_c d_c log d_c)`.
+///
+/// Rows are emitted ascending by coarse id and sorted by neighbor, and
+/// integer addition commutes, so this is exactly the graph a global sort
+/// of all `(map[v], map[u], w)` triples followed by a run-merge yields.
+fn contract(g: &WorkGraph, map: &[u32], members: &[(u32, u32)]) -> WorkGraph {
+    let cn = members.len();
+    let mut offsets = Vec::with_capacity(cn + 1);
+    let mut nbrs = Vec::with_capacity(g.nbrs.len());
+    let mut weights = Vec::with_capacity(g.nbrs.len());
+    let mut vwgt = Vec::with_capacity(cn);
+    // acc[cu] > 0 ⇔ cu is in `touched`: edge weights are never zero.
+    let mut acc = vec![0u64; cn];
+    let mut touched: Vec<u32> = Vec::new();
+    offsets.push(0);
+    for (c, &(first, second)) in members.iter().enumerate() {
+        let pair = [first, second];
+        let fine = &pair[..1 + usize::from(second != first)];
+        let mut cw = 0u64;
+        for &v in fine {
+            cw += g.vwgt[v as usize];
+            for (u, w) in g.neighbors(v as usize) {
+                let cu = map[u as usize];
+                if cu as usize != c {
+                    if acc[cu as usize] == 0 {
+                        touched.push(cu);
+                    }
+                    acc[cu as usize] += w;
+                }
+            }
+        }
+        vwgt.push(cw);
+        touched.sort_unstable();
+        for &cu in &touched {
+            nbrs.push(cu);
+            weights.push(std::mem::take(&mut acc[cu as usize]));
+        }
+        touched.clear();
+        offsets.push(nbrs.len());
+    }
+    WorkGraph {
+        offsets,
+        nbrs,
+        weights,
+        vwgt,
+    }
+}
+
+/// The body `contract` replaced — every mapped edge as a 16-byte triple,
+/// globally sorted, runs merged — kept as the oracle.
+#[cfg(test)]
+fn contract_reference(g: &WorkGraph, map: &[u32], cn: usize) -> WorkGraph {
+    let n = g.num_vertices();
     let mut vwgt = vec![0u64; cn];
     for v in 0..n {
         vwgt[map[v] as usize] += g.vwgt[v];
@@ -248,15 +374,12 @@ fn coarsen_once(g: &WorkGraph, rng: &mut SeededRng) -> (WorkGraph, Vec<u32>) {
     for v in 0..cn {
         offsets[v + 1] += offsets[v];
     }
-    (
-        WorkGraph {
-            offsets,
-            nbrs,
-            weights,
-            vwgt,
-        },
-        map,
-    )
+    WorkGraph {
+        offsets,
+        nbrs,
+        weights,
+        vwgt,
+    }
 }
 
 /// Greedy region growing over the (coarse) graph.
@@ -332,12 +455,12 @@ fn refine(g: &WorkGraph, labels: &mut [u32], parts: usize, eps: f64, passes: usi
         part_wgt[l as usize] += g.vwgt[v];
     }
     let mut conn = vec![0u64; parts];
+    let mut touched: Vec<usize> = Vec::with_capacity(parts);
     for _ in 0..passes {
         let mut moved = 0usize;
         for v in 0..g.num_vertices() {
             let from = labels[v] as usize;
             // Connectivity of v to each partition.
-            let mut touched: Vec<usize> = Vec::with_capacity(8);
             for (u, w) in g.neighbors(v) {
                 let p = labels[u as usize] as usize;
                 if conn[p] == 0 {
@@ -363,7 +486,7 @@ fn refine(g: &WorkGraph, labels: &mut [u32], parts: usize, eps: f64, passes: usi
                 part_wgt[p] += g.vwgt[v];
                 moved += 1;
             }
-            for &p in &touched {
+            for p in touched.drain(..) {
                 conn[p] = 0;
             }
         }
@@ -476,6 +599,81 @@ mod tests {
             b.add_undirected(base as u32, next as u32);
         }
         b.build()
+    }
+
+    /// A multigraph over `n + 2` vertices (the last two isolated): every
+    /// third edge twice, self-loops kept or dropped, optionally a hub
+    /// adjacent to everything, optionally with every row descending and
+    /// partly repeated (what only a hand-built or file-loaded graph has).
+    fn multigraph(
+        n: u32,
+        raw: &[(u32, u32)],
+        keep_loops: bool,
+        hub: bool,
+        scramble: bool,
+    ) -> Graph {
+        let mut b = hongtu_graph::GraphBuilder::new(n as usize + 2);
+        if keep_loops {
+            b = b.keep_self_loops();
+        }
+        for &(s, t) in raw {
+            b.add_edge(s % n, t % n);
+        }
+        if hub {
+            for v in 0..n {
+                b.add_undirected(0, v);
+            }
+        }
+        let g = b.build();
+        if !scramble {
+            return g;
+        }
+        let mut csr = hongtu_graph::Csr::empty(0);
+        for v in 0..g.num_vertices() as u32 {
+            let row = g.out_neighbors(v);
+            csr.targets.extend(row.iter().rev());
+            csr.targets.extend(row.iter().step_by(3));
+            csr.offsets.push(csr.targets.len());
+        }
+        Graph::from_csr(csr)
+    }
+
+    proptest::proptest! {
+        /// Merge-built symmetrisation = the pair-sort body it replaced.
+        #[test]
+        fn from_graph_equals_the_pair_sort_reference(
+            n in 1u32..40,
+            raw in proptest::collection::vec((0u32..40, 0u32..40), 0..250),
+            keep_loops in 0u32..2,
+            hub in 0u32..2,
+            scramble in 0u32..2
+        ) {
+            let g = multigraph(n, &raw, keep_loops == 1, hub == 1, scramble == 1);
+            proptest::prop_assert_eq!(
+                WorkGraph::from_graph(&g),
+                WorkGraph::from_graph_reference(&g)
+            );
+        }
+
+        /// Row-at-a-time contraction = the tuple-sort body it replaced, at
+        /// every level of a coarsening run (so merged vertex weights and
+        /// summed edge weights are in play, not only the unit base graph).
+        #[test]
+        fn contract_equals_the_tuple_sort_reference(
+            n in 1u32..60,
+            raw in proptest::collection::vec((0u32..60, 0u32..60), 0..400),
+            hub in 0u32..2,
+            seed in 0u64..1_000_000
+        ) {
+            let mut rng = SeededRng::new(seed);
+            let mut g = WorkGraph::from_graph(&multigraph(n, &raw, false, hub == 1, false));
+            for _ in 0..4 {
+                let (map, members) = heavy_edge_matching(&g, &mut rng);
+                let coarse = contract(&g, &map, &members);
+                proptest::prop_assert_eq!(&coarse, &contract_reference(&g, &map, members.len()));
+                g = coarse;
+            }
+        }
     }
 
     #[test]

@@ -33,18 +33,86 @@ impl ChunkSubgraph {
     /// Builds the chunk subgraph for destination set `dests` (must be sorted
     /// and unique) against the full graph `g`.
     pub fn build(g: &Graph, part: usize, chunk: usize, dests: Vec<VertexId>) -> Self {
+        Self::build_in(g, part, chunk, dests, &mut Vec::new())
+    }
+
+    /// [`ChunkSubgraph::build`] over a caller-owned scratch, so a whole
+    /// grid shares one. `local_of` starts out empty; between calls it
+    /// holds one `UNSEEN` entry per vertex of `g`.
+    ///
+    /// In-neighbors are marked in the dense map as they are first met, so
+    /// only the *distinct* ones (`|N_ij|`, not `|E_ij|`) are sorted, and an
+    /// edge finds its local neighbor id by indexing, not by searching.
+    pub(crate) fn build_in(
+        g: &Graph,
+        part: usize,
+        chunk: usize,
+        dests: Vec<VertexId>,
+        local_of: &mut Vec<u32>,
+    ) -> Self {
+        /// "Not an in-neighbor of this chunk": no chunk has `u32::MAX`
+        /// distinct neighbors, so it is never a local id.
+        const UNSEEN: u32 = u32::MAX;
+        local_of.resize(g.num_vertices(), UNSEEN);
         debug_assert!(
             dests.windows(2).all(|w| w[0] < w[1]),
             "dests must be sorted & unique"
         );
         // Collect the union of in-neighbors.
         let mut neighbors: Vec<VertexId> = Vec::new();
+        let mut edges = 0usize;
+        for &d in &dests {
+            let row = g.in_neighbors(d);
+            edges += row.len();
+            for &u in row {
+                if local_of[u as usize] == UNSEEN {
+                    local_of[u as usize] = 0;
+                    neighbors.push(u);
+                }
+            }
+        }
+        neighbors.sort_unstable();
+        for (local, &u) in neighbors.iter().enumerate() {
+            local_of[u as usize] = local as u32;
+        }
+        // Local edge lists.
+        let mut offsets = Vec::with_capacity(dests.len() + 1);
+        offsets.push(0usize);
+        let mut nbr_index = Vec::with_capacity(edges);
+        let mut gcn_weights = Vec::with_capacity(edges);
+        for &d in &dests {
+            let dv = (1 + g.in_degree(d)) as f32;
+            for &u in g.in_neighbors(d) {
+                nbr_index.push(local_of[u as usize]);
+                let du = (1 + g.out_degree(u)) as f32;
+                gcn_weights.push(1.0 / (du * dv).sqrt());
+            }
+            offsets.push(nbr_index.len());
+        }
+        for &u in &neighbors {
+            local_of[u as usize] = UNSEEN;
+        }
+        ChunkSubgraph {
+            part,
+            chunk,
+            dests,
+            neighbors,
+            offsets,
+            nbr_index,
+            gcn_weights,
+        }
+    }
+
+    /// The body `build` replaced — every in-edge's source sorted, one
+    /// binary search per edge — kept as the oracle.
+    #[cfg(test)]
+    fn build_reference(g: &Graph, part: usize, chunk: usize, dests: Vec<VertexId>) -> Self {
+        let mut neighbors: Vec<VertexId> = Vec::new();
         for &d in &dests {
             neighbors.extend_from_slice(g.in_neighbors(d));
         }
         neighbors.sort_unstable();
         neighbors.dedup();
-        // Local edge lists.
         let mut offsets = Vec::with_capacity(dests.len() + 1);
         offsets.push(0usize);
         let mut nbr_index = Vec::new();
@@ -205,6 +273,49 @@ mod tests {
         // edge 0→2: out_deg(0)=2 → du=3; in_deg(2)=3 → dv=4
         let w = c.gcn_weights[0];
         assert!((w - 1.0 / (3.0f32 * 4.0).sqrt()).abs() < 1e-6);
+    }
+
+    proptest::proptest! {
+        /// The dense-indexed build = the binary-search body it replaced on
+        /// random sorted destination subsets (empty ones and ones with an
+        /// empty in-neighbourhood included), with one scratch shared over
+        /// consecutive builds as `from_assignment` shares it.
+        #[test]
+        fn build_equals_the_binary_search_reference(
+            n in 1u32..40,
+            raw in proptest::collection::vec((0u32..40, 0u32..40), 0..250),
+            keep_loops in 0u32..2,
+            hub in 0u32..2,
+            picks in proptest::collection::vec(proptest::collection::vec(0u32..43, 0..30), 1..4)
+        ) {
+            // Ids n..n+3 stay isolated: destinations with no in-neighbors.
+            let mut b = GraphBuilder::new(n as usize + 3);
+            if keep_loops == 1 {
+                b = b.keep_self_loops();
+            }
+            for (s, t) in raw {
+                b.add_edge(s % n, t % n);
+            }
+            if hub == 1 {
+                for v in 0..n {
+                    b.add_undirected(0, v);
+                }
+            }
+            let g = b.build();
+            let mut local_of = Vec::new();
+            for (j, mut dests) in picks.into_iter().enumerate() {
+                dests.retain(|&d| d < n + 3);
+                dests.sort_unstable();
+                dests.dedup();
+                let want = ChunkSubgraph::build_reference(&g, 1, j, dests.clone());
+                proptest::prop_assert_eq!(ChunkSubgraph::build(&g, 1, j, dests.clone()), want.clone());
+                proptest::prop_assert_eq!(
+                    ChunkSubgraph::build_in(&g, 1, j, dests, &mut local_of),
+                    want
+                );
+                proptest::prop_assert!(local_of.iter().all(|&l| l == u32::MAX));
+            }
+        }
     }
 
     #[test]

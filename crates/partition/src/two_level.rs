@@ -44,6 +44,7 @@ impl TwoLevelPartition {
         let m = assignment.num_parts;
         let members = assignment.members();
         let mut chunks = Vec::with_capacity(m);
+        let mut local_of = Vec::new();
         for (i, part_members) in members.into_iter().enumerate() {
             assert!(
                 part_members.len() >= n,
@@ -60,7 +61,9 @@ impl TwoLevelPartition {
             let part_chunks: Vec<ChunkSubgraph> = ranges
                 .into_iter()
                 .enumerate()
-                .map(|(j, r)| ChunkSubgraph::build(g, i, j, part_members[r].to_vec()))
+                .map(|(j, r)| {
+                    ChunkSubgraph::build_in(g, i, j, part_members[r].to_vec(), &mut local_of)
+                })
                 .collect();
             chunks.push(part_chunks);
         }

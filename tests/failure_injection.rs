@@ -4,10 +4,12 @@
 
 use hongtu::core::systems::{InMemoryKind, MultiGpuInMemory, Workload};
 use hongtu::core::{CommMode, ExecutionMode, HongTuConfig, OverlapMode, ServeMask, Session};
+use hongtu::datasets::dataset::{with_self_loops, Splits};
 use hongtu::datasets::{load, DatasetKey};
+use hongtu::graph::{Csr, Graph};
 use hongtu::nn::ModelKind;
 use hongtu::sim::{MachineConfig, SimError};
-use hongtu::tensor::SeededRng;
+use hongtu::tensor::{Matrix, SeededRng};
 
 fn rdt() -> hongtu::datasets::Dataset {
     load(DatasetKey::Rdt, &mut SeededRng::new(5))
@@ -195,15 +197,42 @@ fn invalid_machine_config_panics_at_construction() {
     let _ = hongtu::sim::Machine::new(cfg);
 }
 
-/// More chunks than a partition has vertices is a programming error with a
-/// clear message.
+/// `--chunks` reaches `Session::new` unchecked: more chunks than a
+/// partition has vertices, or none at all, is a typed plan error naming
+/// the numbers — not a panic.
 #[test]
-#[should_panic(expected = "fewer than")]
-fn oversized_chunk_count_panics_with_context() {
+fn oversized_or_zero_chunk_count_is_a_typed_error() {
     let ds = rdt();
-    let cfg = HongTuConfig::full(MachineConfig::scaled(4, 256 << 20));
     // RDT has 3000 vertices / 4 partitions = 750 per partition.
-    let _ = Session::new(&ds, ModelKind::Gcn, 8, 2, 1000, cfg);
+    for (n_chunks, needle) in [(1000, "fewer than the 1000 chunks"), (0, "0 chunks")] {
+        let cfg = HongTuConfig::full(MachineConfig::scaled(4, 256 << 20));
+        match Session::new(&ds, ModelKind::Gcn, 8, 2, n_chunks, cfg) {
+            Err(SimError::InvalidPlan { code, message }) => {
+                assert_eq!(code, "P005");
+                assert!(message.contains(needle), "{message}");
+                assert!(!message.contains('\n'), "one line: {message}");
+            }
+            Err(other) => panic!("{n_chunks} chunks: expected InvalidPlan, got {other:?}"),
+            Ok(_) => panic!("{n_chunks} chunks: session built"),
+        }
+    }
+    // Likewise `--gpus`: four GPUs cannot each own a vertex of three.
+    let tiny = hongtu::datasets::Dataset {
+        key: DatasetKey::Rdt,
+        graph: with_self_loops(&Graph::from_csr(Csr::empty(3))),
+        features: Matrix::zeros(3, 4),
+        labels: vec![0; 3],
+        splits: Splits::random(3, 0.4, 0.3, &mut SeededRng::new(1)),
+        num_classes: 2,
+        seed: 1,
+    };
+    let cfg = HongTuConfig::full(MachineConfig::scaled(4, 256 << 20));
+    let err = Session::new(&tiny, ModelKind::Gcn, 8, 2, 1, cfg).err();
+    assert!(
+        matches!(&err, Some(SimError::InvalidPlan { code, message })
+            if code == "P005" && message.contains("4 GPUs")),
+        "{err:?}"
+    );
 }
 
 /// Corrupt checkpoint files fail to load with a format error, and a
