@@ -65,6 +65,51 @@ pub fn masked_cross_entropy(logits: &Matrix, labels: &[u32], mask: &[bool]) -> M
     }
 }
 
+/// The body `masked_cross_entropy` replaced — `log_softmax_rows` and
+/// `softmax_rows` over all `|V|` rows, then a read of the masked ones —
+/// kept as the oracle of its property test.
+#[cfg(test)]
+fn masked_cross_entropy_reference(logits: &Matrix, labels: &[u32], mask: &[bool]) -> MaskedLoss {
+    assert_eq!(logits.rows(), labels.len(), "logits/labels length mismatch");
+    assert_eq!(logits.rows(), mask.len(), "logits/mask length mismatch");
+    let count = mask.iter().filter(|&&m| m).count();
+    assert!(count > 0, "masked_cross_entropy: empty mask");
+    let c = logits.cols();
+    let lp = log_softmax_rows(logits);
+    let p = softmax_rows(logits);
+    let inv = 1.0 / count as f32;
+    let mut loss = 0.0f32;
+    let mut correct = 0usize;
+    let mut grad = Matrix::zeros(logits.rows(), c);
+    for v in 0..logits.rows() {
+        if !mask[v] {
+            continue;
+        }
+        let y = labels[v] as usize;
+        assert!(y < c, "label {y} out of range for {c} classes (vertex {v})");
+        loss -= lp.get(v, y);
+        let row = p.row(v);
+        let argmax = row
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(i, _)| i)
+            .unwrap();
+        if argmax == y {
+            correct += 1;
+        }
+        let g = grad.row_mut(v);
+        for (j, (gj, &pj)) in g.iter_mut().zip(row).enumerate() {
+            *gj = inv * (pj - if j == y { 1.0 } else { 0.0 });
+        }
+    }
+    MaskedLoss {
+        loss: loss * inv,
+        grad,
+        accuracy: correct as f32 / count as f32,
+    }
+}
+
 /// Accuracy of `logits` against `labels` over `mask`, without gradients.
 pub fn masked_accuracy(logits: &Matrix, labels: &[u32], mask: &[bool]) -> f32 {
     masked_cross_entropy(logits, labels, mask).accuracy
@@ -149,5 +194,39 @@ mod tests {
     fn bad_label_rejected() {
         let logits = Matrix::zeros(1, 2);
         let _ = masked_cross_entropy(&logits, &[5], &[true]);
+    }
+
+    use hongtu_tensor::SeededRng;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Loss, accuracy and every gradient bit — the zero rows outside
+        /// the mask included — equal the all-rows body, from a 1 % mask to
+        /// a full one, with ties, huge logits and a one-class corner.
+        #[test]
+        fn masked_cross_entropy_equals_its_reference_bitwise(
+            rows in 1usize..300,
+            classes in 1usize..12,
+            share in 1u32..101,
+            seed in 0u64..1_000_000
+        ) {
+            let mut rng = SeededRng::new(seed);
+            let logits = Matrix::from_fn(rows, classes, |_, _| match rng.index(8) {
+                0 => 0.0,
+                1 => (rng.index(5) as f32 - 2.0) * 40.0,
+                _ => rng.normal() * 3.0,
+            });
+            let labels: Vec<u32> = (0..rows).map(|_| rng.index(classes) as u32).collect();
+            let mut mask: Vec<bool> = (0..rows).map(|_| rng.chance(share as f64 / 100.0)).collect();
+            mask[rng.index(rows)] = true;
+            let got = masked_cross_entropy(&logits, &labels, &mask);
+            let want = masked_cross_entropy_reference(&logits, &labels, &mask);
+            prop_assert_eq!(got.loss.to_bits(), want.loss.to_bits());
+            prop_assert_eq!(got.accuracy.to_bits(), want.accuracy.to_bits());
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got.grad), bits(&want.grad));
+        }
     }
 }

@@ -198,6 +198,24 @@ impl Matrix {
         out
     }
 
+    /// The body `gather_rows` replaced — a zero-filled output the pool fills
+    /// in 1 024-row jobs — kept as the oracle of its property test.
+    #[cfg(test)]
+    fn gather_rows_reference(&self, indices: &[usize]) -> Matrix {
+        let mut out = Matrix::zeros(indices.len(), self.cols);
+        if self.cols == 0 {
+            return out;
+        }
+        let cols = self.cols;
+        hongtu_parallel::par_chunks_mut(&mut out.data, 1024 * cols, |start, chunk| {
+            let r0 = start / cols;
+            for (dst, row_out) in chunk.chunks_exact_mut(cols).enumerate() {
+                row_out.copy_from_slice(self.row(indices[r0 + dst]));
+            }
+        });
+        out
+    }
+
     /// Scatter-adds each row `i` of `src` into row `indices[i]` of `self`.
     /// This is the gradient-accumulation primitive of the backward pass.
     pub fn scatter_add_rows(&mut self, indices: &[usize], src: &Matrix) {
@@ -428,6 +446,48 @@ impl Matrix {
         }
         out
     }
+
+    /// The loop nest `transpose_matmul` replaced (one pass over the whole
+    /// output per input row, zero inputs skipped), kept as the oracle of
+    /// its property test.
+    #[cfg(test)]
+    fn transpose_matmul_reference(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        for r in 0..self.rows {
+            let a_row = self.row(r);
+            let b_row = other.row(r);
+            for (c1, &a) in a_row.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                let out_row = &mut out.data[c1 * other.cols..(c1 + 1) * other.cols];
+                for (o, &b) in out_row.iter_mut().zip(b_row) {
+                    *o += a * b;
+                }
+            }
+        }
+        out
+    }
+
+    /// The loop nest `matmul_transpose` replaced (one scalar dot product
+    /// per output element), kept as the oracle of its property test.
+    #[cfg(test)]
+    fn matmul_transpose_reference(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, other.rows);
+        for r in 0..self.rows {
+            let a_row = self.row(r);
+            let out_row = out.row_mut(r);
+            for (c, o) in out_row.iter_mut().enumerate() {
+                let b_row = other.row(c);
+                let mut acc = 0.0;
+                for (x, y) in a_row.iter().zip(b_row) {
+                    acc += x * y;
+                }
+                *o = acc;
+            }
+        }
+        out
+    }
 }
 
 /// Parallel kernel: `out[a_rows × b_cols] = A[a_rows × a_cols] × B[a_cols × b_cols]`.
@@ -453,6 +513,34 @@ fn matmul_into(a: &[f32], a_rows: usize, a_cols: usize, b: &[f32], b_cols: usize
 /// Sequential row-range matmul: fills `out` (rows `start..end` of the result,
 /// re-based to index 0) using the classical ikj loop order for cache locality.
 fn matmul_rows(
+    a: &[f32],
+    a_cols: usize,
+    b: &[f32],
+    b_cols: usize,
+    out: &mut [f32],
+    start: usize,
+    end: usize,
+) {
+    for r in start..end {
+        let a_row = &a[r * a_cols..(r + 1) * a_cols];
+        let out_row = &mut out[(r - start) * b_cols..(r - start + 1) * b_cols];
+        for (k, &av) in a_row.iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            let b_row = &b[k * b_cols..(k + 1) * b_cols];
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+    }
+}
+
+/// The ikj loop nest `matmul_rows` replaced (zero inputs skipped, the
+/// output row re-read and re-written once per `k`), kept as the oracle of
+/// its property test.
+#[cfg(test)]
+fn matmul_rows_reference(
     a: &[f32],
     a_cols: usize,
     b: &[f32],
@@ -664,5 +752,148 @@ mod tests {
         let a = m(1, 3, &[3.0, 0.0, 4.0]);
         assert_eq!(a.sum(), 7.0);
         assert_eq!(a.frobenius_norm(), 5.0);
+    }
+
+    // ---- replaced kernels = the bodies they replaced, bit for bit ----
+
+    use crate::SeededRng;
+    use proptest::prelude::*;
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Row counts `0..=9` (every remainder of the 4-row tile, twice) and,
+    /// one case in four, enough rows for `matmul_into` to split them over
+    /// the pool.
+    fn row_count(pick: usize) -> usize {
+        match pick {
+            0..=9 => pick,
+            _ => 120 + 37 * (pick - 9),
+        }
+    }
+
+    /// Output widths below, at and between the 1/4/8/16-column tiles.
+    const WIDTHS: [usize; 8] = [0, 1, 3, 7, 8, 17, 33, 50];
+
+    /// A matrix of awkward finite values: a `zeros` share of `+0.0` and
+    /// `-0.0`, one value in ten subnormal, the rest normal draws of mixed
+    /// sign and scale.
+    fn awkward(rows: usize, cols: usize, zeros: f64, rng: &mut SeededRng) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| {
+            if rng.chance(zeros) {
+                if rng.chance(0.5) {
+                    0.0
+                } else {
+                    -0.0
+                }
+            } else if rng.chance(0.1) {
+                let sign = (rng.next_u64() as u32) & 0x8000_0000;
+                f32::from_bits(sign | (1 + rng.index(0x007f_fffe) as u32))
+            } else {
+                rng.normal() * [1e-3, 1.0, 1e3][rng.index(3)]
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn matmul_equals_its_reference_bitwise(
+            n_pick in 0usize..13,
+            k in 0usize..50,
+            m_pick in 0usize..8,
+            zeros in 0u32..7,
+            seed in 0u64..1_000_000
+        ) {
+            let (n, m) = (row_count(n_pick), WIDTHS[m_pick]);
+            let mut rng = SeededRng::new(seed);
+            let a = awkward(n, k, zeros as f64 / 10.0, &mut rng);
+            let b = awkward(k, m, 0.1, &mut rng);
+            let mut want = Matrix::zeros(n, m);
+            matmul_rows_reference(a.as_slice(), k, b.as_slice(), m, want.as_mut_slice(), 0, n);
+            prop_assert_eq!(bits(&a.matmul(&b)), bits(&want));
+        }
+
+        #[test]
+        fn transpose_matmul_equals_its_reference_bitwise(
+            n_pick in 0usize..13,
+            k in 0usize..50,
+            m_pick in 0usize..8,
+            zeros in 0u32..7,
+            seed in 0u64..1_000_000
+        ) {
+            // `rows` is the reduction length here; the output is k × m.
+            let (rows, m) = (row_count(n_pick), WIDTHS[m_pick]);
+            let mut rng = SeededRng::new(seed);
+            let a = awkward(rows, k, zeros as f64 / 10.0, &mut rng);
+            let b = awkward(rows, m, 0.1, &mut rng);
+            prop_assert_eq!(
+                bits(&a.transpose_matmul(&b)),
+                bits(&a.transpose_matmul_reference(&b))
+            );
+        }
+
+        #[test]
+        fn matmul_transpose_equals_its_reference_bitwise(
+            n_pick in 0usize..13,
+            k in 0usize..50,
+            m_pick in 0usize..8,
+            zeros in 0u32..7,
+            seed in 0u64..1_000_000
+        ) {
+            let (n, m) = (row_count(n_pick), WIDTHS[m_pick]);
+            let mut rng = SeededRng::new(seed);
+            let a = awkward(n, k, zeros as f64 / 10.0, &mut rng);
+            let b = awkward(m, k, 0.1, &mut rng);
+            prop_assert_eq!(
+                bits(&a.matmul_transpose(&b)),
+                bits(&a.matmul_transpose_reference(&b))
+            );
+        }
+
+        #[test]
+        fn gather_rows_equals_its_reference_bitwise(
+            src_rows in 1usize..40,
+            cols_pick in 0usize..8,
+            picks in 0usize..3000,
+            seed in 0u64..1_000_000
+        ) {
+            let mut rng = SeededRng::new(seed);
+            let src = awkward(src_rows, WIDTHS[cols_pick], 0.3, &mut rng);
+            // Repeats, any order; above 1 024 rows the reference forks.
+            let idx: Vec<usize> = (0..picks).map(|_| rng.index(src_rows)).collect();
+            let got = src.gather_rows(&idx);
+            prop_assert_eq!(got.shape(), (picks, src.cols()));
+            prop_assert_eq!(bits(&got), bits(&src.gather_rows_reference(&idx)));
+        }
+    }
+
+    /// The pool is sized once per process, so "for every pool size" is a
+    /// fresh process per size: this binary again, the four properties
+    /// above only, under `HONGTU_THREADS` 1 (kernels inline) and 4 (the
+    /// `matmul` row split and the reference gather fork).
+    #[test]
+    fn references_hold_under_one_and_four_pool_threads() {
+        const CHILD: &str = "HONGTU_TENSOR_REFERENCE_CHILD";
+        if std::env::var_os(CHILD).is_some() {
+            return;
+        }
+        let exe = std::env::current_exe().expect("test binary path");
+        for threads in ["1", "4"] {
+            let out = std::process::Command::new(&exe)
+                .args(["equals_its_reference_bitwise", "--test-threads", "1"])
+                .env("HONGTU_THREADS", threads)
+                .env(CHILD, "1")
+                .output()
+                .expect("re-run the test binary");
+            assert!(
+                out.status.success(),
+                "HONGTU_THREADS={threads}:\n{}{}",
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
     }
 }

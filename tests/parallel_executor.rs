@@ -255,3 +255,74 @@ proptest! {
         }
     }
 }
+
+/// What one GAT session observes over two training epochs, a full
+/// inference epoch and a small served subset — everything the
+/// once-per-layer projection feeds.
+fn gat_facts(ds: &Dataset, exec: ExecutionMode, overlap: OverlapMode) -> (Vec<u32>, Vec<u32>) {
+    let mut cfg = config(4, CommMode::P2pRu, MemoryStrategy::Recompute, exec);
+    cfg.overlap = overlap;
+    let mut sess = Session::new(ds, ModelKind::Gat, 16, 2, 4, cfg).expect("session");
+    let mut facts = Vec::new();
+    {
+        let mut trainer = sess.trainer();
+        for _ in 0..2 {
+            let r = trainer.epoch().expect("epoch");
+            facts.extend([r.loss.loss.to_bits(), r.loss.accuracy.to_bits()]);
+        }
+    }
+    let logits = sess.infer_epoch().expect("infer epoch").logits;
+    let served = sess.serve(&[3, 1, 250]).expect("serve").logits;
+    facts.extend(served.as_slice().iter().map(|v| v.to_bits()));
+    (
+        facts,
+        logits.as_slice().iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
+/// GAT × `ExecutionMode::Parallel` × both overlap modes on a pool of four
+/// worker threads, under a wall-clock timeout. GAT's per-layer shared
+/// work (the projection `H^l × W`) must run on the leader between
+/// operations: computed lazily by whichever per-GPU job gets there first,
+/// the initialising worker forks the product onto the pool, helps while
+/// it waits, picks up a sibling GPU's job, and that job blocks on the
+/// same cell further up the same stack — a deadlock, which this test
+/// turns into a failure instead of a hung run. The pool is sized once per
+/// process, so the body runs in a child of this binary with
+/// `HONGTU_THREADS=4`, whatever the parent's setting.
+#[test]
+fn gat_parallel_finishes_and_matches_sequential_on_a_four_thread_pool() {
+    const CHILD: &str = "HONGTU_GAT_PARALLEL_CHILD";
+    if std::env::var_os(CHILD).is_some() {
+        assert!(hongtu::parallel::global().num_threads() >= 2);
+        let ds = dataset();
+        for overlap in [OverlapMode::Off, OverlapMode::DoubleBuffer] {
+            let seq = gat_facts(&ds, ExecutionMode::Sequential, overlap);
+            let par = gat_facts(&ds, ExecutionMode::Parallel, overlap);
+            assert!(seq == par, "GAT / {overlap:?}: parallel diverged");
+        }
+        return;
+    }
+    let mut child = std::process::Command::new(std::env::current_exe().expect("test binary"))
+        .args([
+            "gat_parallel_finishes_and_matches_sequential_on_a_four_thread_pool",
+            "--exact",
+        ])
+        .env("HONGTU_THREADS", "4")
+        .env(CHILD, "1")
+        .spawn()
+        .expect("re-run the test binary");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(300);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll the child") {
+            break status;
+        }
+        if std::time::Instant::now() >= deadline {
+            child.kill().expect("kill the hung child");
+            child.wait().expect("reap the hung child");
+            panic!("GAT under ExecutionMode::Parallel did not finish in 300 s: deadlocked");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    };
+    assert!(status.success(), "child failed: {status}");
+}
