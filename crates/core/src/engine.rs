@@ -548,6 +548,17 @@ pub struct InferReport {
     pub peak_host_bytes: usize,
 }
 
+/// What one forward sweep cost — an [`InferReport`] without the logits,
+/// which stay in the session's store for the caller to copy whole
+/// ([`Session::infer_epoch`], [`Session::apply_staged`]) or a few rows of
+/// ([`Session::serve`]).
+struct SweepStats {
+    time: f64,
+    buckets: TimeBuckets,
+    peak_gpu_bytes: usize,
+    peak_host_bytes: usize,
+}
+
 /// Result of one committed delta batch ([`Session::apply_staged`]):
 /// the mutated graph's post-commit logits plus what the incremental
 /// replay cost relative to a full sweep.
@@ -1362,7 +1373,14 @@ impl Session {
     /// [`Mode::Train`] session the epoch still skips checkpoint stores
     /// but runs against the training allocation.
     pub fn infer_epoch(&mut self) -> Result<InferReport, SimError> {
-        self.epoch_certified(Self::infer_epoch_inner)
+        let sweep = self.epoch_certified(Self::infer_epoch_inner)?;
+        Ok(InferReport {
+            logits: self.logits().clone(),
+            time: sweep.time,
+            buckets: sweep.buckets,
+            peak_gpu_bytes: sweep.peak_gpu_bytes,
+            peak_host_bytes: sweep.peak_host_bytes,
+        })
     }
 
     /// Serves exact logits for a subset of vertices: one forward sweep
@@ -1386,7 +1404,7 @@ impl Session {
         let (active_steps, total_steps) = (mask.active_steps(), mask.total_steps());
         let report = self.masked_sweep(mask)?;
         Ok(ServeReport {
-            logits: report.logits.gather_rows(vertices),
+            logits: self.logits().gather_rows(vertices),
             time: report.time,
             buckets: report.buckets,
             peak_gpu_bytes: report.peak_gpu_bytes,
@@ -1397,7 +1415,7 @@ impl Session {
     }
 
     /// One certified forward sweep pruned by `mask`.
-    fn masked_sweep(&mut self, mask: ServeMask) -> Result<InferReport, SimError> {
+    fn masked_sweep(&mut self, mask: ServeMask) -> Result<SweepStats, SimError> {
         self.serve_mask = Some(mask);
         let result = self.epoch_certified(Self::infer_epoch_inner);
         self.serve_mask = None;
@@ -1540,7 +1558,7 @@ impl Session {
         let report = self.masked_sweep(mask)?;
         Ok(DeltaReport {
             epoch: receipt.epoch,
-            logits: report.logits,
+            logits: self.logits().clone(),
             time: report.time,
             buckets: report.buckets,
             peak_gpu_bytes: report.peak_gpu_bytes,
@@ -1615,16 +1633,16 @@ impl Session {
             agg_cache: &mut self.agg_cache,
             labels: &self.labels,
             train_mask: &self.train_mask,
+            projected: vec![None; self.model.num_layers()],
         };
         (env, &mut self.machine, self.cache.as_mut(), live)
     }
 
-    fn infer_epoch_inner(&mut self) -> Result<InferReport, SimError> {
+    fn infer_epoch_inner(&mut self) -> Result<SweepStats, SimError> {
         let (env, machine, cache, mut live) = self.parts();
         let (time, buckets) = exec::infer_epoch(env, machine, cache, &mut live)?;
         self.epochs_run += 1;
-        Ok(InferReport {
-            logits: self.logits().clone(),
+        Ok(SweepStats {
             time,
             buckets,
             peak_gpu_bytes: self.machine.max_gpu_peak(),

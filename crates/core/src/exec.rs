@@ -169,6 +169,18 @@ impl<'a> Env<'a> {
         self.mask.is_some_and(|m| !m.active(l, j))
     }
 
+    /// Neighbor rows the chunks of layer `l`'s unpruned batches read between
+    /// them, a row counted once per chunk that reads it.
+    fn neighbor_rows_read(&self, l: usize) -> usize {
+        self.plan
+            .chunks
+            .iter()
+            .flat_map(|gpu| gpu.iter().enumerate())
+            .filter(|&(j, _)| !self.pruned(l, j))
+            .map(|(_, chunk)| chunk.num_neighbors())
+            .sum()
+    }
+
     /// Whether batch `j`'s in-place ℕ^gpu reuse at layer `l` has a live
     /// predecessor: the rows are deposited by batch `j - 1`, so under a
     /// mask they are only resident if `j - 1` ran at this layer.
@@ -308,6 +320,8 @@ impl<'a> Sweep<'a> {
         let config = self.env.config;
         let phased = config.comm != CommMode::Vanilla;
         let drains = dir == Dir::Backward;
+        self.numerics
+            .begin_layer(dir, l, self.env.neighbor_rows_read(l));
         for seg in layer_schedule(self.env.plan.n, config.overlap, phased, drains) {
             for (role, j) in seg.ops() {
                 // A pruned batch emits nothing, computes nothing, and has

@@ -3,7 +3,8 @@
 //! A sweep prices data movement and compute on the simulator; the layer
 //! math itself is four operations on the host-resident stores — forward
 //! a chunk, gather `∇h^{l+1}` rows, backward a chunk, leader-apply a
-//! compute's result — plus the loss at epoch level. They sit behind
+//! compute's result — plus a leader hook at the head of each layer sweep
+//! and the loss at epoch level. They sit behind
 //! [`Numerics`] with two providers:
 //!
 //! - [`Live`] borrows a session's stores and model and runs the real
@@ -21,9 +22,20 @@ use hongtu_partition::ChunkSubgraph;
 use hongtu_tensor::Matrix;
 
 /// What the executor asks of the numbers. The `&self` methods run on
-/// worker threads against stores frozen for the operation; `apply` and
-/// `loss` run on the leader between operations.
+/// worker threads against stores frozen for the operation; `begin_layer`,
+/// `apply` and `loss` run on the leader between operations.
 pub(crate) trait Numerics: Sync {
+    /// Runs on the leader before the first operation of layer `l`'s sweep
+    /// in direction `dir`, for whatever the layer's chunks can share.
+    /// `neighbor_rows` is how many neighbor rows the sweep's active chunks
+    /// read between them.
+    ///
+    /// It is a leader hook and not a cell the first worker to need it
+    /// fills, because filling it forks onto the pool: the initialising
+    /// worker helps the pool while it waits, picks up a sibling GPU's job,
+    /// and that job blocks on the same cell further up the same stack.
+    fn begin_layer(&mut self, dir: Dir, l: usize, neighbor_rows: usize);
+
     /// Forward pass of `chunk` at layer `l` from `h^l`.
     fn forward(&self, l: usize, chunk: &ChunkSubgraph) -> LayerForward;
 
@@ -69,6 +81,13 @@ pub(crate) struct Live<'a> {
     pub agg_cache: &'a mut [Vec<Vec<Option<Matrix>>>],
     pub labels: &'a [u32],
     pub train_mask: &'a [bool],
+    /// `projected[l]`: `G^l = h^l × W` of a layer that projects its
+    /// neighbor rows ([`hongtu_nn::GnnLayer::neighbor_projection`]), computed once per
+    /// layer sweep instead of once per chunk that reads a row — host
+    /// memoisation the simulator never sees: it still charges the
+    /// per-chunk projection the simulated GPU does. Starts all `None`;
+    /// lives as long as this epoch's numerics.
+    pub projected: Vec<Option<Matrix>>,
 }
 
 impl Live<'_> {
@@ -81,10 +100,27 @@ impl Live<'_> {
 }
 
 impl Numerics for Live<'_> {
+    fn begin_layer(&mut self, dir: Dir, l: usize, neighbor_rows: usize) {
+        // The backward sweep recomputes from the `h^l` and `W` its epoch's
+        // forward sweep projected: what that left is still exact.
+        if dir == Dir::Backward && self.projected[l].is_some() {
+            return;
+        }
+        // Projecting all of `h^l` pays once the chunks read `|V|` rows
+        // between them; below that (a small serve or delta cone) the
+        // per-chunk projection multiplies fewer rows.
+        self.projected[l] = match self.model.layer(l).neighbor_projection() {
+            Some(w) if neighbor_rows >= self.h[l].rows() => Some(self.h[l].matmul(w)),
+            _ => None,
+        };
+    }
+
     fn forward(&self, l: usize, chunk: &ChunkSubgraph) -> LayerForward {
-        self.model
-            .layer(l)
-            .forward(chunk, &self.neighbor_rows(l, chunk))
+        let layer = self.model.layer(l);
+        match &self.projected[l] {
+            Some(g) => layer.forward_projected(chunk, &g.gather_rows(&indices(&chunk.neighbors))),
+            None => layer.forward(chunk, &self.neighbor_rows(l, chunk)),
+        }
     }
 
     fn grad_out(&self, l: usize, chunk: &ChunkSubgraph) -> Matrix {
@@ -105,6 +141,10 @@ impl Numerics for Live<'_> {
                 .as_ref()
                 .expect("hybrid checkpoint missing — was the forward compute applied?");
             layer.backward_from_agg(chunk, agg, grad_out, grads)
+        } else if let Some(g) = &self.projected[l] {
+            let nbrs = indices(&chunk.neighbors);
+            let (h_nbr, g_nbr) = (self.h[l].gather_rows(&nbrs), g.gather_rows(&nbrs));
+            layer.backward_from_projected(chunk, &h_nbr, &g_nbr, grad_out, grads)
         } else {
             layer.backward_from_input(chunk, &self.neighbor_rows(l, chunk), grad_out, grads)
         }
@@ -137,6 +177,8 @@ impl Numerics for Live<'_> {
 pub(crate) struct Shapes;
 
 impl Numerics for Shapes {
+    fn begin_layer(&mut self, _: Dir, _: usize, _: usize) {}
+
     fn forward(&self, _: usize, _: &ChunkSubgraph) -> LayerForward {
         LayerForward {
             out: Matrix::zeros(0, 0),

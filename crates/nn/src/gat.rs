@@ -33,7 +33,6 @@ pub struct GatLayer {
 
 /// Forward-pass internals reused by the backward pass.
 struct GatInternals {
-    g: Matrix, // W-projected neighbor reps, N × out
     self_pos: Vec<usize>,
     pre: Vec<f32>,   // per-edge pre-activation s_v + t_u
     alpha: Vec<f32>, // per-edge attention weight (post softmax)
@@ -51,19 +50,32 @@ impl GatLayer {
         }
     }
 
-    fn run_forward(&self, chunk: &ChunkSubgraph, h_nbr: &Matrix) -> GatInternals {
+    /// `g = h_nbr × W` — the layer's only multiplication by `W`. The
+    /// per-chunk entry points come through here; a caller that projected
+    /// `H^l` once enters below it.
+    fn project(&self, h_nbr: &Matrix) -> Matrix {
         assert_eq!(
             h_nbr.cols(),
             self.in_dim(),
             "GatLayer::forward: input dim mismatch"
         );
+        h_nbr.matmul(&self.w)
+    }
+
+    #[cfg(test)]
+    fn run_forward(&self, chunk: &ChunkSubgraph, h_nbr: &Matrix) -> GatInternals {
+        self.attend(chunk, &self.project(h_nbr))
+    }
+
+    /// Edge scores, per-destination softmax and the attention-weighted
+    /// aggregation over the projected neighbor rows `g` (`N × out`).
+    fn attend(&self, chunk: &ChunkSubgraph, g: &Matrix) -> GatInternals {
         assert_eq!(
-            h_nbr.rows(),
-            chunk.num_neighbors(),
-            "GatLayer::forward: neighbor count"
+            g.shape(),
+            (chunk.num_neighbors(), self.out_dim()),
+            "GatLayer::forward: projected neighbor rows"
         );
         let out_dim = self.out_dim();
-        let g = h_nbr.matmul(&self.w);
         let self_pos = layer::self_positions(chunk);
         // t[u] = a_r · g[u] for every neighbor.
         let t: Vec<f32> = (0..g.rows())
@@ -91,7 +103,6 @@ impl GatLayer {
             }
         }
         GatInternals {
-            g,
             self_pos,
             pre,
             alpha,
@@ -127,11 +138,7 @@ impl GnnLayer for GatLayer {
     }
 
     fn forward(&self, chunk: &ChunkSubgraph, h_nbr: &Matrix) -> LayerForward {
-        let internals = self.run_forward(chunk, h_nbr);
-        LayerForward {
-            out: self.act.apply(&internals.z),
-            agg: None,
-        }
+        self.forward_projected(chunk, &self.project(h_nbr))
     }
 
     fn backward_from_input(
@@ -141,13 +148,34 @@ impl GnnLayer for GatLayer {
         grad_out: &Matrix,
         grads: &mut LayerGrads,
     ) -> Matrix {
+        self.backward_from_projected(chunk, h_nbr, &self.project(h_nbr), grad_out, grads)
+    }
+
+    fn neighbor_projection(&self) -> Option<&Matrix> {
+        Some(&self.w)
+    }
+
+    fn forward_projected(&self, chunk: &ChunkSubgraph, g_nbr: &Matrix) -> LayerForward {
+        LayerForward {
+            out: self.act.apply(&self.attend(chunk, g_nbr).z),
+            agg: None,
+        }
+    }
+
+    fn backward_from_projected(
+        &self,
+        chunk: &ChunkSubgraph,
+        h_nbr: &Matrix,
+        g: &Matrix,
+        grad_out: &Matrix,
+        grads: &mut LayerGrads,
+    ) -> Matrix {
         let GatInternals {
-            g,
             self_pos,
             pre,
             alpha,
             z,
-        } = self.run_forward(chunk, h_nbr);
+        } = self.attend(chunk, g);
         let out_dim = self.out_dim();
         let dz = self.act.backward(&z, grad_out);
 
@@ -379,5 +407,81 @@ mod tests {
         let layer = GatLayer::new(2, 2, &mut rng);
         let h = Matrix::zeros(chunk.num_neighbors(), 2);
         let _ = layer.forward(&chunk, &h);
+    }
+
+    use proptest::prelude::*;
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Projecting `H` once and gathering `G = H × W` per chunk is the
+        /// per-chunk projection bit for bit: on random self-looped
+        /// multigraphs and random destination subsets, the projected entry
+        /// points return the output, `∇h_nbr` and all three parameter
+        /// gradients of `forward` / `backward_from_input`.
+        #[test]
+        fn projected_entry_points_equal_the_per_chunk_ones_bitwise(
+            n in 2usize..40,
+            edges in 0usize..160,
+            in_dim in 1usize..9,
+            out_dim in 1usize..9,
+            keep in 1u32..11,
+            relu in 0u32..2,
+            seed in 0u64..1_000_000
+        ) {
+            let mut rng = SeededRng::new(seed);
+            let mut b = GraphBuilder::new(n).keep_self_loops();
+            for v in 0..n as u32 {
+                b.add_edge(v, v);
+            }
+            for _ in 0..edges {
+                let (s, t) = (rng.index(n) as u32, rng.index(n) as u32);
+                b.add_edge(s, t);
+                if rng.chance(0.2) {
+                    b.add_edge(s, t);
+                }
+            }
+            let g = b.build();
+            let mut dests: Vec<u32> = (0..n as u32)
+                .filter(|_| rng.chance(keep as f64 / 10.0))
+                .collect();
+            if dests.is_empty() {
+                dests.push(rng.index(n) as u32);
+            }
+            let chunk = ChunkSubgraph::build(&g, 0, 0, dests);
+            let mut layer = GatLayer::new(in_dim, out_dim, &mut rng);
+            if relu == 0 {
+                layer.act = Activation::Identity;
+            }
+
+            let h = Matrix::from_fn(n, in_dim, |_, _| rng.normal());
+            let projected = h.matmul(layer.neighbor_projection().expect("GAT projects"));
+            let nbrs: Vec<usize> = chunk.neighbors.iter().map(|&v| v as usize).collect();
+            let (h_nbr, g_nbr) = (h.gather_rows(&nbrs), projected.gather_rows(&nbrs));
+
+            let per_chunk = layer.forward(&chunk, &h_nbr);
+            let once = layer.forward_projected(&chunk, &g_nbr);
+            prop_assert_eq!(bits(&per_chunk.out), bits(&once.out));
+            prop_assert!(once.agg.is_none());
+
+            let grad_out = Matrix::from_fn(chunk.num_dests(), out_dim, |_, _| rng.normal());
+            // Both start from the same non-zero accumulators: the entry
+            // points add into them.
+            let mut want = LayerGrads::zeros_for(&layer);
+            for g in &mut want.grads {
+                g.as_mut_slice().iter_mut().for_each(|v| *v = rng.normal());
+            }
+            let mut got = want.clone();
+            let want_h = layer.backward_from_input(&chunk, &h_nbr, &grad_out, &mut want);
+            let got_h = layer.backward_from_projected(&chunk, &h_nbr, &g_nbr, &grad_out, &mut got);
+            prop_assert_eq!(bits(&want_h), bits(&got_h));
+            for (w, g) in want.grads.iter().zip(&got.grads) {
+                prop_assert_eq!(bits(w), bits(g));
+            }
+        }
     }
 }

@@ -169,6 +169,45 @@ pub trait GnnLayer: Send + Sync {
         panic!("this layer does not support aggregate caching (see supports_agg_cache)");
     }
 
+    /// The weight this layer applies to every neighbor row *before* it
+    /// aggregates (`g_u = h_u W`), or `None` when it aggregates raw rows.
+    /// Such a projection is a row-wise map of `h^l`, so a caller that runs
+    /// many chunks of one layer may compute `H^l × W` once, gather its rows
+    /// per chunk and enter through [`Self::forward_projected`] /
+    /// [`Self::backward_from_projected`]: bit for bit what the per-chunk
+    /// entry points compute, without projecting a row once per chunk that
+    /// reads it.
+    fn neighbor_projection(&self) -> Option<&Matrix> {
+        None
+    }
+
+    /// [`Self::forward`] from already-projected neighbor rows
+    /// `g_nbr = h_nbr × W` (`|N_ij| × out_dim`).
+    ///
+    /// # Panics
+    /// Default implementation panics; layers that name a
+    /// [`Self::neighbor_projection`] override it.
+    fn forward_projected(&self, _chunk: &ChunkSubgraph, _g_nbr: &Matrix) -> LayerForward {
+        panic!("this layer does not project its neighbor rows (see neighbor_projection)");
+    }
+
+    /// [`Self::backward_from_input`] with the recompute's projection
+    /// `g_nbr = h_nbr × W` supplied by the caller.
+    ///
+    /// # Panics
+    /// Default implementation panics; layers that name a
+    /// [`Self::neighbor_projection`] override it.
+    fn backward_from_projected(
+        &self,
+        _chunk: &ChunkSubgraph,
+        _h_nbr: &Matrix,
+        _g_nbr: &Matrix,
+        _grad_out: &Matrix,
+        _grads: &mut LayerGrads,
+    ) -> Matrix {
+        panic!("this layer does not project its neighbor rows (see neighbor_projection)");
+    }
+
     /// Forward FLOP estimate for one chunk.
     fn forward_flops(&self, chunk: &ChunkSubgraph) -> LayerFlops;
 

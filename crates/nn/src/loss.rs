@@ -2,7 +2,7 @@
 //! (lines 10–11): loss over the training vertices, gradient `∇h^L` back to
 //! the final layer.
 
-use hongtu_tensor::{log_softmax_rows, softmax_rows, Matrix};
+use hongtu_tensor::Matrix;
 
 /// Result of a loss evaluation.
 #[derive(Debug, Clone)]
@@ -30,8 +30,6 @@ pub fn masked_cross_entropy(logits: &Matrix, labels: &[u32], mask: &[bool]) -> M
     let count = mask.iter().filter(|&&m| m).count();
     assert!(count > 0, "masked_cross_entropy: empty mask");
     let c = logits.cols();
-    let lp = log_softmax_rows(logits);
-    let p = softmax_rows(logits);
     let inv = 1.0 / count as f32;
     let mut loss = 0.0f32;
     let mut correct = 0usize;
@@ -42,9 +40,27 @@ pub fn masked_cross_entropy(logits: &Matrix, labels: &[u32], mask: &[bool]) -> M
         }
         let y = labels[v] as usize;
         assert!(y < c, "label {y} out of range for {c} classes (vertex {v})");
-        loss -= lp.get(v, y);
-        let row = p.row(v);
-        let argmax = row
+        // One pass over the row gives both the log-softmax of the label
+        // and the softmax of every class, in the arithmetic of
+        // `log_softmax_rows` / `softmax_rows`: the same max, the same
+        // `exp(x − max)` summed in class order, then `ln` or the divide.
+        // Unmasked rows are never touched: a training mask is a fraction
+        // of `|V|`.
+        let x = logits.row(v);
+        let p = grad.row_mut(v);
+        let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for (pj, &xj) in p.iter_mut().zip(x) {
+            *pj = (xj - max).exp();
+            sum += *pj;
+        }
+        loss -= x[y] - (sum.ln() + max);
+        if sum > 0.0 {
+            for pj in p.iter_mut() {
+                *pj /= sum;
+            }
+        }
+        let argmax = p
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
@@ -53,9 +69,8 @@ pub fn masked_cross_entropy(logits: &Matrix, labels: &[u32], mask: &[bool]) -> M
         if argmax == y {
             correct += 1;
         }
-        let g = grad.row_mut(v);
-        for (j, (gj, &pj)) in g.iter_mut().zip(row).enumerate() {
-            *gj = inv * (pj - if j == y { 1.0 } else { 0.0 });
+        for (j, pj) in p.iter_mut().enumerate() {
+            *pj = inv * (*pj - if j == y { 1.0 } else { 0.0 });
         }
     }
     MaskedLoss {
@@ -70,6 +85,7 @@ pub fn masked_cross_entropy(logits: &Matrix, labels: &[u32], mask: &[bool]) -> M
 /// kept as the oracle of its property test.
 #[cfg(test)]
 fn masked_cross_entropy_reference(logits: &Matrix, labels: &[u32], mask: &[bool]) -> MaskedLoss {
+    use hongtu_tensor::{log_softmax_rows, softmax_rows};
     assert_eq!(logits.rows(), labels.len(), "logits/labels length mismatch");
     assert_eq!(logits.rows(), mask.len(), "logits/mask length mismatch");
     let count = mask.iter().filter(|&&m| m).count();

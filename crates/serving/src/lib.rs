@@ -147,6 +147,9 @@ pub enum UpdateRejectReason {
     /// The delta batch is invalid against the current topology
     /// (staging is transactional, so nothing was applied).
     Invalid(DeltaError),
+    /// The server was built without a dynamic graph ([`Server::new`]
+    /// instead of [`Server::with_graph`]): there is nothing to commit to.
+    NoGraph,
 }
 
 /// Typed update rejection: the graph and the served logits are
@@ -324,17 +327,10 @@ impl<'s> Server<'s> {
 
     /// Enqueues a graph update (FIFO with the queries: it commits only
     /// once every earlier entry has been processed, and no later query
-    /// overtakes it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the server was built without a dynamic graph
-    /// ([`Server::new`] instead of [`Server::with_graph`]).
+    /// overtakes it). On a server built without a dynamic graph
+    /// ([`Server::new`]) it is bounced from [`Server::step`] as
+    /// [`UpdateRejectReason::NoGraph`].
     pub fn submit_update(&mut self, update: UpdateRequest) {
-        assert!(
-            self.graph.is_some(),
-            "updates need a dynamic graph: build the server with Server::with_graph"
-        );
         self.queue.push_back(WorkItem::Update(update));
     }
 
@@ -490,34 +486,25 @@ impl<'s> Server<'s> {
         let Some(WorkItem::Update(upd)) = self.queue.pop_front() else {
             unreachable!("step_update runs only with an update at the head");
         };
-        let dg = self
-            .graph
-            .as_deref_mut()
-            .expect("updates need a dynamic graph: build the server with Server::with_graph");
+        let rejected = |reason| {
+            Ok(BatchReport {
+                rejected_updates: vec![UpdateRejected { id: upd.id, reason }],
+                ..BatchReport::empty()
+            })
+        };
+        let Some(dg) = self.graph.as_deref_mut() else {
+            return rejected(UpdateRejectReason::NoGraph);
+        };
         let staged = match dg.stage(&upd.deltas) {
             Ok(staged) => staged,
-            Err(err) => {
-                return Ok(BatchReport {
-                    rejected_updates: vec![UpdateRejected {
-                        id: upd.id,
-                        reason: UpdateRejectReason::Invalid(err),
-                    }],
-                    ..BatchReport::empty()
-                });
-            }
+            Err(err) => return rejected(UpdateRejectReason::Invalid(err)),
         };
         let layers = self.session.model().num_layers();
         let mask = ServeMask::from_dirty(self.session.plans().partition, layers, staged.dirty());
         if !self.admission.admits(self.session, &mask) {
-            return Ok(BatchReport {
-                rejected_updates: vec![UpdateRejected {
-                    id: upd.id,
-                    reason: UpdateRejectReason::OverBudget {
-                        cone_bytes: self.session.serve_cone_cost(&mask),
-                        budget_bytes: self.admission.budget.clone(),
-                    },
-                }],
-                ..BatchReport::empty()
+            return rejected(UpdateRejectReason::OverBudget {
+                cone_bytes: self.session.serve_cone_cost(&mask),
+                budget_bytes: self.admission.budget.clone(),
             });
         }
         let report = self.session.apply_staged(dg, staged)?;
@@ -1080,6 +1067,43 @@ mod tests {
             }]
         );
         assert_eq!(dg.epoch(), 0, "a rejected update must not commit");
+    }
+
+    /// An update sent to a server built without a dynamic graph is
+    /// enqueued and bounced typed from `step`, and the query behind it is
+    /// served as if the update had never been enqueued.
+    #[test]
+    fn update_on_a_graphless_server_is_rejected_typed_queue_proceeds() {
+        let ds = dataset();
+        let mut sess = session(&ds, 2);
+        let admission = AdmissionControl::from_session(&sess);
+        let mut server = Server::new(&mut sess, admission, 4);
+        server.submit_work(WorkItem::Update(UpdateRequest {
+            id: 9,
+            deltas: vec![Delta::AddEdge { src: 0, dst: 1 }],
+            arrival: 0.0,
+        }));
+        server.submit(Request {
+            id: 10,
+            vertices: vec![2, 5],
+            arrival: 0.0,
+        });
+        let first = server
+            .step()
+            .expect("rejection must not surface as SimError")
+            .expect("queue was non-empty");
+        assert!(first.committed.is_empty() && first.served.is_empty());
+        assert_eq!(
+            first.rejected_updates,
+            vec![UpdateRejected {
+                id: 9,
+                reason: UpdateRejectReason::NoGraph,
+            }]
+        );
+        let second = server.step().expect("serve").expect("non-empty queue");
+        assert_eq!(second.served.len(), 1);
+        assert_eq!(second.served[0].id, 10);
+        assert!(server.step().expect("drained").is_none());
     }
 
     /// Mixed open-loop smoke: under the session's own budget every

@@ -6,10 +6,6 @@ use std::fmt;
 /// Minimum number of rows per thread before the parallel matmul splits work.
 const PAR_MIN_ROWS_PER_THREAD: usize = 64;
 
-/// Rows per pool job for parallel row gathers (pure copies are cheap, so
-/// chunks are large to amortize scheduling).
-const PAR_GATHER_ROWS_PER_CHUNK: usize = 1024;
-
 /// A dense row-major `f32` matrix.
 ///
 /// The fundamental value type of the workspace: vertex representation blocks
@@ -176,26 +172,20 @@ impl Matrix {
 
     /// Gathers rows `indices[i]` of `self` into a new `indices.len() × cols`
     /// matrix. This is the sparse "mem_copy_sparse" primitive of the paper's
-    /// communication layer, expressed on host buffers. Large gathers are
-    /// row-parallel: each output row is a plain copy, so the result is
-    /// identical for any worker count.
+    /// communication layer, expressed on host buffers: one straight copy
+    /// per row into an output that is never zero-filled first. It runs on
+    /// the calling thread — a gather is memory-bound, and its callers
+    /// already sit inside the executor's per-GPU jobs.
     pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.cols);
-        if self.cols == 0 {
-            return out;
+        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        for &r in indices {
+            data.extend_from_slice(self.row(r));
         }
-        let cols = self.cols;
-        hongtu_parallel::par_chunks_mut(
-            &mut out.data,
-            PAR_GATHER_ROWS_PER_CHUNK * cols,
-            |start, chunk| {
-                let r0 = start / cols;
-                for (dst, row_out) in chunk.chunks_exact_mut(cols).enumerate() {
-                    row_out.copy_from_slice(self.row(indices[r0 + dst]));
-                }
-            },
-        );
-        out
+        Matrix {
+            rows: indices.len(),
+            cols: self.cols,
+            data,
+        }
     }
 
     /// The body `gather_rows` replaced — a zero-filled output the pool fills
@@ -406,19 +396,14 @@ impl Matrix {
         );
         // out[c1][c2] = sum_r self[r][c1] * other[r][c2]
         let mut out = Matrix::zeros(self.cols, other.cols);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let b_row = other.row(r);
-            for (c1, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out.data[c1 * other.cols..(c1 + 1) * other.cols];
-                for (o, &b) in out_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        tiled(
+            self.cols,
+            self.rows,
+            other.cols,
+            |c1, r| self.data[r * self.cols + c1],
+            &other.data,
+            &mut out.data,
+        );
         out
     }
 
@@ -431,19 +416,19 @@ impl Matrix {
             "matmul_transpose: column counts differ ({}x{} vs {}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
+        // The right operand is the small one (a weight matrix): a
+        // transposed copy turns `rows × other.rows` scalar dot products
+        // into the same vector loop as `matmul`.
+        let b = other.transpose();
         let mut out = Matrix::zeros(self.rows, other.rows);
-        for r in 0..self.rows {
-            let a_row = self.row(r);
-            let out_row = out.row_mut(r);
-            for (c, o) in out_row.iter_mut().enumerate() {
-                let b_row = other.row(c);
-                let mut acc = 0.0;
-                for (x, y) in a_row.iter().zip(b_row) {
-                    acc += x * y;
-                }
-                *o = acc;
-            }
-        }
+        tiled(
+            self.rows,
+            self.cols,
+            other.rows,
+            |r, k| self.data[r * self.cols + k],
+            &b.data,
+            &mut out.data,
+        );
         out
     }
 
@@ -511,7 +496,7 @@ fn matmul_into(a: &[f32], a_rows: usize, a_cols: usize, b: &[f32], b_cols: usize
 }
 
 /// Sequential row-range matmul: fills `out` (rows `start..end` of the result,
-/// re-based to index 0) using the classical ikj loop order for cache locality.
+/// re-based to index 0).
 fn matmul_rows(
     a: &[f32],
     a_cols: usize,
@@ -521,19 +506,108 @@ fn matmul_rows(
     start: usize,
     end: usize,
 ) {
-    for r in start..end {
-        let a_row = &a[r * a_cols..(r + 1) * a_cols];
-        let out_row = &mut out[(r - start) * b_cols..(r - start + 1) * b_cols];
-        for (k, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = &b[k * b_cols..(k + 1) * b_cols];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
+    let a = &a[start * a_cols..end * a_cols];
+    tiled(
+        end - start,
+        a_cols,
+        b_cols,
+        |r, k| a[r * a_cols + k],
+        b,
+        out,
+    );
+}
+
+/// Rows of one register tile.
+const TILE_ROWS: usize = 4;
+
+/// Reduction indices one pass of the tiles covers. `matmul`'s reduction is
+/// a layer width and fits in one pass; `transpose_matmul` reduces over
+/// thousands of rows and re-reads them once per tile, so it goes over them
+/// in slices that stay in cache.
+const TILE_DEPTH: usize = 256;
+
+/// The one dense accumulation loop nest, behind `matmul`,
+/// `transpose_matmul` and `matmul_transpose`:
+/// `out[r][c] = Σ_k a(r, k) · b[k][c]` for the `n × m` row-major `out`
+/// and the `k × m` row-major `b`, the left operand read through `a` so
+/// each caller brings its own layout.
+///
+/// Every element is accumulated in ascending `k` from `+0.0` — the
+/// reduction order all three products have always had, so results are
+/// bitwise what the per-product loop nests gave on finite inputs — but in
+/// tiles of [`TILE_ROWS`] rows × 16, 8, 4 or 1 columns whose partial sums
+/// stay in registers across the whole `k` loop instead of round-tripping
+/// through `out` once per `k`. No input is skipped for being zero: that
+/// cannot move a bit on finite data (an accumulator that starts at `+0.0`
+/// is never `-0.0`, and `x + ±0 = x`), but `0 · ∞` and `0 · NaN` now
+/// reach the output as NaN where a zero left operand used to mask them.
+fn tiled(
+    n: usize,
+    k: usize,
+    m: usize,
+    a: impl Fn(usize, usize) -> f32,
+    b: &[f32],
+    out: &mut [f32],
+) {
+    debug_assert_eq!((b.len(), out.len()), (k * m, n * m));
+    if k == 0 {
+        out.fill(0.0);
+    }
+    for k0 in (0..k).step_by(TILE_DEPTH) {
+        let k1 = k.min(k0 + TILE_DEPTH);
+        let mut c0 = 0;
+        while c0 < m {
+            c0 += match m - c0 {
+                16.. => tile_columns::<16>(n, k0..k1, m, c0, &a, b, out),
+                8.. => tile_columns::<8>(n, k0..k1, m, c0, &a, b, out),
+                4.. => tile_columns::<4>(n, k0..k1, m, c0, &a, b, out),
+                _ => tile_columns::<1>(n, k0..k1, m, c0, &a, b, out),
+            };
         }
     }
+}
+
+/// Columns `c0..c0 + T` of every row of `out` over the reduction slice
+/// `ks`, [`TILE_ROWS`] rows at a time; returns `T`. The first slice
+/// starts its sums at `+0.0`, a later one at what the slice before left
+/// in `out`. Fixed-size `&[f32; T]` views of `b`'s rows keep the bounds
+/// checks out of the multiply-add loop.
+fn tile_columns<const T: usize>(
+    n: usize,
+    ks: std::ops::Range<usize>,
+    m: usize,
+    c0: usize,
+    a: &impl Fn(usize, usize) -> f32,
+    b: &[f32],
+    out: &mut [f32],
+) -> usize {
+    for r0 in (0..n).step_by(TILE_ROWS) {
+        let live = TILE_ROWS.min(n - r0);
+        // A short last tile repeats its last row; the repeats' sums are
+        // never stored.
+        let rows: [usize; TILE_ROWS] = std::array::from_fn(|i| r0 + i.min(live - 1));
+        let mut acc = [[0.0f32; T]; TILE_ROWS];
+        if ks.start > 0 {
+            for (acc_row, &r) in acc.iter_mut().zip(&rows) {
+                acc_row.copy_from_slice(&out[r * m + c0..][..T]);
+            }
+        }
+        for kk in ks.clone() {
+            let b_row: &[f32; T] = b[kk * m + c0..][..T]
+                .try_into()
+                .expect("a slice of T elements");
+            for (acc_row, &r) in acc.iter_mut().zip(&rows) {
+                let av = a(r, kk);
+                for (o, &bv) in acc_row.iter_mut().zip(b_row) {
+                    *o += av * bv;
+                }
+            }
+        }
+        for (acc_row, &r) in acc.iter().zip(&rows).take(live) {
+            out[r * m + c0..][..T].copy_from_slice(acc_row);
+        }
+    }
+    T
 }
 
 /// The ikj loop nest `matmul_rows` replaced (zero inputs skipped, the
@@ -764,12 +838,13 @@ mod tests {
     }
 
     /// Row counts `0..=9` (every remainder of the 4-row tile, twice) and,
-    /// one case in four, enough rows for `matmul_into` to split them over
-    /// the pool.
+    /// one case in four, 257, 394 or 531: enough rows for `matmul_into` to
+    /// split them over the pool and for `transpose_matmul`, which reduces
+    /// over them, to take two and three `TILE_DEPTH` slices.
     fn row_count(pick: usize) -> usize {
         match pick {
             0..=9 => pick,
-            _ => 120 + 37 * (pick - 9),
+            _ => 120 + 137 * (pick - 9),
         }
     }
 
@@ -868,6 +943,32 @@ mod tests {
             prop_assert_eq!(got.shape(), (picks, src.cols()));
             prop_assert_eq!(bits(&got), bits(&src.gather_rows_reference(&idx)));
         }
+    }
+
+    /// The one place the tiled kernel and the loop nests it replaced part
+    /// ways: they skipped a zero left operand, so it masked a non-finite
+    /// right one; the tiles multiply it, and `0 · ∞ = NaN` reaches the
+    /// output. (`matmul_transpose` never skipped.)
+    #[test]
+    fn a_zero_left_operand_no_longer_masks_a_non_finite_right_one() {
+        let a = m(1, 2, &[0.0, 1.0]);
+        let b = m(2, 1, &[f32::INFINITY, 2.0]);
+        let mut masked = Matrix::zeros(1, 1);
+        matmul_rows_reference(
+            a.as_slice(),
+            2,
+            b.as_slice(),
+            1,
+            masked.as_mut_slice(),
+            0,
+            1,
+        );
+        assert_eq!(masked.get(0, 0), 2.0);
+        assert!(a.matmul(&b).get(0, 0).is_nan());
+
+        let at = a.transpose();
+        assert_eq!(at.transpose_matmul_reference(&b).get(0, 0), 2.0);
+        assert!(at.transpose_matmul(&b).get(0, 0).is_nan());
     }
 
     /// The pool is sized once per process, so "for every pool size" is a
