@@ -82,10 +82,10 @@ pub(crate) struct Live<'a> {
     pub labels: &'a [u32],
     pub train_mask: &'a [bool],
     /// `projected[l]`: `G^l = h^l × W` of a layer that projects its
-    /// neighbor rows ([`hongtu_nn::GnnLayer::neighbor_projection`]), computed once per
-    /// layer sweep instead of once per chunk that reads a row — host
-    /// memoisation the simulator never sees: it still charges the
-    /// per-chunk projection the simulated GPU does. Starts all `None`;
+    /// neighbor rows ([`hongtu_nn::GnnLayer::neighbor_projection`]),
+    /// computed once per layer sweep instead of once per chunk that reads
+    /// a row. Host memoisation the simulator never sees: it still charges
+    /// the per-chunk projection the simulated GPU does. Starts all `None`;
     /// lives as long as this epoch's numerics.
     pub projected: Vec<Option<Matrix>>,
 }

@@ -40,12 +40,11 @@ pub fn masked_cross_entropy(logits: &Matrix, labels: &[u32], mask: &[bool]) -> M
         }
         let y = labels[v] as usize;
         assert!(y < c, "label {y} out of range for {c} classes (vertex {v})");
-        // One pass over the row gives both the log-softmax of the label
-        // and the softmax of every class, in the arithmetic of
-        // `log_softmax_rows` / `softmax_rows`: the same max, the same
-        // `exp(x − max)` summed in class order, then `ln` or the divide.
-        // Unmasked rows are never touched: a training mask is a fraction
-        // of `|V|`.
+        // Masked rows only, one pass each, in the arithmetic of
+        // `log_softmax_rows` and `softmax_rows`: the same max, the same
+        // `exp(x − max)` summed in class order (one sum serves both),
+        // then `ln` for the label's log-probability and the divide for
+        // the class probabilities.
         let x = logits.row(v);
         let p = grad.row_mut(v);
         let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);

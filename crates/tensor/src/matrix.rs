@@ -407,7 +407,7 @@ impl Matrix {
         out
     }
 
-    /// `self × otherᵀ` without materializing the transpose.
+    /// `self × otherᵀ`.
     ///
     /// Used for input gradients: `∇a = δ × Wᵀ`.
     pub fn matmul_transpose(&self, other: &Matrix) -> Matrix {
@@ -528,9 +528,10 @@ const TILE_DEPTH: usize = 256;
 
 /// The one dense accumulation loop nest, behind `matmul`,
 /// `transpose_matmul` and `matmul_transpose`:
-/// `out[r][c] = Σ_k a(r, k) · b[k][c]` for the `n × m` row-major `out`
-/// and the `k × m` row-major `b`, the left operand read through `a` so
-/// each caller brings its own layout.
+/// `out[r][c] += Σ_k a(r, k) · b[k][c]` for the `n × m` row-major `out`
+/// — which every caller hands over freshly zeroed — and the `k × m`
+/// row-major `b`, the left operand read through `a` so each caller brings
+/// its own layout.
 ///
 /// Every element is accumulated in ascending `k` from `+0.0` — the
 /// reduction order all three products have always had, so results are
@@ -550,9 +551,6 @@ fn tiled(
     out: &mut [f32],
 ) {
     debug_assert_eq!((b.len(), out.len()), (k * m, n * m));
-    if k == 0 {
-        out.fill(0.0);
-    }
     for k0 in (0..k).step_by(TILE_DEPTH) {
         let k1 = k.min(k0 + TILE_DEPTH);
         let mut c0 = 0;
@@ -568,10 +566,10 @@ fn tiled(
 }
 
 /// Columns `c0..c0 + T` of every row of `out` over the reduction slice
-/// `ks`, [`TILE_ROWS`] rows at a time; returns `T`. The first slice
-/// starts its sums at `+0.0`, a later one at what the slice before left
-/// in `out`. Fixed-size `&[f32; T]` views of `b`'s rows keep the bounds
-/// checks out of the multiply-add loop.
+/// `ks`, [`TILE_ROWS`] rows at a time; returns `T`. Each slice resumes
+/// from what is in `out` — zeros, then the `f32` sums the slice before
+/// stored, which is exact. Fixed-size `&[f32; T]` views of `b`'s rows
+/// keep the bounds checks out of the multiply-add loop.
 fn tile_columns<const T: usize>(
     n: usize,
     ks: std::ops::Range<usize>,
@@ -587,10 +585,8 @@ fn tile_columns<const T: usize>(
         // never stored.
         let rows: [usize; TILE_ROWS] = std::array::from_fn(|i| r0 + i.min(live - 1));
         let mut acc = [[0.0f32; T]; TILE_ROWS];
-        if ks.start > 0 {
-            for (acc_row, &r) in acc.iter_mut().zip(&rows) {
-                acc_row.copy_from_slice(&out[r * m + c0..][..T]);
-            }
+        for (acc_row, &r) in acc.iter_mut().zip(&rows) {
+            acc_row.copy_from_slice(&out[r * m + c0..][..T]);
         }
         for kk in ks.clone() {
             let b_row: &[f32; T] = b[kk * m + c0..][..T]

@@ -259,7 +259,7 @@ proptest! {
 /// What one GAT session observes over two training epochs, a full
 /// inference epoch and a small served subset — everything the
 /// once-per-layer projection feeds.
-fn gat_facts(ds: &Dataset, exec: ExecutionMode, overlap: OverlapMode) -> (Vec<u32>, Vec<u32>) {
+fn gat_facts(ds: &Dataset, exec: ExecutionMode, overlap: OverlapMode) -> Vec<u32> {
     let mut cfg = config(4, CommMode::P2pRu, MemoryStrategy::Recompute, exec);
     cfg.overlap = overlap;
     let mut sess = Session::new(ds, ModelKind::Gat, 16, 2, 4, cfg).expect("session");
@@ -273,11 +273,10 @@ fn gat_facts(ds: &Dataset, exec: ExecutionMode, overlap: OverlapMode) -> (Vec<u3
     }
     let logits = sess.infer_epoch().expect("infer epoch").logits;
     let served = sess.serve(&[3, 1, 250]).expect("serve").logits;
-    facts.extend(served.as_slice().iter().map(|v| v.to_bits()));
-    (
-        facts,
-        logits.as_slice().iter().map(|v| v.to_bits()).collect(),
-    )
+    for m in [logits, served] {
+        facts.extend(m.as_slice().iter().map(|v| v.to_bits()));
+    }
+    facts
 }
 
 /// GAT × `ExecutionMode::Parallel` × both overlap modes on a pool of four
