@@ -103,6 +103,76 @@ impl ChunkSubgraph {
         }
     }
 
+    /// The sub-chunk that computes only destination rows `rows` (local
+    /// indices into `dests`, strictly ascending): the kept dests in order,
+    /// their in-edges in order with their weights, and the neighbor list
+    /// compacted to the rows those edges read — monotonically, so every
+    /// kept edge still meets its neighbors in the same relative order.
+    /// Equal to [`ChunkSubgraph::build`] of the kept dests against the
+    /// graph the chunk was built from, at the cost of the slice alone.
+    pub fn slice(&self, rows: &[u32]) -> Self {
+        self.slice_in(rows, &mut Vec::new())
+    }
+
+    /// [`ChunkSubgraph::slice`] over a caller-owned scratch, so the
+    /// slices of a whole grid share one. `local_of` is grown to the
+    /// largest neighbor list it meets and holds only `UNSEEN` between
+    /// calls.
+    pub fn slice_in(&self, rows: &[u32], local_of: &mut Vec<u32>) -> Self {
+        const UNSEEN: u32 = u32::MAX;
+        debug_assert!(
+            rows.windows(2).all(|w| w[0] < w[1]),
+            "rows must be sorted & unique"
+        );
+        if local_of.len() < self.neighbors.len() {
+            local_of.resize(self.neighbors.len(), UNSEEN);
+        }
+        let edges: usize = rows
+            .iter()
+            .map(|&k| self.in_edges_of(k as usize).len())
+            .sum();
+        // Old local ids of the neighbors the kept edges read.
+        let mut kept: Vec<u32> = Vec::new();
+        for &k in rows {
+            for &t in &self.nbr_index[self.in_edges_of(k as usize)] {
+                if local_of[t as usize] == UNSEEN {
+                    local_of[t as usize] = 0;
+                    kept.push(t);
+                }
+            }
+        }
+        kept.sort_unstable();
+        for (local, &t) in kept.iter().enumerate() {
+            local_of[t as usize] = local as u32;
+        }
+        let mut offsets = Vec::with_capacity(rows.len() + 1);
+        offsets.push(0usize);
+        let mut nbr_index = Vec::with_capacity(edges);
+        let mut gcn_weights = Vec::with_capacity(edges);
+        for &k in rows {
+            let range = self.in_edges_of(k as usize);
+            nbr_index.extend(
+                self.nbr_index[range.clone()]
+                    .iter()
+                    .map(|&t| local_of[t as usize]),
+            );
+            gcn_weights.extend_from_slice(&self.gcn_weights[range]);
+            offsets.push(nbr_index.len());
+        }
+        for &t in &kept {
+            local_of[t as usize] = UNSEEN;
+        }
+        ChunkSubgraph {
+            part: self.part,
+            chunk: self.chunk,
+            dests: rows.iter().map(|&k| self.dests[k as usize]).collect(),
+            neighbors: kept.iter().map(|&t| self.neighbors[t as usize]).collect(),
+            offsets,
+            nbr_index,
+            gcn_weights,
+        }
+    }
+
     /// The body `build` replaced — every in-edge's source sorted, one
     /// binary search per edge — kept as the oracle.
     #[cfg(test)]
@@ -313,6 +383,58 @@ mod tests {
                     ChunkSubgraph::build_in(&g, 1, j, dests, &mut local_of),
                     want
                 );
+                proptest::prop_assert!(local_of.iter().all(|&l| l == u32::MAX));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// `slice(rows)` = `build` of the kept destinations: the slice of
+        /// a chunk is the chunk its kept rows alone would have been built
+        /// as — same dests, same in-edges in the same order with the same
+        /// weight bits, neighbor list compacted in ascending order — on
+        /// random multigraph chunks and random row subsets (none, all,
+        /// rows without in-edges), with one scratch shared over
+        /// consecutive slices and left clean.
+        #[test]
+        fn slice_equals_build_of_the_kept_dests(
+            n in 1u32..40,
+            raw in proptest::collection::vec((0u32..40, 0u32..40), 0..250),
+            keep_loops in 0u32..2,
+            hub in 0u32..2,
+            dests in proptest::collection::vec(0u32..43, 0..30),
+            picks in proptest::collection::vec(proptest::collection::vec(0u32..30, 0..30), 1..4)
+        ) {
+            let mut b = GraphBuilder::new(n as usize + 3);
+            if keep_loops == 1 {
+                b = b.keep_self_loops();
+            }
+            for (s, t) in raw {
+                b.add_edge(s % n, t % n);
+            }
+            if hub == 1 {
+                for v in 0..n {
+                    b.add_undirected(0, v);
+                }
+            }
+            let g = b.build();
+            let mut dests = dests;
+            dests.retain(|&d| d < n + 3);
+            dests.sort_unstable();
+            dests.dedup();
+            let chunk = ChunkSubgraph::build(&g, 2, 5, dests.clone());
+            let all: Vec<u32> = (0..dests.len() as u32).collect();
+            proptest::prop_assert_eq!(chunk.slice(&all), chunk.clone());
+            let mut local_of = Vec::new();
+            for mut rows in picks {
+                rows.retain(|&k| (k as usize) < dests.len());
+                rows.sort_unstable();
+                rows.dedup();
+                let kept: Vec<VertexId> = rows.iter().map(|&k| dests[k as usize]).collect();
+                let want = ChunkSubgraph::build(&g, 2, 5, kept);
+                proptest::prop_assert_eq!(chunk.slice(&rows), want.clone());
+                proptest::prop_assert_eq!(chunk.slice_in(&rows, &mut local_of), want.clone());
+                proptest::prop_assert!(want.validate(&g).is_ok());
                 proptest::prop_assert!(local_of.iter().all(|&l| l == u32::MAX));
             }
         }

@@ -15,8 +15,10 @@
 //! math is independent of chunk membership: each destination aggregates
 //! its in-edges in sorted global order whatever batch owns it.
 
+use hongtu::cache::FrequencyRanked;
 use hongtu::core::{
-    CommMode, DeltaReport, HongTuConfig, Mode, OverlapMode, ServeMask, Session, ValidationLevel,
+    CommMode, DeltaReport, ExecutionMode, HongTuConfig, Mode, OverlapMode, ServeMask, Session,
+    ValidationLevel,
 };
 use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu::datasets::load;
@@ -26,8 +28,9 @@ use hongtu::nn::ModelKind;
 use hongtu::partition::TwoLevelPartition;
 use hongtu::sim::{MachineConfig, Trace};
 use hongtu::tensor::{Matrix, SeededRng};
-use hongtu::verify::DEFAULT_EXPLORE_BUDGET;
+use hongtu::verify::{verify_trace, DEFAULT_EXPLORE_BUDGET};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn test_seed() -> u64 {
     std::env::var("HONGTU_TEST_SEED")
@@ -327,6 +330,134 @@ fn random_dataset(seed: u64, n: usize) -> Dataset {
         splits,
         num_classes: 3,
         seed,
+    }
+}
+
+/// One cell of the certification matrix: every model, communication
+/// mode, GPU count, overlap mode, host execution mode, and the hot-vertex
+/// cache off or frequency-ranked.
+#[derive(Clone, Copy, Debug)]
+struct Cell {
+    kind: ModelKind,
+    comm: CommMode,
+    gpus: usize,
+    overlap: OverlapMode,
+    exec: ExecutionMode,
+    cache: bool,
+}
+
+fn cells() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for kind in [ModelKind::Gcn, ModelKind::Gat, ModelKind::Sage] {
+        for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
+            for gpus in [1usize, 2, 4] {
+                for overlap in [OverlapMode::Off, OverlapMode::DoubleBuffer] {
+                    for exec in [ExecutionMode::Sequential, ExecutionMode::Parallel] {
+                        for cache in [false, true] {
+                            cells.push(Cell {
+                                kind,
+                                comm,
+                                gpus,
+                                overlap,
+                                exec,
+                                cache,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+    cells
+}
+
+impl Cell {
+    fn builder(&self, gpu_memory: usize) -> hongtu::core::HongTuConfigBuilder {
+        HongTuConfig::builder()
+            .machine(MachineConfig::scaled(self.gpus, gpu_memory))
+            .comm(self.comm)
+            .reorganize(self.comm != CommMode::Vanilla)
+            .overlap(self.overlap)
+            .exec(self.exec)
+            .infer()
+    }
+
+    /// A traced inference session of this cell. With the cache on, the
+    /// device is the tightest the session fits plus 8 KiB — room for the
+    /// cache to admit some hot rows and for a structural commit's
+    /// re-pinned staging to grow.
+    fn session(&self, ds: &Dataset) -> Session {
+        let build = |cfg| Session::new(ds, self.kind, 8, 2, 3, cfg).expect("session");
+        let mut s = if self.cache {
+            let roomy = build(self.builder(64 << 20).build().expect("config"));
+            let bound = roomy.static_memory_bound();
+            let tight = bound.gpu.iter().copied().max().expect("gpus") + (8 << 10);
+            build(
+                self.builder(tight)
+                    .cache(Arc::new(FrequencyRanked))
+                    .build()
+                    .expect("config"),
+            )
+        } else {
+            build(self.builder(64 << 20).build().expect("config"))
+        };
+        s.machine_mut().enable_unbounded_trace();
+        s
+    }
+}
+
+/// Random dirty sets over the whole matrix — {GCN, GAT, SAGE} ×
+/// {Vanilla, P2p, P2pRu} × {1, 2, 4} GPUs × {Off, DoubleBuffer} ×
+/// {Sequential, Parallel} × cache {off, freq}: a random edge / feature /
+/// mixed batch committed through `apply_staged` leaves logits bitwise
+/// equal to a rebuild on the mutated graph; the executed trace passes the
+/// happens-before checker (pass 5), the synthesized replay schedule of
+/// the batch's dirty set passes 6–10, and the cache journal pass 11.
+#[test]
+fn random_deltas_patch_to_the_rebuild_and_certify_across_the_matrix() {
+    let ds = random_dataset(test_seed() ^ 0xde17a, 240);
+    for (k, cell) in cells().into_iter().enumerate() {
+        let mix = [DeltaMix::Edge, DeltaMix::Feature, DeltaMix::Mixed][k % 3];
+        let mut dg = DynamicGraph::from_dataset(&ds);
+        let batch = toggle_workload(
+            dg.graph(),
+            ds.features.cols(),
+            1,
+            1 + (k / 3) % 4,
+            mix,
+            &mut SeededRng::new(test_seed() ^ (k as u64) << 8),
+        )
+        .pop()
+        .expect("one batch");
+
+        let mut s = cell.session(&ds);
+        s.infer_epoch().expect("initial full sweep");
+        let staged = dg.stage(&batch).expect("valid batch");
+        let dirty = staged.dirty().to_vec();
+        let report = s.apply_staged(&mut dg, staged).expect("apply");
+        assert!(report.active_steps <= report.total_steps, "{cell:?}");
+        assert_eq!(report.dirty_vertices, dirty.len(), "{cell:?}");
+
+        let rebuilt = {
+            let mutated = dg.to_dataset(&ds);
+            let plain = Cell {
+                cache: false,
+                ..cell
+            };
+            let mut r = plain.session(&mutated);
+            r.infer_epoch().expect("rebuild sweep").logits
+        };
+        assert_eq!(
+            report.logits, rebuilt,
+            "{cell:?}: patched logits diverged from the rebuild after {batch:?}"
+        );
+
+        let executed = verify_trace(s.machine().trace());
+        assert!(executed.is_ok(), "{cell:?}:\n{}", executed.render());
+        let synthesized = s.certify_delta(&dirty, None).expect("synthesis");
+        assert!(synthesized.is_ok(), "{cell:?}:\n{}", synthesized.render());
+        let journal = s.certify_cache();
+        assert!(journal.is_ok(), "{cell:?}:\n{}", journal.render());
     }
 }
 

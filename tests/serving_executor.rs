@@ -13,19 +13,22 @@
 //! sweep computes exactly the same floating-point operations for the
 //! rows it keeps.
 
+use hongtu::cache::{CacheEvent, FrequencyRanked};
 use hongtu::core::{
-    CommMode, HongTuConfig, Mode, OverlapMode, ServeMask, Session, ValidationLevel,
+    CommMode, ExecutionMode, HongTuConfig, Mode, OverlapMode, ServeMask, Session, ValidationLevel,
 };
 use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu::datasets::load;
-use hongtu::graph::generators;
+use hongtu::delta::{toggle_workload, DeltaMix, DynamicGraph};
+use hongtu::graph::{generators, Graph};
 use hongtu::nn::ModelKind;
 use hongtu::partition::TwoLevelPartition;
 use hongtu::serving::AdmissionControl;
 use hongtu::sim::MachineConfig;
 use hongtu::tensor::{Matrix, SeededRng};
-use hongtu::verify::DEFAULT_EXPLORE_BUDGET;
+use hongtu::verify::{verify_trace, DEFAULT_EXPLORE_BUDGET};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn test_seed() -> u64 {
     std::env::var("HONGTU_TEST_SEED")
@@ -108,11 +111,32 @@ fn served_logits_match_infer_epoch_across_matrix() {
     }
 }
 
-/// The chunk-granular cone mask covers the exact vertex-level ≤ L-hop
-/// dependency ball: at the step computing `h^{l+1}`, every vertex whose
-/// row the queries transitively need (BFS over in-edges from the query
-/// set, one hop per layer above `l`) must live in an active batch. The
-/// mask may be larger (batch granularity), never smaller.
+/// Brute-force per-layer in-ball of `queries`: `ball[l]` holds the
+/// vertices whose `h^l` row the queries' logits transitively read —
+/// `ball[L] = Q`, `ball[l] = ball[l+1] ∪ N_in(ball[l+1])`, one plain BFS
+/// hop over the graph's in-edges per layer. The step computing `h^{l+1}`
+/// must compute every row of `ball[l+1]`.
+fn in_ball(g: &Graph, queries: &[usize], layers: usize) -> Vec<Vec<bool>> {
+    let mut ball = vec![vec![false; g.num_vertices()]; layers + 1];
+    for &q in queries {
+        ball[layers][q] = true;
+    }
+    for l in (0..layers).rev() {
+        let mut next = ball[l + 1].clone();
+        for v in (0..g.num_vertices()).filter(|&v| ball[l + 1][v]) {
+            for &u in g.in_neighbors(v as u32) {
+                next[u as usize] = true;
+            }
+        }
+        ball[l] = next;
+    }
+    ball
+}
+
+/// The cone mask covers the exact vertex-level ≤ L-hop dependency ball
+/// ([`in_ball`]): at the step computing `h^{l+1}`, every vertex whose
+/// row the queries transitively need must live in an active batch, and
+/// the grid is downward closed.
 #[test]
 fn cone_mask_covers_bfs_oracle_on_random_graphs() {
     for seed in [3u64, 17, 42] {
@@ -134,26 +158,15 @@ fn cone_mask_covers_bfs_oracle_on_random_graphs() {
                 let mask = ServeMask::from_queries(&plan, layers, &queries);
                 assert_eq!(mask.layers(), layers);
 
-                let mut ball = vec![false; n];
-                for &q in &queries {
-                    ball[q] = true;
-                }
-                for l in (0..layers).rev() {
-                    for v in 0..n {
-                        if ball[v] {
-                            assert!(
-                                mask.active(l, batch_of[v]),
-                                "seed {seed}, {m}x{chunks}, L={layers}: vertex {v} needed at \
-                                 layer {l} but batch {} inactive",
-                                batch_of[v]
-                            );
-                        }
-                    }
-                    let snapshot: Vec<usize> = (0..n).filter(|&v| ball[v]).collect();
-                    for v in snapshot {
-                        for &u in g.in_neighbors(v as u32) {
-                            ball[u as usize] = true;
-                        }
+                let ball = in_ball(&g, &queries, layers);
+                for l in 0..layers {
+                    for v in (0..n).filter(|&v| ball[l + 1][v]) {
+                        assert!(
+                            mask.active(l, batch_of[v]),
+                            "seed {seed}, {m}x{chunks}, L={layers}: vertex {v} needed at \
+                             layer {l} but batch {} inactive",
+                            batch_of[v]
+                        );
                     }
                 }
                 // Downward closure: a batch active at layer l+1 is
@@ -244,6 +257,215 @@ fn random_dataset(seed: u64, n: usize) -> Dataset {
         splits,
         num_classes: 3,
         seed,
+    }
+}
+
+/// One cell of the certification matrix: every model, communication
+/// mode, GPU count, overlap mode, host execution mode, and the hot-vertex
+/// cache off or frequency-ranked.
+#[derive(Clone, Copy, Debug)]
+struct Cell {
+    kind: ModelKind,
+    comm: CommMode,
+    gpus: usize,
+    overlap: OverlapMode,
+    exec: ExecutionMode,
+    cache: bool,
+}
+
+fn cells() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for kind in [ModelKind::Gcn, ModelKind::Gat, ModelKind::Sage] {
+        for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
+            for gpus in [1usize, 2, 4] {
+                for overlap in [OverlapMode::Off, OverlapMode::DoubleBuffer] {
+                    for exec in [ExecutionMode::Sequential, ExecutionMode::Parallel] {
+                        for cache in [false, true] {
+                            cells.push(Cell {
+                                kind,
+                                comm,
+                                gpus,
+                                overlap,
+                                exec,
+                                cache,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+    cells
+}
+
+impl Cell {
+    fn builder(&self, gpu_memory: usize) -> hongtu::core::HongTuConfigBuilder {
+        HongTuConfig::builder()
+            .machine(MachineConfig::scaled(self.gpus, gpu_memory))
+            .comm(self.comm)
+            .reorganize(self.comm != CommMode::Vanilla)
+            .overlap(self.overlap)
+            .exec(self.exec)
+            .infer()
+    }
+
+    /// A traced inference session of this cell. With the cache on, the
+    /// device is the tightest the session fits plus `slack` bytes, so the
+    /// cache admits a strict subset of the hot rows and sweeps mix hits,
+    /// installs and misses.
+    fn session(&self, ds: &Dataset, slack: usize) -> Session {
+        let build = |cfg| Session::new(ds, self.kind, 8, 2, 3, cfg).expect("session");
+        let mut s = if self.cache {
+            let roomy = build(self.builder(64 << 20).build().expect("config"));
+            let bound = roomy.static_memory_bound();
+            let tight = bound.gpu.iter().copied().max().expect("gpus") + slack;
+            build(
+                self.builder(tight)
+                    .cache(Arc::new(FrequencyRanked))
+                    .build()
+                    .expect("config"),
+            )
+        } else {
+            build(self.builder(64 << 20).build().expect("config"))
+        };
+        s.machine_mut().enable_unbounded_trace();
+        s
+    }
+}
+
+/// Room for ~40 six-float feature rows.
+const ROWS40: usize = 40 * 6 * 4;
+
+/// Random query sets over the whole matrix — {GCN, GAT, SAGE} ×
+/// {Vanilla, P2p, P2pRu} × {1, 2, 4} GPUs × {Off, DoubleBuffer} ×
+/// {Sequential, Parallel} × cache {off, freq}: the rows a fresh session
+/// serves, and the rows a primed (cache-warm) one serves, are bitwise the
+/// rows of `infer_epoch`; the executed trace passes the happens-before
+/// checker (pass 5), the synthesized serve schedule passes 6–10, and the
+/// cache journal pass 11.
+#[test]
+fn random_queries_serve_infer_rows_and_certify_across_the_matrix() {
+    let ds = random_dataset(test_seed() ^ 0x5e7e, 240);
+    let n = ds.graph.num_vertices();
+    for (k, cell) in cells().into_iter().enumerate() {
+        let mut rng = SeededRng::new(test_seed() ^ (k as u64) << 8);
+        let cold_query = rng.sample_indices(n, 1 + k % 5);
+        let warm_query = rng.sample_indices(n, 1 + (k / 5) % 7);
+
+        let served_cold = {
+            let mut s = cell.session(&ds, ROWS40);
+            let r = s.serve(&cold_query).expect("serve on a fresh session");
+            assert!(r.active_steps <= r.total_steps, "{cell:?}");
+            r.logits
+        };
+        let mut s = cell.session(&ds, ROWS40);
+        let full = s.infer_epoch().expect("infer epoch").logits;
+        assert_eq!(
+            served_cold,
+            full.gather_rows(&cold_query),
+            "{cell:?}: fresh serve diverged from infer_epoch on {cold_query:?}"
+        );
+        let served_warm = s.serve(&warm_query).expect("serve on a primed session");
+        assert_eq!(
+            served_warm.logits,
+            full.gather_rows(&warm_query),
+            "{cell:?}: primed serve diverged from infer_epoch on {warm_query:?}"
+        );
+        assert_eq!(
+            s.logits(),
+            &full,
+            "{cell:?}: serve disturbed the logits store"
+        );
+
+        let executed = verify_trace(s.machine().trace());
+        assert!(executed.is_ok(), "{cell:?}:\n{}", executed.render());
+        let synthesized = s.certify_serve(&warm_query, None).expect("synthesis");
+        assert!(synthesized.is_ok(), "{cell:?}:\n{}", synthesized.render());
+        assert_eq!(cell.cache, s.cache().is_some(), "{cell:?}");
+        let journal = s.certify_cache();
+        assert!(journal.is_ok(), "{cell:?}:\n{}", journal.render());
+    }
+}
+
+/// The cold-cache corner: a structural commit re-derives the plans and
+/// re-admits the hot-vertex cache from scratch, so the replay and the
+/// serve right behind it run against an empty resident set. The served
+/// rows are still the rebuilt graph's `infer_epoch` rows, and the fresh
+/// journal (replay, then serve) certifies.
+#[test]
+fn serve_right_after_a_structural_commit_certifies_its_cold_cache() {
+    let ds = random_dataset(test_seed() ^ 0xc01d, 240);
+    let n = ds.graph.num_vertices();
+    for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
+        for (overlap, exec) in [
+            (OverlapMode::Off, ExecutionMode::Sequential),
+            (OverlapMode::DoubleBuffer, ExecutionMode::Parallel),
+        ] {
+            let cell = Cell {
+                kind: ModelKind::Gcn,
+                comm,
+                gpus: 2,
+                overlap,
+                exec,
+                cache: true,
+            };
+            // A structural commit re-pins staging; leave it room to grow.
+            let mut s = cell.session(&ds, 8 << 10);
+            s.infer_epoch().expect("prime");
+            let warm = s.cache().expect("cache admitted").log().events.len();
+            assert!(warm > 0);
+
+            let mut dg = DynamicGraph::from_dataset(&ds);
+            let batch = toggle_workload(
+                dg.graph(),
+                ds.features.cols(),
+                1,
+                2,
+                DeltaMix::Edge,
+                &mut SeededRng::new(test_seed() ^ 0xed6e),
+            )
+            .pop()
+            .expect("one batch");
+            let staged = dg.stage(&batch).expect("stage");
+            let committed = s.apply_staged(&mut dg, staged).expect("commit");
+            assert!(
+                committed.rebuilt_chunks > 0,
+                "{cell:?}: commit was not structural"
+            );
+            let query = SeededRng::new(test_seed() ^ 0x9e27).sample_indices(n, 4);
+            let served = s.serve(&query).expect("serve right after the commit");
+
+            let rebuilt = {
+                let mutated = dg.to_dataset(&ds);
+                let plain = Cell {
+                    cache: false,
+                    ..cell
+                };
+                let mut r = plain.session(&mutated, 0);
+                r.infer_epoch().expect("rebuild sweep").logits
+            };
+            assert_eq!(
+                committed.logits, rebuilt,
+                "{cell:?}: patched logits != rebuild"
+            );
+            assert_eq!(served.logits, rebuilt.gather_rows(&query), "{cell:?}");
+            // The rebuilt journal: the commit's invalidation (of a cache
+            // that holds nothing yet), the replay, the serve.
+            let events = &s.cache().expect("cache re-admitted").log().events;
+            assert!(
+                matches!(
+                    events[..],
+                    [
+                        CacheEvent::Invalidate { .. },
+                        CacheEvent::Sweep { .. },
+                        CacheEvent::Sweep { .. }
+                    ]
+                ),
+                "{cell:?}: {events:?}"
+            );
+            let journal = s.certify_cache();
+            assert!(journal.is_ok(), "{cell:?}:\n{}", journal.render());
+        }
     }
 }
 

@@ -364,18 +364,23 @@ fn compute() -> Vec<(String, u64)> {
 /// The planner-side arithmetic cache admission and serving admission are
 /// computed from — the static memory bound per tier, the staging budget,
 /// the cost of one query cone and one dirty cone — plus the peaks one
-/// epoch then measures, which the bound must dominate.
-fn footprint_digest(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> u64 {
+/// epoch then measures, which the bound must dominate. Returns the
+/// footprint digest over all of it, and the bound digest over everything
+/// but the two cone costs: what no change to how cones are derived may
+/// move.
+fn footprint_digests(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> (u64, u64) {
     let train = cfg.mode == Mode::Train;
     let mut s = Session::new(ds, kind, 8, 2, CHUNKS, cfg).expect("session");
     let bound = s.static_memory_bound();
     let partition = s.plans().partition;
     let query = ServeMask::from_queries(partition, 2, &[3, 50, 51]);
     let dirty = ServeMask::from_dirty(partition, 2, &[11]);
-    let mut fnv = Fnv::new();
-    fnv.sizes(&bound.gpu);
-    fnv.sizes(&[bound.host]);
-    fnv.sizes(&s.staging_budget());
+    let (mut fnv, mut sans_cones) = (Fnv::new(), Fnv::new());
+    for f in [&mut fnv, &mut sans_cones] {
+        f.sizes(&bound.gpu);
+        f.sizes(&[bound.host]);
+        f.sizes(&s.staging_budget());
+    }
     fnv.sizes(&s.serve_cone_cost(&query));
     fnv.sizes(&s.serve_cone_cost(&dirty));
     if train {
@@ -394,30 +399,36 @@ fn footprint_digest(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> u64 {
         "host peaked at {host} B over its bound {} B",
         bound.host
     );
-    fnv.sizes(&[machine.max_gpu_peak(), host]);
-    fnv.0
+    for f in [&mut fnv, &mut sans_cones] {
+        f.sizes(&[machine.max_gpu_peak(), host]);
+    }
+    (fnv.0, sans_cones.0)
 }
 
-fn compute_footprints() -> Vec<(String, u64)> {
+type Table = Vec<(String, u64)>;
+
+/// Both planner-side tables over the same rows: `(footprint, bound)`.
+fn compute_footprints() -> (Table, Table) {
     let ds = dataset();
-    let mut rows = Vec::new();
+    let mut sessions = Vec::new();
     for p in matrix() {
         for (tag, cfg) in flavours(p, MEM) {
-            rows.push((
-                format!("{}/{tag}", p.name()),
-                footprint_digest(&ds, p.kind, cfg),
-            ));
+            sessions.push((format!("{}/{tag}", p.name()), p.kind, cfg));
         }
     }
     for p in cache_points() {
         for (tag, mode) in [("train-hybrid", Mode::Train), ("infer", Mode::Infer)] {
-            rows.push((
-                format!("{}/cache/{tag}", p.name()),
-                footprint_digest(&ds, p.kind, cached(&ds, p, mode, ROWS40)),
-            ));
+            let cfg = cached(&ds, p, mode, ROWS40);
+            sessions.push((format!("{}/cache/{tag}", p.name()), p.kind, cfg));
         }
     }
-    rows
+    sessions
+        .into_iter()
+        .map(|(name, kind, cfg)| {
+            let (footprint, bound) = footprint_digests(&ds, kind, cfg);
+            ((name.clone(), footprint), (name, bound))
+        })
+        .unzip()
 }
 
 /// Holds `got` against a committed table; on any difference panics with
@@ -460,7 +471,7 @@ fn every_trace_event_and_result_bit_matches_the_golden_table() {
 /// nothing else: every `/Sequential/` row equals its `/Parallel/` twin.
 #[test]
 fn sequential_rows_equal_their_parallel_twins() {
-    for table in [GOLDEN, GOLDEN_FOOTPRINT] {
+    for table in [GOLDEN, GOLDEN_FOOTPRINT, GOLDEN_BOUND] {
         for (name, digest) in table {
             if !name.contains("/Sequential/") {
                 continue;
@@ -477,7 +488,9 @@ fn sequential_rows_equal_their_parallel_twins() {
 
 #[test]
 fn every_footprint_number_matches_the_golden_table() {
-    assert_table("footprint", &compute_footprints(), GOLDEN_FOOTPRINT);
+    let (footprint, bound) = compute_footprints();
+    assert_table("footprint", &footprint, GOLDEN_FOOTPRINT);
+    assert_table("bound", &bound, GOLDEN_BOUND);
 }
 
 #[rustfmt::skip]
@@ -1178,4 +1191,349 @@ const GOLDEN_FOOTPRINT: &[(&str, u64)] = &[
     ("Gcn/P2pRu/2gpu/Off/Sequential/cache/infer", 0x6ddceec9d0ebde8f),
     ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x2e68c8e0ebc814c4),
     ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/infer", 0x350e895a0a874bd6),
+];
+
+/// [`GOLDEN_FOOTPRINT`] without the two cone costs every one of its rows
+/// folds in — memory bound, staging budget, measured peaks. Generated at
+/// the commit before cones became row-granular: that change regenerates
+/// the footprint table (cone costs shrink in every row) and leaves this
+/// one alone.
+#[rustfmt::skip]
+const GOLDEN_BOUND: &[(&str, u64)] = &[
+    ("Gcn/Vanilla/1gpu/Off/Sequential/train-hybrid", 0xc96f6240590ac39d),
+    ("Gcn/Vanilla/1gpu/Off/Sequential/train-recompute", 0xb3af267221366349),
+    ("Gcn/Vanilla/1gpu/Off/Sequential/infer", 0x1b3a23c171aa5811),
+    ("Gcn/Vanilla/1gpu/Off/Parallel/train-hybrid", 0xc96f6240590ac39d),
+    ("Gcn/Vanilla/1gpu/Off/Parallel/train-recompute", 0xb3af267221366349),
+    ("Gcn/Vanilla/1gpu/Off/Parallel/infer", 0x1b3a23c171aa5811),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x1437b10ed4a56469),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0x7755afc403f9b8cd),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x6dc48a39eace2df5),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x1437b10ed4a56469),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0x7755afc403f9b8cd),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x6dc48a39eace2df5),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/train-hybrid", 0x4df39ece30fc0ea4),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/train-recompute", 0xf4d93f986244b9dc),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/infer", 0xbb13b1d8844ba332),
+    ("Gcn/Vanilla/2gpu/Off/Parallel/train-hybrid", 0x4df39ece30fc0ea4),
+    ("Gcn/Vanilla/2gpu/Off/Parallel/train-recompute", 0xf4d93f986244b9dc),
+    ("Gcn/Vanilla/2gpu/Off/Parallel/infer", 0xbb13b1d8844ba332),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x23c90bcd2965f027),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0xfc37b92392adb14f),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0x8e418ec0a2545a0d),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x23c90bcd2965f027),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0xfc37b92392adb14f),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0x8e418ec0a2545a0d),
+    ("Gcn/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x33bbb6aeb8099f11),
+    ("Gcn/Vanilla/4gpu/Off/Sequential/train-recompute", 0x69827c0f51a9d37d),
+    ("Gcn/Vanilla/4gpu/Off/Sequential/infer", 0xf4698fdfe13c5ace),
+    ("Gcn/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x33bbb6aeb8099f11),
+    ("Gcn/Vanilla/4gpu/Off/Parallel/train-recompute", 0x69827c0f51a9d37d),
+    ("Gcn/Vanilla/4gpu/Off/Parallel/infer", 0xf4698fdfe13c5ace),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x01b7526bab7b403c),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x7b756fab775b2f48),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0xe9f37a88a76967d7),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x01b7526bab7b403c),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x7b756fab775b2f48),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0xe9f37a88a76967d7),
+    ("Gcn/P2p/1gpu/Off/Sequential/train-hybrid", 0xc96f6240590ac39d),
+    ("Gcn/P2p/1gpu/Off/Sequential/train-recompute", 0xb3af267221366349),
+    ("Gcn/P2p/1gpu/Off/Sequential/infer", 0x1b3a23c171aa5811),
+    ("Gcn/P2p/1gpu/Off/Parallel/train-hybrid", 0xc96f6240590ac39d),
+    ("Gcn/P2p/1gpu/Off/Parallel/train-recompute", 0xb3af267221366349),
+    ("Gcn/P2p/1gpu/Off/Parallel/infer", 0x1b3a23c171aa5811),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x1437b10ed4a56469),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x7755afc403f9b8cd),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x6dc48a39eace2df5),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x1437b10ed4a56469),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x7755afc403f9b8cd),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x6dc48a39eace2df5),
+    ("Gcn/P2p/2gpu/Off/Sequential/train-hybrid", 0xa7ae6d6be67e459f),
+    ("Gcn/P2p/2gpu/Off/Sequential/train-recompute", 0x0872f429eaebbe07),
+    ("Gcn/P2p/2gpu/Off/Sequential/infer", 0x1a0ba7d04e76228d),
+    ("Gcn/P2p/2gpu/Off/Parallel/train-hybrid", 0xa7ae6d6be67e459f),
+    ("Gcn/P2p/2gpu/Off/Parallel/train-recompute", 0x0872f429eaebbe07),
+    ("Gcn/P2p/2gpu/Off/Parallel/infer", 0x1a0ba7d04e76228d),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x0a38f2c6aa4a50f8),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x4caf88d9df3b1e10),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x94e432d6563329c6),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x0a38f2c6aa4a50f8),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x4caf88d9df3b1e10),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x94e432d6563329c6),
+    ("Gcn/P2p/4gpu/Off/Sequential/train-hybrid", 0x6bdad172b2b1186b),
+    ("Gcn/P2p/4gpu/Off/Sequential/train-recompute", 0xfa3a03ff3ea3e327),
+    ("Gcn/P2p/4gpu/Off/Sequential/infer", 0xa34e73da48f49311),
+    ("Gcn/P2p/4gpu/Off/Parallel/train-hybrid", 0x6bdad172b2b1186b),
+    ("Gcn/P2p/4gpu/Off/Parallel/train-recompute", 0xfa3a03ff3ea3e327),
+    ("Gcn/P2p/4gpu/Off/Parallel/infer", 0xa34e73da48f49311),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x5992d08137774286),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0x88da9a5d9d7c1ea2),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/infer", 0x8ca741829c65669b),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x5992d08137774286),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0x88da9a5d9d7c1ea2),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/infer", 0x8ca741829c65669b),
+    ("Gcn/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x95ef57fe62e9971d),
+    ("Gcn/P2pRu/1gpu/Off/Sequential/train-recompute", 0x894c701f0b00cfc9),
+    ("Gcn/P2pRu/1gpu/Off/Sequential/infer", 0xb4ae63f36865e071),
+    ("Gcn/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x95ef57fe62e9971d),
+    ("Gcn/P2pRu/1gpu/Off/Parallel/train-recompute", 0x894c701f0b00cfc9),
+    ("Gcn/P2pRu/1gpu/Off/Parallel/infer", 0xb4ae63f36865e071),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x1437b10ed4a56469),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x7755afc403f9b8cd),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0x6dc48a39eace2df5),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x1437b10ed4a56469),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x7755afc403f9b8cd),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0x6dc48a39eace2df5),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/train-hybrid", 0xf1a955c9246aec1f),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/train-recompute", 0x6f3e849fd75189af),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/infer", 0xb389c296ef8d2111),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/train-hybrid", 0xf1a955c9246aec1f),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/train-recompute", 0x6f3e849fd75189af),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/infer", 0xb389c296ef8d2111),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x69e354e7d9576f3a),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0x26618b0ec2d54bea),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0x854bf1efd6057bc0),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x69e354e7d9576f3a),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0x26618b0ec2d54bea),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0x854bf1efd6057bc0),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/train-hybrid", 0x21cd53cf2ced3ca3),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/train-recompute", 0x8121bda105ba0617),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/infer", 0xbc1848df81c97717),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/train-hybrid", 0x21cd53cf2ced3ca3),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/train-recompute", 0x8121bda105ba0617),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/infer", 0xbc1848df81c97717),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xa56e180e93030ca3),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0xe36a1bbff7a47937),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0x351f46d959883656),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xa56e180e93030ca3),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0xe36a1bbff7a47937),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0x351f46d959883656),
+    ("Gat/Vanilla/1gpu/Off/Sequential/train-hybrid", 0xeb0e0527578a2c23),
+    ("Gat/Vanilla/1gpu/Off/Sequential/train-recompute", 0xeb0e0527578a2c23),
+    ("Gat/Vanilla/1gpu/Off/Sequential/infer", 0x0627850bd3f3ce27),
+    ("Gat/Vanilla/1gpu/Off/Parallel/train-hybrid", 0xeb0e0527578a2c23),
+    ("Gat/Vanilla/1gpu/Off/Parallel/train-recompute", 0xeb0e0527578a2c23),
+    ("Gat/Vanilla/1gpu/Off/Parallel/infer", 0x0627850bd3f3ce27),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xe09267c62f9344c3),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0xe09267c62f9344c3),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x1eaf03283468f9af),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xe09267c62f9344c3),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0xe09267c62f9344c3),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x1eaf03283468f9af),
+    ("Gat/Vanilla/2gpu/Off/Sequential/train-hybrid", 0xd8a92ab09f8cc211),
+    ("Gat/Vanilla/2gpu/Off/Sequential/train-recompute", 0xd8a92ab09f8cc211),
+    ("Gat/Vanilla/2gpu/Off/Sequential/infer", 0xc37df0e6d465d8e0),
+    ("Gat/Vanilla/2gpu/Off/Parallel/train-hybrid", 0xd8a92ab09f8cc211),
+    ("Gat/Vanilla/2gpu/Off/Parallel/train-recompute", 0xd8a92ab09f8cc211),
+    ("Gat/Vanilla/2gpu/Off/Parallel/infer", 0xc37df0e6d465d8e0),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x41c8a06acdf3384e),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x41c8a06acdf3384e),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0xf75407f00ac57705),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x41c8a06acdf3384e),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x41c8a06acdf3384e),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0xf75407f00ac57705),
+    ("Gat/Vanilla/4gpu/Off/Sequential/train-hybrid", 0xc46ed2ec04f2de19),
+    ("Gat/Vanilla/4gpu/Off/Sequential/train-recompute", 0xc46ed2ec04f2de19),
+    ("Gat/Vanilla/4gpu/Off/Sequential/infer", 0xd5c1c508a70f3552),
+    ("Gat/Vanilla/4gpu/Off/Parallel/train-hybrid", 0xc46ed2ec04f2de19),
+    ("Gat/Vanilla/4gpu/Off/Parallel/train-recompute", 0xc46ed2ec04f2de19),
+    ("Gat/Vanilla/4gpu/Off/Parallel/infer", 0xd5c1c508a70f3552),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x4ad0371af506f68b),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x4ad0371af506f68b),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0xe548b3f37b39ecac),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x4ad0371af506f68b),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x4ad0371af506f68b),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0xe548b3f37b39ecac),
+    ("Gat/P2p/1gpu/Off/Sequential/train-hybrid", 0xeb0e0527578a2c23),
+    ("Gat/P2p/1gpu/Off/Sequential/train-recompute", 0xeb0e0527578a2c23),
+    ("Gat/P2p/1gpu/Off/Sequential/infer", 0x0627850bd3f3ce27),
+    ("Gat/P2p/1gpu/Off/Parallel/train-hybrid", 0xeb0e0527578a2c23),
+    ("Gat/P2p/1gpu/Off/Parallel/train-recompute", 0xeb0e0527578a2c23),
+    ("Gat/P2p/1gpu/Off/Parallel/infer", 0x0627850bd3f3ce27),
+    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xe09267c62f9344c3),
+    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0xe09267c62f9344c3),
+    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x1eaf03283468f9af),
+    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xe09267c62f9344c3),
+    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0xe09267c62f9344c3),
+    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x1eaf03283468f9af),
+    ("Gat/P2p/2gpu/Off/Sequential/train-hybrid", 0xe5ef343483f2f3b5),
+    ("Gat/P2p/2gpu/Off/Sequential/train-recompute", 0xe5ef343483f2f3b5),
+    ("Gat/P2p/2gpu/Off/Sequential/infer", 0x4d95074e803fdf9e),
+    ("Gat/P2p/2gpu/Off/Parallel/train-hybrid", 0xe5ef343483f2f3b5),
+    ("Gat/P2p/2gpu/Off/Parallel/train-recompute", 0xe5ef343483f2f3b5),
+    ("Gat/P2p/2gpu/Off/Parallel/infer", 0x4d95074e803fdf9e),
+    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x00cc5334e759e85e),
+    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x00cc5334e759e85e),
+    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x2da5cc73c3cfdc33),
+    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x00cc5334e759e85e),
+    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x00cc5334e759e85e),
+    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x2da5cc73c3cfdc33),
+    ("Gat/P2p/4gpu/Off/Sequential/train-hybrid", 0x2763faf03054db36),
+    ("Gat/P2p/4gpu/Off/Sequential/train-recompute", 0x2763faf03054db36),
+    ("Gat/P2p/4gpu/Off/Sequential/infer", 0x9ce7261e0241c56b),
+    ("Gat/P2p/4gpu/Off/Parallel/train-hybrid", 0x2763faf03054db36),
+    ("Gat/P2p/4gpu/Off/Parallel/train-recompute", 0x2763faf03054db36),
+    ("Gat/P2p/4gpu/Off/Parallel/infer", 0x9ce7261e0241c56b),
+    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xc4875abb7c3b1d23),
+    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0xc4875abb7c3b1d23),
+    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/infer", 0x93eb38b94e115244),
+    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xc4875abb7c3b1d23),
+    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0xc4875abb7c3b1d23),
+    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/infer", 0x93eb38b94e115244),
+    ("Gat/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x9461a5bc1e32b303),
+    ("Gat/P2pRu/1gpu/Off/Sequential/train-recompute", 0x9461a5bc1e32b303),
+    ("Gat/P2pRu/1gpu/Off/Sequential/infer", 0xbec9d7549dbe2fc7),
+    ("Gat/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x9461a5bc1e32b303),
+    ("Gat/P2pRu/1gpu/Off/Parallel/train-recompute", 0x9461a5bc1e32b303),
+    ("Gat/P2pRu/1gpu/Off/Parallel/infer", 0xbec9d7549dbe2fc7),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xe09267c62f9344c3),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0xe09267c62f9344c3),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0x1eaf03283468f9af),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xe09267c62f9344c3),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0xe09267c62f9344c3),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0x1eaf03283468f9af),
+    ("Gat/P2pRu/2gpu/Off/Sequential/train-hybrid", 0x3fdb624247ec0cad),
+    ("Gat/P2pRu/2gpu/Off/Sequential/train-recompute", 0x3fdb624247ec0cad),
+    ("Gat/P2pRu/2gpu/Off/Sequential/infer", 0x8cd60f14e33199b6),
+    ("Gat/P2pRu/2gpu/Off/Parallel/train-hybrid", 0x3fdb624247ec0cad),
+    ("Gat/P2pRu/2gpu/Off/Parallel/train-recompute", 0x3fdb624247ec0cad),
+    ("Gat/P2pRu/2gpu/Off/Parallel/infer", 0x8cd60f14e33199b6),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x7369aeb0e2d6df6f),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0x7369aeb0e2d6df6f),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0x708c7290330c20b4),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x7369aeb0e2d6df6f),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0x7369aeb0e2d6df6f),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0x708c7290330c20b4),
+    ("Gat/P2pRu/4gpu/Off/Sequential/train-hybrid", 0x8e6b09979ebf73ce),
+    ("Gat/P2pRu/4gpu/Off/Sequential/train-recompute", 0x8e6b09979ebf73ce),
+    ("Gat/P2pRu/4gpu/Off/Sequential/infer", 0x05be0839649f46ab),
+    ("Gat/P2pRu/4gpu/Off/Parallel/train-hybrid", 0x8e6b09979ebf73ce),
+    ("Gat/P2pRu/4gpu/Off/Parallel/train-recompute", 0x8e6b09979ebf73ce),
+    ("Gat/P2pRu/4gpu/Off/Parallel/infer", 0x05be0839649f46ab),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x394680c261f1cec8),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x394680c261f1cec8),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0xac7a929f6bb91706),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x394680c261f1cec8),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x394680c261f1cec8),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0xac7a929f6bb91706),
+    ("Sage/Vanilla/1gpu/Off/Sequential/train-hybrid", 0xe63cb92b5d3629d9),
+    ("Sage/Vanilla/1gpu/Off/Sequential/train-recompute", 0x7223d152d841ecf5),
+    ("Sage/Vanilla/1gpu/Off/Sequential/infer", 0xd5be31aa2d043fa5),
+    ("Sage/Vanilla/1gpu/Off/Parallel/train-hybrid", 0xe63cb92b5d3629d9),
+    ("Sage/Vanilla/1gpu/Off/Parallel/train-recompute", 0x7223d152d841ecf5),
+    ("Sage/Vanilla/1gpu/Off/Parallel/infer", 0xd5be31aa2d043fa5),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xbd0aedce418c3765),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0x1536b09befb735a9),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0xc186d38fe8152181),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xbd0aedce418c3765),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0x1536b09befb735a9),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0xc186d38fe8152181),
+    ("Sage/Vanilla/2gpu/Off/Sequential/train-hybrid", 0xdcbcb1bc646fac58),
+    ("Sage/Vanilla/2gpu/Off/Sequential/train-recompute", 0x423a4b8d0eba2300),
+    ("Sage/Vanilla/2gpu/Off/Sequential/infer", 0x83f5b91f591ae268),
+    ("Sage/Vanilla/2gpu/Off/Parallel/train-hybrid", 0xdcbcb1bc646fac58),
+    ("Sage/Vanilla/2gpu/Off/Parallel/train-recompute", 0x423a4b8d0eba2300),
+    ("Sage/Vanilla/2gpu/Off/Parallel/infer", 0x83f5b91f591ae268),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x0f6e633b633772f4),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0xc31606662d4846fc),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0xe683e34bee8736f0),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x0f6e633b633772f4),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0xc31606662d4846fc),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0xe683e34bee8736f0),
+    ("Sage/Vanilla/4gpu/Off/Sequential/train-hybrid", 0xff9cbdc674dbc9bc),
+    ("Sage/Vanilla/4gpu/Off/Sequential/train-recompute", 0xd4d070f7e8fcea40),
+    ("Sage/Vanilla/4gpu/Off/Sequential/infer", 0x8146dfd8089aa530),
+    ("Sage/Vanilla/4gpu/Off/Parallel/train-hybrid", 0xff9cbdc674dbc9bc),
+    ("Sage/Vanilla/4gpu/Off/Parallel/train-recompute", 0xd4d070f7e8fcea40),
+    ("Sage/Vanilla/4gpu/Off/Parallel/infer", 0x8146dfd8089aa530),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x98a0636464978ac2),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0xea3d0cbb20ad8d0e),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0xe5f8ad9370d4e8be),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x98a0636464978ac2),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0xea3d0cbb20ad8d0e),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0xe5f8ad9370d4e8be),
+    ("Sage/P2p/1gpu/Off/Sequential/train-hybrid", 0xe63cb92b5d3629d9),
+    ("Sage/P2p/1gpu/Off/Sequential/train-recompute", 0x7223d152d841ecf5),
+    ("Sage/P2p/1gpu/Off/Sequential/infer", 0xd5be31aa2d043fa5),
+    ("Sage/P2p/1gpu/Off/Parallel/train-hybrid", 0xe63cb92b5d3629d9),
+    ("Sage/P2p/1gpu/Off/Parallel/train-recompute", 0x7223d152d841ecf5),
+    ("Sage/P2p/1gpu/Off/Parallel/infer", 0xd5be31aa2d043fa5),
+    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xbd0aedce418c3765),
+    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x1536b09befb735a9),
+    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/infer", 0xc186d38fe8152181),
+    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xbd0aedce418c3765),
+    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x1536b09befb735a9),
+    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/infer", 0xc186d38fe8152181),
+    ("Sage/P2p/2gpu/Off/Sequential/train-hybrid", 0x288d27be854effa7),
+    ("Sage/P2p/2gpu/Off/Sequential/train-recompute", 0xcb7b5620710732ff),
+    ("Sage/P2p/2gpu/Off/Sequential/infer", 0x5684e5e2951a282b),
+    ("Sage/P2p/2gpu/Off/Parallel/train-hybrid", 0x288d27be854effa7),
+    ("Sage/P2p/2gpu/Off/Parallel/train-recompute", 0xcb7b5620710732ff),
+    ("Sage/P2p/2gpu/Off/Parallel/infer", 0x5684e5e2951a282b),
+    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xb594dda8aa17e956),
+    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x9f36a1837c5bdb46),
+    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x9d3e658ff87948ba),
+    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xb594dda8aa17e956),
+    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x9f36a1837c5bdb46),
+    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x9d3e658ff87948ba),
+    ("Sage/P2p/4gpu/Off/Sequential/train-hybrid", 0xc33d232cc44517bd),
+    ("Sage/P2p/4gpu/Off/Sequential/train-recompute", 0x12ca06c8a490c811),
+    ("Sage/P2p/4gpu/Off/Sequential/infer", 0x4ad3835b90d15545),
+    ("Sage/P2p/4gpu/Off/Parallel/train-hybrid", 0xc33d232cc44517bd),
+    ("Sage/P2p/4gpu/Off/Parallel/train-recompute", 0x12ca06c8a490c811),
+    ("Sage/P2p/4gpu/Off/Parallel/infer", 0x4ad3835b90d15545),
+    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xb34e07d61ecbd022),
+    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0xb02103b5d3adcede),
+    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/infer", 0x4f3a626a1c5279f3),
+    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xb34e07d61ecbd022),
+    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0xb02103b5d3adcede),
+    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/infer", 0x4f3a626a1c5279f3),
+    ("Sage/P2pRu/1gpu/Off/Sequential/train-hybrid", 0xb03401a25f2826d9),
+    ("Sage/P2pRu/1gpu/Off/Sequential/train-recompute", 0x61889228b089dd55),
+    ("Sage/P2pRu/1gpu/Off/Sequential/infer", 0x19d2e542cc1093c5),
+    ("Sage/P2pRu/1gpu/Off/Parallel/train-hybrid", 0xb03401a25f2826d9),
+    ("Sage/P2pRu/1gpu/Off/Parallel/train-recompute", 0x61889228b089dd55),
+    ("Sage/P2pRu/1gpu/Off/Parallel/infer", 0x19d2e542cc1093c5),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xbd0aedce418c3765),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x1536b09befb735a9),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0xc186d38fe8152181),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xbd0aedce418c3765),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x1536b09befb735a9),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0xc186d38fe8152181),
+    ("Sage/P2pRu/2gpu/Off/Sequential/train-hybrid", 0xe517526d2c6c8c57),
+    ("Sage/P2pRu/2gpu/Off/Sequential/train-recompute", 0x5e35ef5f97dc052f),
+    ("Sage/P2pRu/2gpu/Off/Sequential/infer", 0xfe19d234729144d3),
+    ("Sage/P2pRu/2gpu/Off/Parallel/train-hybrid", 0xe517526d2c6c8c57),
+    ("Sage/P2pRu/2gpu/Off/Parallel/train-recompute", 0x5e35ef5f97dc052f),
+    ("Sage/P2pRu/2gpu/Off/Parallel/infer", 0xfe19d234729144d3),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xee7d7d8c8ccbeb2d),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0x8cafe6a9c269004d),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0xb1fbf3c7070f0754),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xee7d7d8c8ccbeb2d),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0x8cafe6a9c269004d),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0xb1fbf3c7070f0754),
+    ("Sage/P2pRu/4gpu/Off/Sequential/train-hybrid", 0xcdf0c9c59173f747),
+    ("Sage/P2pRu/4gpu/Off/Sequential/train-recompute", 0x70f88c2473007d03),
+    ("Sage/P2pRu/4gpu/Off/Sequential/infer", 0x8147356a1d91e0fe),
+    ("Sage/P2pRu/4gpu/Off/Parallel/train-hybrid", 0xcdf0c9c59173f747),
+    ("Sage/P2pRu/4gpu/Off/Parallel/train-recompute", 0x70f88c2473007d03),
+    ("Sage/P2pRu/4gpu/Off/Parallel/infer", 0x8147356a1d91e0fe),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xe7143807911df068),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x28cad746aed9b3ac),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0x863774adb66d5470),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xe7143807911df068),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x28cad746aed9b3ac),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0x863774adb66d5470),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/train-hybrid", 0x9011f4fef492d7c0),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/infer", 0x18cf952ef42108de),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x6bba53df074e2ef4),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/infer", 0x0999e5941665b0ba),
+    ("Gcn/P2p/2gpu/Off/Sequential/cache/train-hybrid", 0x1efbe2e19f9eb184),
+    ("Gcn/P2p/2gpu/Off/Sequential/cache/infer", 0x8bc46c82bbe7069b),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x6fc679439d31d406),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/infer", 0x6432245763c5f744),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/train-hybrid", 0x5d72ef9c0826b0d1),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/infer", 0xeabd0dd13ef8b173),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0xf62b1685d4c999c0),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/infer", 0x5c6c527fe3b6ca8a),
 ];
