@@ -2,10 +2,9 @@
 //! dynamic-graph delta path (`hongtu-delta` + `Session::apply_staged`),
 //! emitted as machine-readable JSON for CI.
 //!
-//! Three experiments on sparse synthetic graphs (batch-granular cone
-//! pruning needs a topology where one vertex's out-neighborhood does
-//! not scatter across every batch, which the dense registry proxies
-//! do):
+//! Three experiments on sparse synthetic graphs (an out-edge cone on a
+//! dense registry proxy reaches most of the graph in two hops; a sparse
+//! one shows cost following the cone):
 //!
 //! - **matrix** — for each model × overlap × GPU count, the same delta
 //!   batch is priced two ways: incrementally (`apply_staged`, replay
@@ -19,7 +18,7 @@
 //!   small-cone gates; a mixed edge+feature toggle batch (GCN cells)
 //!   exercises digest equality through chunk rebuilds.
 //! - **curve** — nested dirty-seed sets of growing spread on one
-//!   configuration: cost (active steps, events, sim time) as a
+//!   configuration: cost (active steps and rows, events, sim time) as a
 //!   function of cone size.
 //! - **scaling** — the same single-vertex delta on graphs of growing
 //!   size at fixed chunk width: incremental cost must track the cone,
@@ -27,11 +26,15 @@
 //!
 //! The process exits 1 if any invariant fails:
 //! - any incremental logits digest != the full-recompute digest;
-//! - for any delta whose cone is ≤ 10% of the sweep: not strictly
+//! - for any delta whose cone is ≤ 10% of the sweep's rows: not strictly
 //!   fewer sim events or not strictly faster (sim-time) than the full
 //!   recompute — and at least one such small-cone sample must exist;
-//! - curve cost (active steps, events, sim time) not non-decreasing in
-//!   cone size over nested seed sets;
+//! - curve cost (active steps, active rows, events, sim time) not
+//!   non-decreasing in cone size over nested seed sets;
+//! - the curve's widest point — 16 scattered dirty vertices, which touch
+//!   nearly every `(layer, batch)` step — replaying half the sweep or
+//!   more *measured in rows*: its step-equivalents (`active rows ÷ total
+//!   rows × total steps`) must stay below half the steps;
 //! - incremental cost growing as fast as the full sweep across graph
 //!   sizes (growth ratio must be strictly smaller).
 //!
@@ -156,6 +159,8 @@ struct Cost {
     events: usize,
     active_steps: usize,
     total_steps: usize,
+    active_rows: usize,
+    total_rows: usize,
     dirty: usize,
     rebuilt_chunks: usize,
     digest: u64,
@@ -186,12 +191,12 @@ fn measure(
     let stage_wall_ms = ms(t);
     let t = Instant::now();
     let r = s.apply_staged(&mut dg, staged).expect("commit");
-    let (sim_s, active_steps, logits) = if incremental {
-        (r.time, r.active_steps, r.logits)
+    let (sim_s, active_steps, active_rows, logits) = if incremental {
+        (r.time, r.active_steps, r.active_rows, r.logits)
     } else {
         s.machine_mut().replace_trace(Trace::unbounded());
         let full = s.infer_epoch().expect("full sweep over the mutated graph");
-        (full.time, r.total_steps, full.logits)
+        (full.time, r.total_steps, r.total_rows, full.logits)
     };
     Cost {
         sim_s,
@@ -200,6 +205,8 @@ fn measure(
         events: s.machine().trace().len(),
         active_steps,
         total_steps: r.total_steps,
+        active_rows,
+        total_rows: r.total_rows,
         dirty: r.dirty_vertices,
         rebuilt_chunks: r.rebuilt_chunks,
         digest: logits_digest(&logits),
@@ -273,13 +280,15 @@ fn main() {
                     println!(
                         "{model}/{overlap_name}/{gpus} GPUs [{delta_kind}]: \
                          inc {:.3} ms vs full {:.3} ms, events {} vs {}, \
-                         cone {}/{} steps",
+                         cone {}/{} steps, {}/{} rows",
                         inc.sim_s * 1e3,
                         full.sim_s * 1e3,
                         inc.events,
                         full.events,
                         inc.active_steps,
                         inc.total_steps,
+                        inc.active_rows,
+                        inc.total_rows,
                     );
                     samples.push(Sample {
                         section: "matrix",
@@ -324,10 +333,13 @@ fn main() {
             false,
         );
         println!(
-            "curve spread {spread}: dirty {} cone {}/{} steps, inc {:.3} ms ({} events)",
+            "curve spread {spread}: dirty {} cone {}/{} steps, {}/{} rows, inc {:.3} ms \
+             ({} events)",
             inc.dirty,
             inc.active_steps,
             inc.total_steps,
+            inc.active_rows,
+            inc.total_rows,
             inc.sim_s * 1e3,
             inc.events,
         );
@@ -405,6 +417,7 @@ fn main() {
              \"gpus\": {}, \"n\": {}, \"chunks\": {}, \"delta\": \"{}\", \
              \"spread\": {}, \"dirty\": {}, \"rebuilt_chunks\": {}, \
              \"active_steps\": {}, \"total_steps\": {}, \
+             \"active_rows\": {}, \"total_rows\": {}, \
              \"inc_sim_s\": {:.9}, \"full_sim_s\": {:.9}, \"speedup\": {:.4}, \
              \"stage_wall_ms\": {:.3}, \"apply_wall_ms\": {:.3}, \"full_wall_ms\": {:.3}, \
              \"inc_events\": {}, \"full_events\": {}, \
@@ -421,6 +434,8 @@ fn main() {
             s.inc.rebuilt_chunks,
             s.inc.active_steps,
             s.inc.total_steps,
+            s.inc.active_rows,
+            s.inc.total_rows,
             s.inc.sim_s,
             s.full.sim_s,
             s.full.sim_s / s.inc.sim_s,
@@ -452,28 +467,28 @@ fn main() {
             );
             bad = true;
         }
-        if s.inc.active_steps * 10 <= s.inc.total_steps {
+        if s.inc.active_rows * 10 <= s.inc.total_rows {
             small_cone_samples += 1;
             if s.inc.events >= s.full.events {
                 eprintln!(
-                    "FAIL: {tag}: small cone ({}/{} steps) but incremental ran {} sim events, \
+                    "FAIL: {tag}: small cone ({}/{} rows) but incremental ran {} sim events, \
                      full recompute {}",
-                    s.inc.active_steps, s.inc.total_steps, s.inc.events, s.full.events
+                    s.inc.active_rows, s.inc.total_rows, s.inc.events, s.full.events
                 );
                 bad = true;
             }
             if s.inc.sim_s >= s.full.sim_s {
                 eprintln!(
-                    "FAIL: {tag}: small cone ({}/{} steps) but incremental {} s not strictly \
+                    "FAIL: {tag}: small cone ({}/{} rows) but incremental {} s not strictly \
                      below full recompute {} s",
-                    s.inc.active_steps, s.inc.total_steps, s.inc.sim_s, s.full.sim_s
+                    s.inc.active_rows, s.inc.total_rows, s.inc.sim_s, s.full.sim_s
                 );
                 bad = true;
             }
         }
     }
     if small_cone_samples == 0 {
-        eprintln!("FAIL: no sample had a cone ≤ 10% of the sweep — strict gates were vacuous");
+        eprintln!("FAIL: no sample had a cone ≤ 10% of the rows — strict gates were vacuous");
         bad = true;
     }
 
@@ -483,20 +498,42 @@ fn main() {
     for pair in curve.windows(2) {
         let (a, b) = (pair[0], pair[1]);
         if b.inc.active_steps < a.inc.active_steps
+            || b.inc.active_rows < a.inc.active_rows
             || b.inc.events < a.inc.events
             || b.inc.sim_s < a.inc.sim_s
         {
             eprintln!(
                 "FAIL: curve not non-decreasing from spread {} to {}: \
-                 steps {} -> {}, events {} -> {}, time {} -> {} s",
+                 steps {} -> {}, rows {} -> {}, events {} -> {}, time {} -> {} s",
                 a.spread,
                 b.spread,
                 a.inc.active_steps,
                 b.inc.active_steps,
+                a.inc.active_rows,
+                b.inc.active_rows,
                 a.inc.events,
                 b.inc.events,
                 a.inc.sim_s,
                 b.inc.sim_s
+            );
+            bad = true;
+        }
+    }
+
+    // The widest curve point scatters its seeds over nearly every step;
+    // what it replays must still be its rows, not its steps.
+    if let Some(widest) = curve.last() {
+        let c = &widest.inc;
+        if 2 * c.active_rows >= c.total_rows {
+            eprintln!(
+                "FAIL: curve spread {}: {}/{} rows = {:.1} of {} step-equivalents, not below \
+                 half the sweep ({} steps active)",
+                widest.spread,
+                c.active_rows,
+                c.total_rows,
+                c.active_rows as f64 / c.total_rows as f64 * c.total_steps as f64,
+                c.total_steps,
+                c.active_steps
             );
             bad = true;
         }

@@ -7,16 +7,24 @@
 //! subset's ≤ L-hop cone) and through a full `Session::infer_epoch` on
 //! an identically seeded fresh session. The report records both
 //! simulated times, both logits digests (restricted to the queried
-//! rows), and both sim-event counts. One configuration additionally
-//! drives an open-loop Poisson workload through the FIFO batching
-//! server and records p50/p99 latency, queries/sec, the batch-size
-//! histogram, and the admission-reject rate.
+//! rows), both sim-event counts, and the destination rows the cone
+//! computed of the rows the full sweep did. A *probe* — one query of 8
+//! vertices drawn uniformly over the whole graph, the shape of a single
+//! request of the open-loop stream — is served the same way on a third
+//! fresh session. One configuration additionally drives an open-loop
+//! Poisson workload through the FIFO batching server and records p50/p99
+//! latency, queries/sec, the batch-size histogram, and the
+//! admission-reject rate.
 //!
 //! The process exits 1 if any invariant fails:
 //! - served logits digest != full-inference digest on the same rows;
 //! - pruned sweep not strictly faster (sim-time) than the full sweep
 //!   for a subset of ≤ 10% of the vertices;
 //! - pruned sweep not strictly fewer sim events than the full sweep;
+//! - the one-query probe sweep not strictly cheaper than the full sweep
+//!   in sim time *and* in sim events, or computing as many rows — a
+//!   query costs its cone, even where (RDT: 77 in-neighbors a vertex) the
+//!   cone's bottom layer reads most of the graph;
 //! - any rejection under the session's own staging budget, or a
 //!   non-finite latency percentile.
 //!
@@ -100,16 +108,22 @@ struct Sample {
     infer_events: usize,
     serve_digest: u64,
     infer_digest: u64,
+    /// `(active, total)` destination rows of the clustered subset's cone.
+    serve_rows: (usize, usize),
+    probe_sim_s: f64,
+    probe_events: usize,
+    probe_rows: (usize, usize),
+    probe_digest: u64,
+    probe_infer_digest: u64,
     load: Option<LoadStats>,
 }
 
 /// Samples a clustered query subset: `size` vertices drawn from batch
-/// 0's destination sets (across GPUs). Clustered queries are the regime
-/// where cone pruning pays off — at the top layer only the queried
-/// batch runs — and model the locality of real request streams
-/// (ego-nets, per-community dashboards). A uniform sample over the
-/// whole graph would touch every batch and prune nothing at this chunk
-/// granularity.
+/// 0's destination sets (across GPUs). Clustered queries model the
+/// locality of real request streams (ego-nets, per-community
+/// dashboards) and prune whole steps — at the top layer only the queried
+/// batch runs — on top of the rows every cone prunes inside the steps
+/// it keeps; the uniformly scattered case is the probe's.
 fn cluster_subset(session: &Session, size: usize, seed: u64) -> Vec<usize> {
     let mut pool: Vec<usize> = session
         .plans()
@@ -186,6 +200,15 @@ fn main() {
                 let infer = infer_session.infer_epoch().expect("infer epoch");
                 let infer_events = infer_session.machine().trace().len();
 
+                // The probe: one uniformly scattered 8-vertex query.
+                let mut probe_session = Session::new(&ds, kind, 32, 2, 4, config(gpus, overlap))
+                    .expect("session construction");
+                let probe_vertices =
+                    SeededRng::new(args.seed ^ 0x7072_6f62).sample_indices(n, 8.min(n));
+                probe_session.machine_mut().enable_unbounded_trace();
+                let probe = probe_session.serve(&probe_vertices).expect("probe serve");
+                let probe_events = probe_session.machine().trace().len();
+
                 // Open-loop load: one representative configuration per
                 // (overlap, gpus) cell — GCN — to keep runtime bounded.
                 let load = (kind == ModelKind::Gcn).then(|| {
@@ -206,13 +229,20 @@ fn main() {
 
                 println!(
                     "{model}/{overlap_name}/{gpus} GPUs: serve {:.3} ms vs full {:.3} ms \
-                     ({:.0}%), events {} vs {}, digest {:016x}",
+                     ({:.0}%), events {} vs {}, rows {}/{}, digest {:016x} | probe {:.3} ms, \
+                     {} events, rows {}/{}",
                     served.time * 1e3,
                     infer.time * 1e3,
                     100.0 * served.time / infer.time,
                     serve_events,
                     infer_events,
+                    served.active_rows,
+                    served.total_rows,
                     logits_digest(&served.logits),
+                    probe.time * 1e3,
+                    probe_events,
+                    probe.active_rows,
+                    probe.total_rows,
                 );
                 samples.push(Sample {
                     model,
@@ -225,6 +255,12 @@ fn main() {
                     infer_events,
                     serve_digest: logits_digest(&served.logits),
                     infer_digest: logits_digest(&infer.logits.gather_rows(&vertices)),
+                    serve_rows: (served.active_rows, served.total_rows),
+                    probe_sim_s: probe.time,
+                    probe_events,
+                    probe_rows: (probe.active_rows, probe.total_rows),
+                    probe_digest: logits_digest(&probe.logits),
+                    probe_infer_digest: logits_digest(&infer.logits.gather_rows(&probe_vertices)),
                     load,
                 });
             }
@@ -244,7 +280,9 @@ fn main() {
             "    {{\"model\": \"{}\", \"overlap\": \"{}\", \"gpus\": {}, \"queried\": {}, \
              \"serve_sim_s\": {:.9}, \"infer_sim_s\": {:.9}, \"speedup\": {:.4}, \
              \"serve_events\": {}, \"infer_events\": {}, \
-             \"serve_digest\": \"{:016x}\", \"infer_digest\": \"{:016x}\"",
+             \"serve_digest\": \"{:016x}\", \"infer_digest\": \"{:016x}\", \
+             \"serve_rows\": {}, \"total_rows\": {}, \
+             \"probe_sim_s\": {:.9}, \"probe_events\": {}, \"probe_rows\": {}",
             s.model,
             s.overlap,
             s.gpus,
@@ -256,6 +294,11 @@ fn main() {
             s.infer_events,
             s.serve_digest,
             s.infer_digest,
+            s.serve_rows.0,
+            s.serve_rows.1,
+            s.probe_sim_s,
+            s.probe_events,
+            s.probe_rows.0,
         ));
         if let Some(load) = &s.load {
             let hist: Vec<String> = load
@@ -306,6 +349,32 @@ fn main() {
             eprintln!(
                 "FAIL: {}/{}/{} GPUs: pruned sweep ran {} sim events, full sweep {}",
                 s.model, s.overlap, s.gpus, s.serve_events, s.infer_events
+            );
+            bad = true;
+        }
+        if s.probe_digest != s.probe_infer_digest {
+            eprintln!(
+                "FAIL: {}/{}/{} GPUs: probe digest {:016x} != full-inference digest {:016x}",
+                s.model, s.overlap, s.gpus, s.probe_digest, s.probe_infer_digest
+            );
+            bad = true;
+        }
+        if s.probe_sim_s >= s.infer_sim_s
+            || s.probe_events >= s.infer_events
+            || s.probe_rows.0 >= s.probe_rows.1
+        {
+            eprintln!(
+                "FAIL: {}/{}/{} GPUs: one-query probe sweep ({} s, {} events, {}/{} rows) not \
+                 strictly cheaper than the full sweep ({} s, {} events)",
+                s.model,
+                s.overlap,
+                s.gpus,
+                s.probe_sim_s,
+                s.probe_events,
+                s.probe_rows.0,
+                s.probe_rows.1,
+                s.infer_sim_s,
+                s.infer_events
             );
             bad = true;
         }

@@ -39,8 +39,8 @@ use hongtu_datasets::{load, DatasetKey};
 use hongtu_delta::{toggle_workload, DeltaMix, DynamicGraph};
 use hongtu_nn::ModelKind;
 use hongtu_serving::{
-    poisson_workload, run_mixed_open_loop, run_open_loop, AdmissionControl, Request, UpdateRequest,
-    WorkItem,
+    poisson_workload, run_mixed_open_loop, run_open_loop, AdmissionControl, LoadStats, Request,
+    UpdateRequest, WorkItem,
 };
 use hongtu_tensor::SeededRng;
 use std::sync::Arc;
@@ -153,6 +153,21 @@ fn parse_args() -> Args {
         eprintln!("{msg}");
         usage()
     })
+}
+
+/// What the run's sweeps executed of what full sweeps would have, in
+/// `(layer, batch)` steps and in destination rows.
+fn swept(stats: &LoadStats) -> String {
+    let pct = |(active, total): (usize, usize)| 100.0 * active as f64 / total.max(1) as f64;
+    format!(
+        "swept {}/{} steps ({:.1}%), {}/{} rows ({:.2}%)",
+        stats.steps.0,
+        stats.steps.1,
+        pct(stats.steps),
+        stats.rows.0,
+        stats.rows.1,
+        pct(stats.rows),
+    )
 }
 
 fn main() {
@@ -282,7 +297,7 @@ fn main() {
         println!(
             "served {}/{queries} queries, committed {}/{} updates (rejected {} / {}) \
              | query p50 {:.3} ms p99 {:.3} ms | update p50 {:.3} ms p99 {:.3} ms \
-             | graph epoch {}",
+             | graph epoch {} | {}",
             stats.served,
             stats.updates_committed,
             args.deltas,
@@ -293,6 +308,7 @@ fn main() {
             stats.p50_update_latency * 1e3,
             stats.p99_update_latency * 1e3,
             dg.epoch(),
+            swept(&stats),
         );
         return;
     }
@@ -324,14 +340,15 @@ fn main() {
         };
         println!(
             "served {} / rejected {} ({:.1}% reject) | p50 {:.3} ms | p99 {:.3} ms \
-             | {:.1} q/s | batches {:?}",
+             | {:.1} q/s | batches {:?} | {}",
             stats.served,
             stats.rejected,
             100.0 * stats.reject_rate,
             stats.p50_latency * 1e3,
             stats.p99_latency * 1e3,
             stats.queries_per_sec,
-            stats.batch_hist
+            stats.batch_hist,
+            swept(&stats),
         );
         return;
     }

@@ -31,7 +31,10 @@
 //!   the sweep are installed only at [`CacheRuntime::end_sweep`]. A sweep's
 //!   hit table is therefore a pure function of the plans and the pre-sweep
 //!   state — the executor needs no interior mutability, and a synthesized
-//!   schedule is bitwise the schedule the executor runs.
+//!   schedule is bitwise the schedule the executor runs. A cone-pruned
+//!   sweep hands in the load sets of its own (sliced) layer-0 plans, so
+//!   freezing and installing cost what that sweep loads, not what the
+//!   whole schedule does.
 //!
 //! Every state transition is journaled in a [`CacheLog`] so the verifier's
 //! pass 11 can replay it against independently recomputed load sets
@@ -42,7 +45,12 @@
 use std::fmt;
 
 use hongtu_graph::VertexId;
+use hongtu_partition::cone::ConeOrigin;
 use hongtu_partition::{DedupPlan, GpuBufferPlan, TwoLevelPartition};
+use std::sync::Arc;
+
+/// `S[i][j]`: the sorted vertex set GPU `i` host-loads in batch `j`.
+pub type LoadSets = Vec<Vec<Vec<VertexId>>>;
 
 /// Which host-load schedule the executor follows — mirrors the engine's
 /// communication mode without depending on it (the engine depends on this
@@ -62,15 +70,14 @@ pub enum LoadPattern {
 /// `j`. `bufs` is required for [`LoadPattern::P2pRu`] (the incoming rows
 /// are a property of the in-place buffer plan) and ignored otherwise.
 ///
-/// The engine's pruned-predecessor fallback loads (overlap mode) and
-/// hybrid checkpoint reloads are *not* part of any `S[i][j]`; those sites
-/// bypass the cache by design.
+/// Hybrid checkpoint reloads are *not* part of any `S[i][j]`; that site
+/// bypasses the cache by design.
 pub fn load_sets(
     plan: &TwoLevelPartition,
     dedup: &DedupPlan,
     bufs: Option<&[GpuBufferPlan]>,
     pattern: LoadPattern,
-) -> Vec<Vec<Vec<VertexId>>> {
+) -> LoadSets {
     let (m, n) = (plan.m, plan.n);
     let mut sets = vec![vec![Vec::new(); n]; m];
     match pattern {
@@ -290,12 +297,15 @@ pub struct HitStats {
 /// One journaled cache state transition; pass 11 replays these.
 #[derive(Debug, Clone)]
 pub enum CacheEvent {
-    /// One full (or cone-masked) layer-0 sweep: which batches executed,
-    /// the frozen hit counts charged, and the rows installed at sweep end.
+    /// One full or cone-pruned layer-0 sweep: what it was pruned to, the
+    /// frozen hit counts charged, and the rows installed at sweep end.
     Sweep {
-        /// `executed[j]`: batch `j` ran its layer-0 host load.
-        executed: Vec<bool>,
-        /// `hits[i][j]` as charged (zero for non-executed batches).
+        /// What the sweep's cone was grown from — with the plans, all its
+        /// load sets are a function of, and a few dozen ids where the sets
+        /// can be a large part of the graph — or `None` for a full sweep
+        /// over the plans' own load sets.
+        cone: Option<ConeOrigin>,
+        /// `hits[i][j]` as charged.
         hits: Vec<Vec<usize>>,
         /// Rows newly resident on each GPU, sorted ascending.
         installs: Vec<Vec<VertexId>>,
@@ -321,8 +331,11 @@ pub struct CacheLog {
 #[derive(Debug, Clone)]
 pub struct CacheRuntime {
     plan: CachePlan,
-    /// `S[i][j]`, sorted ascending.
-    sets: Vec<Vec<Vec<VertexId>>>,
+    /// `S[i][j]` of the full load schedule, sorted ascending.
+    sets: Arc<LoadSets>,
+    /// The sweep in flight: its cone's origin (`None` = full) and the
+    /// load sets it froze its hit table against.
+    sweep: Option<(Option<ConeOrigin>, Arc<LoadSets>)>,
     /// `remote[i][v]`: host copy of `v` is NUMA-remote to GPU `i`
     /// (supplied by the engine for vanilla mode only).
     remote: Option<Vec<Vec<bool>>>,
@@ -343,7 +356,7 @@ impl CacheRuntime {
     /// socket map (length `num_vertices` each) or `None`.
     pub fn new(
         plan: CachePlan,
-        sets: Vec<Vec<Vec<VertexId>>>,
+        sets: LoadSets,
         num_vertices: usize,
         remote: Option<Vec<Vec<bool>>>,
     ) -> CacheRuntime {
@@ -356,7 +369,8 @@ impl CacheRuntime {
         }
         CacheRuntime {
             plan,
-            sets,
+            sets: Arc::new(sets),
+            sweep: None,
             remote,
             planned,
             resident: vec![vec![false; num_vertices]; m],
@@ -370,11 +384,21 @@ impl CacheRuntime {
     /// Freezes the hit table for the sweep that is about to run: hits are
     /// counted against the resident set *as of now*, so every charge the
     /// executor emits this sweep is a pure function of pre-sweep state.
-    pub fn begin_sweep(&mut self) {
-        let m = self.sets.len();
-        let n = self.sets.first().map_or(0, Vec::len);
+    ///
+    /// `sliced` is `None` for a full sweep over the load sets the runtime
+    /// was built with, or — for a cone-pruned sweep — what its cone was
+    /// grown from and the load sets of the layer-0 plans sliced to it
+    /// ([`load_sets`] over the sliced plans; a pruned batch's sets are
+    /// empty). The cost is the size of the sets handed in.
+    pub fn begin_sweep(&mut self, sliced: Option<(ConeOrigin, LoadSets)>) {
+        let (cone, sets) = match sliced {
+            None => (None, Arc::clone(&self.sets)),
+            Some((cone, sets)) => (Some(cone), Arc::new(sets)),
+        };
+        let m = sets.len();
+        let n = sets.first().map_or(0, Vec::len);
         let mut table = vec![vec![HitStats::default(); n]; m];
-        for (i, batches) in self.sets.iter().enumerate() {
+        for (i, batches) in sets.iter().enumerate() {
             for (j, s) in batches.iter().enumerate() {
                 let mut st = HitStats::default();
                 for &v in s {
@@ -392,6 +416,7 @@ impl CacheRuntime {
             }
         }
         self.table = table;
+        self.sweep = Some((cone, sets));
     }
 
     /// Frozen stats for GPU `i`, batch `j` (zero outside a sweep).
@@ -403,24 +428,22 @@ impl CacheRuntime {
             .unwrap_or_default()
     }
 
-    /// Commits the sweep: rows loaded by executed batches that the plan
-    /// admits become resident, and the transition is journaled.
-    pub fn end_sweep(&mut self, executed: &[bool]) {
-        let m = self.sets.len();
-        let n = self.sets.first().map_or(0, Vec::len);
+    /// Commits the sweep begun by [`CacheRuntime::begin_sweep`]: the rows
+    /// its load sets loaded that the plan admits become resident, and the
+    /// transition is journaled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no sweep is in flight.
+    pub fn end_sweep(&mut self) {
+        let (cone, sets) = self.sweep.take().expect("end_sweep without begin_sweep");
+        let m = sets.len();
+        let n = sets.first().map_or(0, Vec::len);
         let mut installs = vec![Vec::new(); m];
         let mut hits = vec![vec![0usize; n]; m];
-        for (i, batches) in self.sets.iter().enumerate() {
+        for (i, batches) in sets.iter().enumerate() {
             for (j, s) in batches.iter().enumerate() {
-                if !executed.get(j).copied().unwrap_or(false) {
-                    continue;
-                }
-                let st = self
-                    .table
-                    .get(i)
-                    .and_then(|r| r.get(j))
-                    .copied()
-                    .unwrap_or_default();
+                let st = self.table[i][j];
                 hits[i][j] = st.hits;
                 self.total_hit_rows += st.hits;
                 self.total_load_rows += s.len();
@@ -438,7 +461,7 @@ impl CacheRuntime {
         }
         self.table = Vec::new();
         self.log.events.push(CacheEvent::Sweep {
-            executed: executed.to_vec(),
+            cone,
             hits,
             installs,
         });
@@ -549,18 +572,18 @@ mod tests {
         let plan = CachePlan::build(&sets, &degrees(), &[64, 64], 8, &FrequencyRanked);
         let mut rt = CacheRuntime::new(plan, sets, 10, None);
 
-        rt.begin_sweep();
+        rt.begin_sweep(None);
         assert_eq!(rt.stats(0, 0).hits, 0); // nothing resident yet
         assert!(rt.stats(0, 0).installs > 0);
-        rt.end_sweep(&[true, true]);
+        rt.end_sweep();
         assert_eq!(rt.total_hits(), 0);
         assert_eq!(rt.resident_rows(0), 3); // {1,5,9} all fit
 
-        rt.begin_sweep();
+        rt.begin_sweep(None);
         assert_eq!(rt.stats(0, 0).hits, 2); // {1,5}
         assert_eq!(rt.stats(0, 1).hits, 2); // {5,9}
         assert_eq!(rt.stats(0, 0).installs, 0);
-        rt.end_sweep(&[true, true]);
+        rt.end_sweep();
         assert!(rt.total_hits() > 0);
         assert!(rt.hit_rate() > 0.0);
         assert_eq!(rt.log().events.len(), 2);
@@ -571,16 +594,37 @@ mod tests {
         let sets = toy_sets();
         let plan = CachePlan::build(&sets, &degrees(), &[64, 64], 8, &FrequencyRanked);
         let mut rt = CacheRuntime::new(plan, sets, 10, None);
-        rt.begin_sweep();
-        rt.end_sweep(&[true, false]); // batch 1 skipped
+        // A cone that prunes batch 1 and keeps one row of chunk (0, 0): its
+        // sliced plans load {1, 5} on GPU 0 and nothing anywhere else.
+        let cone = ConeOrigin {
+            dir: hongtu_partition::cone::ConeDir::Downward,
+            layers: 1,
+            seeds: vec![4],
+        };
+        let sliced = vec![vec![vec![1, 5], vec![]], vec![vec![], vec![]]];
+        rt.begin_sweep(Some((cone.clone(), sliced)));
+        assert_eq!(rt.stats(0, 1), HitStats::default());
+        rt.end_sweep();
         assert_eq!(rt.resident_rows(0), 2); // {1,5}; 9 never loaded
+        assert_eq!(rt.resident_rows(1), 0);
+        assert_eq!(rt.total_loads(), 2);
         match &rt.log().events[0] {
-            CacheEvent::Sweep { hits, installs, .. } => {
-                assert_eq!(hits[0][1], 0); // non-executed batch charges nothing
+            CacheEvent::Sweep {
+                cone: journaled,
+                hits,
+                installs,
+            } => {
+                assert_eq!(journaled.as_ref(), Some(&cone));
+                assert_eq!(hits[0][1], 0); // a pruned batch charges nothing
                 assert_eq!(installs[0], vec![1, 5]);
             }
             other => panic!("expected sweep event, got {other:?}"),
         }
+        // The next full sweep hits what the slice installed.
+        rt.begin_sweep(None);
+        assert_eq!(rt.stats(0, 0).hits, 2);
+        assert_eq!(rt.stats(0, 1).hits, 1); // {5}
+        rt.end_sweep();
     }
 
     #[test]
@@ -588,8 +632,8 @@ mod tests {
         let sets = toy_sets();
         let plan = CachePlan::build(&sets, &degrees(), &[64, 64], 8, &FrequencyRanked);
         let mut rt = CacheRuntime::new(plan, sets, 10, None);
-        rt.begin_sweep();
-        rt.end_sweep(&[true, true]);
+        rt.begin_sweep(None);
+        rt.end_sweep();
         assert_eq!(rt.resident_rows(0), 3);
 
         rt.invalidate(&[5, 8]);
@@ -600,10 +644,10 @@ mod tests {
         }
 
         // The dropped row misses (and reinstalls) on the next sweep.
-        rt.begin_sweep();
+        rt.begin_sweep(None);
         assert_eq!(rt.stats(0, 0).hits, 1); // only {1}
         assert_eq!(rt.stats(0, 0).installs, 1); // 5 comes back
-        rt.end_sweep(&[true, true]);
+        rt.end_sweep();
         assert_eq!(rt.resident_rows(0), 3);
     }
 
@@ -614,11 +658,11 @@ mod tests {
         let mut remote = vec![vec![false; 10]; 2];
         remote[0][5] = true;
         let mut rt = CacheRuntime::new(plan, sets, 10, Some(remote));
-        rt.begin_sweep();
-        rt.end_sweep(&[true, true]);
-        rt.begin_sweep();
+        rt.begin_sweep(None);
+        rt.end_sweep();
+        rt.begin_sweep(None);
         assert_eq!(rt.stats(0, 0).hits, 2);
         assert_eq!(rt.stats(0, 0).remote_hits, 1); // vertex 5 is NUMA-remote
-        rt.end_sweep(&[true, true]);
+        rt.end_sweep();
     }
 }

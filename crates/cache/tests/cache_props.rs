@@ -53,10 +53,9 @@ proptest! {
             }
             // Residency can never exceed the admitted plan.
             let mut rt = CacheRuntime::new(plan.clone(), sets.clone(), 200, None);
-            let n = sets[0].len();
             for _ in 0..3 {
-                rt.begin_sweep();
-                rt.end_sweep(&vec![true; n]);
+                rt.begin_sweep(None);
+                rt.end_sweep();
             }
             for (i, g) in plan.per_gpu.iter().enumerate() {
                 prop_assert!(rt.resident_rows(i) <= g.vertices.len());

@@ -38,13 +38,14 @@
 //! order.
 
 use crate::buffers::GpuBufferPlan;
+use crate::cone::{self, ConeDir, VertexIndex};
 use crate::cost::CommVolumes;
 use crate::dedup::DedupPlan;
 use crate::exec::{self, Env, F32};
 use crate::footprint;
 use crate::numerics::{Live, Shapes};
 use crate::reorg::reorganize_guarded_cached;
-use crate::serve::{ServeMask, ServeReport};
+use crate::serve::{Cone, ServeMask, ServeReport};
 use hongtu_cache::{load_sets, CachePlan, CachePolicy, CacheRuntime, LoadPattern, Off as CacheOff};
 use hongtu_datasets::Dataset;
 use hongtu_delta::{DynamicGraph, StagedCommit};
@@ -55,8 +56,8 @@ use hongtu_sim::{Machine, MachineConfig, SimError, TimeBuckets, Trace};
 pub use hongtu_stream::OverlapMode;
 use hongtu_stream::StagingPlan;
 use hongtu_tensor::{Adam, Matrix, SeededRng};
+use hongtu_verify::Report;
 pub use hongtu_verify::ValidationLevel;
-use hongtu_verify::{ConeDir, Report};
 use std::sync::Arc;
 
 /// Which duplicated-neighbor optimizations are active (§7.3 ablation).
@@ -69,6 +70,26 @@ pub enum CommMode {
     P2p,
     /// Inter-GPU deduplication and intra-GPU reuse (`+RU`, full HongTu).
     P2pRu,
+}
+
+impl CommMode {
+    /// The host-load schedule this mode follows, as the cache sees it.
+    pub(crate) fn load_pattern(self) -> LoadPattern {
+        match self {
+            CommMode::Vanilla => LoadPattern::Vanilla,
+            CommMode::P2p => LoadPattern::P2p,
+            CommMode::P2pRu => LoadPattern::P2pRu,
+        }
+    }
+
+    /// This mode, as the dataflow pass names it.
+    fn kind(self) -> hongtu_verify::CommKind {
+        match self {
+            CommMode::Vanilla => hongtu_verify::CommKind::Vanilla,
+            CommMode::P2p => hongtu_verify::CommKind::P2p,
+            CommMode::P2pRu => hongtu_verify::CommKind::P2pRu,
+        }
+    }
 }
 
 /// Intermediate-data management strategy (§4.2).
@@ -479,7 +500,7 @@ fn derive_plans(
 /// loads host→GPU, rows fetched from each remote GPU, rows reused in
 /// place, and the resident buffer capacity. `None` in every other comm
 /// mode.
-fn build_buffer_comm(
+pub(crate) fn build_buffer_comm(
     plan: &TwoLevelPartition,
     bufplans: Option<&[GpuBufferPlan]>,
     comm: CommMode,
@@ -578,10 +599,15 @@ pub struct DeltaReport {
     pub peak_gpu_bytes: usize,
     /// High-water host memory in bytes.
     pub peak_host_bytes: usize,
-    /// `(layer, batch)` steps the replay executed.
+    /// `(layer, batch)` steps the replay executed: a step runs iff some
+    /// GPU's slice of it is non-empty.
     pub active_steps: usize,
     /// `(layer, batch)` steps a full sweep would have executed.
     pub total_steps: usize,
+    /// Destination rows the replay recomputed, summed over layers.
+    pub active_rows: usize,
+    /// Destination rows a full sweep would have computed (`L × |V|`).
+    pub total_rows: usize,
     /// Dirty `h^1` seed vertices the batch invalidated.
     pub dirty_vertices: usize,
     /// Chunk subgraphs rebuilt against the mutated topology.
@@ -687,9 +713,13 @@ pub struct Session {
     preprocessing: Preprocessing,
     epochs_run: usize,
     /// Installed for the duration of a [`Session::serve`] or
-    /// [`Session::apply_staged`] sweep: the per-(layer, batch) activity
-    /// mask the sweep is pruned by. `None` on full-graph epochs.
-    serve_mask: Option<ServeMask>,
+    /// [`Session::apply_staged`] sweep: the cone whose sliced plans the
+    /// sweep runs over. `None` on full-graph epochs.
+    cone: Option<Cone>,
+    /// Vertex → owning `(partition, chunk, row)`, 12 B per vertex: what
+    /// the cone recurrences walk in-edges through. Chunk *membership* is
+    /// fixed for the session's lifetime, so it is built once.
+    index: VertexIndex,
 }
 
 impl Session {
@@ -838,6 +868,7 @@ impl Session {
             p.install(&mut machine)?;
         }
 
+        let index = VertexIndex::new(&plan);
         let mut session = Session {
             config,
             machine,
@@ -855,7 +886,8 @@ impl Session {
             agg_cache,
             preprocessing,
             epochs_run: 0,
-            serve_mask: None,
+            cone: None,
+            index,
         };
 
         // ---- hot-vertex feature cache: spend the per-GPU HBM headroom
@@ -954,7 +986,8 @@ impl Session {
             .collect();
         let slot = self.model.layer(0).in_dim() * F32;
         let bufs = self.ru_buffer_plans();
-        let sets = load_sets(&self.plan, &self.dedup, bufs, self.load_pattern());
+        let pattern = self.config.comm.load_pattern();
+        let sets = load_sets(&self.plan, &self.dedup, bufs, pattern);
         let plan = CachePlan::build(&sets, degrees, &headroom, slot, self.config.cache.as_ref());
         if plan.is_empty() {
             return Ok(());
@@ -1007,16 +1040,6 @@ impl Session {
         })
     }
 
-    /// The [`hongtu_cache::LoadPattern`] matching this session's
-    /// communication mode.
-    fn load_pattern(&self) -> LoadPattern {
-        match self.config.comm {
-            CommMode::Vanilla => LoadPattern::Vanilla,
-            CommMode::P2p => LoadPattern::P2p,
-            CommMode::P2pRu => LoadPattern::P2pRu,
-        }
-    }
-
     /// Certifies the hot-vertex cache journal (verifier pass 11,
     /// `H10xx`): replays every sweep and invalidation the runtime
     /// journaled against load sets and headroom recomputed
@@ -1040,7 +1063,7 @@ impl Session {
             &self.plan,
             &self.dedup,
             bufs,
-            self.load_pattern(),
+            self.config.comm.load_pattern(),
             cache.plan(),
             &headroom,
             cache.log(),
@@ -1049,7 +1072,7 @@ impl Session {
 
     /// Symbolically synthesizes the annotated event schedule this
     /// session's next sweep would execute — a full epoch of its
-    /// [`Mode`], or the forward sweep pruned by `mask` — from the plans
+    /// [`Mode`], or the forward sweep sliced to `cone` — from the plans
     /// and configuration alone: the epoch driver runs over the session's
     /// own plans with the shapes-only numerics ([`Shapes`]), against a
     /// copy of the machine and of the cache runtime (the only two things
@@ -1057,15 +1080,12 @@ impl Session {
     /// stream assignment, barrier and access annotation is emitted
     /// exactly as a real sweep would emit it — simulated timestamps
     /// included — without computing a single FLOP of GNN math.
-    fn synthesize(&self, mask: Option<ServeMask>) -> Result<Trace, SimError> {
+    fn synthesize(&self, cone: Option<&Cone>) -> Result<Trace, SimError> {
         let mut machine = self.machine.clone();
         machine.replace_trace(Trace::unbounded());
         let mut cache = self.cache.clone();
-        let env = Env {
-            mask: mask.as_ref(),
-            ..self.env()
-        };
-        if mask.is_some() || self.config.mode == Mode::Infer {
+        let env = Env { cone, ..self.env() };
+        if cone.is_some() || self.config.mode == Mode::Infer {
             exec::infer_epoch(env, &mut machine, cache.as_mut(), &mut Shapes)?;
         } else {
             exec::train_epoch(env, &mut machine, cache.as_mut(), &mut Shapes)?;
@@ -1078,26 +1098,32 @@ impl Session {
     /// synthesized DAG), pass 7 (resource lifetime/liveness, L6xx), when
     /// `explore` carries a linearization budget pass 8 (bounded
     /// exhaustive interleaving exploration, X7xx), and pass 9 (dataflow
-    /// conservation against the plans, F8xx). A `cone` mask is first held
-    /// to its closure property (pass 10, C9xx). Skipped batches emit no
-    /// `Aggregate` events, so the unmodified plan-derived
-    /// [`hongtu_verify::DataflowSpec`] certifies exactly the batches a
-    /// pruned sweep runs.
+    /// conservation against the plans, F8xx). A `cone` is first held to
+    /// its closure property, on the step grid and row for row (pass 10,
+    /// C9xx), and its sweep's dataflow is balanced layer by layer against
+    /// specs derived from the plans that layer runs over — the same
+    /// [`hongtu_verify::DataflowSpec::from_plans`], over the slices.
     fn certify(
         &self,
-        cone: Option<(ServeMask, ConeDir)>,
+        cone: Option<(Cone, ConeDir)>,
         explore: Option<usize>,
     ) -> Result<Report, SimError> {
         let mut report = Report::default();
-        let mask = cone.map(|(mask, dir)| {
+        let cone = cone.map(|(cone, dir)| {
+            let mask = cone.mask();
             report.merge(hongtu_verify::verify_cone(mask.grid(), dir));
-            mask
+            report.merge(hongtu_verify::verify_cone_rows(
+                &self.plan,
+                mask.rows(),
+                dir,
+            ));
+            cone
         });
-        let trace = self.synthesize(mask)?;
+        let trace = self.synthesize(cone.as_ref())?;
         report.merge(hongtu_verify::verify_schedule(&trace, explore));
-        report.merge(hongtu_verify::verify_dataflow(
+        report.merge(hongtu_verify::verify_dataflow_layers(
             &trace,
-            &self.dataflow_spec(),
+            &self.dataflow_specs(cone.as_ref()),
         ));
         Ok(report)
     }
@@ -1126,16 +1152,16 @@ impl Session {
     /// independently from the partition/dedup/buffer plans.
     pub fn certify_dataflow(&self) -> Result<Report, SimError> {
         let trace = self.synthesize(None)?;
-        Ok(hongtu_verify::verify_dataflow(
+        Ok(hongtu_verify::verify_dataflow_layers(
             &trace,
-            &self.dataflow_spec(),
+            &self.dataflow_specs(None),
         ))
     }
 
     /// The pruned sweep a [`Session::serve`] call for `vertices` would
     /// execute.
     pub fn synthesize_serve_schedule(&self, vertices: &[usize]) -> Result<Trace, SimError> {
-        self.synthesize(Some(self.query_mask(vertices)))
+        self.synthesize(Some(&self.query_cone(vertices)?))
     }
 
     /// Statically certifies the pruned serving sweep for `vertices`:
@@ -1147,7 +1173,7 @@ impl Session {
         explore: Option<usize>,
     ) -> Result<Report, SimError> {
         self.certify(
-            Some((self.query_mask(vertices), ConeDir::Downward)),
+            Some((self.query_cone(vertices)?, ConeDir::Downward)),
             explore,
         )
     }
@@ -1157,7 +1183,7 @@ impl Session {
     /// *current* plans. Call it after the apply (on the rebuilt plans) to
     /// certify the replay that just ran.
     pub fn synthesize_delta_schedule(&self, dirty: &[usize]) -> Result<Trace, SimError> {
-        self.synthesize(Some(self.dirty_mask(dirty)))
+        self.synthesize(Some(&self.dirty_cone(dirty)))
     }
 
     /// Statically certifies the incremental repair sweep for `dirty`
@@ -1168,30 +1194,59 @@ impl Session {
         dirty: &[usize],
         explore: Option<usize>,
     ) -> Result<Report, SimError> {
-        self.certify(Some((self.dirty_mask(dirty), ConeDir::Upward)), explore)
+        self.certify(Some((self.dirty_cone(dirty), ConeDir::Upward)), explore)
     }
 
-    fn query_mask(&self, vertices: &[usize]) -> ServeMask {
-        ServeMask::from_queries(&self.plan, self.model.num_layers(), vertices)
+    /// The exact dependency cone of a query for `vertices` — the rows each
+    /// layer must compute for their logits ([`ServeMask::from_queries`],
+    /// over the session's own vertex index) — with this session's plans
+    /// sliced to it. Derive it once, price it with [`Session::cone_cost`],
+    /// run it with [`Session::serve_cone`].
+    ///
+    /// An empty `vertices` or an id the graph does not have is
+    /// [`SimError::InvalidQuery`].
+    pub fn query_cone(&self, vertices: &[usize]) -> Result<Cone, SimError> {
+        cone::check_seeds("query", self.index.len(), vertices)
+            .map_err(|message| SimError::InvalidQuery { message })?;
+        Ok(self.grow_cone(ConeDir::Downward, vertices))
     }
 
-    fn dirty_mask(&self, dirty: &[usize]) -> ServeMask {
-        ServeMask::from_dirty(&self.plan, self.model.num_layers(), dirty)
+    /// The replay cone of the `dirty` seeds over the session's current
+    /// plans.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dirty` is empty or names a vertex out of range.
+    fn dirty_cone(&self, dirty: &[usize]) -> Cone {
+        self.grow_cone(ConeDir::Upward, dirty)
     }
 
-    /// The expected-flow table pass 9 certifies against.
-    fn dataflow_spec(&self) -> hongtu_verify::DataflowSpec {
-        let comm = match self.config.comm {
-            CommMode::Vanilla => hongtu_verify::CommKind::Vanilla,
-            CommMode::P2p => hongtu_verify::CommKind::P2p,
-            CommMode::P2pRu => hongtu_verify::CommKind::P2pRu,
+    fn grow_cone(&self, dir: ConeDir, seeds: &[usize]) -> Cone {
+        let layers = self.model.num_layers();
+        self.plan_cone(ServeMask::grow(&self.plan, &self.index, dir, layers, seeds))
+    }
+
+    /// Slices this session's plans to `mask`, which must have been
+    /// computed over this session's partition ([`Session::plans`]).
+    pub fn plan_cone(&self, mask: ServeMask) -> Cone {
+        Cone::new(&self.plan, mask, self.config.comm)
+    }
+
+    /// The expected-flow tables pass 9 certifies against: one, from the
+    /// session's plans, for every layer of a full sweep; one per layer,
+    /// from that layer's slice of them, under a cone.
+    fn dataflow_specs(&self, cone: Option<&Cone>) -> Vec<hongtu_verify::DataflowSpec> {
+        let spec = |plan, dedup, bufplans| {
+            hongtu_verify::DataflowSpec::from_plans(plan, dedup, bufplans, self.config.comm.kind())
         };
-        hongtu_verify::DataflowSpec::from_plans(
-            &self.plan,
-            &self.dedup,
-            self.ru_buffer_plans(),
-            comm,
-        )
+        match cone {
+            None => vec![spec(&self.plan, &self.dedup, self.ru_buffer_plans())],
+            Some(cone) => cone
+                .layers
+                .iter()
+                .map(|layer| spec(&layer.plan, &layer.dedup, layer.bufplans.as_deref()))
+                .collect(),
+        }
     }
 
     /// Whether this session is small enough for the exhaustive
@@ -1258,7 +1313,7 @@ impl Session {
     /// ([`StagingPlan::slot_budget`]) — taken from the pinned plans when
     /// overlap is on, folded from the same per-step footprint on demand
     /// otherwise. A full-graph sweep's worst batch fits this by
-    /// construction, so any cone (a subset of the full sweep's batches)
+    /// construction, so any cone (slices of the full sweep's batches)
     /// admitted against it fits too.
     pub fn staging_budget(&self) -> Vec<usize> {
         if let Some(plans) = &self.staging {
@@ -1270,18 +1325,27 @@ impl Session {
             .collect()
     }
 
-    /// Per-GPU staging cost of a serving cone: the worst forward
-    /// footprint over the `(layer, batch)` steps `mask` keeps active — the
-    /// same fold as the staging plans, over fewer steps. Admission
-    /// control compares this against [`Session::staging_budget`].
-    pub fn serve_cone_cost(&self, mask: &ServeMask) -> Vec<usize> {
+    /// Per-GPU staging cost of a cone: the worst forward footprint over
+    /// the `(layer, batch)` steps it keeps active, each sized by its own
+    /// slice — the same fold as the staging plans, over fewer and smaller
+    /// steps. Admission control compares this against
+    /// [`Session::staging_budget`].
+    pub fn cone_cost(&self, cone: &Cone) -> Vec<usize> {
         let env = Env {
-            mask: Some(mask),
+            cone: Some(cone),
             ..self.env()
         };
         (0..self.plan.m)
             .map(|gpu| footprint::worst(&env, gpu, footprint::Footprint::forward))
             .collect()
+    }
+
+    /// [`Session::cone_cost`] of the cone `mask` slices out of this
+    /// session's plans ([`Session::plan_cone`]) — for callers that hold
+    /// only a mask; one that goes on to run the sweep derives the cone
+    /// once and prices that.
+    pub fn serve_cone_cost(&self, mask: &ServeMask) -> Vec<usize> {
+        self.cone_cost(&self.plan_cone(mask.clone()))
     }
 
     /// Runs `inner` under the session's validation policy. Under
@@ -1384,42 +1448,58 @@ impl Session {
     }
 
     /// Serves exact logits for a subset of vertices: one forward sweep
-    /// pruned to the union of the queried vertices' ≤ L-hop dependency
-    /// cones ([`ServeMask`]), run as — and, under
+    /// over plans sliced to the queried vertices' exact ≤ L-hop
+    /// dependency cone ([`Session::query_cone`]), run as — and, under
     /// [`ValidationLevel::Paranoid`], certified like — a
     /// [`Session::infer_epoch`]. The returned logits rows follow the
     /// query order and are bitwise equal to the same rows of a full
-    /// inference epoch.
+    /// inference epoch: every layer kernel is row-independent and reduces
+    /// each row over its in-edges in their stored order, which slicing
+    /// keeps.
     ///
     /// Admission control lives above this call (`hongtu-serving`): a
-    /// cone whose worst active batch exceeds
+    /// cone whose worst active step exceeds
     /// [`Session::staging_budget`] should be rejected there instead of
     /// running; `serve` itself executes whatever cone it is given.
     ///
+    /// An empty `vertices` or an id the graph does not have is
+    /// [`SimError::InvalidQuery`]; nothing runs.
+    pub fn serve(&mut self, vertices: &[usize]) -> Result<ServeReport, SimError> {
+        let cone = self.query_cone(vertices)?;
+        self.serve_cone(vertices, cone)
+    }
+
+    /// [`Session::serve`] over a cone the caller already derived for
+    /// exactly these `vertices` ([`Session::query_cone`]) — admission
+    /// control prices a candidate's cone before running it, and a cone is
+    /// worth deriving once.
+    ///
     /// # Panics
     ///
-    /// Panics if `vertices` is empty or contains an out-of-range id.
-    pub fn serve(&mut self, vertices: &[usize]) -> Result<ServeReport, SimError> {
-        let mask = self.query_mask(vertices);
-        let (active_steps, total_steps) = (mask.active_steps(), mask.total_steps());
-        let report = self.masked_sweep(mask)?;
+    /// Panics if a vertex is out of range (the cone's derivation checked
+    /// the ids it was given).
+    pub fn serve_cone(&mut self, vertices: &[usize], cone: Cone) -> Result<ServeReport, SimError> {
+        let (report, mask) = self.masked_sweep(cone)?;
         Ok(ServeReport {
             logits: self.logits().gather_rows(vertices),
             time: report.time,
             buckets: report.buckets,
             peak_gpu_bytes: report.peak_gpu_bytes,
             peak_host_bytes: report.peak_host_bytes,
-            active_steps,
-            total_steps,
+            active_steps: mask.active_steps(),
+            total_steps: mask.total_steps(),
+            active_rows: mask.active_rows(),
+            total_rows: mask.total_rows(),
         })
     }
 
-    /// One certified forward sweep pruned by `mask`.
-    fn masked_sweep(&mut self, mask: ServeMask) -> Result<SweepStats, SimError> {
-        self.serve_mask = Some(mask);
+    /// One certified forward sweep over `cone`'s sliced plans; hands the
+    /// cone's mask back for the report.
+    fn masked_sweep(&mut self, cone: Cone) -> Result<(SweepStats, ServeMask), SimError> {
+        self.cone = Some(cone);
         let result = self.epoch_certified(Self::infer_epoch_inner);
-        self.serve_mask = None;
-        result
+        let cone = self.cone.take().expect("installed above");
+        Ok((result?, cone.into_mask()))
     }
 
     /// Commits one staged batch of graph mutations
@@ -1429,17 +1509,18 @@ impl Session {
     /// membership is kept fixed, so untouched chunks stay bitwise
     /// identical), re-derives the downstream dedup/buffer/staging/cache
     /// plans when the topology moved, FIFO-commits the batch, patches the
-    /// mutated feature rows into `h^0`, and replays only the
-    /// *upward-closed* affected cone ([`ServeMask::from_dirty`]) as — and,
+    /// mutated feature rows into `h^0`, and replays only the rows of the
+    /// exact affected cone ([`ServeMask::from_dirty`]) as — and,
     /// under [`ValidationLevel::Paranoid`], certified like — a
     /// [`Session::infer_epoch`].
     ///
     /// The returned logits are bitwise equal to a from-scratch
-    /// inference epoch on the mutated graph: every row a replayed chunk
+    /// inference epoch on the mutated graph: every row a replayed slice
     /// reads at layer `l` is either bitwise-unchanged in `h^l` (its
     /// in-edge lists, weights, and transitive inputs are untouched) or
-    /// was recomputed at layer `l − 1` (upward closure keeps dirty rows
-    /// covered a layer below). That induction assumes the layer stores
+    /// was recomputed at layer `l − 1` (`R[l] ⊇ R[l − 1]` keeps dirty rows
+    /// covered a layer below, and every row reading a rewritten one is in
+    /// `R[l]`). That induction assumes the layer stores
     /// are *current* — run [`Session::infer_epoch`] once after
     /// construction before the first apply (construction zero-fills
     /// `h^{l>0}`).
@@ -1448,7 +1529,9 @@ impl Session {
     /// batch is decided before anything is installed: a batch staged
     /// against another epoch of `dg` is [`SimError::StaleCommit`]; a
     /// rebuilt plan or replay cone the verifier rejects is
-    /// [`SimError::InvalidPlan`]; re-pinned staging that does not fit the
+    /// [`SimError::InvalidPlan`]; a replay cone over the caller's budget
+    /// ([`Session::apply_staged_within`]) is [`SimError::OverBudget`];
+    /// re-pinned staging that does not fit the
     /// device — judged with the old staging and the old hot-vertex cache
     /// released, since both are re-derived — is
     /// [`SimError::OutOfMemory`]. Each leaves the session, its plans, its
@@ -1461,6 +1544,29 @@ impl Session {
         &mut self,
         dg: &mut DynamicGraph,
         staged: StagedCommit,
+    ) -> Result<DeltaReport, SimError> {
+        self.commit(dg, staged, None)
+    }
+
+    /// [`Session::apply_staged`] under an admission budget: the replay
+    /// cone — derived once, over the plans the commit rebuilds — is
+    /// priced like a query cone ([`Session::cone_cost`]) and the batch is
+    /// refused with [`SimError::OverBudget`] if it exceeds `budget` on any
+    /// GPU, as transactionally as every other refusal.
+    pub fn apply_staged_within(
+        &mut self,
+        dg: &mut DynamicGraph,
+        staged: StagedCommit,
+        budget: &[usize],
+    ) -> Result<DeltaReport, SimError> {
+        self.commit(dg, staged, Some(budget))
+    }
+
+    fn commit(
+        &mut self,
+        dg: &mut DynamicGraph,
+        staged: StagedCommit,
+        budget: Option<&[usize]>,
     ) -> Result<DeltaReport, SimError> {
         assert_eq!(
             dg.num_vertices(),
@@ -1501,7 +1607,7 @@ impl Session {
             }
         }
         let rebuilt = replaced.len();
-        let (derived, mask) = match self.prepare_commit(&staged) {
+        let (derived, cone) = match self.prepare_commit(&staged, budget) {
             Ok(prepared) => prepared,
             Err(e) => {
                 for old in replaced {
@@ -1554,8 +1660,7 @@ impl Session {
             c.invalidate(&dirty_ids);
         }
 
-        let (active_steps, total_steps) = (mask.active_steps(), mask.total_steps());
-        let report = self.masked_sweep(mask)?;
+        let (report, mask) = self.masked_sweep(cone)?;
         Ok(DeltaReport {
             epoch: receipt.epoch,
             logits: self.logits().clone(),
@@ -1563,8 +1668,10 @@ impl Session {
             buckets: report.buckets,
             peak_gpu_bytes: report.peak_gpu_bytes,
             peak_host_bytes: report.peak_host_bytes,
-            active_steps,
-            total_steps,
+            active_steps: mask.active_steps(),
+            total_steps: mask.total_steps(),
+            active_rows: mask.active_rows(),
+            total_rows: mask.total_rows(),
             dirty_vertices: dirty.len(),
             rebuilt_chunks: rebuilt,
         })
@@ -1574,11 +1681,12 @@ impl Session {
     /// beside the live state with `self.plan` already holding the
     /// rebuilt chunks: the downstream plans (structural batches only),
     /// whether their staging fits the device, and the verified replay
-    /// cone. Mutates nothing.
+    /// cone, held to `budget` when there is one. Mutates nothing.
     fn prepare_commit(
         &self,
         staged: &StagedCommit,
-    ) -> Result<(Option<DerivedPlans>, ServeMask), SimError> {
+        budget: Option<&[usize]>,
+    ) -> Result<(Option<DerivedPlans>, Cone), SimError> {
         let derived = if staged.structural().is_empty() {
             None
         } else {
@@ -1602,14 +1710,23 @@ impl Session {
             }
             Some(derived)
         };
-        let mask = self.dirty_mask(staged.dirty());
+        let cone = self.dirty_cone(staged.dirty());
         if self.config.validation != ValidationLevel::Off {
-            let report = hongtu_verify::verify_cone(mask.grid(), ConeDir::Upward);
+            let report = hongtu_verify::verify_cone(cone.mask().grid(), ConeDir::Upward);
             if !report.is_ok() {
                 return Err(invalid_plan(&report));
             }
         }
-        Ok((derived, mask))
+        if let Some(budget) = budget {
+            let cost = self.cone_cost(&cone);
+            if cost.iter().zip(budget).any(|(cost, budget)| cost > budget) {
+                return Err(SimError::OverBudget {
+                    cone_bytes: cost,
+                    budget_bytes: budget.to_vec(),
+                });
+            }
+        }
+        Ok((derived, cone))
     }
 
     /// Splits the session into what an epoch driver takes: the sweep
@@ -1617,7 +1734,7 @@ impl Session {
     /// over the host stores.
     fn parts(&mut self) -> (Env<'_>, &mut Machine, Option<&mut CacheRuntime>, Live<'_>) {
         let env = Env {
-            mask: self.serve_mask.as_ref(),
+            cone: self.cone.as_ref(),
             ..Env::new(
                 &self.config,
                 &self.plan,

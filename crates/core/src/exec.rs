@@ -38,10 +38,10 @@ use crate::dedup::DedupPlan;
 use crate::engine::{
     BatchComm, CommMode, EpochReport, ExecutionMode, HongTuConfig, MemoryStrategy, Mode,
 };
-use crate::footprint::footprint;
+use crate::footprint::{footprint, topology_upload_bytes};
 use crate::numerics::Numerics;
-use crate::serve::ServeMask;
-use hongtu_cache::{CacheRuntime, HitStats};
+use crate::serve::Cone;
+use hongtu_cache::{load_sets, CacheRuntime, HitStats};
 use hongtu_nn::{GnnModel, LayerForward, LayerGrads};
 use hongtu_partition::TwoLevelPartition;
 use hongtu_sim::{
@@ -122,6 +122,12 @@ pub(crate) enum Dir {
 /// Everything a sweep reads and never writes: configuration, plans, the
 /// model replica (for its shapes and FLOP counts), and the per-sweep
 /// switches.
+///
+/// `plan`, `dedup` and `buffer_comm` are the plans of *one layer's*
+/// sweep. A full sweep runs every layer over the session's own; a masked
+/// one runs layer `l` over the cone's plans sliced for that layer, which
+/// [`Env::at`] swaps in — everything below the layer driver then reads
+/// the three fields as it always did.
 #[derive(Clone, Copy)]
 pub(crate) struct Env<'a> {
     pub config: &'a HongTuConfig,
@@ -133,9 +139,11 @@ pub(crate) struct Env<'a> {
     /// *training* epoch under `MemoryStrategy::Hybrid`. Inference epochs
     /// never store (or reload) checkpoints, whatever the strategy.
     pub checkpoint: bool,
-    /// Serving / delta-replay mask: `(layer, batch)` steps outside it are
-    /// skipped (all GPUs of a batch skip together). `None` = full sweep.
-    pub mask: Option<&'a ServeMask>,
+    /// Serving / delta-replay cone: its sliced plans replace the session's
+    /// layer by layer, and `(layer, batch)` steps whose slices are all
+    /// empty are skipped (all GPUs of a batch skip together). `None` =
+    /// full sweep.
+    pub cone: Option<&'a Cone>,
     /// Hot-vertex feature-cache runtime, its hit table frozen for the
     /// sweep in flight.
     pub cache: Option<&'a CacheRuntime>,
@@ -159,47 +167,48 @@ impl<'a> Env<'a> {
             buffer_comm,
             model,
             checkpoint: config.mode == Mode::Train && config.memory == MemoryStrategy::Hybrid,
-            mask: None,
+            cone: None,
             cache: None,
         }
     }
 
-    /// Whether the mask prunes batch `j` at layer `l`.
-    pub(crate) fn pruned(&self, l: usize, j: usize) -> bool {
-        self.mask.is_some_and(|m| !m.active(l, j))
-    }
-
-    /// Neighbor rows the chunks of layer `l`'s unpruned batches read between
-    /// them, a row counted once per chunk that reads it.
-    fn neighbor_rows_read(&self, l: usize) -> usize {
-        self.plan
-            .chunks
-            .iter()
-            .flat_map(|gpu| gpu.iter().enumerate())
-            .filter(|&(j, _)| !self.pruned(l, j))
-            .map(|(_, chunk)| chunk.num_neighbors())
-            .sum()
-    }
-
-    /// Whether batch `j`'s in-place ℕ^gpu reuse at layer `l` has a live
-    /// predecessor: the rows are deposited by batch `j - 1`, so under a
-    /// mask they are only resident if `j - 1` ran at this layer.
-    fn reuse_source_live(&self, l: usize, j: usize) -> bool {
-        match self.mask {
-            None => true,
-            Some(m) => j > 0 && m.active(l, j - 1),
+    /// This environment with layer `l`'s plans in place: the cone's slice
+    /// of layer `l`, or — full sweep — itself.
+    pub(crate) fn at(&self, l: usize) -> Env<'a> {
+        match self.cone {
+            None => *self,
+            Some(cone) => {
+                let layer = &cone.layers[l];
+                Env {
+                    plan: &layer.plan,
+                    dedup: &layer.dedup,
+                    buffer_comm: layer.buffer_comm.as_deref(),
+                    ..*self
+                }
+            }
         }
+    }
+
+    /// Whether the cone prunes batch `j` at layer `l`.
+    pub(crate) fn pruned(&self, l: usize, j: usize) -> bool {
+        self.cone.is_some_and(|c| !c.mask().active(l, j))
+    }
+
+    /// Neighbor rows the chunks of this layer's plans read between them,
+    /// a row counted once per chunk that reads it.
+    fn neighbor_rows_read(&self) -> usize {
+        self.plan.all_chunks().map(|c| c.num_neighbors()).sum()
     }
 
     /// Whether `(l, j)` is the step that streams batch `j`'s topology to
     /// the device (reused by every later layer of the epoch). Full sweeps
-    /// upload at layer 0; under a mask the upload belongs to the batch's
+    /// upload at layer 0; under a cone the upload belongs to the batch's
     /// *first active* layer. Downward-closed query cones make that layer 0
     /// whenever the batch is active at all, but the upward-closed
     /// delta-replay cones may first activate a batch above layer 0 —
     /// uploading only at `l == 0` would leave its topology reads dangling.
     fn topology_upload_layer(&self, l: usize, j: usize) -> bool {
-        match self.mask {
+        match self.cone.map(Cone::mask) {
             None => l == 0,
             Some(m) => m.active(l, j) && !(0..l).any(|k| m.active(k, j)),
         }
@@ -317,27 +326,26 @@ impl<'a> Sweep<'a> {
         l: usize,
         scratch: &mut [GpuScratch],
     ) -> Result<(), SimError> {
-        let config = self.env.config;
+        let env = self.env.at(l);
+        let config = env.config;
         let phased = config.comm != CommMode::Vanilla;
         let drains = dir == Dir::Backward;
-        self.numerics
-            .begin_layer(dir, l, self.env.neighbor_rows_read(l));
-        for seg in layer_schedule(self.env.plan.n, config.overlap, phased, drains) {
+        self.numerics.begin_layer(dir, l, env.neighbor_rows_read());
+        for seg in layer_schedule(env.plan.n, config.overlap, phased, drains) {
             for (role, j) in seg.ops() {
                 // A pruned batch emits nothing, computes nothing, and has
                 // no output to scatter; only its barriers remain.
-                if self.env.pruned(l, j) {
+                if env.pruned(l, j) {
                     continue;
                 }
-                let outs = self.per_gpu(Op { dir, role, l, j }, scratch)?;
+                let outs = self.per_gpu(env, Op { dir, role, l, j }, scratch)?;
                 // Host-store writes in GPU index order — the fixed
                 // reduction order of the determinism contract (backward
                 // neighbor sets overlap across GPUs, so this order *is*
                 // the f32 summation order of `∇h^l`).
                 for (i, out) in outs.into_iter().enumerate() {
                     if let Some(out) = out {
-                        self.numerics
-                            .apply(dir, l, &self.env.plan.chunks[i][j], out);
+                        self.numerics.apply(dir, l, &env.plan.chunks[i][j], out);
                     }
                 }
             }
@@ -346,8 +354,9 @@ impl<'a> Sweep<'a> {
         Ok(())
     }
 
-    /// Runs `op` once per simulated GPU — each step against its own
-    /// [`GpuLane`] and scratch — joins the lanes, and returns the results
+    /// Runs `op` once per simulated GPU over `env`, its layer's plans —
+    /// each step against its own [`GpuLane`] and scratch — joins the
+    /// lanes, and returns the results
     /// in GPU index order. The only place the host execution mode is
     /// consulted: it picks a loop or the worker pool, nothing else —
     /// lanes share no state, so clocks, buckets and the joined trace are
@@ -356,11 +365,12 @@ impl<'a> Sweep<'a> {
     /// device memory this sweep's unwound steps still held is released.
     fn per_gpu(
         &mut self,
+        env: Env<'a>,
         op: Op,
         scratch: &mut [GpuScratch],
     ) -> Result<Vec<Option<Computed>>, SimError> {
         let ctx = StepCtx {
-            env: self.env,
+            env,
             numerics: &*self.numerics,
         };
         let mut slots: Vec<_> = scratch.iter().map(|_| None).collect();
@@ -394,11 +404,11 @@ impl<'a> Sweep<'a> {
 }
 
 /// The forward pass of an epoch (Alg 1 lines 4–9) and the hot-vertex
-/// cache sweep around it: hits are frozen before the first load, and
-/// the rows loaded by the batches whose layer-0 host load ran — all of
-/// them, or the ones active under the serving/delta mask — are installed
-/// after the last. (A training epoch's backward pass re-loads through
-/// checkpoint reloads, which bypass the cache by design.)
+/// cache sweep around it: hits are frozen before the first load against
+/// the load sets of the layer-0 plans this sweep runs — the session's
+/// own, or the cone's layer-0 slice — and the rows those sets load are
+/// installed after the last. (A training epoch's backward pass re-loads
+/// through checkpoint reloads, which bypass the cache by design.)
 fn forward_pass(
     env: Env,
     machine: &mut Machine,
@@ -407,7 +417,17 @@ fn forward_pass(
     scratch: &mut [GpuScratch],
 ) -> Result<(), SimError> {
     if let Some(c) = cache.as_deref_mut() {
-        c.begin_sweep();
+        c.begin_sweep(env.cone.map(|cone| {
+            let layer = &cone.layers[0];
+            let pattern = env.config.comm.load_pattern();
+            let sets = load_sets(
+                &layer.plan,
+                &layer.dedup,
+                layer.bufplans.as_deref(),
+                pattern,
+            );
+            (cone.mask().origin().clone(), sets)
+        }));
     }
     let frozen = Env {
         cache: cache.as_deref(),
@@ -418,13 +438,12 @@ fn forward_pass(
         sweep.run_layer(Dir::Forward, l, scratch)?;
     }
     if let Some(c) = cache {
-        let executed: Vec<bool> = (0..env.plan.n).map(|j| !env.pruned(0, j)).collect();
-        c.end_sweep(&executed);
+        c.end_sweep();
     }
     Ok(())
 }
 
-/// One forward-only epoch (no checkpoints), pruned by `env.mask` when
+/// One forward-only epoch (no checkpoints), sliced to `env.cone` when
 /// there is one. Returns the simulated time it took and what it charged.
 pub(crate) fn infer_epoch(
     env: Env,
@@ -651,15 +670,17 @@ fn load_pipelined(ctx: &StepCtx, lane: &mut GpuLane, dir: Dir, at: At, grad_out:
     match dir {
         Dir::Forward => {
             if ctx.topology_upload_layer(l, j) {
-                topology_upload(lane, at, fp.topology);
+                topology_upload(lane, at, topology_upload_bytes(ctx, i, j));
             }
-            stage_neighbors_pipelined(ctx, lane, at);
+            // Only the PCIe loads: the ℕ^gpu reuse runs on the compute
+            // stream of the previous batch ([`reuse_handoff`]).
+            host_load(ctx, lane, at);
         }
         Dir::Backward => {
             *grad_out = grad_out_load(ctx, lane, at);
             match fp.checkpoint {
                 Some(bytes) => checkpoint_reload(ctx, lane, at, bytes),
-                None => stage_neighbors_pipelined(ctx, lane, at),
+                None => host_load(ctx, lane, at),
             }
         }
     }
@@ -674,29 +695,11 @@ fn stage_neighbors_phased(
     at: At,
     bytes: usize,
 ) -> Result<(), SimError> {
-    let At { l, i, j, bufs } = at;
-    host_load(ctx, lane, at);
-    if let Some(reused) = ctx.reused_rows(i, j) {
-        if ctx.reuse_source_live(l, j) {
-            reuse_in_place(ctx, lane, at, bufs, reused);
-        } else {
-            reuse_from_host(ctx, lane, at, reused);
-        }
-    }
-    lane.alloc(bytes, "neighbor buffer")
-}
-
-/// Host half of staging `h^l_{N_ij}`, pipelined: only the PCIe loads.
-/// The ℕ^gpu reuse runs on the compute stream of the previous batch
-/// ([`reuse_handoff`]) — unless that batch is pruned and never computes,
-/// in which case its rows come from the host store here.
-fn stage_neighbors_pipelined(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
     host_load(ctx, lane, at);
     if let Some(reused) = ctx.reused_rows(at.i, at.j) {
-        if !ctx.reuse_source_live(at.l, at.j) {
-            reuse_from_host(ctx, lane, at, reused);
-        }
+        reuse_in_place(ctx, lane, at, at.bufs, reused);
     }
+    lane.alloc(bytes, "neighbor buffer")
 }
 
 /// Phased compute. Forward: inter-GPU fetches, the layer numerics, the
@@ -721,7 +724,7 @@ fn compute_phased(
     lane.alloc(fp.output, "layer output")?;
     lane.alloc(fp.intermediates, "intermediate data")?;
     if ctx.topology_upload_layer(l, j) {
-        topology_upload(lane, at, fp.topology);
+        topology_upload(lane, at, topology_upload_bytes(ctx, i, j));
     }
     // Sources are resident: the phase barrier follows every GPU's load.
     neighbor_fetch(ctx, lane, at);
@@ -816,10 +819,7 @@ fn reuse_handoff(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
         bufs: BatchBufs::Slot(at.j + 1),
         ..at
     };
-    // A pruned successor was never loaded: there is no slot refill to
-    // hand rows into (its own load covers them from the host if it ever
-    // runs again).
-    if next.j >= ctx.dedup.n || ctx.pruned(next.l, next.j) {
+    if next.j >= ctx.dedup.n {
         return;
     }
     if let Some(reused) = ctx.reused_rows(next.i, next.j) {
@@ -914,21 +914,6 @@ fn reuse_in_place(ctx: &StepCtx, lane: &mut GpuLane, at: At, from: BatchBufs, ro
             .with_prov(Provenance::new(ContribKind::Reuse, l, j).rows(rows)),
     ]);
     lane.reuse(rows * ctx.row(l));
-}
-
-/// Masked sweep with batch `j − 1` pruned: the `rows` it would have left
-/// resident were never loaded, so they come over PCIe instead. Same row
-/// count, `HostLoad` provenance — the pass-9 per-batch totals are
-/// unchanged.
-fn reuse_from_host(ctx: &StepCtx, lane: &mut GpuLane, at: At, rows: usize) {
-    let At { l, i, j, bufs } = at;
-    lane.tag([
-        Access::read(rep(l), Region::All),
-        Access::write(bufs.rep(i), Region::Owned)
-            .with_gen(j as u32)
-            .with_prov(Provenance::new(ContribKind::HostLoad, l, j).rows(rows)),
-    ]);
-    lane.h2d(rows * ctx.row(l));
 }
 
 /// The inter-GPU half of loading `h^l_{N_ij}` (Algorithm 2 phase B):

@@ -67,7 +67,10 @@ impl Footprint {
     }
 }
 
-/// The bytes step `(l, i, j)` occupies on GPU `i`.
+/// The bytes step `(l, i, j)` occupies on GPU `i`. `env` holds layer
+/// `l`'s plans ([`Env::at`]): under a cone the chunk is the layer's
+/// slice, so every field is sized by the rows the step computes and
+/// reads.
 pub(crate) fn footprint(env: &Env, l: usize, i: usize, j: usize) -> Footprint {
     let chunk = &env.plan.chunks[i][j];
     let layer = env.model.layer(l);
@@ -94,18 +97,35 @@ pub(crate) fn footprint(env: &Env, l: usize, i: usize, j: usize) -> Footprint {
     }
 }
 
+/// The bytes of batch `j`'s topology GPU `i` streams to the device, once
+/// per sweep: the chunk's — or, under a cone, its largest per-layer
+/// slice, which every other layer's slice of the chunk is a part of
+/// (cones are nested layer to layer).
+pub(crate) fn topology_upload_bytes(env: &Env, i: usize, j: usize) -> usize {
+    match env.cone {
+        None => env.plan.chunks[i][j].topology_bytes(),
+        Some(cone) => cone
+            .layers
+            .iter()
+            .map(|layer| layer.plan.chunks[i][j].topology_bytes())
+            .max()
+            .unwrap_or(0),
+    }
+}
+
 /// The `(layer, batch)` steps `env`'s sweep runs: all of them, or the
-/// mask's active ones.
+/// cone's active ones.
 fn steps<'e>(env: &'e Env) -> impl Iterator<Item = (usize, usize)> + 'e {
     (0..env.model.num_layers())
         .flat_map(|l| (0..env.plan.n).map(move |j| (l, j)))
         .filter(|&(l, j)| !env.pruned(l, j))
 }
 
-/// Worst `size` over the steps `env`'s sweep runs on GPU `i`.
+/// Worst `size` over the steps `env`'s sweep runs on GPU `i`, each over
+/// its own layer's plans.
 pub(crate) fn worst(env: &Env, i: usize, size: impl Fn(&Footprint) -> usize) -> usize {
     steps(env)
-        .map(|(l, j)| size(&footprint(env, l, i, j)))
+        .map(|(l, j)| size(&footprint(&env.at(l), l, i, j)))
         .max()
         .unwrap_or(0)
 }
@@ -126,6 +146,6 @@ pub(crate) fn staging_plan(env: &Env, gpu: usize) -> StagingPlan {
 pub(crate) fn checkpoint_store_bytes(env: &Env) -> usize {
     (0..env.plan.m)
         .flat_map(|i| steps(env).map(move |(l, j)| (l, i, j)))
-        .filter_map(|(l, i, j)| footprint(env, l, i, j).checkpoint)
+        .filter_map(|(l, i, j)| footprint(&env.at(l), l, i, j).checkpoint)
         .sum()
 }

@@ -30,10 +30,13 @@
 //! - `numerics` — the seam between the sweep and the layer math: the
 //!   live provider over the session's stores, the shapes-only provider
 //!   of schedule synthesis;
-//! - [`cone`] — the shared cone-recurrence arithmetic behind both the
-//!   downward-closed query cone and the upward-closed delta cone;
-//! - [`serve`] — ≤ L-hop dependency cones over the chunk topology: the
-//!   per-batch activity mask [`Session::serve`] prunes its sweep with;
+//! - [`cone`] — the two exact, vertex-level cone recurrences: the
+//!   in-edge query cone and its dual, the out-edge delta cone (they read
+//!   nothing but the chunk grid, so they live in `hongtu-partition`,
+//!   where the cache journal's verifier can re-grow a cone too);
+//! - [`serve`] — a cone as the executor runs it: per layer, the rows each
+//!   chunk computes ([`ServeMask`]) and the session's plans sliced to
+//!   them ([`Cone`]), which [`Session::serve`] sweeps like any plans;
 //! - `Session::apply_staged` (in [`engine`]) — incremental cone-local
 //!   recompute after graph mutations (`hongtu-delta` holds the typed
 //!   mutation API and delta log);
@@ -46,7 +49,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod cli;
-pub mod cone;
 pub mod cost;
 pub mod engine;
 mod exec;
@@ -59,7 +61,7 @@ pub mod systems;
 // The plan-construction modules moved to `hongtu-partition` so that the
 // static verifier (`hongtu-verify`) can analyze plans without depending on
 // this crate. `crate::dedup::...` paths keep working via these re-exports.
-pub use hongtu_partition::{buffers, dedup};
+pub use hongtu_partition::{buffers, cone, dedup};
 
 pub use buffers::GpuBufferPlan;
 pub use cost::{comm_cost, comm_cost_cached, CommVolumes};
@@ -76,4 +78,4 @@ pub use hongtu_cache::{
     CachePlan, CachePolicy, CacheRuntime, DegreeRanked, FrequencyRanked, HitStats, Off as CacheOff,
 };
 pub use reorg::{reorganize, reorganize_guarded, reorganize_guarded_cached};
-pub use serve::{ServeMask, ServeReport};
+pub use serve::{Cone, ServeMask, ServeReport};

@@ -1,70 +1,85 @@
-//! Serving-path support: ≤ L-hop dependency cones over the chunk
-//! topology.
+//! Serving-path support: exact ≤ L-hop dependency cones and the sliced
+//! plans a masked sweep runs over.
 //!
 //! A vertex-subset logit query `Q` does not need a full-graph sweep: the
 //! layer-`L` logits of `Q` depend only on the vertices within `L` hops
-//! of `Q` (following in-edges). The executor's unit of work is a
-//! *batch* — chunk `j` on every GPU runs between the same barriers — so
-//! the pruned sweep is expressed batch-granularly: a [`ServeMask`] marks
-//! which `(layer, batch)` steps must run, and the sweep driver skips
-//! the rest.
-//!
-//! The mask is computed by walking the layers top-down over the
-//! partition's chunk topology (no per-vertex BFS at serve time):
+//! of `Q` (following in-edges). The exact recurrence is
 //!
 //! ```text
 //! needed[L]  = Q
-//! active[l]  = { j | batch_of(v) = j for some v ∈ needed[l+1] }
-//! needed[l]  = needed[l+1] ∪ ⋃_{j ∈ active[l], i < m} (V_ij ∪ N_ij)
+//! needed[l]  = needed[l+1] ∪ N(needed[l+1])
+//! layer l computes the rows  needed[l+1] ∩ V_ij  of every chunk (i, j)
 //! ```
 //!
-//! Including the destination sets `V_ij` (not just the neighbor lists
-//! `N_ij`) in the closure makes the mask *downward closed* —
-//! `active[l] ⊇ active[l+1]` — which keeps the executor's layer-0
-//! topology H2D covering every batch that is ever active, and gives the
-//! simple correctness induction: every row an active chunk reads at
-//! layer `l+1` was recomputed at layer `l`.
+//! (and dually for the out-edge cone of a graph mutation —
+//! [`crate::cone`] holds both). A [`ServeMask`] is that: per layer, per
+//! chunk, the destination rows to compute, plus the `(layer, batch)`
+//! grid they activate — a step is active iff some GPU's slice of it is
+//! non-empty, and because `needed[l] ⊇ needed[l+1]` the grid is downward
+//! closed (upward, for a delta cone).
 //!
-//! The recurrence arithmetic itself lives in [`crate::cone`], shared
-//! with the dual *upward-closed* delta-invalidation cone
-//! ([`ServeMask::from_dirty`]) so query pruning and incremental
-//! recompute can never diverge.
+//! The executor's unit of work stays "one layer × one chunk"; what
+//! shrinks is the chunk. A [`Cone`] slices each layer's chunk grid down
+//! to the mask's rows ([`hongtu_partition::TwoLevelPartition::sliced`])
+//! and derives that grid's dedup / buffer plans with the same builders
+//! the session's own plans came from, so a masked sweep is a full sweep
+//! over smaller plans: same driver, same emitters, same footprint
+//! arithmetic, same numerics — each per-row reduction keeps its in-edge
+//! order, so the rows it computes are bitwise the full sweep's.
 
-use crate::cone;
-use hongtu_partition::TwoLevelPartition;
+use crate::buffers::GpuBufferPlan;
+use crate::cone::{ConeDir, ConeOrigin, VertexIndex};
+use crate::dedup::DedupPlan;
+use crate::engine::{build_buffer_comm, BatchComm, CommMode};
+use hongtu_partition::{SliceRows, TwoLevelPartition};
 use hongtu_sim::TimeBuckets;
 use hongtu_tensor::Matrix;
 
-/// Which `(layer, batch)` steps a pruned forward sweep executes. All
-/// `m` GPUs of batch `j` run or skip together, so the inter-GPU fetch
-/// structure within an active batch is identical to a full sweep.
+/// Which destination rows of which chunks a masked forward sweep
+/// computes at each layer, and the `(layer, batch)` steps that leaves
+/// active. All `m` GPUs of an active batch run (a GPU whose own slice is
+/// empty still serves the transition rows it owns to the others); an
+/// inactive batch keeps only its barriers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeMask {
-    /// `active[l][j]`: whether batch `j` runs at layer `l`.
+    /// `rows[l][i][j]`: ascending local destination rows chunk `(i, j)`
+    /// computes at layer `l`.
+    rows: Vec<SliceRows>,
+    /// `active[l][j]`: whether some GPU's slice of batch `j` at layer `l`
+    /// is non-empty.
     active: Vec<Vec<bool>>,
+    num_vertices: usize,
+    /// The seeds and recurrence the rows were grown from.
+    origin: ConeOrigin,
 }
 
 impl ServeMask {
-    /// Computes the downward-closed union of the queried vertices'
-    /// ≤ L-hop dependency cones, expressed as active batches per layer
-    /// (module docs give the recurrence).
+    /// Computes the exact ≤ L-hop dependency cone of the queried
+    /// vertices (module docs give the recurrence).
     ///
     /// # Panics
     ///
     /// Panics if any queried vertex id is out of range for the plan's
     /// graph, or if `vertices` is empty (an empty query has no cone and
-    /// no meaningful sweep).
+    /// no meaningful sweep). [`Session::query_cone`] returns those as
+    /// typed errors instead.
+    ///
+    /// [`Session::query_cone`]: crate::Session::query_cone
     pub fn from_queries(plan: &TwoLevelPartition, layers: usize, vertices: &[usize]) -> ServeMask {
-        ServeMask {
-            active: cone::downward_closed(plan, layers, vertices),
-        }
+        Self::grow(
+            plan,
+            &VertexIndex::new(plan),
+            ConeDir::Downward,
+            layers,
+            vertices,
+        )
     }
 
-    /// Computes the upward-closed union of the dirty vertices' ≤ L-hop
-    /// *out*-neighborhood cones — the set of `(layer, batch)` steps an
-    /// incremental recompute must replay after a graph mutation
-    /// invalidated those vertices' layer-1 rows ([`crate::cone`] gives
-    /// the recurrence and the duality with the query cone).
+    /// Computes the exact ≤ L-hop *out*-neighborhood cone of the dirty
+    /// vertices — the rows an incremental recompute must replay after a
+    /// graph mutation invalidated those vertices' layer-1 rows
+    /// ([`crate::cone`] gives the recurrence and the duality with the
+    /// query cone).
     ///
     /// # Panics
     ///
@@ -72,9 +87,54 @@ impl ServeMask {
     /// graph, or if `dirty` is empty (a mutation with no dirty vertices
     /// has nothing to replay).
     pub fn from_dirty(plan: &TwoLevelPartition, layers: usize, dirty: &[usize]) -> ServeMask {
+        Self::grow(
+            plan,
+            &VertexIndex::new(plan),
+            ConeDir::Upward,
+            layers,
+            dirty,
+        )
+    }
+
+    /// Grows the `dir` cone of `seeds` over `plan`, whose destinations
+    /// `index` indexes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seeds` fails [`crate::cone::check_seeds`].
+    pub(crate) fn grow(
+        plan: &TwoLevelPartition,
+        index: &VertexIndex,
+        dir: ConeDir,
+        layers: usize,
+        seeds: &[usize],
+    ) -> ServeMask {
+        let origin = ConeOrigin {
+            dir,
+            layers,
+            seeds: seeds.to_vec(),
+        };
+        let rows = origin.rows(plan, index);
+        let active = rows
+            .iter()
+            .map(|layer| {
+                let n = layer.first().map_or(0, Vec::len);
+                (0..n)
+                    .map(|j| layer.iter().any(|gpu| !gpu[j].is_empty()))
+                    .collect()
+            })
+            .collect();
         ServeMask {
-            active: cone::upward_closed(plan, layers, dirty),
+            rows,
+            active,
+            num_vertices: index.len(),
+            origin,
         }
+    }
+
+    /// What the cone was grown from.
+    pub fn origin(&self) -> &ConeOrigin {
+        &self.origin
     }
 
     /// Whether batch `j` runs at layer `l`.
@@ -106,10 +166,92 @@ impl ServeMask {
         self.layers() * self.batches()
     }
 
+    /// Destination rows the masked sweep computes, summed over layers.
+    pub fn active_rows(&self) -> usize {
+        self.rows
+            .iter()
+            .flat_map(|layer| layer.iter().flatten())
+            .map(Vec::len)
+            .sum()
+    }
+
+    /// Destination rows a full sweep computes: `|V|` per layer.
+    pub fn total_rows(&self) -> usize {
+        self.layers() * self.num_vertices
+    }
+
     /// The raw `active[l][j]` grid, for closure certification
     /// (`hongtu_verify::verify_cone`).
     pub fn grid(&self) -> &[Vec<bool>] {
         &self.active
+    }
+
+    /// The raw `rows[l][i][j]` row lists, for row-level certification
+    /// (`hongtu_verify::verify_cone_rows`).
+    pub fn rows(&self) -> &[SliceRows] {
+        &self.rows
+    }
+}
+
+/// The chunk grid one layer of a masked sweep runs over and the
+/// communication plans derived from it.
+#[derive(Debug)]
+pub(crate) struct LayerPlans {
+    pub plan: TwoLevelPartition,
+    pub dedup: DedupPlan,
+    /// The §6 buffer plans of the sliced grid (P2P+RU only).
+    pub bufplans: Option<Vec<GpuBufferPlan>>,
+    pub buffer_comm: Option<Vec<Vec<BatchComm>>>,
+}
+
+/// A [`ServeMask`] and the plans its sweep executes: per layer, the
+/// session's chunk grid sliced to the mask's rows and that grid's own
+/// dedup and buffer plans. Derived by a [`Session`] ([`Session::query_cone`],
+/// [`Session::plan_cone`]) for its current plans, and valid for them —
+/// derive it again after a structural [`Session::apply_staged`].
+///
+/// [`Session`]: crate::Session
+/// [`Session::query_cone`]: crate::Session::query_cone
+/// [`Session::plan_cone`]: crate::Session::plan_cone
+/// [`Session::apply_staged`]: crate::Session::apply_staged
+#[derive(Debug)]
+pub struct Cone {
+    mask: ServeMask,
+    pub(crate) layers: Vec<LayerPlans>,
+}
+
+impl Cone {
+    /// Slices `plan` to `mask`, layer by layer, and derives each sliced
+    /// grid's communication plan — linear in the slice, plus the `m × n`
+    /// grid and the level-1 assignment each sliced grid carries.
+    pub(crate) fn new(plan: &TwoLevelPartition, mask: ServeMask, comm: CommMode) -> Cone {
+        let layers = mask
+            .rows
+            .iter()
+            .map(|rows| {
+                let plan = plan.sliced(rows);
+                let dedup = DedupPlan::build(&plan);
+                let bufplans =
+                    (comm == CommMode::P2pRu).then(|| GpuBufferPlan::build_all(&plan, &dedup));
+                let buffer_comm = build_buffer_comm(&plan, bufplans.as_deref(), comm);
+                LayerPlans {
+                    plan,
+                    dedup,
+                    bufplans,
+                    buffer_comm,
+                }
+            })
+            .collect();
+        Cone { mask, layers }
+    }
+
+    /// The rows and steps this cone's sweep computes.
+    pub fn mask(&self) -> &ServeMask {
+        &self.mask
+    }
+
+    pub(crate) fn into_mask(self) -> ServeMask {
+        self.mask
     }
 }
 
@@ -130,10 +272,15 @@ pub struct ServeReport {
     pub peak_gpu_bytes: usize,
     /// High-water host memory in bytes.
     pub peak_host_bytes: usize,
-    /// `(layer, batch)` steps the pruned sweep executed.
+    /// `(layer, batch)` steps the pruned sweep executed: a step runs iff
+    /// some GPU's slice of it is non-empty.
     pub active_steps: usize,
     /// `(layer, batch)` steps a full sweep would have executed.
     pub total_steps: usize,
+    /// Destination rows the pruned sweep computed, summed over layers.
+    pub active_rows: usize,
+    /// Destination rows a full sweep would have computed (`L × |V|`).
+    pub total_rows: usize,
 }
 
 #[cfg(test)]
@@ -202,6 +349,42 @@ mod tests {
         let all: Vec<usize> = (0..8).collect();
         let mask = ServeMask::from_queries(&plan, 2, &all);
         assert_eq!(mask.active_steps(), mask.total_steps());
+        assert_eq!(mask.active_rows(), mask.total_rows());
+        assert_eq!(mask.total_rows(), 16);
+    }
+
+    #[test]
+    fn rows_count_the_cone_not_its_batches() {
+        let plan = ring_plan();
+        // 3's two-layer cone on the ring: {3} at the top, {2, 3} below.
+        let mask = ServeMask::from_queries(&plan, 2, &[3]);
+        assert_eq!(mask.active_rows(), 3);
+        assert_eq!(mask.total_rows(), 16);
+        assert_eq!(mask.rows().len(), 2);
+    }
+
+    #[test]
+    fn a_cone_slices_every_layer_to_its_rows() {
+        let plan = ring_plan();
+        for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
+            let cone = Cone::new(&plan, ServeMask::from_queries(&plan, 2, &[3]), comm);
+            let dests = |l: usize| -> Vec<u32> {
+                let mut d: Vec<u32> = cone.layers[l]
+                    .plan
+                    .all_chunks()
+                    .flat_map(|c| c.dests.clone())
+                    .collect();
+                d.sort_unstable();
+                d
+            };
+            assert_eq!(dests(1), [3]);
+            assert_eq!(dests(0), [2, 3]);
+            for layer in &cone.layers {
+                assert!(layer.dedup.validate(&layer.plan).is_ok());
+                assert_eq!(layer.bufplans.is_some(), comm == CommMode::P2pRu);
+                assert_eq!(layer.buffer_comm.is_some(), comm == CommMode::P2pRu);
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,331 @@
+//! The two exact, vertex-level cone recurrences behind every masked
+//! sweep.
+//!
+//! A masked sweep computes, at layer `l`, only some destination rows of
+//! each chunk. Which rows is one of two recurrences that are duals of
+//! each other over the graph's edges:
+//!
+//! * the **query cone** ([`downward`]): the logits of a vertex set `Q`
+//!   read the ≤ L-hop *in*-neighborhood of `Q`, walked top-down —
+//!   `needed[L] = Q`, `needed[l] = needed[l+1] ∪ N(needed[l+1])`, and
+//!   layer `l` computes the rows `needed[l+1]`;
+//! * the **delta cone** ([`upward`]): a mutation invalidates the ≤ L-hop
+//!   *out*-neighborhood of its dirty seeds, walked bottom-up —
+//!   `R[0] = dirty`, `R[l+1] = R[l] ∪ { d | N(d) ∩ R[l] ≠ ∅ }`, and layer
+//!   `l` recomputes the rows `R[l]`.
+//!
+//! Both keep the previous set (`needed[l] ⊇ needed[l+1]`, `R[l] ⊆
+//! R[l+1]`), so the `(layer, batch)` grid a cone activates is downward
+//! respectively upward closed, and both return the same thing: per layer,
+//! per chunk `(i, j)`, the ascending local destination rows to compute —
+//! what [`crate::ChunkSubgraph::slice`] takes.
+//!
+//! Neither reads the graph: a chunk holds all in-edges of its
+//! destinations, so `N(v)` is one row of the chunk that owns `v`, found
+//! through a [`VertexIndex`].
+
+use crate::{SliceRows, TwoLevelPartition};
+
+/// Which of the two recurrences a cone follows, hence which way its
+/// `(layer, batch)` grid is closed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConeDir {
+    /// Query cone: `active[l] ⊇ active[l+1]` (grows toward layer 0).
+    Downward,
+    /// Delta cone: `active[l] ⊆ active[l+1]` (grows toward layer L−1).
+    Upward,
+}
+
+/// What a cone was grown from — all it takes to grow it again over the
+/// same plan: [`ConeOrigin::rows`]. A few dozen vertex ids, where the
+/// rows they reach can be a large part of the graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConeOrigin {
+    /// The recurrence.
+    pub dir: ConeDir,
+    /// Layers it was walked over.
+    pub layers: usize,
+    /// The query vertices, or the dirty seeds.
+    pub seeds: Vec<usize>,
+}
+
+impl ConeOrigin {
+    /// The rows each layer computes: [`downward`] or [`upward`] from the
+    /// seeds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the seeds fail [`check_seeds`].
+    pub fn rows(&self, plan: &TwoLevelPartition, index: &VertexIndex) -> Vec<SliceRows> {
+        match self.dir {
+            ConeDir::Downward => downward(plan, index, self.layers, &self.seeds),
+            ConeDir::Upward => upward(plan, index, self.layers, &self.seeds),
+        }
+    }
+}
+
+/// Where each vertex is computed: the `(partition, chunk, local row)` of
+/// the one chunk that owns it as a destination. Destination membership
+/// never changes after construction (delta commits rebuild chunks over
+/// the same destinations), so a session builds this once.
+#[derive(Debug, Clone)]
+pub struct VertexIndex {
+    home: Vec<[u32; 3]>,
+}
+
+impl VertexIndex {
+    /// Indexes the destinations of `plan`'s chunks.
+    pub fn new(plan: &TwoLevelPartition) -> Self {
+        let mut home = vec![[0u32; 3]; plan.assignment.partition_of.len()];
+        for c in plan.all_chunks() {
+            for (k, &v) in c.dests.iter().enumerate() {
+                home[v as usize] = [c.part as u32, c.chunk as u32, k as u32];
+            }
+        }
+        VertexIndex { home }
+    }
+
+    /// Number of vertices indexed.
+    pub fn len(&self) -> usize {
+        self.home.len()
+    }
+
+    /// Whether the graph has no vertices.
+    pub fn is_empty(&self) -> bool {
+        self.home.is_empty()
+    }
+
+    /// Sorts `vertices` into per-chunk ascending row lists.
+    fn group(&self, plan: &TwoLevelPartition, vertices: &[u32]) -> SliceRows {
+        let mut rows = vec![vec![Vec::new(); plan.n]; plan.m];
+        for &v in vertices {
+            let [i, j, k] = self.home[v as usize];
+            rows[i as usize][j as usize].push(k);
+        }
+        for list in rows.iter_mut().flatten() {
+            list.sort_unstable();
+        }
+        rows
+    }
+}
+
+/// Why a seed set has no cone: it is empty, or names a vertex the graph
+/// does not have. `what` names the set ("query", "dirty set").
+pub fn check_seeds(what: &str, num_v: usize, vertices: &[usize]) -> Result<(), String> {
+    if vertices.is_empty() {
+        return Err(format!("{what}: empty {what}"));
+    }
+    match vertices.iter().find(|&&v| v >= num_v) {
+        Some(v) => Err(format!("{what}: vertex {v} out of range ({num_v})")),
+        None => Ok(()),
+    }
+}
+
+/// The distinct seeds in first-seen order, marked in `seen`.
+fn seeds(vertices: &[usize], seen: &mut [bool]) -> Vec<u32> {
+    let mut set = Vec::with_capacity(vertices.len());
+    for &v in vertices {
+        if !std::mem::replace(&mut seen[v], true) {
+            set.push(v as u32);
+        }
+    }
+    set
+}
+
+/// The exact query cone of `vertices` over `layers` layers: `rows[l]` are
+/// the rows layer `l` computes, `needed[l+1]` (module docs give the
+/// recurrence). One BFS hop over in-edges per layer, each vertex expanded
+/// once — the cost of the cone, not of the graph, beyond the `seen`
+/// bitmap.
+///
+/// # Panics
+///
+/// Panics if `vertices` fails [`check_seeds`].
+pub fn downward(
+    plan: &TwoLevelPartition,
+    index: &VertexIndex,
+    layers: usize,
+    vertices: &[usize],
+) -> Vec<SliceRows> {
+    if let Err(why) = check_seeds("query", index.len(), vertices) {
+        panic!("{why}");
+    }
+    let mut seen = vec![false; index.len()];
+    let mut needed = seeds(vertices, &mut seen);
+    // needed[..expanded] already had their in-neighbors added.
+    let mut expanded = 0;
+    let mut rows = vec![SliceRows::new(); layers];
+    for l in (0..layers).rev() {
+        rows[l] = index.group(plan, &needed);
+        if l == 0 {
+            break;
+        }
+        let frontier = expanded..needed.len();
+        expanded = needed.len();
+        for at in frontier {
+            let [i, j, k] = index.home[needed[at] as usize];
+            let c = &plan.chunks[i as usize][j as usize];
+            for &t in &c.nbr_index[c.in_edges_of(k as usize)] {
+                let u = c.neighbors[t as usize];
+                if !std::mem::replace(&mut seen[u as usize], true) {
+                    needed.push(u);
+                }
+            }
+        }
+    }
+    rows
+}
+
+/// The exact delta cone of the `dirty` seeds over `layers` layers:
+/// `rows[l]` are the rows layer `l` recomputes, `R[l]` (module docs give
+/// the recurrence). `dirty` seeds the vertices whose layer-1 rows — or
+/// whose producing computation, for weight-touching topology edits — are
+/// invalid. The frontier grows along *out*-edges, which no chunk stores,
+/// so each hop scans the chunks' in-edge lists: a chunk none of whose
+/// neighbors was invalidated by the previous hop is skipped after one
+/// pass over its neighbor list.
+///
+/// # Panics
+///
+/// Panics if `dirty` fails [`check_seeds`].
+pub fn upward(
+    plan: &TwoLevelPartition,
+    index: &VertexIndex,
+    layers: usize,
+    dirty: &[usize],
+) -> Vec<SliceRows> {
+    if let Err(why) = check_seeds("dirty set", index.len(), dirty) {
+        panic!("{why}");
+    }
+    let mut invalid = vec![false; index.len()];
+    let mut members = seeds(dirty, &mut invalid);
+    // What the previous hop added: only a dest reading one of these can
+    // be newly invalid.
+    let mut fresh = invalid.clone();
+    let mut rows = Vec::with_capacity(layers);
+    let mut hit = Vec::new();
+    for l in 0..layers {
+        rows.push(index.group(plan, &members));
+        if l + 1 == layers {
+            break;
+        }
+        let before = members.len();
+        for c in plan.all_chunks() {
+            hit.clear();
+            hit.extend(c.neighbors.iter().map(|&u| fresh[u as usize]));
+            if !hit.contains(&true) {
+                continue;
+            }
+            for (k, &d) in c.dests.iter().enumerate() {
+                if !invalid[d as usize]
+                    && c.nbr_index[c.in_edges_of(k)]
+                        .iter()
+                        .any(|&t| hit[t as usize])
+                {
+                    members.push(d);
+                }
+            }
+        }
+        fresh.fill(false);
+        for &d in &members[before..] {
+            invalid[d as usize] = true;
+            fresh[d as usize] = true;
+        }
+    }
+    rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hongtu_graph::GraphBuilder;
+
+    /// 8-vertex ring 0→1→…→7→0, 4 chunks of 2 on 1 partition.
+    fn ring_plan() -> TwoLevelPartition {
+        let mut b = GraphBuilder::new(8);
+        for v in 0..8 {
+            b.add_edge(v, (v + 1) % 8);
+        }
+        TwoLevelPartition::build(&b.build(), 1, 4, 7)
+    }
+
+    /// The vertices `rows` computes, ascending.
+    fn vertices(plan: &TwoLevelPartition, rows: &SliceRows) -> Vec<u32> {
+        let mut out: Vec<u32> = plan
+            .all_chunks()
+            .flat_map(|c| rows[c.part][c.chunk].iter().map(|&k| c.dests[k as usize]))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn duality_on_the_ring() {
+        let plan = ring_plan();
+        let index = VertexIndex::new(&plan);
+        // Downward: the query cone of 4 grows along in-edges toward layer
+        // 0; upward: the dirty cone of 4 grows along out-edges toward
+        // layer L−1. On a directed ring these sweep opposite directions
+        // from the same seed, one vertex per layer.
+        let down = downward(&plan, &index, 3, &[4]);
+        let up = upward(&plan, &index, 3, &[4]);
+        assert_eq!(vertices(&plan, &down[2]), [4]);
+        assert_eq!(vertices(&plan, &down[1]), [3, 4]);
+        assert_eq!(vertices(&plan, &down[0]), [2, 3, 4]);
+        assert_eq!(vertices(&plan, &up[0]), [4]);
+        assert_eq!(vertices(&plan, &up[1]), [4, 5]);
+        assert_eq!(vertices(&plan, &up[2]), [4, 5, 6]);
+    }
+
+    #[test]
+    fn upward_growth_follows_out_edges() {
+        let plan = ring_plan();
+        let index = VertexIndex::new(&plan);
+        // Dirty {0}: layer 0 recomputes 0; its out-neighbor 1 is invalid
+        // from layer 1 on; 2 is two out-hops away — not reached in two
+        // layers, whichever batch it shares.
+        let up = upward(&plan, &index, 2, &[0]);
+        assert_eq!(vertices(&plan, &up[0]), [0]);
+        assert_eq!(vertices(&plan, &up[1]), [0, 1]);
+    }
+
+    #[test]
+    fn rows_are_ascending_and_duplicate_seeds_count_once() {
+        let plan = ring_plan();
+        let index = VertexIndex::new(&plan);
+        for rows in [
+            downward(&plan, &index, 2, &[5, 1, 5, 0]),
+            upward(&plan, &index, 2, &[5, 1, 5, 0]),
+        ] {
+            for layer in &rows {
+                for list in layer.iter().flatten() {
+                    assert!(list.windows(2).all(|w| w[0] < w[1]), "{list:?}");
+                }
+            }
+        }
+        let down = downward(&plan, &index, 1, &[5, 1, 5, 0]);
+        assert_eq!(vertices(&plan, &down[0]), [0, 1, 5]);
+    }
+
+    #[test]
+    fn seed_checks_name_the_offender() {
+        assert!(check_seeds("query", 8, &[0, 7]).is_ok());
+        assert!(check_seeds("query", 8, &[]).unwrap_err().contains("empty"));
+        let err = check_seeds("dirty set", 8, &[3, 99]).unwrap_err();
+        assert!(err.contains("vertex 99 out of range (8)"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn upward_out_of_range_panics() {
+        let plan = ring_plan();
+        upward(&plan, &VertexIndex::new(&plan), 1, &[99]);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty")]
+    fn upward_empty_panics() {
+        let plan = ring_plan();
+        upward(&plan, &VertexIndex::new(&plan), 1, &[]);
+    }
+}

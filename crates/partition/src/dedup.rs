@@ -195,25 +195,19 @@ fn diff_sorted(a: &[VertexId], b: &[VertexId]) -> (Vec<VertexId>, usize) {
 }
 
 /// Union of two sorted, deduplicated slices.
+///
+/// The smaller head is emitted and every head equal to it advances, with
+/// no branch on the comparison: which list is ahead flips unpredictably
+/// on neighbor lists, and this merge runs once per chunk per plan
+/// derivation — per served query, for the plans of its cone.
 pub(crate) fn union_sorted(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut k) = (0usize, 0usize);
     while i < a.len() && k < b.len() {
-        match a[i].cmp(&b[k]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[k]);
-                k += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                k += 1;
-            }
-        }
+        let (x, y) = (a[i], b[k]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        k += usize::from(y <= x);
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[k..]);

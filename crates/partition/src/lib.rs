@@ -20,9 +20,13 @@
 //!   communication plan (Algorithms 2 & 3, §5.1–5.2);
 //! - [`buffers`] — in-place transition/neighbor buffer index planning
 //!   (§6: stable slots for reused vertices, freed-slot insertion,
-//!   merged-buffer deduplication).
+//!   merged-buffer deduplication);
+//! - [`cone`] — the exact query and delta cone recurrences over the
+//!   chunk grid: which destination rows of which chunks a pruned sweep
+//!   computes at each layer, for [`two_level::TwoLevelPartition::sliced`]
+//!   to cut the grid down to.
 //!
-//! `dedup` and `buffers` live here (rather than in `hongtu-core`) so that
+//! `dedup`, `buffers` and `cone` live here (rather than in `hongtu-core`) so that
 //! the static plan verifier (`hongtu-verify`) can see every plan type
 //! without depending on the engine.
 
@@ -32,6 +36,7 @@
 
 pub mod buffers;
 pub mod chunking;
+pub mod cone;
 pub mod dedup;
 pub mod metrics;
 pub mod multilevel;
@@ -47,8 +52,8 @@ pub use metrics::PartitionQuality;
 pub use multilevel::MultilevelPartitioner;
 pub use replication::replication_factor;
 pub use simple::{hash_partition, range_partition};
-pub use subgraph::ChunkSubgraph;
-pub use two_level::TwoLevelPartition;
+pub use subgraph::{ChunkSubgraph, SliceScratch};
+pub use two_level::{SliceRows, TwoLevelPartition};
 
 use hongtu_graph::Graph;
 

@@ -29,6 +29,16 @@ pub struct ChunkSubgraph {
     pub gcn_weights: Vec<f32>,
 }
 
+/// Reusable working memory of [`ChunkSubgraph::slice_in`]; holds nothing
+/// between calls.
+#[derive(Debug, Default)]
+pub struct SliceScratch {
+    /// One bit per neighbor of the chunk being sliced.
+    marked: Vec<u64>,
+    /// Per word of `marked`, the set bits in the words before it.
+    below: Vec<u32>,
+}
+
 impl ChunkSubgraph {
     /// Builds the chunk subgraph for destination set `dests` (must be sorted
     /// and unique) against the full graph `g`.
@@ -111,66 +121,78 @@ impl ChunkSubgraph {
     /// Equal to [`ChunkSubgraph::build`] of the kept dests against the
     /// graph the chunk was built from, at the cost of the slice alone.
     pub fn slice(&self, rows: &[u32]) -> Self {
-        self.slice_in(rows, &mut Vec::new())
+        self.slice_in(rows, &mut SliceScratch::default())
     }
 
     /// [`ChunkSubgraph::slice`] over a caller-owned scratch, so the
-    /// slices of a whole grid share one. `local_of` is grown to the
-    /// largest neighbor list it meets and holds only `UNSEEN` between
-    /// calls.
-    pub fn slice_in(&self, rows: &[u32], local_of: &mut Vec<u32>) -> Self {
-        const UNSEEN: u32 = u32::MAX;
+    /// slices of a whole grid share one.
+    ///
+    /// The neighbors the kept edges read are marked in a bitmap over the
+    /// chunk's neighbor list: reading the set bits back yields them in
+    /// ascending order with no sort, and an edge's new local id is the
+    /// number of set bits below its old one — a per-word running count
+    /// plus one `popcount`.
+    pub fn slice_in(&self, rows: &[u32], scratch: &mut SliceScratch) -> Self {
         debug_assert!(
             rows.windows(2).all(|w| w[0] < w[1]),
             "rows must be sorted & unique"
         );
-        if local_of.len() < self.neighbors.len() {
-            local_of.resize(self.neighbors.len(), UNSEEN);
-        }
-        let edges: usize = rows
-            .iter()
-            .map(|&k| self.in_edges_of(k as usize).len())
-            .sum();
-        // Old local ids of the neighbors the kept edges read.
-        let mut kept: Vec<u32> = Vec::new();
-        for &k in rows {
-            for &t in &self.nbr_index[self.in_edges_of(k as usize)] {
-                if local_of[t as usize] == UNSEEN {
-                    local_of[t as usize] = 0;
-                    kept.push(t);
-                }
-            }
-        }
-        kept.sort_unstable();
-        for (local, &t) in kept.iter().enumerate() {
-            local_of[t as usize] = local as u32;
-        }
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        offsets.push(0usize);
-        let mut nbr_index = Vec::with_capacity(edges);
-        let mut gcn_weights = Vec::with_capacity(edges);
-        for &k in rows {
-            let range = self.in_edges_of(k as usize);
-            nbr_index.extend(
-                self.nbr_index[range.clone()]
-                    .iter()
-                    .map(|&t| local_of[t as usize]),
-            );
-            gcn_weights.extend_from_slice(&self.gcn_weights[range]);
-            offsets.push(nbr_index.len());
-        }
-        for &t in &kept {
-            local_of[t as usize] = UNSEEN;
-        }
-        ChunkSubgraph {
+        let mut sliced = ChunkSubgraph {
             part: self.part,
             chunk: self.chunk,
             dests: rows.iter().map(|&k| self.dests[k as usize]).collect(),
-            neighbors: kept.iter().map(|&t| self.neighbors[t as usize]).collect(),
-            offsets,
-            nbr_index,
-            gcn_weights,
+            neighbors: Vec::new(),
+            offsets: vec![0],
+            nbr_index: Vec::new(),
+            gcn_weights: Vec::new(),
+        };
+        if rows.is_empty() {
+            return sliced;
         }
+        let SliceScratch { marked, below } = scratch;
+        marked.clear();
+        marked.resize(self.neighbors.len().div_ceil(64), 0u64);
+        let mut edges = 0;
+        for &k in rows {
+            let kept = &self.nbr_index[self.in_edges_of(k as usize)];
+            edges += kept.len();
+            for &t in kept {
+                marked[t as usize / 64] |= 1 << (t % 64);
+            }
+        }
+        // below[w]: marked neighbors in the words before w.
+        below.clear();
+        let mut count = 0u32;
+        for &word in marked.iter() {
+            below.push(count);
+            count += word.count_ones();
+        }
+        sliced.neighbors.reserve(count as usize);
+        for (w, &word) in marked.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let t = w * 64 + rest.trailing_zeros() as usize;
+                sliced.neighbors.push(self.neighbors[t]);
+                rest &= rest - 1;
+            }
+        }
+        sliced.offsets.reserve(rows.len());
+        sliced.nbr_index.reserve(edges);
+        sliced.gcn_weights.reserve(edges);
+        for &k in rows {
+            let range = self.in_edges_of(k as usize);
+            sliced
+                .nbr_index
+                .extend(self.nbr_index[range.clone()].iter().map(|&t| {
+                    let (w, bit) = (t as usize / 64, t % 64);
+                    below[w] + (marked[w] & ((1u64 << bit) - 1)).count_ones()
+                }));
+            sliced
+                .gcn_weights
+                .extend_from_slice(&self.gcn_weights[range]);
+            sliced.offsets.push(sliced.nbr_index.len());
+        }
+        sliced
     }
 
     /// The body `build` replaced — every in-edge's source sorted, one
@@ -395,7 +417,7 @@ mod tests {
         /// weight bits, neighbor list compacted in ascending order — on
         /// random multigraph chunks and random row subsets (none, all,
         /// rows without in-edges), with one scratch shared over
-        /// consecutive slices and left clean.
+        /// consecutive slices.
         #[test]
         fn slice_equals_build_of_the_kept_dests(
             n in 1u32..40,
@@ -425,7 +447,7 @@ mod tests {
             let chunk = ChunkSubgraph::build(&g, 2, 5, dests.clone());
             let all: Vec<u32> = (0..dests.len() as u32).collect();
             proptest::prop_assert_eq!(chunk.slice(&all), chunk.clone());
-            let mut local_of = Vec::new();
+            let mut scratch = SliceScratch::default();
             for mut rows in picks {
                 rows.retain(|&k| (k as usize) < dests.len());
                 rows.sort_unstable();
@@ -433,9 +455,8 @@ mod tests {
                 let kept: Vec<VertexId> = rows.iter().map(|&k| dests[k as usize]).collect();
                 let want = ChunkSubgraph::build(&g, 2, 5, kept);
                 proptest::prop_assert_eq!(chunk.slice(&rows), want.clone());
-                proptest::prop_assert_eq!(chunk.slice_in(&rows, &mut local_of), want.clone());
+                proptest::prop_assert_eq!(chunk.slice_in(&rows, &mut scratch), want.clone());
                 proptest::prop_assert!(want.validate(&g).is_ok());
-                proptest::prop_assert!(local_of.iter().all(|&l| l == u32::MAX));
             }
         }
     }

@@ -7,9 +7,14 @@
 //! `j` across partitions form *batch* `j` and are scheduled concurrently.
 
 use crate::chunking::balanced_ranges;
-use crate::subgraph::ChunkSubgraph;
+use crate::subgraph::{ChunkSubgraph, SliceScratch};
 use crate::{Assignment, Partitioner};
 use hongtu_graph::Graph;
+
+/// Per chunk `(i, j)`, the ascending local destination rows one layer of
+/// a cone-pruned sweep computes: `rows[i][j]`, what
+/// [`TwoLevelPartition::sliced`] cuts the grid down to.
+pub type SliceRows = Vec<Vec<Vec<u32>>>;
 
 /// A complete `m × n` partition plan with materialized chunk subgraphs.
 #[derive(Debug, Clone)]
@@ -71,6 +76,33 @@ impl TwoLevelPartition {
             m,
             n,
             assignment,
+            chunks,
+        }
+    }
+
+    /// The same grid with chunk `(i, j)` cut down to destination rows
+    /// `rows[i][j]` ([`ChunkSubgraph::slice`]; an empty list leaves an
+    /// empty chunk): what one layer of a cone-pruned sweep computes. The
+    /// level-1 assignment — who owns which transition row — is kept, so
+    /// [`crate::DedupPlan::build`] and [`crate::GpuBufferPlan::build_all`]
+    /// derive the slice's communication plan as they derive the grid's.
+    pub fn sliced(&self, rows: &SliceRows) -> Self {
+        let mut scratch = SliceScratch::default();
+        let chunks = self
+            .chunks
+            .iter()
+            .zip(rows)
+            .map(|(part, part_rows)| {
+                part.iter()
+                    .zip(part_rows)
+                    .map(|(chunk, kept)| chunk.slice_in(kept, &mut scratch))
+                    .collect()
+            })
+            .collect();
+        TwoLevelPartition {
+            m: self.m,
+            n: self.n,
+            assignment: self.assignment.clone(),
             chunks,
         }
     }

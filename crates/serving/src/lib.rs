@@ -1,7 +1,7 @@
 //! Online serving layer over a HongTu [`Session`]: a FIFO queue of
 //! vertex-subset logit queries, batch formation that packs concurrent
-//! requests into one forward sweep pruned to the union of their
-//! ≤ L-hop dependency cones ([`ServeMask`]), and admission control that
+//! requests into one forward sweep sliced to the union of their exact
+//! ≤ L-hop dependency cones ([`Cone`]), and admission control that
 //! holds every formed batch to the staging budget
 //! ([`Session::staging_budget`]) — a request whose cone cannot fit is
 //! answered with a typed [`Overloaded`] response instead of OOM-ing the
@@ -22,9 +22,9 @@
 //! semantics are FIFO: an update at the queue head is applied alone —
 //! queries never overtake it — so a query's logits reflect exactly the
 //! updates enqueued (and committed) before it. Admission prices an
-//! update's *recompute* cone (the upward-closed
-//! [`ServeMask::from_dirty`] mask) against the same staging budget as
-//! query cones; an update whose cone cannot fit, or whose delta batch
+//! update's *recompute* cone (the exact out-edge cone of its dirty
+//! vertices, [`ServeMask::from_dirty`]) against the same staging budget
+//! as query cones; an update whose cone cannot fit, or whose delta batch
 //! is invalid against the current topology, is answered with a typed
 //! [`UpdateRejected`] and commits nothing.
 //!
@@ -37,7 +37,7 @@
 
 #![forbid(unsafe_code)]
 
-use hongtu_core::{ServeMask, Session};
+use hongtu_core::{Cone, ServeMask, Session};
 use hongtu_delta::{toggle_workload, Delta, DeltaError, DeltaMix, DynamicGraph};
 use hongtu_sim::SimError;
 use hongtu_tensor::{Matrix, SeededRng};
@@ -225,9 +225,17 @@ impl AdmissionControl {
 
     /// Whether a sweep pruned to `mask` fits the budget on every GPU.
     pub fn admits(&self, session: &Session, mask: &ServeMask) -> bool {
-        session
-            .serve_cone_cost(mask)
-            .iter()
+        self.fits(&session.serve_cone_cost(mask))
+    }
+
+    /// Whether a sweep over `cone`, derived by `session`
+    /// ([`Session::query_cone`]), fits the budget on every GPU.
+    pub fn admits_cone(&self, session: &Session, cone: &Cone) -> bool {
+        self.fits(&session.cone_cost(cone))
+    }
+
+    fn fits(&self, cost: &[usize]) -> bool {
+        cost.iter()
             .zip(&self.budget)
             .all(|(cost, budget)| cost <= budget)
     }
@@ -257,6 +265,11 @@ pub struct BatchReport {
     pub active_steps: usize,
     /// `(layer, batch)` steps a full sweep would have executed.
     pub total_steps: usize,
+    /// Destination rows the pruned sweep or replay computed, summed over
+    /// layers.
+    pub active_rows: usize,
+    /// Destination rows a full sweep would have computed (`L × |V|`).
+    pub total_rows: usize,
 }
 
 impl BatchReport {
@@ -271,6 +284,8 @@ impl BatchReport {
             sweep_time: 0.0,
             active_steps: 0,
             total_steps: 0,
+            active_rows: 0,
+            total_rows: 0,
         }
     }
 }
@@ -378,12 +393,14 @@ impl<'s> Server<'s> {
         if matches!(self.queue.front(), Some(WorkItem::Update(_))) {
             return self.step_update().map(Some);
         }
-        let layers = self.session.model().num_layers();
         let num_vertices = self.session.logits().rows();
         let mut rejected = Vec::new();
         let mut invalid = Vec::new();
         let mut batch: Vec<Request> = Vec::new();
         let mut union: Vec<usize> = Vec::new();
+        // The cone of `union`: each candidate's is derived once, priced,
+        // and — when admitted — kept for the sweep.
+        let mut admitted: Option<Cone> = None;
         let mut row_of: HashMap<usize, usize> = HashMap::new();
         while batch.len() < self.batch_window {
             // An update at the head closes the batch: queries never
@@ -391,8 +408,8 @@ impl<'s> Server<'s> {
             let Some(WorkItem::Query(head)) = self.queue.front() else {
                 break;
             };
-            // Requests come from outside: check them here, before the
-            // cone arithmetic (which asserts) sees them.
+            // Requests come from outside: bounce a malformed one here, as
+            // its own typed entry, before it can fail the whole batch.
             let reason = match head.vertices.iter().find(|&&v| v >= num_vertices) {
                 Some(&vertex) => Some(InvalidReason::VertexOutOfRange {
                     vertex,
@@ -415,8 +432,8 @@ impl<'s> Server<'s> {
                     cand.push(v);
                 }
             }
-            let mask = ServeMask::from_queries(self.session.plans().partition, layers, &cand);
-            if self.admission.admits(self.session, &mask) {
+            let cone = self.session.query_cone(&cand)?;
+            if self.admission.admits_cone(self.session, &cone) {
                 let Some(WorkItem::Query(req)) = self.queue.pop_front() else {
                     unreachable!("head was matched as a query");
                 };
@@ -424,6 +441,7 @@ impl<'s> Server<'s> {
                     row_of.insert(v, row_of.len());
                 }
                 union = cand;
+                admitted = Some(cone);
                 batch.push(req);
             } else if batch.is_empty() {
                 // Even alone the cone exceeds the budget: typed
@@ -433,7 +451,7 @@ impl<'s> Server<'s> {
                 };
                 rejected.push(Overloaded {
                     id: req.id,
-                    cone_bytes: self.session.serve_cone_cost(&mask),
+                    cone_bytes: self.session.cone_cost(&cone),
                     budget_bytes: self.admission.budget.clone(),
                 });
             } else {
@@ -442,15 +460,15 @@ impl<'s> Server<'s> {
                 break;
             }
         }
-        if batch.is_empty() {
+        let Some(cone) = admitted else {
             return Ok(Some(BatchReport {
                 rejected,
                 invalid,
                 ..BatchReport::empty()
             }));
-        }
+        };
 
-        let report = self.session.serve(&union)?;
+        let report = self.session.serve_cone(&union, cone)?;
         let batch_size = batch.len();
         let start = batch.iter().fold(self.clock, |acc, r| acc.max(r.arrival));
         self.clock = start + report.time;
@@ -473,15 +491,18 @@ impl<'s> Server<'s> {
             sweep_time: report.time,
             active_steps: report.active_steps,
             total_steps: report.total_steps,
+            active_rows: report.active_rows,
+            total_rows: report.total_rows,
             ..BatchReport::empty()
         }))
     }
 
     /// Commits the update at the queue head alone: stage the delta
-    /// batch transactionally, price its upward-closed recompute cone
-    /// against the admission budget, and replay the stale cone through
-    /// [`Session::apply_staged`]. Rejections leave the graph and the
-    /// served logits untouched.
+    /// batch transactionally and replay the stale cone through
+    /// [`Session::apply_staged_within`], which derives the recompute cone
+    /// once, prices it against the admission budget and refuses it before
+    /// anything is installed. Rejections leave the graph and the served
+    /// logits untouched.
     fn step_update(&mut self) -> Result<BatchReport, SimError> {
         let Some(WorkItem::Update(upd)) = self.queue.pop_front() else {
             unreachable!("step_update runs only with an update at the head");
@@ -499,15 +520,22 @@ impl<'s> Server<'s> {
             Ok(staged) => staged,
             Err(err) => return rejected(UpdateRejectReason::Invalid(err)),
         };
-        let layers = self.session.model().num_layers();
-        let mask = ServeMask::from_dirty(self.session.plans().partition, layers, staged.dirty());
-        if !self.admission.admits(self.session, &mask) {
-            return rejected(UpdateRejectReason::OverBudget {
-                cone_bytes: self.session.serve_cone_cost(&mask),
-                budget_bytes: self.admission.budget.clone(),
-            });
-        }
-        let report = self.session.apply_staged(dg, staged)?;
+        let report = match self
+            .session
+            .apply_staged_within(dg, staged, &self.admission.budget)
+        {
+            Ok(report) => report,
+            Err(SimError::OverBudget {
+                cone_bytes,
+                budget_bytes,
+            }) => {
+                return rejected(UpdateRejectReason::OverBudget {
+                    cone_bytes,
+                    budget_bytes,
+                })
+            }
+            Err(other) => return Err(other),
+        };
         if self.admission.follows_session && report.rebuilt_chunks > 0 {
             self.admission.budget = self.session.staging_budget();
         }
@@ -524,6 +552,8 @@ impl<'s> Server<'s> {
             sweep_time: report.time,
             active_steps: report.active_steps,
             total_steps: report.total_steps,
+            active_rows: report.active_rows,
+            total_rows: report.total_rows,
             ..BatchReport::empty()
         })
     }
@@ -626,6 +656,12 @@ pub struct LoadStats {
     pub makespan: f64,
     /// Total simulated time spent inside pruned sweeps and replays.
     pub total_sweep_time: f64,
+    /// `(active, total)` `(layer, batch)` steps, summed over every sweep
+    /// and replay that ran.
+    pub steps: (usize, usize),
+    /// `(active, total)` destination rows, summed likewise: what the
+    /// sweeps computed of what full sweeps would have.
+    pub rows: (usize, usize),
     /// Updates committed.
     pub updates_committed: usize,
     /// Updates rejected ([`UpdateRejected`]).
@@ -692,6 +728,7 @@ fn drive(server: &mut Server<'_>, workload: Vec<WorkItem>) -> Result<LoadStats, 
     let mut rejected = 0usize;
     let mut updates_rejected = 0usize;
     let mut total_sweep_time = 0.0f64;
+    let (mut steps, mut rows) = ((0usize, 0usize), (0usize, 0usize));
     loop {
         while pending
             .peek()
@@ -714,6 +751,8 @@ fn drive(server: &mut Server<'_>, workload: Vec<WorkItem>) -> Result<LoadStats, 
             rejected += batch.rejected.len();
             updates_rejected += batch.rejected_updates.len();
             total_sweep_time += batch.sweep_time;
+            steps = (steps.0 + batch.active_steps, steps.1 + batch.total_steps);
+            rows = (rows.0 + batch.active_rows, rows.1 + batch.total_rows);
             if batch.batch_size > 0 {
                 *hist.entry(batch.batch_size).or_insert(0) += 1;
             }
@@ -735,6 +774,8 @@ fn drive(server: &mut Server<'_>, workload: Vec<WorkItem>) -> Result<LoadStats, 
         batch_hist: hist.into_iter().collect(),
         makespan,
         total_sweep_time,
+        steps,
+        rows,
         updates_committed: update_latencies.len(),
         updates_rejected,
         p50_update_latency: percentile(&update_latencies, 50),

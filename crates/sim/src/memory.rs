@@ -51,6 +51,20 @@ pub enum SimError {
         /// The graph's epoch now.
         graph_epoch: u64,
     },
+    /// A graph update's replay cone costs more device memory than the
+    /// budget it was held to allows on some GPU. Nothing was applied.
+    OverBudget {
+        /// Per-GPU cost of the replay cone, in bytes.
+        cone_bytes: Vec<usize>,
+        /// Per-GPU budget it was held against, in bytes.
+        budget_bytes: Vec<usize>,
+    },
+    /// A serving query has no cone to sweep: it names no vertex, or a
+    /// vertex the graph does not have. Nothing ran.
+    InvalidQuery {
+        /// What was wrong with it.
+        message: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -83,6 +97,15 @@ impl fmt::Display for SimError {
                 f,
                 "stale graph update: staged at epoch {staged_epoch}, graph is at {graph_epoch}"
             ),
+            SimError::OverBudget {
+                cone_bytes,
+                budget_bytes,
+            } => write!(
+                f,
+                "graph update over budget: its replay cone costs {cone_bytes:?} B per GPU, \
+                 the budget is {budget_bytes:?} B"
+            ),
+            SimError::InvalidQuery { message } => write!(f, "invalid query: {message}"),
         }
     }
 }

@@ -4,23 +4,25 @@
 //! tables plus end-of-sweep installs) and delta invalidations — in a
 //! [`CacheLog`]. This pass replays that journal against load sets
 //! `S[i][j]` recomputed *independently* from the partition/dedup/buffer
-//! plans, reconstructing the resident set event by event, and holds the
-//! engine to four invariants:
+//! plans — for a cone-pruned sweep, from the plans sliced to the cone the
+//! sweep journaled the origin of, re-grown and re-derived here with the
+//! planners' own builders — reconstructing the resident set event by
+//! event, and holds the engine to four invariants:
 //!
 //! * **Headroom** (`H1001`): the admitted plan, and every replayed
 //!   resident set, fits each GPU's post-staging HBM headroom.
 //! * **No phantom hits** (`H1002`): a sweep may only charge hits the
 //!   pre-sweep resident set can actually serve — `hits[i][j] =
-//!   |S[i][j] ∩ resident|` for executed batches and `0` otherwise. A hit
-//!   recorded before the row was installed (or on a batch the cone mask
-//!   pruned) would mean the executor skipped an H2D transfer for a row
-//!   that is not on the GPU.
+//!   |S[i][j] ∩ resident|`, over the sweep's own load sets (empty for a
+//!   batch its cone prunes). A hit recorded before the row was installed
+//!   (or on a batch the cone pruned) would mean the executor skipped an
+//!   H2D transfer for a row that is not on the GPU.
 //! * **No stale rows** (`H1003`): a delta commit must remove *exactly*
 //!   the resident rows inside the dirty set. A dirty row left resident
 //!   would serve pre-patch features to every later sweep.
 //! * **Planned installs only** (`H1004`): a sweep may install only rows
-//!   the plan admits, that an executed batch actually loaded, and that
-//!   were not already resident.
+//!   the plan admits, that the sweep's load sets actually loaded, and
+//!   that were not already resident.
 //!
 //! The replay *follows the journal* (it applies the engine's recorded
 //! installs/removals, not the corrected ones), so one corrupt event is
@@ -30,8 +32,9 @@
 use std::collections::HashSet;
 
 use crate::diag::{push, DiagCode, Diagnostic, Location, Report};
-use hongtu_cache::{load_sets, CacheEvent, CacheLog, CachePlan, LoadPattern};
+use hongtu_cache::{load_sets, CacheEvent, CacheLog, CachePlan, LoadPattern, LoadSets};
 use hongtu_graph::VertexId;
+use hongtu_partition::cone::{check_seeds, ConeDir, ConeOrigin, VertexIndex};
 use hongtu_partition::{DedupPlan, GpuBufferPlan, TwoLevelPartition};
 
 /// Certifies a cache journal against independently recomputed load sets.
@@ -100,20 +103,37 @@ pub fn verify_cache(
 
     // -- journal replay (H1002/H1003/H1004, dynamic H1001) -------------
     let mut resident: Vec<Vec<bool>> = vec![vec![false; num_vertices]; m];
+    let index = VertexIndex::new(plan);
     for event in &log.events {
         match event {
             CacheEvent::Sweep {
-                executed,
+                cone,
                 hits,
                 installs,
             } => {
+                let sliced = match cone {
+                    None => None,
+                    Some(origin) => match sliced_load_sets(plan, &index, origin, pattern) {
+                        Ok(sets) => Some(sets),
+                        Err(why) => {
+                            push(
+                                &mut diags,
+                                Diagnostic::new(
+                                    DiagCode::CachePhantomHit,
+                                    Location::default(),
+                                    format!("malformed sweep event: {why}"),
+                                ),
+                            );
+                            continue;
+                        }
+                    },
+                };
                 replay_sweep(
                     &mut diags,
-                    &sets,
+                    sliced.as_ref().unwrap_or(&sets),
                     cache,
                     headroom,
                     &mut resident,
-                    executed,
                     hits,
                     installs,
                     n,
@@ -130,29 +150,57 @@ pub fn verify_cache(
     report
 }
 
+/// The load sets of a sweep pruned to the cone grown from `origin`: the
+/// cone re-grown over `plan`, the plan sliced to its layer-0 rows, that
+/// grid's communication plans re-derived, and [`load_sets`] over those —
+/// the engine's derivation, redone here. `Err` when the origin names no
+/// cone of this plan.
+fn sliced_load_sets(
+    plan: &TwoLevelPartition,
+    index: &VertexIndex,
+    origin: &ConeOrigin,
+    pattern: LoadPattern,
+) -> Result<LoadSets, String> {
+    if origin.layers == 0 {
+        return Err("journaled cone spans no layer".to_string());
+    }
+    check_seeds("journaled cone", index.len(), &origin.seeds)?;
+    // Layer 0 of a delta cone is its seeds, however many layers it spans.
+    let layers = match origin.dir {
+        ConeDir::Upward => 1,
+        ConeDir::Downward => origin.layers,
+    };
+    let rows = ConeOrigin {
+        layers,
+        ..origin.clone()
+    }
+    .rows(plan, index);
+    let sliced = plan.sliced(&rows[0]);
+    let dedup = DedupPlan::build(&sliced);
+    let bufs = (pattern == LoadPattern::P2pRu).then(|| GpuBufferPlan::build_all(&sliced, &dedup));
+    Ok(load_sets(&sliced, &dedup, bufs.as_deref(), pattern))
+}
+
 #[allow(clippy::too_many_arguments)]
 fn replay_sweep(
     diags: &mut Vec<Diagnostic>,
-    sets: &[Vec<Vec<VertexId>>],
+    sets: &LoadSets,
     cache: &CachePlan,
     headroom: &[usize],
     resident: &mut [Vec<bool>],
-    executed: &[bool],
     hits: &[Vec<usize>],
     installs: &[Vec<VertexId>],
     n: usize,
 ) {
     let m = sets.len();
-    if executed.len() != n || hits.len() != m || installs.len() != m {
+    if hits.len() != m || installs.len() != m {
         push(
             diags,
             Diagnostic::new(
                 DiagCode::CachePhantomHit,
                 Location::default(),
                 format!(
-                    "malformed sweep event: {} executed flags / {} hit rows / {} install \
-                     rows for an {m}×{n} plan",
-                    executed.len(),
+                    "malformed sweep event: {} hit rows / {} install rows for an {m}×{n} plan",
                     hits.len(),
                     installs.len()
                 ),
@@ -163,11 +211,7 @@ fn replay_sweep(
     // Hits must match the pre-sweep resident set exactly.
     for (i, batches) in sets.iter().enumerate() {
         for (j, s) in batches.iter().enumerate() {
-            let expected = if executed[j] {
-                s.iter().filter(|&&v| resident[i][v as usize]).count()
-            } else {
-                0
-            };
+            let expected = s.iter().filter(|&&v| resident[i][v as usize]).count();
             let got = hits[i].get(j).copied().unwrap_or(0);
             if got != expected {
                 push(
@@ -176,33 +220,25 @@ fn replay_sweep(
                         DiagCode::CachePhantomHit,
                         Location::gpu_batch(i, j),
                         format!(
-                            "sweep charged {got} cache hit(s), resident set serves {expected}{}",
-                            if executed[j] {
-                                ""
-                            } else {
-                                " (batch not executed)"
-                            }
+                            "sweep charged {got} cache hit(s), resident set serves {expected} \
+                             of the {} row(s) the batch loads",
+                            s.len()
                         ),
                     ),
                 );
             }
         }
     }
-    // Installs must be planned, loaded by an executed batch, and new.
+    // Installs must be planned, loaded by this sweep, and new.
     for (i, new_rows) in installs.iter().enumerate() {
-        let loaded: HashSet<VertexId> = sets[i]
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| executed[j])
-            .flat_map(|(_, s)| s.iter().copied())
-            .collect();
+        let loaded: HashSet<VertexId> = sets[i].iter().flatten().copied().collect();
         let planned = &cache.per_gpu.get(i).map(|g| &g.vertices);
         for &v in new_rows {
             let admitted = planned.is_some_and(|p| p.binary_search(&v).is_ok());
             let reason = if !admitted {
                 Some("the plan never admitted it")
             } else if !loaded.contains(&v) {
-                Some("no executed batch loaded it")
+                Some("no batch of this sweep loaded it")
             } else if resident[i][v as usize] {
                 Some("it was already resident")
             } else {

@@ -16,17 +16,19 @@
 //! invalidated ones — no executor step would crash. This pass holds the
 //! raw grid to its declared direction ([`ConeDir`]) and to basic shape
 //! sanity before the engine installs it.
+//!
+//! Cones are row-granular: inside an active step only a slice of each
+//! chunk's destination rows is computed, so the grid's closure is
+//! necessary and no longer sufficient. [`verify_cone_rows`] re-reads the
+//! induction off the rows themselves, against the chunks' own in-edge
+//! lists: downward, every neighbor a kept row reads at layer `l+1` is a
+//! row some slice computed at layer `l`; upward, no row left out at layer
+//! `l+1` reads a row layer `l` rewrote — what a replayed row reads is
+//! recomputed below or untouched.
 
 use crate::diag::{push, DiagCode, Diagnostic, Location, Report};
-
-/// Which closure direction a cone mask must satisfy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConeDir {
-    /// Query cone: `active[l] ⊇ active[l+1]` (grows toward layer 0).
-    Downward,
-    /// Delta cone: `active[l] ⊆ active[l+1]` (grows toward layer L−1).
-    Upward,
-}
+pub use hongtu_partition::cone::ConeDir;
+use hongtu_partition::{SliceRows, TwoLevelPartition};
 
 /// Certifies a cone mask grid (`active[l][j]`) against its declared
 /// closure direction: the grid must be rectangular and non-empty with at
@@ -95,6 +97,122 @@ pub fn verify_cone(active: &[Vec<bool>], dir: ConeDir) -> Report {
                             "{dir:?}-closed cone broken: batch {j} active at layer {have} \
                              but not at layer {miss}"
                         ),
+                    ),
+                );
+            }
+        }
+    }
+    let mut report = Report::default();
+    report.extend_pass(diags);
+    report
+}
+
+/// Certifies a cone's row lists (`rows[l][i][j]`: ascending local
+/// destination rows chunk `(i, j)` computes at layer `l`) against the
+/// plan they slice: every list in range and strictly ascending on the
+/// plan's grid (`C902`), and the closure induction of `dir` row for row
+/// (`C901`, one diagnostic per offending chunk and layer) — module docs
+/// state both directions.
+pub fn verify_cone_rows(plan: &TwoLevelPartition, rows: &[SliceRows], dir: ConeDir) -> Report {
+    let mut diags = Vec::new();
+    let num_v = plan.assignment.partition_of.len();
+    // computed[l][v]: some slice computes vertex v's row at layer l.
+    let mut computed = vec![vec![false; num_v]; rows.len()];
+    let mut shapely = true;
+    for (l, layer) in rows.iter().enumerate() {
+        if layer.len() != plan.m || layer.iter().any(|gpu| gpu.len() != plan.n) {
+            push(
+                &mut diags,
+                Diagnostic::new(
+                    DiagCode::ConeShapeInvalid,
+                    Location::default(),
+                    format!(
+                        "layer {l}: cone rows are not laid out on the plan's {} × {} grid",
+                        plan.m, plan.n
+                    ),
+                ),
+            );
+            shapely = false;
+            continue;
+        }
+        for c in plan.all_chunks() {
+            let kept = &layer[c.part][c.chunk];
+            let ascending = kept.windows(2).all(|w| w[0] < w[1]);
+            if !ascending || kept.last().is_some_and(|&k| k as usize >= c.num_dests()) {
+                push(
+                    &mut diags,
+                    Diagnostic::new(
+                        DiagCode::ConeShapeInvalid,
+                        Location::gpu_batch(c.part, c.chunk),
+                        format!(
+                            "layer {l}: cone rows must ascend strictly below the chunk's {} \
+                             destinations, got {kept:?}",
+                            c.num_dests()
+                        ),
+                    ),
+                );
+                shapely = false;
+                continue;
+            }
+            for &k in kept {
+                computed[l][c.dests[k as usize] as usize] = true;
+            }
+        }
+    }
+    for l in 0..rows.len().saturating_sub(1) {
+        if !shapely {
+            break;
+        }
+        let (below, above) = (&computed[l], &computed[l + 1]);
+        for c in plan.all_chunks() {
+            // The first neighbor row `k` reads whose membership in the
+            // layer-`l` set is `member`.
+            let reads = |k: usize, member: bool| {
+                c.nbr_index[c.in_edges_of(k)]
+                    .iter()
+                    .map(|&t| c.neighbors[t as usize])
+                    .find(|&u| below[u as usize] == member)
+            };
+            let broken = match dir {
+                // A kept row at l+1 reads a row nothing computed at l.
+                ConeDir::Downward => rows[l + 1][c.part][c.chunk].iter().find_map(|&k| {
+                    reads(k as usize, false).map(|u| {
+                        format!(
+                            "row of vertex {} computed at layer {} reads vertex {u}, which no \
+                             slice computes at layer {l}",
+                            c.dests[k as usize],
+                            l + 1
+                        )
+                    })
+                }),
+                // A row rewritten at l is dropped at l+1, or a row left
+                // out at l+1 reads one rewritten at l.
+                ConeDir::Upward => c.dests.iter().enumerate().find_map(|(k, &d)| {
+                    if above[d as usize] {
+                        return None;
+                    }
+                    if below[d as usize] {
+                        return Some(format!(
+                            "vertex {d} is recomputed at layer {l} but not at layer {}",
+                            l + 1
+                        ));
+                    }
+                    reads(k, true).map(|u| {
+                        format!(
+                            "vertex {d} is left out at layer {} but reads vertex {u}, which \
+                             layer {l} rewrites",
+                            l + 1
+                        )
+                    })
+                }),
+            };
+            if let Some(what) = broken {
+                push(
+                    &mut diags,
+                    Diagnostic::new(
+                        DiagCode::ConeNotClosed,
+                        Location::gpu_batch(c.part, c.chunk),
+                        format!("{dir:?}-closed cone broken row-wise: {what}"),
                     ),
                 );
             }

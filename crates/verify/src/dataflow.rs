@@ -223,6 +223,16 @@ fn grad_buf_gpu(r: ResourceId) -> Option<usize> {
 /// diagnostics. Prefer [`verify_dataflow`], which also refuses
 /// incomplete traces.
 pub fn check_dataflow(trace: &Trace, spec: &DataflowSpec) -> Vec<Diagnostic> {
+    check_dataflow_layers(trace, std::slice::from_ref(spec))
+}
+
+/// [`check_dataflow`] for a sweep whose layers run over different plans
+/// (a cone-pruned sweep: each layer's plans are sliced to that layer's
+/// rows): layer `l`'s events are balanced against `specs[l]`; a single
+/// spec serves every layer.
+fn check_dataflow_layers(trace: &Trace, specs: &[DataflowSpec]) -> Vec<Diagnostic> {
+    let spec = &specs[0];
+    let spec_of = |l: u32| specs.get(l as usize).unwrap_or(spec);
     let mut diags = Vec::new();
     // (gpu, layer, batch) → supply / deposit ledgers.
     let mut reps: HashMap<(usize, u32, u32), RepLedger> = HashMap::new();
@@ -300,7 +310,7 @@ pub fn check_dataflow(trace: &Trace, spec: &DataflowSpec) -> Vec<Diagnostic> {
                     if gpu >= spec.m || (j as usize) >= spec.n {
                         continue;
                     }
-                    let flow = &spec.flows[gpu][j as usize];
+                    let flow = &spec_of(l).flows[gpu][j as usize];
                     let ledger = reps.remove(&(gpu, l, j)).unwrap_or_else(|| RepLedger {
                         fetch: vec![0; spec.m],
                         ..Default::default()
@@ -331,7 +341,7 @@ pub fn check_dataflow(trace: &Trace, spec: &DataflowSpec) -> Vec<Diagnostic> {
                     if gpu >= spec.m || (j as usize) >= spec.n {
                         continue;
                     }
-                    let flow = &spec.flows[gpu][j as usize];
+                    let flow = &spec_of(l).flows[gpu][j as usize];
                     let ledger = grads.remove(&(gpu, l, j)).unwrap_or_else(|| GradLedger {
                         push: vec![0; spec.m],
                         ..Default::default()
@@ -415,6 +425,24 @@ fn check_aggregate(
     if spec.comm == CommKind::Vanilla {
         // No decomposition to compare: the one mixed host load is the
         // comparator itself.
+        return;
+    }
+    // The plan says which rows stay in place and which cross PCIe: a row
+    // it promised to reuse that arrives as a host load (or the reverse)
+    // keeps the total and still breaks the decomposition.
+    if ledger.reuse != flow.reuse_rows {
+        push(
+            diags,
+            Diagnostic::new(
+                DiagCode::DedupMultisetMismatch,
+                loc,
+                format!(
+                    "layer {l}: {} rows reused in place and {} host-loaded, the buffer plan \
+                     promises {} and {}",
+                    ledger.reuse, ledger.host, flow.reuse_rows, flow.host_rows
+                ),
+            ),
+        );
         return;
     }
     // Per-owner multiset vs the vanilla comparator: P2P rows served by
@@ -555,11 +583,22 @@ fn check_flush(
 /// trace passes — an evicted deposit would be indistinguishable from a
 /// dropped contribution), then runs the conservation analysis.
 pub fn verify_dataflow(trace: &Trace, spec: &DataflowSpec) -> Report {
+    verify_dataflow_layers(trace, std::slice::from_ref(spec))
+}
+
+/// [`verify_dataflow`] for a cone-pruned sweep: `specs[l]` is derived
+/// from the plans layer `l` ran over — the session's, sliced to the rows
+/// that layer computes.
+///
+/// # Panics
+///
+/// Panics if `specs` is empty.
+pub fn verify_dataflow_layers(trace: &Trace, specs: &[DataflowSpec]) -> Report {
     let mut report = Report::default();
     if let Some(d) = incomplete(trace) {
         report.extend_pass(vec![d]);
         return report;
     }
-    report.extend_pass(check_dataflow(trace, spec));
+    report.extend_pass(check_dataflow_layers(trace, specs));
     report
 }

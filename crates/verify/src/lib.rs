@@ -56,8 +56,9 @@
 //! invalidations) is replayed against load sets recomputed independently
 //! from the plans — headroom overflow, phantom hits (hit-before-install),
 //! stale rows after a delta commit, and unplanned installs
-//! (`H1001`–`H1004`). Pass 10 ([`verify_cone`]) sits between them in the
-//! numbering: cone-mask closure for pruned sweeps (`C901`/`C902`).
+//! (`H1001`–`H1004`). Pass 10 ([`verify_cone`], [`verify_cone_rows`]) sits
+//! between them in the numbering: cone closure for pruned sweeps, on the
+//! step grid and row for row (`C901`/`C902`).
 //!
 //! See `DESIGN.md` ("Checked invariants", "Happens-before invariants",
 //! "Static vs dynamic certification", and "F8xx dataflow conservation")
@@ -80,8 +81,10 @@ pub mod volumes;
 
 pub use buffers::{verify_all_buffers, verify_buffers};
 pub use cache::verify_cache;
-pub use cone::{verify_cone, ConeDir};
-pub use dataflow::{demand_by_owner, verify_dataflow, ChunkFlow, CommKind, DataflowSpec};
+pub use cone::{verify_cone, verify_cone_rows, ConeDir};
+pub use dataflow::{
+    demand_by_owner, verify_dataflow, verify_dataflow_layers, ChunkFlow, CommKind, DataflowSpec,
+};
 pub use dedup::verify_dedup;
 pub use diag::{DiagCode, Diagnostic, Location, Report, ValidationLevel};
 pub use lifetime::verify_lifetimes;

@@ -9,8 +9,10 @@
 
 use hongtu_cache::{
     load_sets, CacheEvent, CacheLog, CachePlan, CacheRuntime, FrequencyRanked, LoadPattern,
+    LoadSets,
 };
 use hongtu_graph::Graph;
+use hongtu_partition::cone::{ConeDir, ConeOrigin, VertexIndex};
 use hongtu_partition::{DedupPlan, GpuBufferPlan, TwoLevelPartition};
 use hongtu_tensor::SeededRng;
 use hongtu_verify::{verify_cache, DiagCode};
@@ -52,10 +54,32 @@ fn setup(
     assert!(!cache.is_empty(), "seed {seed} admitted nothing");
     let mut rt = CacheRuntime::new(cache.clone(), sets, g.num_vertices(), None);
     for _ in 0..sweeps {
-        rt.begin_sweep();
-        rt.end_sweep(&vec![true; n]);
+        rt.begin_sweep(None);
+        rt.end_sweep();
     }
     (g, plan, dedup, bufs, headroom, cache, rt)
+}
+
+/// What a cone that prunes batch `pruned` and keeps every row of every
+/// other chunk hands the runtime — the one-layer query cone of every
+/// vertex outside the batch: its origin and the load sets of the plans
+/// sliced to it, derived as the engine derives them.
+fn prune_batch(plan: &TwoLevelPartition, pruned: usize) -> (ConeOrigin, LoadSets) {
+    let origin = ConeOrigin {
+        dir: ConeDir::Downward,
+        layers: 1,
+        seeds: plan
+            .all_chunks()
+            .filter(|c| c.chunk != pruned)
+            .flat_map(|c| c.dests.iter().map(|&d| d as usize))
+            .collect(),
+    };
+    let rows = origin.rows(plan, &VertexIndex::new(plan));
+    let sliced = plan.sliced(&rows[0]);
+    let dedup = DedupPlan::build(&sliced);
+    let bufs = GpuBufferPlan::build_all(&sliced, &dedup);
+    let sets = load_sets(&sliced, &dedup, Some(&bufs), LoadPattern::P2pRu);
+    (origin, sets)
 }
 
 fn certify(
@@ -83,8 +107,11 @@ fn honest_journal_certifies_clean() {
     // A delta invalidation the runtime performed itself is also clean.
     let victim = cache.per_gpu[0].vertices[0];
     rt.invalidate(&[victim]);
-    rt.begin_sweep();
-    rt.end_sweep(&[true, true, true]);
+    rt.begin_sweep(None);
+    rt.end_sweep();
+    // So is a cone-pruned sweep over its own sliced load sets.
+    rt.begin_sweep(Some(prune_batch(&plan, 1)));
+    rt.end_sweep();
     let report = certify(&plan, &dedup, &bufs, &cache, &headroom, rt.log());
     assert!(report.is_ok(), "{}", report.render());
 }
@@ -130,8 +157,8 @@ fn hit_before_install_is_h1002() {
 #[test]
 fn hit_on_pruned_batch_is_h1002() {
     let (_, plan, dedup, bufs, headroom, cache, mut rt) = setup(4, 2, 3, 1);
-    rt.begin_sweep();
-    rt.end_sweep(&[true, false, true]); // batch 1 pruned by a cone mask
+    rt.begin_sweep(Some(prune_batch(&plan, 1))); // batch 1 pruned by a cone
+    rt.end_sweep();
     let mut log = rt.log().clone();
     match log.events.last_mut().unwrap() {
         CacheEvent::Sweep { hits, .. } => hits[1][1] = 1, // claims a pruned-batch hit
@@ -139,6 +166,30 @@ fn hit_on_pruned_batch_is_h1002() {
     }
     let report = certify(&plan, &dedup, &bufs, &cache, &headroom, &log);
     assert!(report.has(DiagCode::CachePhantomHit), "{}", report.render());
+}
+
+#[test]
+fn cone_of_another_graph_is_h1002() {
+    let (g, plan, dedup, bufs, headroom, cache, mut rt) = setup(8, 2, 3, 1);
+    rt.begin_sweep(Some(prune_batch(&plan, 1)));
+    rt.end_sweep();
+    let mut log = rt.log().clone();
+    // The journal names a cone this plan cannot grow: pass 11 has no load
+    // sets to hold the sweep's hits against, and says so instead of
+    // panicking in the recurrence.
+    match log.events.last_mut().unwrap() {
+        CacheEvent::Sweep { cone, .. } => {
+            cone.as_mut().expect("a pruned sweep").seeds[0] = g.num_vertices();
+        }
+        other => panic!("expected sweep event, got {other:?}"),
+    }
+    let report = certify(&plan, &dedup, &bufs, &cache, &headroom, &log);
+    assert!(report.has(DiagCode::CachePhantomHit), "{}", report.render());
+    assert!(
+        report.render().contains("out of range"),
+        "{}",
+        report.render()
+    );
 }
 
 #[test]

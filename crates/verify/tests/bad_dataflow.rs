@@ -373,3 +373,50 @@ fn understocked_transition_is_f806() {
     );
     assert_only(&certify(events), DiagCode::DedupMultisetMismatch);
 }
+
+/// The P2P+RU variant of [`spec`]: of GPU 0's 6 transition rows the
+/// buffer plan keeps 2 in place from the previous batch and loads 4.
+fn ru_spec() -> DataflowSpec {
+    let mut spec = spec();
+    spec.comm = CommKind::P2pRu;
+    let flow = &mut spec.flows[0][0];
+    flow.host_rows = 4;
+    flow.reuse_rows = 2;
+    flow.reuse_by_owner = vec![2, 0, 0];
+    spec
+}
+
+/// The clean flow under [`ru_spec`], its 6-row host load split into the
+/// planned 4-row load and a second supply event of 2 rows of `kind`.
+fn ru_flow(kind: ContribKind) -> Vec<Event> {
+    let supply = |kind, rows| {
+        sev(
+            0,
+            EventKind::H2D,
+            vec![Access::write(REP, Region::Owned)
+                .with_prov(Provenance::new(kind, 0, 0).owned_by(0).rows(rows))],
+        )
+    };
+    let mut events = clean_flow();
+    events[HOST_LOAD] = supply(ContribKind::HostLoad, 4);
+    events.insert(HOST_LOAD + 1, supply(kind, 2));
+    events
+}
+
+#[test]
+fn planned_reuse_in_place_certifies() {
+    let r = verify_dataflow(&trace_of(ru_flow(ContribKind::Reuse)), &ru_spec());
+    assert!(r.is_ok(), "{}", r.render());
+}
+
+/// A masked sweep whose reuse predecessor was pruned used to charge the
+/// rows it would have inherited as a second host load — same total, same
+/// owner, and certified. Sliced buffer plans never plan a reuse from a
+/// predecessor that holds nothing, so a planned-reuse row arriving over
+/// PCIe is now what it looks like: the executor not following its plan.
+#[test]
+fn host_loaded_planned_reuse_row_is_f806() {
+    let r = verify_dataflow(&trace_of(ru_flow(ContribKind::HostLoad)), &ru_spec());
+    assert_only(&r, DiagCode::DedupMultisetMismatch);
+    assert!(r.render().contains("promises 2 and 4"), "{}", r.render());
+}

@@ -3,8 +3,8 @@
 //! and hence the logits — bitwise identical to a from-scratch
 //! `infer_epoch` on the mutated graph across the full
 //! {model × gpus × overlap} matrix (plus all three comm modes), the
-//! chunk-granular affected cone must cover a brute-force out-edge BFS
-//! oracle on random graphs, the incremental replay schedule must
+//! affected cone must equal a brute-force out-edge BFS oracle row for row
+//! on random graphs, the incremental replay schedule must
 //! certify clean under the static passes (including Paranoid, which
 //! re-certifies inside `apply_staged` itself), and a small delta must
 //! cost strictly less than the full-recompute baseline.
@@ -15,12 +15,10 @@
 //! math is independent of chunk membership: each destination aggregates
 //! its in-edges in sorted global order whatever batch owns it.
 
-use hongtu::cache::FrequencyRanked;
 use hongtu::core::{
-    CommMode, DeltaReport, ExecutionMode, HongTuConfig, Mode, OverlapMode, ServeMask, Session,
-    ValidationLevel,
+    CommMode, DeltaReport, HongTuConfig, Mode, OverlapMode, ServeMask, Session, ValidationLevel,
 };
-use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
+use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey};
 use hongtu::datasets::load;
 use hongtu::delta::{out_edge_ball, toggle_workload, Delta, DeltaMix, DynamicGraph};
 use hongtu::graph::generators;
@@ -30,7 +28,9 @@ use hongtu::sim::{MachineConfig, Trace};
 use hongtu::tensor::{Matrix, SeededRng};
 use hongtu::verify::{verify_trace, DEFAULT_EXPLORE_BUDGET};
 use proptest::prelude::*;
-use std::sync::Arc;
+
+mod common;
+use common::{cells, random_dataset, Cell};
 
 fn test_seed() -> u64 {
     std::env::var("HONGTU_TEST_SEED")
@@ -143,12 +143,11 @@ fn incremental_logits_match_rebuild_across_comm_modes() {
     }
 }
 
-/// The chunk-granular affected cone covers the exact vertex-level
-/// out-edge ball: at the step computing `h^{l+1}`, every vertex whose
-/// row a mutation transitively invalidated (dirty seeds plus up to `l`
-/// out-hops on the mutated graph) must live in an active batch. The
-/// mask may be larger (batch granularity), never smaller — and must be
-/// upward closed.
+/// The affected cone *is* the exact vertex-level out-edge ball: the step
+/// computing `h^{l+1}` recomputes exactly the rows a mutation
+/// transitively invalidated (dirty seeds plus up to `l` out-hops on the
+/// mutated graph) — none missing, none extra — a batch is active exactly
+/// where some invalid vertex lives, and the grid is upward closed.
 #[test]
 fn delta_cone_covers_out_edge_ball_oracle() {
     for seed in [3u64, 17, 42] {
@@ -180,19 +179,26 @@ fn delta_cone_covers_out_edge_ball_oracle() {
             for layers in [1usize, 2, 3] {
                 let mask = ServeMask::from_dirty(&plan, layers, &dirty);
                 let ball = out_edge_ball(&mutated, &dirty, layers.saturating_sub(1));
-                for (l, row) in ball.iter().enumerate().take(layers) {
-                    for v in 0..n {
-                        if row[v] {
-                            assert!(
-                                mask.active(l, batch_of[v]),
-                                "seed {seed}, {m}x{chunks}, L={layers}: vertex {v} invalid at \
-                                 h^{} but batch {} inactive at layer {l}",
-                                l + 1,
-                                batch_of[v]
-                            );
+                let mut rows = 0;
+                for (l, invalid) in ball.iter().enumerate().take(layers) {
+                    let mut computed = vec![false; n];
+                    for c in plan.all_chunks() {
+                        for &k in &mask.rows()[l][c.part][c.chunk] {
+                            computed[c.dests[k as usize] as usize] = true;
                         }
                     }
+                    assert_eq!(
+                        &computed, invalid,
+                        "seed {seed}, {m}x{chunks}, L={layers}: layer {l} rows differ from the \
+                         out-edge ball of {dirty:?}"
+                    );
+                    for j in 0..mask.batches() {
+                        let holds = (0..n).any(|v| invalid[v] && batch_of[v] == j);
+                        assert_eq!(mask.active(l, j), holds, "layer {l} batch {j}");
+                    }
+                    rows += invalid.iter().filter(|&&b| b).count();
                 }
+                assert_eq!(mask.active_rows(), rows);
                 // Upward closure: a batch active at layer l is active
                 // at layer l+1.
                 for l in 0..layers.saturating_sub(1) {
@@ -312,100 +318,6 @@ fn small_delta_beats_full_recompute() {
     }
 }
 
-/// An ad-hoc random dataset (not from the registry).
-fn random_dataset(seed: u64, n: usize) -> Dataset {
-    let rng = SeededRng::new(seed);
-    let g = generators::erdos_renyi(n, 5.0, &mut rng.fork(1));
-    let graph = with_self_loops(&g);
-    let mut frng = rng.fork(2);
-    let features = Matrix::from_fn(n, 6, |_, _| frng.normal() * 0.5);
-    let mut lrng = rng.fork(3);
-    let labels: Vec<u32> = (0..n).map(|_| lrng.index(3) as u32).collect();
-    let splits = Splits::random(n, 0.4, 0.2, &mut rng.fork(4));
-    Dataset {
-        key: DatasetKey::Rdt,
-        graph,
-        features,
-        labels,
-        splits,
-        num_classes: 3,
-        seed,
-    }
-}
-
-/// One cell of the certification matrix: every model, communication
-/// mode, GPU count, overlap mode, host execution mode, and the hot-vertex
-/// cache off or frequency-ranked.
-#[derive(Clone, Copy, Debug)]
-struct Cell {
-    kind: ModelKind,
-    comm: CommMode,
-    gpus: usize,
-    overlap: OverlapMode,
-    exec: ExecutionMode,
-    cache: bool,
-}
-
-fn cells() -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for kind in [ModelKind::Gcn, ModelKind::Gat, ModelKind::Sage] {
-        for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
-            for gpus in [1usize, 2, 4] {
-                for overlap in [OverlapMode::Off, OverlapMode::DoubleBuffer] {
-                    for exec in [ExecutionMode::Sequential, ExecutionMode::Parallel] {
-                        for cache in [false, true] {
-                            cells.push(Cell {
-                                kind,
-                                comm,
-                                gpus,
-                                overlap,
-                                exec,
-                                cache,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    cells
-}
-
-impl Cell {
-    fn builder(&self, gpu_memory: usize) -> hongtu::core::HongTuConfigBuilder {
-        HongTuConfig::builder()
-            .machine(MachineConfig::scaled(self.gpus, gpu_memory))
-            .comm(self.comm)
-            .reorganize(self.comm != CommMode::Vanilla)
-            .overlap(self.overlap)
-            .exec(self.exec)
-            .infer()
-    }
-
-    /// A traced inference session of this cell. With the cache on, the
-    /// device is the tightest the session fits plus 8 KiB — room for the
-    /// cache to admit some hot rows and for a structural commit's
-    /// re-pinned staging to grow.
-    fn session(&self, ds: &Dataset) -> Session {
-        let build = |cfg| Session::new(ds, self.kind, 8, 2, 3, cfg).expect("session");
-        let mut s = if self.cache {
-            let roomy = build(self.builder(64 << 20).build().expect("config"));
-            let bound = roomy.static_memory_bound();
-            let tight = bound.gpu.iter().copied().max().expect("gpus") + (8 << 10);
-            build(
-                self.builder(tight)
-                    .cache(Arc::new(FrequencyRanked))
-                    .build()
-                    .expect("config"),
-            )
-        } else {
-            build(self.builder(64 << 20).build().expect("config"))
-        };
-        s.machine_mut().enable_unbounded_trace();
-        s
-    }
-}
-
 /// Random dirty sets over the whole matrix — {GCN, GAT, SAGE} ×
 /// {Vanilla, P2p, P2pRu} × {1, 2, 4} GPUs × {Off, DoubleBuffer} ×
 /// {Sequential, Parallel} × cache {off, freq}: a random edge / feature /
@@ -430,7 +342,7 @@ fn random_deltas_patch_to_the_rebuild_and_certify_across_the_matrix() {
         .pop()
         .expect("one batch");
 
-        let mut s = cell.session(&ds);
+        let mut s = cell.session(&ds, 8 << 10);
         s.infer_epoch().expect("initial full sweep");
         let staged = dg.stage(&batch).expect("valid batch");
         let dirty = staged.dirty().to_vec();
@@ -444,7 +356,7 @@ fn random_deltas_patch_to_the_rebuild_and_certify_across_the_matrix() {
                 cache: false,
                 ..cell
             };
-            let mut r = plain.session(&mutated);
+            let mut r = plain.session(&mutated, 0);
             r.infer_epoch().expect("rebuild sweep").logits
         };
         assert_eq!(

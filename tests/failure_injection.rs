@@ -235,6 +235,57 @@ fn oversized_or_zero_chunk_count_is_a_typed_error() {
     );
 }
 
+/// A query with no vertices, or naming one the graph does not have, is a
+/// typed `InvalidQuery` from `serve` — no panic in the cone arithmetic,
+/// nothing swept, nothing left installed — and the session serves the
+/// next, well-formed query bitwise as if the bad ones had never come.
+#[test]
+fn empty_or_out_of_range_serve_is_a_typed_error() {
+    let ds = rdt();
+    let n = ds.graph.num_vertices();
+    let cfg = || {
+        HongTuConfig::builder()
+            .machine(MachineConfig::scaled(2, 256 << 20))
+            .infer()
+            .build()
+            .expect("config")
+    };
+    let mut s = Session::new(&ds, ModelKind::Gcn, 8, 2, 4, cfg()).expect("session");
+    let epochs = s.epochs_run();
+    let empty = s.serve(&[]).unwrap_err();
+    assert!(
+        matches!(&empty, SimError::InvalidQuery { message } if message.contains("empty")),
+        "{empty:?}"
+    );
+    let beyond = s.serve(&[3, n + 5]).unwrap_err();
+    let names_it = format!("vertex {} out of range ({n})", n + 5);
+    assert!(
+        matches!(&beyond, SimError::InvalidQuery { message } if message.contains(&names_it)),
+        "{beyond:?}"
+    );
+    assert!(
+        beyond.to_string().starts_with("invalid query: "),
+        "{beyond}"
+    );
+    assert!(matches!(
+        s.query_cone(&[n]),
+        Err(SimError::InvalidQuery { .. })
+    ));
+    assert!(matches!(
+        s.certify_serve(&[], None),
+        Err(SimError::InvalidQuery { .. })
+    ));
+    assert_eq!(s.epochs_run(), epochs, "a refused query ran a sweep");
+
+    let served = s.serve(&[3, 7]).expect("a well-formed query still serves");
+    let full = Session::new(&ds, ModelKind::Gcn, 8, 2, 4, cfg())
+        .expect("session")
+        .infer_epoch()
+        .expect("infer")
+        .logits;
+    assert_eq!(served.logits, full.gather_rows(&[3, 7]));
+}
+
 /// Corrupt checkpoint files fail to load with a format error, and a
 /// truncated graph file fails with an I/O error — neither panics.
 #[test]

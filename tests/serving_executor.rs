@@ -1,8 +1,8 @@
 //! Certification of the serving path: `Session::serve` must return
 //! logits bitwise identical to a full `infer_epoch` restricted to the
 //! queried vertices across the full {model × gpus × overlap} matrix,
-//! the ≤ L-hop cone mask must cover a brute-force BFS oracle on random
-//! graphs, every batch admitted against the session's own staging
+//! the ≤ L-hop cone mask must equal a brute-force BFS oracle row for row
+//! on random graphs, every batch admitted against the session's own staging
 //! budget must run within the static memory bound, and a served batch's
 //! synthesized schedule must certify clean under the static passes —
 //! including Paranoid, which re-certifies inside `serve` itself.
@@ -13,11 +13,11 @@
 //! sweep computes exactly the same floating-point operations for the
 //! rows it keeps.
 
-use hongtu::cache::{CacheEvent, FrequencyRanked};
+use hongtu::cache::CacheEvent;
 use hongtu::core::{
     CommMode, ExecutionMode, HongTuConfig, Mode, OverlapMode, ServeMask, Session, ValidationLevel,
 };
-use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
+use hongtu::datasets::dataset::{Dataset, DatasetKey};
 use hongtu::datasets::load;
 use hongtu::delta::{toggle_workload, DeltaMix, DynamicGraph};
 use hongtu::graph::{generators, Graph};
@@ -25,10 +25,12 @@ use hongtu::nn::ModelKind;
 use hongtu::partition::TwoLevelPartition;
 use hongtu::serving::AdmissionControl;
 use hongtu::sim::MachineConfig;
-use hongtu::tensor::{Matrix, SeededRng};
+use hongtu::tensor::SeededRng;
 use hongtu::verify::{verify_trace, DEFAULT_EXPLORE_BUDGET};
 use proptest::prelude::*;
-use std::sync::Arc;
+
+mod common;
+use common::{cells, random_dataset, Cell};
 
 fn test_seed() -> u64 {
     std::env::var("HONGTU_TEST_SEED")
@@ -133,10 +135,25 @@ fn in_ball(g: &Graph, queries: &[usize], layers: usize) -> Vec<Vec<bool>> {
     ball
 }
 
-/// The cone mask covers the exact vertex-level ≤ L-hop dependency ball
-/// ([`in_ball`]): at the step computing `h^{l+1}`, every vertex whose
-/// row the queries transitively need must live in an active batch, and
-/// the grid is downward closed.
+/// The vertices `mask` computes at layer `l`, as a membership vector.
+fn computed_at(plan: &TwoLevelPartition, mask: &ServeMask, l: usize, n: usize) -> Vec<bool> {
+    let mut computed = vec![false; n];
+    for c in plan.all_chunks() {
+        for &k in &mask.rows()[l][c.part][c.chunk] {
+            assert!(
+                !std::mem::replace(&mut computed[c.dests[k as usize] as usize], true),
+                "a row listed twice"
+            );
+        }
+    }
+    computed
+}
+
+/// The cone mask *is* the exact vertex-level ≤ L-hop dependency ball
+/// ([`in_ball`]): the step computing `h^{l+1}` computes exactly the rows
+/// the queries transitively need — none missing, none extra — a batch is
+/// active exactly where some needed vertex lives, and the grid is
+/// downward closed.
 #[test]
 fn cone_mask_covers_bfs_oracle_on_random_graphs() {
     for seed in [3u64, 17, 42] {
@@ -159,16 +176,22 @@ fn cone_mask_covers_bfs_oracle_on_random_graphs() {
                 assert_eq!(mask.layers(), layers);
 
                 let ball = in_ball(&g, &queries, layers);
+                let mut rows = 0;
                 for l in 0..layers {
-                    for v in (0..n).filter(|&v| ball[l + 1][v]) {
-                        assert!(
-                            mask.active(l, batch_of[v]),
-                            "seed {seed}, {m}x{chunks}, L={layers}: vertex {v} needed at \
-                             layer {l} but batch {} inactive",
-                            batch_of[v]
-                        );
+                    assert_eq!(
+                        computed_at(&plan, &mask, l, n),
+                        ball[l + 1],
+                        "seed {seed}, {m}x{chunks}, L={layers}: layer {l} rows differ from the \
+                         BFS ball of {queries:?}"
+                    );
+                    for j in 0..mask.batches() {
+                        let holds = (0..n).any(|v| ball[l + 1][v] && batch_of[v] == j);
+                        assert_eq!(mask.active(l, j), holds, "layer {l} batch {j}");
                     }
+                    rows += ball[l + 1].iter().filter(|&&b| b).count();
                 }
+                assert_eq!(mask.active_rows(), rows);
+                assert_eq!(mask.total_rows(), layers * n);
                 // Downward closure: a batch active at layer l+1 is
                 // active at layer l.
                 for l in 0..layers.saturating_sub(1) {
@@ -236,100 +259,6 @@ fn pruned_sweep_runs_strictly_fewer_events() {
             serve_events < infer_events,
             "{overlap:?}: pruned sweep {serve_events} events !< full sweep {infer_events}"
         );
-    }
-}
-
-/// An ad-hoc random dataset (not from the registry).
-fn random_dataset(seed: u64, n: usize) -> Dataset {
-    let rng = SeededRng::new(seed);
-    let g = generators::erdos_renyi(n, 5.0, &mut rng.fork(1));
-    let graph = with_self_loops(&g);
-    let mut frng = rng.fork(2);
-    let features = Matrix::from_fn(n, 6, |_, _| frng.normal() * 0.5);
-    let mut lrng = rng.fork(3);
-    let labels: Vec<u32> = (0..n).map(|_| lrng.index(3) as u32).collect();
-    let splits = Splits::random(n, 0.4, 0.2, &mut rng.fork(4));
-    Dataset {
-        key: DatasetKey::Rdt,
-        graph,
-        features,
-        labels,
-        splits,
-        num_classes: 3,
-        seed,
-    }
-}
-
-/// One cell of the certification matrix: every model, communication
-/// mode, GPU count, overlap mode, host execution mode, and the hot-vertex
-/// cache off or frequency-ranked.
-#[derive(Clone, Copy, Debug)]
-struct Cell {
-    kind: ModelKind,
-    comm: CommMode,
-    gpus: usize,
-    overlap: OverlapMode,
-    exec: ExecutionMode,
-    cache: bool,
-}
-
-fn cells() -> Vec<Cell> {
-    let mut cells = Vec::new();
-    for kind in [ModelKind::Gcn, ModelKind::Gat, ModelKind::Sage] {
-        for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
-            for gpus in [1usize, 2, 4] {
-                for overlap in [OverlapMode::Off, OverlapMode::DoubleBuffer] {
-                    for exec in [ExecutionMode::Sequential, ExecutionMode::Parallel] {
-                        for cache in [false, true] {
-                            cells.push(Cell {
-                                kind,
-                                comm,
-                                gpus,
-                                overlap,
-                                exec,
-                                cache,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-    cells
-}
-
-impl Cell {
-    fn builder(&self, gpu_memory: usize) -> hongtu::core::HongTuConfigBuilder {
-        HongTuConfig::builder()
-            .machine(MachineConfig::scaled(self.gpus, gpu_memory))
-            .comm(self.comm)
-            .reorganize(self.comm != CommMode::Vanilla)
-            .overlap(self.overlap)
-            .exec(self.exec)
-            .infer()
-    }
-
-    /// A traced inference session of this cell. With the cache on, the
-    /// device is the tightest the session fits plus `slack` bytes, so the
-    /// cache admits a strict subset of the hot rows and sweeps mix hits,
-    /// installs and misses.
-    fn session(&self, ds: &Dataset, slack: usize) -> Session {
-        let build = |cfg| Session::new(ds, self.kind, 8, 2, 3, cfg).expect("session");
-        let mut s = if self.cache {
-            let roomy = build(self.builder(64 << 20).build().expect("config"));
-            let bound = roomy.static_memory_bound();
-            let tight = bound.gpu.iter().copied().max().expect("gpus") + slack;
-            build(
-                self.builder(tight)
-                    .cache(Arc::new(FrequencyRanked))
-                    .build()
-                    .expect("config"),
-            )
-        } else {
-            build(self.builder(64 << 20).build().expect("config"))
-        };
-        s.machine_mut().enable_unbounded_trace();
-        s
     }
 }
 

@@ -13,9 +13,11 @@
 //! collapsed into `exec.rs` and must not be edited by a refactor: a
 //! mismatch means a simulated timestamp, an event, an annotation or a
 //! result bit moved. An intended behaviour change regenerates it — the
-//! failing test prints the full table in source form. (One has: when the
+//! failing test prints the full table in source form. (Two have: when the
 //! two timelines became one, the two `naive-p2p` Sequential rows took
-//! their Parallel twins' values.)
+//! their Parallel twins' values; when cones became row-granular, the 20
+//! pruned `serve` / `apply_staged` rows — and no train or infer row —
+//! took the smaller sweeps' values.)
 
 use hongtu::cache::FrequencyRanked;
 use hongtu::core::{
@@ -819,378 +821,382 @@ const GOLDEN: &[(&str, u64)] = &[
     ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xf5f6a0d4873fb49a),
     ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x385ddb995f77b4a4),
     ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0x86866b9e88f230d1),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/serve", 0x798c9839a2f3b81f),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/apply_staged", 0x5490acc69d0d5ae5),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/serve", 0xf73d53d18b92fc93),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/apply_staged", 0x99c1824f877b8340),
     ("Gcn/P2pRu/4gpu/Off/Sequential/naive-p2p/train-hybrid", 0x675b28ce221f7492),
-    ("Gcn/P2pRu/2gpu/Off/Parallel/serve", 0x798c9839a2f3b81f),
-    ("Gcn/P2pRu/2gpu/Off/Parallel/apply_staged", 0x5490acc69d0d5ae5),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/serve", 0xf73d53d18b92fc93),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/apply_staged", 0x99c1824f877b8340),
     ("Gcn/P2pRu/4gpu/Off/Parallel/naive-p2p/train-hybrid", 0x675b28ce221f7492),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/serve", 0x95c717d78a335552),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/apply_staged", 0xe07eab464f3a6d0c),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/serve", 0xe987a175f33b3bcc),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/apply_staged", 0xab76dafafec45cc8),
     ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/naive-p2p/train-hybrid", 0x2ec22ac429a2548a),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/serve", 0x95c717d78a335552),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/apply_staged", 0xe07eab464f3a6d0c),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/serve", 0xe987a175f33b3bcc),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/apply_staged", 0xab76dafafec45cc8),
     ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/naive-p2p/train-hybrid", 0x2ec22ac429a2548a),
     ("Gcn/Vanilla/2gpu/Off/Sequential/cache/train-hybrid", 0x489a3a5410ca7657),
-    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/serve", 0xebe9f8aab0199ee1),
-    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/apply_staged", 0x4059c32d055ebeae),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/serve", 0x7b537ec538d7c81d),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/apply_staged", 0x94bfa0431e014eba),
     ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0xa91cbe696bbcd549),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/serve", 0x1121507d5df1d286),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0xcf83981a83dfc41a),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/serve", 0x29a470665819560e),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0xbeb87b7a053c0c6d),
     ("Gcn/P2p/2gpu/Off/Sequential/cache/train-hybrid", 0xe276bdd6a2e6b40c),
-    ("Gcn/P2p/2gpu/Off/Sequential/cache/serve", 0xbd180745a0e87cc6),
-    ("Gcn/P2p/2gpu/Off/Sequential/cache/apply_staged", 0xdff96d6b75ba3d68),
+    ("Gcn/P2p/2gpu/Off/Sequential/cache/serve", 0x5383af0b8a24d7bf),
+    ("Gcn/P2p/2gpu/Off/Sequential/cache/apply_staged", 0x1ebc96c28041a4fc),
     ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x15fd5cf29a4ec75b),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/serve", 0xb69dd9528048ebf9),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0xb4372bbe9098cbf8),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/serve", 0x38f622a2b0b5e5b5),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0x6c5f28e15495990f),
     ("Gcn/P2pRu/2gpu/Off/Sequential/cache/train-hybrid", 0x9de3eef791d0b60f),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/serve", 0xebd7f1445e12caa6),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/apply_staged", 0xa123727b08fd9d69),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/serve", 0x8722c171c919df98),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/apply_staged", 0x701722325cd470e0),
     ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x0e74b48e66026ef0),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/serve", 0xe39257eef0154ea2),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0x3aafcd3554628a1e),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/serve", 0x337fd965af5ecbaf),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0x36c619c6ada2e0d2),
 ];
 
-/// Generated at the commit before the footprint arithmetic was folded
-/// into one per-step value; same contract as [`GOLDEN`].
+/// Same contract as [`GOLDEN`]. Generated at the commit before the
+/// footprint arithmetic was folded into one per-step value, and
+/// regenerated once since: when cones became row-granular, the two cone
+/// costs every row folds in shrank (a cone step is priced by its slice,
+/// not its chunk) — every other number of every row is pinned, unedited,
+/// by [`GOLDEN_BOUND`].
 #[rustfmt::skip]
 const GOLDEN_FOOTPRINT: &[(&str, u64)] = &[
-    ("Gcn/Vanilla/1gpu/Off/Sequential/train-hybrid", 0xcd7e92650f731f44),
-    ("Gcn/Vanilla/1gpu/Off/Sequential/train-recompute", 0xdecc9ab761f88ad8),
-    ("Gcn/Vanilla/1gpu/Off/Sequential/infer", 0x9272d9f0c58a65a8),
-    ("Gcn/Vanilla/1gpu/Off/Parallel/train-hybrid", 0xcd7e92650f731f44),
-    ("Gcn/Vanilla/1gpu/Off/Parallel/train-recompute", 0xdecc9ab761f88ad8),
-    ("Gcn/Vanilla/1gpu/Off/Parallel/infer", 0x9272d9f0c58a65a8),
-    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x0c3cfbbc68aa1528),
-    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0x51d0d14fa50575ac),
-    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x501f2bd658e9a084),
-    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x0c3cfbbc68aa1528),
-    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0x51d0d14fa50575ac),
-    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x501f2bd658e9a084),
-    ("Gcn/Vanilla/2gpu/Off/Sequential/train-hybrid", 0x76d32ac36427fbe3),
-    ("Gcn/Vanilla/2gpu/Off/Sequential/train-recompute", 0x8b76c0168c253b1b),
-    ("Gcn/Vanilla/2gpu/Off/Sequential/infer", 0xb7480e1507b65b31),
-    ("Gcn/Vanilla/2gpu/Off/Parallel/train-hybrid", 0x76d32ac36427fbe3),
-    ("Gcn/Vanilla/2gpu/Off/Parallel/train-recompute", 0x8b76c0168c253b1b),
-    ("Gcn/Vanilla/2gpu/Off/Parallel/infer", 0xb7480e1507b65b31),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xd8e25010af6455d0),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0xba60a2f493d4d798),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0x56ff209cd51fed2e),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xd8e25010af6455d0),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0xba60a2f493d4d798),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0x56ff209cd51fed2e),
-    ("Gcn/Vanilla/4gpu/Off/Sequential/train-hybrid", 0xf0b085a9cdef2f49),
-    ("Gcn/Vanilla/4gpu/Off/Sequential/train-recompute", 0x9075d7f1d21ea885),
-    ("Gcn/Vanilla/4gpu/Off/Sequential/infer", 0x705050d1fc91c886),
-    ("Gcn/Vanilla/4gpu/Off/Parallel/train-hybrid", 0xf0b085a9cdef2f49),
-    ("Gcn/Vanilla/4gpu/Off/Parallel/train-recompute", 0x9075d7f1d21ea885),
-    ("Gcn/Vanilla/4gpu/Off/Parallel/infer", 0x705050d1fc91c886),
-    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x1f7d155d674a1064),
-    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x44751f54c6b10750),
-    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0xa43b8c23a5a2630f),
-    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x1f7d155d674a1064),
-    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x44751f54c6b10750),
-    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0xa43b8c23a5a2630f),
-    ("Gcn/P2p/1gpu/Off/Sequential/train-hybrid", 0xcd7e92650f731f44),
-    ("Gcn/P2p/1gpu/Off/Sequential/train-recompute", 0xdecc9ab761f88ad8),
-    ("Gcn/P2p/1gpu/Off/Sequential/infer", 0x9272d9f0c58a65a8),
-    ("Gcn/P2p/1gpu/Off/Parallel/train-hybrid", 0xcd7e92650f731f44),
-    ("Gcn/P2p/1gpu/Off/Parallel/train-recompute", 0xdecc9ab761f88ad8),
-    ("Gcn/P2p/1gpu/Off/Parallel/infer", 0x9272d9f0c58a65a8),
-    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x0c3cfbbc68aa1528),
-    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x51d0d14fa50575ac),
-    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x501f2bd658e9a084),
-    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x0c3cfbbc68aa1528),
-    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x51d0d14fa50575ac),
-    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x501f2bd658e9a084),
-    ("Gcn/P2p/2gpu/Off/Sequential/train-hybrid", 0x7e5790cc14de148f),
-    ("Gcn/P2p/2gpu/Off/Sequential/train-recompute", 0xd8f7ec21abbfc707),
-    ("Gcn/P2p/2gpu/Off/Sequential/infer", 0x40de83a6657abbad),
-    ("Gcn/P2p/2gpu/Off/Parallel/train-hybrid", 0x7e5790cc14de148f),
-    ("Gcn/P2p/2gpu/Off/Parallel/train-recompute", 0xd8f7ec21abbfc707),
-    ("Gcn/P2p/2gpu/Off/Parallel/infer", 0x40de83a6657abbad),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xd5413cb131c76498),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x14d568c6eeceeb10),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x38dd400f02f515c6),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xd5413cb131c76498),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x14d568c6eeceeb10),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x38dd400f02f515c6),
-    ("Gcn/P2p/4gpu/Off/Sequential/train-hybrid", 0x4649c66ab2effd1b),
-    ("Gcn/P2p/4gpu/Off/Sequential/train-recompute", 0xb28ff7793e3eeb17),
-    ("Gcn/P2p/4gpu/Off/Sequential/infer", 0x72ee744833311811),
-    ("Gcn/P2p/4gpu/Off/Parallel/train-hybrid", 0x4649c66ab2effd1b),
-    ("Gcn/P2p/4gpu/Off/Parallel/train-recompute", 0xb28ff7793e3eeb17),
-    ("Gcn/P2p/4gpu/Off/Parallel/infer", 0x72ee744833311811),
-    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xc2a153e83a611bb6),
-    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0xf09db638f869de12),
-    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/infer", 0xffaaa1edf699020b),
-    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xc2a153e83a611bb6),
-    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0xf09db638f869de12),
-    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/infer", 0xffaaa1edf699020b),
-    ("Gcn/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x7b1ee745f1e6bd54),
-    ("Gcn/P2pRu/1gpu/Off/Sequential/train-recompute", 0xd8bec331cac544a8),
-    ("Gcn/P2pRu/1gpu/Off/Sequential/infer", 0x307d8c141b110d38),
-    ("Gcn/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x7b1ee745f1e6bd54),
-    ("Gcn/P2pRu/1gpu/Off/Parallel/train-recompute", 0xd8bec331cac544a8),
-    ("Gcn/P2pRu/1gpu/Off/Parallel/infer", 0x307d8c141b110d38),
-    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x9f2051413b08d858),
-    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x22045fc386fc0b1c),
-    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0x0892ac7dcb150914),
-    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x9f2051413b08d858),
-    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x22045fc386fc0b1c),
-    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0x0892ac7dcb150914),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/train-hybrid", 0xe669cdf44260890b),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/train-recompute", 0xf8afaf11d2b35e83),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/infer", 0x3467cc9c0e9c9975),
-    ("Gcn/P2pRu/2gpu/Off/Parallel/train-hybrid", 0xe669cdf44260890b),
-    ("Gcn/P2pRu/2gpu/Off/Parallel/train-recompute", 0xf8afaf11d2b35e83),
-    ("Gcn/P2pRu/2gpu/Off/Parallel/infer", 0x3467cc9c0e9c9975),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x4f187f6c21fe5dce),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0xb18e693280e69ef6),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0x7bae34e964d59614),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x4f187f6c21fe5dce),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0xb18e693280e69ef6),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0x7bae34e964d59614),
-    ("Gcn/P2pRu/4gpu/Off/Sequential/train-hybrid", 0x4d9435b172fef3d3),
-    ("Gcn/P2pRu/4gpu/Off/Sequential/train-recompute", 0x6961a9e73d6aaac7),
-    ("Gcn/P2pRu/4gpu/Off/Sequential/infer", 0xf5904443af28c8c7),
-    ("Gcn/P2pRu/4gpu/Off/Parallel/train-hybrid", 0x4d9435b172fef3d3),
-    ("Gcn/P2pRu/4gpu/Off/Parallel/train-recompute", 0x6961a9e73d6aaac7),
-    ("Gcn/P2pRu/4gpu/Off/Parallel/infer", 0xf5904443af28c8c7),
-    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x384ab2cc8307a923),
-    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x33f13b172facde37),
-    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0xbda66d931326fec6),
-    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x384ab2cc8307a923),
-    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x33f13b172facde37),
-    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0xbda66d931326fec6),
-    ("Gat/Vanilla/1gpu/Off/Sequential/train-hybrid", 0xd59284bdf5ed06ba),
-    ("Gat/Vanilla/1gpu/Off/Sequential/train-recompute", 0xd59284bdf5ed06ba),
-    ("Gat/Vanilla/1gpu/Off/Sequential/infer", 0xd14b04273151f416),
-    ("Gat/Vanilla/1gpu/Off/Parallel/train-hybrid", 0xd59284bdf5ed06ba),
-    ("Gat/Vanilla/1gpu/Off/Parallel/train-recompute", 0xd59284bdf5ed06ba),
-    ("Gat/Vanilla/1gpu/Off/Parallel/infer", 0xd14b04273151f416),
-    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xec2cc2440a700e42),
-    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0xec2cc2440a700e42),
-    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x98d8332075194fae),
-    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xec2cc2440a700e42),
-    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0xec2cc2440a700e42),
-    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x98d8332075194fae),
-    ("Gat/Vanilla/2gpu/Off/Sequential/train-hybrid", 0x8d26b22b2d7e1e4d),
-    ("Gat/Vanilla/2gpu/Off/Sequential/train-recompute", 0x8d26b22b2d7e1e4d),
-    ("Gat/Vanilla/2gpu/Off/Sequential/infer", 0x994eb3ff86eb7a9c),
-    ("Gat/Vanilla/2gpu/Off/Parallel/train-hybrid", 0x8d26b22b2d7e1e4d),
-    ("Gat/Vanilla/2gpu/Off/Parallel/train-recompute", 0x8d26b22b2d7e1e4d),
-    ("Gat/Vanilla/2gpu/Off/Parallel/infer", 0x994eb3ff86eb7a9c),
-    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x7ec1bd42987833ea),
-    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x7ec1bd42987833ea),
-    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0x2efa58f6f667e799),
-    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x7ec1bd42987833ea),
-    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x7ec1bd42987833ea),
-    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0x2efa58f6f667e799),
-    ("Gat/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x962761de8e19cb8f),
-    ("Gat/Vanilla/4gpu/Off/Sequential/train-recompute", 0x962761de8e19cb8f),
-    ("Gat/Vanilla/4gpu/Off/Sequential/infer", 0x8f2bf3e7ec3e3cb0),
-    ("Gat/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x962761de8e19cb8f),
-    ("Gat/Vanilla/4gpu/Off/Parallel/train-recompute", 0x962761de8e19cb8f),
-    ("Gat/Vanilla/4gpu/Off/Parallel/infer", 0x8f2bf3e7ec3e3cb0),
-    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x5e81b532c214d815),
-    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x5e81b532c214d815),
-    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0x382f1bdc07dee5de),
-    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x5e81b532c214d815),
-    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x5e81b532c214d815),
-    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0x382f1bdc07dee5de),
-    ("Gat/P2p/1gpu/Off/Sequential/train-hybrid", 0xd59284bdf5ed06ba),
-    ("Gat/P2p/1gpu/Off/Sequential/train-recompute", 0xd59284bdf5ed06ba),
-    ("Gat/P2p/1gpu/Off/Sequential/infer", 0xd14b04273151f416),
-    ("Gat/P2p/1gpu/Off/Parallel/train-hybrid", 0xd59284bdf5ed06ba),
-    ("Gat/P2p/1gpu/Off/Parallel/train-recompute", 0xd59284bdf5ed06ba),
-    ("Gat/P2p/1gpu/Off/Parallel/infer", 0xd14b04273151f416),
-    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xec2cc2440a700e42),
-    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0xec2cc2440a700e42),
-    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x98d8332075194fae),
-    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xec2cc2440a700e42),
-    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0xec2cc2440a700e42),
-    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x98d8332075194fae),
-    ("Gat/P2p/2gpu/Off/Sequential/train-hybrid", 0xd9a732ff03c02797),
-    ("Gat/P2p/2gpu/Off/Sequential/train-recompute", 0xd9a732ff03c02797),
-    ("Gat/P2p/2gpu/Off/Sequential/infer", 0xdf4dac2ba2fc1d30),
-    ("Gat/P2p/2gpu/Off/Parallel/train-hybrid", 0xd9a732ff03c02797),
-    ("Gat/P2p/2gpu/Off/Parallel/train-recompute", 0xd9a732ff03c02797),
-    ("Gat/P2p/2gpu/Off/Parallel/infer", 0xdf4dac2ba2fc1d30),
-    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xf7ff8b07eacf7e40),
-    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0xf7ff8b07eacf7e40),
-    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x8d87a835ba84fca1),
-    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xf7ff8b07eacf7e40),
-    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0xf7ff8b07eacf7e40),
-    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x8d87a835ba84fca1),
-    ("Gat/P2p/4gpu/Off/Sequential/train-hybrid", 0x618cda00800eab53),
-    ("Gat/P2p/4gpu/Off/Sequential/train-recompute", 0x618cda00800eab53),
-    ("Gat/P2p/4gpu/Off/Sequential/infer", 0xde508043be2effe6),
-    ("Gat/P2p/4gpu/Off/Parallel/train-hybrid", 0x618cda00800eab53),
-    ("Gat/P2p/4gpu/Off/Parallel/train-recompute", 0x618cda00800eab53),
-    ("Gat/P2p/4gpu/Off/Parallel/infer", 0xde508043be2effe6),
-    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x2d00a02496fdc19e),
-    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0x2d00a02496fdc19e),
-    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/infer", 0xd9b0618d2e837355),
-    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x2d00a02496fdc19e),
-    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0x2d00a02496fdc19e),
-    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/infer", 0xd9b0618d2e837355),
-    ("Gat/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x8b520bd2fab875ca),
-    ("Gat/P2pRu/1gpu/Off/Sequential/train-recompute", 0x8b520bd2fab875ca),
-    ("Gat/P2pRu/1gpu/Off/Sequential/infer", 0x136255a64bf27a46),
-    ("Gat/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x8b520bd2fab875ca),
-    ("Gat/P2pRu/1gpu/Off/Parallel/train-recompute", 0x8b520bd2fab875ca),
-    ("Gat/P2pRu/1gpu/Off/Parallel/infer", 0x136255a64bf27a46),
-    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x1c103a25175c7592),
-    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x1c103a25175c7592),
-    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0x088215a38493c25e),
-    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x1c103a25175c7592),
-    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x1c103a25175c7592),
-    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0x088215a38493c25e),
-    ("Gat/P2pRu/2gpu/Off/Sequential/train-hybrid", 0x665050aa315bf480),
-    ("Gat/P2pRu/2gpu/Off/Sequential/train-recompute", 0x665050aa315bf480),
-    ("Gat/P2pRu/2gpu/Off/Sequential/infer", 0x8be7f3c977bb18b7),
-    ("Gat/P2pRu/2gpu/Off/Parallel/train-hybrid", 0x665050aa315bf480),
-    ("Gat/P2pRu/2gpu/Off/Parallel/train-recompute", 0x665050aa315bf480),
-    ("Gat/P2pRu/2gpu/Off/Parallel/infer", 0x8be7f3c977bb18b7),
-    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x506f6d05edcfc346),
-    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0x506f6d05edcfc346),
-    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0x7f6356bf2cd55b79),
-    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x506f6d05edcfc346),
-    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0x506f6d05edcfc346),
-    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0x7f6356bf2cd55b79),
-    ("Gat/P2pRu/4gpu/Off/Sequential/train-hybrid", 0xdca1296df64f430c),
-    ("Gat/P2pRu/4gpu/Off/Sequential/train-recompute", 0xdca1296df64f430c),
-    ("Gat/P2pRu/4gpu/Off/Sequential/infer", 0x78e80f81b352b415),
-    ("Gat/P2pRu/4gpu/Off/Parallel/train-hybrid", 0xdca1296df64f430c),
-    ("Gat/P2pRu/4gpu/Off/Parallel/train-recompute", 0xdca1296df64f430c),
-    ("Gat/P2pRu/4gpu/Off/Parallel/infer", 0x78e80f81b352b415),
-    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x5ad3146a6961303a),
-    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x5ad3146a6961303a),
-    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0x27b912dfd5e7fdfc),
-    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x5ad3146a6961303a),
-    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x5ad3146a6961303a),
-    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0x27b912dfd5e7fdfc),
-    ("Sage/Vanilla/1gpu/Off/Sequential/train-hybrid", 0x819ec1f7a2a00000),
-    ("Sage/Vanilla/1gpu/Off/Sequential/train-recompute", 0x8cba02f85b703e1c),
-    ("Sage/Vanilla/1gpu/Off/Sequential/infer", 0x876d57161b07206c),
-    ("Sage/Vanilla/1gpu/Off/Parallel/train-hybrid", 0x819ec1f7a2a00000),
-    ("Sage/Vanilla/1gpu/Off/Parallel/train-recompute", 0x8cba02f85b703e1c),
-    ("Sage/Vanilla/1gpu/Off/Parallel/infer", 0x876d57161b07206c),
-    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xc7df090ee37c3a2c),
-    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0xd559e3bf84dd7f30),
-    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x43619659717395c8),
-    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xc7df090ee37c3a2c),
-    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0xd559e3bf84dd7f30),
-    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x43619659717395c8),
-    ("Sage/Vanilla/2gpu/Off/Sequential/train-hybrid", 0x7b12b10b7e876abf),
-    ("Sage/Vanilla/2gpu/Off/Sequential/train-recompute", 0xb411ccdf3ac1af47),
-    ("Sage/Vanilla/2gpu/Off/Sequential/infer", 0x82cc14a13f107dd7),
-    ("Sage/Vanilla/2gpu/Off/Parallel/train-hybrid", 0x7b12b10b7e876abf),
-    ("Sage/Vanilla/2gpu/Off/Parallel/train-recompute", 0xb411ccdf3ac1af47),
-    ("Sage/Vanilla/2gpu/Off/Parallel/infer", 0x82cc14a13f107dd7),
-    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x06c3dd510f35d81b),
-    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x114a02f7c95c16e3),
-    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0x83083ffb61d731df),
-    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x06c3dd510f35d81b),
-    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x114a02f7c95c16e3),
-    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0x83083ffb61d731df),
-    ("Sage/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x4b0a8d9f64090835),
-    ("Sage/Vanilla/4gpu/Off/Sequential/train-recompute", 0x3bd831c1764fbfc9),
-    ("Sage/Vanilla/4gpu/Off/Sequential/infer", 0x44a6b1f991d1b1e1),
-    ("Sage/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x4b0a8d9f64090835),
-    ("Sage/Vanilla/4gpu/Off/Parallel/train-recompute", 0x3bd831c1764fbfc9),
-    ("Sage/Vanilla/4gpu/Off/Parallel/infer", 0x44a6b1f991d1b1e1),
-    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x7729aa872c15ea97),
-    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x5662785f8b6f74c3),
-    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0xb6e9256157514153),
-    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x7729aa872c15ea97),
-    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x5662785f8b6f74c3),
-    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0xb6e9256157514153),
-    ("Sage/P2p/1gpu/Off/Sequential/train-hybrid", 0x819ec1f7a2a00000),
-    ("Sage/P2p/1gpu/Off/Sequential/train-recompute", 0x8cba02f85b703e1c),
-    ("Sage/P2p/1gpu/Off/Sequential/infer", 0x876d57161b07206c),
-    ("Sage/P2p/1gpu/Off/Parallel/train-hybrid", 0x819ec1f7a2a00000),
-    ("Sage/P2p/1gpu/Off/Parallel/train-recompute", 0x8cba02f85b703e1c),
-    ("Sage/P2p/1gpu/Off/Parallel/infer", 0x876d57161b07206c),
-    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xc7df090ee37c3a2c),
-    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0xd559e3bf84dd7f30),
-    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x43619659717395c8),
-    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xc7df090ee37c3a2c),
-    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0xd559e3bf84dd7f30),
-    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x43619659717395c8),
-    ("Sage/P2p/2gpu/Off/Sequential/train-hybrid", 0xb668f0ef77283783),
-    ("Sage/P2p/2gpu/Off/Sequential/train-recompute", 0x678ae262b589956b),
-    ("Sage/P2p/2gpu/Off/Sequential/infer", 0xcc3639da1c57a65f),
-    ("Sage/P2p/2gpu/Off/Parallel/train-hybrid", 0xb668f0ef77283783),
-    ("Sage/P2p/2gpu/Off/Parallel/train-recompute", 0x678ae262b589956b),
-    ("Sage/P2p/2gpu/Off/Parallel/infer", 0xcc3639da1c57a65f),
-    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x0c538a871a1f50aa),
-    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x01598bf61f08897a),
-    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x41ed50ded4553bc6),
-    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x0c538a871a1f50aa),
-    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x01598bf61f08897a),
-    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x41ed50ded4553bc6),
-    ("Sage/P2p/4gpu/Off/Sequential/train-hybrid", 0xfe416ffcf7d33e1e),
-    ("Sage/P2p/4gpu/Off/Sequential/train-recompute", 0x29e2da151855c1e2),
-    ("Sage/P2p/4gpu/Off/Sequential/infer", 0xbcba9e70d1484ace),
-    ("Sage/P2p/4gpu/Off/Parallel/train-hybrid", 0xfe416ffcf7d33e1e),
-    ("Sage/P2p/4gpu/Off/Parallel/train-recompute", 0x29e2da151855c1e2),
-    ("Sage/P2p/4gpu/Off/Parallel/infer", 0xbcba9e70d1484ace),
-    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x54d66bc907e7b2e9),
-    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0xb131fa24f97f925d),
-    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/infer", 0x193b9c259f789174),
-    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x54d66bc907e7b2e9),
-    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0xb131fa24f97f925d),
-    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/infer", 0x193b9c259f789174),
-    ("Sage/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x6c93390c5aca805b),
-    ("Sage/P2pRu/1gpu/Off/Sequential/train-recompute", 0x5e70d8407210a57f),
-    ("Sage/P2pRu/1gpu/Off/Sequential/infer", 0xad289756222fd52f),
-    ("Sage/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x6c93390c5aca805b),
-    ("Sage/P2pRu/1gpu/Off/Parallel/train-recompute", 0x5e70d8407210a57f),
-    ("Sage/P2pRu/1gpu/Off/Parallel/infer", 0xad289756222fd52f),
-    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x4f30375fca31aa0f),
-    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0xdf9469bf05a9388b),
-    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0xad24e7f8e1a7ea03),
-    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x4f30375fca31aa0f),
-    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0xdf9469bf05a9388b),
-    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0xad24e7f8e1a7ea03),
-    ("Sage/P2pRu/2gpu/Off/Sequential/train-hybrid", 0x29f74ab88a33e9b2),
-    ("Sage/P2pRu/2gpu/Off/Sequential/train-recompute", 0x4f13dc9c20fd4322),
-    ("Sage/P2pRu/2gpu/Off/Sequential/infer", 0x04197e0da80cb9ee),
-    ("Sage/P2pRu/2gpu/Off/Parallel/train-hybrid", 0x29f74ab88a33e9b2),
-    ("Sage/P2pRu/2gpu/Off/Parallel/train-recompute", 0x4f13dc9c20fd4322),
-    ("Sage/P2pRu/2gpu/Off/Parallel/infer", 0x04197e0da80cb9ee),
-    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xa99fda843c6027cc),
-    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0xe2c5470a8d1d8e2c),
-    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0x136095fc541b6785),
-    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xa99fda843c6027cc),
-    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0xe2c5470a8d1d8e2c),
-    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0x136095fc541b6785),
-    ("Sage/P2pRu/4gpu/Off/Sequential/train-hybrid", 0x5107d4bd97cc3ce0),
-    ("Sage/P2pRu/4gpu/Off/Sequential/train-recompute", 0x72b0593512b010ec),
-    ("Sage/P2pRu/4gpu/Off/Sequential/infer", 0x8f12091b58faad1d),
-    ("Sage/P2pRu/4gpu/Off/Parallel/train-hybrid", 0x5107d4bd97cc3ce0),
-    ("Sage/P2pRu/4gpu/Off/Parallel/train-recompute", 0x72b0593512b010ec),
-    ("Sage/P2pRu/4gpu/Off/Parallel/infer", 0x8f12091b58faad1d),
-    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x3be064c3c19d5877),
-    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x2b53b0fbe2d2a8d3),
-    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0xe3a3446eb38b9fef),
-    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x3be064c3c19d5877),
-    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x2b53b0fbe2d2a8d3),
-    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0xe3a3446eb38b9fef),
-    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/train-hybrid", 0x35efdf45ac5224f7),
-    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/infer", 0xfac2afd1ead6b115),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0xcb991619f161e113),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/infer", 0xa61116d5e90458c1),
-    ("Gcn/P2p/2gpu/Off/Sequential/cache/train-hybrid", 0x72fed1474aa86884),
-    ("Gcn/P2p/2gpu/Off/Sequential/cache/infer", 0xbce68ff7c674217b),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x4041da3f9151b2a6),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/infer", 0xea84f30b25589844),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/train-hybrid", 0xe5ec1d3dfed213b5),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/infer", 0x6ddceec9d0ebde8f),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x2e68c8e0ebc814c4),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/infer", 0x350e895a0a874bd6),
+    ("Gcn/Vanilla/1gpu/Off/Sequential/train-hybrid", 0x567a287884964f04),
+    ("Gcn/Vanilla/1gpu/Off/Sequential/train-recompute", 0x6eacb02a4fce5fa8),
+    ("Gcn/Vanilla/1gpu/Off/Sequential/infer", 0x4e0c4aea946a81f8),
+    ("Gcn/Vanilla/1gpu/Off/Parallel/train-hybrid", 0x567a287884964f04),
+    ("Gcn/Vanilla/1gpu/Off/Parallel/train-recompute", 0x6eacb02a4fce5fa8),
+    ("Gcn/Vanilla/1gpu/Off/Parallel/infer", 0x4e0c4aea946a81f8),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xd115e9cf6e55a250),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0x1abc7f0675bfbb3c),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x64bd685ef1dd034c),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xd115e9cf6e55a250),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0x1abc7f0675bfbb3c),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x64bd685ef1dd034c),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/train-hybrid", 0x0ad5b372f47aa3aa),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/train-recompute", 0x42dd83e0fe4a6dc2),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/infer", 0xb950ecbb204e8fac),
+    ("Gcn/Vanilla/2gpu/Off/Parallel/train-hybrid", 0x0ad5b372f47aa3aa),
+    ("Gcn/Vanilla/2gpu/Off/Parallel/train-recompute", 0x42dd83e0fe4a6dc2),
+    ("Gcn/Vanilla/2gpu/Off/Parallel/infer", 0xb950ecbb204e8fac),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x64b2273f28e9f7cd),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x8ef3f2e6e5f677b5),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0x1e12247bd0761f27),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x64b2273f28e9f7cd),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x8ef3f2e6e5f677b5),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0x1e12247bd0761f27),
+    ("Gcn/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x8734efeab13647b1),
+    ("Gcn/Vanilla/4gpu/Off/Sequential/train-recompute", 0x86ff380522b78da5),
+    ("Gcn/Vanilla/4gpu/Off/Sequential/infer", 0xb1353ef3da0edcee),
+    ("Gcn/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x8734efeab13647b1),
+    ("Gcn/Vanilla/4gpu/Off/Parallel/train-recompute", 0x86ff380522b78da5),
+    ("Gcn/Vanilla/4gpu/Off/Parallel/infer", 0xb1353ef3da0edcee),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xddc8befe54f98cd4),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0xea9f475558565588),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0x9b5ccbc9058010df),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xddc8befe54f98cd4),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0xea9f475558565588),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0x9b5ccbc9058010df),
+    ("Gcn/P2p/1gpu/Off/Sequential/train-hybrid", 0x567a287884964f04),
+    ("Gcn/P2p/1gpu/Off/Sequential/train-recompute", 0x6eacb02a4fce5fa8),
+    ("Gcn/P2p/1gpu/Off/Sequential/infer", 0x4e0c4aea946a81f8),
+    ("Gcn/P2p/1gpu/Off/Parallel/train-hybrid", 0x567a287884964f04),
+    ("Gcn/P2p/1gpu/Off/Parallel/train-recompute", 0x6eacb02a4fce5fa8),
+    ("Gcn/P2p/1gpu/Off/Parallel/infer", 0x4e0c4aea946a81f8),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xd115e9cf6e55a250),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x1abc7f0675bfbb3c),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x64bd685ef1dd034c),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xd115e9cf6e55a250),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x1abc7f0675bfbb3c),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x64bd685ef1dd034c),
+    ("Gcn/P2p/2gpu/Off/Sequential/train-hybrid", 0x6d094dbb8fee3ce2),
+    ("Gcn/P2p/2gpu/Off/Sequential/train-recompute", 0x4ed12a702425872a),
+    ("Gcn/P2p/2gpu/Off/Sequential/infer", 0x6ed9e34e385791e4),
+    ("Gcn/P2p/2gpu/Off/Parallel/train-hybrid", 0x6d094dbb8fee3ce2),
+    ("Gcn/P2p/2gpu/Off/Parallel/train-recompute", 0x4ed12a702425872a),
+    ("Gcn/P2p/2gpu/Off/Parallel/infer", 0x6ed9e34e385791e4),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x30f13eafc7098c51),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x1577f79ee8e53ab9),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x074706b68fb07283),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x30f13eafc7098c51),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x1577f79ee8e53ab9),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x074706b68fb07283),
+    ("Gcn/P2p/4gpu/Off/Sequential/train-hybrid", 0x4b446270103aa188),
+    ("Gcn/P2p/4gpu/Off/Sequential/train-recompute", 0x98903ff87f381a6c),
+    ("Gcn/P2p/4gpu/Off/Sequential/infer", 0xf8857318dca3b306),
+    ("Gcn/P2p/4gpu/Off/Parallel/train-hybrid", 0x4b446270103aa188),
+    ("Gcn/P2p/4gpu/Off/Parallel/train-recompute", 0x98903ff87f381a6c),
+    ("Gcn/P2p/4gpu/Off/Parallel/infer", 0xf8857318dca3b306),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xd47ccd9e762b2281),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0x804c721be36b5fdd),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/infer", 0xe2bad6aacff92fd8),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xd47ccd9e762b2281),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0x804c721be36b5fdd),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/infer", 0xe2bad6aacff92fd8),
+    ("Gcn/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x6b2a393d478af8a3),
+    ("Gcn/P2pRu/1gpu/Off/Sequential/train-recompute", 0x8b6ed680c5f63d47),
+    ("Gcn/P2pRu/1gpu/Off/Sequential/infer", 0x14ed8d68c484412f),
+    ("Gcn/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x6b2a393d478af8a3),
+    ("Gcn/P2pRu/1gpu/Off/Parallel/train-recompute", 0x8b6ed680c5f63d47),
+    ("Gcn/P2pRu/1gpu/Off/Parallel/infer", 0x14ed8d68c484412f),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x25dfb3b2a22a1dc7),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x22dec541bef689db),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0x8ebd1eb249a5748b),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x25dfb3b2a22a1dc7),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x22dec541bef689db),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0x8ebd1eb249a5748b),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/train-hybrid", 0x3df9b05bb578bfd9),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/train-recompute", 0x9ded6f9007569581),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/infer", 0x1c553748cd2b66c7),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/train-hybrid", 0x3df9b05bb578bfd9),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/train-recompute", 0x9ded6f9007569581),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/infer", 0x1c553748cd2b66c7),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xd56dcc44bc854ae0),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0xd43b895a87d79b58),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0xbd80c27316c99c02),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xd56dcc44bc854ae0),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0xd43b895a87d79b58),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0xbd80c27316c99c02),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/train-hybrid", 0x3610d49d2a0aa55f),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/train-recompute", 0xbe92c997e5da28e3),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/infer", 0xebbf1d8a5e74305b),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/train-hybrid", 0x3610d49d2a0aa55f),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/train-recompute", 0xbe92c997e5da28e3),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/infer", 0xebbf1d8a5e74305b),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x41c3b619ce407bf7),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x1ad4e0a3f52ff2ab),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0x163548bfce01db3a),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x41c3b619ce407bf7),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x1ad4e0a3f52ff2ab),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0x163548bfce01db3a),
+    ("Gat/Vanilla/1gpu/Off/Sequential/train-hybrid", 0xe47b2461c5db6cab),
+    ("Gat/Vanilla/1gpu/Off/Sequential/train-recompute", 0xe47b2461c5db6cab),
+    ("Gat/Vanilla/1gpu/Off/Sequential/infer", 0x5df25272a1b175d7),
+    ("Gat/Vanilla/1gpu/Off/Parallel/train-hybrid", 0xe47b2461c5db6cab),
+    ("Gat/Vanilla/1gpu/Off/Parallel/train-recompute", 0xe47b2461c5db6cab),
+    ("Gat/Vanilla/1gpu/Off/Parallel/infer", 0x5df25272a1b175d7),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x44989822cf6b83db),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0x44989822cf6b83db),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0xf192f09e54a3dcb7),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x44989822cf6b83db),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0x44989822cf6b83db),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0xf192f09e54a3dcb7),
+    ("Gat/Vanilla/2gpu/Off/Sequential/train-hybrid", 0xa9a9e28c07ba4c63),
+    ("Gat/Vanilla/2gpu/Off/Sequential/train-recompute", 0xa9a9e28c07ba4c63),
+    ("Gat/Vanilla/2gpu/Off/Sequential/infer", 0x418cd7e85b98fc1e),
+    ("Gat/Vanilla/2gpu/Off/Parallel/train-hybrid", 0xa9a9e28c07ba4c63),
+    ("Gat/Vanilla/2gpu/Off/Parallel/train-recompute", 0xa9a9e28c07ba4c63),
+    ("Gat/Vanilla/2gpu/Off/Parallel/infer", 0x418cd7e85b98fc1e),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x60905f9969813b78),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x60905f9969813b78),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0x2d97d8771671d607),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x60905f9969813b78),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x60905f9969813b78),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0x2d97d8771671d607),
+    ("Gat/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x175551adf040c250),
+    ("Gat/Vanilla/4gpu/Off/Sequential/train-recompute", 0x175551adf040c250),
+    ("Gat/Vanilla/4gpu/Off/Sequential/infer", 0xf542616147e5c17f),
+    ("Gat/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x175551adf040c250),
+    ("Gat/Vanilla/4gpu/Off/Parallel/train-recompute", 0x175551adf040c250),
+    ("Gat/Vanilla/4gpu/Off/Parallel/infer", 0xf542616147e5c17f),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x63f55d11ce066cce),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x63f55d11ce066cce),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0x354593330bffb845),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x63f55d11ce066cce),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x63f55d11ce066cce),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0x354593330bffb845),
+    ("Gat/P2p/1gpu/Off/Sequential/train-hybrid", 0xe47b2461c5db6cab),
+    ("Gat/P2p/1gpu/Off/Sequential/train-recompute", 0xe47b2461c5db6cab),
+    ("Gat/P2p/1gpu/Off/Sequential/infer", 0x5df25272a1b175d7),
+    ("Gat/P2p/1gpu/Off/Parallel/train-hybrid", 0xe47b2461c5db6cab),
+    ("Gat/P2p/1gpu/Off/Parallel/train-recompute", 0xe47b2461c5db6cab),
+    ("Gat/P2p/1gpu/Off/Parallel/infer", 0x5df25272a1b175d7),
+    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x44989822cf6b83db),
+    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x44989822cf6b83db),
+    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/infer", 0xf192f09e54a3dcb7),
+    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x44989822cf6b83db),
+    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x44989822cf6b83db),
+    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/infer", 0xf192f09e54a3dcb7),
+    ("Gat/P2p/2gpu/Off/Sequential/train-hybrid", 0x5de66b9b53138c2f),
+    ("Gat/P2p/2gpu/Off/Sequential/train-recompute", 0x5de66b9b53138c2f),
+    ("Gat/P2p/2gpu/Off/Sequential/infer", 0xff8ccbc2262881c8),
+    ("Gat/P2p/2gpu/Off/Parallel/train-hybrid", 0x5de66b9b53138c2f),
+    ("Gat/P2p/2gpu/Off/Parallel/train-recompute", 0x5de66b9b53138c2f),
+    ("Gat/P2p/2gpu/Off/Parallel/infer", 0xff8ccbc2262881c8),
+    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x48ac17bba09f4dd8),
+    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x48ac17bba09f4dd8),
+    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x1ad47a5d119f5489),
+    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x48ac17bba09f4dd8),
+    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x48ac17bba09f4dd8),
+    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x1ad47a5d119f5489),
+    ("Gat/P2p/4gpu/Off/Sequential/train-hybrid", 0xfd87c0c34d4c962b),
+    ("Gat/P2p/4gpu/Off/Sequential/train-recompute", 0xfd87c0c34d4c962b),
+    ("Gat/P2p/4gpu/Off/Sequential/infer", 0x0194ee5540421cfe),
+    ("Gat/P2p/4gpu/Off/Parallel/train-hybrid", 0xfd87c0c34d4c962b),
+    ("Gat/P2p/4gpu/Off/Parallel/train-recompute", 0xfd87c0c34d4c962b),
+    ("Gat/P2p/4gpu/Off/Parallel/infer", 0x0194ee5540421cfe),
+    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x01918746228fcf96),
+    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0x01918746228fcf96),
+    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/infer", 0xd37b038b72d15acd),
+    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x01918746228fcf96),
+    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0x01918746228fcf96),
+    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/infer", 0xd37b038b72d15acd),
+    ("Gat/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x25306acf00865deb),
+    ("Gat/P2pRu/1gpu/Off/Sequential/train-recompute", 0x25306acf00865deb),
+    ("Gat/P2pRu/1gpu/Off/Sequential/infer", 0x3a0449a36d32ded7),
+    ("Gat/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x25306acf00865deb),
+    ("Gat/P2pRu/1gpu/Off/Parallel/train-recompute", 0x25306acf00865deb),
+    ("Gat/P2pRu/1gpu/Off/Parallel/infer", 0x3a0449a36d32ded7),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x600e08d978032d7b),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x600e08d978032d7b),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0x545e32f5c3a501d7),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x600e08d978032d7b),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x600e08d978032d7b),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0x545e32f5c3a501d7),
+    ("Gat/P2pRu/2gpu/Off/Sequential/train-hybrid", 0xc1bf5b6b9fcd5685),
+    ("Gat/P2pRu/2gpu/Off/Sequential/train-recompute", 0xc1bf5b6b9fcd5685),
+    ("Gat/P2pRu/2gpu/Off/Sequential/infer", 0xef112f07df5056fe),
+    ("Gat/P2pRu/2gpu/Off/Parallel/train-hybrid", 0xc1bf5b6b9fcd5685),
+    ("Gat/P2pRu/2gpu/Off/Parallel/train-recompute", 0xc1bf5b6b9fcd5685),
+    ("Gat/P2pRu/2gpu/Off/Parallel/infer", 0xef112f07df5056fe),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xe5fd5759ab8894f7),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0xe5fd5759ab8894f7),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0xe1f845c65ff6fadc),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xe5fd5759ab8894f7),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0xe5fd5759ab8894f7),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0xe1f845c65ff6fadc),
+    ("Gat/P2pRu/4gpu/Off/Sequential/train-hybrid", 0x2675b67e1cfd0b13),
+    ("Gat/P2pRu/4gpu/Off/Sequential/train-recompute", 0x2675b67e1cfd0b13),
+    ("Gat/P2pRu/4gpu/Off/Sequential/infer", 0xdcff94b5bdbc9dbe),
+    ("Gat/P2pRu/4gpu/Off/Parallel/train-hybrid", 0x2675b67e1cfd0b13),
+    ("Gat/P2pRu/4gpu/Off/Parallel/train-recompute", 0x2675b67e1cfd0b13),
+    ("Gat/P2pRu/4gpu/Off/Parallel/infer", 0xdcff94b5bdbc9dbe),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xa07ba08ee412a349),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0xa07ba08ee412a349),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0x6195ceae81a111eb),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xa07ba08ee412a349),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0xa07ba08ee412a349),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0x6195ceae81a111eb),
+    ("Sage/Vanilla/1gpu/Off/Sequential/train-hybrid", 0x3c6dd0bc401cfa70),
+    ("Sage/Vanilla/1gpu/Off/Sequential/train-recompute", 0x57f38051ae4159c4),
+    ("Sage/Vanilla/1gpu/Off/Sequential/infer", 0x1802a9c681a28f94),
+    ("Sage/Vanilla/1gpu/Off/Parallel/train-hybrid", 0x3c6dd0bc401cfa70),
+    ("Sage/Vanilla/1gpu/Off/Parallel/train-recompute", 0x57f38051ae4159c4),
+    ("Sage/Vanilla/1gpu/Off/Parallel/infer", 0x1802a9c681a28f94),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x767f5daedb846074),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0x28e798c3a0113400),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x6f1569dbcbbd0928),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x767f5daedb846074),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0x28e798c3a0113400),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x6f1569dbcbbd0928),
+    ("Sage/Vanilla/2gpu/Off/Sequential/train-hybrid", 0x3d46bc6f6d61a7f1),
+    ("Sage/Vanilla/2gpu/Off/Sequential/train-recompute", 0x6ab8c8000d5fa0c1),
+    ("Sage/Vanilla/2gpu/Off/Sequential/infer", 0xc8f9c1953f68e5a1),
+    ("Sage/Vanilla/2gpu/Off/Parallel/train-hybrid", 0x3d46bc6f6d61a7f1),
+    ("Sage/Vanilla/2gpu/Off/Parallel/train-recompute", 0x6ab8c8000d5fa0c1),
+    ("Sage/Vanilla/2gpu/Off/Parallel/infer", 0xc8f9c1953f68e5a1),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xa28c231a26fe2345),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x1e8ba69cae662a35),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0xe56a58e08d90eaa9),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xa28c231a26fe2345),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x1e8ba69cae662a35),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0xe56a58e08d90eaa9),
+    ("Sage/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x6cd449d8d22f2427),
+    ("Sage/Vanilla/4gpu/Off/Sequential/train-recompute", 0x05b9a102d64769db),
+    ("Sage/Vanilla/4gpu/Off/Sequential/infer", 0x75d02cad58d17b13),
+    ("Sage/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x6cd449d8d22f2427),
+    ("Sage/Vanilla/4gpu/Off/Parallel/train-recompute", 0x05b9a102d64769db),
+    ("Sage/Vanilla/4gpu/Off/Parallel/infer", 0x75d02cad58d17b13),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x0ac8d86496f719f5),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x3eb41eeca1ea5359),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0xa5499a7b27bde3a1),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x0ac8d86496f719f5),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x3eb41eeca1ea5359),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0xa5499a7b27bde3a1),
+    ("Sage/P2p/1gpu/Off/Sequential/train-hybrid", 0x3c6dd0bc401cfa70),
+    ("Sage/P2p/1gpu/Off/Sequential/train-recompute", 0x57f38051ae4159c4),
+    ("Sage/P2p/1gpu/Off/Sequential/infer", 0x1802a9c681a28f94),
+    ("Sage/P2p/1gpu/Off/Parallel/train-hybrid", 0x3c6dd0bc401cfa70),
+    ("Sage/P2p/1gpu/Off/Parallel/train-recompute", 0x57f38051ae4159c4),
+    ("Sage/P2p/1gpu/Off/Parallel/infer", 0x1802a9c681a28f94),
+    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x767f5daedb846074),
+    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x28e798c3a0113400),
+    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x6f1569dbcbbd0928),
+    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x767f5daedb846074),
+    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x28e798c3a0113400),
+    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x6f1569dbcbbd0928),
+    ("Sage/P2p/2gpu/Off/Sequential/train-hybrid", 0x563f3a3c1bda0289),
+    ("Sage/P2p/2gpu/Off/Sequential/train-recompute", 0x20c6deafda971981),
+    ("Sage/P2p/2gpu/Off/Sequential/infer", 0x7558a826f1379f05),
+    ("Sage/P2p/2gpu/Off/Parallel/train-hybrid", 0x563f3a3c1bda0289),
+    ("Sage/P2p/2gpu/Off/Parallel/train-recompute", 0x20c6deafda971981),
+    ("Sage/P2p/2gpu/Off/Parallel/infer", 0x7558a826f1379f05),
+    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xf58cf2591de0547c),
+    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x12f0389a21d7ee84),
+    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/infer", 0xd6699b845d570090),
+    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xf58cf2591de0547c),
+    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x12f0389a21d7ee84),
+    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/infer", 0xd6699b845d570090),
+    ("Sage/P2p/4gpu/Off/Sequential/train-hybrid", 0xd6147c7e07b7d1b2),
+    ("Sage/P2p/4gpu/Off/Sequential/train-recompute", 0x198b02a620e5a936),
+    ("Sage/P2p/4gpu/Off/Sequential/infer", 0x7c8899b4364936aa),
+    ("Sage/P2p/4gpu/Off/Parallel/train-hybrid", 0xd6147c7e07b7d1b2),
+    ("Sage/P2p/4gpu/Off/Parallel/train-recompute", 0x198b02a620e5a936),
+    ("Sage/P2p/4gpu/Off/Parallel/infer", 0x7c8899b4364936aa),
+    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x91ed94fb88d10c55),
+    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0xfcc4c523e4212d39),
+    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/infer", 0xe0b22dd273f6a118),
+    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x91ed94fb88d10c55),
+    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0xfcc4c523e4212d39),
+    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/infer", 0xe0b22dd273f6a118),
+    ("Sage/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x7ffaf390b4290607),
+    ("Sage/P2pRu/1gpu/Off/Sequential/train-recompute", 0xcf3c52982b8c4b2b),
+    ("Sage/P2pRu/1gpu/Off/Sequential/infer", 0xab742235e2a3142b),
+    ("Sage/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x7ffaf390b4290607),
+    ("Sage/P2pRu/1gpu/Off/Parallel/train-recompute", 0xcf3c52982b8c4b2b),
+    ("Sage/P2pRu/1gpu/Off/Parallel/infer", 0xab742235e2a3142b),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x153c67ea0b6ac07b),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x60e3f574eb520cb7),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0xa945f2d5361a7d2f),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x153c67ea0b6ac07b),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x60e3f574eb520cb7),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0xa945f2d5361a7d2f),
+    ("Sage/P2pRu/2gpu/Off/Sequential/train-hybrid", 0x17c7ebb28b4a92e9),
+    ("Sage/P2pRu/2gpu/Off/Sequential/train-recompute", 0xf5c997956b37d7d1),
+    ("Sage/P2pRu/2gpu/Off/Sequential/infer", 0xc4fd2ce6548b846d),
+    ("Sage/P2pRu/2gpu/Off/Parallel/train-hybrid", 0x17c7ebb28b4a92e9),
+    ("Sage/P2pRu/2gpu/Off/Parallel/train-recompute", 0xf5c997956b37d7d1),
+    ("Sage/P2pRu/2gpu/Off/Parallel/infer", 0xc4fd2ce6548b846d),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x0a05cef595c09d23),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0x9a01c4be57318d4b),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0x31bb60e0aa03b556),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x0a05cef595c09d23),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0x9a01c4be57318d4b),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0x31bb60e0aa03b556),
+    ("Sage/P2pRu/4gpu/Off/Sequential/train-hybrid", 0x61da63c6c74c1e1c),
+    ("Sage/P2pRu/4gpu/Off/Sequential/train-recompute", 0x27ee86ead05a60b8),
+    ("Sage/P2pRu/4gpu/Off/Sequential/infer", 0x7535341306313131),
+    ("Sage/P2pRu/4gpu/Off/Parallel/train-hybrid", 0x61da63c6c74c1e1c),
+    ("Sage/P2pRu/4gpu/Off/Parallel/train-recompute", 0x27ee86ead05a60b8),
+    ("Sage/P2pRu/4gpu/Off/Parallel/infer", 0x7535341306313131),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xa82f3ca4a0e07f4b),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x1c619203f7841997),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0xf1b98708dcd2d8bb),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xa82f3ca4a0e07f4b),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x1c619203f7841997),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0xf1b98708dcd2d8bb),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/train-hybrid", 0x38bc8174c05dd586),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/infer", 0x5f7a157d171d5c18),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x530b05cdd7fce1e2),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/infer", 0xab43e0fc003cd0a4),
+    ("Gcn/P2p/2gpu/Off/Sequential/cache/train-hybrid", 0xca1b2bed4e00156d),
+    ("Gcn/P2p/2gpu/Off/Sequential/cache/infer", 0xd2e79536a984c24e),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x526ecf14b26b455b),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/infer", 0xe63b2f442c9a92ad),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/train-hybrid", 0xe5951b2fbc5a749f),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/infer", 0x975aa231aec215fd),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0xf0d770d4a445b6a2),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/infer", 0x4450f7262f8ae718),
 ];
 
 /// [`GOLDEN_FOOTPRINT`] without the two cone costs every one of its rows

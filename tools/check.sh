@@ -78,10 +78,10 @@ cargo run -q --release -p hongtu-bench --bin bench_overlap -- --out BENCH_overla
 echo "==> bench smoke: infer vs train-epoch sim time and memory (BENCH_infer.json)"
 cargo run -q --release -p hongtu-bench --bin bench_infer -- --out BENCH_infer.json
 
-echo "==> bench smoke: serving path, pruned sweep vs full + open-loop load (BENCH_serving.json)"
+echo "==> bench smoke: serving path, pruned sweep and one-query probe strictly cheaper than full in sim time and events + open-loop load (BENCH_serving.json)"
 cargo run -q --release -p hongtu-bench --bin bench_serving -- --out BENCH_serving.json
 
-echo "==> bench smoke: delta path, incremental vs full recompute + cone/graph scaling (BENCH_delta.json)"
+echo "==> bench smoke: delta path, incremental vs full recompute + monotone cone curve whose 16-vertex point stays below half the sweep in rows + graph scaling (BENCH_delta.json)"
 cargo run -q --release -p hongtu-bench --bin bench_delta -- --out BENCH_delta.json
 
 echo "==> bench smoke: hot-vertex cache, H2D reduction at bitwise-equal digests (BENCH_cache.json)"
