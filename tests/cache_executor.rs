@@ -21,7 +21,7 @@ use hongtu::datasets::dataset::{Dataset, DatasetKey};
 use hongtu::datasets::load;
 use hongtu::delta::{Delta, DynamicGraph};
 use hongtu::nn::ModelKind;
-use hongtu::sim::MachineConfig;
+use hongtu::sim::{EventKind, MachineConfig};
 use hongtu::tensor::{Matrix, SeededRng};
 use std::sync::Arc;
 
@@ -54,10 +54,11 @@ fn config(
         .expect("valid config")
 }
 
-/// Two training epochs; returns the per-epoch losses (exact f32 bits),
-/// the final logits, and the session for cache inspection.
+/// Two traced training epochs; returns the per-epoch losses (exact f32
+/// bits), the final logits, and the session for cache inspection.
 fn train_two(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> (Vec<f32>, Matrix, Session) {
     let mut session = Session::new(ds, kind, 16, 2, 4, cfg).expect("session");
+    session.machine_mut().enable_unbounded_trace();
     let mut losses = Vec::new();
     {
         let mut trainer = session.trainer();
@@ -69,10 +70,20 @@ fn train_two(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> (Vec<f32>, Mat
     (losses, logits, session)
 }
 
-/// The central contract across the full ISSUE matrix: cache-on training
+/// Non-zero H2D transfers in the session's trace.
+fn h2d_transfers(session: &Session) -> usize {
+    session
+        .machine()
+        .trace()
+        .events()
+        .filter(|e| matches!(e.kind, EventKind::H2D) && e.bytes > 0)
+        .count()
+}
+
+/// The central contract across the full matrix: cache-on training
 /// reproduces cache-off training bit for bit while moving strictly
-/// fewer H2D bytes, and every cache journal certifies clean under
-/// pass 11.
+/// fewer H2D bytes over strictly fewer non-zero H2D transfers, and every
+/// cache journal certifies clean under pass 11.
 #[test]
 fn cache_on_matches_cache_off_bitwise_across_matrix() {
     let ds = dataset();
@@ -104,6 +115,12 @@ fn cache_on_matches_cache_off_bitwise_across_matrix() {
                     assert!(
                         h2d_on < h2d_off,
                         "{tag}: cache-on H2D {h2d_on} not strictly below {h2d_off}"
+                    );
+                    let (xfers_off, xfers_on) =
+                        (h2d_transfers(&off_session), h2d_transfers(&on_session));
+                    assert!(
+                        xfers_on < xfers_off,
+                        "{tag}: cache-on H2D transfers {xfers_on} not strictly below {xfers_off}"
                     );
                     let report = on_session.certify_cache();
                     assert!(

@@ -251,71 +251,173 @@ fn incremental_schedule_certifies_with_paranoid() {
     assert!(cert.is_ok(), "{}", cert.render());
 }
 
+/// The `count` vertices with the fewest out-edges (usually just their
+/// self-loop), ascending: nested prefixes give nested dirty sets, hence
+/// nested (upward-closed) cones.
+fn quiet_vertices(ds: &Dataset, count: usize) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..ds.graph.num_vertices() as u32).collect();
+    order.sort_by_key(|&v| (ds.graph.out_degree(v), v));
+    order.truncate(count);
+    order
+}
+
+/// One feature rewrite per vertex.
+fn feature_deltas(ds: &Dataset, vertices: &[u32]) -> Vec<Delta> {
+    vertices
+        .iter()
+        .map(|&v| Delta::UpdateFeatures {
+            vertex: v,
+            features: vec![0.25; ds.features.cols()],
+        })
+        .collect()
+}
+
+/// What bringing the logits up to date after `deltas` costs on a fresh,
+/// primed `kind` session: the commit's cone replay, or — with `full` —
+/// a whole inference sweep over the mutated graph on a twin session that
+/// made the same commit. Returns the commit's report and the update's
+/// logits, sim time and sim events.
+fn update_cost(
+    ds: &Dataset,
+    kind: ModelKind,
+    (gpus, chunks): (usize, usize),
+    overlap: OverlapMode,
+    deltas: &[Delta],
+    full: bool,
+) -> (DeltaReport, Matrix, f64, usize) {
+    let cfg = config(gpus, overlap, CommMode::P2pRu);
+    let mut s = Session::new(ds, kind, 16, 2, chunks, cfg).expect("session");
+    s.infer_epoch().expect("initial full sweep");
+    s.machine_mut().enable_unbounded_trace();
+    let mut dg = DynamicGraph::from_dataset(ds);
+    let r = apply(&mut s, &mut dg, deltas);
+    let (logits, time) = if full {
+        s.machine_mut().replace_trace(Trace::unbounded());
+        let sweep = s.infer_epoch().expect("full sweep over the mutated graph");
+        (sweep.logits, sweep.time)
+    } else {
+        (r.logits.clone(), r.time)
+    };
+    let events = s.machine().trace().len();
+    (r, logits, time, events)
+}
+
 /// A small delta costs strictly less than the full-recompute baseline
-/// on perfectly matched sessions: strictly fewer sim events, strictly
-/// less simulated time, bitwise-identical logits.
+/// on perfectly matched sessions, for every model, GPU count and overlap
+/// mode: strictly fewer sim events, strictly less simulated time,
+/// bitwise-identical logits.
 #[test]
 fn small_delta_beats_full_recompute() {
-    // Batch-granular pruning needs a graph where one vertex's
-    // out-neighborhood does not scatter across every batch, so this
-    // test runs on a sparse random dataset with more chunks than the
-    // dense Rdt proxy. The smallest possible mutation: rewrite the
-    // features of the vertex with the fewest out-edges (usually just
-    // its self-loop), so the affected cone stays a small fraction of
+    // Pruning needs a graph where one vertex's out-neighborhood does not
+    // scatter across every batch, so this test runs on a sparse random
+    // dataset with more chunks than the dense Rdt proxy. The smallest
+    // possible mutation: rewrite the features of the vertex with the
+    // fewest out-edges, so the affected cone stays a small fraction of
     // the sweep.
     let ds = random_dataset(test_seed() ^ 0xbeef, 360);
-    let quiet = (0..ds.graph.num_vertices())
-        .min_by_key(|&v| ds.graph.out_degree(v as u32))
-        .expect("non-empty graph") as u32;
-    let deltas = vec![Delta::UpdateFeatures {
-        vertex: quiet,
-        features: vec![0.25; ds.features.cols()],
-    }];
-    let mk_session = |overlap| {
-        Session::new(
+    let deltas = feature_deltas(&ds, &quiet_vertices(&ds, 1));
+    for kind in [ModelKind::Gcn, ModelKind::Gat, ModelKind::Sage] {
+        for gpus in [1usize, 2, 4] {
+            for overlap in [OverlapMode::Off, OverlapMode::DoubleBuffer] {
+                let tag = format!("{} / {gpus} GPUs / {overlap:?}", kind.name());
+                let cost = |full| update_cost(&ds, kind, (gpus, 6), overlap, &deltas, full);
+                let (r, inc_logits, inc_time, inc_events) = cost(false);
+                assert!(
+                    r.active_steps < r.total_steps,
+                    "{tag}: delta cone fills the whole sweep — pick a smaller delta"
+                );
+                let (_, full_logits, full_time, full_events) = cost(true);
+                assert_eq!(inc_logits, full_logits, "{tag}: paths diverged");
+                assert!(
+                    inc_events < full_events,
+                    "{tag}: incremental {inc_events} events !< full {full_events}"
+                );
+                assert!(
+                    inc_time < full_time,
+                    "{tag}: incremental {inc_time}s !< full {full_time}s"
+                );
+            }
+        }
+    }
+}
+
+/// Cost follows the cone: nested dirty sets of 1, 2, 4, 8 and 16 quiet
+/// vertices give nested cones, so the replay's active steps, rows, sim
+/// events and sim time never decrease as the spread grows. The widest
+/// point scatters its seeds over nearly every `(layer, batch)` step, yet
+/// what it replays is still its rows: fewer than half the sweep's.
+#[test]
+fn delta_cost_is_monotone_in_the_spread() {
+    let ds = random_dataset(test_seed(), 360);
+    let mut previous: Option<(usize, usize, usize, f64)> = None;
+    for spread in [1usize, 2, 4, 8, 16] {
+        let deltas = feature_deltas(&ds, &quiet_vertices(&ds, spread));
+        let (r, _, time, events) = update_cost(
             &ds,
             ModelKind::Gcn,
-            16,
-            2,
-            6,
-            config(2, overlap, CommMode::P2pRu),
-        )
-        .expect("session")
-    };
-    for overlap in [OverlapMode::Off, OverlapMode::DoubleBuffer] {
-        let mut dg_inc = DynamicGraph::from_dataset(&ds);
-        let mut dg_full = DynamicGraph::from_dataset(&ds);
-
-        let (inc_logits, inc_events, inc_time) = {
-            let mut s = mk_session(overlap);
-            s.infer_epoch().expect("initial full sweep");
-            s.machine_mut().enable_unbounded_trace();
-            let r = apply(&mut s, &mut dg_inc, &deltas);
+            (2, 12),
+            OverlapMode::Off,
+            &deltas,
+            false,
+        );
+        let point = (r.active_steps, r.active_rows, events, time);
+        if let Some(p) = previous {
             assert!(
-                r.active_steps < r.total_steps,
-                "{overlap:?}: delta cone fills the whole sweep — pick a smaller delta"
+                p.0 <= point.0 && p.1 <= point.1 && p.2 <= point.2 && p.3 <= point.3,
+                "spread {spread}: (steps, rows, events, time) fell from {p:?} to {point:?}"
             );
-            (r.logits, s.machine().trace().len(), r.time)
-        };
-        let (full_logits, full_events, full_time) = {
-            let mut s = mk_session(overlap);
-            s.infer_epoch().expect("initial full sweep");
-            apply(&mut s, &mut dg_full, &deltas);
-            s.machine_mut().replace_trace(Trace::unbounded());
-            let r = s.infer_epoch().expect("full sweep over the mutated graph");
-            (r.logits, s.machine().trace().len(), r.time)
-        };
-
-        assert_eq!(inc_logits, full_logits, "{overlap:?}: paths diverged");
-        assert!(
-            inc_events < full_events,
-            "{overlap:?}: incremental {inc_events} events !< full {full_events}"
-        );
-        assert!(
-            inc_time < full_time,
-            "{overlap:?}: incremental {inc_time}s !< full {full_time}s"
-        );
+        }
+        previous = Some(point);
+        if spread == 16 {
+            assert!(
+                2 * r.active_rows < r.total_rows,
+                "spread 16 replayed {}/{} rows ({}/{} steps): not below half the sweep",
+                r.active_rows,
+                r.total_rows,
+                r.active_steps,
+                r.total_steps
+            );
+        }
     }
+}
+
+/// Cost tracks the cone, not the graph: one quiet-vertex delta on graphs
+/// of 360, 720 and 1440 vertices at a fixed 30-vertex chunk width
+/// replays in strictly less sim time than a full sweep at every size,
+/// and its sim time grows by a strictly smaller factor than the full
+/// sweep's.
+#[test]
+fn delta_cost_grows_slower_than_the_graph() {
+    let mut inc = Vec::new();
+    let mut full = Vec::new();
+    for n in [360usize, 720, 1440] {
+        let ds = random_dataset(test_seed(), n);
+        let deltas = feature_deltas(&ds, &quiet_vertices(&ds, 1));
+        let cost = |full| {
+            update_cost(
+                &ds,
+                ModelKind::Gcn,
+                (2, n / 30),
+                OverlapMode::Off,
+                &deltas,
+                full,
+            )
+            .2
+        };
+        let (t_inc, t_full) = (cost(false), cost(true));
+        assert!(
+            t_inc < t_full,
+            "n={n}: incremental {t_inc}s !< full {t_full}s"
+        );
+        inc.push(t_inc);
+        full.push(t_full);
+    }
+    let (inc_growth, full_growth) = (inc[2] / inc[0], full[2] / full[0]);
+    assert!(
+        inc_growth < full_growth,
+        "incremental grew {inc_growth:.3}x from n=360 to n=1440, the full sweep only \
+         {full_growth:.3}x: cost is not tracking the cone"
+    );
 }
 
 /// Random dirty sets over the whole matrix — {GCN, GAT, SAGE} ×

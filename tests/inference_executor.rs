@@ -116,51 +116,64 @@ fn infer_matches_train_forward_bitwise_across_matrix() {
 }
 
 /// Inference sessions run strictly below the training run's peaks on
-/// both tiers: the GPUs drop the 2× Adam moment state, the host drops
-/// the ∇h stores and the hybrid checkpoint cache.
+/// both tiers — the GPUs drop the 2× Adam moment state, the host drops
+/// the ∇h stores and the hybrid checkpoint cache — and an inference
+/// sweep takes strictly less simulated time than a training epoch, for
+/// every model, overlap mode and GPU count.
 #[test]
 fn infer_peak_memory_strictly_below_training() {
     let ds = dataset();
-    for overlap in [OverlapMode::Off, OverlapMode::DoubleBuffer] {
-        let (train_gpu, train_host) = {
-            let cfg = config(
-                4,
-                CommMode::P2pRu,
-                overlap,
-                ExecutionMode::Sequential,
-                Mode::Train,
-            );
-            let mut engine = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("engine");
-            engine.trainer().epoch().expect("train epoch");
-            (
-                engine.machine().max_gpu_peak(),
-                engine.machine().host_memory().peak(),
-            )
-        };
-        let cfg = config(
-            4,
-            CommMode::P2pRu,
-            overlap,
-            ExecutionMode::Sequential,
-            Mode::Infer,
-        );
-        let mut session = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("session");
-        let report = session.infer_epoch().expect("infer epoch");
-        assert!(
-            report.peak_gpu_bytes < train_gpu,
-            "{overlap:?}: inference GPU peak {} !< training {}",
-            report.peak_gpu_bytes,
-            train_gpu
-        );
-        assert!(
-            report.peak_host_bytes < train_host,
-            "{overlap:?}: inference host peak {} !< training {}",
-            report.peak_host_bytes,
-            train_host
-        );
-        assert!(report.time > 0.0);
-        assert!(report.buckets.h2d > 0.0);
-        assert!(report.buckets.gpu > 0.0);
+    for kind in [ModelKind::Gcn, ModelKind::Gat, ModelKind::Sage] {
+        for overlap in [OverlapMode::Off, OverlapMode::DoubleBuffer] {
+            for gpus in [1, 2, 4] {
+                let tag = format!("{} / {overlap:?} / {gpus} GPUs", kind.name());
+                let (train_time, train_gpu, train_host) = {
+                    let cfg = config(
+                        gpus,
+                        CommMode::P2pRu,
+                        overlap,
+                        ExecutionMode::Sequential,
+                        Mode::Train,
+                    );
+                    let mut engine = Session::new(&ds, kind, 16, 2, 4, cfg).expect("engine");
+                    let time = engine.trainer().epoch().expect("train epoch").time;
+                    (
+                        time,
+                        engine.machine().max_gpu_peak(),
+                        engine.machine().host_memory().peak(),
+                    )
+                };
+                let cfg = config(
+                    gpus,
+                    CommMode::P2pRu,
+                    overlap,
+                    ExecutionMode::Sequential,
+                    Mode::Infer,
+                );
+                let mut session = Session::new(&ds, kind, 16, 2, 4, cfg).expect("session");
+                let report = session.infer_epoch().expect("infer epoch");
+                assert!(
+                    report.peak_gpu_bytes < train_gpu,
+                    "{tag}: inference GPU peak {} !< training {}",
+                    report.peak_gpu_bytes,
+                    train_gpu
+                );
+                assert!(
+                    report.peak_host_bytes < train_host,
+                    "{tag}: inference host peak {} !< training {}",
+                    report.peak_host_bytes,
+                    train_host
+                );
+                assert!(
+                    report.time < train_time,
+                    "{tag}: inference {} s !< training epoch {train_time} s",
+                    report.time
+                );
+                assert!(report.time > 0.0);
+                assert!(report.buckets.h2d > 0.0);
+                assert!(report.buckets.gpu > 0.0);
+            }
+        }
     }
 }
 

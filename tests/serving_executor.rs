@@ -58,9 +58,10 @@ fn session(ds: &Dataset, kind: ModelKind, gpus: usize, overlap: OverlapMode) -> 
     Session::new(ds, kind, 16, 2, 4, config(gpus, overlap)).expect("session")
 }
 
-/// A query subset clustered in batch 0 (the regime where the cone
-/// actually prunes) plus a couple of scattered vertices.
-fn mixed_queries(session: &Session, count: usize, seed: u64) -> Vec<usize> {
+/// A query subset clustered in batch 0: the regime where the cone
+/// prunes whole steps (at the top layer only batch 0 runs) on top of
+/// the rows it prunes inside the steps it keeps.
+fn clustered_queries(session: &Session, count: usize, seed: u64) -> Vec<usize> {
     let mut pool: Vec<usize> = session
         .plans()
         .partition
@@ -70,11 +71,15 @@ fn mixed_queries(session: &Session, count: usize, seed: u64) -> Vec<usize> {
         .collect();
     pool.sort_unstable();
     let mut rng = SeededRng::new(seed);
-    let mut q: Vec<usize> = rng
-        .sample_indices(pool.len(), count.min(pool.len()))
+    rng.sample_indices(pool.len(), count.min(pool.len()))
         .into_iter()
         .map(|k| pool[k])
-        .collect();
+        .collect()
+}
+
+/// [`clustered_queries`] plus a scattered vertex.
+fn mixed_queries(session: &Session, count: usize, seed: u64) -> Vec<usize> {
+    let mut q = clustered_queries(session, count, seed);
     q.push(0);
     q.dedup();
     q
@@ -235,30 +240,74 @@ fn served_batch_schedule_certifies_with_paranoid() {
     assert_eq!(served.logits.rows(), vertices.len());
 }
 
-/// A sweep pruned to a clustered query set executes strictly fewer sim
-/// events than the full inference sweep on an identical session.
+/// A query costs its cone, for every model, overlap mode and GPU count,
+/// each sweep on its own fresh traced session:
+/// - a sweep pruned to a clustered subset of 5 % of the vertices runs
+///   strictly fewer sim events in strictly less sim time than the full
+///   inference sweep;
+/// - a one-query probe of 8 uniformly scattered vertices is strictly
+///   cheaper than the full sweep in sim time and events, and computes
+///   strictly fewer rows — even on RDT, where 77 in-neighbours a vertex
+///   let the cone's bottom layer read most of the graph.
+///
+/// Both serve the rows of `infer_epoch` bit for bit.
 #[test]
 fn pruned_sweep_runs_strictly_fewer_events() {
     let ds = dataset();
-    for overlap in [OverlapMode::Off, OverlapMode::DoubleBuffer] {
-        let serve_events = {
-            let mut s = session(&ds, ModelKind::Gcn, 4, overlap);
-            let vertices = mixed_queries(&s, 16, test_seed());
-            s.machine_mut().enable_unbounded_trace();
-            let report = s.serve(&vertices).expect("serve");
-            assert!(report.active_steps < report.total_steps);
-            s.machine().trace().len()
-        };
-        let infer_events = {
-            let mut s = session(&ds, ModelKind::Gcn, 4, overlap);
-            s.machine_mut().enable_unbounded_trace();
-            s.infer_epoch().expect("infer epoch");
-            s.machine().trace().len()
-        };
-        assert!(
-            serve_events < infer_events,
-            "{overlap:?}: pruned sweep {serve_events} events !< full sweep {infer_events}"
-        );
+    let n = ds.graph.num_vertices();
+    let probe = SeededRng::new(test_seed() ^ 0x7072_6f62).sample_indices(n, 8);
+    for kind in [ModelKind::Gcn, ModelKind::Gat, ModelKind::Sage] {
+        for overlap in [OverlapMode::Off, OverlapMode::DoubleBuffer] {
+            for gpus in [1usize, 2, 4] {
+                let tag = format!("{} / {overlap:?} / {gpus} GPUs", kind.name());
+                let traced = || {
+                    let mut s = session(&ds, kind, gpus, overlap);
+                    s.machine_mut().enable_unbounded_trace();
+                    s
+                };
+                let (infer, infer_events) = {
+                    let mut s = traced();
+                    let r = s.infer_epoch().expect("infer epoch");
+                    (r, s.machine().trace().len())
+                };
+                let (vertices, served, serve_events) = {
+                    let mut s = traced();
+                    let vertices = clustered_queries(&s, n / 20, test_seed());
+                    let r = s.serve(&vertices).expect("serve");
+                    (vertices, r, s.machine().trace().len())
+                };
+                assert!(served.active_steps < served.total_steps, "{tag}");
+                assert_eq!(served.logits, infer.logits.gather_rows(&vertices), "{tag}");
+                assert!(
+                    serve_events < infer_events,
+                    "{tag}: pruned sweep {serve_events} events !< full sweep {infer_events}"
+                );
+                assert!(
+                    served.time < infer.time,
+                    "{tag}: pruned sweep {} s !< full sweep {} s",
+                    served.time,
+                    infer.time
+                );
+
+                let (probed, probe_events) = {
+                    let mut s = traced();
+                    let r = s.serve(&probe).expect("probe");
+                    (r, s.machine().trace().len())
+                };
+                assert_eq!(probed.logits, infer.logits.gather_rows(&probe), "{tag}");
+                assert!(
+                    probed.time < infer.time
+                        && probe_events < infer_events
+                        && probed.active_rows < probed.total_rows,
+                    "{tag}: probe ({} s, {probe_events} events, {}/{} rows) not strictly \
+                     cheaper than the full sweep ({} s, {infer_events} events)",
+                    probed.time,
+                    probed.active_rows,
+                    probed.total_rows,
+                    infer.time
+                );
+            }
+        }
     }
 }
 
