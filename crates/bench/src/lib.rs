@@ -8,7 +8,6 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
-pub mod harness;
 pub mod run;
 pub mod table;
 

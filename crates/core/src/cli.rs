@@ -1,11 +1,9 @@
 //! Shared command-line flag parsing for the HongTu binaries.
 //!
-//! Every CLI (`train`, `infer`, `verify-trace`, `verify-plan`, the bench
-//! bins) historically carried its own copy of the flag-value parsers,
-//! with drifting spellings (`--comm full` in one bin, `--comm p2pru` in
-//! another). This module is the single home for those parsers: each
-//! accepts the union of the spellings the bins used to accept, so no
-//! existing invocation breaks.
+//! The CLIs (`train`, `infer`, `verify`) share one set of flag-value
+//! parsers, so a flag is spelled the same way everywhere: each parser
+//! accepts every spelling any of them takes (`--comm full` and `--comm
+//! p2pru` alike).
 //!
 //! All parsers are `fn(&str) -> Result<T, String>` — the binaries decide
 //! how to report errors (usage text, exit codes).

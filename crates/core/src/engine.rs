@@ -1251,7 +1251,7 @@ impl Session {
 
     /// Whether this session is small enough for the exhaustive
     /// interleaving exploration of pass 8 (≤ 2 GPUs × ≤ 2 layers — the
-    /// bound the `verify-schedule` CLI and Paranoid construction use).
+    /// bound `verify schedule` and Paranoid construction use).
     pub fn exhaustive_exploration_feasible(&self) -> bool {
         self.plan.m <= 2 && self.model.num_layers() <= 2
     }

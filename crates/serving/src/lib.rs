@@ -31,8 +31,8 @@
 //! [`run_open_loop`] drives a server with a synthetic open-loop
 //! workload ([`poisson_workload`]) on the simulated clock and reports
 //! latency percentiles, throughput, the batch-size histogram, and the
-//! admission-reject rate — the numbers `bench_serving` emits as
-//! `BENCH_serving.json`. [`run_mixed_open_loop`] does the same for an
+//! admission-reject rate, as the `infer --serve` CLI prints them.
+//! [`run_mixed_open_loop`] does the same for an
 //! interleaved update + query workload ([`mixed_workload`]).
 
 #![forbid(unsafe_code)]

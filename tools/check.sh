@@ -19,29 +19,29 @@ echo "==> source lint (diag catalogue, unsafe discipline, tag + exec-mode + foot
 # device footprint computed only in crates/core/src/footprint.rs.
 cargo run -q --release --bin lint
 
-echo "==> verify-schedule smoke run (static certification, passes 6-8)"
-cargo run -q --release --bin verify-schedule -- --dataset rdt --gpus 2 --layers 2 --measure
-cargo run -q --release --bin verify-schedule -- --dataset rdt --gpus 4 --chunks 8 --overlap doublebuffer --measure
-cargo run -q --release --bin verify-schedule -- --dataset rdt --gpus 2 --layers 2 --comm vanilla --memory recompute --mode infer
+echo "==> verify schedule smoke run (static certification, passes 6-8)"
+cargo run -q --release --bin verify -- schedule --dataset rdt --gpus 2 --layers 2 --measure
+cargo run -q --release --bin verify -- schedule --dataset rdt --gpus 4 --chunks 8 --overlap doublebuffer --measure
+cargo run -q --release --bin verify -- schedule --dataset rdt --gpus 2 --layers 2 --comm vanilla --memory recompute --mode infer
 
-echo "==> verify-dataflow smoke run (conservation certification, pass 9)"
-cargo run -q --release --bin verify-dataflow -- --dataset rdt --gpus 2 --layers 2
-cargo run -q --release --bin verify-dataflow -- --dataset rdt --gpus 4 --chunks 8 --overlap doublebuffer --memory recompute
-cargo run -q --release --bin verify-dataflow -- --dataset rdt --gpus 2 --comm vanilla --mode infer
+echo "==> verify dataflow smoke run (conservation certification, pass 9)"
+cargo run -q --release --bin verify -- dataflow --dataset rdt --gpus 2 --layers 2
+cargo run -q --release --bin verify -- dataflow --dataset rdt --gpus 4 --chunks 8 --overlap doublebuffer --memory recompute
+cargo run -q --release --bin verify -- dataflow --dataset rdt --gpus 2 --comm vanilla --mode infer
 
-echo "==> verify-trace smoke run (happens-before schedule certification)"
-cargo run -q --release --bin verify-trace -- --dataset rdt --gpus 4 --chunks 8 --determinism
+echo "==> verify trace smoke run (happens-before schedule certification)"
+cargo run -q --release --bin verify -- trace --dataset rdt --gpus 4 --chunks 8 --determinism
 
-echo "==> verify-trace smoke run, parallel executor (certified against the sequential reference)"
-cargo run -q --release --bin verify-trace -- --dataset rdt --gpus 4 --chunks 8 --determinism --exec parallel
+echo "==> verify trace smoke run, parallel executor (certified against the sequential reference)"
+cargo run -q --release --bin verify -- trace --dataset rdt --gpus 4 --chunks 8 --determinism --exec parallel
 
-echo "==> verify-trace smoke run, double-buffered overlap (both execution modes)"
-cargo run -q --release --bin verify-trace -- --dataset rdt --gpus 4 --chunks 8 --determinism --overlap doublebuffer
-cargo run -q --release --bin verify-trace -- --dataset rdt --gpus 4 --chunks 8 --determinism --overlap doublebuffer --exec parallel
+echo "==> verify trace smoke run, double-buffered overlap (both execution modes)"
+cargo run -q --release --bin verify -- trace --dataset rdt --gpus 4 --chunks 8 --determinism --overlap doublebuffer
+cargo run -q --release --bin verify -- trace --dataset rdt --gpus 4 --chunks 8 --determinism --overlap doublebuffer --exec parallel
 
-echo "==> verify-trace smoke run, forward-only inference (both execution modes)"
-cargo run -q --release --bin verify-trace -- --dataset rdt --gpus 4 --chunks 8 --determinism --mode infer --overlap doublebuffer
-cargo run -q --release --bin verify-trace -- --dataset rdt --gpus 4 --chunks 8 --determinism --mode infer --overlap doublebuffer --exec parallel
+echo "==> verify trace smoke run, forward-only inference (both execution modes)"
+cargo run -q --release --bin verify -- trace --dataset rdt --gpus 4 --chunks 8 --determinism --mode infer --overlap doublebuffer
+cargo run -q --release --bin verify -- trace --dataset rdt --gpus 4 --chunks 8 --determinism --mode infer --overlap doublebuffer --exec parallel
 
 echo "==> infer CLI smoke run (forward-only serving path)"
 cargo run -q --release -p hongtu-bench --bin infer -- --dataset rdt --gpus 4 --chunks 4 --overlap doublebuffer --quiet
@@ -68,24 +68,6 @@ echo "==> hot-vertex cache certification, release profile"
 cargo test -q --release -p hongtu-cache
 cargo test -q --release -p hongtu-verify --test bad_cache
 cargo test -q --release --test cache_executor
-
-echo "==> bench smoke: sequential vs parallel wall-clock (BENCH_parallel.json)"
-cargo run -q --release -p hongtu-bench --bin bench_parallel -- --out BENCH_parallel.json
-
-echo "==> bench smoke: additive vs double-buffered sim time (BENCH_overlap.json)"
-cargo run -q --release -p hongtu-bench --bin bench_overlap -- --out BENCH_overlap.json
-
-echo "==> bench smoke: infer vs train-epoch sim time and memory (BENCH_infer.json)"
-cargo run -q --release -p hongtu-bench --bin bench_infer -- --out BENCH_infer.json
-
-echo "==> bench smoke: serving path, pruned sweep and one-query probe strictly cheaper than full in sim time and events + open-loop load (BENCH_serving.json)"
-cargo run -q --release -p hongtu-bench --bin bench_serving -- --out BENCH_serving.json
-
-echo "==> bench smoke: delta path, incremental vs full recompute + monotone cone curve whose 16-vertex point stays below half the sweep in rows + graph scaling (BENCH_delta.json)"
-cargo run -q --release -p hongtu-bench --bin bench_delta -- --out BENCH_delta.json
-
-echo "==> bench smoke: hot-vertex cache, H2D reduction at bitwise-equal digests (BENCH_cache.json)"
-cargo run -q --release -p hongtu-bench --bin bench_cache -- --out BENCH_cache.json
 
 echo "==> benchmark/ builds against the crates and its smoke run passes"
 # benchmark/ is a workspace of its own, outside `cargo test --workspace`:
