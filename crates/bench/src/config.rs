@@ -10,6 +10,7 @@
 //! the large ones; the CPU cluster holds GCN but not deep-GAT
 //! intermediates.
 
+use hongtu_core::{HongTuConfig, HongTuConfigBuilder};
 use hongtu_datasets::DatasetKey;
 use hongtu_nn::ModelKind;
 use hongtu_sim::{CpuClusterConfig, MachineConfig};
@@ -21,14 +22,20 @@ impl ExperimentConfig {
     /// Scaled per-GPU memory (stands in for the A100's 80 GB).
     pub const GPU_MEM: usize = 34 << 20;
 
+    /// Hidden dimension (paper: 256 small / 128 large; scaled uniformly).
+    pub const HIDDEN: usize = 32;
+
+    /// DistDGL batch size (paper: 1024; scaled with the proxies).
+    pub const MINIBATCH_SIZE: usize = 64;
+
     /// The simulated multi-GPU machine with `gpus` GPUs.
     pub fn machine(gpus: usize) -> MachineConfig {
         MachineConfig::scaled(gpus, Self::GPU_MEM)
     }
 
-    /// Hidden dimension (paper: 256 small / 128 large; scaled uniformly).
-    pub fn hidden(_key: DatasetKey) -> usize {
-        32
+    /// Full HongTu on [`Self::machine`]; a table chains the knobs it varies.
+    pub fn hongtu(gpus: usize) -> HongTuConfigBuilder {
+        HongTuConfig::builder().machine(Self::machine(gpus))
     }
 
     /// Chunks per partition, scaled from §7.1 ("partitions of it-2004,
@@ -46,11 +53,6 @@ impl ExperimentConfig {
         } else {
             gcn_chunks
         }
-    }
-
-    /// DistDGL batch size (paper: 1024; scaled with the proxies).
-    pub fn minibatch_size() -> usize {
-        64
     }
 
     /// The single CPU server (scaled from 2×Xeon, 768 GB).

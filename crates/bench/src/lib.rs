@@ -1,31 +1,23 @@
-//! Shared infrastructure for the experiment binaries.
-//!
-//! One binary per table/figure of the paper lives in `src/bin/`; each
-//! prints the same rows/series the paper reports, using the scaled-down
-//! dataset proxies and the simulated platform. `config` centralizes the
-//! scaled experiment constants; `table` renders aligned text tables.
+//! Shared infrastructure for the `paper` binary, which prints the paper's
+//! tables and figures on the dataset proxies and the simulated platform:
+//! `config` holds the scaled constants, `ctx` is the one session factory
+//! every table builds on, `table` renders aligned text tables.
 
 #![forbid(unsafe_code)]
 
 pub mod config;
-pub mod run;
+pub mod ctx;
 pub mod table;
 
 pub use config::ExperimentConfig;
+pub use ctx::Ctx;
 pub use table::Table;
 
-use hongtu_datasets::{load, Dataset, DatasetKey};
 use hongtu_sim::SimError;
-use hongtu_tensor::SeededRng;
+use std::io::{self, Write};
 
-/// Master seed for every experiment (printed by each binary).
+/// Master seed for every experiment (printed in each header).
 pub const SEED: u64 = 20230246; // HongTu is article 246 of PACMMOD 1(4)
-
-/// Loads (and caches nothing — generation is fast and deterministic) a
-/// dataset proxy from the master seed.
-pub fn dataset(key: DatasetKey) -> Dataset {
-    load(key, &mut SeededRng::new(SEED))
-}
 
 /// Formats a runtime cell: seconds with 3–4 significant digits, or "OOM".
 pub fn time_cell(r: &Result<f64, SimError>) -> String {
@@ -65,18 +57,14 @@ pub fn format_bytes(b: usize) -> String {
     }
 }
 
-/// Speedup cell `(12.3x)`.
-pub fn speedup(base: f64, t: f64) -> String {
-    format!("({:.1}x)", base / t)
-}
-
-/// Prints the standard experiment header.
-pub fn header(what: &str, paper_ref: &str) {
-    println!("================================================================");
-    println!("{what}");
-    println!("reproduces: {paper_ref}");
-    println!("seed: {SEED}   (all runtimes are simulated-platform seconds)");
-    println!("================================================================");
+/// Writes the standard experiment header.
+pub fn header(w: &mut dyn Write, what: &str, paper_ref: &str) -> io::Result<()> {
+    let rule = "================================================================";
+    writeln!(w, "{rule}\n{what}\nreproduces: {paper_ref}")?;
+    writeln!(
+        w,
+        "seed: {SEED}   (all runtimes are simulated-platform seconds)\n{rule}"
+    )
 }
 
 #[cfg(test)]
@@ -109,10 +97,5 @@ mod tests {
         });
         assert_eq!(time_cell(&e), "OOM");
         assert_eq!(time_cell(&Ok(2.0)), "2.00");
-    }
-
-    #[test]
-    fn speedup_format() {
-        assert_eq!(speedup(10.0, 2.0), "(5.0x)");
     }
 }

@@ -65,9 +65,9 @@ impl Table {
         out
     }
 
-    /// Renders and prints.
-    pub fn print(&self) {
-        print!("{}", self.render());
+    /// Renders into `w`.
+    pub fn write(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
+        w.write_all(self.render().as_bytes())
     }
 }
 

@@ -202,25 +202,6 @@ impl HongTuConfig {
         }
     }
 
-    /// The vanilla offloading baseline (Figure 9 "Baseline"): full neighbor
-    /// transfer per chunk, hybrid caching enabled (as in §7.1's fair
-    /// comparison), no reorganization.
-    pub fn baseline(machine: MachineConfig) -> Self {
-        HongTuConfig {
-            comm: CommMode::Vanilla,
-            memory: MemoryStrategy::Hybrid,
-            reorganize: false,
-            machine,
-            lr: 0.01,
-            interleaved: true,
-            validation: ValidationLevel::Plan,
-            exec: ExecutionMode::Sequential,
-            overlap: OverlapMode::Off,
-            mode: Mode::Train,
-            cache: Arc::new(CacheOff),
-        }
-    }
-
     /// A validating builder starting from the full-HongTu defaults on a
     /// 4-GPU scaled machine:
     ///
@@ -569,15 +550,22 @@ pub struct InferReport {
     pub peak_host_bytes: usize,
 }
 
-/// What one forward sweep cost — an [`InferReport`] without the logits,
-/// which stay in the session's store for the caller to copy whole
-/// ([`Session::infer_epoch`], [`Session::apply_staged`]) or a few rows of
-/// ([`Session::serve`]).
-struct SweepStats {
-    time: f64,
-    buckets: TimeBuckets,
-    peak_gpu_bytes: usize,
-    peak_host_bytes: usize,
+/// What one sweep cost on the simulated clock — an [`InferReport`]
+/// without the logits, which stay in the session's store for the caller
+/// to copy whole ([`Session::infer_epoch`], [`Session::apply_staged`]) or
+/// a few rows of ([`Session::serve`]). [`Session::simulate`] returns it
+/// for the next epoch without running that epoch's numerics.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepStats {
+    /// Simulated time in seconds (critical path over GPUs).
+    pub time: f64,
+    /// Per-component simulated time/volume.
+    pub buckets: TimeBuckets,
+    /// High-water device memory across GPUs, in bytes, including the
+    /// session's static allocations.
+    pub peak_gpu_bytes: usize,
+    /// High-water host memory in bytes.
+    pub peak_host_bytes: usize,
 }
 
 /// Result of one committed delta batch ([`Session::apply_staged`]):
@@ -1079,18 +1067,30 @@ impl Session {
     /// a sweep mutates besides the stores). Every H2D/D2D/D2H transfer,
     /// stream assignment, barrier and access annotation is emitted
     /// exactly as a real sweep would emit it — simulated timestamps
-    /// included — without computing a single FLOP of GNN math.
-    fn synthesize(&self, cone: Option<&Cone>) -> Result<Trace, SimError> {
+    /// included — without computing a single FLOP of GNN math. Records
+    /// into `trace` and hands it back with what the sweep cost.
+    fn synthesize(
+        &self,
+        cone: Option<&Cone>,
+        trace: Trace,
+    ) -> Result<(SweepStats, Trace), SimError> {
         let mut machine = self.machine.clone();
-        machine.replace_trace(Trace::unbounded());
+        machine.replace_trace(trace);
         let mut cache = self.cache.clone();
         let env = Env { cone, ..self.env() };
-        if cone.is_some() || self.config.mode == Mode::Infer {
-            exec::infer_epoch(env, &mut machine, cache.as_mut(), &mut Shapes)?;
+        let (time, buckets) = if cone.is_some() || self.config.mode == Mode::Infer {
+            exec::infer_epoch(env, &mut machine, cache.as_mut(), &mut Shapes)?
         } else {
-            exec::train_epoch(env, &mut machine, cache.as_mut(), &mut Shapes)?;
-        }
-        Ok(machine.replace_trace(Trace::disabled()))
+            let (report, _) = exec::train_epoch(env, &mut machine, cache.as_mut(), &mut Shapes)?;
+            (report.time, report.buckets)
+        };
+        let stats = SweepStats {
+            time,
+            buckets,
+            peak_gpu_bytes: machine.max_gpu_peak(),
+            peak_host_bytes: machine.host_memory().peak(),
+        };
+        Ok((stats, machine.replace_trace(Trace::disabled())))
     }
 
     /// Synthesizes the schedule ([`Session::synthesize`]) and runs the
@@ -1119,7 +1119,7 @@ impl Session {
             ));
             cone
         });
-        let trace = self.synthesize(cone.as_ref())?;
+        let trace = self.synthesize(cone.as_ref(), Trace::unbounded())?.1;
         report.merge(hongtu_verify::verify_schedule(&trace, explore));
         report.merge(hongtu_verify::verify_dataflow_layers(
             &trace,
@@ -1134,7 +1134,17 @@ impl Session {
     /// identical, simulated timestamps included, to the trace that epoch
     /// will record. The session itself is not perturbed.
     pub fn synthesize_schedule(&self) -> Result<Trace, SimError> {
-        self.synthesize(None)
+        Ok(self.synthesize(None, Trace::unbounded())?.1)
+    }
+
+    /// What the *next* epoch of this session would cost on the simulated
+    /// clock — time, buckets, and the machine's peaks after it — bitwise
+    /// equal to what that epoch reports, from the same synthesizer as
+    /// [`Session::synthesize_schedule`] with tracing off. An epoch that
+    /// would run out of memory returns the same [`SimError::OutOfMemory`].
+    /// The session itself is not perturbed.
+    pub fn simulate(&self) -> Result<SweepStats, SimError> {
+        Ok(self.synthesize(None, Trace::disabled())?.0)
     }
 
     /// Statically certifies this session's epoch schedule (passes 6–9).
@@ -1151,7 +1161,7 @@ impl Session {
     /// annotations against a [`hongtu_verify::DataflowSpec`] derived
     /// independently from the partition/dedup/buffer plans.
     pub fn certify_dataflow(&self) -> Result<Report, SimError> {
-        let trace = self.synthesize(None)?;
+        let trace = self.synthesize(None, Trace::unbounded())?.1;
         Ok(hongtu_verify::verify_dataflow_layers(
             &trace,
             &self.dataflow_specs(None),
@@ -1161,7 +1171,9 @@ impl Session {
     /// The pruned sweep a [`Session::serve`] call for `vertices` would
     /// execute.
     pub fn synthesize_serve_schedule(&self, vertices: &[usize]) -> Result<Trace, SimError> {
-        self.synthesize(Some(&self.query_cone(vertices)?))
+        Ok(self
+            .synthesize(Some(&self.query_cone(vertices)?), Trace::unbounded())?
+            .1)
     }
 
     /// Statically certifies the pruned serving sweep for `vertices`:
@@ -1183,7 +1195,9 @@ impl Session {
     /// *current* plans. Call it after the apply (on the rebuilt plans) to
     /// certify the replay that just ran.
     pub fn synthesize_delta_schedule(&self, dirty: &[usize]) -> Result<Trace, SimError> {
-        self.synthesize(Some(&self.dirty_cone(dirty)))
+        Ok(self
+            .synthesize(Some(&self.dirty_cone(dirty)), Trace::unbounded())?
+            .1)
     }
 
     /// Statically certifies the incremental repair sweep for `dirty`

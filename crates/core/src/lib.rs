@@ -69,7 +69,7 @@ pub use dedup::DedupPlan;
 pub use engine::{
     CommMode, ConfigError, DeltaReport, EpochReport, ExecutionMode, HongTuConfig,
     HongTuConfigBuilder, InferReport, MemoryStrategy, Mode, OverlapMode, Plans, Session,
-    StaticMemoryBound, Trainer, ValidationLevel,
+    StaticMemoryBound, SweepStats, Trainer, ValidationLevel,
 };
 // The hot-vertex cache subsystem (policies, plan, runtime journal) lives
 // in `hongtu-cache`; re-exported here so downstream users configure it

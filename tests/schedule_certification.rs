@@ -1,15 +1,16 @@
 //! Static schedule certification, end to end: the symbolic synthesizer
 //! must emit event-for-event the schedule the executor then records
-//! (the anti-drift equivalence gate), the synthesized schedule must
-//! certify clean under passes 6–8 for every supported configuration,
-//! and the static peak-memory bound must dominate the simulator's
-//! measured peaks.
+//! (the anti-drift equivalence gate), `Session::simulate` must report
+//! bitwise the time, buckets and peaks of the epoch that follows it, the
+//! synthesized schedule must certify clean under passes 6–8 for every
+//! supported configuration, and the static peak-memory bound must
+//! dominate the simulator's measured peaks.
 
 use hongtu::core::{CommMode, HongTuConfig, MemoryStrategy, Mode, OverlapMode, Session};
 use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu::graph::generators;
 use hongtu::nn::ModelKind;
-use hongtu::sim::MachineConfig;
+use hongtu::sim::{MachineConfig, SimError, TimeBuckets};
 use hongtu::tensor::{Adam, Matrix, SeededRng};
 use hongtu::verify::DEFAULT_EXPLORE_BUDGET;
 
@@ -57,9 +58,19 @@ fn engine_for(
     Session::new(ds, kind, 8, 2, 4, config).expect("engine")
 }
 
+/// Runs the session's next epoch of its mode; returns its simulated time
+/// and buckets.
+fn run_epoch(engine: &mut Session, mode: Mode) -> Result<(f64, TimeBuckets), SimError> {
+    match mode {
+        Mode::Train => engine.trainer().epoch().map(|r| (r.time, r.buckets)),
+        Mode::Infer => engine.infer_epoch().map(|r| (r.time, r.buckets)),
+    }
+}
+
 /// The full gate for one configuration: static certification (with
 /// exhaustive interleavings where feasible), synthesized-vs-executed
-/// event-for-event equivalence, and static-bound-dominates-peak.
+/// event-for-event equivalence, simulated-vs-executed time, buckets and
+/// peaks, and static-bound-dominates-peak.
 fn check_config(
     ds: &Dataset,
     kind: ModelKind,
@@ -88,12 +99,28 @@ fn check_config(
     // clock, so the traces must agree on timestamps too.
     let bound = engine.static_memory_bound();
     let synth = engine.synthesize_schedule().expect("schedule synthesis");
+    let sim = engine.simulate().expect("simulated epoch");
     engine.machine_mut().enable_unbounded_trace();
-    match mode {
-        Mode::Train => engine.trainer().epoch().map(|_| ()).expect("epoch"),
-        Mode::Infer => engine.infer_epoch().map(|_| ()).expect("epoch"),
-    }
+    let (time, buckets) = run_epoch(&mut engine, mode).expect("epoch");
     let real = engine.machine().trace().clone();
+
+    // `simulate` reports what the epoch then measures, bit for bit.
+    assert_eq!(
+        sim.time.to_bits(),
+        time.to_bits(),
+        "{label}: simulated time"
+    );
+    assert_eq!(sim.buckets, buckets, "{label}: simulated buckets");
+    assert_eq!(
+        sim.peak_gpu_bytes,
+        engine.machine().max_gpu_peak(),
+        "{label}: simulated GPU peak"
+    );
+    assert_eq!(
+        sim.peak_host_bytes,
+        engine.machine().host_memory().peak(),
+        "{label}: simulated host peak"
+    );
 
     assert!(
         !synth.is_empty(),
@@ -200,6 +227,56 @@ fn recompute_configs_certify_and_match() {
             Mode::Train,
         );
     }
+}
+
+/// The rest of the model zoo: one cell each, so `simulate` is held to the
+/// real epoch for every architecture the paper's model matrix prints.
+#[test]
+fn model_zoo_certifies_and_matches() {
+    let ds = random_dataset(13, 220);
+    for (kind, comm, gpus) in [
+        (ModelKind::Gin, CommMode::P2pRu, 2),
+        (ModelKind::CommNet, CommMode::P2p, 4),
+        (ModelKind::Ggnn, CommMode::Vanilla, 2),
+    ] {
+        check_config(
+            &ds,
+            kind,
+            gpus,
+            comm,
+            OverlapMode::Off,
+            MemoryStrategy::Hybrid,
+            Mode::Train,
+        );
+    }
+}
+
+/// A first epoch that runs out of device memory: `simulate` fails with
+/// the same typed error, naming the same device and allocation.
+#[test]
+fn simulate_reports_the_epochs_out_of_memory() {
+    let ds = random_dataset(29, 220);
+    let mut hits = 0;
+    for kb in [16usize, 24, 32, 48, 64, 96, 128] {
+        let config = HongTuConfig::builder()
+            .machine(MachineConfig::scaled(2, kb << 10))
+            .build()
+            .expect("config");
+        let Ok(mut engine) = Session::new(&ds, ModelKind::Gat, 8, 2, 1, config) else {
+            continue;
+        };
+        let sim = engine.simulate().map(|s| s.time);
+        let real = run_epoch(&mut engine, Mode::Train).map(|(t, _)| t);
+        if let Err(SimError::OutOfMemory { .. }) = real {
+            hits += 1;
+        }
+        assert_eq!(
+            sim.map(f64::to_bits),
+            real.map(f64::to_bits),
+            "{kb} KB: simulate disagrees with the epoch"
+        );
+    }
+    assert!(hits > 0, "no capacity ran the first epoch out of memory");
 }
 
 /// Forward-only inference sessions synthesize and certify too.

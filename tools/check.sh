@@ -47,6 +47,9 @@ echo "==> infer CLI smoke run (forward-only serving path)"
 cargo run -q --release -p hongtu-bench --bin infer -- --dataset rdt --gpus 4 --chunks 4 --overlap doublebuffer --quiet
 cargo run -q --release -p hongtu-bench --bin infer -- --dataset rdt --gpus 4 --chunks 4 --exec parallel --quiet
 
+echo "==> paper tables and figures reproduce results/ byte for byte"
+cargo run -q --release -p hongtu-bench --bin paper -- all && git diff --exit-code results/
+
 echo "==> parallel executor certification, release profile"
 cargo test -q --release --test parallel_executor
 
