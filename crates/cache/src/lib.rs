@@ -32,7 +32,7 @@
 //!   hit table is therefore a pure function of the plans and the pre-sweep
 //!   state — the executor needs no interior mutability, and a synthesized
 //!   schedule is bitwise the schedule the executor runs. A cone-pruned
-//!   sweep hands in the load sets of its own (sliced) layer-0 plans, so
+//!   sweep hands in the load sets of its own (packed) layer-0 plans, so
 //!   freezing and installing cost what that sweep loads, not what the
 //!   whole schedule does.
 //!
@@ -385,13 +385,13 @@ impl CacheRuntime {
     /// counted against the resident set *as of now*, so every charge the
     /// executor emits this sweep is a pure function of pre-sweep state.
     ///
-    /// `sliced` is `None` for a full sweep over the load sets the runtime
+    /// `packed` is `None` for a full sweep over the load sets the runtime
     /// was built with, or — for a cone-pruned sweep — what its cone was
-    /// grown from and the load sets of the layer-0 plans sliced to it
-    /// ([`load_sets`] over the sliced plans; a pruned batch's sets are
+    /// grown from and the load sets of the layer-0 plans packed from it
+    /// ([`load_sets`] over the packed plans; a pruned batch's sets are
     /// empty). The cost is the size of the sets handed in.
-    pub fn begin_sweep(&mut self, sliced: Option<(ConeOrigin, LoadSets)>) {
-        let (cone, sets) = match sliced {
+    pub fn begin_sweep(&mut self, packed: Option<(ConeOrigin, LoadSets)>) {
+        let (cone, sets) = match packed {
             None => (None, Arc::clone(&self.sets)),
             Some((cone, sets)) => (Some(cone), Arc::new(sets)),
         };
@@ -595,14 +595,15 @@ mod tests {
         let plan = CachePlan::build(&sets, &degrees(), &[64, 64], 8, &FrequencyRanked);
         let mut rt = CacheRuntime::new(plan, sets, 10, None);
         // A cone that prunes batch 1 and keeps one row of chunk (0, 0): its
-        // sliced plans load {1, 5} on GPU 0 and nothing anywhere else.
+        // packed plans load {1, 5} on GPU 0 and nothing anywhere else.
         let cone = ConeOrigin {
             dir: hongtu_partition::cone::ConeDir::Downward,
             layers: 1,
             seeds: vec![4],
+            runs: vec![1, 2],
         };
-        let sliced = vec![vec![vec![1, 5], vec![]], vec![vec![], vec![]]];
-        rt.begin_sweep(Some((cone.clone(), sliced)));
+        let packed = vec![vec![vec![1, 5], vec![]], vec![vec![], vec![]]];
+        rt.begin_sweep(Some((cone.clone(), packed)));
         assert_eq!(rt.stats(0, 1), HitStats::default());
         rt.end_sweep();
         assert_eq!(rt.resident_rows(0), 2); // {1,5}; 9 never loaded

@@ -521,6 +521,18 @@ pub(crate) fn build_buffer_comm(
     Some(per_gpu)
 }
 
+/// Per-GPU admission budget of the sweep `env` describes: one input plus
+/// one output staging slot — the pinned `staging` when there is one,
+/// else folded from the per-step footprint.
+fn staging_budget(staging: Option<&[StagingPlan]>, env: &Env) -> Vec<usize> {
+    match staging {
+        Some(plans) => plans.iter().map(StagingPlan::slot_budget).collect(),
+        None => (0..env.plan.m)
+            .map(|gpu| footprint::staging_plan(env, gpu).slot_budget())
+            .collect(),
+    }
+}
+
 /// Result of one training epoch.
 #[derive(Debug, Clone)]
 pub struct EpochReport {
@@ -587,10 +599,12 @@ pub struct DeltaReport {
     pub peak_gpu_bytes: usize,
     /// High-water host memory in bytes.
     pub peak_host_bytes: usize,
-    /// `(layer, batch)` steps the replay executed: a step runs iff some
-    /// GPU's slice of it is non-empty.
+    /// `(layer, batch)` steps the replay executed on its packed grid —
+    /// one batch per run of the session's batches — a step running iff
+    /// some GPU's packed chunk of it is non-empty.
     pub active_steps: usize,
-    /// `(layer, batch)` steps a full sweep would have executed.
+    /// `(layer, batch)` steps a full sweep would have executed: `L × n`
+    /// on the session's grid.
     pub total_steps: usize,
     /// Destination rows the replay recomputed, summed over layers.
     pub active_rows: usize,
@@ -701,9 +715,13 @@ pub struct Session {
     preprocessing: Preprocessing,
     epochs_run: usize,
     /// Installed for the duration of a [`Session::serve`] or
-    /// [`Session::apply_staged`] sweep: the cone whose sliced plans the
+    /// [`Session::apply_staged`] sweep: the cone whose packed plans the
     /// sweep runs over. `None` on full-graph epochs.
     cone: Option<Cone>,
+    /// The plan generation: bumped by every structural commit, stamped
+    /// on every [`Cone`] derived from the plans, and checked before a
+    /// cone's sweep runs.
+    generation: u64,
     /// Vertex → owning `(partition, chunk, row)`, 12 B per vertex: what
     /// the cone recurrences walk in-edges through. Chunk *membership* is
     /// fixed for the session's lifetime, so it is built once.
@@ -875,6 +893,7 @@ impl Session {
             preprocessing,
             epochs_run: 0,
             cone: None,
+            generation: 0,
             index,
         };
 
@@ -1060,7 +1079,7 @@ impl Session {
 
     /// Symbolically synthesizes the annotated event schedule this
     /// session's next sweep would execute — a full epoch of its
-    /// [`Mode`], or the forward sweep sliced to `cone` — from the plans
+    /// [`Mode`], or the forward sweep packed from `cone` — from the plans
     /// and configuration alone: the epoch driver runs over the session's
     /// own plans with the shapes-only numerics ([`Shapes`]), against a
     /// copy of the machine and of the cache runtime (the only two things
@@ -1099,10 +1118,11 @@ impl Session {
     /// `explore` carries a linearization budget pass 8 (bounded
     /// exhaustive interleaving exploration, X7xx), and pass 9 (dataflow
     /// conservation against the plans, F8xx). A `cone` is first held to
-    /// its closure property, on the step grid and row for row (pass 10,
-    /// C9xx), and its sweep's dataflow is balanced layer by layer against
-    /// specs derived from the plans that layer runs over — the same
-    /// [`hongtu_verify::DataflowSpec::from_plans`], over the slices.
+    /// its closure property, on its packed step grid and row for row
+    /// (pass 10, C9xx), and its sweep's dataflow is balanced layer by
+    /// layer against specs derived from the plans that layer runs over —
+    /// the same [`hongtu_verify::DataflowSpec::from_plans`], over the
+    /// packed grids.
     fn certify(
         &self,
         cone: Option<(Cone, ConeDir)>,
@@ -1110,11 +1130,10 @@ impl Session {
     ) -> Result<Report, SimError> {
         let mut report = Report::default();
         let cone = cone.map(|(cone, dir)| {
-            let mask = cone.mask();
-            report.merge(hongtu_verify::verify_cone(mask.grid(), dir));
+            report.merge(hongtu_verify::verify_cone(cone.grid(), dir));
             report.merge(hongtu_verify::verify_cone_rows(
                 &self.plan,
-                mask.rows(),
+                cone.mask().rows(),
                 dir,
             ));
             cone
@@ -1213,9 +1232,10 @@ impl Session {
 
     /// The exact dependency cone of a query for `vertices` — the rows each
     /// layer must compute for their logits ([`ServeMask::from_queries`],
-    /// over the session's own vertex index) — with this session's plans
-    /// sliced to it. Derive it once, price it with [`Session::cone_cost`],
-    /// run it with [`Session::serve_cone`].
+    /// over the session's own vertex index) — packed into the fewest
+    /// runs of batches the staging budget allows ([`Session::plan_cone`]).
+    /// Derive it once, price it with [`Session::cone_cost`], run it with
+    /// [`Session::serve_cone`].
     ///
     /// An empty `vertices` or an id the graph does not have is
     /// [`SimError::InvalidQuery`].
@@ -1236,19 +1256,56 @@ impl Session {
     }
 
     fn grow_cone(&self, dir: ConeDir, seeds: &[usize]) -> Cone {
-        let layers = self.model.num_layers();
-        self.plan_cone(ServeMask::grow(&self.plan, &self.index, dir, layers, seeds))
+        self.plan_cone(self.grow_mask(dir, seeds))
     }
 
-    /// Slices this session's plans to `mask`, which must have been
-    /// computed over this session's partition ([`Session::plans`]).
+    fn grow_mask(&self, dir: ConeDir, seeds: &[usize]) -> ServeMask {
+        let layers = self.model.num_layers();
+        ServeMask::grow(&self.plan, &self.index, dir, layers, seeds)
+    }
+
+    /// [`Session::plan_cone`] against `budget`.
+    fn pack_within(&self, mask: ServeMask, budget: &[usize]) -> Cone {
+        Cone::packed(
+            &self.plan,
+            mask,
+            &self.config,
+            &self.model,
+            budget,
+            self.generation,
+        )
+    }
+
+    /// Packs `mask`, which must have been computed over this session's
+    /// partition ([`Session::plans`]), into runs of consecutive batches
+    /// by the run rule: a run grows by the next batch the cone touches
+    /// while every GPU's forward footprint of the merged step fits
+    /// [`Session::staging_budget`] at every layer, and a
+    /// [`OverlapMode::DoubleBuffer`] sweep keeps two runs or more when the
+    /// cone touches two batches or more. A cone each of whose batches fits
+    /// the budget on the session's grid packs into runs that fit it too.
     pub fn plan_cone(&self, mask: ServeMask) -> Cone {
-        Cone::new(&self.plan, mask, self.config.comm)
+        self.pack_within(mask, &self.staging_budget())
+    }
+
+    /// Packs `mask` into caller-chosen runs: run `g` is the batches up to
+    /// `ends[g]`, from where run `g − 1` ended. Every batch its own run
+    /// (`ends = 1..=n`) is the session's grid with each chunk cut down to
+    /// its rows — the grid cones ran on before they were packed, and the
+    /// baseline the run rule is measured against. Nothing holds the runs
+    /// to the staging budget.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ends` is not strictly ascending from above 0 to the
+    /// session's batch count ([`crate::cone::check_runs`]).
+    pub fn plan_cone_on(&self, mask: ServeMask, ends: Vec<usize>) -> Cone {
+        Cone::new(&self.plan, mask, ends, self.config.comm, self.generation)
     }
 
     /// The expected-flow tables pass 9 certifies against: one, from the
     /// session's plans, for every layer of a full sweep; one per layer,
-    /// from that layer's slice of them, under a cone.
+    /// from that layer's packed grid, under a cone.
     fn dataflow_specs(&self, cone: Option<&Cone>) -> Vec<hongtu_verify::DataflowSpec> {
         let spec = |plan, dedup, bufplans| {
             hongtu_verify::DataflowSpec::from_plans(plan, dedup, bufplans, self.config.comm.kind())
@@ -1327,22 +1384,16 @@ impl Session {
     /// ([`StagingPlan::slot_budget`]) — taken from the pinned plans when
     /// overlap is on, folded from the same per-step footprint on demand
     /// otherwise. A full-graph sweep's worst batch fits this by
-    /// construction, so any cone (slices of the full sweep's batches)
-    /// admitted against it fits too.
+    /// construction, and the cone packer merges batches only while the
+    /// merged steps fit it.
     pub fn staging_budget(&self) -> Vec<usize> {
-        if let Some(plans) = &self.staging {
-            return plans.iter().map(StagingPlan::slot_budget).collect();
-        }
-        let env = self.env();
-        (0..self.plan.m)
-            .map(|gpu| footprint::staging_plan(&env, gpu).slot_budget())
-            .collect()
+        staging_budget(self.staging.as_deref(), &self.env())
     }
 
     /// Per-GPU staging cost of a cone: the worst forward footprint over
-    /// the `(layer, batch)` steps it keeps active, each sized by its own
-    /// slice — the same fold as the staging plans, over fewer and smaller
-    /// steps. Admission control compares this against
+    /// the `(layer, run)` steps of its packed grid that run, each sized by
+    /// its own packed chunk — the same fold as the staging plans, over
+    /// fewer and smaller steps. Admission control compares this against
     /// [`Session::staging_budget`].
     pub fn cone_cost(&self, cone: &Cone) -> Vec<usize> {
         let env = Env {
@@ -1354,8 +1405,8 @@ impl Session {
             .collect()
     }
 
-    /// [`Session::cone_cost`] of the cone `mask` slices out of this
-    /// session's plans ([`Session::plan_cone`]) — for callers that hold
+    /// [`Session::cone_cost`] of the cone `mask` packs into
+    /// ([`Session::plan_cone`]) — for callers that hold
     /// only a mask; one that goes on to run the sweep derives the cone
     /// once and prices that.
     pub fn serve_cone_cost(&self, mask: &ServeMask) -> Vec<usize> {
@@ -1462,13 +1513,13 @@ impl Session {
     }
 
     /// Serves exact logits for a subset of vertices: one forward sweep
-    /// over plans sliced to the queried vertices' exact ≤ L-hop
+    /// over plans packed from the queried vertices' exact ≤ L-hop
     /// dependency cone ([`Session::query_cone`]), run as — and, under
     /// [`ValidationLevel::Paranoid`], certified like — a
     /// [`Session::infer_epoch`]. The returned logits rows follow the
     /// query order and are bitwise equal to the same rows of a full
     /// inference epoch: every layer kernel is row-independent and reduces
-    /// each row over its in-edges in their stored order, which slicing
+    /// each row over its in-edges in their stored order, which packing
     /// keeps.
     ///
     /// Admission control lives above this call (`hongtu-serving`): a
@@ -1488,32 +1539,44 @@ impl Session {
     /// control prices a candidate's cone before running it, and a cone is
     /// worth deriving once.
     ///
+    /// A cone derived before a structural [`Session::apply_staged`]
+    /// describes plans the session no longer has: it is
+    /// [`SimError::StaleCone`], and nothing runs.
+    ///
     /// # Panics
     ///
     /// Panics if a vertex is out of range (the cone's derivation checked
     /// the ids it was given).
     pub fn serve_cone(&mut self, vertices: &[usize], cone: Cone) -> Result<ServeReport, SimError> {
-        let (report, mask) = self.masked_sweep(cone)?;
+        let (report, cone) = self.masked_sweep(cone)?;
+        let mask = cone.mask();
         Ok(ServeReport {
             logits: self.logits().gather_rows(vertices),
             time: report.time,
             buckets: report.buckets,
             peak_gpu_bytes: report.peak_gpu_bytes,
             peak_host_bytes: report.peak_host_bytes,
-            active_steps: mask.active_steps(),
+            active_steps: cone.active_steps(),
             total_steps: mask.total_steps(),
             active_rows: mask.active_rows(),
             total_rows: mask.total_rows(),
         })
     }
 
-    /// One certified forward sweep over `cone`'s sliced plans; hands the
-    /// cone's mask back for the report.
-    fn masked_sweep(&mut self, cone: Cone) -> Result<(SweepStats, ServeMask), SimError> {
+    /// One certified forward sweep over `cone`'s packed plans, which must
+    /// be of the session's plan generation; hands the cone back for the
+    /// report.
+    fn masked_sweep(&mut self, cone: Cone) -> Result<(SweepStats, Cone), SimError> {
+        if cone.generation != self.generation {
+            return Err(SimError::StaleCone {
+                cone_generation: cone.generation,
+                plan_generation: self.generation,
+            });
+        }
         self.cone = Some(cone);
         let result = self.epoch_certified(Self::infer_epoch_inner);
         let cone = self.cone.take().expect("installed above");
-        Ok((result?, cone.into_mask()))
+        Ok((result?, cone))
     }
 
     /// Commits one staged batch of graph mutations
@@ -1603,7 +1666,8 @@ impl Session {
         // replay cone below are derived from them, and any refusal puts
         // the old chunks back. ----
         let mut replaced: Vec<ChunkSubgraph> = Vec::new();
-        if !staged.structural().is_empty() {
+        let structural = !staged.structural().is_empty();
+        if structural {
             let mut structural = vec![false; dg.num_vertices()];
             for &s in staged.structural() {
                 structural[s] = true;
@@ -1621,6 +1685,9 @@ impl Session {
             }
         }
         let rebuilt = replaced.len();
+        // Cones of the old chunks are stale from here; a refusal below
+        // puts the old chunks, and their generation, back.
+        self.generation += u64::from(structural);
         let (derived, cone) = match self.prepare_commit(&staged, budget) {
             Ok(prepared) => prepared,
             Err(e) => {
@@ -1628,6 +1695,7 @@ impl Session {
                     let (i, j) = (old.part, old.chunk);
                     self.plan.chunks[i][j] = old;
                 }
+                self.generation -= u64::from(structural);
                 return Err(e);
             }
         };
@@ -1674,7 +1742,8 @@ impl Session {
             c.invalidate(&dirty_ids);
         }
 
-        let (report, mask) = self.masked_sweep(cone)?;
+        let (report, cone) = self.masked_sweep(cone)?;
+        let mask = cone.mask();
         Ok(DeltaReport {
             epoch: receipt.epoch,
             logits: self.logits().clone(),
@@ -1682,7 +1751,7 @@ impl Session {
             buckets: report.buckets,
             peak_gpu_bytes: report.peak_gpu_bytes,
             peak_host_bytes: report.peak_host_bytes,
-            active_steps: mask.active_steps(),
+            active_steps: cone.active_steps(),
             total_steps: mask.total_steps(),
             active_rows: mask.active_rows(),
             total_rows: mask.total_rows(),
@@ -1724,9 +1793,24 @@ impl Session {
             }
             Some(derived)
         };
-        let cone = self.dirty_cone(staged.dirty());
+        // The replay runs under the staging the commit pins: the derived
+        // plans' when the topology moved.
+        let staging = match &derived {
+            Some(d) => staging_budget(
+                d.staging.as_deref(),
+                &Env::new(
+                    &self.config,
+                    &self.plan,
+                    &d.dedup,
+                    d.buffer_comm.as_deref(),
+                    &self.model,
+                ),
+            ),
+            None => self.staging_budget(),
+        };
+        let cone = self.pack_within(self.grow_mask(ConeDir::Upward, staged.dirty()), &staging);
         if self.config.validation != ValidationLevel::Off {
-            let report = hongtu_verify::verify_cone(cone.mask().grid(), ConeDir::Upward);
+            let report = hongtu_verify::verify_cone(cone.grid(), ConeDir::Upward);
             if !report.is_ok() {
                 return Err(invalid_plan(&report));
             }

@@ -125,7 +125,7 @@ pub(crate) enum Dir {
 ///
 /// `plan`, `dedup` and `buffer_comm` are the plans of *one layer's*
 /// sweep. A full sweep runs every layer over the session's own; a masked
-/// one runs layer `l` over the cone's plans sliced for that layer, which
+/// one runs layer `l` over the cone's plans packed for that layer, which
 /// [`Env::at`] swaps in — everything below the layer driver then reads
 /// the three fields as it always did.
 #[derive(Clone, Copy)]
@@ -139,10 +139,10 @@ pub(crate) struct Env<'a> {
     /// *training* epoch under `MemoryStrategy::Hybrid`. Inference epochs
     /// never store (or reload) checkpoints, whatever the strategy.
     pub checkpoint: bool,
-    /// Serving / delta-replay cone: its sliced plans replace the session's
-    /// layer by layer, and `(layer, batch)` steps whose slices are all
-    /// empty are skipped (all GPUs of a batch skip together). `None` =
-    /// full sweep.
+    /// Serving / delta-replay cone: its packed plans replace the session's
+    /// layer by layer — one batch per run of the session's batches — and
+    /// `(layer, run)` steps whose packed chunks are all empty are skipped
+    /// (all GPUs of a batch skip together). `None` = full sweep.
     pub cone: Option<&'a Cone>,
     /// Hot-vertex feature-cache runtime, its hit table frozen for the
     /// sweep in flight.
@@ -172,8 +172,8 @@ impl<'a> Env<'a> {
         }
     }
 
-    /// This environment with layer `l`'s plans in place: the cone's slice
-    /// of layer `l`, or — full sweep — itself.
+    /// This environment with layer `l`'s plans in place: the cone's packed
+    /// grid of layer `l`, or — full sweep — itself.
     pub(crate) fn at(&self, l: usize) -> Env<'a> {
         match self.cone {
             None => *self,
@@ -189,9 +189,10 @@ impl<'a> Env<'a> {
         }
     }
 
-    /// Whether the cone prunes batch `j` at layer `l`.
+    /// Whether the cone prunes batch `j` — a run of its packed grid — at
+    /// layer `l`.
     pub(crate) fn pruned(&self, l: usize, j: usize) -> bool {
-        self.cone.is_some_and(|c| !c.mask().active(l, j))
+        self.cone.is_some_and(|c| !c.active(l, j))
     }
 
     /// Neighbor rows the chunks of this layer's plans read between them,
@@ -202,15 +203,16 @@ impl<'a> Env<'a> {
 
     /// Whether `(l, j)` is the step that streams batch `j`'s topology to
     /// the device (reused by every later layer of the epoch). Full sweeps
-    /// upload at layer 0; under a cone the upload belongs to the batch's
-    /// *first active* layer. Downward-closed query cones make that layer 0
-    /// whenever the batch is active at all, but the upward-closed
-    /// delta-replay cones may first activate a batch above layer 0 —
-    /// uploading only at `l == 0` would leave its topology reads dangling.
+    /// upload at layer 0; under a cone the upload belongs to the run's
+    /// *first active* layer of the packed grid. Downward-closed query
+    /// cones make that layer 0 whenever the run is active at all, but the
+    /// upward-closed delta-replay cones may first activate a run above
+    /// layer 0 — uploading only at `l == 0` would leave its topology reads
+    /// dangling.
     fn topology_upload_layer(&self, l: usize, j: usize) -> bool {
-        match self.cone.map(Cone::mask) {
+        match self.cone {
             None => l == 0,
-            Some(m) => m.active(l, j) && !(0..l).any(|k| m.active(k, j)),
+            Some(c) => c.active(l, j) && !(0..l).any(|k| c.active(k, j)),
         }
     }
 
@@ -406,7 +408,7 @@ impl<'a> Sweep<'a> {
 /// The forward pass of an epoch (Alg 1 lines 4–9) and the hot-vertex
 /// cache sweep around it: hits are frozen before the first load against
 /// the load sets of the layer-0 plans this sweep runs — the session's
-/// own, or the cone's layer-0 slice — and the rows those sets load are
+/// own, or the cone's packed layer-0 grid — and the rows those sets load are
 /// installed after the last. (A training epoch's backward pass re-loads
 /// through checkpoint reloads, which bypass the cache by design.)
 fn forward_pass(
@@ -443,7 +445,7 @@ fn forward_pass(
     Ok(())
 }
 
-/// One forward-only epoch (no checkpoints), sliced to `env.cone` when
+/// One forward-only epoch (no checkpoints), pruned to `env.cone` when
 /// there is one. Returns the simulated time it took and what it charged.
 pub(crate) fn infer_epoch(
     env: Env,

@@ -14,6 +14,8 @@
 
 use crate::engine::CommMode;
 use crate::exec::{Env, F32};
+use hongtu_nn::GnnModel;
+use hongtu_partition::ChunkShape;
 use hongtu_stream::StagingPlan;
 
 /// Device bytes of one `(layer, GPU, batch)` step.
@@ -69,11 +71,10 @@ impl Footprint {
 
 /// The bytes step `(l, i, j)` occupies on GPU `i`. `env` holds layer
 /// `l`'s plans ([`Env::at`]): under a cone the chunk is the layer's
-/// slice, so every field is sized by the rows the step computes and
-/// reads.
+/// packed chunk, so every field is sized by the rows the step computes
+/// and reads.
 pub(crate) fn footprint(env: &Env, l: usize, i: usize, j: usize) -> Footprint {
     let chunk = &env.plan.chunks[i][j];
-    let layer = env.model.layer(l);
     // Rows resident in the GPU's merged buffer for this batch.
     let rows = match env.config.comm {
         // The full neighbor set.
@@ -89,18 +90,58 @@ pub(crate) fn footprint(env: &Env, l: usize, i: usize, j: usize) -> Footprint {
         CommMode::P2pRu => env.buffer_comm(i, j).buffer_rows,
     };
     Footprint {
-        topology: chunk.topology_bytes(),
-        neighbors: rows * env.row(l),
-        output: chunk.num_dests() * layer.out_dim() * F32,
-        intermediates: layer.intermediate_bytes(chunk),
-        checkpoint: env.checkpointed(l).then(|| layer.agg_cache_bytes(chunk)),
+        checkpoint: env
+            .checkpointed(l)
+            .then(|| env.model.layer(l).agg_cache_bytes(chunk.shape())),
+        ..sized(env.model, l, chunk.shape(), rows)
+    }
+}
+
+/// The [`Footprint`] of a chunk of `shape` at layer `l` with `rows` rows
+/// in its merged neighbor buffer, off the hybrid path.
+fn sized(model: &GnnModel, l: usize, shape: ChunkShape, rows: usize) -> Footprint {
+    let layer = model.layer(l);
+    Footprint {
+        topology: shape.topology_bytes(),
+        neighbors: rows * layer.in_dim() * F32,
+        output: shape.dests * layer.out_dim() * F32,
+        intermediates: layer.intermediate_bytes(shape),
+        checkpoint: None,
+    }
+}
+
+/// What a chunk of `shape` occupies at layer `l` apart from the buffer
+/// its neighbor rows are staged in: its topology, the layer output and
+/// the intermediates — the forward [`Footprint`] less its `neighbors`.
+pub(crate) fn own_bytes(model: &GnnModel, l: usize, shape: ChunkShape) -> usize {
+    sized(model, l, shape, 0).forward()
+}
+
+/// A packed step's forward footprint at layer `l`, from its
+/// [`own_bytes`] and the rows of its merged neighbor buffer, split into
+/// the step's own bytes and the buffer — which under P2P+RU is the
+/// in-place buffer's capacity, shared by every step of the sweep (0 in
+/// the other modes, whose buffer is the step's own). The cone packer
+/// prices candidate runs with it.
+pub(crate) fn packed_parts(
+    model: &GnnModel,
+    comm: CommMode,
+    l: usize,
+    own: usize,
+    rows: usize,
+) -> (usize, usize) {
+    let buffer = rows * model.layer(l).in_dim() * F32;
+    match comm {
+        CommMode::P2pRu => (own, buffer),
+        CommMode::Vanilla | CommMode::P2p => (own + buffer, 0),
     }
 }
 
 /// The bytes of batch `j`'s topology GPU `i` streams to the device, once
 /// per sweep: the chunk's — or, under a cone, its largest per-layer
-/// slice, which every other layer's slice of the chunk is a part of
-/// (cones are nested layer to layer).
+/// packed chunk, which every other layer's packed chunk of the same run
+/// is a part of (cones are nested layer to layer, and every layer packs
+/// the same runs).
 pub(crate) fn topology_upload_bytes(env: &Env, i: usize, j: usize) -> usize {
     match env.cone {
         None => env.plan.chunks[i][j].topology_bytes(),
@@ -114,10 +155,10 @@ pub(crate) fn topology_upload_bytes(env: &Env, i: usize, j: usize) -> usize {
 }
 
 /// The `(layer, batch)` steps `env`'s sweep runs: all of them, or the
-/// cone's active ones.
+/// cone's active ones on its packed grid.
 fn steps<'e>(env: &'e Env) -> impl Iterator<Item = (usize, usize)> + 'e {
     (0..env.model.num_layers())
-        .flat_map(|l| (0..env.plan.n).map(move |j| (l, j)))
+        .flat_map(|l| (0..env.at(l).plan.n).map(move |j| (l, j)))
         .filter(|&(l, j)| !env.pruned(l, j))
 }
 

@@ -35,8 +35,9 @@
 //!   nothing but the chunk grid, so they live in `hongtu-partition`,
 //!   where the cache journal's verifier can re-grow a cone too);
 //! - [`serve`] — a cone as the executor runs it: per layer, the rows each
-//!   chunk computes ([`ServeMask`]) and the session's plans sliced to
-//!   them ([`Cone`]), which [`Session::serve`] sweeps like any plans;
+//!   chunk computes ([`ServeMask`]) and those rows packed into one chunk
+//!   per GPU per run of batches ([`Cone`]), which [`Session::serve`]
+//!   sweeps like any plans;
 //! - `Session::apply_staged` (in [`engine`]) — incremental cone-local
 //!   recompute after graph mutations (`hongtu-delta` holds the typed
 //!   mutation API and delta log);

@@ -1,4 +1,4 @@
-//! Serving-path support: exact ≤ L-hop dependency cones and the sliced
+//! Serving-path support: exact ≤ L-hop dependency cones and the packed
 //! plans a masked sweep runs over.
 //!
 //! A vertex-subset logit query `Q` does not need a full-graph sweep: the
@@ -13,43 +13,54 @@
 //!
 //! (and dually for the out-edge cone of a graph mutation —
 //! [`crate::cone`] holds both). A [`ServeMask`] is that: per layer, per
-//! chunk, the destination rows to compute, plus the `(layer, batch)`
-//! grid they activate — a step is active iff some GPU's slice of it is
-//! non-empty, and because `needed[l] ⊇ needed[l+1]` the grid is downward
-//! closed (upward, for a delta cone).
+//! chunk of the session's grid, the destination rows to compute, plus the
+//! `(layer, batch)` grid they touch — a batch is touched iff some GPU's
+//! rows of it are non-empty, and because `needed[l] ⊇ needed[l+1]` the
+//! grid is downward closed (upward, for a delta cone).
 //!
-//! The executor's unit of work stays "one layer × one chunk"; what
-//! shrinks is the chunk. A [`Cone`] slices each layer's chunk grid down
-//! to the mask's rows ([`hongtu_partition::TwoLevelPartition::sliced`])
-//! and derives that grid's dedup / buffer plans with the same builders
-//! the session's own plans came from, so a masked sweep is a full sweep
-//! over smaller plans: same driver, same emitters, same footprint
-//! arithmetic, same numerics — each per-row reduction keeps its in-edge
-//! order, so the rows it computes are bitwise the full sweep's.
+//! The session's chunk grid exists so that one chunk's data fits a GPU
+//! (PAPER.md §4); a cone is far smaller, so it does not run on that grid.
+//! A [`Cone`] splits the session's `n` batches into `k ≤ n` *runs* of
+//! consecutive batches — the fewest the run rule ([`Cone::packed`])
+//! allows — and at every layer packs GPU `i`'s cone rows of run `g` into
+//! one chunk `(i, g)` ([`hongtu_partition::TwoLevelPartition::packed`]).
+//! Rows stay on the GPU that owns them, so ownership, P2P and dedup mean
+//! what they meant; each layer's packed grid gets its dedup / buffer
+//! plans from the same builders the session's came from, so a masked
+//! sweep is a full sweep over smaller plans: same driver, same emitters,
+//! same footprint arithmetic, same numerics — each per-row reduction
+//! keeps its in-edge order whatever chunk holds the row, so the rows it
+//! computes are bitwise the full sweep's.
 
 use crate::buffers::GpuBufferPlan;
 use crate::cone::{ConeDir, ConeOrigin, VertexIndex};
-use crate::dedup::DedupPlan;
-use crate::engine::{build_buffer_comm, BatchComm, CommMode};
-use hongtu_partition::{SliceRows, TwoLevelPartition};
+use crate::dedup::{union_sorted, DedupPlan};
+use crate::engine::{build_buffer_comm, BatchComm, CommMode, HongTuConfig};
+use crate::footprint;
+use hongtu_graph::VertexId;
+use hongtu_nn::GnnModel;
+use hongtu_partition::{ChunkShape, ChunkSubgraph, Packing, SliceRows, TwoLevelPartition};
 use hongtu_sim::TimeBuckets;
+use hongtu_stream::OverlapMode;
 use hongtu_tensor::Matrix;
+use std::ops::Range;
 
-/// Which destination rows of which chunks a masked forward sweep
-/// computes at each layer, and the `(layer, batch)` steps that leaves
-/// active. All `m` GPUs of an active batch run (a GPU whose own slice is
-/// empty still serves the transition rows it owns to the others); an
-/// inactive batch keeps only its barriers.
+/// Which destination rows of which chunks of the session's grid a masked
+/// forward sweep computes at each layer, and the `(layer, batch)` cells
+/// of that grid they touch. A [`Cone`] packs the rows into the grid the
+/// sweep runs on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeMask {
     /// `rows[l][i][j]`: ascending local destination rows chunk `(i, j)`
     /// computes at layer `l`.
     rows: Vec<SliceRows>,
-    /// `active[l][j]`: whether some GPU's slice of batch `j` at layer `l`
-    /// is non-empty.
+    /// `active[l][j]`: whether some GPU's rows of batch `j` at layer `l`
+    /// are non-empty.
     active: Vec<Vec<bool>>,
     num_vertices: usize,
-    /// The seeds and recurrence the rows were grown from.
+    /// The seeds and recurrence the rows were grown from, and the runs
+    /// they are packed into: every batch its own run until a [`Cone`]
+    /// packs them.
     origin: ConeOrigin,
 }
 
@@ -113,6 +124,7 @@ impl ServeMask {
             dir,
             layers,
             seeds: seeds.to_vec(),
+            runs: (1..=plan.n).collect(),
         };
         let rows = origin.rows(plan, index);
         let active = rows
@@ -132,12 +144,12 @@ impl ServeMask {
         }
     }
 
-    /// What the cone was grown from.
+    /// What the cone was grown from, and the runs it is packed into.
     pub fn origin(&self) -> &ConeOrigin {
         &self.origin
     }
 
-    /// Whether batch `j` runs at layer `l`.
+    /// Whether some GPU computes rows of batch `j` at layer `l`.
     #[inline]
     pub fn active(&self, l: usize, j: usize) -> bool {
         self.active[l][j]
@@ -153,7 +165,9 @@ impl ServeMask {
         self.active.first().map_or(0, Vec::len)
     }
 
-    /// Count of active `(layer, batch)` steps.
+    /// Count of `(layer, batch)` cells of the session's grid the rows
+    /// touch ([`Cone::active_steps`] counts the steps the packed sweep
+    /// runs).
     pub fn active_steps(&self) -> usize {
         self.active
             .iter()
@@ -193,22 +207,39 @@ impl ServeMask {
     }
 }
 
-/// The chunk grid one layer of a masked sweep runs over and the
+/// The packed grid one layer of a masked sweep runs over and the
 /// communication plans derived from it.
 #[derive(Debug)]
 pub(crate) struct LayerPlans {
     pub plan: TwoLevelPartition,
     pub dedup: DedupPlan,
-    /// The §6 buffer plans of the sliced grid (P2P+RU only).
+    /// The §6 buffer plans of the packed grid (P2P+RU only).
     pub bufplans: Option<Vec<GpuBufferPlan>>,
     pub buffer_comm: Option<Vec<Vec<BatchComm>>>,
 }
 
-/// A [`ServeMask`] and the plans its sweep executes: per layer, the
-/// session's chunk grid sliced to the mask's rows and that grid's own
-/// dedup and buffer plans. Derived by a [`Session`] ([`Session::query_cone`],
-/// [`Session::plan_cone`]) for its current plans, and valid for them —
-/// derive it again after a structural [`Session::apply_staged`].
+impl LayerPlans {
+    fn derive(plan: TwoLevelPartition, comm: CommMode) -> Self {
+        let dedup = DedupPlan::build(&plan);
+        let bufplans = (comm == CommMode::P2pRu).then(|| GpuBufferPlan::build_all(&plan, &dedup));
+        let buffer_comm = build_buffer_comm(&plan, bufplans.as_deref(), comm);
+        LayerPlans {
+            plan,
+            dedup,
+            bufplans,
+            buffer_comm,
+        }
+    }
+}
+
+/// A [`ServeMask`] and the plans its sweep executes: the session's
+/// batches split into runs ([`ConeOrigin::runs`]), per layer the packed
+/// grid — one chunk per GPU per run — and that grid's own dedup and
+/// buffer plans. Derived by a [`Session`] ([`Session::query_cone`],
+/// [`Session::plan_cone`]) for its current plans, and valid for them
+/// only: it records the plan generation it was derived from, which every
+/// structural [`Session::apply_staged`] bumps, and a session refuses to
+/// sweep a cone of another generation.
 ///
 /// [`Session`]: crate::Session
 /// [`Session::query_cone`]: crate::Session::query_cone
@@ -217,41 +248,792 @@ pub(crate) struct LayerPlans {
 #[derive(Debug)]
 pub struct Cone {
     mask: ServeMask,
+    /// `active[l][g]`: whether some GPU's packed chunk of run `g`
+    /// computes rows at layer `l`.
+    active: Vec<Vec<bool>>,
     pub(crate) layers: Vec<LayerPlans>,
+    /// The session plan generation the cone was derived from.
+    pub(crate) generation: u64,
 }
 
 impl Cone {
-    /// Slices `plan` to `mask`, layer by layer, and derives each sliced
-    /// grid's communication plan — linear in the slice, plus the `m × n`
-    /// grid and the level-1 assignment each sliced grid carries.
-    pub(crate) fn new(plan: &TwoLevelPartition, mask: ServeMask, comm: CommMode) -> Cone {
+    /// Packs `mask` into the runs ending at `ends`, layer by layer, and
+    /// derives each packed grid's communication plans — linear in the
+    /// cone's rows plus one bit per neighbor of each chunk they touch,
+    /// plus the `m × k` grid and the level-1 assignment each packed grid
+    /// carries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ends` fails [`crate::cone::check_runs`] for `plan`.
+    pub(crate) fn new(
+        plan: &TwoLevelPartition,
+        mask: ServeMask,
+        ends: Vec<usize>,
+        comm: CommMode,
+        generation: u64,
+    ) -> Cone {
         let layers = mask
             .rows
             .iter()
-            .map(|rows| {
-                let plan = plan.sliced(rows);
-                let dedup = DedupPlan::build(&plan);
-                let bufplans =
-                    (comm == CommMode::P2pRu).then(|| GpuBufferPlan::build_all(&plan, &dedup));
-                let buffer_comm = build_buffer_comm(&plan, bufplans.as_deref(), comm);
-                LayerPlans {
-                    plan,
-                    dedup,
-                    bufplans,
-                    buffer_comm,
-                }
-            })
+            .map(|rows| LayerPlans::derive(plan.packed(rows, &ends), comm))
             .collect();
-        Cone { mask, layers }
+        Cone::assemble(mask, ends, layers, generation)
     }
 
-    /// The rows and steps this cone's sweep computes.
+    /// Packs `mask` by the run rule: the session's batches split into the
+    /// fewest runs of consecutive batches, chosen greedily — a run is
+    /// extended by the next batch the cone touches while every GPU's
+    /// forward [`footprint`] of the merged step fits its `budget` at
+    /// every layer — and, under [`OverlapMode::DoubleBuffer`], at least
+    /// two runs when the cone touches two batches or more, since one
+    /// batch serialises the pipeline's load, compute and drain.
+    ///
+    /// Each touched batch's rows are marked once ([`Packing`]) and sized
+    /// from the marks — chunk shape, neighbor rows, buffer rows — so a
+    /// candidate run is priced exactly, by counting, without being packed;
+    /// the fewest runs (one, or two) are priced first, and each chosen run
+    /// is packed once, from the marks.
+    ///
+    /// Under P2P+RU every step of a sweep occupies the in-place buffer's
+    /// capacity, the sum of the rises in merged-set size from one step to
+    /// the next (§6: a newcomer takes a slot the previous step freed
+    /// before it grows the buffer), so a merge is also held to what the
+    /// batches after it would cost unmerged. A cone every one of whose
+    /// session-grid batches fits the budget therefore packs into runs
+    /// that fit it too, and no merge ever costs more than the budget.
+    pub(crate) fn packed(
+        plan: &TwoLevelPartition,
+        mask: ServeMask,
+        config: &HongTuConfig,
+        model: &GnnModel,
+        budget: &[usize],
+        generation: u64,
+    ) -> Cone {
+        let touched: Vec<usize> = (0..plan.n)
+            .filter(|&j| (0..mask.layers()).any(|l| mask.active(l, j)))
+            .collect();
+        if touched.is_empty() {
+            return Cone::new(plan, mask, vec![plan.n], config.comm, generation);
+        }
+        // Per touched batch, layer and GPU, its cone rows marked for
+        // packing; each is joined into its run's chunk once.
+        let mut marked: Vec<Vec<Vec<Option<Packing>>>> = touched
+            .iter()
+            .map(|&j| {
+                mask.rows
+                    .iter()
+                    .map(|rows| {
+                        (0..plan.m)
+                            .map(|i| {
+                                let kept = &rows[i][j][..];
+                                let parts: &[(&ChunkSubgraph, &[u32])] = if kept.is_empty() {
+                                    &[]
+                                } else {
+                                    &[(&plan.chunks[i][j], kept)]
+                                };
+                                Some(Packing::new(parts))
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        // Rows are listed — or, where the cone's lists are longer than a
+        // bitmap over the graph, kept as bitmaps.
+        let words = plan.assignment.partition_of.len().div_ceil(64);
+        let (lists, listed) = marked
+            .iter()
+            .flatten()
+            .flatten()
+            .flatten()
+            .fold((0, 0), |(n, total), p| {
+                (n + 1, total + p.read().map(<[_]>::len).sum::<usize>())
+            });
+        let bitmaps = listed >= lists * words;
+        let shapes: Vec<Vec<Vec<ChunkShape>>> = marked
+            .iter()
+            .map(|batch| {
+                batch
+                    .iter()
+                    .map(|layer| {
+                        layer
+                            .iter()
+                            .map(|p| p.as_ref().expect("not yet joined").shape())
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let owner = (config.comm != CommMode::Vanilla).then_some(&plan.assignment.partition_of[..]);
+        let owned = match owner.filter(|_| bitmaps) {
+            None => Vec::new(),
+            Some(owner) => {
+                let mut owned = vec![vec![0u64; words]; plan.m];
+                for (v, &i) in owner.iter().enumerate() {
+                    owned[i as usize][v / 64] |= 1 << (v % 64);
+                }
+                owned
+            }
+        };
+        let packer = Packer {
+            rows: &mask.rows,
+            model,
+            comm: config.comm,
+            owner,
+            owned,
+        };
+
+        let double = config.overlap == OverlapMode::DoubleBuffer && touched.len() > 1;
+        // The fewest runs there can be — one, or two under double
+        // buffering — are priced outright before the greedy rule runs.
+        let fewest: Vec<Range<usize>> = if double {
+            packer.halves(&touched)
+        } else {
+            std::iter::once(0..touched.len()).collect()
+        };
+        // The fewest runs are taken outright when even their ceiling fits —
+        // every set as large as its batches' together — and no two
+        // batches merge while even the floor of merging neighbors — each
+        // set as large as the larger of the two — is over budget.
+        let runs = if packer.ceiling_fits(&shapes, &fewest, budget) {
+            fewest
+        } else if !shapes
+            .windows(2)
+            .any(|pair| packer.floor_fits(&pair[0], &pair[1], budget))
+        {
+            (0..touched.len()).map(|p| p..p + 1).collect()
+        } else {
+            let alone: Vec<RunSize> = marked
+                .iter()
+                .zip(shapes)
+                .map(|(batch, shape)| RunSize::of(batch, shape, bitmaps.then_some(words)))
+                .collect();
+            if packer.fit(&alone, &fewest, budget) {
+                fewest
+            } else {
+                match packer.runs(alone, budget) {
+                    one if one.len() == 1 && double => packer.halves(&touched),
+                    runs => runs,
+                }
+            }
+        };
+        // Each run also takes the untouched batches up to the next one,
+        // which add no rows.
+        let mut ends: Vec<usize> = runs.iter().skip(1).map(|r| touched[r.start]).collect();
+        ends.push(plan.n);
+        let layers = (0..mask.layers())
+            .map(|l| {
+                let chunks = (0..plan.m)
+                    .map(|i| {
+                        runs.iter()
+                            .enumerate()
+                            .map(|(g, run)| {
+                                let run = marked[run.clone()].iter_mut();
+                                let parts =
+                                    run.map(|batch| batch[l][i].take().expect("joined once"));
+                                Packing::join(parts).build(i, g)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let plan = TwoLevelPartition {
+                    m: plan.m,
+                    n: ends.len(),
+                    assignment: plan.assignment.clone(),
+                    chunks,
+                };
+                LayerPlans::derive(plan, config.comm)
+            })
+            .collect();
+        Cone::assemble(mask, ends, layers, generation)
+    }
+
+    fn assemble(
+        mut mask: ServeMask,
+        ends: Vec<usize>,
+        layers: Vec<LayerPlans>,
+        generation: u64,
+    ) -> Cone {
+        let active = layers
+            .iter()
+            .map(|layer| {
+                (0..layer.plan.n)
+                    .map(|g| layer.plan.batch(g).any(|c| c.num_dests() > 0))
+                    .collect()
+            })
+            .collect();
+        mask.origin.runs = ends;
+        Cone {
+            mask,
+            active,
+            layers,
+            generation,
+        }
+    }
+
+    /// The rows this cone's sweep computes.
     pub fn mask(&self) -> &ServeMask {
         &self.mask
     }
 
-    pub(crate) fn into_mask(self) -> ServeMask {
-        self.mask
+    /// The packed grid layer `l` runs over: one chunk per GPU per run.
+    pub fn plan(&self, l: usize) -> &TwoLevelPartition {
+        &self.layers[l].plan
+    }
+
+    /// Whether the packed sweep runs run `g` at layer `l`.
+    #[inline]
+    pub fn active(&self, l: usize, g: usize) -> bool {
+        self.active[l][g]
+    }
+
+    /// The packed `active[l][g]` grid, for closure certification
+    /// (`hongtu_verify::verify_cone`): one column per run.
+    pub fn grid(&self) -> &[Vec<bool>] {
+        &self.active
+    }
+
+    /// `(layer, run)` steps the packed sweep runs.
+    pub fn active_steps(&self) -> usize {
+        self.active.iter().flatten().filter(|&&a| a).count()
+    }
+}
+
+/// A set of vertex ids: ascending, or — where the cone's lists are long
+/// beside the graph — a bitmap over the graph's vertices.
+#[derive(Clone)]
+enum Rows {
+    List(Vec<VertexId>),
+    Bits(Vec<u64>),
+}
+
+impl Rows {
+    /// The union of ascending `lists`, as a bitmap of `words` words or
+    /// listed.
+    fn new<'a>(lists: impl Iterator<Item = &'a [VertexId]>, words: Option<usize>) -> Rows {
+        match words {
+            None => Rows::List(lists.fold(Vec::new(), |acc, l| {
+                if acc.is_empty() {
+                    l.to_vec()
+                } else {
+                    union_sorted(&acc, l)
+                }
+            })),
+            Some(words) => {
+                let mut bits = vec![0u64; words];
+                for &v in lists.flatten() {
+                    bits[v as usize / 64] |= 1 << (v % 64);
+                }
+                Rows::Bits(bits)
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Rows::List(list) => list.len(),
+            Rows::Bits(bits) => bits.iter().map(|w| w.count_ones() as usize).sum(),
+        }
+    }
+
+    fn union(&self, other: &Rows) -> Rows {
+        match (self, other) {
+            (Rows::List(a), Rows::List(b)) => Rows::List(union_sorted(a, b)),
+            (Rows::Bits(a), Rows::Bits(b)) => {
+                Rows::Bits(a.iter().zip(b).map(|(a, b)| a | b).collect())
+            }
+            _ => unreachable!("one cone sizes all its rows alike"),
+        }
+    }
+
+    /// `|self ∪ other|`, counted.
+    fn union_len(&self, other: &Rows) -> usize {
+        match (self, other) {
+            (Rows::List(a), Rows::List(b)) => union_len(a, b),
+            (Rows::Bits(a), Rows::Bits(b)) => a
+                .iter()
+                .zip(b)
+                .map(|(a, b)| (a | b).count_ones() as usize)
+                .sum(),
+            _ => unreachable!("one cone sizes all its rows alike"),
+        }
+    }
+
+    /// With inter-GPU dedup, the rows each GPU's merged buffer holds,
+    /// given every GPU's neighbor rows `nbrs`: its own, and every row it
+    /// owns that some GPU reads. `owned[i]` is GPU `i`'s rows as a bitmap
+    /// (bitmap rows only).
+    fn buffers(nbrs: &[Rows], owner: &[u32], owned: &[Vec<u64>]) -> Vec<Rows> {
+        match nbrs.first() {
+            Some(Rows::Bits(_)) => {
+                let union = nbrs
+                    .iter()
+                    .skip(1)
+                    .fold(nbrs[0].clone(), |acc, n| acc.union(n));
+                let Rows::Bits(union) = union else {
+                    unreachable!("bitmaps union to a bitmap")
+                };
+                nbrs.iter()
+                    .zip(owned)
+                    .map(|(n, owned)| {
+                        let Rows::Bits(n) = n else {
+                            unreachable!("one cone sizes all its rows alike")
+                        };
+                        let words = n.iter().zip(&union).zip(owned);
+                        Rows::Bits(words.map(|((n, u), o)| n | (u & o)).collect())
+                    })
+                    .collect()
+            }
+            _ => {
+                let lists: Vec<&[VertexId]> = nbrs
+                    .iter()
+                    .map(|n| match n {
+                        Rows::List(list) => &list[..],
+                        Rows::Bits(_) => unreachable!("one cone sizes all its rows alike"),
+                    })
+                    .collect();
+                let mut by_owner = vec![Vec::new(); lists.len()];
+                for v in lists
+                    .iter()
+                    .fold(Vec::new(), |acc, n| union_sorted(&acc, n))
+                {
+                    by_owner[owner[v as usize] as usize].push(v);
+                }
+                lists
+                    .iter()
+                    .zip(&by_owner)
+                    .map(|(n, owned)| Rows::List(union_sorted(n, owned)))
+                    .collect()
+            }
+        }
+    }
+}
+
+/// Cone rows of one or more consecutive batches, sized without packing
+/// them: per layer and GPU, the shape of the chunk packing them would
+/// build ([`Packing::shape`]), its neighbor rows `N_i`, and the rows its
+/// merged buffer holds, `M_i` — `N_i` itself, or with inter-GPU dedup
+/// `N_i ∪ ℕ_i`, where the transition set `ℕ_i` is every row GPU `i` owns
+/// that some GPU's chunk reads.
+///
+/// Merging two runs unions both: a run's `ℕ_i` is GPU `i`'s share of the
+/// union of every chunk's `N`, so `M_i` of the merge is the union of the
+/// runs' `M_i`.
+#[derive(Clone)]
+struct RunSize {
+    /// `shape[l][i]`.
+    shape: Vec<Vec<ChunkShape>>,
+    /// `nbrs[l][i]`: `N_i`.
+    nbrs: Vec<Vec<Rows>>,
+    /// `buffer[l][i]`: `M_i`; `None` until listed ([`RunSize::buffered`]),
+    /// and without inter-GPU dedup, where it is `N_i`.
+    buffer: Option<Vec<Vec<Rows>>>,
+}
+
+impl RunSize {
+    /// What `marked[l][i]` packs into — chunk shapes `shape[l][i]` —
+    /// its rows as bitmaps of `words` words when there are any.
+    fn of(
+        marked: &[Vec<Option<Packing>>],
+        shape: Vec<Vec<ChunkShape>>,
+        words: Option<usize>,
+    ) -> RunSize {
+        let nbrs = marked
+            .iter()
+            .map(|layer| {
+                layer
+                    .iter()
+                    .map(|p| Rows::new(p.as_ref().expect("not yet joined").read(), words))
+                    .collect()
+            })
+            .collect();
+        RunSize {
+            shape,
+            nbrs,
+            buffer: None,
+        }
+    }
+
+    /// Lists `M_i` from the neighbor rows, when the buffers deduplicate
+    /// across GPUs ([`Packer::owner`]).
+    fn buffered(mut self, packer: &Packer) -> RunSize {
+        self.buffer = packer.owner.map(|owner| {
+            self.nbrs
+                .iter()
+                .map(|layer| Rows::buffers(layer, owner, &packer.owned))
+                .collect()
+        });
+        self
+    }
+
+    /// `M_i` per `(l, i)` — `N_i`, a floor of it, until
+    /// [`RunSize::buffered`] lists it.
+    fn buffers(&self) -> &[Vec<Rows>] {
+        self.buffer.as_deref().unwrap_or(&self.nbrs)
+    }
+
+    /// The rows of this and of `next` as one batch: destinations and
+    /// edges add up, rows unite.
+    fn then(&self, next: &RunSize) -> RunSize {
+        let union = |a: &[Vec<Rows>], b: &[Vec<Rows>]| -> Vec<Vec<Rows>> {
+            a.iter()
+                .zip(b)
+                .map(|(a, b)| a.iter().zip(b).map(|(a, b)| a.union(b)).collect())
+                .collect()
+        };
+        let nbrs = union(&self.nbrs, &next.nbrs);
+        let buffer = self
+            .buffer
+            .as_ref()
+            .zip(next.buffer.as_ref())
+            .map(|(a, b)| union(a, b));
+        let shape = self
+            .shape
+            .iter()
+            .zip(&next.shape)
+            .zip(&nbrs)
+            .map(|((a, b), n)| {
+                a.iter()
+                    .zip(b)
+                    .zip(n)
+                    .map(|((a, b), n)| ChunkShape {
+                        dests: a.dests + b.dests,
+                        edges: a.edges + b.edges,
+                        neighbors: n.len(),
+                    })
+                    .collect()
+            })
+            .collect();
+        RunSize {
+            shape,
+            nbrs,
+            buffer,
+        }
+    }
+
+    /// The shape and buffer rows, per `(l, i)`, of `self.then(next)`
+    /// — counted, not merged — or, with `exact` off, a floor of them:
+    /// each set as large as the larger of the two.
+    fn merged_size(&self, next: &RunSize, exact: bool) -> (Vec<Vec<ChunkShape>>, Vec<Vec<usize>>) {
+        let len = |a: &Rows, b: &Rows| {
+            if exact {
+                a.union_len(b)
+            } else {
+                a.len().max(b.len())
+            }
+        };
+        let mut shape = merged_floor(&self.shape, &next.shape);
+        if exact {
+            for (l, layer) in shape.iter_mut().enumerate() {
+                for (i, shape) in layer.iter_mut().enumerate() {
+                    shape.neighbors = len(&self.nbrs[l][i], &next.nbrs[l][i]);
+                }
+            }
+        }
+        let rows = self
+            .buffers()
+            .iter()
+            .zip(next.buffers())
+            .map(|(a, b)| a.iter().zip(b).map(|(a, b)| len(a, b)).collect())
+            .collect();
+        (shape, rows)
+    }
+}
+
+/// The greedy run chooser of [`Cone::packed`].
+struct Packer<'a> {
+    rows: &'a [SliceRows],
+    model: &'a GnnModel,
+    comm: CommMode,
+    /// The level-1 assignment, when buffers deduplicate across GPUs.
+    owner: Option<&'a [u32]>,
+    /// Each GPU's vertices as a bitmap, when the cone's rows are bitmaps
+    /// and buffers deduplicate.
+    owned: Vec<Vec<u64>>,
+}
+
+impl Packer<'_> {
+    /// Per `(l, i)`, the forward footprint of a step of chunk shapes
+    /// `shape[l][i]` whose buffers hold `rows[l][i]` rows
+    /// ([`footprint::packed_parts`]).
+    fn cost(&self, shape: &[Vec<ChunkShape>], rows: &[Vec<usize>]) -> Steps {
+        let cost: Vec<Vec<(usize, usize)>> = shape
+            .iter()
+            .zip(rows)
+            .enumerate()
+            .map(|(l, (shape, rows))| {
+                shape
+                    .iter()
+                    .zip(rows)
+                    .map(|(&shape, &rows)| {
+                        let own = footprint::own_bytes(self.model, l, shape);
+                        footprint::packed_parts(self.model, self.comm, l, own, rows)
+                    })
+                    .collect()
+            })
+            .collect();
+        Steps::step(&cost)
+    }
+
+    /// Whether `runs` (ranges of positions in `shapes`, one or two) fit
+    /// `budget` even at their ceiling: a run's chunk as large as its
+    /// batches' chunks together, its buffer as large as every GPU's
+    /// neighbor rows together (its own alone, without inter-GPU dedup).
+    /// With one or two steps the buffer capacity is the larger buffer, so
+    /// a ceiling that fits bounds the sweep.
+    fn ceiling_fits(
+        &self,
+        shapes: &[Vec<Vec<ChunkShape>>],
+        runs: &[Range<usize>],
+        budget: &[usize],
+    ) -> bool {
+        debug_assert!(
+            runs.len() <= 2,
+            "capacity is the larger buffer of at most two steps"
+        );
+        runs.iter()
+            .fold(Steps::default(), |sweep, run| {
+                let batches = &shapes[run.clone()];
+                let shape: Vec<Vec<ChunkShape>> = (0..batches[0].len())
+                    .map(|l| {
+                        (0..batches[0][l].len())
+                            .map(|i| ChunkShape {
+                                dests: batches.iter().map(|b| b[l][i].dests).sum(),
+                                edges: batches.iter().map(|b| b[l][i].edges).sum(),
+                                neighbors: batches.iter().map(|b| b[l][i].neighbors).sum(),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let rows: Vec<Vec<usize>> = shape
+                    .iter()
+                    .map(|layer| {
+                        let all: usize = layer.iter().map(|s| s.neighbors).sum();
+                        layer
+                            .iter()
+                            .map(|s| {
+                                if self.owner.is_some() {
+                                    all
+                                } else {
+                                    s.neighbors
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                sweep.then(&self.cost(&shape, &rows))
+            })
+            .fits(budget)
+    }
+
+    /// Whether the floor of merging steps of chunk shapes `a` and `b`
+    /// fits `budget`: destinations and edges add up, and the neighbor
+    /// rows — of the chunk and of its buffer alike — are as many as the
+    /// larger of the two.
+    fn floor_fits(&self, a: &[Vec<ChunkShape>], b: &[Vec<ChunkShape>], budget: &[usize]) -> bool {
+        let shape = merged_floor(a, b);
+        let rows: Vec<Vec<usize>> = shape
+            .iter()
+            .map(|layer| layer.iter().map(|s| s.neighbors).collect())
+            .collect();
+        self.cost(&shape, &rows).fits(budget)
+    }
+
+    /// The step `sized` makes.
+    fn step(&self, sized: &RunSize) -> Steps {
+        let rows: Vec<Vec<usize>> = sized
+            .buffers()
+            .iter()
+            .map(|layer| layer.iter().map(Rows::len).collect())
+            .collect();
+        self.cost(&sized.shape, &rows)
+    }
+
+    /// Whether `alone`, packed into `runs` (ranges of positions), fits
+    /// `budget`: each run first held to its floor — every list as long as
+    /// its batches' longest — before its lists are merged.
+    fn fit(&self, alone: &[RunSize], runs: &[Range<usize>], budget: &[usize]) -> bool {
+        let merge = |run: &Range<usize>| -> Option<RunSize> {
+            let mut merged = alone[run.start].clone();
+            for next in &alone[run.start + 1..run.end] {
+                let (shape, rows) = merged.merged_size(next, false);
+                if !self.cost(&shape, &rows).fits(budget) {
+                    return None;
+                }
+                merged = merged.then(next);
+            }
+            Some(merged)
+        };
+        let mut sweep = Steps::default();
+        for run in runs {
+            match merge(run) {
+                Some(merged) => sweep = sweep.then(&self.step(&merged.buffered(self))),
+                None => return false,
+            }
+        }
+        sweep.fits(budget)
+    }
+
+    /// The greedy runs over the touched batches, as ranges of positions
+    /// in `alone`: a run is extended by the next touched batch while the
+    /// merged step fits `budget` together with the runs before it and the
+    /// batches after it, each of those run alone ([`Cone::packed`]). A
+    /// merge is priced by counting its lists' unions — after a floor that
+    /// takes each as the longer of the two — and merged only once
+    /// accepted.
+    fn runs(&self, alone: Vec<RunSize>, budget: &[usize]) -> Vec<Range<usize>> {
+        let alone: Vec<RunSize> = alone.into_iter().map(|a| a.buffered(self)).collect();
+        let steps: Vec<Steps> = alone.iter().map(|a| self.step(a)).collect();
+        // after[p]: the batches from `alone[p]` on, each run alone.
+        let mut after = vec![Steps::default(); alone.len() + 1];
+        for p in (0..alone.len()).rev() {
+            after[p] = steps[p].then(&after[p + 1]);
+        }
+        let mut runs = Vec::new();
+        let mut before = Steps::default();
+        let mut run = 0..1;
+        // The open run, once it holds two batches or more, and its step.
+        let mut open: Option<(RunSize, Steps)> = None;
+        for p in 1..alone.len() {
+            let current = open.as_ref().map_or(&alone[run.start], |(sized, _)| sized);
+            // The floor holds the step alone — the capacity every step
+            // of a P2P+RU sweep occupies is at least its own buffer —
+            // the count holds it with the runs around it.
+            let (shape, rows) = current.merged_size(&alone[p], false);
+            let fits = self.cost(&shape, &rows).fits(budget) && {
+                let (shape, rows) = current.merged_size(&alone[p], true);
+                let step = self.cost(&shape, &rows);
+                before.then(&step).then(&after[p + 1]).fits(budget)
+            };
+            if fits {
+                let merged = current.then(&alone[p]);
+                let step = self.step(&merged);
+                run.end = p + 1;
+                open = Some((merged, step));
+            } else {
+                let step = open
+                    .take()
+                    .map_or_else(|| steps[run.start].clone(), |(_, step)| step);
+                before = before.then(&step);
+                runs.push(std::mem::replace(&mut run, p..p + 1));
+            }
+        }
+        runs.push(run);
+        runs
+    }
+
+    /// The touched batches in two runs, cut where the rows either side
+    /// are closest to even. Each is part of the one run they replace, so
+    /// it fits wherever that run did.
+    fn halves(&self, touched: &[usize]) -> Vec<Range<usize>> {
+        let rows = |j: usize| -> usize {
+            self.rows
+                .iter()
+                .flat_map(|layer| layer.iter().map(move |gpu| gpu[j].len()))
+                .sum()
+        };
+        let weights: Vec<usize> = touched.iter().map(|&j| rows(j)).collect();
+        let total: usize = weights.iter().sum();
+        let cut = (1..touched.len())
+            .min_by_key(|&c| {
+                let left: usize = weights[..c].iter().sum();
+                left.abs_diff(total - left)
+            })
+            .expect("two touched batches or more");
+        vec![0..cut, cut..touched.len()]
+    }
+}
+
+/// Per `(l, i)`, the shape of merging chunks of shapes `a` and `b`, its
+/// neighbors counted as the larger of the two's.
+fn merged_floor(a: &[Vec<ChunkShape>], b: &[Vec<ChunkShape>]) -> Vec<Vec<ChunkShape>> {
+    a.iter()
+        .zip(b)
+        .map(|(a, b)| {
+            a.iter()
+                .zip(b)
+                .map(|(a, b)| ChunkShape {
+                    dests: a.dests + b.dests,
+                    edges: a.edges + b.edges,
+                    neighbors: a.neighbors.max(b.neighbors),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// `|a ∪ b|` of two ascending lists.
+fn union_len(a: &[u32], b: &[u32]) -> usize {
+    let (mut i, mut j, mut both) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                (i, j, both) = (i + 1, j + 1, both + 1);
+            }
+        }
+    }
+    a.len() + b.len() - both
+}
+
+/// Per `(layer, GPU)`, what a sequence of packed steps costs on the
+/// device: its largest own bytes plus the in-place buffer's capacity,
+/// the sum of the rises in buffer size from step to step (the first
+/// from nothing) — the executor's footprint of the worst of those steps.
+#[derive(Debug, Clone, Default)]
+struct Steps {
+    /// Per cell `(l, i)`: largest own bytes, capacity, the buffer of the
+    /// first and of the last step. Empty for no steps.
+    cells: Vec<Vec<[usize; 4]>>,
+}
+
+impl Steps {
+    /// One step of per-cell `(own, buffer)` bytes.
+    fn step(cost: &[Vec<(usize, usize)>]) -> Steps {
+        let cells = cost
+            .iter()
+            .map(|layer| {
+                layer
+                    .iter()
+                    .map(|&(own, buf)| [own, buf, buf, buf])
+                    .collect()
+            })
+            .collect();
+        Steps { cells }
+    }
+
+    /// This sequence, then `next`: the rise into `next`'s first step is
+    /// from this sequence's last, not from nothing.
+    fn then(&self, next: &Steps) -> Steps {
+        if self.cells.is_empty() || next.cells.is_empty() {
+            return if self.cells.is_empty() { next } else { self }.clone();
+        }
+        let cells = self
+            .cells
+            .iter()
+            .zip(&next.cells)
+            .map(|(a, b)| {
+                a.iter()
+                    .zip(b)
+                    .map(
+                        |(&[own_a, cap_a, first, last], &[own_b, cap_b, first_b, last_b])| {
+                            let cap = cap_a + (cap_b - first_b) + first_b.saturating_sub(last);
+                            [own_a.max(own_b), cap, first, last_b]
+                        },
+                    )
+                    .collect()
+            })
+            .collect();
+        Steps { cells }
+    }
+
+    /// Whether every step fits GPU `i`'s `budget[i]` at every layer.
+    fn fits(&self, budget: &[usize]) -> bool {
+        self.cells
+            .iter()
+            .all(|layer| layer.iter().zip(budget).all(|(c, &b)| c[0] + c[1] <= b))
     }
 }
 
@@ -272,10 +1054,12 @@ pub struct ServeReport {
     pub peak_gpu_bytes: usize,
     /// High-water host memory in bytes.
     pub peak_host_bytes: usize,
-    /// `(layer, batch)` steps the pruned sweep executed: a step runs iff
-    /// some GPU's slice of it is non-empty.
+    /// `(layer, batch)` steps the pruned sweep executed on its packed
+    /// grid — one batch per run of the session's batches — a step running
+    /// iff some GPU's packed chunk of it is non-empty.
     pub active_steps: usize,
-    /// `(layer, batch)` steps a full sweep would have executed.
+    /// `(layer, batch)` steps a full sweep would have executed: `L × n`
+    /// on the session's grid.
     pub total_steps: usize,
     /// Destination rows the pruned sweep computed, summed over layers.
     pub active_rows: usize,
@@ -364,27 +1148,60 @@ mod tests {
     }
 
     #[test]
-    fn a_cone_slices_every_layer_to_its_rows() {
+    fn a_cone_packs_every_layer_to_its_rows() {
         let plan = ring_plan();
         for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
-            let cone = Cone::new(&plan, ServeMask::from_queries(&plan, 2, &[3]), comm);
-            let dests = |l: usize| -> Vec<u32> {
-                let mut d: Vec<u32> = cone.layers[l]
-                    .plan
-                    .all_chunks()
-                    .flat_map(|c| c.dests.clone())
-                    .collect();
-                d.sort_unstable();
-                d
-            };
-            assert_eq!(dests(1), [3]);
-            assert_eq!(dests(0), [2, 3]);
-            for layer in &cone.layers {
-                assert!(layer.dedup.validate(&layer.plan).is_ok());
-                assert_eq!(layer.bufplans.is_some(), comm == CommMode::P2pRu);
-                assert_eq!(layer.buffer_comm.is_some(), comm == CommMode::P2pRu);
+            for ends in [vec![4], vec![2, 4], vec![1, 2, 3, 4]] {
+                let mask = ServeMask::from_queries(&plan, 2, &[4]);
+                let cone = Cone::new(&plan, mask, ends.clone(), comm, 0);
+                assert_eq!(cone.mask().origin().runs, ends);
+                let dests = |l: usize| -> Vec<u32> {
+                    let mut d: Vec<u32> = cone.layers[l]
+                        .plan
+                        .all_chunks()
+                        .flat_map(|c| c.dests.clone())
+                        .collect();
+                    d.sort_unstable();
+                    d
+                };
+                assert_eq!(dests(1), [4]);
+                assert_eq!(dests(0), [3, 4]);
+                for layer in &cone.layers {
+                    assert_eq!(layer.plan.n, ends.len());
+                    assert!(layer.dedup.validate(&layer.plan).is_ok());
+                    assert_eq!(layer.bufplans.is_some(), comm == CommMode::P2pRu);
+                    assert_eq!(layer.buffer_comm.is_some(), comm == CommMode::P2pRu);
+                }
+                // 3 and 4 (batches 1 and 2) share a step only when one
+                // run holds both.
+                let steps = if ends.len() == 1 { 2 } else { 3 };
+                assert_eq!(cone.active_steps(), steps, "{ends:?}");
             }
         }
+    }
+
+    /// The run rule on the ring: a roomy budget packs the cone into one
+    /// run — two under double buffering, which needs a batch to overlap
+    /// with — and a budget nothing fits leaves every touched batch alone.
+    #[test]
+    fn the_run_rule_merges_while_the_budget_allows() {
+        use hongtu_nn::ModelKind;
+        use hongtu_tensor::SeededRng;
+        let plan = ring_plan();
+        let model = GnnModel::new(ModelKind::Gcn, &[4, 4, 2], &mut SeededRng::new(1));
+        let packed = |overlap: OverlapMode, budget: usize| {
+            let config = HongTuConfig::builder()
+                .gpus(1)
+                .overlap(overlap)
+                .build()
+                .expect("config");
+            let mask = ServeMask::from_queries(&plan, 2, &[0, 3, 5]);
+            let cone = Cone::packed(&plan, mask, &config, &model, &[budget], 0);
+            cone.mask().origin().runs.clone()
+        };
+        assert_eq!(packed(OverlapMode::Off, usize::MAX), [4]);
+        assert_eq!(packed(OverlapMode::DoubleBuffer, usize::MAX).len(), 2);
+        assert_eq!(packed(OverlapMode::Off, 0), [1, 2, 3, 4]);
     }
 
     #[test]

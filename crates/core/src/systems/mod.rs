@@ -193,7 +193,7 @@ mod tests {
                     chunk.num_edges(),
                     chunk.num_neighbors(),
                 );
-                let real = model.layer(l).intermediate_bytes(&chunk);
+                let real = model.layer(l).intermediate_bytes(chunk.shape());
                 assert_eq!(analytic, real, "{} layer {l}", kind.name());
             }
         }

@@ -9,7 +9,7 @@
 //! caches `[mean_agg | h_dest]` exactly like SAGE.
 
 use crate::layer::{self, Activation, GnnLayer, LayerFlops, LayerForward, LayerGrads};
-use hongtu_partition::ChunkSubgraph;
+use hongtu_partition::{ChunkShape, ChunkSubgraph};
 use hongtu_tensor::{Matrix, SeededRng};
 
 /// One CommNet layer.
@@ -183,12 +183,12 @@ impl GnnLayer for CommNetLayer {
         }
     }
 
-    fn intermediate_bytes(&self, chunk: &ChunkSubgraph) -> usize {
-        chunk.num_dests() * (2 * self.in_dim() + self.out_dim()) * std::mem::size_of::<f32>()
+    fn intermediate_bytes(&self, shape: ChunkShape) -> usize {
+        shape.dests * (2 * self.in_dim() + self.out_dim()) * std::mem::size_of::<f32>()
     }
 
-    fn agg_cache_bytes(&self, chunk: &ChunkSubgraph) -> usize {
-        chunk.num_dests() * 2 * self.in_dim() * std::mem::size_of::<f32>()
+    fn agg_cache_bytes(&self, shape: ChunkShape) -> usize {
+        shape.dests * 2 * self.in_dim() * std::mem::size_of::<f32>()
     }
 }
 
@@ -270,6 +270,9 @@ mod tests {
         let mut rng = SeededRng::new(4);
         let layer = CommNetLayer::new(3, 2, &mut rng);
         assert!(layer.supports_agg_cache());
-        assert_eq!(layer.agg_cache_bytes(&chunk), chunk.num_dests() * 6 * 4);
+        assert_eq!(
+            layer.agg_cache_bytes(chunk.shape()),
+            chunk.num_dests() * 6 * 4
+        );
     }
 }

@@ -13,7 +13,7 @@
 //! to the pure recomputation strategy on it (§4.2).
 
 use crate::layer::{self, Activation, GnnLayer, LayerFlops, LayerForward, LayerGrads};
-use hongtu_partition::ChunkSubgraph;
+use hongtu_partition::{ChunkShape, ChunkSubgraph};
 use hongtu_tensor::ops::{
     leaky_relu, leaky_relu_backward, softmax_backward_segment, softmax_in_place,
 };
@@ -266,11 +266,9 @@ impl GnnLayer for GatLayer {
         }
     }
 
-    fn intermediate_bytes(&self, chunk: &ChunkSubgraph) -> usize {
+    fn intermediate_bytes(&self, shape: ChunkShape) -> usize {
         // g (N × out), pre + α (2 per edge), z (D × out)
-        (chunk.num_neighbors() * self.out_dim()
-            + 2 * chunk.num_edges()
-            + chunk.num_dests() * self.out_dim())
+        (shape.neighbors * self.out_dim() + 2 * shape.edges + shape.dests * self.out_dim())
             * std::mem::size_of::<f32>()
     }
 }
@@ -391,9 +389,9 @@ mod tests {
         let (_, chunk) = toy();
         let mut rng = SeededRng::new(6);
         let layer = GatLayer::new(3, 4, &mut rng);
-        let bytes = layer.intermediate_bytes(&chunk);
+        let bytes = layer.intermediate_bytes(chunk.shape());
         assert!(bytes >= 2 * chunk.num_edges() * 4);
-        assert_eq!(layer.agg_cache_bytes(&chunk), 0);
+        assert_eq!(layer.agg_cache_bytes(chunk.shape()), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::gat::GatLayer;
 use crate::layer::{Activation, GnnLayer, LayerFlops, LayerForward, LayerGrads};
-use hongtu_partition::ChunkSubgraph;
+use hongtu_partition::{ChunkShape, ChunkSubgraph};
 use hongtu_tensor::{Matrix, SeededRng};
 
 /// A concatenating multi-head GAT layer.
@@ -123,8 +123,8 @@ impl GnnLayer for MultiHeadGatLayer {
         })
     }
 
-    fn intermediate_bytes(&self, chunk: &ChunkSubgraph) -> usize {
-        self.heads.iter().map(|h| h.intermediate_bytes(chunk)).sum()
+    fn intermediate_bytes(&self, shape: ChunkShape) -> usize {
+        self.heads.iter().map(|h| h.intermediate_bytes(shape)).sum()
     }
 }
 
@@ -209,7 +209,7 @@ mod tests {
         let mut rng = SeededRng::new(5);
         let one = MultiHeadGatLayer::new(4, 8, 1, &mut rng);
         let four = MultiHeadGatLayer::new(4, 8, 4, &mut rng);
-        assert!(four.intermediate_bytes(&chunk) > one.intermediate_bytes(&chunk) / 2);
+        assert!(four.intermediate_bytes(chunk.shape()) > one.intermediate_bytes(chunk.shape()) / 2);
         assert!(four.forward_flops(&chunk).edge > one.forward_flops(&chunk).edge);
     }
 

@@ -8,7 +8,7 @@
 //! the backward pass (§4.2).
 
 use crate::layer::{Activation, GnnLayer, LayerFlops, LayerForward, LayerGrads};
-use hongtu_partition::ChunkSubgraph;
+use hongtu_partition::{ChunkShape, ChunkSubgraph};
 use hongtu_tensor::{Matrix, SeededRng};
 
 /// One GCN layer.
@@ -149,9 +149,9 @@ impl GnnLayer for GcnLayer {
         }
     }
 
-    fn intermediate_bytes(&self, chunk: &ChunkSubgraph) -> usize {
+    fn intermediate_bytes(&self, shape: ChunkShape) -> usize {
         // a (D × in) and z (D × out) are live between forward and backward.
-        chunk.num_dests() * (self.in_dim() + self.out_dim()) * std::mem::size_of::<f32>()
+        shape.dests * (self.in_dim() + self.out_dim()) * std::mem::size_of::<f32>()
     }
 }
 
@@ -279,7 +279,10 @@ mod tests {
         let small = GcnLayer::new(4, 4, &mut rng);
         let big = GcnLayer::new(8, 8, &mut rng);
         assert!(big.forward_flops(&chunk).dense > small.forward_flops(&chunk).dense);
-        assert!(big.intermediate_bytes(&chunk) > small.intermediate_bytes(&chunk));
-        assert_eq!(big.agg_cache_bytes(&chunk), chunk.num_dests() * 8 * 4);
+        assert!(big.intermediate_bytes(chunk.shape()) > small.intermediate_bytes(chunk.shape()));
+        assert_eq!(
+            big.agg_cache_bytes(chunk.shape()),
+            chunk.num_dests() * 8 * 4
+        );
     }
 }

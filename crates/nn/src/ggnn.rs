@@ -16,7 +16,7 @@
 //! and re-runs a dense-but-heavy UPDATE instead of touching the edges.
 
 use crate::layer::{self, Activation, GnnLayer, LayerFlops, LayerForward, LayerGrads};
-use hongtu_partition::ChunkSubgraph;
+use hongtu_partition::{ChunkShape, ChunkSubgraph};
 use hongtu_tensor::ops::{sigmoid, sigmoid_backward_from_output, tanh, tanh_backward_from_output};
 use hongtu_tensor::{Matrix, SeededRng};
 
@@ -281,13 +281,13 @@ impl GnnLayer for GgnnLayer {
         }
     }
 
-    fn intermediate_bytes(&self, chunk: &ChunkSubgraph) -> usize {
+    fn intermediate_bytes(&self, shape: ChunkShape) -> usize {
         // m, h_dest (D×in) plus a,s,z,r,h̃,h' (D×out each)
-        chunk.num_dests() * (2 * self.in_dim() + 6 * self.out_dim()) * std::mem::size_of::<f32>()
+        shape.dests * (2 * self.in_dim() + 6 * self.out_dim()) * std::mem::size_of::<f32>()
     }
 
-    fn agg_cache_bytes(&self, chunk: &ChunkSubgraph) -> usize {
-        chunk.num_dests() * 2 * self.in_dim() * std::mem::size_of::<f32>()
+    fn agg_cache_bytes(&self, shape: ChunkShape) -> usize {
+        shape.dests * 2 * self.in_dim() * std::mem::size_of::<f32>()
     }
 }
 

@@ -5,7 +5,7 @@
 //! caching with a `|V_ij| × in_dim` checkpoint (the combined sum).
 
 use crate::layer::{self, Activation, GnnLayer, LayerFlops, LayerForward, LayerGrads};
-use hongtu_partition::ChunkSubgraph;
+use hongtu_partition::{ChunkShape, ChunkSubgraph};
 use hongtu_tensor::{Matrix, SeededRng};
 
 /// One GIN layer with fixed ε.
@@ -152,8 +152,8 @@ impl GnnLayer for GinLayer {
         }
     }
 
-    fn intermediate_bytes(&self, chunk: &ChunkSubgraph) -> usize {
-        chunk.num_dests() * (self.in_dim() + self.out_dim()) * std::mem::size_of::<f32>()
+    fn intermediate_bytes(&self, shape: ChunkShape) -> usize {
+        shape.dests * (self.in_dim() + self.out_dim()) * std::mem::size_of::<f32>()
     }
 }
 

@@ -1,6 +1,6 @@
 //! The chunk-level layer abstraction.
 
-use hongtu_partition::ChunkSubgraph;
+use hongtu_partition::{ChunkShape, ChunkSubgraph};
 use hongtu_tensor::Matrix;
 
 /// Output of a chunk-level forward pass.
@@ -220,13 +220,13 @@ pub trait GnnLayer: Send + Sync {
     /// Bytes of intermediate data the forward pass materializes for this
     /// chunk (beyond input and output) — the quantity HongTu avoids keeping
     /// resident (paper Table 1 "Intr Data").
-    fn intermediate_bytes(&self, chunk: &ChunkSubgraph) -> usize;
+    fn intermediate_bytes(&self, shape: ChunkShape) -> usize;
 
     /// Bytes of the cached aggregate for this chunk (hybrid strategy), if
     /// supported.
-    fn agg_cache_bytes(&self, chunk: &ChunkSubgraph) -> usize {
+    fn agg_cache_bytes(&self, shape: ChunkShape) -> usize {
         if self.supports_agg_cache() {
-            chunk.num_dests() * self.in_dim() * std::mem::size_of::<f32>()
+            shape.dests * self.in_dim() * std::mem::size_of::<f32>()
         } else {
             0
         }

@@ -8,7 +8,7 @@
 //! the checkpoint tensor is layer-defined and opaque to the engine.
 
 use crate::layer::{self, Activation, GnnLayer, LayerFlops, LayerForward, LayerGrads};
-use hongtu_partition::ChunkSubgraph;
+use hongtu_partition::{ChunkShape, ChunkSubgraph};
 use hongtu_tensor::{Matrix, SeededRng};
 
 /// One GraphSAGE-mean layer.
@@ -169,13 +169,13 @@ impl GnnLayer for SageLayer {
         }
     }
 
-    fn intermediate_bytes(&self, chunk: &ChunkSubgraph) -> usize {
+    fn intermediate_bytes(&self, shape: ChunkShape) -> usize {
         // agg + h_dest (D × in each) + z (D × out)
-        chunk.num_dests() * (2 * self.in_dim() + self.out_dim()) * std::mem::size_of::<f32>()
+        shape.dests * (2 * self.in_dim() + self.out_dim()) * std::mem::size_of::<f32>()
     }
 
-    fn agg_cache_bytes(&self, chunk: &ChunkSubgraph) -> usize {
-        chunk.num_dests() * 2 * self.in_dim() * std::mem::size_of::<f32>()
+    fn agg_cache_bytes(&self, shape: ChunkShape) -> usize {
+        shape.dests * 2 * self.in_dim() * std::mem::size_of::<f32>()
     }
 }
 
@@ -216,7 +216,7 @@ mod tests {
             (4, 6),
             "checkpoint is [agg | h_dest]"
         );
-        assert_eq!(layer.agg_cache_bytes(&chunk), 4 * 6 * 4);
+        assert_eq!(layer.agg_cache_bytes(chunk.shape()), 4 * 6 * 4);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! R[l+1]`), so the `(layer, batch)` grid a cone activates is downward
 //! respectively upward closed, and both return the same thing: per layer,
 //! per chunk `(i, j)`, the ascending local destination rows to compute —
-//! what [`crate::ChunkSubgraph::slice`] takes.
+//! what [`crate::TwoLevelPartition::packed`] packs into the grid a masked
+//! sweep runs over, one chunk per GPU per *run* of consecutive batches.
 //!
 //! Neither reads the graph: a chunk holds all in-edges of its
 //! destinations, so `N(v)` is one row of the chunk that owns `v`, found
@@ -36,9 +37,10 @@ pub enum ConeDir {
     Upward,
 }
 
-/// What a cone was grown from — all it takes to grow it again over the
-/// same plan: [`ConeOrigin::rows`]. A few dozen vertex ids, where the
-/// rows they reach can be a large part of the graph.
+/// What a cone was grown from and the runs it was packed into — all it
+/// takes to grow and pack it again over the same plan: [`ConeOrigin::rows`],
+/// then [`crate::TwoLevelPartition::packed`] over `runs`. A few dozen
+/// numbers, where the rows they reach can be a large part of the graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConeOrigin {
     /// The recurrence.
@@ -47,6 +49,11 @@ pub struct ConeOrigin {
     pub layers: usize,
     /// The query vertices, or the dirty seeds.
     pub seeds: Vec<usize>,
+    /// Where each run of consecutive batches ends ([`check_runs`]): the
+    /// masked sweep runs one packed batch per run. Chosen from device
+    /// footprints, which only the engine prices, so it is journaled
+    /// rather than re-derived.
+    pub runs: Vec<usize>,
 }
 
 impl ConeOrigin {
@@ -119,6 +126,30 @@ pub fn check_seeds(what: &str, num_v: usize, vertices: &[usize]) -> Result<(), S
         Some(v) => Err(format!("{what}: vertex {v} out of range ({num_v})")),
         None => Ok(()),
     }
+}
+
+/// Why `ends` does not split `n` batches into runs: the runs are the
+/// batches `0..ends[0]`, `ends[0]..ends[1]`, …, so `ends` must be
+/// strictly ascending, start above 0 and end at `n`.
+pub fn check_runs(ends: &[usize], n: usize) -> Result<(), String> {
+    match (ends.first(), ends.last()) {
+        (Some(&first), Some(&last)) if first > 0 && last == n => {}
+        _ => return Err(format!("runs {ends:?} do not end at batch {n}")),
+    }
+    match ends.windows(2).find(|w| w[0] >= w[1]) {
+        Some(w) => Err(format!("runs {ends:?}: run ending at {} is empty", w[1])),
+        None => Ok(()),
+    }
+}
+
+/// The batch range of each run `ends` splits the grid into
+/// ([`check_runs`]).
+pub fn run_ranges(ends: &[usize]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    ends.iter().scan(0, |start, &end| {
+        let run = *start..end;
+        *start = end;
+        Some(run)
+    })
 }
 
 /// The distinct seeds in first-seen order, marked in `seen`.
@@ -313,6 +344,17 @@ mod tests {
         assert!(check_seeds("query", 8, &[]).unwrap_err().contains("empty"));
         let err = check_seeds("dirty set", 8, &[3, 99]).unwrap_err();
         assert!(err.contains("vertex 99 out of range (8)"), "{err}");
+    }
+
+    #[test]
+    fn runs_split_the_batches_in_order() {
+        assert!(check_runs(&[4], 4).is_ok());
+        assert!(check_runs(&[1, 3, 4], 4).is_ok());
+        for bad in [&[][..], &[3], &[0, 4], &[2, 2, 4], &[3, 2, 4]] {
+            assert!(check_runs(bad, 4).is_err(), "{bad:?}");
+        }
+        let runs: Vec<_> = run_ranges(&[1, 3, 4]).collect();
+        assert_eq!(runs, [0..1, 1..3, 3..4]);
     }
 
     #[test]

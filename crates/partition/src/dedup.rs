@@ -200,7 +200,7 @@ fn diff_sorted(a: &[VertexId], b: &[VertexId]) -> (Vec<VertexId>, usize) {
 /// no branch on the comparison: which list is ahead flips unpredictably
 /// on neighbor lists, and this merge runs once per chunk per plan
 /// derivation — per served query, for the plans of its cone.
-pub(crate) fn union_sorted(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
+pub fn union_sorted(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut k) = (0usize, 0usize);
     while i < a.len() && k < b.len() {

@@ -23,8 +23,8 @@
 //!   merged-buffer deduplication);
 //! - [`cone`] — the exact query and delta cone recurrences over the
 //!   chunk grid: which destination rows of which chunks a pruned sweep
-//!   computes at each layer, for [`two_level::TwoLevelPartition::sliced`]
-//!   to cut the grid down to.
+//!   computes at each layer, for [`two_level::TwoLevelPartition::packed`]
+//!   to pack into one chunk per GPU per run of batches.
 //!
 //! `dedup`, `buffers` and `cone` live here (rather than in `hongtu-core`) so that
 //! the static plan verifier (`hongtu-verify`) can see every plan type
@@ -52,7 +52,7 @@ pub use metrics::PartitionQuality;
 pub use multilevel::MultilevelPartitioner;
 pub use replication::replication_factor;
 pub use simple::{hash_partition, range_partition};
-pub use subgraph::{ChunkSubgraph, SliceScratch};
+pub use subgraph::{ChunkShape, ChunkSubgraph, Packing};
 pub use two_level::{SliceRows, TwoLevelPartition};
 
 use hongtu_graph::Graph;

@@ -6,6 +6,7 @@
 //! the computation engine needs to read neighbor data out of the on-GPU
 //! neighbor buffer (paper §6, "in-place neighbor data management").
 
+use crate::dedup::union_sorted;
 use hongtu_graph::{Graph, VertexId};
 
 /// A partitioned subgraph `G_ij`: destination set `V_ij`, in-edges `E_ij`,
@@ -29,14 +30,26 @@ pub struct ChunkSubgraph {
     pub gcn_weights: Vec<f32>,
 }
 
-/// Reusable working memory of [`ChunkSubgraph::slice_in`]; holds nothing
-/// between calls.
-#[derive(Debug, Default)]
-pub struct SliceScratch {
-    /// One bit per neighbor of the chunk being sliced.
-    marked: Vec<u64>,
-    /// Per word of `marked`, the set bits in the words before it.
-    below: Vec<u32>,
+/// The sizes a chunk's device footprint is a function of: destinations
+/// `|V_ij|`, in-edges `|E_ij|` and distinct neighbors `|N_ij|`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ChunkShape {
+    /// Destination vertices.
+    pub dests: usize,
+    /// In-edges.
+    pub edges: usize,
+    /// Distinct in-neighbors.
+    pub neighbors: usize,
+}
+
+impl ChunkShape {
+    /// Bytes of topology a chunk of this shape occupies on a device
+    /// (offsets + edge indices + weights + the two vertex-id lists).
+    pub fn topology_bytes(&self) -> usize {
+        (self.dests + 1) * std::mem::size_of::<usize>()
+            + self.edges * (std::mem::size_of::<u32>() + std::mem::size_of::<f32>())
+            + (self.dests + self.neighbors) * std::mem::size_of::<VertexId>()
+    }
 }
 
 impl ChunkSubgraph {
@@ -113,86 +126,17 @@ impl ChunkSubgraph {
         }
     }
 
-    /// The sub-chunk that computes only destination rows `rows` (local
-    /// indices into `dests`, strictly ascending): the kept dests in order,
-    /// their in-edges in order with their weights, and the neighbor list
-    /// compacted to the rows those edges read — monotonically, so every
-    /// kept edge still meets its neighbors in the same relative order.
-    /// Equal to [`ChunkSubgraph::build`] of the kept dests against the
-    /// graph the chunk was built from, at the cost of the slice alone.
-    pub fn slice(&self, rows: &[u32]) -> Self {
-        self.slice_in(rows, &mut SliceScratch::default())
-    }
-
-    /// [`ChunkSubgraph::slice`] over a caller-owned scratch, so the
-    /// slices of a whole grid share one.
-    ///
-    /// The neighbors the kept edges read are marked in a bitmap over the
-    /// chunk's neighbor list: reading the set bits back yields them in
-    /// ascending order with no sort, and an edge's new local id is the
-    /// number of set bits below its old one — a per-word running count
-    /// plus one `popcount`.
-    pub fn slice_in(&self, rows: &[u32], scratch: &mut SliceScratch) -> Self {
-        debug_assert!(
-            rows.windows(2).all(|w| w[0] < w[1]),
-            "rows must be sorted & unique"
-        );
-        let mut sliced = ChunkSubgraph {
-            part: self.part,
-            chunk: self.chunk,
-            dests: rows.iter().map(|&k| self.dests[k as usize]).collect(),
-            neighbors: Vec::new(),
-            offsets: vec![0],
-            nbr_index: Vec::new(),
-            gcn_weights: Vec::new(),
-        };
-        if rows.is_empty() {
-            return sliced;
-        }
-        let SliceScratch { marked, below } = scratch;
-        marked.clear();
-        marked.resize(self.neighbors.len().div_ceil(64), 0u64);
-        let mut edges = 0;
-        for &k in rows {
-            let kept = &self.nbr_index[self.in_edges_of(k as usize)];
-            edges += kept.len();
-            for &t in kept {
-                marked[t as usize / 64] |= 1 << (t % 64);
-            }
-        }
-        // below[w]: marked neighbors in the words before w.
-        below.clear();
-        let mut count = 0u32;
-        for &word in marked.iter() {
-            below.push(count);
-            count += word.count_ones();
-        }
-        sliced.neighbors.reserve(count as usize);
-        for (w, &word) in marked.iter().enumerate() {
-            let mut rest = word;
-            while rest != 0 {
-                let t = w * 64 + rest.trailing_zeros() as usize;
-                sliced.neighbors.push(self.neighbors[t]);
-                rest &= rest - 1;
-            }
-        }
-        sliced.offsets.reserve(rows.len());
-        sliced.nbr_index.reserve(edges);
-        sliced.gcn_weights.reserve(edges);
-        for &k in rows {
-            let range = self.in_edges_of(k as usize);
-            sliced
-                .nbr_index
-                .extend(self.nbr_index[range.clone()].iter().map(|&t| {
-                    let (w, bit) = (t as usize / 64, t % 64);
-                    below[w] + (marked[w] & ((1u64 << bit) - 1)).count_ones()
-                }));
-            sliced
-                .gcn_weights
-                .extend_from_slice(&self.gcn_weights[range]);
-            sliced.offsets.push(sliced.nbr_index.len());
-        }
-        sliced
+    /// The chunk that computes rows `rows` of each of `parts` — chunks
+    /// of one partition, each with its kept destination rows (local
+    /// indices into its `dests`, strictly ascending) — as one chunk
+    /// `(part, chunk)`: the kept dests in ascending order, each with its
+    /// in-edges in their stored order and their weights, and the neighbor
+    /// list the ascending union of the neighbors those edges read. Equal
+    /// to [`ChunkSubgraph::build`] of the kept dests against the graph
+    /// the parts were built from, at the cost of what is kept plus one
+    /// bit per neighbor of each part ([`Packing`]).
+    pub fn pack(parts: &[(&ChunkSubgraph, &[u32])], part: usize, chunk: usize) -> Self {
+        Packing::new(parts).build(part, chunk)
     }
 
     /// The body `build` replaced — every in-edge's source sorted, one
@@ -270,13 +214,19 @@ impl ChunkSubgraph {
         )
     }
 
+    /// The chunk's sizes.
+    pub fn shape(&self) -> ChunkShape {
+        ChunkShape {
+            dests: self.num_dests(),
+            edges: self.num_edges(),
+            neighbors: self.num_neighbors(),
+        }
+    }
+
     /// Bytes of topology this chunk occupies on a device (offsets + edge
     /// indices + weights + the two vertex-id lists).
     pub fn topology_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.nbr_index.len() * std::mem::size_of::<u32>()
-            + self.gcn_weights.len() * std::mem::size_of::<f32>()
-            + (self.dests.len() + self.neighbors.len()) * std::mem::size_of::<VertexId>()
+        self.shape().topology_bytes()
     }
 
     /// Structural validation against the source graph.
@@ -307,6 +257,231 @@ impl ChunkSubgraph {
             }
         }
         Ok(())
+    }
+}
+
+/// Kept rows of chunks of one partition, marked for packing into one
+/// chunk ([`ChunkSubgraph::pack`]): the chunk can be sized
+/// ([`Packing::shape`]) before it is built, and packings of consecutive
+/// runs joined ([`Packing::join`]) without marking anything again.
+///
+/// Each part marks the neighbors its kept edges read in a bitmap over its
+/// own ascending neighbor list: reading the set bits back lists them
+/// ascending with no sort, and an edge's rank among them is a per-word
+/// running count plus one `popcount`. Merging the parts' lists gives the
+/// chunk's neighbor list and, per part, where each rank landed in it.
+pub struct Packing<'c> {
+    parts: Vec<Part<'c>>,
+}
+
+/// One chunk's kept rows, the neighbors their edges read marked.
+struct Part<'c> {
+    rows: &'c [u32],
+    marks: Marks<'c>,
+    /// The read neighbors' global ids, ascending.
+    ids: Vec<VertexId>,
+}
+
+impl<'c> Packing<'c> {
+    /// Marks rows `rows` of each of `parts` (strictly ascending local
+    /// indices into the part's `dests`).
+    pub fn new(parts: &[(&'c ChunkSubgraph, &'c [u32])]) -> Self {
+        let parts = parts
+            .iter()
+            .map(|&(chunk, rows)| {
+                debug_assert!(
+                    rows.windows(2).all(|w| w[0] < w[1]),
+                    "rows must be sorted & unique"
+                );
+                let marks = Marks::new(chunk, rows);
+                let ids = marks.ids();
+                Part { rows, marks, ids }
+            })
+            .collect();
+        Packing { parts }
+    }
+
+    /// The parts of `packings`, in order, as one packing.
+    pub fn join(packings: impl IntoIterator<Item = Packing<'c>>) -> Self {
+        Packing {
+            parts: packings.into_iter().flat_map(|p| p.parts).collect(),
+        }
+    }
+
+    /// The shape of the chunk [`Packing::build`] builds.
+    pub fn shape(&self) -> ChunkShape {
+        ChunkShape {
+            dests: self.parts.iter().map(|p| p.rows.len()).sum(),
+            edges: self
+                .parts
+                .iter()
+                .flat_map(|p| {
+                    p.rows
+                        .iter()
+                        .map(|&k| p.marks.chunk.in_edges_of(k as usize).len())
+                })
+                .sum(),
+            neighbors: match &self.parts[..] {
+                [] => 0,
+                [only] => only.ids.len(),
+                _ => self.neighbors().len(),
+            },
+        }
+    }
+
+    /// Each part's read neighbors, ascending: the chunk's neighbor list
+    /// is their union.
+    pub fn read(&self) -> impl Iterator<Item = &[VertexId]> {
+        self.parts.iter().map(|p| &p.ids[..])
+    }
+
+    /// The union of the parts' read neighbors, ascending.
+    fn neighbors(&self) -> Vec<VertexId> {
+        match &self.parts[..] {
+            [] => Vec::new(),
+            [only] => only.ids.clone(),
+            parts => parts
+                .iter()
+                .fold(Vec::new(), |acc, p| union_sorted(&acc, &p.ids)),
+        }
+    }
+
+    /// The packed chunk `(part, chunk)`.
+    pub fn build(mut self, part: usize, chunk: usize) -> ChunkSubgraph {
+        let neighbors = match &mut self.parts[..] {
+            [only] => std::mem::take(&mut only.ids),
+            _ => self.neighbors(),
+        };
+        let parts = self.parts;
+        // `local[p][r]`: where part `p`'s `r`-th read neighbor landed in
+        // the union — `None` where the union is that part's own list.
+        let local: Vec<Option<Vec<u32>>> = parts
+            .iter()
+            .map(|p| {
+                if parts.len() == 1 {
+                    return None;
+                }
+                (p.ids.len() != neighbors.len()).then(|| {
+                    let mut at = 0;
+                    p.ids
+                        .iter()
+                        .map(|&v| {
+                            while neighbors[at] < v {
+                                at += 1;
+                            }
+                            at as u32
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        let mut kept: Vec<(VertexId, usize, u32)> = Vec::new();
+        for (p, part) in parts.iter().enumerate() {
+            let dests = &part.marks.chunk.dests;
+            kept.extend(part.rows.iter().map(|&k| (dests[k as usize], p, k)));
+        }
+        // A reorganized partition's chunks need not ascend in batch order.
+        if kept.windows(2).any(|w| w[0].0 > w[1].0) {
+            kept.sort_unstable_by_key(|&(d, ..)| d);
+        }
+        let edges = kept
+            .iter()
+            .map(|&(_, p, k)| parts[p].marks.chunk.in_edges_of(k as usize).len())
+            .sum();
+        let mut offsets = Vec::with_capacity(kept.len() + 1);
+        offsets.push(0);
+        let mut nbr_index = Vec::with_capacity(edges);
+        let mut gcn_weights = Vec::with_capacity(edges);
+        for &(_, p, k) in &kept {
+            let marks = &parts[p].marks;
+            let c = marks.chunk;
+            let range = c.in_edges_of(k as usize);
+            let read = c.nbr_index[range.clone()].iter().map(|&t| marks.rank(t));
+            match &local[p] {
+                None => nbr_index.extend(read.map(|r| r as u32)),
+                Some(local) => nbr_index.extend(read.map(|r| local[r])),
+            }
+            gcn_weights.extend_from_slice(&c.gcn_weights[range]);
+            offsets.push(nbr_index.len());
+        }
+        ChunkSubgraph {
+            part,
+            chunk,
+            dests: kept.into_iter().map(|(d, ..)| d).collect(),
+            neighbors,
+            offsets,
+            nbr_index,
+            gcn_weights,
+        }
+    }
+}
+
+/// The neighbors of one part of a [`Packing`] that its kept edges read: one bit per entry of the part's neighbor list, or — when
+/// the part keeps every row — all of them, unmarked.
+struct Marks<'c> {
+    chunk: &'c ChunkSubgraph,
+    /// Empty when every neighbor is read.
+    marked: Vec<u64>,
+    /// Per word of `marked`, the set bits in the words before it.
+    below: Vec<u32>,
+}
+
+impl<'c> Marks<'c> {
+    fn new(chunk: &'c ChunkSubgraph, rows: &[u32]) -> Self {
+        let mut marks = Marks {
+            chunk,
+            marked: Vec::new(),
+            below: Vec::new(),
+        };
+        if rows.len() == chunk.num_dests() {
+            return marks;
+        }
+        marks.marked = vec![0u64; chunk.neighbors.len().div_ceil(64)];
+        for &k in rows {
+            for &t in &chunk.nbr_index[chunk.in_edges_of(k as usize)] {
+                marks.marked[t as usize / 64] |= 1 << (t % 64);
+            }
+        }
+        let mut count = 0;
+        marks.below = marks
+            .marked
+            .iter()
+            .map(|word| {
+                let before = count;
+                count += word.count_ones();
+                before
+            })
+            .collect();
+        marks
+    }
+
+    fn all(&self) -> bool {
+        self.marked.is_empty()
+    }
+
+    /// The read neighbors' global ids, ascending.
+    fn ids(&self) -> Vec<VertexId> {
+        if self.all() {
+            return self.chunk.neighbors.clone();
+        }
+        let mut ids = Vec::new();
+        for (w, &word) in self.marked.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                ids.push(self.chunk.neighbors[w * 64 + rest.trailing_zeros() as usize]);
+                rest &= rest - 1;
+            }
+        }
+        ids
+    }
+
+    /// Rank of neighbor `t` among the read ones.
+    fn rank(&self, t: u32) -> usize {
+        if self.all() {
+            return t as usize;
+        }
+        let (w, bit) = (t as usize / 64, t % 64);
+        (self.below[w] + (self.marked[w] & ((1u64 << bit) - 1)).count_ones()) as usize
     }
 }
 
@@ -411,21 +586,22 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// `slice(rows)` = `build` of the kept destinations: the slice of
-        /// a chunk is the chunk its kept rows alone would have been built
-        /// as — same dests, same in-edges in the same order with the same
-        /// weight bits, neighbor list compacted in ascending order — on
-        /// random multigraph chunks and random row subsets (none, all,
-        /// rows without in-edges), with one scratch shared over
-        /// consecutive slices.
+        /// `pack` = `build` of the kept destinations: the chunk the kept
+        /// rows of several chunks pack into is the chunk those rows alone
+        /// would have been built as — same dests in ascending order, same
+        /// in-edges in the same order with the same weight bits, neighbor
+        /// list the ascending union of what they read — on random
+        /// multigraph chunks (in any order, as a reorganized partition
+        /// holds them) and random row subsets (none, all, rows without
+        /// in-edges). One part with all its rows packs into itself.
         #[test]
-        fn slice_equals_build_of_the_kept_dests(
+        fn pack_equals_build_of_the_kept_dests(
             n in 1u32..40,
             raw in proptest::collection::vec((0u32..40, 0u32..40), 0..250),
             keep_loops in 0u32..2,
             hub in 0u32..2,
-            dests in proptest::collection::vec(0u32..43, 0..30),
-            picks in proptest::collection::vec(proptest::collection::vec(0u32..30, 0..30), 1..4)
+            owner in proptest::collection::vec(0usize..4, 43),
+            picks in proptest::collection::vec(proptest::collection::vec(0u32..30, 0..30), 4)
         ) {
             let mut b = GraphBuilder::new(n as usize + 3);
             if keep_loops == 1 {
@@ -440,22 +616,42 @@ mod tests {
                 }
             }
             let g = b.build();
-            let mut dests = dests;
-            dests.retain(|&d| d < n + 3);
-            dests.sort_unstable();
-            dests.dedup();
-            let chunk = ChunkSubgraph::build(&g, 2, 5, dests.clone());
-            let all: Vec<u32> = (0..dests.len() as u32).collect();
-            proptest::prop_assert_eq!(chunk.slice(&all), chunk.clone());
-            let mut scratch = SliceScratch::default();
-            for mut rows in picks {
-                rows.retain(|&k| (k as usize) < dests.len());
-                rows.sort_unstable();
-                rows.dedup();
-                let kept: Vec<VertexId> = rows.iter().map(|&k| dests[k as usize]).collect();
+            // Up to four disjoint chunks over the graph's vertices,
+            // listed in reverse id order.
+            let chunks: Vec<ChunkSubgraph> = (0..4)
+                .rev()
+                .map(|p| {
+                    let dests = (0..n + 3).filter(|&v| owner[v as usize] == p).collect();
+                    ChunkSubgraph::build(&g, 2, p, dests)
+                })
+                .collect();
+            for c in &chunks {
+                let all: Vec<u32> = (0..c.num_dests() as u32).collect();
+                proptest::prop_assert_eq!(ChunkSubgraph::pack(&[(c, &all)], 2, c.chunk), c.clone());
+            }
+            let rows: Vec<Vec<u32>> = chunks
+                .iter()
+                .zip(picks)
+                .map(|(c, mut rows)| {
+                    rows.retain(|&k| (k as usize) < c.num_dests());
+                    rows.sort_unstable();
+                    rows.dedup();
+                    rows
+                })
+                .collect();
+            for count in 0..=chunks.len() {
+                let parts: Vec<(&ChunkSubgraph, &[u32])> = chunks[..count]
+                    .iter()
+                    .zip(&rows)
+                    .map(|(c, r)| (c, &r[..]))
+                    .collect();
+                let mut kept: Vec<VertexId> = parts
+                    .iter()
+                    .flat_map(|&(c, r)| r.iter().map(|&k| c.dests[k as usize]))
+                    .collect();
+                kept.sort_unstable();
                 let want = ChunkSubgraph::build(&g, 2, 5, kept);
-                proptest::prop_assert_eq!(chunk.slice(&rows), want.clone());
-                proptest::prop_assert_eq!(chunk.slice_in(&rows, &mut scratch), want.clone());
+                proptest::prop_assert_eq!(ChunkSubgraph::pack(&parts, 2, 5), want.clone());
                 proptest::prop_assert!(want.validate(&g).is_ok());
             }
         }

@@ -7,13 +7,15 @@
 //! `j` across partitions form *batch* `j` and are scheduled concurrently.
 
 use crate::chunking::balanced_ranges;
-use crate::subgraph::{ChunkSubgraph, SliceScratch};
+use crate::cone::run_ranges;
+use crate::subgraph::ChunkSubgraph;
 use crate::{Assignment, Partitioner};
 use hongtu_graph::Graph;
+use std::ops::Range;
 
 /// Per chunk `(i, j)`, the ascending local destination rows one layer of
 /// a cone-pruned sweep computes: `rows[i][j]`, what
-/// [`TwoLevelPartition::sliced`] cuts the grid down to.
+/// [`TwoLevelPartition::packed`] packs the grid down to.
 pub type SliceRows = Vec<Vec<Vec<u32>>>;
 
 /// A complete `m × n` partition plan with materialized chunk subgraphs.
@@ -80,31 +82,56 @@ impl TwoLevelPartition {
         }
     }
 
-    /// The same grid with chunk `(i, j)` cut down to destination rows
-    /// `rows[i][j]` ([`ChunkSubgraph::slice`]; an empty list leaves an
-    /// empty chunk): what one layer of a cone-pruned sweep computes. The
-    /// level-1 assignment — who owns which transition row — is kept, so
+    /// The grid one layer of a cone-pruned sweep runs over: the batches
+    /// split into runs of consecutive batches, run `g` ending before
+    /// batch `ends[g]` (the last run at `n`), and partition `i`'s rows
+    /// `rows[i][j]` of run `g`'s batches packed into one chunk `(i, g)`
+    /// ([`TwoLevelPartition::pack_run`]) — `m × ends.len()` chunks. Every
+    /// row stays on the partition that owns it, and the level-1
+    /// assignment — who owns which transition row — is kept, so
     /// [`crate::DedupPlan::build`] and [`crate::GpuBufferPlan::build_all`]
-    /// derive the slice's communication plan as they derive the grid's.
-    pub fn sliced(&self, rows: &SliceRows) -> Self {
-        let mut scratch = SliceScratch::default();
-        let chunks = self
-            .chunks
-            .iter()
-            .zip(rows)
-            .map(|(part, part_rows)| {
-                part.iter()
-                    .zip(part_rows)
-                    .map(|(chunk, kept)| chunk.slice_in(kept, &mut scratch))
+    /// derive the packed grid's communication plan as they derive the
+    /// session grid's. With every batch its own run the grid keeps its
+    /// shape, each chunk cut down to its rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ends` fails [`crate::cone::check_runs`].
+    pub fn packed(&self, rows: &SliceRows, ends: &[usize]) -> Self {
+        if let Err(why) = crate::cone::check_runs(ends, self.n) {
+            panic!("{why}");
+        }
+        let chunks = (0..self.m)
+            .map(|i| {
+                run_ranges(ends)
+                    .enumerate()
+                    .map(|(g, run)| self.pack_run(rows, i, g, run))
                     .collect()
             })
             .collect();
         TwoLevelPartition {
             m: self.m,
-            n: self.n,
+            n: ends.len(),
             assignment: self.assignment.clone(),
             chunks,
         }
+    }
+
+    /// Partition `i`'s rows `rows[i][j]` of the batches `run` as one
+    /// chunk `(i, g)` ([`ChunkSubgraph::pack`]): chunk `(i, g)` of
+    /// [`TwoLevelPartition::packed`] when `run` is its run `g`.
+    pub fn pack_run(
+        &self,
+        rows: &SliceRows,
+        i: usize,
+        g: usize,
+        run: Range<usize>,
+    ) -> ChunkSubgraph {
+        let parts: Vec<(&ChunkSubgraph, &[u32])> = run
+            .filter(|&j| !rows[i][j].is_empty())
+            .map(|j| (&self.chunks[i][j], &rows[i][j][..]))
+            .collect();
+        ChunkSubgraph::pack(&parts, i, g)
     }
 
     /// All subgraphs of batch `j` (one per partition).

@@ -1,6 +1,6 @@
 //! Online serving layer over a HongTu [`Session`]: a FIFO queue of
 //! vertex-subset logit queries, batch formation that packs concurrent
-//! requests into one forward sweep sliced to the union of their exact
+//! requests into one forward sweep packed from the union of their exact
 //! ≤ L-hop dependency cones ([`Cone`]), and admission control that
 //! holds every formed batch to the staging budget
 //! ([`Session::staging_budget`]) — a request whose cone cannot fit is

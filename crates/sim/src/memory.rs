@@ -59,6 +59,15 @@ pub enum SimError {
         /// Per-GPU budget it was held against, in bytes.
         budget_bytes: Vec<usize>,
     },
+    /// A cone was derived from plans a structural graph commit has since
+    /// rebuilt, so its sweep would read topology the graph no longer has.
+    /// Nothing ran; derive the cone again.
+    StaleCone {
+        /// The plan generation the cone was derived from.
+        cone_generation: u64,
+        /// The session's plan generation now.
+        plan_generation: u64,
+    },
     /// A serving query has no cone to sweep: it names no vertex, or a
     /// vertex the graph does not have. Nothing ran.
     InvalidQuery {
@@ -104,6 +113,14 @@ impl fmt::Display for SimError {
                 f,
                 "graph update over budget: its replay cone costs {cone_bytes:?} B per GPU, \
                  the budget is {budget_bytes:?} B"
+            ),
+            SimError::StaleCone {
+                cone_generation,
+                plan_generation,
+            } => write!(
+                f,
+                "stale cone: derived from plan generation {cone_generation}, the session's \
+                 plans are at {plan_generation}"
             ),
             SimError::InvalidQuery { message } => write!(f, "invalid query: {message}"),
         }

@@ -4,9 +4,10 @@
 //! tables plus end-of-sweep installs) and delta invalidations — in a
 //! [`CacheLog`]. This pass replays that journal against load sets
 //! `S[i][j]` recomputed *independently* from the partition/dedup/buffer
-//! plans — for a cone-pruned sweep, from the plans sliced to the cone the
-//! sweep journaled the origin of, re-grown and re-derived here with the
-//! planners' own builders — reconstructing the resident set event by
+//! plans — for a cone-pruned sweep, from the plans packed to the cone the
+//! sweep journaled the origin and runs of, re-grown, re-packed and
+//! re-derived here with the planners' own builders — reconstructing the
+//! resident set event by
 //! event, and holds the engine to four invariants:
 //!
 //! * **Headroom** (`H1001`): the admitted plan, and every replayed
@@ -34,7 +35,7 @@ use std::collections::HashSet;
 use crate::diag::{push, DiagCode, Diagnostic, Location, Report};
 use hongtu_cache::{load_sets, CacheEvent, CacheLog, CachePlan, LoadPattern, LoadSets};
 use hongtu_graph::VertexId;
-use hongtu_partition::cone::{check_seeds, ConeDir, ConeOrigin, VertexIndex};
+use hongtu_partition::cone::{check_runs, check_seeds, ConeDir, ConeOrigin, VertexIndex};
 use hongtu_partition::{DedupPlan, GpuBufferPlan, TwoLevelPartition};
 
 /// Certifies a cache journal against independently recomputed load sets.
@@ -111,9 +112,9 @@ pub fn verify_cache(
                 hits,
                 installs,
             } => {
-                let sliced = match cone {
+                let packed = match cone {
                     None => None,
-                    Some(origin) => match sliced_load_sets(plan, &index, origin, pattern) {
+                    Some(origin) => match packed_load_sets(plan, &index, origin, pattern) {
                         Ok(sets) => Some(sets),
                         Err(why) => {
                             push(
@@ -130,7 +131,7 @@ pub fn verify_cache(
                 };
                 replay_sweep(
                     &mut diags,
-                    sliced.as_ref().unwrap_or(&sets),
+                    packed.as_ref().unwrap_or(&sets),
                     cache,
                     headroom,
                     &mut resident,
@@ -151,11 +152,11 @@ pub fn verify_cache(
 }
 
 /// The load sets of a sweep pruned to the cone grown from `origin`: the
-/// cone re-grown over `plan`, the plan sliced to its layer-0 rows, that
-/// grid's communication plans re-derived, and [`load_sets`] over those —
-/// the engine's derivation, redone here. `Err` when the origin names no
-/// cone of this plan.
-fn sliced_load_sets(
+/// cone re-grown over `plan`, its layer-0 rows packed into the journaled
+/// runs, that grid's communication plans re-derived, and [`load_sets`]
+/// over those — the engine's derivation, redone here. `Err` when the
+/// origin names no cone of this plan.
+fn packed_load_sets(
     plan: &TwoLevelPartition,
     index: &VertexIndex,
     origin: &ConeOrigin,
@@ -165,6 +166,7 @@ fn sliced_load_sets(
         return Err("journaled cone spans no layer".to_string());
     }
     check_seeds("journaled cone", index.len(), &origin.seeds)?;
+    check_runs(&origin.runs, plan.n)?;
     // Layer 0 of a delta cone is its seeds, however many layers it spans.
     let layers = match origin.dir {
         ConeDir::Upward => 1,
@@ -175,10 +177,10 @@ fn sliced_load_sets(
         ..origin.clone()
     }
     .rows(plan, index);
-    let sliced = plan.sliced(&rows[0]);
-    let dedup = DedupPlan::build(&sliced);
-    let bufs = (pattern == LoadPattern::P2pRu).then(|| GpuBufferPlan::build_all(&sliced, &dedup));
-    Ok(load_sets(&sliced, &dedup, bufs.as_deref(), pattern))
+    let packed = plan.packed(&rows[0], &origin.runs);
+    let dedup = DedupPlan::build(&packed);
+    let bufs = (pattern == LoadPattern::P2pRu).then(|| GpuBufferPlan::build_all(&packed, &dedup));
+    Ok(load_sets(&packed, &dedup, bufs.as_deref(), pattern))
 }
 
 #[allow(clippy::too_many_arguments)]

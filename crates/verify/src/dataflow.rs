@@ -227,7 +227,7 @@ pub fn check_dataflow(trace: &Trace, spec: &DataflowSpec) -> Vec<Diagnostic> {
 }
 
 /// [`check_dataflow`] for a sweep whose layers run over different plans
-/// (a cone-pruned sweep: each layer's plans are sliced to that layer's
+/// (a cone-pruned sweep: each layer's plans are packed from that layer's
 /// rows): layer `l`'s events are balanced against `specs[l]`; a single
 /// spec serves every layer.
 fn check_dataflow_layers(trace: &Trace, specs: &[DataflowSpec]) -> Vec<Diagnostic> {
@@ -587,8 +587,8 @@ pub fn verify_dataflow(trace: &Trace, spec: &DataflowSpec) -> Report {
 }
 
 /// [`verify_dataflow`] for a cone-pruned sweep: `specs[l]` is derived
-/// from the plans layer `l` ran over — the session's, sliced to the rows
-/// that layer computes.
+/// from the plans layer `l` ran over — the session's, packed from the
+/// rows that layer computes.
 ///
 /// # Panics
 ///

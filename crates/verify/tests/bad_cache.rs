@@ -62,9 +62,19 @@ fn setup(
 
 /// What a cone that prunes batch `pruned` and keeps every row of every
 /// other chunk hands the runtime — the one-layer query cone of every
-/// vertex outside the batch: its origin and the load sets of the plans
-/// sliced to it, derived as the engine derives them.
+/// vertex outside the batch, every batch its own run: its origin and the
+/// load sets of the plans packed to it, derived as the engine derives
+/// them.
 fn prune_batch(plan: &TwoLevelPartition, pruned: usize) -> (ConeOrigin, LoadSets) {
+    pack_pruned(plan, pruned, (1..=plan.n).collect())
+}
+
+/// [`prune_batch`] packed into the runs ending at `runs`.
+fn pack_pruned(
+    plan: &TwoLevelPartition,
+    pruned: usize,
+    runs: Vec<usize>,
+) -> (ConeOrigin, LoadSets) {
     let origin = ConeOrigin {
         dir: ConeDir::Downward,
         layers: 1,
@@ -73,12 +83,13 @@ fn prune_batch(plan: &TwoLevelPartition, pruned: usize) -> (ConeOrigin, LoadSets
             .filter(|c| c.chunk != pruned)
             .flat_map(|c| c.dests.iter().map(|&d| d as usize))
             .collect(),
+        runs,
     };
     let rows = origin.rows(plan, &VertexIndex::new(plan));
-    let sliced = plan.sliced(&rows[0]);
-    let dedup = DedupPlan::build(&sliced);
-    let bufs = GpuBufferPlan::build_all(&sliced, &dedup);
-    let sets = load_sets(&sliced, &dedup, Some(&bufs), LoadPattern::P2pRu);
+    let packed = plan.packed(&rows[0], &origin.runs);
+    let dedup = DedupPlan::build(&packed);
+    let bufs = GpuBufferPlan::build_all(&packed, &dedup);
+    let sets = load_sets(&packed, &dedup, Some(&bufs), LoadPattern::P2pRu);
     (origin, sets)
 }
 
@@ -109,8 +120,11 @@ fn honest_journal_certifies_clean() {
     rt.invalidate(&[victim]);
     rt.begin_sweep(None);
     rt.end_sweep();
-    // So is a cone-pruned sweep over its own sliced load sets.
+    // So is a cone-pruned sweep over its own load sets, on the session's
+    // grid and packed into fewer runs.
     rt.begin_sweep(Some(prune_batch(&plan, 1)));
+    rt.end_sweep();
+    rt.begin_sweep(Some(pack_pruned(&plan, 0, vec![1, 3])));
     rt.end_sweep();
     let report = certify(&plan, &dedup, &bufs, &cache, &headroom, rt.log());
     assert!(report.is_ok(), "{}", report.render());
@@ -190,6 +204,29 @@ fn cone_of_another_graph_is_h1002() {
         "{}",
         report.render()
     );
+}
+
+/// Pass 11 re-packs a journaled cone into the runs it journaled: a
+/// journal that names other runs than the sweep packed into holds its
+/// hits against load sets it never loaded, and malformed runs name no
+/// grid at all.
+#[test]
+fn runs_other_than_the_packed_ones_are_h1002() {
+    let (_, plan, dedup, bufs, headroom, cache, mut rt) = setup(8, 2, 3, 2);
+    rt.begin_sweep(Some(pack_pruned(&plan, 2, vec![2, 3])));
+    rt.end_sweep();
+    let clean = certify(&plan, &dedup, &bufs, &cache, &headroom, rt.log());
+    assert!(clean.is_ok(), "{}", clean.render());
+    for (runs, why) in [(vec![1, 2, 3], "charged"), (vec![2], "do not end")] {
+        let mut log = rt.log().clone();
+        match log.events.last_mut().unwrap() {
+            CacheEvent::Sweep { cone, .. } => cone.as_mut().expect("a pruned sweep").runs = runs,
+            other => panic!("expected sweep event, got {other:?}"),
+        }
+        let report = certify(&plan, &dedup, &bufs, &cache, &headroom, &log);
+        assert!(report.has(DiagCode::CachePhantomHit), "{}", report.render());
+        assert!(report.render().contains(why), "{}", report.render());
+    }
 }
 
 #[test]

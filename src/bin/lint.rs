@@ -1,6 +1,6 @@
 //! `lint` — in-repo source lint for the invariants `grep` can't hold.
 //!
-//! Six rules, all token-level scans over the workspace sources (no
+//! Seven rules, all token-level scans over the workspace sources (no
 //! parsing, no dependencies):
 //!
 //! 1. **Diagnostic catalogue coverage.** Every `DiagCode` variant in
@@ -38,6 +38,15 @@
 //!    `staging_bytes`) anywhere else. The comparator systems under
 //!    `systems/` price *other* systems from whole-graph formulas and are
 //!    exempt.
+//! 7. **Cone-plan chokepoint.** The grid a serving or delta-replay
+//!    sweep runs over — the session's batches split into runs, each
+//!    GPU's cone rows of a run packed into one chunk — is built by the
+//!    packer in `crates/core/src/serve.rs` and nowhere else, so every
+//!    cone is priced, journaled and executed on the runs the run rule
+//!    chose. The pass-11 verifier (`crates/verify/src/cache.rs`) rebuilds
+//!    a journaled cone through the same builders. Non-test code outside
+//!    those files and the builders' own (`crates/partition/src/`
+//!    `two_level.rs`, `subgraph.rs`) may not call them.
 //!
 //! Exits 0 when clean, 1 with one line per violation otherwise. Wired
 //! into `tools/check.sh` and CI's `check` job.
@@ -52,6 +61,12 @@ const TAG_TOKEN: &str = concat!(".t", "ag(");
 const EXEC_READ_TOKEN: &str = concat!("config.", "exec");
 const EXEC_VARIANT_TOKEN: &str = concat!("Execution", "Mode::");
 const DEPRECATED_TOKENS: [&str; 2] = [concat!("#[", "deprecated"), concat!("allow(", "deprecated")];
+const PACK_TOKENS: [&str; 4] = [
+    concat!(".pac", "ked("),
+    concat!(".pack", "_run("),
+    concat!("ChunkSubgraph::", "pack("),
+    concat!("Pack", "ing::"),
+];
 const FOOTPRINT_TOKENS: [&str; 4] = [
     concat!(".topology", "_bytes("),
     concat!(".intermediate", "_bytes("),
@@ -75,6 +90,15 @@ const EXEC_DISPATCHER: &str = "crates/core/src/exec.rs";
 const FOOTPRINT_MODULE: &str = "crates/core/src/footprint.rs";
 const COMPARATORS: &str = "crates/core/src/systems/";
 
+/// The cone packer, the builders it packs with, and the verifier pass
+/// that re-packs a journaled cone.
+const PACKERS: [&str; 4] = [
+    "crates/core/src/serve.rs",
+    "crates/partition/src/two_level.rs",
+    "crates/partition/src/subgraph.rs",
+    "crates/verify/src/cache.rs",
+];
+
 fn main() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let mut violations = Vec::new();
@@ -86,6 +110,7 @@ fn main() {
     check_exec_chokepoint(&root, &sources, &mut violations);
     check_no_deprecation(&root, &sources, &mut violations);
     check_footprint_chokepoint(&root, &sources, &mut violations);
+    check_cone_plan_chokepoint(&root, &sources, &mut violations);
 
     if violations.is_empty() {
         println!("lint: clean ({} source files scanned)", sources.len());
@@ -377,6 +402,26 @@ fn check_footprint_chokepoint(root: &Path, sources: &[PathBuf], violations: &mut
     }
 }
 
+// ------------------------------------ rule 7: cone-plan chokepoint
+
+fn check_cone_plan_chokepoint(root: &Path, sources: &[PathBuf], violations: &mut Vec<String>) {
+    for path in sources {
+        let relpath = rel(root, path);
+        if PACKERS.contains(&relpath.as_str()) || relpath.contains("/tests/") {
+            continue;
+        }
+        let src = read(path);
+        for (lineno, line) in code_lines(&src) {
+            if PACK_TOKENS.iter().any(|t| line.contains(t)) {
+                violations.push(format!(
+                    "{relpath}:{lineno}: packed cone plan built outside the packer — \
+                     derive the cone with Session::plan_cone"
+                ));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,6 +479,7 @@ mod tests {
         check_exec_chokepoint(&root, &sources, &mut violations);
         check_no_deprecation(&root, &sources, &mut violations);
         check_footprint_chokepoint(&root, &sources, &mut violations);
+        check_cone_plan_chokepoint(&root, &sources, &mut violations);
         assert!(violations.is_empty(), "{}", violations.join("\n"));
     }
 }

@@ -24,7 +24,7 @@ use hongtu::delta::{out_edge_ball, toggle_workload, Delta, DeltaMix, DynamicGrap
 use hongtu::graph::generators;
 use hongtu::nn::ModelKind;
 use hongtu::partition::TwoLevelPartition;
-use hongtu::sim::{MachineConfig, Trace};
+use hongtu::sim::{MachineConfig, SimError, Trace};
 use hongtu::tensor::{Matrix, SeededRng};
 use hongtu::verify::{verify_trace, DEFAULT_EXPLORE_BUDGET};
 use proptest::prelude::*;
@@ -545,4 +545,53 @@ proptest! {
         prop_assert_eq!(&one_by_one, &as_one, "one-by-one vs single batch diverged");
         prop_assert_eq!(&one_by_one, &rebuilt, "incremental vs rebuild diverged");
     }
+}
+
+/// A cone derived before a structural commit describes chunks the commit
+/// rebuilt: sweeping it would write rows from the old topology into the
+/// layer stores. RDT, GCN, 2 GPUs, P2pRu: derive vertex 10's query cone,
+/// commit edges into vertex 10, then serve the old cone — the session
+/// refuses it with `StaleCone` and leaves every store as the commit left
+/// it, and a cone derived again serves the rebuilt graph's rows.
+#[test]
+fn a_cone_from_before_a_structural_commit_is_refused() {
+    let ds = dataset();
+    let cfg = config(2, OverlapMode::Off, CommMode::P2pRu);
+    let mut s = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("session");
+    s.infer_epoch().expect("initial full sweep");
+    let stale = s.query_cone(&[10]).expect("query cone");
+
+    let mut dg = DynamicGraph::from_dataset(&ds);
+    let sources: Vec<u32> = (0..ds.num_vertices() as u32)
+        .filter(|&u| u != 10 && !dg.graph().in_neighbors(10).contains(&u))
+        .take(2)
+        .collect();
+    let deltas: Vec<Delta> = sources
+        .iter()
+        .map(|&src| Delta::AddEdge { src, dst: 10 })
+        .collect();
+    let committed = apply(&mut s, &mut dg, &deltas);
+    assert!(committed.rebuilt_chunks > 0, "commit was not structural");
+
+    let before = s.logits().clone();
+    match s.serve_cone(&[10], stale) {
+        Err(SimError::StaleCone {
+            cone_generation,
+            plan_generation,
+        }) => assert!(cone_generation < plan_generation),
+        other => panic!("a stale cone was not refused: {other:?}"),
+    }
+    assert_eq!(s.logits(), &before, "a refused cone touched the stores");
+
+    let rebuilt = {
+        let mutated = dg.to_dataset(&ds);
+        let cfg = config(2, OverlapMode::Off, CommMode::P2pRu);
+        let mut r = Session::new(&mutated, ModelKind::Gcn, 16, 2, 4, cfg).expect("session");
+        r.infer_epoch().expect("rebuild sweep").logits
+    };
+    assert_eq!(committed.logits, rebuilt);
+    let fresh = s.query_cone(&[10]).expect("query cone");
+    let served = s.serve_cone(&[10], fresh).expect("serve a fresh cone");
+    assert_eq!(served.logits, rebuilt.gather_rows(&[10]));
+    assert_eq!(s.logits(), &rebuilt);
 }

@@ -22,7 +22,8 @@ use hongtu::datasets::load;
 use hongtu::delta::{toggle_workload, DeltaMix, DynamicGraph};
 use hongtu::graph::{generators, Graph};
 use hongtu::nn::ModelKind;
-use hongtu::partition::TwoLevelPartition;
+use hongtu::partition::cone::run_ranges;
+use hongtu::partition::{ChunkSubgraph, TwoLevelPartition};
 use hongtu::serving::AdmissionControl;
 use hongtu::sim::MachineConfig;
 use hongtu::tensor::SeededRng;
@@ -494,5 +495,131 @@ proptest! {
             worst
         );
         prop_assert_eq!(report.logits.rows(), vertices.len());
+    }
+}
+
+/// A random session for the packing properties: any model, comm mode,
+/// 1–3 GPUs and 2–5 chunks, overlap on or off, on a random graph; and a
+/// random query or dirty cone over it.
+fn packing_case(
+    seed: u64,
+    n: usize,
+    (kind, comm, gpus, chunks): (usize, usize, usize, usize),
+    overlap: OverlapMode,
+    (seeds, upward): (usize, bool),
+) -> (Dataset, Session, ServeMask, Vec<usize>) {
+    let ds = random_dataset(seed, n);
+    let kind = [ModelKind::Gcn, ModelKind::Gat, ModelKind::Sage][kind];
+    let comm = [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu][comm];
+    let cfg = HongTuConfig::builder()
+        .machine(MachineConfig::scaled(gpus, 64 << 20))
+        .comm(comm)
+        .reorganize(comm != CommMode::Vanilla)
+        .overlap(overlap)
+        .infer()
+        .build()
+        .expect("valid config");
+    let s = Session::new(&ds, kind, 8, 2, chunks, cfg).expect("session");
+    let vertices = SeededRng::new(seed ^ 0x9ac4).sample_indices(n, seeds);
+    let partition = s.plans().partition;
+    let mask = if upward {
+        ServeMask::from_dirty(partition, 2, &vertices)
+    } else {
+        ServeMask::from_queries(partition, 2, &vertices)
+    };
+    (ds, s, mask, vertices)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// What the run rule packs: every packed chunk `(i, g)` is
+    /// `ChunkSubgraph::build` of the rows GPU `i` keeps in run `g`; every
+    /// packed step's forward footprint fits the staging budget on every
+    /// GPU whenever the cone's batches fit it on the session's grid (and
+    /// always outside P2P+RU, whose shared buffer a cone's batches can
+    /// outgrow); and a cone the session's own admission control admits
+    /// on the grid it still admits packed — no new rejects.
+    #[test]
+    fn packed_cones_rebuild_their_rows_and_fit_what_the_grid_fit(
+        seed in 0u64..400,
+        n in 120usize..300,
+        kind in 0usize..3,
+        comm in 0usize..3,
+        gpus in 1usize..4,
+        chunks in 2usize..6,
+        overlap_sel in 0usize..2,
+        seeds in 1usize..10,
+        upward in 0usize..2,
+    ) {
+        let overlap = [OverlapMode::Off, OverlapMode::DoubleBuffer][overlap_sel];
+        let (ds, s, mask, _) =
+            packing_case(seed, n, (kind, comm, gpus, chunks), overlap, (seeds, upward == 1));
+        let grid = s.plan_cone_on(mask.clone(), (1..=chunks).collect());
+        let packed = s.plan_cone(mask.clone());
+        let ends = &packed.mask().origin().runs;
+        let plan = s.plans().partition;
+        for (l, rows) in mask.rows().iter().enumerate() {
+            let layer = packed.plan(l);
+            prop_assert_eq!(layer.n, ends.len());
+            for (g, run) in run_ranges(ends).enumerate() {
+                for (i, (gpu, chunks)) in rows.iter().zip(&plan.chunks).enumerate() {
+                    let mut kept: Vec<u32> = run
+                        .clone()
+                        .flat_map(|j| gpu[j].iter().map(move |&k| chunks[j].dests[k as usize]))
+                        .collect();
+                    kept.sort_unstable();
+                    let want = ChunkSubgraph::build(&ds.graph, i, g, kept);
+                    prop_assert_eq!(&layer.chunks[i][g], &want, "layer {} chunk ({}, {})", l, i, g);
+                }
+            }
+        }
+
+        let budget = s.staging_budget();
+        let fits = |cost: Vec<usize>| cost.iter().zip(&budget).all(|(c, b)| c <= b);
+        let grid_fits = fits(s.cone_cost(&grid));
+        if grid_fits || comm != 2 {
+            prop_assert!(fits(s.cone_cost(&packed)), "runs {:?}", ends);
+        }
+        let admission = AdmissionControl::from_session(&s);
+        prop_assert_eq!(admission.admits_cone(&s, &grid), grid_fits);
+        if grid_fits {
+            prop_assert!(admission.admits_cone(&s, &packed), "runs {:?}", ends);
+        }
+        prop_assert!(packed.active_steps() <= grid.active_steps());
+    }
+
+    /// Packing only merges steps: with overlap off a step waits for its
+    /// slowest GPU, and a max of sums is at most a sum of maxes, while
+    /// merged neighbour sets only deduplicate — so the packed sweep costs
+    /// no more simulated time and no more H2D bytes than the same cone
+    /// on the session's grid, and serves the same rows bit for bit.
+    #[test]
+    fn packed_sweeps_cost_no_more_than_grid_sweeps(
+        seed in 0u64..400,
+        n in 120usize..300,
+        kind in 0usize..3,
+        comm in 0usize..3,
+        gpus in 1usize..4,
+        chunks in 2usize..6,
+        seeds in 1usize..10,
+    ) {
+        let (_, mut s, mask, vertices) =
+            packing_case(seed, n, (kind, comm, gpus, chunks), OverlapMode::Off, (seeds, false));
+        s.infer_epoch().expect("infer epoch");
+        let grid = s.plan_cone_on(mask.clone(), (1..=chunks).collect());
+        let packed = s.plan_cone(mask);
+        let runs = packed.mask().origin().runs.clone();
+        let on_grid = s.serve_cone(&vertices, grid).expect("grid sweep");
+        let on_runs = s.serve_cone(&vertices, packed).expect("packed sweep");
+        prop_assert_eq!(&on_runs.logits, &on_grid.logits);
+        prop_assert!(
+            on_runs.time <= on_grid.time,
+            "runs {:?}: {} s > grid {} s", runs, on_runs.time, on_grid.time
+        );
+        prop_assert!(
+            on_runs.buckets.bytes_h2d <= on_grid.buckets.bytes_h2d,
+            "runs {:?}: {} H2D bytes > grid {}", runs, on_runs.buckets.bytes_h2d, on_grid.buckets.bytes_h2d
+        );
     }
 }

@@ -13,11 +13,12 @@
 //! collapsed into `exec.rs` and must not be edited by a refactor: a
 //! mismatch means a simulated timestamp, an event, an annotation or a
 //! result bit moved. An intended behaviour change regenerates it — the
-//! failing test prints the full table in source form. (Two have: when the
-//! two timelines became one, the two `naive-p2p` Sequential rows took
+//! failing test prints the full table in source form. (Three have: when
+//! the two timelines became one, the two `naive-p2p` Sequential rows took
 //! their Parallel twins' values; when cones became row-granular, the 20
 //! pruned `serve` / `apply_staged` rows — and no train or infer row —
-//! took the smaller sweeps' values.)
+//! took the smaller sweeps' values; when cones were packed into runs of
+//! batches, the same 20 rows, and only they, moved again.)
 
 use hongtu::cache::FrequencyRanked;
 use hongtu::core::{
@@ -821,382 +822,383 @@ const GOLDEN: &[(&str, u64)] = &[
     ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xf5f6a0d4873fb49a),
     ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x385ddb995f77b4a4),
     ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0x86866b9e88f230d1),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/serve", 0xf73d53d18b92fc93),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/apply_staged", 0x99c1824f877b8340),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/serve", 0x0b6a64fa5c347756),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/apply_staged", 0xd9ec820862cd530f),
     ("Gcn/P2pRu/4gpu/Off/Sequential/naive-p2p/train-hybrid", 0x675b28ce221f7492),
-    ("Gcn/P2pRu/2gpu/Off/Parallel/serve", 0xf73d53d18b92fc93),
-    ("Gcn/P2pRu/2gpu/Off/Parallel/apply_staged", 0x99c1824f877b8340),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/serve", 0x0b6a64fa5c347756),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/apply_staged", 0xd9ec820862cd530f),
     ("Gcn/P2pRu/4gpu/Off/Parallel/naive-p2p/train-hybrid", 0x675b28ce221f7492),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/serve", 0xe987a175f33b3bcc),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/apply_staged", 0xab76dafafec45cc8),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/serve", 0x821c2f7fe2f0cc33),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/apply_staged", 0xfb73eda5f1d68b10),
     ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/naive-p2p/train-hybrid", 0x2ec22ac429a2548a),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/serve", 0xe987a175f33b3bcc),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/apply_staged", 0xab76dafafec45cc8),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/serve", 0x821c2f7fe2f0cc33),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/apply_staged", 0xfb73eda5f1d68b10),
     ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/naive-p2p/train-hybrid", 0x2ec22ac429a2548a),
     ("Gcn/Vanilla/2gpu/Off/Sequential/cache/train-hybrid", 0x489a3a5410ca7657),
-    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/serve", 0x7b537ec538d7c81d),
-    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/apply_staged", 0x94bfa0431e014eba),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/serve", 0x6b59fbb42ff19ded),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/apply_staged", 0x11d73f415c0ae0a8),
     ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0xa91cbe696bbcd549),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/serve", 0x29a470665819560e),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0xbeb87b7a053c0c6d),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/serve", 0xc8787d3982b8191b),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0xb92f8b110d6315a5),
     ("Gcn/P2p/2gpu/Off/Sequential/cache/train-hybrid", 0xe276bdd6a2e6b40c),
-    ("Gcn/P2p/2gpu/Off/Sequential/cache/serve", 0x5383af0b8a24d7bf),
-    ("Gcn/P2p/2gpu/Off/Sequential/cache/apply_staged", 0x1ebc96c28041a4fc),
+    ("Gcn/P2p/2gpu/Off/Sequential/cache/serve", 0x53fb3afdde85965f),
+    ("Gcn/P2p/2gpu/Off/Sequential/cache/apply_staged", 0x03ed0a7017d28d98),
     ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x15fd5cf29a4ec75b),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/serve", 0x38f622a2b0b5e5b5),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0x6c5f28e15495990f),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/serve", 0x3187bc80a5a49879),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0xe78614cbbfee3aca),
     ("Gcn/P2pRu/2gpu/Off/Sequential/cache/train-hybrid", 0x9de3eef791d0b60f),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/serve", 0x8722c171c919df98),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/apply_staged", 0x701722325cd470e0),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/serve", 0x32bafb60eec13b0c),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/apply_staged", 0x66727e44fecbda4d),
     ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x0e74b48e66026ef0),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/serve", 0x337fd965af5ecbaf),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0x36c619c6ada2e0d2),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/serve", 0x1ea31438c7aa9863),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/apply_staged", 0x307d4b922812f03f),
 ];
 
 /// Same contract as [`GOLDEN`]. Generated at the commit before the
 /// footprint arithmetic was folded into one per-step value, and
-/// regenerated once since: when cones became row-granular, the two cone
-/// costs every row folds in shrank (a cone step is priced by its slice,
-/// not its chunk) — every other number of every row is pinned, unedited,
-/// by [`GOLDEN_BOUND`].
+/// regenerated twice since, each time for the two cone costs every row
+/// folds in: when cones became row-granular (a cone step is priced by its
+/// slice, not its chunk), and when cones were packed into runs (a step is
+/// priced by its run's packed chunk). Every other number of every row is
+/// pinned, unedited, by [`GOLDEN_BOUND`].
 #[rustfmt::skip]
 const GOLDEN_FOOTPRINT: &[(&str, u64)] = &[
-    ("Gcn/Vanilla/1gpu/Off/Sequential/train-hybrid", 0x567a287884964f04),
-    ("Gcn/Vanilla/1gpu/Off/Sequential/train-recompute", 0x6eacb02a4fce5fa8),
-    ("Gcn/Vanilla/1gpu/Off/Sequential/infer", 0x4e0c4aea946a81f8),
-    ("Gcn/Vanilla/1gpu/Off/Parallel/train-hybrid", 0x567a287884964f04),
-    ("Gcn/Vanilla/1gpu/Off/Parallel/train-recompute", 0x6eacb02a4fce5fa8),
-    ("Gcn/Vanilla/1gpu/Off/Parallel/infer", 0x4e0c4aea946a81f8),
-    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xd115e9cf6e55a250),
-    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0x1abc7f0675bfbb3c),
-    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x64bd685ef1dd034c),
-    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xd115e9cf6e55a250),
-    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0x1abc7f0675bfbb3c),
-    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x64bd685ef1dd034c),
-    ("Gcn/Vanilla/2gpu/Off/Sequential/train-hybrid", 0x0ad5b372f47aa3aa),
-    ("Gcn/Vanilla/2gpu/Off/Sequential/train-recompute", 0x42dd83e0fe4a6dc2),
-    ("Gcn/Vanilla/2gpu/Off/Sequential/infer", 0xb950ecbb204e8fac),
-    ("Gcn/Vanilla/2gpu/Off/Parallel/train-hybrid", 0x0ad5b372f47aa3aa),
-    ("Gcn/Vanilla/2gpu/Off/Parallel/train-recompute", 0x42dd83e0fe4a6dc2),
-    ("Gcn/Vanilla/2gpu/Off/Parallel/infer", 0xb950ecbb204e8fac),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x64b2273f28e9f7cd),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x8ef3f2e6e5f677b5),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0x1e12247bd0761f27),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x64b2273f28e9f7cd),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x8ef3f2e6e5f677b5),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0x1e12247bd0761f27),
-    ("Gcn/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x8734efeab13647b1),
-    ("Gcn/Vanilla/4gpu/Off/Sequential/train-recompute", 0x86ff380522b78da5),
-    ("Gcn/Vanilla/4gpu/Off/Sequential/infer", 0xb1353ef3da0edcee),
-    ("Gcn/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x8734efeab13647b1),
-    ("Gcn/Vanilla/4gpu/Off/Parallel/train-recompute", 0x86ff380522b78da5),
-    ("Gcn/Vanilla/4gpu/Off/Parallel/infer", 0xb1353ef3da0edcee),
-    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xddc8befe54f98cd4),
-    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0xea9f475558565588),
-    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0x9b5ccbc9058010df),
-    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xddc8befe54f98cd4),
-    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0xea9f475558565588),
-    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0x9b5ccbc9058010df),
-    ("Gcn/P2p/1gpu/Off/Sequential/train-hybrid", 0x567a287884964f04),
-    ("Gcn/P2p/1gpu/Off/Sequential/train-recompute", 0x6eacb02a4fce5fa8),
-    ("Gcn/P2p/1gpu/Off/Sequential/infer", 0x4e0c4aea946a81f8),
-    ("Gcn/P2p/1gpu/Off/Parallel/train-hybrid", 0x567a287884964f04),
-    ("Gcn/P2p/1gpu/Off/Parallel/train-recompute", 0x6eacb02a4fce5fa8),
-    ("Gcn/P2p/1gpu/Off/Parallel/infer", 0x4e0c4aea946a81f8),
-    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0xd115e9cf6e55a250),
-    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x1abc7f0675bfbb3c),
-    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x64bd685ef1dd034c),
-    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0xd115e9cf6e55a250),
-    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x1abc7f0675bfbb3c),
-    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x64bd685ef1dd034c),
-    ("Gcn/P2p/2gpu/Off/Sequential/train-hybrid", 0x6d094dbb8fee3ce2),
-    ("Gcn/P2p/2gpu/Off/Sequential/train-recompute", 0x4ed12a702425872a),
-    ("Gcn/P2p/2gpu/Off/Sequential/infer", 0x6ed9e34e385791e4),
-    ("Gcn/P2p/2gpu/Off/Parallel/train-hybrid", 0x6d094dbb8fee3ce2),
-    ("Gcn/P2p/2gpu/Off/Parallel/train-recompute", 0x4ed12a702425872a),
-    ("Gcn/P2p/2gpu/Off/Parallel/infer", 0x6ed9e34e385791e4),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x30f13eafc7098c51),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x1577f79ee8e53ab9),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x074706b68fb07283),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x30f13eafc7098c51),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x1577f79ee8e53ab9),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x074706b68fb07283),
-    ("Gcn/P2p/4gpu/Off/Sequential/train-hybrid", 0x4b446270103aa188),
-    ("Gcn/P2p/4gpu/Off/Sequential/train-recompute", 0x98903ff87f381a6c),
-    ("Gcn/P2p/4gpu/Off/Sequential/infer", 0xf8857318dca3b306),
-    ("Gcn/P2p/4gpu/Off/Parallel/train-hybrid", 0x4b446270103aa188),
-    ("Gcn/P2p/4gpu/Off/Parallel/train-recompute", 0x98903ff87f381a6c),
-    ("Gcn/P2p/4gpu/Off/Parallel/infer", 0xf8857318dca3b306),
-    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xd47ccd9e762b2281),
-    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0x804c721be36b5fdd),
-    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/infer", 0xe2bad6aacff92fd8),
-    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xd47ccd9e762b2281),
-    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0x804c721be36b5fdd),
-    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/infer", 0xe2bad6aacff92fd8),
-    ("Gcn/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x6b2a393d478af8a3),
-    ("Gcn/P2pRu/1gpu/Off/Sequential/train-recompute", 0x8b6ed680c5f63d47),
-    ("Gcn/P2pRu/1gpu/Off/Sequential/infer", 0x14ed8d68c484412f),
-    ("Gcn/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x6b2a393d478af8a3),
-    ("Gcn/P2pRu/1gpu/Off/Parallel/train-recompute", 0x8b6ed680c5f63d47),
-    ("Gcn/P2pRu/1gpu/Off/Parallel/infer", 0x14ed8d68c484412f),
-    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x25dfb3b2a22a1dc7),
-    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x22dec541bef689db),
-    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0x8ebd1eb249a5748b),
-    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x25dfb3b2a22a1dc7),
-    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x22dec541bef689db),
-    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0x8ebd1eb249a5748b),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/train-hybrid", 0x3df9b05bb578bfd9),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/train-recompute", 0x9ded6f9007569581),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/infer", 0x1c553748cd2b66c7),
-    ("Gcn/P2pRu/2gpu/Off/Parallel/train-hybrid", 0x3df9b05bb578bfd9),
-    ("Gcn/P2pRu/2gpu/Off/Parallel/train-recompute", 0x9ded6f9007569581),
-    ("Gcn/P2pRu/2gpu/Off/Parallel/infer", 0x1c553748cd2b66c7),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xd56dcc44bc854ae0),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0xd43b895a87d79b58),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0xbd80c27316c99c02),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xd56dcc44bc854ae0),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0xd43b895a87d79b58),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0xbd80c27316c99c02),
-    ("Gcn/P2pRu/4gpu/Off/Sequential/train-hybrid", 0x3610d49d2a0aa55f),
-    ("Gcn/P2pRu/4gpu/Off/Sequential/train-recompute", 0xbe92c997e5da28e3),
-    ("Gcn/P2pRu/4gpu/Off/Sequential/infer", 0xebbf1d8a5e74305b),
-    ("Gcn/P2pRu/4gpu/Off/Parallel/train-hybrid", 0x3610d49d2a0aa55f),
-    ("Gcn/P2pRu/4gpu/Off/Parallel/train-recompute", 0xbe92c997e5da28e3),
-    ("Gcn/P2pRu/4gpu/Off/Parallel/infer", 0xebbf1d8a5e74305b),
-    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x41c3b619ce407bf7),
-    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x1ad4e0a3f52ff2ab),
-    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0x163548bfce01db3a),
-    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x41c3b619ce407bf7),
-    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x1ad4e0a3f52ff2ab),
-    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0x163548bfce01db3a),
-    ("Gat/Vanilla/1gpu/Off/Sequential/train-hybrid", 0xe47b2461c5db6cab),
-    ("Gat/Vanilla/1gpu/Off/Sequential/train-recompute", 0xe47b2461c5db6cab),
-    ("Gat/Vanilla/1gpu/Off/Sequential/infer", 0x5df25272a1b175d7),
-    ("Gat/Vanilla/1gpu/Off/Parallel/train-hybrid", 0xe47b2461c5db6cab),
-    ("Gat/Vanilla/1gpu/Off/Parallel/train-recompute", 0xe47b2461c5db6cab),
-    ("Gat/Vanilla/1gpu/Off/Parallel/infer", 0x5df25272a1b175d7),
-    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x44989822cf6b83db),
-    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0x44989822cf6b83db),
-    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0xf192f09e54a3dcb7),
-    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x44989822cf6b83db),
-    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0x44989822cf6b83db),
-    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0xf192f09e54a3dcb7),
-    ("Gat/Vanilla/2gpu/Off/Sequential/train-hybrid", 0xa9a9e28c07ba4c63),
-    ("Gat/Vanilla/2gpu/Off/Sequential/train-recompute", 0xa9a9e28c07ba4c63),
-    ("Gat/Vanilla/2gpu/Off/Sequential/infer", 0x418cd7e85b98fc1e),
-    ("Gat/Vanilla/2gpu/Off/Parallel/train-hybrid", 0xa9a9e28c07ba4c63),
-    ("Gat/Vanilla/2gpu/Off/Parallel/train-recompute", 0xa9a9e28c07ba4c63),
-    ("Gat/Vanilla/2gpu/Off/Parallel/infer", 0x418cd7e85b98fc1e),
-    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x60905f9969813b78),
-    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x60905f9969813b78),
-    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0x2d97d8771671d607),
-    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x60905f9969813b78),
-    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x60905f9969813b78),
-    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0x2d97d8771671d607),
-    ("Gat/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x175551adf040c250),
-    ("Gat/Vanilla/4gpu/Off/Sequential/train-recompute", 0x175551adf040c250),
-    ("Gat/Vanilla/4gpu/Off/Sequential/infer", 0xf542616147e5c17f),
-    ("Gat/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x175551adf040c250),
-    ("Gat/Vanilla/4gpu/Off/Parallel/train-recompute", 0x175551adf040c250),
-    ("Gat/Vanilla/4gpu/Off/Parallel/infer", 0xf542616147e5c17f),
-    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x63f55d11ce066cce),
-    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x63f55d11ce066cce),
-    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0x354593330bffb845),
-    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x63f55d11ce066cce),
-    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x63f55d11ce066cce),
-    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0x354593330bffb845),
-    ("Gat/P2p/1gpu/Off/Sequential/train-hybrid", 0xe47b2461c5db6cab),
-    ("Gat/P2p/1gpu/Off/Sequential/train-recompute", 0xe47b2461c5db6cab),
-    ("Gat/P2p/1gpu/Off/Sequential/infer", 0x5df25272a1b175d7),
-    ("Gat/P2p/1gpu/Off/Parallel/train-hybrid", 0xe47b2461c5db6cab),
-    ("Gat/P2p/1gpu/Off/Parallel/train-recompute", 0xe47b2461c5db6cab),
-    ("Gat/P2p/1gpu/Off/Parallel/infer", 0x5df25272a1b175d7),
-    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x44989822cf6b83db),
-    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x44989822cf6b83db),
-    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/infer", 0xf192f09e54a3dcb7),
-    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x44989822cf6b83db),
-    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x44989822cf6b83db),
-    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/infer", 0xf192f09e54a3dcb7),
-    ("Gat/P2p/2gpu/Off/Sequential/train-hybrid", 0x5de66b9b53138c2f),
-    ("Gat/P2p/2gpu/Off/Sequential/train-recompute", 0x5de66b9b53138c2f),
-    ("Gat/P2p/2gpu/Off/Sequential/infer", 0xff8ccbc2262881c8),
-    ("Gat/P2p/2gpu/Off/Parallel/train-hybrid", 0x5de66b9b53138c2f),
-    ("Gat/P2p/2gpu/Off/Parallel/train-recompute", 0x5de66b9b53138c2f),
-    ("Gat/P2p/2gpu/Off/Parallel/infer", 0xff8ccbc2262881c8),
-    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x48ac17bba09f4dd8),
-    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x48ac17bba09f4dd8),
-    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x1ad47a5d119f5489),
-    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x48ac17bba09f4dd8),
-    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x48ac17bba09f4dd8),
-    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x1ad47a5d119f5489),
-    ("Gat/P2p/4gpu/Off/Sequential/train-hybrid", 0xfd87c0c34d4c962b),
-    ("Gat/P2p/4gpu/Off/Sequential/train-recompute", 0xfd87c0c34d4c962b),
-    ("Gat/P2p/4gpu/Off/Sequential/infer", 0x0194ee5540421cfe),
-    ("Gat/P2p/4gpu/Off/Parallel/train-hybrid", 0xfd87c0c34d4c962b),
-    ("Gat/P2p/4gpu/Off/Parallel/train-recompute", 0xfd87c0c34d4c962b),
-    ("Gat/P2p/4gpu/Off/Parallel/infer", 0x0194ee5540421cfe),
-    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x01918746228fcf96),
-    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0x01918746228fcf96),
-    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/infer", 0xd37b038b72d15acd),
-    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x01918746228fcf96),
-    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0x01918746228fcf96),
-    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/infer", 0xd37b038b72d15acd),
-    ("Gat/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x25306acf00865deb),
-    ("Gat/P2pRu/1gpu/Off/Sequential/train-recompute", 0x25306acf00865deb),
-    ("Gat/P2pRu/1gpu/Off/Sequential/infer", 0x3a0449a36d32ded7),
-    ("Gat/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x25306acf00865deb),
-    ("Gat/P2pRu/1gpu/Off/Parallel/train-recompute", 0x25306acf00865deb),
-    ("Gat/P2pRu/1gpu/Off/Parallel/infer", 0x3a0449a36d32ded7),
-    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x600e08d978032d7b),
-    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x600e08d978032d7b),
-    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0x545e32f5c3a501d7),
-    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x600e08d978032d7b),
-    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x600e08d978032d7b),
-    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0x545e32f5c3a501d7),
-    ("Gat/P2pRu/2gpu/Off/Sequential/train-hybrid", 0xc1bf5b6b9fcd5685),
-    ("Gat/P2pRu/2gpu/Off/Sequential/train-recompute", 0xc1bf5b6b9fcd5685),
-    ("Gat/P2pRu/2gpu/Off/Sequential/infer", 0xef112f07df5056fe),
-    ("Gat/P2pRu/2gpu/Off/Parallel/train-hybrid", 0xc1bf5b6b9fcd5685),
-    ("Gat/P2pRu/2gpu/Off/Parallel/train-recompute", 0xc1bf5b6b9fcd5685),
-    ("Gat/P2pRu/2gpu/Off/Parallel/infer", 0xef112f07df5056fe),
-    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xe5fd5759ab8894f7),
-    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0xe5fd5759ab8894f7),
-    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0xe1f845c65ff6fadc),
-    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xe5fd5759ab8894f7),
-    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0xe5fd5759ab8894f7),
-    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0xe1f845c65ff6fadc),
-    ("Gat/P2pRu/4gpu/Off/Sequential/train-hybrid", 0x2675b67e1cfd0b13),
-    ("Gat/P2pRu/4gpu/Off/Sequential/train-recompute", 0x2675b67e1cfd0b13),
-    ("Gat/P2pRu/4gpu/Off/Sequential/infer", 0xdcff94b5bdbc9dbe),
-    ("Gat/P2pRu/4gpu/Off/Parallel/train-hybrid", 0x2675b67e1cfd0b13),
-    ("Gat/P2pRu/4gpu/Off/Parallel/train-recompute", 0x2675b67e1cfd0b13),
-    ("Gat/P2pRu/4gpu/Off/Parallel/infer", 0xdcff94b5bdbc9dbe),
-    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xa07ba08ee412a349),
-    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0xa07ba08ee412a349),
-    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0x6195ceae81a111eb),
-    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xa07ba08ee412a349),
-    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0xa07ba08ee412a349),
-    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0x6195ceae81a111eb),
-    ("Sage/Vanilla/1gpu/Off/Sequential/train-hybrid", 0x3c6dd0bc401cfa70),
-    ("Sage/Vanilla/1gpu/Off/Sequential/train-recompute", 0x57f38051ae4159c4),
-    ("Sage/Vanilla/1gpu/Off/Sequential/infer", 0x1802a9c681a28f94),
-    ("Sage/Vanilla/1gpu/Off/Parallel/train-hybrid", 0x3c6dd0bc401cfa70),
-    ("Sage/Vanilla/1gpu/Off/Parallel/train-recompute", 0x57f38051ae4159c4),
-    ("Sage/Vanilla/1gpu/Off/Parallel/infer", 0x1802a9c681a28f94),
-    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x767f5daedb846074),
-    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0x28e798c3a0113400),
-    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x6f1569dbcbbd0928),
-    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x767f5daedb846074),
-    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0x28e798c3a0113400),
-    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x6f1569dbcbbd0928),
-    ("Sage/Vanilla/2gpu/Off/Sequential/train-hybrid", 0x3d46bc6f6d61a7f1),
-    ("Sage/Vanilla/2gpu/Off/Sequential/train-recompute", 0x6ab8c8000d5fa0c1),
-    ("Sage/Vanilla/2gpu/Off/Sequential/infer", 0xc8f9c1953f68e5a1),
-    ("Sage/Vanilla/2gpu/Off/Parallel/train-hybrid", 0x3d46bc6f6d61a7f1),
-    ("Sage/Vanilla/2gpu/Off/Parallel/train-recompute", 0x6ab8c8000d5fa0c1),
-    ("Sage/Vanilla/2gpu/Off/Parallel/infer", 0xc8f9c1953f68e5a1),
-    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xa28c231a26fe2345),
-    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x1e8ba69cae662a35),
-    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0xe56a58e08d90eaa9),
-    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xa28c231a26fe2345),
-    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x1e8ba69cae662a35),
-    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0xe56a58e08d90eaa9),
-    ("Sage/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x6cd449d8d22f2427),
-    ("Sage/Vanilla/4gpu/Off/Sequential/train-recompute", 0x05b9a102d64769db),
-    ("Sage/Vanilla/4gpu/Off/Sequential/infer", 0x75d02cad58d17b13),
-    ("Sage/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x6cd449d8d22f2427),
-    ("Sage/Vanilla/4gpu/Off/Parallel/train-recompute", 0x05b9a102d64769db),
-    ("Sage/Vanilla/4gpu/Off/Parallel/infer", 0x75d02cad58d17b13),
-    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x0ac8d86496f719f5),
-    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x3eb41eeca1ea5359),
-    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0xa5499a7b27bde3a1),
-    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x0ac8d86496f719f5),
-    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x3eb41eeca1ea5359),
-    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0xa5499a7b27bde3a1),
-    ("Sage/P2p/1gpu/Off/Sequential/train-hybrid", 0x3c6dd0bc401cfa70),
-    ("Sage/P2p/1gpu/Off/Sequential/train-recompute", 0x57f38051ae4159c4),
-    ("Sage/P2p/1gpu/Off/Sequential/infer", 0x1802a9c681a28f94),
-    ("Sage/P2p/1gpu/Off/Parallel/train-hybrid", 0x3c6dd0bc401cfa70),
-    ("Sage/P2p/1gpu/Off/Parallel/train-recompute", 0x57f38051ae4159c4),
-    ("Sage/P2p/1gpu/Off/Parallel/infer", 0x1802a9c681a28f94),
-    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x767f5daedb846074),
-    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x28e798c3a0113400),
-    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x6f1569dbcbbd0928),
-    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x767f5daedb846074),
-    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x28e798c3a0113400),
-    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x6f1569dbcbbd0928),
-    ("Sage/P2p/2gpu/Off/Sequential/train-hybrid", 0x563f3a3c1bda0289),
-    ("Sage/P2p/2gpu/Off/Sequential/train-recompute", 0x20c6deafda971981),
-    ("Sage/P2p/2gpu/Off/Sequential/infer", 0x7558a826f1379f05),
-    ("Sage/P2p/2gpu/Off/Parallel/train-hybrid", 0x563f3a3c1bda0289),
-    ("Sage/P2p/2gpu/Off/Parallel/train-recompute", 0x20c6deafda971981),
-    ("Sage/P2p/2gpu/Off/Parallel/infer", 0x7558a826f1379f05),
-    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xf58cf2591de0547c),
-    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x12f0389a21d7ee84),
-    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/infer", 0xd6699b845d570090),
-    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xf58cf2591de0547c),
-    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x12f0389a21d7ee84),
-    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/infer", 0xd6699b845d570090),
-    ("Sage/P2p/4gpu/Off/Sequential/train-hybrid", 0xd6147c7e07b7d1b2),
-    ("Sage/P2p/4gpu/Off/Sequential/train-recompute", 0x198b02a620e5a936),
-    ("Sage/P2p/4gpu/Off/Sequential/infer", 0x7c8899b4364936aa),
-    ("Sage/P2p/4gpu/Off/Parallel/train-hybrid", 0xd6147c7e07b7d1b2),
-    ("Sage/P2p/4gpu/Off/Parallel/train-recompute", 0x198b02a620e5a936),
-    ("Sage/P2p/4gpu/Off/Parallel/infer", 0x7c8899b4364936aa),
-    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x91ed94fb88d10c55),
-    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0xfcc4c523e4212d39),
-    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/infer", 0xe0b22dd273f6a118),
-    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x91ed94fb88d10c55),
-    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0xfcc4c523e4212d39),
-    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/infer", 0xe0b22dd273f6a118),
-    ("Sage/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x7ffaf390b4290607),
-    ("Sage/P2pRu/1gpu/Off/Sequential/train-recompute", 0xcf3c52982b8c4b2b),
-    ("Sage/P2pRu/1gpu/Off/Sequential/infer", 0xab742235e2a3142b),
-    ("Sage/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x7ffaf390b4290607),
-    ("Sage/P2pRu/1gpu/Off/Parallel/train-recompute", 0xcf3c52982b8c4b2b),
-    ("Sage/P2pRu/1gpu/Off/Parallel/infer", 0xab742235e2a3142b),
-    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x153c67ea0b6ac07b),
-    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x60e3f574eb520cb7),
-    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0xa945f2d5361a7d2f),
-    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x153c67ea0b6ac07b),
-    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x60e3f574eb520cb7),
-    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0xa945f2d5361a7d2f),
-    ("Sage/P2pRu/2gpu/Off/Sequential/train-hybrid", 0x17c7ebb28b4a92e9),
-    ("Sage/P2pRu/2gpu/Off/Sequential/train-recompute", 0xf5c997956b37d7d1),
-    ("Sage/P2pRu/2gpu/Off/Sequential/infer", 0xc4fd2ce6548b846d),
-    ("Sage/P2pRu/2gpu/Off/Parallel/train-hybrid", 0x17c7ebb28b4a92e9),
-    ("Sage/P2pRu/2gpu/Off/Parallel/train-recompute", 0xf5c997956b37d7d1),
-    ("Sage/P2pRu/2gpu/Off/Parallel/infer", 0xc4fd2ce6548b846d),
-    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x0a05cef595c09d23),
-    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0x9a01c4be57318d4b),
-    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0x31bb60e0aa03b556),
-    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x0a05cef595c09d23),
-    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0x9a01c4be57318d4b),
-    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0x31bb60e0aa03b556),
-    ("Sage/P2pRu/4gpu/Off/Sequential/train-hybrid", 0x61da63c6c74c1e1c),
-    ("Sage/P2pRu/4gpu/Off/Sequential/train-recompute", 0x27ee86ead05a60b8),
-    ("Sage/P2pRu/4gpu/Off/Sequential/infer", 0x7535341306313131),
-    ("Sage/P2pRu/4gpu/Off/Parallel/train-hybrid", 0x61da63c6c74c1e1c),
-    ("Sage/P2pRu/4gpu/Off/Parallel/train-recompute", 0x27ee86ead05a60b8),
-    ("Sage/P2pRu/4gpu/Off/Parallel/infer", 0x7535341306313131),
-    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xa82f3ca4a0e07f4b),
-    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x1c619203f7841997),
-    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0xf1b98708dcd2d8bb),
-    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xa82f3ca4a0e07f4b),
-    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x1c619203f7841997),
-    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0xf1b98708dcd2d8bb),
-    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/train-hybrid", 0x38bc8174c05dd586),
-    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/infer", 0x5f7a157d171d5c18),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x530b05cdd7fce1e2),
-    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/infer", 0xab43e0fc003cd0a4),
-    ("Gcn/P2p/2gpu/Off/Sequential/cache/train-hybrid", 0xca1b2bed4e00156d),
-    ("Gcn/P2p/2gpu/Off/Sequential/cache/infer", 0xd2e79536a984c24e),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x526ecf14b26b455b),
-    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/infer", 0xe63b2f442c9a92ad),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/train-hybrid", 0xe5951b2fbc5a749f),
-    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/infer", 0x975aa231aec215fd),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0xf0d770d4a445b6a2),
-    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/infer", 0x4450f7262f8ae718),
+    ("Gcn/Vanilla/1gpu/Off/Sequential/train-hybrid", 0x086f91001358b44c),
+    ("Gcn/Vanilla/1gpu/Off/Sequential/train-recompute", 0xb3b1e18df668c190),
+    ("Gcn/Vanilla/1gpu/Off/Sequential/infer", 0x91a7411493809320),
+    ("Gcn/Vanilla/1gpu/Off/Parallel/train-hybrid", 0x086f91001358b44c),
+    ("Gcn/Vanilla/1gpu/Off/Parallel/train-recompute", 0xb3b1e18df668c190),
+    ("Gcn/Vanilla/1gpu/Off/Parallel/infer", 0x91a7411493809320),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x7fdb60f7bf801a0f),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0xb88e69745df377ab),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x03bb1726c362e773),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x7fdb60f7bf801a0f),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0xb88e69745df377ab),
+    ("Gcn/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x03bb1726c362e773),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/train-hybrid", 0xbc3ddedddce4abb7),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/train-recompute", 0xdaa44c7e9d5758c7),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/infer", 0x7bd39cec772af1dd),
+    ("Gcn/Vanilla/2gpu/Off/Parallel/train-hybrid", 0xbc3ddedddce4abb7),
+    ("Gcn/Vanilla/2gpu/Off/Parallel/train-recompute", 0xdaa44c7e9d5758c7),
+    ("Gcn/Vanilla/2gpu/Off/Parallel/infer", 0x7bd39cec772af1dd),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x192092e9bed5049e),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x61a7410a8f04d57e),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0xa88beddcb7683ea0),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x192092e9bed5049e),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x61a7410a8f04d57e),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0xa88beddcb7683ea0),
+    ("Gcn/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x486123b837275306),
+    ("Gcn/Vanilla/4gpu/Off/Sequential/train-recompute", 0x72da0465f2e90f6a),
+    ("Gcn/Vanilla/4gpu/Off/Sequential/infer", 0x8b35eef7a7d92a21),
+    ("Gcn/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x486123b837275306),
+    ("Gcn/Vanilla/4gpu/Off/Parallel/train-recompute", 0x72da0465f2e90f6a),
+    ("Gcn/Vanilla/4gpu/Off/Parallel/infer", 0x8b35eef7a7d92a21),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xc417a2e9091662d4),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x22fd0c3559f811a8),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0xeb2eae425df3c70f),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xc417a2e9091662d4),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x22fd0c3559f811a8),
+    ("Gcn/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0xeb2eae425df3c70f),
+    ("Gcn/P2p/1gpu/Off/Sequential/train-hybrid", 0x086f91001358b44c),
+    ("Gcn/P2p/1gpu/Off/Sequential/train-recompute", 0xb3b1e18df668c190),
+    ("Gcn/P2p/1gpu/Off/Sequential/infer", 0x91a7411493809320),
+    ("Gcn/P2p/1gpu/Off/Parallel/train-hybrid", 0x086f91001358b44c),
+    ("Gcn/P2p/1gpu/Off/Parallel/train-recompute", 0xb3b1e18df668c190),
+    ("Gcn/P2p/1gpu/Off/Parallel/infer", 0x91a7411493809320),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x4564527d6acf1495),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x1a1d8f2b079245b9),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x4fb7d32ee6fea3c9),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x4564527d6acf1495),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x1a1d8f2b079245b9),
+    ("Gcn/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x4fb7d32ee6fea3c9),
+    ("Gcn/P2p/2gpu/Off/Sequential/train-hybrid", 0x296d911606f58e09),
+    ("Gcn/P2p/2gpu/Off/Sequential/train-recompute", 0xfcdbf8c0bcc188e9),
+    ("Gcn/P2p/2gpu/Off/Sequential/infer", 0x4e83b844d84ff623),
+    ("Gcn/P2p/2gpu/Off/Parallel/train-hybrid", 0x296d911606f58e09),
+    ("Gcn/P2p/2gpu/Off/Parallel/train-recompute", 0xfcdbf8c0bcc188e9),
+    ("Gcn/P2p/2gpu/Off/Parallel/infer", 0x4e83b844d84ff623),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x298a1ab6d3e22b9a),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x00e3a380286c9d1a),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x0db0d471c9c32964),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x298a1ab6d3e22b9a),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x00e3a380286c9d1a),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x0db0d471c9c32964),
+    ("Gcn/P2p/4gpu/Off/Sequential/train-hybrid", 0x3565fd231655f3c6),
+    ("Gcn/P2p/4gpu/Off/Sequential/train-recompute", 0x9380c5f30d7a4fd2),
+    ("Gcn/P2p/4gpu/Off/Sequential/infer", 0x3d469ca19eb7d1f8),
+    ("Gcn/P2p/4gpu/Off/Parallel/train-hybrid", 0x3565fd231655f3c6),
+    ("Gcn/P2p/4gpu/Off/Parallel/train-recompute", 0x9380c5f30d7a4fd2),
+    ("Gcn/P2p/4gpu/Off/Parallel/infer", 0x3d469ca19eb7d1f8),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xb8311498a2aa1a16),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0xf044e1c7b2f3900a),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Sequential/infer", 0xa037f098c2f2d63b),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xb8311498a2aa1a16),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0xf044e1c7b2f3900a),
+    ("Gcn/P2p/4gpu/DoubleBuffer/Parallel/infer", 0xa037f098c2f2d63b),
+    ("Gcn/P2pRu/1gpu/Off/Sequential/train-hybrid", 0xae8ba0d38299f6ec),
+    ("Gcn/P2pRu/1gpu/Off/Sequential/train-recompute", 0x4419a9120d113ed0),
+    ("Gcn/P2pRu/1gpu/Off/Sequential/infer", 0x6e39156807e56c20),
+    ("Gcn/P2pRu/1gpu/Off/Parallel/train-hybrid", 0xae8ba0d38299f6ec),
+    ("Gcn/P2pRu/1gpu/Off/Parallel/train-recompute", 0x4419a9120d113ed0),
+    ("Gcn/P2pRu/1gpu/Off/Parallel/infer", 0x6e39156807e56c20),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x4564527d6acf1495),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x1a1d8f2b079245b9),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0x4fb7d32ee6fea3c9),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x4564527d6acf1495),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x1a1d8f2b079245b9),
+    ("Gcn/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0x4fb7d32ee6fea3c9),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/train-hybrid", 0xce8530a9aa4a1ae9),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/train-recompute", 0x90d4624be66476a1),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/infer", 0xd7ebaabcacd0ebdf),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/train-hybrid", 0xce8530a9aa4a1ae9),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/train-recompute", 0x90d4624be66476a1),
+    ("Gcn/P2pRu/2gpu/Off/Parallel/infer", 0xd7ebaabcacd0ebdf),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xd758ae26c6e38180),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0x9538e5abdab8ee58),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0x8fd78036b545a532),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xd758ae26c6e38180),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0x9538e5abdab8ee58),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0x8fd78036b545a532),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/train-hybrid", 0xadb6ea5a180ddec6),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/train-recompute", 0x7b617f4f1ecd91fa),
+    ("Gcn/P2pRu/4gpu/Off/Sequential/infer", 0x14334cdb0b00b36a),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/train-hybrid", 0xadb6ea5a180ddec6),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/train-recompute", 0x7b617f4f1ecd91fa),
+    ("Gcn/P2pRu/4gpu/Off/Parallel/infer", 0x14334cdb0b00b36a),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x39b68e6d981f8a13),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0x1341d88e8cfc2467),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0xd32a4d5dd099f2e6),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x39b68e6d981f8a13),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0x1341d88e8cfc2467),
+    ("Gcn/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0xd32a4d5dd099f2e6),
+    ("Gat/Vanilla/1gpu/Off/Sequential/train-hybrid", 0x494725cfddd1dc82),
+    ("Gat/Vanilla/1gpu/Off/Sequential/train-recompute", 0x494725cfddd1dc82),
+    ("Gat/Vanilla/1gpu/Off/Sequential/infer", 0x0b26f1de8c4176b6),
+    ("Gat/Vanilla/1gpu/Off/Parallel/train-hybrid", 0x494725cfddd1dc82),
+    ("Gat/Vanilla/1gpu/Off/Parallel/train-recompute", 0x494725cfddd1dc82),
+    ("Gat/Vanilla/1gpu/Off/Parallel/infer", 0x0b26f1de8c4176b6),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x6c3ac00e19320fc3),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0x6c3ac00e19320fc3),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0x65a4978004a619df),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x6c3ac00e19320fc3),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0x6c3ac00e19320fc3),
+    ("Gat/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0x65a4978004a619df),
+    ("Gat/Vanilla/2gpu/Off/Sequential/train-hybrid", 0xffdaaaef42396af3),
+    ("Gat/Vanilla/2gpu/Off/Sequential/train-recompute", 0xffdaaaef42396af3),
+    ("Gat/Vanilla/2gpu/Off/Sequential/infer", 0xe2736e02ee33fb0e),
+    ("Gat/Vanilla/2gpu/Off/Parallel/train-hybrid", 0xffdaaaef42396af3),
+    ("Gat/Vanilla/2gpu/Off/Parallel/train-recompute", 0xffdaaaef42396af3),
+    ("Gat/Vanilla/2gpu/Off/Parallel/infer", 0xe2736e02ee33fb0e),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x274c7b83b40c3cc8),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0x274c7b83b40c3cc8),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0x5d027db470ffc377),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x274c7b83b40c3cc8),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0x274c7b83b40c3cc8),
+    ("Gat/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0x5d027db470ffc377),
+    ("Gat/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x97596d695e529840),
+    ("Gat/Vanilla/4gpu/Off/Sequential/train-recompute", 0x97596d695e529840),
+    ("Gat/Vanilla/4gpu/Off/Sequential/infer", 0x42994c32ce4c848f),
+    ("Gat/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x97596d695e529840),
+    ("Gat/Vanilla/4gpu/Off/Parallel/train-recompute", 0x97596d695e529840),
+    ("Gat/Vanilla/4gpu/Off/Parallel/infer", 0x42994c32ce4c848f),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x86f76e51982d9fb7),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x86f76e51982d9fb7),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0xdcbff2a07e8fc9e0),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x86f76e51982d9fb7),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x86f76e51982d9fb7),
+    ("Gat/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0xdcbff2a07e8fc9e0),
+    ("Gat/P2p/1gpu/Off/Sequential/train-hybrid", 0x494725cfddd1dc82),
+    ("Gat/P2p/1gpu/Off/Sequential/train-recompute", 0x494725cfddd1dc82),
+    ("Gat/P2p/1gpu/Off/Sequential/infer", 0x0b26f1de8c4176b6),
+    ("Gat/P2p/1gpu/Off/Parallel/train-hybrid", 0x494725cfddd1dc82),
+    ("Gat/P2p/1gpu/Off/Parallel/train-recompute", 0x494725cfddd1dc82),
+    ("Gat/P2p/1gpu/Off/Parallel/infer", 0x0b26f1de8c4176b6),
+    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x99326c8335b96970),
+    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x99326c8335b96970),
+    ("Gat/P2p/1gpu/DoubleBuffer/Sequential/infer", 0x58b178d3b7818c9c),
+    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x99326c8335b96970),
+    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x99326c8335b96970),
+    ("Gat/P2p/1gpu/DoubleBuffer/Parallel/infer", 0x58b178d3b7818c9c),
+    ("Gat/P2p/2gpu/Off/Sequential/train-hybrid", 0x2856ddc2e8b33aa9),
+    ("Gat/P2p/2gpu/Off/Sequential/train-recompute", 0x2856ddc2e8b33aa9),
+    ("Gat/P2p/2gpu/Off/Sequential/infer", 0x1938312e5afa20ea),
+    ("Gat/P2p/2gpu/Off/Parallel/train-hybrid", 0x2856ddc2e8b33aa9),
+    ("Gat/P2p/2gpu/Off/Parallel/train-recompute", 0x2856ddc2e8b33aa9),
+    ("Gat/P2p/2gpu/Off/Parallel/infer", 0x1938312e5afa20ea),
+    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x5a89a581ae73e451),
+    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0x5a89a581ae73e451),
+    ("Gat/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x19a53feeffefbf08),
+    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x5a89a581ae73e451),
+    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0x5a89a581ae73e451),
+    ("Gat/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x19a53feeffefbf08),
+    ("Gat/P2p/4gpu/Off/Sequential/train-hybrid", 0x5343c87ac25112fb),
+    ("Gat/P2p/4gpu/Off/Sequential/train-recompute", 0x5343c87ac25112fb),
+    ("Gat/P2p/4gpu/Off/Sequential/infer", 0x5955f5c5c10c979e),
+    ("Gat/P2p/4gpu/Off/Parallel/train-hybrid", 0x5343c87ac25112fb),
+    ("Gat/P2p/4gpu/Off/Parallel/train-recompute", 0x5343c87ac25112fb),
+    ("Gat/P2p/4gpu/Off/Parallel/infer", 0x5955f5c5c10c979e),
+    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x44993d63e7740f67),
+    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0x44993d63e7740f67),
+    ("Gat/P2p/4gpu/DoubleBuffer/Sequential/infer", 0xf4a9e70111cbbd70),
+    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x44993d63e7740f67),
+    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0x44993d63e7740f67),
+    ("Gat/P2p/4gpu/DoubleBuffer/Parallel/infer", 0xf4a9e70111cbbd70),
+    ("Gat/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x5cff7f4dbc340d42),
+    ("Gat/P2pRu/1gpu/Off/Sequential/train-recompute", 0x5cff7f4dbc340d42),
+    ("Gat/P2pRu/1gpu/Off/Sequential/infer", 0x2aa46d3fb6d3e736),
+    ("Gat/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x5cff7f4dbc340d42),
+    ("Gat/P2pRu/1gpu/Off/Parallel/train-recompute", 0x5cff7f4dbc340d42),
+    ("Gat/P2pRu/1gpu/Off/Parallel/infer", 0x2aa46d3fb6d3e736),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x99326c8335b96970),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x99326c8335b96970),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0x58b178d3b7818c9c),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x99326c8335b96970),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x99326c8335b96970),
+    ("Gat/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0x58b178d3b7818c9c),
+    ("Gat/P2pRu/2gpu/Off/Sequential/train-hybrid", 0x0ed25ac6d7454421),
+    ("Gat/P2pRu/2gpu/Off/Sequential/train-recompute", 0x0ed25ac6d7454421),
+    ("Gat/P2pRu/2gpu/Off/Sequential/infer", 0xaa6d4ed3c222bd82),
+    ("Gat/P2pRu/2gpu/Off/Parallel/train-hybrid", 0x0ed25ac6d7454421),
+    ("Gat/P2pRu/2gpu/Off/Parallel/train-recompute", 0x0ed25ac6d7454421),
+    ("Gat/P2pRu/2gpu/Off/Parallel/infer", 0xaa6d4ed3c222bd82),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0xfb2bd86eb46939b4),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0xfb2bd86eb46939b4),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0x3a94280fb79d5857),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0xfb2bd86eb46939b4),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0xfb2bd86eb46939b4),
+    ("Gat/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0x3a94280fb79d5857),
+    ("Gat/P2pRu/4gpu/Off/Sequential/train-hybrid", 0x54860c2f7c102123),
+    ("Gat/P2pRu/4gpu/Off/Sequential/train-recompute", 0x54860c2f7c102123),
+    ("Gat/P2pRu/4gpu/Off/Sequential/infer", 0xac2099f927cd975e),
+    ("Gat/P2pRu/4gpu/Off/Parallel/train-hybrid", 0x54860c2f7c102123),
+    ("Gat/P2pRu/4gpu/Off/Parallel/train-recompute", 0x54860c2f7c102123),
+    ("Gat/P2pRu/4gpu/Off/Parallel/infer", 0xac2099f927cd975e),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xcf72c51b239de654),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0xcf72c51b239de654),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0x29169a2203f38132),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xcf72c51b239de654),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0xcf72c51b239de654),
+    ("Gat/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0x29169a2203f38132),
+    ("Sage/Vanilla/1gpu/Off/Sequential/train-hybrid", 0x410a82e87002f8de),
+    ("Sage/Vanilla/1gpu/Off/Sequential/train-recompute", 0x58552de8769cc23a),
+    ("Sage/Vanilla/1gpu/Off/Sequential/infer", 0x3e389fdac532440a),
+    ("Sage/Vanilla/1gpu/Off/Parallel/train-hybrid", 0x410a82e87002f8de),
+    ("Sage/Vanilla/1gpu/Off/Parallel/train-recompute", 0x58552de8769cc23a),
+    ("Sage/Vanilla/1gpu/Off/Parallel/infer", 0x3e389fdac532440a),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x730e48356bd4ccbe),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/train-recompute", 0x0939c3600d5f0a4a),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Sequential/infer", 0xd882db263ab1a2ba),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x730e48356bd4ccbe),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/train-recompute", 0x0939c3600d5f0a4a),
+    ("Sage/Vanilla/1gpu/DoubleBuffer/Parallel/infer", 0xd882db263ab1a2ba),
+    ("Sage/Vanilla/2gpu/Off/Sequential/train-hybrid", 0xa2fbc4f52894585f),
+    ("Sage/Vanilla/2gpu/Off/Sequential/train-recompute", 0x4ee3989c5cb981bf),
+    ("Sage/Vanilla/2gpu/Off/Sequential/infer", 0x0fb0af63b1123447),
+    ("Sage/Vanilla/2gpu/Off/Parallel/train-hybrid", 0xa2fbc4f52894585f),
+    ("Sage/Vanilla/2gpu/Off/Parallel/train-recompute", 0x4ee3989c5cb981bf),
+    ("Sage/Vanilla/2gpu/Off/Parallel/infer", 0x0fb0af63b1123447),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x061383434023a6de),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/train-recompute", 0xcd5bbe573d137a66),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Sequential/infer", 0x3385687bd1859f72),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x061383434023a6de),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/train-recompute", 0xcd5bbe573d137a66),
+    ("Sage/Vanilla/2gpu/DoubleBuffer/Parallel/infer", 0x3385687bd1859f72),
+    ("Sage/Vanilla/4gpu/Off/Sequential/train-hybrid", 0x09b9e8ec9c6e7e80),
+    ("Sage/Vanilla/4gpu/Off/Sequential/train-recompute", 0x25a158dfe2c7276c),
+    ("Sage/Vanilla/4gpu/Off/Sequential/infer", 0x0f911458b37ce204),
+    ("Sage/Vanilla/4gpu/Off/Parallel/train-hybrid", 0x09b9e8ec9c6e7e80),
+    ("Sage/Vanilla/4gpu/Off/Parallel/train-recompute", 0x25a158dfe2c7276c),
+    ("Sage/Vanilla/4gpu/Off/Parallel/infer", 0x0f911458b37ce204),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xfa9296a96fea2aef),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/train-recompute", 0x8032f474e0e3658b),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Sequential/infer", 0x7f7c0036cfd2227b),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xfa9296a96fea2aef),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/train-recompute", 0x8032f474e0e3658b),
+    ("Sage/Vanilla/4gpu/DoubleBuffer/Parallel/infer", 0x7f7c0036cfd2227b),
+    ("Sage/P2p/1gpu/Off/Sequential/train-hybrid", 0x410a82e87002f8de),
+    ("Sage/P2p/1gpu/Off/Sequential/train-recompute", 0x58552de8769cc23a),
+    ("Sage/P2p/1gpu/Off/Sequential/infer", 0x3e389fdac532440a),
+    ("Sage/P2p/1gpu/Off/Parallel/train-hybrid", 0x410a82e87002f8de),
+    ("Sage/P2p/1gpu/Off/Parallel/train-recompute", 0x58552de8769cc23a),
+    ("Sage/P2p/1gpu/Off/Parallel/infer", 0x3e389fdac532440a),
+    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x3c1d8688e0cc3935),
+    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/train-recompute", 0x724db216800a9f59),
+    ("Sage/P2p/1gpu/DoubleBuffer/Sequential/infer", 0xce80b53ba87b4e11),
+    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x3c1d8688e0cc3935),
+    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/train-recompute", 0x724db216800a9f59),
+    ("Sage/P2p/1gpu/DoubleBuffer/Parallel/infer", 0xce80b53ba87b4e11),
+    ("Sage/P2p/2gpu/Off/Sequential/train-hybrid", 0x1344413206b471da),
+    ("Sage/P2p/2gpu/Off/Sequential/train-recompute", 0xf56598260643ab12),
+    ("Sage/P2p/2gpu/Off/Sequential/infer", 0x05d2c71acf428f1e),
+    ("Sage/P2p/2gpu/Off/Parallel/train-hybrid", 0x1344413206b471da),
+    ("Sage/P2p/2gpu/Off/Parallel/train-recompute", 0xf56598260643ab12),
+    ("Sage/P2p/2gpu/Off/Parallel/infer", 0x05d2c71acf428f1e),
+    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x2ea4a12822dd59ef),
+    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/train-recompute", 0xf02c905c5b066a2f),
+    ("Sage/P2p/2gpu/DoubleBuffer/Sequential/infer", 0x5d52812c0355b79b),
+    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x2ea4a12822dd59ef),
+    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/train-recompute", 0xf02c905c5b066a2f),
+    ("Sage/P2p/2gpu/DoubleBuffer/Parallel/infer", 0x5d52812c0355b79b),
+    ("Sage/P2p/4gpu/Off/Sequential/train-hybrid", 0x55de1518f30b3c3e),
+    ("Sage/P2p/4gpu/Off/Sequential/train-recompute", 0x2c852479856d8532),
+    ("Sage/P2p/4gpu/Off/Sequential/infer", 0x9ba44b67396b143e),
+    ("Sage/P2p/4gpu/Off/Parallel/train-hybrid", 0x55de1518f30b3c3e),
+    ("Sage/P2p/4gpu/Off/Parallel/train-recompute", 0x2c852479856d8532),
+    ("Sage/P2p/4gpu/Off/Parallel/infer", 0x9ba44b67396b143e),
+    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/train-hybrid", 0xf0fb0a86cdb4791a),
+    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/train-recompute", 0x12f4546d69bd441e),
+    ("Sage/P2p/4gpu/DoubleBuffer/Sequential/infer", 0xc9f0845d1106c92b),
+    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/train-hybrid", 0xf0fb0a86cdb4791a),
+    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/train-recompute", 0x12f4546d69bd441e),
+    ("Sage/P2p/4gpu/DoubleBuffer/Parallel/infer", 0xc9f0845d1106c92b),
+    ("Sage/P2pRu/1gpu/Off/Sequential/train-hybrid", 0x18101f8fa219cebe),
+    ("Sage/P2pRu/1gpu/Off/Sequential/train-recompute", 0xba0f376def0abd1a),
+    ("Sage/P2pRu/1gpu/Off/Sequential/infer", 0xc42800e85875960a),
+    ("Sage/P2pRu/1gpu/Off/Parallel/train-hybrid", 0x18101f8fa219cebe),
+    ("Sage/P2pRu/1gpu/Off/Parallel/train-recompute", 0xba0f376def0abd1a),
+    ("Sage/P2pRu/1gpu/Off/Parallel/infer", 0xc42800e85875960a),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/train-hybrid", 0x3c1d8688e0cc3935),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/train-recompute", 0x724db216800a9f59),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Sequential/infer", 0xce80b53ba87b4e11),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/train-hybrid", 0x3c1d8688e0cc3935),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/train-recompute", 0x724db216800a9f59),
+    ("Sage/P2pRu/1gpu/DoubleBuffer/Parallel/infer", 0xce80b53ba87b4e11),
+    ("Sage/P2pRu/2gpu/Off/Sequential/train-hybrid", 0xfd137a1203607bea),
+    ("Sage/P2pRu/2gpu/Off/Sequential/train-recompute", 0x1129ef093f40f132),
+    ("Sage/P2pRu/2gpu/Off/Sequential/infer", 0x099c95860ae47e76),
+    ("Sage/P2pRu/2gpu/Off/Parallel/train-hybrid", 0xfd137a1203607bea),
+    ("Sage/P2pRu/2gpu/Off/Parallel/train-recompute", 0x1129ef093f40f132),
+    ("Sage/P2pRu/2gpu/Off/Parallel/infer", 0x099c95860ae47e76),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/train-hybrid", 0x39007545a5cf1dd0),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/train-recompute", 0x7ac9e9742d4444f0),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Sequential/infer", 0xc4b5426b1e02b4a1),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/train-hybrid", 0x39007545a5cf1dd0),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/train-recompute", 0x7ac9e9742d4444f0),
+    ("Sage/P2pRu/2gpu/DoubleBuffer/Parallel/infer", 0xc4b5426b1e02b4a1),
+    ("Sage/P2pRu/4gpu/Off/Sequential/train-hybrid", 0xeefcd45356087d98),
+    ("Sage/P2pRu/4gpu/Off/Sequential/train-recompute", 0xf1a5147c1d9facdc),
+    ("Sage/P2pRu/4gpu/Off/Sequential/infer", 0xe31cc09de9542925),
+    ("Sage/P2pRu/4gpu/Off/Parallel/train-hybrid", 0xeefcd45356087d98),
+    ("Sage/P2pRu/4gpu/Off/Parallel/train-recompute", 0xf1a5147c1d9facdc),
+    ("Sage/P2pRu/4gpu/Off/Parallel/infer", 0xe31cc09de9542925),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/train-hybrid", 0x1826d99f1ac099b8),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/train-recompute", 0xd5d45f53e929fe54),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Sequential/infer", 0xca7853f5f5688e38),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-hybrid", 0x1826d99f1ac099b8),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/train-recompute", 0xd5d45f53e929fe54),
+    ("Sage/P2pRu/4gpu/DoubleBuffer/Parallel/infer", 0xca7853f5f5688e38),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/train-hybrid", 0xc958f0c89e0113a3),
+    ("Gcn/Vanilla/2gpu/Off/Sequential/cache/infer", 0x14c81cc83a27c5e9),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x005f87c9fb0319c9),
+    ("Gcn/Vanilla/2gpu/DoubleBuffer/Parallel/cache/infer", 0x8a3a5a0edf3327f3),
+    ("Gcn/P2p/2gpu/Off/Sequential/cache/train-hybrid", 0xb6efb30729f35db6),
+    ("Gcn/P2p/2gpu/Off/Sequential/cache/infer", 0x4c06e8f115f14ca5),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x9b613a14acf8b82c),
+    ("Gcn/P2p/2gpu/DoubleBuffer/Parallel/cache/infer", 0x8d311c1329735f5e),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/train-hybrid", 0xdabda38390b7dfef),
+    ("Gcn/P2pRu/2gpu/Off/Sequential/cache/infer", 0xcfe70cebefb3e54d),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/train-hybrid", 0x134d2c6021aeb8b2),
+    ("Gcn/P2pRu/2gpu/DoubleBuffer/Parallel/cache/infer", 0x9138e57682c244a0),
 ];
 
 /// [`GOLDEN_FOOTPRINT`] without the two cone costs every one of its rows

@@ -11,12 +11,13 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> source lint (diag catalogue, unsafe discipline, tag + exec-mode + footprint chokepoints, no deprecation shims)"
+echo "==> source lint (diag catalogue, unsafe discipline, tag + exec-mode + footprint + cone-plan chokepoints, no deprecation shims)"
 # src/bin/lint.rs: every DiagCode has exactly one DESIGN.md catalogue row
 # and a mutation test; unsafe only in crates/parallel (SAFETY-documented);
 # GpuLane::tag only from the engine's emission layer; the execution mode
 # read only by exec.rs's per-GPU dispatcher; no deprecated items; a step's
-# device footprint computed only in crates/core/src/footprint.rs.
+# device footprint computed only in crates/core/src/footprint.rs; packed
+# cone plans built only by the packer in crates/core/src/serve.rs.
 cargo run -q --release --bin lint
 
 echo "==> verify schedule smoke run (static certification, passes 6-8)"
