@@ -3,9 +3,12 @@
 //! queried vertices across the full {model × gpus × overlap} matrix,
 //! the ≤ L-hop cone mask must equal a brute-force BFS oracle row for row
 //! on random graphs, every batch admitted against the session's own staging
-//! budget must run within the static memory bound, and a served batch's
+//! budget must run within the static memory bound, a served batch's
 //! synthesized schedule must certify clean under the static passes —
-//! including Paranoid, which re-certifies inside `serve` itself.
+//! including Paranoid, which re-certifies inside `serve` itself — and a
+//! cone packed into runs of batches must rebuild its rows exactly, fit
+//! wherever the same cone fit on the session's grid, and (overlap off)
+//! cost no more than it did there.
 //!
 //! The bitwise comparison works because the serve session and the
 //! reference inference session are seeded identically by the dataset:
