@@ -521,6 +521,11 @@ pub(crate) fn build_buffer_comm(
     Some(per_gpu)
 }
 
+/// The smaller of two per-GPU budgets on each GPU.
+fn tighter(a: &[usize], b: &[usize]) -> Vec<usize> {
+    a.iter().zip(b).map(|(&a, &b)| a.min(b)).collect()
+}
+
 /// Per-GPU admission budget of the sweep `env` describes: one input plus
 /// one output staging slot — the pinned `staging` when there is one,
 /// else folded from the per-step footprint.
@@ -1240,9 +1245,24 @@ impl Session {
     /// An empty `vertices` or an id the graph does not have is
     /// [`SimError::InvalidQuery`].
     pub fn query_cone(&self, vertices: &[usize]) -> Result<Cone, SimError> {
+        Ok(self.plan_cone(self.query_mask(vertices)?))
+    }
+
+    /// [`Session::query_cone`] for a caller that admits cones against its
+    /// own per-GPU `budget`: the runs are held to it as well as to the
+    /// staging budget ([`Session::plan_cone_within`]).
+    pub fn query_cone_within(
+        &self,
+        vertices: &[usize],
+        budget: &[usize],
+    ) -> Result<Cone, SimError> {
+        Ok(self.plan_cone_within(self.query_mask(vertices)?, budget))
+    }
+
+    fn query_mask(&self, vertices: &[usize]) -> Result<ServeMask, SimError> {
         cone::check_seeds("query", self.index.len(), vertices)
             .map_err(|message| SimError::InvalidQuery { message })?;
-        Ok(self.grow_cone(ConeDir::Downward, vertices))
+        Ok(self.grow_mask(ConeDir::Downward, vertices))
     }
 
     /// The replay cone of the `dirty` seeds over the session's current
@@ -1252,11 +1272,7 @@ impl Session {
     ///
     /// Panics if `dirty` is empty or names a vertex out of range.
     fn dirty_cone(&self, dirty: &[usize]) -> Cone {
-        self.grow_cone(ConeDir::Upward, dirty)
-    }
-
-    fn grow_cone(&self, dir: ConeDir, seeds: &[usize]) -> Cone {
-        self.plan_cone(self.grow_mask(dir, seeds))
+        self.plan_cone(self.grow_mask(ConeDir::Upward, dirty))
     }
 
     fn grow_mask(&self, dir: ConeDir, seeds: &[usize]) -> ServeMask {
@@ -1288,18 +1304,20 @@ impl Session {
         self.pack_within(mask, &self.staging_budget())
     }
 
-    /// Packs `mask` into caller-chosen runs: run `g` is the batches up to
-    /// `ends[g]`, from where run `g − 1` ended. Every batch its own run
-    /// (`ends = 1..=n`) is the session's grid with each chunk cut down to
-    /// its rows — the grid cones ran on before they were packed, and the
-    /// baseline the run rule is measured against. Nothing holds the runs
-    /// to the staging budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ends` is not strictly ascending from above 0 to the
-    /// session's batch count ([`crate::cone::check_runs`]).
-    pub fn plan_cone_on(&self, mask: ServeMask, ends: Vec<usize>) -> Cone {
+    /// [`Session::plan_cone`] held to the caller's per-GPU `budget` as
+    /// well: the run rule packs against the smaller of it and the staging
+    /// budget on each GPU, so a cone whose batches fit `budget` on the
+    /// session's grid is not merged past it.
+    pub fn plan_cone_within(&self, mask: ServeMask, budget: &[usize]) -> Cone {
+        self.pack_within(mask, &tighter(&self.staging_budget(), budget))
+    }
+
+    /// `mask` on the session's grid: every batch its own run, each chunk
+    /// cut down to the cone's rows — the grid cones ran on before they
+    /// were packed, and the baseline the run rule is measured against.
+    #[doc(hidden)]
+    pub fn grid_cone(&self, mask: ServeMask) -> Cone {
+        let ends = (1..=self.plan.n).collect();
         Cone::new(&self.plan, mask, ends, self.config.comm, self.generation)
     }
 
@@ -1808,7 +1826,13 @@ impl Session {
             ),
             None => self.staging_budget(),
         };
-        let cone = self.pack_within(self.grow_mask(ConeDir::Upward, staged.dirty()), &staging);
+        // ...and, under an admission budget, held to that too.
+        let held = match budget {
+            Some(budget) => tighter(&staging, budget),
+            None => staging,
+        };
+        let mask = self.grow_mask(ConeDir::Upward, staged.dirty());
+        let cone = self.pack_within(mask, &held);
         if self.config.validation != ValidationLevel::Off {
             let report = hongtu_verify::verify_cone(cone.grid(), ConeDir::Upward);
             if !report.is_ok() {

@@ -291,9 +291,9 @@ impl Cone {
     ///
     /// Each touched batch's rows are marked once ([`Packing`]) and sized
     /// from the marks — chunk shape, neighbor rows, buffer rows — so a
-    /// candidate run is priced exactly, by counting, without being packed;
-    /// the fewest runs (one, or two) are priced first, and each chosen run
-    /// is packed once, from the marks.
+    /// candidate run is priced exactly, by counting its lists' unions,
+    /// without being packed; the fewest runs (one, or two) are priced
+    /// first, and each chosen run is packed once, from the marks.
     ///
     /// Under P2P+RU every step of a sweep occupies the in-place buffer's
     /// capacity, the sum of the rises in merged-set size from one step to
@@ -386,38 +386,33 @@ impl Cone {
 
         let double = config.overlap == OverlapMode::DoubleBuffer && touched.len() > 1;
         // The fewest runs there can be — one, or two under double
-        // buffering — are priced outright before the greedy rule runs.
+        // buffering — are taken when they fit; the greedy rule chooses
+        // otherwise. Two halves fit wherever the one run holding them
+        // does, so the greedy rule never ends in one run under double
+        // buffering.
         let fewest: Vec<Range<usize>> = if double {
             packer.halves(&touched)
         } else {
             std::iter::once(0..touched.len()).collect()
         };
-        // The fewest runs are taken outright when even their ceiling fits —
-        // every set as large as its batches' together — and no two
-        // batches merge while even the floor of merging neighbors — each
-        // set as large as the larger of the two — is over budget.
+        // A ceiling that fits — every set as large as its batches'
+        // together — takes the fewest runs without listing a row.
         let runs = if packer.ceiling_fits(&shapes, &fewest, budget) {
             fewest
-        } else if !shapes
-            .windows(2)
-            .any(|pair| packer.floor_fits(&pair[0], &pair[1], budget))
-        {
-            (0..touched.len()).map(|p| p..p + 1).collect()
         } else {
+            let words = bitmaps.then_some(words);
             let alone: Vec<RunSize> = marked
                 .iter()
                 .zip(shapes)
-                .map(|(batch, shape)| RunSize::of(batch, shape, bitmaps.then_some(words)))
+                .map(|(batch, shape)| RunSize::of(batch, shape, words))
                 .collect();
             if packer.fit(&alone, &fewest, budget) {
                 fewest
             } else {
-                match packer.runs(alone, budget) {
-                    one if one.len() == 1 && double => packer.halves(&touched),
-                    runs => runs,
-                }
+                packer.runs(alone, budget)
             }
         };
+        debug_assert!(!double || runs.len() > 1, "double buffering keeps two runs");
         // Each run also takes the untouched batches up to the next one,
         // which add no rows.
         let mut ends: Vec<usize> = runs.iter().skip(1).map(|r| touched[r.start]).collect();
@@ -667,8 +662,7 @@ impl RunSize {
         self
     }
 
-    /// `M_i` per `(l, i)` — `N_i`, a floor of it, until
-    /// [`RunSize::buffered`] lists it.
+    /// `M_i` per `(l, i)` — `N_i` until [`RunSize::buffered`] lists it.
     fn buffers(&self) -> &[Vec<Rows>] {
         self.buffer.as_deref().unwrap_or(&self.nbrs)
     }
@@ -688,23 +682,7 @@ impl RunSize {
             .as_ref()
             .zip(next.buffer.as_ref())
             .map(|(a, b)| union(a, b));
-        let shape = self
-            .shape
-            .iter()
-            .zip(&next.shape)
-            .zip(&nbrs)
-            .map(|((a, b), n)| {
-                a.iter()
-                    .zip(b)
-                    .zip(n)
-                    .map(|((a, b), n)| ChunkShape {
-                        dests: a.dests + b.dests,
-                        edges: a.edges + b.edges,
-                        neighbors: n.len(),
-                    })
-                    .collect()
-            })
-            .collect();
+        let shape = merged_shape(&self.shape, &next.shape, |l, i| nbrs[l][i].len());
         RunSize {
             shape,
             nbrs,
@@ -712,33 +690,44 @@ impl RunSize {
         }
     }
 
-    /// The shape and buffer rows, per `(l, i)`, of `self.then(next)`
-    /// — counted, not merged — or, with `exact` off, a floor of them:
-    /// each set as large as the larger of the two.
-    fn merged_size(&self, next: &RunSize, exact: bool) -> (Vec<Vec<ChunkShape>>, Vec<Vec<usize>>) {
-        let len = |a: &Rows, b: &Rows| {
-            if exact {
-                a.union_len(b)
-            } else {
-                a.len().max(b.len())
-            }
-        };
-        let mut shape = merged_floor(&self.shape, &next.shape);
-        if exact {
-            for (l, layer) in shape.iter_mut().enumerate() {
-                for (i, shape) in layer.iter_mut().enumerate() {
-                    shape.neighbors = len(&self.nbrs[l][i], &next.nbrs[l][i]);
-                }
-            }
-        }
+    /// The shape and buffer rows, per `(l, i)`, of `self.then(next)`,
+    /// counted rather than merged.
+    fn merged_size(&self, next: &RunSize) -> (Vec<Vec<ChunkShape>>, Vec<Vec<usize>>) {
+        let shape = merged_shape(&self.shape, &next.shape, |l, i| {
+            self.nbrs[l][i].union_len(&next.nbrs[l][i])
+        });
         let rows = self
             .buffers()
             .iter()
             .zip(next.buffers())
-            .map(|(a, b)| a.iter().zip(b).map(|(a, b)| len(a, b)).collect())
+            .map(|(a, b)| a.iter().zip(b).map(|(a, b)| a.union_len(b)).collect())
             .collect();
         (shape, rows)
     }
+}
+
+/// Per `(l, i)`, the shape of merging chunks of shapes `a` and `b` whose
+/// merged chunk reads `neighbors(l, i)` rows.
+fn merged_shape(
+    a: &[Vec<ChunkShape>],
+    b: &[Vec<ChunkShape>],
+    neighbors: impl Fn(usize, usize) -> usize,
+) -> Vec<Vec<ChunkShape>> {
+    a.iter()
+        .zip(b)
+        .enumerate()
+        .map(|(l, (a, b))| {
+            a.iter()
+                .zip(b)
+                .enumerate()
+                .map(|(i, (a, b))| ChunkShape {
+                    dests: a.dests + b.dests,
+                    edges: a.edges + b.edges,
+                    neighbors: neighbors(l, i),
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// The greedy run chooser of [`Cone::packed`].
@@ -781,7 +770,8 @@ impl Packer<'_> {
     /// batches' chunks together, its buffer as large as every GPU's
     /// neighbor rows together (its own alone, without inter-GPU dedup).
     /// With one or two steps the buffer capacity is the larger buffer, so
-    /// a ceiling that fits bounds the sweep.
+    /// a ceiling that fits bounds the sweep — and [`Packer::fit`] would
+    /// accept the runs too.
     fn ceiling_fits(
         &self,
         shapes: &[Vec<Vec<ChunkShape>>],
@@ -827,19 +817,6 @@ impl Packer<'_> {
             .fits(budget)
     }
 
-    /// Whether the floor of merging steps of chunk shapes `a` and `b`
-    /// fits `budget`: destinations and edges add up, and the neighbor
-    /// rows — of the chunk and of its buffer alike — are as many as the
-    /// larger of the two.
-    fn floor_fits(&self, a: &[Vec<ChunkShape>], b: &[Vec<ChunkShape>], budget: &[usize]) -> bool {
-        let shape = merged_floor(a, b);
-        let rows: Vec<Vec<usize>> = shape
-            .iter()
-            .map(|layer| layer.iter().map(|s| s.neighbors).collect())
-            .collect();
-        self.cost(&shape, &rows).fits(budget)
-    }
-
     /// The step `sized` makes.
     fn step(&self, sized: &RunSize) -> Steps {
         let rows: Vec<Vec<usize>> = sized
@@ -851,37 +828,25 @@ impl Packer<'_> {
     }
 
     /// Whether `alone`, packed into `runs` (ranges of positions), fits
-    /// `budget`: each run first held to its floor — every list as long as
-    /// its batches' longest — before its lists are merged.
+    /// `budget`.
     fn fit(&self, alone: &[RunSize], runs: &[Range<usize>], budget: &[usize]) -> bool {
-        let merge = |run: &Range<usize>| -> Option<RunSize> {
-            let mut merged = alone[run.start].clone();
-            for next in &alone[run.start + 1..run.end] {
-                let (shape, rows) = merged.merged_size(next, false);
-                if !self.cost(&shape, &rows).fits(budget) {
-                    return None;
-                }
-                merged = merged.then(next);
-            }
-            Some(merged)
-        };
-        let mut sweep = Steps::default();
-        for run in runs {
-            match merge(run) {
-                Some(merged) => sweep = sweep.then(&self.step(&merged.buffered(self))),
-                None => return false,
-            }
-        }
-        sweep.fits(budget)
+        runs.iter()
+            .fold(Steps::default(), |sweep, run| {
+                let rest = &alone[run.start + 1..run.end];
+                let merged = rest
+                    .iter()
+                    .fold(alone[run.start].clone(), |merged, next| merged.then(next));
+                sweep.then(&self.step(&merged.buffered(self)))
+            })
+            .fits(budget)
     }
 
     /// The greedy runs over the touched batches, as ranges of positions
     /// in `alone`: a run is extended by the next touched batch while the
     /// merged step fits `budget` together with the runs before it and the
     /// batches after it, each of those run alone ([`Cone::packed`]). A
-    /// merge is priced by counting its lists' unions — after a floor that
-    /// takes each as the longer of the two — and merged only once
-    /// accepted.
+    /// merge is priced by counting its lists' unions, and merged only
+    /// once accepted.
     fn runs(&self, alone: Vec<RunSize>, budget: &[usize]) -> Vec<Range<usize>> {
         let alone: Vec<RunSize> = alone.into_iter().map(|a| a.buffered(self)).collect();
         let steps: Vec<Steps> = alone.iter().map(|a| self.step(a)).collect();
@@ -897,20 +862,11 @@ impl Packer<'_> {
         let mut open: Option<(RunSize, Steps)> = None;
         for p in 1..alone.len() {
             let current = open.as_ref().map_or(&alone[run.start], |(sized, _)| sized);
-            // The floor holds the step alone — the capacity every step
-            // of a P2P+RU sweep occupies is at least its own buffer —
-            // the count holds it with the runs around it.
-            let (shape, rows) = current.merged_size(&alone[p], false);
-            let fits = self.cost(&shape, &rows).fits(budget) && {
-                let (shape, rows) = current.merged_size(&alone[p], true);
-                let step = self.cost(&shape, &rows);
-                before.then(&step).then(&after[p + 1]).fits(budget)
-            };
-            if fits {
-                let merged = current.then(&alone[p]);
-                let step = self.step(&merged);
+            let (shape, rows) = current.merged_size(&alone[p]);
+            let step = self.cost(&shape, &rows);
+            if before.then(&step).then(&after[p + 1]).fits(budget) {
                 run.end = p + 1;
-                open = Some((merged, step));
+                open = Some((current.then(&alone[p]), step));
             } else {
                 let step = open
                     .take()
@@ -924,8 +880,7 @@ impl Packer<'_> {
     }
 
     /// The touched batches in two runs, cut where the rows either side
-    /// are closest to even. Each is part of the one run they replace, so
-    /// it fits wherever that run did.
+    /// are closest to even.
     fn halves(&self, touched: &[usize]) -> Vec<Range<usize>> {
         let rows = |j: usize| -> usize {
             self.rows
@@ -943,24 +898,6 @@ impl Packer<'_> {
             .expect("two touched batches or more");
         vec![0..cut, cut..touched.len()]
     }
-}
-
-/// Per `(l, i)`, the shape of merging chunks of shapes `a` and `b`, its
-/// neighbors counted as the larger of the two's.
-fn merged_floor(a: &[Vec<ChunkShape>], b: &[Vec<ChunkShape>]) -> Vec<Vec<ChunkShape>> {
-    a.iter()
-        .zip(b)
-        .map(|(a, b)| {
-            a.iter()
-                .zip(b)
-                .map(|(a, b)| ChunkShape {
-                    dests: a.dests + b.dests,
-                    edges: a.edges + b.edges,
-                    neighbors: a.neighbors.max(b.neighbors),
-                })
-                .collect()
-        })
-        .collect()
 }
 
 /// `|a ∪ b|` of two ascending lists.

@@ -196,11 +196,12 @@ pub struct AdmissionControl {
 impl AdmissionControl {
     /// Budget from the session's own staging arithmetic
     /// ([`Session::staging_budget`]): one input + one output staging
-    /// slot per GPU. Any single-request cone fits this by construction
-    /// (it is a subset of the full sweep the slots were sized for), so
-    /// under this budget requests are only ever *deferred*, never
-    /// rejected. A [`Server`] re-reads it after every structural commit:
-    /// rebuilt chunks move the worst-case footprint staging is sized for.
+    /// slot per GPU. A single request's cone on the session's grid is a
+    /// part of the full sweep the slots were sized for, and the run rule
+    /// merges its batches only while the merged steps fit, so in practice
+    /// requests are only *deferred* under this budget, not rejected. A
+    /// [`Server`] re-reads it after every structural commit: rebuilt
+    /// chunks move the worst-case footprint staging is sized for.
     pub fn from_session(session: &Session) -> AdmissionControl {
         AdmissionControl {
             budget: session.staging_budget(),
@@ -223,13 +224,15 @@ impl AdmissionControl {
         &self.budget
     }
 
-    /// Whether a sweep pruned to `mask` fits the budget on every GPU.
+    /// Whether a sweep pruned to `mask`, packed under this budget
+    /// ([`Session::plan_cone_within`]), fits it on every GPU.
     pub fn admits(&self, session: &Session, mask: &ServeMask) -> bool {
-        self.fits(&session.serve_cone_cost(mask))
+        let cone = session.plan_cone_within(mask.clone(), &self.budget);
+        self.fits(&session.cone_cost(&cone))
     }
 
-    /// Whether a sweep over `cone`, derived by `session`
-    /// ([`Session::query_cone`]), fits the budget on every GPU.
+    /// Whether a sweep over `cone`, derived by `session` under this
+    /// budget ([`Session::query_cone_within`]), fits it on every GPU.
     pub fn admits_cone(&self, session: &Session, cone: &Cone) -> bool {
         self.fits(&session.cone_cost(cone))
     }
@@ -432,7 +435,9 @@ impl<'s> Server<'s> {
                     cand.push(v);
                 }
             }
-            let cone = self.session.query_cone(&cand)?;
+            let cone = self
+                .session
+                .query_cone_within(&cand, &self.admission.budget)?;
             if self.admission.admits_cone(self.session, &cone) {
                 let Some(WorkItem::Query(req)) = self.queue.pop_front() else {
                     unreachable!("head was matched as a query");
@@ -1072,6 +1077,104 @@ mod tests {
             other => panic!("expected OverBudget, got {other:?}"),
         }
         assert_eq!(dg.epoch(), 0, "a rejected update must not commit");
+    }
+
+    /// The first of `cones` whose cost packed against the staging slots
+    /// alone exceeds its cost on the session's grid on some GPU, with
+    /// that grid cost: a budget the grid cone fits and the slot-packed
+    /// one does not.
+    fn tighter_than_the_slots<K>(
+        sess: &Session,
+        cones: impl Iterator<Item = (K, ServeMask)>,
+    ) -> (K, Vec<usize>) {
+        cones
+            .map(|(key, mask)| {
+                let grid = sess.cone_cost(&sess.grid_cone(mask.clone()));
+                let slots = sess.cone_cost(&sess.plan_cone(mask));
+                (key, grid, slots)
+            })
+            .find(|(_, grid, slots)| slots.iter().zip(grid).any(|(s, g)| s > g))
+            .map(|(key, grid, _)| (key, grid))
+            .expect("some cone merges past its grid cost")
+    }
+
+    /// A query whose cone fits an explicit budget on the session's grid
+    /// is served under it: its runs are held to that budget as well as
+    /// to the staging slots.
+    #[test]
+    fn a_query_the_grid_fits_is_served_under_a_tighter_budget() {
+        let ds = dataset();
+        let mut sess = session(&ds, 2);
+        sess.infer_epoch().expect("prime layer stores");
+        let layers = sess.model().num_layers();
+        let plan = sess.plans().partition;
+        let cones = (0..ds.graph.num_vertices()).map(|v| {
+            let query = vec![v];
+            let mask = ServeMask::from_queries(plan, layers, &query);
+            (query, mask)
+        });
+        let (query, budget) = tighter_than_the_slots(&sess, cones);
+        let admission = AdmissionControl::with_budget(budget);
+        let slot_packed = sess.query_cone(&query).expect("cone");
+        assert!(!admission.admits_cone(&sess, &slot_packed));
+        assert!(admission.admits(&sess, slot_packed.mask()));
+
+        let mut server = Server::new(&mut sess, admission, 4);
+        server.submit(request(1, query.clone(), 0.0));
+        let report = server.step().expect("serve").expect("non-empty queue");
+        drop(server);
+        assert!(report.rejected.is_empty(), "{:?}", report.rejected);
+        assert_eq!(report.served.len(), 1);
+        let full = sess.infer_epoch().expect("infer").logits;
+        assert_eq!(report.served[0].logits, full.gather_rows(&query));
+    }
+
+    /// An update whose replay cone fits an explicit budget on the
+    /// session's grid commits under it, and patches the logits to a
+    /// rebuild's.
+    #[test]
+    fn an_update_the_grid_fits_commits_under_a_tighter_budget() {
+        let ds = dataset();
+        let feat_dim = ds.features.cols();
+        let mut dg = DynamicGraph::from_dataset(&ds);
+        let mut sess = session(&ds, 2);
+        sess.infer_epoch().expect("prime layer stores");
+        let rewrite = |vertex: usize| {
+            vec![Delta::UpdateFeatures {
+                vertex: vertex as u32,
+                features: vec![0.25; feat_dim],
+            }]
+        };
+        // A feature rewrite leaves the topology alone: its replay cone is
+        // the dirty cone of its layer-0 readers over the current plans.
+        let layers = sess.model().num_layers();
+        let plan = sess.plans().partition;
+        let cones = (0..ds.graph.num_vertices()).map(|v| {
+            let staged = dg.stage(&rewrite(v)).expect("a feature rewrite stages");
+            (v, ServeMask::from_dirty(plan, layers, staged.dirty()))
+        });
+        let (vertex, budget) = tighter_than_the_slots(&sess, cones);
+
+        let admission = AdmissionControl::with_budget(budget);
+        let mut server = Server::with_graph(&mut sess, &mut dg, admission, 4);
+        server.submit_update(UpdateRequest {
+            id: 2,
+            deltas: rewrite(vertex),
+            arrival: 0.0,
+        });
+        let report = server.step().expect("commit").expect("non-empty queue");
+        drop(server);
+        assert!(
+            report.rejected_updates.is_empty(),
+            "{:?}",
+            report.rejected_updates
+        );
+        assert_eq!(report.committed.len(), 1);
+        let rebuilt = session(&dg.to_dataset(&ds), 2)
+            .infer_epoch()
+            .expect("infer")
+            .logits;
+        assert_eq!(sess.logits(), &rebuilt);
     }
 
     /// An invalid delta batch (here: re-adding an existing edge) is

@@ -541,8 +541,9 @@ proptest! {
     /// packed step's forward footprint fits the staging budget on every
     /// GPU whenever the cone's batches fit it on the session's grid (and
     /// always outside P2P+RU, whose shared buffer a cone's batches can
-    /// outgrow); and a cone the session's own admission control admits
-    /// on the grid it still admits packed — no new rejects.
+    /// outgrow); and a cone an admission budget admits on the grid it
+    /// still admits packed — the session's own, or one as tight as the
+    /// grid cone's cost — no new rejects.
     #[test]
     fn packed_cones_rebuild_their_rows_and_fit_what_the_grid_fit(
         seed in 0u64..400,
@@ -558,7 +559,7 @@ proptest! {
         let overlap = [OverlapMode::Off, OverlapMode::DoubleBuffer][overlap_sel];
         let (ds, s, mask, _) =
             packing_case(seed, n, (kind, comm, gpus, chunks), overlap, (seeds, upward == 1));
-        let grid = s.plan_cone_on(mask.clone(), (1..=chunks).collect());
+        let grid = s.grid_cone(mask.clone());
         let packed = s.plan_cone(mask.clone());
         let ends = &packed.mask().origin().runs;
         let plan = s.plans().partition;
@@ -589,6 +590,16 @@ proptest! {
         if grid_fits {
             prop_assert!(admission.admits_cone(&s, &packed), "runs {:?}", ends);
         }
+        // Under a budget tighter than the slots — the grid cone's own
+        // cost — the runs are held to it as well: an explicit admission
+        // budget the grid fit admits the packed cone too.
+        let tight = s.cone_cost(&grid);
+        let within = s.plan_cone_within(mask.clone(), &tight);
+        let admission = AdmissionControl::with_budget(tight);
+        if grid_fits || comm != 2 {
+            prop_assert!(admission.admits_cone(&s, &within), "runs {:?}", within.mask().origin().runs);
+            prop_assert!(admission.admits(&s, &mask));
+        }
         prop_assert!(packed.active_steps() <= grid.active_steps());
     }
 
@@ -610,7 +621,7 @@ proptest! {
         let (_, mut s, mask, vertices) =
             packing_case(seed, n, (kind, comm, gpus, chunks), OverlapMode::Off, (seeds, false));
         s.infer_epoch().expect("infer epoch");
-        let grid = s.plan_cone_on(mask.clone(), (1..=chunks).collect());
+        let grid = s.grid_cone(mask.clone());
         let packed = s.plan_cone(mask);
         let runs = packed.mask().origin().runs.clone();
         let on_grid = s.serve_cone(&vertices, grid).expect("grid sweep");
