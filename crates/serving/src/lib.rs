@@ -2,8 +2,8 @@
 //! vertex-subset logit queries, batch formation that packs concurrent
 //! requests into one forward sweep packed from the union of their exact
 //! ≤ L-hop dependency cones ([`Cone`]), and admission control that
-//! holds every formed batch to the staging budget
-//! ([`Session::staging_budget`]) — a request whose cone cannot fit is
+//! holds every formed batch to a per-GPU budget — by default the staging
+//! budget ([`Session::staging_budget`]) — a request whose cone cannot fit is
 //! answered with a typed [`Overloaded`] response instead of OOM-ing the
 //! executor.
 //!
@@ -23,8 +23,8 @@
 //! queries never overtake it — so a query's logits reflect exactly the
 //! updates enqueued (and committed) before it. Admission prices an
 //! update's *recompute* cone (the exact out-edge cone of its dirty
-//! vertices, [`ServeMask::from_dirty`]) against the same staging budget
-//! as query cones; an update whose cone cannot fit, or whose delta batch
+//! vertices, [`ServeMask::from_dirty`]) against the same budget as
+//! query cones; an update whose cone cannot fit, or whose delta batch
 //! is invalid against the current topology, is answered with a typed
 //! [`UpdateRejected`] and commits nothing.
 //!
