@@ -38,14 +38,14 @@
 //! order.
 
 use crate::buffers::GpuBufferPlan;
-use crate::cone::{self, ConeDir, VertexIndex};
+use crate::cone::{self, ConeDir, Seen, VertexIndex};
 use crate::cost::CommVolumes;
-use crate::dedup::DedupPlan;
+use crate::dedup::{DedupCounts, DedupPlan};
 use crate::exec::{self, Env, F32};
 use crate::footprint;
 use crate::numerics::{Live, Shapes};
 use crate::reorg::reorganize_guarded_cached;
-use crate::serve::{Cone, ServeMask, ServeReport};
+use crate::serve::{Cone, Owned, ServeMask, ServeReport};
 use hongtu_cache::{load_sets, CachePlan, CachePolicy, CacheRuntime, LoadPattern, Off as CacheOff};
 use hongtu_datasets::Dataset;
 use hongtu_delta::{DynamicGraph, StagedCommit};
@@ -58,7 +58,7 @@ use hongtu_stream::StagingPlan;
 use hongtu_tensor::{Adam, Matrix, SeededRng};
 use hongtu_verify::Report;
 pub use hongtu_verify::ValidationLevel;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Which duplicated-neighbor optimizations are active (§7.3 ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -427,6 +427,8 @@ fn invalid_schedule(report: &Report) -> SimError {
 /// the topology.
 struct DerivedPlans {
     dedup: DedupPlan,
+    /// `dedup`'s sets counted: what a full sweep charges.
+    counts: DedupCounts,
     /// Merged-buffer index plans of §6 — built for the P2P+RU executor,
     /// and for the verifier in every mode.
     bufplans: Option<Vec<GpuBufferPlan>>,
@@ -462,7 +464,8 @@ fn derive_plans(
     // Staging is sized for the worst (layer, batch) footprint and pinned
     // for the whole run, so overlapped epochs have no per-batch
     // allocation churn.
-    let env = Env::new(config, plan, &dedup, buffer_comm.as_deref(), model);
+    let counts = dedup.counts();
+    let env = Env::new(config, plan, &counts, buffer_comm.as_deref(), model);
     let staging = (config.overlap == OverlapMode::DoubleBuffer).then(|| {
         (0..plan.m)
             .map(|gpu| footprint::staging_plan(&env, gpu))
@@ -470,6 +473,7 @@ fn derive_plans(
     });
     Ok(DerivedPlans {
         dedup,
+        counts,
         bufplans,
         buffer_comm,
         staging,
@@ -664,7 +668,7 @@ pub struct Preprocessing {
 /// Per-(GPU, batch) communication breakdown derived from the in-place
 /// buffer plan (§6): rows loaded from the CPU, rows fetched from each
 /// remote GPU, rows reused in place, and the resident buffer size.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct BatchComm {
     pub h2d_rows: usize,
     pub d2d_rows: Vec<usize>,
@@ -693,6 +697,8 @@ pub struct Session {
     machine: Machine,
     plan: TwoLevelPartition,
     dedup: DedupPlan,
+    /// `dedup`'s sets counted: what a full sweep charges.
+    counts: DedupCounts,
     /// `buffer_comm[i][j]`: §6-accurate communication plan (P2P+RU mode).
     buffer_comm: Option<Vec<Vec<BatchComm>>>,
     /// Buffer index plans, retained whenever they were built at all
@@ -731,6 +737,12 @@ pub struct Session {
     /// the cone recurrences walk in-edges through. Chunk *membership* is
     /// fixed for the session's lifetime, so it is built once.
     index: VertexIndex,
+    /// The visited set the cone recurrences stamp, carried from cone to
+    /// cone so none pays for the vertices it does not reach.
+    seen: Mutex<Seen>,
+    /// Each GPU's vertices as a bitmap, for cones sized as bitmaps —
+    /// built by the first such cone, not at set-up.
+    owned: Owned,
 }
 
 impl Session {
@@ -821,6 +833,7 @@ impl Session {
         }
         let DerivedPlans {
             dedup,
+            counts,
             bufplans,
             buffer_comm,
             staging,
@@ -855,7 +868,7 @@ impl Session {
         // ---- hybrid checkpoint storage (training only: inference never
         // stores checkpoints, so the cache is dead weight) ----
         let agg_cache = vec![vec![vec![None; plan.n]; m]; model.num_layers()];
-        let env = Env::new(&config, &plan, &dedup, buffer_comm.as_deref(), &model);
+        let env = Env::new(&config, &plan, &counts, buffer_comm.as_deref(), &model);
         machine.host_alloc(footprint::checkpoint_store_bytes(&env), "aggregate cache")?;
 
         // ---- per-GPU static allocations: replicated params, plus Adam
@@ -885,6 +898,7 @@ impl Session {
             machine,
             plan,
             dedup,
+            counts,
             buffer_comm,
             bufplans,
             staging,
@@ -900,6 +914,8 @@ impl Session {
             cone: None,
             generation: 0,
             index,
+            seen: Mutex::default(),
+            owned: Owned::new(),
         };
 
         // ---- hot-vertex feature cache: spend the per-GPU HBM headroom
@@ -1277,7 +1293,14 @@ impl Session {
 
     fn grow_mask(&self, dir: ConeDir, seeds: &[usize]) -> ServeMask {
         let layers = self.model.num_layers();
-        ServeMask::grow(&self.plan, &self.index, dir, layers, seeds)
+        // A cone that panicked mid-growth may have left frontier bits
+        // set: the next cone starts from a fresh set.
+        let mut seen = self.seen.lock().unwrap_or_else(|poisoned| {
+            let mut seen = poisoned.into_inner();
+            *seen = Seen::default();
+            seen
+        });
+        ServeMask::grow(&self.plan, &self.index, &mut seen, dir, layers, seeds)
     }
 
     /// [`Session::plan_cone`] against `budget`.
@@ -1288,6 +1311,7 @@ impl Session {
             &self.config,
             &self.model,
             budget,
+            &self.owned,
             self.generation,
         )
     }
@@ -1318,22 +1342,40 @@ impl Session {
     #[doc(hidden)]
     pub fn grid_cone(&self, mask: ServeMask) -> Cone {
         let ends = (1..=self.plan.n).collect();
-        Cone::new(&self.plan, mask, ends, self.config.comm, self.generation)
+        let loads = self.config.cache.enabled();
+        Cone::new(
+            &self.plan,
+            mask,
+            ends,
+            self.config.comm,
+            loads,
+            self.generation,
+        )
     }
 
     /// The expected-flow tables pass 9 certifies against: one, from the
     /// session's plans, for every layer of a full sweep; one per layer,
-    /// from that layer's packed grid, under a cone.
+    /// under a cone, from that layer's packed grid — whose sets the
+    /// cone only counted, so they are listed here by the same builders
+    /// the session's came from.
     fn dataflow_specs(&self, cone: Option<&Cone>) -> Vec<hongtu_verify::DataflowSpec> {
-        let spec = |plan, dedup, bufplans| {
-            hongtu_verify::DataflowSpec::from_plans(plan, dedup, bufplans, self.config.comm.kind())
-        };
+        use hongtu_verify::DataflowSpec;
+        let kind = self.config.comm.kind();
         match cone {
-            None => vec![spec(&self.plan, &self.dedup, self.ru_buffer_plans())],
-            Some(cone) => cone
-                .layers
-                .iter()
-                .map(|layer| spec(&layer.plan, &layer.dedup, layer.bufplans.as_deref()))
+            None => vec![DataflowSpec::from_plans(
+                &self.plan,
+                &self.dedup,
+                self.ru_buffer_plans(),
+                kind,
+            )],
+            Some(cone) => (0..cone.mask().layers())
+                .map(|l| {
+                    let plan = cone.plan(l);
+                    let dedup = DedupPlan::build(plan);
+                    let bufplans = (self.config.comm == CommMode::P2pRu)
+                        .then(|| GpuBufferPlan::build_all(plan, &dedup));
+                    DataflowSpec::from_plans(plan, &dedup, bufplans.as_deref(), kind)
+                })
                 .collect(),
         }
     }
@@ -1351,7 +1393,7 @@ impl Session {
         Env::new(
             &self.config,
             &self.plan,
-            &self.dedup,
+            &self.counts,
             self.buffer_comm.as_deref(),
             &self.model,
         )
@@ -1553,19 +1595,31 @@ impl Session {
     }
 
     /// [`Session::serve`] over a cone the caller already derived for
-    /// exactly these `vertices` ([`Session::query_cone`]) — admission
-    /// control prices a candidate's cone before running it, and a cone is
-    /// worth deriving once.
+    /// these `vertices` ([`Session::query_cone`]) — admission control
+    /// prices a candidate's cone before running it, and a cone is worth
+    /// deriving once.
     ///
-    /// A cone derived before a structural [`Session::apply_staged`]
-    /// describes plans the session no longer has: it is
-    /// [`SimError::StaleCone`], and nothing runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a vertex is out of range (the cone's derivation checked
-    /// the ids it was given).
+    /// The sweep computes the logits of the cone's seeds only, so unless
+    /// the cone is a query cone whose seeds include every one of
+    /// `vertices` it is [`SimError::InvalidQuery`], as are an empty
+    /// `vertices` and an id the graph does not have. A cone derived
+    /// before a structural [`Session::apply_staged`] describes plans the
+    /// session no longer has: it is [`SimError::StaleCone`]. Either way
+    /// nothing runs.
     pub fn serve_cone(&mut self, vertices: &[usize], cone: Cone) -> Result<ServeReport, SimError> {
+        let invalid = |message| Err(SimError::InvalidQuery { message });
+        if let Err(message) = cone::check_seeds("query", self.index.len(), vertices) {
+            return invalid(message);
+        }
+        let origin = cone.mask().origin();
+        if origin.dir != ConeDir::Downward {
+            return invalid("query: a delta cone computes no query's logits".into());
+        }
+        let mut seeds = origin.seeds.clone();
+        seeds.sort_unstable();
+        if let Some(v) = vertices.iter().find(|v| seeds.binary_search(v).is_err()) {
+            return invalid(format!("query: vertex {v} is not a seed of the cone"));
+        }
         let (report, cone) = self.masked_sweep(cone)?;
         let mask = cone.mask();
         Ok(ServeReport {
@@ -1736,6 +1790,7 @@ impl Session {
             }
             self.preprocessing.volumes = CommVolumes::from_plan(&derived.dedup);
             self.dedup = derived.dedup;
+            self.counts = derived.counts;
             self.bufplans = derived.bufplans;
             self.buffer_comm = derived.buffer_comm;
             self.staging = derived.staging;
@@ -1819,7 +1874,7 @@ impl Session {
                 &Env::new(
                     &self.config,
                     &self.plan,
-                    &d.dedup,
+                    &d.counts,
                     d.buffer_comm.as_deref(),
                     &self.model,
                 ),
@@ -1860,7 +1915,7 @@ impl Session {
             ..Env::new(
                 &self.config,
                 &self.plan,
-                &self.dedup,
+                &self.counts,
                 self.buffer_comm.as_deref(),
                 &self.model,
             )

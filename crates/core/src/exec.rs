@@ -34,14 +34,14 @@
 //!   are named through [`BatchBufs`], so the same emitter serves both
 //!   modes.
 
-use crate::dedup::DedupPlan;
+use crate::dedup::DedupCounts;
 use crate::engine::{
     BatchComm, CommMode, EpochReport, ExecutionMode, HongTuConfig, MemoryStrategy, Mode,
 };
 use crate::footprint::{footprint, topology_upload_bytes};
 use crate::numerics::Numerics;
 use crate::serve::Cone;
-use hongtu_cache::{load_sets, CacheRuntime, HitStats};
+use hongtu_cache::{CacheRuntime, HitStats};
 use hongtu_nn::{GnnModel, LayerForward, LayerGrads};
 use hongtu_partition::TwoLevelPartition;
 use hongtu_sim::{
@@ -123,7 +123,7 @@ pub(crate) enum Dir {
 /// model replica (for its shapes and FLOP counts), and the per-sweep
 /// switches.
 ///
-/// `plan`, `dedup` and `buffer_comm` are the plans of *one layer's*
+/// `plan`, `counts` and `buffer_comm` are the plans of *one layer's*
 /// sweep. A full sweep runs every layer over the session's own; a masked
 /// one runs layer `l` over the cone's plans packed for that layer, which
 /// [`Env::at`] swaps in — everything below the layer driver then reads
@@ -132,7 +132,8 @@ pub(crate) enum Dir {
 pub(crate) struct Env<'a> {
     pub config: &'a HongTuConfig,
     pub plan: &'a TwoLevelPartition,
-    pub dedup: &'a DedupPlan,
+    /// The dedup plan's sets, counted (§5.1–5.2).
+    pub counts: &'a DedupCounts,
     pub buffer_comm: Option<&'a [Vec<BatchComm>]>,
     pub model: &'a GnnModel,
     /// Whether hybrid aggregate checkpoints are in play: true only for a
@@ -156,14 +157,14 @@ impl<'a> Env<'a> {
     pub(crate) fn new(
         config: &'a HongTuConfig,
         plan: &'a TwoLevelPartition,
-        dedup: &'a DedupPlan,
+        counts: &'a DedupCounts,
         buffer_comm: Option<&'a [Vec<BatchComm>]>,
         model: &'a GnnModel,
     ) -> Self {
         Env {
             config,
             plan,
-            dedup,
+            counts,
             buffer_comm,
             model,
             checkpoint: config.mode == Mode::Train && config.memory == MemoryStrategy::Hybrid,
@@ -181,7 +182,7 @@ impl<'a> Env<'a> {
                 let layer = &cone.layers[l];
                 Env {
                     plan: &layer.plan,
-                    dedup: &layer.dedup,
+                    counts: &layer.counts,
                     buffer_comm: layer.buffer_comm.as_deref(),
                     ..*self
                 }
@@ -420,14 +421,7 @@ fn forward_pass(
 ) -> Result<(), SimError> {
     if let Some(c) = cache.as_deref_mut() {
         c.begin_sweep(env.cone.map(|cone| {
-            let layer = &cone.layers[0];
-            let pattern = env.config.comm.load_pattern();
-            let sets = load_sets(
-                &layer.plan,
-                &layer.dedup,
-                layer.bufplans.as_deref(),
-                pattern,
-            );
+            let sets = cone.load_sets();
             (cone.mask().origin().clone(), sets)
         }));
     }
@@ -821,7 +815,7 @@ fn reuse_handoff(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
         bufs: BatchBufs::Slot(at.j + 1),
         ..at
     };
-    if next.j >= ctx.dedup.n {
+    if next.j >= ctx.counts.n {
         return;
     }
     if let Some(reused) = ctx.reused_rows(next.i, next.j) {
@@ -853,7 +847,7 @@ fn topology_upload(lane: &mut GpuLane, at: At, bytes: usize) {
 fn host_load(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
     let At { l, i, j, bufs } = at;
     let chunk = &ctx.plan.chunks[i][j];
-    let batch = &ctx.dedup.batches[j];
+    let batch = &ctx.counts.batches[j];
     let row = ctx.row(l);
     let cs = ctx.cache_stats(l, i, j);
     // Rows this GPU loads over PCIe.
@@ -861,7 +855,7 @@ fn host_load(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
         // The full neighbor set.
         CommMode::Vanilla => chunk.num_neighbors(),
         // The transition subset this GPU owns.
-        CommMode::P2p => batch.transition[i].len(),
+        CommMode::P2p => batch.transition[i],
         // §6-accurate accounting from the in-place buffer plan: every
         // merged-buffer resident row — whether it originally arrived
         // over PCIe or NVLink — is reused in place across adjacent
@@ -931,7 +925,7 @@ fn neighbor_fetch(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
     for k in 0..ctx.plan.m {
         let rows = match ctx.config.comm {
             CommMode::P2pRu => ctx.buffer_comm(i, j).d2d_rows[k],
-            _ => ctx.dedup.batches[j].fetch[i][k],
+            _ => ctx.counts.batches[j].fetch[i][k],
         };
         if k != i && rows > 0 {
             // Interleaved schedule: charged to the pulling GPU only.
@@ -1042,7 +1036,7 @@ fn backward_numerics(
     let bwd = layer.backward_flops(chunk);
     let local_rows = match ctx.config.comm {
         CommMode::Vanilla => chunk.num_neighbors(),
-        CommMode::P2p | CommMode::P2pRu => ctx.dedup.batches[j].fetch[i][i],
+        CommMode::P2p | CommMode::P2pRu => ctx.counts.batches[j].fetch[i][i],
     };
     let acc = Access::accum(bufs.grad(i), Region::All)
         .with_gen(j as u32)
@@ -1080,7 +1074,7 @@ fn gradient_push(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
         return;
     }
     let row = ctx.row(l);
-    let fetch = &ctx.dedup.batches[j].fetch[i];
+    let fetch = &ctx.counts.batches[j].fetch[i];
     for k in 0..ctx.plan.m {
         if k != i && fetch[k] > 0 {
             lane.tag([Access::accum(bufs.grad(k), Region::All)
@@ -1103,7 +1097,7 @@ fn gradient_push(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
 /// GPU's buffer.
 fn gradient_flush(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
     let At { l, i, j, bufs } = at;
-    let batch = &ctx.dedup.batches[j];
+    let batch = &ctx.counts.batches[j];
     let row = ctx.row(l);
     let flush = |rows| {
         Access::read(bufs.grad(i), Region::All)
@@ -1128,12 +1122,12 @@ fn gradient_flush(ctx: &StepCtx, lane: &mut GpuLane, at: At) {
     }
     // Evicted transition gradients go D2H and are accumulated on the
     // CPU; under P2P+RU the rows the next batch reuses stay resident.
-    let next_reused = if ctx.config.comm == CommMode::P2pRu && j + 1 < ctx.dedup.n {
-        ctx.dedup.batches[j + 1].reused[i]
+    let next_reused = if ctx.config.comm == CommMode::P2pRu && j + 1 < ctx.counts.n {
+        ctx.counts.batches[j + 1].reused[i]
     } else {
         0
     };
-    let evicted = batch.transition[i].len() - next_reused;
+    let evicted = batch.transition[i] - next_reused;
     lane.tag([flush(evicted)]);
     lane.d2h(evicted * row);
     // Each GPU evicts its owned transition partition — disjoint slices

@@ -82,8 +82,8 @@ pub(crate) fn footprint(env: &Env, l: usize, i: usize, j: usize) -> Footprint {
         // The merged transition+neighbor buffer (§6 "data buffer
         // deduplication"): |ℕ_ij ∪ N_ij|.
         CommMode::P2p => {
-            let batch = &env.dedup.batches[j];
-            batch.transition[i].len() + chunk.num_neighbors() - batch.fetch[i][i]
+            let batch = &env.counts.batches[j];
+            batch.transition[i] + chunk.num_neighbors() - batch.fetch[i][i]
         }
         // The in-place buffer's capacity: reuse pins slot positions
         // across batches, so every batch occupies the high-water mark.

@@ -25,18 +25,21 @@
 //! allows — and at every layer packs GPU `i`'s cone rows of run `g` into
 //! one chunk `(i, g)` ([`hongtu_partition::TwoLevelPartition::packed`]).
 //! Rows stay on the GPU that owns them, so ownership, P2P and dedup mean
-//! what they meant; each layer's packed grid gets its dedup / buffer
-//! plans from the same builders the session's came from, so a masked
-//! sweep is a full sweep over smaller plans: same driver, same emitters,
-//! same footprint arithmetic, same numerics — each per-row reduction
-//! keeps its in-edge order whatever chunk holds the row, so the rows it
-//! computes are bitwise the full sweep's.
+//! what they meant. Each layer's packed grid gets its dedup and buffer
+//! plans counted from the unions the run rule priced its runs with —
+//! the values the session's builders would give over that grid — so a
+//! masked sweep is a full sweep over smaller plans: same driver, same
+//! emitters, same footprint arithmetic, same numerics — each per-row
+//! reduction keeps its in-edge order whatever chunk holds the row, so
+//! the rows it computes are bitwise the full sweep's.
 
-use crate::buffers::GpuBufferPlan;
-use crate::cone::{ConeDir, ConeOrigin, VertexIndex};
-use crate::dedup::{union_sorted, DedupPlan};
-use crate::engine::{build_buffer_comm, BatchComm, CommMode, HongTuConfig};
+use crate::cone::{ConeDir, ConeOrigin, Seen, VertexIndex};
+use crate::dedup::{union_sorted, BatchCounts, DedupCounts};
+#[cfg(doc)]
+use crate::engine::build_buffer_comm;
+use crate::engine::{BatchComm, CommMode, HongTuConfig};
 use crate::footprint;
+use hongtu_cache::LoadSets;
 use hongtu_graph::VertexId;
 use hongtu_nn::GnnModel;
 use hongtu_partition::{ChunkShape, ChunkSubgraph, Packing, SliceRows, TwoLevelPartition};
@@ -44,6 +47,7 @@ use hongtu_sim::TimeBuckets;
 use hongtu_stream::OverlapMode;
 use hongtu_tensor::Matrix;
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Which destination rows of which chunks of the session's grid a masked
 /// forward sweep computes at each layer, and the `(layer, batch)` cells
@@ -80,6 +84,7 @@ impl ServeMask {
         Self::grow(
             plan,
             &VertexIndex::new(plan),
+            &mut Seen::default(),
             ConeDir::Downward,
             layers,
             vertices,
@@ -101,6 +106,7 @@ impl ServeMask {
         Self::grow(
             plan,
             &VertexIndex::new(plan),
+            &mut Seen::default(),
             ConeDir::Upward,
             layers,
             dirty,
@@ -108,7 +114,7 @@ impl ServeMask {
     }
 
     /// Grows the `dir` cone of `seeds` over `plan`, whose destinations
-    /// `index` indexes.
+    /// `index` indexes, marking what it visits in `seen`.
     ///
     /// # Panics
     ///
@@ -116,6 +122,7 @@ impl ServeMask {
     pub(crate) fn grow(
         plan: &TwoLevelPartition,
         index: &VertexIndex,
+        seen: &mut Seen,
         dir: ConeDir,
         layers: usize,
         seeds: &[usize],
@@ -126,7 +133,7 @@ impl ServeMask {
             seeds: seeds.to_vec(),
             runs: (1..=plan.n).collect(),
         };
-        let rows = origin.rows(plan, index);
+        let rows = origin.rows_in(plan, index, seen);
         let active = rows
             .iter()
             .map(|layer| {
@@ -207,39 +214,29 @@ impl ServeMask {
     }
 }
 
-/// The packed grid one layer of a masked sweep runs over and the
-/// communication plans derived from it.
+/// The packed grid one layer of a masked sweep runs over and what its
+/// sweep charges of its communication plans: the dedup sets and, under
+/// P2P+RU, the §6 buffer table — counted from the unions that priced the
+/// runs ([`RunSize`]), never listed.
 #[derive(Debug)]
 pub(crate) struct LayerPlans {
     pub plan: TwoLevelPartition,
-    pub dedup: DedupPlan,
-    /// The §6 buffer plans of the packed grid (P2P+RU only).
-    pub bufplans: Option<Vec<GpuBufferPlan>>,
+    /// The transition sets, reuse and fetch matrix, counted. Under
+    /// Vanilla, which reads only the fetch matrix, no transition set is
+    /// built: `transition` and `reused` are empty.
+    pub counts: DedupCounts,
+    /// The §6 buffer table (P2P+RU only).
     pub buffer_comm: Option<Vec<Vec<BatchComm>>>,
-}
-
-impl LayerPlans {
-    fn derive(plan: TwoLevelPartition, comm: CommMode) -> Self {
-        let dedup = DedupPlan::build(&plan);
-        let bufplans = (comm == CommMode::P2pRu).then(|| GpuBufferPlan::build_all(&plan, &dedup));
-        let buffer_comm = build_buffer_comm(&plan, bufplans.as_deref(), comm);
-        LayerPlans {
-            plan,
-            dedup,
-            bufplans,
-            buffer_comm,
-        }
-    }
 }
 
 /// A [`ServeMask`] and the plans its sweep executes: the session's
 /// batches split into runs ([`ConeOrigin::runs`]), per layer the packed
-/// grid — one chunk per GPU per run — and that grid's own dedup and
-/// buffer plans. Derived by a [`Session`] ([`Session::query_cone`],
-/// [`Session::plan_cone`]) for its current plans, and valid for them
-/// only: it records the plan generation it was derived from, which every
-/// structural [`Session::apply_staged`] bumps, and a session refuses to
-/// sweep a cone of another generation.
+/// grid — one chunk per GPU per run — and what that grid's sweep charges
+/// of its dedup and buffer plans. Derived by a [`Session`]
+/// ([`Session::query_cone`], [`Session::plan_cone`]) for its current
+/// plans, and valid for them only: it records the plan generation it was
+/// derived from, which every structural [`Session::apply_staged`] bumps,
+/// and a session refuses to sweep a cone of another generation.
 ///
 /// [`Session`]: crate::Session
 /// [`Session::query_cone`]: crate::Session::query_cone
@@ -252,16 +249,23 @@ pub struct Cone {
     /// computes rows at layer `l`.
     active: Vec<Vec<bool>>,
     pub(crate) layers: Vec<LayerPlans>,
+    /// The layer-0 load sets, listed only under a cache policy
+    /// ([`Cone::load_sets`]).
+    loads: Option<LoadSets>,
     /// The session plan generation the cone was derived from.
     pub(crate) generation: u64,
 }
 
+/// Each GPU's vertices as a bitmap over the graph, built the first time
+/// a cone's rows are sized as bitmaps under inter-GPU dedup. A session
+/// holds one for its lifetime: ownership never changes.
+pub(crate) type Owned = OnceLock<Vec<Vec<u64>>>;
+
 impl Cone {
     /// Packs `mask` into the runs ending at `ends`, layer by layer, and
-    /// derives each packed grid's communication plans — linear in the
-    /// cone's rows plus one bit per neighbor of each chunk they touch,
-    /// plus the `m × k` grid and the level-1 assignment each packed grid
-    /// carries.
+    /// counts each packed grid's communication plans — linear in the
+    /// cone's rows plus one bit per neighbor of each chunk they touch —
+    /// listing the layer-0 load sets too when `loads` asks.
     ///
     /// # Panics
     ///
@@ -271,14 +275,30 @@ impl Cone {
         mask: ServeMask,
         ends: Vec<usize>,
         comm: CommMode,
+        loads: bool,
         generation: u64,
     ) -> Cone {
-        let layers = mask
-            .rows
+        if let Err(why) = crate::cone::check_runs(&ends, plan.n) {
+            panic!("{why}");
+        }
+        let owned = Owned::new();
+        let marked = Marked::new(plan, &mask, comm, &owned);
+        // A run holds the touched batches below its end.
+        let mut at = 0;
+        let runs = ends
             .iter()
-            .map(|rows| LayerPlans::derive(plan.packed(rows, &ends), comm))
+            .map(|&end| {
+                let start = at;
+                at += marked.touched[at..]
+                    .iter()
+                    .take_while(|&&j| j < end)
+                    .count();
+                let size = marked.size(start..at);
+                (start..at, size)
+            })
             .collect();
-        Cone::assemble(mask, ends, layers, generation)
+        let (layers, loads) = marked.pack(plan, runs, ends.len(), comm, loads);
+        Cone::assemble(mask, ends, layers, loads, generation)
     }
 
     /// Packs `mask` by the run rule: the session's batches split into the
@@ -292,8 +312,10 @@ impl Cone {
     /// Each touched batch's rows are marked once ([`Packing`]) and sized
     /// from the marks — chunk shape, neighbor rows, buffer rows — so a
     /// candidate run is priced exactly, by counting its lists' unions,
-    /// without being packed; the fewest runs (one, or two) are priced
-    /// first, and each chosen run is packed once, from the marks.
+    /// without being packed; the fewest runs (one, or two) are sized
+    /// first and taken when they fit. Each chosen run's unions are built
+    /// once: they size it, and its packed chunks and counted plans — and,
+    /// under a cache policy, its layer-0 load sets — are read off them.
     ///
     /// Under P2P+RU every step of a sweep occupies the in-place buffer's
     /// capacity, the sum of the rises in merged-set size from one step to
@@ -308,82 +330,20 @@ impl Cone {
         config: &HongTuConfig,
         model: &GnnModel,
         budget: &[usize],
+        owned: &Owned,
         generation: u64,
     ) -> Cone {
-        let touched: Vec<usize> = (0..plan.n)
-            .filter(|&j| (0..mask.layers()).any(|l| mask.active(l, j)))
-            .collect();
+        let loads = config.cache.enabled();
+        let marked = Marked::new(plan, &mask, config.comm, owned);
+        let touched = &marked.touched;
         if touched.is_empty() {
-            return Cone::new(plan, mask, vec![plan.n], config.comm, generation);
+            return Cone::new(plan, mask, vec![plan.n], config.comm, loads, generation);
         }
-        // Per touched batch, layer and GPU, its cone rows marked for
-        // packing; each is joined into its run's chunk once.
-        let mut marked: Vec<Vec<Vec<Option<Packing>>>> = touched
-            .iter()
-            .map(|&j| {
-                mask.rows
-                    .iter()
-                    .map(|rows| {
-                        (0..plan.m)
-                            .map(|i| {
-                                let kept = &rows[i][j][..];
-                                let parts: &[(&ChunkSubgraph, &[u32])] = if kept.is_empty() {
-                                    &[]
-                                } else {
-                                    &[(&plan.chunks[i][j], kept)]
-                                };
-                                Some(Packing::new(parts))
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        // Rows are listed — or, where the cone's lists are longer than a
-        // bitmap over the graph, kept as bitmaps.
-        let words = plan.assignment.partition_of.len().div_ceil(64);
-        let (lists, listed) = marked
-            .iter()
-            .flatten()
-            .flatten()
-            .flatten()
-            .fold((0, 0), |(n, total), p| {
-                (n + 1, total + p.read().map(<[_]>::len).sum::<usize>())
-            });
-        let bitmaps = listed >= lists * words;
-        let shapes: Vec<Vec<Vec<ChunkShape>>> = marked
-            .iter()
-            .map(|batch| {
-                batch
-                    .iter()
-                    .map(|layer| {
-                        layer
-                            .iter()
-                            .map(|p| p.as_ref().expect("not yet joined").shape())
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        let owner = (config.comm != CommMode::Vanilla).then_some(&plan.assignment.partition_of[..]);
-        let owned = match owner.filter(|_| bitmaps) {
-            None => Vec::new(),
-            Some(owner) => {
-                let mut owned = vec![vec![0u64; words]; plan.m];
-                for (v, &i) in owner.iter().enumerate() {
-                    owned[i as usize][v / 64] |= 1 << (v % 64);
-                }
-                owned
-            }
-        };
         let packer = Packer {
             rows: &mask.rows,
             model,
             comm: config.comm,
-            owner,
-            owned,
         };
-
         let double = config.overlap == OverlapMode::DoubleBuffer && touched.len() > 1;
         // The fewest runs there can be — one, or two under double
         // buffering — are taken when they fit; the greedy rule chooses
@@ -391,63 +351,31 @@ impl Cone {
         // does, so the greedy rule never ends in one run under double
         // buffering.
         let fewest: Vec<Range<usize>> = if double {
-            packer.halves(&touched)
+            packer.halves(touched)
         } else {
             std::iter::once(0..touched.len()).collect()
         };
-        // A ceiling that fits — every set as large as its batches'
-        // together — takes the fewest runs without listing a row.
-        let runs = if packer.ceiling_fits(&shapes, &fewest, budget) {
-            fewest
+        let sized: Vec<RunSize> = fewest.iter().map(|run| marked.size(run.clone())).collect();
+        let runs = if packer.fits(&sized, budget) {
+            fewest.into_iter().zip(sized).collect()
         } else {
-            let words = bitmaps.then_some(words);
-            let alone: Vec<RunSize> = marked
-                .iter()
-                .zip(shapes)
-                .map(|(batch, shape)| RunSize::of(batch, shape, words))
-                .collect();
-            if packer.fit(&alone, &fewest, budget) {
-                fewest
-            } else {
-                packer.runs(alone, budget)
-            }
+            let alone = (0..touched.len()).map(|p| marked.size(p..p + 1)).collect();
+            packer.runs(alone, budget)
         };
         debug_assert!(!double || runs.len() > 1, "double buffering keeps two runs");
         // Each run also takes the untouched batches up to the next one,
         // which add no rows.
-        let mut ends: Vec<usize> = runs.iter().skip(1).map(|r| touched[r.start]).collect();
+        let mut ends: Vec<usize> = runs.iter().skip(1).map(|(r, _)| touched[r.start]).collect();
         ends.push(plan.n);
-        let layers = (0..mask.layers())
-            .map(|l| {
-                let chunks = (0..plan.m)
-                    .map(|i| {
-                        runs.iter()
-                            .enumerate()
-                            .map(|(g, run)| {
-                                let run = marked[run.clone()].iter_mut();
-                                let parts =
-                                    run.map(|batch| batch[l][i].take().expect("joined once"));
-                                Packing::join(parts).build(i, g)
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let plan = TwoLevelPartition {
-                    m: plan.m,
-                    n: ends.len(),
-                    assignment: plan.assignment.clone(),
-                    chunks,
-                };
-                LayerPlans::derive(plan, config.comm)
-            })
-            .collect();
-        Cone::assemble(mask, ends, layers, generation)
+        let (layers, loads) = marked.pack(plan, runs, ends.len(), config.comm, loads);
+        Cone::assemble(mask, ends, layers, loads, generation)
     }
 
     fn assemble(
         mut mask: ServeMask,
         ends: Vec<usize>,
         layers: Vec<LayerPlans>,
+        loads: Option<LoadSets>,
         generation: u64,
     ) -> Cone {
         let active = layers
@@ -463,6 +391,7 @@ impl Cone {
             mask,
             active,
             layers,
+            loads,
             generation,
         }
     }
@@ -493,14 +422,345 @@ impl Cone {
     pub fn active_steps(&self) -> usize {
         self.active.iter().flatten().filter(|&&a| a).count()
     }
+
+    /// `S[i][g]`: the rows GPU `i` host-loads at layer 0 of run `g` — the
+    /// load sets a hot-vertex cache freezes its hits against, listed at
+    /// derivation when the session's configuration has a cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cone was derived without them.
+    pub(crate) fn load_sets(&self) -> LoadSets {
+        self.loads
+            .clone()
+            .expect("a cone derived under a cache policy lists its load sets")
+    }
+}
+
+/// Layer `l`'s dedup counts and, under P2P+RU, its §6 buffer table, over
+/// the runs `sized` in schedule order — counted from the unions that
+/// sized them, and equal to what [`DedupPlan::build`],
+/// [`GpuBufferPlan::build_all`] and [`build_buffer_comm`] give over the
+/// packed grid:
+///
+/// - `fetch[i][k]` is `N_i`'s rows GPU `k` owns;
+/// - with inter-GPU dedup, the transition set `ℕ_i` is sized, and its
+///   reuse is what it shares with the previous run's;
+/// - under P2P+RU, a run's incoming rows are `M_g \ M_{g−1}`, loaded by
+///   their owner's GPU or fetched from it, the rest reused in place, and
+///   the buffer's capacity is the sum of the rises in `|M_g|`.
+///
+/// `loads`, when given, gets `S[i][g]`, the rows GPU `i` host-loads in
+/// run `g` — what [`hongtu_cache::load_sets`] gives over the packed
+/// grid's plans: the chunk's neighbors under Vanilla, `ℕ_i` under P2P,
+/// and under P2P+RU the incoming rows GPU `i` owns.
+///
+/// [`DedupPlan::build`]: crate::dedup::DedupPlan::build
+/// [`GpuBufferPlan::build_all`]: crate::buffers::GpuBufferPlan::build_all
+fn counted(
+    sized: &[RunSize],
+    l: usize,
+    m: usize,
+    comm: CommMode,
+    owner: &[u32],
+    mut loads: Option<&mut LoadSets>,
+) -> (DedupCounts, Option<Vec<Vec<BatchComm>>>) {
+    let ru = comm == CommMode::P2pRu;
+    let mut batches = Vec::with_capacity(sized.len());
+    let mut table: Vec<Vec<BatchComm>> = vec![Vec::with_capacity(sized.len()); m];
+    let mut capacity = vec![0usize; m];
+    for (g, run) in sized.iter().enumerate() {
+        let before = g.checked_sub(1).and_then(|p| sized[p].held.as_ref());
+        let fetch = run.nbrs[l]
+            .iter()
+            .map(|n| {
+                let mut row = vec![0usize; m];
+                n.for_each_minus(None, |v| row[owner[v as usize] as usize] += 1);
+                row
+            })
+            .collect();
+        let (transition, reused) = match &run.held {
+            None => (Vec::new(), Vec::new()),
+            Some(held) => held[l]
+                .iter()
+                .enumerate()
+                .map(|(i, h)| {
+                    let kept = before.map_or(0, |b| h.transition.common_len(&b[l][i].transition));
+                    (h.transition.len(), kept)
+                })
+                .unzip(),
+        };
+        batches.push(BatchCounts {
+            transition,
+            reused,
+            fetch,
+        });
+        if !ru {
+            if let Some(loads) = loads.as_deref_mut() {
+                for (i, set) in loads.iter_mut().enumerate() {
+                    let mut rows = match &run.held {
+                        None => run.nbrs[l][i].clone(),
+                        Some(held) => held[l][i].transition.clone(),
+                    };
+                    set.push(rows.take_list());
+                }
+            }
+            continue;
+        }
+        let held = run.held.as_ref().expect("P2P+RU deduplicates across GPUs");
+        for (i, h) in held[l].iter().enumerate() {
+            let prev = before.map(|b| &b[l][i].merged);
+            let (mut incoming, mut h2d_rows, mut d2d_rows) = (0, 0, vec![0usize; m]);
+            let mut loaded = loads.is_some().then(Vec::new);
+            h.merged.for_each_minus(prev, |v| {
+                incoming += 1;
+                match owner[v as usize] as usize {
+                    o if o == i => {
+                        h2d_rows += 1;
+                        if let Some(loaded) = loaded.as_mut() {
+                            loaded.push(v);
+                        }
+                    }
+                    o => d2d_rows[o] += 1,
+                }
+            });
+            if let (Some(loads), Some(loaded)) = (loads.as_deref_mut(), loaded) {
+                loads[i].push(loaded);
+            }
+            let rows = h.merged.len();
+            capacity[i] += rows.saturating_sub(prev.map_or(0, Rows::len));
+            table[i].push(BatchComm {
+                h2d_rows,
+                d2d_rows,
+                reused_rows: rows - incoming,
+                buffer_rows: 0,
+            });
+        }
+    }
+    let buffer_comm = ru.then(|| {
+        for (row, &capacity) in table.iter_mut().zip(&capacity) {
+            for b in row {
+                b.buffer_rows = capacity;
+            }
+        }
+        table
+    });
+    let counts = DedupCounts {
+        m,
+        n: sized.len(),
+        batches,
+    };
+    (counts, buffer_comm)
+}
+
+/// A cone's touched batches, their rows marked for packing, and how the
+/// rows of a run of them are held while it is sized.
+struct Marked<'p> {
+    /// The cone's layers, and GPUs.
+    layers: usize,
+    m: usize,
+    /// The batches the cone touches, ascending.
+    touched: Vec<usize>,
+    /// `parts[p][l][i]`: touched batch `p`'s cone rows of layer `l` on
+    /// GPU `i`, marked for packing; each is joined into its run's chunk
+    /// once.
+    parts: Vec<Vec<Vec<Option<Packing<'p>>>>>,
+    /// `shapes[p][l][i]`: what `parts[p][l][i]` packs into.
+    shapes: Vec<Vec<Vec<ChunkShape>>>,
+    /// Bitmap words per set, where the cone's lists are longer than a
+    /// bitmap over the graph; `None` where rows are listed.
+    words: Option<usize>,
+    /// The level-1 assignment, when buffers deduplicate across GPUs.
+    owner: Option<&'p [u32]>,
+    /// Each GPU's vertices as a bitmap, when rows are bitmaps and buffers
+    /// deduplicate; empty otherwise.
+    owned: &'p [Vec<u64>],
+}
+
+impl<'p> Marked<'p> {
+    /// Marks every touched batch's rows of `mask` over `plan`; `owned` is
+    /// built when the rows are bitmaps and `comm` deduplicates.
+    fn new(
+        plan: &'p TwoLevelPartition,
+        mask: &'p ServeMask,
+        comm: CommMode,
+        owned: &'p Owned,
+    ) -> Self {
+        let touched: Vec<usize> = (0..plan.n)
+            .filter(|&j| (0..mask.layers()).any(|l| mask.active(l, j)))
+            .collect();
+        let parts: Vec<Vec<Vec<Option<Packing>>>> = touched
+            .iter()
+            .map(|&j| {
+                mask.rows
+                    .iter()
+                    .map(|rows| {
+                        (0..plan.m)
+                            .map(|i| {
+                                let kept = &rows[i][j][..];
+                                let parts: &[(&ChunkSubgraph, &[u32])] = if kept.is_empty() {
+                                    &[]
+                                } else {
+                                    &[(&plan.chunks[i][j], kept)]
+                                };
+                                Some(Packing::new(parts))
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        // Rows are listed — or, where the cone's lists are longer than a
+        // bitmap over the graph, kept as bitmaps.
+        let owner_of = &plan.assignment.partition_of[..];
+        let words = owner_of.len().div_ceil(64);
+        let (lists, listed) = parts
+            .iter()
+            .flatten()
+            .flatten()
+            .flatten()
+            .fold((0, 0), |(n, total), p| {
+                (n + 1, total + p.read().map(<[_]>::len).sum::<usize>())
+            });
+        let words = (listed >= lists * words).then_some(words);
+        let shapes = parts
+            .iter()
+            .map(|batch| {
+                batch
+                    .iter()
+                    .map(|layer| {
+                        layer
+                            .iter()
+                            .map(|p| p.as_ref().expect("not yet joined").shape())
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        let owner = (comm != CommMode::Vanilla).then_some(owner_of);
+        let owned = match owner.filter(|_| words.is_some()) {
+            None => &[][..],
+            Some(owner) => owned.get_or_init(|| {
+                let mut owned = vec![vec![0u64; owner.len().div_ceil(64)]; plan.m];
+                for (v, &i) in owner.iter().enumerate() {
+                    owned[i as usize][v / 64] |= 1 << (v % 64);
+                }
+                owned
+            }),
+        };
+        Marked {
+            layers: mask.layers(),
+            m: plan.m,
+            touched,
+            parts,
+            shapes,
+            words,
+            owner,
+            owned,
+        }
+    }
+
+    /// The touched batches `run` as one run: its neighbor rows and, with
+    /// inter-GPU dedup, what its buffers hold.
+    fn size(&self, run: Range<usize>) -> RunSize {
+        let batches = &self.parts[run.clone()];
+        let nbrs: Vec<Vec<Rows>> = (0..self.layers)
+            .map(|l| {
+                (0..self.m)
+                    .map(|i| {
+                        let read = batches
+                            .iter()
+                            .flat_map(|b| b[l][i].as_ref().expect("not yet joined").read());
+                        Rows::new(read, self.words)
+                    })
+                    .collect()
+            })
+            .collect();
+        let shapes: Vec<&[Vec<ChunkShape>]> = self.shapes[run].iter().map(|s| &s[..]).collect();
+        let shape = if shapes.is_empty() {
+            vec![vec![ChunkShape::default(); self.m]; self.layers]
+        } else {
+            merged_shape(&shapes, |l, i| nbrs[l][i].len())
+        };
+        let held = self.owner.map(|owner| {
+            nbrs.iter()
+                .map(|layer| Rows::held(layer, owner, self.owned))
+                .collect()
+        });
+        RunSize { shape, nbrs, held }
+    }
+
+    /// The packed grid of every layer: run `g` packs the touched batches
+    /// `runs[g].0`, sized `runs[g].1` — each GPU's rows of it one chunk
+    /// over the run's neighbor union — and the grid's plans are counted
+    /// from the runs' unions ([`counted`]), which list the layer-0 load
+    /// sets too when `loads` asks. `n` runs in all.
+    fn pack(
+        mut self,
+        plan: &TwoLevelPartition,
+        runs: Vec<(Range<usize>, RunSize)>,
+        n: usize,
+        comm: CommMode,
+        loads: bool,
+    ) -> (Vec<LayerPlans>, Option<LoadSets>) {
+        let owner = &plan.assignment.partition_of[..];
+        let (runs, mut sized): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
+        let mut sets = None;
+        let layers = (0..self.layers)
+            .map(|l| {
+                let mut listed = (l == 0 && loads).then(|| vec![Vec::new(); plan.m]);
+                let (counts, buffer_comm) =
+                    counted(&sized, l, plan.m, comm, owner, listed.as_mut());
+                if listed.is_some() {
+                    sets = listed;
+                }
+                let chunks = (0..plan.m)
+                    .map(|i| {
+                        runs.iter()
+                            .zip(&mut sized)
+                            .enumerate()
+                            .map(|(g, (run, size))| {
+                                let run = self.parts[run.clone()].iter_mut();
+                                let parts =
+                                    run.map(|batch| batch[l][i].take().expect("joined once"));
+                                let neighbors = size.nbrs[l][i].take_list();
+                                Packing::join(parts).build_over(i, g, neighbors)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let plan = TwoLevelPartition {
+                    m: plan.m,
+                    n,
+                    assignment: Arc::clone(&plan.assignment),
+                    chunks,
+                };
+                LayerPlans {
+                    plan,
+                    counts,
+                    buffer_comm,
+                }
+            })
+            .collect();
+        (layers, sets)
+    }
 }
 
 /// A set of vertex ids: ascending, or — where the cone's lists are long
 /// beside the graph — a bitmap over the graph's vertices.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 enum Rows {
     List(Vec<VertexId>),
     Bits(Vec<u64>),
+}
+
+/// With inter-GPU dedup, what one GPU's merged buffer holds for a run:
+/// the transition set `ℕ_i` — every row GPU `i` owns that some GPU's
+/// chunk reads — and `M_i = N_i ∪ ℕ_i`.
+#[derive(Debug, Clone)]
+struct Held {
+    transition: Rows,
+    merged: Rows,
 }
 
 impl Rows {
@@ -555,11 +815,62 @@ impl Rows {
         }
     }
 
-    /// With inter-GPU dedup, the rows each GPU's merged buffer holds,
-    /// given every GPU's neighbor rows `nbrs`: its own, and every row it
-    /// owns that some GPU reads. `owned[i]` is GPU `i`'s rows as a bitmap
-    /// (bitmap rows only).
-    fn buffers(nbrs: &[Rows], owner: &[u32], owned: &[Vec<u64>]) -> Vec<Rows> {
+    /// `|self ∩ other|`, counted.
+    fn common_len(&self, other: &Rows) -> usize {
+        self.len() + other.len() - self.union_len(other)
+    }
+
+    /// Calls `f` on every row of `self` not in `minus`, ascending.
+    fn for_each_minus(&self, minus: Option<&Rows>, mut f: impl FnMut(VertexId)) {
+        match (self, minus) {
+            (Rows::List(a), None) => a.iter().copied().for_each(f),
+            (Rows::List(a), Some(Rows::List(b))) => {
+                let mut at = 0;
+                for &v in a {
+                    while at < b.len() && b[at] < v {
+                        at += 1;
+                    }
+                    if b.get(at) != Some(&v) {
+                        f(v);
+                    }
+                }
+            }
+            (Rows::Bits(a), minus) => {
+                let b = match minus {
+                    None => None,
+                    Some(Rows::Bits(b)) => Some(b),
+                    Some(Rows::List(_)) => unreachable!("one cone sizes all its rows alike"),
+                };
+                for (w, &word) in a.iter().enumerate() {
+                    let mut rest = word & !b.map_or(0, |b| b[w]);
+                    while rest != 0 {
+                        f((w * 64) as VertexId + rest.trailing_zeros());
+                        rest &= rest - 1;
+                    }
+                }
+            }
+            (Rows::List(_), Some(Rows::Bits(_))) => {
+                unreachable!("one cone sizes all its rows alike")
+            }
+        }
+    }
+
+    /// The rows, listed ascending.
+    fn take_list(&mut self) -> Vec<VertexId> {
+        match self {
+            Rows::List(list) => std::mem::take(list),
+            Rows::Bits(_) => {
+                let mut list = Vec::new();
+                self.for_each_minus(None, |v| list.push(v));
+                list
+            }
+        }
+    }
+
+    /// With inter-GPU dedup, what each GPU's merged buffer holds, given
+    /// every GPU's neighbor rows `nbrs` ([`Held`]). `owned[i]` is GPU
+    /// `i`'s rows as a bitmap (bitmap rows only).
+    fn held(nbrs: &[Rows], owner: &[u32], owned: &[Vec<u64>]) -> Vec<Held> {
         match nbrs.first() {
             Some(Rows::Bits(_)) => {
                 let union = nbrs
@@ -575,8 +886,13 @@ impl Rows {
                         let Rows::Bits(n) = n else {
                             unreachable!("one cone sizes all its rows alike")
                         };
-                        let words = n.iter().zip(&union).zip(owned);
-                        Rows::Bits(words.map(|((n, u), o)| n | (u & o)).collect())
+                        let transition: Vec<u64> =
+                            union.iter().zip(owned).map(|(u, o)| u & o).collect();
+                        let merged = n.iter().zip(&transition).map(|(n, t)| n | t).collect();
+                        Held {
+                            transition: Rows::Bits(transition),
+                            merged: Rows::Bits(merged),
+                        }
                     })
                     .collect()
             }
@@ -597,8 +913,11 @@ impl Rows {
                 }
                 lists
                     .iter()
-                    .zip(&by_owner)
-                    .map(|(n, owned)| Rows::List(union_sorted(n, owned)))
+                    .zip(by_owner)
+                    .map(|(n, owned)| Held {
+                        merged: Rows::List(union_sorted(n, &owned)),
+                        transition: Rows::List(owned),
+                    })
                     .collect()
             }
         }
@@ -607,122 +926,89 @@ impl Rows {
 
 /// Cone rows of one or more consecutive batches, sized without packing
 /// them: per layer and GPU, the shape of the chunk packing them would
-/// build ([`Packing::shape`]), its neighbor rows `N_i`, and the rows its
-/// merged buffer holds, `M_i` — `N_i` itself, or with inter-GPU dedup
-/// `N_i ∪ ℕ_i`, where the transition set `ℕ_i` is every row GPU `i` owns
-/// that some GPU's chunk reads.
+/// build ([`Packing::shape`]), its neighbor rows `N_i`, and, with
+/// inter-GPU dedup, what its merged buffer holds ([`Held`]).
 ///
-/// Merging two runs unions both: a run's `ℕ_i` is GPU `i`'s share of the
-/// union of every chunk's `N`, so `M_i` of the merge is the union of the
-/// runs' `M_i`.
+/// Merging two runs unions all three: a run's `ℕ_i` is GPU `i`'s share
+/// of the union of every chunk's `N`, so `ℕ_i` and `M_i` of the merge are
+/// the unions of the runs'.
 #[derive(Clone)]
 struct RunSize {
     /// `shape[l][i]`.
     shape: Vec<Vec<ChunkShape>>,
     /// `nbrs[l][i]`: `N_i`.
     nbrs: Vec<Vec<Rows>>,
-    /// `buffer[l][i]`: `M_i`; `None` until listed ([`RunSize::buffered`]),
-    /// and without inter-GPU dedup, where it is `N_i`.
-    buffer: Option<Vec<Vec<Rows>>>,
+    /// `held[l][i]`; `None` without inter-GPU dedup, where the buffer
+    /// holds `N_i`.
+    held: Option<Vec<Vec<Held>>>,
 }
 
 impl RunSize {
-    /// What `marked[l][i]` packs into — chunk shapes `shape[l][i]` —
-    /// its rows as bitmaps of `words` words when there are any.
-    fn of(
-        marked: &[Vec<Option<Packing>>],
-        shape: Vec<Vec<ChunkShape>>,
-        words: Option<usize>,
-    ) -> RunSize {
-        let nbrs = marked
-            .iter()
-            .map(|layer| {
-                layer
-                    .iter()
-                    .map(|p| Rows::new(p.as_ref().expect("not yet joined").read(), words))
-                    .collect()
-            })
-            .collect();
-        RunSize {
-            shape,
-            nbrs,
-            buffer: None,
-        }
-    }
-
-    /// Lists `M_i` from the neighbor rows, when the buffers deduplicate
-    /// across GPUs ([`Packer::owner`]).
-    fn buffered(mut self, packer: &Packer) -> RunSize {
-        self.buffer = packer.owner.map(|owner| {
-            self.nbrs
-                .iter()
-                .map(|layer| Rows::buffers(layer, owner, &packer.owned))
-                .collect()
-        });
-        self
-    }
-
-    /// `M_i` per `(l, i)` — `N_i` until [`RunSize::buffered`] lists it.
-    fn buffers(&self) -> &[Vec<Rows>] {
-        self.buffer.as_deref().unwrap_or(&self.nbrs)
+    /// The rows GPU `i`'s buffer holds at layer `l`: `M_i`, or `N_i`
+    /// without inter-GPU dedup.
+    fn buffer(&self, l: usize, i: usize) -> &Rows {
+        self.held
+            .as_ref()
+            .map_or(&self.nbrs[l][i], |held| &held[l][i].merged)
     }
 
     /// The rows of this and of `next` as one batch: destinations and
     /// edges add up, rows unite.
     fn then(&self, next: &RunSize) -> RunSize {
-        let union = |a: &[Vec<Rows>], b: &[Vec<Rows>]| -> Vec<Vec<Rows>> {
+        let nbrs: Vec<Vec<Rows>> = self
+            .nbrs
+            .iter()
+            .zip(&next.nbrs)
+            .map(|(a, b)| a.iter().zip(b).map(|(a, b)| a.union(b)).collect())
+            .collect();
+        let held = self.held.as_ref().zip(next.held.as_ref()).map(|(a, b)| {
             a.iter()
                 .zip(b)
-                .map(|(a, b)| a.iter().zip(b).map(|(a, b)| a.union(b)).collect())
+                .map(|(a, b)| {
+                    a.iter()
+                        .zip(b)
+                        .map(|(a, b)| Held {
+                            transition: a.transition.union(&b.transition),
+                            merged: a.merged.union(&b.merged),
+                        })
+                        .collect()
+                })
                 .collect()
-        };
-        let nbrs = union(&self.nbrs, &next.nbrs);
-        let buffer = self
-            .buffer
-            .as_ref()
-            .zip(next.buffer.as_ref())
-            .map(|(a, b)| union(a, b));
-        let shape = merged_shape(&self.shape, &next.shape, |l, i| nbrs[l][i].len());
-        RunSize {
-            shape,
-            nbrs,
-            buffer,
-        }
+        });
+        let shape = merged_shape(&[&self.shape, &next.shape], |l, i| nbrs[l][i].len());
+        RunSize { shape, nbrs, held }
     }
 
     /// The shape and buffer rows, per `(l, i)`, of `self.then(next)`,
     /// counted rather than merged.
     fn merged_size(&self, next: &RunSize) -> (Vec<Vec<ChunkShape>>, Vec<Vec<usize>>) {
-        let shape = merged_shape(&self.shape, &next.shape, |l, i| {
+        let shape = merged_shape(&[&self.shape, &next.shape], |l, i| {
             self.nbrs[l][i].union_len(&next.nbrs[l][i])
         });
-        let rows = self
-            .buffers()
-            .iter()
-            .zip(next.buffers())
-            .map(|(a, b)| a.iter().zip(b).map(|(a, b)| a.union_len(b)).collect())
+        let rows = (0..self.nbrs.len())
+            .map(|l| {
+                (0..self.nbrs[l].len())
+                    .map(|i| self.buffer(l, i).union_len(next.buffer(l, i)))
+                    .collect()
+            })
             .collect();
         (shape, rows)
     }
 }
 
-/// Per `(l, i)`, the shape of merging chunks of shapes `a` and `b` whose
-/// merged chunk reads `neighbors(l, i)` rows.
+/// Per `(l, i)`, the shape of merging chunks of shapes `batches[..][l][i]`
+/// (one batch or more) whose merged chunk reads `neighbors(l, i)` rows.
 fn merged_shape(
-    a: &[Vec<ChunkShape>],
-    b: &[Vec<ChunkShape>],
+    batches: &[&[Vec<ChunkShape>]],
     neighbors: impl Fn(usize, usize) -> usize,
 ) -> Vec<Vec<ChunkShape>> {
-    a.iter()
-        .zip(b)
-        .enumerate()
-        .map(|(l, (a, b))| {
-            a.iter()
-                .zip(b)
-                .enumerate()
-                .map(|(i, (a, b))| ChunkShape {
-                    dests: a.dests + b.dests,
-                    edges: a.edges + b.edges,
+    let first = batches[0];
+    (0..first.len())
+        .map(|l| {
+            (0..first[l].len())
+                .map(|i| ChunkShape {
+                    dests: batches.iter().map(|b| b[l][i].dests).sum(),
+                    edges: batches.iter().map(|b| b[l][i].edges).sum(),
                     neighbors: neighbors(l, i),
                 })
                 .collect()
@@ -735,11 +1021,6 @@ struct Packer<'a> {
     rows: &'a [SliceRows],
     model: &'a GnnModel,
     comm: CommMode,
-    /// The level-1 assignment, when buffers deduplicate across GPUs.
-    owner: Option<&'a [u32]>,
-    /// Each GPU's vertices as a bitmap, when the cone's rows are bitmaps
-    /// and buffers deduplicate.
-    owned: Vec<Vec<u64>>,
 }
 
 impl Packer<'_> {
@@ -765,90 +1046,33 @@ impl Packer<'_> {
         Steps::step(&cost)
     }
 
-    /// Whether `runs` (ranges of positions in `shapes`, one or two) fit
-    /// `budget` even at their ceiling: a run's chunk as large as its
-    /// batches' chunks together, its buffer as large as every GPU's
-    /// neighbor rows together (its own alone, without inter-GPU dedup).
-    /// With one or two steps the buffer capacity is the larger buffer, so
-    /// a ceiling that fits bounds the sweep — and [`Packer::fit`] would
-    /// accept the runs too.
-    fn ceiling_fits(
-        &self,
-        shapes: &[Vec<Vec<ChunkShape>>],
-        runs: &[Range<usize>],
-        budget: &[usize],
-    ) -> bool {
-        debug_assert!(
-            runs.len() <= 2,
-            "capacity is the larger buffer of at most two steps"
-        );
-        runs.iter()
-            .fold(Steps::default(), |sweep, run| {
-                let batches = &shapes[run.clone()];
-                let shape: Vec<Vec<ChunkShape>> = (0..batches[0].len())
-                    .map(|l| {
-                        (0..batches[0][l].len())
-                            .map(|i| ChunkShape {
-                                dests: batches.iter().map(|b| b[l][i].dests).sum(),
-                                edges: batches.iter().map(|b| b[l][i].edges).sum(),
-                                neighbors: batches.iter().map(|b| b[l][i].neighbors).sum(),
-                            })
-                            .collect()
-                    })
-                    .collect();
-                let rows: Vec<Vec<usize>> = shape
-                    .iter()
-                    .map(|layer| {
-                        let all: usize = layer.iter().map(|s| s.neighbors).sum();
-                        layer
-                            .iter()
-                            .map(|s| {
-                                if self.owner.is_some() {
-                                    all
-                                } else {
-                                    s.neighbors
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect();
-                sweep.then(&self.cost(&shape, &rows))
-            })
-            .fits(budget)
-    }
-
     /// The step `sized` makes.
     fn step(&self, sized: &RunSize) -> Steps {
-        let rows: Vec<Vec<usize>> = sized
-            .buffers()
-            .iter()
-            .map(|layer| layer.iter().map(Rows::len).collect())
+        let rows: Vec<Vec<usize>> = (0..sized.nbrs.len())
+            .map(|l| {
+                (0..sized.nbrs[l].len())
+                    .map(|i| sized.buffer(l, i).len())
+                    .collect()
+            })
             .collect();
         self.cost(&sized.shape, &rows)
     }
 
-    /// Whether `alone`, packed into `runs` (ranges of positions), fits
-    /// `budget`.
-    fn fit(&self, alone: &[RunSize], runs: &[Range<usize>], budget: &[usize]) -> bool {
-        runs.iter()
-            .fold(Steps::default(), |sweep, run| {
-                let rest = &alone[run.start + 1..run.end];
-                let merged = rest
-                    .iter()
-                    .fold(alone[run.start].clone(), |merged, next| merged.then(next));
-                sweep.then(&self.step(&merged.buffered(self)))
-            })
+    /// Whether the runs `sized`, in order, fit `budget`.
+    fn fits(&self, sized: &[RunSize], budget: &[usize]) -> bool {
+        sized
+            .iter()
+            .fold(Steps::default(), |sweep, run| sweep.then(&self.step(run)))
             .fits(budget)
     }
 
     /// The greedy runs over the touched batches, as ranges of positions
-    /// in `alone`: a run is extended by the next touched batch while the
-    /// merged step fits `budget` together with the runs before it and the
-    /// batches after it, each of those run alone ([`Cone::packed`]). A
-    /// merge is priced by counting its lists' unions, and merged only
-    /// once accepted.
-    fn runs(&self, alone: Vec<RunSize>, budget: &[usize]) -> Vec<Range<usize>> {
-        let alone: Vec<RunSize> = alone.into_iter().map(|a| a.buffered(self)).collect();
+    /// in `alone`, each sized: a run is extended by the next touched
+    /// batch while the merged step fits `budget` together with the runs
+    /// before it and the batches after it, each of those run alone
+    /// ([`Cone::packed`]). A merge is priced by counting its lists'
+    /// unions, and merged only once accepted.
+    fn runs(&self, alone: Vec<RunSize>, budget: &[usize]) -> Vec<(Range<usize>, RunSize)> {
         let steps: Vec<Steps> = alone.iter().map(|a| self.step(a)).collect();
         // after[p]: the batches from `alone[p]` on, each run alone.
         let mut after = vec![Steps::default(); alone.len() + 1];
@@ -868,15 +1092,24 @@ impl Packer<'_> {
                 run.end = p + 1;
                 open = Some((current.then(&alone[p]), step));
             } else {
-                let step = open
+                let (sized, step) = open
                     .take()
-                    .map_or_else(|| steps[run.start].clone(), |(_, step)| step);
+                    .map_or((None, steps[run.start].clone()), |(s, step)| {
+                        (Some(s), step)
+                    });
                 before = before.then(&step);
-                runs.push(std::mem::replace(&mut run, p..p + 1));
+                runs.push((std::mem::replace(&mut run, p..p + 1), sized));
             }
         }
-        runs.push(run);
-        runs
+        runs.push((run, open.map(|(sized, _)| sized)));
+        // A run of one batch is sized by that batch alone.
+        let mut alone: Vec<Option<RunSize>> = alone.into_iter().map(Some).collect();
+        runs.into_iter()
+            .map(|(run, sized)| {
+                let sized = sized.unwrap_or_else(|| alone[run.start].take().expect("one run each"));
+                (run, sized)
+            })
+            .collect()
     }
 
     /// The touched batches in two runs, cut where the rows either side
@@ -1090,7 +1323,7 @@ mod tests {
         for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
             for ends in [vec![4], vec![2, 4], vec![1, 2, 3, 4]] {
                 let mask = ServeMask::from_queries(&plan, 2, &[4]);
-                let cone = Cone::new(&plan, mask, ends.clone(), comm, 0);
+                let cone = Cone::new(&plan, mask, ends.clone(), comm, false, 0);
                 assert_eq!(cone.mask().origin().runs, ends);
                 let dests = |l: usize| -> Vec<u32> {
                     let mut d: Vec<u32> = cone.layers[l]
@@ -1105,8 +1338,7 @@ mod tests {
                 assert_eq!(dests(0), [3, 4]);
                 for layer in &cone.layers {
                     assert_eq!(layer.plan.n, ends.len());
-                    assert!(layer.dedup.validate(&layer.plan).is_ok());
-                    assert_eq!(layer.bufplans.is_some(), comm == CommMode::P2pRu);
+                    assert_eq!(layer.counts.n, ends.len());
                     assert_eq!(layer.buffer_comm.is_some(), comm == CommMode::P2pRu);
                 }
                 // 3 and 4 (batches 1 and 2) share a step only when one
@@ -1133,12 +1365,102 @@ mod tests {
                 .build()
                 .expect("config");
             let mask = ServeMask::from_queries(&plan, 2, &[0, 3, 5]);
-            let cone = Cone::packed(&plan, mask, &config, &model, &[budget], 0);
+            let cone = Cone::packed(&plan, mask, &config, &model, &[budget], &Owned::new(), 0);
             cone.mask().origin().runs.clone()
         };
         assert_eq!(packed(OverlapMode::Off, usize::MAX), [4]);
         assert_eq!(packed(OverlapMode::DoubleBuffer, usize::MAX).len(), 2);
         assert_eq!(packed(OverlapMode::Off, 0), [1, 2, 3, 4]);
+    }
+
+    /// What a cone's plans were before they were counted from the
+    /// packer's unions: the packed grid's dedup and buffer plans built in
+    /// full by the session's builders, and the load sets read off them —
+    /// kept as the oracle.
+    fn plans_reference(
+        plan: &TwoLevelPartition,
+        comm: CommMode,
+    ) -> (DedupCounts, Option<Vec<Vec<BatchComm>>>, LoadSets) {
+        use crate::buffers::GpuBufferPlan;
+        use crate::dedup::DedupPlan;
+        let dedup = DedupPlan::build(plan);
+        let bufplans = (comm == CommMode::P2pRu).then(|| GpuBufferPlan::build_all(plan, &dedup));
+        let buffer_comm = crate::engine::build_buffer_comm(plan, bufplans.as_deref(), comm);
+        let sets = hongtu_cache::load_sets(plan, &dedup, bufplans.as_deref(), comm.load_pattern());
+        (dedup.counts(), buffer_comm, sets)
+    }
+
+    proptest::proptest! {
+        /// Over random graphs, cones and budgets, under every
+        /// communication mode, with and without double buffering and a
+        /// cache: each layer's packed chunks are the builders' packed
+        /// grid, its counts and §6 buffer table are what the builders give
+        /// over that grid — Vanilla, which reads the fetch matrix only,
+        /// builds no transition set — and the layer-0 load sets, listed
+        /// only under a cache, are the builders'.
+        #[test]
+        fn counted_plans_equal_the_builders_over_the_packed_grid(
+            seed in 0u64..1_000_000,
+            n in 40usize..4000,
+            comm in 0usize..3,
+            double in 0u32..2,
+            cache in 0u32..2,
+            gpus in 1usize..4,
+            chunks in 1usize..6,
+            seeds in 1usize..30,
+            upward in 0u32..2,
+            budget in 0usize..4,
+        ) {
+            use hongtu_cache::{FrequencyRanked, Off};
+            use hongtu_graph::generators;
+            use hongtu_nn::ModelKind;
+            use hongtu_tensor::SeededRng;
+            let mut rng = SeededRng::new(seed);
+            let g = generators::erdos_renyi(n, 6.0, &mut rng);
+            let plan = TwoLevelPartition::build(&g, gpus, chunks, seed);
+            let comm = [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu][comm];
+            let overlap = [OverlapMode::Off, OverlapMode::DoubleBuffer][double as usize];
+            let policy: std::sync::Arc<dyn hongtu_cache::CachePolicy> = if cache == 1 {
+                std::sync::Arc::new(FrequencyRanked)
+            } else {
+                std::sync::Arc::new(Off)
+            };
+            let config = HongTuConfig::builder()
+                .gpus(gpus)
+                .comm(comm)
+                .overlap(overlap)
+                .cache(policy)
+                .build()
+                .expect("config");
+            let model = GnnModel::new(ModelKind::Gcn, &[4, 4, 2], &mut rng);
+            let vertices = rng.sample_indices(n, seeds.min(n));
+            let mask = if upward == 1 {
+                ServeMask::from_dirty(&plan, 2, &vertices)
+            } else {
+                ServeMask::from_queries(&plan, 2, &vertices)
+            };
+            let budget = [usize::MAX, 0, 1 << 12, 1 << 15][budget];
+            let cone = Cone::packed(&plan, mask.clone(), &config, &model, &vec![budget; gpus], &Owned::new(), 0);
+            let runs = &cone.mask().origin().runs;
+            for (l, layer) in cone.layers.iter().enumerate() {
+                let grid = plan.packed(&mask.rows()[l], runs);
+                proptest::prop_assert_eq!(&layer.plan.chunks, &grid.chunks);
+                let (counts, buffer_comm, sets) = plans_reference(&layer.plan, comm);
+                if comm == CommMode::Vanilla {
+                    for (got, want) in layer.counts.batches.iter().zip(&counts.batches) {
+                        proptest::prop_assert_eq!(&got.fetch, &want.fetch);
+                        proptest::prop_assert!(got.transition.is_empty() && got.reused.is_empty());
+                    }
+                    proptest::prop_assert_eq!(layer.counts.n, counts.n);
+                } else {
+                    proptest::prop_assert_eq!(&layer.counts, &counts);
+                }
+                proptest::prop_assert_eq!(&layer.buffer_comm, &buffer_comm);
+                if l == 0 {
+                    proptest::prop_assert_eq!(&cone.loads, &(cache == 1).then_some(sets));
+                }
+            }
+        }
     }
 
     #[test]

@@ -64,10 +64,62 @@ impl ConeOrigin {
     ///
     /// Panics if the seeds fail [`check_seeds`].
     pub fn rows(&self, plan: &TwoLevelPartition, index: &VertexIndex) -> Vec<SliceRows> {
+        self.rows_in(plan, index, &mut Seen::default())
+    }
+
+    /// [`ConeOrigin::rows`] over a caller's reusable `seen` set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the seeds fail [`check_seeds`].
+    pub fn rows_in(
+        &self,
+        plan: &TwoLevelPartition,
+        index: &VertexIndex,
+        seen: &mut Seen,
+    ) -> Vec<SliceRows> {
         match self.dir {
-            ConeDir::Downward => downward(plan, index, self.layers, &self.seeds),
-            ConeDir::Upward => upward(plan, index, self.layers, &self.seeds),
+            ConeDir::Downward => downward(plan, index, self.layers, &self.seeds, seen),
+            ConeDir::Upward => upward(plan, index, self.layers, &self.seeds, seen),
         }
+    }
+}
+
+/// A visited set over the graph's vertices, reused from cone to cone:
+/// each cone stamps the vertices it meets with a mark no earlier cone
+/// used, so a cone neither clears nor allocates one entry per vertex of
+/// the graph — only the first cone, and one in four billion after it,
+/// does. Beside it, the delta cone's frontier (what its last hop added)
+/// is a bitset that [`upward`] clears as it leaves it: a hop tests it for
+/// every neighbor of every chunk, and a bit a vertex keeps that scan in
+/// cache.
+#[derive(Debug, Clone, Default)]
+pub struct Seen {
+    stamp: Vec<u32>,
+    /// The last mark handed out.
+    now: u32,
+    /// One bit per vertex, all clear outside [`upward`].
+    frontier: Vec<u64>,
+}
+
+impl Seen {
+    /// Starts a cone over `n` vertices: returns a mark no vertex carries.
+    fn start(&mut self, n: usize) -> u32 {
+        if self.stamp.len() != n || self.now == u32::MAX {
+            self.stamp = vec![0; n];
+            self.frontier = vec![0; n.div_ceil(64)];
+            self.now = 0;
+        }
+        self.now += 1;
+        self.now
+    }
+}
+
+/// Flips the bits of `vertices` in `set`: sets them where they are clear,
+/// clears them where they are set.
+fn flip(set: &mut [u64], vertices: &[u32]) {
+    for &v in vertices {
+        set[v as usize / 64] ^= 1 << (v % 64);
     }
 }
 
@@ -152,11 +204,11 @@ pub fn run_ranges(ends: &[usize]) -> impl Iterator<Item = std::ops::Range<usize>
     })
 }
 
-/// The distinct seeds in first-seen order, marked in `seen`.
-fn seeds(vertices: &[usize], seen: &mut [bool]) -> Vec<u32> {
+/// The distinct seeds in first-seen order, stamped `mark`.
+fn seeds(vertices: &[usize], stamp: &mut [u32], mark: u32) -> Vec<u32> {
     let mut set = Vec::with_capacity(vertices.len());
     for &v in vertices {
-        if !std::mem::replace(&mut seen[v], true) {
+        if std::mem::replace(&mut stamp[v], mark) != mark {
             set.push(v as u32);
         }
     }
@@ -166,8 +218,8 @@ fn seeds(vertices: &[usize], seen: &mut [bool]) -> Vec<u32> {
 /// The exact query cone of `vertices` over `layers` layers: `rows[l]` are
 /// the rows layer `l` computes, `needed[l+1]` (module docs give the
 /// recurrence). One BFS hop over in-edges per layer, each vertex expanded
-/// once — the cost of the cone, not of the graph, beyond the `seen`
-/// bitmap.
+/// once — the cost of the cone, not of the graph, once `seen` has been
+/// sized to the graph.
 ///
 /// # Panics
 ///
@@ -177,12 +229,14 @@ pub fn downward(
     index: &VertexIndex,
     layers: usize,
     vertices: &[usize],
+    seen: &mut Seen,
 ) -> Vec<SliceRows> {
     if let Err(why) = check_seeds("query", index.len(), vertices) {
         panic!("{why}");
     }
-    let mut seen = vec![false; index.len()];
-    let mut needed = seeds(vertices, &mut seen);
+    let mark = seen.start(index.len());
+    let stamp = &mut seen.stamp[..];
+    let mut needed = seeds(vertices, stamp, mark);
     // needed[..expanded] already had their in-neighbors added.
     let mut expanded = 0;
     let mut rows = vec![SliceRows::new(); layers];
@@ -198,7 +252,7 @@ pub fn downward(
             let c = &plan.chunks[i as usize][j as usize];
             for &t in &c.nbr_index[c.in_edges_of(k as usize)] {
                 let u = c.neighbors[t as usize];
-                if !std::mem::replace(&mut seen[u as usize], true) {
+                if std::mem::replace(&mut stamp[u as usize], mark) != mark {
                     needed.push(u);
                 }
             }
@@ -216,6 +270,9 @@ pub fn downward(
 /// neighbors was invalidated by the previous hop is skipped after one
 /// pass over its neighbor list.
 ///
+/// A vertex is invalid once stamped with the cone's mark in `seen`, and
+/// fresh — added by the previous hop — while its frontier bit is set.
+///
 /// # Panics
 ///
 /// Panics if `dirty` fails [`check_seeds`].
@@ -224,15 +281,20 @@ pub fn upward(
     index: &VertexIndex,
     layers: usize,
     dirty: &[usize],
+    seen: &mut Seen,
 ) -> Vec<SliceRows> {
     if let Err(why) = check_seeds("dirty set", index.len(), dirty) {
         panic!("{why}");
     }
-    let mut invalid = vec![false; index.len()];
-    let mut members = seeds(dirty, &mut invalid);
-    // What the previous hop added: only a dest reading one of these can
-    // be newly invalid.
-    let mut fresh = invalid.clone();
+    let mark = seen.start(index.len());
+    let Seen {
+        stamp, frontier, ..
+    } = seen;
+    let mut members = seeds(dirty, stamp, mark);
+    // members[fresh..]: what the previous hop added. Only a dest reading
+    // one of these can be newly invalid.
+    let mut fresh = 0;
+    flip(frontier, &members);
     let mut rows = Vec::with_capacity(layers);
     let mut hit = Vec::new();
     for l in 0..layers {
@@ -243,12 +305,16 @@ pub fn upward(
         let before = members.len();
         for c in plan.all_chunks() {
             hit.clear();
-            hit.extend(c.neighbors.iter().map(|&u| fresh[u as usize]));
+            hit.extend(
+                c.neighbors
+                    .iter()
+                    .map(|&u| frontier[u as usize / 64] >> (u % 64) & 1 == 1),
+            );
             if !hit.contains(&true) {
                 continue;
             }
             for (k, &d) in c.dests.iter().enumerate() {
-                if !invalid[d as usize]
+                if stamp[d as usize] != mark
                     && c.nbr_index[c.in_edges_of(k)]
                         .iter()
                         .any(|&t| hit[t as usize])
@@ -257,12 +323,14 @@ pub fn upward(
                 }
             }
         }
-        fresh.fill(false);
+        flip(frontier, &members[fresh..before]);
         for &d in &members[before..] {
-            invalid[d as usize] = true;
-            fresh[d as usize] = true;
+            stamp[d as usize] = mark;
         }
+        flip(frontier, &members[before..]);
+        fresh = before;
     }
+    flip(frontier, &members[fresh..]);
     rows
 }
 
@@ -298,8 +366,8 @@ mod tests {
         // 0; upward: the dirty cone of 4 grows along out-edges toward
         // layer L−1. On a directed ring these sweep opposite directions
         // from the same seed, one vertex per layer.
-        let down = downward(&plan, &index, 3, &[4]);
-        let up = upward(&plan, &index, 3, &[4]);
+        let down = downward(&plan, &index, 3, &[4], &mut Seen::default());
+        let up = upward(&plan, &index, 3, &[4], &mut Seen::default());
         assert_eq!(vertices(&plan, &down[2]), [4]);
         assert_eq!(vertices(&plan, &down[1]), [3, 4]);
         assert_eq!(vertices(&plan, &down[0]), [2, 3, 4]);
@@ -315,7 +383,7 @@ mod tests {
         // Dirty {0}: layer 0 recomputes 0; its out-neighbor 1 is invalid
         // from layer 1 on; 2 is two out-hops away — not reached in two
         // layers, whichever batch it shares.
-        let up = upward(&plan, &index, 2, &[0]);
+        let up = upward(&plan, &index, 2, &[0], &mut Seen::default());
         assert_eq!(vertices(&plan, &up[0]), [0]);
         assert_eq!(vertices(&plan, &up[1]), [0, 1]);
     }
@@ -325,8 +393,8 @@ mod tests {
         let plan = ring_plan();
         let index = VertexIndex::new(&plan);
         for rows in [
-            downward(&plan, &index, 2, &[5, 1, 5, 0]),
-            upward(&plan, &index, 2, &[5, 1, 5, 0]),
+            downward(&plan, &index, 2, &[5, 1, 5, 0], &mut Seen::default()),
+            upward(&plan, &index, 2, &[5, 1, 5, 0], &mut Seen::default()),
         ] {
             for layer in &rows {
                 for list in layer.iter().flatten() {
@@ -334,8 +402,30 @@ mod tests {
                 }
             }
         }
-        let down = downward(&plan, &index, 1, &[5, 1, 5, 0]);
+        let down = downward(&plan, &index, 1, &[5, 1, 5, 0], &mut Seen::default());
         assert_eq!(vertices(&plan, &down[0]), [0, 1, 5]);
+    }
+
+    /// One `Seen` carried from cone to cone grows each exactly as a fresh
+    /// one does, whichever recurrence ran before it.
+    #[test]
+    fn a_reused_seen_set_grows_the_same_cones() {
+        let plan = ring_plan();
+        let index = VertexIndex::new(&plan);
+        let mut seen = Seen::default();
+        for seeds in [&[4][..], &[0, 3], &[7], &[4], &[1, 5, 6]] {
+            for layers in 1..4 {
+                let fresh = || Seen::default();
+                assert_eq!(
+                    downward(&plan, &index, layers, seeds, &mut seen),
+                    downward(&plan, &index, layers, seeds, &mut fresh())
+                );
+                assert_eq!(
+                    upward(&plan, &index, layers, seeds, &mut seen),
+                    upward(&plan, &index, layers, seeds, &mut fresh())
+                );
+            }
+        }
     }
 
     #[test]
@@ -361,13 +451,25 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn upward_out_of_range_panics() {
         let plan = ring_plan();
-        upward(&plan, &VertexIndex::new(&plan), 1, &[99]);
+        upward(
+            &plan,
+            &VertexIndex::new(&plan),
+            1,
+            &[99],
+            &mut Seen::default(),
+        );
     }
 
     #[test]
     #[should_panic(expected = "empty")]
     fn upward_empty_panics() {
         let plan = ring_plan();
-        upward(&plan, &VertexIndex::new(&plan), 1, &[]);
+        upward(
+            &plan,
+            &VertexIndex::new(&plan),
+            1,
+            &[],
+            &mut Seen::default(),
+        );
     }
 }

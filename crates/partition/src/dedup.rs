@@ -32,6 +32,30 @@ pub struct BatchPlan {
     pub fetch: Vec<Vec<usize>>,
 }
 
+/// The sizes of one batch's plan: all a sweep's accounting reads of it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BatchCounts {
+    /// `transition[i]` = `|ℕ_ij|`.
+    pub transition: Vec<usize>,
+    /// `reused[i]` = `|ℕ^gpu_ij|`.
+    pub reused: Vec<usize>,
+    /// `fetch[i][k]` = `|N_ij ∩ ℕ_kj|`.
+    pub fetch: Vec<Vec<usize>>,
+}
+
+/// A [`DedupPlan`] with its sets counted rather than listed. A cone's
+/// packed grids carry only these: a masked sweep charges rows, it never
+/// lists them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DedupCounts {
+    /// Number of partitions/GPUs.
+    pub m: usize,
+    /// Number of batches.
+    pub n: usize,
+    /// One count per batch, in schedule order.
+    pub batches: Vec<BatchCounts>,
+}
+
 /// The full per-epoch communication plan.
 #[derive(Debug, Clone)]
 pub struct DedupPlan {
@@ -88,6 +112,24 @@ impl DedupPlan {
             });
         }
         DedupPlan { m, n, batches }
+    }
+
+    /// The plan's sets, counted.
+    pub fn counts(&self) -> DedupCounts {
+        let batches = self
+            .batches
+            .iter()
+            .map(|b| BatchCounts {
+                transition: b.transition.iter().map(Vec::len).collect(),
+                reused: b.reused.clone(),
+                fetch: b.fetch.clone(),
+            })
+            .collect();
+        DedupCounts {
+            m: self.m,
+            n: self.n,
+            batches,
+        }
     }
 
     /// `V_ori = Σ_ij |N_ij|`: host→GPU volume (in vertices) of the vanilla

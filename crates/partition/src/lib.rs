@@ -47,7 +47,7 @@ pub mod two_level;
 
 pub use buffers::{BatchIndices, GpuBufferPlan};
 pub use chunking::balanced_ranges;
-pub use dedup::{BatchPlan, DedupPlan};
+pub use dedup::{BatchCounts, BatchPlan, DedupCounts, DedupPlan};
 pub use metrics::PartitionQuality;
 pub use multilevel::MultilevelPartitioner;
 pub use replication::replication_factor;

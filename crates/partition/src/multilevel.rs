@@ -19,12 +19,26 @@ use hongtu_tensor::SeededRng;
 
 /// Weighted undirected working graph used internally by the partitioner.
 /// Rows are ascending by neighbor id and every edge weight is at least 1.
+///
+/// Edge weights are stored as `u32` — a coarsening run keeps every level
+/// alive, so they are most of its peak memory — and widened wherever
+/// they are summed. A weight counts fine edges, so it only passes
+/// `u32::MAX` on a graph of more than 2³¹ edges ([`narrow`]).
 #[derive(Debug, Clone, PartialEq)]
 struct WorkGraph {
     offsets: Vec<usize>,
     nbrs: Vec<u32>,
-    weights: Vec<u64>,
+    weights: Vec<u32>,
     vwgt: Vec<u64>,
+}
+
+/// An accumulated edge weight as stored.
+///
+/// # Panics
+///
+/// Panics if `w` exceeds `u32::MAX`, which takes more than 2³¹ edges.
+fn narrow(w: u64) -> u32 {
+    u32::try_from(w).expect("an edge weight past u32::MAX needs more than 2^31 edges")
 }
 
 impl WorkGraph {
@@ -37,7 +51,7 @@ impl WorkGraph {
         self.nbrs[r.clone()]
             .iter()
             .copied()
-            .zip(self.weights[r].iter().copied())
+            .zip(self.weights[r].iter().map(|&w| u64::from(w)))
     }
 
     fn total_vwgt(&self) -> u64 {
@@ -65,7 +79,7 @@ impl WorkGraph {
         let n = g.num_vertices();
         let mut offsets = Vec::with_capacity(n + 1);
         let mut nbrs = Vec::with_capacity(g.num_edges() * 2);
-        let mut weights: Vec<u64> = Vec::with_capacity(g.num_edges() * 2);
+        let mut weights: Vec<u32> = Vec::with_capacity(g.num_edges() * 2);
         let (mut out_scratch, mut in_scratch) = (Vec::new(), Vec::new());
         offsets.push(0);
         for v in 0..n as u32 {
@@ -90,7 +104,7 @@ impl WorkGraph {
                 }
                 if u != v {
                     nbrs.push(u);
-                    weights.push(w);
+                    weights.push(narrow(w));
                 }
             }
             offsets.push(nbrs.len());
@@ -118,7 +132,7 @@ impl WorkGraph {
         pairs.sort_unstable();
         let mut offsets = vec![0usize; n + 1];
         let mut nbrs = Vec::with_capacity(pairs.len());
-        let mut weights: Vec<u64> = Vec::with_capacity(pairs.len());
+        let mut weights: Vec<u32> = Vec::with_capacity(pairs.len());
         let mut i = 0;
         while i < pairs.len() {
             let (s, t) = pairs[i];
@@ -128,7 +142,7 @@ impl WorkGraph {
                 i += 1;
             }
             nbrs.push(t);
-            weights.push(w);
+            weights.push(narrow(w));
             offsets[s as usize + 1] += 1;
         }
         for v in 0..n {
@@ -323,7 +337,7 @@ fn contract(g: &WorkGraph, map: &[u32], members: &[(u32, u32)]) -> WorkGraph {
         touched.sort_unstable();
         for &cu in &touched {
             nbrs.push(cu);
-            weights.push(std::mem::take(&mut acc[cu as usize]));
+            weights.push(narrow(std::mem::take(&mut acc[cu as usize])));
         }
         touched.clear();
         offsets.push(nbrs.len());
@@ -368,7 +382,7 @@ fn contract_reference(g: &WorkGraph, map: &[u32], cn: usize) -> WorkGraph {
             i += 1;
         }
         nbrs.push(b);
-        weights.push(w);
+        weights.push(narrow(w));
         offsets[a as usize + 1] += 1;
     }
     for v in 0..cn {

@@ -267,9 +267,9 @@ impl ChunkSubgraph {
 ///
 /// Each part marks the neighbors its kept edges read in a bitmap over its
 /// own ascending neighbor list: reading the set bits back lists them
-/// ascending with no sort, and an edge's rank among them is a per-word
-/// running count plus one `popcount`. Merging the parts' lists gives the
-/// chunk's neighbor list and, per part, where each rank landed in it.
+/// ascending with no sort. Merging the parts' lists gives the chunk's
+/// neighbor list and, per part, a table of where each of its neighbors
+/// landed in it, so an edge is re-indexed with one load.
 pub struct Packing<'c> {
     parts: Vec<Part<'c>>,
 }
@@ -347,34 +347,21 @@ impl<'c> Packing<'c> {
     }
 
     /// The packed chunk `(part, chunk)`.
-    pub fn build(mut self, part: usize, chunk: usize) -> ChunkSubgraph {
-        let neighbors = match &mut self.parts[..] {
-            [only] => std::mem::take(&mut only.ids),
-            _ => self.neighbors(),
-        };
+    pub fn build(self, part: usize, chunk: usize) -> ChunkSubgraph {
+        let neighbors = self.neighbors();
+        self.build_over(part, chunk, neighbors)
+    }
+
+    /// [`Packing::build`] given the chunk's neighbor list — the union of
+    /// the parts' read neighbors ([`Packing::read`]) — where the caller
+    /// has already merged it.
+    pub fn build_over(self, part: usize, chunk: usize, neighbors: Vec<VertexId>) -> ChunkSubgraph {
+        debug_assert!(
+            neighbors == self.neighbors(),
+            "the neighbor list is the union of the parts' read neighbors"
+        );
         let parts = self.parts;
-        // `local[p][r]`: where part `p`'s `r`-th read neighbor landed in
-        // the union — `None` where the union is that part's own list.
-        let local: Vec<Option<Vec<u32>>> = parts
-            .iter()
-            .map(|p| {
-                if parts.len() == 1 {
-                    return None;
-                }
-                (p.ids.len() != neighbors.len()).then(|| {
-                    let mut at = 0;
-                    p.ids
-                        .iter()
-                        .map(|&v| {
-                            while neighbors[at] < v {
-                                at += 1;
-                            }
-                            at as u32
-                        })
-                        .collect()
-                })
-            })
-            .collect();
+        let remap: Vec<Remap> = parts.iter().map(|p| p.remap(&neighbors)).collect();
         let mut kept: Vec<(VertexId, usize, u32)> = Vec::new();
         for (p, part) in parts.iter().enumerate() {
             let dests = &part.marks.chunk.dests;
@@ -396,10 +383,11 @@ impl<'c> Packing<'c> {
             let marks = &parts[p].marks;
             let c = marks.chunk;
             let range = c.in_edges_of(k as usize);
-            let read = c.nbr_index[range.clone()].iter().map(|&t| marks.rank(t));
-            match &local[p] {
-                None => nbr_index.extend(read.map(|r| r as u32)),
-                Some(local) => nbr_index.extend(read.map(|r| local[r])),
+            let read = c.nbr_index[range.clone()].iter();
+            match &remap[p] {
+                Remap::Same => nbr_index.extend_from_slice(&c.nbr_index[range.clone()]),
+                Remap::ByIndex(at) => nbr_index.extend(read.map(|&t| at[t as usize])),
+                Remap::ByRank(at) => nbr_index.extend(read.map(|&t| at[marks.rank(t)])),
             }
             gcn_weights.extend_from_slice(&c.gcn_weights[range]);
             offsets.push(nbr_index.len());
@@ -413,6 +401,58 @@ impl<'c> Packing<'c> {
             nbr_index,
             gcn_weights,
         }
+    }
+}
+
+/// Where the edges of one part of a [`Packing`] find their neighbor in
+/// the packed chunk's list.
+enum Remap {
+    /// At the index they read: the part reads every neighbor it has, and
+    /// the list is the part's own.
+    Same,
+    /// At `at[t]` for the part's neighbor `t`.
+    ByIndex(Vec<u32>),
+    /// At `at[r]` for the part's `r`-th read neighbor: a part that reads
+    /// a small share of a long neighbor list, where a table over the whole
+    /// list would cost more than its edges.
+    ByRank(Vec<u32>),
+}
+
+impl Part<'_> {
+    /// How this part's edges are re-indexed into `neighbors`, the packed
+    /// chunk's list.
+    fn remap(&self, neighbors: &[VertexId]) -> Remap {
+        let all = self.marks.chunk.neighbors.len();
+        if self.marks.all() && all == neighbors.len() {
+            return Remap::Same;
+        }
+        let mut at = 0;
+        let mut place = |v: VertexId| {
+            while neighbors[at] < v {
+                at += 1;
+            }
+            at as u32
+        };
+        let by_rank = self.ids.iter().map(|&v| place(v)).collect();
+        let edges: usize = self
+            .rows
+            .iter()
+            .map(|&k| self.marks.chunk.in_edges_of(k as usize).len())
+            .sum();
+        // A table over the whole list pays for itself once the edges read
+        // through it outnumber a quarter of its entries.
+        if self.marks.all() || edges * 4 < all {
+            return if self.marks.all() {
+                Remap::ByIndex(by_rank)
+            } else {
+                Remap::ByRank(by_rank)
+            };
+        }
+        let mut by_index = vec![0u32; all];
+        for (t, at) in self.marks.read().zip(by_rank) {
+            by_index[t] = at;
+        }
+        Remap::ByIndex(by_index)
     }
 }
 
@@ -473,6 +513,17 @@ impl<'c> Marks<'c> {
             }
         }
         ids
+    }
+
+    /// The read neighbors' indices into the chunk's list, ascending
+    /// (marked ones only).
+    fn read(&self) -> impl Iterator<Item = usize> + '_ {
+        self.marked.iter().enumerate().flat_map(|(w, &word)| {
+            std::iter::successors(Some(word).filter(|&r| r != 0), |&r| {
+                Some(r & (r - 1)).filter(|&r| r != 0)
+            })
+            .map(move |r| w * 64 + r.trailing_zeros() as usize)
+        })
     }
 
     /// Rank of neighbor `t` among the read ones.

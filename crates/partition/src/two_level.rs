@@ -12,6 +12,7 @@ use crate::subgraph::ChunkSubgraph;
 use crate::{Assignment, Partitioner};
 use hongtu_graph::Graph;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Per chunk `(i, j)`, the ascending local destination rows one layer of
 /// a cone-pruned sweep computes: `rows[i][j]`, what
@@ -25,8 +26,10 @@ pub struct TwoLevelPartition {
     pub m: usize,
     /// Number of chunks per partition (batches).
     pub n: usize,
-    /// Level-1 vertex assignment.
-    pub assignment: Assignment,
+    /// Level-1 vertex assignment, shared by every grid packed from this
+    /// one ([`TwoLevelPartition::packed`]): a packed grid is far smaller
+    /// than the graph the assignment covers.
+    pub assignment: Arc<Assignment>,
     /// `chunks[i][j]` is subgraph `G_ij` (partition `i`, batch `j`).
     pub chunks: Vec<Vec<ChunkSubgraph>>,
 }
@@ -77,7 +80,7 @@ impl TwoLevelPartition {
         TwoLevelPartition {
             m,
             n,
-            assignment,
+            assignment: Arc::new(assignment),
             chunks,
         }
     }
@@ -112,7 +115,7 @@ impl TwoLevelPartition {
         TwoLevelPartition {
             m: self.m,
             n: ends.len(),
-            assignment: self.assignment.clone(),
+            assignment: Arc::clone(&self.assignment),
             chunks,
         }
     }

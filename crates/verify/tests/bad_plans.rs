@@ -137,7 +137,7 @@ fn assignment_disagreement_is_p005() {
     let (g, mut plan, _, _) = triple(6, 3, 2);
     // Flip one vertex's level-1 label without touching the chunks.
     let v = plan.chunks[0][0].dests[0] as usize;
-    plan.assignment.partition_of[v] = 1;
+    std::sync::Arc::make_mut(&mut plan.assignment).partition_of[v] = 1;
     let diags = verify_partition(&g, &plan);
     assert!(
         diags.iter().all(|d| d.code == DiagCode::GridShape),

@@ -46,7 +46,13 @@
 //!    chose. The pass-11 verifier (`crates/verify/src/cache.rs`) rebuilds
 //!    a journaled cone through the same builders. Non-test code outside
 //!    those files and the builders' own (`crates/partition/src/`
-//!    `two_level.rs`, `subgraph.rs`) may not call them.
+//!    `two_level.rs`, `subgraph.rs`) may not call them. A cone's
+//!    communication plans come from the packer too, counted from the
+//!    unions that priced its runs: in the runtime crates (`core`,
+//!    `serving`, `delta`, `cache`), non-test code calls the full plan
+//!    builders (`DedupPlan::build`, `GpuBufferPlan::build_all`) only to
+//!    derive a session's plans and to certify (`engine.rs`) or to price
+//!    Alg. 4's candidate plans (`reorg.rs`).
 //!
 //! Exits 0 when clean, 1 with one line per violation otherwise. Wired
 //! into `tools/check.sh` and CI's `check` job.
@@ -66,6 +72,10 @@ const PACK_TOKENS: [&str; 4] = [
     concat!(".pack", "_run("),
     concat!("ChunkSubgraph::", "pack("),
     concat!("Pack", "ing::"),
+];
+const PLAN_BUILDER_TOKENS: [&str; 2] = [
+    concat!("DedupPlan::", "build("),
+    concat!("GpuBufferPlan::", "build_all("),
 ];
 const FOOTPRINT_TOKENS: [&str; 4] = [
     concat!(".topology", "_bytes("),
@@ -98,6 +108,16 @@ const PACKERS: [&str; 4] = [
     "crates/partition/src/subgraph.rs",
     "crates/verify/src/cache.rs",
 ];
+
+/// The runtime crates' sources, and the files in them that may build a
+/// session's full communication plans.
+const RUNTIME_SOURCES: [&str; 4] = [
+    "crates/core/src/",
+    "crates/serving/src/",
+    "crates/delta/src/",
+    "crates/cache/src/",
+];
+const PLAN_BUILDERS: [&str; 2] = ["crates/core/src/engine.rs", "crates/core/src/reorg.rs"];
 
 fn main() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -407,15 +427,27 @@ fn check_footprint_chokepoint(root: &Path, sources: &[PathBuf], violations: &mut
 fn check_cone_plan_chokepoint(root: &Path, sources: &[PathBuf], violations: &mut Vec<String>) {
     for path in sources {
         let relpath = rel(root, path);
-        if PACKERS.contains(&relpath.as_str()) || relpath.contains("/tests/") {
+        if relpath.contains("/tests/") {
+            continue;
+        }
+        let packs = !PACKERS.contains(&relpath.as_str());
+        let builds = RUNTIME_SOURCES.iter().any(|dir| relpath.starts_with(dir))
+            && !PLAN_BUILDERS.contains(&relpath.as_str());
+        if !packs && !builds {
             continue;
         }
         let src = read(path);
         for (lineno, line) in code_lines(&src) {
-            if PACK_TOKENS.iter().any(|t| line.contains(t)) {
+            if packs && PACK_TOKENS.iter().any(|t| line.contains(t)) {
                 violations.push(format!(
                     "{relpath}:{lineno}: packed cone plan built outside the packer — \
                      derive the cone with Session::plan_cone"
+                ));
+            }
+            if builds && PLAN_BUILDER_TOKENS.iter().any(|t| line.contains(t)) {
+                violations.push(format!(
+                    "{relpath}:{lineno}: full communication plans built outside session \
+                     derivation — a cone counts its plans from the packer's unions"
                 ));
             }
         }

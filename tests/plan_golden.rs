@@ -140,7 +140,7 @@ fn dataset_rows(
         );
         row(
             &format!("{m}x{n}/best_of_is_multilevel"),
-            u64::from(plan.assignment == multilevel),
+            u64::from(*plan.assignment == multilevel),
         );
         row(&format!("{m}x{n}/chunks"), digest(|f| f.grid(&plan)));
         let reorganized = reorganize(plan);

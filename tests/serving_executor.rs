@@ -28,7 +28,7 @@ use hongtu::nn::ModelKind;
 use hongtu::partition::cone::run_ranges;
 use hongtu::partition::{ChunkSubgraph, TwoLevelPartition};
 use hongtu::serving::AdmissionControl;
-use hongtu::sim::MachineConfig;
+use hongtu::sim::{MachineConfig, SimError};
 use hongtu::tensor::SeededRng;
 use hongtu::verify::{verify_trace, DEFAULT_EXPLORE_BUDGET};
 use proptest::prelude::*;
@@ -367,6 +367,48 @@ fn random_queries_serve_infer_rows_and_certify_across_the_matrix() {
         let journal = s.certify_cache();
         assert!(journal.is_ok(), "{cell:?}:\n{}", journal.render());
     }
+}
+
+/// A cone computes the logits of its seeds and nothing else, so
+/// `serve_cone` refuses — before anything runs — to serve a vertex the
+/// cone was not grown from, to serve from a delta cone, or to serve an
+/// id the graph does not have. Served from a cone of its own seeds, the
+/// same vertex reads the full sweep's row.
+#[test]
+fn serve_cone_refuses_rows_its_cone_never_computed() {
+    let ds = dataset();
+    let cfg = HongTuConfig::builder()
+        .machine(MachineConfig::scaled(2, 512 << 20))
+        .comm(CommMode::P2pRu)
+        .mode(Mode::Infer)
+        .build()
+        .expect("valid config");
+    let mut s = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg.clone()).expect("session");
+    let refused = |s: &mut Session, vertices: &[usize], cone| match s.serve_cone(vertices, cone) {
+        Err(SimError::InvalidQuery { message }) => message,
+        other => panic!("serve_cone({vertices:?}) was not refused: {other:?}"),
+    };
+    let other = s.query_cone(&[1]).expect("query cone");
+    let why = refused(&mut s, &[2000], other);
+    assert!(why.contains("vertex 2000 is not a seed"), "{why}");
+    let delta = s.plan_cone(ServeMask::from_dirty(s.plans().partition, 2, &[2000]));
+    let why = refused(&mut s, &[2000], delta);
+    assert!(why.contains("delta cone"), "{why}");
+    let mine = s.query_cone(&[2000]).expect("query cone");
+    let why = refused(&mut s, &[2000, ds.num_vertices()], mine);
+    assert!(why.contains("out of range"), "{why}");
+    assert!(
+        s.logits().row(2000).iter().all(|&x| x == 0.0),
+        "a refused cone ran"
+    );
+
+    let served = s
+        .serve_cone(&[2000], s.query_cone(&[2000]).expect("query cone"))
+        .expect("serve a cone of its own seeds");
+    let mut full = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("session");
+    let full = full.infer_epoch().expect("full sweep").logits;
+    assert_eq!(served.logits, full.gather_rows(&[2000]));
+    assert!(served.logits.row(0).iter().any(|&x| x != 0.0));
 }
 
 /// The cold-cache corner: a structural commit re-derives the plans and

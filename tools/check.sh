@@ -17,7 +17,9 @@ echo "==> source lint (diag catalogue, unsafe discipline, tag + exec-mode + foot
 # GpuLane::tag only from the engine's emission layer; the execution mode
 # read only by exec.rs's per-GPU dispatcher; no deprecated items; a step's
 # device footprint computed only in crates/core/src/footprint.rs; packed
-# cone plans built only by the packer in crates/core/src/serve.rs.
+# cone plans built only by the packer in crates/core/src/serve.rs, and
+# full dedup/buffer plans in the runtime crates only by session plan
+# derivation and certification (engine.rs) and Alg. 4 (reorg.rs).
 cargo run -q --release --bin lint
 
 echo "==> verify schedule smoke run (static certification, passes 6-8)"
