@@ -390,10 +390,10 @@ impl CacheRuntime {
     /// grown from and the load sets of the layer-0 plans packed from it
     /// ([`load_sets`] over the packed plans; a pruned batch's sets are
     /// empty). The cost is the size of the sets handed in.
-    pub fn begin_sweep(&mut self, packed: Option<(ConeOrigin, LoadSets)>) {
+    pub fn begin_sweep(&mut self, packed: Option<(ConeOrigin, Arc<LoadSets>)>) {
         let (cone, sets) = match packed {
             None => (None, Arc::clone(&self.sets)),
-            Some((cone, sets)) => (Some(cone), Arc::new(sets)),
+            Some((cone, sets)) => (Some(cone), sets),
         };
         let m = sets.len();
         let n = sets.first().map_or(0, Vec::len);
@@ -603,7 +603,7 @@ mod tests {
             runs: vec![1, 2],
         };
         let packed = vec![vec![vec![1, 5], vec![]], vec![vec![], vec![]]];
-        rt.begin_sweep(Some((cone.clone(), packed)));
+        rt.begin_sweep(Some((cone.clone(), Arc::new(packed))));
         assert_eq!(rt.stats(0, 1), HitStats::default());
         rt.end_sweep();
         assert_eq!(rt.resident_rows(0), 2); // {1,5}; 9 never loaded

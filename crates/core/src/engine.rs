@@ -1602,7 +1602,9 @@ impl Session {
     /// The sweep computes the logits of the cone's seeds only, so unless
     /// the cone is a query cone whose seeds include every one of
     /// `vertices` it is [`SimError::InvalidQuery`], as are an empty
-    /// `vertices` and an id the graph does not have. A cone derived
+    /// `vertices`, an id the graph does not have, and — on a session
+    /// with a hot-vertex cache — a cone derived without a cache policy,
+    /// which lists no load sets for the cache to freeze. A cone derived
     /// before a structural [`Session::apply_staged`] describes plans the
     /// session no longer has: it is [`SimError::StaleCone`]. Either way
     /// nothing runs.

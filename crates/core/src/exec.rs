@@ -50,6 +50,7 @@ use hongtu_sim::{
 };
 use hongtu_stream::{grad_slot, layer_schedule, rep_slot, OverlapMode, Role, StreamId};
 use hongtu_tensor::Matrix;
+use std::sync::Arc;
 
 pub(crate) const F32: usize = std::mem::size_of::<f32>();
 
@@ -420,10 +421,17 @@ fn forward_pass(
     scratch: &mut [GpuScratch],
 ) -> Result<(), SimError> {
     if let Some(c) = cache.as_deref_mut() {
-        c.begin_sweep(env.cone.map(|cone| {
-            let sets = cone.load_sets();
-            (cone.mask().origin().clone(), sets)
-        }));
+        let packed = match env.cone {
+            None => None,
+            Some(cone) => {
+                let sets = cone.load_sets().ok_or_else(|| SimError::InvalidQuery {
+                    message: "the cone was derived without a cache, so it lists no load sets"
+                        .into(),
+                })?;
+                Some((cone.mask().origin().clone(), Arc::clone(sets)))
+            }
+        };
+        c.begin_sweep(packed);
     }
     let frozen = Env {
         cache: cache.as_deref(),

@@ -250,8 +250,8 @@ pub struct Cone {
     active: Vec<Vec<bool>>,
     pub(crate) layers: Vec<LayerPlans>,
     /// The layer-0 load sets, listed only under a cache policy
-    /// ([`Cone::load_sets`]).
-    loads: Option<LoadSets>,
+    /// ([`Cone::load_sets`]); shared with the cache's sweep, not copied.
+    loads: Option<Arc<LoadSets>>,
     /// The session plan generation the cone was derived from.
     pub(crate) generation: u64,
 }
@@ -391,7 +391,7 @@ impl Cone {
             mask,
             active,
             layers,
-            loads,
+            loads: loads.map(Arc::new),
             generation,
         }
     }
@@ -425,15 +425,10 @@ impl Cone {
 
     /// `S[i][g]`: the rows GPU `i` host-loads at layer 0 of run `g` — the
     /// load sets a hot-vertex cache freezes its hits against, listed at
-    /// derivation when the session's configuration has a cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cone was derived without them.
-    pub(crate) fn load_sets(&self) -> LoadSets {
-        self.loads
-            .clone()
-            .expect("a cone derived under a cache policy lists its load sets")
+    /// derivation when the session's configuration has a cache; `None`
+    /// for a cone derived without one.
+    pub(crate) fn load_sets(&self) -> Option<&Arc<LoadSets>> {
+        self.loads.as_ref()
     }
 }
 
@@ -1241,6 +1236,7 @@ pub struct ServeReport {
 mod tests {
     use super::*;
     use hongtu_graph::GraphBuilder;
+    use proptest::test_runner::TestCaseError;
 
     /// 8-vertex ring 0→1→…→7→0, 4 chunks of 2 on 1 partition: batch j
     /// owns {2j, 2j+1}, and the ≤1-hop cone of vertex 2j is
@@ -1323,7 +1319,7 @@ mod tests {
         for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
             for ends in [vec![4], vec![2, 4], vec![1, 2, 3, 4]] {
                 let mask = ServeMask::from_queries(&plan, 2, &[4]);
-                let cone = Cone::new(&plan, mask, ends.clone(), comm, false, 0);
+                let cone = Cone::new(&plan, mask.clone(), ends.clone(), comm, true, 0);
                 assert_eq!(cone.mask().origin().runs, ends);
                 let dests = |l: usize| -> Vec<u32> {
                     let mut d: Vec<u32> = cone.layers[l]
@@ -1336,11 +1332,16 @@ mod tests {
                 };
                 assert_eq!(dests(1), [4]);
                 assert_eq!(dests(0), [3, 4]);
-                for layer in &cone.layers {
-                    assert_eq!(layer.plan.n, ends.len());
-                    assert_eq!(layer.counts.n, ends.len());
+                for (l, layer) in cone.layers.iter().enumerate() {
+                    assert_eq!(
+                        layer.plan.chunks,
+                        plan.packed(&mask.rows()[l], &ends).chunks
+                    );
                     assert_eq!(layer.buffer_comm.is_some(), comm == CommMode::P2pRu);
                 }
+                // Runs holding no touched batch (0 and 3 of the four
+                // singletons) are counted too.
+                matches_builders(&cone, comm, true).unwrap();
                 // 3 and 4 (batches 1 and 2) share a step only when one
                 // run holds both.
                 let steps = if ends.len() == 1 { 2 } else { 3 };
@@ -1390,6 +1391,30 @@ mod tests {
         (dedup.counts(), buffer_comm, sets)
     }
 
+    /// Fails unless every layer of `cone` counts what [`plans_reference`]
+    /// builds over its own packed grid — under Vanilla, which reads the
+    /// fetch matrix only, with no transition set built — and the layer-0
+    /// load sets are the builders' when `loads`, and absent otherwise.
+    fn matches_builders(cone: &Cone, comm: CommMode, loads: bool) -> Result<(), TestCaseError> {
+        for (l, layer) in cone.layers.iter().enumerate() {
+            let (counts, buffer_comm, sets) = plans_reference(&layer.plan, comm);
+            if comm == CommMode::Vanilla {
+                for (got, want) in layer.counts.batches.iter().zip(&counts.batches) {
+                    proptest::prop_assert_eq!(&got.fetch, &want.fetch);
+                    proptest::prop_assert!(got.transition.is_empty() && got.reused.is_empty());
+                }
+                proptest::prop_assert_eq!(layer.counts.n, counts.n);
+            } else {
+                proptest::prop_assert_eq!(&layer.counts, &counts);
+            }
+            proptest::prop_assert_eq!(&layer.buffer_comm, &buffer_comm);
+            if l == 0 {
+                proptest::prop_assert_eq!(cone.loads.as_deref(), loads.then_some(&sets));
+            }
+        }
+        Ok(())
+    }
+
     proptest::proptest! {
         /// Over random graphs, cones and budgets, under every
         /// communication mode, with and without double buffering and a
@@ -1397,7 +1422,9 @@ mod tests {
         /// grid, its counts and §6 buffer table are what the builders give
         /// over that grid — Vanilla, which reads the fetch matrix only,
         /// builds no transition set — and the layer-0 load sets, listed
-        /// only under a cache, are the builders'.
+        /// only under a cache, are the builders'. The same holds of the
+        /// cone packed on random runs ([`Cone::new`], the grid baseline's
+        /// path), whose runs may hold no touched batch.
         #[test]
         fn counted_plans_equal_the_builders_over_the_packed_grid(
             seed in 0u64..1_000_000,
@@ -1410,6 +1437,7 @@ mod tests {
             seeds in 1usize..30,
             upward in 0u32..2,
             budget in 0usize..4,
+            cuts in 0u32..32,
         ) {
             use hongtu_cache::{FrequencyRanked, Off};
             use hongtu_graph::generators;
@@ -1441,24 +1469,17 @@ mod tests {
             };
             let budget = [usize::MAX, 0, 1 << 12, 1 << 15][budget];
             let cone = Cone::packed(&plan, mask.clone(), &config, &model, &vec![budget; gpus], &Owned::new(), 0);
-            let runs = &cone.mask().origin().runs;
-            for (l, layer) in cone.layers.iter().enumerate() {
-                let grid = plan.packed(&mask.rows()[l], runs);
-                proptest::prop_assert_eq!(&layer.plan.chunks, &grid.chunks);
-                let (counts, buffer_comm, sets) = plans_reference(&layer.plan, comm);
-                if comm == CommMode::Vanilla {
-                    for (got, want) in layer.counts.batches.iter().zip(&counts.batches) {
-                        proptest::prop_assert_eq!(&got.fetch, &want.fetch);
-                        proptest::prop_assert!(got.transition.is_empty() && got.reused.is_empty());
-                    }
-                    proptest::prop_assert_eq!(layer.counts.n, counts.n);
-                } else {
-                    proptest::prop_assert_eq!(&layer.counts, &counts);
+            // Runs ending after each batch `cuts` picks, and at the last.
+            let mut ends: Vec<usize> = (1..plan.n).filter(|&j| cuts >> j & 1 == 1).collect();
+            ends.push(plan.n);
+            let on_ends = Cone::new(&plan, mask.clone(), ends, comm, cache == 1, 0);
+            for cone in [&cone, &on_ends] {
+                let runs = &cone.mask().origin().runs;
+                for (l, layer) in cone.layers.iter().enumerate() {
+                    let grid = plan.packed(&mask.rows()[l], runs);
+                    proptest::prop_assert_eq!(&layer.plan.chunks, &grid.chunks);
                 }
-                proptest::prop_assert_eq!(&layer.buffer_comm, &buffer_comm);
-                if l == 0 {
-                    proptest::prop_assert_eq!(&cone.loads, &(cache == 1).then_some(sets));
-                }
+                matches_builders(cone, comm, cache == 1)?;
             }
         }
     }

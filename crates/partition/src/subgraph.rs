@@ -361,7 +361,7 @@ impl<'c> Packing<'c> {
             "the neighbor list is the union of the parts' read neighbors"
         );
         let parts = self.parts;
-        let remap: Vec<Remap> = parts.iter().map(|p| p.remap(&neighbors)).collect();
+        let remap: Vec<_> = parts.iter().map(|p| p.remap(&neighbors)).collect();
         let mut kept: Vec<(VertexId, usize, u32)> = Vec::new();
         for (p, part) in parts.iter().enumerate() {
             let dests = &part.marks.chunk.dests;
@@ -380,14 +380,12 @@ impl<'c> Packing<'c> {
         let mut nbr_index = Vec::with_capacity(edges);
         let mut gcn_weights = Vec::with_capacity(edges);
         for &(_, p, k) in &kept {
-            let marks = &parts[p].marks;
-            let c = marks.chunk;
+            let c = parts[p].marks.chunk;
             let range = c.in_edges_of(k as usize);
-            let read = c.nbr_index[range.clone()].iter();
+            let read = &c.nbr_index[range.clone()];
             match &remap[p] {
-                Remap::Same => nbr_index.extend_from_slice(&c.nbr_index[range.clone()]),
-                Remap::ByIndex(at) => nbr_index.extend(read.map(|&t| at[t as usize])),
-                Remap::ByRank(at) => nbr_index.extend(read.map(|&t| at[marks.rank(t)])),
+                None => nbr_index.extend_from_slice(read),
+                Some(at) => nbr_index.extend(read.iter().map(|&t| at[t as usize])),
             }
             gcn_weights.extend_from_slice(&c.gcn_weights[range]);
             offsets.push(nbr_index.len());
@@ -404,27 +402,15 @@ impl<'c> Packing<'c> {
     }
 }
 
-/// Where the edges of one part of a [`Packing`] find their neighbor in
-/// the packed chunk's list.
-enum Remap {
-    /// At the index they read: the part reads every neighbor it has, and
-    /// the list is the part's own.
-    Same,
-    /// At `at[t]` for the part's neighbor `t`.
-    ByIndex(Vec<u32>),
-    /// At `at[r]` for the part's `r`-th read neighbor: a part that reads
-    /// a small share of a long neighbor list, where a table over the whole
-    /// list would cost more than its edges.
-    ByRank(Vec<u32>),
-}
-
 impl Part<'_> {
-    /// How this part's edges are re-indexed into `neighbors`, the packed
-    /// chunk's list.
-    fn remap(&self, neighbors: &[VertexId]) -> Remap {
+    /// Where this part's edges find their neighbor in `neighbors`, the
+    /// packed chunk's list: at `at[t]` for the part's neighbor `t` —
+    /// `None` where the part reads every neighbor it has and the list is
+    /// its own, so an edge keeps its index.
+    fn remap(&self, neighbors: &[VertexId]) -> Option<Vec<u32>> {
         let all = self.marks.chunk.neighbors.len();
         if self.marks.all() && all == neighbors.len() {
-            return Remap::Same;
+            return None;
         }
         let mut at = 0;
         let mut place = |v: VertexId| {
@@ -433,26 +419,14 @@ impl Part<'_> {
             }
             at as u32
         };
-        let by_rank = self.ids.iter().map(|&v| place(v)).collect();
-        let edges: usize = self
-            .rows
-            .iter()
-            .map(|&k| self.marks.chunk.in_edges_of(k as usize).len())
-            .sum();
-        // A table over the whole list pays for itself once the edges read
-        // through it outnumber a quarter of its entries.
-        if self.marks.all() || edges * 4 < all {
-            return if self.marks.all() {
-                Remap::ByIndex(by_rank)
-            } else {
-                Remap::ByRank(by_rank)
-            };
+        if self.marks.all() {
+            return Some(self.ids.iter().map(|&v| place(v)).collect());
         }
-        let mut by_index = vec![0u32; all];
-        for (t, at) in self.marks.read().zip(by_rank) {
-            by_index[t] = at;
+        let mut table = vec![0u32; all];
+        for (t, &v) in self.marks.read().zip(&self.ids) {
+            table[t] = place(v);
         }
-        Remap::ByIndex(by_index)
+        Some(table)
     }
 }
 
@@ -462,8 +436,6 @@ struct Marks<'c> {
     chunk: &'c ChunkSubgraph,
     /// Empty when every neighbor is read.
     marked: Vec<u64>,
-    /// Per word of `marked`, the set bits in the words before it.
-    below: Vec<u32>,
 }
 
 impl<'c> Marks<'c> {
@@ -471,7 +443,6 @@ impl<'c> Marks<'c> {
         let mut marks = Marks {
             chunk,
             marked: Vec::new(),
-            below: Vec::new(),
         };
         if rows.len() == chunk.num_dests() {
             return marks;
@@ -482,16 +453,6 @@ impl<'c> Marks<'c> {
                 marks.marked[t as usize / 64] |= 1 << (t % 64);
             }
         }
-        let mut count = 0;
-        marks.below = marks
-            .marked
-            .iter()
-            .map(|word| {
-                let before = count;
-                count += word.count_ones();
-                before
-            })
-            .collect();
         marks
     }
 
@@ -504,15 +465,7 @@ impl<'c> Marks<'c> {
         if self.all() {
             return self.chunk.neighbors.clone();
         }
-        let mut ids = Vec::new();
-        for (w, &word) in self.marked.iter().enumerate() {
-            let mut rest = word;
-            while rest != 0 {
-                ids.push(self.chunk.neighbors[w * 64 + rest.trailing_zeros() as usize]);
-                rest &= rest - 1;
-            }
-        }
-        ids
+        self.read().map(|t| self.chunk.neighbors[t]).collect()
     }
 
     /// The read neighbors' indices into the chunk's list, ascending
@@ -524,15 +477,6 @@ impl<'c> Marks<'c> {
             })
             .map(move |r| w * 64 + r.trailing_zeros() as usize)
         })
-    }
-
-    /// Rank of neighbor `t` among the read ones.
-    fn rank(&self, t: u32) -> usize {
-        if self.all() {
-            return t as usize;
-        }
-        let (w, bit) = (t as usize / 64, t % 64);
-        (self.below[w] + (self.marked[w] & ((1u64 << bit) - 1)).count_ones()) as usize
     }
 }
 

@@ -16,6 +16,7 @@ use hongtu_partition::cone::{ConeDir, ConeOrigin, VertexIndex};
 use hongtu_partition::{DedupPlan, GpuBufferPlan, TwoLevelPartition};
 use hongtu_tensor::SeededRng;
 use hongtu_verify::{verify_cache, DiagCode};
+use std::sync::Arc;
 
 const SLOT: usize = 32;
 
@@ -65,7 +66,7 @@ fn setup(
 /// vertex outside the batch, every batch its own run: its origin and the
 /// load sets of the plans packed to it, derived as the engine derives
 /// them.
-fn prune_batch(plan: &TwoLevelPartition, pruned: usize) -> (ConeOrigin, LoadSets) {
+fn prune_batch(plan: &TwoLevelPartition, pruned: usize) -> (ConeOrigin, Arc<LoadSets>) {
     pack_pruned(plan, pruned, (1..=plan.n).collect())
 }
 
@@ -74,7 +75,7 @@ fn pack_pruned(
     plan: &TwoLevelPartition,
     pruned: usize,
     runs: Vec<usize>,
-) -> (ConeOrigin, LoadSets) {
+) -> (ConeOrigin, Arc<LoadSets>) {
     let origin = ConeOrigin {
         dir: ConeDir::Downward,
         layers: 1,
@@ -90,7 +91,7 @@ fn pack_pruned(
     let dedup = DedupPlan::build(&packed);
     let bufs = GpuBufferPlan::build_all(&packed, &dedup);
     let sets = load_sets(&packed, &dedup, Some(&bufs), LoadPattern::P2pRu);
-    (origin, sets)
+    (origin, Arc::new(sets))
 }
 
 fn certify(

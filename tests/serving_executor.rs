@@ -411,6 +411,39 @@ fn serve_cone_refuses_rows_its_cone_never_computed() {
     assert!(served.logits.row(0).iter().any(|&x| x != 0.0));
 }
 
+/// A cone lists its layer-0 load sets only when it is derived under a
+/// cache policy, so a hot-vertex cache's sweep refuses a cone derived
+/// without one — typed, before anything runs — rather than panicking.
+#[test]
+fn a_cached_sweep_refuses_a_cone_without_load_sets() {
+    let ds = random_dataset(test_seed() ^ 0x10ad, 240);
+    let cell = |cache| Cell {
+        kind: ModelKind::Gcn,
+        comm: CommMode::P2pRu,
+        gpus: 2,
+        overlap: OverlapMode::Off,
+        exec: ExecutionMode::Sequential,
+        cache,
+    };
+    let mut cached = cell(true).session(&ds, ROWS40);
+    cached.infer_epoch().expect("prime");
+    let events = cached.cache().expect("cache admitted").log().events.len();
+    let bare = cell(false).session(&ds, ROWS40);
+    let cone = bare.query_cone(&[7]).expect("query cone");
+    match cached.serve_cone(&[7], cone) {
+        Err(SimError::InvalidQuery { message }) => {
+            assert!(message.contains("load sets"), "{message}")
+        }
+        other => panic!("a cone without load sets was served: {other:?}"),
+    }
+    let after = cached.cache().expect("cache admitted").log().events.len();
+    assert_eq!(after, events, "a refused cone ran");
+    let cone = cached.query_cone(&[7]).expect("query cone");
+    cached
+        .serve_cone(&[7], cone)
+        .expect("a cone of the session's own");
+}
+
 /// The cold-cache corner: a structural commit re-derives the plans and
 /// re-admits the hot-vertex cache from scratch, so the replay and the
 /// serve right behind it run against an empty resident set. The served
