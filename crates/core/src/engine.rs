@@ -58,7 +58,8 @@ use hongtu_stream::StagingPlan;
 use hongtu_tensor::{Adam, Matrix, SeededRng};
 use hongtu_verify::Report;
 pub use hongtu_verify::ValidationLevel;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Which duplicated-neighbor optimizations are active (§7.3 ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -423,7 +424,7 @@ fn invalid_schedule(report: &Report) -> SimError {
 }
 
 /// Every plan downstream of the two-level partition: what a session
-/// derives at construction and re-derives when a structural delta moves
+/// derives at construction and patches when a structural delta moves
 /// the topology.
 struct DerivedPlans {
     dedup: DedupPlan,
@@ -437,21 +438,42 @@ struct DerivedPlans {
     staging: Option<Vec<StagingPlan>>,
 }
 
-/// Derives [`DerivedPlans`] from `plan` and, unless validation is off,
-/// statically verifies the whole plan against `g` (passes 1–4): the
-/// engine refuses to run a corrupt plan. Pure — nothing is installed.
+/// The live plans a structural commit patches, and which batches'
+/// neighbor lists it moved.
+struct Patch<'a> {
+    dedup: &'a DedupPlan,
+    bufplans: Option<&'a [GpuBufferPlan]>,
+    moved: &'a [bool],
+}
+
+/// Derives [`DerivedPlans`] from `plan` — from scratch, or by patching
+/// `live`'s plans in the batches it moved — and, unless validation is
+/// off, statically verifies the whole plan against `g` (passes 1–4): the
+/// engine refuses to run a corrupt plan, whatever part of it changed.
+/// Pure — nothing is installed.
 fn derive_plans(
     plan: &TwoLevelPartition,
     g: &Graph,
     model: &GnnModel,
     config: &HongTuConfig,
+    live: Option<Patch<'_>>,
 ) -> Result<DerivedPlans, SimError> {
-    let dedup = DedupPlan::build(plan);
-    let bufplans = if config.validation != ValidationLevel::Off || config.comm == CommMode::P2pRu {
-        Some(GpuBufferPlan::build_all(plan, &dedup))
-    } else {
-        None
+    let dedup = match &live {
+        Some(live) => live.dedup.patched(plan, live.moved),
+        None => DedupPlan::build(plan),
     };
+    let bufplans = (config.validation != ValidationLevel::Off || config.comm == CommMode::P2pRu)
+        .then(|| match &live {
+            Some(Patch {
+                bufplans: Some(old),
+                moved,
+                ..
+            }) => old
+                .iter()
+                .map(|bp| bp.patched(plan, &dedup, moved))
+                .collect(),
+            _ => GpuBufferPlan::build_all(plan, &dedup),
+        });
     if config.validation != ValidationLevel::Off {
         let report = hongtu_verify::verify_all(g, plan, &dedup, bufplans.as_deref().unwrap_or(&[]));
         if !report.is_ok() {
@@ -525,6 +547,14 @@ pub(crate) fn build_buffer_comm(
     Some(per_gpu)
 }
 
+/// A plan identity no other plans of this process carry: a cone swept
+/// on plans of another identity — its session's before a structural
+/// commit, or another session's — is refused before anything runs.
+fn next_plan_id() -> u64 {
+    static LAST: AtomicU64 = AtomicU64::new(0);
+    LAST.fetch_add(1, Ordering::Relaxed) + 1
+}
+
 /// The smaller of two per-GPU budgets on each GPU.
 fn tighter(a: &[usize], b: &[usize]) -> Vec<usize> {
     a.iter().zip(b).map(|(&a, &b)| a.min(b)).collect()
@@ -573,9 +603,9 @@ pub struct InferReport {
 
 /// What one sweep cost on the simulated clock — an [`InferReport`]
 /// without the logits, which stay in the session's store for the caller
-/// to copy whole ([`Session::infer_epoch`], [`Session::apply_staged`]) or
-/// a few rows of ([`Session::serve`]). [`Session::simulate`] returns it
-/// for the next epoch without running that epoch's numerics.
+/// to read ([`Session::logits`]), copy whole ([`Session::infer_epoch`])
+/// or copy a few rows of ([`Session::serve`]). [`Session::simulate`]
+/// returns it for the next epoch without running that epoch's numerics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepStats {
     /// Simulated time in seconds (critical path over GPUs).
@@ -590,16 +620,13 @@ pub struct SweepStats {
 }
 
 /// Result of one committed delta batch ([`Session::apply_staged`]):
-/// the mutated graph's post-commit logits plus what the incremental
-/// replay cost relative to a full sweep.
+/// what the incremental replay cost relative to a full sweep. The
+/// post-commit logits stay in the session ([`Session::logits`]), bitwise
+/// equal to a from-scratch [`Session::infer_epoch`] on the mutated graph.
 #[derive(Debug, Clone)]
 pub struct DeltaReport {
     /// The [`hongtu_delta::DynamicGraph`] epoch the commit produced.
     pub epoch: u64,
-    /// Full per-vertex logits `h^L` after the in-place patch — bitwise
-    /// equal to a from-scratch [`Session::infer_epoch`] on the mutated
-    /// graph.
-    pub logits: Matrix,
     /// Simulated replay time in seconds (critical path over GPUs).
     pub time: f64,
     /// Per-component simulated time/volume of the replay.
@@ -729,10 +756,11 @@ pub struct Session {
     /// [`Session::apply_staged`] sweep: the cone whose packed plans the
     /// sweep runs over. `None` on full-graph epochs.
     cone: Option<Cone>,
-    /// The plan generation: bumped by every structural commit, stamped
-    /// on every [`Cone`] derived from the plans, and checked before a
-    /// cone's sweep runs.
-    generation: u64,
+    /// The identity of the plans, unique in the process
+    /// ([`next_plan_id`]): drawn at construction and by every structural
+    /// commit, stamped on every [`Cone`] derived from the plans, and
+    /// checked before a cone's sweep runs.
+    plan_id: u64,
     /// Vertex → owning `(partition, chunk, row)`, 12 B per vertex: what
     /// the cone recurrences walk in-edges through. Chunk *membership* is
     /// fixed for the session's lifetime, so it is built once.
@@ -837,7 +865,7 @@ impl Session {
             bufplans,
             buffer_comm,
             staging,
-        } = derive_plans(&plan, &dataset.graph, &model, &config)?;
+        } = derive_plans(&plan, &dataset.graph, &model, &config, None)?;
         let volumes = CommVolumes::from_plan(&dedup);
         // Modeled preprocessing cost: the heuristic streams every neighbor
         // list a handful of times (phase-1 intersections + index planning).
@@ -912,7 +940,7 @@ impl Session {
             preprocessing,
             epochs_run: 0,
             cone: None,
-            generation: 0,
+            plan_id: next_plan_id(),
             index,
             seen: Mutex::default(),
             owned: Owned::new(),
@@ -1232,23 +1260,33 @@ impl Session {
 
     /// The pruned repair sweep an [`Session::apply_staged`] replay for
     /// `dirty` seed vertices would execute against the session's
-    /// *current* plans. Call it after the apply (on the rebuilt plans) to
-    /// certify the replay that just ran.
-    pub fn synthesize_delta_schedule(&self, dirty: &[usize]) -> Result<Trace, SimError> {
-        Ok(self
-            .synthesize(Some(&self.dirty_cone(dirty)), Trace::unbounded())?
-            .1)
+    /// *current* plans, its cone grown along the out-edges of `graph` —
+    /// the topology those plans were built from. Call it after the apply
+    /// (on the rebuilt plans, with the committed graph) to certify the
+    /// replay that just ran. A `graph` of another vertex count is
+    /// [`SimError::GraphMismatch`].
+    pub fn synthesize_delta_schedule(
+        &self,
+        graph: &Graph,
+        dirty: &[usize],
+    ) -> Result<Trace, SimError> {
+        let cone = self.dirty_cone(graph, dirty)?;
+        Ok(self.synthesize(Some(&cone), Trace::unbounded())?.1)
     }
 
     /// Statically certifies the incremental repair sweep for `dirty`
-    /// seed vertices: upward closure of the affected cone (pass 10) plus
-    /// passes 6–9 over the synthesized schedule.
+    /// seed vertices, grown over `graph` as in
+    /// [`Session::synthesize_delta_schedule`]: upward closure of the
+    /// affected cone (pass 10) plus passes 6–9 over the synthesized
+    /// schedule.
     pub fn certify_delta(
         &self,
+        graph: &Graph,
         dirty: &[usize],
         explore: Option<usize>,
     ) -> Result<Report, SimError> {
-        self.certify(Some((self.dirty_cone(dirty), ConeDir::Upward)), explore)
+        let cone = self.dirty_cone(graph, dirty)?;
+        self.certify(Some((cone, ConeDir::Upward)), explore)
     }
 
     /// The exact dependency cone of a query for `vertices` — the rows each
@@ -1278,29 +1316,57 @@ impl Session {
     fn query_mask(&self, vertices: &[usize]) -> Result<ServeMask, SimError> {
         cone::check_seeds("query", self.index.len(), vertices)
             .map_err(|message| SimError::InvalidQuery { message })?;
-        Ok(self.grow_mask(ConeDir::Downward, vertices))
+        let layers = self.model.num_layers();
+        Ok(ServeMask::query(
+            &self.plan,
+            &self.index,
+            &mut self.seen(),
+            layers,
+            vertices,
+        ))
     }
 
     /// The replay cone of the `dirty` seeds over the session's current
-    /// plans.
+    /// plans, grown over `graph`.
     ///
     /// # Panics
     ///
     /// Panics if `dirty` is empty or names a vertex out of range.
-    fn dirty_cone(&self, dirty: &[usize]) -> Cone {
-        self.plan_cone(self.grow_mask(ConeDir::Upward, dirty))
+    fn dirty_cone(&self, graph: &Graph, dirty: &[usize]) -> Result<Cone, SimError> {
+        self.check_graph(graph)?;
+        Ok(self.plan_cone(self.delta_mask(graph, dirty)))
     }
 
-    fn grow_mask(&self, dir: ConeDir, seeds: &[usize]) -> ServeMask {
+    /// The delta cone of `dirty` over the session's plans, grown along
+    /// the out-edges of `graph`, which must have the session's vertices.
+    fn delta_mask(&self, graph: &Graph, dirty: &[usize]) -> ServeMask {
         let layers = self.model.num_layers();
-        // A cone that panicked mid-growth may have left frontier bits
-        // set: the next cone starts from a fresh set.
-        let mut seen = self.seen.lock().unwrap_or_else(|poisoned| {
-            let mut seen = poisoned.into_inner();
-            *seen = Seen::default();
-            seen
-        });
-        ServeMask::grow(&self.plan, &self.index, &mut seen, dir, layers, seeds)
+        ServeMask::delta(
+            &self.plan,
+            &self.index,
+            graph,
+            &mut self.seen(),
+            layers,
+            dirty,
+        )
+    }
+
+    /// The session's cone-growth scratch. A cone that panicked mid-growth
+    /// left only stamps of a mark no later cone hands out.
+    fn seen(&self) -> MutexGuard<'_, Seen> {
+        self.seen.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether `graph` has the session's vertices — what growing a cone
+    /// over it or committing a batch staged on it needs.
+    fn check_graph(&self, graph: &Graph) -> Result<(), SimError> {
+        if graph.num_vertices() == self.index.len() {
+            return Ok(());
+        }
+        Err(SimError::GraphMismatch {
+            graph_vertices: graph.num_vertices(),
+            session_vertices: self.index.len(),
+        })
     }
 
     /// [`Session::plan_cone`] against `budget`.
@@ -1312,7 +1378,7 @@ impl Session {
             &self.model,
             budget,
             &self.owned,
-            self.generation,
+            self.plan_id,
         )
     }
 
@@ -1349,7 +1415,7 @@ impl Session {
             ends,
             self.config.comm,
             loads,
-            self.generation,
+            self.plan_id,
         )
     }
 
@@ -1605,9 +1671,9 @@ impl Session {
     /// `vertices`, an id the graph does not have, and — on a session
     /// with a hot-vertex cache — a cone derived without a cache policy,
     /// which lists no load sets for the cache to freeze. A cone derived
-    /// before a structural [`Session::apply_staged`] describes plans the
-    /// session no longer has: it is [`SimError::StaleCone`]. Either way
-    /// nothing runs.
+    /// before a structural [`Session::apply_staged`], or by another
+    /// session, describes plans the session does not have: it is
+    /// [`SimError::StaleCone`]. Either way nothing runs.
     pub fn serve_cone(&mut self, vertices: &[usize], cone: Cone) -> Result<ServeReport, SimError> {
         let invalid = |message| Err(SimError::InvalidQuery { message });
         if let Err(message) = cone::check_seeds("query", self.index.len(), vertices) {
@@ -1621,6 +1687,11 @@ impl Session {
         seeds.sort_unstable();
         if let Some(v) = vertices.iter().find(|v| seeds.binary_search(v).is_err()) {
             return invalid(format!("query: vertex {v} is not a seed of the cone"));
+        }
+        if self.cache.is_some() && cone.load_sets().is_none() {
+            return invalid(
+                "the cone was derived without a cache, so it lists no load sets".into(),
+            );
         }
         let (report, cone) = self.masked_sweep(cone)?;
         let mask = cone.mask();
@@ -1638,13 +1709,13 @@ impl Session {
     }
 
     /// One certified forward sweep over `cone`'s packed plans, which must
-    /// be of the session's plan generation; hands the cone back for the
-    /// report.
+    /// have been derived from the session's current plans; hands the cone
+    /// back for the report.
     fn masked_sweep(&mut self, cone: Cone) -> Result<(SweepStats, Cone), SimError> {
-        if cone.generation != self.generation {
+        if cone.plan_id != self.plan_id {
             return Err(SimError::StaleCone {
-                cone_generation: cone.generation,
-                plan_generation: self.generation,
+                cone_generation: cone.plan_id,
+                plan_generation: self.plan_id,
             });
         }
         self.cone = Some(cone);
@@ -1658,27 +1729,31 @@ impl Session {
     /// host-resident layer store in place: rebuilds exactly the chunk
     /// subgraphs whose computation the mutations changed (destination
     /// membership is kept fixed, so untouched chunks stay bitwise
-    /// identical), re-derives the downstream dedup/buffer/staging/cache
-    /// plans when the topology moved, FIFO-commits the batch, patches the
-    /// mutated feature rows into `h^0`, and replays only the rows of the
-    /// exact affected cone ([`ServeMask::from_dirty`]) as — and,
-    /// under [`ValidationLevel::Paranoid`], certified like — a
+    /// identical), patches the downstream dedup and buffer plans in the
+    /// batches whose neighbor lists moved and re-derives staging and the
+    /// cache plan when the topology moved, FIFO-commits the batch,
+    /// patches the mutated feature rows into `h^0`, and replays only the
+    /// rows of the exact affected cone ([`ServeMask::from_dirty`], grown
+    /// over the committed topology) as — and, under
+    /// [`ValidationLevel::Paranoid`], certified like — a
     /// [`Session::infer_epoch`].
     ///
-    /// The returned logits are bitwise equal to a from-scratch
-    /// inference epoch on the mutated graph: every row a replayed slice
-    /// reads at layer `l` is either bitwise-unchanged in `h^l` (its
-    /// in-edge lists, weights, and transitive inputs are untouched) or
-    /// was recomputed at layer `l − 1` (`R[l] ⊇ R[l − 1]` keeps dirty rows
-    /// covered a layer below, and every row reading a rewritten one is in
-    /// `R[l]`). That induction assumes the layer stores
-    /// are *current* — run [`Session::infer_epoch`] once after
+    /// The patched logits ([`Session::logits`]) are bitwise equal to a
+    /// from-scratch inference epoch on the mutated graph: every row a
+    /// replayed slice reads at layer `l` is either bitwise-unchanged in
+    /// `h^l` (its in-edge lists, weights, and transitive inputs are
+    /// untouched) or was recomputed at layer `l − 1` (`R[l] ⊇ R[l − 1]`
+    /// keeps dirty rows covered a layer below, and every row reading a
+    /// rewritten one is in `R[l]`). That induction assumes the layer
+    /// stores are *current* — run [`Session::infer_epoch`] once after
     /// construction before the first apply (construction zero-fills
     /// `h^{l>0}`).
     ///
     /// Transactional up to the commit. Everything that can refuse the
-    /// batch is decided before anything is installed: a batch staged
-    /// against another epoch of `dg` is [`SimError::StaleCommit`]; a
+    /// batch is decided before anything is installed: a `dg`, or a batch
+    /// staged on a graph, of another vertex count than the session's is
+    /// [`SimError::GraphMismatch`]; a batch staged against another epoch
+    /// of `dg` is [`SimError::StaleCommit`]; a
     /// rebuilt plan or replay cone the verifier rejects is
     /// [`SimError::InvalidPlan`]; a replay cone over the caller's budget
     /// ([`Session::apply_staged_within`]) is [`SimError::OverBudget`];
@@ -1687,10 +1762,6 @@ impl Session {
     /// released, since both are re-derived — is
     /// [`SimError::OutOfMemory`]. Each leaves the session, its plans, its
     /// cache and `dg` exactly as they were.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dg`'s vertex count differs from the session's.
     pub fn apply_staged(
         &mut self,
         dg: &mut DynamicGraph,
@@ -1719,11 +1790,8 @@ impl Session {
         staged: StagedCommit,
         budget: Option<&[usize]>,
     ) -> Result<DeltaReport, SimError> {
-        assert_eq!(
-            dg.num_vertices(),
-            self.h[0].rows(),
-            "dynamic graph and session disagree on vertex count"
-        );
+        self.check_graph(dg.graph())?;
+        self.check_graph(staged.graph())?;
         if staged.base_epoch() != dg.epoch() {
             return Err(SimError::StaleCommit {
                 staged_epoch: staged.base_epoch(),
@@ -1738,8 +1806,10 @@ impl Session {
         // its rows in every h^l — stays bitwise identical. The fresh
         // chunks sit in the partition provisionally: the plans and the
         // replay cone below are derived from them, and any refusal puts
-        // the old chunks back. ----
+        // the old chunks back. A batch whose chunks all kept their
+        // neighbor lists moved only GCN weights, which no plan reads. ----
         let mut replaced: Vec<ChunkSubgraph> = Vec::new();
+        let mut moved = vec![false; self.plan.n];
         let structural = !staged.structural().is_empty();
         if structural {
             let mut structural = vec![false; dg.num_vertices()];
@@ -1754,22 +1824,26 @@ impl Session {
                         chunk.chunk,
                         chunk.dests.clone(),
                     );
+                    moved[chunk.chunk] |= fresh.neighbors != chunk.neighbors;
                     replaced.push(std::mem::replace(chunk, fresh));
                 }
             }
         }
         let rebuilt = replaced.len();
         // Cones of the old chunks are stale from here; a refusal below
-        // puts the old chunks, and their generation, back.
-        self.generation += u64::from(structural);
-        let (derived, cone) = match self.prepare_commit(&staged, budget) {
+        // puts the old chunks, and their identity, back.
+        let live_id = self.plan_id;
+        if structural {
+            self.plan_id = next_plan_id();
+        }
+        let (derived, cone) = match self.prepare_commit(&staged, &moved, budget) {
             Ok(prepared) => prepared,
             Err(e) => {
                 for old in replaced {
                     let (i, j) = (old.part, old.chunk);
                     self.plan.chunks[i][j] = old;
                 }
-                self.generation -= u64::from(structural);
+                self.plan_id = live_id;
                 return Err(e);
             }
         };
@@ -1821,7 +1895,6 @@ impl Session {
         let mask = cone.mask();
         Ok(DeltaReport {
             epoch: receipt.epoch,
-            logits: self.logits().clone(),
             time: report.time,
             buckets: report.buckets,
             peak_gpu_bytes: report.peak_gpu_bytes,
@@ -1838,17 +1911,30 @@ impl Session {
     /// Everything about committing `staged` that can fail, computed
     /// beside the live state with `self.plan` already holding the
     /// rebuilt chunks: the downstream plans (structural batches only),
-    /// whether their staging fits the device, and the verified replay
-    /// cone, held to `budget` when there is one. Mutates nothing.
+    /// patched in the batches `moved` flags and verified whole, whether
+    /// their staging fits the device, and the verified replay cone, held
+    /// to `budget` when there is one. Mutates nothing.
     fn prepare_commit(
         &self,
         staged: &StagedCommit,
+        moved: &[bool],
         budget: Option<&[usize]>,
     ) -> Result<(Option<DerivedPlans>, Cone), SimError> {
         let derived = if staged.structural().is_empty() {
             None
         } else {
-            let derived = derive_plans(&self.plan, staged.graph(), &self.model, &self.config)?;
+            let live = Patch {
+                dedup: &self.dedup,
+                bufplans: self.bufplans.as_deref(),
+                moved,
+            };
+            let derived = derive_plans(
+                &self.plan,
+                staged.graph(),
+                &self.model,
+                &self.config,
+                Some(live),
+            )?;
             // The new pinned set replaces the old staging *and* the old
             // cache (admitted into the headroom the old staging left), so
             // it is held against the device with both released.
@@ -1888,7 +1974,7 @@ impl Session {
             Some(budget) => tighter(&staging, budget),
             None => staging,
         };
-        let mask = self.grow_mask(ConeDir::Upward, staged.dirty());
+        let mask = self.delta_mask(staged.graph(), staged.dirty());
         let cone = self.pack_within(mask, &held);
         if self.config.validation != ValidationLevel::Off {
             let report = hongtu_verify::verify_cone(cone.grid(), ConeDir::Upward);
@@ -2413,5 +2499,80 @@ mod tests {
         cfg.mode = Mode::Infer;
         let mut session = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("session");
         let _ = session.trainer();
+    }
+
+    /// A dataset over a random id-local web graph with self-loops.
+    fn web_dataset(seed: u64, n: usize) -> Dataset {
+        use hongtu_datasets::dataset::{with_self_loops, Splits};
+        let rng = SeededRng::new(seed);
+        let g = hongtu_graph::generators::web_hybrid(n, 5.0, 0.9, 20.0, &mut rng.fork(1));
+        let mut frng = rng.fork(2);
+        let mut lrng = rng.fork(3);
+        Dataset {
+            key: DatasetKey::Rdt,
+            graph: with_self_loops(&g),
+            features: Matrix::from_fn(n, 6, |_, _| frng.normal() * 0.5),
+            labels: (0..n).map(|_| lrng.index(3) as u32).collect(),
+            splits: Splits::random(n, 0.4, 0.2, &mut rng.fork(4)),
+            num_classes: 3,
+            seed,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(12))]
+
+        /// A structural commit patches the live dedup and buffer plans in
+        /// the batches whose neighbor lists moved and shares the rest.
+        /// After every commit of a random sequence of edge and feature
+        /// batches, in every comm mode, with and without pinned staging,
+        /// the session holds exactly what a from-scratch derivation over
+        /// its chunks and the committed graph gives: the dedup sets and
+        /// their counts, every GPU's buffer plan and capacity, the §6
+        /// buffer table, the volumes and the staging plans.
+        #[test]
+        fn patched_plans_equal_a_fresh_derivation(
+            seed in 0u64..1000,
+            comm in 0usize..3,
+            gpus in 1usize..4,
+            chunks in 2usize..6,
+            double in 0usize..2,
+        ) {
+            use hongtu_delta::{toggle_workload, DeltaMix};
+            let ds = web_dataset(seed, 300);
+            let cfg = HongTuConfig::builder()
+                .machine(MachineConfig::scaled(gpus, 512 << 20))
+                .comm([CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu][comm])
+                .overlap([OverlapMode::Off, OverlapMode::DoubleBuffer][double])
+                .infer()
+                .build()
+                .expect("valid config");
+            let mut s = Session::new(&ds, ModelKind::Gcn, 8, 2, chunks, cfg).expect("session");
+            s.infer_epoch().expect("initial full sweep");
+            let mut dg = DynamicGraph::from_dataset(&ds);
+            let workload = toggle_workload(
+                dg.graph(),
+                ds.features.cols(),
+                4,
+                2,
+                DeltaMix::Mixed,
+                &mut SeededRng::new(seed ^ 0x7a7c),
+            );
+            for batch in &workload {
+                let staged = dg.stage(batch).expect("valid batch");
+                s.apply_staged(&mut dg, staged).expect("commit");
+                let fresh = derive_plans(&s.plan, dg.graph(), &s.model, &s.config, None)
+                    .expect("fresh derivation");
+                proptest::prop_assert_eq!(&s.dedup, &fresh.dedup);
+                proptest::prop_assert_eq!(&s.counts, &fresh.counts);
+                proptest::prop_assert_eq!(&s.bufplans, &fresh.bufplans);
+                proptest::prop_assert_eq!(&s.buffer_comm, &fresh.buffer_comm);
+                proptest::prop_assert_eq!(&s.staging, &fresh.staging);
+                proptest::prop_assert_eq!(
+                    s.preprocessing.volumes,
+                    CommVolumes::from_plan(&fresh.dedup)
+                );
+            }
+        }
     }
 }

@@ -424,10 +424,11 @@ fn forward_pass(
         let packed = match env.cone {
             None => None,
             Some(cone) => {
-                let sets = cone.load_sets().ok_or_else(|| SimError::InvalidQuery {
-                    message: "the cone was derived without a cache, so it lists no load sets"
-                        .into(),
-                })?;
+                // A session refuses a cone of other plans, and one of its
+                // own lists load sets whenever it has a cache.
+                let sets = cone
+                    .load_sets()
+                    .expect("a cached session's cone lists load sets");
                 Some((cone.mask().origin().clone(), Arc::clone(sets)))
             }
         };

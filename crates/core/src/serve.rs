@@ -33,14 +33,14 @@
 //! reduction keeps its in-edge order whatever chunk holds the row, so
 //! the rows it computes are bitwise the full sweep's.
 
-use crate::cone::{ConeDir, ConeOrigin, Seen, VertexIndex};
+use crate::cone::{self, ConeDir, ConeOrigin, Seen, VertexIndex};
 use crate::dedup::{union_sorted, BatchCounts, DedupCounts};
 #[cfg(doc)]
 use crate::engine::build_buffer_comm;
 use crate::engine::{BatchComm, CommMode, HongTuConfig};
 use crate::footprint;
 use hongtu_cache::LoadSets;
-use hongtu_graph::VertexId;
+use hongtu_graph::{Graph, VertexId};
 use hongtu_nn::GnnModel;
 use hongtu_partition::{ChunkShape, ChunkSubgraph, Packing, SliceRows, TwoLevelPartition};
 use hongtu_sim::TimeBuckets;
@@ -81,11 +81,10 @@ impl ServeMask {
     ///
     /// [`Session::query_cone`]: crate::Session::query_cone
     pub fn from_queries(plan: &TwoLevelPartition, layers: usize, vertices: &[usize]) -> ServeMask {
-        Self::grow(
+        Self::query(
             plan,
             &VertexIndex::new(plan),
             &mut Seen::default(),
-            ConeDir::Downward,
             layers,
             vertices,
         )
@@ -95,45 +94,80 @@ impl ServeMask {
     /// vertices — the rows an incremental recompute must replay after a
     /// graph mutation invalidated those vertices' layer-1 rows
     /// ([`crate::cone`] gives the recurrence and the duality with the
-    /// query cone).
+    /// query cone) — grown along the out-edges of `graph`, the topology
+    /// `plan`'s chunks were built from.
     ///
     /// # Panics
     ///
     /// Panics if any dirty vertex id is out of range for the plan's
     /// graph, or if `dirty` is empty (a mutation with no dirty vertices
     /// has nothing to replay).
-    pub fn from_dirty(plan: &TwoLevelPartition, layers: usize, dirty: &[usize]) -> ServeMask {
-        Self::grow(
+    pub fn from_dirty(
+        plan: &TwoLevelPartition,
+        graph: &Graph,
+        layers: usize,
+        dirty: &[usize],
+    ) -> ServeMask {
+        Self::delta(
             plan,
             &VertexIndex::new(plan),
+            graph,
             &mut Seen::default(),
-            ConeDir::Upward,
             layers,
             dirty,
         )
     }
 
-    /// Grows the `dir` cone of `seeds` over `plan`, whose destinations
+    /// The query cone of `vertices` over `plan`, whose destinations
     /// `index` indexes, marking what it visits in `seen`.
     ///
     /// # Panics
     ///
-    /// Panics if `seeds` fails [`crate::cone::check_seeds`].
-    pub(crate) fn grow(
+    /// Panics if `vertices` fails [`crate::cone::check_seeds`].
+    pub(crate) fn query(
         plan: &TwoLevelPartition,
         index: &VertexIndex,
         seen: &mut Seen,
-        dir: ConeDir,
         layers: usize,
+        vertices: &[usize],
+    ) -> ServeMask {
+        let rows = cone::downward(plan, index, layers, vertices, seen);
+        Self::of_rows(plan, index, ConeDir::Downward, vertices, rows)
+    }
+
+    /// The delta cone of `dirty` over `plan`, grown along `graph`'s
+    /// out-edges ([`cone::upward`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dirty` fails [`crate::cone::check_seeds`].
+    pub(crate) fn delta(
+        plan: &TwoLevelPartition,
+        index: &VertexIndex,
+        graph: &Graph,
+        seen: &mut Seen,
+        layers: usize,
+        dirty: &[usize],
+    ) -> ServeMask {
+        let rows = cone::upward(plan, index, graph, layers, dirty, seen);
+        Self::of_rows(plan, index, ConeDir::Upward, dirty, rows)
+    }
+
+    /// The mask of `rows`, grown by the `dir` recurrence from `seeds`,
+    /// every batch its own run.
+    fn of_rows(
+        plan: &TwoLevelPartition,
+        index: &VertexIndex,
+        dir: ConeDir,
         seeds: &[usize],
+        rows: Vec<SliceRows>,
     ) -> ServeMask {
         let origin = ConeOrigin {
             dir,
-            layers,
+            layers: rows.len(),
             seeds: seeds.to_vec(),
             runs: (1..=plan.n).collect(),
         };
-        let rows = origin.rows_in(plan, index, seen);
         let active = rows
             .iter()
             .map(|layer| {
@@ -234,9 +268,10 @@ pub(crate) struct LayerPlans {
 /// grid — one chunk per GPU per run — and what that grid's sweep charges
 /// of its dedup and buffer plans. Derived by a [`Session`]
 /// ([`Session::query_cone`], [`Session::plan_cone`]) for its current
-/// plans, and valid for them only: it records the plan generation it was
-/// derived from, which every structural [`Session::apply_staged`] bumps,
-/// and a session refuses to sweep a cone of another generation.
+/// plans, and valid for them only: it records the identity of the plans
+/// it was derived from — unique in the process, drawn anew by every
+/// structural [`Session::apply_staged`] — and a session refuses to sweep
+/// a cone of other plans, its own earlier ones or another session's.
 ///
 /// [`Session`]: crate::Session
 /// [`Session::query_cone`]: crate::Session::query_cone
@@ -252,8 +287,8 @@ pub struct Cone {
     /// The layer-0 load sets, listed only under a cache policy
     /// ([`Cone::load_sets`]); shared with the cache's sweep, not copied.
     loads: Option<Arc<LoadSets>>,
-    /// The session plan generation the cone was derived from.
-    pub(crate) generation: u64,
+    /// The identity of the session plans the cone was derived from.
+    pub(crate) plan_id: u64,
 }
 
 /// Each GPU's vertices as a bitmap over the graph, built the first time
@@ -276,7 +311,7 @@ impl Cone {
         ends: Vec<usize>,
         comm: CommMode,
         loads: bool,
-        generation: u64,
+        plan_id: u64,
     ) -> Cone {
         if let Err(why) = crate::cone::check_runs(&ends, plan.n) {
             panic!("{why}");
@@ -298,7 +333,7 @@ impl Cone {
             })
             .collect();
         let (layers, loads) = marked.pack(plan, runs, ends.len(), comm, loads);
-        Cone::assemble(mask, ends, layers, loads, generation)
+        Cone::assemble(mask, ends, layers, loads, plan_id)
     }
 
     /// Packs `mask` by the run rule: the session's batches split into the
@@ -331,13 +366,13 @@ impl Cone {
         model: &GnnModel,
         budget: &[usize],
         owned: &Owned,
-        generation: u64,
+        plan_id: u64,
     ) -> Cone {
         let loads = config.cache.enabled();
         let marked = Marked::new(plan, &mask, config.comm, owned);
         let touched = &marked.touched;
         if touched.is_empty() {
-            return Cone::new(plan, mask, vec![plan.n], config.comm, loads, generation);
+            return Cone::new(plan, mask, vec![plan.n], config.comm, loads, plan_id);
         }
         let packer = Packer {
             rows: &mask.rows,
@@ -368,7 +403,7 @@ impl Cone {
         let mut ends: Vec<usize> = runs.iter().skip(1).map(|(r, _)| touched[r.start]).collect();
         ends.push(plan.n);
         let (layers, loads) = marked.pack(plan, runs, ends.len(), config.comm, loads);
-        Cone::assemble(mask, ends, layers, loads, generation)
+        Cone::assemble(mask, ends, layers, loads, plan_id)
     }
 
     fn assemble(
@@ -376,7 +411,7 @@ impl Cone {
         ends: Vec<usize>,
         layers: Vec<LayerPlans>,
         loads: Option<LoadSets>,
-        generation: u64,
+        plan_id: u64,
     ) -> Cone {
         let active = layers
             .iter()
@@ -392,7 +427,7 @@ impl Cone {
             active,
             layers,
             loads: loads.map(Arc::new),
-            generation,
+            plan_id,
         }
     }
 
@@ -1242,11 +1277,16 @@ mod tests {
     /// owns {2j, 2j+1}, and the ≤1-hop cone of vertex 2j is
     /// {2j-1, 2j} — spanning batches j-1 and j.
     fn ring_plan() -> TwoLevelPartition {
+        TwoLevelPartition::build(&ring(), 1, 4, 7)
+    }
+
+    /// The ring [`ring_plan`] partitions.
+    fn ring() -> Graph {
         let mut b = GraphBuilder::new(8);
         for v in 0..8 {
             b.add_edge(v, (v + 1) % 8);
         }
-        TwoLevelPartition::build(&b.build(), 1, 4, 7)
+        b.build()
     }
 
     #[test]
@@ -1280,7 +1320,7 @@ mod tests {
     #[test]
     fn dirty_mask_is_upward_closed() {
         let plan = ring_plan();
-        let mask = ServeMask::from_dirty(&plan, 3, &[3]);
+        let mask = ServeMask::from_dirty(&plan, &ring(), 3, &[3]);
         for l in 0..2 {
             for j in 0..4 {
                 assert!(
@@ -1463,7 +1503,7 @@ mod tests {
             let model = GnnModel::new(ModelKind::Gcn, &[4, 4, 2], &mut rng);
             let vertices = rng.sample_indices(n, seeds.min(n));
             let mask = if upward == 1 {
-                ServeMask::from_dirty(&plan, 2, &vertices)
+                ServeMask::from_dirty(&plan, &g, 2, &vertices)
             } else {
                 ServeMask::from_queries(&plan, 2, &vertices)
             };

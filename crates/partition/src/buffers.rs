@@ -16,6 +16,9 @@
 //!
 //! All of this is precomputed once per partition plan ("In the
 //! preprocessing, we process the transition indices for all subgraphs").
+//! A graph update that moves some batches' neighbor lists re-plans each
+//! GPU's chain from the first of them only until it is back in step with
+//! the old plan ([`GpuBufferPlan::patched`]).
 //! [`GpuBufferPlan::execute`] actually moves `f32` rows through the planned
 //! positions and is verified against direct gathers by the test suite.
 
@@ -24,13 +27,14 @@ use crate::TwoLevelPartition;
 use hongtu_graph::VertexId;
 use hongtu_tensor::Matrix;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Placeholder for a slot the planner has yet to assign; real slots are
 /// dense from 0 and never reach it.
 const UNASSIGNED: u32 = u32::MAX;
 
 /// Index plan for one batch on one GPU.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchIndices {
     /// The merged vertex set `M_ij = ℕ_ij ∪ N_ij`, sorted ascending.
     pub merged: Vec<VertexId>,
@@ -43,6 +47,9 @@ pub struct BatchIndices {
     /// (`chunk.neighbors[t]` lives at `nbr_slot[t]`), which is what the
     /// computation engine indexes through.
     pub nbr_slot: Vec<u32>,
+    /// Slots the buffer has grown to by the end of this batch: the
+    /// running high-water mark the next batch mints fresh slots above.
+    pub high_water: usize,
 }
 
 impl BatchIndices {
@@ -53,14 +60,16 @@ impl BatchIndices {
 }
 
 /// The per-GPU buffer plan across all batches.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GpuBufferPlan {
     /// GPU / partition index.
     pub gpu: usize,
     /// Buffer capacity in rows (the high-water mark across batches).
     pub capacity: usize,
-    /// One index set per batch, in schedule order.
-    pub batches: Vec<BatchIndices>,
+    /// One index set per batch, in schedule order — shared, not copied,
+    /// with the plan a [`GpuBufferPlan::patched`] one was patched from
+    /// wherever the batch did not change.
+    pub batches: Vec<Arc<BatchIndices>>,
 }
 
 impl GpuBufferPlan {
@@ -70,79 +79,77 @@ impl GpuBufferPlan {
     /// them: slots are assigned by merge walks over those lists.
     pub fn build(plan: &TwoLevelPartition, dedup: &DedupPlan, gpu: usize) -> Self {
         assert!(gpu < plan.m, "GPU {gpu} out of range (m = {})", plan.m);
-        let mut batches: Vec<BatchIndices> = Vec::with_capacity(plan.n);
-        let mut capacity = 0usize;
-        for j in 0..plan.n {
-            let chunk = &plan.chunks[gpu][j];
-            let transition = &dedup.batches[j].transition[gpu];
-            // Merged set: ℕ_ij ∪ N_ij (both sorted).
-            let merged = union_sorted(transition, &chunk.neighbors);
-
-            // One walk over the previous and the new merged set (both
-            // sorted): shared vertices keep their slot, vertices leaving
-            // the buffer free theirs.
-            let (prev_merged, prev_position) = batches
-                .last()
-                .map_or((&[][..], &[][..]), |b| (&b.merged[..], &b.position[..]));
-            let mut position = vec![UNASSIGNED; merged.len()];
-            let mut free: Vec<u32> = Vec::new();
-            let mut t = 0usize;
-            for (&v, &slot) in prev_merged.iter().zip(prev_position) {
-                while t < merged.len() && merged[t] < v {
-                    t += 1;
-                }
-                if t < merged.len() && merged[t] == v {
-                    position[t] = slot;
-                } else {
-                    free.push(slot);
-                }
-            }
-            free.sort_unstable_by(|a, b| b.cmp(a)); // pop lowest slots first
-
-            // Newcomers fill freed slots, then extend the buffer.
-            let mut next_fresh = capacity as u32;
-            let mut incoming = Vec::new();
-            for (t, slot) in position.iter_mut().enumerate() {
-                if *slot == UNASSIGNED {
-                    *slot = free.pop().unwrap_or_else(|| {
-                        next_fresh += 1;
-                        next_fresh - 1
-                    });
-                    incoming.push((t as u32, *slot));
-                }
-            }
-            capacity = capacity.max(next_fresh as usize);
-
-            // Neighbor-list slots: where each of the chunk's neighbors
-            // sits. N_ij ⊆ M_ij and both ascend, so one cursor suffices.
-            let mut t = 0usize;
-            let nbr_slot = chunk
-                .neighbors
-                .iter()
-                .map(|&v| {
-                    while merged[t] < v {
-                        t += 1;
-                    }
-                    position[t]
-                })
-                .collect();
-            batches.push(BatchIndices {
-                merged,
-                position,
-                incoming,
-                nbr_slot,
-            });
-        }
-        GpuBufferPlan {
-            gpu,
-            capacity,
-            batches,
-        }
+        Self::derive(plan, dedup, gpu, None, &vec![true; plan.n])
     }
 
     /// Builds the plans for every GPU of the machine.
     pub fn build_all(plan: &TwoLevelPartition, dedup: &DedupPlan) -> Vec<GpuBufferPlan> {
         (0..plan.m).map(|g| Self::build(plan, dedup, g)).collect()
+    }
+
+    /// This plan, of an earlier state of `plan`, brought up to date with
+    /// it and with `dedup` ([`DedupPlan::patched`] by the same `moved`):
+    /// `moved[j]` says whether some chunk of batch `j` has another
+    /// neighbor list now, which is all that can move `ℕ_ij` or `N_ij`.
+    /// The chain is re-planned from the first moved batch, and until a
+    /// re-planned batch leaves the buffer as this plan left it — the same
+    /// merged set in the same slots at the same high-water mark — from
+    /// where every later unmoved batch is this plan's, and shared with it.
+    /// Equal to [`GpuBufferPlan::build`] when `moved` covers every batch
+    /// whose neighbor lists changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `moved` does not have one entry per batch of this plan
+    /// and of `plan`.
+    pub fn patched(&self, plan: &TwoLevelPartition, dedup: &DedupPlan, moved: &[bool]) -> Self {
+        assert!(
+            self.batches.len() == plan.n && moved.len() == plan.n,
+            "patching a plan of {} batches to {} with {} flags",
+            self.batches.len(),
+            plan.n,
+            moved.len()
+        );
+        Self::derive(plan, dedup, self.gpu, Some(self), moved)
+    }
+
+    /// The one planning step: batch by batch, `old`'s batch while the
+    /// chain is in step with it and the batch did not move, else the batch
+    /// placed after the previous one.
+    fn derive(
+        plan: &TwoLevelPartition,
+        dedup: &DedupPlan,
+        gpu: usize,
+        old: Option<&GpuBufferPlan>,
+        moved: &[bool],
+    ) -> Self {
+        let mut batches: Vec<Arc<BatchIndices>> = Vec::with_capacity(plan.n);
+        // Whether the buffer, after the batches so far, is as `old` left
+        // it at the same batch.
+        let mut in_step = old.is_some();
+        for j in 0..plan.n {
+            let old = old.map(|old| &old.batches[j]);
+            if let Some(old) = old.filter(|_| in_step && !moved[j]) {
+                batches.push(Arc::clone(old));
+                continue;
+            }
+            let placed = place(
+                &dedup.batches[j].transition[gpu],
+                &plan.chunks[gpu][j].neighbors,
+                batches.last().map(|b| &**b),
+            );
+            in_step = old.is_some_and(|old| {
+                placed.high_water == old.high_water
+                    && placed.merged == old.merged
+                    && placed.position == old.position
+            });
+            batches.push(Arc::new(placed));
+        }
+        GpuBufferPlan {
+            gpu,
+            capacity: batches.last().map_or(0, |b| b.high_water),
+            batches,
+        }
     }
 
     /// Total rows written host→buffer across the epoch (everything not
@@ -242,6 +249,72 @@ impl GpuBufferPlan {
                 .collect();
         }
         Ok(())
+    }
+}
+
+/// Places one batch's merged set `ℕ_ij ∪ N_ij` — `transition` and the
+/// chunk's `neighbors`, both ascending — in the buffer `prev` left:
+/// shared vertices keep their slot, vertices leaving the buffer free
+/// theirs, newcomers fill freed slots lowest first, then grow the buffer.
+fn place(
+    transition: &[VertexId],
+    neighbors: &[VertexId],
+    prev: Option<&BatchIndices>,
+) -> BatchIndices {
+    let merged = union_sorted(transition, neighbors);
+
+    // One walk over the previous and the new merged set (both sorted):
+    // shared vertices keep their slot, vertices leaving the buffer free
+    // theirs.
+    let (prev_merged, prev_position, capacity) = prev.map_or((&[][..], &[][..], 0), |b| {
+        (&b.merged[..], &b.position[..], b.high_water)
+    });
+    let mut position = vec![UNASSIGNED; merged.len()];
+    let mut free: Vec<u32> = Vec::new();
+    let mut t = 0usize;
+    for (&v, &slot) in prev_merged.iter().zip(prev_position) {
+        while t < merged.len() && merged[t] < v {
+            t += 1;
+        }
+        if t < merged.len() && merged[t] == v {
+            position[t] = slot;
+        } else {
+            free.push(slot);
+        }
+    }
+    free.sort_unstable_by(|a, b| b.cmp(a)); // pop lowest slots first
+
+    // Newcomers fill freed slots, then extend the buffer.
+    let mut next_fresh = capacity as u32;
+    let mut incoming = Vec::new();
+    for (t, slot) in position.iter_mut().enumerate() {
+        if *slot == UNASSIGNED {
+            *slot = free.pop().unwrap_or_else(|| {
+                next_fresh += 1;
+                next_fresh - 1
+            });
+            incoming.push((t as u32, *slot));
+        }
+    }
+
+    // Neighbor-list slots: where each of the chunk's neighbors sits.
+    // N_ij ⊆ M_ij and both ascend, so one cursor suffices.
+    let mut t = 0usize;
+    let nbr_slot = neighbors
+        .iter()
+        .map(|&v| {
+            while merged[t] < v {
+                t += 1;
+            }
+            position[t]
+        })
+        .collect();
+    BatchIndices {
+        merged,
+        position,
+        incoming,
+        nbr_slot,
+        high_water: capacity.max(next_fresh as usize),
     }
 }
 
@@ -352,6 +425,89 @@ mod tests {
         assert_eq!(bp.staging_bytes(64), bp.capacity * 64);
         let peak = bp.batches.iter().map(|b| b.merged.len()).max().unwrap();
         assert!(bp.staging_bytes(4) >= peak * 4);
+    }
+
+    /// Rebuilds a random third of `plan`'s chunks against `g` plus a few
+    /// random edges; returns which batches' neighbor lists moved.
+    fn perturb(g: &hongtu_graph::Graph, plan: &mut TwoLevelPartition, seed: u64) -> Vec<bool> {
+        let mut rng = SeededRng::new(seed);
+        let n = g.num_vertices();
+        let mut b = hongtu_graph::GraphBuilder::new(n);
+        b.extend(g.csr.edges());
+        for _ in 0..40 {
+            b.add_edge(rng.index(n) as u32, rng.index(n) as u32);
+        }
+        let g2 = b.build();
+        let mut moved = vec![false; plan.n];
+        for chunk in plan.chunks.iter_mut().flatten() {
+            if rng.chance(0.3) {
+                let fresh =
+                    crate::ChunkSubgraph::build(&g2, chunk.part, chunk.chunk, chunk.dests.clone());
+                moved[chunk.chunk] |= fresh.neighbors != chunk.neighbors;
+                *chunk = fresh;
+            }
+        }
+        moved
+    }
+
+    /// The patch step re-derives what moved and shares the rest, and
+    /// lands on exactly what a fresh build of the perturbed grid gives —
+    /// dedup sets, slots, incoming rows and capacity.
+    #[test]
+    fn patched_plans_equal_a_fresh_build() {
+        for seed in 1u64..9 {
+            let (g, mut plan, dedup) = setup(seed, 1 + seed as usize % 3, 2 + seed as usize % 5);
+            let bufs = GpuBufferPlan::build_all(&plan, &dedup);
+            let moved = perturb(&g, &mut plan, seed ^ 0x5eed);
+            let fresh = DedupPlan::build(&plan);
+            let patched = dedup.patched(&plan, &moved);
+            assert_eq!(patched, fresh, "seed {seed}, moved {moved:?}");
+            let patched_bufs: Vec<_> = bufs
+                .iter()
+                .map(|bp| bp.patched(&plan, &patched, &moved))
+                .collect();
+            assert_eq!(
+                patched_bufs,
+                GpuBufferPlan::build_all(&plan, &fresh),
+                "seed {seed}"
+            );
+            // Unmoved batches clear of a moved one are shared, not copied.
+            for j in (0..plan.n).filter(|&j| !moved[j] && (j == 0 || !moved[j - 1])) {
+                assert!(
+                    Arc::ptr_eq(&patched.batches[j], &dedup.batches[j]),
+                    "seed {seed} batch {j}"
+                );
+            }
+            if let Some(first) = moved.iter().position(|&m| m) {
+                for (new, old) in patched_bufs.iter().zip(&bufs) {
+                    assert!((0..first).all(|j| Arc::ptr_eq(&new.batches[j], &old.batches[j])));
+                }
+            }
+        }
+    }
+
+    /// A re-planned batch that holds the old plan's vertices in the old
+    /// plan's slots is back in step only at the old high-water mark:
+    /// below it, the next newcomer takes a lower fresh slot.
+    #[test]
+    fn the_chain_rejoins_only_at_the_same_high_water_mark() {
+        let (_, mut plan, _) = setup(29, 1, 3);
+        let mut lists = |lists: [&[u32]; 3]| {
+            for (c, list) in plan.chunks[0].iter_mut().zip(lists) {
+                c.neighbors = list.to_vec();
+            }
+            let dedup = DedupPlan::build(&plan);
+            let bufs = GpuBufferPlan::build(&plan, &dedup, 0);
+            (plan.clone(), dedup, bufs)
+        };
+        let (_, _, old) = lists([&[0, 1], &[0], &[0, 2]]);
+        let (plan, dedup, fresh) = lists([&[0], &[0], &[0, 2]]);
+        // Batch 1 holds vertex 0 in slot 0 either way; the old plan has
+        // grown to 2 slots by then, the new one to 1.
+        assert_eq!(fresh.batches[1].position, old.batches[1].position);
+        assert_ne!(fresh.batches[2].position, old.batches[2].position);
+        let patched = old.patched(&plan, &dedup, &[true, false, false]);
+        assert_eq!(patched, fresh);
     }
 
     #[test]

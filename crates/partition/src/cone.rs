@@ -21,11 +21,18 @@
 //! what [`crate::TwoLevelPartition::packed`] packs into the grid a masked
 //! sweep runs over, one chunk per GPU per *run* of consecutive batches.
 //!
-//! Neither reads the graph: a chunk holds all in-edges of its
-//! destinations, so `N(v)` is one row of the chunk that owns `v`, found
-//! through a [`VertexIndex`].
+//! A chunk holds all in-edges of its destinations, so `N(v)` is one row
+//! of the chunk that owns `v`, found through a [`VertexIndex`]: the query
+//! cone reads no graph. The delta cone walks the other way, along
+//! out-edges, which no chunk stores. Over the graph the chunks were built
+//! from, `{ d | N(d) ∩ R ≠ ∅ } = ∪_{u ∈ R} out(u)`, so [`upward`] takes
+//! that graph and visits only the out-edges of what its previous hop
+//! added. Where no graph is at hand — a verifier regrowing a journaled
+//! cone ([`ConeOrigin::regrow`]) — [`upward_scan`] finds the same rows by
+//! scanning every chunk's neighbor list at each hop.
 
 use crate::{SliceRows, TwoLevelPartition};
+use hongtu_graph::Graph;
 
 /// Which of the two recurrences a cone follows, hence which way its
 /// `(layer, batch)` grid is closed.
@@ -38,7 +45,7 @@ pub enum ConeDir {
 }
 
 /// What a cone was grown from and the runs it was packed into — all it
-/// takes to grow and pack it again over the same plan: [`ConeOrigin::rows`],
+/// takes to grow and pack it again over the same plan: [`ConeOrigin::regrow`],
 /// then [`crate::TwoLevelPartition::packed`] over `runs`. A few dozen
 /// numbers, where the rows they reach can be a large part of the graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,30 +64,20 @@ pub struct ConeOrigin {
 }
 
 impl ConeOrigin {
-    /// The rows each layer computes: [`downward`] or [`upward`] from the
-    /// seeds.
+    /// The rows each layer computes, grown again from the seeds over
+    /// `plan`'s chunks alone: [`downward`], or [`upward_scan`] — which
+    /// needs no graph and scans every chunk at each hop, so it is for
+    /// certifying a journaled cone, not for deriving one.
     ///
     /// # Panics
     ///
     /// Panics if the seeds fail [`check_seeds`].
-    pub fn rows(&self, plan: &TwoLevelPartition, index: &VertexIndex) -> Vec<SliceRows> {
-        self.rows_in(plan, index, &mut Seen::default())
-    }
-
-    /// [`ConeOrigin::rows`] over a caller's reusable `seen` set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the seeds fail [`check_seeds`].
-    pub fn rows_in(
-        &self,
-        plan: &TwoLevelPartition,
-        index: &VertexIndex,
-        seen: &mut Seen,
-    ) -> Vec<SliceRows> {
+    pub fn regrow(&self, plan: &TwoLevelPartition, index: &VertexIndex) -> Vec<SliceRows> {
         match self.dir {
-            ConeDir::Downward => downward(plan, index, self.layers, &self.seeds, seen),
-            ConeDir::Upward => upward(plan, index, self.layers, &self.seeds, seen),
+            ConeDir::Downward => {
+                downward(plan, index, self.layers, &self.seeds, &mut Seen::default())
+            }
+            ConeDir::Upward => upward_scan(plan, index, self.layers, &self.seeds),
         }
     }
 }
@@ -89,17 +86,12 @@ impl ConeOrigin {
 /// each cone stamps the vertices it meets with a mark no earlier cone
 /// used, so a cone neither clears nor allocates one entry per vertex of
 /// the graph — only the first cone, and one in four billion after it,
-/// does. Beside it, the delta cone's frontier (what its last hop added)
-/// is a bitset that [`upward`] clears as it leaves it: a hop tests it for
-/// every neighbor of every chunk, and a bit a vertex keeps that scan in
-/// cache.
+/// does.
 #[derive(Debug, Clone, Default)]
 pub struct Seen {
     stamp: Vec<u32>,
     /// The last mark handed out.
     now: u32,
-    /// One bit per vertex, all clear outside [`upward`].
-    frontier: Vec<u64>,
 }
 
 impl Seen {
@@ -107,7 +99,6 @@ impl Seen {
     fn start(&mut self, n: usize) -> u32 {
         if self.stamp.len() != n || self.now == u32::MAX {
             self.stamp = vec![0; n];
-            self.frontier = vec![0; n.div_ceil(64)];
             self.now = 0;
         }
         self.now += 1;
@@ -265,20 +256,23 @@ pub fn downward(
 /// `rows[l]` are the rows layer `l` recomputes, `R[l]` (module docs give
 /// the recurrence). `dirty` seeds the vertices whose layer-1 rows — or
 /// whose producing computation, for weight-touching topology edits — are
-/// invalid. The frontier grows along *out*-edges, which no chunk stores,
-/// so each hop scans the chunks' in-edge lists: a chunk none of whose
-/// neighbors was invalidated by the previous hop is skipped after one
-/// pass over its neighbor list.
+/// invalid. Each hop visits the out-edges, in `graph`, of the rows the
+/// previous hop added, each vertex expanded once — the cost of the cone
+/// and its out-edges, once `seen` has been sized to the graph.
 ///
-/// A vertex is invalid once stamped with the cone's mark in `seen`, and
-/// fresh — added by the previous hop — while its frontier bit is set.
+/// `graph` must be the topology `plan`'s chunks were built from: a chunk
+/// holds every in-edge of its destinations in it, so a vertex reads a
+/// row of `R[l]` exactly when it is an out-neighbor of one, and the rows
+/// equal [`upward_scan`]'s.
 ///
 /// # Panics
 ///
-/// Panics if `dirty` fails [`check_seeds`].
+/// Panics if `dirty` fails [`check_seeds`], or may if `graph` does not
+/// have the vertices `index` indexes.
 pub fn upward(
     plan: &TwoLevelPartition,
     index: &VertexIndex,
+    graph: &Graph,
     layers: usize,
     dirty: &[usize],
     seen: &mut Seen,
@@ -287,14 +281,58 @@ pub fn upward(
         panic!("{why}");
     }
     let mark = seen.start(index.len());
-    let Seen {
-        stamp, frontier, ..
-    } = seen;
+    let stamp = &mut seen.stamp[..];
     let mut members = seeds(dirty, stamp, mark);
-    // members[fresh..]: what the previous hop added. Only a dest reading
-    // one of these can be newly invalid.
+    // members[fresh..]: what the previous hop added, the only rows whose
+    // readers can be newly invalid.
     let mut fresh = 0;
-    flip(frontier, &members);
+    let mut rows = Vec::with_capacity(layers);
+    for l in 0..layers {
+        rows.push(index.group(plan, &members));
+        if l + 1 == layers {
+            break;
+        }
+        let frontier = fresh..members.len();
+        fresh = members.len();
+        for at in frontier {
+            for &d in graph.out_neighbors(members[at]) {
+                if std::mem::replace(&mut stamp[d as usize], mark) != mark {
+                    members.push(d);
+                }
+            }
+        }
+    }
+    rows
+}
+
+/// [`upward`] without a graph: the out-edges no chunk stores are found by
+/// scanning every chunk's in-edge lists at each hop — a chunk none of
+/// whose neighbors the previous hop invalidated is skipped after one pass
+/// over its neighbor list. It costs the whole grid per hop, so it grows
+/// only cones a verifier regrows from a journal ([`ConeOrigin::regrow`])
+/// and serves tests as the oracle [`upward`] is held to.
+///
+/// # Panics
+///
+/// Panics if `dirty` fails [`check_seeds`].
+pub fn upward_scan(
+    plan: &TwoLevelPartition,
+    index: &VertexIndex,
+    layers: usize,
+    dirty: &[usize],
+) -> Vec<SliceRows> {
+    if let Err(why) = check_seeds("dirty set", index.len(), dirty) {
+        panic!("{why}");
+    }
+    let mut seen = Seen::default();
+    let mark = seen.start(index.len());
+    let stamp = &mut seen.stamp[..];
+    let mut members = seeds(dirty, stamp, mark);
+    // members[fresh..]: what the previous hop added, flagged in
+    // `frontier` — only a dest reading one of these can be newly invalid.
+    let mut fresh = 0;
+    let mut frontier = vec![0u64; index.len().div_ceil(64)];
+    flip(&mut frontier, &members);
     let mut rows = Vec::with_capacity(layers);
     let mut hit = Vec::new();
     for l in 0..layers {
@@ -323,14 +361,13 @@ pub fn upward(
                 }
             }
         }
-        flip(frontier, &members[fresh..before]);
+        flip(&mut frontier, &members[fresh..before]);
         for &d in &members[before..] {
             stamp[d as usize] = mark;
         }
-        flip(frontier, &members[before..]);
+        flip(&mut frontier, &members[before..]);
         fresh = before;
     }
-    flip(frontier, &members[fresh..]);
     rows
 }
 
@@ -339,13 +376,18 @@ mod tests {
     use super::*;
     use hongtu_graph::GraphBuilder;
 
-    /// 8-vertex ring 0→1→…→7→0, 4 chunks of 2 on 1 partition.
-    fn ring_plan() -> TwoLevelPartition {
+    /// 8-vertex ring 0→1→…→7→0.
+    fn ring() -> Graph {
         let mut b = GraphBuilder::new(8);
         for v in 0..8 {
             b.add_edge(v, (v + 1) % 8);
         }
-        TwoLevelPartition::build(&b.build(), 1, 4, 7)
+        b.build()
+    }
+
+    /// The ring, 4 chunks of 2 on 1 partition.
+    fn ring_plan() -> TwoLevelPartition {
+        TwoLevelPartition::build(&ring(), 1, 4, 7)
     }
 
     /// The vertices `rows` computes, ascending.
@@ -360,14 +402,14 @@ mod tests {
 
     #[test]
     fn duality_on_the_ring() {
-        let plan = ring_plan();
+        let (g, plan) = (ring(), ring_plan());
         let index = VertexIndex::new(&plan);
         // Downward: the query cone of 4 grows along in-edges toward layer
         // 0; upward: the dirty cone of 4 grows along out-edges toward
         // layer L−1. On a directed ring these sweep opposite directions
         // from the same seed, one vertex per layer.
         let down = downward(&plan, &index, 3, &[4], &mut Seen::default());
-        let up = upward(&plan, &index, 3, &[4], &mut Seen::default());
+        let up = upward(&plan, &index, &g, 3, &[4], &mut Seen::default());
         assert_eq!(vertices(&plan, &down[2]), [4]);
         assert_eq!(vertices(&plan, &down[1]), [3, 4]);
         assert_eq!(vertices(&plan, &down[0]), [2, 3, 4]);
@@ -378,23 +420,51 @@ mod tests {
 
     #[test]
     fn upward_growth_follows_out_edges() {
-        let plan = ring_plan();
+        let (g, plan) = (ring(), ring_plan());
         let index = VertexIndex::new(&plan);
         // Dirty {0}: layer 0 recomputes 0; its out-neighbor 1 is invalid
         // from layer 1 on; 2 is two out-hops away — not reached in two
-        // layers, whichever batch it shares.
-        let up = upward(&plan, &index, 2, &[0], &mut Seen::default());
+        // layers, whichever batch it shares. The chunk scan agrees.
+        let up = upward(&plan, &index, &g, 2, &[0], &mut Seen::default());
         assert_eq!(vertices(&plan, &up[0]), [0]);
         assert_eq!(vertices(&plan, &up[1]), [0, 1]);
+        assert_eq!(up, upward_scan(&plan, &index, 2, &[0]));
+    }
+
+    /// Growth along the graph's out-edges finds the chunk scan's rows on
+    /// a graph with self-loops, hubs and several partitions, from every
+    /// kind of seed set.
+    #[test]
+    fn graph_growth_equals_the_chunk_scan() {
+        let mut b = GraphBuilder::new(40).keep_self_loops();
+        for v in 0..40u32 {
+            b.add_edge(v, v);
+            b.add_edge(v, (v * 7 + 3) % 40);
+            b.add_edge(0, v);
+        }
+        let g = b.build();
+        let plan = TwoLevelPartition::build(&g, 3, 2, 5);
+        let index = VertexIndex::new(&plan);
+        let mut seen = Seen::default();
+        for seeds in [&[0][..], &[5], &[39, 1, 39], &[11, 12, 13]] {
+            for layers in 1..4 {
+                assert_eq!(
+                    upward(&plan, &index, &g, layers, seeds, &mut seen),
+                    upward_scan(&plan, &index, layers, seeds),
+                    "seeds {seeds:?}, {layers} layers"
+                );
+            }
+        }
     }
 
     #[test]
     fn rows_are_ascending_and_duplicate_seeds_count_once() {
-        let plan = ring_plan();
+        let (g, plan) = (ring(), ring_plan());
         let index = VertexIndex::new(&plan);
         for rows in [
             downward(&plan, &index, 2, &[5, 1, 5, 0], &mut Seen::default()),
-            upward(&plan, &index, 2, &[5, 1, 5, 0], &mut Seen::default()),
+            upward(&plan, &index, &g, 2, &[5, 1, 5, 0], &mut Seen::default()),
+            upward_scan(&plan, &index, 2, &[5, 1, 5, 0]),
         ] {
             for layer in &rows {
                 for list in layer.iter().flatten() {
@@ -410,7 +480,7 @@ mod tests {
     /// one does, whichever recurrence ran before it.
     #[test]
     fn a_reused_seen_set_grows_the_same_cones() {
-        let plan = ring_plan();
+        let (g, plan) = (ring(), ring_plan());
         let index = VertexIndex::new(&plan);
         let mut seen = Seen::default();
         for seeds in [&[4][..], &[0, 3], &[7], &[4], &[1, 5, 6]] {
@@ -421,8 +491,8 @@ mod tests {
                     downward(&plan, &index, layers, seeds, &mut fresh())
                 );
                 assert_eq!(
-                    upward(&plan, &index, layers, seeds, &mut seen),
-                    upward(&plan, &index, layers, seeds, &mut fresh())
+                    upward(&plan, &index, &g, layers, seeds, &mut seen),
+                    upward(&plan, &index, &g, layers, seeds, &mut fresh())
                 );
             }
         }
@@ -454,6 +524,7 @@ mod tests {
         upward(
             &plan,
             &VertexIndex::new(&plan),
+            &ring(),
             1,
             &[99],
             &mut Seen::default(),
@@ -467,6 +538,7 @@ mod tests {
         upward(
             &plan,
             &VertexIndex::new(&plan),
+            &ring(),
             1,
             &[],
             &mut Seen::default(),

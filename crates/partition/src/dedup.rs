@@ -15,12 +15,20 @@
 //!
 //! The plan is pure metadata; the engine uses it for simulator accounting,
 //! and `v_ori`/`v_p2p`/`v_ru` reproduce the volume columns of Table 8.
+//!
+//! A batch's sets are a function of its own chunks' neighbor lists, and
+//! its reuse split of the previous batch's too. When a graph update moves
+//! the neighbor lists of a few batches, [`DedupPlan::patched`] re-derives
+//! those batches and the batch after each, and shares every other batch
+//! with the plan it patches; [`DedupPlan::build`] is the same step with
+//! every batch moved.
 
 use crate::TwoLevelPartition;
 use hongtu_graph::VertexId;
+use std::sync::Arc;
 
 /// Communication plan for one batch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchPlan {
     /// `transition[i]` = `ℕ_ij`, sorted ascending.
     pub transition: Vec<Vec<VertexId>>,
@@ -57,14 +65,16 @@ pub struct DedupCounts {
 }
 
 /// The full per-epoch communication plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DedupPlan {
     /// Number of partitions/GPUs.
     pub m: usize,
     /// Number of batches.
     pub n: usize,
-    /// One plan per batch, in schedule order.
-    pub batches: Vec<BatchPlan>,
+    /// One plan per batch, in schedule order — shared, not copied, with
+    /// the plan a [`DedupPlan::patched`] one was patched from wherever
+    /// the batch did not change.
+    pub batches: Vec<Arc<BatchPlan>>,
 }
 
 impl DedupPlan {
@@ -72,29 +82,70 @@ impl DedupPlan {
     /// level-1 assignment the plan was built from (it defines transition
     /// ownership).
     pub fn build(plan: &TwoLevelPartition) -> Self {
+        Self::derive(plan, None, &vec![true; plan.n])
+    }
+
+    /// This plan, of an earlier state of `plan`, brought up to date with
+    /// it: `moved[j]` says whether some chunk of batch `j` has another
+    /// neighbor list now. Those batches' transition sets and fetch
+    /// matrices are re-derived, and their reuse split and the next
+    /// batch's; every other batch is shared with this plan. Equal to
+    /// [`DedupPlan::build`] of `plan` when `moved` covers every batch
+    /// whose neighbor lists changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `moved` does not have one entry per batch of this plan
+    /// and of `plan`.
+    pub fn patched(&self, plan: &TwoLevelPartition, moved: &[bool]) -> Self {
+        assert!(
+            self.n == plan.n && moved.len() == plan.n,
+            "patching a plan of {} batches to {} with {} flags",
+            self.n,
+            plan.n,
+            moved.len()
+        );
+        Self::derive(plan, Some(self), moved)
+    }
+
+    /// The one derivation step: batch by batch, `old`'s batch where it
+    /// still holds, else the sets derived from `plan`.
+    fn derive(plan: &TwoLevelPartition, old: Option<&DedupPlan>, moved: &[bool]) -> Self {
         let m = plan.m;
         let n = plan.n;
         let owner = &plan.assignment.partition_of;
-        let mut batches: Vec<BatchPlan> = Vec::with_capacity(n);
+        let mut batches: Vec<Arc<BatchPlan>> = Vec::with_capacity(n);
         for j in 0..n {
-            // Transition sets: the batch neighbor union — a merge of the m
-            // sorted, deduplicated neighbor lists — routed by owner, which
-            // keeps each set ascending.
-            let union = plan
-                .batch(j)
-                .fold(Vec::new(), |acc, c| union_sorted(&acc, &c.neighbors));
-            let mut transition: Vec<Vec<VertexId>> = vec![Vec::new(); m];
-            for v in union {
-                transition[owner[v as usize] as usize].push(v);
+            let kept = old.filter(|_| !moved[j]).map(|old| &old.batches[j]);
+            if let Some(kept) = kept.filter(|_| j == 0 || !moved[j - 1]) {
+                batches.push(Arc::clone(kept));
+                continue;
             }
-            // Fetch matrix: every neighbor access of chunk (i, j) is served
-            // by the transition buffer of the owner's GPU.
-            let mut fetch = vec![vec![0usize; m]; m];
-            for (i, c) in plan.batch(j).enumerate() {
-                for &v in &c.neighbors {
-                    fetch[i][owner[v as usize] as usize] += 1;
+            let (transition, fetch) = match kept {
+                Some(kept) => (kept.transition.clone(), kept.fetch.clone()),
+                None => {
+                    // Transition sets: the batch neighbor union — a merge
+                    // of the m sorted, deduplicated neighbor lists —
+                    // routed by owner, which keeps each set ascending.
+                    let union = plan
+                        .batch(j)
+                        .fold(Vec::new(), |acc, c| union_sorted(&acc, &c.neighbors));
+                    let mut transition: Vec<Vec<VertexId>> = vec![Vec::new(); m];
+                    for v in union {
+                        transition[owner[v as usize] as usize].push(v);
+                    }
+                    // Fetch matrix: every neighbor access of chunk (i, j)
+                    // is served by the transition buffer of the owner's
+                    // GPU.
+                    let mut fetch = vec![vec![0usize; m]; m];
+                    for (i, c) in plan.batch(j).enumerate() {
+                        for &v in &c.neighbors {
+                            fetch[i][owner[v as usize] as usize] += 1;
+                        }
+                    }
+                    (transition, fetch)
                 }
-            }
+            };
             // Intra-GPU split against the previous batch.
             let mut new_from_cpu = Vec::with_capacity(m);
             let mut reused = Vec::with_capacity(m);
@@ -104,12 +155,12 @@ impl DedupPlan {
                 new_from_cpu.push(fresh);
                 reused.push(hit);
             }
-            batches.push(BatchPlan {
+            batches.push(Arc::new(BatchPlan {
                 transition,
                 new_from_cpu,
                 reused,
                 fetch,
-            });
+            }));
         }
         DedupPlan { m, n, batches }
     }

@@ -821,6 +821,50 @@ mod tests {
         }
     }
 
+    /// An update on a dynamic graph of another size than the session's
+    /// — one the server was built over by mistake — comes back from
+    /// `step` as a typed `GraphMismatch`, not a panic, and leaves the
+    /// graph and the served logits as they were.
+    #[test]
+    fn an_update_on_a_graph_of_another_size_is_a_typed_error() {
+        let ds = dataset();
+        let mut sess = session(&ds, 2);
+        sess.infer_epoch().expect("prime layer stores");
+        let before = sess.logits().clone();
+        let n = ds.num_vertices() / 2;
+        let mut dg = DynamicGraph::new(
+            hongtu_graph::generators::erdos_renyi(n, 4.0, &mut SeededRng::new(5)),
+            Matrix::zeros(n, ds.features.cols()),
+        );
+        let deltas = toggle_workload(
+            dg.graph(),
+            ds.features.cols(),
+            1,
+            2,
+            DeltaMix::Edge,
+            &mut SeededRng::new(6),
+        )
+        .pop()
+        .expect("one batch");
+        let admission = AdmissionControl::from_session(&sess);
+        let mut server = Server::with_graph(&mut sess, &mut dg, admission, 4);
+        server.submit_update(UpdateRequest {
+            id: 1,
+            deltas,
+            arrival: 0.0,
+        });
+        match server.step() {
+            Err(SimError::GraphMismatch {
+                graph_vertices,
+                session_vertices,
+            }) => assert_eq!((graph_vertices, session_vertices), (n, 2 * n)),
+            other => panic!("a mismatched graph was not refused: {other:?}"),
+        }
+        drop(server);
+        assert_eq!(dg.epoch(), 0, "the refused update committed");
+        assert_eq!(sess.logits(), &before);
+    }
+
     /// A budget no cone can fit yields a typed `Overloaded` response —
     /// the sweep is never attempted, so there is no `SimError` of any
     /// kind, let alone an OOM.
@@ -1151,7 +1195,10 @@ mod tests {
         let plan = sess.plans().partition;
         let cones = (0..ds.graph.num_vertices()).map(|v| {
             let staged = dg.stage(&rewrite(v)).expect("a feature rewrite stages");
-            (v, ServeMask::from_dirty(plan, layers, staged.dirty()))
+            (
+                v,
+                ServeMask::from_dirty(plan, staged.graph(), layers, staged.dirty()),
+            )
         });
         let (vertex, budget) = tighter_than_the_slots(&sess, cones);
 

@@ -59,14 +59,24 @@ pub enum SimError {
         /// Per-GPU budget it was held against, in bytes.
         budget_bytes: Vec<usize>,
     },
-    /// A cone was derived from plans a structural graph commit has since
-    /// rebuilt, so its sweep would read topology the graph no longer has.
-    /// Nothing ran; derive the cone again.
+    /// A cone was derived from other plans than the session's: plans a
+    /// structural graph commit has since rebuilt, or another session's,
+    /// so its sweep would read topology the session does not have.
+    /// Nothing ran; derive the cone again on this session.
     StaleCone {
-        /// The plan generation the cone was derived from.
+        /// The identity of the plans the cone was derived from.
         cone_generation: u64,
-        /// The session's plan generation now.
+        /// The identity of the session's plans now.
         plan_generation: u64,
+    },
+    /// A graph, or a graph update staged on one, has another vertex
+    /// count than the session it was handed to, so it is not the graph
+    /// the session's plans partition. Nothing was applied.
+    GraphMismatch {
+        /// Vertices of the graph.
+        graph_vertices: usize,
+        /// Vertices of the session.
+        session_vertices: usize,
     },
     /// A serving query has no cone to sweep: it names no vertex, or a
     /// vertex the graph does not have. Nothing ran.
@@ -119,8 +129,16 @@ impl fmt::Display for SimError {
                 plan_generation,
             } => write!(
                 f,
-                "stale cone: derived from plan generation {cone_generation}, the session's \
-                 plans are at {plan_generation}"
+                "stale cone: derived from plans {cone_generation}, the session's plans \
+                 are {plan_generation}"
+            ),
+            SimError::GraphMismatch {
+                graph_vertices,
+                session_vertices,
+            } => write!(
+                f,
+                "graph mismatch: the graph has {graph_vertices} vertices, the session \
+                 {session_vertices}"
             ),
             SimError::InvalidQuery { message } => write!(f, "invalid query: {message}"),
         }

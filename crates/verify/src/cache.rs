@@ -176,7 +176,7 @@ fn packed_load_sets(
         layers,
         ..origin.clone()
     }
-    .rows(plan, index);
+    .regrow(plan, index);
     let packed = plan.packed(&rows[0], &origin.runs);
     let dedup = DedupPlan::build(&packed);
     let bufs = (pattern == LoadPattern::P2pRu).then(|| GpuBufferPlan::build_all(&packed, &dedup));

@@ -86,7 +86,7 @@ fn pack_pruned(
             .collect(),
         runs,
     };
-    let rows = origin.rows(plan, &VertexIndex::new(plan));
+    let rows = origin.regrow(plan, &VertexIndex::new(plan));
     let packed = plan.packed(&rows[0], &origin.runs);
     let dedup = DedupPlan::build(&packed);
     let bufs = GpuBufferPlan::build_all(&packed, &dedup);

@@ -16,6 +16,7 @@ use hongtu_verify::{
     verify_all, verify_all_buffers, verify_buffers, verify_dedup, verify_partition, verify_volumes,
     DiagCode, Report,
 };
+use std::sync::Arc;
 
 fn triple(
     seed: u64,
@@ -163,7 +164,7 @@ fn fat_set(dedup: &DedupPlan, len: usize) -> (usize, usize) {
 fn unsorted_transition_is_d101() {
     let (_, plan, mut dedup, _) = triple(7, 3, 3);
     let (j, i) = fat_set(&dedup, 2);
-    dedup.batches[j].transition[i].swap(0, 1);
+    Arc::make_mut(&mut dedup.batches[j]).transition[i].swap(0, 1);
     let diags = verify_dedup(&plan, &dedup);
     assert!(codes(&diags).contains(&"D101"), "{diags:?}");
 }
@@ -174,8 +175,8 @@ fn misrouted_transition_vertex_is_d102() {
     // Move one vertex from GPU 0's transition set to GPU 1's (sorted
     // insert, so D101 stays silent).
     let (j, _) = fat_set(&dedup, 2);
-    let v = dedup.batches[j].transition[0].remove(0);
-    let t = &mut dedup.batches[j].transition[1];
+    let v = Arc::make_mut(&mut dedup.batches[j]).transition[0].remove(0);
+    let t = &mut Arc::make_mut(&mut dedup.batches[j]).transition[1];
     let pos = t.binary_search(&v).unwrap_err();
     t.insert(pos, v);
     let diags = verify_dedup(&plan, &dedup);
@@ -192,7 +193,7 @@ fn vertex_in_two_transition_sets_is_d103() {
     let (j, i) = fat_set(&dedup, 1);
     let v = dedup.batches[j].transition[i][0];
     let other = (i + 1) % 3;
-    let t = &mut dedup.batches[j].transition[other];
+    let t = &mut Arc::make_mut(&mut dedup.batches[j]).transition[other];
     let pos = t.binary_search(&v).unwrap_err();
     t.insert(pos, v);
     let diags = verify_dedup(&plan, &dedup);
@@ -203,7 +204,7 @@ fn vertex_in_two_transition_sets_is_d103() {
 fn vertex_dropped_from_union_is_d104() {
     let (_, plan, mut dedup, _) = triple(10, 2, 3);
     let (j, i) = fat_set(&dedup, 2);
-    dedup.batches[j].transition[i].remove(0);
+    Arc::make_mut(&mut dedup.batches[j]).transition[i].remove(0);
     let diags = verify_dedup(&plan, &dedup);
     assert!(codes(&diags).contains(&"D104"), "{diags:?}");
 }
@@ -221,7 +222,7 @@ fn duplicated_cpu_load_is_d105() {
         .iter()
         .find(|v| dedup.batches[j].new_from_cpu[i].binary_search(v).is_err())
         .expect("a reused vertex");
-    let fresh = &mut dedup.batches[j].new_from_cpu[i];
+    let fresh = &mut Arc::make_mut(&mut dedup.batches[j]).new_from_cpu[i];
     let pos = fresh.binary_search(&reused_v).unwrap_err();
     fresh.insert(pos, reused_v);
     let diags = verify_dedup(&plan, &dedup);
@@ -238,7 +239,7 @@ fn duplicated_cpu_load_is_d105() {
 #[test]
 fn wrong_reuse_count_is_d106() {
     let (_, plan, mut dedup, _) = triple(12, 2, 3);
-    dedup.batches[1].reused[0] += 1;
+    Arc::make_mut(&mut dedup.batches[1]).reused[0] += 1;
     let diags = verify_dedup(&plan, &dedup);
     assert!(
         diags.iter().all(|d| d.code == DiagCode::ReuseCountWrong),
@@ -250,7 +251,7 @@ fn wrong_reuse_count_is_d106() {
 #[test]
 fn corrupted_fetch_cell_is_d107_and_d108() {
     let (_, plan, mut dedup, _) = triple(13, 3, 2);
-    dedup.batches[0].fetch[1][2] += 1;
+    Arc::make_mut(&mut dedup.batches[0]).fetch[1][2] += 1;
     let diags = verify_dedup(&plan, &dedup);
     // One bad cell breaks both the row-sum and the cell identity.
     assert!(codes(&diags).contains(&"D107"), "{diags:?}");
@@ -278,7 +279,7 @@ fn aliased_slot_is_b201() {
     // match) leaves exactly one broken invariant: two live vertices in
     // one slot.
     let bp = &mut bufs[0];
-    let b = &mut bp.batches[0];
+    let b = Arc::make_mut(&mut bp.batches[0]);
     let (t0, t1) = (0usize, 1usize);
     let shared = b.position[t0];
     let old = b.position[t1];
@@ -301,7 +302,7 @@ fn aliased_slot_is_b201() {
 fn misdirected_neighbor_read_is_b202() {
     let (_, plan, dedup, mut bufs) = triple(16, 2, 3);
     // Route one neighbor read to a different (valid, occupied) slot.
-    let b = &mut bufs[1].batches[0];
+    let b = Arc::make_mut(&mut bufs[1].batches[0]);
     assert!(b.nbr_slot.len() >= 2);
     b.nbr_slot[0] = b.nbr_slot[1];
     let diags = verify_buffers(&plan, &dedup, &bufs[1]);
@@ -329,7 +330,7 @@ fn moved_slot_without_rewrite_is_b203() {
         })
         .expect("some reused row");
     let fresh_slot = bp.capacity as u32 - 1;
-    let b = &mut bp.batches[j];
+    let b = Arc::make_mut(&mut bp.batches[j]);
     let v = b.merged[t];
     // Ensure the chosen slot is not otherwise occupied this batch.
     assert!(!b.position.contains(&fresh_slot) || b.position[t] == fresh_slot);
@@ -365,7 +366,7 @@ fn understated_capacity_is_b204() {
 #[test]
 fn wrong_merged_set_is_b205() {
     let (_, plan, dedup, mut bufs) = triple(19, 2, 3);
-    let b = &mut bufs[1].batches[0];
+    let b = Arc::make_mut(&mut bufs[1].batches[0]);
     b.merged.pop();
     b.position.pop();
     let diags = verify_buffers(&plan, &dedup, &bufs[1]);
@@ -391,7 +392,7 @@ fn volume_mismatches_are_v301_v302_v303() {
 
     // V_ori is derived from the fetch matrix.
     let mut d = dedup.clone();
-    d.batches[0].fetch[0][0] += 1;
+    Arc::make_mut(&mut d.batches[0]).fetch[0][0] += 1;
     let diags = verify_volumes(&plan, &d);
     assert!(
         diags.iter().all(|x| x.code == DiagCode::VOriMismatch),
@@ -401,7 +402,7 @@ fn volume_mismatches_are_v301_v302_v303() {
     // V_+p2p is derived from transition-set sizes.
     let mut d = dedup.clone();
     let v = d.batches[0].transition[0][0];
-    d.batches[0].transition[0].push(v);
+    Arc::make_mut(&mut d.batches[0]).transition[0].push(v);
     let diags = verify_volumes(&plan, &d);
     assert!(
         diags.iter().all(|x| x.code == DiagCode::VP2pMismatch),
@@ -411,7 +412,7 @@ fn volume_mismatches_are_v301_v302_v303() {
     // V_+ru is derived from CPU-load sizes.
     let mut d = dedup.clone();
     let v = d.batches[0].new_from_cpu[0][0];
-    d.batches[0].new_from_cpu[0].push(v);
+    Arc::make_mut(&mut d.batches[0]).new_from_cpu[0].push(v);
     let diags = verify_volumes(&plan, &d);
     assert!(
         diags.iter().all(|x| x.code == DiagCode::VRuMismatch),
@@ -461,7 +462,7 @@ fn mutation_battery_all_detected() {
             DiagCode::TransitionUnionMismatch,
             |_, _, d, _| {
                 let (j, i) = fat_set(d, 1);
-                d.batches[j].transition[i].clear();
+                Arc::make_mut(&mut d.batches[j]).transition[i].clear();
             },
         ),
         (
@@ -472,14 +473,14 @@ fn mutation_battery_all_detected() {
                     .flat_map(|j| (0..p.m).map(move |i| (j, i)))
                     .find(|&(j, i)| d.batches[j].reused[i] > 0)
                     .expect("reuse somewhere");
-                d.batches[j].reused[i] = 0;
+                Arc::make_mut(&mut d.batches[j]).reused[i] = 0;
             },
         ),
         (
             "transpose the fetch matrix",
             DiagCode::FetchCellMismatch,
             |_, _, d, _| {
-                let b = &mut d.batches[0];
+                let b = Arc::make_mut(&mut d.batches[0]);
                 let f = b.fetch.clone();
                 let asym = (0..f.len())
                     .flat_map(|i| (0..f.len()).map(move |k| (i, k)))
@@ -499,7 +500,7 @@ fn mutation_battery_all_detected() {
             |_, _, _, bufs| {
                 // Swapping positions without updating nbr_slot misroutes every
                 // read of the two vertices.
-                let b = &mut bufs[0].batches[0];
+                let b = Arc::make_mut(&mut bufs[0].batches[0]);
                 b.position.swap(0, 1);
                 let (i0, i1) = (b.incoming[0].1, b.incoming[1].1);
                 b.incoming[0].1 = i1;
@@ -510,7 +511,7 @@ fn mutation_battery_all_detected() {
             "shrink one nbr_slot vector",
             DiagCode::MergedSetWrong,
             |_, _, _, bufs| {
-                bufs[1].batches[0].nbr_slot.pop();
+                Arc::make_mut(&mut bufs[1].batches[0]).nbr_slot.pop();
             },
         ),
         (

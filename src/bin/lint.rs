@@ -1,6 +1,6 @@
 //! `lint` — in-repo source lint for the invariants `grep` can't hold.
 //!
-//! Seven rules, all token-level scans over the workspace sources (no
+//! Eight rules, all token-level scans over the workspace sources (no
 //! parsing, no dependencies):
 //!
 //! 1. **Diagnostic catalogue coverage.** Every `DiagCode` variant in
@@ -48,11 +48,20 @@
 //!    those files and the builders' own (`crates/partition/src/`
 //!    `two_level.rs`, `subgraph.rs`) may not call them. A cone's
 //!    communication plans come from the packer too, counted from the
-//!    unions that priced its runs: in the runtime crates (`core`,
+//!    unions that priced its runs, and a structural commit patches the
+//!    session's plans in the batches it moved (`DedupPlan::patched`,
+//!    `GpuBufferPlan::patched`): in the runtime crates (`core`,
 //!    `serving`, `delta`, `cache`), non-test code calls the full plan
 //!    builders (`DedupPlan::build`, `GpuBufferPlan::build_all`) only to
-//!    derive a session's plans and to certify (`engine.rs`) or to price
-//!    Alg. 4's candidate plans (`reorg.rs`).
+//!    derive a session's plans at construction and to certify
+//!    (`engine.rs`) or to price Alg. 4's candidate plans (`reorg.rs`).
+//! 8. **Delta-cone growth chokepoint.** A delta cone grows along the
+//!    out-edges of the topology its chunks were built from
+//!    (`cone::upward`), at the cost of the cone. The chunk scan that finds
+//!    the same rows without a graph (`cone::upward_scan`, reached also
+//!    through `ConeOrigin::regrow`) costs the whole grid per hop, so
+//!    outside its own module only the verifier (`crates/verify/`), which
+//!    regrows journaled cones, and tests may call it.
 //!
 //! Exits 0 when clean, 1 with one line per violation otherwise. Wired
 //! into `tools/check.sh` and CI's `check` job.
@@ -73,6 +82,7 @@ const PACK_TOKENS: [&str; 4] = [
     concat!("ChunkSubgraph::", "pack("),
     concat!("Pack", "ing::"),
 ];
+const SCAN_TOKENS: [&str; 2] = [concat!("upward", "_scan("), concat!(".re", "grow(")];
 const PLAN_BUILDER_TOKENS: [&str; 2] = [
     concat!("DedupPlan::", "build("),
     concat!("GpuBufferPlan::", "build_all("),
@@ -119,6 +129,10 @@ const RUNTIME_SOURCES: [&str; 4] = [
 ];
 const PLAN_BUILDERS: [&str; 2] = ["crates/core/src/engine.rs", "crates/core/src/reorg.rs"];
 
+/// The chunk scan's own module, and the verifier that may regrow with it.
+const SCAN_MODULE: &str = "crates/partition/src/cone.rs";
+const VERIFIER: &str = "crates/verify/";
+
 fn main() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     let mut violations = Vec::new();
@@ -131,6 +145,7 @@ fn main() {
     check_no_deprecation(&root, &sources, &mut violations);
     check_footprint_chokepoint(&root, &sources, &mut violations);
     check_cone_plan_chokepoint(&root, &sources, &mut violations);
+    check_cone_scan_chokepoint(&root, &sources, &mut violations);
 
     if violations.is_empty() {
         println!("lint: clean ({} source files scanned)", sources.len());
@@ -454,6 +469,26 @@ fn check_cone_plan_chokepoint(root: &Path, sources: &[PathBuf], violations: &mut
     }
 }
 
+// ----------------------------------- rule 8: delta-cone growth chokepoint
+
+fn check_cone_scan_chokepoint(root: &Path, sources: &[PathBuf], violations: &mut Vec<String>) {
+    for path in sources {
+        let relpath = rel(root, path);
+        if relpath.contains("/tests/") || relpath.starts_with(VERIFIER) || relpath == SCAN_MODULE {
+            continue;
+        }
+        let src = read(path);
+        for (lineno, line) in code_lines(&src) {
+            if SCAN_TOKENS.iter().any(|t| line.contains(t)) {
+                violations.push(format!(
+                    "{relpath}:{lineno}: delta cone grown by the chunk scan — grow it along \
+                     the committed graph's out-edges with cone::upward"
+                ));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,6 +547,7 @@ mod tests {
         check_no_deprecation(&root, &sources, &mut violations);
         check_footprint_chokepoint(&root, &sources, &mut violations);
         check_cone_plan_chokepoint(&root, &sources, &mut violations);
+        check_cone_scan_chokepoint(&root, &sources, &mut violations);
         assert!(violations.is_empty(), "{}", violations.join("\n"));
     }
 }

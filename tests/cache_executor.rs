@@ -208,16 +208,18 @@ fn delta_commit_invalidates_dirty_cached_rows() {
     let mut dg_cached = DynamicGraph::from_dataset(&ds);
     let mut dg_plain = DynamicGraph::from_dataset(&ds);
     let staged = dg_cached.stage(&deltas).expect("stage");
-    let cached_logits = cached
+    cached
         .apply_staged(&mut dg_cached, staged)
-        .expect("apply deltas")
-        .logits;
+        .expect("apply deltas");
     let staged = dg_plain.stage(&deltas).expect("stage");
-    let plain_logits = plain
+    plain
         .apply_staged(&mut dg_plain, staged)
-        .expect("apply deltas")
-        .logits;
-    assert_eq!(cached_logits, plain_logits, "post-delta logits diverged");
+        .expect("apply deltas");
+    assert_eq!(
+        cached.logits(),
+        plain.logits(),
+        "post-delta logits diverged"
+    );
     let rt = cached.cache().expect("runtime survives a feature delta");
     let invalidated = rt.log().events.iter().any(|e| match e {
         hongtu::cache::CacheEvent::Invalidate { removed, .. } => {

@@ -23,6 +23,7 @@ use hongtu::datasets::load;
 use hongtu::delta::{out_edge_ball, toggle_workload, Delta, DeltaMix, DynamicGraph};
 use hongtu::graph::generators;
 use hongtu::nn::ModelKind;
+use hongtu::partition::cone::{self, Seen, VertexIndex};
 use hongtu::partition::TwoLevelPartition;
 use hongtu::sim::{MachineConfig, SimError, Trace};
 use hongtu::tensor::{Matrix, SeededRng};
@@ -98,7 +99,7 @@ fn incremental_logits_match_rebuild_across_matrix() {
                     let report = apply(&mut s, &mut dg, &deltas);
                     assert_eq!(report.epoch, 1);
                     assert!(report.active_steps <= report.total_steps);
-                    report.logits
+                    s.logits().clone()
                 };
                 let rebuilt = {
                     let mutated = dg.to_dataset(&ds);
@@ -128,7 +129,8 @@ fn incremental_logits_match_rebuild_across_comm_modes() {
             let cfg = config(2, OverlapMode::Off, comm);
             let mut s = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("session");
             s.infer_epoch().expect("initial full sweep");
-            apply(&mut s, &mut dg, &deltas).logits
+            apply(&mut s, &mut dg, &deltas);
+            s.logits().clone()
         };
         let rebuilt = {
             let mutated = dg.to_dataset(&ds);
@@ -177,7 +179,7 @@ fn delta_cone_covers_out_edge_ball_oracle() {
                 }
             }
             for layers in [1usize, 2, 3] {
-                let mask = ServeMask::from_dirty(&plan, layers, &dirty);
+                let mask = ServeMask::from_dirty(&plan, &mutated, layers, &dirty);
                 let ball = out_edge_ball(&mutated, &dirty, layers.saturating_sub(1));
                 let mut rows = 0;
                 for (l, invalid) in ball.iter().enumerate().take(layers) {
@@ -246,7 +248,7 @@ fn incremental_schedule_certifies_with_paranoid() {
     // Certify the replay that just ran, against the rebuilt plans.
     assert!(session.exhaustive_exploration_feasible());
     let cert = session
-        .certify_delta(&dirty, Some(DEFAULT_EXPLORE_BUDGET))
+        .certify_delta(dg.graph(), &dirty, Some(DEFAULT_EXPLORE_BUDGET))
         .expect("schedule synthesis");
     assert!(cert.is_ok(), "{}", cert.render());
 }
@@ -296,7 +298,7 @@ fn update_cost(
         let sweep = s.infer_epoch().expect("full sweep over the mutated graph");
         (sweep.logits, sweep.time)
     } else {
-        (r.logits.clone(), r.time)
+        (s.logits().clone(), r.time)
     };
     let events = s.machine().trace().len();
     (r, logits, time, events)
@@ -462,13 +464,16 @@ fn random_deltas_patch_to_the_rebuild_and_certify_across_the_matrix() {
             r.infer_epoch().expect("rebuild sweep").logits
         };
         assert_eq!(
-            report.logits, rebuilt,
+            s.logits(),
+            &rebuilt,
             "{cell:?}: patched logits diverged from the rebuild after {batch:?}"
         );
 
         let executed = verify_trace(s.machine().trace());
         assert!(executed.is_ok(), "{cell:?}:\n{}", executed.render());
-        let synthesized = s.certify_delta(&dirty, None).expect("synthesis");
+        let synthesized = s
+            .certify_delta(dg.graph(), &dirty, None)
+            .expect("synthesis");
         assert!(synthesized.is_ok(), "{cell:?}:\n{}", synthesized.render());
         let journal = s.certify_cache();
         assert!(journal.is_ok(), "{cell:?}:\n{}", journal.render());
@@ -477,6 +482,54 @@ fn random_deltas_patch_to_the_rebuild_and_certify_across_the_matrix() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A delta cone grown along the committed topology's out-edges
+    /// (`cone::upward`) computes exactly the rows the chunk scan
+    /// (`cone::upward_scan`) finds over the session's patched chunks, at
+    /// 1–3 layers, after every commit of a random sequence of structural
+    /// and feature batches on a random graph with self-loops — from the
+    /// batch's own dirty set and from random seeds.
+    #[test]
+    fn graph_grown_delta_cones_equal_the_chunk_scan(
+        seed in 0u64..500,
+        n in 80usize..240,
+        gpus in 1usize..4,
+        chunks in 2usize..5,
+        batches in 1usize..5,
+        mix_sel in 0usize..3,
+    ) {
+        let mix = [DeltaMix::Edge, DeltaMix::Feature, DeltaMix::Mixed][mix_sel];
+        let ds = random_dataset(seed, n);
+        let cfg = HongTuConfig::builder()
+            .machine(MachineConfig::scaled(gpus, 512 << 20))
+            .comm(CommMode::P2pRu)
+            .infer()
+            .build()
+            .expect("valid config");
+        let mut s = Session::new(&ds, ModelKind::Gcn, 8, 2, chunks, cfg).expect("session");
+        s.infer_epoch().expect("initial full sweep");
+        let mut dg = DynamicGraph::from_dataset(&ds);
+        let mut rng = SeededRng::new(seed ^ 0xc0de);
+        let workload = toggle_workload(dg.graph(), ds.features.cols(), batches, 3, mix, &mut rng.fork(1));
+        let mut seen = Seen::default();
+        for batch in &workload {
+            let staged = dg.stage(batch).expect("valid batch");
+            let dirty = staged.dirty().to_vec();
+            s.apply_staged(&mut dg, staged).expect("commit");
+            let plan = s.plans().partition;
+            let index = VertexIndex::new(plan);
+            let count = 1 + rng.index(6);
+            for seeds in [dirty.clone(), rng.sample_indices(n, count)] {
+                for layers in 1..=3 {
+                    prop_assert_eq!(
+                        cone::upward(plan, &index, dg.graph(), layers, &seeds, &mut seen),
+                        cone::upward_scan(plan, &index, layers, &seeds),
+                        "seeds {:?}, {} layers", &seeds, layers
+                    );
+                }
+            }
+        }
+    }
 
     /// Random delta sequences converge identically whichever way they
     /// are applied: batch-by-batch incremental repair, all deltas as a
@@ -519,7 +572,8 @@ proptest! {
             s.infer_epoch().expect("initial full sweep");
             let mut logits = None;
             for b in &workload {
-                logits = Some(apply(&mut s, &mut dg_a, b).logits);
+                apply(&mut s, &mut dg_a, b);
+                logits = Some(s.logits().clone());
             }
             logits.expect("at least one batch")
         };
@@ -531,7 +585,8 @@ proptest! {
         let as_one = {
             let mut s = Session::new(&ds, ModelKind::Gcn, 8, 2, chunks, cfg()).expect("session");
             s.infer_epoch().expect("initial full sweep");
-            apply(&mut s, &mut dg_b, &combined).logits
+            apply(&mut s, &mut dg_b, &combined);
+            s.logits().clone()
         };
 
         // Path C: full session rebuild on the final graph.
@@ -589,9 +644,42 @@ fn a_cone_from_before_a_structural_commit_is_refused() {
         let mut r = Session::new(&mutated, ModelKind::Gcn, 16, 2, 4, cfg).expect("session");
         r.infer_epoch().expect("rebuild sweep").logits
     };
-    assert_eq!(committed.logits, rebuilt);
+    assert_eq!(before, rebuilt);
     let fresh = s.query_cone(&[10]).expect("query cone");
     let served = s.serve_cone(&[10], fresh).expect("serve a fresh cone");
     assert_eq!(served.logits, rebuilt.gather_rows(&[10]));
     assert_eq!(s.logits(), &rebuilt);
+}
+
+/// A cone carries the identity of the plans it was derived from, unique
+/// in the process, not a per-session counter: session B refuses a cone
+/// session A derived over another graph of the same size — although
+/// neither session has committed anything — before anything runs, and
+/// still serves its own.
+#[test]
+fn a_cone_from_another_session_is_refused() {
+    let n = 240;
+    let (ds_a, ds_b) = (
+        random_dataset(test_seed(), n),
+        random_dataset(test_seed() ^ 0xb, n),
+    );
+    assert_ne!(ds_a.graph, ds_b.graph);
+    let cfg = || config(2, OverlapMode::Off, CommMode::P2pRu);
+    let a = Session::new(&ds_a, ModelKind::Gcn, 8, 2, 3, cfg()).expect("session A");
+    let mut b = Session::new(&ds_b, ModelKind::Gcn, 8, 2, 3, cfg()).expect("session B");
+    b.infer_epoch().expect("initial full sweep");
+    let foreign = a.query_cone(&[10]).expect("A's query cone");
+
+    let before = b.logits().clone();
+    match b.serve_cone(&[10], foreign) {
+        Err(SimError::StaleCone {
+            cone_generation,
+            plan_generation,
+        }) => assert_ne!(cone_generation, plan_generation),
+        other => panic!("a foreign cone was not refused: {other:?}"),
+    }
+    assert_eq!(b.logits(), &before, "a refused cone touched the stores");
+    let own = b.query_cone(&[10]).expect("B's query cone");
+    let served = b.serve_cone(&[10], own).expect("serve B's own cone");
+    assert_eq!(served.logits, before.gather_rows(&[10]));
 }

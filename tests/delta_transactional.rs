@@ -115,7 +115,8 @@ fn assert_still_usable(s: &mut Session, dg: &mut DynamicGraph, ds: &Dataset) {
     let served = s.serve(&rows).expect("serve after refusal");
     assert_eq!(served.logits, s.logits().gather_rows(&rows));
     let edge = absent_edge(dg);
-    let patched = apply(s, dg, &[edge]).logits;
+    apply(s, dg, &[edge]);
+    let patched = s.logits().clone();
     let rebuilt = session(&dg.to_dataset(ds)).logits().clone();
     assert_eq!(patched, rebuilt);
 }
@@ -213,7 +214,8 @@ fn staging_regrowth_fits_once_the_old_cache_is_released() {
     let cached = s.cache().expect("the headroom admits a cache");
     assert!(cached.plan().total_rows() > 0);
 
-    let patched = apply(&mut s, &mut dg, &batch).logits;
+    apply(&mut s, &mut dg, &batch);
+    let patched = s.logits().clone();
     assert!(s.plans().staging.is_some());
     let rebuilt = session(&dg.to_dataset(&ds)).logits().clone();
     assert_eq!(patched, rebuilt);

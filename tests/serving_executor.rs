@@ -391,7 +391,12 @@ fn serve_cone_refuses_rows_its_cone_never_computed() {
     let other = s.query_cone(&[1]).expect("query cone");
     let why = refused(&mut s, &[2000], other);
     assert!(why.contains("vertex 2000 is not a seed"), "{why}");
-    let delta = s.plan_cone(ServeMask::from_dirty(s.plans().partition, 2, &[2000]));
+    let delta = s.plan_cone(ServeMask::from_dirty(
+        s.plans().partition,
+        &ds.graph,
+        2,
+        &[2000],
+    ));
     let why = refused(&mut s, &[2000], delta);
     assert!(why.contains("delta cone"), "{why}");
     let mine = s.query_cone(&[2000]).expect("query cone");
@@ -489,6 +494,7 @@ fn serve_right_after_a_structural_commit_certifies_its_cold_cache() {
                 committed.rebuilt_chunks > 0,
                 "{cell:?}: commit was not structural"
             );
+            let patched = s.logits().clone();
             let query = SeededRng::new(test_seed() ^ 0x9e27).sample_indices(n, 4);
             let served = s.serve(&query).expect("serve right after the commit");
 
@@ -501,10 +507,7 @@ fn serve_right_after_a_structural_commit_certifies_its_cold_cache() {
                 let mut r = plain.session(&mutated, 0);
                 r.infer_epoch().expect("rebuild sweep").logits
             };
-            assert_eq!(
-                committed.logits, rebuilt,
-                "{cell:?}: patched logits != rebuild"
-            );
+            assert_eq!(patched, rebuilt, "{cell:?}: patched logits != rebuild");
             assert_eq!(served.logits, rebuilt.gather_rows(&query), "{cell:?}");
             // The rebuilt journal: the commit's invalidation (of a cache
             // that holds nothing yet), the replay, the serve.
@@ -601,7 +604,7 @@ fn packing_case(
     let vertices = SeededRng::new(seed ^ 0x9ac4).sample_indices(n, seeds);
     let partition = s.plans().partition;
     let mask = if upward {
-        ServeMask::from_dirty(partition, 2, &vertices)
+        ServeMask::from_dirty(partition, &ds.graph, 2, &vertices)
     } else {
         ServeMask::from_queries(partition, 2, &vertices)
     };

@@ -209,7 +209,7 @@ fn delta_digest(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> u64 {
     fnv.u64(r.time.to_bits());
     fnv.u64(r.active_steps as u64);
     fnv.u64(r.rebuilt_chunks as u64);
-    fnv.matrix(&r.logits);
+    fnv.matrix(s.logits());
     fnv.trace(&s);
     fnv.0
 }
@@ -377,7 +377,7 @@ fn footprint_digests(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> (u64, 
     let bound = s.static_memory_bound();
     let partition = s.plans().partition;
     let query = ServeMask::from_queries(partition, 2, &[3, 50, 51]);
-    let dirty = ServeMask::from_dirty(partition, 2, &[11]);
+    let dirty = ServeMask::from_dirty(partition, &ds.graph, 2, &[11]);
     let (mut fnv, mut sans_cones) = (Fnv::new(), Fnv::new());
     for f in [&mut fnv, &mut sans_cones] {
         f.sizes(&bound.gpu);

@@ -11,7 +11,7 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> source lint (diag catalogue, unsafe discipline, tag + exec-mode + footprint + cone-plan chokepoints, no deprecation shims)"
+echo "==> source lint (diag catalogue, unsafe discipline, tag + exec-mode + footprint + cone-plan + cone-scan chokepoints, no deprecation shims)"
 # src/bin/lint.rs: every DiagCode has exactly one DESIGN.md catalogue row
 # and a mutation test; unsafe only in crates/parallel (SAFETY-documented);
 # GpuLane::tag only from the engine's emission layer; the execution mode
@@ -19,7 +19,9 @@ echo "==> source lint (diag catalogue, unsafe discipline, tag + exec-mode + foot
 # device footprint computed only in crates/core/src/footprint.rs; packed
 # cone plans built only by the packer in crates/core/src/serve.rs, and
 # full dedup/buffer plans in the runtime crates only by session plan
-# derivation and certification (engine.rs) and Alg. 4 (reorg.rs).
+# construction and certification (engine.rs) and Alg. 4 (reorg.rs) — a
+# structural commit patches them; a delta cone grown by the chunk scan
+# (cone::upward_scan, ConeOrigin::regrow) only in crates/verify and tests.
 cargo run -q --release --bin lint
 
 echo "==> verify schedule smoke run (static certification, passes 6-8)"
