@@ -161,6 +161,7 @@ fn rejected_rebuilt_plan_is_a_typed_error_and_changes_nothing() {
     let staged = foreign.stage(&[absent_edge(&foreign)]).expect("stage");
 
     let before = snapshot(&s, &foreign);
+    let kept = s.query_cone(&[0, 17]).expect("query cone");
     let err = s
         .apply_staged(&mut foreign, staged)
         .expect_err("a plan rebuilt from a foreign graph must not verify");
@@ -169,6 +170,12 @@ fn rejected_rebuilt_plan_is_a_typed_error_and_changes_nothing() {
         "{err}"
     );
     assert_eq!(snapshot(&s, &foreign), before);
+    // The refusal put the plans' identity back with the chunks: a cone
+    // derived before it is still the session's.
+    let served = s
+        .serve_cone(&[0, 17], kept)
+        .expect("a cone from before a refused commit still serves");
+    assert_eq!(served.logits, before.logits.gather_rows(&[0, 17]));
 
     let mut dg = DynamicGraph::from_dataset(&ds);
     assert_still_usable(&mut s, &mut dg, &ds);
