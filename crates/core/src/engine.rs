@@ -136,11 +136,10 @@ pub enum Mode {
 
 /// Engine configuration.
 ///
-/// Prefer [`HongTuConfig::builder`], which validates the configuration
-/// before any expensive plan construction starts. Filling the struct
-/// literally (or mutating a [`HongTuConfig::full`] preset) keeps working
-/// but is discouraged: it skips validation, and new fields added
-/// here will break literal construction at compile time.
+/// Build it with [`HongTuConfig::builder`], which holds the defaults
+/// (full HongTu: P2P + RU + hybrid + reorganization) and validates the
+/// configuration before any expensive plan construction starts. Fields
+/// stay public, so a built configuration can still be adjusted, unchecked.
 #[derive(Debug, Clone)]
 pub struct HongTuConfig {
     /// Communication optimizations.
@@ -186,23 +185,6 @@ pub struct HongTuConfig {
 }
 
 impl HongTuConfig {
-    /// Full HongTu on the given machine: P2P + RU + hybrid + reorganization.
-    pub fn full(machine: MachineConfig) -> Self {
-        HongTuConfig {
-            comm: CommMode::P2pRu,
-            memory: MemoryStrategy::Hybrid,
-            reorganize: true,
-            machine,
-            lr: 0.01,
-            interleaved: true,
-            validation: ValidationLevel::Plan,
-            exec: ExecutionMode::Sequential,
-            overlap: OverlapMode::Off,
-            mode: Mode::Train,
-            cache: Arc::new(CacheOff),
-        }
-    }
-
     /// A validating builder starting from the full-HongTu defaults on a
     /// 4-GPU scaled machine:
     ///
@@ -956,13 +938,10 @@ impl Session {
 
         // ---- static schedule certification (Paranoid): synthesize the
         // epoch schedule from the plans alone — before a single simulated
-        // FLOP runs — and hold it to the happens-before, lifetime, and
-        // (for small configs) exhaustive-interleaving passes 6–8 ----
+        // FLOP runs — and hold it to the happens-before, lifetime and
+        // dataflow passes 6, 7 and 9 ----
         if session.config.validation == ValidationLevel::Paranoid {
-            let explore = session
-                .exhaustive_exploration_feasible()
-                .then_some(hongtu_verify::DEFAULT_EXPLORE_BUDGET);
-            let report = session.certify_schedule(explore)?;
+            let report = session.certify(None)?;
             if !report.is_ok() {
                 return Err(invalid_schedule(&report));
             }
@@ -1163,20 +1142,14 @@ impl Session {
 
     /// Synthesizes the schedule ([`Session::synthesize`]) and runs the
     /// schedule passes over it: pass 6 (happens-before over the
-    /// synthesized DAG), pass 7 (resource lifetime/liveness, L6xx), when
-    /// `explore` carries a linearization budget pass 8 (bounded
-    /// exhaustive interleaving exploration, X7xx), and pass 9 (dataflow
-    /// conservation against the plans, F8xx). A `cone` is first held to
-    /// its closure property, on its packed step grid and row for row
-    /// (pass 10, C9xx), and its sweep's dataflow is balanced layer by
-    /// layer against specs derived from the plans that layer runs over —
-    /// the same [`hongtu_verify::DataflowSpec::from_plans`], over the
-    /// packed grids.
-    fn certify(
-        &self,
-        cone: Option<(Cone, ConeDir)>,
-        explore: Option<usize>,
-    ) -> Result<Report, SimError> {
+    /// synthesized DAG), pass 7 (resource lifetime/liveness, L6xx) and
+    /// pass 9 (dataflow conservation against the plans, F8xx). A `cone`
+    /// is first held to its closure property, on its packed step grid
+    /// and row for row (pass 10, C9xx), and its sweep's dataflow is
+    /// balanced layer by layer against specs derived from the plans that
+    /// layer runs over — the same
+    /// [`hongtu_verify::DataflowSpec::from_plans`], over the packed grids.
+    fn certify(&self, cone: Option<(Cone, ConeDir)>) -> Result<Report, SimError> {
         let mut report = Report::default();
         let cone = cone.map(|(cone, dir)| {
             report.merge(hongtu_verify::verify_cone(cone.grid(), dir));
@@ -1188,7 +1161,7 @@ impl Session {
             cone
         });
         let trace = self.synthesize(cone.as_ref(), Trace::unbounded())?.1;
-        report.merge(hongtu_verify::verify_schedule(&trace, explore));
+        report.merge(hongtu_verify::verify_schedule(&trace));
         report.merge(hongtu_verify::verify_dataflow_layers(
             &trace,
             &self.dataflow_specs(cone.as_ref()),
@@ -1215,13 +1188,12 @@ impl Session {
         Ok(self.synthesize(None, Trace::disabled())?.0)
     }
 
-    /// Statically certifies this session's epoch schedule (passes 6–9).
+    /// Statically certifies this session's epoch schedule (passes 6, 7
+    /// and 9).
     ///
-    /// Exhaustive exploration is exponential in the worst case; gate it
-    /// with [`Session::exhaustive_exploration_feasible`] (≤ 2 GPUs and
-    /// ≤ 2 layers), as the Paranoid construction path does.
-    pub fn certify_schedule(&self, explore: Option<usize>) -> Result<Report, SimError> {
-        self.certify(None, explore)
+    /// `_explore` is ignored (pass 8 is retired); `benchmark/src/probes.rs` still passes it.
+    pub fn certify_schedule(&self, _explore: Option<usize>) -> Result<Report, SimError> {
+        self.certify(None)
     }
 
     /// Statically certifies dataflow conservation alone (pass 9):
@@ -1245,17 +1217,10 @@ impl Session {
     }
 
     /// Statically certifies the pruned serving sweep for `vertices`:
-    /// downward closure of the query cone (pass 10) plus passes 6–9 over
-    /// the synthesized schedule.
-    pub fn certify_serve(
-        &self,
-        vertices: &[usize],
-        explore: Option<usize>,
-    ) -> Result<Report, SimError> {
-        self.certify(
-            Some((self.query_cone(vertices)?, ConeDir::Downward)),
-            explore,
-        )
+    /// downward closure of the query cone (pass 10) plus passes 6, 7 and
+    /// 9 over the synthesized schedule.
+    pub fn certify_serve(&self, vertices: &[usize]) -> Result<Report, SimError> {
+        self.certify(Some((self.query_cone(vertices)?, ConeDir::Downward)))
     }
 
     /// The pruned repair sweep an [`Session::apply_staged`] replay for
@@ -1264,7 +1229,8 @@ impl Session {
     /// the topology those plans were built from. Call it after the apply
     /// (on the rebuilt plans, with the committed graph) to certify the
     /// replay that just ran. A `graph` of another vertex count is
-    /// [`SimError::GraphMismatch`].
+    /// [`SimError::GraphMismatch`]; an empty `dirty` or an id the graph
+    /// does not have is [`SimError::InvalidQuery`].
     pub fn synthesize_delta_schedule(
         &self,
         graph: &Graph,
@@ -1277,16 +1243,11 @@ impl Session {
     /// Statically certifies the incremental repair sweep for `dirty`
     /// seed vertices, grown over `graph` as in
     /// [`Session::synthesize_delta_schedule`]: upward closure of the
-    /// affected cone (pass 10) plus passes 6–9 over the synthesized
-    /// schedule.
-    pub fn certify_delta(
-        &self,
-        graph: &Graph,
-        dirty: &[usize],
-        explore: Option<usize>,
-    ) -> Result<Report, SimError> {
+    /// affected cone (pass 10) plus passes 6, 7 and 9 over the
+    /// synthesized schedule.
+    pub fn certify_delta(&self, graph: &Graph, dirty: &[usize]) -> Result<Report, SimError> {
         let cone = self.dirty_cone(graph, dirty)?;
-        self.certify(Some((cone, ConeDir::Upward)), explore)
+        self.certify(Some((cone, ConeDir::Upward)))
     }
 
     /// The exact dependency cone of a query for `vertices` — the rows each
@@ -1328,12 +1289,10 @@ impl Session {
 
     /// The replay cone of the `dirty` seeds over the session's current
     /// plans, grown over `graph`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dirty` is empty or names a vertex out of range.
     fn dirty_cone(&self, graph: &Graph, dirty: &[usize]) -> Result<Cone, SimError> {
         self.check_graph(graph)?;
+        cone::check_seeds("dirty set", self.index.len(), dirty)
+            .map_err(|message| SimError::InvalidQuery { message })?;
         Ok(self.plan_cone(self.delta_mask(graph, dirty)))
     }
 
@@ -1444,13 +1403,6 @@ impl Session {
                 })
                 .collect(),
         }
-    }
-
-    /// Whether this session is small enough for the exhaustive
-    /// interleaving exploration of pass 8 (≤ 2 GPUs × ≤ 2 layers — the
-    /// bound `verify schedule` and Paranoid construction use).
-    pub fn exhaustive_exploration_feasible(&self) -> bool {
-        self.plan.m <= 2 && self.model.num_layers() <= 2
     }
 
     /// The environment of a full sweep of this session's [`Mode`] over
@@ -2124,7 +2076,8 @@ mod tests {
         load(DatasetKey::Rdt, &mut rng)
     }
 
-    fn session(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig) -> Session {
+    fn session(ds: &Dataset, kind: ModelKind, cfg: HongTuConfigBuilder) -> Session {
+        let cfg = cfg.build().expect("valid config");
         Session::new(ds, kind, 16, 2, 4, cfg).expect("session construction")
     }
 
@@ -2132,10 +2085,14 @@ mod tests {
         MachineConfig::scaled(4, 256 << 20)
     }
 
+    fn config() -> HongTuConfigBuilder {
+        HongTuConfig::builder().machine(machine())
+    }
+
     #[test]
     fn epoch_runs_and_reports_time() {
         let ds = small_dataset();
-        let mut e = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut e = session(&ds, ModelKind::Gcn, config());
         let mut e = e.trainer();
         let r = e.epoch().unwrap();
         assert!(r.time > 0.0);
@@ -2148,7 +2105,7 @@ mod tests {
     #[test]
     fn loss_decreases_over_epochs() {
         let ds = small_dataset();
-        let mut e = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut e = session(&ds, ModelKind::Gcn, config());
         let mut e = e.trainer();
         let first = e.epoch().unwrap().loss.loss;
         let mut last = first;
@@ -2164,7 +2121,7 @@ mod tests {
     #[test]
     fn matches_reference_full_graph_training() {
         let ds = small_dataset();
-        let mut e = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut e = session(&ds, ModelKind::Gcn, config());
         let mut e = e.trainer();
 
         let mut rng = SeededRng::new(ds.seed ^ 0x686F6E67);
@@ -2194,9 +2151,7 @@ mod tests {
     fn all_comm_modes_same_numerics_different_volume() {
         let ds = small_dataset();
         let mk = |comm| {
-            let mut cfg = HongTuConfig::full(machine());
-            cfg.comm = comm;
-            cfg.reorganize = false;
+            let cfg = config().comm(comm).reorganize(false);
             session(&ds, ModelKind::Gcn, cfg)
         };
         let mut vanilla = mk(CommMode::Vanilla);
@@ -2224,8 +2179,7 @@ mod tests {
     fn hybrid_and_recompute_same_numerics() {
         let ds = small_dataset();
         let mk = |memory| {
-            let mut cfg = HongTuConfig::full(machine());
-            cfg.memory = memory;
+            let cfg = config().memory(memory);
             session(&ds, ModelKind::Gcn, cfg)
         };
         let mut hybrid = mk(MemoryStrategy::Hybrid);
@@ -2243,8 +2197,7 @@ mod tests {
     fn hybrid_is_cheaper_than_recompute_for_gcn() {
         let ds = small_dataset();
         let mk = |memory| {
-            let mut cfg = HongTuConfig::full(machine());
-            cfg.memory = memory;
+            let cfg = config().memory(memory);
             session(&ds, ModelKind::Gcn, cfg)
         };
         let rh = mk(MemoryStrategy::Hybrid).trainer().epoch().unwrap();
@@ -2262,9 +2215,9 @@ mod tests {
     #[test]
     fn gat_trains_and_spends_more_gpu_time_than_gcn() {
         let ds = small_dataset();
-        let mut gat = session(&ds, ModelKind::Gat, HongTuConfig::full(machine()));
+        let mut gat = session(&ds, ModelKind::Gat, config());
         let mut gat = gat.trainer();
-        let mut gcn = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut gcn = session(&ds, ModelKind::Gcn, config());
         let mut gcn = gcn.trainer();
         let rg = gat.epoch().unwrap();
         let rc = gcn.epoch().unwrap();
@@ -2280,14 +2233,13 @@ mod tests {
     #[test]
     fn naive_p2p_schedule_is_slower() {
         let ds = small_dataset();
-        let mut cfg = HongTuConfig::full(machine());
-        cfg.interleaved = false;
+        let cfg = config().interleaved(false);
         let naive = session(&ds, ModelKind::Gcn, cfg)
             .trainer()
             .epoch()
             .unwrap()
             .time;
-        let inter = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()))
+        let inter = session(&ds, ModelKind::Gcn, config())
             .trainer()
             .epoch()
             .unwrap()
@@ -2298,7 +2250,10 @@ mod tests {
     #[test]
     fn oom_when_gpu_memory_too_small() {
         let ds = small_dataset();
-        let cfg = HongTuConfig::full(MachineConfig::scaled(4, 64 << 10));
+        let cfg = HongTuConfig::builder()
+            .machine(MachineConfig::scaled(4, 64 << 10))
+            .build()
+            .expect("valid config");
         let r =
             Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).and_then(|mut s| s.trainer().epoch());
         assert!(
@@ -2317,7 +2272,7 @@ mod tests {
                 16,
                 2,
                 chunks,
-                HongTuConfig::full(machine()),
+                config().build().expect("valid config"),
             )
             .unwrap();
             s.trainer().epoch().unwrap();
@@ -2331,7 +2286,7 @@ mod tests {
     #[test]
     fn accuracy_evaluation_works() {
         let ds = small_dataset();
-        let mut e = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut e = session(&ds, ModelKind::Gcn, config());
         let mut e = e.trainer();
         for _ in 0..30 {
             e.epoch().unwrap();
@@ -2343,10 +2298,9 @@ mod tests {
     #[test]
     fn overlap_same_numerics_faster_and_more_memory() {
         let ds = small_dataset();
-        let mut off = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut off = session(&ds, ModelKind::Gcn, config());
         let mut off = off.trainer();
-        let mut cfg = HongTuConfig::full(machine());
-        cfg.overlap = OverlapMode::DoubleBuffer;
+        let cfg = config().overlap(OverlapMode::DoubleBuffer);
         let mut db = session(&ds, ModelKind::Gcn, cfg);
         let mut db = db.trainer();
         for _ in 0..3 {
@@ -2375,9 +2329,7 @@ mod tests {
     fn overlap_parallel_matches_sequential_bitwise() {
         let ds = small_dataset();
         let mk = |exec| {
-            let mut cfg = HongTuConfig::full(machine());
-            cfg.overlap = OverlapMode::DoubleBuffer;
-            cfg.exec = exec;
+            let cfg = config().overlap(OverlapMode::DoubleBuffer).exec(exec);
             session(&ds, ModelKind::Gcn, cfg)
         };
         let mut seq = mk(ExecutionMode::Sequential);
@@ -2403,11 +2355,11 @@ mod tests {
         let ds = small_dataset();
         for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
             for exec in [ExecutionMode::Sequential, ExecutionMode::Parallel] {
-                let mut cfg = HongTuConfig::full(machine());
-                cfg.comm = comm;
-                cfg.exec = exec;
-                cfg.overlap = OverlapMode::DoubleBuffer;
-                cfg.validation = ValidationLevel::Paranoid;
+                let cfg = config()
+                    .comm(comm)
+                    .exec(exec)
+                    .overlap(OverlapMode::DoubleBuffer)
+                    .validation(ValidationLevel::Paranoid);
                 let mut e = session(&ds, ModelKind::Gcn, cfg);
                 let mut e = e.trainer();
                 e.epoch()
@@ -2419,7 +2371,7 @@ mod tests {
     #[test]
     fn preprocessing_reports_volumes() {
         let ds = small_dataset();
-        let s = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let s = session(&ds, ModelKind::Gcn, config());
         let p = s.preprocessing();
         assert!(p.volumes.v_ori >= p.volumes.v_p2p);
         assert!(p.seconds > 0.0);
@@ -2427,17 +2379,19 @@ mod tests {
 
     #[test]
     fn builder_defaults_match_full_config() {
-        let built = HongTuConfig::builder().machine(machine()).build().unwrap();
-        let full = HongTuConfig::full(machine());
-        assert_eq!(built.comm, full.comm);
-        assert_eq!(built.memory, full.memory);
-        assert_eq!(built.reorganize, full.reorganize);
-        assert_eq!(built.lr, full.lr);
-        assert_eq!(built.interleaved, full.interleaved);
-        assert_eq!(built.validation, full.validation);
-        assert_eq!(built.exec, full.exec);
-        assert_eq!(built.overlap, full.overlap);
-        assert_eq!(built.mode, Mode::Train);
+        let cfg = HongTuConfig::builder().build().expect("valid config");
+        assert_eq!(cfg.comm, CommMode::P2pRu);
+        assert_eq!(cfg.memory, MemoryStrategy::Hybrid);
+        assert!(cfg.reorganize);
+        assert_eq!(cfg.machine.num_gpus, 4);
+        assert_eq!(cfg.machine.gpu_memory, 256 << 20);
+        assert_eq!(cfg.lr, 0.01);
+        assert!(cfg.interleaved);
+        assert_eq!(cfg.validation, ValidationLevel::Plan);
+        assert_eq!(cfg.exec, ExecutionMode::Sequential);
+        assert_eq!(cfg.overlap, OverlapMode::Off);
+        assert_eq!(cfg.mode, Mode::Train);
+        assert_eq!(cfg.cache.name(), CacheOff.name());
     }
 
     #[test]
@@ -2472,8 +2426,7 @@ mod tests {
     #[test]
     fn infer_epoch_skips_checkpoints_and_matches_forward() {
         let ds = small_dataset();
-        let mut cfg = HongTuConfig::full(machine());
-        cfg.mode = Mode::Infer;
+        let cfg = config().infer();
         let mut infer = session(&ds, ModelKind::Gcn, cfg);
         let r = infer.infer_epoch().unwrap();
         assert!(r.time > 0.0);
@@ -2485,7 +2438,7 @@ mod tests {
         }
         // The logits equal a training epoch's forward half (pre-update
         // weights) on an identically-seeded training engine.
-        let mut train = session(&ds, ModelKind::Gcn, HongTuConfig::full(machine()));
+        let mut train = session(&ds, ModelKind::Gcn, config());
         let mut train = train.trainer();
         train.epoch().unwrap();
         assert_eq!(r.logits, *train.session().logits());
@@ -2495,9 +2448,7 @@ mod tests {
     #[should_panic(expected = "trainer() on an inference session")]
     fn trainer_on_infer_session_panics() {
         let ds = small_dataset();
-        let mut cfg = HongTuConfig::full(machine());
-        cfg.mode = Mode::Infer;
-        let mut session = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("session");
+        let mut session = session(&ds, ModelKind::Gcn, config().infer());
         let _ = session.trainer();
     }
 

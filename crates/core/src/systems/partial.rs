@@ -443,7 +443,10 @@ mod tests {
             32,
             3,
             32,
-            crate::HongTuConfig::full(machine),
+            crate::HongTuConfig::builder()
+                .machine(machine)
+                .build()
+                .expect("valid config"),
         )
         .expect("HongTu session");
         assert!(session.trainer().epoch().is_ok());

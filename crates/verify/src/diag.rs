@@ -101,9 +101,6 @@ pub enum DiagCode {
     /// A resource was rewritten for a new batch generation with no
     /// batch-scope barrier since the previous generation's writes.
     BatchNotBarriered,
-    /// Two traces of the same plan differ by more than commutable
-    /// reorderings (the schedule is not deterministic).
-    NonDeterministicSchedule,
 
     // ---- resource lifetime pass (L6xx) ----
     /// A staging slot (or checkpoint slot) generation is accessed after
@@ -121,15 +118,6 @@ pub enum DiagCode {
     /// A hybrid aggregate checkpoint is reloaded before any store wrote
     /// it (backward reading a checkpoint the forward never produced).
     ReloadBeforeStore,
-
-    // ---- interleaving exploration pass (X7xx) ----
-    /// Some barrier-respecting interleaving of the schedule's
-    /// per-(device, stream) entities reads data before the deposit it
-    /// needs — the counterexample linearization is in the message.
-    InterleavingRace,
-    /// Exploration exhausted its linearization budget before covering
-    /// every interleaving: absence of a counterexample proves nothing.
-    InterleavingBudgetExceeded,
 
     // ---- dataflow conservation pass (F8xx) ----
     /// An aggregation ran with fewer supplied contribution rows than the
@@ -213,13 +201,10 @@ impl DiagCode {
             DiagCode::StaleGeneration => "R404",
             DiagCode::RaceAccum => "R405",
             DiagCode::BatchNotBarriered => "S501",
-            DiagCode::NonDeterministicSchedule => "S502",
             DiagCode::UseAfterEvict => "L601",
             DiagCode::DoubleInstall => "L602",
             DiagCode::StagingSlotLeak => "L603",
             DiagCode::ReloadBeforeStore => "L604",
-            DiagCode::InterleavingRace => "X701",
-            DiagCode::InterleavingBudgetExceeded => "X702",
             DiagCode::DroppedContribution => "F801",
             DiagCode::DoubleCountedContribution => "F802",
             DiagCode::ActivationOverwritten => "F803",
@@ -263,10 +248,8 @@ impl DiagCode {
             }
             DiagCode::StaleGeneration => "§5.2",
             DiagCode::RaceAccum => "§5.1",
-            DiagCode::NonDeterministicSchedule => "§6",
             DiagCode::UseAfterEvict | DiagCode::DoubleInstall | DiagCode::StagingSlotLeak => "§6",
             DiagCode::ReloadBeforeStore => "§4.2",
-            DiagCode::InterleavingRace | DiagCode::InterleavingBudgetExceeded => "§4.1",
             DiagCode::DroppedContribution
             | DiagCode::DoubleCountedContribution
             | DiagCode::DedupMultisetMismatch => "§5.1",
@@ -513,13 +496,10 @@ mod tests {
             DiagCode::StaleGeneration,
             DiagCode::RaceAccum,
             DiagCode::BatchNotBarriered,
-            DiagCode::NonDeterministicSchedule,
             DiagCode::UseAfterEvict,
             DiagCode::DoubleInstall,
             DiagCode::StagingSlotLeak,
             DiagCode::ReloadBeforeStore,
-            DiagCode::InterleavingRace,
-            DiagCode::InterleavingBudgetExceeded,
             DiagCode::DroppedContribution,
             DiagCode::DoubleCountedContribution,
             DiagCode::ActivationOverwritten,

@@ -27,21 +27,18 @@
 //! A fifth, *dynamic* pass family certifies executed schedules rather
 //! than plans: [`verify_trace`] runs a vector-clock happens-before
 //! analysis over a recorded simulator trace (races, write-before-read,
-//! stale generations, batch barrier coverage — `R400`–`R405`, `S501`) and
-//! [`verify_determinism`] compares two traces of the same plan modulo
-//! commutable reorderings (`S502`).
+//! stale generations, batch barrier coverage — `R400`–`R405`, `S501`).
 //!
-//! Passes 6–8 close the loop back to *static*: the engine's symbolic
+//! Passes 6–7 close the loop back to *static*: the engine's symbolic
 //! schedule synthesizer replays the executor's own step functions with
 //! a no-compute backend and hands the resulting event DAG to
 //! [`verify_schedule`], which re-runs the happens-before analysis over
-//! the synthesized schedule (pass 6), checks resource lifetimes —
+//! the synthesized schedule (pass 6) and checks resource lifetimes —
 //! staging-slot install/consume discipline and checkpoint
-//! store-before-reload, `L601`–`L604` (pass 7, [`verify_lifetimes`]) —
-//! and, for small configs, explores *every* barrier-respecting
-//! interleaving of the schedule with DPOR-style partial-order
-//! reduction, reporting the first racy linearization as a
-//! counterexample — `X701`/`X702` (pass 8, [`verify_interleavings`]).
+//! store-before-reload, `L601`–`L604` (pass 7, [`verify_lifetimes`]).
+//! Pass 8, an exhaustive interleaving explorer, is retired: it branched
+//! only on conflicting pairs pass 6 already reports as races, so on a
+//! schedule pass 6 certified it could find nothing.
 //!
 //! Pass 9 ([`verify_dataflow`]) certifies *value* conservation on top of
 //! schedule safety: contribution multisets reconstructed from the
@@ -75,7 +72,6 @@ mod dense;
 pub mod diag;
 pub mod lifetime;
 pub mod partition;
-pub mod schedule;
 pub mod trace;
 pub mod volumes;
 
@@ -87,10 +83,9 @@ pub use dataflow::{
 };
 pub use dedup::verify_dedup;
 pub use diag::{DiagCode, Diagnostic, Location, Report, ValidationLevel};
-pub use lifetime::verify_lifetimes;
+pub use lifetime::{verify_lifetimes, verify_schedule};
 pub use partition::verify_partition;
-pub use schedule::{verify_interleavings, verify_schedule, DEFAULT_EXPLORE_BUDGET};
-pub use trace::{verify_determinism, verify_trace};
+pub use trace::verify_trace;
 pub use volumes::{expected_volumes, verify_volumes};
 
 use hongtu_graph::Graph;

@@ -1,5 +1,8 @@
 //! Resource lifetime and liveness analysis over schedules (pass 7,
-//! codes `L601`–`L604`).
+//! codes `L601`–`L604`), and [`verify_schedule`], the static schedule
+//! certification the engine's synthesizer feeds: pass 6 (the
+//! happens-before analysis of [`crate::verify_trace`] over a schedule
+//! that never executed) followed by this pass.
 //!
 //! The happens-before pass proves accesses are *ordered*; this pass
 //! proves the resources they touch are *live* when used. It replays a
@@ -32,7 +35,7 @@
 //! exactly the pattern the slot lifecycle must reject.
 
 use crate::diag::{push, DiagCode, Diagnostic, Location, Report};
-use crate::trace::{incomplete, location_of};
+use crate::trace::{incomplete, location_of, verify_trace};
 use hongtu_sim::{Access, Event, Intent, ResourceId, Trace};
 use std::collections::{HashMap, HashSet};
 
@@ -205,7 +208,7 @@ fn check_slot(
     }
 }
 
-pub(crate) fn check_lifetimes(trace: &Trace) -> Vec<Diagnostic> {
+fn check_lifetimes(trace: &Trace) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut slots: HashMap<ResourceId, SlotState> = HashMap::new();
     let mut stored: HashSet<ResourceId> = HashSet::new();
@@ -255,6 +258,17 @@ pub fn verify_lifetimes(trace: &Trace) -> Report {
         return report;
     }
     report.extend_pass(check_lifetimes(trace));
+    report
+}
+
+/// Static schedule certification over a synthesized (or recorded)
+/// trace: pass 6 (happens-before, `R4xx`/`S501`) and pass 7 (resource
+/// lifetimes, `L6xx`). Refuses (`R400`) incomplete traces.
+pub fn verify_schedule(trace: &Trace) -> Report {
+    let mut report = verify_trace(trace);
+    if incomplete(trace).is_none() {
+        report.extend_pass(check_lifetimes(trace));
+    }
     report
 }
 
@@ -383,6 +397,9 @@ mod tests {
     #[test]
     fn disabled_trace_is_refused() {
         let r = verify_lifetimes(&Trace::disabled());
+        assert_eq!(r.diagnostics[0].code.code(), "R400");
+        let r = verify_schedule(&Trace::disabled());
+        assert_eq!(r.diagnostics.len(), 1);
         assert_eq!(r.diagnostics[0].code.code(), "R400");
     }
 }

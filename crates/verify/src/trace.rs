@@ -16,11 +16,10 @@
 //! order does not relate are a race. On top of the race check it verifies
 //! write-before-read (with optional batch-generation matching, catching
 //! *stale* data that plain write-before-read would miss) and per-batch
-//! barrier coverage. A separate entry point, [`verify_determinism`],
-//! checks that two traces of the same plan agree modulo commutable pairs.
+//! barrier coverage.
 //!
-//! Diagnostic codes: `R400`–`R405` (races / data hazards) and
-//! `S501`–`S502` (schedule structure). See `DESIGN.md` ("Happens-before
+//! Diagnostic codes: `R400`–`R405` (races / data hazards) and `S501`
+//! (batch barrier coverage). See `DESIGN.md` ("Happens-before
 //! invariants") for the catalogue.
 
 use crate::diag::{push, DiagCode, Diagnostic, Location, Report};
@@ -36,7 +35,7 @@ pub(crate) fn location_of(device: Device) -> Location {
     }
 }
 
-pub(crate) fn conflicts(a: Intent, b: Intent) -> bool {
+fn conflicts(a: Intent, b: Intent) -> bool {
     match (a, b) {
         (Intent::Read, Intent::Read) => false,
         // Atomic accumulates commute with each other…
@@ -46,7 +45,7 @@ pub(crate) fn conflicts(a: Intent, b: Intent) -> bool {
     }
 }
 
-pub(crate) fn is_deposit(i: Intent) -> bool {
+fn is_deposit(i: Intent) -> bool {
     matches!(i, Intent::Write | Intent::Accum)
 }
 
@@ -351,110 +350,6 @@ pub fn verify_trace(trace: &Trace) -> Report {
     report
 }
 
-fn events_equivalent(a: &Event, b: &Event) -> bool {
-    a.kind == b.kind
-        && a.device == b.device
-        && a.stream == b.stream
-        && a.bytes == b.bytes
-        && a.accesses == b.accesses
-}
-
-/// Splits a trace into barrier-delimited segments; each segment's events
-/// are stable-sorted by (device, stream) — the canonical order modulo
-/// commutable (cross-entity) pairs, since per-entity order is preserved.
-fn normalized_segments(trace: &Trace) -> Vec<(Vec<&Event>, Option<BarrierScope>)> {
-    let mut segments = Vec::new();
-    let mut current: Vec<&Event> = Vec::new();
-    for ev in trace.events() {
-        if let EventKind::Barrier(scope) = ev.kind {
-            current.sort_by_key(|e| (e.device, e.stream));
-            segments.push((std::mem::take(&mut current), Some(scope)));
-        } else {
-            current.push(ev);
-        }
-    }
-    if !current.is_empty() {
-        current.sort_by_key(|e| (e.device, e.stream));
-        segments.push((current, None));
-    }
-    segments
-}
-
-/// Checks schedule determinism: two traces of the same plan must contain
-/// the same events in the same order *modulo commutable pairs* — i.e.
-/// identical barrier structure, and within each barrier segment the same
-/// per-(device, stream) event sequences. Any difference is `S502`;
-/// incomplete traces are refused with `R400`.
-pub fn verify_determinism(a: &Trace, b: &Trace) -> Report {
-    let mut diags = Vec::new();
-    for t in [a, b] {
-        if let Some(d) = incomplete(t) {
-            diags.push(d);
-        }
-    }
-    if diags.is_empty() {
-        let sa = normalized_segments(a);
-        let sb = normalized_segments(b);
-        if sa.len() != sb.len() {
-            push(
-                &mut diags,
-                Diagnostic::new(
-                    DiagCode::NonDeterministicSchedule,
-                    Location::default(),
-                    format!(
-                        "traces have different barrier structure: {} vs {} segments",
-                        sa.len(),
-                        sb.len()
-                    ),
-                ),
-            );
-        } else {
-            for (seg, ((ea, ba), (eb, bb))) in sa.iter().zip(&sb).enumerate() {
-                if ba != bb {
-                    push(
-                        &mut diags,
-                        Diagnostic::new(
-                            DiagCode::NonDeterministicSchedule,
-                            Location::default(),
-                            format!("segment {seg}: barrier scope {ba:?} vs {bb:?}"),
-                        ),
-                    );
-                    continue;
-                }
-                if ea.len() != eb.len() {
-                    push(
-                        &mut diags,
-                        Diagnostic::new(
-                            DiagCode::NonDeterministicSchedule,
-                            Location::default(),
-                            format!("segment {seg}: {} vs {} events", ea.len(), eb.len()),
-                        ),
-                    );
-                    continue;
-                }
-                if let Some(p) = (0..ea.len()).find(|&p| !events_equivalent(ea[p], eb[p])) {
-                    push(
-                        &mut diags,
-                        Diagnostic::new(
-                            DiagCode::NonDeterministicSchedule,
-                            location_of(ea[p].device),
-                            format!(
-                                "segment {seg}, canonical position {p}: {:?} on {} vs \
-                                 {:?} on {} (schedules diverge beyond commutable \
-                                 reorderings)",
-                                ea[p].kind, ea[p].device, eb[p].kind, eb[p].device,
-                            ),
-                        ),
-                    );
-                }
-            }
-        }
-    }
-    let mut report = Report::default();
-    report.extend_pass(diags);
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,47 +538,5 @@ mod tests {
             vec![Access::read(REP, Region::All)],
         ));
         assert!(verify_trace(&t).has(DiagCode::RaceWriteRead));
-    }
-
-    #[test]
-    fn determinism_accepts_commuted_pair() {
-        let (e0, e1) = (
-            gpu_ev(0, EventKind::H2D, vec![]),
-            gpu_ev(1, EventKind::H2D, vec![]),
-        );
-        let mut a = Trace::unbounded();
-        a.record(e0.clone());
-        a.record(e1.clone());
-        let mut b = Trace::unbounded();
-        b.record(e1);
-        b.record(e0);
-        assert!(verify_determinism(&a, &b).is_ok());
-    }
-
-    #[test]
-    fn determinism_rejects_same_entity_swap() {
-        let (e0, e1) = (
-            gpu_ev(0, EventKind::H2D, vec![]),
-            gpu_ev(0, EventKind::D2H, vec![]),
-        );
-        let mut a = Trace::unbounded();
-        a.record(e0.clone());
-        a.record(e1.clone());
-        let mut b = Trace::unbounded();
-        b.record(e1);
-        b.record(e0);
-        assert!(verify_determinism(&a, &b).has(DiagCode::NonDeterministicSchedule));
-    }
-
-    #[test]
-    fn determinism_rejects_cross_barrier_move() {
-        let e = gpu_ev(1, EventKind::H2D, vec![]);
-        let mut a = Trace::unbounded();
-        a.record(e.clone());
-        a.record(barrier(BarrierScope::Batch));
-        let mut b = Trace::unbounded();
-        b.record(barrier(BarrierScope::Batch));
-        b.record(e);
-        assert!(verify_determinism(&a, &b).has(DiagCode::NonDeterministicSchedule));
     }
 }

@@ -1,6 +1,6 @@
 //! Hand-corrupted *bad* schedules, each triggering its documented
-//! `L6xx` / `X7xx` diagnostic — the mutation suite for the static
-//! certification passes, mirroring `bad_traces.rs` for pass 5.
+//! `R4xx` / `L6xx` diagnostic — the mutation suite for the static
+//! certification passes 6–7, mirroring `bad_traces.rs` for pass 5.
 //!
 //! Each test starts from a miniature but faithful rendition of the
 //! overlap executor's schedule shapes (staging-slot installs tagged with
@@ -12,9 +12,7 @@
 //! training on real hardware.
 
 use hongtu_sim::{Access, BarrierScope, Device, Event, EventKind, Region, ResourceId, Trace};
-use hongtu_verify::{
-    verify_interleavings, verify_lifetimes, verify_schedule, DiagCode, DEFAULT_EXPLORE_BUDGET,
-};
+use hongtu_verify::{verify_lifetimes, verify_schedule, verify_trace, DiagCode};
 
 fn sev(g: u32, stream: u8, kind: EventKind, accesses: Vec<Access>) -> Event {
     Event::new(kind, Device::Gpu(g), 64, 1e-6, 0.0)
@@ -106,17 +104,19 @@ fn pipelined_layer() -> Vec<Event> {
 #[test]
 fn pipelined_layer_certifies_clean() {
     let t = trace_of(pipelined_layer());
-    let r = verify_schedule(&t, Some(DEFAULT_EXPLORE_BUDGET));
+    let r = verify_schedule(&t);
     assert!(r.is_ok(), "{}", r.render());
 }
 
-// ------------------------------------------------- X701 InterleavingRace
+// ------------------------------------- R401 RaceWriteWrite (dropped wait)
 
 /// Dropping the `stream_wait` that orders the in-place refill behind the
-/// prefetch H2D leaves compute free to overtake the copy — pass 8 finds
-/// the interleaving in which the read observes the wrong deposits.
+/// prefetch H2D leaves compute free to overtake the copy: the refill and
+/// the prefetch write the same slot unordered, and the read races the
+/// prefetch. The happens-before pass (5, and 6 inside `verify_schedule`)
+/// reports both pairs.
 #[test]
-fn dropped_stream_wait_is_x701() {
+fn dropped_stream_wait_is_a_race() {
     // The hazardous shape needs the wait to *matter*: the compute-stream
     // refill (`ov_reuse_handoff`) writes the same slot the copy-in H2D
     // is filling, inside one segment.
@@ -147,27 +147,19 @@ fn dropped_stream_wait_is_x701() {
         ),
         barrier(BarrierScope::Batch),
     ];
-    assert!(verify_interleavings(&trace_of(waited.clone()), DEFAULT_EXPLORE_BUDGET).is_ok());
+    let r = verify_schedule(&trace_of(waited.clone()));
+    assert!(r.is_ok(), "{}", r.render());
 
-    let mutated: Vec<Event> = waited
-        .into_iter()
-        .filter(|e| !matches!(e.kind, EventKind::StreamWait { .. }))
-        .collect();
-    let r = verify_interleavings(&trace_of(mutated), DEFAULT_EXPLORE_BUDGET);
-    assert!(r.has(DiagCode::InterleavingRace), "{}", r.render());
-}
-
-// --------------------------------------- X702 InterleavingBudgetExceeded
-
-#[test]
-fn starved_budget_is_x702() {
-    let t = trace_of(pipelined_layer());
-    let r = verify_interleavings(&t, 2);
-    assert!(
-        r.has(DiagCode::InterleavingBudgetExceeded),
-        "{}",
-        r.render()
+    let mutated = trace_of(
+        waited
+            .into_iter()
+            .filter(|e| !matches!(e.kind, EventKind::StreamWait { .. }))
+            .collect(),
     );
+    for r in [verify_trace(&mutated), verify_schedule(&mutated)] {
+        assert!(r.has(DiagCode::RaceWriteWrite), "{}", r.render());
+        assert!(r.has(DiagCode::RaceWriteRead), "{}", r.render());
+    }
 }
 
 // ------------------------------------------------------ L601 UseAfterEvict
@@ -370,7 +362,6 @@ fn verify_schedule_combines_passes() {
         ),
         barrier(BarrierScope::Batch),
     ]);
-    let r = verify_schedule(&t, Some(DEFAULT_EXPLORE_BUDGET));
+    let r = verify_schedule(&t);
     assert!(r.has(DiagCode::UseAfterEvict), "{}", r.render());
-    assert!(!r.has(DiagCode::InterleavingRace), "{}", r.render());
 }

@@ -1,5 +1,5 @@
 //! Hand-corrupted *bad* traces, each triggering its documented `R4xx` /
-//! `S5xx` diagnostic, plus mutation-style tests that take a known-good
+//! `S501` diagnostic, plus mutation-style tests that take a known-good
 //! schedule and reorder, drop, or duplicate one event and assert the
 //! happens-before checker notices.
 //!
@@ -10,7 +10,7 @@
 //! simulator, all of which would corrupt training on real hardware.
 
 use hongtu_sim::{Access, BarrierScope, Device, Event, EventKind, Region, ResourceId, Trace};
-use hongtu_verify::{verify_determinism, verify_trace, DiagCode};
+use hongtu_verify::{verify_trace, DiagCode};
 
 fn ev(g: u32, kind: EventKind, accesses: Vec<Access>) -> Event {
     Event::new(kind, Device::Gpu(g), 64, 1e-6, 0.0).with_accesses(accesses)
@@ -393,68 +393,43 @@ fn dropping_the_forward_store_is_caught() {
     assert!(r.has(DiagCode::ReadUnpopulated), "{}", r.render());
 }
 
-// --------------------------------------- S502 NonDeterministicSchedule
+// ------------------------------ mutants an exact trace comparison sees
+//
+// Two runs of one plan must record equal traces, event for event (lanes
+// join in GPU index order), so a reordered, dropped, duplicated or moved
+// event is a difference in the events themselves.
 
 #[test]
-fn commuted_cross_gpu_pair_is_equivalent() {
-    // Different GPUs' events within a segment may execute in any order.
-    let a = trace_of(good_trace());
-    let mut events = good_trace();
-    events.swap(2, 3);
-    let b = trace_of(events);
-    let r = verify_determinism(&a, &b);
-    assert!(r.is_ok(), "{}", r.render());
-}
-
-#[test]
-fn same_gpu_swap_is_s502() {
+fn same_gpu_swap_changes_the_trace() {
     let extra = ev(0, EventKind::D2H, vec![]);
     let mut events = good_trace();
     events.insert(3, extra);
-    let a = trace_of(events.clone());
+    let original = events.clone();
     // Events 2 and 3 are both on GPU 0: their order is program order.
     events.swap(2, 3);
-    let b = trace_of(events);
-    let r = verify_determinism(&a, &b);
-    assert!(r.has(DiagCode::NonDeterministicSchedule), "{}", r.render());
+    assert_ne!(original, events);
 }
 
 #[test]
-fn dropped_event_is_s502() {
-    let a = trace_of(good_trace());
+fn dropped_event_changes_the_trace() {
     let mut events = good_trace();
     events.remove(2);
-    let b = trace_of(events);
-    let r = verify_determinism(&a, &b);
-    assert!(r.has(DiagCode::NonDeterministicSchedule), "{}", r.render());
+    assert_ne!(good_trace(), events);
 }
 
 #[test]
-fn duplicated_event_is_s502() {
-    let a = trace_of(good_trace());
+fn duplicated_event_changes_the_trace() {
     let mut events = good_trace();
     let dup = events[2].clone();
     events.insert(3, dup);
-    let b = trace_of(events);
-    let r = verify_determinism(&a, &b);
-    assert!(r.has(DiagCode::NonDeterministicSchedule), "{}", r.render());
+    assert_ne!(good_trace(), events);
 }
 
 #[test]
-fn moved_across_barrier_is_s502() {
-    let a = trace_of(good_trace());
+fn moved_across_barrier_changes_the_trace() {
     let mut events = good_trace();
     // Move GPU 1's batch-0 read into batch 1's segment.
     let moved = events.remove(3);
     events.insert(5, moved);
-    let b = trace_of(events);
-    let r = verify_determinism(&a, &b);
-    assert!(r.has(DiagCode::NonDeterministicSchedule), "{}", r.render());
-}
-
-#[test]
-fn incomplete_trace_refused_for_determinism() {
-    let a = trace_of(good_trace());
-    let r = verify_determinism(&a, &Trace::disabled());
-    assert!(r.has(DiagCode::TraceIncomplete), "{}", r.render());
+    assert_ne!(good_trace(), events);
 }

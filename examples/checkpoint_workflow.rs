@@ -19,7 +19,10 @@ fn main() {
         32,
         2,
         4,
-        HongTuConfig::full(machine),
+        HongTuConfig::builder()
+            .machine(machine)
+            .build()
+            .expect("valid config"),
     )
     .expect("session");
 

@@ -37,7 +37,10 @@ fn main() {
         32, // hidden dimension
         2,  // layers
         4,  // chunks per partition
-        HongTuConfig::full(machine),
+        HongTuConfig::builder()
+            .machine(machine)
+            .build()
+            .expect("valid config"),
     )
     .expect("session construction");
 

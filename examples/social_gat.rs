@@ -18,10 +18,13 @@ fn run(kind: ModelKind, chunks: usize) {
     let mut rng = SeededRng::new(11);
     let dataset = load(DatasetKey::Fds, &mut rng);
     let machine = MachineConfig::scaled(4, 34 << 20);
-    let mut cfg = HongTuConfig::full(machine);
     // Hybrid is requested for both; GAT layers decline aggregate caching
     // and the engine recomputes instead.
-    cfg.memory = MemoryStrategy::Hybrid;
+    let cfg = HongTuConfig::builder()
+        .machine(machine)
+        .memory(MemoryStrategy::Hybrid)
+        .build()
+        .expect("valid config");
     let mut session = Session::new(&dataset, kind, 32, 2, chunks, cfg).expect("session");
     let r = session.trainer().epoch().expect("epoch");
     let b = r.buckets;

@@ -45,7 +45,10 @@ fn main() {
         32,
         3,
         8, // chunks per partition (paper uses 8 for it-2004 GCN)
-        HongTuConfig::full(machine),
+        HongTuConfig::builder()
+            .machine(machine)
+            .build()
+            .expect("valid config"),
     )
     .expect("HongTu fits where in-memory systems do not");
 

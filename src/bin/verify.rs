@@ -7,7 +7,7 @@
 //!          [--hidden H] [--layers L] [--comm vanilla|p2p|p2pru|full]
 //!          [--memory recompute|hybrid] [--overlap off|doublebuffer] [--mode train|infer]
 //!          trace only:    [--epochs E] [--determinism] [--exec sequential|parallel]
-//!          schedule only: [--budget B] [--measure]
+//!          schedule only: [--measure]
 //!
 //! Passes:
 //! - `plan`: the static plan passes 1–4 (partition, dedup, buffers,
@@ -15,15 +15,14 @@
 //! - `trace`: records `--epochs` epochs into an unbounded event trace
 //!   and runs the vector-clock happens-before analysis over it (data
 //!   races, unpopulated or stale checkpoint reads, batch barrier
-//!   coverage: `R4xx`/`S5xx`). `--determinism` traces a second session,
-//!   sequential under `--exec parallel`, and compares the two schedules
-//!   modulo commutable reorderings (`S502`).
+//!   coverage: `R4xx`/`S501`). `--determinism` traces a second session,
+//!   sequential under `--exec parallel`, and requires the two traces to
+//!   be event-for-event equal, timestamps included; it prints the index
+//!   of the first event that differs.
 //! - `schedule`: synthesizes the epoch schedule without running it and
-//!   runs passes 6–8 over it (happens-before `R4xx`, lifetimes `L6xx`,
-//!   and — when exhaustive at ≤ 2 GPUs × 2 layers, or forced by
-//!   `--budget` — every barrier-respecting interleaving `X7xx`). Prints
-//!   the static peak-memory bound per device; `--measure` then runs one
-//!   real epoch and checks the measured peaks against it.
+//!   runs passes 6–7 over it (happens-before `R4xx`, lifetimes `L6xx`).
+//!   Prints the static peak-memory bound per device; `--measure` then
+//!   runs one real epoch and checks the measured peaks against it.
 //! - `dataflow`: pass 9 balances the synthesized schedule's
 //!   per-aggregation contribution multisets against the spec derived
 //!   from the plans (`F801`–`F806`).
@@ -43,9 +42,7 @@ use hongtu_datasets::{load, Dataset, DatasetKey};
 use hongtu_nn::ModelKind;
 use hongtu_sim::Trace;
 use hongtu_tensor::SeededRng;
-use hongtu_verify::{
-    verify_all, verify_determinism, verify_schedule, verify_trace, Report, DEFAULT_EXPLORE_BUDGET,
-};
+use hongtu_verify::{verify_all, verify_schedule, verify_trace, Report};
 
 const USAGE: &str = "usage: verify <plan|trace|schedule|dataflow> \
                      [--dataset rdt|opt|it|opr|fds|all] [--gpus M] [--chunks N] [--seed S] \
@@ -53,7 +50,7 @@ const USAGE: &str = "usage: verify <plan|trace|schedule|dataflow> \
                      [--comm vanilla|p2p|p2pru|full] [--memory recompute|hybrid] \
                      [--overlap off|doublebuffer] [--mode train|infer] \
                      [trace: --epochs E --determinism --exec sequential|parallel] \
-                     [schedule: --budget B --measure]";
+                     [schedule: --measure]";
 
 enum Pass {
     Plan,
@@ -78,7 +75,6 @@ struct Args {
     epochs: usize,
     determinism: bool,
     exec: ExecutionMode,
-    budget: Option<usize>,
     measure: bool,
 }
 
@@ -112,13 +108,12 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
         epochs: 1,
         determinism: false,
         exec: ExecutionMode::Sequential,
-        budget: None,
         measure: false,
     };
     while let Some(flag) = p.next_flag() {
         let owner = match flag.as_str() {
             "--epochs" | "--determinism" | "--exec" => Some("trace"),
-            "--budget" | "--measure" => Some("schedule"),
+            "--measure" => Some("schedule"),
             _ => None,
         };
         if let Some(owner) = owner.filter(|&o| o != name) {
@@ -139,7 +134,6 @@ fn parse_args(argv: Vec<String>) -> Result<Args, String> {
             "--epochs" => args.epochs = p.parse_value("--epochs")?,
             "--determinism" => args.determinism = true,
             "--exec" => args.exec = p.value_with("--exec", parse_exec)?,
-            "--budget" => args.budget = Some(p.parse_value("--budget")?),
             "--measure" => args.measure = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -220,9 +214,8 @@ fn trace(args: &Args, ds: &Dataset, mut session: Session) -> Result<bool, String
     );
     if args.determinism {
         // Under the parallel executor the reference run is the
-        // *sequential* schedule: equivalence then certifies that the
-        // worker-thread execution is a mere commutable reordering of the
-        // reference, i.e. race-free by construction.
+        // *sequential* schedule: lanes join in GPU index order, so the
+        // worker-thread execution must record the very same events.
         let mut reference = session.config().clone();
         reference.exec = ExecutionMode::Sequential;
         let mut second = build_session(args, ds, reference)?;
@@ -231,27 +224,31 @@ fn trace(args: &Args, ds: &Dataset, mut session: Session) -> Result<bool, String
             ExecutionMode::Sequential => "determinism against a second run",
         };
         let second = traced_epochs(&mut second, args.epochs)?;
-        clean &= print_report(what, &verify_determinism(&trace, &second));
+        let differs = trace
+            .events()
+            .zip(second.events())
+            .position(|(a, b)| a != b)
+            .or((trace.len() != second.len()).then(|| trace.len().min(second.len())));
+        match differs {
+            None => println!("  {what}: {} events identical", trace.len()),
+            Some(i) => println!(
+                "  {what}: traces differ at event {i} ({} vs {} events)",
+                trace.len(),
+                second.len()
+            ),
+        }
+        clean &= differs.is_none();
     }
     Ok(clean)
 }
 
 fn schedule(args: &Args, mut session: Session) -> Result<bool, String> {
-    let explore = args.budget.or_else(|| {
-        session
-            .exhaustive_exploration_feasible()
-            .then_some(DEFAULT_EXPLORE_BUDGET)
-    });
     let synth = session
         .synthesize_schedule()
         .map_err(|e| format!("schedule synthesis failed: {e}"))?;
-    let passes = match explore {
-        Some(b) => format!("passes 6-8 (interleaving budget {b})"),
-        None => "passes 6-7 (too large to explore; force with --budget)".to_string(),
-    };
     let mut clean = print_report(
-        &format!("{} events synthesized, {passes}", synth.len()),
-        &verify_schedule(&synth, explore),
+        &format!("{} events synthesized, passes 6-7", synth.len()),
+        &verify_schedule(&synth),
     );
 
     let bound = session.static_memory_bound();

@@ -23,6 +23,14 @@ fn machine(gpus: usize) -> MachineConfig {
     MachineConfig::scaled(gpus, GPU_MEM)
 }
 
+/// Full HongTu on the 4-GPU machine.
+fn hongtu_config() -> HongTuConfig {
+    HongTuConfig::builder()
+        .machine(machine(4))
+        .build()
+        .expect("valid config")
+}
+
 /// Paper Table 6's central claim: in-memory multi-GPU systems hold the
 /// small graphs at any depth but none of the large ones; HongTu holds all.
 #[test]
@@ -46,15 +54,8 @@ fn memory_wall_matches_paper() {
         assert!(im.epoch_time(&w).is_err(), "{key:?} must OOM in-memory");
         assert!(sancus.epoch_time(&w).is_err(), "{key:?} must OOM on Sancus");
         // ...but HongTu trains it.
-        let mut engine = Session::new(
-            &d,
-            ModelKind::Gcn,
-            32,
-            2,
-            32,
-            HongTuConfig::full(machine(4)),
-        )
-        .expect("HongTu engine must fit");
+        let mut engine = Session::new(&d, ModelKind::Gcn, 32, 2, 32, hongtu_config())
+            .expect("HongTu engine must fit");
         assert!(engine.trainer().epoch().is_ok(), "{key:?} HongTu epoch");
     }
 }
@@ -77,7 +78,7 @@ fn small_graph_system_ordering() {
     let im = MultiGpuInMemory::new(InMemoryKind::HongTuIm, machine(4), &d, 1)
         .epoch_time(&w)
         .unwrap();
-    let hongtu = Session::new(&d, ModelKind::Gcn, 32, 2, 1, HongTuConfig::full(machine(4)))
+    let hongtu = Session::new(&d, ModelKind::Gcn, 32, 2, 1, hongtu_config())
         .unwrap()
         .trainer()
         .epoch()
@@ -114,19 +115,12 @@ fn minibatch_explosion_and_opr_win() {
         .epoch_time(&Workload::new(&opr, ModelKind::Gcn, 32, 2))
         .unwrap()
         / 4.0;
-    let hongtu = Session::new(
-        &opr,
-        ModelKind::Gcn,
-        32,
-        2,
-        32,
-        HongTuConfig::full(machine(4)),
-    )
-    .unwrap()
-    .trainer()
-    .epoch()
-    .unwrap()
-    .time;
+    let hongtu = Session::new(&opr, ModelKind::Gcn, 32, 2, 32, hongtu_config())
+        .unwrap()
+        .trainer()
+        .epoch()
+        .unwrap()
+        .time;
     assert!(
         mb_time < hongtu,
         "DistDGL must win on OPR (1.1% train split): {mb_time} vs {hongtu}"
@@ -158,19 +152,12 @@ fn distgnn_cluster_pattern() {
             "{key:?} GAT-2 cluster feasibility"
         );
         if let Ok(dist) = gcn2 {
-            let hongtu = Session::new(
-                &d,
-                ModelKind::Gcn,
-                32,
-                2,
-                32,
-                HongTuConfig::full(machine(4)),
-            )
-            .unwrap()
-            .trainer()
-            .epoch()
-            .unwrap()
-            .time;
+            let hongtu = Session::new(&d, ModelKind::Gcn, 32, 2, 32, hongtu_config())
+                .unwrap()
+                .trainer()
+                .epoch()
+                .unwrap()
+                .time;
             assert!(
                 hongtu < dist,
                 "{key:?}: HongTu {hongtu} must beat DistGNN {dist}"

@@ -14,7 +14,7 @@ use hongtu::core::{CommMode, HongTuConfig, MemoryStrategy, Mode, OverlapMode, Se
 use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu::graph::generators;
 use hongtu::nn::ModelKind;
-use hongtu::sim::{ContribKind, MachineConfig};
+use hongtu::sim::ContribKind;
 use hongtu::tensor::{Matrix, SeededRng};
 
 const KINDS: [ModelKind; 3] = [ModelKind::Gcn, ModelKind::Gat, ModelKind::Sage];
@@ -52,13 +52,16 @@ fn engine_for(
     memory: MemoryStrategy,
     mode: Mode,
 ) -> Session {
-    let machine = MachineConfig::scaled(gpus, 512 << 20);
-    let mut config = HongTuConfig::full(machine);
-    config.comm = comm;
-    config.overlap = overlap;
-    config.memory = memory;
-    config.mode = mode;
-    config.reorganize = comm != CommMode::Vanilla;
+    let config = HongTuConfig::builder()
+        .gpus(gpus)
+        .gpu_mem_mb(512)
+        .comm(comm)
+        .overlap(overlap)
+        .memory(memory)
+        .mode(mode)
+        .reorganize(comm != CommMode::Vanilla)
+        .build()
+        .expect("valid config");
     Session::new(ds, kind, 8, 2, 4, config).expect("engine")
 }
 

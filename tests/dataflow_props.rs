@@ -20,7 +20,6 @@ use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu::graph::generators;
 use hongtu::nn::ModelKind;
 use hongtu::partition::{DedupPlan, GpuBufferPlan, TwoLevelPartition};
-use hongtu::sim::MachineConfig;
 use hongtu::tensor::{Matrix, SeededRng};
 use hongtu::verify::{demand_by_owner, CommKind, DataflowSpec};
 use proptest::prelude::*;
@@ -66,13 +65,16 @@ proptest! {
         let memory = if cfg_bits & 2 == 0 { MemoryStrategy::Hybrid } else { MemoryStrategy::Recompute };
         let mode = if cfg_bits & 4 == 0 { Mode::Train } else { Mode::Infer };
         for comm in COMMS {
-            let machine = MachineConfig::scaled(gpus, 512 << 20);
-            let mut config = HongTuConfig::full(machine);
-            config.comm = comm;
-            config.overlap = overlap;
-            config.memory = memory;
-            config.mode = mode;
-            config.reorganize = comm != CommMode::Vanilla;
+            let config = HongTuConfig::builder()
+                .gpus(gpus)
+                .gpu_mem_mb(512)
+                .comm(comm)
+                .overlap(overlap)
+                .memory(memory)
+                .mode(mode)
+                .reorganize(comm != CommMode::Vanilla)
+                .build()
+                .expect("valid config");
             let engine = Session::new(&ds, ModelKind::Gcn, 6, 2, 3, config)
                 .expect("engine");
             let report = engine.certify_dataflow().expect("synthesis");

@@ -148,6 +148,38 @@ fn stale_commit_is_a_typed_error_and_changes_nothing() {
     assert_still_usable(&mut s, &mut dg, &ds);
 }
 
+/// An empty dirty set, or one naming a vertex the graph does not have,
+/// is a typed error from both delta-schedule entry points rather than a
+/// panic inside cone growth, and a well-formed delta still certifies
+/// afterwards.
+#[test]
+fn malformed_dirty_sets_are_typed_errors_not_panics() {
+    let ds = dataset(99);
+    let mut dg = DynamicGraph::from_dataset(&ds);
+    let mut s = session(&ds);
+    for dirty in [&[][..], &[VERTICES][..], &[0, VERTICES + 5][..]] {
+        let certified = s.certify_delta(dg.graph(), dirty);
+        assert!(
+            matches!(certified, Err(SimError::InvalidQuery { .. })),
+            "{dirty:?}: {certified:?}"
+        );
+        let synthesized = s.synthesize_delta_schedule(dg.graph(), dirty);
+        assert!(
+            matches!(synthesized, Err(SimError::InvalidQuery { .. })),
+            "{dirty:?}: {:?}",
+            synthesized.map(|t| t.len())
+        );
+    }
+
+    let staged = dg.stage(&[absent_edge(&dg)]).expect("stage");
+    let dirty = staged.dirty().to_vec();
+    s.apply_staged(&mut dg, staged).expect("well-formed update");
+    let report = s
+        .certify_delta(dg.graph(), &dirty)
+        .expect("schedule synthesis");
+    assert!(report.is_ok(), "{}", report.render());
+}
+
 /// A batch staged on a graph the session was not built from: the chunks
 /// rebuilt from it disagree with every chunk left alone, the verifier
 /// rejects the plan (pass 1), and the half-built plan is thrown away.

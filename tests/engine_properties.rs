@@ -56,8 +56,8 @@ proptest! {
             ModelKind::Ggnn,
         ][kind_sel];
         let ds = random_dataset(seed, n, deg, 4);
-        let machine = MachineConfig::scaled(4, 512 << 20);
-        let mut engine = Session::new(&ds, kind, hidden, 2, chunks, HongTuConfig::full(machine))
+        let cfg = HongTuConfig::builder().gpu_mem_mb(512).build().expect("valid config");
+        let mut engine = Session::new(&ds, kind, hidden, 2, chunks, cfg)
             .expect("engine");
         let mut engine = engine.trainer();
         let mut rng = SeededRng::new(ds.seed ^ 0x686F6E67);
@@ -88,10 +88,11 @@ proptest! {
     ) {
         let ds = random_dataset(seed, n, 5.0, 3);
         let budget = 64 << 20;
-        let machine = MachineConfig::scaled(4, budget);
-        if let Ok(mut e) =
-            Session::new(&ds, ModelKind::Gcn, 8, 2, chunks, HongTuConfig::full(machine))
-        {
+        let cfg = HongTuConfig::builder()
+            .machine(MachineConfig::scaled(4, budget))
+            .build()
+            .expect("valid config");
+        if let Ok(mut e) = Session::new(&ds, ModelKind::Gcn, 8, 2, chunks, cfg) {
             if e.trainer().epoch().is_ok() {
                 prop_assert!(e.machine().max_gpu_peak() <= budget);
             }
@@ -108,7 +109,6 @@ fn corrupted_plan_is_rejected_with_diagnostic_code() {
     use hongtu::sim::SimError;
 
     let ds = random_dataset(55, 250, 5.0, 3);
-    let machine = MachineConfig::scaled(2, 256 << 20);
     let mut plan = TwoLevelPartition::build(&ds.graph, 2, 2, ds.seed);
     // Drop one destination vertex: a coverage gap (P002) — that vertex
     // would simply never be aggregated, with no crash.
@@ -119,8 +119,11 @@ fn corrupted_plan_is_rejected_with_diagnostic_code() {
     };
     plan.chunks[0][0] = hongtu::partition::subgraph::ChunkSubgraph::build(&ds.graph, 0, 0, dests);
 
-    let mut config = HongTuConfig::full(machine);
-    config.reorganize = false; // keep the corruption byte-identical
+    let config = HongTuConfig::builder()
+        .gpus(2)
+        .reorganize(false) // keep the corruption byte-identical
+        .build()
+        .expect("valid config");
     let err = match Session::with_plan(&ds, ModelKind::Gcn, 8, 2, plan, config) {
         Err(e) => e,
         Ok(_) => panic!("corrupted plan must be rejected"),
@@ -141,9 +144,11 @@ fn paranoid_validation_trains_normally() {
     use hongtu::core::ValidationLevel;
 
     let ds = random_dataset(66, 200, 5.0, 3);
-    let machine = MachineConfig::scaled(2, 256 << 20);
-    let mut config = HongTuConfig::full(machine);
-    config.validation = ValidationLevel::Paranoid;
+    let config = HongTuConfig::builder()
+        .gpus(2)
+        .validation(ValidationLevel::Paranoid)
+        .build()
+        .expect("valid config");
     let mut engine = Session::new(&ds, ModelKind::Gcn, 8, 2, 3, config).expect("engine");
     let mut engine = engine.trainer();
     for _ in 0..2 {
@@ -156,9 +161,8 @@ fn paranoid_validation_trains_normally() {
 #[test]
 fn trained_model_checkpoint_roundtrip() {
     let ds = random_dataset(77, 200, 5.0, 3);
-    let machine = MachineConfig::scaled(4, 256 << 20);
-    let mut engine =
-        Session::new(&ds, ModelKind::Gcn, 8, 2, 2, HongTuConfig::full(machine)).unwrap();
+    let cfg = HongTuConfig::builder().build().expect("valid config");
+    let mut engine = Session::new(&ds, ModelKind::Gcn, 8, 2, 2, cfg).unwrap();
     let mut engine = engine.trainer();
     for _ in 0..5 {
         engine.epoch().unwrap();

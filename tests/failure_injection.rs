@@ -21,12 +21,14 @@ fn rdt() -> hongtu::datasets::Dataset {
 fn construction_oom_reports_device_and_label() {
     let ds = rdt();
     // GPUs too small even for the model parameters + one chunk.
-    let cfg = HongTuConfig::full(MachineConfig::scaled(4, 4 << 10));
-    let err = Session::new(&ds, ModelKind::Gcn, 64, 4, 2, cfg)
+    let cfg = HongTuConfig::builder()
+        .machine(MachineConfig::scaled(4, 4 << 10))
+        .build()
+        .expect("valid config");
+    let err = Session::new(&ds, ModelKind::Gcn, 64, 4, 2, cfg.clone())
         .err()
         .or_else(|| {
             // If construction somehow fits, the first epoch must fail.
-            let cfg = HongTuConfig::full(MachineConfig::scaled(4, 4 << 10));
             Session::new(&ds, ModelKind::Gcn, 64, 4, 2, cfg)
                 .ok()
                 .and_then(|mut e| e.trainer().epoch().err())
@@ -69,8 +71,11 @@ fn epoch_oom_is_an_error_not_a_panic() {
         // the unwound steps hold the most.
         let mut hits = 0;
         for mb in [1usize, 2, 3, 4] {
-            let mut cfg = HongTuConfig::full(MachineConfig::scaled(4, mb << 18));
-            cfg.exec = exec;
+            let cfg = HongTuConfig::builder()
+                .machine(MachineConfig::scaled(4, mb << 18))
+                .exec(exec)
+                .build()
+                .expect("valid config");
             let Ok(mut s) = Session::new(&ds, ModelKind::Gat, 32, 2, 1, cfg) else {
                 continue;
             };
@@ -147,16 +152,16 @@ fn staging_double_buffer_oom_fails_at_construction() {
     // Scan capacities upward: the window where the single-buffered
     // schedule fits but the second staging copy does not.
     for kb in [256usize, 320, 384, 448, 512, 640, 768, 1024, 1536, 2048] {
-        let off_cfg = HongTuConfig::full(MachineConfig::scaled(4, kb << 10));
-        let Ok(mut off) = Session::new(&ds, ModelKind::Gcn, 32, 2, 4, off_cfg) else {
+        let off_cfg = HongTuConfig::builder().machine(MachineConfig::scaled(4, kb << 10));
+        let db_cfg = off_cfg.clone().overlap(OverlapMode::DoubleBuffer);
+        let Ok(mut off) = Session::new(&ds, ModelKind::Gcn, 32, 2, 4, off_cfg.build().unwrap())
+        else {
             continue;
         };
         if off.trainer().epoch().is_err() {
             continue;
         }
-        let mut db_cfg = HongTuConfig::full(MachineConfig::scaled(4, kb << 10));
-        db_cfg.overlap = OverlapMode::DoubleBuffer;
-        match Session::new(&ds, ModelKind::Gcn, 32, 2, 4, db_cfg) {
+        match Session::new(&ds, ModelKind::Gcn, 32, 2, 4, db_cfg.build().unwrap()) {
             Err(SimError::OutOfMemory { device, label, .. }) => {
                 assert!(device.starts_with("GPU"), "device: {device:?}");
                 assert!(label.contains("staging buffer"), "label: {label:?}");
@@ -205,7 +210,7 @@ fn oversized_or_zero_chunk_count_is_a_typed_error() {
     let ds = rdt();
     // RDT has 3000 vertices / 4 partitions = 750 per partition.
     for (n_chunks, needle) in [(1000, "fewer than the 1000 chunks"), (0, "0 chunks")] {
-        let cfg = HongTuConfig::full(MachineConfig::scaled(4, 256 << 20));
+        let cfg = HongTuConfig::builder().build().expect("valid config");
         match Session::new(&ds, ModelKind::Gcn, 8, 2, n_chunks, cfg) {
             Err(SimError::InvalidPlan { code, message }) => {
                 assert_eq!(code, "P005");
@@ -226,7 +231,7 @@ fn oversized_or_zero_chunk_count_is_a_typed_error() {
         num_classes: 2,
         seed: 1,
     };
-    let cfg = HongTuConfig::full(MachineConfig::scaled(4, 256 << 20));
+    let cfg = HongTuConfig::builder().build().expect("valid config");
     let err = Session::new(&tiny, ModelKind::Gcn, 8, 2, 1, cfg).err();
     assert!(
         matches!(&err, Some(SimError::InvalidPlan { code, message })
@@ -272,7 +277,7 @@ fn empty_or_out_of_range_serve_is_a_typed_error() {
         Err(SimError::InvalidQuery { .. })
     ));
     assert!(matches!(
-        s.certify_serve(&[], None),
+        s.certify_serve(&[]),
         Err(SimError::InvalidQuery { .. })
     ));
     assert_eq!(s.epochs_run(), epochs, "a refused query ran a sweep");

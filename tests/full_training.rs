@@ -1,19 +1,19 @@
 //! End-to-end integration tests: the HongTu engine against the reference
 //! full-graph trainer, across models, strategies, and communication modes.
 
-use hongtu::core::{CommMode, HongTuConfig, MemoryStrategy, Session};
+use hongtu::core::{CommMode, HongTuConfig, HongTuConfigBuilder, MemoryStrategy, Session};
 use hongtu::datasets::{load, DatasetKey};
 use hongtu::nn::model::whole_graph_chunk;
 use hongtu::nn::{GnnModel, ModelKind};
-use hongtu::sim::MachineConfig;
 use hongtu::tensor::{Adam, SeededRng};
 
 fn dataset() -> hongtu::datasets::Dataset {
     load(DatasetKey::Rdt, &mut SeededRng::new(77))
 }
 
-fn machine() -> MachineConfig {
-    MachineConfig::scaled(4, 512 << 20)
+/// Full HongTu on four 512 MiB GPUs.
+fn config() -> HongTuConfigBuilder {
+    HongTuConfig::builder().gpu_mem_mb(512)
 }
 
 /// The paper's core semantics claim (Figure 8): partitioned, offloaded,
@@ -28,7 +28,7 @@ fn engine_matches_reference_for_every_model() {
         ModelKind::Sage,
         ModelKind::Gin,
     ] {
-        let mut engine = Session::new(&ds, kind, 16, 2, 3, HongTuConfig::full(machine())).unwrap();
+        let mut engine = Session::new(&ds, kind, 16, 2, 3, config().build().unwrap()).unwrap();
         let mut engine = engine.trainer();
         let mut rng = SeededRng::new(ds.seed ^ 0x686F6E67);
         let mut reference = GnnModel::new(kind, &ds.model_dims(16, 2), &mut rng);
@@ -58,10 +58,12 @@ fn all_configurations_agree_numerically() {
     let mut times = Vec::new();
     for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
         for memory in [MemoryStrategy::Recompute, MemoryStrategy::Hybrid] {
-            let mut cfg = HongTuConfig::full(machine());
-            cfg.comm = comm;
-            cfg.memory = memory;
-            cfg.reorganize = false; // identical plan across configurations
+            let cfg = config()
+                .comm(comm)
+                .memory(memory)
+                .reorganize(false) // identical plan across configurations
+                .build()
+                .unwrap();
             let mut e = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).unwrap();
             let mut e = e.trainer();
             let r = e.epoch().unwrap();
@@ -85,7 +87,7 @@ fn all_configurations_agree_numerically() {
 #[test]
 fn long_training_reaches_good_accuracy() {
     let ds = dataset();
-    let mut e = Session::new(&ds, ModelKind::Gcn, 32, 2, 4, HongTuConfig::full(machine())).unwrap();
+    let mut e = Session::new(&ds, ModelKind::Gcn, 32, 2, 4, config().build().unwrap()).unwrap();
     let mut e = e.trainer();
     for _ in 0..40 {
         e.epoch().unwrap();
@@ -100,7 +102,7 @@ fn long_training_reaches_good_accuracy() {
 #[test]
 fn epoch_time_is_deterministic() {
     let ds = dataset();
-    let mut e = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, HongTuConfig::full(machine())).unwrap();
+    let mut e = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, config().build().unwrap()).unwrap();
     let mut e = e.trainer();
     let t1 = e.epoch().unwrap().time;
     let t2 = e.epoch().unwrap().time;
@@ -116,15 +118,8 @@ fn epoch_time_is_deterministic() {
 fn training_is_reproducible_across_engines() {
     let ds = dataset();
     let run = || {
-        let mut e = Session::new(
-            &ds,
-            ModelKind::Sage,
-            16,
-            2,
-            3,
-            HongTuConfig::full(machine()),
-        )
-        .unwrap();
+        let mut e =
+            Session::new(&ds, ModelKind::Sage, 16, 2, 3, config().build().unwrap()).unwrap();
         let mut e = e.trainer();
         (0..4)
             .map(|_| e.epoch().unwrap().loss.loss)

@@ -25,7 +25,7 @@ use hongtu::datasets::load;
 use hongtu::nn::ModelKind;
 use hongtu::sim::MachineConfig;
 use hongtu::tensor::{Adam, Matrix, SeededRng};
-use hongtu::verify::{verify_determinism, verify_trace};
+use hongtu::verify::verify_trace;
 
 fn test_seed() -> u64 {
     std::env::var("HONGTU_TEST_SEED")
@@ -223,7 +223,7 @@ fn traced_infer_epoch(
 
 /// Every inference schedule — additive and overlapped, sequential and
 /// parallel — certifies race-free under the happens-before checker, and
-/// each parallel trace is equivalent to its sequential reference.
+/// each parallel trace equals its sequential reference event for event.
 #[test]
 fn inference_traces_certified_race_free() {
     let ds = dataset();
@@ -242,11 +242,9 @@ fn inference_traces_certified_race_free() {
             "{overlap:?} parallel inference not certified:\n{}",
             report.render()
         );
-        let report = verify_determinism(&seq, &par);
         assert!(
-            report.is_ok(),
-            "{overlap:?}: parallel inference not equivalent to sequential:\n{}",
-            report.render()
+            seq.events().eq(par.events()),
+            "{overlap:?}: parallel inference trace differs from sequential"
         );
     }
 }

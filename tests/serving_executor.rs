@@ -30,7 +30,7 @@ use hongtu::partition::{ChunkSubgraph, TwoLevelPartition};
 use hongtu::serving::AdmissionControl;
 use hongtu::sim::{MachineConfig, SimError};
 use hongtu::tensor::SeededRng;
-use hongtu::verify::{verify_trace, DEFAULT_EXPLORE_BUDGET};
+use hongtu::verify::verify_trace;
 use proptest::prelude::*;
 
 mod common;
@@ -214,8 +214,7 @@ fn cone_mask_covers_bfs_oracle_on_random_graphs() {
 }
 
 /// A served batch's synthesized schedule certifies clean under the
-/// static passes (6–8 with exhaustive interleaving exploration on the
-/// ≤ 2 GPU × 2 layer session, plus pass-9 dataflow conservation), and
+/// static passes (6–7, plus pass-9 dataflow conservation), and
 /// Paranoid validation re-certifies inside `serve` itself.
 #[test]
 fn served_batch_schedule_certifies_with_paranoid() {
@@ -232,9 +231,8 @@ fn served_batch_schedule_certifies_with_paranoid() {
     let mut session = Session::new(&ds, ModelKind::Gcn, 16, 2, 4, cfg).expect("session");
     let vertices = mixed_queries(&session, 16, test_seed());
 
-    assert!(session.exhaustive_exploration_feasible());
     let report = session
-        .certify_serve(&vertices, Some(DEFAULT_EXPLORE_BUDGET))
+        .certify_serve(&vertices)
         .expect("schedule synthesis");
     assert!(report.is_ok(), "{}", report.render());
 
@@ -361,7 +359,7 @@ fn random_queries_serve_infer_rows_and_certify_across_the_matrix() {
 
         let executed = verify_trace(s.machine().trace());
         assert!(executed.is_ok(), "{cell:?}:\n{}", executed.render());
-        let synthesized = s.certify_serve(&warm_query, None).expect("synthesis");
+        let synthesized = s.certify_serve(&warm_query).expect("synthesis");
         assert!(synthesized.is_ok(), "{cell:?}:\n{}", synthesized.render());
         assert_eq!(cell.cache, s.cache().is_some(), "{cell:?}");
         let journal = s.certify_cache();

@@ -13,7 +13,7 @@ use hongtu::graph::generators;
 use hongtu::nn::ModelKind;
 use hongtu::sim::{CpuClusterConfig, Device, EventKind, Intent, MachineConfig, ResourceId, Trace};
 use hongtu::tensor::{Matrix, SeededRng};
-use hongtu::verify::{verify_determinism, verify_trace, DiagCode};
+use hongtu::verify::{verify_trace, DiagCode};
 use proptest::prelude::*;
 
 /// An ad-hoc random dataset (not from the registry).
@@ -47,11 +47,14 @@ fn traced_epoch(
     comm: CommMode,
     memory: MemoryStrategy,
 ) -> Trace {
-    let machine = MachineConfig::scaled(gpus, 512 << 20);
-    let mut config = HongTuConfig::full(machine);
-    config.comm = comm;
-    config.memory = memory;
-    config.reorganize = comm != CommMode::Vanilla;
+    let config = HongTuConfig::builder()
+        .gpus(gpus)
+        .gpu_mem_mb(512)
+        .comm(comm)
+        .memory(memory)
+        .reorganize(comm != CommMode::Vanilla)
+        .build()
+        .expect("valid config");
     let mut engine = Session::new(ds, kind, 8, 2, chunks, config).expect("engine");
     engine.machine_mut().enable_unbounded_trace();
     engine.trainer().epoch().expect("epoch");
@@ -99,8 +102,8 @@ proptest! {
     }
 }
 
-/// Two identically-seeded engines must emit equivalent schedules (modulo
-/// commutable cross-GPU reorderings).
+/// Two identically-seeded engines must emit the same certified schedule,
+/// event for event.
 #[test]
 fn identically_seeded_engines_are_deterministic() {
     let ds = random_dataset(13, 220, 5.0, 3);
@@ -120,8 +123,12 @@ fn identically_seeded_engines_are_deterministic() {
         CommMode::P2pRu,
         MemoryStrategy::Hybrid,
     );
-    let r = verify_determinism(&a, &b);
+    let r = verify_trace(&a);
     assert!(r.is_ok(), "{}", r.render());
+    assert!(
+        a.events().eq(b.events()),
+        "identically seeded traces differ"
+    );
 }
 
 // ------------------------------ corruptions of a real engine trace ------
@@ -220,9 +227,8 @@ fn engine_trace_with_reordered_load_is_rejected() {
 #[test]
 fn pruned_engine_trace_is_refused() {
     let ds = random_dataset(44, 220, 5.0, 3);
-    let machine = MachineConfig::scaled(2, 512 << 20);
-    let mut engine =
-        Session::new(&ds, ModelKind::Gcn, 8, 2, 3, HongTuConfig::full(machine)).unwrap();
+    let cfg = HongTuConfig::builder().gpus(2).gpu_mem_mb(512).build();
+    let mut engine = Session::new(&ds, ModelKind::Gcn, 8, 2, 3, cfg.unwrap()).unwrap();
     let user = engine.machine_mut().replace_trace(Trace::with_capacity(16));
     drop(user);
     engine.trainer().epoch().unwrap();

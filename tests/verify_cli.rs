@@ -50,6 +50,7 @@ fn bad_pass_and_foreign_flags_are_usage_errors() {
         &["plan", "--measure"],
         &["dataflow", "--epochs", "2"],
         &["schedule", "--determinism"],
+        &["schedule", "--budget", "5"],
     ] {
         let out = verify(args);
         assert!(!out.status.success(), "{args:?} succeeded");

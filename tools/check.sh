@@ -24,7 +24,7 @@ echo "==> source lint (diag catalogue, unsafe discipline, tag + exec-mode + foot
 # (cone::upward_scan, ConeOrigin::regrow) only in crates/verify and tests.
 cargo run -q --release --bin lint
 
-echo "==> verify schedule smoke run (static certification, passes 6-8)"
+echo "==> verify schedule smoke run (static certification, passes 6-7)"
 cargo run -q --release --bin verify -- schedule --dataset rdt --gpus 2 --layers 2 --measure
 cargo run -q --release --bin verify -- schedule --dataset rdt --gpus 4 --chunks 8 --overlap doublebuffer --measure
 cargo run -q --release --bin verify -- schedule --dataset rdt --gpus 2 --layers 2 --comm vanilla --memory recompute --mode infer
