@@ -53,8 +53,9 @@
 //!    `GpuBufferPlan::patched`): in the runtime crates (`core`,
 //!    `serving`, `delta`, `cache`), non-test code calls the full plan
 //!    builders (`DedupPlan::build`, `GpuBufferPlan::build_all`) only to
-//!    derive a session's plans at construction and to certify
-//!    (`engine.rs`) or to price Alg. 4's candidate plans (`reorg.rs`).
+//!    derive a session's plans at construction (`commit.rs`, whose
+//!    derivation the commit path shares) and to certify (`engine.rs`)
+//!    or to price Alg. 4's candidate plans (`reorg.rs`).
 //! 8. **Delta-cone growth chokepoint.** A delta cone grows along the
 //!    out-edges of the topology its chunks were built from
 //!    (`cone::upward`), at the cost of the cone. The chunk scan that finds
@@ -127,7 +128,11 @@ const RUNTIME_SOURCES: [&str; 4] = [
     "crates/delta/src/",
     "crates/cache/src/",
 ];
-const PLAN_BUILDERS: [&str; 2] = ["crates/core/src/engine.rs", "crates/core/src/reorg.rs"];
+const PLAN_BUILDERS: [&str; 3] = [
+    "crates/core/src/engine.rs",
+    "crates/core/src/commit.rs",
+    "crates/core/src/reorg.rs",
+];
 
 /// The chunk scan's own module, and the verifier that may regrow with it.
 const SCAN_MODULE: &str = "crates/partition/src/cone.rs";

@@ -19,7 +19,7 @@ echo "==> source lint (diag catalogue, unsafe discipline, tag + exec-mode + foot
 # device footprint computed only in crates/core/src/footprint.rs; packed
 # cone plans built only by the packer in crates/core/src/serve.rs, and
 # full dedup/buffer plans in the runtime crates only by session plan
-# construction and certification (engine.rs) and Alg. 4 (reorg.rs) — a
+# construction and certification (engine.rs, commit.rs) and Alg. 4 (reorg.rs) — a
 # structural commit patches them; a delta cone grown by the chunk scan
 # (cone::upward_scan, ConeOrigin::regrow) only in crates/verify and tests.
 cargo run -q --release --bin lint
