@@ -16,9 +16,11 @@ use crate::serve::Cone;
 use hongtu_delta::{DynamicGraph, StagedCommit};
 use hongtu_graph::Graph;
 use hongtu_nn::GnnModel;
-use hongtu_partition::{ChunkSubgraph, TwoLevelPartition};
+use hongtu_partition::TwoLevelPartition;
 use hongtu_sim::SimError;
 use hongtu_stream::{OverlapMode, StagingPlan};
+use hongtu_verify::PlanCertificate;
+use std::sync::Arc;
 
 /// Every plan downstream of the two-level partition: what a session
 /// derives at construction and patches when a structural delta moves
@@ -33,21 +35,33 @@ pub(super) struct DerivedPlans {
     pub(super) buffer_comm: Option<Vec<Vec<BatchComm>>>,
     /// Per-GPU staging sizes (`DoubleBuffer` overlap only).
     pub(super) staging: Option<Vec<StagingPlan>>,
+    /// What verifying the plans certified (empty with validation off).
+    pub(super) certificate: PlanCertificate,
 }
 
-/// The live plans a structural commit patches, and which batches'
-/// neighbor lists it moved.
+/// The live plans a structural commit patches, which batches' neighbor
+/// lists it moved, and the graph update it came from.
 pub(super) struct Patch<'a> {
     dedup: &'a DedupPlan,
     bufplans: Option<&'a [GpuBufferPlan]>,
     moved: &'a [bool],
+    /// What the live plans' last verification certified.
+    certificate: &'a PlanCertificate,
+    /// The graph the update was staged against.
+    base: &'a Graph,
+    /// The topology it produced, which the plans are verified against.
+    staged: &'a Arc<Graph>,
 }
 
 /// Derives [`DerivedPlans`] from `plan` — from scratch, or by patching
 /// `live`'s plans in the batches it moved — and, unless validation is
 /// off, statically verifies the whole plan against `g` (passes 1–4): the
-/// engine refuses to run a corrupt plan, whatever part of it changed.
-/// Pure — nothing is installed.
+/// engine refuses to run a corrupt plan, whatever part of it changed. At
+/// [`ValidationLevel::Plan`] a patch is checked against the live plans'
+/// certificate, which re-reads only the pieces the patch replaced and
+/// reaches `verify_all`'s verdict and report (DESIGN.md, "Plans are
+/// patched, verification stays whole"); at `Paranoid` every check reads
+/// everything. Pure — nothing is installed.
 pub(super) fn derive_plans(
     plan: &TwoLevelPartition,
     g: &Graph,
@@ -71,12 +85,26 @@ pub(super) fn derive_plans(
                 .collect(),
             _ => GpuBufferPlan::build_all(plan, &dedup),
         });
-    if config.validation != ValidationLevel::Off {
-        let report = hongtu_verify::verify_all(g, plan, &dedup, bufplans.as_deref().unwrap_or(&[]));
-        if !report.is_ok() {
-            return Err(invalid_plan(&report));
+    let certificate = if config.validation == ValidationLevel::Off {
+        PlanCertificate::default()
+    } else {
+        let bufs = bufplans.as_deref().unwrap_or(&[]);
+        let whole = PlanCertificate::default();
+        let checked = match &live {
+            Some(live) => {
+                let since = match config.validation {
+                    ValidationLevel::Plan => live.certificate,
+                    _ => &whole,
+                };
+                since.check_commit(live.base, live.staged, plan, &dedup, bufs)
+            }
+            None => whole.check(g, plan, &dedup, bufs),
+        };
+        match checked.certificate {
+            Some(certificate) => certificate,
+            None => return Err(invalid_plan(&checked.report)),
         }
-    }
+    };
     // Full dedup mode plans the in-place merged buffers of §6, which
     // also lets reused rows skip the inter-GPU fetch.
     let buffer_comm = build_buffer_comm(plan, bufplans.as_deref(), config.comm);
@@ -96,6 +124,7 @@ pub(super) fn derive_plans(
         bufplans,
         buffer_comm,
         staging,
+        certificate,
     })
 }
 
@@ -175,49 +204,40 @@ impl Session {
             });
         }
 
-        // ---- rebuild the chunk subgraphs whose computation changed: a
+        // ---- refresh the chunk subgraphs whose computation changed: a
         // chunk is stale iff it owns a structurally dirty dest (its edge
         // list or global-degree GCN weights moved). Destination
         // membership is never re-balanced, so every other chunk — and
-        // its rows in every h^l — stays bitwise identical. The fresh
-        // chunks sit in the partition provisionally: the plans and the
-        // replay cone below are derived from them, and any refusal puts
-        // the old chunks back. A batch whose chunks all kept their
-        // neighbor lists moved only GCN weights, which no plan reads. ----
-        let mut replaced: Vec<ChunkSubgraph> = Vec::new();
-        let mut moved = vec![false; self.plan.n];
+        // its rows in every h^l — stays bitwise identical, and shared. A
+        // stale chunk whose destinations kept their in-lists is patched
+        // (weights only), the rest rebuilt. The fresh grid sits in the
+        // partition provisionally: the plans and the replay cone below
+        // are derived from it, and any refusal puts the live grid back.
+        // A batch whose chunks all kept their neighbor lists moved only
+        // GCN weights, which no plan reads. ----
         let structural = !staged.structural().is_empty();
-        if structural {
-            let mut structural = vec![false; dg.num_vertices()];
+        let (live_grid, moved, replaced) = if structural {
+            let mut stale = vec![false; dg.num_vertices()];
             for &s in staged.structural() {
-                structural[s] = true;
+                stale[s] = true;
             }
-            for chunk in self.plan.chunks.iter_mut().flatten() {
-                if chunk.dests.iter().any(|&d| structural[d as usize]) {
-                    let fresh = ChunkSubgraph::build(
-                        staged.graph(),
-                        chunk.part,
-                        chunk.chunk,
-                        chunk.dests.clone(),
-                    );
-                    moved[chunk.chunk] |= fresh.neighbors != chunk.neighbors;
-                    replaced.push(std::mem::replace(chunk, fresh));
-                }
-            }
-        }
-        let rebuilt = replaced.len();
+            let refresh = self.plan.refreshed(dg.graph(), staged.graph(), &stale);
+            let live = std::mem::replace(&mut self.plan.chunks, refresh.chunks);
+            (Some(live), refresh.moved, refresh.replaced)
+        } else {
+            (None, vec![false; self.plan.n], 0)
+        };
         // Cones of the old chunks are stale from here; a refusal below
         // puts the old chunks, and their identity, back.
         let live_id = self.plan_id;
         if structural {
             self.plan_id = next_plan_id();
         }
-        let (derived, cone) = match self.prepare_commit(&staged, &moved, budget) {
+        let (derived, cone) = match self.prepare_commit(dg.graph(), &staged, &moved, budget) {
             Ok(prepared) => prepared,
             Err(e) => {
-                for old in replaced {
-                    let (i, j) = (old.part, old.chunk);
-                    self.plan.chunks[i][j] = old;
+                if let Some(live) = live_grid {
+                    self.plan.chunks = live;
                 }
                 self.plan_id = live_id;
                 return Err(e);
@@ -246,10 +266,8 @@ impl Session {
             self.bufplans = derived.bufplans;
             self.buffer_comm = derived.buffer_comm;
             self.staging = derived.staging;
-            let degrees: Vec<u32> = (0..dg.num_vertices())
-                .map(|u| staged.graph().out_degree(u as u32) as u32)
-                .collect();
-            self.install_cache(&degrees)?;
+            self.certificate = derived.certificate;
+            self.install_cache(staged.graph())?;
         }
 
         // ---- FIFO commit, then patch the mutated feature rows into
@@ -280,7 +298,7 @@ impl Session {
             active_rows: mask.active_rows(),
             total_rows: mask.total_rows(),
             dirty_vertices: dirty.len(),
-            rebuilt_chunks: rebuilt,
+            rebuilt_chunks: replaced,
         })
     }
 
@@ -292,6 +310,7 @@ impl Session {
     /// to `budget` when there is one. Mutates nothing.
     fn prepare_commit(
         &self,
+        base: &Graph,
         staged: &StagedCommit,
         moved: &[bool],
         budget: Option<&[usize]>,
@@ -303,6 +322,9 @@ impl Session {
                 dedup: &self.dedup,
                 bufplans: self.bufplans.as_deref(),
                 moved,
+                certificate: &self.certificate,
+                base,
+                staged: staged.shared_graph(),
             };
             let derived = derive_plans(
                 &self.plan,

@@ -59,8 +59,8 @@ use hongtu_sim::{Machine, MachineConfig, SimError, TimeBuckets, Trace};
 pub use hongtu_stream::OverlapMode;
 use hongtu_stream::StagingPlan;
 use hongtu_tensor::{Adam, Matrix, SeededRng};
-use hongtu_verify::Report;
 pub use hongtu_verify::ValidationLevel;
+use hongtu_verify::{PlanCertificate, Report};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -554,7 +554,10 @@ pub struct DeltaReport {
     pub total_rows: usize,
     /// Dirty `h^1` seed vertices the batch invalidated.
     pub dirty_vertices: usize,
-    /// Chunk subgraphs rebuilt against the mutated topology.
+    /// Chunk subgraphs replaced against the mutated topology: every
+    /// chunk owning a structurally dirty vertex, whether rebuilt (an
+    /// in-list of one of its destinations moved) or patched in its GCN
+    /// weights alone.
     pub rebuilt_chunks: usize,
 }
 
@@ -642,6 +645,10 @@ pub struct Session {
     /// Per-GPU double-buffered staging sizes (`DoubleBuffer` overlap
     /// only; the buffers themselves are resident on the machine).
     staging: Option<Vec<StagingPlan>>,
+    /// What the last verification of the partition, dedup and buffer
+    /// plans certified: a structural commit re-checks only what it
+    /// replaced (empty with validation off).
+    certificate: PlanCertificate,
     /// Hot-vertex layer-0 feature cache ([`hongtu_cache`]): admission
     /// plan, residency bitmaps, and the journal pass 11 certifies.
     /// `None` when the configured policy is off or admitted nothing.
@@ -771,6 +778,7 @@ impl Session {
             bufplans,
             buffer_comm,
             staging,
+            certificate,
         } = derive_plans(&plan, &dataset.graph, &model, &config, None)?;
         let volumes = CommVolumes::from_plan(&dedup);
         // Modeled preprocessing cost: the heuristic streams every neighbor
@@ -836,6 +844,7 @@ impl Session {
             buffer_comm,
             bufplans,
             staging,
+            certificate,
             cache: None,
             model,
             labels: dataset.labels.clone(),
@@ -855,10 +864,7 @@ impl Session {
         // ---- hot-vertex feature cache: spend the per-GPU HBM headroom
         // left after every static allocation above on the policy's
         // hottest layer-0 rows ----
-        let degrees: Vec<u32> = (0..v)
-            .map(|u| dataset.graph.out_degree(u as u32) as u32)
-            .collect();
-        session.install_cache(&degrees)?;
+        session.install_cache(&dataset.graph)?;
 
         // ---- static schedule certification (Paranoid): synthesize the
         // epoch schedule from the plans alone — before a single simulated
@@ -930,11 +936,14 @@ impl Session {
     /// headroom left after every static allocation
     /// ([`Session::static_memory_bound`] without the cache term). The
     /// cache stays `None` when the policy is off or nothing fits.
-    fn install_cache(&mut self, degrees: &[u32]) -> Result<(), SimError> {
+    fn install_cache(&mut self, graph: &Graph) -> Result<(), SimError> {
         self.release_cache();
         if !self.config.cache.enabled() {
             return Ok(());
         }
+        let degrees: Vec<u32> = (0..graph.num_vertices())
+            .map(|u| graph.out_degree(u as u32) as u32)
+            .collect();
         // `self.cache` is `None` here, so the bound is cache-free and
         // the headroom is exactly what is left on each device.
         let bound = self.static_memory_bound();
@@ -947,7 +956,7 @@ impl Session {
         let bufs = self.ru_buffer_plans();
         let pattern = self.config.comm.load_pattern();
         let sets = load_sets(&self.plan, &self.dedup, bufs, pattern);
-        let plan = CachePlan::build(&sets, degrees, &headroom, slot, self.config.cache.as_ref());
+        let plan = CachePlan::build(&sets, &degrees, &headroom, slot, self.config.cache.as_ref());
         if plan.is_empty() {
             return Ok(());
         }
@@ -1723,6 +1732,7 @@ mod tests {
     use super::*;
     use hongtu_datasets::{load, DatasetKey};
     use hongtu_nn::model::whole_graph_chunk;
+    use hongtu_partition::ChunkSubgraph;
     use hongtu_sim::MachineConfig;
 
     fn small_dataset() -> Dataset {
@@ -2177,6 +2187,69 @@ mod tests {
                     s.preprocessing.volumes,
                     CommVolumes::from_plan(&fresh.dedup)
                 );
+                // Patched and rebuilt chunks alike equal a fresh build
+                // against the committed graph, weights bit for bit.
+                for (i, row) in s.plan.chunks.iter().enumerate() {
+                    for (j, c) in row.iter().enumerate() {
+                        let built = ChunkSubgraph::build(dg.graph(), i, j, c.dests.clone());
+                        proptest::prop_assert_eq!(&**c, &built);
+                        let bits = |c: &ChunkSubgraph| -> Vec<u32> {
+                            c.gcn_weights.iter().map(|w| w.to_bits()).collect()
+                        };
+                        proptest::prop_assert_eq!(bits(c), bits(&built));
+                    }
+                }
+            }
+        }
+
+        /// After every structural commit of a random sequence — every
+        /// comm mode, with and without pinned staging, 1–4 GPUs — the
+        /// check the commit made against the live certificate reaches
+        /// `verify_all`'s verdict and report on the committed plan, and
+        /// from the second structural commit on it reads less than the
+        /// whole plan.
+        #[test]
+        fn narrowed_checks_equal_verify_all(
+            seed in 0u64..1000,
+            comm in 0usize..3,
+            gpus in 1usize..5,
+            double in 0usize..2,
+        ) {
+            use hongtu_delta::{toggle_workload, DeltaMix, DynamicGraph};
+            let ds = web_dataset(seed, 400);
+            let cfg = HongTuConfig::builder()
+                .machine(MachineConfig::scaled(gpus, 512 << 20))
+                .comm([CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu][comm])
+                .overlap([OverlapMode::Off, OverlapMode::DoubleBuffer][double])
+                .infer()
+                .build()
+                .expect("valid config");
+            let mut s = Session::new(&ds, ModelKind::Gcn, 8, 2, 6, cfg).expect("session");
+            s.infer_epoch().expect("initial full sweep");
+            let mut dg = DynamicGraph::from_dataset(&ds);
+            let workload = toggle_workload(
+                dg.graph(),
+                ds.features.cols(),
+                4,
+                2,
+                DeltaMix::Edge,
+                &mut SeededRng::new(seed ^ 0x3c3c),
+            );
+            let whole_plan = gpus * 6;
+            for (k, batch) in workload.iter().enumerate() {
+                let staged = dg.stage(batch).expect("valid batch");
+                let topology = Arc::clone(staged.shared_graph());
+                let base = dg.clone();
+                let since = s.certificate.clone();
+                s.apply_staged(&mut dg, staged).expect("commit");
+                let bufs = s.bufplans.as_deref().expect("built for the verifier");
+                let narrowed = since.check_commit(base.graph(), &topology, &s.plan, &s.dedup, bufs);
+                let whole = hongtu_verify::verify_all(&topology, &s.plan, &s.dedup, bufs);
+                proptest::prop_assert!(whole.is_ok());
+                proptest::prop_assert_eq!(narrowed.report.render(), whole.render());
+                if k > 0 {
+                    proptest::prop_assert!(narrowed.visited.chunks < whole_plan, "{:?}", narrowed.visited);
+                }
             }
         }
     }

@@ -21,6 +21,7 @@ use crate::dedup::{intersect_size, DedupPlan};
 use hongtu_graph::VertexId;
 use hongtu_partition::{ChunkSubgraph, TwoLevelPartition};
 use hongtu_sim::MachineConfig;
+use std::sync::Arc;
 
 /// Applies Algorithm 4 and keeps the result only if the Equation-4 cost
 /// improved — the "cost model-guided" part of §5.3. Greedy heuristics can
@@ -73,8 +74,8 @@ pub fn reorganize(mut plan: TwoLevelPartition) -> TwoLevelPartition {
     // unions[j] = running ℕ^∪_j, seeded with partition 0's chunks.
     let mut unions: Vec<Vec<VertexId>> = (0..n).map(|j| grid[0][j].neighbors.clone()).collect();
     for i in 1..m {
-        let mut remaining: Vec<ChunkSubgraph> = std::mem::take(&mut grid[i]);
-        let mut placed: Vec<ChunkSubgraph> = Vec::with_capacity(n);
+        let mut remaining: Vec<Arc<ChunkSubgraph>> = std::mem::take(&mut grid[i]);
+        let mut placed: Vec<Arc<ChunkSubgraph>> = Vec::with_capacity(n);
         for union in unions.iter_mut().take(n) {
             // Chunk with the maximum duplicate-neighbor count vs ℕ^∪_j.
             let best = (0..remaining.len())
@@ -104,9 +105,10 @@ pub fn reorganize(mut plan: TwoLevelPartition) -> TwoLevelPartition {
     // ---- Phase 3: hot-vertex affinity refinement ----
     refine_order_by_heat(&mut order, &unions);
 
-    let mut reordered: Vec<Vec<ChunkSubgraph>> = (0..m).map(|_| Vec::with_capacity(n)).collect();
+    let mut reordered: Vec<Vec<Arc<ChunkSubgraph>>> =
+        (0..m).map(|_| Vec::with_capacity(n)).collect();
     // Drain grid columns in the chosen batch order.
-    let mut grid_opt: Vec<Vec<Option<ChunkSubgraph>>> = grid
+    let mut grid_opt: Vec<Vec<Option<Arc<ChunkSubgraph>>>> = grid
         .into_iter()
         .map(|row| row.into_iter().map(Some).collect())
         .collect();

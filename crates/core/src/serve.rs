@@ -754,7 +754,7 @@ impl<'p> Marked<'p> {
                                 let parts =
                                     run.map(|batch| batch[l][i].take().expect("joined once"));
                                 let neighbors = size.nbrs[l][i].take_list();
-                                Packing::join(parts).build_over(i, g, neighbors)
+                                Arc::new(Packing::join(parts).build_over(i, g, neighbors))
                             })
                             .collect()
                     })

@@ -196,6 +196,12 @@ impl StagedCommit {
         &self.graph
     }
 
+    /// The post-commit topology as the `Arc` the [`DynamicGraph`] holds
+    /// once the batch is committed, for callers that keep it by identity.
+    pub fn shared_graph(&self) -> &Arc<Graph> {
+        &self.graph
+    }
+
     /// The epoch of the [`DynamicGraph`] this batch was staged against;
     /// it commits only onto that epoch.
     pub fn base_epoch(&self) -> u64 {

@@ -94,8 +94,9 @@ impl GpuBufferPlan {
     /// The chain is re-planned from the first moved batch, and until a
     /// re-planned batch leaves the buffer as this plan left it — the same
     /// merged set in the same slots at the same high-water mark — from
-    /// where every later unmoved batch is this plan's, and shared with it.
-    /// Equal to [`GpuBufferPlan::build`] when `moved` covers every batch
+    /// where every later unmoved batch is this plan's, and shared with it;
+    /// a re-planned batch equal to this plan's is shared too. Equal to
+    /// [`GpuBufferPlan::build`] when `moved` covers every batch
     /// whose neighbor lists changed.
     ///
     /// # Panics
@@ -143,7 +144,11 @@ impl GpuBufferPlan {
                     && placed.merged == old.merged
                     && placed.position == old.position
             });
-            batches.push(Arc::new(placed));
+            // A re-placed batch equal to the old one stays shared.
+            match old {
+                Some(old) if in_step && **old == placed => batches.push(Arc::clone(old)),
+                _ => batches.push(Arc::new(placed)),
+            }
         }
         GpuBufferPlan {
             gpu,
@@ -444,7 +449,7 @@ mod tests {
                 let fresh =
                     crate::ChunkSubgraph::build(&g2, chunk.part, chunk.chunk, chunk.dests.clone());
                 moved[chunk.chunk] |= fresh.neighbors != chunk.neighbors;
-                *chunk = fresh;
+                *chunk = Arc::new(fresh);
             }
         }
         moved
@@ -494,7 +499,7 @@ mod tests {
         let (_, mut plan, _) = setup(29, 1, 3);
         let mut lists = |lists: [&[u32]; 3]| {
             for (c, list) in plan.chunks[0].iter_mut().zip(lists) {
-                c.neighbors = list.to_vec();
+                Arc::make_mut(c).neighbors = list.to_vec();
             }
             let dedup = DedupPlan::build(&plan);
             let bufs = GpuBufferPlan::build(&plan, &dedup, 0);

@@ -20,8 +20,8 @@
 //! its reuse split of the previous batch's too. When a graph update moves
 //! the neighbor lists of a few batches, [`DedupPlan::patched`] re-derives
 //! those batches and the batch after each, and shares every other batch
-//! with the plan it patches; [`DedupPlan::build`] is the same step with
-//! every batch moved.
+//! — and every re-derived one that came out equal — with the plan it
+//! patches; [`DedupPlan::build`] is the same step with every batch moved.
 
 use crate::TwoLevelPartition;
 use hongtu_graph::VertexId;
@@ -155,12 +155,17 @@ impl DedupPlan {
                 new_from_cpu.push(fresh);
                 reused.push(hit);
             }
-            batches.push(Arc::new(BatchPlan {
+            let fresh = BatchPlan {
                 transition,
                 new_from_cpu,
                 reused,
                 fetch,
-            }));
+            };
+            // A re-derived batch equal to the old one stays shared.
+            match old.map(|old| &old.batches[j]) {
+                Some(old) if **old == fresh => batches.push(Arc::clone(old)),
+                _ => batches.push(Arc::new(fresh)),
+            }
         }
         DedupPlan { m, n, batches }
     }

@@ -53,7 +53,7 @@ pub use multilevel::MultilevelPartitioner;
 pub use replication::replication_factor;
 pub use simple::{hash_partition, range_partition};
 pub use subgraph::{ChunkShape, ChunkSubgraph, Packing};
-pub use two_level::{SliceRows, TwoLevelPartition};
+pub use two_level::{Refresh, SliceRows, TwoLevelPartition};
 
 use hongtu_graph::Graph;
 

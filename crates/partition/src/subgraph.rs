@@ -126,6 +126,36 @@ impl ChunkSubgraph {
         }
     }
 
+    /// This chunk brought up to date with `g`, a graph that keeps the
+    /// in-lists of its destinations but may have moved the out-degrees
+    /// of their sources: a copy whose weight on every edge out of a
+    /// source `u` with `degree_moved[u]` is recomputed with
+    /// [`ChunkSubgraph::build`]'s own expression, the rest kept. Equal,
+    /// bit for bit, to `build` of the same destinations against `g` when
+    /// `degree_moved` flags every source whose out-degree `g` changed.
+    pub(crate) fn reweighted(&self, g: &Graph, degree_moved: &[bool]) -> Self {
+        let mut fresh = self.clone();
+        let moved: Vec<bool> = self
+            .neighbors
+            .iter()
+            .map(|&u| degree_moved[u as usize])
+            .collect();
+        if !moved.contains(&true) {
+            return fresh;
+        }
+        for (k, &d) in self.dests.iter().enumerate() {
+            let dv = (1 + g.in_degree(d)) as f32;
+            for e in self.in_edges_of(k) {
+                let local = self.nbr_index[e] as usize;
+                if moved[local] {
+                    let du = (1 + g.out_degree(self.neighbors[local])) as f32;
+                    fresh.gcn_weights[e] = 1.0 / (du * dv).sqrt();
+                }
+            }
+        }
+        fresh
+    }
+
     /// The chunk that computes rows `rows` of each of `parts` — chunks
     /// of one partition, each with its kept destination rows (local
     /// indices into its `dests`, strictly ascending) — as one chunk

@@ -30,8 +30,11 @@ pub struct TwoLevelPartition {
     /// one ([`TwoLevelPartition::packed`]): a packed grid is far smaller
     /// than the graph the assignment covers.
     pub assignment: Arc<Assignment>,
-    /// `chunks[i][j]` is subgraph `G_ij` (partition `i`, batch `j`).
-    pub chunks: Vec<Vec<ChunkSubgraph>>,
+    /// `chunks[i][j]` is subgraph `G_ij` (partition `i`, batch `j`) —
+    /// shared, not copied, with the grid a structural commit refreshed
+    /// it from wherever the chunk did not change
+    /// ([`TwoLevelPartition::refreshed`]).
+    pub chunks: Vec<Vec<Arc<ChunkSubgraph>>>,
 }
 
 impl TwoLevelPartition {
@@ -68,11 +71,17 @@ impl TwoLevelPartition {
                 .map(|&v| 1 + g.in_degree(v) as u64)
                 .collect();
             let ranges = balanced_ranges(&costs, n);
-            let part_chunks: Vec<ChunkSubgraph> = ranges
+            let part_chunks: Vec<Arc<ChunkSubgraph>> = ranges
                 .into_iter()
                 .enumerate()
                 .map(|(j, r)| {
-                    ChunkSubgraph::build_in(g, i, j, part_members[r].to_vec(), &mut local_of)
+                    Arc::new(ChunkSubgraph::build_in(
+                        g,
+                        i,
+                        j,
+                        part_members[r].to_vec(),
+                        &mut local_of,
+                    ))
                 })
                 .collect();
             chunks.push(part_chunks);
@@ -108,7 +117,7 @@ impl TwoLevelPartition {
             .map(|i| {
                 run_ranges(ends)
                     .enumerate()
-                    .map(|(g, run)| self.pack_run(rows, i, g, run))
+                    .map(|(g, run)| Arc::new(self.pack_run(rows, i, g, run)))
                     .collect()
             })
             .collect();
@@ -132,19 +141,19 @@ impl TwoLevelPartition {
     ) -> ChunkSubgraph {
         let parts: Vec<(&ChunkSubgraph, &[u32])> = run
             .filter(|&j| !rows[i][j].is_empty())
-            .map(|j| (&self.chunks[i][j], &rows[i][j][..]))
+            .map(|j| (&*self.chunks[i][j], &rows[i][j][..]))
             .collect();
         ChunkSubgraph::pack(&parts, i, g)
     }
 
     /// All subgraphs of batch `j` (one per partition).
     pub fn batch(&self, j: usize) -> impl Iterator<Item = &ChunkSubgraph> {
-        self.chunks.iter().map(move |p| &p[j])
+        self.chunks.iter().map(move |p| &*p[j])
     }
 
     /// Iterates over all `m × n` chunks, partition-major.
     pub fn all_chunks(&self) -> impl Iterator<Item = &ChunkSubgraph> {
-        self.chunks.iter().flatten()
+        self.chunks.iter().flatten().map(|c| &**c)
     }
 
     /// Total neighbor-transfer volume if every chunk's neighbor set is
@@ -171,9 +180,76 @@ impl TwoLevelPartition {
         Ok(())
     }
 
+    /// This grid, built over `old`, brought up to date with `new`, a
+    /// topology over the same vertices: every chunk owning a vertex
+    /// `stale` flags is replaced, and every other chunk is shared.
+    /// Destination sets never move. A stale chunk whose destinations keep
+    /// their in-lists from `old` to `new` moved only GCN weights and is
+    /// patched ([`ChunkSubgraph::reweighted`]); the others are rebuilt
+    /// against `new` over one shared scratch. Equal, chunk for chunk, to
+    /// [`ChunkSubgraph::build`] of each replaced chunk's destinations
+    /// against `new`, and to this grid elsewhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `old`, `new` and `stale` do not all cover the same
+    /// vertices.
+    pub fn refreshed(&self, old: &Graph, new: &Graph, stale: &[bool]) -> Refresh {
+        let nv = new.num_vertices();
+        assert!(
+            old.num_vertices() == nv && stale.len() == nv,
+            "refreshing a grid over {} vertices to {nv} with {} flags",
+            old.num_vertices(),
+            stale.len()
+        );
+        let mut degree_moved: Option<Vec<bool>> = None;
+        let mut local_of = Vec::new();
+        let mut refresh = Refresh {
+            chunks: Vec::with_capacity(self.m),
+            replaced: 0,
+            moved: vec![false; self.n],
+        };
+        for row in &self.chunks {
+            let mut fresh_row = Vec::with_capacity(row.len());
+            for chunk in row {
+                if !chunk.dests.iter().any(|&d| stale[d as usize]) {
+                    fresh_row.push(Arc::clone(chunk));
+                    continue;
+                }
+                refresh.replaced += 1;
+                let kept = chunk
+                    .dests
+                    .iter()
+                    .all(|&d| old.in_neighbors(d) == new.in_neighbors(d));
+                let fresh = if kept {
+                    let degree_moved = degree_moved.get_or_insert_with(|| {
+                        (0..nv as u32)
+                            .map(|u| old.out_degree(u) != new.out_degree(u))
+                            .collect()
+                    });
+                    chunk.reweighted(new, degree_moved)
+                } else {
+                    let fresh = ChunkSubgraph::build_in(
+                        new,
+                        chunk.part,
+                        chunk.chunk,
+                        chunk.dests.clone(),
+                        &mut local_of,
+                    );
+                    refresh.moved[chunk.chunk] |= fresh.neighbors != chunk.neighbors;
+                    fresh
+                };
+                fresh_row.push(Arc::new(fresh));
+            }
+            refresh.chunks.push(fresh_row);
+        }
+        refresh
+    }
+
     /// Replaces the chunk grid (used by the reorganization pass); chunk
-    /// `part`/`chunk` ids are rewritten to match the new grid positions.
-    pub fn with_chunks(mut self, chunks: Vec<Vec<ChunkSubgraph>>) -> Self {
+    /// `part`/`chunk` ids are rewritten to match the new grid positions
+    /// (a chunk shared elsewhere is copied first).
+    pub fn with_chunks(mut self, chunks: Vec<Vec<Arc<ChunkSubgraph>>>) -> Self {
         assert_eq!(chunks.len(), self.m, "chunk grid must keep m rows");
         for (i, row) in chunks.iter().enumerate() {
             assert_eq!(row.len(), self.n, "partition {i} must keep n chunks");
@@ -181,12 +257,28 @@ impl TwoLevelPartition {
         self.chunks = chunks;
         for (i, row) in self.chunks.iter_mut().enumerate() {
             for (j, c) in row.iter_mut().enumerate() {
-                c.part = i;
-                c.chunk = j;
+                if (c.part, c.chunk) != (i, j) {
+                    let c = Arc::make_mut(c);
+                    c.part = i;
+                    c.chunk = j;
+                }
             }
         }
         self
     }
+}
+
+/// A chunk grid brought up to date with a new topology
+/// ([`TwoLevelPartition::refreshed`]).
+#[derive(Debug, Clone)]
+pub struct Refresh {
+    /// The new grid: each replaced chunk fresh, every other chunk shared
+    /// with the grid refreshed.
+    pub chunks: Vec<Vec<Arc<ChunkSubgraph>>>,
+    /// Chunks replaced, patched or rebuilt.
+    pub replaced: usize,
+    /// `moved[j]`: some chunk of batch `j` has another neighbor list now.
+    pub moved: Vec<bool>,
 }
 
 /// Destination-count weighted mean of `|N_ij|` over chunks — used in memory
@@ -272,6 +364,69 @@ mod tests {
     fn rejects_more_chunks_than_partition_vertices() {
         let g = generators::erdos_renyi(12, 2.0, &mut SeededRng::new(1));
         let _ = TwoLevelPartition::build(&g, 4, 10, 0);
+    }
+
+    /// The grid refreshed against a graph with a few edges toggled: every
+    /// chunk owning a stale vertex equals a fresh build against the new
+    /// graph, weights bit for bit, whether it was patched or rebuilt;
+    /// every other chunk is shared; `moved` flags exactly the batches
+    /// with another neighbor list.
+    #[test]
+    fn refreshed_chunks_equal_a_fresh_build() {
+        let mut patched = 0;
+        for seed in 1u64..7 {
+            let mut rng = SeededRng::new(seed);
+            let g = generators::erdos_renyi(400, 5.0, &mut rng);
+            let plan = TwoLevelPartition::build(&g, 3, 4, seed);
+            let toggles: Vec<(VertexId, VertexId)> = (0..3)
+                .map(|_| (rng.index(400) as VertexId, rng.index(400) as VertexId))
+                .filter(|(u, v)| u != v)
+                .collect();
+            let mut b = hongtu_graph::GraphBuilder::new(400);
+            b.extend(g.csr.edges().filter(|e| !toggles.contains(e)));
+            for &(u, v) in &toggles {
+                if !g.out_neighbors(u).contains(&v) {
+                    b.add_edge(u, v);
+                }
+            }
+            let g2 = b.build();
+            let mut stale = vec![false; 400];
+            for &(u, v) in &toggles {
+                stale[u as usize] = true;
+                stale[v as usize] = true;
+                for &w in g.out_neighbors(u).iter().chain(g2.out_neighbors(u)) {
+                    stale[w as usize] = true;
+                }
+            }
+            let refresh = plan.refreshed(&g, &g2, &stale);
+            let mut moved = vec![false; plan.n];
+            let mut replaced = 0;
+            for (i, row) in refresh.chunks.iter().enumerate() {
+                for (j, c) in row.iter().enumerate() {
+                    let old = &plan.chunks[i][j];
+                    if !old.dests.iter().any(|&d| stale[d as usize]) {
+                        assert!(Arc::ptr_eq(c, old), "seed {seed} ({i}, {j}) not shared");
+                        continue;
+                    }
+                    replaced += 1;
+                    let built = ChunkSubgraph::build(&g2, i, j, old.dests.clone());
+                    assert_eq!(**c, built, "seed {seed} ({i}, {j})");
+                    let bits = |c: &ChunkSubgraph| -> Vec<u32> {
+                        c.gcn_weights.iter().map(|w| w.to_bits()).collect()
+                    };
+                    assert_eq!(bits(c), bits(&built), "seed {seed} ({i}, {j})");
+                    moved[j] |= c.neighbors != old.neighbors;
+                    patched += usize::from(
+                        old.dests
+                            .iter()
+                            .all(|&d| g.in_neighbors(d) == g2.in_neighbors(d)),
+                    );
+                }
+            }
+            assert_eq!(refresh.replaced, replaced);
+            assert_eq!(refresh.moved, moved, "seed {seed}");
+        }
+        assert!(patched > 0, "no chunk kept its in-lists");
     }
 
     #[test]

@@ -130,7 +130,8 @@ pub struct Committed {
     pub latency: f64,
     /// Dirty `h^1` seed vertices the batch invalidated.
     pub dirty_vertices: usize,
-    /// Chunk subgraphs rebuilt against the mutated topology.
+    /// Chunk subgraphs replaced against the mutated topology, rebuilt or
+    /// patched ([`hongtu_core::DeltaReport::rebuilt_chunks`]).
     pub rebuilt_chunks: usize,
 }
 

@@ -21,6 +21,7 @@ use crate::dense::StampMap;
 use crate::diag::{push, DiagCode, Diagnostic, Location};
 use hongtu_graph::VertexId;
 use hongtu_partition::{BatchIndices, DedupPlan, GpuBufferPlan, TwoLevelPartition};
+use std::sync::Arc;
 
 /// Checks one GPU's buffer plan by symbolic execution.
 pub fn verify_buffers(
@@ -28,6 +29,36 @@ pub fn verify_buffers(
     dedup: &DedupPlan,
     bp: &GpuBufferPlan,
 ) -> Vec<Diagnostic> {
+    let mut replay = Replay::new(bp.capacity, plan.assignment.partition_of.len());
+    verify_buffers_since(plan, dedup, bp, None, &mut replay, &mut 0).0
+}
+
+/// What pass 3 may take from a certificate for one GPU: which batches'
+/// inputs are all what it certified (`shared[j]`: the batch's
+/// `BatchIndices`, chunk neighbor list and transition set), the
+/// certified batches themselves, and each one's slot bound.
+pub(crate) struct CertifiedChain<'c> {
+    pub(crate) shared: Vec<bool>,
+    pub(crate) batches: &'c [Arc<BatchIndices>],
+    pub(crate) slots: &'c [usize],
+}
+
+/// Pass 3 for one GPU, replaying only what `since` did not certify: from
+/// the first batch that is not shared, starting from the buffer its
+/// predecessor leaves, until a shared batch whose predecessor left the
+/// buffer as the certified predecessor did — `(merged, position)`,
+/// compared here. A certified batch is held to the capacity through its
+/// certified slot bound. Returns the findings and each batch's slot
+/// bound (one past its highest slot); `visited` counts the batches
+/// replayed.
+fn verify_buffers_since<'p>(
+    plan: &TwoLevelPartition,
+    dedup: &DedupPlan,
+    bp: &'p GpuBufferPlan,
+    since: Option<CertifiedChain<'_>>,
+    replay: &mut Replay<'p>,
+    visited: &mut usize,
+) -> (Vec<Diagnostic>, Vec<usize>) {
     let mut diags = Vec::new();
     let gpu = bp.gpu;
     if gpu >= plan.m || bp.batches.len() != plan.n || dedup.batches.len() != plan.n {
@@ -44,35 +75,145 @@ pub fn verify_buffers(
                 ),
             ),
         );
-        return diags;
+        return (diags, Vec::new());
+    }
+    replay.reset();
+    let mut slots = vec![0usize; plan.n];
+    // Whether the buffer before batch `j` is the one the certificate
+    // saw there, so a shared batch `j` needs no replay.
+    let mut in_step = since.is_some();
+    for (j, b) in bp.batches.iter().enumerate() {
+        if let Some(since) = &since {
+            let rejoined = in_step
+                || j.checked_sub(1).is_some_and(|p| {
+                    let (now, then) = (&bp.batches[p], &since.batches[p]);
+                    now.merged == then.merged && now.position == then.position
+                });
+            if since.shared[j] && rejoined {
+                in_step = true;
+                slots[j] = since.slots[j];
+                if slots[j] > bp.capacity {
+                    push(
+                        &mut diags,
+                        Diagnostic::new(
+                            DiagCode::CapacityExceeded,
+                            Location::gpu_batch(gpu, j),
+                            format!(
+                                "certified slots reach {} beyond declared capacity {}",
+                                slots[j], bp.capacity
+                            ),
+                        ),
+                    );
+                }
+                continue;
+            }
+            if in_step {
+                // The buffer the previous batch left is the certified one.
+                if let Some(p) = j.checked_sub(1) {
+                    replay.resume(&bp.batches[p]);
+                }
+                in_step = false;
+            }
+        }
+        *visited += 1;
+        slots[j] = replay.step(
+            gpu,
+            j,
+            b,
+            &plan.chunks[gpu][j].neighbors,
+            &dedup.batches[j].transition[gpu],
+            bp.capacity,
+            &mut diags,
+        );
+    }
+    (diags, slots)
+}
+
+/// The symbolic buffer of one GPU's replay.
+struct Replay<'p> {
+    /// After the last replayed batch (`replayed`), both ways round: which
+    /// vertex each slot holds, and which slot each vertex sits in. A
+    /// slot not in `live` holds no live data (never written, or freed).
+    live: StampMap<VertexId>,
+    resident_at: StampMap<u32>,
+    replayed: Option<&'p BatchIndices>,
+    /// Vertices that were resident at some earlier replayed batch and
+    /// then evicted — used to tell use-after-free (B203) from
+    /// never-written (B202). Kept only by a replay from batch 0
+    /// (`history`): a resumed one reports either, and its caller re-runs
+    /// whole on any finding.
+    evicted: StampMap<()>,
+    history: bool,
+    /// Per-batch scratch: the first vertex to claim each slot, and where
+    /// each vertex of `M_ij` lives this batch.
+    slot_claims: StampMap<VertexId>,
+    slot_now: StampMap<u32>,
+}
+
+impl<'p> Replay<'p> {
+    fn new(capacity: usize, num_vertices: usize) -> Self {
+        Replay {
+            live: StampMap::new(capacity),
+            resident_at: StampMap::new(num_vertices),
+            replayed: None,
+            evicted: StampMap::new(num_vertices),
+            history: true,
+            slot_claims: StampMap::new(capacity),
+            slot_now: StampMap::new(num_vertices),
+        }
     }
 
-    let num_vertices = plan.assignment.partition_of.len();
-    // Symbolic buffer after the last replayed batch (`replayed`), both
-    // ways round: which vertex each slot holds, and which slot each
-    // vertex sits in. A slot not in `live` holds no live data (never
-    // written, or freed).
-    let mut live: StampMap<VertexId> = StampMap::new(bp.capacity);
-    let mut resident_at: StampMap<u32> = StampMap::new(num_vertices);
-    let mut replayed: Option<&BatchIndices> = None;
-    // Vertices that were resident at some earlier batch and then evicted —
-    // used to tell use-after-free (B203) from never-written (B202).
-    let mut evicted: StampMap<()> = StampMap::new(num_vertices);
-    // Per-batch scratch: the first vertex to claim each slot, and where
-    // each vertex of `M_ij` lives this batch.
-    let mut slot_claims: StampMap<VertexId> = StampMap::new(bp.capacity);
-    let mut slot_now: StampMap<u32> = StampMap::new(num_vertices);
+    /// Forgets everything replayed: an empty buffer, as before batch 0.
+    fn reset(&mut self) {
+        self.live.clear();
+        self.resident_at.clear();
+        self.replayed = None;
+        self.evicted.clear();
+        self.history = true;
+    }
 
-    for (j, b) in bp.batches.iter().enumerate() {
+    /// Takes up the replay after `prev`, a batch already certified,
+    /// without its history: nothing counts as evicted.
+    fn resume(&mut self, prev: &'p BatchIndices) {
+        self.live.clear();
+        self.resident_at.clear();
+        for (&v, &slot) in prev.merged.iter().zip(&prev.position) {
+            self.live.insert(slot, v);
+            self.resident_at.insert(v, slot);
+        }
+        self.replayed = Some(prev);
+        self.history = false;
+    }
+
+    /// Replays batch `j`, whose chunk reads `neighbors` and whose
+    /// transition set is `transition`; returns its slot bound.
+    #[allow(clippy::too_many_arguments)]
+    fn step(
+        &mut self,
+        gpu: usize,
+        j: usize,
+        b: &'p BatchIndices,
+        neighbors: &[VertexId],
+        transition: &[VertexId],
+        capacity: usize,
+        diags: &mut Vec<Diagnostic>,
+    ) -> usize {
+        let Replay {
+            live,
+            resident_at,
+            replayed,
+            evicted,
+            history,
+            slot_claims,
+            slot_now,
+        } = self;
         let loc = Location::gpu_batch(gpu, j);
-        let chunk = &plan.chunks[gpu][j];
-        let transition = &dedup.batches[j].transition[gpu];
 
         // ---- index-vector consistency (B205) ----
-        let expected_merged = union_sorted(transition, &chunk.neighbors);
+        let expected_merged = union_sorted(transition, neighbors);
         if b.merged != expected_merged {
             push(
-                &mut diags,
+                diags,
                 Diagnostic::new(
                     DiagCode::MergedSetWrong,
                     loc,
@@ -86,7 +227,7 @@ pub fn verify_buffers(
         }
         if b.position.len() != b.merged.len() {
             push(
-                &mut diags,
+                diags,
                 Diagnostic::new(
                     DiagCode::MergedSetWrong,
                     loc,
@@ -97,18 +238,18 @@ pub fn verify_buffers(
                     ),
                 ),
             );
-            continue; // the replay below would index out of bounds
+            return 0; // the replay below would index out of bounds
         }
-        if b.nbr_slot.len() != chunk.neighbors.len() {
+        if b.nbr_slot.len() != neighbors.len() {
             push(
-                &mut diags,
+                diags,
                 Diagnostic::new(
                     DiagCode::MergedSetWrong,
                     loc,
                     format!(
                         "{} neighbor slots for {} neighbors",
                         b.nbr_slot.len(),
-                        chunk.neighbors.len()
+                        neighbors.len()
                     ),
                 ),
             );
@@ -118,7 +259,7 @@ pub fn verify_buffers(
         for &(t, slot) in &b.incoming {
             if t as usize >= b.merged.len() {
                 push(
-                    &mut diags,
+                    diags,
                     Diagnostic::new(
                         DiagCode::MergedSetWrong,
                         loc,
@@ -133,7 +274,7 @@ pub fn verify_buffers(
             }
             if b.position[t as usize] != slot {
                 push(
-                    &mut diags,
+                    diags,
                     Diagnostic::new(
                         DiagCode::MergedSetWrong,
                         loc.with_vertex(b.merged[t as usize]),
@@ -146,7 +287,7 @@ pub fn verify_buffers(
             }
             if std::mem::replace(&mut is_incoming[t as usize], true) {
                 push(
-                    &mut diags,
+                    diags,
                     Diagnostic::new(
                         DiagCode::SlotAliased,
                         loc.with_vertex(b.merged[t as usize]),
@@ -156,18 +297,18 @@ pub fn verify_buffers(
             }
         }
         if !incoming_ok {
-            continue;
+            return 0;
         }
 
         // ---- capacity (B204) ----
         for (t, &slot) in b.position.iter().enumerate() {
-            if slot as usize >= bp.capacity {
+            if slot as usize >= capacity {
                 push(
-                    &mut diags,
+                    diags,
                     Diagnostic::new(
                         DiagCode::CapacityExceeded,
                         loc.with_vertex(b.merged[t]),
-                        format!("slot {slot} beyond declared capacity {}", bp.capacity),
+                        format!("slot {slot} beyond declared capacity {}", capacity),
                     ),
                 );
             }
@@ -179,7 +320,7 @@ pub fn verify_buffers(
             let v = b.merged[t];
             if let Some(w) = slot_claims.get(slot) {
                 push(
-                    &mut diags,
+                    diags,
                     Diagnostic::new(
                         DiagCode::SlotAliased,
                         loc.with_vertex(v),
@@ -215,7 +356,7 @@ pub fn verify_buffers(
                             format!("vertex {v} claims in-place reuse of slot {slot}, which never held it"),
                         ),
                     };
-                    push(&mut diags, Diagnostic::new(code, loc.with_vertex(v), why));
+                    push(diags, Diagnostic::new(code, loc.with_vertex(v), why));
                 }
             }
         }
@@ -225,10 +366,10 @@ pub fn verify_buffers(
         for (&v, &slot) in b.merged.iter().zip(&b.position) {
             slot_now.insert(v, slot);
         }
-        for (&nv, &read) in chunk.neighbors.iter().zip(&b.nbr_slot) {
+        for (&nv, &read) in neighbors.iter().zip(&b.nbr_slot) {
             match slot_now.get(nv) {
                 None => push(
-                    &mut diags,
+                    diags,
                     Diagnostic::new(
                         DiagCode::MergedSetWrong,
                         loc.with_vertex(nv),
@@ -236,7 +377,7 @@ pub fn verify_buffers(
                     ),
                 ),
                 Some(slot) if slot != read => push(
-                    &mut diags,
+                    diags,
                     Diagnostic::new(
                         DiagCode::ReadUnwritten,
                         loc.with_vertex(nv),
@@ -250,7 +391,7 @@ pub fn verify_buffers(
         }
 
         // ---- commit the batch: track evictions, new residency maps ----
-        if let Some(prev) = replayed {
+        if let Some(prev) = replayed.filter(|_| *history) {
             for (&v, &slot) in prev.merged.iter().zip(&prev.position) {
                 if live.get(slot) == Some(v) {
                     evicted.insert(v, ());
@@ -259,13 +400,19 @@ pub fn verify_buffers(
         }
         live.clear();
         for (&v, &slot) in b.merged.iter().zip(&b.position) {
-            evicted.remove(v);
+            if *history {
+                evicted.remove(v);
+            }
             live.insert(slot, v);
         }
-        std::mem::swap(&mut resident_at, &mut slot_now);
-        replayed = Some(b);
+        std::mem::swap(resident_at, slot_now);
+        *replayed = Some(b);
+        b.position
+            .iter()
+            .map(|&s| s as usize + 1)
+            .max()
+            .unwrap_or(0)
     }
-    diags
 }
 
 /// Checks every GPU's buffer plan (plus the collection's shape).
@@ -274,6 +421,19 @@ pub fn verify_all_buffers(
     dedup: &DedupPlan,
     bufplans: &[GpuBufferPlan],
 ) -> Vec<Diagnostic> {
+    verify_all_buffers_since(plan, dedup, bufplans, |_| None, &mut 0).0
+}
+
+/// Pass 3 over every GPU, GPU `i` against what `since(i)` certified for
+/// it ([`verify_buffers_since`]), one replay buffer shared by all.
+/// Returns the findings and, per GPU, each batch's slot bound.
+pub(crate) fn verify_all_buffers_since<'c>(
+    plan: &TwoLevelPartition,
+    dedup: &DedupPlan,
+    bufplans: &[GpuBufferPlan],
+    since: impl Fn(usize) -> Option<CertifiedChain<'c>>,
+    visited: &mut usize,
+) -> (Vec<Diagnostic>, Vec<Vec<usize>>) {
     let mut diags = Vec::new();
     if bufplans.len() != plan.m {
         push(
@@ -284,8 +444,11 @@ pub fn verify_all_buffers(
                 format!("{} buffer plans for {} GPUs", bufplans.len(), plan.m),
             ),
         );
-        return diags;
+        return (diags, Vec::new());
     }
+    let capacity = bufplans.iter().map(|bp| bp.capacity).max().unwrap_or(0);
+    let mut replay = Replay::new(capacity, plan.assignment.partition_of.len());
+    let mut slots = Vec::with_capacity(bufplans.len());
     for (i, bp) in bufplans.iter().enumerate() {
         if bp.gpu != i {
             push(
@@ -298,9 +461,11 @@ pub fn verify_all_buffers(
             );
             continue;
         }
-        diags.extend(verify_buffers(plan, dedup, bp));
+        let (found, bounds) = verify_buffers_since(plan, dedup, bp, since(i), &mut replay, visited);
+        diags.extend(found);
+        slots.push(bounds);
     }
-    diags
+    (diags, slots)
 }
 
 /// Union of two sorted, deduplicated slices (mirror of the planner's).

@@ -24,6 +24,16 @@
 //! 4. [`verify_volumes`] — `V_ori`/`V_+p2p`/`V_+ru` recomputed
 //!    independently and cross-checked (`V301`–`V303`).
 //!
+//! [`verify_all`] runs the four through one entry,
+//! [`PlanCertificate::check`], against an empty certificate. Against the
+//! certificate a clean check returns — `Arc` clones of every piece it
+//! read — a later check of a patched plan re-reads only the chunks,
+//! dedup batches and buffer batches that are not the certified
+//! allocations, plus each one's boundary with its neighbor, and the
+//! graph rows whose in-lists moved ([`PlanCertificate::check_commit`]).
+//! Its verdict and report are `verify_all`'s: any finding re-runs the
+//! whole check. [`Checked::visited`] counts what a check read.
+//!
 //! A fifth, *dynamic* pass family certifies executed schedules rather
 //! than plans: [`verify_trace`] runs a vector-clock happens-before
 //! analysis over a recorded simulator trace (races, write-before-read,
@@ -65,6 +75,7 @@
 
 pub mod buffers;
 pub mod cache;
+pub mod certificate;
 pub mod cone;
 pub mod dataflow;
 pub mod dedup;
@@ -77,6 +88,7 @@ pub mod volumes;
 
 pub use buffers::{verify_all_buffers, verify_buffers};
 pub use cache::verify_cache;
+pub use certificate::{Checked, PlanCertificate, Visited};
 pub use cone::{verify_cone, verify_cone_rows, ConeDir};
 pub use dataflow::{
     demand_by_owner, verify_dataflow, verify_dataflow_layers, ChunkFlow, CommKind, DataflowSpec,
@@ -91,19 +103,17 @@ pub use volumes::{expected_volumes, verify_volumes};
 use hongtu_graph::Graph;
 use hongtu_partition::{DedupPlan, GpuBufferPlan, TwoLevelPartition};
 
-/// Runs all four passes against a complete plan triple.
+/// Runs all four passes against a complete plan triple: the certified
+/// entry ([`PlanCertificate::check`]) against an empty certificate.
 pub fn verify_all(
     g: &Graph,
     plan: &TwoLevelPartition,
     dedup: &DedupPlan,
     bufplans: &[GpuBufferPlan],
 ) -> Report {
-    let mut report = Report::default();
-    report.extend_pass(verify_partition(g, plan));
-    report.extend_pass(verify_dedup(plan, dedup));
-    report.extend_pass(verify_all_buffers(plan, dedup, bufplans));
-    report.extend_pass(verify_volumes(plan, dedup));
-    report
+    PlanCertificate::default()
+        .check(g, plan, dedup, bufplans)
+        .report
 }
 
 /// Runs the graph-free passes (dedup, buffers, volumes) — what the

@@ -24,37 +24,90 @@ pub struct ExpectedVolumes {
 }
 
 /// Recomputes the three §5.3 volumes from the partition plan alone.
-///
-/// The owner split tiles each batch union `U_j = ∪_i N_ij` (every vertex
-/// has exactly one owner), so `Σ_i |T_ij \ T_i,j−1| = |U_j \ U_j−1|`:
-/// one walk over the neighbor lists, remembering the last batch that
-/// needed each vertex, yields `V_+p2p` and `V_+ru` together.
 pub fn expected_volumes(plan: &TwoLevelPartition) -> ExpectedVolumes {
-    let v_ori = plan.v_ori();
-    let mut v_p2p = 0usize;
-    let mut v_ru = 0usize;
+    volumes_of(plan, &batch_terms(plan))
+}
+
+/// The volumes whose per-batch terms are `terms`.
+pub(crate) fn volumes_of(plan: &TwoLevelPartition, terms: &[(usize, usize)]) -> ExpectedVolumes {
+    ExpectedVolumes {
+        v_ori: plan.v_ori(),
+        v_p2p: terms.iter().map(|t| t.0).sum(),
+        v_ru: terms.iter().map(|t| t.1).sum(),
+    }
+}
+
+/// Per batch `j`, its terms of `V_+p2p` and `V_+ru`: `(|U_j|, |U_j \
+/// U_j−1|)` for the batch unions `U_j = ∪_i N_ij`.
+///
+/// The owner split tiles each batch union (every vertex has exactly one
+/// owner), so `Σ_i |T_ij \ T_i,j−1| = |U_j \ U_j−1|`: one walk over the
+/// neighbor lists, remembering the last batch that needed each vertex,
+/// yields both terms of every batch.
+pub(crate) fn batch_terms(plan: &TwoLevelPartition) -> Vec<(usize, usize)> {
     let mut last_needed: StampMap<usize> = StampMap::new(plan.assignment.partition_of.len());
+    (0..plan.n)
+        .map(|j| count_batch(plan, j, &mut last_needed))
+        .collect()
+}
+
+/// `terms` (of an earlier state of `plan`) with the terms of the batches
+/// `moved` flags recomputed: a batch's terms read its own and the
+/// previous batch's neighbor lists.
+pub(crate) fn batch_terms_since(
+    plan: &TwoLevelPartition,
+    terms: &[(usize, usize)],
+    moved: &[bool],
+) -> Vec<(usize, usize)> {
+    let mut last_needed: StampMap<usize> = StampMap::new(plan.assignment.partition_of.len());
+    let mut terms = terms.to_vec();
     for j in 0..plan.n {
-        for c in plan.batch(j) {
-            for &v in &c.neighbors {
-                match last_needed.insert(v, j) {
-                    Some(last) if last == j => {} // already counted this batch
-                    Some(last) if last + 1 == j => v_p2p += 1,
-                    _ => {
-                        v_p2p += 1;
-                        v_ru += 1;
-                    }
+        if !moved[j] {
+            continue;
+        }
+        // The first of a run of moved batches starts from the batch
+        // before it; the rest continue the walk.
+        if j == 0 || !moved[j - 1] {
+            last_needed.clear();
+            if j > 0 {
+                count_batch(plan, j - 1, &mut last_needed);
+            }
+        }
+        terms[j] = count_batch(plan, j, &mut last_needed);
+    }
+    terms
+}
+
+/// Batch `j`'s terms, given each vertex's last needing batch before it.
+fn count_batch(
+    plan: &TwoLevelPartition,
+    j: usize,
+    last_needed: &mut StampMap<usize>,
+) -> (usize, usize) {
+    let (mut p2p, mut ru) = (0usize, 0usize);
+    for c in plan.batch(j) {
+        for &v in &c.neighbors {
+            match last_needed.insert(v, j) {
+                Some(last) if last == j => {} // already counted this batch
+                Some(last) if last + 1 == j => p2p += 1,
+                _ => {
+                    p2p += 1;
+                    ru += 1;
                 }
             }
         }
     }
-    ExpectedVolumes { v_ori, v_p2p, v_ru }
+    (p2p, ru)
 }
 
 /// Cross-checks the dedup plan's reported volumes against recomputation.
 pub fn verify_volumes(plan: &TwoLevelPartition, dedup: &DedupPlan) -> Vec<Diagnostic> {
+    check_volumes(dedup, expected_volumes(plan))
+}
+
+/// Cross-checks the dedup plan's reported volumes against `want`.
+pub(crate) fn check_volumes(dedup: &DedupPlan, want: ExpectedVolumes) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let want = expected_volumes(plan);
     let checks = [
         (DiagCode::VOriMismatch, "V_ori", dedup.v_ori(), want.v_ori),
         (DiagCode::VP2pMismatch, "V_+p2p", dedup.v_p2p(), want.v_p2p),

@@ -44,7 +44,7 @@ fn rebuild_chunk(
     j: usize,
     dests: Vec<VertexId>,
 ) {
-    plan.chunks[i][j] = ChunkSubgraph::build(g, i, j, dests);
+    plan.chunks[i][j] = Arc::new(ChunkSubgraph::build(g, i, j, dests));
 }
 
 // ---------------------------------------------------------------- P codes
@@ -90,7 +90,7 @@ fn removed_in_edge_is_p003() {
     let (g, mut plan, _, _) = triple(3, 2, 2);
     // Drop the last in-edge of a chunk: offsets stay monotone and
     // consistent with the edge arrays, so P004 stays silent.
-    let c = &mut plan.chunks[0][0];
+    let c = Arc::make_mut(&mut plan.chunks[0][0]);
     let k = (0..c.dests.len())
         .rev()
         .find(|&k| c.offsets[k + 1] > c.offsets[k])
@@ -114,7 +114,7 @@ fn removed_in_edge_is_p003() {
 #[test]
 fn unsorted_neighbor_list_is_p004() {
     let (g, mut plan, _, _) = triple(4, 2, 2);
-    plan.chunks[1][1].neighbors.swap(0, 1);
+    Arc::make_mut(&mut plan.chunks[1][1]).neighbors.swap(0, 1);
     let diags = verify_partition(&g, &plan);
     assert!(
         diags.iter().all(|d| d.code == DiagCode::ChunkStructure),
@@ -125,7 +125,7 @@ fn unsorted_neighbor_list_is_p004() {
 #[test]
 fn wrong_chunk_ids_are_p005() {
     let (g, mut plan, _, _) = triple(5, 2, 2);
-    plan.chunks[0][0].chunk = 1;
+    Arc::make_mut(&mut plan.chunks[0][0]).chunk = 1;
     let diags = verify_partition(&g, &plan);
     assert!(
         diags.iter().all(|d| d.code == DiagCode::GridShape),
@@ -453,7 +453,7 @@ fn mutation_battery_all_detected() {
             "duplicate a neighbor entry",
             DiagCode::ChunkStructure,
             |_, p, _, _| {
-                let c = &mut p.chunks[0][0];
+                let c = Arc::make_mut(&mut p.chunks[0][0]);
                 c.neighbors[1] = c.neighbors[0];
             },
         ),

@@ -79,7 +79,7 @@ fn absent_edge(dg: &DynamicGraph) -> Delta {
 #[derive(Debug, PartialEq)]
 struct Snapshot {
     logits: Matrix,
-    chunks: Vec<Vec<ChunkSubgraph>>,
+    chunks: Vec<Vec<Arc<ChunkSubgraph>>>,
     volumes: (usize, usize, usize),
     staging_budget: Vec<usize>,
     staging_pinned: bool,
@@ -285,5 +285,78 @@ fn staging_regrowth_that_cannot_fit_is_a_typed_error_and_changes_nothing() {
     );
     assert_eq!(snapshot(&s, &dg), before);
     s.infer_epoch().expect("the refused session keeps sweeping");
+    assert_still_usable(&mut s, &mut dg, &ds);
+}
+
+/// A graph over another topology of the session's size, advanced by
+/// `commits` valid edge insertions.
+fn foreign_graph(commits: usize) -> DynamicGraph {
+    let mut foreign = DynamicGraph::from_dataset(&dataset(7));
+    for _ in 0..commits {
+        let edge = absent_edge(&foreign);
+        foreign.apply(&[edge]).expect("a valid insertion");
+    }
+    foreign
+}
+
+/// A structural commit through a `DynamicGraph` over another graph of
+/// the session's vertex count — as the first commit, and after two
+/// valid ones — is refused with `InvalidPlan`, and leaves the session,
+/// its plans, its cache and both graphs as they were.
+#[test]
+fn a_commit_through_a_foreign_graph_is_refused_first_or_later() {
+    let ds = dataset(99);
+    for valid in [0usize, 2] {
+        let mut s = session_on(&ds, 512 << 20, true);
+        assert!(s.cache().is_some(), "the headroom admits a cache");
+        let mut dg = DynamicGraph::from_dataset(&ds);
+        for _ in 0..valid {
+            let edge = absent_edge(&dg);
+            apply(&mut s, &mut dg, &[edge]);
+        }
+        let mut foreign = foreign_graph(valid);
+        let staged = foreign.stage(&[absent_edge(&foreign)]).expect("stage");
+
+        let before = snapshot(&s, &dg);
+        let foreign_before = snapshot(&s, &foreign);
+        let err = s
+            .apply_staged(&mut foreign, staged)
+            .expect_err("a commit through a foreign graph must not verify");
+        assert!(
+            matches!(&err, SimError::InvalidPlan { code, .. } if code.starts_with('P')),
+            "after {valid} commits: {err}"
+        );
+        assert_eq!(snapshot(&s, &dg), before, "after {valid} commits");
+        assert_eq!(snapshot(&s, &foreign), foreign_before);
+        assert_still_usable(&mut s, &mut dg, &ds);
+    }
+}
+
+/// After two valid commits, a third batch whose staged topology is a
+/// foreign graph's — staged at the same epoch, committed through the
+/// session's own graph — is refused with `InvalidPlan` and changes
+/// nothing.
+#[test]
+fn a_batch_staged_on_a_foreign_topology_is_refused_after_valid_commits() {
+    let ds = dataset(99);
+    let mut s = session_on(&ds, 512 << 20, true);
+    let mut dg = DynamicGraph::from_dataset(&ds);
+    for _ in 0..2 {
+        let edge = absent_edge(&dg);
+        apply(&mut s, &mut dg, &[edge]);
+    }
+    let foreign = foreign_graph(2);
+    let staged = foreign.stage(&[absent_edge(&foreign)]).expect("stage");
+    assert_eq!(staged.base_epoch(), dg.epoch());
+
+    let before = snapshot(&s, &dg);
+    let err = s
+        .apply_staged(&mut dg, staged)
+        .expect_err("a foreign staged topology must not verify");
+    assert!(
+        matches!(&err, SimError::InvalidPlan { code, .. } if code.starts_with('P')),
+        "{err}"
+    );
+    assert_eq!(snapshot(&s, &dg), before);
     assert_still_usable(&mut s, &mut dg, &ds);
 }

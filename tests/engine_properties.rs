@@ -117,7 +117,9 @@ fn corrupted_plan_is_rejected_with_diagnostic_code() {
         d.remove(d.len() / 2);
         d
     };
-    plan.chunks[0][0] = hongtu::partition::subgraph::ChunkSubgraph::build(&ds.graph, 0, 0, dests);
+    plan.chunks[0][0] = std::sync::Arc::new(hongtu::partition::subgraph::ChunkSubgraph::build(
+        &ds.graph, 0, 0, dests,
+    ));
 
     let config = HongTuConfig::builder()
         .gpus(2)

@@ -650,7 +650,7 @@ proptest! {
                         .collect();
                     kept.sort_unstable();
                     let want = ChunkSubgraph::build(&ds.graph, i, g, kept);
-                    prop_assert_eq!(&layer.chunks[i][g], &want, "layer {} chunk ({}, {})", l, i, g);
+                    prop_assert_eq!(&*layer.chunks[i][g], &want, "layer {} chunk ({}, {})", l, i, g);
                 }
             }
         }

@@ -68,9 +68,13 @@ echo "==> serving layer certification, release profile"
 cargo test -q --release -p hongtu-serving
 cargo test -q --release --test serving_executor
 
-echo "==> delta subsystem certification, release profile"
+echo "==> delta subsystem certification, release profile (incremental = rebuild, transactional refusals, plan certificates: narrowed check = verify_all)"
 cargo test -q --release -p hongtu-delta
 cargo test -q --release --test delta_executor
+cargo test -q --release --test delta_transactional
+cargo test -q --release -p hongtu-verify --test bad_plans
+cargo test -q --release -p hongtu-verify --test certified_plans
+cargo test -q --release -p hongtu-core --lib narrowed_checks_equal_verify_all
 
 echo "==> hot-vertex cache certification, release profile"
 cargo test -q --release -p hongtu-cache
