@@ -230,28 +230,37 @@ impl CachePlan {
         policy: &dyn CachePolicy,
     ) -> CachePlan {
         let mut per_gpu = Vec::with_capacity(sets.len());
+        // Loads per vertex, counted densely and zeroed again after each
+        // GPU, so every GPU's count costs its load sets, not the graph.
+        let bound = sets.iter().flatten().flatten().max();
+        let mut loads = vec![0u32; bound.map_or(0, |&v| v as usize + 1)];
         for (i, batches) in sets.iter().enumerate() {
             let cap_rows = if slot_bytes == 0 || !policy.enabled() {
                 0
             } else {
                 headroom.get(i).copied().unwrap_or(0) / slot_bytes
             };
-            let mut loads = std::collections::HashMap::<VertexId, u32>::new();
+            let mut loaded: Vec<VertexId> = Vec::new();
             for s in batches {
                 for &v in s {
-                    *loads.entry(v).or_insert(0) += 1;
+                    let count = &mut loads[v as usize];
+                    if *count == 0 {
+                        loaded.push(v);
+                    }
+                    *count += 1;
                 }
             }
-            let mut cands: Vec<Candidate> = loads
+            // Candidates in id order, so the policy ranks a deterministic
+            // input.
+            loaded.sort_unstable();
+            let mut cands: Vec<Candidate> = loaded
                 .into_iter()
-                .map(|(vertex, loads)| Candidate {
+                .map(|vertex| Candidate {
                     vertex,
-                    loads,
+                    loads: std::mem::take(&mut loads[vertex as usize]),
                     degree: degrees.get(vertex as usize).copied().unwrap_or(0),
                 })
                 .collect();
-            // Pre-sort by id so the policy ranks a deterministic input.
-            cands.sort_unstable_by_key(|c| c.vertex);
             policy.rank(&mut cands);
             cands.truncate(cap_rows);
             let mut vertices: Vec<VertexId> = cands.into_iter().map(|c| c.vertex).collect();
