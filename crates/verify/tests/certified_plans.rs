@@ -455,3 +455,62 @@ fn every_mutant_after_a_commit_gets_verify_alls_report() {
         );
     }
 }
+
+/// A patch step that shares what it should have replaced: no piece
+/// replaced at all although in-lists moved, a dedup batch after a moved
+/// one whose split was not re-derived, a buffer batch kept although the
+/// buffer the batch before it leaves moved. Each stale piece is the
+/// certified allocation, so only the graph rows and boundaries the check
+/// compares itself can expose it; it gets `verify_all`'s report.
+#[test]
+fn pieces_the_patch_step_wrongly_shared_are_refused() {
+    let mut kinds = [0usize; 3];
+    for seed in [21u64, 22, 23, 24, 25, 26] {
+        let c = commit(seed, 2 + seed as usize % 3, 6, 3);
+        let (old_plan, old_dedup, old_bufs) = &c.old;
+        let mut stale = Vec::new();
+        // Every piece put back as it was.
+        stale.push((0, old_plan.clone(), old_dedup.clone(), old_bufs.clone()));
+        // A re-derived dedup batch put back as it was.
+        if let Some(j) = (1..c.plan.n).find(|&j| {
+            c.dedup.batches[j - 1].transition != old_dedup.batches[j - 1].transition
+                && c.dedup.batches[j] != old_dedup.batches[j]
+        }) {
+            let mut d = c.dedup.clone();
+            d.batches[j] = Arc::clone(&old_dedup.batches[j]);
+            stale.push((1, c.plan.clone(), d, c.bufs.clone()));
+        }
+        // A re-placed buffer batch put back as it was.
+        for (i, (now, then)) in c.bufs.iter().zip(old_bufs).enumerate() {
+            if let Some(j) = (1..c.plan.n).find(|&j| {
+                now.batches[j - 1].position != then.batches[j - 1].position
+                    && now.batches[j] != then.batches[j]
+                    && c.plan.chunks[i][j].neighbors == old_plan.chunks[i][j].neighbors
+                    && c.dedup.batches[j].transition[i] == old_dedup.batches[j].transition[i]
+            }) {
+                let mut b = c.bufs.clone();
+                b[i].batches[j] = Arc::clone(&then.batches[j]);
+                stale.push((2, c.plan.clone(), c.dedup.clone(), b));
+            }
+        }
+        for (kind, plan, dedup, bufs) in stale {
+            let whole = verify_all(&c.after, &plan, &dedup, &bufs);
+            if whole.is_ok() {
+                continue; // the stale piece happens to still be right
+            }
+            let checked = c
+                .certificate
+                .check_commit(&c.before, &c.after, &plan, &dedup, &bufs);
+            assert_eq!(
+                checked.report.render(),
+                whole.render(),
+                "seed {seed} kind {kind}"
+            );
+            kinds[kind] += 1;
+        }
+    }
+    assert!(
+        kinds.iter().all(|&k| k > 0),
+        "stale pieces exercised: {kinds:?}"
+    );
+}
