@@ -48,7 +48,14 @@ pub fn reorganize_guarded_cached(
         cfg,
         ROW_BYTES,
     );
-    let cand = reorganize(plan.clone());
+    // The candidate shares its chunks with `plan` and is priced before
+    // its chunk ids are renumbered (no plan reads them), so only the
+    // plan kept is renumbered, and no chunk is copied.
+    let cand = TwoLevelPartition {
+        chunks: reordered(&plan),
+        assignment: Arc::clone(&plan.assignment),
+        ..plan
+    };
     let after = comm_cost_cached(
         CommVolumes::from_plan(&DedupPlan::build(&cand)),
         cache_rows_budget,
@@ -56,19 +63,26 @@ pub fn reorganize_guarded_cached(
         ROW_BYTES,
     );
     if after <= before {
-        cand
+        plan.with_chunks(cand.chunks)
     } else {
         plan
     }
 }
 
 /// Applies Algorithm 4 and returns the reorganized partition plan.
-pub fn reorganize(mut plan: TwoLevelPartition) -> TwoLevelPartition {
+pub fn reorganize(plan: TwoLevelPartition) -> TwoLevelPartition {
+    let grid = reordered(&plan);
+    plan.with_chunks(grid)
+}
+
+/// Algorithm 4's chunk grid for `plan`: its chunks, shared, in their new
+/// positions, their ids not yet renumbered.
+fn reordered(plan: &TwoLevelPartition) -> Vec<Vec<Arc<ChunkSubgraph>>> {
     let (m, n) = (plan.m, plan.n);
+    let mut grid = plan.chunks.clone();
     if m * n <= 1 {
-        return plan;
+        return grid;
     }
-    let mut grid = std::mem::take(&mut plan.chunks);
 
     // ---- Phase 1: within-partition chunk placement ----
     // unions[j] = running ℕ^∪_j, seeded with partition 0's chunks.
@@ -117,7 +131,7 @@ pub fn reorganize(mut plan: TwoLevelPartition) -> TwoLevelPartition {
             reordered[i].push(row[j].take().expect("batch column drained twice"));
         }
     }
-    plan.with_chunks(reordered)
+    reordered
 }
 
 /// Upper bound on hill-climb sweeps: each sweep is `O(n)` swaps over the
