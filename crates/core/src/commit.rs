@@ -131,8 +131,9 @@ pub(super) fn derive_plans(
 impl Session {
     /// Commits one staged batch of graph mutations
     /// ([`DynamicGraph::stage`]) and incrementally repairs every
-    /// host-resident layer store in place: rebuilds exactly the chunk
-    /// subgraphs whose computation the mutations changed (destination
+    /// host-resident layer store in place: replaces exactly the chunk
+    /// subgraphs whose computation the mutations changed — patching the
+    /// weights of those whose in-lists held, rebuilding the rest (destination
     /// membership is kept fixed, so untouched chunks stay bitwise
     /// identical), patches the downstream dedup and buffer plans in the
     /// batches whose neighbor lists moved and re-derives staging and the
@@ -304,8 +305,9 @@ impl Session {
 
     /// Everything about committing `staged` that can fail, computed
     /// beside the live state with `self.plan` already holding the
-    /// rebuilt chunks: the downstream plans (structural batches only),
-    /// patched in the batches `moved` flags and verified whole, whether
+    /// refreshed chunks: the downstream plans (structural batches only),
+    /// patched in the batches `moved` flags and verified against the live
+    /// certificate (`verify_all`'s verdict), whether
     /// their staging fits the device, and the verified replay cone, held
     /// to `budget` when there is one. Mutates nothing.
     fn prepare_commit(

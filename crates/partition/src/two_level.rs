@@ -185,7 +185,7 @@ impl TwoLevelPartition {
     /// `stale` flags is replaced, and every other chunk is shared.
     /// Destination sets never move. A stale chunk whose destinations keep
     /// their in-lists from `old` to `new` moved only GCN weights and is
-    /// patched ([`ChunkSubgraph::reweighted`]); the others are rebuilt
+    /// patched (only its moved weights rewritten); the others are rebuilt
     /// against `new` over one shared scratch. Equal, chunk for chunk, to
     /// [`ChunkSubgraph::build`] of each replaced chunk's destinations
     /// against `new`, and to this grid elsewhere.

@@ -284,6 +284,17 @@ fn mutants() -> Vec<(&'static str, Mutant)> {
             t.insert(pos, v);
             true
         }),
+        ("D103 vertex in two transition sets", |_, p, i, j| {
+            let m = p.plan.m;
+            let b = Arc::make_mut(&mut p.dedup.batches[j]);
+            let Some(&v) = b.transition[i].first().filter(|_| m > 1) else {
+                return false;
+            };
+            let t = &mut b.transition[(i + 1) % m];
+            let pos = t.binary_search(&v).unwrap_err();
+            t.insert(pos, v);
+            true
+        }),
         ("D104 vertex dropped from the union", |_, p, i, j| {
             let t = &mut Arc::make_mut(&mut p.dedup.batches[j]).transition[i];
             if t.is_empty() {
@@ -351,6 +362,10 @@ fn mutants() -> Vec<(&'static str, Mutant)> {
                     *s = free;
                 }
             }
+            true
+        }),
+        ("B205 a GPU's buffer plan dropped", |_, p, _, _| {
+            p.bufs.pop();
             true
         }),
         ("B204 capacity understated", |_, p, i, _| {
