@@ -17,9 +17,10 @@
 //!   (§6: stable slots for reused vertices, freed-slot insertion,
 //!   merged-buffer deduplication); also re-exported from
 //!   `hongtu-partition`;
-//! - [`engine`] — the HongTu session (Algorithm 1): configuration,
-//!   plans, host stores, and the train / infer / serve / delta entry
-//!   points;
+//! - [`config`] — the session configuration, its validating builder and
+//!   its option enums;
+//! - [`engine`] — the HongTu session (Algorithm 1): plans, host stores,
+//!   and the train / infer / serve / delta entry points;
 //! - `exec` — the epoch drivers and the sweep they run: one layer driver
 //!   over a schedule that is data, one per-GPU dispatcher, one set of
 //!   event emitters (recomputation-caching-hybrid intermediate data
@@ -50,6 +51,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod cli;
+pub mod config;
 pub mod cost;
 pub mod engine;
 mod exec;
@@ -65,12 +67,14 @@ pub mod systems;
 pub use hongtu_partition::{buffers, cone, dedup};
 
 pub use buffers::GpuBufferPlan;
+pub use config::{
+    CommMode, ConfigError, ExecutionMode, HongTuConfig, HongTuConfigBuilder, MemoryStrategy, Mode,
+};
 pub use cost::{comm_cost, comm_cost_cached, CommVolumes};
 pub use dedup::DedupPlan;
 pub use engine::{
-    CommMode, ConfigError, DeltaReport, EpochReport, ExecutionMode, HongTuConfig,
-    HongTuConfigBuilder, InferReport, MemoryStrategy, Mode, OverlapMode, Plans, Session,
-    StaticMemoryBound, SweepStats, Trainer, ValidationLevel,
+    DeltaReport, EpochReport, InferReport, OverlapMode, Plans, Session, StaticMemoryBound,
+    SweepStats, Trainer, ValidationLevel,
 };
 // The hot-vertex cache subsystem (policies, plan, runtime journal) lives
 // in `hongtu-cache`; re-exported here so downstream users configure it
