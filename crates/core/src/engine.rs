@@ -342,7 +342,7 @@ pub struct Session {
     /// `h[l]`: host-resident layer representations (`h[0]` = features).
     h: Vec<Matrix>,
     /// `∇h[l]`: host-resident gradient buffers ([`Mode::Train`] only;
-    /// empty matrices on an inference session).
+    /// empty matrices on an inference session, and `∇h[0]` always empty).
     grad_h: Vec<Matrix>,
     /// `agg_cache[l][i][j]`: hybrid checkpoints (host-resident).
     agg_cache: Vec<Vec<Vec<Option<Matrix>>>>,
@@ -478,15 +478,19 @@ impl Session {
         let v = dataset.num_vertices();
         let mut h = Vec::with_capacity(dims.len());
         let mut grad_h = Vec::with_capacity(dims.len());
-        for &d in &dims {
+        for (l, &d) in dims.iter().enumerate() {
             machine.host_alloc(v * d * F32, "h^l")?;
             h.push(Matrix::zeros(v, d));
             if train {
                 machine.host_alloc(v * d * F32, "grad h^l")?;
-                grad_h.push(Matrix::zeros(v, d));
-            } else {
-                grad_h.push(Matrix::zeros(0, 0));
             }
+            // Nothing reads `∇h^0`, the features' gradient, so the host
+            // keeps no matrix for it; the modeled machine still holds it.
+            grad_h.push(if train && l > 0 {
+                Matrix::zeros(v, d)
+            } else {
+                Matrix::zeros(0, 0)
+            });
         }
         h[0] = dataset.features.clone();
 
@@ -1331,7 +1335,9 @@ impl Session {
     }
 
     fn train_epoch_inner(&mut self, opt: &mut Adam) -> Result<EpochReport, SimError> {
-        for g in &mut self.grad_h {
+        // `∇h^0` is empty and the loss overwrites `∇h^L`: zero the rest.
+        let last = self.grad_h.len() - 1;
+        for g in &mut self.grad_h[1..last] {
             g.fill_zero();
         }
         let (env, machine, cache, mut live) = self.parts();

@@ -2,7 +2,7 @@
 //!
 //! A sweep prices data movement and compute on the simulator; the layer
 //! math itself is four operations on the host-resident stores — forward
-//! a chunk, gather `∇h^{l+1}` rows, backward a chunk, leader-apply a
+//! a chunk, gather `∇z` rows, backward a chunk, leader-apply a
 //! compute's result — plus a leader hook at the head of each layer sweep
 //! and the loss at epoch level. They sit behind
 //! [`Numerics`] with two providers:
@@ -17,6 +17,7 @@
 //!   a copy of any store. That is schedule synthesis.
 
 use crate::exec::{Computed, Dir};
+use hongtu_nn::layer::{BackwardFrom, Upstream};
 use hongtu_nn::{masked_cross_entropy, GnnModel, LayerForward, LayerGrads, MaskedLoss};
 use hongtu_partition::ChunkSubgraph;
 use hongtu_tensor::Matrix;
@@ -39,13 +40,16 @@ pub(crate) trait Numerics: Sync {
     /// Forward pass of `chunk` at layer `l` from `h^l`.
     fn forward(&self, l: usize, chunk: &ChunkSubgraph) -> LayerForward;
 
-    /// `∇h^{l+1}_{V_ij}` for `chunk`.
+    /// `∇h^{l+1}_{V_ij}` for `chunk`, through layer `l`'s activation:
+    /// the `∇z` its backward starts from.
     fn grad_out(&self, l: usize, chunk: &ChunkSubgraph) -> Matrix;
 
-    /// Recompute + backward of `chunk` at layer `l` (Algorithm 3), from
-    /// the stored aggregate checkpoint when `from_checkpoint`, else from
-    /// `h^l`. Accumulates parameter gradients into `grads`; returns
-    /// `∇h^l_{N_ij}`.
+    /// Recompute + backward of `chunk` at layer `l` (Algorithm 3) from
+    /// the `∇z` of [`Self::grad_out`], from the stored aggregate
+    /// checkpoint when `from_checkpoint`, else from `h^l`. Accumulates
+    /// parameter gradients into `grads`; returns `∇h^l_{N_ij}`, or an
+    /// empty matrix at `l = 0`: the features are no parameters, and
+    /// nothing reads their gradient.
     fn backward(
         &self,
         l: usize,
@@ -58,7 +62,7 @@ pub(crate) trait Numerics: Sync {
     /// Writes one GPU's compute result to the host stores. Forward: the
     /// `h^{l+1}` scatter (Alg 1 line 9; destination rows are disjoint
     /// across a batch's chunks) and the checkpoint store. Backward: the
-    /// `∇h^l` accumulation.
+    /// `∇h^l` accumulation, for `l > 0`.
     fn apply(&mut self, dir: Dir, l: usize, chunk: &ChunkSubgraph, out: Computed);
 
     /// The downstream task (Alg 1 lines 10–11): loss over `h^L`, its
@@ -75,7 +79,7 @@ pub(crate) struct Live<'a> {
     pub model: &'a GnnModel,
     /// `h[l]`: layer representations.
     pub h: &'a mut [Matrix],
-    /// `∇h[l]`: gradient buffers.
+    /// `∇h[l]`: gradient buffers (`∇h[0]` empty).
     pub grad_h: &'a mut [Matrix],
     /// `agg_cache[l][i][j]`: hybrid checkpoints.
     pub agg_cache: &'a mut [Vec<Vec<Option<Matrix>>>],
@@ -124,7 +128,10 @@ impl Numerics for Live<'_> {
     }
 
     fn grad_out(&self, l: usize, chunk: &ChunkSubgraph) -> Matrix {
-        self.grad_h[l + 1].gather_rows(&indices(&chunk.dests))
+        // `h^{l+1}` holds `act(z)`, frozen since the forward sweep: the
+        // mask comes from it, and no backward recomputes `z`.
+        let act = self.model.layer(l).activation();
+        act.backward_rows(&self.h[l + 1], &self.grad_h[l + 1], &indices(&chunk.dests))
     }
 
     fn backward(
@@ -135,19 +142,28 @@ impl Numerics for Live<'_> {
         grad_out: &Matrix,
         grads: &mut LayerGrads,
     ) -> Matrix {
-        let layer = self.model.layer(l);
-        if from_checkpoint {
+        let (h_nbr, g_nbr);
+        let from = if from_checkpoint {
             let agg = self.agg_cache[l][chunk.part][chunk.chunk]
                 .as_ref()
                 .expect("hybrid checkpoint missing — was the forward compute applied?");
-            layer.backward_from_agg(chunk, agg, grad_out, grads)
+            BackwardFrom::Checkpoint(agg)
         } else if let Some(g) = &self.projected[l] {
             let nbrs = indices(&chunk.neighbors);
-            let (h_nbr, g_nbr) = (self.h[l].gather_rows(&nbrs), g.gather_rows(&nbrs));
-            layer.backward_from_projected(chunk, &h_nbr, &g_nbr, grad_out, grads)
+            (h_nbr, g_nbr) = (self.h[l].gather_rows(&nbrs), g.gather_rows(&nbrs));
+            BackwardFrom::Projected {
+                h_nbr: &h_nbr,
+                g_nbr: &g_nbr,
+            }
         } else {
-            layer.backward_from_input(chunk, &self.neighbor_rows(l, chunk), grad_out, grads)
-        }
+            h_nbr = self.neighbor_rows(l, chunk);
+            BackwardFrom::Input(&h_nbr)
+        };
+        let upstream = Upstream::PreActivation(grad_out);
+        self.model
+            .layer(l)
+            .backward(chunk, from, upstream, l > 0, grads)
+            .unwrap_or_else(|| Matrix::zeros(0, 0))
     }
 
     fn apply(&mut self, dir: Dir, l: usize, chunk: &ChunkSubgraph, out: Computed) {
@@ -158,16 +174,19 @@ impl Numerics for Live<'_> {
                     self.agg_cache[l][chunk.part][chunk.chunk] = Some(agg);
                 }
             }
-            Dir::Backward => {
+            Dir::Backward if l > 0 => {
                 self.grad_h[l].scatter_add_rows(&indices(&chunk.neighbors), &out.rows);
             }
+            Dir::Backward => {}
         }
     }
 
     fn loss(&mut self) -> MaskedLoss {
         let logits = self.h.last().expect("a model has layers");
-        let loss = masked_cross_entropy(logits, self.labels, self.train_mask);
-        *self.grad_h.last_mut().expect("a model has layers") = loss.grad.clone();
+        let mut loss = masked_cross_entropy(logits, self.labels, self.train_mask);
+        // The gradient moves into `∇h^L`; the report keeps loss and accuracy.
+        *self.grad_h.last_mut().expect("a model has layers") =
+            std::mem::replace(&mut loss.grad, Matrix::zeros(0, 0));
         loss
     }
 }

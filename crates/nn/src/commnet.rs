@@ -8,7 +8,9 @@
 //! AGGREGATE is still a plain mean — no edge intermediates — so the layer
 //! caches `[mean_agg | h_dest]` exactly like SAGE.
 
-use crate::layer::{self, Activation, GnnLayer, LayerFlops, LayerForward, LayerGrads};
+use crate::layer::{
+    self, Activation, BackwardFrom, GnnLayer, LayerFlops, LayerForward, LayerGrads, Upstream,
+};
 use hongtu_partition::{ChunkShape, ChunkSubgraph};
 use hongtu_tensor::{Matrix, SeededRng};
 
@@ -31,20 +33,23 @@ impl CommNetLayer {
         }
     }
 
-    /// Mean over in-neighbors excluding the destination's own self-loop.
-    fn aggregate(&self, chunk: &ChunkSubgraph, h_nbr: &Matrix) -> (Matrix, Matrix) {
+    /// The `[mean_agg | h_dest]` checkpoint, the mean taken over
+    /// in-neighbors excluding the destination's own self-loop, aggregated
+    /// and gathered straight into its two halves.
+    fn aggregate(&self, chunk: &ChunkSubgraph, h_nbr: &Matrix) -> Matrix {
         let dim = h_nbr.cols();
         let self_pos = layer::self_positions(chunk);
-        let mut agg = Matrix::zeros(chunk.num_dests(), dim);
+        let mut ckpt = Matrix::zeros(chunk.num_dests(), 2 * dim);
         for k in 0..chunk.num_dests() {
             let sp = self_pos[k] as u32;
+            let (out, dest) = ckpt.row_mut(k).split_at_mut(dim);
+            dest.copy_from_slice(h_nbr.row(self_pos[k]));
             let range = chunk.in_edges_of(k);
             let others = range.clone().filter(|&e| chunk.nbr_index[e] != sp).count();
             if others == 0 {
                 continue; // isolated agent: zero communication term
             }
             let inv = 1.0 / others as f32;
-            let out = agg.row_mut(k);
             for e in range {
                 let src = chunk.nbr_index[e];
                 if src == sp {
@@ -55,25 +60,13 @@ impl CommNetLayer {
                 }
             }
         }
-        let h_dest = h_nbr.gather_rows(&self_pos);
-        (agg, h_dest)
+        ckpt
     }
 
-    fn update_backward(
-        &self,
-        agg: &Matrix,
-        h_dest: &Matrix,
-        grad_out: &Matrix,
-        grads: &mut LayerGrads,
-    ) -> (Matrix, Matrix) {
-        let z = h_dest.matmul(&self.w_self).add(&agg.matmul(&self.w_comm));
-        let dz = self.act.backward(&z, grad_out);
-        grads.grads[0].add_assign(&h_dest.transpose_matmul(&dz));
-        grads.grads[1].add_assign(&agg.transpose_matmul(&dz));
-        (
-            dz.matmul_transpose(&self.w_comm),
-            dz.matmul_transpose(&self.w_self),
-        )
+    /// `z = h_dest·W_self + mean_agg·W_comm` from the checkpoint's halves.
+    fn pre_activation(&self, ckpt: &Matrix) -> Matrix {
+        let (agg, h_dest) = layer::halves(ckpt);
+        h_dest.matmul(&self.w_self).add(&agg.matmul(&self.w_comm))
     }
 
     fn aggregate_backward(
@@ -137,39 +130,34 @@ impl GnnLayer for CommNetLayer {
             self.in_dim(),
             "CommNetLayer::forward: input dim mismatch"
         );
-        let (agg, h_dest) = self.aggregate(chunk, h_nbr);
-        let z = h_dest.matmul(&self.w_self).add(&agg.matmul(&self.w_comm));
-        let checkpoint = agg.hstack(&h_dest);
+        let checkpoint = self.aggregate(chunk, h_nbr);
         LayerForward {
-            out: self.act.apply(&z),
+            out: self.act.apply(&self.pre_activation(&checkpoint)),
             agg: Some(checkpoint),
         }
     }
 
-    fn backward_from_input(
-        &self,
-        chunk: &ChunkSubgraph,
-        h_nbr: &Matrix,
-        grad_out: &Matrix,
-        grads: &mut LayerGrads,
-    ) -> Matrix {
-        let (agg, h_dest) = self.aggregate(chunk, h_nbr);
-        let (grad_agg, grad_dest) = self.update_backward(&agg, &h_dest, grad_out, grads);
-        self.aggregate_backward(chunk, &grad_agg, &grad_dest)
+    fn activation(&self) -> Activation {
+        self.act
     }
 
-    fn backward_from_agg(
+    fn backward(
         &self,
         chunk: &ChunkSubgraph,
-        agg: &Matrix,
-        grad_out: &Matrix,
+        from: BackwardFrom<'_>,
+        upstream: Upstream<'_>,
+        input_grad: bool,
         grads: &mut LayerGrads,
-    ) -> Matrix {
-        let dim = self.in_dim();
-        let mean_agg = agg.columns(0..dim);
-        let h_dest = agg.columns(dim..2 * dim);
-        let (grad_agg, grad_dest) = self.update_backward(&mean_agg, &h_dest, grad_out, grads);
-        self.aggregate_backward(chunk, &grad_agg, &grad_dest)
+    ) -> Option<Matrix> {
+        let ckpt = layer::checkpoint(from, |h_nbr| self.aggregate(chunk, h_nbr));
+        let dz = upstream.through(self.act, || self.pre_activation(&ckpt));
+        let (agg, h_dest) = layer::halves(&ckpt);
+        grads.grads[0].add_assign(&h_dest.transpose_matmul(&dz));
+        grads.grads[1].add_assign(&agg.transpose_matmul(&dz));
+        input_grad.then(|| {
+            let grad_agg = dz.matmul_transpose(&self.w_comm);
+            self.aggregate_backward(chunk, &grad_agg, &dz.matmul_transpose(&self.w_self))
+        })
     }
 
     fn forward_flops(&self, chunk: &ChunkSubgraph) -> LayerFlops {
@@ -222,7 +210,7 @@ mod tests {
         let mut rng = SeededRng::new(1);
         let layer = CommNetLayer::new(2, 2, &mut rng);
         let h = inputs(&chunk, 2);
-        let (agg, _) = layer.aggregate(&chunk, &h);
+        let agg = layer.aggregate(&chunk, &h).columns(0..2);
         // Vertex 3 has only its self-loop → zero communication term.
         let k3 = chunk.dests.iter().position(|&d| d == 3).unwrap();
         assert!(agg.row(k3).iter().all(|&v| v == 0.0));

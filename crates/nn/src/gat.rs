@@ -12,12 +12,15 @@
 //! this layer reports `supports_agg_cache() == false` and HongTu falls back
 //! to the pure recomputation strategy on it (§4.2).
 
-use crate::layer::{self, Activation, GnnLayer, LayerFlops, LayerForward, LayerGrads};
+use crate::layer::{
+    self, Activation, BackwardFrom, GnnLayer, LayerFlops, LayerForward, LayerGrads, Upstream,
+};
 use hongtu_partition::{ChunkShape, ChunkSubgraph};
 use hongtu_tensor::ops::{
     leaky_relu, leaky_relu_backward, softmax_backward_segment, softmax_in_place,
 };
 use hongtu_tensor::{Matrix, SeededRng};
+use std::borrow::Cow;
 
 /// One single-head GAT layer.
 #[derive(Debug, Clone)]
@@ -141,14 +144,8 @@ impl GnnLayer for GatLayer {
         self.forward_projected(chunk, &self.project(h_nbr))
     }
 
-    fn backward_from_input(
-        &self,
-        chunk: &ChunkSubgraph,
-        h_nbr: &Matrix,
-        grad_out: &Matrix,
-        grads: &mut LayerGrads,
-    ) -> Matrix {
-        self.backward_from_projected(chunk, h_nbr, &self.project(h_nbr), grad_out, grads)
+    fn activation(&self) -> Activation {
+        self.act
     }
 
     fn neighbor_projection(&self) -> Option<&Matrix> {
@@ -162,22 +159,27 @@ impl GnnLayer for GatLayer {
         }
     }
 
-    fn backward_from_projected(
+    fn backward(
         &self,
         chunk: &ChunkSubgraph,
-        h_nbr: &Matrix,
-        g: &Matrix,
-        grad_out: &Matrix,
+        from: BackwardFrom<'_>,
+        upstream: Upstream<'_>,
+        input_grad: bool,
         grads: &mut LayerGrads,
-    ) -> Matrix {
+    ) -> Option<Matrix> {
+        let (h_nbr, g) = match from {
+            BackwardFrom::Input(h_nbr) => (h_nbr, Cow::Owned(self.project(h_nbr))),
+            BackwardFrom::Projected { h_nbr, g_nbr } => (h_nbr, Cow::Borrowed(g_nbr)),
+            BackwardFrom::Checkpoint(_) => from.unsupported(),
+        };
         let GatInternals {
             self_pos,
             pre,
             alpha,
             z,
-        } = self.attend(chunk, g);
+        } = self.attend(chunk, &g);
         let out_dim = self.out_dim();
-        let dz = self.act.backward(&z, grad_out);
+        let dz = upstream.through(self.act, || z);
 
         let mut grad_g = Matrix::zeros(g.rows(), out_dim);
         let mut grad_t = vec![0.0f32; g.rows()];
@@ -246,7 +248,7 @@ impl GnnLayer for GatLayer {
         grads.grads[0].add_assign(&h_nbr.transpose_matmul(&grad_g));
         grads.grads[1].add_assign(&Matrix::from_vec(1, out_dim, grad_al));
         grads.grads[2].add_assign(&Matrix::from_vec(1, out_dim, grad_ar));
-        grad_g.matmul_transpose(&self.w)
+        input_grad.then(|| grad_g.matmul_transpose(&self.w))
     }
 
     fn forward_flops(&self, chunk: &ChunkSubgraph) -> LayerFlops {

@@ -8,7 +8,9 @@
 //! GAT the paper's stress-test model.
 
 use crate::gat::GatLayer;
-use crate::layer::{Activation, GnnLayer, LayerFlops, LayerForward, LayerGrads};
+use crate::layer::{
+    Activation, BackwardFrom, GnnLayer, LayerFlops, LayerForward, LayerGrads, Upstream,
+};
 use hongtu_partition::{ChunkShape, ChunkSubgraph};
 use hongtu_tensor::{Matrix, SeededRng};
 
@@ -83,36 +85,55 @@ impl GnnLayer for MultiHeadGatLayer {
         LayerForward { out, agg: None }
     }
 
-    fn backward_from_input(
+    fn activation(&self) -> Activation {
+        self.heads[0].act
+    }
+
+    fn backward(
         &self,
         chunk: &ChunkSubgraph,
-        h_nbr: &Matrix,
-        grad_out: &Matrix,
+        from: BackwardFrom<'_>,
+        upstream: Upstream<'_>,
+        input_grad: bool,
         grads: &mut LayerGrads,
-    ) -> Matrix {
+    ) -> Option<Matrix> {
+        let BackwardFrom::Input(h_nbr) = from else {
+            from.unsupported()
+        };
+        let (grad, pre_activation) = match upstream {
+            Upstream::Output(grad) => (grad, false),
+            Upstream::PreActivation(dz) => (dz, true),
+        };
         assert_eq!(
-            grad_out.cols(),
+            grad.cols(),
             self.out_dim(),
             "multi-head grad width mismatch"
         );
         let per_head_params = self.heads[0].params().len();
-        let mut grad_nbr = Matrix::zeros(h_nbr.rows(), self.in_dim());
+        let mut grad_nbr = input_grad.then(|| Matrix::zeros(h_nbr.rows(), self.in_dim()));
         for (h, head) in self.heads.iter().enumerate() {
             let cols = h * self.head_dim..(h + 1) * self.head_dim;
-            let head_grad = grad_out.columns(cols);
+            let head_grad = grad.columns(cols);
+            let head_upstream = if pre_activation {
+                Upstream::PreActivation(&head_grad)
+            } else {
+                Upstream::Output(&head_grad)
+            };
             // Route this head's parameter gradients into its slice of the
             // flattened gradient list.
             let mut head_grads = LayerGrads {
                 grads: grads.grads[h * per_head_params..(h + 1) * per_head_params].to_vec(),
             };
-            let gn = head.backward_from_input(chunk, h_nbr, &head_grad, &mut head_grads);
+            let gn = head.backward(chunk, from, head_upstream, input_grad, &mut head_grads);
             for (slot, g) in grads.grads[h * per_head_params..(h + 1) * per_head_params]
                 .iter_mut()
                 .zip(head_grads.grads)
             {
                 *slot = g;
             }
-            grad_nbr.add_assign(&gn);
+            if let (Some(acc), Some(gn)) = (grad_nbr.as_mut(), gn) {
+                acc.add_assign(&gn);
+            }
         }
         grad_nbr
     }

@@ -7,7 +7,9 @@
 //! CPU memory during the forward pass and skip aggregate recomputation in
 //! the backward pass (§4.2).
 
-use crate::layer::{Activation, GnnLayer, LayerFlops, LayerForward, LayerGrads};
+use crate::layer::{
+    self, Activation, BackwardFrom, GnnLayer, LayerFlops, LayerForward, LayerGrads, Upstream,
+};
 use hongtu_partition::{ChunkShape, ChunkSubgraph};
 use hongtu_tensor::{Matrix, SeededRng};
 
@@ -64,15 +66,6 @@ impl GcnLayer {
         }
         grad_nbr
     }
-
-    /// Shared UPDATE backward: from the aggregate `a` and upstream
-    /// `grad_out`, accumulate `∇W` and return `grad_a`.
-    fn update_backward(&self, a: &Matrix, grad_out: &Matrix, grads: &mut LayerGrads) -> Matrix {
-        let z = a.matmul(&self.w); // recompute pre-activation (cheap dense op)
-        let dz = self.act.backward(&z, grad_out);
-        grads.grads[0].add_assign(&a.transpose_matmul(&dz));
-        dz.matmul_transpose(&self.w)
-    }
 }
 
 impl GnnLayer for GcnLayer {
@@ -115,27 +108,22 @@ impl GnnLayer for GcnLayer {
         }
     }
 
-    fn backward_from_input(
-        &self,
-        chunk: &ChunkSubgraph,
-        h_nbr: &Matrix,
-        grad_out: &Matrix,
-        grads: &mut LayerGrads,
-    ) -> Matrix {
-        let a = self.aggregate(chunk, h_nbr); // recomputation path
-        let grad_a = self.update_backward(&a, grad_out, grads);
-        self.aggregate_backward(chunk, &grad_a)
+    fn activation(&self) -> Activation {
+        self.act
     }
 
-    fn backward_from_agg(
+    fn backward(
         &self,
         chunk: &ChunkSubgraph,
-        agg: &Matrix,
-        grad_out: &Matrix,
+        from: BackwardFrom<'_>,
+        upstream: Upstream<'_>,
+        input_grad: bool,
         grads: &mut LayerGrads,
-    ) -> Matrix {
-        let grad_a = self.update_backward(agg, grad_out, grads);
-        self.aggregate_backward(chunk, &grad_a)
+    ) -> Option<Matrix> {
+        let a = layer::checkpoint(from, |h_nbr| self.aggregate(chunk, h_nbr));
+        let dz = upstream.through(self.act, || a.matmul(&self.w));
+        grads.grads[0].add_assign(&a.transpose_matmul(&dz));
+        input_grad.then(|| self.aggregate_backward(chunk, &dz.matmul_transpose(&self.w)))
     }
 
     fn forward_flops(&self, chunk: &ChunkSubgraph) -> LayerFlops {

@@ -15,10 +15,12 @@
 //! the UPDATE stage": the backward pass reloads an `O(|V|)` checkpoint
 //! and re-runs a dense-but-heavy UPDATE instead of touching the edges.
 
-use crate::layer::{self, Activation, GnnLayer, LayerFlops, LayerForward, LayerGrads};
+use crate::layer::{
+    self, Activation, BackwardFrom, GnnLayer, LayerFlops, LayerForward, LayerGrads, Upstream,
+};
 use hongtu_partition::{ChunkShape, ChunkSubgraph};
 use hongtu_tensor::ops::{sigmoid, sigmoid_backward_from_output, tanh, tanh_backward_from_output};
-use hongtu_tensor::{Matrix, SeededRng};
+use hongtu_tensor::{Columns, Matrix, SeededRng};
 
 /// One gated graph layer.
 #[derive(Debug, Clone)]
@@ -43,7 +45,19 @@ struct GruForward {
     z: Matrix,
     r: Matrix,
     h_tilde: Matrix,
-    h_prime: Matrix,
+}
+
+impl GruForward {
+    /// The cell's output `h' = (1 − z)⊙s + z⊙h̃`.
+    fn output(&self) -> Matrix {
+        let mut h_prime = self.s.clone();
+        for i in 0..h_prime.len() {
+            let zi = self.z.as_slice()[i];
+            h_prime.as_mut_slice()[i] =
+                (1.0 - zi) * self.s.as_slice()[i] + zi * self.h_tilde.as_slice()[i];
+        }
+        h_prime
+    }
 }
 
 impl GgnnLayer {
@@ -65,54 +79,50 @@ impl GgnnLayer {
         }
     }
 
-    /// Plain neighbor sum and gathered destination rows: `(m, h_dest)`.
-    fn aggregate(&self, chunk: &ChunkSubgraph, h_nbr: &Matrix) -> (Matrix, Matrix) {
+    /// The `[m | h_dest]` checkpoint: the plain neighbor sum and the
+    /// destination rows, summed and gathered straight into its halves.
+    fn aggregate(&self, chunk: &ChunkSubgraph, h_nbr: &Matrix) -> Matrix {
         let dim = h_nbr.cols();
         let self_pos = layer::self_positions(chunk);
-        let mut m = Matrix::zeros(chunk.num_dests(), dim);
+        let mut ckpt = Matrix::zeros(chunk.num_dests(), 2 * dim);
         for k in 0..chunk.num_dests() {
-            let out = m.row_mut(k);
+            let (out, dest) = ckpt.row_mut(k).split_at_mut(dim);
             for e in chunk.in_edges_of(k) {
                 let src = chunk.nbr_index[e] as usize;
                 for (o, &x) in out.iter_mut().zip(h_nbr.row(src)) {
                     *o += x;
                 }
             }
+            dest.copy_from_slice(h_nbr.row(self_pos[k]));
         }
-        (m, h_nbr.gather_rows(&self_pos))
+        ckpt
     }
 
-    /// The GRU-style UPDATE from the checkpointed `(m, h_dest)`.
-    fn gru_forward(&self, m: &Matrix, h_dest: &Matrix) -> GruForward {
+    /// The GRU-style UPDATE from the `[m | h_dest]` checkpoint.
+    fn gru_forward(&self, ckpt: &Matrix) -> GruForward {
+        let (m, h_dest) = layer::halves(ckpt);
         let a = m.matmul(&self.w_m);
         let s = h_dest.matmul(&self.w_s);
         let z = sigmoid(&a.matmul(&self.w_z).add(&s.matmul(&self.u_z)));
         let r = sigmoid(&a.matmul(&self.w_r).add(&s.matmul(&self.u_r)));
         let rs = r.hadamard(&s);
         let h_tilde = tanh(&a.matmul(&self.w_h).add(&rs.matmul(&self.u_h)));
-        // h' = (1 − z)⊙s + z⊙h̃
-        let mut h_prime = s.clone();
-        for i in 0..h_prime.len() {
-            let zi = z.as_slice()[i];
-            h_prime.as_mut_slice()[i] = (1.0 - zi) * s.as_slice()[i] + zi * h_tilde.as_slice()[i];
-        }
         GruForward {
             a,
             s,
             z,
             r,
             h_tilde,
-            h_prime,
         }
     }
 
     /// Backward through the GRU given upstream `g = ∂L/∂h'` (pre-act
     /// gradient). Accumulates all eight parameter gradients and returns
-    /// `(∂L/∂m, ∂L/∂h_dest)`.
+    /// `(∂L/∂a, ∂L/∂s)`, the gradients of the two input projections.
     fn gru_backward(
         &self,
-        m: &Matrix,
-        h_dest: &Matrix,
+        m: Columns<'_>,
+        h_dest: Columns<'_>,
         fwd: &GruForward,
         g: &Matrix,
         grads: &mut LayerGrads,
@@ -153,10 +163,7 @@ impl GgnnLayer {
         // Projections a = m·W_m, s = h_dest·W_s.
         grads.grads[0].add_assign(&m.transpose_matmul(&da)); // ∇W_m
         grads.grads[1].add_assign(&h_dest.transpose_matmul(&ds)); // ∇W_s
-        (
-            da.matmul_transpose(&self.w_m),
-            ds.matmul_transpose(&self.w_s),
-        )
+        (da, ds)
     }
 
     /// Scatters `(grad_m, grad_dest)` back onto neighbor rows.
@@ -181,20 +188,6 @@ impl GgnnLayer {
         }
         grad_nbr.scatter_add_rows(&self_pos, grad_dest);
         grad_nbr
-    }
-
-    fn backward_common(
-        &self,
-        chunk: &ChunkSubgraph,
-        m: &Matrix,
-        h_dest: &Matrix,
-        grad_out: &Matrix,
-        grads: &mut LayerGrads,
-    ) -> Matrix {
-        let fwd = self.gru_forward(m, h_dest);
-        let g = self.act.backward(&fwd.h_prime, grad_out);
-        let (grad_m, grad_dest) = self.gru_backward(m, h_dest, &fwd, &g, grads);
-        self.aggregate_backward(chunk, &grad_m, &grad_dest)
     }
 }
 
@@ -236,37 +229,35 @@ impl GnnLayer for GgnnLayer {
             self.in_dim(),
             "GgnnLayer::forward: input dim mismatch"
         );
-        let (m, h_dest) = self.aggregate(chunk, h_nbr);
-        let fwd = self.gru_forward(&m, &h_dest);
-        let checkpoint = m.hstack(&h_dest);
+        let checkpoint = self.aggregate(chunk, h_nbr);
+        let out = self.gru_forward(&checkpoint).output();
         LayerForward {
-            out: self.act.apply(&fwd.h_prime),
+            out: self.act.apply(&out),
             agg: Some(checkpoint),
         }
     }
 
-    fn backward_from_input(
-        &self,
-        chunk: &ChunkSubgraph,
-        h_nbr: &Matrix,
-        grad_out: &Matrix,
-        grads: &mut LayerGrads,
-    ) -> Matrix {
-        let (m, h_dest) = self.aggregate(chunk, h_nbr);
-        self.backward_common(chunk, &m, &h_dest, grad_out, grads)
+    fn activation(&self) -> Activation {
+        self.act
     }
 
-    fn backward_from_agg(
+    fn backward(
         &self,
         chunk: &ChunkSubgraph,
-        agg: &Matrix,
-        grad_out: &Matrix,
+        from: BackwardFrom<'_>,
+        upstream: Upstream<'_>,
+        input_grad: bool,
         grads: &mut LayerGrads,
-    ) -> Matrix {
-        let dim = self.in_dim();
-        let m = agg.columns(0..dim);
-        let h_dest = agg.columns(dim..2 * dim);
-        self.backward_common(chunk, &m, &h_dest, grad_out, grads)
+    ) -> Option<Matrix> {
+        let ckpt = layer::checkpoint(from, |h_nbr| self.aggregate(chunk, h_nbr));
+        let fwd = self.gru_forward(&ckpt);
+        let g = upstream.through(self.act, || fwd.output());
+        let (m, h_dest) = layer::halves(&ckpt);
+        let (da, ds) = self.gru_backward(m, h_dest, &fwd, &g, grads);
+        input_grad.then(|| {
+            let grad_m = da.matmul_transpose(&self.w_m);
+            self.aggregate_backward(chunk, &grad_m, &ds.matmul_transpose(&self.w_s))
+        })
     }
 
     fn forward_flops(&self, chunk: &ChunkSubgraph) -> LayerFlops {
@@ -321,9 +312,8 @@ mod tests {
         let mut rng = SeededRng::new(1);
         let layer = GgnnLayer::new(3, 4, &mut rng);
         let h = inputs(&chunk, 3);
-        let (m, hd) = layer.aggregate(&chunk, &h);
-        let fwd = layer.gru_forward(&m, &hd);
-        assert_eq!(fwd.h_prime.shape(), (4, 4));
+        let fwd = layer.gru_forward(&layer.aggregate(&chunk, &h));
+        assert_eq!(fwd.output().shape(), (4, 4));
         assert!(fwd.z.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
         assert!(fwd.r.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
         assert!(fwd
@@ -346,9 +336,8 @@ mod tests {
         layer.w_z = Matrix::full(2, 2, -100.0);
         layer.u_z = Matrix::full(2, 2, -100.0);
         let h = Matrix::full(chunk.num_neighbors(), 2, 0.5);
-        let (m, hd) = layer.aggregate(&chunk, &h);
-        let fwd = layer.gru_forward(&m, &hd);
-        assert!(fwd.h_prime.approx_eq(&fwd.s, 1e-4));
+        let fwd = layer.gru_forward(&layer.aggregate(&chunk, &h));
+        assert!(fwd.output().approx_eq(&fwd.s, 1e-4));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! Sum aggregation has no edge intermediates, so GIN supports hybrid
 //! caching with a `|V_ij| × in_dim` checkpoint (the combined sum).
 
-use crate::layer::{self, Activation, GnnLayer, LayerFlops, LayerForward, LayerGrads};
+use crate::layer::{
+    self, Activation, BackwardFrom, GnnLayer, LayerFlops, LayerForward, LayerGrads, Upstream,
+};
 use hongtu_partition::{ChunkShape, ChunkSubgraph};
 use hongtu_tensor::{Matrix, SeededRng};
 
@@ -51,13 +53,6 @@ impl GinLayer {
             }
         }
         a
-    }
-
-    fn update_backward(&self, a: &Matrix, grad_out: &Matrix, grads: &mut LayerGrads) -> Matrix {
-        let z = a.matmul(&self.w);
-        let dz = self.act.backward(&z, grad_out);
-        grads.grads[0].add_assign(&a.transpose_matmul(&dz));
-        dz.matmul_transpose(&self.w)
     }
 
     fn aggregate_backward(&self, chunk: &ChunkSubgraph, grad_a: &Matrix) -> Matrix {
@@ -118,27 +113,22 @@ impl GnnLayer for GinLayer {
         }
     }
 
-    fn backward_from_input(
-        &self,
-        chunk: &ChunkSubgraph,
-        h_nbr: &Matrix,
-        grad_out: &Matrix,
-        grads: &mut LayerGrads,
-    ) -> Matrix {
-        let a = self.aggregate(chunk, h_nbr);
-        let grad_a = self.update_backward(&a, grad_out, grads);
-        self.aggregate_backward(chunk, &grad_a)
+    fn activation(&self) -> Activation {
+        self.act
     }
 
-    fn backward_from_agg(
+    fn backward(
         &self,
         chunk: &ChunkSubgraph,
-        agg: &Matrix,
-        grad_out: &Matrix,
+        from: BackwardFrom<'_>,
+        upstream: Upstream<'_>,
+        input_grad: bool,
         grads: &mut LayerGrads,
-    ) -> Matrix {
-        let grad_a = self.update_backward(agg, grad_out, grads);
-        self.aggregate_backward(chunk, &grad_a)
+    ) -> Option<Matrix> {
+        let a = layer::checkpoint(from, |h_nbr| self.aggregate(chunk, h_nbr));
+        let dz = upstream.through(self.act, || a.matmul(&self.w));
+        grads.grads[0].add_assign(&a.transpose_matmul(&dz));
+        input_grad.then(|| self.aggregate_backward(chunk, &dz.matmul_transpose(&self.w)))
     }
 
     fn forward_flops(&self, chunk: &ChunkSubgraph) -> LayerFlops {

@@ -1,7 +1,8 @@
 //! The chunk-level layer abstraction.
 
 use hongtu_partition::{ChunkShape, ChunkSubgraph};
-use hongtu_tensor::Matrix;
+use hongtu_tensor::{Columns, Matrix};
+use std::borrow::Cow;
 
 /// Output of a chunk-level forward pass.
 #[derive(Debug, Clone)]
@@ -111,7 +112,91 @@ impl Activation {
             Activation::Identity => grad.clone(),
         }
     }
+
+    /// `∇z` of rows `rows` of a layer, from the layer's stored output
+    /// `out = act(z)` and the gradient `grad` of that output: one gather
+    /// of `grad`'s rows, masked in the same pass. For ReLU this is
+    /// [`Self::backward`] bit for bit, because `max(z, 0) > 0 ⇔ z > 0`
+    /// for every `f32`, NaN and `−0` included — so a backward pass that
+    /// starts from it never recomputes `z`.
+    pub fn backward_rows(self, out: &Matrix, grad: &Matrix, rows: &[usize]) -> Matrix {
+        match self {
+            Activation::Identity => grad.gather_rows(rows),
+            Activation::Relu => {
+                assert_eq!(out.shape(), grad.shape(), "backward_rows: shape mismatch");
+                let mut dz = Vec::with_capacity(rows.len() * grad.cols());
+                for &r in rows {
+                    let mask = out.row(r).iter().map(|&o| o > 0.0);
+                    dz.extend(
+                        grad.row(r)
+                            .iter()
+                            .zip(mask)
+                            .map(|(&g, m)| if m { g } else { 0.0 }),
+                    );
+                }
+                Matrix::from_vec(rows.len(), grad.cols(), dz)
+            }
+        }
+    }
 }
+
+/// The rows a backward pass re-derives the forward pass's internals from.
+#[derive(Debug, Clone, Copy)]
+pub enum BackwardFrom<'a> {
+    /// The reloaded neighbor input `h_nbr` (`|N_ij| × in_dim`): the pure
+    /// recomputation path re-runs the whole forward pass.
+    Input(&'a Matrix),
+    /// The hybrid checkpoint [`LayerForward::agg`] of the chunk: AGGREGATE
+    /// is skipped ([`GnnLayer::supports_agg_cache`] layers only).
+    Checkpoint(&'a Matrix),
+    /// `h_nbr` with its projection `g_nbr = h_nbr × W` supplied by the
+    /// caller ([`GnnLayer::neighbor_projection`] layers only).
+    Projected {
+        /// The neighbor input.
+        h_nbr: &'a Matrix,
+        /// `h_nbr × W`.
+        g_nbr: &'a Matrix,
+    },
+}
+
+impl BackwardFrom<'_> {
+    /// The panic of a layer handed a source it does not support.
+    pub(crate) fn unsupported(self) -> ! {
+        match self {
+            BackwardFrom::Checkpoint(_) => {
+                panic!("this layer does not support aggregate caching (see supports_agg_cache)")
+            }
+            _ => panic!("this layer does not project its neighbor rows (see neighbor_projection)"),
+        }
+    }
+}
+
+/// The upstream gradient a backward pass starts from.
+#[derive(Debug, Clone, Copy)]
+pub enum Upstream<'a> {
+    /// `∇h^{l+1}`, the gradient of the layer's output: the layer
+    /// differentiates its activation, recomputing `z` if it must.
+    Output(&'a Matrix),
+    /// `∇z`, already through the activation
+    /// ([`Activation::backward_rows`]).
+    PreActivation(&'a Matrix),
+}
+
+impl<'a> Upstream<'a> {
+    /// `∇z` of a layer with activation `act`; `z` runs only when the
+    /// activation's backward needs the pre-activation.
+    pub fn through(self, act: Activation, z: impl FnOnce() -> Matrix) -> Cow<'a, Matrix> {
+        match (self, act) {
+            (Upstream::PreActivation(dz), _) | (Upstream::Output(dz), Activation::Identity) => {
+                Cow::Borrowed(dz)
+            }
+            (Upstream::Output(grad), Activation::Relu) => Cow::Owned(act.backward(&z(), grad)),
+        }
+    }
+}
+
+/// What a wrapper that asked for `∇h_nbr` says when a layer returned none.
+const INPUT_GRAD: &str = "a backward asked for ∇h_nbr returns it";
 
 /// A GNN layer executable one chunk at a time.
 ///
@@ -138,8 +223,31 @@ pub trait GnnLayer: Send + Sync {
     /// enabling the hybrid caching strategy of §4.2.
     fn supports_agg_cache(&self) -> bool;
 
+    /// The UPDATE nonlinearity applied to the layer's output.
+    fn activation(&self) -> Activation;
+
     /// Forward pass over one chunk.
     fn forward(&self, chunk: &ChunkSubgraph, h_nbr: &Matrix) -> LayerForward;
+
+    /// The backward pass of one chunk: re-derives what the forward pass
+    /// computed from `from`, differentiates from `upstream` and
+    /// accumulates the parameter gradients into `grads`. With
+    /// `input_grad` it returns `∇h_nbr` (`|N_ij| × in_dim`); without it the
+    /// layer computes nothing only `∇h_nbr` reads (the first layer's input
+    /// is features, not parameters) and returns `None`.
+    ///
+    /// # Panics
+    /// Panics on a [`BackwardFrom::Checkpoint`] the layer does not
+    /// support ([`Self::supports_agg_cache`]) or a
+    /// [`BackwardFrom::Projected`] it does not ([`Self::neighbor_projection`]).
+    fn backward(
+        &self,
+        chunk: &ChunkSubgraph,
+        from: BackwardFrom<'_>,
+        upstream: Upstream<'_>,
+        input_grad: bool,
+        grads: &mut LayerGrads,
+    ) -> Option<Matrix>;
 
     /// Recomputation-path backward: recompute the forward internals from
     /// the (reloaded) neighbor input, then differentiate. Returns the
@@ -151,22 +259,28 @@ pub trait GnnLayer: Send + Sync {
         h_nbr: &Matrix,
         grad_out: &Matrix,
         grads: &mut LayerGrads,
-    ) -> Matrix;
+    ) -> Matrix {
+        let from = BackwardFrom::Input(h_nbr);
+        self.backward(chunk, from, Upstream::Output(grad_out), true, grads)
+            .expect(INPUT_GRAD)
+    }
 
     /// Hybrid-path backward: differentiate from the cached AGGREGATE output
     /// `agg`, skipping aggregate recomputation. Only valid when
     /// [`Self::supports_agg_cache`] is true.
     ///
     /// # Panics
-    /// Default implementation panics; cache-capable layers override it.
+    /// Panics on a layer without aggregate caching.
     fn backward_from_agg(
         &self,
-        _chunk: &ChunkSubgraph,
-        _agg: &Matrix,
-        _grad_out: &Matrix,
-        _grads: &mut LayerGrads,
+        chunk: &ChunkSubgraph,
+        agg: &Matrix,
+        grad_out: &Matrix,
+        grads: &mut LayerGrads,
     ) -> Matrix {
-        panic!("this layer does not support aggregate caching (see supports_agg_cache)");
+        let from = BackwardFrom::Checkpoint(agg);
+        self.backward(chunk, from, Upstream::Output(grad_out), true, grads)
+            .expect(INPUT_GRAD)
     }
 
     /// The weight this layer applies to every neighbor row *before* it
@@ -174,9 +288,9 @@ pub trait GnnLayer: Send + Sync {
     /// Such a projection is a row-wise map of `h^l`, so a caller that runs
     /// many chunks of one layer may compute `H^l × W` once, gather its rows
     /// per chunk and enter through [`Self::forward_projected`] /
-    /// [`Self::backward_from_projected`]: bit for bit what the per-chunk
-    /// entry points compute, without projecting a row once per chunk that
-    /// reads it.
+    /// [`BackwardFrom::Projected`]: bit for bit what the per-chunk entry
+    /// points compute, without projecting a row once per chunk that reads
+    /// it.
     fn neighbor_projection(&self) -> Option<&Matrix> {
         None
     }
@@ -195,17 +309,18 @@ pub trait GnnLayer: Send + Sync {
     /// `g_nbr = h_nbr × W` supplied by the caller.
     ///
     /// # Panics
-    /// Default implementation panics; layers that name a
-    /// [`Self::neighbor_projection`] override it.
+    /// Panics on a layer without a [`Self::neighbor_projection`].
     fn backward_from_projected(
         &self,
-        _chunk: &ChunkSubgraph,
-        _h_nbr: &Matrix,
-        _g_nbr: &Matrix,
-        _grad_out: &Matrix,
-        _grads: &mut LayerGrads,
+        chunk: &ChunkSubgraph,
+        h_nbr: &Matrix,
+        g_nbr: &Matrix,
+        grad_out: &Matrix,
+        grads: &mut LayerGrads,
     ) -> Matrix {
-        panic!("this layer does not project its neighbor rows (see neighbor_projection)");
+        let from = BackwardFrom::Projected { h_nbr, g_nbr };
+        self.backward(chunk, from, Upstream::Output(grad_out), true, grads)
+            .expect(INPUT_GRAD)
     }
 
     /// Forward FLOP estimate for one chunk.
@@ -231,6 +346,28 @@ pub trait GnnLayer: Send + Sync {
             0
         }
     }
+}
+
+/// The aggregate a hybrid-capable layer's backward starts from: the
+/// stored checkpoint, or `aggregate` re-run over the reloaded input.
+///
+/// # Panics
+/// Panics on [`BackwardFrom::Projected`]: these layers project nothing.
+pub(crate) fn checkpoint<'a>(
+    from: BackwardFrom<'a>,
+    aggregate: impl FnOnce(&Matrix) -> Matrix,
+) -> Cow<'a, Matrix> {
+    match from {
+        BackwardFrom::Input(h_nbr) => Cow::Owned(aggregate(h_nbr)),
+        BackwardFrom::Checkpoint(ckpt) => Cow::Borrowed(ckpt),
+        BackwardFrom::Projected { .. } => from.unsupported(),
+    }
+}
+
+/// The two halves of a `[agg | h_dest]` checkpoint, read in place.
+pub(crate) fn halves(ckpt: &Matrix) -> (Columns<'_>, Columns<'_>) {
+    let dim = ckpt.cols() / 2;
+    (ckpt.column_view(0..dim), ckpt.column_view(dim..2 * dim))
 }
 
 /// Gathers, for each destination of `chunk`, its own position in the

@@ -3,16 +3,22 @@
 //! The original HongTu delegates dense math to PyTorch/cuSparse and gets
 //! gradients from autograd. Here every layer implements its backward pass
 //! explicitly, which is what makes the paper's *recomputation-caching-
-//! hybrid* strategy (§4.2) expressible: a layer exposes
+//! hybrid* strategy (§4.2) expressible: a layer's one backward body,
+//! [`layer::GnnLayer::backward`], starts from
 //!
-//! - [`layer::GnnLayer::backward_from_input`] — the pure **recomputation**
-//!   path: given the reloaded layer input (the vertex representations,
-//!   which always live in CPU memory), recompute the forward pass and then
-//!   differentiate;
-//! - [`layer::GnnLayer::backward_from_agg`] — the **hybrid** path for models
+//! - the reloaded layer input — the pure **recomputation** path: the
+//!   vertex representations always live in CPU memory, so recompute the
+//!   forward pass and then differentiate
+//!   ([`layer::GnnLayer::backward_from_input`]);
+//! - the cached aggregate output `a^l` — the **hybrid** path for models
 //!   whose AGGREGATE yields no edge intermediates (GCN, GraphSAGE, GIN,
-//!   CommNet): given the cached aggregate output `a^l`, skip AGGREGATE and
-//!   recompute only UPDATE.
+//!   CommNet, GGNN): skip AGGREGATE and recompute only UPDATE
+//!   ([`layer::GnnLayer::backward_from_agg`]).
+//!
+//! It computes only what a caller reads: given `∇z` already through the
+//! activation (ReLU's mask read off the stored output) it recomputes no
+//! `z`, and without a request for `∇h` (the first layer's input is
+//! features) it stops at the parameter gradients.
 //!
 //! Models provided: GCN (Eq. 2), GAT (Eq. 3, single head, plus a
 //! multi-head wrapper), GraphSAGE-mean, GIN, CommNet, and a gated GGNN

@@ -7,7 +7,9 @@
 //! horizontal concatenation `[mean_agg | h_dest]` (`|V_ij| × 2·in_dim`) —
 //! the checkpoint tensor is layer-defined and opaque to the engine.
 
-use crate::layer::{self, Activation, GnnLayer, LayerFlops, LayerForward, LayerGrads};
+use crate::layer::{
+    self, Activation, BackwardFrom, GnnLayer, LayerFlops, LayerForward, LayerGrads, Upstream,
+};
 use hongtu_partition::{ChunkShape, ChunkSubgraph};
 use hongtu_tensor::{Matrix, SeededRng};
 
@@ -30,43 +32,31 @@ impl SageLayer {
         }
     }
 
-    /// Mean aggregate and gathered destination reps: `(mean_agg, h_dest)`.
-    fn aggregate(&self, chunk: &ChunkSubgraph, h_nbr: &Matrix) -> (Matrix, Matrix) {
+    /// The `[mean_agg | h_dest]` checkpoint, aggregated and gathered
+    /// straight into its two halves.
+    fn aggregate(&self, chunk: &ChunkSubgraph, h_nbr: &Matrix) -> Matrix {
         let dim = h_nbr.cols();
         let self_pos = layer::self_positions(chunk);
-        let mut agg = Matrix::zeros(chunk.num_dests(), dim);
+        let mut ckpt = Matrix::zeros(chunk.num_dests(), 2 * dim);
         for k in 0..chunk.num_dests() {
             let range = chunk.in_edges_of(k);
             let inv = 1.0 / range.len().max(1) as f32;
-            let out = agg.row_mut(k);
+            let (out, dest) = ckpt.row_mut(k).split_at_mut(dim);
             for e in range {
                 let src = chunk.nbr_index[e] as usize;
                 for (o, &x) in out.iter_mut().zip(h_nbr.row(src)) {
                     *o += inv * x;
                 }
             }
+            dest.copy_from_slice(h_nbr.row(self_pos[k]));
         }
-        let h_dest = h_nbr.gather_rows(&self_pos);
-        (agg, h_dest)
+        ckpt
     }
 
-    /// UPDATE backward from the cached `[agg | h_dest]` checkpoint.
-    /// Returns `(grad_agg, grad_dest)` and accumulates parameter grads.
-    fn update_backward(
-        &self,
-        agg: &Matrix,
-        h_dest: &Matrix,
-        grad_out: &Matrix,
-        grads: &mut LayerGrads,
-    ) -> (Matrix, Matrix) {
-        let z = h_dest.matmul(&self.w_self).add(&agg.matmul(&self.w_nbr));
-        let dz = self.act.backward(&z, grad_out);
-        grads.grads[0].add_assign(&h_dest.transpose_matmul(&dz));
-        grads.grads[1].add_assign(&agg.transpose_matmul(&dz));
-        (
-            dz.matmul_transpose(&self.w_nbr),
-            dz.matmul_transpose(&self.w_self),
-        )
+    /// `z = h_dest·W_self + mean_agg·W_nbr` from the checkpoint's halves.
+    fn pre_activation(&self, ckpt: &Matrix) -> Matrix {
+        let (agg, h_dest) = layer::halves(ckpt);
+        h_dest.matmul(&self.w_self).add(&agg.matmul(&self.w_nbr))
     }
 
     /// Scatters `(grad_agg, grad_dest)` back onto neighbor rows.
@@ -123,39 +113,34 @@ impl GnnLayer for SageLayer {
             self.in_dim(),
             "SageLayer::forward: input dim mismatch"
         );
-        let (agg, h_dest) = self.aggregate(chunk, h_nbr);
-        let z = h_dest.matmul(&self.w_self).add(&agg.matmul(&self.w_nbr));
-        let checkpoint = agg.hstack(&h_dest);
+        let checkpoint = self.aggregate(chunk, h_nbr);
         LayerForward {
-            out: self.act.apply(&z),
+            out: self.act.apply(&self.pre_activation(&checkpoint)),
             agg: Some(checkpoint),
         }
     }
 
-    fn backward_from_input(
-        &self,
-        chunk: &ChunkSubgraph,
-        h_nbr: &Matrix,
-        grad_out: &Matrix,
-        grads: &mut LayerGrads,
-    ) -> Matrix {
-        let (agg, h_dest) = self.aggregate(chunk, h_nbr);
-        let (grad_agg, grad_dest) = self.update_backward(&agg, &h_dest, grad_out, grads);
-        self.aggregate_backward(chunk, &grad_agg, &grad_dest)
+    fn activation(&self) -> Activation {
+        self.act
     }
 
-    fn backward_from_agg(
+    fn backward(
         &self,
         chunk: &ChunkSubgraph,
-        agg: &Matrix,
-        grad_out: &Matrix,
+        from: BackwardFrom<'_>,
+        upstream: Upstream<'_>,
+        input_grad: bool,
         grads: &mut LayerGrads,
-    ) -> Matrix {
-        let dim = self.in_dim();
-        let mean_agg = agg.columns(0..dim);
-        let h_dest = agg.columns(dim..2 * dim);
-        let (grad_agg, grad_dest) = self.update_backward(&mean_agg, &h_dest, grad_out, grads);
-        self.aggregate_backward(chunk, &grad_agg, &grad_dest)
+    ) -> Option<Matrix> {
+        let ckpt = layer::checkpoint(from, |h_nbr| self.aggregate(chunk, h_nbr));
+        let dz = upstream.through(self.act, || self.pre_activation(&ckpt));
+        let (agg, h_dest) = layer::halves(&ckpt);
+        grads.grads[0].add_assign(&h_dest.transpose_matmul(&dz));
+        grads.grads[1].add_assign(&agg.transpose_matmul(&dz));
+        input_grad.then(|| {
+            let grad_agg = dz.matmul_transpose(&self.w_nbr);
+            self.aggregate_backward(chunk, &grad_agg, &dz.matmul_transpose(&self.w_self))
+        })
     }
 
     fn forward_flops(&self, chunk: &ChunkSubgraph) -> LayerFlops {
@@ -225,7 +210,8 @@ mod tests {
         let mut rng = SeededRng::new(2);
         let layer = SageLayer::new(2, 2, &mut rng);
         let h = Matrix::full(chunk.num_neighbors(), 2, 3.5);
-        let (agg, h_dest) = layer.aggregate(&chunk, &h);
+        let ckpt = layer.aggregate(&chunk, &h);
+        let (agg, h_dest) = (ckpt.columns(0..2), ckpt.columns(2..4));
         assert!(agg.as_slice().iter().all(|&v| (v - 3.5).abs() < 1e-6));
         assert!(h_dest.as_slice().iter().all(|&v| (v - 3.5).abs() < 1e-6));
     }

@@ -24,7 +24,7 @@ pub mod rng;
 pub mod sparse;
 
 pub use init::{xavier_uniform, zeros_like};
-pub use matrix::Matrix;
+pub use matrix::{Columns, Matrix};
 pub use ops::{
     leaky_relu, leaky_relu_backward, log_softmax_rows, relu, relu_backward, sigmoid,
     sigmoid_backward_from_output, softmax_rows, tanh, tanh_backward_from_output,

@@ -320,6 +320,21 @@ impl Matrix {
         out
     }
 
+    /// Columns `range` of every row, read in place: [`Columns::matmul`]
+    /// and [`Columns::transpose_matmul`] are bit for bit the products of
+    /// [`Matrix::columns`], without the copy.
+    pub fn column_view(&self, range: std::ops::Range<usize>) -> Columns<'_> {
+        assert!(
+            range.start <= range.end && range.end <= self.cols,
+            "column_view: range out of bounds"
+        );
+        Columns {
+            m: self,
+            c0: range.start,
+            cols: range.len(),
+        }
+    }
+
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -373,16 +388,7 @@ impl Matrix {
             "matmul: inner dimensions differ ({}x{} × {}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        matmul_into(
-            &self.data,
-            self.rows,
-            self.cols,
-            &other.data,
-            other.cols,
-            &mut out.data,
-        );
-        out
+        self.column_view(0..self.cols).matmul(other)
     }
 
     /// `selfᵀ × other` without materializing the transpose.
@@ -394,17 +400,7 @@ impl Matrix {
             "transpose_matmul: row counts differ ({}x{} vs {}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
-        // out[c1][c2] = sum_r self[r][c1] * other[r][c2]
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        tiled(
-            self.cols,
-            self.rows,
-            other.cols,
-            |c1, r| self.data[r * self.cols + c1],
-            &other.data,
-            &mut out.data,
-        );
-        out
+        self.column_view(0..self.cols).transpose_matmul(other)
     }
 
     /// `self × otherᵀ`.
@@ -475,43 +471,137 @@ impl Matrix {
     }
 }
 
-/// Parallel kernel: `out[a_rows × b_cols] = A[a_rows × a_cols] × B[a_cols × b_cols]`.
+/// A block of whole columns of a [`Matrix`] ([`Matrix::column_view`]):
+/// the left operand of a product over part of a wider matrix — a layer's
+/// `[agg | h_dest]` checkpoint — read where it lies.
+#[derive(Debug, Clone, Copy)]
+pub struct Columns<'a> {
+    m: &'a Matrix,
+    c0: usize,
+    cols: usize,
+}
+
+impl Columns<'_> {
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.m.rows
+    }
+
+    /// Number of columns in the view.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// The matrix data from the view's first column on; element `(r, k)`
+    /// of the view sits at `r * stride + k`.
+    fn data(&self) -> &[f32] {
+        self.m.data.get(self.c0..).unwrap_or_default()
+    }
+
+    /// `self × other` — [`Matrix::matmul`] of the viewed columns.
+    ///
+    /// # Panics
+    /// Panics if `self.cols() != other.rows()`.
+    pub fn matmul(&self, other: &Matrix) -> Matrix {
+        assert_eq!(
+            self.cols,
+            other.rows,
+            "matmul: inner dimensions differ ({}x{} × {}x{})",
+            self.rows(),
+            self.cols,
+            other.rows,
+            other.cols
+        );
+        let mut out = Matrix::zeros(self.rows(), other.cols);
+        matmul_into(
+            self.data(),
+            self.rows(),
+            self.cols,
+            self.m.cols,
+            &other.data,
+            other.cols,
+            &mut out.data,
+        );
+        out
+    }
+
+    /// `selfᵀ × other` without materializing the transpose.
+    ///
+    /// Used for weight gradients: `∇W = aᵀ × δ`.
+    pub fn transpose_matmul(&self, other: &Matrix) -> Matrix {
+        assert_eq!(
+            self.rows(),
+            other.rows,
+            "transpose_matmul: row counts differ ({}x{} vs {}x{})",
+            self.rows(),
+            self.cols,
+            other.rows,
+            other.cols
+        );
+        // out[c1][c2] = sum_r self[r][c1] * other[r][c2]
+        let (a, stride) = (self.data(), self.m.cols);
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        tiled(
+            self.cols,
+            self.rows(),
+            other.cols,
+            |c1, r| a[r * stride + c1],
+            &other.data,
+            &mut out.data,
+        );
+        out
+    }
+}
+
+/// Parallel kernel: `out[a_rows × b_cols] = A[a_rows × a_cols] × B[a_cols × b_cols]`,
+/// with element `(r, k)` of `A` at `a[r * a_stride + k]`.
 ///
 /// Rows of `A` are split across the work-stealing pool when the problem is
 /// big enough; each job writes a disjoint row-slice of `out`. Every output
 /// row runs the identical per-row reduction, so the split (and hence the
 /// thread count) never changes the result bitwise.
-fn matmul_into(a: &[f32], a_rows: usize, a_cols: usize, b: &[f32], b_cols: usize, out: &mut [f32]) {
+fn matmul_into(
+    a: &[f32],
+    a_rows: usize,
+    a_cols: usize,
+    a_stride: usize,
+    b: &[f32],
+    b_cols: usize,
+    out: &mut [f32],
+) {
     let threads = hongtu_parallel::global().num_threads();
     if a_rows < PAR_MIN_ROWS_PER_THREAD * 2 || threads <= 1 || b_cols == 0 {
-        matmul_rows(a, a_cols, b, b_cols, out, 0, a_rows);
+        matmul_rows(a, a_cols, a_stride, b, b_cols, out, 0, a_rows);
         return;
     }
     let n_workers = threads.min(a_rows / PAR_MIN_ROWS_PER_THREAD).max(1);
     let rows_per = a_rows.div_ceil(n_workers);
     hongtu_parallel::par_chunks_mut(out, rows_per * b_cols, |start, chunk| {
         let r0 = start / b_cols;
-        matmul_rows(a, a_cols, b, b_cols, chunk, r0, r0 + chunk.len() / b_cols);
+        let r1 = r0 + chunk.len() / b_cols;
+        matmul_rows(a, a_cols, a_stride, b, b_cols, chunk, r0, r1);
     });
 }
 
 /// Sequential row-range matmul: fills `out` (rows `start..end` of the result,
 /// re-based to index 0).
+#[allow(clippy::too_many_arguments)] // one kernel's operands and strides
 fn matmul_rows(
     a: &[f32],
     a_cols: usize,
+    a_stride: usize,
     b: &[f32],
     b_cols: usize,
     out: &mut [f32],
     start: usize,
     end: usize,
 ) {
-    let a = &a[start * a_cols..end * a_cols];
+    let a = &a[start * a_stride..];
     tiled(
         end - start,
         a_cols,
         b_cols,
-        |r, k| a[r * a_cols + k],
+        |r, k| a[r * a_stride + k],
         b,
         out,
     );
@@ -708,6 +798,7 @@ mod tests {
         let mut seq = Matrix::zeros(512, 29);
         matmul_rows(
             a.as_slice(),
+            33,
             33,
             b.as_slice(),
             29,
@@ -924,6 +1015,32 @@ mod tests {
             );
         }
 
+        /// Products over a column view equal the products over the
+        /// copied columns ([`Matrix::columns`]), wherever the block sits.
+        #[test]
+        fn column_view_equals_its_reference_bitwise(
+            n_pick in 0usize..13,
+            k in 0usize..50,
+            left in 0usize..9,
+            right in 0usize..9,
+            m_pick in 0usize..8,
+            seed in 0u64..1_000_000
+        ) {
+            let (n, m) = (row_count(n_pick), WIDTHS[m_pick]);
+            let mut rng = SeededRng::new(seed);
+            let wide = awkward(n, left + k + right, 0.2, &mut rng);
+            let range = left..left + k;
+            let (view, copy) = (wide.column_view(range.clone()), wide.columns(range));
+            prop_assert_eq!((view.rows(), view.cols()), copy.shape());
+            let b = awkward(k, m, 0.1, &mut rng);
+            prop_assert_eq!(bits(&view.matmul(&b)), bits(&copy.matmul(&b)));
+            let c = awkward(n, m, 0.1, &mut rng);
+            prop_assert_eq!(
+                bits(&view.transpose_matmul(&c)),
+                bits(&copy.transpose_matmul(&c))
+            );
+        }
+
         #[test]
         fn gather_rows_equals_its_reference_bitwise(
             src_rows in 1usize..40,
@@ -968,7 +1085,7 @@ mod tests {
     }
 
     /// The pool is sized once per process, so "for every pool size" is a
-    /// fresh process per size: this binary again, the four properties
+    /// fresh process per size: this binary again, the five properties
     /// above only, under `HONGTU_THREADS` 1 (kernels inline) and 4 (the
     /// `matmul` row split and the reference gather fork).
     #[test]

@@ -64,6 +64,9 @@ cargo test -q --release --test overlap_executor
 echo "==> inference executor certification, release profile"
 cargo test -q --release --test inference_executor
 
+echo "==> layer backward certification, release profile (skipped ∇h^0 and ReLU mask from the output = full wrappers, bitwise)"
+cargo test -q --release -p hongtu-nn
+
 echo "==> serving layer certification, release profile"
 cargo test -q --release -p hongtu-serving
 cargo test -q --release --test serving_executor
