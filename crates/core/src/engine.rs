@@ -342,7 +342,8 @@ pub struct Session {
     /// `h[l]`: host-resident layer representations (`h[0]` = features).
     h: Vec<Matrix>,
     /// `∇h[l]`: host-resident gradient buffers ([`Mode::Train`] only;
-    /// empty matrices on an inference session, and `∇h[0]` always empty).
+    /// empty matrices on an inference session; `∇h[0]` is always empty,
+    /// and `∇h[L]` until the first loss moves its gradient in).
     grad_h: Vec<Matrix>,
     /// `agg_cache[l][i][j]`: hybrid checkpoints (host-resident).
     agg_cache: Vec<Vec<Vec<Option<Matrix>>>>,
@@ -484,9 +485,10 @@ impl Session {
             if train {
                 machine.host_alloc(v * d * F32, "grad h^l")?;
             }
-            // Nothing reads `∇h^0`, the features' gradient, so the host
-            // keeps no matrix for it; the modeled machine still holds it.
-            grad_h.push(if train && l > 0 {
+            // Nothing reads `∇h^0`, the features' gradient, and the loss
+            // writes `∇h^L` whole before anything reads it, so the host
+            // keeps a matrix for neither; the modeled machine holds both.
+            grad_h.push(if train && l > 0 && l < dims.len() - 1 {
                 Matrix::zeros(v, d)
             } else {
                 Matrix::zeros(0, 0)
