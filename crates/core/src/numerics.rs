@@ -79,7 +79,7 @@ pub(crate) struct Live<'a> {
     pub model: &'a GnnModel,
     /// `h[l]`: layer representations.
     pub h: &'a mut [Matrix],
-    /// `∇h[l]`: gradient buffers (`∇h[0]` empty).
+    /// `∇h[l]`: gradient buffers (`∇h[0]` empty; the loss writes `∇h[L]`).
     pub grad_h: &'a mut [Matrix],
     /// `agg_cache[l][i][j]`: hybrid checkpoints.
     pub agg_cache: &'a mut [Vec<Vec<Option<Matrix>>>],
